@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: all check build vet test test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke trace-demo tracez-smoke serve-demo examples cover clean
+.PHONY: all check build vet test sched-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke trace-demo tracez-smoke serve-demo examples cover clean
 
 all: check
 
 # The fast gate: what CI's main job runs on every push.
-check: build vet test
+check: build vet test sched-check
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,21 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The elevator's pending set, uncached: the differential test against
+# the sorted-slice reference model, the 0-alloc pin on a scheduling step
+# and the step-cost-is-flat check, then one iteration of the scaling
+# benchmark so that it cannot rot unbuilt or panic unseen.
+sched-check:
+	$(GO) test -count=1 -run 'TestPendingSetMatchesSortedSlice|TestElevatorStep|TestServedRefsUnreachable' ./internal/assembly
+	$(GO) test -run '^$$' -bench=SchedulerElevator -benchtime=1x ./internal/assembly
+
+# The benchmark is a module of its own (benchmark/go.mod), so build,
+# vet and test above never compile it: an internal/* signature change
+# that breaks it would show only when the driver runs it. This builds
+# and tests it in place, touching no file under benchmark/.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 test-race:
 	$(GO) test -race ./...

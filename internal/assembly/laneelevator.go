@@ -1,0 +1,149 @@
+package assembly
+
+import (
+	"fmt"
+
+	"revelation/internal/disk"
+)
+
+// BatchScheduler is implemented by schedulers that can hand out one
+// reference per independent device lane in a single step, so the
+// operator can fetch them concurrently — one in-flight read per lane —
+// while preserving each lane's own service order.
+type BatchScheduler interface {
+	Scheduler
+	// Lanes reports how many independent lanes the scheduler sweeps.
+	Lanes() int
+	// LaneOf routes a page to its lane index.
+	LaneOf(p disk.PageID) int
+	// NextBatch removes and returns up to one live reference per
+	// non-empty lane, each chosen by that lane's own policy relative to
+	// its own last serviced page. Lanes appear in ascending index order
+	// so the batch composition is deterministic. An empty batch means no
+	// references remain.
+	NextBatch(head disk.PageID) []*Ref
+}
+
+// LaneElevator keeps one SCAN elevator per independent device, each
+// sweeping relative to its *own* last serviced page, where a single
+// global SCAN would drag every arm around. It serves both of the
+// paper's Section 7 extensions ("At present, the assembly operator can
+// only handle one device"): a database striped over several local
+// devices (NewMultiElevator) and one sharded over a page-service fleet
+// (NewShardElevator). Next rotates across lanes with pending references
+// so all arms stay busy; NextBatch exposes one reference per lane so
+// the operator can keep every lane's pipe full concurrently while each
+// lane's own order stays a pure SCAN.
+type LaneElevator struct {
+	name   string
+	laneOf func(disk.PageID) int
+	lanes  []lane
+	rr     int
+}
+
+// lane is one device's elevator and the page it last served.
+type lane struct {
+	elevator
+	last disk.PageID
+}
+
+// NewMultiElevator builds a scheduler for n devices; deviceOf routes a
+// global page to its device index (use disk.Striped.DeviceOf).
+func NewMultiElevator(n int, deviceOf func(disk.PageID) int) *LaneElevator {
+	return newLaneElevator("multi-elevator", n, deviceOf)
+}
+
+// NewShardElevator builds a scheduler for n shards; shardOf routes a
+// global page to its shard index (use shard.Router.ShardOf).
+func NewShardElevator(n int, shardOf func(disk.PageID) int) *LaneElevator {
+	return newLaneElevator("shard-elevator", n, shardOf)
+}
+
+func newLaneElevator(kind string, n int, laneOf func(disk.PageID) int) *LaneElevator {
+	if n < 1 {
+		n = 1
+	}
+	s := &LaneElevator{
+		name:   fmt.Sprintf("%s(%d)", kind, n),
+		laneOf: laneOf,
+		lanes:  make([]lane, n),
+	}
+	for i := range s.lanes {
+		s.lanes[i].dirUp = true
+	}
+	return s
+}
+
+// Name implements Scheduler.
+func (s *LaneElevator) Name() string { return s.name }
+
+// Lanes implements BatchScheduler.
+func (s *LaneElevator) Lanes() int { return len(s.lanes) }
+
+// LaneOf implements BatchScheduler.
+func (s *LaneElevator) LaneOf(p disk.PageID) int { return s.laneOf(p) % len(s.lanes) }
+
+// Add implements Scheduler.
+func (s *LaneElevator) Add(refs ...*Ref) {
+	for _, r := range refs {
+		s.lanes[s.LaneOf(r.Page())].pend.push(r)
+	}
+}
+
+// Next implements Scheduler: among lanes with pending references,
+// serve the one whose next service is cheapest for its own arm
+// (shortest positioning first across arms, SCAN within an arm). Ties
+// rotate round-robin so no arm starves. Concurrent callers use
+// NextBatch instead.
+func (s *LaneElevator) Next(disk.PageID) *Ref {
+	n := len(s.lanes)
+	best, bestDist := -1, int64(1)<<62
+	for i := 0; i < n; i++ {
+		l := (s.rr + i) % n
+		if d, ok := s.lanes[l].peekDist(s.lanes[l].last); ok && d < bestDist {
+			best, bestDist = l, d
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	s.rr = (best + 1) % n
+	return s.lanes[best].serve()
+}
+
+// serve takes the lane's next reference and moves its head there.
+func (l *lane) serve() *Ref {
+	r := l.Next(l.last)
+	if r != nil {
+		l.last = r.Page()
+	}
+	return r
+}
+
+// NextBatch implements BatchScheduler: one reference per non-empty
+// lane, in lane order, each advancing its own head.
+func (s *LaneElevator) NextBatch(disk.PageID) []*Ref {
+	var batch []*Ref
+	for i := range s.lanes {
+		if r := s.lanes[i].serve(); r != nil {
+			batch = append(batch, r)
+		}
+	}
+	return batch
+}
+
+// TakeOnPage implements Scheduler.
+func (s *LaneElevator) TakeOnPage(p disk.PageID) []*Ref {
+	return s.lanes[s.LaneOf(p)].TakeOnPage(p)
+}
+
+// Len implements Scheduler.
+func (s *LaneElevator) Len() int {
+	total := 0
+	for i := range s.lanes {
+		total += s.lanes[i].Len()
+	}
+	return total
+}
+
+var _ BatchScheduler = (*LaneElevator)(nil)

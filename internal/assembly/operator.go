@@ -51,7 +51,7 @@ type Options struct {
 	// "only a single request should be issued to the buffer manager",
 	// worth it because "even buffer hits can be expensive" (footnote 5).
 	PageBatch bool
-	// ShardPrefetch, with a BatchScheduler (e.g. ShardElevator over a
+	// ShardPrefetch, with a BatchScheduler (e.g. NewShardElevator over a
 	// shard.Router), fetches one reference per shard lane concurrently:
 	// the scheduler hands out a batch — one SCAN step per shard — the
 	// operator warms the buffer with one goroutine per lane under a
@@ -204,6 +204,10 @@ type Operator struct {
 	laneCtxs  []context.Context
 	// reservation is the frame quota admitted at Open (ReserveFrames).
 	reservation *buffer.Reservation
+	// one carries a single reference to the scheduler: Add is an
+	// interface call, so a fresh one-element variadic would go to the
+	// heap for every root.
+	one [1]*Ref
 }
 
 // BindContext implements volcano.ContextBinder: the operator observes
@@ -223,12 +227,22 @@ type workItem struct {
 	// assembled maps OIDs already assembled within this complex
 	// object, for intra-object sharing ("multiple, possibly shared,
 	// object references contained within a single object", Section 4).
+	// Only shared template nodes and adopted subtrees write it (through
+	// remember), so an object without either never allocates it.
 	assembled map[object.OID]*Instance
 	// pages is the item's window footprint.
 	pages map[disk.PageID]bool
 	// frames are the buffer pins held for this item when
 	// PinWindowPages is on.
 	frames []*buffer.Frame
+}
+
+// remember records inst as assembled within this complex object.
+func (item *workItem) remember(oid object.OID, inst *Instance) {
+	if item.assembled == nil {
+		item.assembled = map[object.OID]*Instance{}
+	}
+	item.assembled[oid] = inst
 }
 
 // New builds an assembly operator.
@@ -353,6 +367,7 @@ func (op *Operator) Next() (volcano.Item, error) {
 		// retrieves another one to work on" (Section 4).
 		if len(op.outq) > 0 {
 			item := op.outq[0]
+			op.outq[0] = nil
 			op.outq = op.outq[1:]
 			op.releaseFootprint(item)
 			// Emission drains this item's pins: buffer pressure (if
@@ -581,10 +596,7 @@ func (op *Operator) admit() error {
 	if err != nil {
 		return err
 	}
-	item := &workItem{
-		assembled: map[object.OID]*Instance{},
-		pages:     map[disk.PageID]bool{},
-	}
+	item := &workItem{pages: map[disk.PageID]bool{}}
 	// Count the slot live up front so an abort during admission (a
 	// root-level predicate failure) balances the books.
 	op.liveItems++
@@ -641,7 +653,7 @@ func (op *Operator) admit() error {
 func (op *Operator) adopt(item *workItem, root *Instance) error {
 	item.root = root
 	root.Walk(func(in *Instance) {
-		item.assembled[in.OID()] = in
+		item.remember(in.OID(), in)
 		op.noteFootprint(item, in.page)
 	})
 	batch, _, err := componentIterator{op}.discover(item, root, true, false)
@@ -694,8 +706,15 @@ func (op *Operator) scheduleRef(item *workItem, parent *Instance, slot int, node
 	if err != nil {
 		return err
 	}
-	op.dispatch(r)
+	op.dispatchOne(r)
 	return nil
+}
+
+// dispatchOne is dispatch for a single reference.
+func (op *Operator) dispatchOne(r *Ref) {
+	op.one[0] = r
+	op.dispatch(op.one[:]...)
+	op.one[0] = nil
 }
 
 // propagatePending adjusts the unresolved-descendant counters along
@@ -794,7 +813,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 				op.link(item, ref, inst)
 				propagatePending(ref.Parent, -1)
 				op.maybeRegisterShared(ref.Parent)
-				item.assembled[ref.OID] = inst
+				item.remember(ref.OID, inst)
 				op.noteFootprint(item, inst.page)
 				op.stats.SharedLinks++
 				op.cells.sharedLinks.Inc()
@@ -909,7 +928,7 @@ func (op *Operator) refFault(ref *Ref, cause error) error {
 			}
 		}
 		item.pending++
-		op.dispatch(ref)
+		op.dispatchOne(ref)
 		return nil
 	}
 	switch op.Opts.FaultPolicy {
@@ -922,7 +941,7 @@ func (op *Operator) refFault(ref *Ref, cause error) error {
 				op.qspan.OnRefRetry()
 				op.tr.AssemblyQ(trace.KindRetry, uint64(ref.OID), int64(ref.RID.Page), trace.NoPage, "", op.qid)
 				item.pending++
-				op.dispatch(ref)
+				op.dispatchOne(ref)
 				return nil
 			}
 			// The retry budget ran out but the fault is still transient
@@ -988,7 +1007,7 @@ func (op *Operator) place(item *workItem, parent *Instance, slot int, node *Temp
 	}
 	op.link(item, &Ref{Parent: parent, Slot: slot, Item: item}, inst)
 	if node.Shared {
-		item.assembled[obj.OID] = inst
+		item.remember(obj.OID, inst)
 	}
 	op.noteFootprint(item, pg)
 
@@ -1014,7 +1033,7 @@ func (op *Operator) place(item *workItem, parent *Instance, slot int, node *Temp
 func (op *Operator) adoptSubtree(item *workItem, root *Instance) error {
 	root.Walk(func(in *Instance) {
 		if in.Node.Shared {
-			item.assembled[in.OID()] = in
+			item.remember(in.OID(), in)
 		}
 		op.noteFootprint(item, in.page)
 	})
@@ -1200,7 +1219,7 @@ func (op *Operator) releaseFootprint(item *workItem) {
 		}
 	}
 	op.cells.windowPages.Set(int64(len(op.footprint)))
-	item.pages = map[disk.PageID]bool{}
+	clear(item.pages)
 }
 
 // pageOf resolves the page backing an OID, or InvalidPage when the

@@ -2,7 +2,7 @@ package assembly
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"revelation/internal/disk"
 	"revelation/internal/heap"
@@ -31,6 +31,10 @@ type Ref struct {
 	// Attempts counts fetch attempts that failed with a transient
 	// fault; the RetryFaults policy bounds it before quarantining.
 	Attempts int
+	// next chains the references pending on one page inside an
+	// elevator's pendingSet; nil whenever the reference is not in one.
+	// With it Ref fills the 64-byte size class exactly.
+	next *Ref
 }
 
 // Page is the device page the reference resolves to.
@@ -47,7 +51,8 @@ type Scheduler interface {
 	// Name identifies the policy in plans and benchmark tables.
 	Name() string
 	// Add inserts references, preserving their relative order where
-	// the policy is order-sensitive.
+	// the policy is order-sensitive. The slice belongs to the caller and
+	// may be reused once Add returns.
 	Add(refs ...*Ref)
 	// Next removes and returns the next reference to resolve, or nil
 	// when none remain. head is the device's current head position.
@@ -58,7 +63,8 @@ type Scheduler interface {
 	// page, then only a single request should be issued to the buffer
 	// manager."
 	TakeOnPage(p disk.PageID) []*Ref
-	// Len reports the number of pending references (live and dead).
+	// Len reports an upper bound on the pending references: the live
+	// ones plus the dead ones the policy has not yet met and dropped.
 	Len() int
 }
 
@@ -107,7 +113,8 @@ func NewScheduler(kind SchedulerKind) Scheduler {
 
 // depthFirst keeps one stack per window item and always serves the
 // oldest item, children left-to-right: exactly the traversal a
-// compiled method performs, one complex object at a time.
+// compiled method performs, one complex object at a time. A stack's
+// top is the end of its slice, so a pop clears the slot it vacates.
 type depthFirst struct {
 	order  []*workItem
 	stacks map[*workItem][]*Ref
@@ -116,29 +123,31 @@ type depthFirst struct {
 
 func (s *depthFirst) Name() string { return DepthFirst.String() }
 
+// Add pushes each item's share of the batch onto that item's stack. A
+// batch arrives in left-to-right field order, so pushing it as one
+// group, last reference first, keeps the leftmost child on top — the
+// traversal order a compiled method would use.
 func (s *depthFirst) Add(refs ...*Ref) {
-	// Group the batch by window item and prepend each group to its
-	// item's stack: a batch arrives in left-to-right field order, so
-	// prepending the whole group keeps the leftmost child on top —
-	// the traversal order a compiled method would use.
-	byItem := map[*workItem][]*Ref{}
-	var items []*workItem
-	for _, r := range refs {
-		if _, ok := byItem[r.Item]; !ok {
-			items = append(items, r.Item)
-		}
-		byItem[r.Item] = append(byItem[r.Item], r)
-	}
-	for _, item := range items {
-		if _, ok := s.stacks[item]; !ok {
+	for len(refs) > 0 {
+		item := refs[0].Item
+		stack, known := s.stacks[item]
+		if !known {
 			s.order = append(s.order, item)
 		}
-		batch := byItem[item]
-		merged := make([]*Ref, 0, len(batch)+len(s.stacks[item]))
-		merged = append(merged, batch...)
-		merged = append(merged, s.stacks[item]...)
-		s.stacks[item] = merged
-		s.n += len(batch)
+		// The operator hands over one object's references at a time, so
+		// rest — the other items' share of the batch — is normally empty.
+		var rest []*Ref
+		for i := len(refs) - 1; i >= 0; i-- {
+			if r := refs[i]; r.Item == item {
+				stack = append(stack, r)
+				s.n++
+			} else {
+				rest = append(rest, r)
+			}
+		}
+		s.stacks[item] = stack
+		slices.Reverse(rest)
+		refs = rest
 	}
 }
 
@@ -147,8 +156,10 @@ func (s *depthFirst) Next(disk.PageID) *Ref {
 		item := s.order[0]
 		stack := s.stacks[item]
 		for len(stack) > 0 {
-			r := stack[0]
-			stack = stack[1:]
+			top := len(stack) - 1
+			r := stack[top]
+			stack[top] = nil
+			stack = stack[:top]
 			s.n--
 			if r.live() {
 				s.stacks[item] = stack
@@ -156,6 +167,7 @@ func (s *depthFirst) Next(disk.PageID) *Ref {
 			}
 		}
 		delete(s.stacks, item)
+		s.order[0] = nil
 		s.order = s.order[1:]
 	}
 	return nil
@@ -173,19 +185,19 @@ func (s *depthFirst) TakeOnPage(p disk.PageID) []*Ref {
 	item := s.order[0]
 	stack := s.stacks[item]
 	var out []*Ref
+	for i := len(stack) - 1; i >= 0; i-- { // top of the stack first
+		if r := stack[i]; r.live() && r.Page() == p {
+			out = append(out, r)
+		}
+	}
 	rest := stack[:0]
 	for _, r := range stack {
-		if !r.live() {
-			s.n--
-			continue
+		if r.live() && r.Page() != p {
+			rest = append(rest, r)
 		}
-		if r.Page() == p {
-			out = append(out, r)
-			s.n--
-			continue
-		}
-		rest = append(rest, r)
 	}
+	s.n -= len(stack) - len(rest)
+	clear(stack[len(rest):])
 	s.stacks[item] = rest
 	return out
 }
@@ -202,6 +214,7 @@ func (s *breadthFirst) Add(refs ...*Ref) { s.queue = append(s.queue, refs...) }
 func (s *breadthFirst) Next(disk.PageID) *Ref {
 	for len(s.queue) > 0 {
 		r := s.queue[0]
+		s.queue[0] = nil
 		s.queue = s.queue[1:]
 		if r.live() {
 			return r
@@ -226,17 +239,20 @@ func (s *breadthFirst) TakeOnPage(p disk.PageID) []*Ref {
 		}
 		rest = append(rest, r)
 	}
+	clear(s.queue[len(rest):])
 	s.queue = rest
 	return out
 }
 
-// elevator is the SCAN policy: it keeps the pending references sorted
-// by page and serves the nearest one in the current sweep direction,
-// reversing at the ends. With a dedicated device and a large window of
-// outstanding requests this is the classical choice (Teorey &
-// Pinkerton; Section 6.2).
+// elevator is the SCAN policy: it serves the pending reference nearest
+// the head in the current sweep direction, reversing at the ends. With
+// a dedicated device and a large window of outstanding requests this is
+// the classical choice (Teorey & Pinkerton; Section 6.2). Among the
+// references on one page it takes the newest when the sweep reaches the
+// page going up or the head already stands on it, the oldest when it
+// reaches the page going down.
 type elevator struct {
-	refs  []*Ref // sorted by page
+	pend  pendingSet
 	dirUp bool
 }
 
@@ -244,99 +260,57 @@ func (s *elevator) Name() string { return Elevator.String() }
 
 func (s *elevator) Add(refs ...*Ref) {
 	for _, r := range refs {
-		i := sort.Search(len(s.refs), func(i int) bool { return s.refs[i].Page() >= r.Page() })
-		s.refs = append(s.refs, nil)
-		copy(s.refs[i+1:], s.refs[i:])
-		s.refs[i] = r
+		s.pend.push(r)
 	}
 }
 
 func (s *elevator) Next(head disk.PageID) *Ref {
-	s.compact()
-	if len(s.refs) == 0 {
+	up, okUp := s.pend.ceil(head)
+	if s.dirUp && okUp {
+		return s.pend.takeNewest(up)
+	}
+	down, okDown := s.pend.floor(head)
+	switch {
+	case !okUp && !okDown:
+		// Nothing live is left — the direction stays as it is, however
+		// many dead references the two searches just dropped.
 		return nil
+	case !okDown:
+		s.dirUp = true
+		return s.pend.takeNewest(up)
+	case !okUp:
+		s.dirUp = false
+		return s.pend.takeOldest(down)
+	case up == head:
+		// Exact hits belong to the current position regardless of
+		// direction; prefer them to avoid a pointless reversal.
+		return s.pend.takeNewest(up)
+	default:
+		return s.pend.takeOldest(down)
 	}
-	// First pending ref at or above the head.
-	i := sort.Search(len(s.refs), func(i int) bool { return s.refs[i].Page() >= head })
-	var pick int
-	if s.dirUp {
-		if i < len(s.refs) {
-			pick = i
-		} else {
-			s.dirUp = false
-			pick = len(s.refs) - 1
-		}
-	} else {
-		if i > 0 {
-			pick = i - 1
-			// Exact hits belong to the current position regardless of
-			// direction; prefer them to avoid a pointless reversal.
-			if i < len(s.refs) && s.refs[i].Page() == head {
-				pick = i
-			}
-		} else {
-			s.dirUp = true
-			pick = 0
-		}
-	}
-	r := s.refs[pick]
-	s.refs = append(s.refs[:pick], s.refs[pick+1:]...)
-	return r
 }
 
 // peekDist reports the seek distance the next service from this
-// elevator would cost, given its head, without removing anything.
+// elevator would cost, given its head, without removing anything live.
 func (s *elevator) peekDist(head disk.PageID) (int64, bool) {
-	s.compact()
-	if len(s.refs) == 0 {
+	up, okUp := s.pend.ceil(head)
+	down, okDown := s.pend.floor(head)
+	switch {
+	case okUp && okDown:
+		return min(int64(up-head), int64(head-down)), true
+	case okUp:
+		return int64(up - head), true
+	case okDown:
+		return int64(head - down), true
+	default:
 		return 0, false
 	}
-	i := sort.Search(len(s.refs), func(i int) bool { return s.refs[i].Page() >= head })
-	best := int64(1) << 62
-	if i < len(s.refs) {
-		d := int64(s.refs[i].Page() - head)
-		if d < best {
-			best = d
-		}
-	}
-	if i > 0 {
-		d := int64(head - s.refs[i-1].Page())
-		if d < best {
-			best = d
-		}
-	}
-	return best, true
 }
 
-// compact drops references of aborted complex objects.
-func (s *elevator) compact() {
-	live := s.refs[:0]
-	for _, r := range s.refs {
-		if r.live() {
-			live = append(live, r)
-		}
-	}
-	s.refs = live
-}
+func (s *elevator) Len() int { return s.pend.n }
 
-func (s *elevator) Len() int { return len(s.refs) }
-
-// TakeOnPage implements Scheduler: the sorted slice makes same-page
-// extraction a binary search plus a contiguous cut.
-func (s *elevator) TakeOnPage(p disk.PageID) []*Ref {
-	s.compact()
-	lo := sort.Search(len(s.refs), func(i int) bool { return s.refs[i].Page() >= p })
-	hi := lo
-	for hi < len(s.refs) && s.refs[hi].Page() == p {
-		hi++
-	}
-	if lo == hi {
-		return nil
-	}
-	out := append([]*Ref(nil), s.refs[lo:hi]...)
-	s.refs = append(s.refs[:lo], s.refs[hi:]...)
-	return out
-}
+// TakeOnPage implements Scheduler: one bucket of the pending set.
+func (s *elevator) TakeOnPage(p disk.PageID) []*Ref { return s.pend.takeAll(p) }
 
 // PredicateFirst wraps a base policy with the Section 7 integration of
 // predicates into scheduling: references whose subtree can reject the
@@ -365,11 +339,11 @@ func (s *PredicateFirst) Name() string { return "predicate-first/" + s.base }
 
 // Add implements Scheduler.
 func (s *PredicateFirst) Add(refs ...*Ref) {
-	for _, r := range refs {
+	for i, r := range refs {
 		if r.Node.subtreeRejectivity() > 0 {
-			s.hot.Add(r)
+			s.hot.Add(refs[i : i+1]...)
 		} else {
-			s.cold.Add(r)
+			s.cold.Add(refs[i : i+1]...)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package assembly
 
 import (
+	"fmt"
 	"testing"
 
 	"revelation/internal/disk"
@@ -38,7 +39,61 @@ func benchScheduler(b *testing.B, kind SchedulerKind) {
 
 func BenchmarkSchedulerDepthFirst(b *testing.B)   { benchScheduler(b, DepthFirst) }
 func BenchmarkSchedulerBreadthFirst(b *testing.B) { benchScheduler(b, BreadthFirst) }
-func BenchmarkSchedulerElevator(b *testing.B)     { benchScheduler(b, Elevator) }
+
+// steadyScheduler fills s with pending references spread over a 64 MB
+// device and returns one steady-state step: serve the reference the
+// policy picks at the head, then offer it again on another page. The
+// pending count stays where it is and the step allocates nothing, so
+// what it costs is the scheduling structure alone.
+func steadyScheduler(s Scheduler, pending int) (step func()) {
+	const pages = 1 << 14
+	item, node := &workItem{}, &Template{Name: "x"}
+	refs := make([]Ref, pending)
+	var one [1]*Ref
+	for i := range refs {
+		refs[i] = Ref{OID: object.OID(i + 1), RID: heap.RID{Page: disk.PageID(i * 131 % pages)}, Item: item, Node: node}
+		one[0] = &refs[i]
+		s.Add(one[:]...)
+	}
+	head, seq := disk.PageID(0), 0
+	return func() {
+		r := s.Next(head)
+		head = r.Page()
+		seq++
+		r.RID.Page = disk.PageID(seq * 37 % pages)
+		one[0] = r
+		s.Add(one[:]...)
+	}
+}
+
+// benchSteady times the steady-state step of the scheduler mk builds
+// at 200, 2000 and 20 000 pending references.
+func benchSteady(b *testing.B, mk func() Scheduler) {
+	for _, pending := range []int{200, 2000, 20000} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			step := steadyScheduler(mk(), pending)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
+	}
+}
+
+// BenchmarkSchedulerElevator is the elevator's cost per step against
+// the number of pending references: a window of W deep objects keeps
+// W x fan-out pending, and the step must not grow with it.
+func BenchmarkSchedulerElevator(b *testing.B) {
+	benchSteady(b, func() Scheduler { return NewScheduler(Elevator) })
+}
+
+// BenchmarkSchedulerSliceModel is the same step on the sorted-slice
+// elevator the pending set replaced (now the tests' reference model):
+// linear in pending, from its compact() and its memmove.
+func BenchmarkSchedulerSliceModel(b *testing.B) {
+	benchSteady(b, func() Scheduler { return &sliceElevator{dirUp: true} })
+}
 
 func BenchmarkSchedulerPredicateFirst(b *testing.B) {
 	item := &workItem{}
