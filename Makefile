@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: all check build vet test sched-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke trace-demo tracez-smoke serve-demo examples cover clean
+.PHONY: all check build vet test sched-check buffer-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke trace-demo tracez-smoke serve-demo examples cover clean
 
 all: check
 
 # The fast gate: what CI's main job runs on every push.
-check: build vet test sched-check
+check: build vet test sched-check buffer-check
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,18 @@ test:
 sched-check:
 	$(GO) test -count=1 -run 'TestPendingSetMatchesSortedSlice|TestElevatorStep|TestServedRefsUnreachable' ./internal/assembly
 	$(GO) test -run '^$$' -bench=SchedulerElevator -benchtime=1x ./internal/assembly
+
+# The pool's victim heap, uncached: the whole package — the
+# differential test against the two-scan reference model (10 000 seeded
+# sequences, the invariant checker after every step), the FixNew error
+# paths, the 0-alloc pin on the hit path, the miss-cost-is-flat check —
+# then once more under the race detector (400 sequences, no timing
+# test), then one iteration of the scaling benchmark so that it cannot
+# rot unbuilt or panic unseen.
+buffer-check:
+	$(GO) test -count=1 ./internal/buffer
+	$(GO) test -race -count=1 ./internal/buffer
+	$(GO) test -run '^$$' -bench='FixMiss|FixHit' -benchtime=1x ./internal/buffer
 
 # The benchmark is a module of its own (benchmark/go.mod), so build,
 # vet and test above never compile it: an internal/* signature change

@@ -20,7 +20,7 @@ import (
 func buildChainStore(t *testing.T, n int) (*object.Store, *Template, []object.OID) {
 	t.Helper()
 	d := disk.New(0)
-	pool := buffer.New(d, 512, buffer.LRU)
+	pool := buffer.New(d, 512)
 	f, err := heap.Create(pool, n+4)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestPredicateFirstFetchesFewer(t *testing.T) {
 
 func TestRequiredNilAborts(t *testing.T) {
 	d := disk.New(0)
-	pool := buffer.New(d, 64, buffer.LRU)
+	pool := buffer.New(d, 64)
 	f, err := heap.Create(pool, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +448,7 @@ func TestElevatorSeeksLessThanDepthFirstOnRandomLayout(t *testing.T) {
 func scatteredStore(t *testing.T, n int) (*object.Store, *Template, []object.OID) {
 	t.Helper()
 	d := disk.New(0)
-	pool := buffer.New(d, 2048, buffer.LRU)
+	pool := buffer.New(d, 2048)
 	pages := (4*n)/9 + 2
 	f, err := heap.Create(pool, pages)
 	if err != nil {

@@ -315,7 +315,7 @@ func TestChaosFailFastSurfacesFault(t *testing.T) {
 // and still assemble every complex object.
 func TestWindowShrinksUnderBufferPressure(t *testing.T) {
 	d := disk.New(0)
-	pool := buffer.New(d, 14, buffer.LRU)
+	pool := buffer.New(d, 14)
 	f, err := heap.Create(pool, 18)
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ type oracleWorld struct {
 func genWorld(t *testing.T, rng *rand.Rand) *oracleWorld {
 	t.Helper()
 	d := disk.New(0)
-	pool := buffer.New(d, 4096, buffer.LRU)
+	pool := buffer.New(d, 4096)
 	f, err := heap.Create(pool, 512)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 func benchTree(b *testing.B, frames int) *Tree {
 	b.Helper()
 	d := disk.New(0)
-	pool := buffer.New(d, frames, buffer.LRU)
+	pool := buffer.New(d, frames)
 	tr, err := Create(pool)
 	if err != nil {
 		b.Fatal(err)
@@ -59,7 +59,7 @@ func BenchmarkGetWarm(b *testing.B) {
 func BenchmarkGetColdSmallPool(b *testing.B) {
 	// A 16-frame pool over a ~100k-key tree: most descents fault.
 	d := disk.New(0)
-	pool := buffer.New(d, 1024, buffer.LRU)
+	pool := buffer.New(d, 1024)
 	tr, err := Create(pool)
 	if err != nil {
 		b.Fatal(err)
@@ -70,7 +70,7 @@ func BenchmarkGetColdSmallPool(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	small := buffer.New(d, 16, buffer.LRU)
+	small := buffer.New(d, 16)
 	if err := pool.FlushAll(); err != nil {
 		b.Fatal(err)
 	}

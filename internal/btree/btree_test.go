@@ -14,7 +14,7 @@ import (
 func newTree(t *testing.T, frames int) *Tree {
 	t.Helper()
 	d := disk.New(0)
-	pool := buffer.New(d, frames, buffer.LRU)
+	pool := buffer.New(d, frames)
 	tr, err := Create(pool)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +392,7 @@ func TestInsertScanProperty(t *testing.T) {
 
 func newTreeQuick() *Tree {
 	d := disk.New(0)
-	pool := buffer.New(d, 128, buffer.LRU)
+	pool := buffer.New(d, 128)
 	tr, err := Create(pool)
 	if err != nil {
 		panic(err)
@@ -425,7 +425,7 @@ func TestTreeSmallPool(t *testing.T) {
 	// Pool far smaller than the tree: every operation faults pages in
 	// and out; correctness must not depend on residency.
 	d := disk.New(0)
-	pool := buffer.New(d, 4, buffer.LRU)
+	pool := buffer.New(d, 4)
 	tr, err := Create(pool)
 	if err != nil {
 		t.Fatal(err)

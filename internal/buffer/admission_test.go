@@ -13,7 +13,7 @@ import (
 // admissionPool builds a small pool over a simulated device.
 func admissionPool(t *testing.T, frames, pages int) *Pool {
 	t.Helper()
-	p, _ := newPool(t, pages, frames, LRU)
+	p, _ := newPool(t, pages, frames)
 	return p
 }
 

@@ -1,19 +1,29 @@
 package buffer
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"revelation/internal/disk"
 )
 
-func BenchmarkFixHit(b *testing.B) {
-	d := disk.New(8)
-	p := New(d, 8, LRU)
+// hitPool returns a pool with page 3 resident and unpinned.
+func hitPool(tb testing.TB) *Pool {
+	tb.Helper()
+	p := New(disk.New(8), 8)
 	f, err := p.Fix(3)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	p.Unfix(f, false)
+	if err := p.Unfix(f, false); err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+func BenchmarkFixHit(b *testing.B) {
+	p := hitPool(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f, err := p.Fix(3)
@@ -24,33 +34,94 @@ func BenchmarkFixHit(b *testing.B) {
 	}
 }
 
-func BenchmarkFixMissLRU(b *testing.B) {
-	benchFixMiss(b, LRU)
-}
-
-func BenchmarkFixMissClock(b *testing.B) {
-	benchFixMiss(b, Clock)
-}
-
-func benchFixMiss(b *testing.B, policy Policy) {
-	b.Helper()
-	d := disk.New(4096)
-	p := New(d, 64, policy)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Stride through far more pages than frames: every Fix evicts.
-		id := disk.PageID((i * 127) % 4096)
-		f, err := p.Fix(id)
+// TestFixHitAllocs pins the hit path — Fix of a resident page and its
+// Unfix — at no allocation.
+func TestFixHitAllocs(t *testing.T) {
+	p := hitPool(t)
+	allocs := testing.AllocsPerRun(1000, func() {
+		f, err := p.Fix(3)
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
 		p.Unfix(f, false)
+	})
+	if allocs != 0 {
+		t.Errorf("Fix hit + Unfix allocates %v times, want 0", allocs)
+	}
+}
+
+// missSweep returns a full pool of the given size and a step that
+// fixes and releases the next page of a cyclic sweep over a quarter
+// more pages than there are frames: under LRU every step evicts. Pages
+// are 64 bytes, so the read and the checksum behind each miss stay
+// small beside the choice of a victim.
+func missSweep(tb testing.TB, frames int) (p *Pool, step func()) {
+	tb.Helper()
+	pages := frames + frames/4 + 1
+	p = New(disk.NewSim(64, pages), frames)
+	next := 0
+	step = func() {
+		f, err := p.Fix(disk.PageID(next))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		p.Unfix(f, false)
+		if next++; next == pages {
+			next = 0
+		}
+	}
+	for i := 0; i < pages; i++ {
+		step()
+	}
+	return p, step
+}
+
+func BenchmarkFixMiss(b *testing.B) {
+	for _, frames := range []int{800, 8000, 80000} {
+		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) {
+			p, step := missSweep(b, frames)
+			before := p.Stats().Evictions
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.StopTimer()
+			if got := p.Stats().Evictions - before; got != int64(b.N) {
+				b.Fatalf("%d evictions in %d steps", got, b.N)
+			}
+		})
+	}
+}
+
+// TestMissCostFlat: a miss in a pool a hundred times larger costs at
+// most three times as much.
+func TestMissCostFlat(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("timing test")
+	}
+	const steps = 100000
+	cost := func(frames int) time.Duration {
+		_, step := missSweep(t, frames)
+		best := time.Duration(1 << 62)
+		for trial := 0; trial < 7; trial++ {
+			start := time.Now()
+			for i := 0; i < steps; i++ {
+				step()
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	small, large := cost(800), cost(80000)
+	t.Logf("%d misses: %v at 800 frames, %v at 80000", steps, small, large)
+	if large > 3*small {
+		t.Errorf("%d misses take %v at 80000 frames, over 3x the %v at 800", steps, large, small)
 	}
 }
 
 func BenchmarkFixNewAndFlush(b *testing.B) {
 	d := disk.New(0)
-	p := New(d, 256, LRU)
+	p := New(d, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f, err := p.FixNew()

@@ -9,14 +9,14 @@ import (
 	"revelation/internal/disk"
 )
 
-func newPool(t *testing.T, devPages, frames int, policy Policy) (*Pool, *disk.Sim) {
+func newPool(t *testing.T, devPages, frames int) (*Pool, *disk.Sim) {
 	t.Helper()
 	d := disk.New(devPages)
-	return New(d, frames, policy), d
+	return New(d, frames), d
 }
 
 func TestFixMissThenHit(t *testing.T) {
-	p, d := newPool(t, 8, 4, LRU)
+	p, d := newPool(t, 8, 4)
 	f, err := p.Fix(3)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestFixMissThenHit(t *testing.T) {
 }
 
 func TestDirtyWriteBack(t *testing.T) {
-	p, d := newPool(t, 8, 2, LRU)
+	p, d := newPool(t, 8, 2)
 	f, err := p.Fix(0)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestDirtyWriteBack(t *testing.T) {
 }
 
 func TestAllFramesPinned(t *testing.T) {
-	p, _ := newPool(t, 8, 2, LRU)
+	p, _ := newPool(t, 8, 2)
 	f0, err := p.Fix(0)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestAllFramesPinned(t *testing.T) {
 }
 
 func TestUnfixUnpinned(t *testing.T) {
-	p, _ := newPool(t, 4, 2, LRU)
+	p, _ := newPool(t, 4, 2)
 	f, err := p.Fix(0)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestUnfixUnpinned(t *testing.T) {
 }
 
 func TestLRUEvictsOldest(t *testing.T) {
-	p, _ := newPool(t, 8, 3, LRU)
+	p, _ := newPool(t, 8, 3)
 	for _, id := range []disk.PageID{0, 1, 2} {
 		f, err := p.Fix(id)
 		if err != nil {
@@ -137,24 +137,8 @@ func TestLRUEvictsOldest(t *testing.T) {
 	}
 }
 
-func TestClockEventuallyEvicts(t *testing.T) {
-	p, _ := newPool(t, 16, 4, Clock)
-	for id := disk.PageID(0); id < 12; id++ {
-		f, err := p.Fix(id)
-		if err != nil {
-			t.Fatalf("Fix(%d): %v", id, err)
-		}
-		if err := p.Unfix(f, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := p.Stats().Evictions; got != 8 {
-		t.Errorf("Evictions = %d, want 8", got)
-	}
-}
-
 func TestStickyPagesSurviveReplacement(t *testing.T) {
-	p, _ := newPool(t, 16, 3, LRU)
+	p, _ := newPool(t, 16, 3)
 	f, err := p.Fix(7)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +170,7 @@ func TestStickyPagesSurviveReplacement(t *testing.T) {
 }
 
 func TestStickyFallbackWhenAllSticky(t *testing.T) {
-	p, _ := newPool(t, 16, 2, LRU)
+	p, _ := newPool(t, 16, 2)
 	for _, id := range []disk.PageID{1, 2} {
 		f, err := p.Fix(id)
 		if err != nil {
@@ -204,7 +188,7 @@ func TestStickyFallbackWhenAllSticky(t *testing.T) {
 }
 
 func TestFixNew(t *testing.T) {
-	p, d := newPool(t, 1, 2, LRU)
+	p, d := newPool(t, 1, 2)
 	f, err := p.FixNew()
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +213,7 @@ func TestFixNew(t *testing.T) {
 }
 
 func TestPeakPins(t *testing.T) {
-	p, _ := newPool(t, 8, 4, LRU)
+	p, _ := newPool(t, 8, 4)
 	var frames []*Frame
 	for id := disk.PageID(0); id < 3; id++ {
 		f, err := p.Fix(id)
@@ -247,7 +231,7 @@ func TestPeakPins(t *testing.T) {
 }
 
 func TestCloseDetectsLeakedPins(t *testing.T) {
-	p, _ := newPool(t, 4, 2, LRU)
+	p, _ := newPool(t, 4, 2)
 	f, err := p.Fix(0)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +250,7 @@ func TestCloseDetectsLeakedPins(t *testing.T) {
 
 func TestReadErrorPropagates(t *testing.T) {
 	d := disk.New(4)
-	p := New(d, 2, LRU)
+	p := New(d, 2)
 	boom := errors.New("boom")
 	d.SetFault(func(pg disk.PageID, write bool) error {
 		if pg == 2 && !write {
@@ -297,37 +281,34 @@ func TestHitRate(t *testing.T) {
 }
 
 // Invariant check under a random workload: contents read through the
-// pool always match what was last written through the pool, for both
-// policies and a pool much smaller than the working set.
+// pool always match what was last written through the pool, with a pool
+// much smaller than the working set.
 func TestRandomWorkloadConsistency(t *testing.T) {
-	for _, policy := range []Policy{LRU, Clock} {
-		t.Run(policy.String(), func(t *testing.T) {
-			d := disk.New(64)
-			p := New(d, 8, policy)
-			rng := rand.New(rand.NewSource(42))
-			shadow := make([]byte, 64) // first byte of each page
-			for i := 0; i < 2000; i++ {
-				id := disk.PageID(rng.Intn(64))
-				f, err := p.Fix(id)
-				if err != nil {
-					t.Fatalf("Fix(%d): %v", id, err)
-				}
-				if f.Data()[0] != shadow[id] {
-					t.Fatalf("page %d: got %d want %d", id, f.Data()[0], shadow[id])
-				}
-				dirty := rng.Intn(2) == 0
-				if dirty {
-					shadow[id]++
-					f.Data()[0] = shadow[id]
-				}
-				if err := p.Unfix(f, dirty); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := p.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
+	d := disk.New(64)
+	p := New(d, 8)
+	rng := rand.New(rand.NewSource(42))
+	shadow := make([]byte, 64) // first byte of each page
+	for i := 0; i < 2000; i++ {
+		id := disk.PageID(rng.Intn(64))
+		f, err := p.Fix(id)
+		if err != nil {
+			t.Fatalf("Fix(%d): %v", id, err)
+		}
+		if f.Data()[0] != shadow[id] {
+			t.Fatalf("page %d: got %d want %d", id, f.Data()[0], shadow[id])
+		}
+		dirty := rng.Intn(2) == 0
+		if dirty {
+			shadow[id]++
+			f.Data()[0] = shadow[id]
+		}
+		if err := p.Unfix(f, dirty); err != nil {
+			t.Fatal(err)
+		}
+		checkInvariants(t, p)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -337,7 +318,7 @@ func TestRandomWorkloadConsistency(t *testing.T) {
 // pool layer: an injected read fault must surface from Fix with the
 // frame left reusable, and clear once the injector is removed.
 func TestPoolSurfacesDeviceFaults(t *testing.T) {
-	p, d := newPool(t, 8, 2, LRU)
+	p, d := newPool(t, 8, 2)
 	boom := errors.New("injected read fault")
 	d.SetFault(func(pg disk.PageID, write bool) error {
 		if pg == 5 && !write {
@@ -377,7 +358,7 @@ func TestPoolSurfacesDeviceFaults(t *testing.T) {
 // TestPoolWriteBackFaultSurfaces injects a write fault and checks that
 // a dirty eviction reports it instead of losing the page silently.
 func TestPoolWriteBackFaultSurfaces(t *testing.T) {
-	p, d := newPool(t, 8, 1, LRU)
+	p, d := newPool(t, 8, 1)
 	f, err := p.Fix(1)
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +388,7 @@ func TestPoolWriteBackFaultSurfaces(t *testing.T) {
 // transient device faults must be invisible to Fix callers and counted
 // in Stats.Retries.
 func TestPoolRetryAbsorbsTransientFaults(t *testing.T) {
-	p, d := newPool(t, 16, 4, LRU)
+	p, d := newPool(t, 16, 4)
 	p.SetRetry(disk.RetryPolicy{MaxAttempts: 4})
 	remaining := map[disk.PageID]int{3: 2, 7: 1}
 	d.SetFault(func(pg disk.PageID, write bool) error {
@@ -434,7 +415,7 @@ func TestPoolRetryAbsorbsTransientFaults(t *testing.T) {
 // TestPoolRetryGivesUpOnPermanent checks classification: permanent
 // faults must not burn retry budget.
 func TestPoolRetryGivesUpOnPermanent(t *testing.T) {
-	p, d := newPool(t, 8, 2, LRU)
+	p, d := newPool(t, 8, 2)
 	p.SetRetry(disk.RetryPolicy{MaxAttempts: 5})
 	calls := 0
 	d.SetFault(func(pg disk.PageID, write bool) error {

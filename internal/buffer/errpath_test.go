@@ -16,7 +16,7 @@ import (
 func TestCloseAfterFailedFlushKeepsState(t *testing.T) {
 	sim := disk.New(4)
 	dev := disk.NewFaulty(sim, disk.FaultConfig{})
-	p := New(dev, 2, LRU)
+	p := New(dev, 2)
 
 	f, err := p.Fix(0)
 	if err != nil {
@@ -64,7 +64,7 @@ func TestCloseAfterFailedFlushKeepsState(t *testing.T) {
 }
 
 func TestDoubleUnfixKeepsFrameTable(t *testing.T) {
-	p, _ := newPool(t, 4, 2, LRU)
+	p, _ := newPool(t, 4, 2)
 	f, err := p.Fix(1)
 	if err != nil {
 		t.Fatal(err)
@@ -99,13 +99,71 @@ func TestDoubleUnfixKeepsFrameTable(t *testing.T) {
 	}
 }
 
+// TestFixNewLogFailureLeavesNoPin: a birth image the log refuses must
+// not leave its frame pinned and in the table with nobody holding it —
+// Close would fail "still pinned" for good.
+func TestFixNewLogFailureLeavesNoPin(t *testing.T) {
+	p, d := newPool(t, 4, 2)
+	w := &flakyWAL{failNext: true}
+	p.SetWAL(w)
+	pages := d.NumPages()
+	if _, err := p.FixNew(); !errors.Is(err, errWALDown) {
+		t.Fatalf("FixNew over a failing log = %v, want the log's error", err)
+	}
+	if n := p.PinnedFrames(); n != 0 {
+		t.Errorf("pinned frames after the failed FixNew = %d", n)
+	}
+	if p.Contains(disk.PageID(pages)) {
+		t.Error("the page that was never logged is in the table")
+	}
+	checkInvariants(t, p)
+	// Both frames are still there to be had, and the pool closes.
+	for i := 0; i < 2; i++ {
+		if _, err := p.FixNew(); err != nil {
+			t.Fatalf("FixNew after the log recovered: %v", err)
+		}
+	}
+	if _, err := p.FixNew(); !errors.Is(err, ErrNoFrames) {
+		t.Fatalf("third FixNew in a pool of two = %v, want ErrNoFrames", err)
+	}
+	for _, f := range p.frames {
+		if err := p.Unfix(f, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestFixNewWithoutFrameAllocatesNothing: ErrNoFrames must not cost a
+// device page.
+func TestFixNewWithoutFrameAllocatesNothing(t *testing.T) {
+	p, d := newPool(t, 4, 1)
+	f, err := p.Fix(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := d.NumPages()
+	if _, err := p.FixNew(); !errors.Is(err, ErrNoFrames) {
+		t.Fatalf("FixNew with every frame pinned = %v, want ErrNoFrames", err)
+	}
+	if got := d.NumPages(); got != pages {
+		t.Errorf("device grew from %d to %d pages for a FixNew that got no frame", pages, got)
+	}
+	if err := p.Unfix(f, false); err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, p)
+}
+
 // TestErrorClassification: terminal device failures are counted by
 // class so callers can tell a flapping path (transient exhausted)
 // from a dead page (permanent).
 func TestErrorClassification(t *testing.T) {
 	sim := disk.New(8)
 	dev := disk.NewFaulty(sim, disk.FaultConfig{})
-	p := New(dev, 4, LRU)
+	p := New(dev, 4)
 	p.SetRetry(disk.RetryPolicy{MaxAttempts: 2})
 
 	// Endless transient faults on every read: the retry budget runs

@@ -14,7 +14,7 @@ import (
 // and evictions are in flight on other goroutines.
 func TestConcurrentScrape(t *testing.T) {
 	dev := disk.New(64)
-	pool := New(dev, 8, LRU)
+	pool := New(dev, 8)
 	reg := metrics.NewRegistry()
 	pool.RegisterMetrics(reg, "scrape")
 	disk.RegisterMetrics(dev, reg, "scrape")

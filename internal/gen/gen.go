@@ -91,8 +91,6 @@ type Config struct {
 	// BufferPages sizes the buffer pool; zero means "large enough to
 	// hold the whole database" (the paper's first benchmark group).
 	BufferPages int
-	// Policy selects buffer replacement (default LRU).
-	Policy buffer.Policy
 	// RegionPages is the inter-object cluster region size in pages;
 	// zero derives a region larger than any database used in the
 	// paper's benchmarks, reproducing the Fig. 11A flat lines.
@@ -404,7 +402,7 @@ func Build(cfg Config) (*Database, error) {
 	if bufPages <= 0 {
 		bufPages = filePages + 128 // "enough buffer space to hold the largest database"
 	}
-	pool := buffer.New(dev, bufPages, cfg.Policy)
+	pool := buffer.New(dev, bufPages)
 	file, err := heap.Create(pool, filePages)
 	if err != nil {
 		return nil, err

@@ -134,7 +134,7 @@ func OpenDatabaseOn(dev disk.Device, mp *Manifest, bufferPages int) (*Database, 
 	if bufferPages <= 0 {
 		bufferPages = m.FileNPages + 128
 	}
-	pool := buffer.New(dev, bufferPages, buffer.LRU)
+	pool := buffer.New(dev, bufferPages)
 	file := heap.Open(pool, disk.PageID(m.FileFirst), m.FileNPages)
 
 	cfg := Config{

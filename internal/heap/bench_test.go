@@ -10,7 +10,7 @@ import (
 func benchFile(b *testing.B, pages, frames int) *File {
 	b.Helper()
 	d := disk.New(0)
-	pool := buffer.New(d, frames, buffer.LRU)
+	pool := buffer.New(d, frames)
 	f, err := Create(pool, pages)
 	if err != nil {
 		b.Fatal(err)

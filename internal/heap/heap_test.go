@@ -15,7 +15,7 @@ import (
 func newFile(t *testing.T, nPages, frames int) (*File, *disk.Sim) {
 	t.Helper()
 	d := disk.New(0)
-	pool := buffer.New(d, frames, buffer.LRU)
+	pool := buffer.New(d, frames)
 	f, err := Create(pool, nPages)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestScanEarlyStop(t *testing.T) {
 
 func TestOpenExistingExtent(t *testing.T) {
 	d := disk.New(0)
-	pool := buffer.New(d, 8, buffer.LRU)
+	pool := buffer.New(d, 8)
 	f, err := Create(pool, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestOpenExistingExtent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool2 := buffer.New(d, 8, buffer.LRU)
+	pool2 := buffer.New(d, 8)
 	f2 := Open(pool2, f.First(), f.NumPages())
 	got, err := f2.Read(rid)
 	if err != nil {

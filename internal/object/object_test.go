@@ -178,7 +178,7 @@ func TestPackUnpackRID(t *testing.T) {
 func newStore(t *testing.T, loc Locator) *Store {
 	t.Helper()
 	d := disk.New(0)
-	pool := buffer.New(d, 32, buffer.LRU)
+	pool := buffer.New(d, 32)
 	f, err := heap.Create(pool, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestStoreWithMapLocator(t *testing.T) {
 
 func TestStoreWithBTreeLocator(t *testing.T) {
 	d := disk.New(0)
-	pool := buffer.New(d, 64, buffer.LRU)
+	pool := buffer.New(d, 64)
 	f, err := heap.Create(pool, 64)
 	if err != nil {
 		t.Fatal(err)

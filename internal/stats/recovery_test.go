@@ -20,7 +20,7 @@ func TestCollectRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := buffer.New(dataDev, 4, buffer.LRU)
+	pool := buffer.New(dataDev, 4)
 	pool.SetWAL(w)
 	f, err := pool.Fix(1)
 	if err != nil {

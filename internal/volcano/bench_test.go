@@ -12,7 +12,7 @@ import (
 
 func BenchmarkHeapScan(b *testing.B) {
 	d := disk.New(0)
-	pool := buffer.New(d, 4096, buffer.LRU)
+	pool := buffer.New(d, 4096)
 	s := benchObjectStore(b, pool, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -25,7 +25,7 @@ func BenchmarkHeapScan(b *testing.B) {
 
 func BenchmarkHeapScanWithPredicate(b *testing.B) {
 	d := disk.New(0)
-	pool := buffer.New(d, 4096, buffer.LRU)
+	pool := buffer.New(d, 4096)
 	s := benchObjectStore(b, pool, 10000)
 	pred := expr.IntCmp{Field: 1, Op: expr.EQ, Value: 3}
 	b.ResetTimer()
@@ -64,7 +64,7 @@ func BenchmarkExternalSort10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := disk.New(0)
-		pool := buffer.New(d, 64, buffer.LRU)
+		pool := buffer.New(d, 64)
 		es := NewExternalSort(NewSlice(vals),
 			func(a, b Item) bool { return a.(int) < b.(int) },
 			intCodec{}, pool, 512)

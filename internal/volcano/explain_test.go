@@ -63,7 +63,7 @@ func TestExplainJoinsAndExchange(t *testing.T) {
 func TestExternalSortProperty(t *testing.T) {
 	f := func(vals []int16, runSize uint8) bool {
 		d := disk.New(0)
-		pool := buffer.New(d, 64, buffer.LRU)
+		pool := buffer.New(d, 64)
 		items := make([]Item, len(vals))
 		want := make([]int, len(vals))
 		for i, v := range vals {

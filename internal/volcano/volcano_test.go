@@ -209,7 +209,7 @@ func TestHashAggregate(t *testing.T) {
 func testStore(t *testing.T, nObjects int) *object.Store {
 	t.Helper()
 	d := disk.New(0)
-	pool := buffer.New(d, 256, buffer.LRU)
+	pool := buffer.New(d, 256)
 	f, err := heap.Create(pool, nObjects/9+2)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestObjectFilter(t *testing.T) {
 
 func TestIndexScan(t *testing.T) {
 	d := disk.New(0)
-	pool := buffer.New(d, 256, buffer.LRU)
+	pool := buffer.New(d, 256)
 	f, err := heap.Create(pool, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -462,7 +462,7 @@ func (intCodec) Decode(b []byte) (Item, error) {
 
 func TestExternalSort(t *testing.T) {
 	d := disk.New(0)
-	pool := buffer.New(d, 32, buffer.LRU)
+	pool := buffer.New(d, 32)
 	const n = 5000
 	vals := make([]Item, n)
 	for i := range vals {
@@ -490,7 +490,7 @@ func TestExternalSort(t *testing.T) {
 
 func TestExternalSortEmptyAndSingleRun(t *testing.T) {
 	d := disk.New(0)
-	pool := buffer.New(d, 8, buffer.LRU)
+	pool := buffer.New(d, 8)
 	es := NewExternalSort(NewSlice(nil), func(a, b Item) bool { return a.(int) < b.(int) }, intCodec{}, pool, 10)
 	got, err := Drain(es)
 	if err != nil || len(got) != 0 {

@@ -81,7 +81,7 @@ func runCrashWorkload(dataDev, walDev disk.Device, ops int) (*crashState, error)
 	if err != nil {
 		return fail(err)
 	}
-	pool := buffer.New(dataDev, crashPoolSize, buffer.LRU)
+	pool := buffer.New(dataDev, crashPoolSize)
 	pool.SetWAL(w)
 	hf, err := heap.Create(pool, crashHeapPages)
 	if err != nil {
@@ -215,7 +215,7 @@ func verifyRecovered(t *testing.T, tag string, rig *crashRig, st *crashState) in
 	if st.syncs < 1 {
 		return len(preBad)
 	}
-	pool := buffer.New(rig.data, 16, buffer.LRU)
+	pool := buffer.New(rig.data, 16)
 	tr := btree.Open(pool, st.root)
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("%s: tree invariants after recovery: %v; %s", tag, err, res)

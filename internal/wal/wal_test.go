@@ -254,7 +254,7 @@ func TestPoolEnforcesWALBeforeData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := buffer.New(dataDev, 4, buffer.LRU)
+	pool := buffer.New(dataDev, 4)
 	pool.SetWAL(w)
 
 	for i := 0; i < 3; i++ {

@@ -140,7 +140,7 @@ func New(cfg Config) (*Engine, error) {
 	} else {
 		dev = disk.NewSim(cfg.PageSize, 0)
 	}
-	pool := buffer.New(dev, cfg.BufferPages, buffer.LRU)
+	pool := buffer.New(dev, cfg.BufferPages)
 	file, err := heap.Create(pool, cfg.DataPages)
 	if err != nil {
 		dev.Close()
