@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: all check build vet test sched-check buffer-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke trace-demo tracez-smoke serve-demo examples cover clean
+.PHONY: all check build vet test sched-check buffer-check asm-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke trace-demo tracez-smoke serve-demo examples cover clean
 
 all: check
 
 # The fast gate: what CI's main job runs on every push.
-check: build vet test sched-check buffer-check
+check: build vet test sched-check buffer-check asm-check
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,19 @@ buffer-check:
 	$(GO) test -count=1 ./internal/buffer
 	$(GO) test -race -count=1 ./internal/buffer
 	$(GO) test -run '^$$' -bench='FixMiss|FixHit' -benchtime=1x ./internal/buffer
+
+# The window slot's arena, uncached: the lifetime tests (an emitted
+# object is collectable while the operator runs, a shared leaf does not
+# pin its first object, a dead item's reference chunk is never
+# recycled), the differential test against the goldens recorded before
+# the arena, and the allocations-per-object pins — then once more under
+# the race detector, then one iteration of the two benchmarks that
+# report allocs/op and B/op so that they cannot rot unbuilt.
+ASM_TESTS = TestEmittedObjectCollectedWhileRunning|TestSharedLeafDoesNotPinItsFirstObject|TestDeadItemsChunksNotRecycled|TestArenaMatchesParentGoldens|TestAssembleAllocs
+asm-check:
+	$(GO) test -count=1 -run '$(ASM_TESTS)' ./internal/assembly
+	$(GO) test -race -count=1 -run '$(ASM_TESTS)' ./internal/assembly
+	$(GO) test -run '^$$' -bench='AssembleDeep|AssembleScan' -benchtime=1x ./internal/assembly
 
 # The benchmark is a module of its own (benchmark/go.mod), so build,
 # vet and test above never compile it: an internal/* signature change
@@ -94,12 +107,14 @@ crash-test:
 	CRASH_OPS=96 $(GO) test -run TestCrashPointSweep -v ./internal/wal
 
 # A short coverage-guided fuzz of the slotted page (including the
-# corruption op that tries to break the bounds checks) and of the
+# corruption op that tries to break the bounds checks), of the
 # page-service wire header decoder (malformed frames must error, never
-# panic or over-allocate).
+# panic or over-allocate) and of the object record decoder (Shape +
+# DecodeInto must agree with Decode on every input).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzPageOps -fuzztime=10s ./internal/page
 	$(GO) test -fuzz=FuzzProtoDecode -fuzztime=10s ./internal/pagesvc
+	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/object
 
 # One testing.B bench per paper figure at the repo root, plus the
 # substrate micro-benchmarks in each package.

@@ -637,6 +637,27 @@ func TestInstanceHelpers(t *testing.T) {
 	}
 }
 
+// Complete guards on the child's reference field, not on its slot in
+// the template: a node reached through field 5 of a 3-reference object
+// is an absent component, not a panic.
+func TestCompleteRefFieldBeyondObject(t *testing.T) {
+	tmpl := &Template{Name: "Root", RefField: -1, Children: []*Template{
+		{Name: "Far", RefField: 5, Required: true},
+	}}
+	root := &Instance{
+		Object:   &object.Object{OID: 1, Refs: []object.OID{7, 8, 9}},
+		Node:     tmpl,
+		Children: make([]*Instance, 1),
+	}
+	if !root.Complete() {
+		t.Error("a required child on a field the object does not have reported incomplete")
+	}
+	tmpl.Children[0].RefField = 2 // a field it has, non-nil, unassembled
+	if root.Complete() {
+		t.Error("an unassembled required child reported complete")
+	}
+}
+
 func TestSortRootsHelperStability(t *testing.T) {
 	// Emission order with elevator+window is data-dependent; verify we
 	// can rely on the OID set instead.

@@ -1,85 +1,62 @@
 package assembly
 
-import "fmt"
+import "revelation/internal/object"
 
-// componentIterator is the assembly operator's companion routine
+// The component iterator is the assembly operator's companion routine
 // (Section 5): it interprets the template against a fetched or adopted
 // component to determine "what part of a complex object to assemble,
 // when assembly is complete [and] how to find unresolved references
 // within a newly retrieved object."
-type componentIterator struct {
-	op *Operator
+
+// discoverAndDispatch hands the scheduler the unresolved references of
+// one instance (and, with deep, of its resolved descendants) as one
+// batch in left-to-right field order. It reports whether a nil
+// reference under a Required child asks for the complex object to be
+// abandoned; nothing is dispatched then, nor on error.
+func (op *Operator) discoverAndDispatch(item *workItem, root *Instance, deep, abortOnRequiredNil bool) (aborted bool, err error) {
+	op.scratch = op.scratch[:0]
+	aborted, err = op.discover(item, root, deep, abortOnRequiredNil)
+	if err == nil && !aborted {
+		op.dispatch(op.scratch...)
+	}
+	clear(op.scratch) // an aborted item's references are never cleared: do not pin its chunks
+	return aborted, err
 }
 
-// discover walks one instance (and, for adopted subtrees, its resolved
-// descendants) collecting the unresolved references the scheduler
-// should see, in left-to-right field order.
+// discover appends in's unresolved references to op.scratch.
 //
 // abortOnRequiredNil applies the freshly-fetched semantics: a nil
 // reference under a Required template child abandons the complex
 // object. Adopted (pre-assembled) subtrees skip that check — their
 // absent children were vetted when they were first assembled.
-//
-// It returns (refs, aborted, err).
-func (ci componentIterator) discover(item *workItem, root *Instance, deep, abortOnRequiredNil bool) ([]*Ref, bool, error) {
-	var refs []*Ref
-	var werr error
-	aborted := false
-
-	var visit func(in *Instance)
-	visit = func(in *Instance) {
-		if werr != nil || aborted {
-			return
+func (op *Operator) discover(item *workItem, in *Instance, deep, abortOnRequiredNil bool) (aborted bool, err error) {
+	for slot, ct := range in.Node.Children {
+		if child := in.Children[slot]; child != nil {
+			if deep {
+				if aborted, err = op.discover(item, child, deep, abortOnRequiredNil); aborted || err != nil {
+					return aborted, err
+				}
+			}
+			continue
 		}
-		for slot, ct := range in.Node.Children {
-			if in.Children[slot] != nil {
-				if deep {
-					visit(in.Children[slot])
-				}
-				continue
+		oid := object.NilOID
+		if ct.RefField < len(in.Object.Refs) {
+			if oid = in.Object.Refs[ct.RefField]; oid.IsNil() {
+				op.stats.NilRefs++
+				op.cells.nilRefs.Inc()
 			}
-			if ct.RefField >= len(in.Object.Refs) {
-				if abortOnRequiredNil && ct.Required {
-					aborted = true
-					return
-				}
-				continue
-			}
-			oid := in.Object.Refs[ct.RefField]
-			if oid.IsNil() {
-				ci.op.stats.NilRefs++
-				ci.op.cells.nilRefs.Inc()
-				if abortOnRequiredNil && ct.Required {
-					aborted = true
-					return
-				}
-				continue
-			}
-			r, err := ci.op.prepareRef(item, in, slot, ct, oid)
-			if err != nil {
-				werr = err
-				return
-			}
-			refs = append(refs, r)
 		}
+		if oid.IsNil() {
+			if abortOnRequiredNil && ct.Required {
+				return true, nil
+			}
+			continue
+		}
+		r, err := op.prepareRef(item, in, slot, ct, oid)
+		if err != nil {
+			return false, err
+		}
+		op.scratch = append(op.scratch, r)
 	}
-	visit(root)
-	if werr != nil {
-		return nil, false, werr
-	}
-	if aborted {
-		return nil, true, nil
-	}
-	return refs, false, nil
-}
-
-// complete reports whether the item's assembly has finished: no
-// pending references and a root in place.
-func (ci componentIterator) complete(item *workItem) bool {
-	return item.pending == 0 && item.root != nil
-}
-
-// String identifies the component iterator in diagnostics.
-func (ci componentIterator) String() string {
-	return fmt.Sprintf("component-iterator(template %q)", ci.op.Template.Name)
+	return false, nil
 }

@@ -20,8 +20,10 @@ type Instance struct {
 	// Node.Children. A nil entry means the reference was the nil OID
 	// (optional component absent).
 	Children []*Instance
-	// Parent is the first parent this instance was linked under; a
-	// shared instance can be reachable from several complex objects.
+	// Parent is the first parent this instance was linked under. A
+	// shared instance can be reachable from several complex objects:
+	// once complete and offered to the window-wide shared table its
+	// Parent is nil, so it does not keep its first object alive.
 	Parent *Instance
 	// refs counts how many parents currently link the instance
 	// (reference counting for shared components, Section 5).
@@ -35,6 +37,9 @@ type Instance struct {
 	pendingDesc int
 	// registered marks instances already placed in the shared table.
 	registered bool
+	// underShared marks a component allocated on its own, not in its
+	// item's arena (see Operator.ownLifetime); children inherit it.
+	underShared bool
 }
 
 // OID is a shorthand for the instance's object identifier.
@@ -109,7 +114,7 @@ func (in *Instance) Complete() bool {
 		for ci, ct := range i.Node.Children {
 			child := i.Children[ci]
 			if child == nil {
-				if ct.Required && ci < len(i.Object.Refs) && !i.Object.Refs[ct.RefField].IsNil() {
+				if ct.Required && ct.RefField < len(i.Object.Refs) && !i.Object.Refs[ct.RefField].IsNil() {
 					complete = false
 				}
 				continue

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"revelation/internal/buffer"
@@ -170,10 +171,13 @@ type Operator struct {
 	liveSet   map[*workItem]bool
 	inputDone bool
 	outq      []*workItem
-	footprint map[disk.PageID]int
-	stats     Stats
-	cells     *opCells
-	open      bool
+	// footprint counts, by page id, the live items a page backs;
+	// windowPages is how many pages back any.
+	footprint   []int32
+	windowPages int
+	stats       Stats
+	cells       *opCells
+	open        bool
 	// pressure marks buffer exhaustion: admission pauses (the
 	// effective window shrinks) until pins drain at the next emission
 	// or quarantine.
@@ -204,10 +208,23 @@ type Operator struct {
 	laneCtxs  []context.Context
 	// reservation is the frame quota admitted at Open (ReserveFrames).
 	reservation *buffer.Reservation
-	// one carries a single reference to the scheduler: Add is an
-	// interface call, so a fresh one-element variadic would go to the
-	// heap for every root.
-	one [1]*Ref
+	// scratch carries references to the scheduler — one component's
+	// unresolved ones, or a single root — which does not keep the slice;
+	// it is cleared after every use.
+	scratch []*Ref
+	// shape sizes every window slot's arena; freeRefs are the cleared
+	// reference chunks of emitted items, for the next admissions.
+	shape    arenaShape
+	freeRefs [][]Ref
+	// decode is decodeRec bound once at Open, so a fetch hands
+	// heap.File.GetCtx no fresh closure; fetch is its in (the item to
+	// carve from, whether the component lives on its own) and out.
+	decode func(rec []byte) error
+	fetch  struct {
+		item *workItem
+		own  bool
+		got  *component
+	}
 }
 
 // BindContext implements volcano.ContextBinder: the operator observes
@@ -224,25 +241,39 @@ type workItem struct {
 	emitted bool
 	// pre holds stacked-input sub-assemblies not yet reached.
 	pre map[object.OID]*Instance
-	// assembled maps OIDs already assembled within this complex
+	// assembled lists the OIDs already assembled within this complex
 	// object, for intra-object sharing ("multiple, possibly shared,
 	// object references contained within a single object", Section 4).
 	// Only shared template nodes and adopted subtrees write it (through
-	// remember), so an object without either never allocates it.
-	assembled map[object.OID]*Instance
-	// pages is the item's window footprint.
-	pages map[disk.PageID]bool
+	// remember); it is sized for the template's shared nodes.
+	assembled []assembledAs
+	// pages is the item's window footprint: distinct pages, a handful.
+	pages []disk.PageID
 	// frames are the buffer pins held for this item when
 	// PinWindowPages is on.
 	frames []*buffer.Frame
+	arena  arena
+}
+
+// assembledAs is one entry of workItem.assembled.
+type assembledAs struct {
+	oid  object.OID
+	inst *Instance
 }
 
 // remember records inst as assembled within this complex object.
 func (item *workItem) remember(oid object.OID, inst *Instance) {
-	if item.assembled == nil {
-		item.assembled = map[object.OID]*Instance{}
+	item.assembled = append(item.assembled, assembledAs{oid, inst})
+}
+
+// recall finds the instance last remembered for oid, or nil.
+func (item *workItem) recall(oid object.OID) *Instance {
+	for i := len(item.assembled) - 1; i >= 0; i-- {
+		if item.assembled[i].oid == oid {
+			return item.assembled[i].inst
+		}
 	}
-	item.assembled[oid] = inst
+	return nil
 }
 
 // New builds an assembly operator.
@@ -295,7 +326,11 @@ func (op *Operator) Open() error {
 	op.liveSet = map[*workItem]bool{}
 	op.inputDone = false
 	op.outq = nil
-	op.footprint = map[disk.PageID]int{}
+	op.footprint = make([]int32, op.Store.File.Pool().Device().NumPages())
+	op.windowPages = 0
+	op.shape = arenaShape{known: true}
+	op.shape.measure(op.Template, op.Store.Catalog, op.shared != nil, false)
+	op.decode = op.decodeRec
 	op.stats = Stats{}
 	op.cells = newOpCells(op.Opts.Metrics, op.sched.Name())
 	op.cells.occupancy.Set(0)
@@ -377,7 +412,9 @@ func (op *Operator) Next() (volcano.Item, error) {
 			if err := op.unpinFrames(item); err != nil {
 				return nil, op.fail(err)
 			}
-			return item.root, nil
+			root := item.root
+			op.recycle(item)
+			return root, nil
 		}
 		// Keep the window full — unless pinned window pages are
 		// exhausting the buffer, in which case the effective window
@@ -431,6 +468,7 @@ func (op *Operator) Close() error {
 		}
 	}
 	op.outq = nil
+	op.freeRefs = nil
 	op.sched = nil
 	op.shared = nil
 	op.batcher = nil
@@ -596,7 +634,7 @@ func (op *Operator) admit() error {
 	if err != nil {
 		return err
 	}
-	item := &workItem{pages: map[disk.PageID]bool{}}
+	item := op.newItem()
 	// Count the slot live up front so an abort during admission (a
 	// root-level predicate failure) balances the books.
 	op.liveItems++
@@ -616,7 +654,9 @@ func (op *Operator) admit() error {
 		}
 	case *object.Object:
 		op.tr.AssemblyQ(trace.KindAdmit, uint64(v.OID), trace.NoPage, trace.NoPage, "", op.qid)
-		if _, err := op.place(item, nil, 0, op.Template, v, op.pageOf(v.OID)); err != nil {
+		c := item.arena.newComponent(op.ownLifetime(nil, op.Template), 0, 0)
+		c.inst.Object = v
+		if _, err := op.place(item, nil, 0, op.Template, &c.inst, op.pageOf(v.OID)); err != nil {
 			return err
 		}
 	case *Instance:
@@ -652,16 +692,7 @@ func (op *Operator) admit() error {
 // unresolved references within it" (Section 4).
 func (op *Operator) adopt(item *workItem, root *Instance) error {
 	item.root = root
-	root.Walk(func(in *Instance) {
-		item.remember(in.OID(), in)
-		op.noteFootprint(item, in.page)
-	})
-	batch, _, err := componentIterator{op}.discover(item, root, true, false)
-	if err != nil {
-		return err
-	}
-	op.dispatch(batch...)
-	return nil
+	return op.adoptSubtree(item, root, true)
 }
 
 // prepareRef resolves the OID's physical address and accounts the
@@ -677,7 +708,9 @@ func (op *Operator) prepareRef(item *workItem, parent *Instance, slot int, node 
 	}
 	item.pending++
 	propagatePending(parent, +1)
-	return &Ref{OID: oid, RID: rid, Node: node, Parent: parent, Slot: slot, Item: item}, nil
+	r := item.arena.newRef()
+	*r = Ref{OID: oid, RID: rid, Node: node, Parent: parent, Slot: slot, Item: item}
+	return r, nil
 }
 
 // dispatch hands a batch of prepared references (one fetched object's
@@ -712,9 +745,9 @@ func (op *Operator) scheduleRef(item *workItem, parent *Instance, slot int, node
 
 // dispatchOne is dispatch for a single reference.
 func (op *Operator) dispatchOne(r *Ref) {
-	op.one[0] = r
-	op.dispatch(op.one[:]...)
-	op.one[0] = nil
+	op.scratch = append(op.scratch[:0], r)
+	op.dispatch(op.scratch...)
+	op.scratch[0] = nil
 }
 
 // propagatePending adjusts the unresolved-descendant counters along
@@ -732,14 +765,17 @@ func (op *Operator) maybeRegisterShared(inst *Instance) {
 	if op.shared == nil {
 		return
 	}
-	for p := inst; p != nil; p = p.Parent {
-		if p.pendingDesc == 0 && p.Node.Shared && !p.registered {
-			p.registered = true
-			op.shared.register(p, p.Node)
-		}
+	for p := inst; p != nil; {
 		if p.pendingDesc != 0 {
 			break
 		}
+		parent := p.Parent
+		if p.Node.Shared && !p.registered {
+			p.registered = true
+			p.Parent = nil // see Instance.Parent
+			op.shared.register(p, p.Node)
+		}
+		p = parent
 	}
 }
 
@@ -796,8 +832,8 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 	// sharing)? Only shared template nodes pay the lookup, exactly as
 	// Section 5 prescribes for non-sharable components.
 	if ref.Node.Shared {
-		if inst, ok := item.assembled[ref.OID]; ok {
-			op.link(item, ref, inst)
+		if inst := item.recall(ref.OID); inst != nil {
+			op.linkAt(item, ref.Parent, ref.Slot, inst)
 			propagatePending(ref.Parent, -1)
 			op.maybeRegisterShared(ref.Parent)
 			op.stats.SharedLinks++
@@ -810,7 +846,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 		// 2. Assembled by another complex object in the window?
 		if op.shared != nil {
 			if inst, ok := op.shared.lookup(ref.OID); ok {
-				op.link(item, ref, inst)
+				op.linkAt(item, ref.Parent, ref.Slot, inst)
 				propagatePending(ref.Parent, -1)
 				op.maybeRegisterShared(ref.Parent)
 				item.remember(ref.OID, inst)
@@ -828,14 +864,14 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 	if item.pre != nil {
 		if inst, ok := item.pre[ref.OID]; ok {
 			delete(item.pre, ref.OID)
-			op.link(item, ref, inst)
+			op.linkAt(item, ref.Parent, ref.Slot, inst)
 			op.stats.SharedLinks++
 			op.cells.sharedLinks.Inc()
 			op.qspan.OnLink()
 			op.tr.AssemblyQ(trace.KindLink, uint64(ref.OID), trace.NoPage, trace.NoPage, "stacked", op.qid)
 			// The pre-assembled subtree may itself be partial: walk it
 			// for unresolved references and account its members.
-			if err := op.adoptSubtree(item, inst); err != nil {
+			if err := op.adoptSubtree(item, inst, false); err != nil {
 				return err
 			}
 			propagatePending(ref.Parent, -1)
@@ -845,26 +881,26 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 		}
 	}
 	// 4. Fetch from storage — through the buffer, or straight off the
-	// already-fixed page when batching.
-	var obj *object.Object
+	// already-fixed page when batching — decoding into the item's arena.
+	op.fetch.item, op.fetch.own = item, op.ownLifetime(ref.Parent, ref.Node)
+	var err error
 	if pg != nil {
 		rec, gerr := pg.Get(ref.RID.Slot)
 		if gerr != nil {
-			return op.refFault(ref, fmt.Errorf("assembly: fetch %v from fixed page: %w", ref.OID, gerr))
+			err = fmt.Errorf("assembly: fetch %v from fixed page: %w", ref.OID, gerr)
+		} else if derr := op.decodeRec(rec); derr != nil {
+			err = fmt.Errorf("assembly: decode %v: %w", ref.OID, derr)
 		}
-		var derr error
-		obj, derr = object.Decode(rec)
-		if derr != nil {
-			return op.refFault(ref, fmt.Errorf("assembly: decode %v: %w", ref.OID, derr))
-		}
+	} else if gerr := op.Store.File.GetCtx(op.qctx, ref.RID, op.decode); gerr != nil {
+		err = fmt.Errorf("assembly: fetch %v: %w", ref.OID, gerr)
 	} else {
-		var err error
-		obj, err = op.Store.GetAtCtx(op.qctx, ref.RID)
-		if err != nil {
-			return op.refFault(ref, fmt.Errorf("assembly: fetch %v: %w", ref.OID, err))
-		}
 		op.stats.PageRequests++
 		op.cells.pageRequests.Inc()
+	}
+	c := op.fetch.got
+	op.fetch.item, op.fetch.got = nil, nil
+	if err != nil {
+		return op.refFault(ref, err)
 	}
 	op.stats.Fetched++
 	op.cells.fetched.Inc()
@@ -873,7 +909,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 		op.tr.AssemblyQ(trace.KindFetch, uint64(ref.OID), int64(ref.RID.Page), trace.NoPage, "", op.qid)
 	}
 	op.pinPage(item, ref.RID.Page)
-	inst, err := op.place(item, ref.Parent, ref.Slot, ref.Node, obj, ref.RID.Page)
+	inst, err := op.place(item, ref.Parent, ref.Slot, ref.Node, &c.inst, ref.RID.Page)
 	if err != nil {
 		return err
 	}
@@ -983,19 +1019,39 @@ func (op *Operator) maxRefRetries() int {
 	return op.Opts.MaxRefRetries
 }
 
-// place builds the instance for a fetched object, links it, evaluates
-// its predicate, and schedules its children. It returns nil when the
-// predicate aborted the complex object.
-func (op *Operator) place(item *workItem, parent *Instance, slot int, node *Template, obj *object.Object, pg disk.PageID) (*Instance, error) {
+// decodeRec is the record callback of a fetch (see Operator.decode): it
+// carves a component sized for rec and decodes rec into it.
+func (op *Operator) decodeRec(rec []byte) error {
+	nInts, nRefs, err := object.Shape(rec)
+	if err != nil {
+		return err
+	}
+	op.fetch.got = op.fetch.item.arena.newComponent(op.fetch.own, nInts, nRefs)
+	return object.DecodeInto(rec, &op.fetch.got.obj)
+}
+
+// ownLifetime reports whether the component for node under parent must
+// be allocated on its own instead of in its item's arena: with the
+// window-wide shared table on, everything at or below a Shared node
+// can be linked into another complex object and outlive this one.
+func (op *Operator) ownLifetime(parent *Instance, node *Template) bool {
+	return op.shared != nil && (node.Shared || parent != nil && parent.underShared)
+}
+
+// place completes the instance of a fetched object (inst.Object is
+// set), links it, evaluates its predicate, and schedules its children.
+// It returns nil when the predicate aborted the complex object.
+func (op *Operator) place(item *workItem, parent *Instance, slot int, node *Template, inst *Instance, pg disk.PageID) (*Instance, error) {
+	obj := inst.Object
 	if node.Class != 0 && obj.Class != node.Class {
 		return nil, fmt.Errorf("assembly: object %v has class %d, template node %q wants %d",
 			obj.OID, obj.Class, node.Name, node.Class)
 	}
-	inst := &Instance{
-		Object:   obj,
-		Node:     node,
-		Children: make([]*Instance, len(node.Children)),
-		page:     pg,
+	inst.Node, inst.page = node, pg
+	if inst.underShared {
+		inst.Children = make([]*Instance, len(node.Children))
+	} else {
+		inst.Children = carve(&item.arena.children, len(node.Children))
 	}
 	// Selective assembly: "abort the assembly of a complex object as
 	// soon as possible if it has a chance of not satisfying a
@@ -1003,9 +1059,9 @@ func (op *Operator) place(item *workItem, parent *Instance, slot int, node *Temp
 	if node.Pred != nil && !node.Pred.Eval(obj) {
 		op.stats.PredicateFails++
 		op.cells.predicateFails.Inc()
-		return nil, op.abort(item)
+		return nil, op.abortItem(item, "")
 	}
-	op.link(item, &Ref{Parent: parent, Slot: slot, Item: item}, inst)
+	op.linkAt(item, parent, slot, inst)
 	if node.Shared {
 		item.remember(obj.OID, inst)
 	}
@@ -1016,48 +1072,44 @@ func (op *Operator) place(item *workItem, parent *Instance, slot int, node *Temp
 	// batch so order-sensitive schedulers see the method-traversal
 	// order. A nil reference under a required child aborts the whole
 	// complex object.
-	batch, aborted, err := componentIterator{op}.discover(item, inst, false, true)
+	aborted, err := op.discoverAndDispatch(item, inst, false, true)
 	if err != nil {
 		return nil, err
 	}
 	if aborted {
-		return nil, op.abort(item)
+		return nil, op.abortItem(item, "")
 	}
-	op.dispatch(batch...)
 	return inst, nil
 }
 
-// adoptSubtree accounts a pre-assembled subtree linked from a stacked
-// input: registers its members for intra-object sharing, notes the
-// footprint, and schedules its unresolved frontier.
-func (op *Operator) adoptSubtree(item *workItem, root *Instance) error {
+// adoptSubtree accounts a pre-assembled subtree — an adopted root (all
+// of it) or one linked from a stacked input: registers its members for
+// intra-object sharing, notes the footprint, and schedules its
+// unresolved frontier.
+func (op *Operator) adoptSubtree(item *workItem, root *Instance, all bool) error {
 	root.Walk(func(in *Instance) {
-		if in.Node.Shared {
+		if all || in.Node.Shared {
 			item.remember(in.OID(), in)
 		}
 		op.noteFootprint(item, in.page)
 	})
-	batch, _, err := componentIterator{op}.discover(item, root, true, false)
-	if err != nil {
-		return err
-	}
-	op.dispatch(batch...)
-	return nil
+	_, err := op.discoverAndDispatch(item, root, true, false)
+	return err
 }
 
-// link swizzles inst into its parent (or makes it the item's root) and
-// bumps the reference count. Every link is assembly progress, so it
-// resets the buffer-stall counter.
-func (op *Operator) link(item *workItem, ref *Ref, inst *Instance) {
+// linkAt swizzles inst into slot of parent (or makes it the item's
+// root) and bumps the reference count. Every link is assembly progress,
+// so it resets the buffer-stall counter.
+func (op *Operator) linkAt(item *workItem, parent *Instance, slot int, inst *Instance) {
 	op.stall = 0
 	inst.refs++
-	if ref.Parent == nil {
+	if parent == nil {
 		item.root = inst
 		return
 	}
-	ref.Parent.Children[ref.Slot] = inst
-	if inst.Parent == nil {
-		inst.Parent = ref.Parent
+	parent.Children[slot] = inst
+	if inst.Parent == nil && !inst.registered {
+		inst.Parent = parent
 	}
 }
 
@@ -1079,15 +1131,11 @@ func (op *Operator) settle(item *workItem) {
 	}
 }
 
-// abort abandons the item's assembly: its pending references die in
-// the scheduler (skipped lazily) and its footprint is released.
-func (op *Operator) abort(item *workItem) error {
-	return op.abortItem(item, "")
-}
-
-// abortItem is abort with a reason carried in the trace event's note:
-// empty for a predicate abort, or one of trace.ReasonDeadline /
-// ReasonCanceled / ReasonShed for a query-lifecycle abort.
+// abortItem abandons the item's assembly: its pending references die in
+// the scheduler (skipped lazily) and its footprint is released. The
+// reason goes into the trace event's note: empty for a predicate abort,
+// or one of trace.ReasonDeadline / ReasonCanceled / ReasonShed for a
+// query-lifecycle abort.
 func (op *Operator) abortItem(item *workItem, reason string) error {
 	if item.aborted {
 		return nil
@@ -1199,27 +1247,31 @@ func (op *Operator) discard(item *workItem) error {
 }
 
 func (op *Operator) noteFootprint(item *workItem, pg disk.PageID) {
-	if pg == disk.InvalidPage || item.pages[pg] {
+	if pg == disk.InvalidPage || slices.Contains(item.pages, pg) {
 		return
 	}
-	item.pages[pg] = true
-	op.footprint[pg]++
-	n := len(op.footprint)
-	op.cells.windowPages.Set(int64(n))
-	if n > op.stats.PeakWindowPgs {
-		op.stats.PeakWindowPgs = n
+	item.pages = append(item.pages, pg)
+	if int(pg) >= len(op.footprint) {
+		op.footprint = append(op.footprint, make([]int32, int(pg)+1-len(op.footprint))...)
+	}
+	if op.footprint[pg]++; op.footprint[pg] > 1 {
+		return
+	}
+	op.windowPages++
+	op.cells.windowPages.Set(int64(op.windowPages))
+	if op.windowPages > op.stats.PeakWindowPgs {
+		op.stats.PeakWindowPgs = op.windowPages
 	}
 }
 
 func (op *Operator) releaseFootprint(item *workItem) {
-	for pg := range item.pages {
-		op.footprint[pg]--
-		if op.footprint[pg] <= 0 {
-			delete(op.footprint, pg)
+	for _, pg := range item.pages {
+		if op.footprint[pg]--; op.footprint[pg] == 0 {
+			op.windowPages--
 		}
 	}
-	op.cells.windowPages.Set(int64(len(op.footprint)))
-	clear(item.pages)
+	op.cells.windowPages.Set(int64(op.windowPages))
+	item.pages = item.pages[:0]
 }
 
 // pageOf resolves the page backing an OID, or InvalidPage when the

@@ -29,8 +29,12 @@ type oracleWorld struct {
 
 // genWorld builds a random world from rng.
 func genWorld(t *testing.T, rng *rand.Rand) *oracleWorld {
+	return genWorldOn(t, rng, disk.New(0))
+}
+
+// genWorldOn is genWorld over the given (empty) device.
+func genWorldOn(t *testing.T, rng *rand.Rand, d disk.Device) *oracleWorld {
 	t.Helper()
-	d := disk.New(0)
 	pool := buffer.New(d, 4096)
 	f, err := heap.Create(pool, 512)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"revelation/internal/buffer"
-	"revelation/internal/disk"
 	"revelation/internal/object"
 )
 
@@ -64,25 +63,11 @@ func (st *sharedTable) register(inst *Instance, node *Template) {
 		return
 	}
 	st.entries[inst.OID()] = &sharedEntry{inst: inst, expected: exp}
-	st.pool.SetSticky(instPage(inst), true)
+	st.pool.SetSticky(inst.page, true)
 }
 
 // release drops an entry and clears its buffer hint.
 func (st *sharedTable) release(oid object.OID, e *sharedEntry) {
 	delete(st.entries, oid)
-	st.pool.SetSticky(instPage(e.inst), false)
+	st.pool.SetSticky(e.inst.page, false)
 }
-
-// drop removes any entry for the OID (used on abort cleanup paths).
-func (st *sharedTable) drop(oid object.OID) {
-	if e, ok := st.entries[oid]; ok {
-		st.release(oid, e)
-	}
-}
-
-// len reports live entries.
-func (st *sharedTable) len() int { return len(st.entries) }
-
-// instPage returns the page backing an instance, recorded at fetch
-// time.
-func instPage(in *Instance) disk.PageID { return in.page }

@@ -1,7 +1,6 @@
 package object
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -185,19 +184,8 @@ func (s *Store) Get(oid OID) (*Object, error) {
 	if !ok {
 		return nil, fmt.Errorf("object: %v not found", oid)
 	}
-	return s.GetAt(rid)
-}
-
-// GetAt loads the object stored at rid.
-func (s *Store) GetAt(rid heap.RID) (*Object, error) {
-	return s.GetAtCtx(nil, rid)
-}
-
-// GetAtCtx is GetAt with per-query attribution carried in ctx (nil ctx
-// behaves exactly like GetAt).
-func (s *Store) GetAtCtx(ctx context.Context, rid heap.RID) (*Object, error) {
 	var o *Object
-	err := s.File.GetCtx(ctx, rid, func(rec []byte) error {
+	err = s.File.Get(rid, func(rec []byte) error {
 		var derr error
 		o, derr = Decode(rec)
 		return derr

@@ -117,8 +117,11 @@ func (cat *Catalog) MustDefine(c *Class) *Class {
 	return out
 }
 
-// ByID looks a class up by id.
+// ByID looks a class up by id; a nil catalog knows none.
 func (cat *Catalog) ByID(id ClassID) (*Class, bool) {
+	if cat == nil {
+		return nil, false
+	}
 	c, ok := cat.byID[id]
 	return c, ok
 }
@@ -180,21 +183,39 @@ func Encode(o *Object) ([]byte, error) {
 
 // Decode parses a record into a fresh Object.
 func Decode(rec []byte) (*Object, error) {
+	o := new(Object)
+	if err := DecodeInto(rec, o); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// Shape validates a record's header and length and reports how many
+// integer and reference fields it carries (at most 255 each), so that a
+// caller can size o.Ints and o.Refs before DecodeInto.
+func Shape(rec []byte) (nInts, nRefs int, err error) {
 	if len(rec) < headerSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrShortRecord, len(rec))
+		return 0, 0, fmt.Errorf("%w: %d bytes", ErrShortRecord, len(rec))
 	}
-	nInts := int(rec[10])
-	nRefs := int(rec[11])
-	want := headerSize + 4*nInts + 8*nRefs
-	if len(rec) < want {
-		return nil, fmt.Errorf("%w: %d bytes, header implies %d", ErrShortRecord, len(rec), want)
+	nInts, nRefs = int(rec[10]), int(rec[11])
+	if want := headerSize + 4*nInts + 8*nRefs; len(rec) < want {
+		return 0, 0, fmt.Errorf("%w: %d bytes, header implies %d", ErrShortRecord, len(rec), want)
 	}
-	o := &Object{
-		OID:   OID(binary.LittleEndian.Uint64(rec[0:])),
-		Class: ClassID(binary.LittleEndian.Uint16(rec[8:])),
-		Ints:  make([]int32, nInts),
-		Refs:  make([]OID, nRefs),
+	return nInts, nRefs, nil
+}
+
+// DecodeInto parses a record into o. It fills o.Ints and o.Refs in
+// place when they are non-nil and have the capacity Shape reports, and
+// allocates them otherwise; on error o is untouched.
+func DecodeInto(rec []byte, o *Object) error {
+	nInts, nRefs, err := Shape(rec)
+	if err != nil {
+		return err
 	}
+	o.OID = OID(binary.LittleEndian.Uint64(rec[0:]))
+	o.Class = ClassID(binary.LittleEndian.Uint16(rec[8:]))
+	o.Ints = sized(o.Ints, nInts)
+	o.Refs = sized(o.Refs, nRefs)
 	off := headerSize
 	for i := range o.Ints {
 		o.Ints[i] = int32(binary.LittleEndian.Uint32(rec[off:]))
@@ -204,7 +225,16 @@ func Decode(rec []byte) (*Object, error) {
 		o.Refs[i] = OID(binary.LittleEndian.Uint64(rec[off:]))
 		off += 8
 	}
-	return o, nil
+	return nil
+}
+
+// sized reslices s to n elements when it has the room and makes a fresh
+// slice otherwise.
+func sized[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // PeekOID reads just the OID from an encoded record.

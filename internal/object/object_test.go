@@ -2,6 +2,7 @@ package object
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -97,6 +98,61 @@ func TestDecodeShortRecord(t *testing.T) {
 	rec, _ := Encode(o)
 	if _, err := Decode(rec[:len(rec)-4]); !errors.Is(err, ErrShortRecord) {
 		t.Errorf("Decode truncated err = %v, want ErrShortRecord", err)
+	}
+}
+
+// Shape + DecodeInto, the pair Decode is built on: short, truncated and
+// zero-field records; caller-owned slices are filled in place when they
+// have the room and replaced when they do not; a rejected record leaves
+// the destination untouched.
+func TestShapeDecodeInto(t *testing.T) {
+	full, _ := Encode(&Object{OID: 5, Class: 2, Ints: []int32{-1, 7}, Refs: []OID{9, 0, 11}})
+	empty, _ := Encode(&Object{OID: 6, Class: 3})
+	for _, c := range []struct {
+		name         string
+		rec          []byte
+		nInts, nRefs int
+		bad          bool
+	}{
+		{"nil", nil, 0, 0, true},
+		{"short header", full[:headerSize-1], 0, 0, true},
+		{"header only, fields claimed", full[:headerSize], 0, 0, true},
+		{"truncated by one byte", full[:len(full)-1], 0, 0, true},
+		{"zero fields", empty, 0, 0, false},
+		{"full", full, 2, 3, false},
+		{"trailing bytes ignored", append(append([]byte(nil), full...), 0xEE, 0xEE), 2, 3, false},
+	} {
+		nInts, nRefs, err := Shape(c.rec)
+		_, derr := Decode(c.rec)
+		if (err != nil) != c.bad || (derr != nil) != c.bad {
+			t.Errorf("%s: Shape err %v, Decode err %v, want rejection %v", c.name, err, derr, c.bad)
+			continue
+		}
+		into := Object{OID: 99, Ints: make([]int32, 1, 8), Refs: make([]OID, 1, 8)}
+		ints, refs := into.Ints, into.Refs
+		err = DecodeInto(c.rec, &into)
+		if c.bad {
+			if !errors.Is(err, ErrShortRecord) || into.OID != 99 || len(into.Ints) != 1 || len(into.Refs) != 1 {
+				t.Errorf("%s: DecodeInto err %v, destination %+v", c.name, err, into)
+			}
+			continue
+		}
+		want, _ := Decode(c.rec)
+		if err != nil || nInts != c.nInts || nRefs != c.nRefs || !reflect.DeepEqual(&into, want) {
+			t.Errorf("%s: Shape (%d, %d), DecodeInto %+v (%v), Decode %+v", c.name, nInts, nRefs, into, err, want)
+		}
+		if &into.Ints[:1][0] != &ints[0] || &into.Refs[:1][0] != &refs[0] {
+			t.Errorf("%s: roomy slices were not filled in place", c.name)
+		}
+	}
+	// Too little room: fresh slices, the caller's left alone.
+	tight := Object{Ints: make([]int32, 0, 1), Refs: make([]OID, 0, 2)}
+	ints, refs := tight.Ints[:1], tight.Refs[:2]
+	if err := DecodeInto(full, &tight); err != nil || len(tight.Ints) != 2 || len(tight.Refs) != 3 {
+		t.Fatalf("DecodeInto with tight slices: %+v, %v", tight, err)
+	}
+	if ints[0] != 0 || refs[0] != 0 || refs[1] != 0 {
+		t.Error("DecodeInto wrote through slices that were too short")
 	}
 }
 

@@ -14,6 +14,23 @@ import (
 	"revelation/internal/trace"
 )
 
+// heldRead is a device whose first read waits at the server until the
+// test releases it, so the test can act while a request is certainly
+// pending at the client.
+type heldRead struct {
+	disk.Device
+	once             sync.Once
+	arrived, release chan struct{}
+}
+
+func (d *heldRead) ReadPage(p disk.PageID, buf []byte) error {
+	d.once.Do(func() {
+		close(d.arrived)
+		<-d.release
+	})
+	return d.Device.ReadPage(p, buf)
+}
+
 // TestReconnectDeterministicIDsNoDoubleCount severs the primary
 // connection in the middle of a concurrent read pipeline and checks the
 // two properties the reconnect path must preserve:
@@ -39,7 +56,8 @@ func TestReconnectDeterministicIDsNoDoubleCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := NewServer([]disk.Device{sim}, ServerConfig{})
+	held := &heldRead{Device: sim, arrived: make(chan struct{}), release: make(chan struct{})}
+	srv := NewServer([]disk.Device{held}, ServerConfig{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -91,16 +109,18 @@ func TestReconnectDeterministicIDsNoDoubleCount(t *testing.T) {
 	}
 	close(start)
 
-	// Kill the live primary connection while reads are in flight. Every
-	// pending request gets an error response; the retry policy re-sends
-	// it over the fresh connection under the same request id.
-	time.Sleep(2 * time.Millisecond)
+	// Kill the live primary connection while a read is certainly in
+	// flight: the server holds the first one until the sever has happened.
+	// Every pending request gets an error response; the retry policy
+	// re-sends it over the fresh connection under the same request id.
+	<-held.arrived
 	c.primary.mu.Lock()
 	cc := c.primary.conn
 	c.primary.mu.Unlock()
 	if cc != nil {
 		cc.fail(netErr("test", errors.New("injected sever")))
 	}
+	close(held.release)
 
 	wg.Wait()
 	qc.Finish(qt, "ok", nil)
