@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet test sched-check buffer-check asm-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke trace-demo tracez-smoke serve-demo examples cover clean
+.PHONY: all check build vet test sched-check buffer-check asm-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke suite-check trace-demo tracez-smoke serve-demo examples cover clean
 
 all: check
 
@@ -73,19 +73,24 @@ chaos-test:
 	$(GO) test -race -count=2 -run 'TestChaos|TestCancel|TestDeadline|TestExchangeCancellation|TestExchangeDeadline|TestTwoQueriesTinyPool|TestQuery' ./internal/bench ./internal/assembly ./internal/volcano ./internal/buffer ./internal/serve
 
 # The networked-page-service chaos suite under the race detector:
-# kill-the-primary mid-query with failover to a WAL-shipped replica,
-# replica crash/reconnect convergence, hedged reads against seeded
-# stalls, and client reconnects — all with goroutine-leak checks.
-# -count=2 reruns them so cross-run state leaks surface too.
+# replica crash/reconnect convergence, client reconnects under a
+# severed connection, promotion and fencing, and a closed client that
+# never re-dials — all with goroutine-leak checks. (Killing the primary
+# mid-query and hedging a straggler are the shard router's decisions;
+# their proofs live in shard-chaos-test.) -count=2 reruns them so
+# cross-run state leaks surface too.
 net-chaos-test:
 	$(GO) test -race -count=2 ./internal/pagesvc
 
 # The sharded-fleet chaos suite under the race detector: kill one
 # shard's primary mid-query and finish byte-identical via its replica
-# (breaker trip + LSN-guarded failover), and brown out a shard with no
-# replica to check degraded-mode assembly skips exactly the poisoned
-# objects under a per-query retry budget. -count=2 reruns for cross-run
-# state leaks.
+# (breaker trip + LSN-guarded failover) — over a three-member fleet and
+# over a one-member fleet, which is the single page service with a
+# replica; hedge straggling reads to the replica against seeded stalls
+# (stale replica never a target, the losing leg never touches the
+# caller's buffer); and brown out a shard with no replica to check
+# degraded-mode assembly skips exactly the poisoned objects under a
+# per-query retry budget. -count=2 reruns for cross-run state leaks.
 shard-chaos-test:
 	$(GO) test -race -count=2 ./internal/shard
 
@@ -109,12 +114,16 @@ crash-test:
 # A short coverage-guided fuzz of the slotted page (including the
 # corruption op that tries to break the bounds checks), of the
 # page-service wire header decoder (malformed frames must error, never
-# panic or over-allocate) and of the object record decoder (Shape +
-# DecodeInto must agree with Decode on every input).
+# panic or over-allocate), of the object record decoder (Shape +
+# DecodeInto must agree with Decode on every input) and of the WAL
+# reader (arbitrary bytes as a log: the scan ends, hands out only
+# records inside the device, and allocates no more than the device
+# holds).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzPageOps -fuzztime=10s ./internal/page
 	$(GO) test -fuzz=FuzzProtoDecode -fuzztime=10s ./internal/pagesvc
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/object
+	$(GO) test -fuzz=FuzzWALScan -fuzztime=10s ./internal/wal
 
 # One testing.B bench per paper figure at the repo root, plus the
 # substrate micro-benchmarks in each package.
@@ -135,6 +144,13 @@ suite:
 suite-smoke:
 	$(GO) test -race -timeout 5m ./internal/suite
 	$(GO) run -race ./cmd/asmsuite -suite smoke -out /dev/null -v
+
+# The tracked trajectory is its own canonical form: every field of
+# BENCH_core.json is a deterministic counter, so regenerating it must
+# reproduce the checked-in file byte for byte. A diff here is a real
+# behaviour change — rerun `make suite` and review it.
+suite-check:
+	$(GO) run ./cmd/asmsuite -suite core -out - | diff -u BENCH_core.json -
 
 # End-to-end smoke test for per-query tracing: boot asmserve, run
 # /query requests, and check /tracez shows their span trees with

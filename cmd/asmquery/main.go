@@ -19,10 +19,9 @@ import (
 	"strings"
 
 	"revelation/internal/assembly"
-	"revelation/internal/disk"
 	"revelation/internal/expr"
+	"revelation/internal/fleet"
 	"revelation/internal/gen"
-	"revelation/internal/pagesvc"
 	"revelation/internal/query"
 	"revelation/internal/shard"
 	"revelation/internal/volcano"
@@ -39,22 +38,15 @@ func main() {
 	bufferPages := flag.Int("buffer", 256, "buffer pool pages")
 	explain := flag.Bool("explain", true, "print the revealed plan")
 	deadline := flag.Duration("deadline", 0, "abort the revealed query after this long (0 = unbounded)")
-	pages := flag.String("pages", "", "comma-separated page-service endpoints, primary first (see cmd/asmpaged); replaces -db with networked pages, extra endpoints are hedge/failover replicas")
-	shards := flag.String("shards", "", "comma-separated page-service endpoints, one per shard (see cmd/asmpaged); replaces -db with a sharded fleet behind the rendezvous router and assembles with the per-shard elevator")
+	shards := flag.String("shards", "", "comma-separated page-service endpoints, one per shard, each optionally primary/replica (see cmd/asmpaged); replaces -db with the fleet behind the rendezvous router (one entry is a single page service) and assembles with the per-shard elevator")
 	flag.Parse()
 
-	if *pages != "" && *shards != "" {
-		fail("-pages and -shards are mutually exclusive: one service with replicas, or a fleet of shards")
-	}
 	var db *gen.Database
 	var router *shard.Router
 	var err error
-	switch {
-	case *shards != "":
+	if *shards != "" {
 		db, router, err = openSharded(*shards, *manifest, *bufferPages)
-	case *pages != "":
-		db, err = openNetworked(*pages, *manifest, *bufferPages)
-	default:
+	} else {
 		db, err = gen.OpenDatabase(*dbPath, *manifest, *bufferPages)
 	}
 	if err != nil {
@@ -168,21 +160,7 @@ func openSharded(endpoints, manifestPath string, bufferPages int) (*gen.Database
 	if err != nil {
 		return nil, nil, err
 	}
-	eps := strings.Split(endpoints, ",")
-	members := make([]shard.Member, len(eps))
-	for i, ep := range eps {
-		client, err := pagesvc.Dial(pagesvc.ClientConfig{
-			Primary: ep,
-			Dev:     pagesvc.DataDev,
-			Retry:   disk.DefaultRetryPolicy,
-			Label:   fmt.Sprintf("net-s%d", i),
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("shard %d (%s): %w", i, ep, err)
-		}
-		members[i] = shard.Member{Name: fmt.Sprintf("s%d", i), Primary: client}
-	}
-	router, err := shard.New(shard.Config{Members: members})
+	router, _, _, err := fleet.Dial(endpoints, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -192,27 +170,6 @@ func openSharded(endpoints, manifestPath string, bufferPages int) (*gen.Database
 		return nil, nil, err
 	}
 	return db, router, nil
-}
-
-// openNetworked opens the database over a page service instead of a
-// local device file: the buffer pool stacks on a pagesvc client, so
-// the query plan below is identical — only the page source moves.
-func openNetworked(endpoints, manifestPath string, bufferPages int) (*gen.Database, error) {
-	eps := strings.Split(endpoints, ",")
-	mp, err := gen.LoadManifest(manifestPath)
-	if err != nil {
-		return nil, err
-	}
-	client, err := pagesvc.Dial(pagesvc.ClientConfig{
-		Primary:  eps[0],
-		Replicas: eps[1:],
-		Dev:      pagesvc.DataDev,
-		Retry:    disk.DefaultRetryPolicy,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return gen.OpenDatabaseOn(client, mp, bufferPages)
 }
 
 func fail(format string, args ...any) {

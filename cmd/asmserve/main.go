@@ -83,8 +83,7 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", 4, "max in-flight /query requests; excess sheds with 503")
 	queryTimeout := flag.Duration("query-timeout", 5*time.Second, "default /query deadline (?deadline= overrides)")
 	queryWindow := flag.Int("query-window", 10, "assembly window for /query requests")
-	pages := flag.String("pages", "", "comma-separated page-service endpoints, primary first (see cmd/asmpaged); /query pages are restored to and read from the service instead of local memory")
-	shards := flag.String("shards", "", "comma-separated page-service endpoints, one per shard, each optionally primary/replica (see cmd/asmpaged); /query pages are spread over the fleet by the rendezvous router and assembled with the per-shard elevator")
+	shards := flag.String("shards", "", "comma-separated page-service endpoints, one per shard, each optionally primary/replica (see cmd/asmpaged); /query pages are spread over the fleet by the rendezvous router (one entry is a single page service) and assembled with the per-shard elevator")
 	promoteAfter := flag.Duration("promote-after", 0, "promote a shard's replica after its primary has been unreachable this long (0 disables the fleet controller; needs -shards entries with replicas)")
 	retryBudget := flag.Int("retry-budget", 64, "max I/O retries one /query may spend across all shards combined; 0 disables the budget")
 	slowQuery := flag.Duration("slow-query", 500*time.Millisecond, "queries at least this slow land in the /tracez slow-query log and log one line; 0 disables")
@@ -103,11 +102,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "asmserve: %v\n", err)
 		os.Exit(2)
 	}
-	if *pages != "" && *shards != "" {
-		fmt.Fprintln(os.Stderr, "asmserve: -pages and -shards are mutually exclusive: one service with replicas, or a fleet of shards")
-		os.Exit(2)
-	}
-	queryFn, fleetz, err := queryWorkload(reg, *scale, *queryWindow, *pages, *shards, *promoteAfter)
+	queryFn, fleetz, err := queryWorkload(reg, *scale, *queryWindow, *shards, *promoteAfter)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "asmserve: %v\n", err)
 		os.Exit(2)
@@ -178,7 +173,7 @@ func main() {
 // serializes frame traffic, so concurrent requests are safe — the
 // interesting contention (frames) is what reservations and bounded pin
 // waits manage.
-func queryWorkload(reg *metrics.Registry, scale float64, window int, pages, shards string, promoteAfter time.Duration) (func(ctx context.Context) (string, error), func(w io.Writer), error) {
+func queryWorkload(reg *metrics.Registry, scale float64, window int, shards string, promoteAfter time.Duration) (func(ctx context.Context) (string, error), func(w io.Writer), error) {
 	size := int(1000 * scale)
 	if size < 100 {
 		size = 100
@@ -194,31 +189,25 @@ func queryWorkload(reg *metrics.Registry, scale float64, window int, pages, shar
 	}
 	var router *shard.Router
 	var fleetz func(io.Writer)
-	switch {
-	case shards != "":
+	if shards != "" {
 		// Spread the generated pages over the fleet by rendezvous
 		// assignment, then reopen the database behind the router: every
 		// /query from here on reads sharded pages, with breakers and the
 		// per-query retry budget governing brown-outs.
-		var handles *fleetHandles
-		if db, handles, err = pushToShards(reg, db, shards); err != nil {
+		var primaries, replicas []*pagesvc.Client
+		if router, primaries, replicas, err = fleet.Dial(shards, reg); err != nil {
 			return nil, nil, err
 		}
-		router = handles.router
-		ctrl := startController(reg, handles, promoteAfter)
+		if db, err = pushToShards(db, router); err != nil {
+			router.Close()
+			return nil, nil, err
+		}
+		ctrl := startController(reg, router, primaries, replicas, promoteAfter)
 		fleetz = func(w io.Writer) {
 			if ctrl != nil {
 				ctrl.WriteStatus(w)
 			}
 			writeShardStatus(w, router)
-		}
-	case pages != "":
-		// Restore the generated pages onto the page service through its
-		// write path, then reopen the database over the network: every
-		// /query from here on reads remote pages, hedging and failing
-		// over exactly like the test harness.
-		if db, err = pushToService(reg, db, pages); err != nil {
-			return nil, nil, err
 		}
 	}
 	db.Pool.RegisterMetrics(reg, "queryserve")
@@ -259,32 +248,24 @@ func queryWorkload(reg *metrics.Registry, scale float64, window int, pages, shar
 	}, fleetz, nil
 }
 
-// fleetHandles is what the control plane needs from a shard fleet: the
-// router plus the typed clients behind each member.
-type fleetHandles struct {
-	router    *shard.Router
-	names     []string
-	primaries []*pagesvc.Client
-	replicas  []*pagesvc.Client // nil where the -shards entry had no replica
-}
-
 // startController wires the fleet controller over the shard fleet and
 // runs it in the background, or returns nil when -promote-after is off
 // or no shard has a replica to promote.
-func startController(reg *metrics.Registry, h *fleetHandles, promoteAfter time.Duration) *fleet.Controller {
+func startController(reg *metrics.Registry, router *shard.Router, primaries, replicas []*pagesvc.Client, promoteAfter time.Duration) *fleet.Controller {
 	if promoteAfter <= 0 {
 		return nil
 	}
 	promotable := false
-	members := make([]fleet.Member, len(h.names))
-	for i := range h.names {
+	members := make([]fleet.Member, len(primaries))
+	for i := range primaries {
 		i := i
+		name := router.MemberName(i)
 		members[i] = fleet.Member{
-			Name:  h.names[i],
-			Probe: h.primaries[i].Ping,
-			Epoch: func() uint64 { return h.router.Epoch(i) },
+			Name:  name,
+			Probe: primaries[i].Ping,
+			Epoch: func() uint64 { return router.Epoch(i) },
 		}
-		repl := h.replicas[i]
+		repl := replicas[i]
 		if repl == nil {
 			continue
 		}
@@ -303,9 +284,9 @@ func startController(reg *metrics.Registry, h *fleetHandles, promoteAfter time.D
 			if err := repl.Promote(epoch, 0, true); err != nil {
 				return err
 			}
-			_, err := h.router.PromoteReplica(i, epoch)
+			_, err := router.PromoteReplica(i, epoch)
 			if err == nil {
-				fmt.Printf("asmserve: promoted %s's replica to primary at epoch %d\n", h.names[i], epoch)
+				fmt.Printf("asmserve: promoted %s's replica to primary at epoch %d\n", name, epoch)
 			}
 			return err
 		}
@@ -339,152 +320,42 @@ func writeShardStatus(w io.Writer, r *shard.Router) {
 	}
 }
 
-// pushToService base-restores db's pages onto the page service at the
-// first endpoint and reopens the database over a pagesvc client, so
-// the pool underneath /query reads networked pages. Extra endpoints
-// become hedge/failover replicas.
-func pushToService(reg *metrics.Registry, db *gen.Database, endpoints string) (*gen.Database, error) {
+// pushToShards rendezvous-spreads db's pages over the fleet behind
+// router and reopens the database on it: the extent is allocated on
+// every member (so page ids line up), but each page is written only to
+// the shard that owns it, and the router never reads a page anywhere
+// else.
+func pushToShards(db *gen.Database, router *shard.Router) (*gen.Database, error) {
 	if err := db.Pool.FlushAll(); err != nil {
 		return nil, err
 	}
-	eps := strings.Split(endpoints, ",")
-	client, err := pagesvc.Dial(pagesvc.ClientConfig{
-		Primary:  eps[0],
-		Replicas: eps[1:],
-		Dev:      pagesvc.DataDev,
-		Retry:    disk.DefaultRetryPolicy,
-		Registry: reg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if db.Device.PageSize() != client.PageSize() {
-		return nil, fmt.Errorf("page service serves %d-byte pages, database has %d", client.PageSize(), db.Device.PageSize())
-	}
-	if n := db.Device.NumPages() - client.NumPages(); n > 0 {
-		if _, err := client.Allocate(n); err != nil {
-			return nil, err
-		}
-	}
-	buf := make([]byte, db.Device.PageSize())
-	for p := 0; p < db.Device.NumPages(); p++ {
-		if err := db.Device.ReadPage(disk.PageID(p), buf); err != nil {
-			return nil, err
-		}
-		if err := client.WritePage(disk.PageID(p), buf); err != nil {
-			return nil, err
-		}
-	}
-	manifest := filepath.Join(os.TempDir(), fmt.Sprintf("asmserve-%d.manifest", os.Getpid()))
-	if err := db.SaveManifest(manifest); err != nil {
-		return nil, err
-	}
-	defer os.Remove(manifest)
-	mp, err := gen.LoadManifest(manifest)
-	if err != nil {
-		return nil, err
-	}
-	return gen.OpenDatabaseOn(client, mp, 256)
-}
-
-// pushToShards rendezvous-spreads db's pages over a fleet of page
-// services and reopens the database behind the shard router: the
-// extent is allocated on every member (so page ids line up), but each
-// page is written only to the shard that owns it, and the router never
-// reads a page anywhere else. An endpoint written primary/replica
-// wires the replica for degraded reads and controller promotion.
-func pushToShards(reg *metrics.Registry, db *gen.Database, endpoints string) (*gen.Database, *fleetHandles, error) {
-	if err := db.Pool.FlushAll(); err != nil {
-		return nil, nil, err
-	}
-	eps := strings.Split(endpoints, ",")
-	h := &fleetHandles{
-		names:     make([]string, len(eps)),
-		primaries: make([]*pagesvc.Client, len(eps)),
-		replicas:  make([]*pagesvc.Client, len(eps)),
-	}
-	members := make([]shard.Member, len(eps))
-	for i, ep := range eps {
-		primary, replica, _ := strings.Cut(ep, "/")
-		client, err := pagesvc.Dial(pagesvc.ClientConfig{
-			Primary:  primary,
-			Dev:      pagesvc.DataDev,
-			Retry:    disk.DefaultRetryPolicy,
-			Registry: reg,
-			Label:    fmt.Sprintf("net-s%d", i),
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("shard %d (%s): %w", i, primary, err)
-		}
-		h.names[i] = fmt.Sprintf("s%d", i)
-		h.primaries[i] = client
-		members[i] = shard.Member{Name: h.names[i], Primary: client}
-		if replica == "" {
-			continue
-		}
-		rc, err := pagesvc.Dial(pagesvc.ClientConfig{
-			Primary:  replica,
-			Dev:      pagesvc.DataDev,
-			Retry:    disk.DefaultRetryPolicy,
-			Registry: reg,
-			Label:    fmt.Sprintf("net-s%dr", i),
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("shard %d replica (%s): %w", i, replica, err)
-		}
-		h.replicas[i] = rc
-		members[i].Replica = rc
-		members[i].AppliedLSN = func() uint64 {
-			lsn, err := rc.AppliedLSN()
-			if err != nil {
-				return 0
-			}
-			return lsn
-		}
-	}
-	router, err := shard.New(shard.Config{Members: members, Registry: reg})
-	if err != nil {
-		return nil, nil, err
-	}
-	h.router = router
 	if db.Device.PageSize() != router.PageSize() {
-		router.Close()
-		return nil, nil, fmt.Errorf("shard fleet serves %d-byte pages, database has %d", router.PageSize(), db.Device.PageSize())
+		return nil, fmt.Errorf("shard fleet serves %d-byte pages, database has %d", router.PageSize(), db.Device.PageSize())
 	}
 	if n := db.Device.NumPages() - router.NumPages(); n > 0 {
 		if _, err := router.Allocate(n); err != nil {
-			router.Close()
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	buf := make([]byte, db.Device.PageSize())
 	for p := 0; p < db.Device.NumPages(); p++ {
 		if err := db.Device.ReadPage(disk.PageID(p), buf); err != nil {
-			router.Close()
-			return nil, nil, err
+			return nil, err
 		}
 		if err := router.WritePage(disk.PageID(p), buf); err != nil {
-			router.Close()
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	manifest := filepath.Join(os.TempDir(), fmt.Sprintf("asmserve-%d.manifest", os.Getpid()))
 	if err := db.SaveManifest(manifest); err != nil {
-		router.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	defer os.Remove(manifest)
 	mp, err := gen.LoadManifest(manifest)
 	if err != nil {
-		router.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	ndb, err := gen.OpenDatabaseOn(router, mp, 256)
-	if err != nil {
-		router.Close()
-		return nil, nil, err
-	}
-	return ndb, h, nil
+	return gen.OpenDatabaseOn(router, mp, 256)
 }
 
 // workload maps a figure id to a closure running it once.

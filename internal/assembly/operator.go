@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"revelation/internal/buffer"
 	"revelation/internal/disk"
@@ -53,13 +52,14 @@ type Options struct {
 	// worth it because "even buffer hits can be expensive" (footnote 5).
 	PageBatch bool
 	// ShardPrefetch, with a BatchScheduler (e.g. NewShardElevator over a
-	// shard.Router), fetches one reference per shard lane concurrently:
-	// the scheduler hands out a batch — one SCAN step per shard — the
-	// operator warms the buffer with one goroutine per lane under a
-	// per-shard qtrace span, and then resolves the batch sequentially
-	// through the unchanged fault paths. Each lane has at most one read
-	// in flight at a time, so per-shard access order (and thus replay
-	// determinism per shard) is preserved.
+	// shard.Router), fetches one reference per shard lane per step: the
+	// scheduler hands out a batch — one SCAN step per shard — the
+	// operator warms the buffer with the batch's pages under a per-shard
+	// qtrace span each (see prefetchBatch for why in turn), and then
+	// resolves the batch sequentially through the unchanged fault
+	// paths. Each lane has at most one read in flight at a time, so
+	// per-shard access order (and thus replay determinism per shard) is
+	// preserved.
 	ShardPrefetch bool
 	// FaultPolicy selects how the operator reacts to I/O errors while
 	// fetching referenced components. The default (FailFast) is the
@@ -443,7 +443,7 @@ func (op *Operator) Next() (volcano.Item, error) {
 		// The policy decision: which reference the scheduler picked
 		// given the head position — the choice the whole paper is about.
 		if op.tr != nil {
-			op.tr.AssemblyQ(trace.KindChoose, uint64(ref.OID), int64(ref.RID.Page), int64(head), op.sched.Name(), op.qid)
+			op.tr.Assembly(trace.KindChoose, uint64(ref.OID), int64(ref.RID.Page), int64(head), op.sched.Name(), op.qid)
 		}
 		if err := op.resolve(ref); err != nil {
 			return nil, op.fail(err)
@@ -495,8 +495,8 @@ func (op *Operator) endLaneSpans() {
 
 // nextRef is the scheduling step. Without a batch scheduler it simply
 // asks the policy for the next reference. With ShardPrefetch on it
-// pulls one SCAN step per shard lane, warms the buffer with one
-// concurrent fix per lane, and then serves the batch one reference at
+// pulls one SCAN step per shard lane, warms the buffer with one fix
+// per lane, and then serves the batch one reference at
 // a time — so every reference still flows through the ordinary resolve
 // and fault paths, with the page (usually) already resident.
 func (op *Operator) nextRef(head disk.PageID) *Ref {
@@ -519,33 +519,38 @@ func (op *Operator) nextRef(head disk.PageID) *Ref {
 	return batch[0]
 }
 
-// prefetchBatch warms the buffer with one concurrent read per shard
-// lane, each attributed to its lane's qtrace span. Errors are dropped
-// on purpose: the sequential resolve that follows re-encounters any
-// fault through the full fault-policy machinery (retry budgets,
-// quarantine, breaker-aware failover), so the prefetch can stay purely
-// an optimisation. Every fix is unfixed before the barrier, so the
-// batch holds no pins of its own.
+// prefetchBatch warms the buffer with the batch's pages, one read per
+// shard lane, each attributed to its lane's qtrace span. The reads run
+// in turn on the operator's own goroutine, highest lane first. They
+// used to run on a goroutine per page, which bought nothing and cost a
+// stack copy per read: the pool holds its mutex across a device read,
+// so the lanes never overlapped (shard.lane_overlap is exactly 1), and
+// a fresh goroutine starts on the runtime's small initial stack, which
+// the chain below FixAs — pool, shard router, page-service client, net,
+// syscall — outgrows (EXPERIMENTS.md "One replica path"). Highest lane
+// first is the order those goroutines took the pool in (the last one
+// started ran first), now by construction instead of by timing, so the
+// page and seek counts recorded under it stand. Errors are dropped on
+// purpose: the sequential resolve that follows re-encounters any fault
+// through the full fault-policy machinery (retry budgets, quarantine,
+// breaker-aware failover), so the prefetch can stay purely an
+// optimisation. Every fix is unfixed at once, so the batch holds no
+// pins of its own.
 func (op *Operator) prefetchBatch(batch []*Ref) {
 	if len(batch) < 2 {
 		return
 	}
 	pool := op.Store.File.Pool()
-	var wg sync.WaitGroup
-	for _, r := range batch {
+	for i := len(batch) - 1; i >= 0; i-- {
+		r := batch[i]
 		ctx := op.qctx
 		if lane := op.batcher.LaneOf(r.RID.Page); lane < len(op.laneCtxs) && op.laneCtxs[lane] != nil {
 			ctx = op.laneCtxs[lane]
 		}
-		wg.Add(1)
-		go func(pg disk.PageID, ctx context.Context) {
-			defer wg.Done()
-			if f, err := pool.FixAs(ctx, pg); err == nil {
-				pool.Unfix(f, false)
-			}
-		}(r.RID.Page, ctx)
+		if f, err := pool.FixAs(ctx, r.RID.Page); err == nil {
+			pool.Unfix(f, false)
+		}
 	}
-	wg.Wait()
 }
 
 // admissionAllowed gates window growth on buffer headroom when window
@@ -648,19 +653,19 @@ func (op *Operator) admit() error {
 			delete(op.liveSet, item)
 			return nil
 		}
-		op.tr.AssemblyQ(trace.KindAdmit, uint64(v), trace.NoPage, trace.NoPage, "", op.qid)
+		op.tr.Assembly(trace.KindAdmit, uint64(v), trace.NoPage, trace.NoPage, "", op.qid)
 		if err := op.scheduleRef(item, nil, 0, op.Template, v); err != nil {
 			return err
 		}
 	case *object.Object:
-		op.tr.AssemblyQ(trace.KindAdmit, uint64(v.OID), trace.NoPage, trace.NoPage, "", op.qid)
+		op.tr.Assembly(trace.KindAdmit, uint64(v.OID), trace.NoPage, trace.NoPage, "", op.qid)
 		c := item.arena.newComponent(op.ownLifetime(nil, op.Template), 0, 0)
 		c.inst.Object = v
 		if _, err := op.place(item, nil, 0, op.Template, &c.inst, op.pageOf(v.OID)); err != nil {
 			return err
 		}
 	case *Instance:
-		op.tr.AssemblyQ(trace.KindAdmit, uint64(v.OID()), trace.NoPage, trace.NoPage, "", op.qid)
+		op.tr.Assembly(trace.KindAdmit, uint64(v.OID()), trace.NoPage, trace.NoPage, "", op.qid)
 		if err := op.adopt(item, v); err != nil {
 			return err
 		}
@@ -671,7 +676,7 @@ func (op *Operator) admit() error {
 			delete(op.liveSet, item)
 			return nil
 		}
-		op.tr.AssemblyQ(trace.KindAdmit, uint64(v.Root), trace.NoPage, trace.NoPage, "", op.qid)
+		op.tr.Assembly(trace.KindAdmit, uint64(v.Root), trace.NoPage, trace.NoPage, "", op.qid)
 		item.pre = v.Sub
 		if err := op.scheduleRef(item, nil, 0, op.Template, v.Root); err != nil {
 			return err
@@ -722,7 +727,7 @@ func (op *Operator) dispatch(refs ...*Ref) {
 	}
 	if op.tr != nil {
 		for _, r := range refs {
-			op.tr.AssemblyQ(trace.KindPend, uint64(r.OID), int64(r.RID.Page), trace.NoPage, "", op.qid)
+			op.tr.Assembly(trace.KindPend, uint64(r.OID), int64(r.RID.Page), trace.NoPage, "", op.qid)
 		}
 	}
 	op.sched.Add(refs...)
@@ -793,7 +798,7 @@ func (op *Operator) resolve(ref *Ref) error {
 		// The first ref already traced as the scheduler's choice; the
 		// rest of the batch drained with it on the single page fix.
 		for _, r := range batch[1:] {
-			op.tr.AssemblyQ(trace.KindTake, uint64(r.OID), int64(r.RID.Page), trace.NoPage, "", op.qid)
+			op.tr.Assembly(trace.KindTake, uint64(r.OID), int64(r.RID.Page), trace.NoPage, "", op.qid)
 		}
 	}
 	pool := op.Store.File.Pool()
@@ -839,7 +844,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 			op.stats.SharedLinks++
 			op.cells.sharedLinks.Inc()
 			op.qspan.OnLink()
-			op.tr.AssemblyQ(trace.KindLink, uint64(ref.OID), trace.NoPage, trace.NoPage, "intra", op.qid)
+			op.tr.Assembly(trace.KindLink, uint64(ref.OID), trace.NoPage, trace.NoPage, "intra", op.qid)
 			op.settle(item)
 			return nil
 		}
@@ -854,7 +859,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 				op.stats.SharedLinks++
 				op.cells.sharedLinks.Inc()
 				op.qspan.OnLink()
-				op.tr.AssemblyQ(trace.KindLink, uint64(ref.OID), trace.NoPage, trace.NoPage, "window", op.qid)
+				op.tr.Assembly(trace.KindLink, uint64(ref.OID), trace.NoPage, trace.NoPage, "window", op.qid)
 				op.settle(item)
 				return nil
 			}
@@ -868,7 +873,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 			op.stats.SharedLinks++
 			op.cells.sharedLinks.Inc()
 			op.qspan.OnLink()
-			op.tr.AssemblyQ(trace.KindLink, uint64(ref.OID), trace.NoPage, trace.NoPage, "stacked", op.qid)
+			op.tr.Assembly(trace.KindLink, uint64(ref.OID), trace.NoPage, trace.NoPage, "stacked", op.qid)
 			// The pre-assembled subtree may itself be partial: walk it
 			// for unresolved references and account its members.
 			if err := op.adoptSubtree(item, inst, false); err != nil {
@@ -906,7 +911,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 	op.cells.fetched.Inc()
 	op.qspan.OnFetch()
 	if op.tr != nil {
-		op.tr.AssemblyQ(trace.KindFetch, uint64(ref.OID), int64(ref.RID.Page), trace.NoPage, "", op.qid)
+		op.tr.Assembly(trace.KindFetch, uint64(ref.OID), int64(ref.RID.Page), trace.NoPage, "", op.qid)
 	}
 	op.pinPage(item, ref.RID.Page)
 	inst, err := op.place(item, ref.Parent, ref.Slot, ref.Node, &c.inst, ref.RID.Page)
@@ -949,7 +954,7 @@ func (op *Operator) refFault(ref *Ref, cause error) error {
 			op.stats.WindowStalls++
 			op.cells.windowStalls.Inc()
 			op.qspan.OnStall()
-			op.tr.AssemblyQ(trace.KindStall, 0, trace.NoPage, trace.NoPage, "", op.qid)
+			op.tr.Assembly(trace.KindStall, 0, trace.NoPage, trace.NoPage, "", op.qid)
 		}
 		if err := op.shedPins(); err != nil {
 			return err
@@ -975,7 +980,7 @@ func (op *Operator) refFault(ref *Ref, cause error) error {
 				op.stats.FaultRetries++
 				op.cells.faultRetries.Inc()
 				op.qspan.OnRefRetry()
-				op.tr.AssemblyQ(trace.KindRetry, uint64(ref.OID), int64(ref.RID.Page), trace.NoPage, "", op.qid)
+				op.tr.Assembly(trace.KindRetry, uint64(ref.OID), int64(ref.RID.Page), trace.NoPage, "", op.qid)
 				item.pending++
 				op.dispatchOne(ref)
 				return nil
@@ -1125,7 +1130,7 @@ func (op *Operator) settle(item *workItem) {
 		op.cells.occupancy.Set(int64(op.liveItems))
 		op.stats.Assembled++
 		op.cells.assembled.Inc()
-		op.tr.AssemblyQ(trace.KindEmit, uint64(item.root.OID()), trace.NoPage, trace.NoPage, "", op.qid)
+		op.tr.Assembly(trace.KindEmit, uint64(item.root.OID()), trace.NoPage, trace.NoPage, "", op.qid)
 		delete(op.liveSet, item)
 		op.outq = append(op.outq, item)
 	}
@@ -1145,7 +1150,7 @@ func (op *Operator) abortItem(item *workItem, reason string) error {
 	op.cells.occupancy.Set(int64(op.liveItems))
 	op.stats.Aborted++
 	op.cells.aborted.Inc()
-	op.tr.AssemblyQ(trace.KindAbort, uint64(itemRoot(item)), trace.NoPage, trace.NoPage, reason, op.qid)
+	op.tr.Assembly(trace.KindAbort, uint64(itemRoot(item)), trace.NoPage, trace.NoPage, reason, op.qid)
 	return op.discard(item)
 }
 
@@ -1231,7 +1236,7 @@ func (op *Operator) quarantine(item *workItem) error {
 	op.cells.occupancy.Set(int64(op.liveItems))
 	op.stats.Skipped++
 	op.cells.skipped.Inc()
-	op.tr.AssemblyQ(trace.KindQuarantine, uint64(itemRoot(item)), trace.NoPage, trace.NoPage, "", op.qid)
+	op.tr.Assembly(trace.KindQuarantine, uint64(itemRoot(item)), trace.NoPage, trace.NoPage, "", op.qid)
 	return op.discard(item)
 }
 

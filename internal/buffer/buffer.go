@@ -361,7 +361,7 @@ func (p *Pool) fix(ctx context.Context, id disk.PageID) (*Frame, error) {
 		sp.OnHit()
 		p.notePins()
 		if p.tr != nil {
-			p.tr.BufferQ(trace.KindHit, int64(id), 0, sp.QID())
+			p.tr.Buffer(trace.KindHit, int64(id), 0, sp.QID())
 			p.tr.Observe("buffer/hit", time.Since(start))
 		}
 		return f, nil
@@ -390,7 +390,7 @@ func (p *Pool) fix(ctx context.Context, id disk.PageID) (*Frame, error) {
 	p.faults.Inc()
 	sp.OnMiss()
 	if p.tr != nil {
-		p.tr.BufferQ(trace.KindMiss, int64(id), 0, sp.QID())
+		p.tr.Buffer(trace.KindMiss, int64(id), 0, sp.QID())
 		p.tr.Observe("buffer/miss", time.Since(start))
 	}
 	return f, nil
@@ -483,7 +483,7 @@ func (p *Pool) Unfix(f *Frame, setDirty bool) error {
 		if setDirty {
 			dirty = 1
 		}
-		p.tr.Buffer(trace.KindUnfix, int64(f.id), dirty)
+		p.tr.Buffer(trace.KindUnfix, int64(f.id), dirty, 0)
 	}
 	return nil
 }
@@ -552,7 +552,7 @@ func (p *Pool) flushFrameLocked(f *Frame) error {
 	f.dirty = false
 	p.flushes.Inc()
 	if p.tr != nil {
-		p.tr.Buffer(trace.KindFlush, int64(f.id), 0)
+		p.tr.Buffer(trace.KindFlush, int64(f.id), 0, 0)
 	}
 	return nil
 }

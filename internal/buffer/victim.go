@@ -149,7 +149,7 @@ func (p *Pool) victimLocked() (*Frame, error) {
 			}
 		}
 		if p.tr != nil {
-			p.tr.Buffer(trace.KindEvict, int64(victim.id), 0)
+			p.tr.Buffer(trace.KindEvict, int64(victim.id), 0, 0)
 		}
 		p.emptyLocked(victim)
 		p.evictions.Inc()

@@ -224,7 +224,7 @@ func (d *Sim) readPage(p PageID, buf []byte, sp *qtrace.Span) error {
 		d.cells.reads.Inc()
 		sp.OnRead(dist)
 		copy(buf, d.pages[p])
-		d.tr.DiskQ(trace.KindRead, int64(p), int64(prev), dist, sp.QID())
+		d.tr.Disk(trace.KindRead, int64(p), int64(prev), dist, sp.QID())
 		d.tr.Observe("disk/read", time.Since(start))
 		return nil
 	}
@@ -259,7 +259,7 @@ func (d *Sim) WritePage(p PageID, buf []byte) error {
 		dist := d.seekTo(p, false)
 		d.cells.writes.Inc()
 		copy(d.pages[p], buf)
-		d.tr.Disk(trace.KindWrite, int64(p), int64(prev), dist)
+		d.tr.Disk(trace.KindWrite, int64(p), int64(prev), dist, 0)
 		d.tr.Observe("disk/write", time.Since(start))
 		return nil
 	}

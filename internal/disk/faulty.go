@@ -355,7 +355,7 @@ func (f *Faulty) injectAs(p PageID, write bool, sp *qtrace.Span) error {
 	f.mu.Unlock()
 	if class != "" {
 		sp.OnFault()
-		tr.DiskFaultQ(int64(p), class, sp.QID())
+		tr.DiskFault(int64(p), class, sp.QID())
 	}
 	// Sleep outside the lock so a latency spike on one page does not
 	// stall concurrent accesses to others.

@@ -110,7 +110,7 @@ func (d *FileDevice) readPage(p PageID, buf []byte, sp *qtrace.Span) error {
 		dist := d.seekTo(p, true)
 		d.cells.reads.Inc()
 		sp.OnRead(dist)
-		d.tr.DiskQ(trace.KindRead, int64(p), int64(prev), dist, sp.QID())
+		d.tr.Disk(trace.KindRead, int64(p), int64(prev), dist, sp.QID())
 		d.tr.Observe("disk/read", time.Since(start))
 		return nil
 	}
@@ -141,7 +141,7 @@ func (d *FileDevice) WritePage(p PageID, buf []byte) error {
 		prev := d.head
 		dist := d.seekTo(p, false)
 		d.cells.writes.Inc()
-		d.tr.Disk(trace.KindWrite, int64(p), int64(prev), dist)
+		d.tr.Disk(trace.KindWrite, int64(p), int64(prev), dist, 0)
 		d.tr.Observe("disk/write", time.Since(start))
 		return nil
 	}

@@ -362,13 +362,18 @@ func (p *Page) compact() {
 		data []byte
 	}
 	var live []rec
+	// room is what the record area can hold; slots of a corrupt page may
+	// overlap and claim more, and relocating them all would run the
+	// write cursor below zero.
+	room := len(p.buf) - HeaderSize - p.NumSlots()*SlotSize
 	for s := 0; s < p.NumSlots() && p.slotInBounds(SlotID(s)); s++ {
 		off, length := p.slotOffLen(SlotID(s))
-		if off < HeaderSize || off+length > len(p.buf) {
+		if off < HeaderSize || off+length > len(p.buf) || length > room {
 			// Dead (off==0) or corrupt; either way there is nothing
 			// safe to relocate.
 			continue
 		}
+		room -= length
 		cp := make([]byte, length)
 		copy(cp, p.buf[off:off+length])
 		live = append(live, rec{SlotID(s), cp})

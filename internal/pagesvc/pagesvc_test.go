@@ -269,3 +269,41 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 		t.Errorf("reconnects = %d, want >= 1", got)
 	}
 }
+
+// TestCloseIsFinal: after Close every call returns disk.ErrClosed
+// without dialing. A call that silently re-dialed would leave a
+// connection, its reader goroutine and the server's per-connection
+// goroutine behind with no later Close to reap them.
+func TestCloseIsFinal(t *testing.T) {
+	sim := disk.New(4)
+	_, addr := startServer(t, []disk.Device{sim}, ServerConfig{})
+	before := leakcheck.Snapshot()
+	c := dialT(t, ClientConfig{Primary: addr})
+	buf := make([]byte, c.PageSize())
+	if err := c.ReadPage(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"AppliedLSN", func() error { _, err := c.AppliedLSN(); return err }},
+		{"ServerEpoch", func() error { _, err := c.ServerEpoch(); return err }},
+		{"Ping", c.Ping},
+		{"Promote", func() error { return c.Promote(1, 0, false) }},
+		{"ReadPage", func() error { return c.ReadPage(0, buf) }},
+		{"WritePage", func() error { return c.WritePage(0, buf) }},
+		{"Allocate", func() error { _, err := c.Allocate(1); return err }},
+	}
+	for _, tc := range calls {
+		if err := tc.call(); !errors.Is(err, disk.ErrClosed) {
+			t.Errorf("%s after Close: err = %v, want disk.ErrClosed", tc.name, err)
+		}
+	}
+	if got := sim.NumPages(); got != 4 {
+		t.Errorf("Allocate after Close reached the server: %d pages", got)
+	}
+	c.Close()
+	leakcheck.Check(t, before)
+}

@@ -6,13 +6,13 @@
 // assembly operator run unchanged whether their pages are a method
 // call or a round trip away.
 //
-// The client is where the distributed-systems behavior lives: requests
-// are pipelined over one connection per endpoint, reads are hedged to
-// a replica when the primary straggles past a latency quantile,
-// transient network errors are retried with the same exponential
-// backoff policy the rest of the system uses (disk.RetryPolicy), and
-// when the primary stops answering, reads fail over to the freshest
-// replica whose applied LSN clears the caller's durability floor.
+// The client is one pipelined connection to one endpoint: transient
+// network errors are retried with the same exponential backoff policy
+// the rest of the system uses (disk.RetryPolicy), a dead connection is
+// re-dialed, and every request carries the fencing epoch. Which copy of
+// a page answers a read — replica fallback under the durability floor,
+// hedging a straggler, promotion — is decided one layer up, by
+// shard.Router over several clients.
 //
 // Replication is WAL shipping: a replica seeds itself from a base
 // backup of the primary's pages, then follows the primary's log via

@@ -114,9 +114,9 @@ func TestReconnectDeterministicIDsNoDoubleCount(t *testing.T) {
 	// Every pending request gets an error response; the retry policy
 	// re-sends it over the fresh connection under the same request id.
 	<-held.arrived
-	c.primary.mu.Lock()
-	cc := c.primary.conn
-	c.primary.mu.Unlock()
+	c.cmu.Lock()
+	cc := c.conn
+	c.cmu.Unlock()
 	if cc != nil {
 		cc.fail(netErr("test", errors.New("injected sever")))
 	}

@@ -3,8 +3,8 @@
 // agree exactly — the sum of its span counters, the qid-filtered trace
 // replay, and the device/pool/registry deltas. Verified over both the
 // local in-memory backend and the networked page service (client and
-// server side), plus a hedging run where replica races must not
-// double-count.
+// server side), plus a hedging run through the shard router, where each
+// replica race is exactly one extra read, send and hedge in all three.
 package qtrace_test
 
 import (
@@ -19,6 +19,7 @@ import (
 	"revelation/internal/metrics"
 	"revelation/internal/pagesvc"
 	"revelation/internal/qtrace"
+	"revelation/internal/shard"
 	"revelation/internal/trace"
 	"revelation/internal/volcano"
 )
@@ -287,11 +288,12 @@ func TestPerQueryAttributionPagesvc(t *testing.T) {
 	}
 }
 
-// TestHedgeAttribution drives reads through a stalling primary with a
-// clean replica so a deterministic fraction of them hedge, then holds
-// the hedge accounting to the same three-way standard: span counters ==
-// qid-filtered replay == registry delta, with every send eventually
-// answered (a hedge's losing leg still completes).
+// TestHedgeAttribution drives reads through a one-member shard router
+// whose primary stalls and whose replica is clean, so a deterministic
+// fraction of them hedge, then holds the hedge accounting to the same
+// three-way standard: span counters == qid-filtered replay == registry
+// delta. A hedge leg is a real read of the replica through its own
+// client, so it adds one read and one send to all three alike.
 func TestHedgeAttribution(t *testing.T) {
 	const pages = 64
 	prim := disk.New(pages)
@@ -325,64 +327,69 @@ func TestHedgeAttribution(t *testing.T) {
 	reg := metrics.NewRegistry()
 	col := trace.NewCollector()
 	tr := trace.New(col)
-	client, err := pagesvc.Dial(pagesvc.ClientConfig{
-		Primary:    primAddr,
-		Replicas:   []string{replAddr},
-		Dev:        pagesvc.DataDev,
+	dial := func(addr, label string) *pagesvc.Client {
+		c, err := pagesvc.Dial(pagesvc.ClientConfig{
+			Primary:  addr,
+			Dev:      pagesvc.DataDev,
+			Retry:    disk.DefaultRetryPolicy,
+			Tracer:   tr,
+			Registry: reg,
+			Label:    label,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	router, err := shard.New(shard.Config{
+		Members:    []shard.Member{{Name: "s0", Primary: dial(primAddr, "net-s0"), Replica: dial(replAddr, "net-s0r")}},
 		HedgeAfter: 2 * time.Millisecond,
-		Retry:      disk.DefaultRetryPolicy,
 		Tracer:     tr,
 		Registry:   reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	client.SetTracer(tr)
+	defer router.Close()
+	router.SetTracer(tr)
 	before := reg.Snapshot()
 
 	qc := qtrace.NewCollector(4)
 	qt, root := qc.Begin("hedged-scan")
 	ctx := qtrace.With(context.Background(), root)
-	buf := make([]byte, client.PageSize())
+	buf := make([]byte, router.PageSize())
 	for p := 0; p < pages; p++ {
-		if err := client.ReadPageCtx(ctx, disk.PageID(p), buf); err != nil {
+		if err := router.ReadPageCtx(ctx, disk.PageID(p), buf); err != nil {
 			t.Fatalf("read %d: %v", p, err)
 		}
 	}
 	qc.Finish(qt, "ok", nil)
+	// The losing leg of each hedge still completes; Close waits for the
+	// stragglers, so every book below is final.
+	router.Close()
 
 	total := qt.Total()
 	if total.Hedges == 0 {
 		t.Fatal("no read hedged — the stall mix is degenerate")
 	}
-	if total.Reads != pages {
-		t.Errorf("span reads %d, want %d", total.Reads, pages)
+	if total.Reads != pages+total.Hedges {
+		t.Errorf("span reads %d != %d reads + %d hedge legs", total.Reads, pages, total.Hedges)
 	}
-	// A hedge is one extra send for the same logical read.
 	if total.NetSends != pages+total.Hedges {
 		t.Errorf("span sends %d != %d reads + %d hedges", total.NetSends, pages, total.Hedges)
 	}
-
-	// The losing leg of each hedge still gets its response; wait for the
-	// stragglers so sends == recvs settles, then compare all three legs.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if c := qt.Total(); c.NetRecvs == c.NetSends || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	total = qt.Total()
 	if total.NetRecvs != total.NetSends {
 		t.Errorf("stragglers never answered: %d sends, %d recvs", total.NetSends, total.NetRecvs)
 	}
 	delta := reg.Snapshot().Delta(before)
-	if got := delta.Value("asm_net_hedges_total", "dev", "net0"); got != total.Hedges {
+	if got := delta.Value("asm_shard_hedges_total", "shard", "s0"); got != total.Hedges {
 		t.Errorf("span hedges %d != registry hedges %d", total.Hedges, got)
 	}
-	if got := delta.Value("asm_net_sends_total", "dev", "net0"); got != total.NetSends {
+	if got := delta.Sum("asm_net_sends_total"); got != total.NetSends {
 		t.Errorf("span sends %d != registry sends %d", total.NetSends, got)
+	}
+	if got := delta.Sum("asm_net_recvs_total"); got != total.NetRecvs {
+		t.Errorf("span recvs %d != registry recvs %d", total.NetRecvs, got)
 	}
 	pq := trace.ReplayEvents(trace.FilterQuery(col.Events(), qt.QID))
 	if pq.Hedges != total.Hedges || pq.NetSends != total.NetSends || pq.NetRecvs != total.NetRecvs {

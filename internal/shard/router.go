@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -43,7 +44,7 @@ func (e *MemberError) Unwrap() error { return e.Err }
 
 // Member is one shard of the fleet: a primary device (typically a
 // pagesvc.Client pointed at one asmpaged primary) plus an optional
-// read-only replica for breaker-aware failover.
+// read-only replica for breaker-aware failover and straggler hedging.
 type Member struct {
 	// Name is the shard's stable identity — the rendezvous hash input.
 	// Two fleets listing the same names in any order route every page
@@ -52,8 +53,8 @@ type Member struct {
 	// Primary serves reads and all writes.
 	Primary disk.Device
 	// Replica, when non-nil, serves reads while the primary's breaker
-	// is open (and as the same-attempt fallback when the primary fails
-	// transiently).
+	// is open, as the same-attempt fallback when the primary fails
+	// transiently, and as the hedge target when the primary straggles.
 	Replica disk.Device
 	// AppliedLSN, when non-nil, reports the replica's replication
 	// progress for the staleness guard; nil means always fresh.
@@ -74,10 +75,17 @@ type Config struct {
 	Retry disk.RetryPolicy
 	// LSNFloor, when set, is the replica staleness guard: a replica
 	// whose AppliedLSN is below the floor is not eligible to serve
-	// degraded reads. Wire it to the local wal.Writer's DurableLSN.
+	// degraded or hedged reads. Wire it to the local wal.Writer's
+	// DurableLSN.
 	LSNFloor func() uint64
-	// Tracer receives net-layer failover events when a shard enters or
-	// leaves degraded mode; nil disables them.
+	// HedgeAfter, when positive, is how long a read of a member's
+	// primary may straggle before the same read is raced against the
+	// member's replica. Zero adapts per shard: twice the 0.9-quantile
+	// of the shard's recent primary read latencies, once hedgeWarmup
+	// reads are in. Members without a replica never hedge.
+	HedgeAfter time.Duration
+	// Tracer receives net-layer hedge events and the failover event on
+	// the edge into a shard's degraded episode; nil disables them.
 	Tracer *trace.Tracer
 	// Registry, when set, receives asm_shard_* counters.
 	Registry *metrics.Registry
@@ -95,10 +103,27 @@ type shardState struct {
 	// stamped into epoch-aware primaries.
 	epoch uint64
 
+	// lat is a ring of the shard's recent successful primary read
+	// latencies, kept only for members that have a replica: the
+	// adaptive hedge delay is read off it.
+	latMu   sync.Mutex
+	lat     [hedgeRing]time.Duration
+	latN    int // samples held, at most hedgeRing
+	latNext int
+
 	degradedReads   metrics.Counter
+	failovers       metrics.Counter
+	hedges          metrics.Counter
+	hedgeWins       metrics.Counter
 	trips           metrics.Counter
 	budgetExhausted metrics.Counter
 }
+
+const (
+	hedgeRing   = 64
+	hedgeWarmup = 16
+	hedgeFloor  = 100 * time.Microsecond
+)
 
 // Router implements disk.Device over a fleet of shards with
 // deterministic rendezvous routing: page p lives on the member whose
@@ -140,6 +165,7 @@ type Router struct {
 	size   int
 	last   disk.PageID // last global page touched, for Head()
 	closed bool
+	legs   sync.WaitGroup // in-flight hedged-read legs (see goLeg)
 
 	// Late-join attachment state: SetTracer/RegisterMetrics remember
 	// their arguments so AddMember can wire a new member's device the
@@ -224,6 +250,12 @@ func (r *Router) newShardState() *shardState {
 func (r *Router) attachShardMetrics(reg *metrics.Registry, st *shardState, name string) {
 	reg.Attach("asm_shard_degraded_reads_total", "Reads served by a shard's replica or refused with the breaker open.",
 		&st.degradedReads, "shard", name)
+	reg.Attach("asm_shard_failovers_total", "Edges into a degraded episode: the shard's reads left its primary.",
+		&st.failovers, "shard", name)
+	reg.Attach("asm_shard_hedges_total", "Straggling primary reads raced against the shard's replica.",
+		&st.hedges, "shard", name)
+	reg.Attach("asm_shard_hedge_wins_total", "Hedged reads the replica answered first.",
+		&st.hedgeWins, "shard", name)
 	reg.Attach("asm_shard_breaker_trips_total", "Circuit-breaker open transitions.",
 		&st.trips, "shard", name)
 	reg.Attach("asm_shard_budget_exhausted_total", "Accesses abandoned because the query's retry budget ran dry.",
@@ -425,7 +457,7 @@ func (r *Router) PromoteReplica(i int, epoch uint64) (disk.Device, error) {
 	if es, ok := promoted.(interface{ SetEpoch(uint64) }); ok {
 		es.SetEpoch(epoch)
 	}
-	r.cfg.Tracer.Net(trace.KindPromote, trace.NoPage, int64(epoch), "shard:"+name)
+	r.cfg.Tracer.Net(trace.KindPromote, trace.NoPage, int64(epoch), "shard:"+name, 0)
 	return old, nil
 }
 
@@ -567,7 +599,7 @@ func (r *Router) CutOver(lo, hi disk.PageID, owner string) int {
 		}
 	}
 	if n > 0 {
-		r.cfg.Tracer.Net(trace.KindMigrate, int64(lo), int64(n), "shard:"+owner)
+		r.cfg.Tracer.Net(trace.KindMigrate, int64(lo), int64(n), "shard:"+owner, 0)
 	}
 	return n
 }
@@ -613,7 +645,8 @@ func (r *Router) noteDegraded(st *shardState, name string, sp *qtrace.Span) {
 	st.degraded = true
 	r.mu.Unlock()
 	if edge {
-		r.cfg.Tracer.Net(trace.KindFailover, trace.NoPage, 0, "shard:"+name)
+		st.failovers.Inc()
+		r.cfg.Tracer.Net(trace.KindFailover, trace.NoPage, 0, "shard:"+name, 0)
 	}
 }
 
@@ -623,6 +656,140 @@ func (r *Router) noteHealthy(st *shardState) {
 	r.mu.Lock()
 	st.degraded = false
 	r.mu.Unlock()
+}
+
+// answered reports whether err is a member's answer rather than an
+// outage: a permanent page error means the shard responded, so only
+// transient failures count against its breaker.
+func answered(err error) bool { return err == nil || !disk.Retryable(err) }
+
+// hedgeDelay is how long the shard's primary may straggle before a
+// read is hedged: the configured delay, else twice the 0.9-quantile of
+// the latency ring once it holds hedgeWarmup samples. Zero means do not
+// hedge this read.
+func (st *shardState) hedgeDelay(fixed time.Duration) time.Duration {
+	if fixed > 0 {
+		return fixed
+	}
+	st.latMu.Lock()
+	sorted, n := st.lat, st.latN
+	st.latMu.Unlock()
+	if n < hedgeWarmup {
+		return 0
+	}
+	slices.Sort(sorted[:n])
+	return max(2*sorted[(n-1)*9/10], hedgeFloor)
+}
+
+// recordPrimary books the outcome of a primary read of a member that
+// has a replica: the breaker's health record, and the latency ring on
+// success.
+func (st *shardState) recordPrimary(err error, took time.Duration) {
+	st.breaker.Record(answered(err))
+	if err != nil {
+		return
+	}
+	st.latMu.Lock()
+	st.lat[st.latNext] = took
+	st.latNext = (st.latNext + 1) % hedgeRing
+	if st.latN < hedgeRing {
+		st.latN++
+	}
+	st.latMu.Unlock()
+}
+
+// leg is one side of a hedged read: the page it read into its own
+// scratch buffer, or the error.
+type leg struct {
+	page []byte
+	err  error
+}
+
+// readLeg reads p from dev into a fresh scratch page. A leg never
+// touches the caller's buffer: the loser of a race may finish long
+// after the read has returned.
+func readLeg(ctx context.Context, dev disk.Device, p disk.PageID, size int) leg {
+	page := make([]byte, size)
+	return leg{page, disk.ReadPageCtx(ctx, dev, p, page)}
+}
+
+// goLeg runs fn as a leg goroutine that Close waits for. It reports
+// false, without running fn, once the router is closed.
+func (r *Router) goLeg(fn func()) bool {
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return false
+	}
+	r.legs.Add(1)
+	r.mu.Unlock()
+	go func() {
+		defer r.legs.Done()
+		fn()
+	}()
+	return true
+}
+
+// readHedged reads p from a member that has a replica. The primary is
+// read first; once it has straggled past the shard's hedge delay and
+// the replica clears the staleness floor, the same read is raced
+// against the replica and the first success wins. hedged reports that
+// the replica leg ran, so the caller's same-attempt fallback does not
+// try it twice. The primary leg books the breaker and the latency ring
+// itself, whenever it finishes; each leg ends when its device call
+// returns (bounded by the member client's timeout and retries, or its
+// Close).
+func (r *Router) readHedged(ctx context.Context, m Member, st *shardState, p disk.PageID, buf []byte, sp *qtrace.Span) (err error, hedged bool) {
+	start := time.Now()
+	delay := st.hedgeDelay(r.cfg.HedgeAfter)
+	if delay == 0 {
+		err = disk.ReadPageCtx(ctx, m.Primary, p, buf)
+		st.recordPrimary(err, time.Since(start))
+		return err, false
+	}
+	primCh := make(chan leg, 1)
+	if !r.goLeg(func() {
+		l := readLeg(ctx, m.Primary, p, len(buf))
+		st.recordPrimary(l.err, time.Since(start))
+		primCh <- l
+	}) {
+		return disk.ErrClosed, false
+	}
+	timer := time.NewTimer(delay)
+	defer timer.Stop()
+	hedgeCh := make(chan leg, 1)
+	var l leg
+	select {
+	case l = <-primCh:
+	case <-timer.C:
+		if !r.replicaFresh(m) || !r.goLeg(func() { hedgeCh <- readLeg(ctx, m.Replica, p, len(buf)) }) {
+			l = <-primCh
+			break
+		}
+		hedged = true
+		st.hedges.Inc()
+		sp.OnHedge()
+		r.cfg.Tracer.Net(trace.KindHedge, int64(p), 0, "shard:"+m.Name, sp.QID())
+		select {
+		case l = <-primCh:
+			if l.err != nil {
+				if h := <-hedgeCh; h.err == nil {
+					st.hedgeWins.Inc()
+					l = h
+				}
+			}
+		case l = <-hedgeCh:
+			if l.err == nil {
+				st.hedgeWins.Inc()
+			} else if pl := <-primCh; pl.err == nil {
+				l = pl
+			}
+		}
+	}
+	if l.err == nil {
+		copy(buf, l.page)
+	}
+	return l.err, hedged
 }
 
 // attemptOnce runs one routed attempt. final reports that err (nil or
@@ -656,25 +823,30 @@ func (r *Router) attemptOnce(ctx context.Context, p disk.PageID, buf []byte, wri
 		// re-routes to whichever owner wins.
 		return fmt.Errorf("%w: page %d: %w", ErrFencedPage, p, disk.ErrTransient), false, name, st
 	case st.breaker.Allow():
-		if write {
-			err = m.Primary.WritePage(p, buf)
+		hedged := false
+		if write || m.Replica == nil {
+			if write {
+				err = m.Primary.WritePage(p, buf)
+			} else {
+				err = disk.ReadPageCtx(ctx, m.Primary, p, buf)
+			}
+			st.breaker.Record(answered(err))
 		} else {
-			err = disk.ReadPageCtx(ctx, m.Primary, p, buf)
+			err, hedged = r.readHedged(ctx, m, st, p, buf, sp)
 		}
-		// A permanent page error is an answer, not an outage: the
-		// shard responded, so only transient failures count against
-		// its health.
-		st.breaker.Record(err == nil || !disk.Retryable(err))
 		if err == nil {
-			r.noteHealthy(st)
+			if !hedged {
+				r.noteHealthy(st)
+			}
 			return nil, true, name, st
 		}
 		if !disk.Retryable(err) {
 			return err, true, name, st
 		}
 		// The primary failed transiently: a fresh replica can serve
-		// the read right now instead of burning a retry.
-		if !write && r.replicaFresh(m) {
+		// the read right now instead of burning a retry (unless the
+		// hedge leg just tried it).
+		if !write && !hedged && r.replicaFresh(m) {
 			if rerr := disk.ReadPageCtx(ctx, m.Replica, p, buf); rerr == nil {
 				r.noteDegraded(st, m.Name, sp)
 				return nil, true, name, st
@@ -739,12 +911,20 @@ func (r *Router) access(ctx context.Context, p disk.PageID, buf []byte, write bo
 
 // --- disk.Device ---
 
-// membersSnapshot copies the member slice under the lock for iteration
-// without holding it across device calls.
-func (r *Router) membersSnapshot() []Member {
+// devices lists every member device — each primary, then its replica
+// where it has one — copied out under the lock for iteration without
+// holding it across device calls.
+func (r *Router) devices() []disk.Device {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Member(nil), r.members...)
+	devs := make([]disk.Device, 0, 2*len(r.members))
+	for _, m := range r.members {
+		devs = append(devs, m.Primary)
+		if m.Replica != nil {
+			devs = append(devs, m.Replica)
+		}
+	}
+	return devs
 }
 
 // ReadPage implements disk.Device.
@@ -827,22 +1007,16 @@ func (r *Router) Stats() disk.Stats {
 			total.MaxSeek = st.MaxSeek
 		}
 	}
-	for _, m := range r.membersSnapshot() {
-		add(m.Primary.Stats())
-		if m.Replica != nil {
-			add(m.Replica.Stats())
-		}
+	for _, d := range r.devices() {
+		add(d.Stats())
 	}
 	return total
 }
 
 // ResetStats implements disk.Device.
 func (r *Router) ResetStats() {
-	for _, m := range r.membersSnapshot() {
-		m.Primary.ResetStats()
-		if m.Replica != nil {
-			m.Replica.ResetStats()
-		}
+	for _, d := range r.devices() {
+		d.ResetStats()
 	}
 }
 
@@ -851,15 +1025,13 @@ func (r *Router) ResetHead() {
 	r.mu.Lock()
 	r.last = 0
 	r.mu.Unlock()
-	for _, m := range r.membersSnapshot() {
-		m.Primary.ResetHead()
-		if m.Replica != nil {
-			m.Replica.ResetHead()
-		}
+	for _, d := range r.devices() {
+		d.ResetHead()
 	}
 }
 
-// Close implements disk.Device: it closes every member device.
+// Close implements disk.Device: it closes every member device, then
+// waits out the hedged-read legs still in flight against them.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -867,19 +1039,14 @@ func (r *Router) Close() error {
 		return nil
 	}
 	r.closed = true
-	members := append([]Member(nil), r.members...)
 	r.mu.Unlock()
 	var first error
-	for _, m := range members {
-		if err := m.Primary.Close(); err != nil && first == nil {
+	for _, d := range r.devices() {
+		if err := d.Close(); err != nil && first == nil {
 			first = err
 		}
-		if m.Replica != nil {
-			if err := m.Replica.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
 	}
+	r.legs.Wait()
 	return first
 }
 
@@ -890,13 +1057,9 @@ func (r *Router) Close() error {
 func (r *Router) SetTracer(t *trace.Tracer) {
 	r.mu.Lock()
 	r.devTracer = t
-	members := append([]Member(nil), r.members...)
 	r.mu.Unlock()
-	for _, m := range members {
-		disk.AttachTracer(m.Primary, t)
-		if m.Replica != nil {
-			disk.AttachTracer(m.Replica, t)
-		}
+	for _, d := range r.devices() {
+		disk.AttachTracer(d, t)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 // TestSuiteDeterminism is the regression gate for the trajectory
 // premise: every scenario registered in the checked-in config — fault
 // and stall knobs included — run twice from scratch yields
-// byte-identical canonical JSON. Anything nondeterministic here would
+// byte-identical JSON. Anything nondeterministic here would
 // turn BENCH_*.json diffs into noise. (The runner additionally
 // cross-checks iterations within each run; this test covers whole-run
 // repeatability, fresh environments and all.)
@@ -25,7 +25,7 @@ func TestSuiteDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := rep.Canonical().JSON()
+		out, err := rep.JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,6 +33,6 @@ func TestSuiteDeterminism(t *testing.T) {
 	}
 	a, b := render(), render()
 	if !bytes.Equal(a, b) {
-		t.Errorf("two runs of the core suite produced different canonical JSON:\nfirst:\n%s\nsecond:\n%s", a, b)
+		t.Errorf("two runs of the core suite produced different JSON:\nfirst:\n%s\nsecond:\n%s", a, b)
 	}
 }

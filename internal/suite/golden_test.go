@@ -29,8 +29,8 @@ func loadRepoConfig(t *testing.T) []Scenario {
 // goldenConfig is a fixed two-scenario suite for the golden test. It is
 // deliberately NOT the repo config: BENCH_core.json is the trajectory
 // that moves when the operator improves, while this file pins the
-// report schema itself — version field, field order, name ordering,
-// canonicalization — so schema drift is always a deliberate diff here.
+// report schema itself — version field, field order, name ordering —
+// so schema drift is always a deliberate diff here.
 const goldenConfig = `
 [[scenario]]
 name = "golden-b"
@@ -52,7 +52,7 @@ iters = 1
 warmup = 0
 `
 
-// TestReportGolden pins the canonical BENCH_*.json bytes of a fixed
+// TestReportGolden pins the BENCH_*.json bytes of a fixed
 // seeded mini-suite: schema version, field order, and scenario
 // ordering (by name, regardless of config order). Refresh with:
 // go test ./internal/suite -run Golden -update
@@ -65,7 +65,7 @@ func TestReportGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rep.Canonical().JSON()
+	got, err := rep.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestReportGolden(t *testing.T) {
 
 // TestReportSchemaShape decodes the report generically and checks the
 // schema contract consumers rely on: a version field, sorted scenario
-// names, verified flags, and zeroed wall-clock fields under Canonical.
+// names, verified flags, and no wall-clock fields.
 func TestReportSchemaShape(t *testing.T) {
 	scs, err := ParseScenarios("golden.toml", goldenConfig)
 	if err != nil {
@@ -107,7 +107,7 @@ func TestReportSchemaShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := rep.Canonical().JSON()
+	data, err := rep.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func TestReportSchemaShape(t *testing.T) {
 			t.Errorf("scenario %d: verified = %v", i, sc["verified"])
 		}
 		for _, k := range []string{"ns_per_op", "allocs_per_op", "bytes_per_op"} {
-			if sc[k] != float64(0) {
-				t.Errorf("scenario %d: canonical %s = %v, want 0", i, k, sc[k])
+			if _, ok := sc[k]; ok {
+				t.Errorf("scenario %d: wall-clock field %s in the report", i, k)
 			}
 		}
 		if i > 0 && doc.Scenarios[i-1]["name"].(string) >= sc["name"].(string) {

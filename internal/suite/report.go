@@ -7,8 +7,9 @@ import (
 
 // SchemaVersion is the BENCH_*.json schema version. Bump it whenever a
 // field changes meaning or moves; consumers comparing trajectories
-// across commits key on it.
-const SchemaVersion = 1
+// across commits key on it. (2: the wall-clock fields are gone — timing
+// is BENCHMARK.json's protocol, not a single traced sum.)
+const SchemaVersion = 2
 
 // Report is one suite execution: the BENCH_<suite>.json document.
 // Field order is the struct order and is part of the golden-tested
@@ -19,11 +20,11 @@ type Report struct {
 	Scenarios []ScenarioResult `json:"scenarios"`
 }
 
-// ScenarioResult is one scenario's aggregated measurement. All fields
-// except the wall-clock group at the end are deterministic functions of
-// the scenario definition: two runs of the same config at the same
-// commit produce identical values, which is what makes the file a
-// reviewable trajectory rather than noise.
+// ScenarioResult is one scenario's measurement. Every field is a
+// deterministic function of the scenario definition: two runs of the
+// same config at the same commit produce identical bytes, which is what
+// makes the file a reviewable trajectory rather than noise (make
+// suite-check regenerates it and diffs).
 type ScenarioResult struct {
 	Name       string `json:"name"`
 	Workload   string `json:"workload"`
@@ -61,11 +62,6 @@ type ScenarioResult struct {
 	// written report always says true — the field exists so consumers
 	// need not know that contract.
 	Verified bool `json:"verified"`
-
-	// Wall-clock fields: machine-dependent, excluded from Canonical().
-	NsPerOp     int64 `json:"ns_per_op"`
-	AllocsPerOp int64 `json:"allocs_per_op"`
-	BytesPerOp  int64 `json:"bytes_per_op"`
 }
 
 // sortScenarios orders results by name — the report's ordering-stable
@@ -85,19 +81,4 @@ func (r *Report) JSON() ([]byte, error) {
 		return nil, err
 	}
 	return append(out, '\n'), nil
-}
-
-// Canonical returns a copy with the wall-clock fields zeroed: the
-// deterministic projection two runs of the same suite at the same
-// commit must agree on byte-for-byte. Golden and determinism tests
-// compare Canonical().JSON().
-func (r *Report) Canonical() *Report {
-	c := &Report{Schema: r.Schema, Suite: r.Suite, Scenarios: append([]ScenarioResult(nil), r.Scenarios...)}
-	for i := range c.Scenarios {
-		c.Scenarios[i].NsPerOp = 0
-		c.Scenarios[i].AllocsPerOp = 0
-		c.Scenarios[i].BytesPerOp = 0
-	}
-	c.sortScenarios()
-	return c
 }

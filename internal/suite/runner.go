@@ -2,8 +2,6 @@ package suite
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"revelation/internal/assembly"
 	"revelation/internal/bench"
@@ -42,14 +40,6 @@ type detCounters struct {
 	Migrated        int
 }
 
-// iterResult is one iteration's full measurement.
-type iterResult struct {
-	det     detCounters
-	elapsed time.Duration
-	mallocs uint64
-	bytes   uint64
-}
-
 // Run executes every scenario belonging to opt.Suite and returns the
 // report. Every iteration of every scenario is three-way verified —
 // harness counters against the trace replay against the metrics
@@ -77,8 +67,8 @@ func Run(all []Scenario, opt RunOptions) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
-		logf("%-32s %-11s ops=%-5d reads=%-6d avgseek=%7.1f ns/op=%d",
-			sc.Name, sc.Workload, res.Ops, res.Reads, res.AvgSeek, res.NsPerOp)
+		logf("%-32s %-11s ops=%-5d reads=%-6d avgseek=%7.1f",
+			sc.Name, sc.Workload, res.Ops, res.Reads, res.AvgSeek)
 		rep.Scenarios = append(rep.Scenarios, res)
 	}
 	if matched == 0 {
@@ -88,36 +78,21 @@ func Run(all []Scenario, opt RunOptions) (*Report, error) {
 	return rep, nil
 }
 
-// runScenario executes warmup + iters iterations and aggregates. The
-// deterministic counters of every iteration (warmup included) must be
-// identical; the wall-clock rates average over the measured iterations.
+// runScenario executes warmup + iters iterations. The counters of every
+// iteration (warmup included) must be identical; they are the result.
 func runScenario(sc Scenario) (ScenarioResult, error) {
-	var first *detCounters
-	var elapsed time.Duration
-	var mallocs, bytes uint64
+	var d detCounters
 	for i := 0; i < sc.Warmup+sc.Iters; i++ {
 		it, err := runIteration(sc)
 		if err != nil {
 			return ScenarioResult{}, fmt.Errorf("iteration %d: %w", i, err)
 		}
-		if first == nil {
-			d := it.det
-			first = &d
-		} else if it.det != *first {
+		if i == 0 {
+			d = it
+		} else if it != d {
 			return ScenarioResult{}, fmt.Errorf(
-				"iteration %d not deterministic:\n  first %+v\n  now   %+v", i, *first, it.det)
+				"iteration %d not deterministic:\n  first %+v\n  now   %+v", i, d, it)
 		}
-		if i >= sc.Warmup {
-			elapsed += it.elapsed
-			mallocs += it.mallocs
-			bytes += it.bytes
-		}
-	}
-	d := *first
-	n := int64(sc.Iters)
-	perOp := int64(d.Ops) * n
-	if perOp == 0 {
-		perOp = 1 // avoid dividing by zero when nothing assembled
 	}
 	avgSeek := 0.0
 	if d.Reads > 0 {
@@ -149,22 +124,19 @@ func runScenario(sc Scenario) (ScenarioResult, error) {
 		PeakWindow:      d.PeakWindow,
 		PeakWindowPages: d.PeakWindowPages,
 		Verified:        true,
-		NsPerOp:         elapsed.Nanoseconds() / perOp,
-		AllocsPerOp:     int64(mallocs) / perOp,
-		BytesPerOp:      int64(bytes) / perOp,
 	}, nil
 }
 
 // runIteration builds a fresh environment, measures one execution of
 // the workload through the shared bench measurement core, and three-way
 // verifies it.
-func runIteration(sc Scenario) (iterResult, error) {
+func runIteration(sc Scenario) (detCounters, error) {
 	col := trace.NewCollector()
 	tr := trace.New(col)
 	reg := metrics.NewRegistry()
 	e, err := buildEnv(sc, tr, reg)
 	if err != nil {
-		return iterResult{}, err
+		return detCounters{}, err
 	}
 	defer e.close()
 
@@ -176,26 +148,23 @@ func runIteration(sc Scenario) (iterResult, error) {
 		// Standing-query registration is part of setup, not of the
 		// measured incremental maintenance.
 		if prep, err = register(e); err != nil {
-			return iterResult{}, err
+			return detCounters{}, err
 		}
 	}
 	e.armFaults(sc)
 
 	m, err := bench.StartMeasurement(sc.Name, sc.Window, e.db.Device, e.db.Pool, tr)
 	if err != nil {
-		return iterResult{}, err
+		return detCounters{}, err
 	}
 	before := reg.Snapshot()
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
 
 	st, ops, err := runWorkload(sc, e, tr, reg, prep)
 	if err != nil {
 		m.Abort()
-		return iterResult{}, err
+		return detCounters{}, err
 	}
 
-	runtime.ReadMemStats(&ms1)
 	got := m.End(st)
 	delta := reg.Snapshot().Delta(before)
 
@@ -209,43 +178,38 @@ func runIteration(sc Scenario) (iterResult, error) {
 		}
 	}
 	if run == nil || run.Reported == nil {
-		return iterResult{}, fmt.Errorf("trace has no completed run %q", sc.Name)
+		return detCounters{}, fmt.Errorf("trace has no completed run %q", sc.Name)
 	}
 	replay, err := run.Verify()
 	if err != nil {
-		return iterResult{}, fmt.Errorf("trace replay disagrees with harness: %w", err)
+		return detCounters{}, fmt.Errorf("trace replay disagrees with harness: %w", err)
 	}
 	if int(replay.PagesMigrated) != e.migrated {
-		return iterResult{}, fmt.Errorf("trace replay counted %d migrated pages, migrator reported %d",
+		return detCounters{}, fmt.Errorf("trace replay counted %d migrated pages, migrator reported %d",
 			replay.PagesMigrated, e.migrated)
 	}
 
 	// Leg 2: the metrics registry's delta over the measured phase must
 	// agree with the same counters.
 	if err := verifyRegistry(sc, e, delta, got, st); err != nil {
-		return iterResult{}, err
+		return detCounters{}, err
 	}
 
-	return iterResult{
-		det: detCounters{
-			Ops:             ops,
-			Reads:           got.Dev.Reads,
-			SeekReads:       got.Dev.SeekReads,
-			SeekTotal:       got.Dev.SeekTotal,
-			Hits:            got.Pool.Hits,
-			Misses:          got.Pool.Faults,
-			Assembled:       st.Assembled,
-			Aborted:         st.Aborted,
-			Skipped:         st.Skipped,
-			Retries:         st.FaultRetries,
-			Stalls:          st.WindowStalls,
-			PeakWindow:      replay.PeakWindow,
-			PeakWindowPages: st.PeakWindowPgs,
-			Migrated:        e.migrated,
-		},
-		elapsed: got.Elapsed,
-		mallocs: ms1.Mallocs - ms0.Mallocs,
-		bytes:   ms1.TotalAlloc - ms0.TotalAlloc,
+	return detCounters{
+		Ops:             ops,
+		Reads:           got.Dev.Reads,
+		SeekReads:       got.Dev.SeekReads,
+		SeekTotal:       got.Dev.SeekTotal,
+		Hits:            got.Pool.Hits,
+		Misses:          got.Pool.Faults,
+		Assembled:       st.Assembled,
+		Aborted:         st.Aborted,
+		Skipped:         st.Skipped,
+		Retries:         st.FaultRetries,
+		Stalls:          st.WindowStalls,
+		PeakWindow:      replay.PeakWindow,
+		PeakWindowPages: st.PeakWindowPgs,
+		Migrated:        e.migrated,
 	}, nil
 }
 

@@ -93,11 +93,10 @@ fault_policy = "retry"
 				t.Fatal(err)
 			}
 			sc := scs[0]
-			it, err := runIteration(sc)
+			d, err := runIteration(sc)
 			if err != nil {
 				t.Fatalf("three-way verification failed: %v", err)
 			}
-			d := it.det
 			if d.Assembled != d.Ops || d.Ops == 0 {
 				t.Errorf("assembled %d != ops %d (or zero)", d.Assembled, d.Ops)
 			}

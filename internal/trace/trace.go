@@ -216,13 +216,10 @@ func (t *Tracer) emit(e Event) {
 }
 
 // Disk records a physical access: kind is KindRead or KindWrite, head
-// is the position before the access.
-func (t *Tracer) Disk(kind string, page, head, dist int64) {
-	t.DiskQ(kind, page, head, dist, 0)
-}
-
-// DiskQ is Disk with a query attribution (qid 0 means unattributed).
-func (t *Tracer) DiskQ(kind string, page, head, dist int64, qid uint64) {
+// is the position before the access. qid attributes the event to a
+// query (see internal/qtrace) here and in every layer method below; 0
+// means unattributed and leaves the field out of the JSON.
+func (t *Tracer) Disk(kind string, page, head, dist int64, qid uint64) {
 	if t == nil {
 		return
 	}
@@ -231,12 +228,7 @@ func (t *Tracer) DiskQ(kind string, page, head, dist int64, qid uint64) {
 
 // DiskFault records an injected I/O fault; class is "transient" or
 // "permanent".
-func (t *Tracer) DiskFault(page int64, class string) {
-	t.DiskFaultQ(page, class, 0)
-}
-
-// DiskFaultQ is DiskFault with a query attribution.
-func (t *Tracer) DiskFaultQ(page int64, class string, qid uint64) {
+func (t *Tracer) DiskFault(page int64, class string, qid uint64) {
 	if t == nil {
 		return
 	}
@@ -245,12 +237,7 @@ func (t *Tracer) DiskFaultQ(page int64, class string, qid uint64) {
 
 // Buffer records a pool event (hit/miss/evict/flush/unfix); n carries
 // the event-specific flag (dirty bit on unfix).
-func (t *Tracer) Buffer(kind string, page int64, n int64) {
-	t.BufferQ(kind, page, n, 0)
-}
-
-// BufferQ is Buffer with a query attribution.
-func (t *Tracer) BufferQ(kind string, page int64, n int64, qid uint64) {
+func (t *Tracer) Buffer(kind string, page int64, n int64, qid uint64) {
 	if t == nil {
 		return
 	}
@@ -286,15 +273,11 @@ func (t *Tracer) Redo(page int64, lsn uint64) {
 	t.emit(Event{Layer: LayerRecover, Kind: KindRedo, Page: page, Head: NoPage, Dist: NoPage, OID: lsn})
 }
 
-// Net records a page-service client event: a request sent, a response
-// received (n carries 0 for success, 1 for error), a hedged read, a
-// failover, or a reconnect. The endpoint travels in the note.
-func (t *Tracer) Net(kind string, page int64, n int64, endpoint string) {
-	t.NetQ(kind, page, n, endpoint, 0)
-}
-
-// NetQ is Net with a query attribution.
-func (t *Tracer) NetQ(kind string, page int64, n int64, endpoint string, qid uint64) {
+// Net records a page-service client or shard-router event: a request
+// sent, a response received (n carries 0 for success, 1 for error), a
+// hedged read, a failover, or a reconnect. The endpoint travels in the
+// note.
+func (t *Tracer) Net(kind string, page int64, n int64, endpoint string, qid uint64) {
 	if t == nil {
 		return
 	}
@@ -303,12 +286,7 @@ func (t *Tracer) NetQ(kind string, page int64, n int64, endpoint string, qid uin
 
 // Assembly records an operator event. page and head are NoPage when the
 // event has no physical address (emit, abort, stall).
-func (t *Tracer) Assembly(kind string, oid uint64, page, head int64, note string) {
-	t.AssemblyQ(kind, oid, page, head, note, 0)
-}
-
-// AssemblyQ is Assembly with a query attribution.
-func (t *Tracer) AssemblyQ(kind string, oid uint64, page, head int64, note string, qid uint64) {
+func (t *Tracer) Assembly(kind string, oid uint64, page, head int64, note string, qid uint64) {
 	if t == nil {
 		return
 	}

@@ -17,10 +17,10 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if tr.Enabled() {
 		t.Error("nil tracer reports enabled")
 	}
-	tr.Disk(trace.KindRead, 3, 0, 3)
-	tr.DiskFault(3, "transient")
-	tr.Buffer(trace.KindHit, 3, 0)
-	tr.Assembly(trace.KindAdmit, 1, trace.NoPage, trace.NoPage, "")
+	tr.Disk(trace.KindRead, 3, 0, 3, 0)
+	tr.DiskFault(3, "transient", 0)
+	tr.Buffer(trace.KindHit, 3, 0, 0)
+	tr.Assembly(trace.KindAdmit, 1, trace.NoPage, trace.NoPage, "", 0)
 	tr.BeginRun("r", 1)
 	tr.EndRun("r", trace.RunStats{})
 	tr.Observe("k", time.Millisecond)
@@ -40,9 +40,9 @@ func TestWriterRoundTrip(t *testing.T) {
 	w := trace.NewWriter(&buf)
 	tr := trace.New(w)
 	tr.BeginRun("roundtrip", 7)
-	tr.Disk(trace.KindRead, 12, 4, 8)
-	tr.Buffer(trace.KindMiss, 12, 0)
-	tr.Assembly(trace.KindAdmit, 42, trace.NoPage, trace.NoPage, "")
+	tr.Disk(trace.KindRead, 12, 4, 8, 0)
+	tr.Buffer(trace.KindMiss, 12, 0, 0)
+	tr.Assembly(trace.KindAdmit, 42, trace.NoPage, trace.NoPage, "", 0)
 	rs := trace.RunStats{Reads: 1, SeekReads: 8, SeekTotal: 8}
 	tr.EndRun("roundtrip", rs)
 	if err := w.Close(); err != nil {
@@ -82,12 +82,12 @@ func TestWriterRoundTrip(t *testing.T) {
 func TestSplitRunsVerify(t *testing.T) {
 	col := &trace.Collector{}
 	tr := trace.New(col)
-	tr.Disk(trace.KindRead, 1, 0, 1) // before any run
+	tr.Disk(trace.KindRead, 1, 0, 1, 0) // before any run
 	tr.BeginRun("a", 2)
-	tr.Disk(trace.KindRead, 5, 1, 4)
+	tr.Disk(trace.KindRead, 5, 1, 4, 0)
 	tr.EndRun("a", trace.RunStats{Reads: 1, SeekReads: 4, SeekTotal: 4})
 	tr.BeginRun("b", 3)
-	tr.Disk(trace.KindRead, 9, 5, 4)
+	tr.Disk(trace.KindRead, 9, 5, 4, 0)
 	tr.EndRun("b", trace.RunStats{Reads: 99}) // forged
 
 	runs := trace.SplitRuns(col.Events())
@@ -115,10 +115,10 @@ func TestTracerCountsAndHists(t *testing.T) {
 	if !tr.Enabled() {
 		t.Fatal("constructed tracer not enabled")
 	}
-	tr.Disk(trace.KindRead, 10, 0, 10)
-	tr.Disk(trace.KindRead, 10, 10, 0)
-	tr.Disk(trace.KindWrite, 20, 10, 10)
-	tr.Buffer(trace.KindHit, 10, 0)
+	tr.Disk(trace.KindRead, 10, 0, 10, 0)
+	tr.Disk(trace.KindRead, 10, 10, 0, 0)
+	tr.Disk(trace.KindWrite, 20, 10, 10, 0)
+	tr.Buffer(trace.KindHit, 10, 0, 0)
 	tr.Observe("disk/read", 2*time.Microsecond)
 	tr.Observe("disk/read", 4*time.Microsecond)
 
@@ -180,9 +180,9 @@ func TestHist(t *testing.T) {
 func TestReplayReversals(t *testing.T) {
 	col := &trace.Collector{}
 	tr := trace.New(col)
-	tr.Disk(trace.KindRead, 10, 0, 10)
-	tr.Disk(trace.KindRead, 20, 10, 10)
-	tr.Disk(trace.KindRead, 5, 20, 15)
+	tr.Disk(trace.KindRead, 10, 0, 10, 0)
+	tr.Disk(trace.KindRead, 20, 10, 10, 0)
+	tr.Disk(trace.KindRead, 5, 20, 15, 0)
 	r := trace.ReplayEvents(col.Events())
 	if r.Reversals != 1 {
 		t.Errorf("reversals %d, want 1", r.Reversals)

@@ -137,6 +137,11 @@ func (r *Reader) Next() (Record, error) {
 	if lsn != r.lsn+1 || n == 0 || n > maxImage {
 		return Record{}, ErrTornTail
 	}
+	// A payload that would run off the device is an append that never
+	// finished; say so before sizing a buffer by an unchecked length.
+	if r.pos+recHdrSize+int64(n) > int64(r.dev.NumPages())*r.ps {
+		return Record{}, ErrTornTail
+	}
 	img := make([]byte, n)
 	if err := r.readAt(r.pos+recHdrSize, img); err != nil {
 		return Record{}, ErrTornTail
