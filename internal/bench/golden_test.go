@@ -11,22 +11,17 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files from current output")
 
 // TestFiguresJSONGolden pins the asmbench -json output byte-for-byte:
-// field order, indentation, and the numbers of a seeded small-scale
-// run. The schema is a contract — downstream plotting scripts and the
+// field order, indentation, and the numbers of every deterministic
+// figure at scale 0.1 (asmbench -figure all -scale 0.1 -json). The schema is a contract — downstream plotting scripts and the
 // trace replay both consume it — so any change must be deliberate and
 // show up in this file's diff. Refresh with: go test ./internal/bench
 // -run Golden -update
 func TestFiguresJSONGolden(t *testing.T) {
-	r := NewRunner()
-	fig13c, err := r.FigScheduling(50, 'c', 0.1)
+	figs, err := NewRunner().AllFigures(0.1)
 	if err != nil {
-		t.Fatalf("FigScheduling: %v", err)
+		t.Fatalf("AllFigures: %v", err)
 	}
-	faults, err := r.FigFaults(0.1, DefaultFaultOptions)
-	if err != nil {
-		t.Fatalf("FigFaults: %v", err)
-	}
-	got, err := FiguresJSON([]Figure{fig13c, faults})
+	got, err := FiguresJSON(figs)
 	if err != nil {
 		t.Fatalf("FiguresJSON: %v", err)
 	}
