@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet test sched-check buffer-check asm-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke suite-check trace-demo tracez-smoke serve-demo examples cover clean
+.PHONY: all check build vet test sched-check buffer-check asm-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke suite-check trace-demo tracez-smoke serve-demo examples cover loc clean
 
 all: check
 
@@ -70,7 +70,7 @@ race-core:
 # pin/reservation-leak checks, and per-query three-way agreement.
 # -count=2 reruns them so cross-run state leaks surface too.
 chaos-test:
-	$(GO) test -race -count=2 -run 'TestChaos|TestCancel|TestDeadline|TestExchangeCancellation|TestExchangeDeadline|TestTwoQueriesTinyPool|TestQuery' ./internal/bench ./internal/assembly ./internal/volcano ./internal/buffer ./internal/serve
+	$(GO) test -race -count=2 -run 'TestChaos|TestCancel|TestDeadline|TestExchangeCancellation|TestExchangeDeadline|TestTwoQueriesTinyPool|TestQuery' ./internal/suite ./internal/assembly ./internal/volcano ./internal/buffer ./internal/serve
 
 # The networked-page-service chaos suite under the race detector:
 # replica crash/reconnect convergence, client reconnects under a
@@ -115,18 +115,22 @@ crash-test:
 # corruption op that tries to break the bounds checks), of the
 # page-service wire header decoder (malformed frames must error, never
 # panic or over-allocate), of the object record decoder (Shape +
-# DecodeInto must agree with Decode on every input) and of the WAL
+# DecodeInto must agree with Decode on every input), of the WAL
 # reader (arbitrary bytes as a log: the scan ends, hands out only
 # records inside the device, and allocates no more than the device
-# holds).
+# holds) and of the suite's config parser (scenarios or a file:line
+# error, never a panic; what parses passes the validator's range
+# checks).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzPageOps -fuzztime=10s ./internal/page
 	$(GO) test -fuzz=FuzzProtoDecode -fuzztime=10s ./internal/pagesvc
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/object
 	$(GO) test -fuzz=FuzzWALScan -fuzztime=10s ./internal/wal
+	$(GO) test -fuzz=FuzzParseScenarios -fuzztime=10s ./internal/suite
 
-# One testing.B bench per paper figure at the repo root, plus the
-# substrate micro-benchmarks in each package.
+# One testing.B sub-benchmark per figure the harness registers
+# (BenchmarkFigure/<id> at the repo root), plus the substrate
+# micro-benchmarks in each package.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -181,6 +185,11 @@ examples:
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
+
+# Non-test Go lines outside benchmark/ — the number ROADMAP aim 2
+# tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt db.pages db.manifest trace.jsonl

@@ -1,19 +1,20 @@
 package revelation_test
 
-// One testing.B benchmark per reproduced table/figure of the paper's
-// Section 6 (plus this reproduction's ablations). Each iteration runs
-// the figure's full experiment grid at a reduced scale (benchScale) so
+// One testing.B sub-benchmark per figure the harness can regenerate
+// (the paper's Section 6 tables plus this reproduction's ablations),
+// listed from the harness's own registry. Each iteration runs the
+// figure's full experiment grid at a reduced scale (benchScale) so
 // `go test -bench=.` stays responsive; the custom metrics report the
-// paper's numbers for the headline cell of each figure. Paper-scale
-// tables print via `go run ./cmd/asmbench -figure all`.
+// headline cell of each figure. Paper-scale tables print via
+// `go run ./cmd/asmbench -figure all`.
 
 import (
 	"strings"
 	"testing"
 
 	"revelation/internal/assembly"
-	"revelation/internal/bench"
 	"revelation/internal/gen"
+	"revelation/internal/suite"
 	"revelation/internal/volcano"
 )
 
@@ -21,171 +22,53 @@ import (
 // 250–1000 for iteration speed; shapes are scale-invariant.
 const benchScale = 0.25
 
-func reportFigure(b *testing.B, fig bench.Figure) {
-	b.Helper()
-	// Headline: the final x of the first and last series.
-	for _, s := range []bench.Series{fig.Series[0], fig.Series[len(fig.Series)-1]} {
-		if len(s.Y) > 0 {
-			unit := strings.ReplaceAll(s.Label, " ", "-") + "_seek/read"
-			b.ReportMetric(s.Y[len(s.Y)-1], unit)
-		}
+func BenchmarkFigure(b *testing.B) {
+	params := suite.FigureParams{Scale: benchScale, Faults: suite.DefaultFaultOptions}
+	for _, id := range suite.FigureIDs() {
+		b.Run(id, func(b *testing.B) {
+			var s suite.Session
+			defer s.Close()
+			var fig suite.Figure
+			var err error
+			for i := 0; i < b.N; i++ {
+				if fig, err = s.Figure(id, params); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Headline: the final y (fig.YLabel) of the first and last series.
+			for _, sr := range []suite.Series{fig.Series[0], fig.Series[len(fig.Series)-1]} {
+				b.ReportMetric(sr.Y[len(sr.Y)-1], strings.ReplaceAll(sr.Label, " ", "-")+"_y")
+			}
+		})
 	}
-}
-
-func BenchmarkFig11A(b *testing.B) { benchScheduling(b, 1, 'a') }
-func BenchmarkFig11B(b *testing.B) { benchScheduling(b, 1, 'b') }
-func BenchmarkFig11C(b *testing.B) { benchScheduling(b, 1, 'c') }
-func BenchmarkFig13A(b *testing.B) { benchScheduling(b, 50, 'a') }
-func BenchmarkFig13B(b *testing.B) { benchScheduling(b, 50, 'b') }
-func BenchmarkFig13C(b *testing.B) { benchScheduling(b, 50, 'c') }
-
-func benchScheduling(b *testing.B, window int, sub byte) {
-	b.Helper()
-	r := bench.NewRunner()
-	b.ResetTimer()
-	var fig bench.Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		fig, err = r.FigScheduling(window, sub, benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportFigure(b, fig)
-}
-
-func BenchmarkFig14(b *testing.B) {
-	r := bench.NewRunner()
-	b.ResetTimer()
-	var fig bench.Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		fig, err = r.Fig14(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportFigure(b, fig)
-}
-
-func BenchmarkFig15(b *testing.B) {
-	r := bench.NewRunner()
-	b.ResetTimer()
-	var fig bench.Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		fig, err = r.Fig15(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportFigure(b, fig)
-}
-
-func BenchmarkFig16(b *testing.B) {
-	r := bench.NewRunner()
-	b.ResetTimer()
-	var fig bench.Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		fig, err = r.Fig16(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportFigure(b, fig)
-}
-
-func BenchmarkWindowFootprint(b *testing.B) {
-	r := bench.NewRunner()
-	b.ResetTimer()
-	var fig bench.Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		fig, err = r.WindowFootprint(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Measured peak at the largest window vs the paper's bound.
-	m := fig.Series[0]
-	b.ReportMetric(m.Y[len(m.Y)-1], "peak_window_pages")
-	bd := fig.Series[1]
-	b.ReportMetric(bd.Y[len(bd.Y)-1], "paper_bound_pages")
-}
-
-func BenchmarkBufferWindow(b *testing.B) {
-	r := bench.NewRunner()
-	b.ResetTimer()
-	var fig bench.Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		fig, err = r.BufferWindow(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportFigure(b, fig)
-}
-
-// BenchmarkMultiDevice runs the Section 7 striped-device exploration.
-func BenchmarkMultiDevice(b *testing.B) {
-	r := bench.NewRunner()
-	b.ResetTimer()
-	var fig bench.Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		fig, err = r.MultiDevice(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportFigure(b, fig)
-}
-
-// BenchmarkPageBatch runs the Section 4 same-page batching ablation.
-func BenchmarkPageBatch(b *testing.B) {
-	r := bench.NewRunner()
-	b.ResetTimer()
-	var fig bench.Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		fig, err = r.PageBatch(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Requests per 1000 fetches, batched, intra-object clustering.
-	s := fig.Series[len(fig.Series)-1]
-	b.ReportMetric(s.Y[len(s.Y)-1], "batched_reqs_per_1k")
 }
 
 // BenchmarkPriorityScheduler isolates the Section 7 integrated
 // (predicate-first) scheduler against the plain elevator on a
 // selective query.
 func BenchmarkPriorityScheduler(b *testing.B) {
-	r := bench.NewRunner()
-	base := bench.Experiment{
+	var s suite.Session
+	defer s.Close()
+	base := suite.Scenario{
 		Name:        "priority",
-		DBSize:      1000,
+		Objects:     1000,
 		Clustering:  gen.Unclustered,
 		Scheduler:   assembly.Elevator,
 		Window:      50,
 		Selectivity: 0.10,
-		BufferPages: 96,
+		BufferPgs:   96,
 		Seed:        17,
 	}
-	var plain, prio bench.Result
+	var plain, prio suite.Result
 	var err error
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plain, err = r.Run(base)
+		plain, err = s.Run(base)
 		if err != nil {
 			b.Fatal(err)
 		}
 		withPrio := base
 		withPrio.PredicateFirst = true
-		prio, err = r.Run(withPrio)
+		prio, err = s.Run(withPrio)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,17 +5,16 @@
 //
 // Usage:
 //
-//	asmbench [-figure all|fig11a|fig11b|fig11c|fig13a|fig13b|fig13c|
-//	          fig14|fig15|fig16|footprint|buffer-window|multi-device|
-//	          page-batch|faults|concurrency]
-//	         [-scale 1.0] [-json] [-trace FILE]
+//	asmbench [-figure all|<id>] [-scale 1.0] [-json] [-trace FILE]
 //	         [-fault-seed 91] [-fault-transient 0.10] [-fault-permanent 0.005]
 //	         [-concurrency 8] [-deadline 0]
 //
-// -scale shrinks the database sizes for quick runs (0.1 → 100–400
-// complex objects); 1.0 reproduces the paper's 1000–4000. The -fault-*
-// flags parameterise the 'faults' figure: the injector seed and the
-// sweep's maximum transient and permanent fault rates.
+// The figure ids come from the harness's registry (internal/suite);
+// asmbench -h lists them. -scale shrinks the database sizes for quick
+// runs (0.1 → 100–400 complex objects); 1.0 reproduces the paper's
+// 1000–4000. The -fault-* flags parameterise the 'faults' figure: the
+// injector seed and the sweep's maximum transient and permanent fault
+// rates.
 //
 // The 'concurrency' figure sweeps concurrent queries (1, 2, 4, ... up
 // to -concurrency) over one shared pool with per-query reservations and
@@ -35,23 +34,38 @@ import (
 	"strings"
 	"time"
 
-	"revelation/internal/bench"
+	"revelation/internal/suite"
 	"revelation/internal/trace"
 )
 
 func main() {
-	figure := flag.String("figure", "all", "figure id to regenerate (fig11a..fig16, footprint, buffer-window, multi-device, page-batch, faults, concurrency), or 'all'")
+	ids := strings.Join(suite.FigureIDs(), ", ")
+	figure := flag.String("figure", "all", "figure id to regenerate ("+ids+"), or 'all'")
 	scale := flag.Float64("scale", 1.0, "database size scale factor (1.0 = paper scale)")
 	jsonOut := flag.Bool("json", false, "print figures as deterministic JSON instead of text tables")
 	traceFile := flag.String("trace", "", "record per-event JSONL trace of every run to this file (replay with asmtrace)")
-	faultSeed := flag.Int64("fault-seed", bench.DefaultFaultOptions.Seed, "fault injector seed (figure 'faults')")
-	faultTransient := flag.Float64("fault-transient", bench.DefaultFaultOptions.Transient, "maximum transient-fault rate for the sweep (figure 'faults')")
-	faultPermanent := flag.Float64("fault-permanent", bench.DefaultFaultOptions.Permanent, "maximum permanent-fault rate for the sweep (figure 'faults')")
+	faultSeed := flag.Int64("fault-seed", suite.DefaultFaultOptions.Seed, "fault injector seed (figure 'faults')")
+	faultTransient := flag.Float64("fault-transient", suite.DefaultFaultOptions.Transient, "maximum transient-fault rate for the sweep (figure 'faults')")
+	faultPermanent := flag.Float64("fault-permanent", suite.DefaultFaultOptions.Permanent, "maximum permanent-fault rate for the sweep (figure 'faults')")
 	concurrency := flag.Int("concurrency", 8, "maximum concurrent queries for the 'concurrency' figure (sweep doubles up from 1)")
 	deadline := flag.Duration("deadline", 0, "per-query deadline for the 'concurrency' figure (0 = unbounded)")
 	flag.Parse()
 
-	r := bench.NewRunner()
+	id := strings.ToLower(*figure)
+	if id != "all" {
+		if err := suite.CheckFigure(id); err != nil {
+			fmt.Fprintf(os.Stderr, "asmbench: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	params := suite.FigureParams{
+		Scale:       *scale,
+		Faults:      suite.FaultOptions{Seed: *faultSeed, Transient: *faultTransient, Permanent: *faultPermanent},
+		Concurrency: suite.ConcurrencyOptions{MaxConcurrent: *concurrency, Deadline: *deadline},
+	}
+
+	var s suite.Session
+	defer s.Close()
 	var traceSink *trace.Writer
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
@@ -60,54 +74,16 @@ func main() {
 			os.Exit(1)
 		}
 		traceSink = trace.NewWriter(f)
-		r.Tracer = trace.New(traceSink)
+		s.Tracer = trace.New(traceSink)
 	}
 	start := time.Now()
-	var figs []bench.Figure
+	var figs []suite.Figure
 	var err error
-	switch strings.ToLower(*figure) {
-	case "all":
-		figs, err = r.AllFigures(*scale)
-	case "fig11a":
-		figs, err = one(r.FigScheduling(1, 'a', *scale))
-	case "fig11b":
-		figs, err = one(r.FigScheduling(1, 'b', *scale))
-	case "fig11c":
-		figs, err = one(r.FigScheduling(1, 'c', *scale))
-	case "fig13a":
-		figs, err = one(r.FigScheduling(50, 'a', *scale))
-	case "fig13b":
-		figs, err = one(r.FigScheduling(50, 'b', *scale))
-	case "fig13c":
-		figs, err = one(r.FigScheduling(50, 'c', *scale))
-	case "fig14":
-		figs, err = one(r.Fig14(*scale))
-	case "fig15":
-		figs, err = one(r.Fig15(*scale))
-	case "fig16":
-		figs, err = one(r.Fig16(*scale))
-	case "footprint":
-		figs, err = one(r.WindowFootprint(*scale))
-	case "buffer-window":
-		figs, err = one(r.BufferWindow(*scale))
-	case "multi-device", "multidev":
-		figs, err = one(r.MultiDevice(*scale))
-	case "page-batch", "pagebatch":
-		figs, err = one(r.PageBatch(*scale))
-	case "faults":
-		figs, err = one(r.FigFaults(*scale, bench.FaultOptions{
-			Seed:      *faultSeed,
-			Transient: *faultTransient,
-			Permanent: *faultPermanent,
-		}))
-	case "concurrency":
-		figs, err = one(r.FigConcurrency(*scale, bench.ConcurrencyOptions{
-			MaxConcurrent: *concurrency,
-			Deadline:      *deadline,
-		}))
-	default:
-		fmt.Fprintf(os.Stderr, "asmbench: unknown figure %q\n", *figure)
-		os.Exit(2)
+	if id == "all" {
+		figs, err = s.AllFigures(params)
+	} else {
+		figs = make([]suite.Figure, 1)
+		figs[0], err = s.Figure(id, params)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "asmbench: %v\n", err)
@@ -120,7 +96,7 @@ func main() {
 		}
 	}
 	if *jsonOut {
-		out, jerr := bench.FiguresJSON(figs)
+		out, jerr := suite.FiguresJSON(figs)
 		if jerr != nil {
 			fmt.Fprintf(os.Stderr, "asmbench: %v\n", jerr)
 			os.Exit(1)
@@ -135,11 +111,4 @@ func main() {
 	if *traceFile != "" {
 		fmt.Printf("trace written to %s (replay: go run ./cmd/asmtrace %s)\n", *traceFile, *traceFile)
 	}
-}
-
-func one(f bench.Figure, err error) ([]bench.Figure, error) {
-	if err != nil {
-		return nil, err
-	}
-	return []bench.Figure{f}, nil
 }

@@ -60,7 +60,6 @@ import (
 	"time"
 
 	"revelation/internal/assembly"
-	"revelation/internal/bench"
 	"revelation/internal/disk"
 	"revelation/internal/expr"
 	"revelation/internal/fleet"
@@ -71,12 +70,13 @@ import (
 	"revelation/internal/query"
 	"revelation/internal/serve"
 	"revelation/internal/shard"
+	"revelation/internal/suite"
 	"revelation/internal/volcano"
 )
 
 func main() {
 	addr := flag.String("addr", ":8091", "HTTP listen address")
-	figure := flag.String("figure", "faults", "figure id to run as the workload (see asmbench -figure)")
+	figure := flag.String("figure", "faults", "figure id to run as the workload ("+strings.Join(suite.FigureIDs(), ", ")+")")
 	scale := flag.Float64("scale", 0.5, "database size scale factor")
 	interval := flag.Duration("interval", time.Second, "pause between workload passes")
 	once := flag.Bool("once", false, "run the workload a single time, then keep serving")
@@ -94,13 +94,15 @@ func main() {
 	qt.SetSlowThreshold(*slowQuery, func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "asmserve: "+format+"\n", args...)
 	})
-	runner := bench.NewRunner()
-	runner.Metrics = reg
-
-	run, err := workload(runner, *figure)
-	if err != nil {
+	figureID := strings.ToLower(*figure)
+	if err := suite.CheckFigure(figureID); err != nil {
 		fmt.Fprintf(os.Stderr, "asmserve: %v\n", err)
 		os.Exit(2)
+	}
+	session := suite.Session{Metrics: reg}
+	run := func(scale float64) error {
+		_, err := session.Figure(figureID, suite.FigureParams{Scale: scale, Faults: suite.DefaultFaultOptions})
+		return err
 	}
 	queryFn, fleetz, err := queryWorkload(reg, *scale, *queryWindow, *shards, *promoteAfter)
 	if err != nil {
@@ -356,44 +358,4 @@ func pushToShards(db *gen.Database, router *shard.Router) (*gen.Database, error)
 		return nil, err
 	}
 	return gen.OpenDatabaseOn(router, mp, 256)
-}
-
-// workload maps a figure id to a closure running it once.
-func workload(r *bench.Runner, figure string) (func(scale float64) error, error) {
-	fig := func(f func(float64) (bench.Figure, error)) func(float64) error {
-		return func(s float64) error { _, err := f(s); return err }
-	}
-	switch strings.ToLower(figure) {
-	case "fig14":
-		return fig(r.Fig14), nil
-	case "fig15":
-		return fig(r.Fig15), nil
-	case "fig16":
-		return fig(r.Fig16), nil
-	case "footprint":
-		return fig(r.WindowFootprint), nil
-	case "buffer-window":
-		return fig(r.BufferWindow), nil
-	case "multi-device", "multidev":
-		return fig(r.MultiDevice), nil
-	case "page-batch", "pagebatch":
-		return fig(r.PageBatch), nil
-	case "faults":
-		return func(s float64) error {
-			_, err := r.FigFaults(s, bench.DefaultFaultOptions)
-			return err
-		}, nil
-	case "fig11a", "fig11b", "fig11c", "fig13a", "fig13b", "fig13c":
-		w := 1
-		if figure[3] == '3' {
-			w = 50
-		}
-		sub := figure[len(figure)-1]
-		return func(s float64) error {
-			_, err := r.FigScheduling(w, sub, s)
-			return err
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown figure %q (see asmbench -figure)", figure)
-	}
 }

@@ -7,7 +7,7 @@
 // cost"; qtrace answers "which query paid". The two are reconciled by
 // an extended three-way agreement check: the sum of per-span counters
 // across all query traces must equal both the global trace replay and
-// the metrics registry delta (see internal/bench).
+// the metrics registry delta (see internal/suite).
 //
 // Design rules, mirroring internal/trace:
 //

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"revelation/internal/assembly"
-	"revelation/internal/bench"
 	"revelation/internal/disk"
 	"revelation/internal/gen"
 	"revelation/internal/leakcheck"
@@ -264,12 +263,18 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 	}
 	waitApplied(t, repl, netWAL.DurableLSN())
 
-	// Bracket the run (cold pool, counter snapshots, tracer attach) and
-	// open a query trace carrying a retry budget.
-	meas, err := bench.StartMeasurement("shard-chaos", 8, router, netDB.Pool, tr)
-	if err != nil {
+	// Bracket the run (cold pool, counter snapshot, parked head, tracer
+	// attached between bench markers) and open a query trace carrying a
+	// retry budget. By hand: the harness's bracket lives in
+	// internal/suite, which imports this package.
+	if err := netDB.Pool.EvictAll(); err != nil {
 		t.Fatal(err)
 	}
+	dev0 := router.Stats()
+	router.ResetHead()
+	disk.AttachTracer(router, tr)
+	netDB.Pool.SetTracer(tr)
+	tr.BeginRun("shard-chaos", 8)
 	qcol := qtrace.NewCollector(8)
 	qt, root := qcol.Begin("shard-chaos")
 	budget := NewBudget(256)
@@ -308,7 +313,19 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 	// the losing leg finishes on its own time, so let the wire go quiet
 	// before the books are closed and compared.
 	router.legs.Wait()
-	m := meas.End(op.Stats())
+	st, dev := op.Stats(), router.Stats().Sub(dev0)
+	tr.EndRun("shard-chaos", trace.RunStats{
+		Reads:     dev.Reads,
+		SeekReads: dev.SeekReads,
+		SeekTotal: dev.SeekTotal,
+		Assembled: st.Assembled,
+		Aborted:   st.Aborted,
+		Skipped:   st.Skipped,
+		Retries:   st.FaultRetries,
+		Stalls:    st.WindowStalls,
+	})
+	disk.AttachTracer(router, nil)
+	netDB.Pool.SetTracer(nil)
 	qcol.Finish(qt, "ok", nil)
 
 	// Byte-identical to the fault-free oracle, nothing lost.
@@ -347,8 +364,8 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 	// bracketed device delta, degraded-read attribution equals the
 	// router's own books, and every shard lane span did real work.
 	tot := qcol.TotalAll()
-	if tot.Reads != m.Dev.Reads {
-		t.Errorf("query-trace reads %d != bracketed device reads %d", tot.Reads, m.Dev.Reads)
+	if tot.Reads != dev.Reads {
+		t.Errorf("query-trace reads %d != bracketed device reads %d", tot.Reads, dev.Reads)
 	}
 	var degraded int64
 	for i := 0; i < fleet; i++ {

@@ -1,4 +1,4 @@
-package bench
+package suite
 
 // Concurrent query-lifecycle chaos: many queries over one shared
 // database, each with its own context, tracer, and registry, cancelled
@@ -174,7 +174,7 @@ func TestChaosConcurrentCancellation(t *testing.T) {
 	db, err := gen.Build(gen.Config{
 		NumComplexObjects: 150,
 		Clustering:        gen.Unclustered,
-		Seed:              benchSeed,
+		Seed:              figureSeed,
 		BufferPages:       512,
 	})
 	if err != nil {
@@ -257,10 +257,10 @@ func TestChaosConcurrentCancellation(t *testing.T) {
 
 // TestFigConcurrencySmoke exercises the concurrent-throughput figure at
 // tiny scale: every level must account for all its queries and leave
-// the pool's books at zero (RunConcurrent errors otherwise).
+// the pool's books at zero (runConcurrent errors otherwise).
 func TestFigConcurrencySmoke(t *testing.T) {
-	r := NewRunner()
-	fig, err := r.FigConcurrency(0.1, ConcurrencyOptions{MaxConcurrent: 4, Queries: 4})
+	var sess Session
+	fig, err := sess.Figure("concurrency", FigureParams{Scale: 0.1, Concurrency: ConcurrencyOptions{MaxConcurrent: 4, Queries: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestChaosOverloadSheds(t *testing.T) {
 	db, err := gen.Build(gen.Config{
 		NumComplexObjects: 100,
 		Clustering:        gen.Unclustered,
-		Seed:              benchSeed,
+		Seed:              figureSeed,
 		BufferPages:       96,
 	})
 	if err != nil {

@@ -1,12 +1,13 @@
-package bench
+package suite
 
 // Concurrent-throughput experiment: N queries at a time over one shared
 // database, each holding a frame reservation and running under an
 // optional per-query deadline. This figure measures the lifecycle
 // machinery itself — admission, bounded pin waits, deadline aborts —
-// so unlike the paper reproductions its y-axis is wall-clock throughput
-// and it is deliberately NOT part of AllFigures (the golden-file test
-// pins deterministic output; timing is not).
+// so unlike the paper reproductions its y-axis is wall-clock throughput:
+// it does not go through run's bracket, and it is deliberately NOT part
+// of AllFigures (the golden-file test pins deterministic output; timing
+// is not).
 
 import (
 	"context"
@@ -22,7 +23,7 @@ import (
 	"revelation/internal/volcano"
 )
 
-// ConcurrencyOptions parameterize FigConcurrency.
+// ConcurrencyOptions parameterize the 'concurrency' figure.
 type ConcurrencyOptions struct {
 	// MaxConcurrent is the largest concurrency level swept; the sweep
 	// doubles up from 1 (1, 2, 4, ... MaxConcurrent). Values < 1 mean 8.
@@ -30,46 +31,38 @@ type ConcurrencyOptions struct {
 	// Deadline bounds each individual query; zero means unbounded.
 	Deadline time.Duration
 	// Queries is the total number of queries run at every level, spread
-	// over the workers; values < 1 mean 2*MaxConcurrent.
+	// over the workers; values < 1 mean twice the level.
 	Queries int
-	// Window is the per-query assembly window (default 4).
-	Window int
-	// BufferPages sizes the shared pool (default 512). Smaller pools
-	// shed more queries at admission.
-	BufferPages int
 }
 
-// ConcurrentLevel is the measurement at one concurrency level.
-type ConcurrentLevel struct {
-	Level     int
-	Completed int           // queries that assembled every root
-	Shed      int           // queries rejected at admission
-	TimedOut  int           // queries aborted by their deadline
-	Assembled int           // complex objects emitted across all queries
-	Elapsed   time.Duration // wall clock for the whole level
+// The figure's fixed shape: a small per-query window over a shared pool
+// small enough that reservations, not memory, are what runs out.
+const (
+	concurrentWindow = 4
+	concurrentFrames = 512
+)
+
+// concurrentLevel is the measurement at one concurrency level.
+type concurrentLevel struct {
+	dropped   int           // queries shed at admission or aborted by their deadline
+	assembled int           // complex objects emitted across all queries
+	elapsed   time.Duration // wall clock for the whole level
 }
 
-// RunConcurrent runs opts.Queries queries at the given concurrency
+// runConcurrent runs opts.Queries queries at the given concurrency
 // level over db and reports the aggregate outcome. Queries that shed at
 // admission or die at their deadline are counted, not failed: under
 // overload those are correct outcomes — what must hold is that the
 // books balance afterwards (zero pins, zero reservations).
-func (r *Runner) RunConcurrent(db *gen.Database, level int, opts ConcurrencyOptions) (ConcurrentLevel, error) {
-	window := opts.Window
-	if window < 1 {
-		window = 4
-	}
+func (s *Session) runConcurrent(db *gen.Database, level int, opts ConcurrencyOptions) (concurrentLevel, error) {
 	queries := opts.Queries
 	if queries < 1 {
 		queries = 2 * level
 	}
-	reserve := window*db.NodesPerObject + 12
-	if reserve > db.Pool.Size() {
-		// Never demand more than the pool holds, or nothing ever runs.
-		reserve = db.Pool.Size()
-	}
+	// Never demand more than the pool holds, or nothing ever runs.
+	reserve := min(concurrentWindow*db.NodesPerObject+12, db.Pool.Size())
 
-	var completed, shed, timedOut, assembled atomic.Int64
+	var dropped, assembled atomic.Int64
 	var firstErr atomic.Value
 	work := make(chan int)
 	var wg sync.WaitGroup
@@ -89,12 +82,12 @@ func (r *Runner) RunConcurrent(db *gen.Database, level int, opts ConcurrencyOpti
 					items[i] = root
 				}
 				op := assembly.New(volcano.NewSlice(items), db.Store, db.Template, assembly.Options{
-					Window:         window,
+					Window:         concurrentWindow,
 					Scheduler:      assembly.Elevator,
 					PinWindowPages: true,
 					ReserveFrames:  reserve,
-					Tracer:         r.Tracer,
-					Metrics:        r.Metrics,
+					Tracer:         s.Tracer,
+					Metrics:        s.Metrics,
 				})
 				volcano.Bind(ctx, op)
 				n, err := volcano.Count(op)
@@ -102,11 +95,9 @@ func (r *Runner) RunConcurrent(db *gen.Database, level int, opts ConcurrencyOpti
 				assembled.Add(int64(n))
 				switch {
 				case err == nil:
-					completed.Add(1)
-				case errors.Is(err, buffer.ErrAdmission), errors.Is(err, assembly.ErrShed):
-					shed.Add(1)
-				case errors.Is(err, context.DeadlineExceeded):
-					timedOut.Add(1)
+				case errors.Is(err, buffer.ErrAdmission), errors.Is(err, assembly.ErrShed),
+					errors.Is(err, context.DeadlineExceeded):
+					dropped.Add(1)
 				default:
 					firstErr.CompareAndSwap(nil, err)
 				}
@@ -118,45 +109,32 @@ func (r *Runner) RunConcurrent(db *gen.Database, level int, opts ConcurrencyOpti
 	}
 	close(work)
 	wg.Wait()
-	lvl := ConcurrentLevel{
-		Level:     level,
-		Completed: int(completed.Load()),
-		Shed:      int(shed.Load()),
-		TimedOut:  int(timedOut.Load()),
-		Assembled: int(assembled.Load()),
-		Elapsed:   time.Since(start),
+	lvl := concurrentLevel{
+		dropped:   int(dropped.Load()),
+		assembled: int(assembled.Load()),
+		elapsed:   time.Since(start),
 	}
 	if err, _ := firstErr.Load().(error); err != nil {
 		return lvl, err
 	}
 	if got := db.Pool.PinnedFrames(); got != 0 {
-		return lvl, fmt.Errorf("bench: %d frames still pinned after level %d", got, level)
+		return lvl, fmt.Errorf("suite: %d frames still pinned after level %d", got, level)
 	}
 	if got := db.Pool.ReservedFrames(); got != 0 {
-		return lvl, fmt.Errorf("bench: %d frames still reserved after level %d", got, level)
+		return lvl, fmt.Errorf("suite: %d frames still reserved after level %d", got, level)
 	}
 	return lvl, nil
 }
 
-// FigConcurrency sweeps concurrency levels and reports throughput
+// figConcurrency sweeps concurrency levels and reports throughput
 // (assembled complex objects per second; Extra carries the shed+timeout
-// count per level). Not part of AllFigures: wall-clock y-values are not
-// deterministic and must not meet the golden-file test.
-func (r *Runner) FigConcurrency(scale float64, opts ConcurrencyOptions) (Figure, error) {
-	maxLevel := opts.MaxConcurrent
+// count per level).
+func (s *Session) figConcurrency(p FigureParams) (Figure, error) {
+	maxLevel := p.Concurrency.MaxConcurrent
 	if maxLevel < 1 {
 		maxLevel = 8
 	}
-	bufferPages := opts.BufferPages
-	if bufferPages <= 0 {
-		bufferPages = 512
-	}
-	db, err := gen.Build(gen.Config{
-		NumComplexObjects: scaled(1000, scale),
-		Clustering:        gen.Unclustered,
-		Seed:              benchSeed,
-		BufferPages:       bufferPages,
-	})
+	e, err := s.env(Scenario{Objects: scaled(1000, p.Scale), Seed: figureSeed, BufferPgs: concurrentFrames}.withDefaults())
 	if err != nil {
 		return Figure{}, err
 	}
@@ -166,23 +144,19 @@ func (r *Runner) FigConcurrency(scale float64, opts ConcurrencyOptions) (Figure,
 		XLabel: "concurrent queries",
 		YLabel: "complex objects assembled / second",
 		Notes: []string{
-			fmt.Sprintf("pool %d frames, per-query reservation, deadline %v", bufferPages, opts.Deadline),
+			fmt.Sprintf("pool %d frames, per-query reservation, deadline %v", concurrentFrames, p.Concurrency.Deadline),
 			"wall-clock measurement: values vary run to run (excluded from golden output)",
 		},
 	}
 	tput := Series{Label: "elevator"}
 	for level := 1; level <= maxLevel; level *= 2 {
-		lvl, err := r.RunConcurrent(db, level, opts)
+		lvl, err := s.runConcurrent(e.db, level, p.Concurrency)
 		if err != nil {
 			return fig, err
 		}
-		secs := lvl.Elapsed.Seconds()
-		if secs <= 0 {
-			secs = 1e-9
-		}
 		tput.X = append(tput.X, float64(level))
-		tput.Y = append(tput.Y, float64(lvl.Assembled)/secs)
-		tput.Extra = append(tput.Extra, float64(lvl.Shed+lvl.TimedOut))
+		tput.Y = append(tput.Y, float64(lvl.assembled)/max(lvl.elapsed.Seconds(), 1e-9))
+		tput.Extra = append(tput.Extra, float64(lvl.dropped))
 	}
 	fig.Series = []Series{tput}
 	return fig, nil

@@ -1,11 +1,17 @@
-// Package suite is the continuous scenario suite: a declarative
-// registry of named benchmark scenarios — DB shape, scheduling policy,
-// window and buffer knobs, fault/stall injection, device backend —
-// loaded from a checked-in config, executed by a runner that measures
-// each scenario through the shared bench measurement core, three-way
-// verifies every run (harness counters == trace replay == metrics
-// registry delta), and emits a schema-versioned BENCH_<suite>.json
-// trajectory at the repo root.
+// Package suite is the repo's one in-tree harness. A Scenario describes
+// a run — DB shape, scheduling policy, window and buffer knobs,
+// fault/stall injection, device backend; an env is the device stack
+// built for it; run measures one scenario cold over an env inside the
+// Measurement bracket. Two front ends sit on that:
+//
+//   - the continuous scenario suite (Run, cmd/asmsuite): named scenarios
+//     loaded from a checked-in config, every iteration three-way
+//     verified (harness counters == trace replay == metrics registry
+//     delta), emitted as the schema-versioned BENCH_<suite>.json
+//     trajectory at the repo root;
+//   - the figure table (Session.Figure, cmd/asmbench, cmd/asmserve): the
+//     paper's Section 6 evaluation and this reproduction's ablations,
+//     each a row of figureTable swept by one loop.
 //
 // The config format is a deliberately small TOML subset, in the spirit
 // of the Go toolchain's benchmark suites: [[scenario]] table arrays of

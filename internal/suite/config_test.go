@@ -1,6 +1,8 @@
 package suite
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -78,154 +80,155 @@ page_batch = true
 	}
 }
 
-// TestParseScenariosErrors is the table-driven validation contract:
-// every bad config is rejected, the message carries the offending line
-// number, and names the problem.
+// parseErrorCases is the table-driven validation contract (and the
+// fuzz target's seed corpus): every bad config is rejected, the message
+// carries the offending line number, and names the problem.
+var parseErrorCases = []struct {
+	name string
+	src  string
+	// want are substrings the error must contain; a ":N:" entry
+	// pins the reported line number.
+	want []string
+}{
+	{
+		name: "unknown key",
+		src:  minimal + "wibble = 3\n",
+		want: []string{`unknown key "wibble"`, ":6:"},
+	},
+	{
+		name: "seed required",
+		src:  "[[scenario]]\nname = \"s\"\nsuites = [\"core\"]\n",
+		want: []string{"seed is required"},
+	},
+	{
+		name: "missing name",
+		src:  "[[scenario]]\nsuites = [\"core\"]\nseed = 1\n",
+		want: []string{"needs a name"},
+	},
+	{
+		name: "missing suites",
+		src:  "[[scenario]]\nname = \"s\"\nseed = 1\n",
+		want: []string{"suites list is required"},
+	},
+	{
+		name: "duplicate scenario name",
+		src:  minimal + "\n[[scenario]]\nname = \"s1\"\nsuites = [\"core\"]\nseed = 2\n",
+		want: []string{`scenario "s1" already defined`},
+	},
+	{
+		name: "duplicate key",
+		src:  minimal + "seed = 92\n",
+		want: []string{`duplicate key "seed"`, ":6:"},
+	},
+	{
+		name: "wrong type",
+		src:  minimal + "window = \"big\"\n",
+		want: []string{`key "window": got string, want integer`, ":6:"},
+	},
+	{
+		name: "unknown workload",
+		src:  minimal + "workload = \"scan\"\n",
+		want: []string{`unknown workload "scan"`, ":6:"},
+	},
+	{
+		name: "unknown scheduler",
+		src:  minimal + "scheduler = \"random\"\n",
+		want: []string{`unknown scheduler "random"`},
+	},
+	{
+		name: "unknown backend",
+		src:  minimal + "backend = \"cloud\"\n",
+		want: []string{`unknown backend "cloud"`},
+	},
+	{
+		name: "sharing out of range",
+		src:  minimal + "sharing = 1.5\n",
+		want: []string{"sharing must be in [0, 1)", ":6:"},
+	},
+	{
+		name: "rate out of range",
+		src:  minimal + "fault_transient = 2.0\n",
+		want: []string{"fault_transient must be in [0, 1]"},
+	},
+	{
+		name: "faults need local backend",
+		src:  minimal + "backend = \"pagesvc\"\nfault_transient = 0.1\n",
+		want: []string{`fault/stall knobs require backend = "local"`, ":6:"},
+	},
+	{
+		name: "timeseries needs append_count",
+		src:  minimal + "workload = \"timeseries\"\n",
+		want: []string{"needs append_count"},
+	},
+	{
+		name: "append_count only for timeseries",
+		src:  minimal + "append_count = 5\n",
+		want: []string{"append_count only applies to the timeseries workload", ":6:"},
+	},
+	{
+		name: "timeseries forbids sharing",
+		src:  minimal + "workload = \"timeseries\"\nappend_count = 5\nsharing = 0.5\n",
+		want: []string{"sharing is not supported", ":8:"},
+	},
+	{
+		name: "incremental needs mutate_count",
+		src:  minimal + "workload = \"incremental\"\n",
+		want: []string{"needs mutate_count"},
+	},
+	{
+		name: "mutate_count only for incremental",
+		src:  minimal + "mutate_count = 5\n",
+		want: []string{"mutate_count only applies to the incremental workload"},
+	},
+	{
+		name: "incremental forbids faults",
+		src:  minimal + "workload = \"incremental\"\nmutate_count = 5\nfault_transient = 0.1\n",
+		want: []string{"does not support fault injection"},
+	},
+	{
+		name: "sharing stats need sharing",
+		src:  minimal + "use_sharing_stats = true\n",
+		want: []string{"use_sharing_stats needs sharing > 0"},
+	},
+	{
+		name: "zero window",
+		src:  minimal + "window = 0\n",
+		want: []string{"window must be >= 1", ":6:"},
+	},
+	{
+		name: "unknown section",
+		src:  "[[workload]]\nname = \"x\"\n",
+		want: []string{"unknown section [[workload]]", ":1:"},
+	},
+	{
+		name: "plain table",
+		src:  "[scenario]\nname = \"x\"\n",
+		want: []string{"plain [tables] are not supported"},
+	},
+	{
+		name: "key outside section",
+		src:  "name = \"x\"\n",
+		want: []string{"key outside any [[scenario]] section", ":1:"},
+	},
+	{
+		name: "malformed value",
+		src:  minimal + "objects = 10abc\n",
+		want: []string{`bad value "10abc"`, ":6:"},
+	},
+	{
+		name: "unterminated array",
+		src:  "[[scenario]]\nname = \"s\"\nsuites = [\"core\"\nseed = 1\n",
+		want: []string{"unterminated array", ":3:"},
+	},
+	{
+		name: "empty config",
+		src:  "# nothing here\n",
+		want: []string{"no [[scenario]] sections"},
+	},
+}
+
 func TestParseScenariosErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		// want are substrings the error must contain; a ":N:" entry
-		// pins the reported line number.
-		want []string
-	}{
-		{
-			name: "unknown key",
-			src:  minimal + "wibble = 3\n",
-			want: []string{`unknown key "wibble"`, ":6:"},
-		},
-		{
-			name: "seed required",
-			src:  "[[scenario]]\nname = \"s\"\nsuites = [\"core\"]\n",
-			want: []string{"seed is required"},
-		},
-		{
-			name: "missing name",
-			src:  "[[scenario]]\nsuites = [\"core\"]\nseed = 1\n",
-			want: []string{"needs a name"},
-		},
-		{
-			name: "missing suites",
-			src:  "[[scenario]]\nname = \"s\"\nseed = 1\n",
-			want: []string{"suites list is required"},
-		},
-		{
-			name: "duplicate scenario name",
-			src:  minimal + "\n[[scenario]]\nname = \"s1\"\nsuites = [\"core\"]\nseed = 2\n",
-			want: []string{`scenario "s1" already defined`},
-		},
-		{
-			name: "duplicate key",
-			src:  minimal + "seed = 92\n",
-			want: []string{`duplicate key "seed"`, ":6:"},
-		},
-		{
-			name: "wrong type",
-			src:  minimal + "window = \"big\"\n",
-			want: []string{`key "window": got string, want integer`, ":6:"},
-		},
-		{
-			name: "unknown workload",
-			src:  minimal + "workload = \"scan\"\n",
-			want: []string{`unknown workload "scan"`, ":6:"},
-		},
-		{
-			name: "unknown scheduler",
-			src:  minimal + "scheduler = \"random\"\n",
-			want: []string{`unknown scheduler "random"`},
-		},
-		{
-			name: "unknown backend",
-			src:  minimal + "backend = \"cloud\"\n",
-			want: []string{`unknown backend "cloud"`},
-		},
-		{
-			name: "sharing out of range",
-			src:  minimal + "sharing = 1.5\n",
-			want: []string{"sharing must be in [0, 1)", ":6:"},
-		},
-		{
-			name: "rate out of range",
-			src:  minimal + "fault_transient = 2.0\n",
-			want: []string{"fault_transient must be in [0, 1]"},
-		},
-		{
-			name: "faults need local backend",
-			src:  minimal + "backend = \"pagesvc\"\nfault_transient = 0.1\n",
-			want: []string{`fault/stall knobs require backend = "local"`, ":6:"},
-		},
-		{
-			name: "timeseries needs append_count",
-			src:  minimal + "workload = \"timeseries\"\n",
-			want: []string{"needs append_count"},
-		},
-		{
-			name: "append_count only for timeseries",
-			src:  minimal + "append_count = 5\n",
-			want: []string{"append_count only applies to the timeseries workload", ":6:"},
-		},
-		{
-			name: "timeseries forbids sharing",
-			src:  minimal + "workload = \"timeseries\"\nappend_count = 5\nsharing = 0.5\n",
-			want: []string{"sharing is not supported", ":8:"},
-		},
-		{
-			name: "incremental needs mutate_count",
-			src:  minimal + "workload = \"incremental\"\n",
-			want: []string{"needs mutate_count"},
-		},
-		{
-			name: "mutate_count only for incremental",
-			src:  minimal + "mutate_count = 5\n",
-			want: []string{"mutate_count only applies to the incremental workload"},
-		},
-		{
-			name: "incremental forbids faults",
-			src:  minimal + "workload = \"incremental\"\nmutate_count = 5\nfault_transient = 0.1\n",
-			want: []string{"does not support fault injection"},
-		},
-		{
-			name: "sharing stats need sharing",
-			src:  minimal + "use_sharing_stats = true\n",
-			want: []string{"use_sharing_stats needs sharing > 0"},
-		},
-		{
-			name: "zero window",
-			src:  minimal + "window = 0\n",
-			want: []string{"window must be >= 1", ":6:"},
-		},
-		{
-			name: "unknown section",
-			src:  "[[workload]]\nname = \"x\"\n",
-			want: []string{"unknown section [[workload]]", ":1:"},
-		},
-		{
-			name: "plain table",
-			src:  "[scenario]\nname = \"x\"\n",
-			want: []string{"plain [tables] are not supported"},
-		},
-		{
-			name: "key outside section",
-			src:  "name = \"x\"\n",
-			want: []string{"key outside any [[scenario]] section", ":1:"},
-		},
-		{
-			name: "malformed value",
-			src:  minimal + "objects = 10abc\n",
-			want: []string{`bad value "10abc"`, ":6:"},
-		},
-		{
-			name: "unterminated array",
-			src:  "[[scenario]]\nname = \"s\"\nsuites = [\"core\"\nseed = 1\n",
-			want: []string{"unterminated array", ":3:"},
-		},
-		{
-			name: "empty config",
-			src:  "# nothing here\n",
-			want: []string{"no [[scenario]] sections"},
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseScenarios("t.toml", tc.src)
 			if err == nil {
@@ -278,4 +281,50 @@ func TestRepoConfigParses(t *testing.T) {
 			t.Errorf("core is missing the %s workload", w)
 		}
 	}
+}
+
+// FuzzParseScenarios feeds arbitrary bytes to the config parser: it
+// must return scenarios or an error that names the file (with a line —
+// the table above pins those), never panic, and a scenario that parses
+// must satisfy the validator's own range checks — a config cannot slip
+// a knob past them by any spelling.
+func FuzzParseScenarios(f *testing.F) {
+	core, err := os.ReadFile(filepath.Join("..", "..", "suites", "core.toml"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(core))
+	f.Add(minimal)
+	for _, tc := range parseErrorCases {
+		f.Add(tc.src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		scs, err := ParseScenarios("fuzz.toml", src)
+		if err != nil {
+			if !strings.Contains(err.Error(), "fuzz.toml") {
+				t.Fatalf("error does not name the file: %v", err)
+			}
+			return
+		}
+		if len(scs) == 0 {
+			t.Fatal("no error and no scenarios")
+		}
+		for _, sc := range scs {
+			if sc.Name == "" || len(sc.Suites) == 0 {
+				t.Errorf("scenario without name or suites parsed: %+v", sc)
+			}
+			if sc.Objects < 1 || sc.Window < 1 || sc.Iters < 1 || sc.Warmup < 0 {
+				t.Errorf("%s: count out of range: objects %d window %d iters %d warmup %d",
+					sc.Name, sc.Objects, sc.Window, sc.Iters, sc.Warmup)
+			}
+			if !(sc.Sharing >= 0 && sc.Sharing < 1) {
+				t.Errorf("%s: sharing %v outside [0, 1)", sc.Name, sc.Sharing)
+			}
+			for _, rate := range []float64{sc.FaultTransient, sc.FaultPermanent, sc.StallRate} {
+				if !(rate >= 0 && rate <= 1) {
+					t.Errorf("%s: rate %v outside [0, 1]", sc.Name, rate)
+				}
+			}
+		}
+	})
 }

@@ -1,8 +1,6 @@
-package bench
+package suite
 
 import (
-	"time"
-
 	"revelation/internal/assembly"
 	"revelation/internal/buffer"
 	"revelation/internal/disk"
@@ -16,10 +14,10 @@ import (
 // marker carrying the harness-reported counters — the contract
 // trace.Run.Verify checks a replay against — and detaches the tracer.
 //
-// This is the measurement core shared by the figure harness
-// (Runner.Run, FigFaults) and the scenario suite (internal/suite):
-// counters are never reset, so a concurrent metrics scraper always
-// sees them stay monotone while every run still reports exact deltas.
+// run is its one caller outside tests, so suite iterations and figure
+// points are bracketed identically. Counters are never reset, so a
+// concurrent metrics scraper always sees them stay monotone while every
+// run still reports exact deltas.
 type Measurement struct {
 	Name   string
 	dev    disk.Device
@@ -27,15 +25,13 @@ type Measurement struct {
 	tr     *trace.Tracer
 	dev0   disk.Stats
 	pool0  buffer.Stats
-	start  time.Time
 	traced bool
 }
 
 // Measured is the delta view of one bracketed run.
 type Measured struct {
-	Dev     disk.Stats
-	Pool    buffer.Stats
-	Elapsed time.Duration
+	Dev  disk.Stats
+	Pool buffer.Stats
 }
 
 // StartMeasurement begins a bracketed run. The pool is fully evicted
@@ -61,7 +57,6 @@ func StartMeasurement(name string, window int, dev disk.Device, pool *buffer.Poo
 		pool.SetTracer(tr)
 		tr.BeginRun(name, window)
 	}
-	m.start = time.Now()
 	return m, nil
 }
 
@@ -81,7 +76,6 @@ func (m *Measurement) Abort() {
 // emits the end marker with the reported counters derived from those
 // deltas and the operator's stats, and detaches the tracer.
 func (m *Measurement) End(st assembly.Stats) Measured {
-	elapsed := time.Since(m.start)
 	dev := m.dev.Stats().Sub(m.dev0)
 	pool := m.pool.Stats().Sub(m.pool0)
 	if m.tr != nil {
@@ -95,10 +89,7 @@ func (m *Measurement) End(st assembly.Stats) Measured {
 			Retries:   st.FaultRetries,
 			Stalls:    st.WindowStalls,
 		})
-		if m.traced {
-			disk.AttachTracer(m.dev, nil)
-		}
-		m.pool.SetTracer(nil)
 	}
-	return Measured{Dev: dev, Pool: pool, Elapsed: elapsed}
+	m.Abort()
+	return Measured{Dev: dev, Pool: pool}
 }

@@ -37,6 +37,21 @@ type ScenarioResult struct {
 	Seed       int64  `json:"seed"`
 	Iters      int    `json:"iters"`
 
+	Counters
+
+	// Verified records that the iteration passed three-way
+	// verification: harness counters == trace replay == metrics
+	// registry delta. The runner fails hard when it doesn't, so a
+	// written report always says true — the field exists so consumers
+	// need not know that contract.
+	Verified bool `json:"verified"`
+}
+
+// Counters is the deterministic projection of one iteration: the values
+// that must be identical across iterations of the same scenario and
+// across whole suite runs under the same seeds. (Embedded, so the JSON
+// fields stay inline and in this order.)
+type Counters struct {
 	// Ops is the number of complex objects assembled per iteration —
 	// the unit the per-op rates normalize by.
 	Ops int `json:"ops"`
@@ -56,12 +71,8 @@ type ScenarioResult struct {
 	PeakWindow      int     `json:"peak_window"`
 	PeakWindowPages int     `json:"peak_window_pages"`
 
-	// Verified records that the iteration passed three-way
-	// verification: harness counters == trace replay == metrics
-	// registry delta. The runner fails hard when it doesn't, so a
-	// written report always says true — the field exists so consumers
-	// need not know that contract.
-	Verified bool `json:"verified"`
+	// Migrated (pages a reshard cut over) is checked, not reported.
+	Migrated int `json:"-"`
 }
 
 // sortScenarios orders results by name — the report's ordering-stable

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"revelation/internal/assembly"
-	"revelation/internal/bench"
-	"revelation/internal/disk"
 	"revelation/internal/metrics"
 	"revelation/internal/trace"
 )
@@ -18,26 +16,6 @@ type RunOptions struct {
 	Iters int
 	// Logf, when non-nil, receives one progress line per scenario.
 	Logf func(format string, args ...any)
-}
-
-// detCounters is the deterministic projection of one iteration — the
-// values that must be identical across iterations of the same scenario
-// and across whole suite runs under the same seeds.
-type detCounters struct {
-	Ops             int
-	Reads           int64
-	SeekReads       int64
-	SeekTotal       int64
-	Hits            int64
-	Misses          int64
-	Assembled       int
-	Aborted         int
-	Skipped         int
-	Retries         int
-	Stalls          int
-	PeakWindow      int
-	PeakWindowPages int
-	Migrated        int
 }
 
 // Run executes every scenario belonging to opt.Suite and returns the
@@ -81,7 +59,7 @@ func Run(all []Scenario, opt RunOptions) (*Report, error) {
 // runScenario executes warmup + iters iterations. The counters of every
 // iteration (warmup included) must be identical; they are the result.
 func runScenario(sc Scenario) (ScenarioResult, error) {
-	var d detCounters
+	var d Counters
 	for i := 0; i < sc.Warmup+sc.Iters; i++ {
 		it, err := runIteration(sc)
 		if err != nil {
@@ -94,114 +72,75 @@ func runScenario(sc Scenario) (ScenarioResult, error) {
 				"iteration %d not deterministic:\n  first %+v\n  now   %+v", i, d, it)
 		}
 	}
-	avgSeek := 0.0
-	if d.Reads > 0 {
-		avgSeek = float64(d.SeekReads) / float64(d.Reads)
-	}
 	return ScenarioResult{
-		Name:            sc.Name,
-		Workload:        string(sc.Workload),
-		Shape:           string(sc.Shape),
-		Scheduler:       sc.Scheduler.String(),
-		Backend:         string(sc.Backend),
-		Clustering:      sc.Clustering.String(),
-		Window:          sc.Window,
-		Objects:         sc.Objects,
-		Seed:            sc.Seed,
-		Iters:           sc.Iters,
-		Ops:             d.Ops,
-		Reads:           d.Reads,
-		SeekReads:       d.SeekReads,
-		SeekTotal:       d.SeekTotal,
-		AvgSeek:         avgSeek,
-		BufferHits:      d.Hits,
-		BufferMisses:    d.Misses,
-		Assembled:       d.Assembled,
-		Aborted:         d.Aborted,
-		Skipped:         d.Skipped,
-		Retries:         d.Retries,
-		Stalls:          d.Stalls,
-		PeakWindow:      d.PeakWindow,
-		PeakWindowPages: d.PeakWindowPages,
-		Verified:        true,
+		Name:       sc.Name,
+		Workload:   string(sc.Workload),
+		Shape:      string(sc.Shape),
+		Scheduler:  sc.Scheduler.String(),
+		Backend:    string(sc.Backend),
+		Clustering: sc.Clustering.String(),
+		Window:     sc.Window,
+		Objects:    sc.Objects,
+		Seed:       sc.Seed,
+		Iters:      sc.Iters,
+		Counters:   d,
+		Verified:   true,
 	}, nil
 }
 
 // runIteration builds a fresh environment, measures one execution of
-// the workload through the shared bench measurement core, and three-way
-// verifies it.
-func runIteration(sc Scenario) (detCounters, error) {
+// the workload through run, and three-way verifies it.
+func runIteration(sc Scenario) (Counters, error) {
 	col := trace.NewCollector()
 	tr := trace.New(col)
 	reg := metrics.NewRegistry()
 	e, err := buildEnv(sc, tr, reg)
 	if err != nil {
-		return detCounters{}, err
+		return Counters{}, err
 	}
 	defer e.close()
 
-	disk.RegisterMetrics(e.db.Device, reg, "dev")
-	e.db.Pool.RegisterMetrics(reg, "pool")
-
-	var prep *prepared
-	if sc.Workload == WorkloadIncremental {
-		// Standing-query registration is part of setup, not of the
-		// measured incremental maintenance.
-		if prep, err = register(e); err != nil {
-			return detCounters{}, err
-		}
-	}
-	e.armFaults(sc)
-
-	m, err := bench.StartMeasurement(sc.Name, sc.Window, e.db.Device, e.db.Pool, tr)
+	res, err := run(sc, e, tr, reg)
 	if err != nil {
-		return detCounters{}, err
+		return Counters{}, err
 	}
-	before := reg.Snapshot()
-
-	st, ops, err := runWorkload(sc, e, tr, reg, prep)
-	if err != nil {
-		m.Abort()
-		return detCounters{}, err
-	}
-
-	got := m.End(st)
-	delta := reg.Snapshot().Delta(before)
+	got, st := res.Measured, res.Stats
 
 	// Leg 1: the trace replay must reconstruct exactly the counters the
 	// harness reported in the end-of-run marker.
-	var run *trace.Run
+	var traced *trace.Run
 	for _, r := range trace.SplitRuns(col.Events()) {
 		if r.Name == sc.Name {
 			rr := r
-			run = &rr
+			traced = &rr
 		}
 	}
-	if run == nil || run.Reported == nil {
-		return detCounters{}, fmt.Errorf("trace has no completed run %q", sc.Name)
+	if traced == nil || traced.Reported == nil {
+		return Counters{}, fmt.Errorf("trace has no completed run %q", sc.Name)
 	}
-	replay, err := run.Verify()
+	replay, err := traced.Verify()
 	if err != nil {
-		return detCounters{}, fmt.Errorf("trace replay disagrees with harness: %w", err)
+		return Counters{}, fmt.Errorf("trace replay disagrees with harness: %w", err)
 	}
 	if int(replay.PagesMigrated) != e.migrated {
-		return detCounters{}, fmt.Errorf("trace replay counted %d migrated pages, migrator reported %d",
+		return Counters{}, fmt.Errorf("trace replay counted %d migrated pages, migrator reported %d",
 			replay.PagesMigrated, e.migrated)
 	}
 
 	// Leg 2: the metrics registry's delta over the measured phase must
 	// agree with the same counters.
-	if err := verifyRegistry(sc, e, delta, got, st); err != nil {
-		return detCounters{}, err
+	if err := verifyRegistry(sc, e, res.Delta, got, st); err != nil {
+		return Counters{}, err
 	}
 
-	return detCounters{
-		Ops:             ops,
+	return Counters{
+		Ops:             st.Assembled,
 		Reads:           got.Dev.Reads,
 		SeekReads:       got.Dev.SeekReads,
 		SeekTotal:       got.Dev.SeekTotal,
-		Hits:            got.Pool.Hits,
-		Misses:          got.Pool.Faults,
+		AvgSeek:         got.Dev.AvgSeekPerRead(),
+		BufferHits:      got.Pool.Hits,
+		BufferMisses:    got.Pool.Faults,
 		Assembled:       st.Assembled,
 		Aborted:         st.Aborted,
 		Skipped:         st.Skipped,
@@ -218,12 +157,15 @@ func runIteration(sc Scenario) (detCounters, error) {
 // them, and the page-service client's net counters on the pagesvc
 // backend (one send and one recv per logical page access in a
 // fault-free run).
-func verifyRegistry(sc Scenario, e *env, d metrics.Snapshot, got bench.Measured, st assembly.Stats) error {
+func verifyRegistry(sc Scenario, e *env, d metrics.Snapshot, got Measured, st assembly.Stats) error {
 	policy := sc.Scheduler.String()
-	if e.shards > 0 {
+	switch {
+	case e.shards > 0:
 		// The sharded backend assembles under the per-shard elevator,
 		// whose name is the operator's policy label.
 		policy = fmt.Sprintf("shard-elevator(%d)", e.shards)
+	case sc.PerDevice && e.striped != nil:
+		policy = fmt.Sprintf("multi-elevator(%d)", sc.Devices)
 	}
 	for _, c := range []struct {
 		name string
@@ -235,51 +177,41 @@ func verifyRegistry(sc Scenario, e *env, d metrics.Snapshot, got bench.Measured,
 		{"asm_assembly_skipped_total", d.Value("asm_assembly_skipped_total", "policy", policy), int64(st.Skipped)},
 		{"asm_assembly_fault_retries_total", d.Value("asm_assembly_fault_retries_total", "policy", policy), int64(st.FaultRetries)},
 		{"asm_assembly_window_stalls_total", d.Value("asm_assembly_window_stalls_total", "policy", policy), int64(st.WindowStalls)},
-		{"asm_buffer_hits_total", d.Value("asm_buffer_hits_total", "pool", "pool"), got.Pool.Hits},
-		{"asm_buffer_misses_total", d.Value("asm_buffer_misses_total", "pool", "pool"), got.Pool.Faults},
+		{"asm_buffer_hits_total", d.Value("asm_buffer_hits_total", "pool", e.label), got.Pool.Hits},
+		{"asm_buffer_misses_total", d.Value("asm_buffer_misses_total", "pool", e.label), got.Pool.Faults},
 	} {
 		if c.reg != c.want {
 			return fmt.Errorf("registry disagrees with harness: %s delta %d, harness %d", c.name, c.reg, c.want)
 		}
 	}
-	if len(e.shardLabels) > 0 {
-		// Every member client exports its own net series; summed across
-		// the fleet they must cover every logical page access exactly
-		// once — the router never duplicates or drops an access. The
-		// migrator's direct installs on the joiner are page accesses too
-		// (the router's stats sum every member's device, routed or not);
-		// the one extra net op of a reshard is the join's Allocate RPC
-		// growing the joiner to the fleet's extent.
+	if len(e.netLabels) > 0 {
+		// A page-service client exports net counters instead of disk
+		// counters: a fault-free run sends exactly one request and
+		// receives exactly one response per logical page access. On a
+		// fleet every member client exports its own series; summed they
+		// must cover every access exactly once — the router never
+		// duplicates or drops one. The migrator's direct installs on the
+		// joiner are page accesses too (the router's stats sum every
+		// member's device, routed or not); the one extra net op of a
+		// reshard is the join's Allocate RPC growing the joiner to the
+		// fleet's extent.
 		accesses := got.Dev.Reads + got.Dev.Writes
 		if sc.Workload == WorkloadReshard {
 			accesses++
 		}
 		var sends, recvs int64
-		for _, lbl := range e.shardLabels {
+		for _, lbl := range e.netLabels {
 			sends += d.Value("asm_net_sends_total", "dev", lbl)
 			recvs += d.Value("asm_net_recvs_total", "dev", lbl)
 		}
 		if sends != accesses || recvs != accesses {
-			return fmt.Errorf("registry disagrees with harness: fleet sends/recvs %d/%d, page accesses %d",
+			return fmt.Errorf("registry disagrees with harness: net sends/recvs %d/%d, page accesses %d",
 				sends, recvs, accesses)
 		}
 		if sc.Workload == WorkloadReshard {
 			if reg := d.Value("asm_fleet_pages_migrated_total"); reg != int64(e.migrated) {
 				return fmt.Errorf("registry disagrees with harness: asm_fleet_pages_migrated_total %d, migrator reported %d", reg, e.migrated)
 			}
-		}
-		return nil
-	}
-	if e.netDev != "" {
-		// The client exports net counters instead of disk counters: a
-		// fault-free run sends exactly one request and receives exactly
-		// one response per logical page access.
-		accesses := got.Dev.Reads + got.Dev.Writes
-		sends := d.Value("asm_net_sends_total", "dev", e.netDev)
-		recvs := d.Value("asm_net_recvs_total", "dev", e.netDev)
-		if sends != accesses || recvs != accesses {
-			return fmt.Errorf("registry disagrees with harness: net sends/recvs %d/%d, page accesses %d",
-				sends, recvs, accesses)
 		}
 		return nil
 	}
@@ -291,7 +223,9 @@ func verifyRegistry(sc Scenario, e *env, d metrics.Snapshot, got bench.Measured,
 		{"asm_disk_read_seek_pages_total", got.Dev.SeekReads},
 		{"asm_disk_seek_pages_total", got.Dev.SeekTotal},
 	} {
-		if reg := d.Value(c.name, "dev", "dev"); reg != c.want {
+		// Summed over dev labels: a striped extent registers one series
+		// per arm, everything else exactly one.
+		if reg := d.Sum(c.name); reg != c.want {
 			return fmt.Errorf("registry disagrees with harness: %s delta %d, harness %d", c.name, reg, c.want)
 		}
 	}

@@ -72,9 +72,12 @@ const (
 	BackendSharded Backend = "sharded"
 )
 
-// Scenario is one named benchmark configuration. The zero value is not
-// runnable; scenarios come from ParseScenarios, which applies defaults
-// and validates knob combinations.
+// Scenario is the one description of a measured run: what database to
+// generate, onto which device stack, and how to assemble it. Suite
+// scenarios come from ParseScenarios, which applies defaults and
+// validates knob combinations; the figure table (figures.go) and tests
+// write them as Go literals, where a zero Workload, Shape or Backend
+// means assemble, paper and local.
 type Scenario struct {
 	Name   string
 	Suites []string // suite names this scenario belongs to
@@ -111,6 +114,24 @@ type Scenario struct {
 
 	PinWindow bool
 	PageBatch bool
+
+	// The fields below have no config key: no checked-in suite sets
+	// them, the figure table does.
+
+	// Selectivity, when positive, puts a predicate passing that fraction
+	// (0–1) on the paper shape's rightmost leaf; PredicateFirst resolves
+	// the references that can reject a complex object first (Section 7).
+	Selectivity    float64
+	PredicateFirst bool
+	// Devices, when positive, stripes the local backend's extent over
+	// that many simulated devices (Section 7); PerDevice then assembles
+	// with one elevator per device in place of Scheduler.
+	Devices   int
+	PerDevice bool
+	// RegionPages is the inter-object cluster region in pages; zero is
+	// the generator's default, larger than any database the paper uses
+	// (the Fig. 11A flat lines).
+	RegionPages int
 }
 
 // scenarioFromTable decodes and validates one [[scenario]] table,
@@ -241,7 +262,7 @@ func scenarioFromTable(f *field) Scenario {
 
 	// Knob-combination checks: a scenario whose knobs contradict its
 	// workload would silently measure something else.
-	faulted := sc.FaultTransient > 0 || sc.FaultPermanent > 0 || sc.StallRate > 0
+	faulted := sc.faulted()
 	if faulted && sc.Backend != BackendLocal {
 		f.errf("backend", "scenario %q: fault/stall knobs require backend = \"local\" (the injector wraps the simulated device)", sc.Name)
 	}
@@ -274,6 +295,11 @@ func scenarioFromTable(f *field) Scenario {
 	if sc.Shape == ShapeShared && sc.Sharing == 0 {
 		sc.Sharing = 0.25
 	}
+	if sc.Clustering == gen.InterObject {
+		// Size type regions to the database instead of the generator's
+		// generous default, so wide shapes don't blow up the extent.
+		sc.RegionPages = sc.Objects/9 + 2
+	}
 	return sc
 }
 
@@ -296,11 +322,7 @@ func (sc Scenario) genConfig() gen.Config {
 		Sharing:           sc.Sharing,
 		Seed:              sc.Seed,
 		BufferPages:       sc.BufferPgs,
-	}
-	if sc.Clustering == gen.InterObject {
-		// Size type regions to the database instead of the generator's
-		// generous default, so wide shapes don't blow up the extent.
-		cfg.RegionPages = sc.Objects/9 + 2
+		RegionPages:       sc.RegionPages,
 	}
 	if sc.Workload == WorkloadTimeSeries {
 		// Headroom for the appended trees: components per tree times

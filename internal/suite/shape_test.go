@@ -1,11 +1,13 @@
-package bench
+package suite
 
 import (
 	"strings"
 	"testing"
 
 	"revelation/internal/assembly"
+	"revelation/internal/disk"
 	"revelation/internal/gen"
+	"revelation/internal/object"
 )
 
 // Shape tests: small-scale versions of the paper's figures must show
@@ -13,9 +15,9 @@ import (
 // substrate, scaled databases); the winners and orderings must not.
 
 func TestRunBasics(t *testing.T) {
-	r := NewRunner()
-	res, err := r.Run(Experiment{
-		Name: "smoke", DBSize: 200, Clustering: gen.Unclustered,
+	var s Session
+	res, err := s.Run(Scenario{
+		Name: "smoke", Objects: 200, Clustering: gen.Unclustered,
 		Scheduler: assembly.Elevator, Window: 10, Seed: 1,
 	})
 	if err != nil {
@@ -24,66 +26,102 @@ func TestRunBasics(t *testing.T) {
 	if res.Stats.Assembled != 200 {
 		t.Errorf("assembled %d", res.Stats.Assembled)
 	}
-	if res.Reads == 0 || res.AvgSeek <= 0 {
+	if res.Dev.Reads == 0 || res.Dev.AvgSeekPerRead() <= 0 {
 		t.Errorf("no I/O measured: %+v", res)
-	}
-	if res.String() == "" {
-		t.Error("empty result string")
 	}
 }
 
 func TestRunIsColdEachTime(t *testing.T) {
-	r := NewRunner()
-	e := Experiment{Name: "cold", DBSize: 150, Scheduler: assembly.Elevator, Window: 5, Seed: 2}
-	a, err := r.Run(e)
+	var s Session
+	e := Scenario{Name: "cold", Objects: 150, Scheduler: assembly.Elevator, Window: 5, Seed: 2}
+	a, err := s.Run(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Run(e)
+	b, err := s.Run(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Reads != b.Reads || a.SeekTotal != b.SeekTotal {
+	if a.Dev.Reads != b.Dev.Reads || a.Dev.SeekReads != b.Dev.SeekReads {
 		t.Errorf("runs not reproducible: %d/%d vs %d/%d reads/seeks",
-			a.Reads, a.SeekTotal, b.Reads, b.SeekTotal)
+			a.Dev.Reads, a.Dev.SeekReads, b.Dev.Reads, b.Dev.SeekReads)
 	}
 }
 
 func TestNaiveMatchesDepthFirstWindow1(t *testing.T) {
-	r := NewRunner()
-	e := Experiment{Name: "naive", DBSize: 200, Clustering: gen.Unclustered,
+	var s Session
+	e := Scenario{Name: "naive", Objects: 200, Clustering: gen.Unclustered,
 		Scheduler: assembly.DepthFirst, Window: 1, Seed: 3}
-	viaOp, err := r.Run(e)
+	viaOp, err := s.Run(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := r.RunNaive(e)
+	built, err := s.env(e.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaOp.Reads != naive.Reads {
-		t.Errorf("depth-first W=1 reads %d, naive traversal %d — should match", viaOp.Reads, naive.Reads)
+	naive, err := runNaive(built.db)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if viaOp.SeekTotal != naive.SeekTotal {
-		t.Errorf("depth-first W=1 seeks %d, naive %d", viaOp.SeekTotal, naive.SeekTotal)
+	if viaOp.Dev.Reads != naive.Reads {
+		t.Errorf("depth-first W=1 reads %d, naive traversal %d — should match", viaOp.Dev.Reads, naive.Reads)
 	}
+	if viaOp.Dev.SeekReads != naive.SeekReads {
+		t.Errorf("depth-first W=1 seeks %d, naive %d", viaOp.Dev.SeekReads, naive.SeekReads)
+	}
+}
+
+// runNaive assembles object-at-a-time without the assembly operator at
+// all: a plain recursive traversal per complex object, the baseline the
+// paper's introduction criticizes. It is the reference model that
+// confirms depth-first window-1 assembly matches true naive traversal
+// I/O.
+func runNaive(db *gen.Database) (disk.Stats, error) {
+	if err := db.Pool.EvictAll(); err != nil {
+		return disk.Stats{}, err
+	}
+	dev0 := db.Device.Stats()
+	db.Device.ResetHead()
+	var fetch func(oid object.OID) error
+	fetch = func(oid object.OID) error {
+		if oid.IsNil() {
+			return nil
+		}
+		o, err := db.Store.Get(oid)
+		if err != nil {
+			return err
+		}
+		for _, c := range []object.OID{o.Refs[0], o.Refs[1]} {
+			if err := fetch(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, root := range db.Roots {
+		if err := fetch(root); err != nil {
+			return disk.Stats{}, err
+		}
+	}
+	return db.Device.Stats().Sub(dev0), nil
 }
 
 func TestElevatorWinsAtWindow50AllClusterings(t *testing.T) {
 	// The Fig. 13 headline: "Regardless of how the data is clustered,
 	// average seek distance is smallest for elevator scheduling."
-	r := NewRunner()
+	var s Session
 	for _, cl := range []gen.Clustering{gen.Unclustered, gen.InterObject, gen.IntraObject} {
 		seeks := map[assembly.SchedulerKind]float64{}
 		for _, sched := range []assembly.SchedulerKind{assembly.DepthFirst, assembly.BreadthFirst, assembly.Elevator} {
-			res, err := r.Run(Experiment{
-				Name: "fig13-shape", DBSize: 400, Clustering: cl,
+			res, err := s.Run(Scenario{
+				Name: "fig13-shape", Objects: 400, Clustering: cl,
 				Scheduler: sched, Window: 50, Seed: 4,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			seeks[sched] = res.AvgSeek
+			seeks[sched] = res.Dev.AvgSeekPerRead()
 		}
 		if seeks[assembly.Elevator] > seeks[assembly.DepthFirst] ||
 			seeks[assembly.Elevator] > seeks[assembly.BreadthFirst] {
@@ -96,17 +134,17 @@ func TestElevatorWinsAtWindow50AllClusterings(t *testing.T) {
 func TestBreadthFirstWorstOnInterObjectWindow1(t *testing.T) {
 	// The Fig. 11A artifact: breadth-first fetch order fights the
 	// cluster layout.
-	r := NewRunner()
+	var s Session
 	seeks := map[assembly.SchedulerKind]float64{}
 	for _, sched := range []assembly.SchedulerKind{assembly.DepthFirst, assembly.BreadthFirst, assembly.Elevator} {
-		res, err := r.Run(Experiment{
-			Name: "fig11a-shape", DBSize: 400, Clustering: gen.InterObject,
+		res, err := s.Run(Scenario{
+			Name: "fig11a-shape", Objects: 400, Clustering: gen.InterObject,
 			Scheduler: sched, Window: 1, Seed: 5,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		seeks[sched] = res.AvgSeek
+		seeks[sched] = res.Dev.AvgSeekPerRead()
 	}
 	if seeks[assembly.BreadthFirst] <= seeks[assembly.DepthFirst] {
 		t.Errorf("breadth-first %.1f should exceed depth-first %.1f on inter-object clustering",
@@ -120,17 +158,17 @@ func TestBreadthFirstWorstOnInterObjectWindow1(t *testing.T) {
 func TestInterObjectSeekIndependentOfDBSize(t *testing.T) {
 	// Fig. 11A's flat lines: regions are larger than any database, so
 	// average seek barely moves with database size.
-	r := NewRunner()
+	var s Session
 	var seeks []float64
 	for _, size := range []int{200, 400, 600} {
-		res, err := r.Run(Experiment{
-			Name: "fig11a-flat", DBSize: size, Clustering: gen.InterObject,
+		res, err := s.Run(Scenario{
+			Name: "fig11a-flat", Objects: size, Clustering: gen.InterObject,
 			Scheduler: assembly.DepthFirst, Window: 1, Seed: 6,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		seeks = append(seeks, res.AvgSeek)
+		seeks = append(seeks, res.Dev.AvgSeekPerRead())
 	}
 	for i := 1; i < len(seeks); i++ {
 		ratio := seeks[i] / seeks[0]
@@ -143,32 +181,32 @@ func TestInterObjectSeekIndependentOfDBSize(t *testing.T) {
 func TestUnclusteredSeekGrowsWithDBSize(t *testing.T) {
 	// Fig. 11C: unclustered seek grows roughly linearly with database
 	// size (the file simply gets longer).
-	r := NewRunner()
-	small, err := r.Run(Experiment{Name: "fig11c", DBSize: 200, Clustering: gen.Unclustered,
+	var s Session
+	small, err := s.Run(Scenario{Name: "fig11c", Objects: 200, Clustering: gen.Unclustered,
 		Scheduler: assembly.DepthFirst, Window: 1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := r.Run(Experiment{Name: "fig11c", DBSize: 800, Clustering: gen.Unclustered,
+	large, err := s.Run(Scenario{Name: "fig11c", Objects: 800, Clustering: gen.Unclustered,
 		Scheduler: assembly.DepthFirst, Window: 1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if large.AvgSeek < small.AvgSeek*2 {
-		t.Errorf("unclustered seek did not grow with db size: %.1f -> %.1f", small.AvgSeek, large.AvgSeek)
+	if large.Dev.AvgSeekPerRead() < small.Dev.AvgSeekPerRead()*2 {
+		t.Errorf("unclustered seek did not grow with db size: %.1f -> %.1f", small.Dev.AvgSeekPerRead(), large.Dev.AvgSeekPerRead())
 	}
 }
 
 func TestElevatorGainsDiminishWithWindow(t *testing.T) {
 	// Fig. 14: most of the win arrives before W=50.
-	r := NewRunner()
+	var s Session
 	seek := func(w int) float64 {
-		res, err := r.Run(Experiment{Name: "fig14-shape", DBSize: 800,
+		res, err := s.Run(Scenario{Name: "fig14-shape", Objects: 800,
 			Clustering: gen.Unclustered, Scheduler: assembly.Elevator, Window: w, Seed: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.AvgSeek
+		return res.Dev.AvgSeekPerRead()
 	}
 	w1, w50, w200 := seek(1), seek(50), seek(200)
 	if w50 >= w1 {
@@ -184,21 +222,21 @@ func TestElevatorGainsDiminishWithWindow(t *testing.T) {
 func TestSharingStatsReduceReads(t *testing.T) {
 	// Fig. 15's second claim: sharing statistics reduce the total
 	// number of reads.
-	r := NewRunner()
-	base := Experiment{Name: "fig15-shape", DBSize: 400, Clustering: gen.InterObject,
-		Scheduler: assembly.Elevator, Window: 50, Sharing: 0.25, BufferPages: 64, Seed: 9}
-	without, err := r.Run(base)
+	var s Session
+	base := Scenario{Name: "fig15-shape", Objects: 400, Clustering: gen.InterObject,
+		Scheduler: assembly.Elevator, Window: 50, Sharing: 0.25, BufferPgs: 64, Seed: 9}
+	without, err := s.Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	with := base
 	with.UseSharingStats = true
-	withRes, err := r.Run(with)
+	withRes, err := s.Run(with)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if withRes.Reads >= without.Reads {
-		t.Errorf("sharing stats did not reduce reads: %d vs %d", withRes.Reads, without.Reads)
+	if withRes.Dev.Reads >= without.Dev.Reads {
+		t.Errorf("sharing stats did not reduce reads: %d vs %d", withRes.Dev.Reads, without.Dev.Reads)
 	}
 }
 
@@ -206,19 +244,19 @@ func TestSelectiveAssemblySavesIO(t *testing.T) {
 	// Fig. 16: with a selective predicate, the assembly operator
 	// (window > 1, predicate-first) needs far fewer reads than
 	// object-at-a-time, which fully traverses before selecting.
-	r := NewRunner()
-	naive, err := r.Run(Experiment{Name: "fig16-shape", DBSize: 400, Clustering: gen.Unclustered,
-		Scheduler: assembly.DepthFirst, Window: 1, Selectivity: 0.10, BufferPages: 48, Seed: 10})
+	var s Session
+	naive, err := s.Run(Scenario{Name: "fig16-shape", Objects: 400, Clustering: gen.Unclustered,
+		Scheduler: assembly.DepthFirst, Window: 1, Selectivity: 0.10, BufferPgs: 48, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	smart, err := r.Run(Experiment{Name: "fig16-shape", DBSize: 400, Clustering: gen.Unclustered,
-		Scheduler: assembly.Elevator, Window: 50, Selectivity: 0.10, PredicateFirst: true, BufferPages: 48, Seed: 10})
+	smart, err := s.Run(Scenario{Name: "fig16-shape", Objects: 400, Clustering: gen.Unclustered,
+		Scheduler: assembly.Elevator, Window: 50, Selectivity: 0.10, PredicateFirst: true, BufferPgs: 48, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if smart.Reads >= naive.Reads {
-		t.Errorf("selective assembly reads %d, naive %d", smart.Reads, naive.Reads)
+	if smart.Dev.Reads >= naive.Dev.Reads {
+		t.Errorf("selective assembly reads %d, naive %d", smart.Dev.Reads, naive.Dev.Reads)
 	}
 	// The deeper savings: object fetches. Naive depth-first visits the
 	// predicate leaf last, so failing trees still fetch everything;
@@ -232,8 +270,8 @@ func TestSelectiveAssemblySavesIO(t *testing.T) {
 }
 
 func TestFigureTableRendering(t *testing.T) {
-	r := NewRunner()
-	fig, err := r.FigScheduling(1, 'c', 0.05)
+	var s Session
+	fig, err := s.Figure("fig11c", FigureParams{Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +284,8 @@ func TestFigureTableRendering(t *testing.T) {
 }
 
 func TestWindowFootprintFigure(t *testing.T) {
-	r := NewRunner()
-	fig, err := r.WindowFootprint(0.1)
+	var s Session
+	fig, err := s.Figure("footprint", FigureParams{Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,8 @@ func TestThreeWaySuiteRuns(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
+		// tune sets what has no config key.
+		tune func(*Scenario)
 	}{
 		{"oo7-deep", `
 [[scenario]]
@@ -25,7 +27,7 @@ seed = 91
 shape = "deep"
 objects = 30
 window = 10
-`},
+`, nil},
 		{"oo7-shared-sharing-stats", `
 [[scenario]]
 name = "tw-shared"
@@ -36,7 +38,7 @@ objects = 40
 window = 10
 sharing = 0.25
 use_sharing_stats = true
-`},
+`, nil},
 		{"timeseries", `
 [[scenario]]
 name = "tw-ts"
@@ -46,7 +48,7 @@ workload = "timeseries"
 objects = 60
 append_count = 15
 window = 10
-`},
+`, nil},
 		{"incremental", `
 [[scenario]]
 name = "tw-inc"
@@ -56,7 +58,7 @@ workload = "incremental"
 objects = 60
 mutate_count = 10
 window = 10
-`},
+`, nil},
 		{"file-backend", `
 [[scenario]]
 name = "tw-file"
@@ -65,7 +67,7 @@ seed = 91
 backend = "file"
 objects = 40
 window = 10
-`},
+`, nil},
 		{"pagesvc-backend", `
 [[scenario]]
 name = "tw-net"
@@ -74,7 +76,7 @@ seed = 91
 backend = "pagesvc"
 objects = 40
 window = 10
-`},
+`, nil},
 		{"faulty-retry", `
 [[scenario]]
 name = "tw-fault"
@@ -84,7 +86,15 @@ objects = 60
 window = 10
 fault_transient = 0.1
 fault_policy = "retry"
-`},
+`, nil},
+		{"striped-per-device-elevator", `
+[[scenario]]
+name = "tw-striped"
+suites = ["tw"]
+seed = 91
+objects = 60
+window = 10
+`, func(sc *Scenario) { sc.Devices, sc.PerDevice = 4, true }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,6 +103,9 @@ fault_policy = "retry"
 				t.Fatal(err)
 			}
 			sc := scs[0]
+			if tc.tune != nil {
+				tc.tune(&sc)
+			}
 			d, err := runIteration(sc)
 			if err != nil {
 				t.Fatalf("three-way verification failed: %v", err)
@@ -106,8 +119,8 @@ fault_policy = "retry"
 			// A cold pool faults once per distinct page it reads:
 			// misses equal physical reads in every scenario that never
 			// writes back mid-run.
-			if d.Misses != d.Reads {
-				t.Errorf("pool misses %d != device reads %d", d.Misses, d.Reads)
+			if d.BufferMisses != d.Reads {
+				t.Errorf("pool misses %d != device reads %d", d.BufferMisses, d.Reads)
 			}
 			if d.PeakWindow == 0 || d.PeakWindow > sc.Window {
 				t.Errorf("replayed peak window %d out of (0, %d]", d.PeakWindow, sc.Window)

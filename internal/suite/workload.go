@@ -9,6 +9,7 @@ import (
 
 	"revelation/internal/assembly"
 	"revelation/internal/disk"
+	"revelation/internal/expr"
 	"revelation/internal/fleet"
 	"revelation/internal/gen"
 	"revelation/internal/metrics"
@@ -19,23 +20,28 @@ import (
 	"revelation/internal/volcano"
 )
 
-// env is one fully built scenario environment: a fresh database on the
-// scenario's device backend. Every iteration gets its own env, so
-// iterations are independent and byte-identical under the same seed.
+// env is one fully built scenario environment: a generated database on
+// the scenario's device backend. Its lifetime belongs to the caller:
+// the suite builds a fresh one per iteration, so iterations are
+// independent and byte-identical under the same seed; a Session keeps
+// one per physical configuration and runs every point that shares it
+// cold (run evicts the pool and parks the head first).
 type env struct {
-	db     *gen.Database
-	faulty *disk.Faulty // non-nil when the scenario arms fault/stall knobs
-	netDev string       // metrics label of the pagesvc client, "" otherwise
-	// Sharded backend: the fleet width, the per-member client metric
-	// labels, and the router's page-to-shard assignment (which also
-	// drives the per-shard elevator).
-	shards      int
-	shardLabels []string
-	shardOf     func(disk.PageID) int
-	// Reshard workload: the router itself, the prepared fourth member
-	// (dialed but not yet joined), and how many pages the measured
-	// migration cut over.
-	router   *shard.Router
+	db *gen.Database
+	// label names the physical configuration (Scenario.label): the
+	// dev=/pool= value of every series this env registers.
+	label   string
+	faulty  *disk.Faulty  // non-nil when the scenario arms fault/stall knobs
+	striped *disk.Striped // non-nil when the scenario stripes the extent
+	// netLabels are the dev labels of the page-service clients under
+	// the pool: one on the pagesvc backend, one per member on a fleet.
+	netLabels []string
+	// Sharded backend: the router (its page-to-shard assignment also
+	// drives the per-shard elevator) and the fleet width.
+	router *shard.Router
+	shards int
+	// Reshard workload: the prepared fourth member (dialed but not yet
+	// joined) and how many pages the measured migration cut over.
 	joiner   shard.Member
 	migrated int
 	closes   []func() error
@@ -47,99 +53,109 @@ func (e *env) close() {
 	}
 }
 
+// faulted reports whether the scenario arms the fault/stall injector.
+func (sc Scenario) faulted() bool {
+	return sc.FaultTransient > 0 || sc.FaultPermanent > 0 || sc.StallRate > 0
+}
+
+// label names the scenario's physical configuration: every knob
+// buildEnv reads, so it keys a Session's envs, and two live databases
+// never share a dev=/pool= value in one registry. (A striped device
+// appends the arm index, hence the non-digit ending.)
+func (sc Scenario) label() string {
+	cfg := sc.genConfig()
+	l := fmt.Sprintf("%s-%s-%s-n%d-sh%g-buf%d-reg%d-extra%d-seed%d", sc.Backend, sc.Shape, sc.Clustering,
+		sc.Objects, sc.Sharing, sc.BufferPgs, sc.RegionPages, cfg.ExtraPages, sc.Seed)
+	if sc.faulted() {
+		l += "-faulty"
+	}
+	if sc.Workload == WorkloadReshard {
+		l += "-joiner"
+	}
+	if sc.Devices > 0 {
+		l += fmt.Sprintf("-%dx", sc.Devices)
+	}
+	return l
+}
+
 // buildEnv constructs the scenario's device stack and generates the
 // database onto it. The tracer is wired only into the page-service
-// client's net layer here; disk-layer tracing is attached by the
-// measurement bracket. The registry receives the client's asm_net_*
-// counters (device and pool counters are registered by the runner).
+// clients' net layer here; disk-layer tracing is attached by the
+// measurement bracket. The registry, when non-nil, receives the
+// device's, the pool's and the clients' series under the env's label.
 func buildEnv(sc Scenario, tr *trace.Tracer, reg *metrics.Registry) (*env, error) {
-	e := &env{}
-	cfg := sc.genConfig()
-	faulted := sc.FaultTransient > 0 || sc.FaultPermanent > 0 || sc.StallRate > 0
+	e := &env{label: sc.label()}
+	if err := e.build(sc, tr, reg); err != nil {
+		e.close()
+		return nil, err
+	}
+	return e, nil
+}
 
+func (e *env) build(sc Scenario, tr *trace.Tracer, reg *metrics.Registry) error {
+	cfg := sc.genConfig()
 	switch sc.Backend {
 	case BackendLocal:
-		if faulted {
-			// The injector stays disarmed during the build; the runner
-			// arms it right before the measured phase.
+		switch {
+		case sc.Devices > 0:
+			devs := make([]disk.Device, sc.Devices)
+			for i := range devs {
+				devs[i] = disk.New(0)
+			}
+			striped, err := disk.NewStriped(devs, 8) // 8-page stripes
+			if err != nil {
+				return err
+			}
+			e.striped = striped
+			cfg.Device = striped
+		case sc.faulted():
+			// The injector stays disarmed during the build; run arms it
+			// right before the measured phase.
 			e.faulty = disk.NewFaulty(disk.New(0), disk.FaultConfig{})
 			cfg.Device = e.faulty
 		}
 	case BackendFile:
 		dir, err := os.MkdirTemp("", "asmsuite-*")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.closes = append(e.closes, func() error { return os.RemoveAll(dir) })
-		fd, err := disk.OpenFile(filepath.Join(dir, sc.Name+".db"), disk.DefaultPageSize)
+		fd, err := disk.OpenFile(filepath.Join(dir, "pages.db"), disk.DefaultPageSize)
 		if err != nil {
-			e.close()
-			return nil, err
+			return err
 		}
 		e.closes = append(e.closes, fd.Close)
 		cfg.Device = fd
 	case BackendPagesvc:
-		sim := disk.New(0)
-		srv := pagesvc.NewServer([]disk.Device{sim}, pagesvc.ServerConfig{})
-		addr, err := srv.Listen("127.0.0.1:0")
+		client, err := e.serve(e.label, tr, reg)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		e.closes = append(e.closes, srv.Close)
-		client, err := pagesvc.Dial(pagesvc.ClientConfig{
-			Primary:  addr,
-			Dev:      pagesvc.DataDev,
-			Tracer:   tr,
-			Registry: reg,
-		})
-		if err != nil {
-			e.close()
-			return nil, err
-		}
-		e.closes = append(e.closes, client.Close)
-		e.netDev = fmt.Sprintf("net%d", pagesvc.DataDev)
 		cfg.Device = client
 	case BackendSharded:
 		// A three-shard fleet: each member is its own in-process page
 		// service, each client labeled so the registry keeps per-shard
-		// series. Closing the router closes the clients (Close is
-		// idempotent, so the individual closers registered on the error
-		// path stay safe).
+		// series. Closing the router closes the clients too (Close is
+		// idempotent, so the closers serve registered stay safe).
 		const fleet = 3
+		member := func(i int) (shard.Member, error) {
+			client, err := e.serve(fmt.Sprintf("%s-s%d", e.label, i), tr, reg)
+			return shard.Member{Name: fmt.Sprintf("s%d", i), Primary: client}, err
+		}
 		members := make([]shard.Member, fleet)
-		for i := 0; i < fleet; i++ {
-			srv := pagesvc.NewServer([]disk.Device{disk.New(0)}, pagesvc.ServerConfig{})
-			addr, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				e.close()
-				return nil, err
+		for i := range members {
+			var err error
+			if members[i], err = member(i); err != nil {
+				return err
 			}
-			e.closes = append(e.closes, srv.Close)
-			label := fmt.Sprintf("net-s%d", i)
-			client, err := pagesvc.Dial(pagesvc.ClientConfig{
-				Primary:  addr,
-				Dev:      pagesvc.DataDev,
-				Tracer:   tr,
-				Registry: reg,
-				Label:    label,
-			})
-			if err != nil {
-				e.close()
-				return nil, err
-			}
-			e.closes = append(e.closes, client.Close)
-			members[i] = shard.Member{Name: fmt.Sprintf("s%d", i), Primary: client}
-			e.shardLabels = append(e.shardLabels, label)
 		}
 		router, err := shard.New(shard.Config{Members: members, Tracer: tr, Registry: reg})
 		if err != nil {
-			e.close()
-			return nil, err
+			return err
 		}
 		e.closes = append(e.closes, router.Close)
 		e.router = router
 		e.shards = fleet
-		e.shardOf = router.ShardOf
 		cfg.Device = router
 		if sc.Workload == WorkloadReshard {
 			// Prepare the fourth member now (dial is setup, not workload)
@@ -147,41 +163,50 @@ func buildEnv(sc Scenario, tr *trace.Tracer, reg *metrics.Registry) (*env, error
 			// the policy label both use the POST-join width: lanes are
 			// fixed identities, and pre-join no page routes to the empty
 			// fourth lane.
-			srv := pagesvc.NewServer([]disk.Device{disk.New(0)}, pagesvc.ServerConfig{})
-			addr, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				e.close()
-				return nil, err
+			if e.joiner, err = member(fleet); err != nil {
+				return err
 			}
-			e.closes = append(e.closes, srv.Close)
-			label := fmt.Sprintf("net-s%d", fleet)
-			client, err := pagesvc.Dial(pagesvc.ClientConfig{
-				Primary:  addr,
-				Dev:      pagesvc.DataDev,
-				Tracer:   tr,
-				Registry: reg,
-				Label:    label,
-			})
-			if err != nil {
-				e.close()
-				return nil, err
-			}
-			e.closes = append(e.closes, client.Close)
-			e.joiner = shard.Member{Name: fmt.Sprintf("s%d", fleet), Primary: client}
-			e.shardLabels = append(e.shardLabels, label)
 			e.shards = fleet + 1
 		}
 	default:
-		return nil, fmt.Errorf("suite: unknown backend %q", sc.Backend)
+		return fmt.Errorf("suite: unknown backend %q", sc.Backend)
 	}
 
 	db, err := gen.Build(cfg)
 	if err != nil {
-		e.close()
-		return nil, err
+		return err
 	}
 	e.db = db
-	return e, nil
+	if reg != nil {
+		disk.RegisterMetrics(db.Device, reg, e.label)
+		db.Pool.RegisterMetrics(reg, e.label)
+	}
+	return nil
+}
+
+// serve starts an in-process page service over a fresh simulated disk
+// and dials it. The client's asm_net_* series carry the given dev
+// label, which joins e.netLabels.
+func (e *env) serve(label string, tr *trace.Tracer, reg *metrics.Registry) (*pagesvc.Client, error) {
+	srv := pagesvc.NewServer([]disk.Device{disk.New(0)}, pagesvc.ServerConfig{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	e.closes = append(e.closes, srv.Close)
+	client, err := pagesvc.Dial(pagesvc.ClientConfig{
+		Primary:  addr,
+		Dev:      pagesvc.DataDev,
+		Tracer:   tr,
+		Registry: reg,
+		Label:    label,
+	})
+	if err != nil {
+		return nil, err
+	}
+	e.closes = append(e.closes, client.Close)
+	e.netLabels = append(e.netLabels, label)
+	return client, nil
 }
 
 // armFaults configures the injector for the measured phase.
@@ -202,11 +227,13 @@ func (e *env) armFaults(sc Scenario) {
 // options builds the operator options for the scenario. On the sharded
 // backend the per-shard elevator (with shard prefetch) replaces the
 // configured scheduler: pending references partition by the router's
-// assignment and each lane keeps its own SCAN order.
+// assignment and each lane keeps its own SCAN order. PerDevice does the
+// same over a striped extent's arms, without the prefetch.
 func (sc Scenario) options(e *env, tr *trace.Tracer, reg *metrics.Registry) assembly.Options {
 	opts := assembly.Options{
 		Window:          sc.Window,
 		Scheduler:       sc.Scheduler,
+		PredicateFirst:  sc.PredicateFirst,
 		UseSharingStats: sc.UseSharingStats,
 		PinWindowPages:  sc.PinWindow,
 		PageBatch:       sc.PageBatch,
@@ -214,11 +241,32 @@ func (sc Scenario) options(e *env, tr *trace.Tracer, reg *metrics.Registry) asse
 		Tracer:          tr,
 		Metrics:         reg,
 	}
-	if e.shards > 0 {
-		opts.CustomScheduler = assembly.NewShardElevator(e.shards, e.shardOf)
+	switch {
+	case e.shards > 0:
+		opts.CustomScheduler = assembly.NewShardElevator(e.shards, e.router.ShardOf)
 		opts.ShardPrefetch = true
+	case sc.PerDevice && e.striped != nil:
+		opts.CustomScheduler = assembly.NewMultiElevator(sc.Devices, e.striped.DeviceOf)
 	}
 	return opts
+}
+
+// template is the assembly template for the scenario: the database's
+// own, or — with Selectivity set — a clone carrying the predicate on
+// the paper shape's rightmost leaf (position G), whose ints[1] is
+// uniform over [0,1000).
+func (sc Scenario) template(e *env) *assembly.Template {
+	if sc.Selectivity <= 0 {
+		return e.db.Template
+	}
+	tmpl := e.db.Template.Clone()
+	tmpl.Children[1].Children[1].Pred = expr.IntCmp{
+		Field: 1,
+		Op:    expr.LT,
+		Value: int32(sc.Selectivity * 1000),
+		Sel:   sc.Selectivity,
+	}
+	return tmpl
 }
 
 // assembleRoots runs the assembly operator over the given roots and
@@ -228,7 +276,7 @@ func assembleRoots(sc Scenario, e *env, roots []object.OID, tr *trace.Tracer, re
 	for i, r := range roots {
 		items[i] = r
 	}
-	op := assembly.New(volcano.NewSlice(items), e.db.Store, e.db.Template, sc.options(e, tr, reg))
+	op := assembly.New(volcano.NewSlice(items), e.db.Store, sc.template(e), sc.options(e, tr, reg))
 	n, err := volcano.Count(op)
 	if err != nil {
 		return assembly.Stats{}, err
@@ -241,24 +289,21 @@ func assembleRoots(sc Scenario, e *env, roots []object.OID, tr *trace.Tracer, re
 }
 
 // runWorkload executes the scenario's measured phase and returns the
-// operator stats plus the op count (assembled complex objects) the
-// per-op rates normalize by.
-func runWorkload(sc Scenario, e *env, tr *trace.Tracer, reg *metrics.Registry, prep *prepared) (assembly.Stats, int, error) {
+// operator stats (Assembled is the op count per-op rates normalize by).
+func runWorkload(sc Scenario, e *env, tr *trace.Tracer, reg *metrics.Registry, prep *prepared) (assembly.Stats, error) {
 	switch sc.Workload {
 	case WorkloadTimeSeries:
 		roots, err := appendTrees(sc, e)
 		if err != nil {
-			return assembly.Stats{}, 0, err
+			return assembly.Stats{}, err
 		}
-		st, err := assembleRoots(sc, e, roots, tr, reg)
-		return st, st.Assembled, err
+		return assembleRoots(sc, e, roots, tr, reg)
 	case WorkloadIncremental:
 		roots, err := mutateComponents(sc, e, prep)
 		if err != nil {
-			return assembly.Stats{}, 0, err
+			return assembly.Stats{}, err
 		}
-		st, err := assembleRoots(sc, e, roots, tr, reg)
-		return st, st.Assembled, err
+		return assembleRoots(sc, e, roots, tr, reg)
 	case WorkloadReshard:
 		// Assemble the first half of the roots on the three-member
 		// fleet, live-reshard the fourth member in, assemble the rest on
@@ -268,7 +313,7 @@ func runWorkload(sc Scenario, e *env, tr *trace.Tracer, reg *metrics.Registry, p
 		half := len(e.db.Roots) / 2
 		st1, err := assembleRoots(sc, e, e.db.Roots[:half], tr, reg)
 		if err != nil {
-			return assembly.Stats{}, 0, err
+			return assembly.Stats{}, err
 		}
 		mg, err := fleet.NewMigrator(fleet.MigratorConfig{
 			Router:     e.router,
@@ -277,19 +322,17 @@ func runWorkload(sc Scenario, e *env, tr *trace.Tracer, reg *metrics.Registry, p
 			Registry:   reg,
 		})
 		if err != nil {
-			return assembly.Stats{}, 0, err
+			return assembly.Stats{}, err
 		}
 		e.migrated, err = mg.Join(e.joiner)
 		mg.Close()
 		if err != nil {
-			return assembly.Stats{}, 0, fmt.Errorf("suite %s: reshard: %w", sc.Name, err)
+			return assembly.Stats{}, fmt.Errorf("suite %s: reshard: %w", sc.Name, err)
 		}
 		st2, err := assembleRoots(sc, e, e.db.Roots[half:], tr, reg)
-		st := addStats(st1, st2)
-		return st, st.Assembled, err
+		return addStats(st1, st2), err
 	default: // WorkloadAssemble
-		st, err := assembleRoots(sc, e, e.db.Roots, tr, reg)
-		return st, st.Assembled, err
+		return assembleRoots(sc, e, e.db.Roots, tr, reg)
 	}
 }
 
