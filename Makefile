@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: all check build vet test sched-check buffer-check asm-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke suite-check trace-demo tracez-smoke serve-demo examples cover loc clean
+.PHONY: all check build vet test sched-check buffer-check asm-check disk-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke suite-check trace-demo tracez-smoke serve-demo examples cover loc clean
 
 all: check
 
 # The fast gate: what CI's main job runs on every push.
-check: build vet test sched-check buffer-check asm-check
+check: build vet test sched-check buffer-check asm-check disk-check
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,18 @@ asm-check:
 	$(GO) test -count=1 -run '$(ASM_TESTS)' ./internal/assembly
 	$(GO) test -race -count=1 -run '$(ASM_TESTS)' ./internal/assembly
 	$(GO) test -run '^$$' -bench='AssembleDeep|AssembleScan' -benchtime=1x ./internal/assembly
+
+# The one head model, uncached: the differential test of disk.Arm and
+# the merged Sim against the three bookkeepers they replaced (10 000
+# seeded sequences per pair; 400 under -race), Allocate's bounds on both
+# media, the 0-alloc pin on an untraced read and the readers-against-a-
+# scraper storm — then once more under the race detector, then one
+# iteration of the per-read cost benchmark so that it cannot rot unbuilt.
+DISK_TESTS = TestArmMatchesOldBookkeepers|TestAllocateBounds|TestUntracedReadAllocs|TestArmConcurrentScrape
+disk-check:
+	$(GO) test -count=1 -run '$(DISK_TESTS)' ./internal/disk
+	$(GO) test -race -count=1 -run '$(DISK_TESTS)' ./internal/disk
+	$(GO) test -run '^$$' -bench=MetricsOverhead -benchtime=1x ./internal/disk
 
 # The benchmark is a module of its own (benchmark/go.mod), so build,
 # vet and test above never compile it: an internal/* signature change

@@ -322,7 +322,6 @@ func (op *Operator) Open() error {
 		op.shared = newSharedTable(op.Store.File.Pool())
 	}
 	op.tr = op.Opts.Tracer
-	op.liveItems = 0
 	op.liveSet = map[*workItem]bool{}
 	op.inputDone = false
 	op.outq = nil
@@ -333,7 +332,7 @@ func (op *Operator) Open() error {
 	op.decode = op.decodeRec
 	op.stats = Stats{}
 	op.cells = newOpCells(op.Opts.Metrics, op.sched.Name())
-	op.cells.occupancy.Set(0)
+	op.setLive(0)
 	op.pressure = false
 	op.stall = 0
 	op.qspan, op.qctx = qtrace.Start(op.ctx, qtrace.LayerAssembly, "assemble")
@@ -642,15 +641,12 @@ func (op *Operator) admit() error {
 	item := op.newItem()
 	// Count the slot live up front so an abort during admission (a
 	// root-level predicate failure) balances the books.
-	op.liveItems++
-	op.cells.occupancy.Set(int64(op.liveItems))
+	op.setLive(op.liveItems + 1)
 	op.liveSet[item] = true
 	switch v := raw.(type) {
 	case object.OID:
 		if v.IsNil() {
-			op.liveItems-- // nil root: nothing to assemble
-			op.cells.occupancy.Set(int64(op.liveItems))
-			delete(op.liveSet, item)
+			op.retire(item) // nil root: nothing to assemble
 			return nil
 		}
 		op.tr.Assembly(trace.KindAdmit, uint64(v), trace.NoPage, trace.NoPage, "", op.qid)
@@ -671,9 +667,7 @@ func (op *Operator) admit() error {
 		}
 	case PartialRoot:
 		if v.Root.IsNil() {
-			op.liveItems--
-			op.cells.occupancy.Set(int64(op.liveItems))
-			delete(op.liveSet, item)
+			op.retire(item)
 			return nil
 		}
 		op.tr.Assembly(trace.KindAdmit, uint64(v.Root), trace.NoPage, trace.NoPage, "", op.qid)
@@ -682,9 +676,7 @@ func (op *Operator) admit() error {
 			return err
 		}
 	default:
-		op.liveItems--
-		op.cells.occupancy.Set(int64(op.liveItems))
-		delete(op.liveSet, item)
+		op.retire(item)
 		return fmt.Errorf("assembly: unsupported input item type %T", raw)
 	}
 	op.settle(item)
@@ -806,8 +798,7 @@ func (op *Operator) resolve(ref *Ref) error {
 	if err != nil {
 		return op.batchFault(batch, fmt.Errorf("assembly: fix page %d: %w", ref.RID.Page, err))
 	}
-	op.stats.PageRequests++
-	op.cells.pageRequests.Inc()
+	op.notePageRequest()
 	pg := page.Wrap(fr.Data())
 	for _, r := range batch {
 		if !r.live() {
@@ -841,10 +832,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 			op.linkAt(item, ref.Parent, ref.Slot, inst)
 			propagatePending(ref.Parent, -1)
 			op.maybeRegisterShared(ref.Parent)
-			op.stats.SharedLinks++
-			op.cells.sharedLinks.Inc()
-			op.qspan.OnLink()
-			op.tr.Assembly(trace.KindLink, uint64(ref.OID), trace.NoPage, trace.NoPage, "intra", op.qid)
+			op.noteLink(ref, "intra")
 			op.settle(item)
 			return nil
 		}
@@ -856,10 +844,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 				op.maybeRegisterShared(ref.Parent)
 				item.remember(ref.OID, inst)
 				op.noteFootprint(item, inst.page)
-				op.stats.SharedLinks++
-				op.cells.sharedLinks.Inc()
-				op.qspan.OnLink()
-				op.tr.Assembly(trace.KindLink, uint64(ref.OID), trace.NoPage, trace.NoPage, "window", op.qid)
+				op.noteLink(ref, "window")
 				op.settle(item)
 				return nil
 			}
@@ -870,10 +855,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 		if inst, ok := item.pre[ref.OID]; ok {
 			delete(item.pre, ref.OID)
 			op.linkAt(item, ref.Parent, ref.Slot, inst)
-			op.stats.SharedLinks++
-			op.cells.sharedLinks.Inc()
-			op.qspan.OnLink()
-			op.tr.Assembly(trace.KindLink, uint64(ref.OID), trace.NoPage, trace.NoPage, "stacked", op.qid)
+			op.noteLink(ref, "stacked")
 			// The pre-assembled subtree may itself be partial: walk it
 			// for unresolved references and account its members.
 			if err := op.adoptSubtree(item, inst, false); err != nil {
@@ -899,8 +881,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 	} else if gerr := op.Store.File.GetCtx(op.qctx, ref.RID, op.decode); gerr != nil {
 		err = fmt.Errorf("assembly: fetch %v: %w", ref.OID, gerr)
 	} else {
-		op.stats.PageRequests++
-		op.cells.pageRequests.Inc()
+		op.notePageRequest()
 	}
 	c := op.fetch.got
 	op.fetch.item, op.fetch.got = nil, nil
@@ -964,7 +945,7 @@ func (op *Operator) refFault(ref *Ref, cause error) error {
 		// spin-requeueing against a still-full pool. A dead context
 		// surfaces here and aborts the lifecycle upstream.
 		if op.ctx != nil {
-			if werr := op.Store.File.Pool().WaitFrame(op.ctx, 0); werr != nil {
+			if werr := op.Store.File.Pool().WaitFrame(op.ctx); werr != nil {
 				return fmt.Errorf("assembly: pin wait: %w", werr)
 			}
 		}
@@ -1126,12 +1107,10 @@ func (op *Operator) settle(item *workItem) {
 	}
 	if item.pending == 0 && item.root != nil {
 		item.emitted = true
-		op.liveItems--
-		op.cells.occupancy.Set(int64(op.liveItems))
+		op.retire(item)
 		op.stats.Assembled++
 		op.cells.assembled.Inc()
 		op.tr.Assembly(trace.KindEmit, uint64(item.root.OID()), trace.NoPage, trace.NoPage, "", op.qid)
-		delete(op.liveSet, item)
 		op.outq = append(op.outq, item)
 	}
 }
@@ -1146,8 +1125,6 @@ func (op *Operator) abortItem(item *workItem, reason string) error {
 		return nil
 	}
 	item.aborted = true
-	op.liveItems--
-	op.cells.occupancy.Set(int64(op.liveItems))
 	op.stats.Aborted++
 	op.cells.aborted.Inc()
 	op.tr.Assembly(trace.KindAbort, uint64(itemRoot(item)), trace.NoPage, trace.NoPage, reason, op.qid)
@@ -1232,8 +1209,6 @@ func (op *Operator) quarantine(item *workItem) error {
 		return nil
 	}
 	item.aborted = true
-	op.liveItems--
-	op.cells.occupancy.Set(int64(op.liveItems))
 	op.stats.Skipped++
 	op.cells.skipped.Inc()
 	op.tr.Assembly(trace.KindQuarantine, uint64(itemRoot(item)), trace.NoPage, trace.NoPage, "", op.qid)
@@ -1241,10 +1216,10 @@ func (op *Operator) quarantine(item *workItem) error {
 }
 
 // discard is the shared tail of abort and quarantine: the item leaves
-// the live set and its footprint and pins drain, releasing any buffer
+// the window and its footprint and pins drain, releasing any buffer
 // pressure.
 func (op *Operator) discard(item *workItem) error {
-	delete(op.liveSet, item)
+	op.retire(item)
 	op.releaseFootprint(item)
 	op.pressure = false
 	op.stall = 0
@@ -1287,4 +1262,37 @@ func (op *Operator) pageOf(oid object.OID) disk.PageID {
 		return disk.InvalidPage
 	}
 	return rid.Page
+}
+
+// One site per counter: each of the events below is booked — Stats
+// field, metric cell, query span, trace event — on exactly one line,
+// here.
+
+// setLive is the one writer of the window's occupancy: the count the
+// admission loop reads and the gauge a scraper sees.
+func (op *Operator) setLive(n int) {
+	op.liveItems = n
+	op.cells.occupancy.Set(int64(n))
+}
+
+// retire takes item out of the window: emitted, aborted, quarantined,
+// or turned away at admission.
+func (op *Operator) retire(item *workItem) {
+	op.setLive(op.liveItems - 1)
+	delete(op.liveSet, item)
+}
+
+// notePageRequest books one buffer request issued for a fetch.
+func (op *Operator) notePageRequest() {
+	op.stats.PageRequests++
+	op.cells.pageRequests.Inc()
+}
+
+// noteLink books one reference satisfied without a fetch; how names
+// where the instance came from (intra, window, stacked).
+func (op *Operator) noteLink(ref *Ref, how string) {
+	op.stats.SharedLinks++
+	op.cells.sharedLinks.Inc()
+	op.qspan.OnLink()
+	op.tr.Assembly(trace.KindLink, uint64(ref.OID), trace.NoPage, trace.NoPage, how, op.qid)
 }

@@ -16,14 +16,14 @@
 //     partitions: frames are still allocated by demand, which keeps the
 //     single-query hot path untouched.
 //
-//   - Bounded pin waits. FixCtx turns frame exhaustion from an instant
-//     ErrNoFrames into a wait — woken by the next freed frame, backed
-//     off exponentially, and bounded by the query's context — so
-//     transient contention between admitted queries resolves by
-//     waiting rather than by error-path retries. The caller's own pins
-//     are its responsibility: a query that might be holding the frames
-//     it is waiting for should shed first and wait second (the
-//     assembly operator does exactly that).
+//   - Bounded pin waits. A fix never waits: frame exhaustion is an
+//     instant ErrNoFrames. The caller sheds its own pins — a query may
+//     be holding the very frames it would wait for — and then calls
+//     WaitFrame, which parks until the next freed frame, bounded by
+//     the query's context, before the fix is retried (the assembly
+//     operator does exactly that). Transient contention between
+//     admitted queries resolves by waiting rather than by error-path
+//     spinning.
 package buffer
 
 import (
@@ -31,8 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"revelation/internal/disk"
 )
 
 // ErrAdmission rejects a reservation that would oversubscribe the
@@ -107,10 +105,10 @@ func (p *Pool) ReservedFrames() int {
 	return p.reserved
 }
 
-// notifyFree wakes one FixCtx/WaitFrame waiter. The channel holds one
-// token: a wakeup already pending absorbs further notifications, and
-// woken waiters re-check under the lock, so lost-wakeup races only
-// cost a backoff interval, never a deadline.
+// notifyFree wakes one WaitFrame waiter. The channel holds one token:
+// a wakeup already pending absorbs further notifications, and a woken
+// waiter retries its fix under the lock, so a lost-wakeup race only
+// costs one pinWait interval, never a deadline.
 func (p *Pool) notifyFree() {
 	select {
 	case p.freeCh <- struct{}{}:
@@ -118,74 +116,28 @@ func (p *Pool) notifyFree() {
 	}
 }
 
-// pin-wait tuning: waits start at waitBase and double to waitCap; the
-// free-frame notification short-circuits the wait whenever a pin
-// actually drains, so the backoff only paces the re-check under
-// sustained exhaustion.
-const (
-	waitBase = 100 * time.Microsecond
-	waitCap  = 5 * time.Millisecond
-)
+// pinWait bounds one WaitFrame. The free-frame notification ends the
+// wait whenever a pin actually drains, so the bound only paces the
+// caller's retry under sustained exhaustion.
+const pinWait = 5 * time.Millisecond
 
-// FixCtx is Fix with the pin wait bounded by ctx instead of failing
-// immediately: when every frame is pinned, it waits for a frame to
-// free (or for the backoff to elapse) and retries, until the context
-// is cancelled or its deadline passes. The terminal error wraps the
-// context's error, so lifecycle handling upstream can tell a deadline
-// from a device fault; it also wraps ErrNoFrames, preserving the
-// congestion signal. A nil ctx behaves exactly like Fix.
-func (p *Pool) FixCtx(ctx context.Context, id disk.PageID) (*Frame, error) {
-	f, err := p.fix(ctx, id)
-	if err == nil || ctx == nil || !errors.Is(err, ErrNoFrames) {
-		return f, err
-	}
-	backoff := waitBase
-	for {
-		p.pinWaits.Inc()
-		if werr := p.waitFree(ctx, backoff); werr != nil {
-			p.pinWaitTimeouts.Inc()
-			return nil, fmt.Errorf("buffer: fix page %d: pool exhausted while waiting (%w): %w", id, ErrNoFrames, werr)
-		}
-		f, err = p.fix(ctx, id)
-		if err == nil || !errors.Is(err, ErrNoFrames) {
-			return f, err
-		}
-		if backoff < waitCap {
-			backoff *= 2
-		}
-	}
-}
-
-// WaitFrame blocks until a frame may have freed, max elapses, or the
-// context ends, returning the context's error in the last case. The
-// assembly operator calls it after shedding its own pins: waiting on
-// the other queries' unfixes replaces spin-requeueing the faulted
-// reference.
-func (p *Pool) WaitFrame(ctx context.Context, max time.Duration) error {
-	if max <= 0 {
-		max = waitCap
-	}
-	return p.waitFree(ctx, max)
-}
-
-// waitFree parks until a free-frame notification, the timeout, or
-// context end (the only case that returns an error).
-func (p *Pool) waitFree(ctx context.Context, d time.Duration) error {
-	timer := time.NewTimer(d)
+// WaitFrame blocks until a frame may have freed, pinWait elapses, or
+// ctx (which must not be nil) ends, returning the context's error in
+// the last case. The assembly operator calls it after a fix failed with
+// ErrNoFrames and it has shed its own pins: waiting on the other
+// queries' unfixes replaces spin-requeueing the faulted reference.
+// Every call is one pin wait (asm_buffer_pin_waits_total), and one that
+// the context ended is a timeout as well.
+func (p *Pool) WaitFrame(ctx context.Context) error {
+	p.pinWaits.Inc()
+	timer := time.NewTimer(pinWait)
 	defer timer.Stop()
-	if ctx == nil {
-		select {
-		case <-p.freeCh:
-		case <-timer.C:
-		}
-		return nil
-	}
 	select {
 	case <-ctx.Done():
+		p.pinWaitTimeouts.Inc()
 		return ctx.Err()
 	case <-p.freeCh:
-		return nil
 	case <-timer.C:
-		return nil
 	}
+	return nil
 }

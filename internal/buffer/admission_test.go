@@ -66,9 +66,24 @@ func TestCloseRefusesLeakedReservation(t *testing.T) {
 	}
 }
 
-// TestFixCtxWaitsForFrame: with every frame pinned, FixCtx must wait
-// for an unfix instead of returning ErrNoFrames, and succeed once a
-// frame frees.
+// fixWait is the sequence production runs when the pool is exhausted
+// (the assembly operator, after shedding its own pins): FixAs, on
+// ErrNoFrames WaitFrame, retry — until the fix lands or ctx ends.
+func fixWait(ctx context.Context, p *Pool, id disk.PageID) (*Frame, error) {
+	for {
+		f, err := p.FixAs(ctx, id)
+		if !errors.Is(err, ErrNoFrames) {
+			return f, err
+		}
+		if err := p.WaitFrame(ctx); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// TestFixCtxWaitsForFrame: with every frame pinned, a fix that waits
+// must park instead of spinning on ErrNoFrames, and succeed once an
+// unfix frees a frame.
 func TestFixCtxWaitsForFrame(t *testing.T) {
 	p := admissionPool(t, 2, 4)
 	f0, err := p.Fix(0)
@@ -79,13 +94,13 @@ func TestFixCtxWaitsForFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Plain Fix keeps the old contract: immediate congestion error.
+	// Plain Fix never waits: immediate congestion error.
 	if _, err := p.Fix(2); !errors.Is(err, ErrNoFrames) {
 		t.Fatalf("Fix over full pool: %v, want ErrNoFrames", err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		f, err := p.FixCtx(context.Background(), 2)
+		f, err := fixWait(context.Background(), p, 2)
 		if err == nil {
 			err = p.Unfix(f, false)
 		}
@@ -98,19 +113,24 @@ func TestFixCtxWaitsForFrame(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("waited FixCtx: %v", err)
+			t.Fatalf("waited fix: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("FixCtx did not wake after a frame freed")
+		t.Fatal("the waiting fix did not wake after a frame freed")
+	}
+	if p.pinWaits.Value() == 0 {
+		t.Error("asm_buffer_pin_waits_total did not move across a pin wait")
+	}
+	if got := p.pinWaitTimeouts.Value(); got != 0 {
+		t.Errorf("%d pin-wait timeouts under a context that never ended", got)
 	}
 	if err := p.Unfix(f0, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestFixCtxDeadlineBoundsWait: the wait ends at the context deadline
-// with an error that carries both the lifecycle cause and the
-// congestion signal.
+// TestFixCtxDeadlineBoundsWait: the wait ends at the context deadline,
+// surfaces the lifecycle cause and counts as a timed-out pin wait.
 func TestFixCtxDeadlineBoundsWait(t *testing.T) {
 	p := admissionPool(t, 1, 2)
 	f0, err := p.Fix(0)
@@ -120,15 +140,15 @@ func TestFixCtxDeadlineBoundsWait(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = p.FixCtx(ctx, 1)
+	_, err = fixWait(ctx, p, 1)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("FixCtx past deadline: %v, want context.DeadlineExceeded", err)
-	}
-	if !errors.Is(err, ErrNoFrames) {
-		t.Fatalf("FixCtx error %v does not wrap ErrNoFrames", err)
+		t.Fatalf("wait past deadline: %v, want context.DeadlineExceeded", err)
 	}
 	if waited := time.Since(start); waited > 3*time.Second {
-		t.Fatalf("FixCtx waited %v past a 30ms deadline", waited)
+		t.Fatalf("waited %v past a 30ms deadline", waited)
+	}
+	if waits, timeouts := p.pinWaits.Value(), p.pinWaitTimeouts.Value(); waits == 0 || timeouts != 1 {
+		t.Errorf("pin waits %d, timeouts %d; want > 0 and exactly 1", waits, timeouts)
 	}
 	if err := p.Unfix(f0, false); err != nil {
 		t.Fatal(err)
@@ -148,13 +168,13 @@ func TestTwoQueriesTinyPoolBothComplete(t *testing.T) {
 	query := func(start int) error {
 		for round := 0; round < 50; round++ {
 			for i := 0; i < pages; i++ {
-				f, err := p.FixCtx(ctx, disk.PageID((start+i)%pages))
+				f, err := fixWait(ctx, p, disk.PageID((start+i)%pages))
 				if err != nil {
 					return err
 				}
 				// Hold two pins at a time to force overlap: combined
 				// worst case (4) exceeds the 3-frame pool.
-				g, err := p.FixCtx(ctx, disk.PageID((start+i+1)%pages))
+				g, err := fixWait(ctx, p, disk.PageID((start+i+1)%pages))
 				if err != nil {
 					p.Unfix(f, false)
 					return err
@@ -187,6 +207,9 @@ func TestTwoQueriesTinyPoolBothComplete(t *testing.T) {
 	}
 	if got := p.PinnedFrames(); got != 0 {
 		t.Fatalf("leaked pins: %d frames still pinned", got)
+	}
+	if got := p.pinWaitTimeouts.Value(); got != 0 {
+		t.Errorf("%d pin-wait timeouts in a run that finished inside its deadline", got)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)

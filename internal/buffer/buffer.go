@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"revelation/internal/disk"
 	"revelation/internal/metrics"
@@ -248,9 +247,8 @@ func (p *Pool) RegisterMetrics(r *metrics.Registry, pool string) {
 }
 
 // SetTracer installs an event tracer on the pool: every hit, miss
-// (device read), eviction, flush, and unfix emits a buffer event, and
-// fix latencies feed the tracer's in-memory histograms. Pass nil to
-// disable tracing; the disabled hot path pays one branch.
+// (device read), eviction, flush, and unfix emits a buffer event. Pass
+// nil to disable tracing; the disabled hot path pays one branch.
 func (p *Pool) SetTracer(t *trace.Tracer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -332,9 +330,9 @@ func (p *Pool) Fix(id disk.PageID) (*Frame, error) {
 // FixAs is Fix with per-query attribution: the hit or miss (and the
 // device read behind a miss) is charged to the query span carried in
 // ctx, and the buffer trace events are stamped with its query ID.
-// Unlike FixCtx it never waits — frame exhaustion still returns
-// ErrNoFrames immediately, so congestion handling upstream (shedding,
-// window shrinking) is unchanged. A nil ctx behaves exactly like Fix.
+// Like Fix it never waits — frame exhaustion returns ErrNoFrames
+// immediately, and the caller sheds its own pins and calls WaitFrame
+// before retrying. A nil ctx behaves exactly like Fix.
 func (p *Pool) FixAs(ctx context.Context, id disk.PageID) (*Frame, error) {
 	return p.fix(ctx, id)
 }
@@ -347,10 +345,6 @@ func (p *Pool) fix(ctx context.Context, id disk.PageID) (*Frame, error) {
 	}
 	sp := qtrace.From(ctx)
 	p.tick++
-	var start time.Time
-	if p.tr != nil {
-		start = time.Now()
-	}
 	if f, ok := p.table[id]; ok {
 		f.pins++
 		if f.pins == 1 {
@@ -362,7 +356,6 @@ func (p *Pool) fix(ctx context.Context, id disk.PageID) (*Frame, error) {
 		p.notePins()
 		if p.tr != nil {
 			p.tr.Buffer(trace.KindHit, int64(id), 0, sp.QID())
-			p.tr.Observe("buffer/hit", time.Since(start))
 		}
 		return f, nil
 	}
@@ -391,7 +384,6 @@ func (p *Pool) fix(ctx context.Context, id disk.PageID) (*Frame, error) {
 	sp.OnMiss()
 	if p.tr != nil {
 		p.tr.Buffer(trace.KindMiss, int64(id), 0, sp.QID())
-		p.tr.Observe("buffer/miss", time.Since(start))
 	}
 	return f, nil
 }

@@ -1,10 +1,6 @@
 package disk
 
-import (
-	"context"
-
-	"revelation/internal/qtrace"
-)
+import "context"
 
 // CtxReader is implemented by devices that can attribute a physical
 // read to the per-query span carried in a context (see
@@ -26,6 +22,3 @@ func ReadPageCtx(ctx context.Context, dev Device, p PageID, buf []byte) error {
 	}
 	return dev.ReadPage(p, buf)
 }
-
-// spanFrom is the shared nil-safe span extraction devices use.
-func spanFrom(ctx context.Context) *qtrace.Span { return qtrace.From(ctx) }

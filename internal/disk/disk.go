@@ -14,8 +14,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
-	"time"
 
 	"revelation/internal/metrics"
 	"revelation/internal/qtrace"
@@ -70,6 +70,18 @@ func (s Stats) Sub(prev Stats) Stats {
 	}
 }
 
+// Add returns the combined counters of two arms, the aggregate view a
+// multi-device extent reports: the counters add, MaxSeek is the larger.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Reads:     s.Reads + o.Reads,
+		Writes:    s.Writes + o.Writes,
+		SeekTotal: s.SeekTotal + o.SeekTotal,
+		SeekReads: s.SeekReads + o.SeekReads,
+		MaxSeek:   max(s.MaxSeek, o.MaxSeek),
+	}
+}
+
 // Device is a page-addressed block device with seek accounting.
 // Implementations must be safe for concurrent use.
 type Device interface {
@@ -119,16 +131,21 @@ func AttachTracer(dev Device, t *trace.Tracer) bool {
 	return false
 }
 
-// Sim is the standard simulated device backed by an in-memory page
-// store. It implements Device.
+// Sim is the one leaf device: a linear array of pages under one Arm,
+// kept in memory (New, NewSim) or in an ordinary file (OpenFile) so that
+// a database built by cmd/dbgen survives across processes. The medium
+// changes where the bytes live and nothing else — the simulated head is
+// what the paper's metric is about, not the host filesystem — so every
+// check, the fault hook and the seek accounting are the same code over
+// both. It implements Device.
 type Sim struct {
 	mu       sync.Mutex
 	pageSize int
-	pages    [][]byte
-	head     PageID
-	cells    devCells
+	n        int      // device size in pages
+	pages    [][]byte // the memory medium; unused over a file
+	f        *os.File // the file medium; nil in memory
+	arm      Arm
 	fault    FaultFunc
-	tr       *trace.Tracer
 	closed   bool
 }
 
@@ -138,7 +155,7 @@ func NewSim(pageSize, n int) *Sim {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	d := &Sim{pageSize: pageSize}
+	d := &Sim{pageSize: pageSize, n: n}
 	d.pages = make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
 		d.pages = append(d.pages, make([]byte, pageSize))
@@ -149,6 +166,28 @@ func NewSim(pageSize, n int) *Sim {
 // New creates a simulated device with the default 1 KB page size.
 func New(n int) *Sim { return NewSim(DefaultPageSize, n) }
 
+// OpenFile opens (or creates) a file-backed device. An existing file
+// must have a length that is a multiple of pageSize.
+func OpenFile(path string, pageSize int) (*Sim, error) {
+	if pageSize <= 0 {
+		pageSize = DefaultPageSize
+	}
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("disk: open %s: %w", path, err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("disk: stat %s: %w", path, err)
+	}
+	if st.Size()%int64(pageSize) != 0 {
+		f.Close()
+		return nil, fmt.Errorf("disk: %s length %d is not a multiple of page size %d", path, st.Size(), pageSize)
+	}
+	return &Sim{f: f, pageSize: pageSize, n: int(st.Size() / int64(pageSize))}, nil
+}
+
 // SetFault installs an I/O fault injector; pass nil to clear it.
 func (d *Sim) SetFault(f FaultFunc) {
 	d.mu.Lock()
@@ -158,85 +197,43 @@ func (d *Sim) SetFault(f FaultFunc) {
 
 // SetTracer implements TracerSetter: every subsequent physical access
 // emits a disk event carrying the head position before the access and
-// the seek distance it cost. Pass nil to disable tracing; the disabled
-// hot path pays one branch.
+// the seek distance it cost, so a trace replay verifies a file-backed
+// run exactly as it does a simulated one. Pass nil to disable tracing.
 func (d *Sim) SetTracer(t *trace.Tracer) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.tr = t
-}
-
-// seekTo moves the head to p, accounts the distance, and returns it.
-// Caller holds mu.
-func (d *Sim) seekTo(p PageID, read bool) int64 {
-	var dist int64
-	if p >= d.head {
-		dist = int64(p - d.head)
-	} else {
-		dist = int64(d.head - p)
-	}
-	d.cells.account(dist, read)
-	d.head = p
-	return dist
+	d.arm.SetTracer(t)
 }
 
 // RegisterMetrics implements MetricsRegistrar: the registry observes the
 // very cells the access path updates, so a live scrape and Stats() can
 // never disagree.
 func (d *Sim) RegisterMetrics(r *metrics.Registry, dev string) {
-	d.cells.register(r, dev,
+	d.arm.Register(r, dev,
 		func() int64 { return int64(d.Head()) },
 		func() int64 { return int64(d.NumPages()) })
 }
 
 // ReadPage implements Device.
 func (d *Sim) ReadPage(p PageID, buf []byte) error {
-	return d.readPage(p, buf, nil)
+	return d.access(p, buf, true, nil)
 }
 
 // ReadPageCtx implements CtxReader: the read is additionally charged
 // to the query span in ctx (nil span: identical to ReadPage).
 func (d *Sim) ReadPageCtx(ctx context.Context, p PageID, buf []byte) error {
-	return d.readPage(p, buf, spanFrom(ctx))
-}
-
-func (d *Sim) readPage(p PageID, buf []byte, sp *qtrace.Span) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if len(buf) != d.pageSize {
-		return ErrBadLength
-	}
-	if int(p) >= len(d.pages) {
-		return fmt.Errorf("%w: read page %d of %d", ErrOutOfRange, p, len(d.pages))
-	}
-	if d.fault != nil {
-		if err := d.fault(p, false); err != nil {
-			return err
-		}
-	}
-	if d.tr != nil {
-		start := time.Now()
-		prev := d.head
-		dist := d.seekTo(p, true)
-		d.cells.reads.Inc()
-		sp.OnRead(dist)
-		copy(buf, d.pages[p])
-		d.tr.Disk(trace.KindRead, int64(p), int64(prev), dist, sp.QID())
-		d.tr.Observe("disk/read", time.Since(start))
-		return nil
-	}
-	dist := d.seekTo(p, true)
-	d.cells.reads.Inc()
-	sp.OnRead(dist)
-	copy(buf, d.pages[p])
-	return nil
+	return d.access(p, buf, true, qtrace.From(ctx))
 }
 
 // WritePage implements Device.
 func (d *Sim) WritePage(p PageID, buf []byte) error {
+	return d.access(p, buf, false, nil)
+}
+
+// access is the one body of a physical read or write: the checks, the
+// fault hook, the transfer on whichever medium, then the seek. An access
+// that fails books nothing.
+func (d *Sim) access(p PageID, buf []byte, read bool, sp *qtrace.Span) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -245,44 +242,69 @@ func (d *Sim) WritePage(p PageID, buf []byte) error {
 	if len(buf) != d.pageSize {
 		return ErrBadLength
 	}
-	if int(p) >= len(d.pages) {
-		return fmt.Errorf("%w: write page %d of %d", ErrOutOfRange, p, len(d.pages))
+	if int(p) >= d.n {
+		return fmt.Errorf("%w: %s page %d of %d", ErrOutOfRange, verb(read), p, d.n)
 	}
 	if d.fault != nil {
-		if err := d.fault(p, true); err != nil {
+		if err := d.fault(p, !read); err != nil {
 			return err
 		}
 	}
-	if d.tr != nil {
-		start := time.Now()
-		prev := d.head
-		dist := d.seekTo(p, false)
-		d.cells.writes.Inc()
+	switch {
+	case d.f != nil:
+		if err := d.transfer(p, buf, read); err != nil {
+			return fmt.Errorf("disk: %s page %d: %w", verb(read), p, err)
+		}
+	case read:
+		copy(buf, d.pages[p])
+	default:
 		copy(d.pages[p], buf)
-		d.tr.Disk(trace.KindWrite, int64(p), int64(prev), dist, 0)
-		d.tr.Observe("disk/write", time.Since(start))
-		return nil
 	}
-	d.seekTo(p, false)
-	d.cells.writes.Inc()
-	copy(d.pages[p], buf)
+	d.arm.Seek(p, read, sp)
 	return nil
 }
 
-// Allocate implements Device.
+// transfer moves one page between buf and the file.
+func (d *Sim) transfer(p PageID, buf []byte, read bool) error {
+	off := int64(p) * int64(d.pageSize)
+	if read {
+		_, err := d.f.ReadAt(buf, off)
+		return err
+	}
+	_, err := d.f.WriteAt(buf, off)
+	return err
+}
+
+func verb(read bool) string {
+	if read {
+		return "read"
+	}
+	return "write"
+}
+
+// Allocate implements Device. It refuses to shrink the device (n < 0)
+// and to grow it past the page-id space, where the first new page id
+// would wrap.
 func (d *Sim) Allocate(n int) (PageID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return InvalidPage, ErrClosed
 	}
-	if n < 0 {
-		return InvalidPage, fmt.Errorf("disk: allocate %d pages", n)
+	if n < 0 || n > int(InvalidPage)-d.n {
+		return InvalidPage, fmt.Errorf("disk: allocate %d pages on a device of %d", n, d.n)
 	}
-	first := PageID(len(d.pages))
-	for i := 0; i < n; i++ {
-		d.pages = append(d.pages, make([]byte, d.pageSize))
+	first := PageID(d.n)
+	if d.f != nil {
+		if err := d.f.Truncate(int64(d.n+n) * int64(d.pageSize)); err != nil {
+			return InvalidPage, fmt.Errorf("disk: allocate %d pages: %w", n, err)
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			d.pages = append(d.pages, make([]byte, d.pageSize))
+		}
 	}
+	d.n += n
 	return first, nil
 }
 
@@ -290,7 +312,7 @@ func (d *Sim) Allocate(n int) (PageID, error) {
 func (d *Sim) NumPages() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.pages)
+	return d.n
 }
 
 // PageSize implements Device.
@@ -300,27 +322,33 @@ func (d *Sim) PageSize() int { return d.pageSize }
 func (d *Sim) Head() PageID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.head
+	return d.arm.Head()
 }
 
 // Stats implements Device. The counters live in atomic cells, so this
 // is safe to call from a scraper while accesses are in flight.
-func (d *Sim) Stats() Stats { return d.cells.stats() }
+func (d *Sim) Stats() Stats { return d.arm.Stats() }
 
 // ResetStats implements Device.
-func (d *Sim) ResetStats() { d.cells.reset() }
+func (d *Sim) ResetStats() { d.arm.ResetStats() }
 
 // ResetHead implements Device.
 func (d *Sim) ResetHead() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.head = 0
+	d.arm.ResetHead()
 }
 
-// Close implements Device.
+// Close implements Device. Closing twice is harmless.
 func (d *Sim) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.closed {
+		return nil
+	}
 	d.closed = true
+	if d.f != nil {
+		return d.f.Close()
+	}
 	return nil
 }

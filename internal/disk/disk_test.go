@@ -288,7 +288,7 @@ func TestFileDeviceTracerReplayAgrees(t *testing.T) {
 	}
 	col := trace.NewCollector()
 	if !AttachTracer(d, trace.New(col)) {
-		t.Fatal("FileDevice did not accept a tracer")
+		t.Fatal("file-backed device did not accept a tracer")
 	}
 	buf := make([]byte, 512)
 	for _, p := range []PageID{5, 60, 12, 12, 33} {

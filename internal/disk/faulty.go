@@ -296,13 +296,9 @@ func (f *Faulty) BrownoutIntensity() float64 {
 	return brownoutIntensity(f.cfg, f.accesses)
 }
 
-// inject decides the fate of one access before it reaches the device.
-func (f *Faulty) inject(p PageID, write bool) error {
-	return f.injectAs(p, write, nil)
-}
-
-// injectAs is inject with per-query attribution: injected faults are
-// charged to sp and stamp their trace events with its query ID.
+// injectAs decides the fate of one access before it reaches the
+// device. Injected faults are charged to sp (nil: to no query) and
+// stamp their trace events with its query ID.
 func (f *Faulty) injectAs(p PageID, write bool, sp *qtrace.Span) error {
 	f.mu.Lock()
 	if write && !f.cfg.Writes {
@@ -365,15 +361,9 @@ func (f *Faulty) injectAs(p PageID, write bool, sp *qtrace.Span) error {
 	return err
 }
 
-// ReadPage implements Device.
+// ReadPage implements Device: the ctx path with no query to charge.
 func (f *Faulty) ReadPage(p PageID, buf []byte) error {
-	if c := f.crashPoint(); c != nil && c.dead() {
-		return fmt.Errorf("%w: read page %d", ErrCrashed, p)
-	}
-	if err := f.inject(p, false); err != nil {
-		return err
-	}
-	return f.dev.ReadPage(p, buf)
+	return f.ReadPageCtx(nil, p, buf)
 }
 
 // ReadPageCtx implements CtxReader: injected faults and the wrapped
@@ -382,7 +372,7 @@ func (f *Faulty) ReadPageCtx(ctx context.Context, p PageID, buf []byte) error {
 	if c := f.crashPoint(); c != nil && c.dead() {
 		return fmt.Errorf("%w: read page %d", ErrCrashed, p)
 	}
-	if err := f.injectAs(p, false, spanFrom(ctx)); err != nil {
+	if err := f.injectAs(p, false, qtrace.From(ctx)); err != nil {
 		return err
 	}
 	return ReadPageCtx(ctx, f.dev, p, buf)
@@ -406,7 +396,7 @@ func (f *Faulty) WritePage(p PageID, buf []byte) error {
 			return fmt.Errorf("%w: write page %d torn after %d bytes", ErrCrashed, p, tear)
 		}
 	}
-	if err := f.inject(p, true); err != nil {
+	if err := f.injectAs(p, true, nil); err != nil {
 		return err
 	}
 	return f.dev.WritePage(p, buf)

@@ -1,66 +1,6 @@
 package disk
 
-import (
-	"revelation/internal/metrics"
-)
-
-// devCells holds a device's counters as registry-attachable metric
-// cells. Every Device implementation in this package updates these on
-// its physical-access path and derives Stats() from them, so the
-// harness view and a live /metrics scrape read the same accounting.
-type devCells struct {
-	reads     metrics.Counter
-	writes    metrics.Counter
-	seekTotal metrics.Counter
-	seekReads metrics.Counter
-	maxSeek   metrics.Gauge
-}
-
-// account records one seek of the given distance.
-func (c *devCells) account(dist int64, read bool) {
-	c.seekTotal.Add(dist)
-	if read {
-		c.seekReads.Add(dist)
-	}
-	c.maxSeek.SetMax(dist)
-}
-
-// stats snapshots the cells as the classic Stats struct.
-func (c *devCells) stats() Stats {
-	return Stats{
-		Reads:     c.reads.Value(),
-		Writes:    c.writes.Value(),
-		SeekTotal: c.seekTotal.Value(),
-		SeekReads: c.seekReads.Value(),
-		MaxSeek:   c.maxSeek.Value(),
-	}
-}
-
-// reset zeroes the cells (ResetStats semantics).
-func (c *devCells) reset() {
-	c.reads.Reset()
-	c.writes.Reset()
-	c.seekTotal.Reset()
-	c.seekReads.Reset()
-	c.maxSeek.Reset()
-}
-
-// register attaches the cells to r under the asm_disk_* families,
-// labeled with the device name. head and size, when non-nil, export the
-// live head position and device size as scrape-time gauges.
-func (c *devCells) register(r *metrics.Registry, dev string, head, size metrics.GaugeFunc) {
-	r.Attach("asm_disk_reads_total", "Physical page reads.", &c.reads, "dev", dev)
-	r.Attach("asm_disk_writes_total", "Physical page writes.", &c.writes, "dev", dev)
-	r.Attach("asm_disk_seek_pages_total", "Total head movement in pages, reads and writes.", &c.seekTotal, "dev", dev)
-	r.Attach("asm_disk_read_seek_pages_total", "Head movement attributable to reads only.", &c.seekReads, "dev", dev)
-	r.Attach("asm_disk_max_seek_pages", "Largest single seek observed.", &c.maxSeek, "dev", dev)
-	if head != nil {
-		r.Attach("asm_disk_head_position", "Current head position in pages.", head, "dev", dev)
-	}
-	if size != nil {
-		r.Attach("asm_disk_size_pages", "Device size in pages.", size, "dev", dev)
-	}
-}
+import "revelation/internal/metrics"
 
 // MetricsRegistrar is implemented by devices that can export their
 // counters into a metrics registry. Wrapper devices forward the call to

@@ -81,21 +81,9 @@ func (s *Striped) route(p PageID) (int, PageID) {
 	return dev, PageID(local)
 }
 
-// ReadPage implements Device.
+// ReadPage implements Device: the ctx path with no query to charge.
 func (s *Striped) ReadPage(p PageID, buf []byte) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if int(p) >= s.size {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: read page %d of %d", ErrOutOfRange, p, s.size)
-	}
-	s.last = p
-	s.mu.Unlock()
-	dev, local := s.route(p)
-	return s.devs[dev].ReadPage(local, buf)
+	return s.ReadPageCtx(nil, p, buf)
 }
 
 // ReadPageCtx implements CtxReader by routing the ctx-aware read to
@@ -200,14 +188,7 @@ func (s *Striped) Head() PageID {
 func (s *Striped) Stats() Stats {
 	var total Stats
 	for _, d := range s.devs {
-		st := d.Stats()
-		total.Reads += st.Reads
-		total.Writes += st.Writes
-		total.SeekTotal += st.SeekTotal
-		total.SeekReads += st.SeekReads
-		if st.MaxSeek > total.MaxSeek {
-			total.MaxSeek = st.MaxSeek
-		}
+		total = total.Add(d.Stats())
 	}
 	return total
 }

@@ -63,10 +63,11 @@ type clientConn struct {
 
 // Client is one pipelined connection to one page-service endpoint and
 // implements disk.Device for one remote device, so a buffer pool or WAL
-// writer stacks on it unchanged. Seek accounting is kept client-side:
-// the head tracks the last page touched, so elevator scheduling and the
-// paper's seek-distance metric stay meaningful even though the physical
-// device is remote.
+// writer stacks on it unchanged. Seek accounting is kept client-side,
+// through the same disk.Arm every local device seeks with: the head
+// tracks the last page touched, so elevator scheduling and the paper's
+// seek-distance metric stay meaningful even though the physical device
+// is remote.
 type Client struct {
 	cfg    ClientConfig
 	jitter *disk.Jitter
@@ -90,9 +91,7 @@ type Client struct {
 	reqID    uint64
 	numPages int
 	pageSize int
-	head     disk.PageID
-	stats    disk.Stats
-	diskTr   *trace.Tracer // disk-layer events from the local head accounting
+	arm      disk.Arm // the local head: seeks, Stats and disk-layer events
 
 	sends      metrics.Counter
 	recvs      metrics.Counter
@@ -429,7 +428,7 @@ func (c *Client) ReadPageCtx(ctx context.Context, p disk.PageID, buf []byte) err
 	if err := c.checkAccess(p, buf); err != nil {
 		return err
 	}
-	c.account(p, true, sp)
+	c.seek(p, true, sp)
 	var body [4]byte
 	binary.LittleEndian.PutUint32(body[:], uint32(p))
 	// One reqID for the whole logical read: every retry and reconnect
@@ -455,7 +454,7 @@ func (c *Client) WritePage(p disk.PageID, buf []byte) error {
 	if err := c.checkAccess(p, buf); err != nil {
 		return err
 	}
-	c.account(p, false, nil)
+	c.seek(p, false, nil)
 	body := make([]byte, 4+len(buf))
 	binary.LittleEndian.PutUint32(body, uint32(p))
 	copy(body[4:], buf)
@@ -515,29 +514,30 @@ func (c *Client) PageSize() int {
 func (c *Client) Head() disk.PageID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.head
+	return c.arm.Head()
 }
 
 // Stats reports client-side access counters with local seek
 // accounting.
-func (c *Client) Stats() disk.Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
+func (c *Client) Stats() disk.Stats { return c.arm.Stats() }
 
 // ResetStats zeroes the counters.
-func (c *Client) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats = disk.Stats{}
-}
+func (c *Client) ResetStats() { c.arm.ResetStats() }
 
 // ResetHead parks the head at page 0 without accounting a seek.
 func (c *Client) ResetHead() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.head = 0
+	c.arm.ResetHead()
+}
+
+// RegisterMetrics implements disk.MetricsRegistrar: the client-side arm
+// exports the same asm_disk_* series as a local device, beside (and
+// under a label independent of) the asm_net_* series of the wire.
+func (c *Client) RegisterMetrics(r *metrics.Registry, dev string) {
+	c.arm.Register(r, dev,
+		func() int64 { return int64(c.Head()) },
+		func() int64 { return int64(c.NumPages()) })
 }
 
 // Close severs the connection. Every later call returns disk.ErrClosed
@@ -569,47 +569,25 @@ func (c *Client) checkAccess(p disk.PageID, buf []byte) error {
 }
 
 // SetTracer implements disk.TracerSetter: each page access emits a
-// disk-layer event from the client-side head accounting, mirroring the
-// contract of the local devices — the event carries the head position
-// before the access and the (local) seek distance, and is emitted once
-// per logical access regardless of retries. This is distinct
-// from ClientConfig.Tracer, which receives the net-layer events (every
+// disk-layer event from the client-side arm, mirroring the contract of
+// the local devices — the event carries the head position before the
+// access and the (local) seek distance, and is emitted once per logical
+// access regardless of retries. This is distinct from
+// ClientConfig.Tracer, which receives the net-layer events (every
 // send/recv, including retries). Pass nil to disable.
 func (c *Client) SetTracer(t *trace.Tracer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.diskTr = t
+	c.arm.SetTracer(t)
 }
 
-// account moves the local head to p and books the seek, charging reads
-// to sp when a query span rode in.
-func (c *Client) account(p disk.PageID, read bool, sp *qtrace.Span) {
+// seek books one logical access on the local arm — once, before the
+// wire call and whatever its outcome: the arm models where the elevator
+// sent the head, and retries and re-sends are the wire's business.
+func (c *Client) seek(p disk.PageID, read bool, sp *qtrace.Span) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	prev := c.head
-	dist := int64(p) - int64(prev)
-	if dist < 0 {
-		dist = -dist
-	}
-	c.head = p
-	if read {
-		c.stats.Reads++
-		c.stats.SeekReads += dist
-		sp.OnRead(dist)
-	} else {
-		c.stats.Writes++
-	}
-	c.stats.SeekTotal += dist
-	if dist > c.stats.MaxSeek {
-		c.stats.MaxSeek = dist
-	}
-	if c.diskTr != nil {
-		kind := trace.KindWrite
-		if read {
-			kind = trace.KindRead
-		}
-		c.diskTr.Disk(kind, int64(p), int64(prev), dist, sp.QID())
-	}
+	c.arm.Seek(p, read, sp)
+	c.mu.Unlock()
 }
 
 var _ disk.Device = (*Client)(nil)

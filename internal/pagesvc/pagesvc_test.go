@@ -126,6 +126,10 @@ func TestClientDiskTracer(t *testing.T) {
 	if !disk.AttachTracer(c, trace.New(col)) {
 		t.Fatal("Client did not accept a disk tracer")
 	}
+	reg := metrics.NewRegistry()
+	if !disk.RegisterMetrics(c, reg, "remote") {
+		t.Fatal("Client exports no disk series")
+	}
 	buf := make([]byte, ps)
 	for _, p := range []disk.PageID{9, 2, 2, 14} {
 		if err := c.ReadPage(p, buf); err != nil {
@@ -151,6 +155,25 @@ func TestClientDiskTracer(t *testing.T) {
 	}
 	if want := st.SeekTotal - 5; r.SeekTotal != want {
 		t.Errorf("replay SeekTotal = %d, want %d", r.SeekTotal, want)
+	}
+	// The registry leg: the client's arm exports the series every leaf
+	// device does, read from the cells Stats reads.
+	snap := reg.Snapshot()
+	for name, want := range map[string]int64{
+		"asm_disk_reads_total":           st.Reads,
+		"asm_disk_writes_total":          st.Writes,
+		"asm_disk_seek_pages_total":      st.SeekTotal,
+		"asm_disk_read_seek_pages_total": st.SeekReads,
+		"asm_disk_max_seek_pages":        st.MaxSeek,
+		"asm_disk_head_position":         0,
+		"asm_disk_size_pages":            16,
+	} {
+		if got := snap.Value(name, "dev", "remote"); got != want {
+			t.Errorf("registry %s = %d, want %d", name, got, want)
+		}
+	}
+	if st.Reads != 5 || st.Writes != 1 {
+		t.Errorf("Stats reads/writes = %d/%d, want 5/1", st.Reads, st.Writes)
 	}
 }
 

@@ -998,17 +998,8 @@ func (r *Router) Head() disk.PageID {
 // combined view must count it).
 func (r *Router) Stats() disk.Stats {
 	var total disk.Stats
-	add := func(st disk.Stats) {
-		total.Reads += st.Reads
-		total.Writes += st.Writes
-		total.SeekTotal += st.SeekTotal
-		total.SeekReads += st.SeekReads
-		if st.MaxSeek > total.MaxSeek {
-			total.MaxSeek = st.MaxSeek
-		}
-	}
 	for _, d := range r.devices() {
-		add(d.Stats())
+		total = total.Add(d.Stats())
 	}
 	return total
 }

@@ -152,11 +152,11 @@ func runIteration(sc Scenario) (Counters, error) {
 	}, nil
 }
 
-// verifyRegistry is the registry leg of the three-way check: assembly
-// and buffer counters always, disk counters when the device exports
-// them, and the page-service client's net counters on the pagesvc
-// backend (one send and one recv per logical page access in a
-// fault-free run).
+// verifyRegistry is the registry leg of the three-way check: assembly,
+// buffer and disk counters on every backend (every leaf device, the
+// page-service client included, exports its arm), plus the clients' net
+// counters on the networked ones (one send and one recv per logical
+// page access in a fault-free run).
 func verifyRegistry(sc Scenario, e *env, d metrics.Snapshot, got Measured, st assembly.Stats) error {
 	policy := sc.Scheduler.String()
 	switch {
@@ -185,9 +185,8 @@ func verifyRegistry(sc Scenario, e *env, d metrics.Snapshot, got Measured, st as
 		}
 	}
 	if len(e.netLabels) > 0 {
-		// A page-service client exports net counters instead of disk
-		// counters: a fault-free run sends exactly one request and
-		// receives exactly one response per logical page access. On a
+		// A fault-free run sends exactly one request and receives
+		// exactly one response per logical page access. On a
 		// fleet every member client exports its own series; summed they
 		// must cover every access exactly once — the router never
 		// duplicates or drops one. The migrator's direct installs on the
@@ -213,7 +212,6 @@ func verifyRegistry(sc Scenario, e *env, d metrics.Snapshot, got Measured, st as
 				return fmt.Errorf("registry disagrees with harness: asm_fleet_pages_migrated_total %d, migrator reported %d", reg, e.migrated)
 			}
 		}
-		return nil
 	}
 	for _, c := range []struct {
 		name string
@@ -223,8 +221,8 @@ func verifyRegistry(sc Scenario, e *env, d metrics.Snapshot, got Measured, st as
 		{"asm_disk_read_seek_pages_total", got.Dev.SeekReads},
 		{"asm_disk_seek_pages_total", got.Dev.SeekTotal},
 	} {
-		// Summed over dev labels: a striped extent registers one series
-		// per arm, everything else exactly one.
+		// Summed over dev labels: a striped extent or a fleet registers
+		// one series per arm, everything else exactly one.
 		if reg := d.Sum(c.name); reg != c.want {
 			return fmt.Errorf("registry disagrees with harness: %s delta %d, harness %d", c.name, reg, c.want)
 		}

@@ -21,13 +21,12 @@
 //     off and no call site needs a guard.
 //   - Events carry no wall-clock timestamps: the stream is a pure
 //     function of the run, byte-for-byte reproducible under a fixed
-//     seed. Latency lives only in the in-memory histograms.
+//     seed.
 package trace
 
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Layers. Every event belongs to exactly one.
@@ -170,28 +169,21 @@ type Sink interface {
 	Emit(e Event)
 }
 
-// Tracer assigns sequence numbers, maintains the in-memory aggregates
-// (per layer/kind counts, seek and latency histograms), and fans events
-// out to its sinks. The zero *Tracer (nil) is a no-op: every method is
+// Tracer assigns sequence numbers, counts events per layer/kind, and
+// fans events out to its sinks. The zero *Tracer (nil) is a no-op: every method is
 // nil-safe, which is the whole overhead budget of disabled tracing —
 // one branch per instrumentation point.
 type Tracer struct {
-	mu      sync.Mutex
-	seq     uint64
-	sinks   []Sink
-	counts  map[string]int64
-	seek    Hist
-	latency map[string]*Hist
+	mu     sync.Mutex
+	seq    uint64
+	sinks  []Sink
+	counts map[string]int64
 }
 
 // New builds a tracer over the given sinks. A tracer with no sinks
-// still aggregates counts and histograms.
+// still counts events.
 func New(sinks ...Sink) *Tracer {
-	return &Tracer{
-		sinks:   sinks,
-		counts:  map[string]int64{},
-		latency: map[string]*Hist{},
-	}
+	return &Tracer{sinks: sinks, counts: map[string]int64{}}
 }
 
 // Enabled reports whether the tracer records anything. It is the
@@ -200,15 +192,12 @@ func New(sinks ...Sink) *Tracer {
 //	if tr.Enabled() { tr.Assembly(...) }
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// emit assigns the sequence number, aggregates, and fans out.
+// emit assigns the sequence number, counts, and fans out.
 func (t *Tracer) emit(e Event) {
 	t.mu.Lock()
 	t.seq++
 	e.Seq = t.seq
 	t.counts[e.Layer+"/"+e.Kind]++
-	if e.Layer == LayerDisk && (e.Kind == KindRead || e.Kind == KindWrite) && e.Dist >= 0 {
-		t.seek.Add(e.Dist)
-	}
 	for _, s := range t.sinks {
 		s.Emit(e)
 	}
@@ -312,23 +301,6 @@ func (t *Tracer) EndRun(name string, rs RunStats) {
 	t.emit(Event{Layer: LayerBench, Kind: KindEnd, Page: NoPage, Head: NoPage, Dist: NoPage, Note: name, Stats: &stats})
 }
 
-// Observe records a latency sample (in nanoseconds) under the given
-// key, e.g. "disk/read". Latencies never enter the event stream — they
-// would break determinism — only the in-memory histograms.
-func (t *Tracer) Observe(key string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	h := t.latency[key]
-	if h == nil {
-		h = &Hist{}
-		t.latency[key] = h
-	}
-	h.Add(int64(d))
-	t.mu.Unlock()
-}
-
 // Counts returns a snapshot of the per layer/kind event counts, keyed
 // "layer/kind".
 func (t *Tracer) Counts() map[string]int64 {
@@ -342,45 +314,4 @@ func (t *Tracer) Counts() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// SeekHist returns a snapshot of the seek-distance histogram (every
-// traced read and write contributes its head movement).
-func (t *Tracer) SeekHist() Hist {
-	if t == nil {
-		return Hist{}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seek
-}
-
-// LatencyHist returns a snapshot of the latency histogram under key,
-// and whether any samples exist.
-func (t *Tracer) LatencyHist(key string) (Hist, bool) {
-	if t == nil {
-		return Hist{}, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h := t.latency[key]
-	if h == nil {
-		return Hist{}, false
-	}
-	return *h, true
-}
-
-// LatencyKeys returns the keys with at least one latency sample, in
-// unspecified order.
-func (t *Tracer) LatencyKeys() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	keys := make([]string, 0, len(t.latency))
-	for k := range t.latency {
-		keys = append(keys, k)
-	}
-	return keys
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"revelation/internal/trace"
 )
@@ -23,12 +22,8 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.Assembly(trace.KindAdmit, 1, trace.NoPage, trace.NoPage, "", 0)
 	tr.BeginRun("r", 1)
 	tr.EndRun("r", trace.RunStats{})
-	tr.Observe("k", time.Millisecond)
 	if tr.Counts() != nil {
 		t.Error("nil tracer returned counts")
-	}
-	if got := tr.LatencyKeys(); got != nil {
-		t.Errorf("nil tracer returned latency keys %v", got)
 	}
 }
 
@@ -108,10 +103,11 @@ func TestSplitRunsVerify(t *testing.T) {
 	}
 }
 
-// TestTracerCountsAndHists covers the in-memory side: the per-key
-// census, the seek histogram, and latency observation.
+// TestTracerCountsAndHists covers the aggregates: the tracer's per-key
+// census and the seek histogram a replay of its events rebuilds.
 func TestTracerCountsAndHists(t *testing.T) {
-	tr := trace.New()
+	col := trace.NewCollector()
+	tr := trace.New(col)
 	if !tr.Enabled() {
 		t.Fatal("constructed tracer not enabled")
 	}
@@ -119,23 +115,14 @@ func TestTracerCountsAndHists(t *testing.T) {
 	tr.Disk(trace.KindRead, 10, 10, 0, 0)
 	tr.Disk(trace.KindWrite, 20, 10, 10, 0)
 	tr.Buffer(trace.KindHit, 10, 0, 0)
-	tr.Observe("disk/read", 2*time.Microsecond)
-	tr.Observe("disk/read", 4*time.Microsecond)
 
 	counts := tr.Counts()
 	if counts["disk/read"] != 2 || counts["disk/write"] != 1 || counts["buffer/hit"] != 1 {
 		t.Errorf("census wrong: %v", counts)
 	}
 	// Reads and writes both feed the seek histogram: 10 + 0 + 10.
-	if h := tr.SeekHist(); h.Count != 3 || h.Sum != 20 || h.Max != 10 {
+	if h := trace.ReplayEvents(col.Events()).SeekHist; h.Count != 3 || h.Sum != 20 || h.Max != 10 {
 		t.Errorf("seek hist wrong: %+v", h)
-	}
-	keys := tr.LatencyKeys()
-	if len(keys) != 1 || keys[0] != "disk/read" {
-		t.Errorf("latency keys wrong: %v", keys)
-	}
-	if h, ok := tr.LatencyHist("disk/read"); !ok || h.Count != 2 {
-		t.Errorf("latency hist wrong: %+v", h)
 	}
 }
 
