@@ -20,7 +20,8 @@ type BatchScheduler interface {
 	// non-empty lane, each chosen by that lane's own policy relative to
 	// its own last serviced page. Lanes appear in ascending index order
 	// so the batch composition is deterministic. An empty batch means no
-	// references remain.
+	// references remain. The slice is the scheduler's own and valid until
+	// the next call.
 	NextBatch(head disk.PageID) []*Ref
 }
 
@@ -39,6 +40,7 @@ type LaneElevator struct {
 	laneOf func(disk.PageID) int
 	lanes  []lane
 	rr     int
+	batch  []*Ref // NextBatch's result, reused by the next call
 }
 
 // lane is one device's elevator and the page it last served.
@@ -67,6 +69,7 @@ func newLaneElevator(kind string, n int, laneOf func(disk.PageID) int) *LaneElev
 		name:   fmt.Sprintf("%s(%d)", kind, n),
 		laneOf: laneOf,
 		lanes:  make([]lane, n),
+		batch:  make([]*Ref, 0, n),
 	}
 	for i := range s.lanes {
 		s.lanes[i].dirUp = true
@@ -121,14 +124,20 @@ func (l *lane) serve() *Ref {
 }
 
 // NextBatch implements BatchScheduler: one reference per non-empty
-// lane, in lane order, each advancing its own head.
+// lane, in lane order, each advancing its own head. The head it is
+// passed is ignored, as Next ignores it — every lane sweeps from its own
+// last page — which is what lets a device above several lanes report as
+// its head whichever lane's page arrived last (shard.Router.Head).
 func (s *LaneElevator) NextBatch(disk.PageID) []*Ref {
-	var batch []*Ref
+	batch := s.batch[:0]
 	for i := range s.lanes {
 		if r := s.lanes[i].serve(); r != nil {
 			batch = append(batch, r)
 		}
 	}
+	// A shorter batch must not keep the last one's tail reachable.
+	clear(s.batch[len(batch):cap(batch)])
+	s.batch = batch
 	return batch
 }
 

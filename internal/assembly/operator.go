@@ -54,12 +54,14 @@ type Options struct {
 	// ShardPrefetch, with a BatchScheduler (e.g. NewShardElevator over a
 	// shard.Router), fetches one reference per shard lane per step: the
 	// scheduler hands out a batch — one SCAN step per shard — the
-	// operator warms the buffer with the batch's pages under a per-shard
-	// qtrace span each (see prefetchBatch for why in turn), and then
-	// resolves the batch sequentially through the unchanged fault
-	// paths. Each lane has at most one read in flight at a time, so
-	// per-shard access order (and thus replay determinism per shard) is
-	// preserved.
+	// operator warms the buffer with the batch's pages, their device
+	// reads out on all lanes at once and each under its shard's qtrace
+	// span (see prefetchBatch), and then resolves the batch sequentially
+	// through the unchanged fault paths. Each lane has at most one read
+	// in flight at a time, so per-shard access order (and thus replay
+	// determinism per shard) is preserved; what the pool does with the
+	// pages is decided in lane order, never in the order the lanes
+	// answer.
 	ShardPrefetch bool
 	// FaultPolicy selects how the operator reacts to I/O errors while
 	// fetching referenced components. The default (FailFast) is the
@@ -201,11 +203,17 @@ type Operator struct {
 	// batcher is the scheduler's batch interface when ShardPrefetch is
 	// on; batchq holds the tail of the current batch (already
 	// prefetched, resolved one per scheduling step). laneSpans/laneCtxs
-	// attribute each lane's prefetch I/O to a per-shard child span.
+	// attribute each lane's prefetch I/O to a per-shard child span;
+	// lanes are the goroutines that make those reads beside the
+	// operator's own, alive from Open to Close; batchIDs/batchCtxs carry
+	// a batch to the pool.
 	batcher   BatchScheduler
 	batchq    []*Ref
 	laneSpans []*qtrace.Span
 	laneCtxs  []context.Context
+	lanes     *buffer.Lanes
+	batchIDs  []disk.PageID
+	batchCtxs []context.Context
 	// reservation is the frame quota admitted at Open (ReserveFrames).
 	reservation *buffer.Reservation
 	// scratch carries references to the scheduler — one component's
@@ -373,6 +381,10 @@ func (op *Operator) Open() error {
 		op.qspan.End()
 		return err
 	}
+	if op.batcher != nil {
+		// Last, so that no failing path of Open has workers to stop.
+		op.lanes = buffer.StartLanes(op.batcher.Lanes() - 1)
+	}
 	op.open = true
 	return nil
 }
@@ -472,6 +484,8 @@ func (op *Operator) Close() error {
 	op.shared = nil
 	op.batcher = nil
 	op.batchq = nil
+	op.lanes.Stop()
+	op.lanes = nil
 	op.endLaneSpans()
 	op.qspan.End()
 	// The admission quota returns to the pool on every exit path, error
@@ -519,37 +533,35 @@ func (op *Operator) nextRef(head disk.PageID) *Ref {
 }
 
 // prefetchBatch warms the buffer with the batch's pages, one read per
-// shard lane, each attributed to its lane's qtrace span. The reads run
-// in turn on the operator's own goroutine, highest lane first. They
-// used to run on a goroutine per page, which bought nothing and cost a
-// stack copy per read: the pool holds its mutex across a device read,
-// so the lanes never overlapped (shard.lane_overlap is exactly 1), and
-// a fresh goroutine starts on the runtime's small initial stack, which
-// the chain below FixAs — pool, shard router, page-service client, net,
-// syscall — outgrows (EXPERIMENTS.md "One replica path"). Highest lane
-// first is the order those goroutines took the pool in (the last one
-// started ran first), now by construction instead of by timing, so the
-// page and seek counts recorded under it stand. Errors are dropped on
-// purpose: the sequential resolve that follows re-encounters any fault
-// through the full fault-policy machinery (retry budgets, quarantine,
-// breaker-aware failover), so the prefetch can stay purely an
-// optimisation. Every fix is unfixed at once, so the batch holds no
-// pins of its own.
+// shard lane, each attributed to its lane's qtrace span: one
+// Pool.FixBatch, whose device reads are out together — one on this
+// goroutine, the others on op.lanes — so every arm of the fleet works at
+// once (Section 7). The workers live as long as the query: a goroutine
+// per read starts on the runtime's small initial stack, which the chain
+// below the pool — shard router, page-service client, net, syscall —
+// outgrows, and paid a stack copy per read (EXPERIMENTS.md "One replica
+// path"). The pool takes the pages highest lane first, whichever lane
+// answers first — the order the page and seek counts were recorded
+// under, so they stand. Errors are dropped on purpose: the sequential
+// resolve that follows re-encounters any fault through the full
+// fault-policy machinery (retry budgets, quarantine, breaker-aware
+// failover), so the prefetch can stay purely an optimisation. The batch
+// holds no pins of its own.
 func (op *Operator) prefetchBatch(batch []*Ref) {
 	if len(batch) < 2 {
 		return
 	}
-	pool := op.Store.File.Pool()
+	ids, ctxs := op.batchIDs[:0], op.batchCtxs[:0]
 	for i := len(batch) - 1; i >= 0; i-- {
-		r := batch[i]
+		pg := batch[i].RID.Page
 		ctx := op.qctx
-		if lane := op.batcher.LaneOf(r.RID.Page); lane < len(op.laneCtxs) && op.laneCtxs[lane] != nil {
+		if lane := op.batcher.LaneOf(pg); lane < len(op.laneCtxs) && op.laneCtxs[lane] != nil {
 			ctx = op.laneCtxs[lane]
 		}
-		if f, err := pool.FixAs(ctx, r.RID.Page); err == nil {
-			pool.Unfix(f, false)
-		}
+		ids, ctxs = append(ids, pg), append(ctxs, ctx)
 	}
+	op.batchIDs, op.batchCtxs = ids, ctxs
+	op.Store.File.Pool().FixBatch(ctxs, ids, op.lanes)
 }
 
 // admissionAllowed gates window growth on buffer headroom when window

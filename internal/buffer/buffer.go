@@ -271,9 +271,12 @@ func (p *Pool) SetWAL(w WAL) {
 // transient faults are absorbed below the pool's callers. The zero
 // policy (the default) disables retries.
 //
-// Retries run while the pool lock is held — consistent with the rest
-// of the pool, whose device I/O is synchronous under the lock — so
-// backoffs should stay in the microsecond-to-millisecond range.
+// Retries run while the pool lock is held — by the fixing goroutine
+// itself or, for the reads a FixBatch overlaps, on its lane workers
+// while the goroutine that called it holds the lock and waits for them
+// — consistent with the rest of the pool, whose device I/O is
+// synchronous under the lock, so backoffs should stay in the
+// microsecond-to-millisecond range.
 func (p *Pool) SetRetry(rp disk.RetryPolicy) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

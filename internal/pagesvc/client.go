@@ -53,12 +53,27 @@ type ClientConfig struct {
 // requests are pipelined by id, a reader goroutine routes responses to
 // the waiting callers.
 type clientConn struct {
-	c  net.Conn
-	wm sync.Mutex // serializes frame writes
+	c net.Conn
+
+	wm    sync.Mutex // serializes frame writes; guards frame
+	frame []byte     // the request frame being written
 
 	mu      sync.Mutex
-	pending map[uint64]chan response
+	pending map[uint64]*waiter
+	idle    []*waiter // between calls, for the next one
 	dead    error
+}
+
+// waiter is one call's place in the pending table: where the response
+// goes and the timer that bounds the wait. A call takes one from the
+// connection and gives it back when it is done.
+type waiter struct {
+	ch    chan response // capacity 1: at most one delivery per registration
+	timer *time.Timer
+	// page, when not nil, is the caller's page buffer: an stOK body of
+	// exactly its length is delivered in it (the response's body is then
+	// page itself) instead of in a copy.
+	page []byte
 }
 
 // Client is one pipelined connection to one page-service endpoint and
@@ -173,7 +188,7 @@ func (c *Client) Epoch() uint64 { return c.epoch.Load() }
 // retries — the fleet controller's liveness probe. A healthy server
 // answers inside the client timeout; anything else is an error.
 func (c *Client) Ping() error {
-	_, err := c.call(opPing, nil, trace.NoPage, c.nextID(), nil)
+	_, err := c.call(opPing, nil, trace.NoPage, c.nextID(), nil, nil)
 	return err
 }
 
@@ -186,7 +201,7 @@ func (c *Client) Ping() error {
 // promotions at the same epoch crown exactly one winner, the rest get
 // ErrFenced.
 func (c *Client) Promote(epoch, minLSN uint64, writable bool) error {
-	_, err := c.call(opPromote, encodePromote(epoch, minLSN, writable), trace.NoPage, c.nextID(), nil)
+	_, err := c.call(opPromote, encodePromote(epoch, minLSN, writable), trace.NoPage, c.nextID(), nil, nil)
 	if err != nil {
 		return err
 	}
@@ -233,7 +248,7 @@ func (c *Client) connect() (*clientConn, error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	cc := &clientConn{c: nc, pending: map[uint64]chan response{}}
+	cc := &clientConn{c: nc, pending: map[uint64]*waiter{}}
 	go cc.readLoop()
 	if c.everUp {
 		c.reconnects.Inc()
@@ -247,8 +262,9 @@ func (c *Client) connect() (*clientConn, error) {
 // readLoop routes responses to their callers until the conn dies, then
 // fails every waiter.
 func (cc *clientConn) readLoop() {
+	fr := newFrameReader(cc.c)
 	for {
-		payload, err := readFrame(cc.c)
+		payload, err := fr.next()
 		if err != nil {
 			cc.fail(netErr("recv", err))
 			return
@@ -258,16 +274,30 @@ func (cc *clientConn) readLoop() {
 			cc.fail(err)
 			return
 		}
-		cc.mu.Lock()
-		ch := cc.pending[resp.reqID]
-		cc.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- resp:
-			default: // caller already gave up
-			}
-		}
+		cc.deliver(resp)
 	}
+}
+
+// deliver hands resp, whose body is the frame reader's, to the call
+// waiting for it; a response nobody waits for any more is dropped. The
+// body is copied out under mu and only for a waiter that is still in
+// the table: a caller that gave up has taken its page buffer back with
+// it, and the pool may hold another page in that buffer by now.
+func (cc *clientConn) deliver(resp response) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	w := cc.pending[resp.reqID]
+	if w == nil {
+		return
+	}
+	delete(cc.pending, resp.reqID)
+	if w.page != nil && resp.status == stOK && len(resp.body) == len(w.page) {
+		copy(w.page, resp.body)
+		resp.body = w.page
+	} else {
+		resp.body = append([]byte(nil), resp.body...)
+	}
+	w.ch <- resp
 }
 
 func (cc *clientConn) fail(err error) {
@@ -275,44 +305,73 @@ func (cc *clientConn) fail(err error) {
 	if cc.dead == nil {
 		cc.dead = err
 	}
-	for id, ch := range cc.pending {
+	for id, w := range cc.pending {
 		delete(cc.pending, id)
-		select {
-		case ch <- response{status: stErr, reqID: id, body: encodeErr(err)}:
-		default:
-		}
+		w.ch <- response{status: stErr, reqID: id, body: encodeErr(err)}
 	}
 	cc.mu.Unlock()
 	cc.c.Close()
 }
 
-// start registers a waiter and sends the request frame.
-func (cc *clientConn) start(req request) (chan response, error) {
-	ch := make(chan response, 1)
+// start registers a waiter for req, whose stOK body belongs in page
+// (nil: in a copy), and sends the request frame in one write.
+func (cc *clientConn) start(req request, page []byte, timeout time.Duration) (*waiter, error) {
 	cc.mu.Lock()
 	if cc.dead != nil {
 		err := cc.dead
 		cc.mu.Unlock()
 		return nil, err
 	}
-	cc.pending[req.reqID] = ch
+	var w *waiter
+	if n := len(cc.idle); n > 0 {
+		w, cc.idle = cc.idle[n-1], cc.idle[:n-1]
+		w.timer.Reset(timeout)
+	} else {
+		w = &waiter{ch: make(chan response, 1), timer: time.NewTimer(timeout)}
+	}
+	w.page = page
+	cc.pending[req.reqID] = w
 	cc.mu.Unlock()
 	cc.wm.Lock()
-	err := writeFrame(cc.c, encodeRequest(req))
+	cc.frame = appendRequest(cc.frame[:0], req)
+	_, err := cc.c.Write(cc.frame)
 	cc.wm.Unlock()
 	if err != nil {
-		cc.forget(req.reqID)
+		cc.finish(req.reqID, w)
 		cc.fail(netErr("send", err))
 		return nil, netErr("send", err)
 	}
-	return ch, nil
+	return w, nil
 }
 
-func (cc *clientConn) forget(id uint64) {
+// finish ends w's call: it leaves the pending table if it is still
+// there, after which nothing is delivered to it or to its page, and
+// goes back to the idle waiters with its channel and timer drained.
+func (cc *clientConn) finish(id uint64, w *waiter) {
+	if !w.timer.Stop() {
+		select {
+		case <-w.timer.C:
+		default:
+		}
+	}
 	cc.mu.Lock()
-	delete(cc.pending, id)
+	if cc.pending[id] == w {
+		delete(cc.pending, id)
+	}
+	select {
+	case <-w.ch:
+	default:
+	}
+	w.page = nil
+	if len(cc.idle) < maxIdleWaiters {
+		cc.idle = append(cc.idle, w)
+	}
 	cc.mu.Unlock()
 }
+
+// maxIdleWaiters bounds a connection's idle waiters; a pool's lanes
+// keep one call each in flight, so a few cover it.
+const maxIdleWaiters = 4
 
 func (cc *clientConn) close() {
 	cc.fail(netErr("conn", fmt.Errorf("closed")))
@@ -331,8 +390,11 @@ func (c *Client) nextID() uint64 {
 // trace of a flaky run is deterministic, and a late response to an
 // earlier attempt matches the current waiter instead of being dropped.
 // sp, when non-nil, attributes the wire activity to a query span and
-// stamps its query id into the request frame (protocol v2).
-func (c *Client) call(op byte, body []byte, page int64, reqID uint64, sp *qtrace.Span) (response, error) {
+// stamps its query id into the request frame (protocol v2). With a
+// dst, an stOK body of dst's length arrives in dst and is the returned
+// response's body; any other body is a copy the caller owns. Once call
+// has returned — answered, failed or timed out — nothing writes to dst.
+func (c *Client) call(op byte, body []byte, page int64, reqID uint64, sp *qtrace.Span, dst []byte) (response, error) {
 	addr := c.cfg.Primary
 	cc, err := c.connect()
 	if err != nil {
@@ -344,16 +406,14 @@ func (c *Client) call(op byte, body []byte, page int64, reqID uint64, sp *qtrace
 	c.sends.Inc()
 	sp.OnNetSend()
 	c.cfg.Tracer.Net(trace.KindSend, page, 0, addr, qid)
-	ch, err := cc.start(req)
+	w, err := cc.start(req, dst, c.cfg.Timeout)
 	if err != nil {
 		c.errors_.Inc()
 		return response{}, err
 	}
-	timer := time.NewTimer(c.cfg.Timeout)
-	defer timer.Stop()
+	defer cc.finish(reqID, w)
 	select {
-	case resp := <-ch:
-		cc.forget(req.reqID)
+	case resp := <-w.ch:
 		if resp.status == stErr {
 			c.errors_.Inc()
 			c.recvs.Inc()
@@ -366,8 +426,7 @@ func (c *Client) call(op byte, body []byte, page int64, reqID uint64, sp *qtrace
 		sp.OnNetRecv()
 		c.cfg.Tracer.Net(trace.KindRecv, page, 0, addr, qid)
 		return resp, nil
-	case <-timer.C:
-		cc.forget(req.reqID)
+	case <-w.timer.C:
 		c.timeouts.Inc()
 		c.errors_.Inc()
 		sp.OnNetTimeout()
@@ -400,7 +459,7 @@ func opName(op byte) string {
 // info fetches device geometry, replication progress, and the fencing
 // epoch from the endpoint.
 func (c *Client) info() (pages, pageSize int, appliedLSN, epoch uint64, err error) {
-	resp, err := c.call(opInfo, nil, trace.NoPage, c.nextID(), nil)
+	resp, err := c.call(opInfo, nil, trace.NoPage, c.nextID(), nil, nil)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -425,25 +484,23 @@ func (c *Client) ReadPage(p disk.PageID, buf []byte) error {
 // frame so the server can attribute its side of the work too.
 func (c *Client) ReadPageCtx(ctx context.Context, p disk.PageID, buf []byte) error {
 	sp := qtrace.From(ctx)
-	if err := c.checkAccess(p, buf); err != nil {
-		return err
-	}
-	c.seek(p, true, sp)
-	var body [4]byte
-	binary.LittleEndian.PutUint32(body[:], uint32(p))
 	// One reqID for the whole logical read: every retry and reconnect
 	// re-send below reuses it.
-	reqID := c.nextID()
-	_, err := c.cfg.Retry.DoJitter(c.jitter, func() error {
-		resp, err := c.call(opRead, body[:], int64(p), reqID, sp)
+	reqID, err := c.begin(p, buf, true, sp)
+	if err != nil {
+		return err
+	}
+	var body [4]byte
+	binary.LittleEndian.PutUint32(body[:], uint32(p))
+	_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
+		resp, err := c.call(opRead, body[:], int64(p), reqID, sp, buf)
 		if err != nil {
 			return err
 		}
 		if len(resp.body) != len(buf) {
 			return fmt.Errorf("%w: %d-byte page, want %d", ErrBadFrame, len(resp.body), len(buf))
 		}
-		copy(buf, resp.body)
-		return nil
+		return nil // the page arrived in buf
 	})
 	return err
 }
@@ -451,16 +508,15 @@ func (c *Client) ReadPageCtx(ctx context.Context, p disk.PageID, buf []byte) err
 // WritePage writes page p through to the endpoint; when it is down
 // writes fail transiently until it returns.
 func (c *Client) WritePage(p disk.PageID, buf []byte) error {
-	if err := c.checkAccess(p, buf); err != nil {
+	reqID, err := c.begin(p, buf, false, nil)
+	if err != nil {
 		return err
 	}
-	c.seek(p, false, nil)
 	body := make([]byte, 4+len(buf))
 	binary.LittleEndian.PutUint32(body, uint32(p))
 	copy(body[4:], buf)
-	reqID := c.nextID()
-	_, err := c.cfg.Retry.DoJitter(c.jitter, func() error {
-		_, err := c.call(opWrite, body, int64(p), reqID, nil)
+	_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
+		_, err := c.call(opWrite, body, int64(p), reqID, nil, nil)
 		return err
 	})
 	return err
@@ -473,7 +529,7 @@ func (c *Client) Allocate(n int) (disk.PageID, error) {
 	var first disk.PageID
 	reqID := c.nextID()
 	_, err := c.cfg.Retry.DoJitter(c.jitter, func() error {
-		resp, err := c.call(opAlloc, body[:], trace.NoPage, reqID, nil)
+		resp, err := c.call(opAlloc, body[:], trace.NoPage, reqID, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -553,19 +609,26 @@ func (c *Client) Close() error {
 	return nil
 }
 
-func (c *Client) checkAccess(p disk.PageID, buf []byte) error {
+// begin opens one logical page access in one critical section: it
+// validates the access, books it on the local arm — once, before the
+// wire call and whatever its outcome: the arm models where the elevator
+// sent the head, and retries and re-sends are the wire's business — and
+// draws the access's request id.
+func (c *Client) begin(p disk.PageID, buf []byte, read bool, sp *qtrace.Span) (reqID uint64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed.Load() {
-		return disk.ErrClosed
+		return 0, disk.ErrClosed
 	}
 	if len(buf) != c.pageSize {
-		return disk.ErrBadLength
+		return 0, disk.ErrBadLength
 	}
 	if int(p) >= c.numPages {
-		return fmt.Errorf("%w: page %d of %d", disk.ErrOutOfRange, p, c.numPages)
+		return 0, fmt.Errorf("%w: page %d of %d", disk.ErrOutOfRange, p, c.numPages)
 	}
-	return nil
+	c.arm.Seek(p, read, sp)
+	c.reqID++
+	return c.reqID, nil
 }
 
 // SetTracer implements disk.TracerSetter: each page access emits a
@@ -579,15 +642,6 @@ func (c *Client) SetTracer(t *trace.Tracer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.arm.SetTracer(t)
-}
-
-// seek books one logical access on the local arm — once, before the
-// wire call and whatever its outcome: the arm models where the elevator
-// sent the head, and retries and re-sends are the wire's business.
-func (c *Client) seek(p disk.PageID, read bool, sp *qtrace.Span) {
-	c.mu.Lock()
-	c.arm.Seek(p, read, sp)
-	c.mu.Unlock()
 }
 
 var _ disk.Device = (*Client)(nil)

@@ -2,6 +2,7 @@ package pagesvc
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -26,7 +27,12 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 // the promote body. Whatever the input, decoding must return a
 // classified error or a well-formed value, never panic or index out of
 // bounds; and any frame that decodes cleanly must survive a
-// re-encode/re-decode round trip unchanged (headers are canonical).
+// re-encode/re-decode round trip unchanged (headers are canonical). The
+// input reaches the decoders the way frames do: framed, and through a
+// frameReader fed the stream in two pieces, split at every byte
+// boundary — the payload handed out must be the input each time. What
+// decodes is re-encoded by the append* functions and by the reference
+// encoders of wire_model_test.go, which must agree byte for byte.
 func FuzzProtoDecode(f *testing.F) {
 	// A valid v1 read request.
 	f.Add(encodeRequest(request{op: opRead, dev: DataDev, reqID: 7, body: []byte{1, 0, 0, 0}}))
@@ -43,8 +49,12 @@ func FuzzProtoDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
 
-	f.Fuzz(func(t *testing.T, p []byte) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		p := throughFrameReader(t, in)
 		if req, err := decodeRequest(p); err == nil {
+			if got, want := appendRequest(nil, req), framed(encodeRequest(req)); !bytes.Equal(got, want) {
+				t.Fatalf("appendRequest(%+v) = %x, reference %x", req, got, want)
+			}
 			// Round trip: decoded fields re-encode to a frame that
 			// decodes identically. (The raw bytes may differ — a v2
 			// frame with qid 0 and epoch 0 re-encodes as v1.)
@@ -65,6 +75,9 @@ func FuzzProtoDecode(f *testing.F) {
 			}
 		}
 		if resp, err := decodeResponse(p); err == nil {
+			if got, want := appendResponse(nil, resp), framed(encodeResponse(resp)); !bytes.Equal(got, want) {
+				t.Fatalf("appendResponse(%+v) = %x, reference %x", resp, got, want)
+			}
 			again, err := decodeResponse(encodeResponse(resp))
 			if err != nil {
 				t.Fatalf("re-decode of re-encoded response: %v", err)
@@ -81,10 +94,45 @@ func FuzzProtoDecode(f *testing.F) {
 					if !bytes.Equal(redone, encodeResponse(resp)) {
 						t.Fatalf("stream record round trip diverged")
 					}
+					if got := appendStreamRecord(nil, resp.reqID, lsn, page, img); !bytes.Equal(got, framed(redone)) {
+						t.Fatalf("appendStreamRecord = %x, reference %x", got, framed(redone))
+					}
 				}
 			}
 		}
 	})
+}
+
+// framed is payload as the reference puts it on the wire.
+func framed(payload []byte) []byte {
+	var b bytes.Buffer
+	writeFrame(&b, payload)
+	return b.Bytes()
+}
+
+// throughFrameReader frames in, follows it with a second frame, and
+// reads the stream back through a frameReader once for every way of
+// cutting it in two (every 61st way once it is longer than 1 KB). It
+// returns the payload as the reader handed it out.
+func throughFrameReader(t *testing.T, in []byte) []byte {
+	stream := append(framed(in), framed([]byte("next"))...)
+	stride := 1
+	if len(stream) > 1024 {
+		stride = 61
+	}
+	var out []byte
+	for cut := 0; cut <= len(stream); cut += stride {
+		fr := newFrameReader(io.MultiReader(bytes.NewReader(stream[:cut]), bytes.NewReader(stream[cut:])))
+		p, err := fr.next()
+		if err != nil || !bytes.Equal(p, in) {
+			t.Fatalf("cut at %d: frame reader handed out %x (%v), want %x", cut, p, err, in)
+		}
+		out = append(out[:0], p...)
+		if p, err := fr.next(); err != nil || string(p) != "next" {
+			t.Fatalf("cut at %d: second frame %q, %v", cut, p, err)
+		}
+	}
+	return out
 }
 
 // TestMalformedFrameClosesConn: a frame the server cannot decode must

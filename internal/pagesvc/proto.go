@@ -22,6 +22,7 @@
 package pagesvc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -117,54 +118,77 @@ type response struct {
 	body   []byte
 }
 
-// writeFrame sends one length-prefixed payload. Callers serialize.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// Frames. Every message on the wire is one frame: a 4-byte
+// little-endian payload length, then the payload (a request or response
+// header and its body). A sender assembles the whole frame in a buffer
+// it owns — the append* functions below — and hands it to the connection
+// in one Write: with TCP_NODELAY a length prefix written on its own is a
+// segment of its own, and wakes the peer for four bytes. A receiver
+// reads through a frameReader, which usually finds prefix, header and
+// body in one read of the socket.
+
+// frameBufSize is a frameReader's buffer: a few frames at the paper's
+// 1 KB page. A frame that does not fit is read into a buffer of its own.
+const frameBufSize = 4096
+
+// frameReader hands out the payloads of the frames on a stream.
+type frameReader struct {
+	br   *bufio.Reader
+	skip int // bytes of the payload handed out last, still in br
 }
 
-// readFrame reads one length-prefixed payload.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, frameBufSize)}
+}
+
+// next returns the next frame's payload, which is valid until the call
+// after: whoever keeps any of it longer copies it out.
+func (fr *frameReader) next() ([]byte, error) {
+	if _, err := fr.br.Discard(fr.skip); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	fr.skip = 0
+	hdr, err := fr.br.Peek(4)
+	if err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > maxFrame {
 		return nil, fmt.Errorf("%w: %d-byte frame", ErrBadFrame, n)
 	}
+	if size := 4 + int(n); size <= fr.br.Size() {
+		frame, err := fr.br.Peek(size)
+		if err != nil {
+			return nil, err
+		}
+		fr.skip = size
+		return frame[4:], nil
+	}
+	fr.br.Discard(4) // the four bytes just peeked
 	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if _, err := io.ReadFull(fr.br, payload); err != nil {
 		return nil, err
 	}
 	return payload, nil
 }
 
-// encodeRequest frames a request for the wire: the v1 10-byte header,
+// appendRequest appends req's frame to dst: the v1 10-byte header,
 // extended with the query id and epoch (and flagged op byte) only when
 // one is set, so unattributed unfenced traffic stays wire-identical to
 // v1.
-func encodeRequest(req request) []byte {
-	hdr := reqHdrSize
+func appendRequest(dst []byte, req request) []byte {
+	hdr, op := reqHdrSize, req.op
 	if req.qid != 0 || req.epoch != 0 {
-		hdr = reqHdrSizeQ
+		hdr, op = reqHdrSizeQ, req.op|opQIDFlag
 	}
-	p := make([]byte, hdr+len(req.body))
-	p[0] = req.op
-	p[1] = req.dev
-	binary.LittleEndian.PutUint64(p[2:], req.reqID)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(hdr+len(req.body)))
+	dst = append(dst, op, req.dev)
+	dst = binary.LittleEndian.AppendUint64(dst, req.reqID)
 	if hdr == reqHdrSizeQ {
-		p[0] |= opQIDFlag
-		binary.LittleEndian.PutUint64(p[reqHdrSize:], req.qid)
-		binary.LittleEndian.PutUint64(p[reqHdrSize+8:], req.epoch)
+		dst = binary.LittleEndian.AppendUint64(dst, req.qid)
+		dst = binary.LittleEndian.AppendUint64(dst, req.epoch)
 	}
-	copy(p[hdr:], req.body)
-	return p
+	return append(dst, req.body...)
 }
 
 // decodeRequest parses a request frame payload, accepting both header
@@ -192,13 +216,18 @@ func decodeRequest(p []byte) (request, error) {
 	return req, nil
 }
 
-// encodeResponse frames a response for the wire.
-func encodeResponse(resp response) []byte {
-	p := make([]byte, respHdrSize+len(resp.body))
-	p[0] = resp.status
-	binary.LittleEndian.PutUint64(p[1:], resp.reqID)
-	copy(p[respHdrSize:], resp.body)
-	return p
+// appendResponseHdr appends the start of a response frame whose body,
+// of bodyLen bytes, the caller appends itself.
+func appendResponseHdr(dst []byte, status byte, reqID uint64, bodyLen int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(respHdrSize+bodyLen))
+	dst = append(dst, status)
+	return binary.LittleEndian.AppendUint64(dst, reqID)
+}
+
+// appendResponse appends resp's frame to dst.
+func appendResponse(dst []byte, resp response) []byte {
+	dst = appendResponseHdr(dst, resp.status, resp.reqID, len(resp.body))
+	return append(dst, resp.body...)
 }
 
 // decodeResponse parses a response frame payload.
@@ -284,14 +313,13 @@ func netErr(op string, err error) error {
 	return fmt.Errorf("pagesvc: %s: %v: %w", op, err, disk.ErrTransient)
 }
 
-// encodeStreamRecord frames one Follow record.
-func encodeStreamRecord(reqID, lsn uint64, page disk.PageID, img []byte) []byte {
-	body := make([]byte, 16+len(img))
-	binary.LittleEndian.PutUint64(body[0:], lsn)
-	binary.LittleEndian.PutUint32(body[8:], uint32(page))
-	binary.LittleEndian.PutUint32(body[12:], uint32(len(img)))
-	copy(body[16:], img)
-	return encodeResponse(response{status: stStream, reqID: reqID, body: body})
+// appendStreamRecord appends the frame of one Follow record to dst.
+func appendStreamRecord(dst []byte, reqID, lsn uint64, page disk.PageID, img []byte) []byte {
+	dst = appendResponseHdr(dst, stStream, reqID, 16+len(img))
+	dst = binary.LittleEndian.AppendUint64(dst, lsn)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(page))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(img)))
+	return append(dst, img...)
 }
 
 // decodeStreamRecord parses one Follow record body.

@@ -190,12 +190,13 @@ func (r *Replica) followOnce() error {
 	var body [8]byte
 	binary.LittleEndian.PutUint64(body[:], r.applied.Load())
 	req := request{op: opFollow, dev: r.cfg.WALDev, reqID: 1, body: body[:]}
-	if err := writeFrame(nc, encodeRequest(req)); err != nil {
+	if _, err := nc.Write(appendRequest(nil, req)); err != nil {
 		return netErr("replica follow", err)
 	}
 	buf := make([]byte, r.dev.PageSize())
+	fr := newFrameReader(nc)
 	for {
-		payload, err := readFrame(nc)
+		payload, err := fr.next()
 		if err != nil {
 			return netErr("replica stream", err)
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -187,16 +188,45 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// connWriter serializes frame writes from concurrent request handlers.
-type connWriter struct {
-	mu sync.Mutex
-	c  net.Conn
+// serverConn is one accepted connection as its request handlers see
+// it: frame writes are serialized, and the buffers requests are handled
+// in are kept between requests.
+type serverConn struct {
+	c net.Conn
+
+	mu   sync.Mutex // serializes frame writes; guards idle
+	idle [][]byte   // buffers between requests
 }
 
-func (w *connWriter) send(payload []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return writeFrame(w.c, payload)
+// maxIdleBufs bounds a connection's idle buffers, each a little over a
+// page: a client's lanes keep one request each in flight.
+const maxIdleBufs = 4
+
+// take returns a buffer for one request, empty, with whatever capacity
+// its last use left it.
+func (sc *serverConn) take() []byte {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	n := len(sc.idle)
+	if n == 0 {
+		return nil
+	}
+	buf := sc.idle[n-1]
+	sc.idle = sc.idle[:n-1]
+	return buf[:0]
+}
+
+// send writes one frame in one Write, then keeps buf — the buffer the
+// frame was assembled in, done with once the write has returned — for a
+// later request. A nil buf keeps nothing.
+func (sc *serverConn) send(frame, buf []byte) error {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	_, err := sc.c.Write(frame)
+	if buf != nil && len(sc.idle) < maxIdleBufs {
+		sc.idle = append(sc.idle, buf)
+	}
+	return err
 }
 
 func (s *Server) serveConn(c net.Conn) {
@@ -207,42 +237,43 @@ func (s *Server) serveConn(c net.Conn) {
 		s.mu.Unlock()
 		c.Close()
 	}()
-	w := &connWriter{c: c}
+	sc := &serverConn{c: c}
+	fr := newFrameReader(c)
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
 	for {
-		payload, err := readFrame(c)
+		payload, err := fr.next()
 		if err != nil {
 			return // EOF, reset, or garbage: the connection is done.
 		}
-		req, err := decodeRequest(payload)
+		// The payload is the reader's until its next call, and the
+		// handler outlives that: the request moves to a buffer of its
+		// own, where the handler also assembles the response.
+		buf := append(sc.take(), payload...)
+		req, err := decodeRequest(buf)
 		if err != nil {
 			// A malformed frame poisons the whole stream (framing state
 			// is gone): answer with a classified error — reqID 0, since
 			// the real id is unrecoverable — then close the connection.
 			s.errs.Inc()
-			w.send(encodeResponse(response{status: stErr, body: encodeErr(err)}))
+			sc.send(appendResponse(nil, response{status: stErr, body: encodeErr(err)}), buf)
 			return
 		}
+		s.requests.Inc()
 		if req.op == opFollow {
 			// Follow takes over the connection: the stream shares the
 			// writer with any in-flight request handlers, but no new
 			// requests are read until it ends (it ends only when the
 			// connection or server dies).
-			s.requests.Inc()
-			s.serveFollow(w, req)
+			s.serveFollow(sc, req, buf)
 			return
 		}
-		s.requests.Inc()
 		handlers.Add(1)
-		go func(req request) {
+		go func() {
 			defer handlers.Done()
-			resp := s.handle(req)
-			if resp.status == stErr {
-				s.errs.Inc()
-			}
-			w.send(encodeResponse(resp)) // a dead conn ends the read loop too
-		}(req)
+			out := s.handle(req, buf)
+			sc.send(out[len(buf):], out) // a dead conn ends the read loop too
+		}()
 	}
 }
 
@@ -258,10 +289,20 @@ func (s *Server) reqSpan(req request, name string) (*qtrace.Span, context.Contex
 	return sp, qtrace.With(context.Background(), sp)
 }
 
-// handle executes one non-streaming request against its device.
-func (s *Server) handle(req request) response {
-	fail := func(err error) response {
-		return response{status: stErr, reqID: req.reqID, body: encodeErr(err)}
+// fail appends the frame of a classified error response to buf and
+// counts the failed request.
+func (s *Server) fail(buf []byte, reqID uint64, err error) []byte {
+	s.errs.Inc()
+	return appendResponse(buf, response{status: stErr, reqID: reqID, body: encodeErr(err)})
+}
+
+// handle executes one non-streaming request against its device. buf
+// holds the request's bytes (req.body points into it); the response
+// frame is appended behind them and the whole returned. A page read
+// goes from the device straight into that frame.
+func (s *Server) handle(req request, buf []byte) []byte {
+	ok := func(body []byte) []byte {
+		return appendResponse(buf, response{status: stOK, reqID: req.reqID, body: body})
 	}
 	// Epoch fencing, checked before any device work. A request stamped
 	// with an older (nonzero) epoch is from a superseded view of the
@@ -270,72 +311,74 @@ func (s *Server) handle(req request) response {
 	// zero stamp is legacy unfenced traffic.
 	if cur := s.epoch.Load(); req.epoch != 0 && req.epoch < cur {
 		s.fenced.Inc()
-		return fail(fmt.Errorf("pagesvc: request epoch %d superseded by %d: %w", req.epoch, cur, ErrFenced))
+		return s.fail(buf, req.reqID, fmt.Errorf("pagesvc: request epoch %d superseded by %d: %w", req.epoch, cur, ErrFenced))
 	}
 	if req.op == opPromote {
-		return s.handlePromote(req)
+		return s.handlePromote(req, buf)
 	}
 	// A read-only server (replica, or a fenced ex-primary) refuses all
 	// mutations: this is what rejects a zombie primary's late writes
 	// after the fleet has moved on without it.
 	if s.readOnly.Load() && (req.op == opWrite || req.op == opAlloc) {
 		s.fenced.Inc()
-		return fail(fmt.Errorf("pagesvc: read-only at epoch %d: %w", s.epoch.Load(), ErrFenced))
+		return s.fail(buf, req.reqID, fmt.Errorf("pagesvc: read-only at epoch %d: %w", s.epoch.Load(), ErrFenced))
 	}
 	if int(req.dev) >= len(s.devs) {
-		return fail(fmt.Errorf("pagesvc: no device %d", req.dev))
+		return s.fail(buf, req.reqID, fmt.Errorf("pagesvc: no device %d", req.dev))
 	}
 	dev := s.devs[req.dev]
 	switch req.op {
 	case opRead:
 		if len(req.body) != 4 {
-			return fail(ErrBadFrame)
+			return s.fail(buf, req.reqID, ErrBadFrame)
 		}
 		p := disk.PageID(binary.LittleEndian.Uint32(req.body))
-		buf := make([]byte, dev.PageSize())
+		out := appendResponseHdr(buf, stOK, req.reqID, dev.PageSize())
+		body := len(out)
+		out = slices.Grow(out, dev.PageSize())[:body+dev.PageSize()]
 		sp, ctx := s.reqSpan(req, "read")
-		err := disk.ReadPageCtx(ctx, dev, p, buf)
+		err := disk.ReadPageCtx(ctx, dev, p, out[body:])
 		sp.End()
 		if err != nil {
-			return fail(err)
+			return s.fail(buf, req.reqID, err)
 		}
-		return response{status: stOK, reqID: req.reqID, body: buf}
+		return out
 	case opWrite:
 		if len(req.body) != 4+dev.PageSize() {
-			return fail(ErrBadFrame)
+			return s.fail(buf, req.reqID, ErrBadFrame)
 		}
 		p := disk.PageID(binary.LittleEndian.Uint32(req.body))
 		if err := dev.WritePage(p, req.body[4:]); err != nil {
-			return fail(err)
+			return s.fail(buf, req.reqID, err)
 		}
-		return response{status: stOK, reqID: req.reqID}
+		return ok(nil)
 	case opAlloc:
 		if len(req.body) != 4 {
-			return fail(ErrBadFrame)
+			return s.fail(buf, req.reqID, ErrBadFrame)
 		}
 		n := int(binary.LittleEndian.Uint32(req.body))
 		first, err := dev.Allocate(n)
 		if err != nil {
-			return fail(err)
+			return s.fail(buf, req.reqID, err)
 		}
 		var body [4]byte
 		binary.LittleEndian.PutUint32(body[:], uint32(first))
-		return response{status: stOK, reqID: req.reqID, body: body[:]}
+		return ok(body[:])
 	case opInfo:
 		var applied uint64
 		if s.cfg.AppliedLSN != nil {
 			applied = s.cfg.AppliedLSN()
 		}
-		body := make([]byte, 28)
+		var body [28]byte
 		binary.LittleEndian.PutUint64(body[0:], uint64(dev.NumPages()))
 		binary.LittleEndian.PutUint32(body[8:], uint32(dev.PageSize()))
 		binary.LittleEndian.PutUint64(body[12:], applied)
 		binary.LittleEndian.PutUint64(body[20:], s.epoch.Load())
-		return response{status: stOK, reqID: req.reqID, body: body}
+		return ok(body[:])
 	case opPing:
-		return response{status: stOK, reqID: req.reqID}
+		return ok(nil)
 	default:
-		return fail(fmt.Errorf("pagesvc: unknown op %d", req.op))
+		return s.fail(buf, req.reqID, fmt.Errorf("pagesvc: unknown op %d", req.op))
 	}
 }
 
@@ -347,19 +390,16 @@ func (s *Server) handle(req request) response {
 // catch-up progresses) while the server's applied LSN is behind the
 // caller's floor: promoting a replica that has not absorbed every
 // durable write would lose data the client was promised.
-func (s *Server) handlePromote(req request) response {
-	fail := func(err error) response {
-		return response{status: stErr, reqID: req.reqID, body: encodeErr(err)}
-	}
+func (s *Server) handlePromote(req request, buf []byte) []byte {
 	epoch, minLSN, writable, err := decodePromote(req.body)
 	if err != nil {
-		return fail(err)
+		return s.fail(buf, req.reqID, err)
 	}
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
 	if cur := s.epoch.Load(); epoch <= cur {
 		s.fenced.Inc()
-		return fail(fmt.Errorf("pagesvc: promote epoch %d not above current %d: %w", epoch, cur, ErrFenced))
+		return s.fail(buf, req.reqID, fmt.Errorf("pagesvc: promote epoch %d not above current %d: %w", epoch, cur, ErrFenced))
 	}
 	if minLSN > 0 {
 		var applied uint64
@@ -367,7 +407,7 @@ func (s *Server) handlePromote(req request) response {
 			applied = s.cfg.AppliedLSN()
 		}
 		if applied < minLSN {
-			return fail(fmt.Errorf("pagesvc: promote: applied LSN %d behind floor %d: %w",
+			return s.fail(buf, req.reqID, fmt.Errorf("pagesvc: promote: applied LSN %d behind floor %d: %w",
 				applied, minLSN, disk.ErrTransient))
 		}
 	}
@@ -378,7 +418,7 @@ func (s *Server) handlePromote(req request) response {
 	}
 	var body [8]byte
 	binary.LittleEndian.PutUint64(body[:], epoch)
-	return response{status: stOK, reqID: req.reqID, body: body[:]}
+	return appendResponse(buf, response{status: stOK, reqID: req.reqID, body: body[:]})
 }
 
 // serveFollow streams WAL records from the requested device, starting
@@ -388,9 +428,17 @@ func (s *Server) handlePromote(req request) response {
 // on a growing log is usually an append caught mid-flight, and if it
 // is real damage, recovery on the primary will repair it before the
 // log grows past it.
-func (s *Server) serveFollow(w *connWriter, req request) {
+func (s *Server) serveFollow(sc *serverConn, req request, buf []byte) {
+	// Every frame of the stream is assembled in buf, behind the request,
+	// and buf keeps what room a frame grew it to.
 	fail := func(err error) {
-		w.send(encodeResponse(response{status: stErr, reqID: req.reqID, body: encodeErr(err)}))
+		out := appendResponse(buf, response{status: stErr, reqID: req.reqID, body: encodeErr(err)})
+		sc.send(out[len(buf):], nil)
+	}
+	record := func(lsn uint64, page disk.PageID, img []byte) error {
+		out := appendStreamRecord(buf, req.reqID, lsn, page, img)
+		buf = out[:len(buf)]
+		return sc.send(out[len(buf):], nil)
 	}
 	if int(req.dev) >= len(s.devs) {
 		fail(fmt.Errorf("pagesvc: no device %d", req.dev))
@@ -427,12 +475,12 @@ func (s *Server) serveFollow(w *connWriter, req request) {
 			// Cutover records carry no page image; ship a watermark-only
 			// frame so the follower's applied LSN still advances past
 			// them (a stalled watermark would wedge the staleness guard).
-			if err := w.send(encodeStreamRecord(req.reqID, rec.LSN, 0, nil)); err != nil {
+			if err := record(rec.LSN, 0, nil); err != nil {
 				return
 			}
 			continue
 		}
-		if err := w.send(encodeStreamRecord(req.reqID, rec.LSN, rec.Page, rec.Img)); err != nil {
+		if err := record(rec.LSN, rec.Page, rec.Img); err != nil {
 			return
 		}
 	}
