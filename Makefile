@@ -17,9 +17,11 @@ test:
 	$(GO) test ./...
 
 # The elevator's pending set, uncached: the differential test against
-# the sorted-slice reference model, the 0-alloc pin on a scheduling step
-# and the step-cost-is-flat check, then one iteration of the scaling
-# benchmark so that it cannot rot unbuilt or panic unseen.
+# the sorted-slice reference model (which also holds a lane's run to
+# that many single picks, no page twice, no dead reference, nothing of
+# an earlier batch reachable behind a shorter one), the 0-alloc pin on a
+# scheduling step and the step-cost-is-flat check, then one iteration of
+# the scaling benchmark so that it cannot rot unbuilt or panic unseen.
 sched-check:
 	$(GO) test -count=1 -run 'TestPendingSetMatchesSortedSlice|TestElevatorStep|TestServedRefsUnreachable' ./internal/assembly
 	$(GO) test -run '^$$' -bench=SchedulerElevator -benchtime=1x ./internal/assembly
@@ -61,18 +63,21 @@ disk-check:
 	$(GO) test -race -count=1 -run '$(DISK_TESTS)' ./internal/disk
 	$(GO) test -run '^$$' -bench=MetricsOverhead -benchtime=1x ./internal/disk
 
-# A batch's reads out together, and every frame one write, uncached:
-# the differential test of Pool.FixBatch against the loop of single
-# fixes it replaced (10 000 seeded sequences, with lanes and without;
-# 400 under -race), the lane workers' lifetime on every way a query can
-# end, the byte-for-byte comparison of every frame with the encoders it
-# replaced, the frame reader under every split of its input, the late
-# answer that must leave a returned buffer alone, and the allocation
-# pins (one page read over the wire, the replica-less router read, the
-# pool's hit) — then once more under the race detector, then one
-# iteration of the one-round-trip benchmark so that it cannot rot
-# unbuilt.
-WIRE_TESTS = TestFixBatchMatchesFixLoop|TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestReplicaLessReadAllocs
+# A batch's runs out together, each run one frame, and every frame one
+# write, uncached: the differential test of Pool.FixBatch against the
+# loop of single fixes it replaced (10 000 seeded sequences of batches of
+# runs, with lanes and without, over a device that reads a run in one
+# call and one that does not; 400 under -race), the lane workers'
+# lifetime on every way a query can end, the byte-for-byte comparison of
+# every frame with the encoders it replaced, the frame reader under
+# every split of its input, the late answer that must leave a returned
+# buffer alone, a run the peer refuses read page by page, every way the
+# router can send a run, the storm of runs under a fleet that changes,
+# and the allocation pins (one page and one run read over the wire, the
+# replica-less router read, the pool's hit) — then once more under the
+# race detector, then one iteration of the two round-trip benchmarks
+# (a page, a run) so that they cannot rot unbuilt.
+WIRE_TESTS = TestFixBatchMatchesFixLoop|TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestWireReadRunAllocs|TestReadRunFallsBackPageByPage|TestReplicaLessReadAllocs|TestRouterRunPaths|TestOverlappedBatchStorm
 WIRE_PKGS = ./internal/buffer ./internal/assembly ./internal/pagesvc ./internal/shard
 wire-check:
 	$(GO) test -count=1 -run '$(WIRE_TESTS)' $(WIRE_PKGS)
@@ -144,7 +149,10 @@ crash-test:
 # A short coverage-guided fuzz of the slotted page (including the
 # corruption op that tries to break the bounds checks), of the
 # page-service wire header decoder (malformed frames must error, never
-# panic or over-allocate), of the object record decoder (Shape +
+# panic or over-allocate; a read that decodes, of a page or of a run —
+# seeded with runs of no page, of a ragged id list and off the device —
+# is answered by a server with exactly the pages asked for or an error),
+# of the object record decoder (Shape +
 # DecodeInto must agree with Decode on every input), of the WAL
 # reader (arbitrary bytes as a log: the scan ends, hands out only
 # records inside the device, and allocates no more than the device

@@ -1,6 +1,7 @@
 package assembly
 
 import (
+	"slices"
 	"sort"
 
 	"revelation/internal/disk"
@@ -159,15 +160,29 @@ func (m *sliceLanes) Next(disk.PageID) *Ref {
 	return r
 }
 
-func (m *sliceLanes) NextBatch(disk.PageID) []*Ref {
+// NextBatch is a run per lane, said in single picks: what up to lens[lane]
+// successive Next calls on the lane would return with nothing added
+// between them, cut short before the first pick that lands on a page
+// the run already holds. Each pick is tried on a copy of the lane first,
+// so a pick that is not taken leaves nothing behind, the sweep direction
+// included. The lengths come from the caller because the real lanes size
+// a run by what they hold, and that counts the dead references they have
+// not met yet, which this model never holds.
+func (m *sliceLanes) NextBatch(lens []int) []*Ref {
 	var batch []*Ref
 	for lane, el := range m.lanes {
-		r := el.Next(m.lastPage[lane])
-		if r == nil {
-			continue
+		el.compact() // as the lane's Next would, picking or not
+		held := map[disk.PageID]bool{}
+		for n := 0; n < lens[lane]; n++ {
+			try := sliceElevator{refs: slices.Clone(el.refs), dirUp: el.dirUp}
+			if r := try.Next(m.lastPage[lane]); r == nil || held[r.Page()] {
+				break
+			}
+			r := el.Next(m.lastPage[lane])
+			m.lastPage[lane] = r.Page()
+			held[r.Page()] = true
+			batch = append(batch, r)
 		}
-		m.lastPage[lane] = r.Page()
-		batch = append(batch, r)
 	}
 	return batch
 }

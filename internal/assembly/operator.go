@@ -52,16 +52,16 @@ type Options struct {
 	// worth it because "even buffer hits can be expensive" (footnote 5).
 	PageBatch bool
 	// ShardPrefetch, with a BatchScheduler (e.g. NewShardElevator over a
-	// shard.Router), fetches one reference per shard lane per step: the
-	// scheduler hands out a batch — one SCAN step per shard — the
-	// operator warms the buffer with the batch's pages, their device
-	// reads out on all lanes at once and each under its shard's qtrace
-	// span (see prefetchBatch), and then resolves the batch sequentially
-	// through the unchanged fault paths. Each lane has at most one read
-	// in flight at a time, so per-shard access order (and thus replay
-	// determinism per shard) is preserved; what the pool does with the
-	// pages is decided in lane order, never in the order the lanes
-	// answer.
+	// shard.Router), fetches a run of references per shard lane per
+	// step: the scheduler hands out a batch — a few SCAN steps per shard
+	// — the operator warms the buffer with the batch's pages, each lane's
+	// run one request to its device, all lanes out at once and each under
+	// its shard's qtrace span (see prefetchBatch), and then resolves the
+	// batch sequentially through the unchanged fault paths. Each lane has
+	// at most one run in flight at a time, so per-shard access order (and
+	// thus replay determinism per shard) is preserved; what the pool does
+	// with the pages is decided in lane order, never in the order the
+	// lanes answer.
 	ShardPrefetch bool
 	// FaultPolicy selects how the operator reacts to I/O errors while
 	// fetching referenced components. The default (FailFast) is the
@@ -205,7 +205,7 @@ type Operator struct {
 	// prefetched, resolved one per scheduling step). laneSpans/laneCtxs
 	// attribute each lane's prefetch I/O to a per-shard child span;
 	// lanes are the goroutines that make those reads beside the
-	// operator's own, alive from Open to Close; batchIDs/batchCtxs carry
+	// operator's own, alive from Open to Close; batchIDs/batchRuns carry
 	// a batch to the pool.
 	batcher   BatchScheduler
 	batchq    []*Ref
@@ -213,7 +213,7 @@ type Operator struct {
 	laneCtxs  []context.Context
 	lanes     *buffer.Lanes
 	batchIDs  []disk.PageID
-	batchCtxs []context.Context
+	batchRuns []buffer.Run
 	// reservation is the frame quota admitted at Open (ReserveFrames).
 	reservation *buffer.Reservation
 	// scratch carries references to the scheduler — one component's
@@ -508,8 +508,8 @@ func (op *Operator) endLaneSpans() {
 
 // nextRef is the scheduling step. Without a batch scheduler it simply
 // asks the policy for the next reference. With ShardPrefetch on it
-// pulls one SCAN step per shard lane, warms the buffer with one fix
-// per lane, and then serves the batch one reference at
+// pulls a run of SCAN steps per shard lane, warms the buffer with the
+// runs' pages, and then serves the batch one reference at
 // a time — so every reference still flows through the ordinary resolve
 // and fault paths, with the page (usually) already resident.
 func (op *Operator) nextRef(head disk.PageID) *Ref {
@@ -532,36 +532,50 @@ func (op *Operator) nextRef(head disk.PageID) *Ref {
 	return batch[0]
 }
 
-// prefetchBatch warms the buffer with the batch's pages, one read per
+// prefetchBatch warms the buffer with the batch's pages, one run per
 // shard lane, each attributed to its lane's qtrace span: one
-// Pool.FixBatch, whose device reads are out together — one on this
+// Pool.FixBatch, whose device reads are out together — one run on this
 // goroutine, the others on op.lanes — so every arm of the fleet works at
-// once (Section 7). The workers live as long as the query: a goroutine
-// per read starts on the runtime's small initial stack, which the chain
-// below the pool — shard router, page-service client, net, syscall —
-// outgrows, and paid a stack copy per read (EXPERIMENTS.md "One replica
-// path"). The pool takes the pages highest lane first, whichever lane
-// answers first — the order the page and seek counts were recorded
-// under, so they stand. Errors are dropped on purpose: the sequential
-// resolve that follows re-encounters any fault through the full
-// fault-policy machinery (retry budgets, quarantine, breaker-aware
-// failover), so the prefetch can stay purely an optimisation. The batch
-// holds no pins of its own.
+// once (Section 7), and each run one request to its device. The workers
+// live as long as the query: a goroutine per read starts on the
+// runtime's small initial stack, which the chain below the pool — shard
+// router, page-service client, net, syscall — outgrows, and paid a stack
+// copy per read (EXPERIMENTS.md "One replica path"). The pool takes the
+// runs highest lane first, whichever lane answers first, and a run's
+// pages in the order its arm visits them. No more of the batch is read
+// ahead than the pool has unpinned frames for: past that a page read
+// now would push out one read a moment ago, before its reference was
+// resolved. Errors are dropped on purpose: the sequential resolve that
+// follows re-encounters any fault through the full fault-policy
+// machinery (retry budgets, quarantine, breaker-aware failover), so the
+// prefetch can stay purely an optimisation. The batch holds no pins of
+// its own.
 func (op *Operator) prefetchBatch(batch []*Ref) {
+	pool := op.Store.File.Pool()
+	if room := pool.Size() - pool.PinnedFrames(); len(batch) > room {
+		batch = batch[:max(room, 0)]
+	}
 	if len(batch) < 2 {
 		return
 	}
-	ids, ctxs := op.batchIDs[:0], op.batchCtxs[:0]
-	for i := len(batch) - 1; i >= 0; i-- {
-		pg := batch[i].RID.Page
+	ids, runs := op.batchIDs[:0], op.batchRuns[:0]
+	for _, r := range batch {
+		ids = append(ids, r.RID.Page)
+	}
+	for hi := len(batch); hi > 0; {
+		lane, lo := batch[hi-1].lane, hi-1
+		for lo > 0 && batch[lo-1].lane == lane {
+			lo--
+		}
 		ctx := op.qctx
-		if lane := op.batcher.LaneOf(pg); lane < len(op.laneCtxs) && op.laneCtxs[lane] != nil {
+		if int(lane) < len(op.laneCtxs) && op.laneCtxs[lane] != nil {
 			ctx = op.laneCtxs[lane]
 		}
-		ids, ctxs = append(ids, pg), append(ctxs, ctx)
+		runs = append(runs, buffer.Run{Ctx: ctx, IDs: ids[lo:hi]})
+		hi = lo
 	}
-	op.batchIDs, op.batchCtxs = ids, ctxs
-	op.Store.File.Pool().FixBatch(ctxs, ids, op.lanes)
+	op.batchIDs, op.batchRuns = ids, runs
+	pool.FixBatch(runs, op.lanes)
 }
 
 // admissionAllowed gates window growth on buffer headroom when window
@@ -968,7 +982,7 @@ func (op *Operator) refFault(ref *Ref, cause error) error {
 	switch op.Opts.FaultPolicy {
 	case RetryFaults:
 		if disk.Retryable(cause) {
-			if ref.Attempts < op.maxRefRetries() {
+			if int(ref.Attempts) < op.maxRefRetries() {
 				ref.Attempts++
 				op.stats.FaultRetries++
 				op.cells.faultRetries.Inc()

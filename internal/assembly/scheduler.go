@@ -30,7 +30,12 @@ type Ref struct {
 	Item *workItem
 	// Attempts counts fetch attempts that failed with a transient
 	// fault; the RetryFaults policy bounds it before quarantining.
-	Attempts int
+	Attempts int32
+	// lane is the device lane the reference's page belongs to, recorded
+	// by a LaneElevator when the reference is added to it: the routing
+	// question (for a fleet, a lock in the shard router) is asked once per
+	// reference, and the operator groups a batch by the answer.
+	lane int32
 	// next chains the references pending on one page inside an
 	// elevator's pendingSet; nil whenever the reference is not in one.
 	// With it Ref fills the 64-byte size class exactly.

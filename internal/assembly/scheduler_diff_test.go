@@ -73,11 +73,56 @@ func TestPendingSetMatchesSortedSlice(t *testing.T) {
 			if testing.Short() {
 				cfg.MaxCount = 60
 			}
+			longRuns = 0
 			if err := quick.Check(f, cfg); err != nil {
 				t.Error(err)
 			}
+			if _, lanes := c.build(func(disk.PageID) int { return 0 }).real.(BatchScheduler); lanes && longRuns < cfg.MaxCount/4 {
+				t.Errorf("only %d runs of several references in %d scripts", longRuns, cfg.MaxCount)
+			}
 		})
 	}
+}
+
+// longRuns counts the runs of more than one reference soundBatch has
+// seen, so that the differential test can tell it compared some.
+var longRuns int
+
+// soundBatch checks what a batch promises beyond its references: each
+// lane's run is in one piece, lanes ascend, no run names a page twice or
+// is longer than lens allows it, every reference carries its lane, and
+// nothing of an earlier, longer batch is reachable behind this one.
+func soundBatch(fail func(string, ...any) bool, s *LaneElevator, batch []*Ref, lens []int) bool {
+	pages := map[disk.PageID]bool{}
+	lane, n := -1, 0
+	for i, r := range batch {
+		if got := s.LaneOf(r.Page()); int(r.lane) != got {
+			return fail("NextBatch[%d]: page %d carries lane %d, LaneOf says %d", i, r.Page(), r.lane, got)
+		}
+		switch {
+		case int(r.lane) < lane:
+			return fail("NextBatch[%d]: lane %d after lane %d", i, r.lane, lane)
+		case int(r.lane) > lane:
+			lane, n = int(r.lane), 0
+			clear(pages)
+		}
+		if n++; n == 2 {
+			longRuns++
+		}
+		if n > lens[lane] {
+			return fail("NextBatch: lane %d's run is longer than %d", lane, lens[lane])
+		}
+		if pages[r.Page()] {
+			return fail("NextBatch[%d]: page %d twice in lane %d's run", i, r.Page(), lane)
+		}
+		pages[r.Page()] = true
+	}
+	for i, r := range batch[len(batch):cap(batch)] {
+		if r != nil {
+			return fail("NextBatch: a reference of an earlier batch is still reachable %d past the end", i)
+		}
+	}
+	return true
 }
 
 // runDiffScript plays one seeded script against both schedulers.
@@ -213,7 +258,14 @@ func runDiffScript(t *testing.T, seed int64, build func(func(disk.PageID) int) d
 			if !isBatch {
 				continue
 			}
-			ok = same("NextBatch", rb.NextBatch(head), pair.model.(*sliceLanes).NextBatch(head))
+			// A run is at most a laneRunShare-th of what its lane holds.
+			le := rb.(*LaneElevator)
+			lens := make([]int, len(le.lanes))
+			for i := range lens {
+				lens[i] = le.lanes[i].runLen()
+			}
+			batch := rb.NextBatch(head)
+			ok = same("NextBatch", batch, pair.model.(*sliceLanes).NextBatch(lens)) && soundBatch(fail, le, batch, lens)
 		}
 		if !ok {
 			return false

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"revelation/internal/disk"
@@ -18,11 +19,29 @@ import (
 // the pool had a batch entry point: FixAs and Unfix, a page at a time,
 // errors dropped. It is kept as the reference model the differential
 // test below compares FixBatch with.
-func fixOneByOne(p *Pool, ctxs []context.Context, ids []disk.PageID) {
-	for i, id := range ids {
-		if f, err := p.FixAs(ctxs[i], id); err == nil {
-			p.Unfix(f, false)
+func fixOneByOne(p *Pool, runs []Run) {
+	for _, run := range runs {
+		for _, id := range run.IDs {
+			if f, err := p.FixAs(run.Ctx, id); err == nil {
+				p.Unfix(f, false)
+			}
 		}
+	}
+}
+
+// runSim is a disk.Sim that is also a disk.RunReader: a run is read in
+// one call, page by page in its order and each page through the Sim's
+// fault hook, so any page of a run can fail on its own.
+type runSim struct {
+	*disk.Sim
+	runs, pages atomic.Int64 // calls made, pages they carried; lanes call at once
+}
+
+func (d *runSim) ReadPages(ctx context.Context, ids []disk.PageID, bufs [][]byte, errs []error) {
+	d.runs.Add(1)
+	d.pages.Add(int64(len(ids)))
+	for i, p := range ids {
+		errs[i] = d.Sim.ReadPageCtx(ctx, p, bufs[i])
 	}
 }
 
@@ -40,6 +59,7 @@ func (l *bufferLog) Emit(e trace.Event) {
 type batchSide struct {
 	pool *Pool
 	dev  *disk.Sim
+	vec  *runSim // dev as the pool sees it, when the rig reads runs whole
 	wal  *flakyWAL
 	log  bufferLog
 	span *qtrace.Span
@@ -67,10 +87,18 @@ type batchRig struct {
 	lanes *Lanes
 	sides [2]*batchSide
 	held  [][2]*Frame
-	stats struct{ batches, overlapped, refused int }
+	stats batchStats
 }
 
-func newBatchRig(t *testing.T, seed int64, frames int, lanes *Lanes) *batchRig {
+// batchStats says what a rig's sequence exercised: batches, those of
+// several pages, stretches with every frame pinned, transient read
+// faults armed on the third or a later page of a run, and the runs that
+// reached the device as one call with the pages they carried.
+type batchStats struct{ batches, overlapped, refused, lateFaults, runs, runPages int }
+
+// newBatchRig builds the two sides. With vector, the pools see their
+// devices as disk.RunReaders.
+func newBatchRig(t *testing.T, seed int64, frames int, lanes *Lanes, vector bool) *batchRig {
 	r := &batchRig{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), lanes: lanes}
 	for i := range r.sides {
 		s := &batchSide{dev: disk.NewSim(diffPageSize, 3*frames+2), wal: &flakyWAL{}, readFault: map[disk.PageID]error{}}
@@ -87,7 +115,12 @@ func newBatchRig(t *testing.T, seed int64, frames int, lanes *Lanes) *batchRig {
 			delete(s.readFault, p)
 			return err
 		})
-		s.pool = New(s.dev, frames)
+		if vector {
+			s.vec = &runSim{Sim: s.dev}
+			s.pool = New(s.vec, frames)
+		} else {
+			s.pool = New(s.dev, frames)
+		}
 		s.pool.SetWAL(s.wal)
 		s.pool.SetTracer(trace.New(&s.log))
 		if seed%3 == 0 {
@@ -163,47 +196,60 @@ func (r *batchRig) release(i int) {
 	})
 }
 
-// batch runs one random batch: FixBatch on side 1, the loop on side 0,
-// the same faults armed for both.
+// batch runs one random batch of one to three runs of up to four pages:
+// FixBatch on side 1, the loop on side 0, the same faults armed for
+// both.
 func (r *batchRig) batch() {
-	ids := make([]disk.PageID, 1+r.rng.Intn(5))
-	for i := range ids {
-		ids[i] = r.randomPage()
-		if i > 0 && r.rng.Intn(4) == 0 {
-			ids[i] = ids[r.rng.Intn(i)] // twice in one batch
+	var ids []disk.PageID
+	lens := make([]int, 1+r.rng.Intn(3))
+	for i := range lens {
+		lens[i] = 1 + r.rng.Intn(4)
+		for k := 0; k < lens[i]; k++ {
+			id := r.randomPage()
+			if len(ids) > 0 && r.rng.Intn(4) == 0 {
+				id = ids[r.rng.Intn(len(ids))] // twice in one batch
+			}
+			ids = append(ids, id)
 		}
 	}
 	faults := map[disk.PageID]error{}
-	for _, id := range ids {
-		switch r.rng.Intn(24) {
-		case 0:
-			faults[id] = fmt.Errorf("%w: injected read fault", disk.ErrPermanent)
-		case 1:
-			faults[id] = fmt.Errorf("%w: injected read fault", disk.ErrTransient)
+	at := 0
+	for _, n := range lens {
+		for k := 0; k < n; k, at = k+1, at+1 {
+			switch r.rng.Intn(24) {
+			case 0:
+				faults[ids[at]] = fmt.Errorf("%w: injected read fault", disk.ErrPermanent)
+			case 1:
+				faults[ids[at]] = fmt.Errorf("%w: injected read fault", disk.ErrTransient)
+				if k >= 2 {
+					r.stats.lateFaults++
+				}
+			}
 		}
 	}
 	// A write-back that fails costs FixBatch a read it had already made
 	// (see lostWrite). Were a read fault armed as well, that read would
 	// spend it, and the fault would hit different fixes on the two sides.
 	failWrite := len(faults) == 0 && r.rng.Intn(15) == 0
-	kinds := make([]int, len(ids))
+	kinds := make([]int, len(lens))
 	for i := range kinds {
 		kinds[i] = r.rng.Intn(3)
 	}
 	for i, s := range r.sides {
-		ctxs := make([]context.Context, len(ids))
-		for j, k := range kinds {
-			ctxs[j] = [3]context.Context{nil, context.Background(), s.ctx}[k]
+		runs, rest := make([]Run, len(lens)), ids
+		for j, n := range lens {
+			runs[j] = Run{Ctx: [3]context.Context{nil, context.Background(), s.ctx}[kinds[j]], IDs: rest[:n]}
+			rest = rest[n:]
 		}
 		for id, err := range faults {
 			s.readFault[id] = err
 		}
 		s.failWrite = failWrite
 		if i == 0 {
-			fixOneByOne(s.pool, ctxs, ids)
+			fixOneByOne(s.pool, runs)
 		} else {
 			before := s.writeFaults
-			s.pool.FixBatch(ctxs, ids, r.lanes)
+			s.pool.FixBatch(runs, r.lanes)
 			s.lostWrite = s.lostWrite || s.writeFaults != before
 		}
 		s.failWrite = false
@@ -350,6 +396,9 @@ func (r *batchRig) finish() {
 			r.fatalf("device page %d differs from the model's", id)
 		}
 	}
+	if b.vec != nil {
+		r.stats.runs, r.stats.runPages = int(b.vec.runs.Load()), int(b.vec.pages.Load())
+	}
 	got, want := b.dev.Stats(), m.dev.Stats()
 	if r.lanes != nil || b.lostWrite {
 		// The reads of a batch reach the device ahead of its write-backs
@@ -367,14 +416,16 @@ func (r *batchRig) finish() {
 	}
 }
 
-// TestFixBatchMatchesFixLoop: over seeded random sequences of batches
-// mixed with every other operation that can move a page in or out —
-// pages twice in a batch, resident and pinned pages, injected read,
-// checksum, write-back and log faults, batches with every frame pinned
-// — FixBatch leaves the pool exactly as the loop of single fixes does:
-// the same page in every frame, the same pages replaced in the same
-// order (the buffer events say so), the same counters. With lanes and
-// without.
+// TestFixBatchMatchesFixLoop: over seeded random sequences of batches —
+// of several runs of several pages — mixed with every other operation
+// that can move a page in or out — pages twice in a batch, resident and
+// pinned pages, injected read, checksum, write-back and log faults (the
+// third page of a run failing alone, a dirty victim's write-back failing
+// after its run was read), batches with every frame pinned — FixBatch
+// leaves the pool exactly as the loop of single fixes does: the same
+// page in every frame, the same pages replaced in the same order (the
+// buffer events say so), the same counters. With lanes and without,
+// over a device that reads a run in one call and over one that does not.
 func TestFixBatchMatchesFixLoop(t *testing.T) {
 	sequences, steps := 10000, 80
 	if testing.Short() || raceEnabled {
@@ -383,14 +434,14 @@ func TestFixBatchMatchesFixLoop(t *testing.T) {
 	lanes := StartLanes(2)
 	defer lanes.Stop()
 	sizes := []int{1, 2, 7, 64}
-	var total struct{ batches, overlapped, refused int }
+	var total batchStats
 	var evictions, misses, ioErrors int64
 	for s := 0; s < sequences; s++ {
 		var ls *Lanes
 		if s/len(sizes)%2 == 0 {
 			ls = lanes
 		}
-		r := newBatchRig(t, int64(s), sizes[s%len(sizes)], ls)
+		r := newBatchRig(t, int64(s), sizes[s%len(sizes)], ls, s/(2*len(sizes))%2 == 0)
 		for r.step = 0; r.step < steps; r.step++ {
 			r.oneStep()
 			r.compare()
@@ -402,10 +453,14 @@ func TestFixBatchMatchesFixLoop(t *testing.T) {
 		total.batches += r.stats.batches
 		total.overlapped += r.stats.overlapped
 		total.refused += r.stats.refused
+		total.lateFaults += r.stats.lateFaults
+		total.runs += r.stats.runs
+		total.runPages += r.stats.runPages
 	}
-	t.Logf("%d sequences of %d steps: %d batches (%d of several pages), %d stretches with every frame pinned, %d misses, %d evictions, %d failed reads",
-		sequences, steps, total.batches, total.overlapped, total.refused, misses, evictions, ioErrors)
-	if total.overlapped < sequences || total.refused < sequences/2 || evictions < int64(sequences) || ioErrors < int64(sequences) {
+	t.Logf("%d sequences of %d steps: %d batches (%d of several pages), %d stretches with every frame pinned, %d misses, %d evictions, %d failed reads, %d transient faults late in a run, %d runs of %d pages read in one call",
+		sequences, steps, total.batches, total.overlapped, total.refused, misses, evictions, ioErrors, total.lateFaults, total.runs, total.runPages)
+	if total.overlapped < sequences || total.refused < sequences/2 || evictions < int64(sequences) || ioErrors < int64(sequences) ||
+		total.lateFaults < sequences/4 || total.runs < sequences || total.runPages < 2*total.runs {
 		t.Errorf("the sequences do not exercise the batch path")
 	}
 }

@@ -70,10 +70,11 @@ type clientConn struct {
 type waiter struct {
 	ch    chan response // capacity 1: at most one delivery per registration
 	timer *time.Timer
-	// page, when not nil, is the caller's page buffer: an stOK body of
-	// exactly its length is delivered in it (the response's body is then
-	// page itself) instead of in a copy.
-	page []byte
+	// dst, when not empty, is the caller's page buffers: an stOK body of
+	// exactly their length together is delivered in them, in order (the
+	// response then says inPlace and has no body), instead of in a copy.
+	// The slice is the waiter's own, kept between calls.
+	dst [][]byte
 }
 
 // Client is one pipelined connection to one page-service endpoint and
@@ -110,6 +111,7 @@ type Client struct {
 
 	sends      metrics.Counter
 	recvs      metrics.Counter
+	pages      metrics.Counter // pages read or written by answered requests
 	errors_    metrics.Counter
 	timeouts   metrics.Counter
 	reconnects metrics.Counter
@@ -132,6 +134,7 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		}
 		r.Attach("asm_net_sends_total", "Page-service requests sent.", &c.sends, "dev", dev)
 		r.Attach("asm_net_recvs_total", "Page-service responses received.", &c.recvs, "dev", dev)
+		r.Attach("asm_net_pages_total", "Pages read or written by the requests that were answered.", &c.pages, "dev", dev)
 		r.Attach("asm_net_errors_total", "Page-service requests that failed.", &c.errors_, "dev", dev)
 		r.Attach("asm_net_timeouts_total", "Page-service requests abandoned on deadline.", &c.timeouts, "dev", dev)
 		r.Attach("asm_net_reconnects_total", "Endpoint connections re-established.", &c.reconnects, "dev", dev)
@@ -188,7 +191,7 @@ func (c *Client) Epoch() uint64 { return c.epoch.Load() }
 // retries — the fleet controller's liveness probe. A healthy server
 // answers inside the client timeout; anything else is an error.
 func (c *Client) Ping() error {
-	_, err := c.call(opPing, nil, trace.NoPage, c.nextID(), nil, nil)
+	_, err := c.call(opPing, nil, nil, c.nextID(), nil, nil)
 	return err
 }
 
@@ -201,7 +204,7 @@ func (c *Client) Ping() error {
 // promotions at the same epoch crown exactly one winner, the rest get
 // ErrFenced.
 func (c *Client) Promote(epoch, minLSN uint64, writable bool) error {
-	_, err := c.call(opPromote, encodePromote(epoch, minLSN, writable), trace.NoPage, c.nextID(), nil, nil)
+	_, err := c.call(opPromote, nil, encodePromote(epoch, minLSN, writable), c.nextID(), nil, nil)
 	if err != nil {
 		return err
 	}
@@ -281,8 +284,8 @@ func (cc *clientConn) readLoop() {
 // deliver hands resp, whose body is the frame reader's, to the call
 // waiting for it; a response nobody waits for any more is dropped. The
 // body is copied out under mu and only for a waiter that is still in
-// the table: a caller that gave up has taken its page buffer back with
-// it, and the pool may hold another page in that buffer by now.
+// the table: a caller that gave up has taken its page buffers back with
+// it, and the pool may hold other pages in them by now.
 func (cc *clientConn) deliver(resp response) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -291,12 +294,19 @@ func (cc *clientConn) deliver(resp response) {
 		return
 	}
 	delete(cc.pending, resp.reqID)
-	if w.page != nil && resp.status == stOK && len(resp.body) == len(w.page) {
-		copy(w.page, resp.body)
-		resp.body = w.page
-	} else {
-		resp.body = append([]byte(nil), resp.body...)
+	if resp.status == stOK && len(w.dst) > 0 {
+		want := 0
+		for _, page := range w.dst {
+			want += len(page)
+		}
+		if len(resp.body) == want {
+			for _, page := range w.dst {
+				resp.body = resp.body[copy(page, resp.body):]
+			}
+			resp.inPlace = true
+		}
 	}
+	resp.body = append([]byte(nil), resp.body...)
 	w.ch <- resp
 }
 
@@ -313,9 +323,10 @@ func (cc *clientConn) fail(err error) {
 	cc.c.Close()
 }
 
-// start registers a waiter for req, whose stOK body belongs in page
-// (nil: in a copy), and sends the request frame in one write.
-func (cc *clientConn) start(req request, page []byte, timeout time.Duration) (*waiter, error) {
+// start registers a waiter for req, whose stOK body belongs in the page
+// buffers dst (none: in a copy), and sends the request frame in one
+// write. dst itself is not kept.
+func (cc *clientConn) start(req request, dst [][]byte, timeout time.Duration) (*waiter, error) {
 	cc.mu.Lock()
 	if cc.dead != nil {
 		err := cc.dead
@@ -329,7 +340,7 @@ func (cc *clientConn) start(req request, page []byte, timeout time.Duration) (*w
 	} else {
 		w = &waiter{ch: make(chan response, 1), timer: time.NewTimer(timeout)}
 	}
-	w.page = page
+	w.dst = append(w.dst[:0], dst...)
 	cc.pending[req.reqID] = w
 	cc.mu.Unlock()
 	cc.wm.Lock()
@@ -345,7 +356,7 @@ func (cc *clientConn) start(req request, page []byte, timeout time.Duration) (*w
 }
 
 // finish ends w's call: it leaves the pending table if it is still
-// there, after which nothing is delivered to it or to its page, and
+// there, after which nothing is delivered to it or to its pages, and
 // goes back to the idle waiters with its channel and timer drained.
 func (cc *clientConn) finish(id uint64, w *waiter) {
 	if !w.timer.Stop() {
@@ -362,7 +373,8 @@ func (cc *clientConn) finish(id uint64, w *waiter) {
 	case <-w.ch:
 	default:
 	}
-	w.page = nil
+	clear(w.dst)
+	w.dst = w.dst[:0]
 	if len(cc.idle) < maxIdleWaiters {
 		cc.idle = append(cc.idle, w)
 	}
@@ -370,7 +382,7 @@ func (cc *clientConn) finish(id uint64, w *waiter) {
 }
 
 // maxIdleWaiters bounds a connection's idle waiters; a pool's lanes
-// keep one call each in flight, so a few cover it.
+// keep one call — a page or a run — each in flight, so a few cover it.
 const maxIdleWaiters = 4
 
 func (cc *clientConn) close() {
@@ -390,19 +402,24 @@ func (c *Client) nextID() uint64 {
 // trace of a flaky run is deterministic, and a late response to an
 // earlier attempt matches the current waiter instead of being dropped.
 // sp, when non-nil, attributes the wire activity to a query span and
-// stamps its query id into the request frame (protocol v2). With a
-// dst, an stOK body of dst's length arrives in dst and is the returned
-// response's body; any other body is a copy the caller owns. Once call
-// has returned — answered, failed or timed out — nothing writes to dst.
-func (c *Client) call(op byte, body []byte, page int64, reqID uint64, sp *qtrace.Span, dst []byte) (response, error) {
-	addr := c.cfg.Primary
+// stamps its query id into the request frame (protocol v2). pages are
+// the pages the request reads or writes, which lead its body. With a
+// dst, an stOK body of the length of dst's buffers together arrives in
+// them and the returned response says inPlace; any other body is a copy
+// the caller owns. Once call has returned — answered, failed or timed
+// out — nothing writes to dst.
+func (c *Client) call(op byte, pages []disk.PageID, body []byte, reqID uint64, sp *qtrace.Span, dst [][]byte) (response, error) {
+	addr, page := c.cfg.Primary, trace.NoPage
+	if len(pages) > 0 {
+		page = int64(pages[0])
+	}
 	cc, err := c.connect()
 	if err != nil {
 		c.errors_.Inc()
 		return response{}, err
 	}
 	qid := sp.QID()
-	req := request{op: op, dev: c.cfg.Dev, reqID: reqID, qid: qid, epoch: c.epoch.Load(), body: body}
+	req := request{op: op, dev: c.cfg.Dev, reqID: reqID, qid: qid, epoch: c.epoch.Load(), pages: pages, body: body}
 	c.sends.Inc()
 	sp.OnNetSend()
 	c.cfg.Tracer.Net(trace.KindSend, page, 0, addr, qid)
@@ -419,12 +436,13 @@ func (c *Client) call(op byte, body []byte, page int64, reqID uint64, sp *qtrace
 			c.recvs.Inc()
 			err := decodeErr(resp.body)
 			sp.OnNetRecv()
-			c.cfg.Tracer.Net(trace.KindRecv, page, 1, addr, qid)
+			c.cfg.Tracer.NetRecv(page, 0, true, addr, qid)
 			return response{}, err
 		}
 		c.recvs.Inc()
+		c.pages.Add(int64(len(pages)))
 		sp.OnNetRecv()
-		c.cfg.Tracer.Net(trace.KindRecv, page, 0, addr, qid)
+		c.cfg.Tracer.NetRecv(page, int64(len(pages)), false, addr, qid)
 		return resp, nil
 	case <-w.timer.C:
 		c.timeouts.Inc()
@@ -451,6 +469,8 @@ func opName(op byte) string {
 		return "follow"
 	case opPromote:
 		return "promote"
+	case opReadN:
+		return "readn"
 	default:
 		return fmt.Sprintf("op%d", op)
 	}
@@ -459,7 +479,7 @@ func opName(op byte) string {
 // info fetches device geometry, replication progress, and the fencing
 // epoch from the endpoint.
 func (c *Client) info() (pages, pageSize int, appliedLSN, epoch uint64, err error) {
-	resp, err := c.call(opInfo, nil, trace.NoPage, c.nextID(), nil, nil)
+	resp, err := c.call(opInfo, nil, nil, c.nextID(), nil, nil)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -490,19 +510,65 @@ func (c *Client) ReadPageCtx(ctx context.Context, p disk.PageID, buf []byte) err
 	if err != nil {
 		return err
 	}
-	var body [4]byte
-	binary.LittleEndian.PutUint32(body[:], uint32(p))
+	pages, dst := [1]disk.PageID{p}, [1][]byte{buf}
 	_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
-		resp, err := c.call(opRead, body[:], int64(p), reqID, sp, buf)
+		resp, err := c.call(opRead, pages[:], nil, reqID, sp, dst[:])
 		if err != nil {
 			return err
 		}
-		if len(resp.body) != len(buf) {
+		if !resp.inPlace {
 			return fmt.Errorf("%w: %d-byte page, want %d", ErrBadFrame, len(resp.body), len(buf))
 		}
 		return nil // the page arrived in buf
 	})
 	return err
+}
+
+// ReadPages implements disk.RunReader: the run travels as one request
+// and its images come back in one response, delivered straight into
+// bufs. Transient failures are retried as a whole, under the one request
+// id, and a run that is not answered fails as a whole: every page gets
+// the error, and nothing is booked. An answered run is booked on the
+// local arm page by page, in the run's order. A run too long for one
+// frame goes as several.
+func (c *Client) ReadPages(ctx context.Context, ids []disk.PageID, bufs [][]byte, errs []error) {
+	per := max((maxFrame-respHdrSize)/c.PageSize(), 1)
+	for len(ids) > 0 {
+		n := min(per, len(ids))
+		c.readRun(ctx, ids[:n], bufs[:n], errs[:n])
+		ids, bufs, errs = ids[n:], bufs[n:], errs[n:]
+	}
+}
+
+// readRun reads a run that fits one frame. A run of one page is a page
+// read; so is each page of a run that names a page or a buffer the
+// client would refuse, which then gets that verdict alone.
+func (c *Client) readRun(ctx context.Context, ids []disk.PageID, bufs [][]byte, errs []error) {
+	reqID, err := c.beginRun(ids, bufs)
+	if err != nil || len(ids) == 1 {
+		for i, p := range ids {
+			errs[i] = c.ReadPageCtx(ctx, p, bufs[i])
+		}
+		return
+	}
+	sp := qtrace.From(ctx)
+	_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
+		resp, err := c.call(opReadN, ids, nil, reqID, sp, bufs)
+		if err == nil && !resp.inPlace {
+			err = fmt.Errorf("%w: %d bytes for a run of %d pages", ErrBadFrame, len(resp.body), len(ids))
+		}
+		return err
+	})
+	if err == nil {
+		c.mu.Lock()
+		for _, p := range ids {
+			c.arm.Seek(p, true, sp)
+		}
+		c.mu.Unlock()
+	}
+	for i := range errs {
+		errs[i] = err
+	}
 }
 
 // WritePage writes page p through to the endpoint; when it is down
@@ -512,11 +578,10 @@ func (c *Client) WritePage(p disk.PageID, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	body := make([]byte, 4+len(buf))
-	binary.LittleEndian.PutUint32(body, uint32(p))
-	copy(body[4:], buf)
+	pages := [1]disk.PageID{p}
 	_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
-		_, err := c.call(opWrite, body, int64(p), reqID, nil, nil)
+		// Page id and image meet in the connection's frame buffer.
+		_, err := c.call(opWrite, pages[:], buf, reqID, nil, nil)
 		return err
 	})
 	return err
@@ -529,7 +594,7 @@ func (c *Client) Allocate(n int) (disk.PageID, error) {
 	var first disk.PageID
 	reqID := c.nextID()
 	_, err := c.cfg.Retry.DoJitter(c.jitter, func() error {
-		resp, err := c.call(opAlloc, body[:], trace.NoPage, reqID, nil, nil)
+		resp, err := c.call(opAlloc, nil, body[:], reqID, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -617,16 +682,40 @@ func (c *Client) Close() error {
 func (c *Client) begin(p disk.PageID, buf []byte, read bool, sp *qtrace.Span) (reqID uint64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed.Load() {
-		return 0, disk.ErrClosed
-	}
-	if len(buf) != c.pageSize {
-		return 0, disk.ErrBadLength
-	}
-	if int(p) >= c.numPages {
-		return 0, fmt.Errorf("%w: page %d of %d", disk.ErrOutOfRange, p, c.numPages)
+	if err := c.refuses(p, buf); err != nil {
+		return 0, err
 	}
 	c.arm.Seek(p, read, sp)
+	c.reqID++
+	return c.reqID, nil
+}
+
+// refuses says why an access to page p through buf never goes on the
+// wire — the client is closed, or the access is malformed against the
+// cached geometry — or nil. Caller holds c.mu.
+func (c *Client) refuses(p disk.PageID, buf []byte) error {
+	switch {
+	case c.closed.Load():
+		return disk.ErrClosed
+	case len(buf) != c.pageSize:
+		return disk.ErrBadLength
+	case int(p) >= c.numPages:
+		return fmt.Errorf("%w: page %d of %d", disk.ErrOutOfRange, p, c.numPages)
+	}
+	return nil
+}
+
+// beginRun opens the read of a run of several pages: it validates every
+// page as begin would and draws the one request id the run travels
+// under. The arm is not moved here: a run is booked when it has arrived.
+func (c *Client) beginRun(ids []disk.PageID, bufs [][]byte) (reqID uint64, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, p := range ids {
+		if err := c.refuses(p, bufs[i]); err != nil {
+			return 0, err
+		}
+	}
 	c.reqID++
 	return c.reqID, nil
 }
@@ -645,3 +734,4 @@ func (c *Client) SetTracer(t *trace.Tracer) {
 }
 
 var _ disk.Device = (*Client)(nil)
+var _ disk.RunReader = (*Client)(nil)

@@ -2,6 +2,7 @@ package pagesvc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"testing"
@@ -32,7 +33,11 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 // frameReader fed the stream in two pieces, split at every byte
 // boundary — the payload handed out must be the input each time. What
 // decodes is re-encoded by the append* functions and by the reference
-// encoders of wire_model_test.go, which must agree byte for byte.
+// encoders of wire_model_test.go, which must agree byte for byte — also
+// when the sender names the leading page ids apart from the body. A
+// request that decodes as a read, of a page or of a run, is handed to a
+// server: it must answer with one well-formed frame, the images of
+// exactly the pages asked for or an error, whatever the ids say.
 func FuzzProtoDecode(f *testing.F) {
 	// A valid v1 read request.
 	f.Add(encodeRequest(request{op: opRead, dev: DataDev, reqID: 7, body: []byte{1, 0, 0, 0}}))
@@ -40,6 +45,12 @@ func FuzzProtoDecode(f *testing.F) {
 	f.Add(encodeRequest(request{op: opWrite, dev: DataDev, reqID: 9, qid: 42, epoch: 3, body: []byte{0}}))
 	// Flag set but the frame too short for the extended header.
 	f.Add([]byte{opRead | opQIDFlag, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	// Runs: three pages, no page at all, a ragged list of ids, a page
+	// off the end of the device.
+	f.Add(encodeRequest(request{op: opReadN, dev: DataDev, reqID: 11, body: []byte{1, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0}}))
+	f.Add(encodeRequest(request{op: opReadN, dev: DataDev, reqID: 12}))
+	f.Add(encodeRequest(request{op: opReadN, dev: DataDev, reqID: 13, qid: 5, body: []byte{1, 0, 0, 0, 3}}))
+	f.Add(encodeRequest(request{op: opReadN, dev: DataDev, reqID: 14, body: []byte{1, 0, 0, 0, 0xFF, 0xFF, 0, 0}}))
 	// A valid promote body inside a v2 frame.
 	f.Add(encodeRequest(request{op: opPromote, reqID: 1, epoch: 5, body: encodePromote(5, 100, true)}))
 	// Response frames: ok, error, stream.
@@ -49,11 +60,36 @@ func FuzzProtoDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
 
+	sim := disk.New(fuzzPages)
+	img := make([]byte, sim.PageSize())
+	for id := range disk.PageID(fuzzPages) {
+		img[0] = byte(id) + 1
+		if err := sim.WritePage(id, img); err != nil {
+			f.Fatal(err)
+		}
+	}
+	srv := NewServer([]disk.Device{sim}, ServerConfig{})
+
 	f.Fuzz(func(t *testing.T, in []byte) {
 		p := throughFrameReader(t, in)
 		if req, err := decodeRequest(p); err == nil {
 			if got, want := appendRequest(nil, req), framed(encodeRequest(req)); !bytes.Equal(got, want) {
 				t.Fatalf("appendRequest(%+v) = %x, reference %x", req, got, want)
+			}
+			// The same frame from a sender that names the body's leading
+			// page ids — all of them, then all but one — as pages.
+			for n := len(req.body) / 4; n >= 0 && n >= len(req.body)/4-1; n-- {
+				split := req
+				split.pages, split.body = make([]disk.PageID, n), req.body[4*n:]
+				for i := range split.pages {
+					split.pages[i] = disk.PageID(binary.LittleEndian.Uint32(req.body[4*i:]))
+				}
+				if got, want := appendRequest(nil, split), framed(encodeRequest(req)); !bytes.Equal(got, want) {
+					t.Fatalf("appendRequest with %d ids as pages = %x, reference %x", n, got, want)
+				}
+			}
+			if req.op == opRead || req.op == opReadN {
+				fuzzServeRead(t, srv, req, p)
 			}
 			// Round trip: decoded fields re-encode to a frame that
 			// decodes identically. (The raw bytes may differ — a v2
@@ -101,6 +137,53 @@ func FuzzProtoDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzPages is the size of the device FuzzProtoDecode's server fronts.
+const fuzzPages = 8
+
+// fuzzServeRead hands a read request that decoded from payload to srv,
+// whose device's page id starts with byte id+1, and checks the answer:
+// one frame; the images of the pages asked for, in order, when the body
+// is one id (opRead) or a whole number of ids, at least one and no more
+// than fit a frame (opReadN), all on device 0 and inside it; an error
+// response otherwise.
+func fuzzServeRead(t *testing.T, srv *Server, req request, payload []byte) {
+	buf := append([]byte(nil), payload...)
+	got, err := decodeRequest(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := srv.handle(got, buf)
+	frame := out[len(buf):]
+	body, err := readFrame(bytes.NewReader(frame))
+	if err != nil || len(body)+4 != len(frame) {
+		t.Fatalf("answer to %s is not one frame: %d bytes, %v", opName(req.op), len(frame), err)
+	}
+	resp, err := decodeResponse(body)
+	if err != nil || resp.reqID != req.reqID {
+		t.Fatalf("answer to %s: %+v, %v", opName(req.op), resp, err)
+	}
+	ps := srv.devs[0].PageSize()
+	n := len(req.body) / 4
+	valid := req.dev == 0 && len(req.body)%4 == 0 && n >= 1 && (req.op == opReadN || n == 1) && n*ps <= maxFrame-respHdrSize
+	for i := 0; valid && i < n; i++ {
+		valid = binary.LittleEndian.Uint32(req.body[4*i:]) < fuzzPages
+	}
+	if !valid {
+		if resp.status != stErr {
+			t.Fatalf("%s of % x answered with status %d, want an error", opName(req.op), req.body, resp.status)
+		}
+		return
+	}
+	if resp.status != stOK || len(resp.body) != n*ps {
+		t.Fatalf("%s of %d pages: status %d, %d bytes", opName(req.op), n, resp.status, len(resp.body))
+	}
+	for i := 0; i < n; i++ {
+		if id := binary.LittleEndian.Uint32(req.body[4*i:]); resp.body[i*ps] != byte(id)+1 {
+			t.Fatalf("%s: image %d is page %d's, want page %d's", opName(req.op), i, resp.body[i*ps]-1, id)
+		}
+	}
 }
 
 // framed is payload as the reference puts it on the wire.

@@ -40,6 +40,7 @@ const (
 	opPing    = byte(5) // body: empty                -> OK body: empty
 	opFollow  = byte(6) // body: [8B fromLSN]         -> stream of stream frames
 	opPromote = byte(7) // body: [8B epoch][8B minLSN][1B mode] -> OK body: [8B epoch]
+	opReadN   = byte(8) // body: [4B page] × n, n ≥ 1 -> OK body: the n page images, in that order
 )
 
 // Promote modes (the opPromote body's last byte).
@@ -99,23 +100,29 @@ const maxFrame = 1 << 22
 // ErrBadFrame reports a malformed frame on the wire.
 var ErrBadFrame = errors.New("pagesvc: malformed frame")
 
-// request is a decoded request frame. qid is the originating query id
-// and epoch the sender's fencing epoch (both 0 = unattributed,
-// unfenced, encoded as a v1 frame).
+// request is a request frame. qid is the originating query id and epoch
+// the sender's fencing epoch (both 0 = unattributed, unfenced, encoded
+// as a v1 frame). A frame's body is pages, four bytes each, followed by
+// body: a sender names the pages a read or write is about in pages and
+// spares itself a body assembled elsewhere first; a decoded request has
+// everything in body.
 type request struct {
 	op    byte
 	dev   byte
 	reqID uint64
 	qid   uint64
 	epoch uint64
+	pages []disk.PageID
 	body  []byte
 }
 
-// response is a decoded response frame.
+// response is a decoded response frame. inPlace marks one the client
+// delivered into its caller's page buffers, leaving no body.
 type response struct {
-	status byte
-	reqID  uint64
-	body   []byte
+	status  byte
+	reqID   uint64
+	body    []byte
+	inPlace bool
 }
 
 // Frames. Every message on the wire is one frame: a 4-byte
@@ -128,13 +135,16 @@ type response struct {
 // body in one read of the socket.
 
 // frameBufSize is a frameReader's buffer: a few frames at the paper's
-// 1 KB page. A frame that does not fit is read into a buffer of its own.
+// 1 KB page. A frame that does not fit — a run of pages — is read into
+// a second buffer, grown to the largest such frame seen (at most
+// maxFrame) and kept.
 const frameBufSize = 4096
 
 // frameReader hands out the payloads of the frames on a stream.
 type frameReader struct {
 	br   *bufio.Reader
-	skip int // bytes of the payload handed out last, still in br
+	skip int    // bytes of the payload handed out last, still in br
+	big  []byte // holds a payload larger than br
 }
 
 func newFrameReader(r io.Reader) *frameReader {
@@ -165,7 +175,10 @@ func (fr *frameReader) next() ([]byte, error) {
 		return frame[4:], nil
 	}
 	fr.br.Discard(4) // the four bytes just peeked
-	payload := make([]byte, n)
+	if cap(fr.big) < int(n) {
+		fr.big = make([]byte, n)
+	}
+	payload := fr.big[:n]
 	if _, err := io.ReadFull(fr.br, payload); err != nil {
 		return nil, err
 	}
@@ -181,12 +194,15 @@ func appendRequest(dst []byte, req request) []byte {
 	if req.qid != 0 || req.epoch != 0 {
 		hdr, op = reqHdrSizeQ, req.op|opQIDFlag
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(hdr+len(req.body)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(hdr+4*len(req.pages)+len(req.body)))
 	dst = append(dst, op, req.dev)
 	dst = binary.LittleEndian.AppendUint64(dst, req.reqID)
 	if hdr == reqHdrSizeQ {
 		dst = binary.LittleEndian.AppendUint64(dst, req.qid)
 		dst = binary.LittleEndian.AppendUint64(dst, req.epoch)
+	}
+	for _, p := range req.pages {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(p))
 	}
 	return append(dst, req.body...)
 }

@@ -198,8 +198,9 @@ type serverConn struct {
 	idle [][]byte   // buffers between requests
 }
 
-// maxIdleBufs bounds a connection's idle buffers, each a little over a
-// page: a client's lanes keep one request each in flight.
+// maxIdleBufs bounds a connection's idle buffers, each a little over
+// the largest request and response it has held — a page, or a run of
+// them: a client's lanes keep one request each in flight.
 const maxIdleBufs = 4
 
 // take returns a buffer for one request, empty, with whatever capacity
@@ -298,8 +299,8 @@ func (s *Server) fail(buf []byte, reqID uint64, err error) []byte {
 
 // handle executes one non-streaming request against its device. buf
 // holds the request's bytes (req.body points into it); the response
-// frame is appended behind them and the whole returned. A page read
-// goes from the device straight into that frame.
+// frame is appended behind them and the whole returned. A page read, or
+// a run of them, goes from the device straight into that frame.
 func (s *Server) handle(req request, buf []byte) []byte {
 	ok := func(body []byte) []byte {
 		return appendResponse(buf, response{status: stOK, reqID: req.reqID, body: body})
@@ -328,16 +329,26 @@ func (s *Server) handle(req request, buf []byte) []byte {
 	}
 	dev := s.devs[req.dev]
 	switch req.op {
-	case opRead:
-		if len(req.body) != 4 {
-			return s.fail(buf, req.reqID, ErrBadFrame)
+	case opRead, opReadN:
+		// A run is read page by page, in its order — which is the order
+		// the client's elevator chose for this arm — and answered whole or
+		// not at all: the client reads the pages of a failed run singly.
+		// A page read is a run of exactly one.
+		n, ps := len(req.body)/4, dev.PageSize()
+		if n == 0 || len(req.body)%4 != 0 || n > (maxFrame-respHdrSize)/ps || req.op == opRead && n != 1 {
+			return s.fail(buf, req.reqID, fmt.Errorf("%w: %s of %d bytes of page ids", ErrBadFrame, opName(req.op), len(req.body)))
 		}
-		p := disk.PageID(binary.LittleEndian.Uint32(req.body))
-		out := appendResponseHdr(buf, stOK, req.reqID, dev.PageSize())
+		out := appendResponseHdr(buf, stOK, req.reqID, n*ps)
 		body := len(out)
-		out = slices.Grow(out, dev.PageSize())[:body+dev.PageSize()]
-		sp, ctx := s.reqSpan(req, "read")
-		err := disk.ReadPageCtx(ctx, dev, p, out[body:])
+		out = slices.Grow(out, n*ps)[:body+n*ps]
+		// Growing out may have moved the request; req.body still reads the
+		// old bytes, which nothing overwrites.
+		sp, ctx := s.reqSpan(req, opName(req.op))
+		var err error
+		for i := 0; i < n && err == nil; i++ {
+			p := disk.PageID(binary.LittleEndian.Uint32(req.body[4*i:]))
+			err = disk.ReadPageCtx(ctx, dev, p, out[body+i*ps:body+(i+1)*ps])
+		}
 		sp.End()
 		if err != nil {
 			return s.fail(buf, req.reqID, err)

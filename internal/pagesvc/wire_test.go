@@ -3,10 +3,12 @@ package pagesvc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -43,10 +45,22 @@ func oneWrite(t *testing.T, what string, c *recConn, payload []byte) {
 	c.writes = nil
 }
 
+// flat is req as the reference encoder knows a request: the page ids a
+// sender names in pages folded into the body they lead.
+func flat(req request) request {
+	var ids []byte
+	for _, p := range req.pages {
+		ids = binary.LittleEndian.AppendUint32(ids, uint32(p))
+	}
+	req.pages, req.body = nil, append(ids, req.body...)
+	return req
+}
+
 // TestFrameBytes: every frame either side sends — each op, with the v1
-// and the extended header, ok and error responses, Follow records — is
-// byte for byte the frame writeFrame and the encode* functions of
-// wire_model_test.go make, and reaches the connection in one Write.
+// and the extended header, the page ids named apart from the body or
+// inside it, ok and error responses, Follow records — is byte for byte
+// the frame writeFrame and the encode* functions of wire_model_test.go
+// make, and reaches the connection in one Write.
 func TestFrameBytes(t *testing.T) {
 	sim := disk.New(4)
 	ps := sim.PageSize()
@@ -55,6 +69,8 @@ func TestFrameBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeBody := append([]byte{3, 0, 0, 0}, img...)
+	blank := make([]byte, ps)
+	tooMany := make([]disk.PageID, (maxFrame-respHdrSize)/ps+1) // of page 0: one more than a frame holds
 
 	requests := []request{
 		{op: opRead, dev: DataDev, reqID: 7, body: []byte{2, 0, 0, 0}},
@@ -69,6 +85,16 @@ func TestFrameBytes(t *testing.T) {
 		{op: opPromote, reqID: 15, epoch: 5, body: encodePromote(5, 0, true)}, // fenced: same epoch twice
 		{op: opFollow, dev: WALDev, reqID: 16, body: make([]byte, 8)},         // no such device: an error response
 		{op: 99, dev: DataDev, reqID: 17},
+		// As the client sends them: the ids in pages, a write's image the body.
+		{op: opRead, dev: DataDev, reqID: 18, qid: 42, pages: []disk.PageID{2}},
+		{op: opWrite, dev: DataDev, reqID: 19, pages: []disk.PageID{1}, body: img},
+		{op: opReadN, dev: DataDev, reqID: 20, epoch: 5, pages: []disk.PageID{2, 0, 1, 2}},
+		{op: opReadN, dev: DataDev, reqID: 22, body: []byte{0, 0, 0, 0, 2, 0, 0, 0}},
+		{op: opReadN, dev: DataDev, reqID: 23},                                // no page at all
+		{op: opReadN, dev: DataDev, reqID: 24, body: []byte{1, 0, 0, 0, 2}},   // a ragged list of ids
+		{op: opReadN, dev: DataDev, reqID: 25, pages: []disk.PageID{2, 9, 1}}, // one page out of range
+		{op: opReadN, dev: DataDev, reqID: 26, pages: tooMany},                // more than a frame holds
+		{op: opReadN, dev: 7, reqID: 27, pages: []disk.PageID{1, 2}},          // no such device
 	}
 	// What the server answers, built by hand from the reference encoder.
 	ok := func(reqID uint64, body []byte) []byte {
@@ -84,6 +110,9 @@ func TestFrameBytes(t *testing.T) {
 		ok(7, img), ok(8, img), ok(9, img), nil,
 		ok(11, nil), ok(12, []byte{4, 0, 0, 0}), ok(13, info(6, 3)), ok(1<<64-1, nil),
 		ok(14, []byte{5, 0, 0, 0, 0, 0, 0, 0}), nil, nil, nil,
+		ok(18, img), ok(19, nil),
+		ok(20, slices.Concat(img, blank, img, img)), ok(22, slices.Concat(blank, img)),
+		nil, nil, nil, nil, nil,
 	}
 
 	srv := NewServer([]disk.Device{sim}, ServerConfig{Epoch: 3})
@@ -98,9 +127,9 @@ func TestFrameBytes(t *testing.T) {
 			t.Fatalf("%s: %v", what, err)
 		}
 		cc.finish(req.reqID, w)
-		oneWrite(t, what, client, encodeRequest(req))
+		oneWrite(t, what, client, encodeRequest(flat(req)))
 
-		buf := append(sc.take(), encodeRequest(req)...)
+		buf := append(sc.take(), encodeRequest(flat(req))...)
 		got, err := decodeRequest(buf)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
@@ -187,8 +216,10 @@ func (c *brokenAfter) Write(p []byte) (int, error) {
 
 // TestFrameReaderSplits: whatever way the bytes of a stream of frames
 // arrive — split at every boundary, or a byte at a time — the reader
-// hands out the payloads readFrame does, including one larger than its
-// buffer and an empty one.
+// hands out the payloads readFrame does, including an empty one and
+// several larger than its buffer — a run's request and its answer among
+// them, a larger one after a smaller, a smaller after a larger — which
+// all pass through the one buffer it keeps for them.
 func TestFrameReaderSplits(t *testing.T) {
 	payloads := [][]byte{
 		encodeRequest(request{op: opRead, reqID: 1, body: []byte{1, 0, 0, 0}}),
@@ -196,6 +227,11 @@ func TestFrameReaderSplits(t *testing.T) {
 		encodeResponse(response{status: stOK, reqID: 1, body: bytes.Repeat([]byte{7}, 1024)}),
 		bytes.Repeat([]byte{9}, frameBufSize+17),
 		encodeStreamRecord(5, 9, 2, bytes.Repeat([]byte{0xAB}, 32)),
+		encodeRequest(request{op: opReadN, reqID: 2, qid: 3, body: bytes.Repeat([]byte{1, 0, 0, 0}, 6)}),
+		encodeResponse(response{status: stOK, reqID: 2, body: bytes.Repeat([]byte{0xC4}, 6*1024)}),
+		encodeResponse(response{status: stOK, reqID: 3, body: bytes.Repeat([]byte{0xC5}, 4*1024)}),
+		encodeResponse(response{status: stOK, reqID: 4, body: []byte{1}}),
+		encodeResponse(response{status: stOK, reqID: 5, body: bytes.Repeat([]byte{0xC6}, 8*1024)}),
 	}
 	var stream bytes.Buffer
 	for _, p := range payloads {
@@ -303,6 +339,189 @@ func TestWireReadAllocs(t *testing.T) {
 	})
 	if allocs > wireReadAllocs {
 		t.Errorf("one page read over the wire allocates %.1f times, want at most %d", allocs, wireReadAllocs)
+	}
+}
+
+// TestWireReadRunAllocs is TestWireReadAllocs for a run: four pages in
+// one frame each way allocate what one page does — the server's handler
+// goroutine — and nothing per page; neither end makes a buffer for a
+// frame that outgrows its reader's.
+func TestWireReadRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	c := wirePair(t, numberedPages(t, 16), ClientConfig{})
+	ids := make([]disk.PageID, 4)
+	bufs := make([][]byte, len(ids))
+	for i := range bufs {
+		bufs[i] = make([]byte, c.PageSize())
+	}
+	errs := make([]error, len(ids))
+	ctx := context.Background()
+	p := disk.PageID(0)
+	before := c.Stats().Reads
+	const runs = 500
+	allocs := testing.AllocsPerRun(runs, func() {
+		for i := range ids {
+			ids[i] = (p + disk.PageID(3*i)) % 16
+		}
+		c.ReadPages(ctx, ids, bufs, errs)
+		for i, id := range ids {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if buf := bufs[i]; buf[0] != byte(id) || buf[len(buf)-1] != byte(id) {
+				t.Fatalf("page %d arrived as %d…%d", id, buf[0], buf[len(buf)-1])
+			}
+		}
+		p++
+	})
+	if allocs > wireReadAllocs {
+		t.Errorf("a run of %d pages over the wire allocates %.1f times, want at most %d", len(ids), allocs, wireReadAllocs)
+	}
+	// AllocsPerRun makes one warm-up call. Each run was one frame out and
+	// one back, and every page of it moved the arm once.
+	if got := c.Stats().Reads - before; got != (runs+1)*int64(len(ids)) {
+		t.Errorf("%d runs of %d pages booked %d reads on the arm", runs+1, len(ids), got)
+	}
+	if sends, pages := c.sends.Value(), c.pages.Value(); sends != runs+2 || pages != (runs+1)*int64(len(ids)) { // +1 for Dial's info
+		t.Errorf("%d sends carrying %d pages, want %d carrying %d", sends, pages, runs+2, (runs+1)*len(ids))
+	}
+}
+
+// TestReadRunFallsBackPageByPage: a run the peer will not answer as a
+// run — it lacks the op, or one page of the run is off its device — fails
+// whole, with nothing booked, and its pages can be read one by one.
+func TestReadRunFallsBackPageByPage(t *testing.T) {
+	ctx := context.Background()
+	run := func(c *Client, ids ...disk.PageID) []error {
+		bufs, errs := make([][]byte, len(ids)), make([]error, len(ids))
+		for i := range bufs {
+			bufs[i] = make([]byte, c.PageSize())
+		}
+		c.ReadPages(ctx, ids, bufs, errs)
+		return errs
+	}
+
+	// A peer from before opReadN answers it the way any server answers
+	// an op it does not know.
+	old, err := Dial(ClientConfig{Primary: oldPeer(t, 8, 256), Retry: disk.DefaultRetryPolicy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	for i, err := range run(old, 1, 2, 3) {
+		if err == nil || disk.Retryable(err) {
+			t.Errorf("page %d of a run the peer does not know: %v, want a refusal that is not worth retrying", i, err)
+		}
+	}
+	if st := old.Stats(); st.Reads != 0 {
+		t.Errorf("the refused run booked %d reads", st.Reads)
+	}
+	if got := old.sends.Value(); got != 2 { // Dial's info, and the run once
+		t.Errorf("%d requests sent, want 2: a refusal is not retried", got)
+	}
+	buf := make([]byte, old.PageSize())
+	if err := old.ReadPageCtx(ctx, 2, buf); err != nil || buf[0] != 2 {
+		t.Errorf("single read after the refused run: %v, first byte %d", err, buf[0])
+	}
+
+	// One page of the run is past the server's device though inside the
+	// extent the client believes in: the server refuses the run.
+	sim := numberedPages(t, 8)
+	c := wirePair(t, sim, ClientConfig{})
+	c.mu.Lock()
+	c.numPages = 16
+	c.mu.Unlock()
+	for i, err := range run(c, 1, 12, 3) {
+		if err == nil || disk.Retryable(err) {
+			t.Errorf("page %d of a run with a page off the device: %v, want the server's refusal", i, err)
+		}
+	}
+	if st := c.Stats(); st.Reads != 0 {
+		t.Errorf("the failed run booked %d reads", st.Reads)
+	}
+	// A page the client itself would refuse sends every page on its own,
+	// and only that page fails.
+	errs := run(c, 1, 99, 3)
+	if errs[0] != nil || !errors.Is(errs[1], disk.ErrOutOfRange) || errs[2] != nil {
+		t.Errorf("run with a page the client refuses: %v", errs)
+	}
+	if st := c.Stats(); st.Reads != 2 {
+		t.Errorf("%d reads booked, want the two pages that arrived", st.Reads)
+	}
+}
+
+// oldPeer plays, over the reference encoders, a server from before
+// opReadN with pages pages of ps bytes, each filled with its number: it
+// answers info and single reads, and refuses every other op as unknown.
+// It serves one connection and returns its address.
+func oldPeer(t *testing.T, pages, ps int) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			p, err := readFrame(conn)
+			if err != nil {
+				return
+			}
+			req, err := decodeRequest(p)
+			if err != nil {
+				return
+			}
+			resp := response{status: stOK, reqID: req.reqID}
+			switch {
+			case req.op == opInfo:
+				resp.body = make([]byte, 28)
+				resp.body[0], resp.body[8], resp.body[9] = byte(pages), byte(ps), byte(ps>>8)
+			case req.op == opRead && len(req.body) == 4:
+				resp.body = bytes.Repeat(req.body[:1], ps)
+			default:
+				resp.status, resp.body = stErr, encodeErr(fmt.Errorf("pagesvc: unknown op %d", req.op))
+			}
+			if writeFrame(conn, encodeResponse(resp)) != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// BenchmarkWireReadN is a run of four pages read over loopback TCP in
+// one frame each way: what scan-sharded pays per run.
+func BenchmarkWireReadN(b *testing.B) {
+	c := wirePair(b, numberedPages(b, 64), ClientConfig{})
+	ids := make([]disk.PageID, 4)
+	bufs := make([][]byte, len(ids))
+	for i := range bufs {
+		bufs[i] = make([]byte, c.PageSize())
+	}
+	errs := make([]error, len(ids))
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range ids {
+			ids[k] = disk.PageID((4*i + k) % 64)
+		}
+		c.ReadPages(ctx, ids, bufs, errs)
+		if err := errors.Join(errs...); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

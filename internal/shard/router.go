@@ -941,6 +941,64 @@ func (r *Router) ReadPageCtx(ctx context.Context, p disk.PageID, buf []byte) err
 	return r.access(ctx, p, buf, false)
 }
 
+// ReadPages implements disk.RunReader. A run whose pages all belong to
+// one member that has no replica to hedge against and whose breaker
+// admits it goes to that member's primary whole — one operation, one
+// entry in the breaker's health record. Every page such a read leaves
+// unanswered, and every run that is not of that kind (several owners, a
+// replica, a breaker that refuses, a page the router would refuse), is
+// read page by page down the routed path, which decides retries,
+// budget, failover and fencing as for any single read.
+func (r *Router) ReadPages(ctx context.Context, ids []disk.PageID, bufs [][]byte, errs []error) {
+	m, st, degraded := r.routeRun(ids, bufs)
+	if st == nil || !st.breaker.Allow() {
+		for i, p := range ids {
+			errs[i] = r.ReadPageCtx(ctx, p, bufs[i])
+		}
+		return
+	}
+	disk.ReadPages(ctx, m.Primary, ids, bufs, errs)
+	healthy, delivered := true, false
+	for _, err := range errs {
+		healthy = healthy && answered(err)
+		delivered = delivered || err == nil
+	}
+	st.breaker.Record(healthy)
+	if delivered && degraded {
+		r.noteHealthy(st)
+	}
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = r.access(ctx, ids[i], bufs[i], false)
+		}
+	}
+}
+
+// routeRun validates and routes a run in one critical section, as
+// checkAccess and the routing step of attemptOnce do for a page. It
+// returns the member that owns every page of the run and its state —
+// with whether the shard stood in a degraded episode — or a nil state
+// when there is no such member, the member has a replica, or any page
+// would be refused.
+func (r *Router) routeRun(ids []disk.PageID, bufs [][]byte) (m Member, st *shardState, degraded bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed || len(ids) == 0 {
+		return Member{}, nil, false
+	}
+	owner := r.shardOfLocked(ids[0])
+	for i, p := range ids {
+		if len(bufs[i]) != r.ps || int(p) >= r.size || i > 0 && r.shardOfLocked(p) != owner {
+			return Member{}, nil, false
+		}
+	}
+	if r.members[owner].Replica != nil {
+		return Member{}, nil, false
+	}
+	r.last = ids[len(ids)-1]
+	return r.members[owner], r.shards[owner], r.shards[owner].degraded
+}
+
 // WritePage implements disk.Device: writes go to the owning shard's
 // primary only — one write master per shard — and fail transiently
 // while it is down.
@@ -1073,3 +1131,4 @@ func (r *Router) RegisterMetrics(reg *metrics.Registry, dev string) {
 
 var _ disk.Device = (*Router)(nil)
 var _ disk.CtxReader = (*Router)(nil)
+var _ disk.RunReader = (*Router)(nil)

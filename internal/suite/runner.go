@@ -122,6 +122,11 @@ func runIteration(sc Scenario) (Counters, error) {
 	if err != nil {
 		return Counters{}, fmt.Errorf("trace replay disagrees with harness: %w", err)
 	}
+	if len(e.netLabels) > 0 {
+		if err := netAgrees("trace replay", sc, got, replay.NetSends, replay.NetRecvs, replay.NetPages); err != nil {
+			return Counters{}, err
+		}
+	}
 	if int(replay.PagesMigrated) != e.migrated {
 		return Counters{}, fmt.Errorf("trace replay counted %d migrated pages, migrator reported %d",
 			replay.PagesMigrated, e.migrated)
@@ -152,11 +157,34 @@ func runIteration(sc Scenario) (Counters, error) {
 	}, nil
 }
 
+// netAgrees is the net leg of the three-way check, applied to the
+// registry's counters and to the trace replay's alike. In a fault-free
+// run every request is answered, and the answered requests carry every
+// logical page access exactly once between them — a page read or write
+// carries one, a run of pages read in one frame as many as it has: the
+// router never duplicates or drops an access. On a fleet every member
+// client counts its own; the sums are what is passed in. The migrator's
+// direct installs on the joiner are page accesses too (the router's
+// stats sum every member's device, routed or not); the one request of a
+// reshard that carries no page is the join's Allocate RPC growing the
+// joiner to the fleet's extent.
+func netAgrees(who string, sc Scenario, got Measured, sends, recvs, pages int64) error {
+	accesses := got.Dev.Reads + got.Dev.Writes
+	most := accesses
+	if sc.Workload == WorkloadReshard {
+		most++
+	}
+	if pages != accesses || sends != recvs || sends > most {
+		return fmt.Errorf("%s disagrees with harness: net sends/recvs %d/%d carrying %d pages, page accesses %d",
+			who, sends, recvs, pages, accesses)
+	}
+	return nil
+}
+
 // verifyRegistry is the registry leg of the three-way check: assembly,
 // buffer and disk counters on every backend (every leaf device, the
 // page-service client included, exports its arm), plus the clients' net
-// counters on the networked ones (one send and one recv per logical
-// page access in a fault-free run).
+// counters on the networked ones (see netAgrees).
 func verifyRegistry(sc Scenario, e *env, d metrics.Snapshot, got Measured, st assembly.Stats) error {
 	policy := sc.Scheduler.String()
 	switch {
@@ -185,27 +213,14 @@ func verifyRegistry(sc Scenario, e *env, d metrics.Snapshot, got Measured, st as
 		}
 	}
 	if len(e.netLabels) > 0 {
-		// A fault-free run sends exactly one request and receives
-		// exactly one response per logical page access. On a
-		// fleet every member client exports its own series; summed they
-		// must cover every access exactly once — the router never
-		// duplicates or drops one. The migrator's direct installs on the
-		// joiner are page accesses too (the router's stats sum every
-		// member's device, routed or not); the one extra net op of a
-		// reshard is the join's Allocate RPC growing the joiner to the
-		// fleet's extent.
-		accesses := got.Dev.Reads + got.Dev.Writes
-		if sc.Workload == WorkloadReshard {
-			accesses++
-		}
-		var sends, recvs int64
+		var sends, recvs, pages int64
 		for _, lbl := range e.netLabels {
 			sends += d.Value("asm_net_sends_total", "dev", lbl)
 			recvs += d.Value("asm_net_recvs_total", "dev", lbl)
+			pages += d.Value("asm_net_pages_total", "dev", lbl)
 		}
-		if sends != accesses || recvs != accesses {
-			return fmt.Errorf("registry disagrees with harness: net sends/recvs %d/%d, page accesses %d",
-				sends, recvs, accesses)
+		if err := netAgrees("registry", sc, got, sends, recvs, pages); err != nil {
+			return err
 		}
 		if sc.Workload == WorkloadReshard {
 			if reg := d.Value("asm_fleet_pages_migrated_total"); reg != int64(e.migrated) {

@@ -38,6 +38,9 @@ type Replay struct {
 
 	// Network reconstruction (page-service client events).
 	NetSends, NetRecvs, NetErrors int64
+	// NetPages counts the pages read or written by answered requests: a
+	// run of pages is one send and one recv but as many pages.
+	NetPages                      int64
 	NetTimeouts                   int64
 	Hedges, Failovers, Reconnects int64
 	// Fleet control-plane activity: replica promotions and resharding
@@ -165,6 +168,7 @@ func ReplayEvents(events []Event) *Replay {
 				r.NetSends++
 			case KindRecv:
 				r.NetRecvs++
+				r.NetPages += int64(e.OID)
 				if e.N != 0 {
 					r.NetErrors++
 				}

@@ -68,7 +68,7 @@ const (
 // endpoint in the Note field.
 const (
 	KindSend      = "send"      // request sent to a page server: Page, Note (endpoint)
-	KindRecv      = "recv"      // response received: Page, N (0 ok, 1 error), Note (endpoint)
+	KindRecv      = "recv"      // response received: Page, N (0 ok, 1 error), OID (pages read or written), Note (endpoint)
 	KindTimeout   = "timeout"   // request timed out with no response: Page, Note (endpoint)
 	KindHedge     = "hedge"     // straggler read hedged to a replica: Page, Note (endpoint)
 	KindFailover  = "failover"  // read routing switched off the primary: Note (new endpoint)
@@ -263,14 +263,28 @@ func (t *Tracer) Redo(page int64, lsn uint64) {
 }
 
 // Net records a page-service client or shard-router event: a request
-// sent, a response received (n carries 0 for success, 1 for error), a
-// hedged read, a failover, or a reconnect. The endpoint travels in the
-// note.
+// sent, a hedged read, a failover, or a reconnect (a response received
+// has NetRecv). The endpoint travels in the note.
 func (t *Tracer) Net(kind string, page int64, n int64, endpoint string, qid uint64) {
 	if t == nil {
 		return
 	}
 	t.emit(Event{Layer: LayerNet, Kind: kind, Page: page, Head: NoPage, Dist: NoPage, N: n, Note: endpoint, QID: qid})
+}
+
+// NetRecv records a response received from a page server: page is the
+// (first) page the request was about, failed whether the answer was an
+// error, and pages how many pages it read or wrote — zero for an error
+// and for requests that carry none. The count travels in the OID field.
+func (t *Tracer) NetRecv(page, pages int64, failed bool, endpoint string, qid uint64) {
+	if t == nil {
+		return
+	}
+	var n int64
+	if failed {
+		n = 1
+	}
+	t.emit(Event{Layer: LayerNet, Kind: KindRecv, Page: page, Head: NoPage, Dist: NoPage, OID: uint64(pages), N: n, Note: endpoint, QID: qid})
 }
 
 // Assembly records an operator event. page and head are NoPage when the
