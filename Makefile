@@ -26,17 +26,21 @@ sched-check:
 	$(GO) test -count=1 -run 'TestPendingSetMatchesSortedSlice|TestElevatorStep|TestServedRefsUnreachable' ./internal/assembly
 	$(GO) test -run '^$$' -bench=SchedulerElevator -benchtime=1x ./internal/assembly
 
-# The pool's victim heap, uncached: the whole package — the
-# differential test against the two-scan reference model (10 000 seeded
-# sequences, the invariant checker after every step), the FixNew error
-# paths, the 0-alloc pin on the hit path, the miss-cost-is-flat check —
-# then once more under the race detector (400 sequences, no timing
-# test), then one iteration of the scaling benchmark so that it cannot
-# rot unbuilt or panic unseen.
+# The pool's victim heap and page table, uncached: the whole package —
+# the differential tests against the two-scan reference model and, for
+# the table, against a Go map (10 000 seeded sequences each, the
+# invariant checker after every step), the FixNew error paths, the
+# 0-alloc pin on the hit path, the miss-cost-is-flat check (in the pool's
+# size and in the device's) — then once more under the race detector
+# (400 sequences, no timing test), then one iteration of the scaling
+# benchmark and of the resident OID directory's (the other lookup under
+# every resolved reference) so that neither can rot unbuilt or panic
+# unseen.
 buffer-check:
 	$(GO) test -count=1 ./internal/buffer
 	$(GO) test -race -count=1 ./internal/buffer
 	$(GO) test -run '^$$' -bench='FixMiss|FixHit' -benchtime=1x ./internal/buffer
+	$(GO) test -run '^$$' -bench=LocatorLookup -benchtime=1x ./internal/object
 
 # The window slot's arena, uncached: the lifetime tests (an emitted
 # object is collectable while the operator runs, a shared leaf does not
@@ -156,15 +160,18 @@ crash-test:
 # DecodeInto must agree with Decode on every input), of the WAL
 # reader (arbitrary bytes as a log: the scan ends, hands out only
 # records inside the device, and allocates no more than the device
-# holds) and of the suite's config parser (scenarios or a file:line
+# holds), of the suite's config parser (scenarios or a file:line
 # error, never a panic; what parses passes the validator's range
-# checks).
+# checks) and of the template JSON loader (a template or an error, with a
+# catalog and without, never a panic; what parses marshals and parses
+# back to the same template).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzPageOps -fuzztime=10s ./internal/page
 	$(GO) test -fuzz=FuzzProtoDecode -fuzztime=10s ./internal/pagesvc
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/object
 	$(GO) test -fuzz=FuzzWALScan -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzParseScenarios -fuzztime=10s ./internal/suite
+	$(GO) test -fuzz=FuzzTemplateJSON -fuzztime=10s ./internal/assembly
 
 # One testing.B sub-benchmark per figure the harness registers
 # (BenchmarkFigure/<id> at the repo root), plus the substrate

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"revelation/internal/assembly"
+	"revelation/internal/buffer"
 	"revelation/internal/disk"
 	"revelation/internal/gen"
 	"revelation/internal/stats"
@@ -188,5 +189,95 @@ func TestDeadlineMidAssembly(t *testing.T) {
 	}
 	if st.Aborted != deadlineAborts {
 		t.Errorf("stats aborted %d != %d deadline abort events", st.Aborted, deadlineAborts)
+	}
+}
+
+// TestAbortOrderRepeats: a query cancelled at the same step of the same
+// seeded run leaves the same trace, event for event — the aborts of its
+// live slots and the unfixes of their pins in the same order every
+// time — both with the pool to itself and with a co-tenant holding all
+// but 30 frames, so that the operator sheds its window pins on the way.
+// The live slots are walked as a slice; as a Go map they came out in a
+// different order each run.
+func TestAbortOrderRepeats(t *testing.T) {
+	run := func(squeeze bool) (events []string, sheds int) {
+		db := buildDB(t, gen.Config{NumComplexObjects: 100, Clustering: gen.Unclustered, Seed: 7})
+		if err := db.Pool.EvictAll(); err != nil {
+			t.Fatal(err)
+		}
+		var pads []*buffer.Frame
+		if squeeze {
+			n := db.Pool.Size() - 30
+			first, err := db.Device.Allocate(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				fr, err := db.Pool.Fix(first + disk.PageID(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pads = append(pads, fr)
+			}
+		}
+		col := trace.NewCollector()
+		tr := trace.New(col)
+		db.Pool.SetTracer(tr)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		op := assembly.New(rootsSource(db.Roots), db.Store, db.Template, assembly.Options{
+			Window:         16,
+			Scheduler:      assembly.Elevator,
+			PinWindowPages: true,
+			Tracer:         tr,
+		})
+		volcano.Bind(ctx, op)
+		if err := op.Open(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := drainUntil(t, op, func(seen int) bool { return seen >= 10 }); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		if _, err := op.Next(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Next after cancel: %v, want context.Canceled", err)
+		}
+		sheds = op.Stats().WindowStalls
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, fr := range pads {
+			if err := db.Pool.Unfix(fr, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		aborts := 0
+		for _, e := range col.Events() {
+			events = append(events, e.String())
+			if e.Kind == trace.KindAbort {
+				aborts++
+			}
+		}
+		if aborts < 8 {
+			t.Fatalf("%d live slots aborted: the cancel did not land on a full window", aborts)
+		}
+		return events, sheds
+	}
+	for _, squeeze := range []bool{false, true} {
+		first, sheds := run(squeeze)
+		if squeeze != (sheds > 0) {
+			t.Fatalf("co-tenant %v: %d window stalls", squeeze, sheds)
+		}
+		for again := 0; again < 4; again++ {
+			next, _ := run(squeeze)
+			if len(next) != len(first) {
+				t.Fatalf("co-tenant %v: %d events, then %d", squeeze, len(first), len(next))
+			}
+			for i := range first {
+				if first[i] != next[i] {
+					t.Fatalf("co-tenant %v, event %d of %d: %q, then %q", squeeze, i, len(first), first[i], next[i])
+				}
+			}
+		}
 	}
 }

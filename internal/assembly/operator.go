@@ -166,11 +166,14 @@ type Operator struct {
 	Template *Template
 	Opts     Options
 
-	sched     Scheduler
-	shared    *sharedTable
-	tr        *trace.Tracer
-	liveItems int
-	liveSet   map[*workItem]bool
+	sched  Scheduler
+	shared *sharedTable
+	tr     *trace.Tracer
+	// live holds the window's slots, each at index workItem.slot, in
+	// admission order except that a retiring slot's place goes to the
+	// newest one. Whatever walks it — an abort, a shed, Close — does so
+	// in an order the run's inputs decide, the same every time.
+	live      []*workItem
 	inputDone bool
 	outq      []*workItem
 	// footprint counts, by page id, the live items a page backs;
@@ -247,6 +250,7 @@ type workItem struct {
 	pending int
 	aborted bool
 	emitted bool
+	slot    int32 // position in Operator.live (in the bools' word: the struct stays its size)
 	// pre holds stacked-input sub-assemblies not yet reached.
 	pre map[object.OID]*Instance
 	// assembled lists the OIDs already assembled within this complex
@@ -330,7 +334,7 @@ func (op *Operator) Open() error {
 		op.shared = newSharedTable(op.Store.File.Pool())
 	}
 	op.tr = op.Opts.Tracer
-	op.liveSet = map[*workItem]bool{}
+	op.live = nil
 	op.inputDone = false
 	op.outq = nil
 	op.footprint = make([]int32, op.Store.File.Pool().Device().NumPages())
@@ -340,7 +344,7 @@ func (op *Operator) Open() error {
 	op.decode = op.decodeRec
 	op.stats = Stats{}
 	op.cells = newOpCells(op.Opts.Metrics, op.sched.Name())
-	op.setLive(0)
+	op.noteLive()
 	op.pressure = false
 	op.stall = 0
 	op.qspan, op.qctx = qtrace.Start(op.ctx, qtrace.LayerAssembly, "assemble")
@@ -430,12 +434,12 @@ func (op *Operator) Next() (volcano.Item, error) {
 		// Keep the window full — unless pinned window pages are
 		// exhausting the buffer, in which case the effective window
 		// shrinks to what the pool sustains.
-		for op.liveItems < window && !op.inputDone && op.admissionAllowed() {
+		for len(op.live) < window && !op.inputDone && op.admissionAllowed() {
 			if err := op.admit(); err != nil {
 				return nil, op.fail(err)
 			}
 		}
-		if op.liveItems == 0 {
+		if len(op.live) == 0 {
 			if op.inputDone {
 				return nil, volcano.Done
 			}
@@ -446,7 +450,7 @@ func (op *Operator) Next() (volcano.Item, error) {
 		if ref == nil {
 			// All live items' references were consumed but none
 			// completed: impossible unless bookkeeping broke.
-			return nil, fmt.Errorf("assembly: %d live complex objects with no pending references", op.liveItems)
+			return nil, fmt.Errorf("assembly: %d live complex objects with no pending references", len(op.live))
 		}
 		if !ref.live() {
 			continue
@@ -467,12 +471,12 @@ func (op *Operator) Next() (volcano.Item, error) {
 func (op *Operator) Close() error {
 	op.open = false
 	var errs []error
-	for item := range op.liveSet {
+	for _, item := range op.live {
 		if err := op.unpinFrames(item); err != nil {
 			errs = append(errs, err)
 		}
 	}
-	op.liveSet = nil
+	op.live = nil
 	for _, item := range op.outq {
 		if err := op.unpinFrames(item); err != nil {
 			errs = append(errs, err)
@@ -584,10 +588,10 @@ func (op *Operator) prefetchBatch(batch []*Ref) {
 // ErrNoFrames) admission also pauses until pins drain — the effective
 // window shrinks to what the pool sustains and recovers afterwards.
 func (op *Operator) admissionAllowed() bool {
-	if op.pressure && op.liveItems > 0 {
+	if op.pressure && len(op.live) > 0 {
 		return false
 	}
-	if !op.Opts.PinWindowPages || op.liveItems == 0 {
+	if !op.Opts.PinWindowPages || len(op.live) == 0 {
 		return true
 	}
 	pool := op.Store.File.Pool()
@@ -596,7 +600,7 @@ func (op *Operator) admissionAllowed() bool {
 	// (heap gets, index descents) need headroom.
 	const headroom = 8
 	perItem := op.Template.Nodes()
-	return (op.liveItems+1)*perItem+headroom <= pool.Size()
+	return (len(op.live)+1)*perItem+headroom <= pool.Size()
 }
 
 // pinPage pins the page backing a freshly fetched component for the
@@ -638,7 +642,7 @@ func (op *Operator) unpinFrames(item *workItem) error {
 // pressure clears at the next emission.
 func (op *Operator) shedPins() error {
 	var errs []error
-	for item := range op.liveSet {
+	for _, item := range op.live {
 		if len(item.frames) == 0 {
 			continue
 		}
@@ -667,8 +671,9 @@ func (op *Operator) admit() error {
 	item := op.newItem()
 	// Count the slot live up front so an abort during admission (a
 	// root-level predicate failure) balances the books.
-	op.setLive(op.liveItems + 1)
-	op.liveSet[item] = true
+	item.slot = int32(len(op.live))
+	op.live = append(op.live, item)
+	op.noteLive()
 	switch v := raw.(type) {
 	case object.OID:
 		if v.IsNil() {
@@ -953,7 +958,7 @@ func (op *Operator) refFault(ref *Ref, cause error) error {
 	// without any assembly progress.
 	if errors.Is(cause, buffer.ErrNoFrames) {
 		op.stall++
-		if op.stall > 2*(op.sched.Len()+op.liveItems)+4 {
+		if op.stall > 2*(op.sched.Len()+len(op.live))+4 {
 			return fmt.Errorf("assembly: window stalled, buffer cannot hold a single complex object: %w: %w", ErrShed, cause)
 		}
 		if !op.pressure {
@@ -1200,8 +1205,10 @@ func (op *Operator) fail(err error) error {
 // second call sees empty sets.
 func (op *Operator) abortLifecycle(reason string) error {
 	var errs []error
-	for item := range op.liveSet {
-		if err := op.abortItem(item, reason); err != nil {
+	// Newest first: an aborted item retires, and the last slot's
+	// retirement moves no other.
+	for i := len(op.live) - 1; i >= 0; i-- {
+		if err := op.abortItem(op.live[i], reason); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -1294,18 +1301,21 @@ func (op *Operator) pageOf(oid object.OID) disk.PageID {
 // field, metric cell, query span, trace event — on exactly one line,
 // here.
 
-// setLive is the one writer of the window's occupancy: the count the
-// admission loop reads and the gauge a scraper sees.
-func (op *Operator) setLive(n int) {
-	op.liveItems = n
-	op.cells.occupancy.Set(int64(n))
+// noteLive shows a scraper the window's occupancy; admit and retire,
+// the two places op.live changes, call it.
+func (op *Operator) noteLive() {
+	op.cells.occupancy.Set(int64(len(op.live)))
 }
 
 // retire takes item out of the window: emitted, aborted, quarantined,
 // or turned away at admission.
 func (op *Operator) retire(item *workItem) {
-	op.setLive(op.liveItems - 1)
-	delete(op.liveSet, item)
+	last := len(op.live) - 1
+	moved := op.live[last]
+	op.live[item.slot], moved.slot = moved, item.slot
+	op.live[last] = nil
+	op.live = op.live[:last]
+	op.noteLive()
 }
 
 // notePageRequest books one buffer request issued for a fetch.

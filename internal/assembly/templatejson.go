@@ -3,6 +3,7 @@ package assembly
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"revelation/internal/expr"
 	"revelation/internal/object"
@@ -96,8 +97,9 @@ func templateToJSON(t *Template, cat *object.Catalog) (*templateJSON, error) {
 }
 
 // UnmarshalTemplateJSON parses a serialized template, resolving class
-// names through cat (nil allows only class-free and "#<id>" nodes).
-// The result is validated.
+// names through cat (nil allows only class-free and "#<id>" nodes; with
+// a catalog an "#<id>" must be a class it holds, or 0 for none). The
+// result is validated, and marshals back to what it was parsed from.
 func UnmarshalTemplateJSON(data []byte, cat *object.Catalog) (*Template, error) {
 	var j templateJSON
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -114,6 +116,9 @@ func UnmarshalTemplateJSON(data []byte, cat *object.Catalog) (*Template, error) 
 }
 
 func templateFromJSON(j *templateJSON, cat *object.Catalog) (*Template, error) {
+	if j == nil {
+		return nil, fmt.Errorf("assembly: null template node")
+	}
 	t := &Template{
 		Name:          j.Name,
 		RefField:      j.RefField,
@@ -123,11 +128,16 @@ func templateFromJSON(j *templateJSON, cat *object.Catalog) (*Template, error) {
 	}
 	if j.Class != "" {
 		if j.Class[0] == '#' {
-			var id int
-			if _, err := fmt.Sscanf(j.Class, "#%d", &id); err != nil {
+			id, err := strconv.ParseUint(j.Class[1:], 10, 16)
+			if err != nil {
 				return nil, fmt.Errorf("assembly: bad class tag %q", j.Class)
 			}
 			t.Class = object.ClassID(id)
+			if cat != nil && id != 0 {
+				if _, ok := cat.ByID(t.Class); !ok {
+					return nil, fmt.Errorf("assembly: unknown class %q", j.Class)
+				}
+			}
 		} else {
 			if cat == nil {
 				return nil, fmt.Errorf("assembly: class %q needs a catalog", j.Class)

@@ -1,6 +1,8 @@
 package assembly
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,7 +10,7 @@ import (
 	"revelation/internal/object"
 )
 
-func jsonCatalog(t *testing.T) *object.Catalog {
+func jsonCatalog(t testing.TB) *object.Catalog {
 	t.Helper()
 	cat := object.NewCatalog()
 	cat.MustDefine(&object.Class{Name: "Person", NumInts: 2, NumRefs: 2})
@@ -83,12 +85,16 @@ func TestTemplateJSONRejectsUnserializablePredicate(t *testing.T) {
 func TestTemplateJSONErrors(t *testing.T) {
 	cat := jsonCatalog(t)
 	cases := map[string]string{
-		"bad json":    `{`,
-		"bad class":   `{"name":"x","refField":-1,"class":"Nope"}`,
-		"bad op":      `{"name":"x","refField":-1,"pred":{"field":0,"op":"~~"}}`,
-		"dup fields":  `{"name":"x","refField":-1,"children":[{"name":"a","refField":0},{"name":"b","refField":0}]}`,
-		"neg field":   `{"name":"x","refField":-1,"children":[{"name":"a","refField":-2}]}`,
-		"bad classid": `{"name":"x","refField":-1,"class":"#zzz"}`,
+		"bad json":             `{`,
+		"bad class":            `{"name":"x","refField":-1,"class":"Nope"}`,
+		"bad op":               `{"name":"x","refField":-1,"pred":{"field":0,"op":"~~"}}`,
+		"dup fields":           `{"name":"x","refField":-1,"children":[{"name":"a","refField":0},{"name":"b","refField":0}]}`,
+		"neg field":            `{"name":"x","refField":-1,"children":[{"name":"a","refField":-2}]}`,
+		"bad classid":          `{"name":"x","refField":-1,"class":"#zzz"}`,
+		"classid and junk":     `{"name":"x","refField":-1,"class":"#1x"}`,
+		"classid out of range": `{"name":"x","refField":-1,"class":"#65536"}`,
+		"classid not defined":  `{"name":"x","refField":-1,"class":"#9"}`,
+		"null child":           `{"name":"x","refField":-1,"children":[null]}`,
 	}
 	for name, data := range cases {
 		if _, err := UnmarshalTemplateJSON([]byte(data), cat); err == nil {
@@ -133,4 +139,55 @@ func TestTemplateJSONDrivesAssembly(t *testing.T) {
 	for _, inst := range out {
 		checkAssembled(t, s, inst)
 	}
+}
+
+// FuzzTemplateJSON hardens the template loader, which the command-line
+// tools point at files: arbitrary bytes never panic it, with a catalog
+// or without, and whatever it accepts marshals and parses back to the
+// same template.
+func FuzzTemplateJSON(f *testing.F) {
+	cat := jsonCatalog(f)
+	good, err := MarshalTemplateJSON(jsonTemplate(cat), cat)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		string(good),
+		`null`,
+		`{"name":"x","refField":-1,"class":"#2","pred":{"field":1,"op":"range","lo":-3,"hi":9,"sel":0.5}}`,
+		`{"name":"x","refField":-1,"class":"#7","children":[{"name":"a","refField":0,"pred":{"op":"=="}}]}`,
+		`{"children":[null]}`,
+		`{"class":"#"}`,
+		`{"class":"#99999999999999999999"}`,
+		`{"class":"#-1"}`,
+		`{"sharingDegree":1e999}`,
+		`{"children":[{"children":[{"children":[{"refField":3}]}]}]}`,
+	} {
+		f.Add([]byte(seed), true)
+		f.Add([]byte(seed), false)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, withCatalog bool) {
+		c := cat
+		if !withCatalog {
+			c = nil
+		}
+		first, err := UnmarshalTemplateJSON(data, c)
+		if err != nil {
+			return
+		}
+		out, err := MarshalTemplateJSON(first, c)
+		if err != nil {
+			t.Fatalf("accepted %q, then refused to marshal it: %v", data, err)
+		}
+		second, err := UnmarshalTemplateJSON(out, c)
+		if err != nil {
+			t.Fatalf("accepted %q, marshalled it as %s, then refused that: %v", data, out, err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("%q parses as\n%s\nbut comes back as\n%s", data, first, second)
+		}
+		if again, err := MarshalTemplateJSON(second, c); err != nil || !bytes.Equal(out, again) {
+			t.Fatalf("%q marshals as %s, then as %s (%v)", data, out, again, err)
+		}
+	})
 }

@@ -180,7 +180,7 @@ func (ls *Lanes) read(p *Pool, runs []Run) []runLoad {
 		rl := &ls.loads[n]
 		rl.p, rl.ctx, rl.pages = p, run.Ctx, rl.pages[:0]
 		for i, id := range run.IDs {
-			if _, ok := p.table[id]; !ok && !inBatchBefore(runs, r, i) {
+			if p.resident(id) == nil && !inBatchBefore(runs, r, i) {
 				rl.add(r, i, id)
 			}
 		}
@@ -253,7 +253,7 @@ func (p *Pool) fixLocked(ctx context.Context, id disk.PageID, ld *load) (*Frame,
 	}
 	sp := qtrace.From(ctx)
 	p.tick++
-	if f, ok := p.table[id]; ok {
+	if f := p.resident(id); f != nil {
 		f.pins++
 		if f.pins == 1 {
 			p.pinned.Add(1)

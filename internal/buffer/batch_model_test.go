@@ -340,8 +340,9 @@ func (r *batchRig) compare() {
 			r.fatalf("%v", err)
 		}
 	}
-	for i, f := range b.pool.frames {
-		w := m.pool.frames[i]
+	for i := range b.pool.frames {
+		f := &b.pool.frames[i]
+		w := &m.pool.frames[i]
 		if f.id != w.id || f.pins != w.pins || f.dirty != w.dirty || f.sticky != w.sticky {
 			r.fatalf("frame %d: page %d (pins %d, dirty %v, sticky %v), model page %d (pins %d, dirty %v, sticky %v)",
 				i, f.id, f.pins, f.dirty, f.sticky, w.id, w.pins, w.dirty, w.sticky)

@@ -93,15 +93,51 @@ func BenchmarkFixMiss(b *testing.B) {
 	}
 }
 
+// blankDev is a device of any number of 64-byte pages that keeps none of
+// them: every page reads as zeros (which verify). What is not overridden
+// here is not called by Fix and Unfix of clean pages.
+type blankDev struct {
+	disk.Device
+	pages int
+}
+
+func (d blankDev) PageSize() int { return 64 }
+func (d blankDev) NumPages() int { return d.pages }
+func (d blankDev) ReadPage(id disk.PageID, buf []byte) error {
+	if int(id) >= d.pages {
+		return fmt.Errorf("blankDev: page %d of %d", id, d.pages)
+	}
+	clear(buf)
+	return nil
+}
+
+// missSpread is missSweep over a device far larger than the pool: each
+// step fixes and releases a page some large odd stride further on, so
+// that every step misses and the ids met range over the whole device.
+func missSpread(tb testing.TB, frames, pages int) (step func()) {
+	tb.Helper()
+	p := New(blankDev{pages: pages}, frames)
+	next := 0
+	return func() {
+		f, err := p.Fix(disk.PageID(next))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		p.Unfix(f, false)
+		next = (next + 7919) % pages
+	}
+}
+
 // TestMissCostFlat: a miss in a pool a hundred times larger costs at
-// most three times as much.
+// most three times as much, and so does a miss in a pool of 64 frames
+// over a device a thousand times larger — what a miss consults is sized
+// by the frames.
 func TestMissCostFlat(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("timing test")
 	}
 	const steps = 100000
-	cost := func(frames int) time.Duration {
-		_, step := missSweep(t, frames)
+	timed := func(step func()) time.Duration {
 		best := time.Duration(1 << 62)
 		for trial := 0; trial < 7; trial++ {
 			start := time.Now()
@@ -112,10 +148,19 @@ func TestMissCostFlat(t *testing.T) {
 		}
 		return best
 	}
+	cost := func(frames int) time.Duration {
+		_, step := missSweep(t, frames)
+		return timed(step)
+	}
 	small, large := cost(800), cost(80000)
 	t.Logf("%d misses: %v at 800 frames, %v at 80000", steps, small, large)
 	if large > 3*small {
 		t.Errorf("%d misses take %v at 80000 frames, over 3x the %v at 800", steps, large, small)
+	}
+	small, large = timed(missSpread(t, 64, 1000)), timed(missSpread(t, 64, 1000000))
+	t.Logf("%d misses at 64 frames: %v over 1 000 pages, %v over 1 000 000", steps, small, large)
+	if large > 3*small {
+		t.Errorf("%d misses at 64 frames take %v over 1 000 000 pages, over 3x the %v over 1 000", steps, large, small)
 	}
 }
 

@@ -126,7 +126,8 @@ func TestFixNewLogFailureLeavesNoPin(t *testing.T) {
 	if _, err := p.FixNew(); !errors.Is(err, ErrNoFrames) {
 		t.Fatalf("third FixNew in a pool of two = %v, want ErrNoFrames", err)
 	}
-	for _, f := range p.frames {
+	for i := range p.frames {
+		f := &p.frames[i]
 		if err := p.Unfix(f, false); err != nil {
 			t.Fatal(err)
 		}

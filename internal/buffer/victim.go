@@ -160,7 +160,7 @@ func (p *Pool) victimLocked() (*Frame, error) {
 	}
 	p.empty--
 	p.emptyFrom = i + 1
-	return p.frames[i], nil
+	return &p.frames[i], nil
 }
 
 // emptyLocked is the one way a frame comes to hold no page: f, unpinned
@@ -168,7 +168,7 @@ func (p *Pool) victimLocked() (*Frame, error) {
 // frames.
 func (p *Pool) emptyLocked(f *Frame) {
 	if f.id != disk.InvalidPage {
-		delete(p.table, f.id)
+		p.table.del(f.id)
 		f.id = disk.InvalidPage
 	}
 	f.dirty = false

@@ -342,13 +342,15 @@ func (r *diffRig) both(what string, failRead, failWrite, failWAL bool, onReal, o
 func (r *diffRig) fix(what string, failRead, failWrite, failWAL bool, onReal func() (*Frame, error), onModel func() (*scanFrame, error)) (heldPair, error) {
 	var h heldPair
 	r.before = r.before[:0]
-	for _, f := range r.real.frames {
+	for i := range r.real.frames {
+		f := &r.real.frames[i]
 		r.before = append(r.before, f.id)
 	}
 	err := r.both(what, failRead, failWrite, failWAL,
 		func() (err error) { h.r, err = onReal(); return },
 		func() (err error) { h.m, err = onModel(); return })
-	for i, f := range r.real.frames {
+	for i := range r.real.frames {
+		f := &r.real.frames[i]
 		if id := r.before[i]; id != disk.InvalidPage && id != f.id {
 			r.evicted = append(r.evicted, id)
 		}
@@ -462,7 +464,8 @@ func (r *diffRig) compare() {
 	if err := invariantErr(r.real); err != nil {
 		r.fatalf("%v", err)
 	}
-	for i, f := range r.real.frames {
+	for i := range r.real.frames {
+		f := &r.real.frames[i]
 		m := r.model.frames[i]
 		if f.id != m.id || f.pins != m.pins || f.dirty != m.dirty || f.sticky != m.sticky {
 			r.fatalf("frame %d: real pool holds page %d (pins %d, dirty %v, sticky %v), model page %d (pins %d, dirty %v, sticky %v)",

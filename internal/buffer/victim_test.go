@@ -10,8 +10,10 @@ import (
 // checkInvariants verifies the replacement state against the frames it
 // describes, between operations: the heap is a heap on its keys, no key
 // is ahead of its frame's stamp, only sticky frames are parked, every
-// frame a search could evict is queued or parked exactly once, and the
-// empty frames are counted and bounded below by emptyFrom.
+// frame a search could evict is queued or parked exactly once, the
+// empty frames are counted and bounded below by emptyFrom, and the page
+// table holds the resident frames, each under its page, and nothing else
+// (tableErr).
 func checkInvariants(tb testing.TB, p *Pool) {
 	tb.Helper()
 	if err := invariantErr(p); err != nil {
@@ -45,7 +47,9 @@ func invariantErr(p *Pool) error {
 		}
 	}
 	empty, pinned := 0, 0
-	for i, f := range p.frames {
+	resident := map[disk.PageID]*Frame{}
+	for i := range p.frames {
+		f := &p.frames[i]
 		if (f.place == placeHeap) != inHeap[i] || f.place == placeParked && (f.slot >= len(p.parked) || p.parked[f.slot] != f) {
 			return fmt.Errorf("frame %d: place %d, slot %d, in the heap: %v", i, f.place, f.slot, inHeap[i])
 		}
@@ -62,9 +66,10 @@ func invariantErr(p *Pool) error {
 			}
 			continue
 		}
-		if p.table[f.id] != f {
-			return fmt.Errorf("frame %d holds page %d, the table disagrees", i, f.id)
+		if other := resident[f.id]; other != nil {
+			return fmt.Errorf("frames %d and %d both hold page %d", other.index, i, f.id)
 		}
+		resident[f.id] = f
 		if f.pins == 0 && f.place == placeNone {
 			return fmt.Errorf("frame %d (page %d) is unpinned and neither queued nor parked", i, f.id)
 		}
@@ -72,8 +77,8 @@ func invariantErr(p *Pool) error {
 	if empty != p.empty {
 		return fmt.Errorf("%d empty frames, counted %d", empty, p.empty)
 	}
-	if resident := len(p.frames) - empty; resident != len(p.table) {
-		return fmt.Errorf("%d resident frames, %d table entries", resident, len(p.table))
+	if err := tableErr(&p.table, p.frames, resident); err != nil {
+		return err
 	}
 	if int64(pinned) != p.pinned.Value() {
 		return fmt.Errorf("%d pinned frames, gauge says %d", pinned, p.pinned.Value())

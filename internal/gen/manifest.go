@@ -122,15 +122,47 @@ func OpenDatabase(devicePath, manifestPath string, bufferPages int) (*Database, 
 	if err != nil {
 		return nil, err
 	}
-	return OpenDatabaseOn(dev, mp, bufferPages)
+	db, err := OpenDatabaseOn(dev, mp, bufferPages)
+	if err != nil {
+		dev.Close()
+		return nil, err
+	}
+	return db, nil
+}
+
+// checkEntries rejects an OID map that SaveManifest cannot have written
+// over a device of numPages pages — a nil OID, an OID listed twice, a
+// page that is not on the device (disk.InvalidPage among them) — naming
+// the entry. A manifest is a file: it may be stale, cut short or for
+// another device.
+func checkEntries(entries []ManifestEntry, numPages int) error {
+	first := make(map[uint64]int, len(entries)) // OID -> the entry that carries it
+	for i, e := range entries {
+		if e.OID == uint64(object.NilOID) {
+			return fmt.Errorf("gen: manifest entry %d (page %d, slot %d) carries the nil OID", i, e.Page, e.Slot)
+		}
+		if int64(e.Page) >= int64(numPages) {
+			return fmt.Errorf("gen: manifest entry %d (oid %d) is on page %d of a device of %d pages", i, e.OID, e.Page, numPages)
+		}
+		if j, dup := first[e.OID]; dup {
+			return fmt.Errorf("gen: manifest entries %d and %d both carry oid %d", j, i, e.OID)
+		}
+		first[e.OID] = i
+	}
+	return nil
 }
 
 // OpenDatabaseOn rebuilds a database's catalog, locator, store, and
 // template over an already-open device holding its pages — a local
 // file, or a pagesvc client whose pages live across the network. The
-// device is adopted: the returned Database's Close tears it down.
+// device is adopted: the returned Database's Close tears it down. The
+// manifest's OID map is checked against the device (checkEntries) before
+// any of it is registered.
 func OpenDatabaseOn(dev disk.Device, mp *Manifest, bufferPages int) (*Database, error) {
 	m := *mp
+	if err := checkEntries(m.Entries, dev.NumPages()); err != nil {
+		return nil, err
+	}
 	if bufferPages <= 0 {
 		bufferPages = m.FileNPages + 128
 	}

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"revelation/internal/disk"
@@ -99,5 +100,55 @@ func TestOpenDatabaseMissingFiles(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := OpenDatabase(filepath.Join(dir, "nope.pages"), filepath.Join(dir, "nope.manifest"), 0); err == nil {
 		t.Error("missing files accepted")
+	}
+}
+
+// TestOpenDatabaseRejectsBadEntries: a manifest whose OID map names the
+// nil OID, one OID twice, or a page that is not on the device is refused
+// with an error that names the entry, and the manifest it was made from
+// is accepted.
+func TestOpenDatabaseRejectsBadEntries(t *testing.T) {
+	db, err := Build(Config{NumComplexObjects: 20, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	manPath := filepath.Join(t.TempDir(), "db.manifest")
+	if err := db.SaveManifest(manPath); err != nil {
+		t.Fatal(err)
+	}
+	good, err := LoadManifest(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := uint32(db.Device.NumPages())
+	cases := []struct {
+		name  string
+		spoil func(e []ManifestEntry)
+		want  string // in the error; "" for a manifest that must open
+	}{
+		{"as saved", func(e []ManifestEntry) {}, ""},
+		{"last page of the device", func(e []ManifestEntry) { e[4].Page = pages - 1 }, ""},
+		{"nil OID", func(e []ManifestEntry) { e[3].OID = 0 }, "entry 3 "},
+		{"duplicate OID", func(e []ManifestEntry) { e[9].OID = e[2].OID }, "entries 2 and 9 "},
+		{"first page past the device", func(e []ManifestEntry) { e[5].Page = pages }, "entry 5 "},
+		{"invalid page", func(e []ManifestEntry) { e[7].Page = uint32(disk.InvalidPage) }, "entry 7 "},
+		{"the first fault is named", func(e []ManifestEntry) { e[6].Page = pages + 40; e[8].OID = 0 }, "entry 6 "},
+	}
+	for _, c := range cases {
+		m := *good
+		m.Entries = append([]ManifestEntry(nil), good.Entries...)
+		c.spoil(m.Entries)
+		_, err := OpenDatabaseOn(db.Device, &m, 0)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%s: accepted", c.name)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
+		}
 	}
 }

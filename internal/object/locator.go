@@ -29,20 +29,54 @@ var ErrNilOID = errors.New("object: nil OID")
 // MapLocator keeps the mapping in memory. It models a resident OID
 // index (the usual choice in the paper's experiments, where index
 // traffic is excluded from the seek metric).
+//
+// The mapping is a dense directory: a slice indexed by the OID itself,
+// since a database numbers its objects 1, 2, 3, … and the operator asks
+// for every reference it resolves. The slice grows to reach an OID only
+// while that keeps it within denseSlack + twice the objects registered;
+// an OID further out goes to an overflow map, and each time the number
+// of objects has doubled the overflow entries that have come within
+// reach move into the slice (sweep). Memory is therefore O(objects
+// registered) whatever OIDs they carry, and a database numbered 1..n
+// ends up wholly in the slice in whatever order it is registered.
 type MapLocator struct {
-	m map[OID]heap.RID
+	dense   []denseEntry     // by OID
+	n       int              // objects registered, dense and far
+	far     map[OID]heap.RID // the overflow; nil until needed; no key is also set in dense
+	sweepAt int              // the next sweep is due when n reaches this
 }
 
+// denseEntry is a heap.RID and whether one was registered, in 8 bytes.
+type denseEntry struct {
+	page disk.PageID
+	slot page.SlotID
+	set  bool
+}
+
+// denseSlack is how far past twice its registered objects the dense
+// directory may reach: room (8 KB of it) for a small database to be
+// registered in any order without a detour through the overflow.
+const denseSlack = 1024
+
 // NewMapLocator returns an empty in-memory locator.
-func NewMapLocator() *MapLocator { return &MapLocator{m: make(map[OID]heap.RID)} }
+func NewMapLocator() *MapLocator { return &MapLocator{} }
 
 // Lookup implements Locator.
 func (l *MapLocator) Lookup(oid OID) (heap.RID, bool, error) {
+	if uint64(oid) < uint64(len(l.dense)) {
+		if e := l.dense[oid]; e.set {
+			return heap.RID{Page: e.page, Slot: e.slot}, true, nil
+		}
+	}
+	// Not in the slice: in the overflow (where an entry may wait for the
+	// next sweep after the slice has grown past it), or nowhere.
+	if rid, ok := l.far[oid]; ok {
+		return rid, true, nil
+	}
 	if oid.IsNil() {
 		return heap.NilRID, false, ErrNilOID
 	}
-	rid, ok := l.m[oid]
-	return rid, ok, nil
+	return heap.NilRID, false, nil
 }
 
 // Register implements Locator.
@@ -50,12 +84,63 @@ func (l *MapLocator) Register(oid OID, rid heap.RID) error {
 	if oid.IsNil() {
 		return ErrNilOID
 	}
-	l.m[oid] = rid
+	if uint64(oid) >= uint64(len(l.dense)) {
+		if uint64(oid) >= l.reach() {
+			if l.far == nil {
+				l.far = make(map[OID]heap.RID)
+			}
+			if _, again := l.far[oid]; !again {
+				l.n++
+			}
+			l.far[oid] = rid
+			if l.n >= l.sweepAt {
+				l.sweep()
+			}
+			return nil
+		}
+		l.dense = append(l.dense, make([]denseEntry, int(oid)+1-len(l.dense))...)
+	}
+	e := &l.dense[oid]
+	if !e.set {
+		if _, was := l.far[oid]; was {
+			delete(l.far, oid)
+		} else {
+			l.n++
+		}
+	}
+	*e = denseEntry{rid.Page, rid.Slot, true}
+	if l.n >= l.sweepAt && len(l.far) > 0 {
+		l.sweep()
+	}
 	return nil
 }
 
+// reach is the length the dense directory may grow to.
+func (l *MapLocator) reach() uint64 { return uint64(2*l.n + denseSlack) }
+
+// sweep moves the overflow entries within reach into the dense
+// directory, grown to hold them. It runs when the registered objects
+// have doubled since it last ran, so its walks over the overflow cost a
+// registration O(1) amortised.
+func (l *MapLocator) sweep() {
+	l.sweepAt = 2 * l.n
+	reach, end := l.reach(), uint64(len(l.dense))
+	for k := range l.far {
+		if uint64(k) < reach && uint64(k) >= end {
+			end = uint64(k) + 1
+		}
+	}
+	l.dense = append(l.dense, make([]denseEntry, int(end)-len(l.dense))...)
+	for k, rid := range l.far {
+		if uint64(k) < end {
+			l.dense[k] = denseEntry{rid.Page, rid.Slot, true}
+			delete(l.far, k)
+		}
+	}
+}
+
 // Len implements Locator.
-func (l *MapLocator) Len() (int, error) { return len(l.m), nil }
+func (l *MapLocator) Len() (int, error) { return l.n, nil }
 
 // BTreeLocator persists the mapping in a B+-tree, so lookups cost real
 // page accesses. RIDs pack into the tree's uint64 values as
@@ -184,13 +269,11 @@ func (s *Store) Get(oid OID) (*Object, error) {
 	if !ok {
 		return nil, fmt.Errorf("object: %v not found", oid)
 	}
-	var o *Object
-	err = s.File.Get(rid, func(rec []byte) error {
-		var derr error
-		o, derr = Decode(rec)
-		return derr
-	})
-	return o, err
+	o := new(Object)
+	if err := s.File.Get(rid, func(rec []byte) error { return DecodeInto(rec, o) }); err != nil {
+		return nil, err
+	}
+	return o, nil
 }
 
 // WhereIs resolves an OID to its RID, with a found flag.
