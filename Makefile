@@ -55,17 +55,28 @@ asm-check:
 	$(GO) test -race -count=1 -run '$(ASM_TESTS)' ./internal/assembly
 	$(GO) test -run '^$$' -bench='AssembleDeep|AssembleScan' -benchtime=1x ./internal/assembly
 
-# The one head model, uncached: the differential test of disk.Arm and
-# the merged Sim against the three bookkeepers they replaced (10 000
-# seeded sequences per pair; 400 under -race), Allocate's bounds on both
-# media, the 0-alloc pin on an untraced read and the readers-against-a-
-# scraper storm — then once more under the race detector, then one
-# iteration of the per-read cost benchmark so that it cannot rot unbuilt.
+# The one head model and the log's write path over it, uncached: the
+# differential test of disk.Arm and the merged Sim against the three
+# bookkeepers they replaced, the chunked memory medium's growth included
+# (10 000 seeded sequences per pair; 400 under -race), Allocate's bounds
+# on every device, the 0-alloc pin on an untraced read and the
+# readers-against-a-scraper storm; then the differential test of the
+# WAL writer (one growth per sync, whole pages from the buffer, one CRC
+# pass per image) against the parent's (10 000 sequences with write
+# faults and crash cuts; 400 under -race), the one-pass CRC against the
+# two passes, the allocations-per-appended-image pin and the one-growth
+# redo — then both once more under the race detector, then one
+# iteration of the per-read cost benchmark and of the log's two so that
+# none can rot unbuilt.
 DISK_TESTS = TestArmMatchesOldBookkeepers|TestAllocateBounds|TestUntracedReadAllocs|TestArmConcurrentScrape
+WAL_TESTS = TestSyncMatchesModel|TestStampSumMatchesTwoPasses|TestAppendSyncAllocs|TestApplyRecordGrowsOnce
 disk-check:
 	$(GO) test -count=1 -run '$(DISK_TESTS)' ./internal/disk
+	$(GO) test -count=1 -run '$(WAL_TESTS)' ./internal/wal ./internal/page
 	$(GO) test -race -count=1 -run '$(DISK_TESTS)' ./internal/disk
+	$(GO) test -race -count=1 -run '$(WAL_TESTS)' ./internal/wal ./internal/page
 	$(GO) test -run '^$$' -bench=MetricsOverhead -benchtime=1x ./internal/disk
+	$(GO) test -run '^$$' -bench='AppendSync|Recover' -benchtime=1x ./internal/wal
 
 # A batch's runs out together, each run one frame, and every frame one
 # write, uncached: the differential test of Pool.FixBatch against the

@@ -77,6 +77,21 @@ func newModelSim(pageSize, n int) *modelSim {
 	return d
 }
 
+// Allocate is the per-page growth the chunked medium replaced: a zeroed
+// slice of its own for every new page.
+func (d *modelSim) Allocate(n int) (PageID, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return InvalidPage, ErrClosed
+	}
+	first := PageID(len(d.pages))
+	for i := 0; i < n; i++ {
+		d.pages = append(d.pages, make([]byte, d.pageSize))
+	}
+	return first, nil
+}
+
 func (d *modelSim) seekTo(p PageID, read bool) int64 {
 	var dist int64
 	if p >= d.head {
@@ -184,6 +199,17 @@ type modelFile struct {
 	cells    modelCells
 	tr       *trace.Tracer
 	closed   bool
+}
+
+func (d *modelFile) Allocate(n int) (PageID, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	first := PageID(d.numPages)
+	if err := d.f.Truncate(int64(d.numPages+n) * int64(d.pageSize)); err != nil {
+		return InvalidPage, err
+	}
+	d.numPages += n
+	return first, nil
 }
 
 func (d *modelFile) seekTo(p PageID, read bool) int64 {
@@ -348,6 +374,7 @@ func (c *modelClient) ResetHead() {
 type header interface {
 	read(p PageID, buf []byte, sp *qtrace.Span) error
 	write(p PageID, buf []byte) error
+	Allocate(n int) (PageID, error)
 	SetTracer(t *trace.Tracer)
 	Head() PageID
 	Stats() Stats
@@ -398,6 +425,9 @@ func (c *armHeader) read(p PageID, _ []byte, sp *qtrace.Span) error {
 	return nil
 }
 func (c *armHeader) write(p PageID, _ []byte) error { c.seek(p, false, nil); return nil }
+
+// Allocate: the client's size is the server's business, not the arm's.
+func (c *armHeader) Allocate(int) (PageID, error) { return 0, nil }
 func (c *armHeader) SetTracer(t *trace.Tracer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -426,6 +456,7 @@ func (c modelClientHeader) write(p PageID, _ []byte) error {
 	c.account(p, false, nil)
 	return nil
 }
+func (c modelClientHeader) Allocate(int) (PageID, error) { return 0, nil }
 
 // side is one half of a differential pair with its own tracer and its
 // own query span, so sequence numbers and query ids line up.
@@ -447,20 +478,26 @@ const (
 	modelPageSize = 64
 )
 
+// allocSteps are the growths runSequence asks for: nothing, a page, and
+// either side of the memory medium's 64 KB chunk (1 024 pages here).
+var allocSteps = []int{0, 1, 63, 64, 65, 200, 1023, 1024, 1025}
+
 // runSequence drives one seeded sequence of reads (with and without a
-// span, a few out of range), writes, ResetHead, ResetStats and tracer
-// on/off against both sides, comparing after every step.
+// span, a few out of range), writes, growths, ResetHead, ResetStats and
+// tracer on/off against both sides, comparing after every step. Reads
+// and writes range over the device as it stands, so a page past the old
+// end is read (zero) and written once it is allocated.
 func runSequence(t *testing.T, seed int64, got, want *side) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	gbuf, wbuf := make([]byte, modelPageSize), make([]byte, modelPageSize)
-	steps, seen := 8+rng.Intn(40), 0
+	steps, seen, size := 8+rng.Intn(40), 0, modelPages
 	for step := 0; step < steps; step++ {
 		var gerr, werr error
 		op := "?"
-		switch k := rng.Intn(20); {
+		switch k := rng.Intn(22); {
 		case k < 10: // read; one in four carries the query span
-			p := PageID(rng.Intn(modelPages + 2)) // the last two are out of range
+			p := PageID(rng.Intn(size + 2)) // the last two are out of range
 			gsp, wsp := got.sp, want.sp
 			if rng.Intn(4) != 0 {
 				gsp, wsp = nil, nil
@@ -471,7 +508,7 @@ func runSequence(t *testing.T, seed int64, got, want *side) {
 				t.Fatalf("seed %d step %d %s: page bytes differ", seed, step, op)
 			}
 		case k < 15:
-			p := PageID(rng.Intn(modelPages + 2))
+			p := PageID(rng.Intn(size + 2))
 			op = fmt.Sprintf("write %d", p)
 			rng.Read(gbuf)
 			copy(wbuf, gbuf)
@@ -488,10 +525,22 @@ func runSequence(t *testing.T, seed int64, got, want *side) {
 			op = "tracer on"
 			got.dev.SetTracer(got.tr)
 			want.dev.SetTracer(want.tr)
-		default:
+		case k < 20:
 			op = "tracer off"
 			got.dev.SetTracer(nil)
 			want.dev.SetTracer(nil)
+		default:
+			n := allocSteps[rng.Intn(len(allocSteps))]
+			op = fmt.Sprintf("Allocate(%d)", n)
+			var gfirst, wfirst PageID
+			gfirst, gerr = got.dev.Allocate(n)
+			wfirst, werr = want.dev.Allocate(n)
+			if gfirst != wfirst {
+				t.Fatalf("seed %d step %d %s: first page %d, model %d", seed, step, op, gfirst, wfirst)
+			}
+			if gerr == nil {
+				size += n
+			}
 		}
 		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 			t.Fatalf("seed %d step %d %s: error %v, model %v", seed, step, op, gerr, werr)
@@ -535,27 +584,29 @@ func TestArmMatchesOldBookkeepers(t *testing.T) {
 	dir := t.TempDir()
 	openBoth := func(t *testing.T) (*Sim, *modelFile) {
 		// Two files: each side owns its bytes. They are created once and
-		// reopened per sequence, so a sequence starts from a parked head
-		// and zero counters over whatever the last one wrote — on both
-		// sides the same bytes.
-		d, err := OpenFile(filepath.Join(dir, "change.db"), modelPageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// reopened per sequence, cut back to modelPages, so a sequence
+		// starts from a parked head and zero counters over whatever the
+		// last one wrote there — on both sides the same bytes.
 		f, err := os.OpenFile(filepath.Join(dir, "model.db"), os.O_RDWR|os.O_CREATE, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := &modelFile{f: f, pageSize: modelPageSize, numPages: modelPages}
+		if err := f.Truncate(modelPages * modelPageSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(filepath.Join(dir, "change.db"), modelPages*modelPageSize); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		d, err := OpenFile(filepath.Join(dir, "change.db"), modelPageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if d.NumPages() == 0 {
 			if _, err := d.Allocate(modelPages); err != nil {
 				t.Fatal(err)
 			}
-			if err := f.Truncate(modelPages * modelPageSize); err != nil {
-				t.Fatal(err)
-			}
 		}
-		return d, m
+		return d, &modelFile{f: f, pageSize: modelPageSize, numPages: modelPages}
 	}
 	t.Run("memory", func(t *testing.T) {
 		for seed := int64(0); seed < int64(sequences); seed++ {

@@ -28,47 +28,6 @@ func bothMedia(t *testing.T, f func(t *testing.T, d *Sim)) {
 	})
 }
 
-// TestAllocateBounds: the one Allocate refuses to shrink the device and
-// to grow it past the page-id space, on both media. (The file copy used
-// to truncate the database file on a negative n.)
-func TestAllocateBounds(t *testing.T) {
-	bothMedia(t, func(t *testing.T, d *Sim) {
-		for _, c := range []struct {
-			name      string
-			n         int
-			wantErr   bool
-			wantFirst PageID
-			wantPages int
-		}{
-			{"negative", -1, true, InvalidPage, 8},
-			{"whole device negative", -8, true, InvalidPage, 8},
-			{"zero", 0, false, 8, 8},
-			{"grow", 3, false, 8, 11},
-		} {
-			first, err := d.Allocate(c.n)
-			if (err != nil) != c.wantErr || first != c.wantFirst {
-				t.Errorf("%s: Allocate(%d) = %d, %v; want first %d, error %v",
-					c.name, c.n, first, err, c.wantFirst, c.wantErr)
-			}
-			if got := d.NumPages(); got != c.wantPages {
-				t.Fatalf("%s: %d pages after Allocate(%d), want %d", c.name, got, c.n, c.wantPages)
-			}
-		}
-		// Past the page-id space: the last id a device may hold is
-		// InvalidPage-1. (The size is set directly — no medium holds 4 G
-		// pages in a test — and small requests keep a regression cheap.)
-		d.n = int(InvalidPage) - 1
-		if first, err := d.Allocate(2); err == nil {
-			t.Errorf("Allocate(2) with one page id left returned %d, no error", first)
-		}
-		d.n = 11
-		buf := make([]byte, 512)
-		if err := d.ReadPage(10, buf); err != nil {
-			t.Errorf("read of the last allocated page after refused allocations: %v", err)
-		}
-	})
-}
-
 // TestUntracedReadAllocs pins the merged access path at zero
 // allocations per untraced read: plain and charged to a live query
 // span, registered with a metrics registry and not.

@@ -142,12 +142,20 @@ type Sim struct {
 	mu       sync.Mutex
 	pageSize int
 	n        int      // device size in pages
-	pages    [][]byte // the memory medium; unused over a file
+	pages    [][]byte // the memory medium, one view per page; unused over a file
+	spare    []byte   // the last allocation's bytes not yet handed to a page
 	f        *os.File // the file medium; nil in memory
 	arm      Arm
 	fault    FaultFunc
 	closed   bool
 }
+
+// chunkBytes is how much the memory medium allocates at a time when it
+// grows by less: a whole number of the runtime's 8 KB pages for any
+// power-of-two page size up to it (64 device pages of 1 KB), so a chunk
+// is never rounded up. A growth of more pages takes one allocation of
+// exactly that many.
+const chunkBytes = 64 << 10
 
 // NewSim creates a simulated device with the given page size and an
 // initial capacity of n pages (all zeroed).
@@ -155,12 +163,26 @@ func NewSim(pageSize, n int) *Sim {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	d := &Sim{pageSize: pageSize, n: n}
-	d.pages = make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		d.pages = append(d.pages, make([]byte, pageSize))
-	}
+	d := &Sim{pageSize: pageSize, pages: make([][]byte, 0, n)}
+	d.spare = make([]byte, n*pageSize) // exactly n: a device made to size may never grow
+	d.grow(n)
 	return d
+}
+
+// grow appends n zeroed pages to the memory medium: views into the
+// spare tail of the last allocation first, then into one fresh
+// allocation of max(rest, chunk) pages. No byte is handed out twice, so
+// a new page reads as zero exactly as a page of its own did.
+func (d *Sim) grow(n int) {
+	ps := d.pageSize
+	for i := 0; i < n; i++ {
+		if len(d.spare) < ps {
+			d.spare = make([]byte, max(n-i, chunkBytes/ps)*ps)
+		}
+		d.pages = append(d.pages, d.spare[:ps:ps])
+		d.spare = d.spare[ps:]
+	}
+	d.n += n
 }
 
 // New creates a simulated device with the default 1 KB page size.
@@ -282,27 +304,34 @@ func verb(read bool) string {
 	return "write"
 }
 
-// Allocate implements Device. It refuses to shrink the device (n < 0)
-// and to grow it past the page-id space, where the first new page id
-// would wrap.
+// CheckAllocate is the bound every device's Allocate applies before it
+// changes anything, its own size or a member's: no shrinking (n < 0)
+// and no growth of a size-page device past the page-id space, where
+// the first new page id would wrap.
+func CheckAllocate(n, size int) error {
+	if n < 0 || n > int(InvalidPage)-size {
+		return fmt.Errorf("disk: allocate %d pages on a device of %d", n, size)
+	}
+	return nil
+}
+
+// Allocate implements Device, within CheckAllocate's bounds.
 func (d *Sim) Allocate(n int) (PageID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return InvalidPage, ErrClosed
 	}
-	if n < 0 || n > int(InvalidPage)-d.n {
-		return InvalidPage, fmt.Errorf("disk: allocate %d pages on a device of %d", n, d.n)
+	if err := CheckAllocate(n, d.n); err != nil {
+		return InvalidPage, err
 	}
 	first := PageID(d.n)
-	if d.f != nil {
-		if err := d.f.Truncate(int64(d.n+n) * int64(d.pageSize)); err != nil {
-			return InvalidPage, fmt.Errorf("disk: allocate %d pages: %w", n, err)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			d.pages = append(d.pages, make([]byte, d.pageSize))
-		}
+	if d.f == nil {
+		d.grow(n)
+		return first, nil
+	}
+	if err := d.f.Truncate(int64(d.n+n) * int64(d.pageSize)); err != nil {
+		return InvalidPage, fmt.Errorf("disk: allocate %d pages: %w", n, err)
 	}
 	d.n += n
 	return first, nil

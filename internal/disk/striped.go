@@ -122,12 +122,16 @@ func (s *Striped) WritePage(p PageID, buf []byte) error {
 }
 
 // Allocate implements Device: it grows the global address space, and
-// each sub-device by whatever its share of the new stripes is.
+// each sub-device by whatever its share of the new stripes is. A request
+// outside CheckAllocate's bounds reaches no sub-device.
 func (s *Striped) Allocate(n int) (PageID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return InvalidPage, ErrClosed
+	}
+	if err := CheckAllocate(n, s.size); err != nil {
+		return InvalidPage, err
 	}
 	first := PageID(s.size)
 	newSize := s.size + n

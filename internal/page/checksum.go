@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"revelation/internal/disk"
 )
@@ -36,7 +37,7 @@ func Sum(buf []byte) uint32 {
 	}
 	crc := crc32.Update(0, castagnoli, buf[:offChecksum])
 	crc = crc32.Update(crc, castagnoli, zeroField[:])
-	return crc32.Update(crc, castagnoli, buf[offChecksum+checksumLen:])
+	return crc32.Update(crc, castagnoli, buf[tailStart:])
 }
 
 // StoredChecksum reads the checksum recorded in the image's header.
@@ -55,6 +56,72 @@ func Stamp(buf []byte) {
 		return
 	}
 	binary.LittleEndian.PutUint32(buf[offChecksum:], Sum(buf))
+}
+
+// Stamper stamps images of one fixed length and, in the same pass over
+// their bytes, continues a caller's CRC-32C across them — the WAL's
+// record checksum, which covers its header and then the stamped image.
+//
+// CRC-32C is affine: the register after a prefix and then a tail T is
+// M^|T|·(register after the prefix) ⊕ (register after T alone from
+// zero), where M^|T| is the linear map "feed |T| zero bytes". The page
+// checksum and the caller's CRC differ only in the bytes up to the end
+// of the checksum field, so the tail after it is summed once, from
+// zero, and each of the two short prefixes is carried across it by
+// shift, M^|T| tabulated a byte of register at a time.
+type Stamper struct {
+	size  int
+	shift [4][256]uint32
+}
+
+// tailStart is where the bytes both sums read begin.
+const tailStart = offChecksum + checksumLen
+
+// NewStamper builds the shift table for images of size bytes. A size
+// below HeaderSize gets no table: every image then takes the two-pass
+// path, as images of any other length always do.
+func NewStamper(size int) *Stamper {
+	s := &Stamper{size: size}
+	if size < HeaderSize {
+		return s
+	}
+	// The register after the zero tail from a single set bit:
+	// crc32.Update inverts on the way in and out, so it is fed the bit
+	// inverted and its answer is inverted back.
+	zeros := make([]byte, size-tailStart)
+	var bit [32]uint32
+	for i := range bit {
+		bit[i] = ^crc32.Update(^(uint32(1) << i), castagnoli, zeros)
+	}
+	for j := range s.shift {
+		for b := 1; b < 256; b++ {
+			low := b & -b // the lowest set bit; the rest is an earlier entry
+			s.shift[j][b] = s.shift[j][b&^low] ^ bit[8*j+bits.TrailingZeros(uint(low))]
+		}
+	}
+	return s
+}
+
+// advance carries a register across the tail's length of zero bytes.
+func (s *Stamper) advance(reg uint32) uint32 {
+	return s.shift[0][reg&0xff] ^ s.shift[1][reg>>8&0xff] ^
+		s.shift[2][reg>>16&0xff] ^ s.shift[3][reg>>24]
+}
+
+// StampSum stamps img exactly as Stamp does and returns
+// crc32.Update(crc, Castagnoli, img) over the stamped image, reading
+// the bytes after the checksum field once rather than twice.
+func (s *Stamper) StampSum(crc uint32, img []byte) uint32 {
+	if len(img) != s.size || s.size < HeaderSize {
+		Stamp(img)
+		return crc32.Update(crc, castagnoli, img)
+	}
+	tail := ^crc32.Update(^uint32(0), castagnoli, img[tailStart:])
+	sum := crc32.Update(0, castagnoli, img[:offChecksum])
+	sum = crc32.Update(sum, castagnoli, zeroField[:])
+	binary.LittleEndian.PutUint32(img[offChecksum:], ^(s.advance(^sum) ^ tail))
+	crc = crc32.Update(crc, castagnoli, img[:tailStart])
+	return ^(s.advance(^crc) ^ tail)
 }
 
 // ZeroImage reports whether the image is entirely zero bytes: a page

@@ -587,13 +587,22 @@ func (c *Client) WritePage(p disk.PageID, buf []byte) error {
 	return err
 }
 
-// Allocate extends the remote device.
+// Allocate extends the remote device. A request outside
+// disk.CheckAllocate's bounds (against the size this client knows) is
+// refused here: n goes on the wire as a uint32, where a negative one
+// would wrap into a growth.
 func (c *Client) Allocate(n int) (disk.PageID, error) {
+	c.mu.Lock()
+	err := disk.CheckAllocate(n, c.numPages)
+	c.mu.Unlock()
+	if err != nil {
+		return disk.InvalidPage, err
+	}
 	var body [4]byte
 	binary.LittleEndian.PutUint32(body[:], uint32(n))
 	var first disk.PageID
 	reqID := c.nextID()
-	_, err := c.cfg.Retry.DoJitter(c.jitter, func() error {
+	_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
 		resp, err := c.call(opAlloc, nil, body[:], reqID, nil, nil)
 		if err != nil {
 			return err

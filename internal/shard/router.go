@@ -1012,12 +1012,16 @@ func (r *Router) WritePage(p disk.PageID, buf []byte) error {
 // Allocate implements disk.Device: the global space grows, and every
 // member grows in lockstep so any member can cover any page it may be
 // assigned (rendezvous assignment is scattered, so each shard backs
-// the full space and stores only its owned subset).
+// the full space and stores only its owned subset). A request outside
+// disk.CheckAllocate's bounds reaches no member.
 func (r *Router) Allocate(n int) (disk.PageID, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return disk.InvalidPage, disk.ErrClosed
+	}
+	if err := disk.CheckAllocate(n, r.size); err != nil {
+		return disk.InvalidPage, err
 	}
 	first := disk.PageID(r.size)
 	newSize := r.size + n

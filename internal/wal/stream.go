@@ -188,8 +188,10 @@ func ApplyRecord(dev disk.Device, rec Record, buf []byte) (bool, error) {
 	} else if len(buf) != ps {
 		return false, fmt.Errorf("wal: apply scratch buffer is %d bytes, want %d", len(buf), ps)
 	}
-	for int(rec.Page) >= dev.NumPages() {
-		if _, err := dev.Allocate(1); err != nil {
+	// One growth to cover the page, however far past the end it lies: a
+	// replica's device may be remote, where every call is a round trip.
+	if grow := int(rec.Page) + 1 - dev.NumPages(); grow > 0 {
+		if _, err := dev.Allocate(grow); err != nil {
 			return false, fmt.Errorf("wal: apply: grow data device: %w", err)
 		}
 	}

@@ -91,11 +91,12 @@ type Writer struct {
 	mu       sync.Mutex
 	dev      disk.Device
 	pageSize int
+	stamp    *page.Stamper // for images of pageSize bytes
 
 	// tail is the durable end of the byte stream; buf holds appended
-	// records not yet synced; cur is the in-memory image of the page
-	// containing tail (its durable prefix must be rewritten
-	// byte-identically when the page is filled further).
+	// records not yet synced; cur[:tail%pageSize] is the durable prefix
+	// of the page containing tail (it must be rewritten byte-identically
+	// when the page is filled further), and past it cur is scratch.
 	tail int64
 	buf  []byte
 	cur  []byte
@@ -123,6 +124,7 @@ func Open(dev disk.Device) (*Writer, error) {
 	w := &Writer{
 		dev:      dev,
 		pageSize: dev.PageSize(),
+		stamp:    page.NewStamper(dev.PageSize()),
 		cur:      make([]byte, dev.PageSize()),
 	}
 	end, next, _, err := scan(dev, nil)
@@ -133,13 +135,12 @@ func Open(dev disk.Device) (*Writer, error) {
 	w.nextLSN = next
 	w.appendedLSN = next - 1
 	w.durableLSN = next - 1
-	if off := int(end % int64(w.pageSize)); off != 0 {
+	if end%int64(w.pageSize) != 0 {
+		// cur takes the tail page's durable prefix; what follows it is
+		// scratch the next sync overwrites.
 		pi := disk.PageID(end / int64(w.pageSize))
 		if err := dev.ReadPage(pi, w.cur); err != nil {
 			return nil, fmt.Errorf("wal: open: reload tail page %d: %w", pi, err)
-		}
-		for i := off; i < w.pageSize; i++ {
-			w.cur[i] = 0
 		}
 	}
 	return w, nil
@@ -181,18 +182,11 @@ func (w *Writer) Append(id disk.PageID, img []byte) (uint64, error) {
 	w.appendedLSN = lsn
 
 	page.Wrap(img).SetLSN(lsn)
-	page.Stamp(img)
-
-	var hdr [recHdrSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], recMagic)
-	binary.LittleEndian.PutUint64(hdr[4:], lsn)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(id))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(img)))
-	crc := crc32.Update(0, castagnoli, hdr[:20])
-	crc = crc32.Update(crc, castagnoli, img)
-	binary.LittleEndian.PutUint32(hdr[20:], crc)
-
-	w.buf = append(w.buf, hdr[:]...)
+	h := w.appendHeader(recMagic, lsn, id, len(img))
+	// The page checksum and the record CRC over the header and the
+	// stamped image, one read of the image between them.
+	crc := w.stamp.StampSum(crc32.Update(0, castagnoli, w.buf[h:h+20]), img)
+	binary.LittleEndian.PutUint32(w.buf[h+20:], crc)
 	w.buf = append(w.buf, img...)
 	w.appends.Inc()
 	w.tr.WAL(trace.KindAppend, int64(id), lsn, int64(len(img)))
@@ -228,24 +222,30 @@ func (w *Writer) AppendOwnership(lo, hi disk.PageID, owner string) (uint64, erro
 	w.nextLSN++
 	w.appendedLSN = lsn
 
-	payload := make([]byte, 4+len(owner))
-	binary.LittleEndian.PutUint32(payload[0:], uint32(hi))
-	copy(payload[4:], owner)
-
-	var hdr [recHdrSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], ownMagic)
-	binary.LittleEndian.PutUint64(hdr[4:], lsn)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(lo))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(payload)))
-	crc := crc32.Update(0, castagnoli, hdr[:20])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[20:], crc)
-
-	w.buf = append(w.buf, hdr[:]...)
-	w.buf = append(w.buf, payload...)
+	n := 4 + len(owner)
+	h := w.appendHeader(ownMagic, lsn, lo, n)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(hi))
+	w.buf = append(w.buf, owner...)
+	crc := crc32.Update(crc32.Update(0, castagnoli, w.buf[h:h+20]), castagnoli, w.buf[h+recHdrSize:])
+	binary.LittleEndian.PutUint32(w.buf[h+20:], crc)
 	w.appends.Inc()
-	w.tr.WAL(trace.KindAppend, int64(lo), lsn, int64(len(payload)))
+	w.tr.WAL(trace.KindAppend, int64(lo), lsn, int64(n))
 	return lsn, nil
+}
+
+// appendHeader appends a record header for an n-byte payload to the
+// pending buffer, its CRC field zero, and returns where it starts. The
+// header is built in the buffer itself: crc32.Update calls through a
+// function variable, so a header array on the stack would be moved to
+// the heap, one allocation per record.
+func (w *Writer) appendHeader(magic uint32, lsn uint64, id disk.PageID, n int) int {
+	h := len(w.buf)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, magic)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, lsn)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(id))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(n))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, 0)
+	return h
 }
 
 // Sync makes every buffered record durable: the pending bytes are laid
@@ -289,34 +289,30 @@ func (w *Writer) syncLocked() error {
 	pending := w.buf
 	synced := int64(len(pending))
 	ps := int64(w.pageSize)
+	// The log grows once, to cover the last page this sync reaches.
+	if grow := int((w.tail+synced-1)/ps) + 1 - w.dev.NumPages(); grow > 0 {
+		if _, err := w.dev.Allocate(grow); err != nil {
+			w.err = fmt.Errorf("wal: sync: %w", err)
+			return w.err
+		}
+	}
 	for len(pending) > 0 {
 		off := int(w.tail % ps)
-		pi := int(w.tail / ps)
-		n := w.pageSize - off
-		if n > len(pending) {
-			n = len(pending)
+		n := min(w.pageSize-off, len(pending))
+		// A whole page goes out straight from the buffer. A partial one
+		// goes through cur: the page's durable prefix, the new bytes, zeros.
+		img := pending[:n]
+		if n < w.pageSize {
+			copy(w.cur[off:], img)
+			clear(w.cur[off+n:])
+			img = w.cur
 		}
-		copy(w.cur[off:off+n], pending[:n])
-		for i := off + n; i < w.pageSize; i++ {
-			w.cur[i] = 0
-		}
-		for pi >= w.dev.NumPages() {
-			if _, err := w.dev.Allocate(1); err != nil {
-				w.err = fmt.Errorf("wal: sync: %w", err)
-				return w.err
-			}
-		}
-		if err := w.dev.WritePage(disk.PageID(pi), w.cur); err != nil {
+		if err := w.dev.WritePage(disk.PageID(w.tail/ps), img); err != nil {
 			w.err = fmt.Errorf("wal: sync: %w", err)
 			return w.err
 		}
 		w.tail += int64(n)
 		pending = pending[n:]
-		if off+n == w.pageSize {
-			for i := range w.cur {
-				w.cur[i] = 0
-			}
-		}
 	}
 	w.buf = w.buf[:0]
 	w.durableLSN = w.appendedLSN
