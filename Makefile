@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: all check build vet test sched-check buffer-check asm-check disk-check wire-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke suite-check trace-demo tracez-smoke serve-demo examples cover loc clean
+.PHONY: all check build vet test alloc-check sched-check buffer-check asm-check disk-check wire-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke suite-check trace-demo tracez-smoke serve-demo examples cover loc clean
 
 all: check
 
 # The fast gate: what CI's main job runs on every push.
-check: build vet test sched-check buffer-check asm-check disk-check wire-check
+check: build vet test alloc-check sched-check buffer-check asm-check disk-check wire-check
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,16 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Every allocation pin, uncached and once: each is a Test…Allocs that
+# counts with testing.AllocsPerRun (the log's append path with MemStats)
+# — a page read or a run over the wire (0), a pool hit (0), an untraced
+# device read (0), an elevator step (0), Store.Get (3) and Store.Update
+# (0), a record of the redo (1, its image), an appended log image, a
+# query's allocations per assembled object, the disabled tracing path and
+# the replica-less router read. The race detector's pass skips them.
+alloc-check:
+	$(GO) test -count=1 -run 'Allocs$$' ./...
 
 # The elevator's pending set, uncached: the differential test against
 # the sorted-slice reference model (which also holds a lane's run to
@@ -88,11 +98,12 @@ disk-check:
 # every split of its input, the late answer that must leave a returned
 # buffer alone, a run the peer refuses read page by page, every way the
 # router can send a run, the storm of runs under a fleet that changes,
-# and the allocation pins (one page and one run read over the wire, the
+# the storm of pipelined reads past a stalled one on the page server's
+# kept handlers, and the allocation pins (one page and one run read over the wire, the
 # replica-less router read, the pool's hit) — then once more under the
 # race detector, then one iteration of the two round-trip benchmarks
 # (a page, a run) so that they cannot rot unbuilt.
-WIRE_TESTS = TestFixBatchMatchesFixLoop|TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestWireReadRunAllocs|TestReadRunFallsBackPageByPage|TestReplicaLessReadAllocs|TestRouterRunPaths|TestOverlappedBatchStorm
+WIRE_TESTS = TestFixBatchMatchesFixLoop|TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestWireReadRunAllocs|TestReadRunFallsBackPageByPage|TestReplicaLessReadAllocs|TestRouterRunPaths|TestOverlappedBatchStorm|TestKeptHandlersStorm
 WIRE_PKGS = ./internal/buffer ./internal/assembly ./internal/pagesvc ./internal/shard
 wire-check:
 	$(GO) test -count=1 -run '$(WIRE_TESTS)' $(WIRE_PKGS)

@@ -100,12 +100,18 @@ func (a *arena) newRef() *Ref {
 	return new(Ref)
 }
 
+// spare is the scratch an emitted item leaves behind, cleared, for a
+// later admission: its reference chunk and its two short lists.
+type spare struct {
+	refs      []Ref
+	pages     []disk.PageID
+	assembled []assembledAs
+}
+
 // newItem opens a window slot with its arena.
 func (op *Operator) newItem() *workItem {
 	sh := &op.shape
 	item := &workItem{
-		pages:     make([]disk.PageID, 0, sh.refs),
-		assembled: make([]assembledAs, 0, sh.shared),
 		arena: arena{
 			comps:    make([]component, 0, sh.comps),
 			children: make([]*Instance, 0, sh.children),
@@ -113,27 +119,31 @@ func (op *Operator) newItem() *workItem {
 			oids:     make([]object.OID, 0, sh.oids),
 		},
 	}
-	if n := len(op.freeRefs) - 1; n >= 0 {
-		item.arena.refs = op.freeRefs[n]
-		op.freeRefs[n] = nil
-		op.freeRefs = op.freeRefs[:n]
+	if n := len(op.spares) - 1; n >= 0 {
+		sp := op.spares[n]
+		op.spares[n] = spare{}
+		op.spares = op.spares[:n]
+		item.arena.refs, item.pages, item.assembled = sp.refs, sp.pages, sp.assembled
 	} else {
 		item.arena.refs = make([]Ref, 0, sh.refs)
+		item.pages = make([]disk.PageID, 0, sh.refs)
+		item.assembled = make([]assembledAs, 0, sh.shared)
 	}
 	return item
 }
 
-// recycle takes back an emitted item's reference chunk, cleared, and
-// empties the slot, so that nothing the operator or a scheduler still
-// holds — a spent batch entry, a depth-first stack key — reaches the
-// object that has left. Every reference of an emitted item has been
-// served; an aborted or quarantined item's chunk is never taken back,
-// because its tombstones may still be chained in a pendingSet.
+// recycle takes back an emitted item's scratch, cleared, and empties
+// the slot, so that nothing the operator or a scheduler still holds — a
+// spent batch entry, a depth-first stack key — reaches the object that
+// has left. Every reference of an emitted item has been served; an
+// aborted or quarantined item's scratch is never taken back, because its
+// reference tombstones may still be chained in a pendingSet.
 func (op *Operator) recycle(item *workItem) {
 	if !op.shape.known {
 		op.shape.ints, op.shape.oids = item.arena.nInts, item.arena.nOIDs
 	}
 	clear(item.arena.refs)
-	op.freeRefs = append(op.freeRefs, item.arena.refs[:0])
+	clear(item.assembled)
+	op.spares = append(op.spares, spare{item.arena.refs[:0], item.pages[:0], item.assembled[:0]})
 	*item = workItem{emitted: true}
 }

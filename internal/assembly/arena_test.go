@@ -288,7 +288,11 @@ func TestDeadItemsChunksNotRecycled(t *testing.T) {
 							tombstones++
 						}
 					}
-					for _, chunk := range op.freeRefs {
+					if cap(op.spares) != opts.Window {
+						t.Fatalf("%s trial %d: room for %d spares, want the window's %d", sched.name, trial, cap(op.spares), opts.Window)
+					}
+					for _, sp := range op.spares {
+						chunk := sp.refs
 						for _, r := range refs {
 							if inChunk(chunk, r) {
 								t.Fatalf("%s trial %d: queued reference %v lies in a recycled chunk", sched.name, trial, r.OID)
@@ -297,6 +301,11 @@ func TestDeadItemsChunksNotRecycled(t *testing.T) {
 						for i, r := range chunk[:cap(chunk)] {
 							if r != (Ref{}) {
 								t.Fatalf("%s trial %d: recycled chunk not cleared at %d", sched.name, trial, i)
+							}
+						}
+						for i, a := range sp.assembled[:cap(sp.assembled)] {
+							if a != (assembledAs{}) || len(sp.pages) != 0 {
+								t.Fatalf("%s trial %d: recycled lists not cleared at %d", sched.name, trial, i)
 							}
 						}
 					}

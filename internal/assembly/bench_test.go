@@ -90,7 +90,9 @@ func BenchmarkAssembleScan(b *testing.B) {
 
 // TestAssembleAllocs pins the arena: allocations per emitted complex
 // object, everything a query allocates included (operator, scheduler,
-// window slots), against 218 and 48 before the arena.
+// window slots), at 5 % over their floor — 6.57 and 5.30, once an
+// emitted item's scratch went back to the operator — against 218 and 48
+// before the arena and 8.69 and 7.28 before the scratch was recycled.
 func TestAssembleAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -99,8 +101,8 @@ func TestAssembleAllocs(t *testing.T) {
 		nodes int
 		limit float64
 	}{
-		{"deep 31-node shared-leaf, W=200", deepShape, deepOpts, 31, 16},
-		{"paper 7-node, W=50", scanShape, scanOpts, 7, 10},
+		{"deep 31-node shared-leaf, W=200", deepShape, deepOpts, 31, 6.57 * 1.05},
+		{"paper 7-node, W=50", scanShape, scanOpts, 7, 5.30 * 1.05},
 	} {
 		db, err := gen.Build(c.cfg)
 		if err != nil {
@@ -122,7 +124,7 @@ func TestAssembleAllocs(t *testing.T) {
 		perObject := testing.AllocsPerRun(5, query) / float64(len(items))
 		t.Logf("%s: %.2f allocs per complex object", c.name, perObject)
 		if perObject > c.limit {
-			t.Errorf("%s: %.2f allocs per complex object, limit %v", c.name, perObject, c.limit)
+			t.Errorf("%s: %.2f allocs per complex object, limit %.2f", c.name, perObject, c.limit)
 		}
 	}
 }

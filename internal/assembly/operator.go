@@ -181,7 +181,7 @@ type Operator struct {
 	footprint   []int32
 	windowPages int
 	stats       Stats
-	cells       *opCells
+	cells       opCells
 	open        bool
 	// pressure marks buffer exhaustion: admission pauses (the
 	// effective window shrinks) until pins drain at the next emission
@@ -223,10 +223,10 @@ type Operator struct {
 	// unresolved ones, or a single root — which does not keep the slice;
 	// it is cleared after every use.
 	scratch []*Ref
-	// shape sizes every window slot's arena; freeRefs are the cleared
-	// reference chunks of emitted items, for the next admissions.
-	shape    arenaShape
-	freeRefs [][]Ref
+	// shape sizes every window slot's arena; spares are the cleared
+	// scratch of emitted items, for the next admissions.
+	shape  arenaShape
+	spares []spare
 	// decode is decodeRec bound once at Open, so a fetch hands
 	// heap.File.GetCtx no fresh closure; fetch is its in (the item to
 	// carve from, whether the component lives on its own) and out.
@@ -334,16 +334,20 @@ func (op *Operator) Open() error {
 		op.shared = newSharedTable(op.Store.File.Pool())
 	}
 	op.tr = op.Opts.Tracer
-	op.live = nil
+	// Items live, queued for emission or spare never outnumber the
+	// window (recycle makes a spare), so none of the three lists grows.
+	window := max(op.Opts.Window, 1)
+	op.live = make([]*workItem, 0, window)
 	op.inputDone = false
-	op.outq = nil
+	op.outq = make([]*workItem, 0, window)
+	op.spares = make([]spare, 0, window)
 	op.footprint = make([]int32, op.Store.File.Pool().Device().NumPages())
 	op.windowPages = 0
 	op.shape = arenaShape{known: true}
 	op.shape.measure(op.Template, op.Store.Catalog, op.shared != nil, false)
 	op.decode = op.decodeRec
 	op.stats = Stats{}
-	op.cells = newOpCells(op.Opts.Metrics, op.sched.Name())
+	op.cells.bind(op.Opts.Metrics, op.sched.Name())
 	op.noteLive()
 	op.pressure = false
 	op.stall = 0
@@ -399,10 +403,7 @@ func (op *Operator) Next() (volcano.Item, error) {
 	if !op.open {
 		return nil, volcano.ErrNotOpen
 	}
-	window := op.Opts.Window
-	if window < 1 {
-		window = 1
-	}
+	window := max(op.Opts.Window, 1)
 	for {
 		// The query lifecycle gates every scheduling step: a dead
 		// context aborts the whole window before any more work runs.
@@ -417,8 +418,9 @@ func (op *Operator) Next() (volcano.Item, error) {
 		// retrieves another one to work on" (Section 4).
 		if len(op.outq) > 0 {
 			item := op.outq[0]
-			op.outq[0] = nil
-			op.outq = op.outq[1:]
+			n := copy(op.outq, op.outq[1:])
+			op.outq[n] = nil
+			op.outq = op.outq[:n]
 			op.releaseFootprint(item)
 			// Emission drains this item's pins: buffer pressure (if
 			// any) clears and admission may resume at full window.
@@ -483,7 +485,7 @@ func (op *Operator) Close() error {
 		}
 	}
 	op.outq = nil
-	op.freeRefs = nil
+	op.spares = nil
 	op.sched = nil
 	op.shared = nil
 	op.batcher = nil

@@ -181,8 +181,9 @@ func (f *File) Read(rid RID) ([]byte, error) {
 	return out, err
 }
 
-// Update replaces the record at rid.
-func (f *File) Update(rid RID, rec []byte) error {
+// Update replaces the record at rid with n bytes that fill writes in
+// place (see page.Resize) while the page is pinned; it must not keep them.
+func (f *File) Update(rid RID, n int, fill func(rec []byte)) error {
 	if !f.Contains(rid) {
 		return fmt.Errorf("%w: %v", ErrNotInEtent, rid)
 	}
@@ -190,7 +191,10 @@ func (f *File) Update(rid RID, rec []byte) error {
 	if err != nil {
 		return err
 	}
-	uerr := page.Wrap(fr.Data()).Update(rid.Slot, rec)
+	rec, uerr := page.Wrap(fr.Data()).Resize(rid.Slot, n)
+	if uerr == nil {
+		fill(rec)
+	}
 	if e := f.pool.Unfix(fr, uerr == nil); uerr == nil {
 		uerr = e
 	}

@@ -98,7 +98,7 @@ func TestUpdateDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Update(rid, []byte("v2-longer")); err != nil {
+	if err := f.Update(rid, len("v2-longer"), func(rec []byte) { copy(rec, "v2-longer") }); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := f.Read(rid)
@@ -126,7 +126,7 @@ func TestRIDOutsideExtent(t *testing.T) {
 	if err := f.Get(bad, func([]byte) error { return nil }); !errors.Is(err, ErrNotInEtent) {
 		t.Errorf("Get outside extent err = %v, want ErrNotInEtent", err)
 	}
-	if err := f.Update(bad, nil); !errors.Is(err, ErrNotInEtent) {
+	if err := f.Update(bad, 0, func([]byte) {}); !errors.Is(err, ErrNotInEtent) {
 		t.Errorf("Update outside extent err = %v", err)
 	}
 	if err := f.Delete(bad); !errors.Is(err, ErrNotInEtent) {

@@ -237,11 +237,11 @@ func (s *Store) put(o *Object, pageIdx int) (heap.RID, error) {
 	return rid, nil
 }
 
-// Update re-encodes the object over its existing record in place: the
-// OID must already be registered and the encoded size must still fit
-// the record's slot (it always does for same-class updates, since
-// records are fixed-size per class). The write path incremental
-// workloads mutate through.
+// Update re-encodes the object straight into its existing record on
+// the page: the OID must already be registered and the encoded size
+// must still fit the record's page (it always does for same-class
+// updates, since records are fixed-size per class). The write path
+// incremental workloads mutate through.
 func (s *Store) Update(o *Object) error {
 	if o.OID.IsNil() {
 		return ErrNilOID
@@ -253,11 +253,11 @@ func (s *Store) Update(o *Object) error {
 	if !ok {
 		return fmt.Errorf("object: %v not found", o.OID)
 	}
-	rec, err := Encode(o)
+	n, err := recordLen(o)
 	if err != nil {
 		return err
 	}
-	return s.File.Update(rid, rec)
+	return s.File.Update(rid, n, func(rec []byte) { encodeInto(rec, o) })
 }
 
 // Get loads the object with the given OID.

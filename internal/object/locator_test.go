@@ -281,6 +281,82 @@ func TestStoreGetAllocs(t *testing.T) {
 	}
 }
 
+// TestStoreUpdateAllocs pins Store.Update at nothing: the object is
+// encoded straight into its record on the page.
+func TestStoreUpdateAllocs(t *testing.T) {
+	s := newStore(t, NewMapLocator())
+	o := &Object{OID: 5, Class: 1, Ints: []int32{1, 2, 3, 4}, Refs: []OID{6, 0, 0, 0, 0, 0, 0, 0}}
+	if _, err := s.Put(o); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		o.Ints[1]++
+		if err := s.Update(o); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Store.Update allocates %v times, want 0", allocs)
+	}
+	if got, err := s.Get(5); err != nil || got.Ints[1] != o.Ints[1] {
+		t.Errorf("after the updates Get = %+v, %v; want Ints[1] = %d", got, err, o.Ints[1])
+	}
+}
+
+// TestStoreUpdateMatchesEncode: every record an update leaves on the
+// page is byte for byte what Encode makes of the object — when it keeps
+// its length, grows or shrinks, and over a record whose reserved header
+// bytes were not zero — and the records beside it are untouched.
+func TestStoreUpdateMatchesEncode(t *testing.T) {
+	s := newStore(t, NewMapLocator())
+	rng := rand.New(rand.NewSource(26))
+	random := func(oid OID) *Object {
+		o := &Object{OID: oid, Class: ClassID(rng.Intn(4)), Ints: make([]int32, rng.Intn(7)), Refs: make([]OID, rng.Intn(7))}
+		for i := range o.Ints {
+			o.Ints[i] = rng.Int31() - 1<<30
+		}
+		for i := range o.Refs {
+			o.Refs[i] = OID(rng.Uint64())
+		}
+		return o
+	}
+	want := map[OID][]byte{}
+	for oid := OID(1); oid <= 5; oid++ {
+		rec, err := Encode(random(oid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec[12], rec[15] = 0xEE, 0x01 // reserved bytes a writer left set
+		rid, err := s.File.Insert(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Locator.Register(oid, rid); err != nil {
+			t.Fatal(err)
+		}
+		want[oid] = rec
+	}
+	for step := 0; step < 500; step++ {
+		oid := OID(1 + rng.Intn(5))
+		o := random(oid)
+		if step < 5 { // first over the dirty records, at their length
+			prev, _ := Decode(want[oid])
+			o = &Object{OID: oid, Class: prev.Class, Ints: prev.Ints, Refs: prev.Refs}
+		}
+		if err := s.Update(o); err != nil {
+			t.Fatalf("step %d: update %v: %v", step, oid, err)
+		}
+		want[oid], _ = Encode(o)
+		for oid, rec := range want {
+			rid, _, _ := s.WhereIs(oid)
+			got, err := s.File.Read(rid)
+			if err != nil || string(got) != string(rec) {
+				t.Fatalf("step %d: record of %v is\n %x, %v\nwant\n %x", step, oid, got, err, rec)
+			}
+		}
+	}
+}
+
 var lookupSink heap.RID
 
 // BenchmarkLocatorLookup: the directory's three answers — an object in

@@ -161,24 +161,41 @@ var (
 
 // Encode serializes the object into a fresh record.
 func Encode(o *Object) ([]byte, error) {
-	if len(o.Ints) > 255 || len(o.Refs) > 255 {
-		return nil, ErrFieldCount
+	n, err := recordLen(o)
+	if err != nil {
+		return nil, err
 	}
-	buf := make([]byte, headerSize+4*len(o.Ints)+8*len(o.Refs))
-	binary.LittleEndian.PutUint64(buf[0:], uint64(o.OID))
-	binary.LittleEndian.PutUint16(buf[8:], uint16(o.Class))
-	buf[10] = byte(len(o.Ints))
-	buf[11] = byte(len(o.Refs))
+	buf := make([]byte, n)
+	encodeInto(buf, o)
+	return buf, nil
+}
+
+// recordLen is the length of o's record, or ErrFieldCount when o has
+// more fields than the header can count.
+func recordLen(o *Object) (int, error) {
+	if len(o.Ints) > 255 || len(o.Refs) > 255 {
+		return 0, ErrFieldCount
+	}
+	return headerSize + 4*len(o.Ints) + 8*len(o.Refs), nil
+}
+
+// encodeInto writes o's record over rec, which is recordLen(o) bytes
+// long; the reserved header bytes are zeroed.
+func encodeInto(rec []byte, o *Object) {
+	binary.LittleEndian.PutUint64(rec[0:], uint64(o.OID))
+	binary.LittleEndian.PutUint16(rec[8:], uint16(o.Class))
+	rec[10] = byte(len(o.Ints))
+	rec[11] = byte(len(o.Refs))
+	clear(rec[12:headerSize])
 	off := headerSize
 	for _, v := range o.Ints {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(v))
+		binary.LittleEndian.PutUint32(rec[off:], uint32(v))
 		off += 4
 	}
 	for _, r := range o.Refs {
-		binary.LittleEndian.PutUint64(buf[off:], uint64(r))
+		binary.LittleEndian.PutUint64(rec[off:], uint64(r))
 		off += 8
 	}
-	return buf, nil
 }
 
 // Decode parses a record into a fresh Object.

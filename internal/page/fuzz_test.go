@@ -62,7 +62,7 @@ func FuzzPageOps(f *testing.F) {
 					continue
 				}
 				rec := bytes.Repeat([]byte{arg ^ 0x5A}, int(arg)%90)
-				if err := p.Update(s, rec); err != nil {
+				if err := update(p, s, rec); err != nil {
 					if corrupted || errors.Is(err, ErrPageFull) {
 						continue
 					}

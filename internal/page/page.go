@@ -306,52 +306,52 @@ func (p *Page) Delete(s SlotID) error {
 	return nil
 }
 
-// Update replaces the record in slot s. Same-length updates happen in
-// place; otherwise the record is re-placed, possibly after compaction.
-func (p *Page) Update(s SlotID, rec []byte) error {
+// Resize makes the record in slot s n bytes long and returns it, for
+// the caller to overwrite: in place when n is its length, otherwise
+// re-placed, possibly after compaction, with unspecified contents. On
+// error the page is unchanged.
+func (p *Page) Resize(s SlotID, n int) ([]byte, error) {
 	if int(s) >= p.NumSlots() {
-		return fmt.Errorf("%w: slot %d of %d", ErrBadSlot, s, p.NumSlots())
+		return nil, fmt.Errorf("%w: slot %d of %d", ErrBadSlot, s, p.NumSlots())
 	}
 	if !p.slotInBounds(s) {
-		return fmt.Errorf("%w: slot %d directory entry past page end", ErrCorruptPage, s)
+		return nil, fmt.Errorf("%w: slot %d directory entry past page end", ErrCorruptPage, s)
 	}
 	off, length := p.slotOffLen(s)
 	if off == 0 {
-		return fmt.Errorf("%w: slot %d", ErrDeadSlot, s)
+		return nil, fmt.Errorf("%w: slot %d", ErrDeadSlot, s)
 	}
 	if off < HeaderSize || off+length > len(p.buf) {
-		return fmt.Errorf("%w: slot %d record [%d,%d) out of bounds", ErrCorruptPage, s, off, off+length)
+		return nil, fmt.Errorf("%w: slot %d record [%d,%d) out of bounds", ErrCorruptPage, s, off, off+length)
 	}
 	if !p.headerSane() {
-		return fmt.Errorf("%w: free end %d of %d", ErrCorruptPage, p.freeEnd(), len(p.buf))
+		return nil, fmt.Errorf("%w: free end %d of %d", ErrCorruptPage, p.freeEnd(), len(p.buf))
 	}
-	if len(rec) == length {
-		copy(p.buf[off:], rec)
-		return nil
+	if n == length {
+		return p.buf[off : off+n], nil
 	}
-	if len(rec) > MaxRecordSize(len(p.buf)) {
-		return fmt.Errorf("%w: %d bytes", ErrRecordSize, len(rec))
+	if n < 0 || n > MaxRecordSize(len(p.buf)) {
+		return nil, fmt.Errorf("%w: %d bytes", ErrRecordSize, n)
 	}
 	// Check fit before mutating anything, so a failed update leaves
 	// the old record intact: after compaction, the reusable space is
 	// everything but the header, the slot directory, and the *other*
 	// live records.
 	avail := len(p.buf) - HeaderSize - p.NumSlots()*SlotSize - (p.liveData() - length)
-	if len(rec) > avail {
-		return ErrPageFull
+	if n > avail {
+		return nil, ErrPageFull
 	}
 	// Delete then re-insert into the same slot.
 	p.setSlot(s, 0, 0)
 	binary.LittleEndian.PutUint16(p.buf[offLiveData:], uint16(p.liveData()-length))
-	if p.freeEnd()-(HeaderSize+p.NumSlots()*SlotSize) < len(rec) {
+	if p.freeEnd()-(HeaderSize+p.NumSlots()*SlotSize) < n {
 		p.compact()
 	}
-	newEnd := p.freeEnd() - len(rec)
-	copy(p.buf[newEnd:], rec)
+	newEnd := p.freeEnd() - n
 	binary.LittleEndian.PutUint16(p.buf[offFreeEnd:], uint16(newEnd))
-	binary.LittleEndian.PutUint16(p.buf[offLiveData:], uint16(p.liveData()+len(rec)))
-	p.setSlot(s, newEnd, len(rec))
-	return nil
+	binary.LittleEndian.PutUint16(p.buf[offLiveData:], uint16(p.liveData()+n))
+	p.setSlot(s, newEnd, n)
+	return p.buf[newEnd : newEnd+n], nil
 }
 
 // compact rewrites live records contiguously at the end of the page,

@@ -116,10 +116,17 @@ func TestDeleteBadSlot(t *testing.T) {
 	}
 }
 
+// update replaces the record in slot s the way a caller of Resize does.
+func update(p *Page, s SlotID, rec []byte) error {
+	dst, err := p.Resize(s, len(rec))
+	copy(dst, rec)
+	return err
+}
+
 func TestUpdateInPlace(t *testing.T) {
 	p := newPage(t, 512)
 	s, _ := p.Insert([]byte("aaaa"))
-	if err := p.Update(s, []byte("bbbb")); err != nil {
+	if err := update(p, s, []byte("bbbb")); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := p.Get(s)
@@ -133,7 +140,7 @@ func TestUpdateResize(t *testing.T) {
 	s, _ := p.Insert([]byte("short"))
 	other, _ := p.Insert([]byte("other"))
 	long := bytes.Repeat([]byte("x"), 100)
-	if err := p.Update(s, long); err != nil {
+	if err := update(p, s, long); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := p.Get(s)
@@ -143,7 +150,7 @@ func TestUpdateResize(t *testing.T) {
 	if g, _ := p.Get(other); string(g) != "other" {
 		t.Errorf("neighbour record damaged: %q", g)
 	}
-	if err := p.Update(s, []byte("y")); err != nil {
+	if err := update(p, s, []byte("y")); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := p.Get(s); string(got) != "y" {
@@ -165,7 +172,7 @@ func TestUpdateFailureLeavesRecordIntact(t *testing.T) {
 			break
 		}
 	}
-	if err := p.Update(s, make([]byte, 200)); !errors.Is(err, ErrPageFull) {
+	if err := update(p, s, make([]byte, 200)); !errors.Is(err, ErrPageFull) {
 		t.Fatalf("oversized update err = %v, want ErrPageFull", err)
 	}
 	got, err := p.Get(s)

@@ -64,9 +64,9 @@ type ServerConfig struct {
 }
 
 // Server owns a listener and serves page requests for a fixed set of
-// devices. Requests on one connection are pipelined: each is handled
-// in its own goroutine and responses are interleaved in completion
-// order, matched by request id.
+// devices. Requests on one connection are pipelined: each goes to an
+// idle handler goroutine of the connection, or a new one, and responses
+// are interleaved in completion order, matched by request id.
 type Server struct {
 	devs []disk.Device
 	cfg  ServerConfig
@@ -80,7 +80,7 @@ type Server struct {
 
 	ln     net.Listener
 	mu     sync.Mutex
-	conns  map[net.Conn]bool
+	conns  map[net.Conn]*serverConn
 	closed bool
 	wg     sync.WaitGroup
 
@@ -97,7 +97,7 @@ func NewServer(devs []disk.Device, cfg ServerConfig) *Server {
 	if cfg.FollowPoll <= 0 {
 		cfg.FollowPoll = 2 * time.Millisecond
 	}
-	s := &Server{devs: devs, cfg: cfg, conns: map[net.Conn]bool{}}
+	s := &Server{devs: devs, cfg: cfg, conns: map[net.Conn]*serverConn{}}
 	s.epoch.Store(cfg.Epoch)
 	s.readOnly.Store(cfg.ReadOnly)
 	if r := cfg.Registry; r != nil {
@@ -180,27 +180,41 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			c.Close()
 			return
 		}
-		s.conns[c] = true
+		sc := &serverConn{c: c, jobs: make(chan job), waiting: make(chan struct{}, maxIdleBufs)}
+		s.conns[c] = sc
 		s.mu.Unlock()
 		s.accepted.Inc()
 		s.wg.Add(1)
-		go s.serveConn(c)
+		go s.serveConn(sc)
 	}
 }
 
 // serverConn is one accepted connection as its request handlers see
 // it: frame writes are serialized, and the buffers requests are handled
-// in are kept between requests.
+// in, and the handlers themselves, are kept between requests.
 type serverConn struct {
 	c net.Conn
 
 	mu   sync.Mutex // serializes frame writes; guards idle
 	idle [][]byte   // buffers between requests
+
+	// jobs hands a request to a waiting handler; each holds a slot of
+	// waiting, so no more than maxIdleBufs wait at once.
+	jobs     chan job
+	waiting  chan struct{}
+	handlers sync.WaitGroup
+}
+
+// job is one decoded request and the buffer it was copied into.
+type job struct {
+	req request
+	buf []byte
 }
 
 // maxIdleBufs bounds a connection's idle buffers, each a little over
 // the largest request and response it has held — a page, or a run of
-// them: a client's lanes keep one request each in flight.
+// them: a client's lanes keep one request each in flight. It bounds the
+// handlers waiting for a request too.
 const maxIdleBufs = 4
 
 // take returns a buffer for one request, empty, with whatever capacity
@@ -230,18 +244,17 @@ func (sc *serverConn) send(frame, buf []byte) error {
 	return err
 }
 
-func (s *Server) serveConn(c net.Conn) {
+func (s *Server) serveConn(sc *serverConn) {
 	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()
-		delete(s.conns, c)
+		delete(s.conns, sc.c)
 		s.mu.Unlock()
-		c.Close()
+		sc.c.Close()
 	}()
-	sc := &serverConn{c: c}
-	fr := newFrameReader(c)
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
+	fr := newFrameReader(sc.c)
+	defer sc.handlers.Wait()
+	defer close(sc.jobs) // the waiting handlers exit
 	for {
 		payload, err := fr.next()
 		if err != nil {
@@ -269,12 +282,29 @@ func (s *Server) serveConn(c net.Conn) {
 			s.serveFollow(sc, req, buf)
 			return
 		}
-		handlers.Add(1)
-		go func() {
-			defer handlers.Done()
-			out := s.handle(req, buf)
-			sc.send(out[len(buf):], out) // a dead conn ends the read loop too
-		}()
+		select {
+		case sc.jobs <- job{req, buf}:
+		default: // no handler is waiting
+			sc.handlers.Add(1)
+			go s.handler(sc, job{req, buf})
+		}
+	}
+}
+
+// handler serves j, then the connection's later requests as they are
+// handed to it, until the read loop ends or enough handlers wait already.
+func (s *Server) handler(sc *serverConn, j job) {
+	defer sc.handlers.Done()
+	for ok := true; ok; {
+		out := s.handle(j.req, j.buf)
+		sc.send(out[len(j.buf):], out) // a dead conn ends the read loop too
+		select {
+		case sc.waiting <- struct{}{}:
+		default:
+			return
+		}
+		j, ok = <-sc.jobs
+		<-sc.waiting
 	}
 }
 

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -313,10 +315,11 @@ func numberedPages(t testing.TB, n int) *disk.Sim {
 }
 
 // wireReadAllocs is what one ReadPageCtx round trip may allocate,
-// client and in-process server together: the closure of the server's
-// handler goroutine. Before frames were assembled in kept buffers and
-// waiters recycled the figure was 16 (3.9 KB).
-const wireReadAllocs = 1
+// client and in-process server together: nothing, once the server's
+// handlers are kept between requests. Before frames were assembled in
+// kept buffers and waiters recycled the figure was 16 (3.9 KB); before
+// the handlers were kept, 1.
+const wireReadAllocs = 0
 
 // TestWireReadAllocs pins the allocations of one page read over the
 // wire, both ends counted.
@@ -343,9 +346,8 @@ func TestWireReadAllocs(t *testing.T) {
 }
 
 // TestWireReadRunAllocs is TestWireReadAllocs for a run: four pages in
-// one frame each way allocate what one page does — the server's handler
-// goroutine — and nothing per page; neither end makes a buffer for a
-// frame that outgrows its reader's.
+// one frame each way allocate what one page does, and nothing per page;
+// neither end makes a buffer for a frame that outgrows its reader's.
 func TestWireReadRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -387,6 +389,105 @@ func TestWireReadRunAllocs(t *testing.T) {
 	if sends, pages := c.sends.Value(), c.pages.Value(); sends != runs+2 || pages != (runs+1)*int64(len(ids)) { // +1 for Dial's info
 		t.Errorf("%d sends carrying %d pages, want %d carrying %d", sends, pages, runs+2, (runs+1)*len(ids))
 	}
+}
+
+// TestKeptHandlersStorm: a connection's kept handlers still serve its
+// pipelined requests concurrently. While a stall holds one read in the
+// server, a ping and a storm of other reads on the same connection are
+// all answered; no more than maxIdleBufs handlers wait at any time;
+// and none is left once the server has closed.
+func TestKeptHandlersStorm(t *testing.T) {
+	goroutines := leakcheck.Snapshot()
+	const pages, stall = 64, time.Second
+	fd := disk.NewFaulty(numberedPages(t, pages), disk.FaultConfig{})
+	fd.SetConfig(disk.FaultConfig{Seed: 7, StallRate: 0.1, Stall: stall})
+	held, fast := disk.PageID(pages), []disk.PageID{}
+	for p := disk.PageID(0); p < pages; p++ {
+		if !fd.Stalled(p) {
+			fast = append(fast, p)
+		} else if held == pages {
+			held = p
+		}
+	}
+	if held == pages {
+		t.Fatal("no page of the device stalls")
+	}
+	srv := NewServer([]disk.Device{fd}, ServerConfig{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(ClientConfig{Primary: addr, Timeout: 10 * stall})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heldDone := make(chan error, 1)
+	go func() { heldDone <- c.ReadPage(held, make([]byte, c.PageSize())) }()
+	for fd.FaultStats().Stalls == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	// Sample the waiting handlers of the one connection while the storm runs.
+	idle := func() (n int) {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for _, sc := range srv.conns {
+			n = max(n, len(sc.waiting))
+		}
+		return n
+	}
+	stop, most := make(chan struct{}), make(chan int)
+	go func() {
+		m := 0
+		for {
+			select {
+			case <-stop:
+				most <- m
+				return
+			default:
+				m = max(m, idle())
+				runtime.Gosched()
+			}
+		}
+	}()
+	const callers, reads = 8, 25
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]byte, c.PageSize())
+			for i := 0; i < reads; i++ {
+				p := fast[(g*reads+i)%len(fast)]
+				if err := c.ReadPage(p, buf); err != nil || buf[0] != byte(p) {
+					t.Errorf("read of page %d during the stall: %v, first byte %d", p, err, buf[0])
+					return
+				}
+			}
+		}(g)
+	}
+	if err := c.Ping(); err != nil {
+		t.Errorf("ping during the stall: %v", err)
+	}
+	wg.Wait()
+	close(stop)
+	if m := <-most; m > maxIdleBufs {
+		t.Errorf("%d handlers waited at once, want at most %d", m, maxIdleBufs)
+	}
+	select {
+	case err := <-heldDone:
+		t.Errorf("the stalled read returned (%v) before the storm was answered", err)
+	default:
+		if idle() == 0 {
+			t.Error("no handler was kept after the storm")
+		}
+		if err := <-heldDone; err != nil {
+			t.Errorf("stalled read: %v", err)
+		}
+	}
+	c.Close()
+	srv.Close()
+	leakcheck.Check(t, goroutines)
 }
 
 // TestReadRunFallsBackPageByPage: a run the peer will not answer as a

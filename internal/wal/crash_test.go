@@ -113,7 +113,7 @@ func runCrashWorkload(dataDev, walDev disk.Device, ops int) (*crashState, error)
 			if !ok {
 				return nil, fmt.Errorf("workload: key %d vanished before update", key)
 			}
-			if err := hf.Update(unpackRID(v), []byte(payload)); err != nil {
+			if err := hf.Update(unpackRID(v), len(payload), func(rec []byte) { copy(rec, payload) }); err != nil {
 				return fail(err)
 			}
 			pending[key] = payload

@@ -62,6 +62,8 @@ type Reader struct {
 	lsn    uint64
 	buf    []byte
 	loaded int // page index resident in buf; -1 none
+	// hdr is the header being read: crc32.Update moves a local one to the heap.
+	hdr [recHdrSize]byte
 }
 
 // NewReader starts a reader at the front of the log (next expected
@@ -117,8 +119,8 @@ func (r *Reader) Next() (Record, error) {
 	if int(r.pos/r.ps) >= r.dev.NumPages() {
 		return Record{}, ErrEndOfLog
 	}
-	var hdr [recHdrSize]byte
-	if err := r.readAt(r.pos, hdr[:]); err != nil {
+	hdr := r.hdr[:]
+	if err := r.readAt(r.pos, hdr); err != nil {
 		// The header runs off the device: the last append never
 		// finished allocating its pages.
 		return Record{}, ErrTornTail

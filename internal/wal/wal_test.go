@@ -355,3 +355,37 @@ func TestTraceAndMetricsCrossCheck(t *testing.T) {
 		t.Errorf("redone counter after idempotent recovery = %d, want unchanged %d", got, res.Redone)
 	}
 }
+
+// TestReaderNextAllocs pins the redo's read side: each record costs the
+// one allocation of the image Next returns, and nothing for its header.
+func TestReaderNextAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const records = 201 // AllocsPerRun's warm-up call reads one more
+	log := disk.New(0)
+	w, err := Open(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < records; i++ {
+		if _, err := w.Append(disk.PageID(i), benchImage(disk.DefaultPageSize, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(log)
+	allocs := testing.AllocsPerRun(records-1, func() {
+		if rec, err := r.Next(); err != nil || len(rec.Img) != disk.DefaultPageSize {
+			t.Fatalf("record %d: %d-byte image, %v", r.LastLSN()+1, len(rec.Img), err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("Reader.Next allocates %v times per record, want 1 (the image)", allocs)
+	}
+	if _, err := r.Next(); !errors.Is(err, ErrEndOfLog) {
+		t.Errorf("after %d records: %v, want ErrEndOfLog", records, err)
+	}
+}
