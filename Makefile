@@ -20,9 +20,11 @@ test:
 # counts with testing.AllocsPerRun (the log's append path with MemStats)
 # — a page read or a run over the wire (0), a pool hit (0), an untraced
 # device read (0), an elevator step (0), Store.Get (3) and Store.Update
-# (0), a record of the redo (1, its image), an appended log image, a
-# query's allocations per assembled object, the disabled tracing path and
-# the replica-less router read. The race detector's pass skips them.
+# with a log attached (0), a record of the redo (1, its image), an
+# appended log image and an appended delta (each ≤ 0.05), a replica's
+# apply of a shipped image and delta (0), a query's allocations per
+# assembled object, the disabled tracing path and the replica-less router
+# read. The race detector's pass skips them.
 alloc-check:
 	$(GO) test -count=1 -run 'Allocs$$' ./...
 
@@ -75,11 +77,17 @@ asm-check:
 # pass per image) against the parent's (10 000 sequences with write
 # faults and crash cuts; 400 under -race), the one-pass CRC against the
 # two passes, the allocations-per-appended-image pin and the one-growth
-# redo — then both once more under the race detector, then one
-# iteration of the per-read cost benchmark and of the log's two so that
-# none can rot unbuilt.
+# redo; the delta log against a log of full images (10 000 sequences of
+# gets, same-length and resizing updates, inserts, flushes and syncs,
+# the data device crashed at a write ordinal, clean or torn, and both
+# recovered byte-identical; 400 under -race), the update workload's
+# epoch audit replayed onto an empty device, the apply rule's and
+# AppendDelta's refusals, the clean end within a header of a page's end
+# and the allocations-per-appended-delta pin — then all once more under
+# the race detector, then one iteration of the per-read cost benchmark
+# and of the log's two so that none can rot unbuilt.
 DISK_TESTS = TestArmMatchesOldBookkeepers|TestAllocateBounds|TestUntracedReadAllocs|TestArmConcurrentScrape
-WAL_TESTS = TestSyncMatchesModel|TestStampSumMatchesTwoPasses|TestAppendSyncAllocs|TestApplyRecordGrowsOnce
+WAL_TESTS = TestSyncMatchesModel|TestStampSumMatchesTwoPasses|TestAppendSyncAllocs|TestApplyRecordGrowsOnce|TestDeltaMatchesFullImages|TestDeltaLogAudit|TestApplyRecordRefusals|TestAppendDeltaRefusals|TestCleanEndNearPageEnd|TestAppendDeltaSyncAllocs
 disk-check:
 	$(GO) test -count=1 -run '$(DISK_TESTS)' ./internal/disk
 	$(GO) test -count=1 -run '$(WAL_TESTS)' ./internal/wal ./internal/page
@@ -99,11 +107,14 @@ disk-check:
 # buffer alone, a run the peer refuses read page by page, every way the
 # router can send a run, the storm of runs under a fleet that changes,
 # the storm of pipelined reads past a stalled one on the page server's
-# kept handlers, and the allocation pins (one page and one run read over the wire, the
-# replica-less router read, the pool's hit) — then once more under the
+# kept handlers, a follower of a log of images and deltas ending
+# byte-identical to its primary and one primed past a gap stopping at
+# it, and the allocation pins (one page and one run read over the wire,
+# the replica-less router read, the pool's hit, a replica's apply of a
+# shipped image and delta) — then once more under the
 # race detector, then one iteration of the two round-trip benchmarks
 # (a page, a run) so that they cannot rot unbuilt.
-WIRE_TESTS = TestFixBatchMatchesFixLoop|TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestWireReadRunAllocs|TestReadRunFallsBackPageByPage|TestReplicaLessReadAllocs|TestRouterRunPaths|TestOverlappedBatchStorm|TestKeptHandlersStorm
+WIRE_TESTS = TestFixBatchMatchesFixLoop|TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestWireReadRunAllocs|TestReadRunFallsBackPageByPage|TestReplicaLessReadAllocs|TestRouterRunPaths|TestOverlappedBatchStorm|TestKeptHandlersStorm|TestReplicaFollowsDeltas|TestReplicaStopsAtDeltaGap|TestReplicaApplyAllocs
 WIRE_PKGS = ./internal/buffer ./internal/assembly ./internal/pagesvc ./internal/shard
 wire-check:
 	$(GO) test -count=1 -run '$(WIRE_TESTS)' $(WIRE_PKGS)
@@ -168,7 +179,9 @@ fleet-chaos-test:
 
 # The exhaustive crash-point sweep at a heavier workload than the
 # tier-1 default: every write ordinal is crashed twice (clean and
-# torn), recovered, and verified. CRASH_OPS scales the workload.
+# torn), recovered, and verified. CRASH_OPS scales the workload. At 96
+# ops it is W = 216 write points (240 while every update logged a full
+# page image), with torn data pages caught before recovery at 9 of them.
 crash-test:
 	CRASH_OPS=96 $(GO) test -run TestCrashPointSweep -v ./internal/wal
 
@@ -177,12 +190,16 @@ crash-test:
 # page-service wire header decoder (malformed frames must error, never
 # panic or over-allocate; a read that decodes, of a page or of a run —
 # seeded with runs of no page, of a ragged id list and off the device —
-# is answered by a server with exactly the pages asked for or an error),
+# is answered by a server with exactly the pages asked for or an error;
+# a Follow delta frame that decodes re-encodes to itself),
 # of the object record decoder (Shape +
 # DecodeInto must agree with Decode on every input), of the WAL
 # reader (arbitrary bytes as a log: the scan ends, hands out only
 # records inside the device, and allocates no more than the device
-# holds), of the suite's config parser (scenarios or a file:line
+# holds; seeded with deltas of no bytes, inside a header, past a page
+# and off their page's chain, and every record it hands out applied
+# onto a device — an applied delta leaves its page verified at its LSN,
+# a refused one leaves the page alone), of the suite's config parser (scenarios or a file:line
 # error, never a panic; what parses passes the validator's range
 # checks) and of the template JSON loader (a template or an error, with a
 # catalog and without, never a panic; what parses marshals and parses

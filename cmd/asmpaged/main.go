@@ -23,7 +23,8 @@
 // for fast catch-up; an empty file also converges, it just replays the
 // whole log. On restart the applied-LSN watermark is primed from the
 // highest page LSN on the local device, so Follow resumes rather than
-// replaying from zero.
+// replaying from zero. A backup older than that on some page stops the
+// replica at wal.ErrDeltaGap: seed the file again, or empty it.
 package main
 
 import (
@@ -98,7 +99,12 @@ func main() {
 			Registry: reg,
 		})
 		repl.SetAppliedLSN(maxPageLSN(data))
-		repl.Start()
+		done := repl.Start()
+		go func() {
+			if err := <-done; err != nil {
+				fmt.Fprintf(os.Stderr, "asmpaged: stopped following %s at LSN %d: %v\n", *follow, repl.AppliedLSN(), err)
+			}
+		}()
 		defer repl.Close()
 		cfg.AppliedLSN = repl.AppliedLSN
 		// A follower serves reads only; writes are fenced until a fleet

@@ -44,6 +44,14 @@ type WAL interface {
 	SyncTo(lsn uint64) error
 }
 
+// DeltaWAL is a WAL that can also log bytes [off, off+n) of a page on
+// its previous record, stamping the image's LSN (internal/wal.Writer is
+// one). UnfixRange uses it; a WAL without it gets full images only.
+type DeltaWAL interface {
+	WAL
+	AppendDelta(id disk.PageID, img []byte, off, n int) (uint64, error)
+}
+
 // Stats captures the pool counters used in the evaluation.
 type Stats struct {
 	Hits          int64 // requests satisfied without device access
@@ -96,6 +104,7 @@ type Frame struct {
 	data   []byte
 	pins   int
 	dirty  bool
+	logged bool // the WAL holds the page's full image since it was last clean
 	sticky bool // sharing hint: prefer keeping this page
 	place  int8 // where the replacer keeps the frame (see victim.go)
 	stamp  int64
@@ -169,6 +178,8 @@ type Pool struct {
 	// the sticky frames searches took out of it. Only a miss reads it.
 	lru    []lruEntry
 	parked []*Frame
+
+	deltas DeltaWAL // wal, if it logs deltas; read by logged writes only
 }
 
 // New creates a pool of n frames over dev. Replacement is exact LRU.
@@ -261,11 +272,16 @@ func (p *Pool) SetTracer(t *trace.Tracer) {
 // SetWAL attaches a write-ahead log to the pool. From then on every
 // page image dirtied through Unfix (and every page born through FixNew)
 // is appended to the log, and no data-page write leaves the pool before
-// the log is durable through that page's LSN. Pass nil to detach.
+// the log is durable through that page's LSN. Pass nil to detach. Each
+// page's next logged write is a full image: the new log holds none yet.
 func (p *Pool) SetWAL(w WAL) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.wal = w
+	p.deltas, _ = w.(DeltaWAL)
+	for i := range p.frames {
+		p.frames[i].logged = false
+	}
 }
 
 // SetRetry installs a retry-with-backoff policy on the pool's device
@@ -427,6 +443,7 @@ func (p *Pool) FixNew() (*Frame, error) {
 		}
 	}
 	p.admitLocked(f, id, true)
+	f.logged = p.wal != nil
 	return f, nil
 }
 
@@ -436,6 +453,7 @@ func (p *Pool) admitLocked(f *Frame, id disk.PageID, dirty bool) {
 	f.id = id
 	f.pins = 1
 	f.dirty = dirty
+	f.logged = false
 	f.stamp = p.tick
 	p.table.put(id, f.index)
 	p.pushLRU(f)
@@ -450,6 +468,18 @@ func (p *Pool) notePins() {
 // Unfix releases one pin on the frame; setDirty marks the page as
 // modified so it is written back before reuse.
 func (p *Pool) Unfix(f *Frame, setDirty bool) error {
+	return p.unfix(f, setDirty, 0, 0)
+}
+
+// UnfixRange is Unfix(f, true) for a caller that changed only bytes
+// [off, off+n), past the page header. It logs just those bytes when the
+// WAL is a DeltaWAL that holds the page's image since it was last clean.
+func (p *Pool) UnfixRange(f *Frame, off, n int) error {
+	return p.unfix(f, true, off, n)
+}
+
+// unfix is Unfix, and UnfixRange when n > 0.
+func (p *Pool) unfix(f *Frame, setDirty bool, off, n int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if f.pins <= 0 {
@@ -468,10 +498,18 @@ func (p *Pool) Unfix(f *Frame, setDirty bool) error {
 	if setDirty {
 		f.dirty = true
 		if p.wal != nil {
-			// Log the modified image before anyone can flush it. Append
+			// Log the modified page before anyone can flush it. Append
 			// stamps the image's LSN and checksum in place, so the
-			// frame and the log hold byte-identical images.
-			if _, err := p.wal.Append(f.id, f.data); err != nil {
+			// frame and the log hold byte-identical images; a delta
+			// stamps the LSN, and the flush the checksum.
+			var err error
+			if n > 0 && f.logged && p.deltas != nil {
+				_, err = p.deltas.AppendDelta(f.id, f.data, off, n)
+			} else {
+				_, err = p.wal.Append(f.id, f.data)
+				f.logged = err == nil
+			}
+			if err != nil {
 				return fmt.Errorf("buffer: wal append page %d: %w", f.id, err)
 			}
 		}
@@ -547,7 +585,8 @@ func (p *Pool) flushFrameLocked(f *Frame) error {
 	if err := p.writeLocked(f.id, f.data); err != nil {
 		return err
 	}
-	f.dirty = false
+	// Clean: a log cut here needs no record before it for this page.
+	f.dirty, f.logged = false, false
 	p.flushes.Inc()
 	if p.tr != nil {
 		p.tr.Buffer(trace.KindFlush, int64(f.id), 0, 0)

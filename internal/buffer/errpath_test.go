@@ -205,3 +205,84 @@ func TestErrorClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// kindLog is a DeltaWAL that records which kind of record each logged
+// write was.
+type kindLog struct {
+	flakyWAL
+	kinds string
+}
+
+func (w *kindLog) Append(id disk.PageID, img []byte) (uint64, error) {
+	w.kinds += "I"
+	return w.flakyWAL.Append(id, img)
+}
+
+func (w *kindLog) AppendDelta(id disk.PageID, img []byte, off, n int) (uint64, error) {
+	w.kinds += "d"
+	return w.flakyWAL.Append(id, img)
+}
+
+// TestUnfixRangeLogsDeltas: UnfixRange logs a delta only while the log
+// holds the page's full image since the page was last clean — not
+// before a page's first logged write, after a flush, an eviction, a new
+// log or a failed append — and a plain dirty Unfix always logs the
+// image. A WAL without AppendDelta gets images throughout.
+func TestUnfixRangeLogsDeltas(t *testing.T) {
+	p, _ := newPool(t, 4, 2)
+	w := &kindLog{}
+	p.SetWAL(w)
+	write := func(id disk.PageID, ranged bool) error {
+		f, err := p.Fix(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ranged {
+			return p.UnfixRange(f, 100, 8)
+		}
+		return p.Unfix(f, true)
+	}
+	steps := []struct {
+		name string
+		do   func()
+		want string // the records the step logs
+	}{
+		{"first write", func() { write(0, true) }, "I"},
+		{"second write", func() { write(0, true) }, "d"},
+		{"a whole-page write", func() { write(0, false) }, "I"},
+		{"after it", func() { write(0, true) }, "d"},
+		{"after a flush", func() { p.FlushAll(); write(0, true); write(0, true) }, "Id"},
+		{"after a new log", func() { p.SetWAL(w); write(0, true) }, "I"},
+		{"after an eviction", func() { write(1, true); write(2, true); write(0, true) }, "III"},
+		{"a new page", func() {
+			f, err := p.FixNew()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.UnfixRange(f, 100, 8)
+		}, "Id"},
+		{"after a failed append", func() {
+			p.FlushAll()
+			w.failNext = true
+			if err := write(0, true); !errors.Is(err, errWALDown) {
+				t.Fatalf("write over a failing log: %v", err)
+			}
+			write(0, true)
+		}, "II"},
+	}
+	for _, s := range steps {
+		w.kinds = ""
+		s.do()
+		if w.kinds != s.want {
+			t.Errorf("%s: logged %q, want %q", s.name, w.kinds, s.want)
+		}
+	}
+	plain := &flakyWAL{}
+	p.SetWAL(plain)
+	write(0, true)
+	write(0, true)
+	if plain.lsn != 2 {
+		t.Errorf("a log without deltas took %d images for two writes", plain.lsn)
+	}
+	checkInvariants(t, p)
+}

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 
@@ -130,24 +131,41 @@ func OpenDatabase(devicePath, manifestPath string, bufferPages int) (*Database, 
 	return db, nil
 }
 
-// checkEntries rejects an OID map that SaveManifest cannot have written
-// over a device of numPages pages — a nil OID, an OID listed twice, a
-// page that is not on the device (disk.InvalidPage among them) — naming
-// the entry. A manifest is a file: it may be stale, cut short or for
-// another device.
-func checkEntries(entries []ManifestEntry, numPages int) error {
-	first := make(map[uint64]int, len(entries)) // OID -> the entry that carries it
-	for i, e := range entries {
+// Errors of a manifest that does not fit the device it is opened on.
+var (
+	ErrExtentOffDevice = errors.New("gen: manifest's heap extent is not on the device")
+	ErrEntryOffExtent  = errors.New("gen: manifest entry outside the heap extent")
+	ErrRootNotEntry    = errors.New("gen: manifest root has no entry")
+)
+
+// checkManifest rejects a manifest that SaveManifest cannot have written
+// for a device of numPages pages, naming what is wrong: a heap extent
+// that is not on the device; an entry with the nil OID, an OID listed
+// twice, or a page outside the extent (disk.InvalidPage among them); a
+// root that no entry carries. A manifest is a file: it may be stale, cut
+// short or for another device.
+func checkManifest(m *Manifest, numPages int) error {
+	lo, hi := int64(m.FileFirst), int64(m.FileFirst)+int64(m.FileNPages)
+	if m.FileNPages < 1 || hi > int64(numPages) {
+		return fmt.Errorf("%w: pages [%d, %d) of a device of %d", ErrExtentOffDevice, lo, hi, numPages)
+	}
+	first := make(map[uint64]int, len(m.Entries)) // OID -> the entry that carries it
+	for i, e := range m.Entries {
 		if e.OID == uint64(object.NilOID) {
 			return fmt.Errorf("gen: manifest entry %d (page %d, slot %d) carries the nil OID", i, e.Page, e.Slot)
 		}
-		if int64(e.Page) >= int64(numPages) {
-			return fmt.Errorf("gen: manifest entry %d (oid %d) is on page %d of a device of %d pages", i, e.OID, e.Page, numPages)
+		if p := int64(e.Page); p < lo || p >= hi {
+			return fmt.Errorf("%w: entry %d (oid %d) is on page %d, the extent is [%d, %d)", ErrEntryOffExtent, i, e.OID, e.Page, lo, hi)
 		}
 		if j, dup := first[e.OID]; dup {
 			return fmt.Errorf("gen: manifest entries %d and %d both carry oid %d", j, i, e.OID)
 		}
 		first[e.OID] = i
+	}
+	for i, r := range m.Roots {
+		if _, ok := first[r]; !ok {
+			return fmt.Errorf("%w: root %d (oid %d)", ErrRootNotEntry, i, r)
+		}
 	}
 	return nil
 }
@@ -156,11 +174,11 @@ func checkEntries(entries []ManifestEntry, numPages int) error {
 // template over an already-open device holding its pages — a local
 // file, or a pagesvc client whose pages live across the network. The
 // device is adopted: the returned Database's Close tears it down. The
-// manifest's OID map is checked against the device (checkEntries) before
-// any of it is registered.
+// manifest is checked against the device (checkManifest) before any of
+// it is used.
 func OpenDatabaseOn(dev disk.Device, mp *Manifest, bufferPages int) (*Database, error) {
 	m := *mp
-	if err := checkEntries(m.Entries, dev.NumPages()); err != nil {
+	if err := checkManifest(&m, dev.NumPages()); err != nil {
 		return nil, err
 	}
 	if bufferPages <= 0 {

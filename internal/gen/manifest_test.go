@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -149,6 +150,56 @@ func TestOpenDatabaseRejectsBadEntries(t *testing.T) {
 			t.Errorf("%s: accepted", c.name)
 		case c.want != "" && !strings.Contains(err.Error(), c.want):
 			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestOpenDatabaseRejectsBadManifest: a manifest whose heap extent is
+// not on the device, whose entry names a device page outside the
+// extent, or whose root no entry carries is refused with the named
+// error; the manifest as saved opens over the same device.
+func TestOpenDatabaseRejectsBadManifest(t *testing.T) {
+	db, err := Build(Config{NumComplexObjects: 20, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	manPath := filepath.Join(t.TempDir(), "db.manifest")
+	if err := db.SaveManifest(manPath); err != nil {
+		t.Fatal(err)
+	}
+	good, err := LoadManifest(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two device pages past the extent: on the device, in no extent.
+	past, err := db.Device.Allocate(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := db.Device.NumPages()
+	cases := []struct {
+		name  string
+		spoil func(m *Manifest)
+		want  error // nil for a manifest that must open
+	}{
+		{"as saved", func(m *Manifest) {}, nil},
+		{"extent past the device", func(m *Manifest) { m.FileNPages = pages + 1 }, ErrExtentOffDevice},
+		{"extent starts past the device", func(m *Manifest) { m.FileFirst = uint32(pages) }, ErrExtentOffDevice},
+		{"empty extent", func(m *Manifest) { m.FileNPages = 0 }, ErrExtentOffDevice},
+		{"entry on the device past the extent", func(m *Manifest) { m.Entries[4].Page = uint32(past) }, ErrEntryOffExtent},
+		{"root with no entry", func(m *Manifest) { m.Roots[2] = uint64(db.NextOID) + 100 }, ErrRootNotEntry},
+	}
+	for _, c := range cases {
+		m := *good
+		m.Entries = append([]ManifestEntry(nil), good.Entries...)
+		m.Roots = append([]uint64(nil), good.Roots...)
+		c.spoil(&m)
+		_, err := OpenDatabaseOn(db.Device, &m, 0)
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: %v, want %v", c.name, err, c.want)
 		}
 	}
 }

@@ -183,6 +183,7 @@ func (f *File) Read(rid RID) ([]byte, error) {
 
 // Update replaces the record at rid with n bytes that fill writes in
 // place (see page.Resize) while the page is pinned; it must not keep them.
+// A record that keeps its length is logged alone (Pool.UnfixRange).
 func (f *File) Update(rid RID, n int, fill func(rec []byte)) error {
 	if !f.Contains(rid) {
 		return fmt.Errorf("%w: %v", ErrNotInEtent, rid)
@@ -191,7 +192,12 @@ func (f *File) Update(rid RID, n int, fill func(rec []byte)) error {
 	if err != nil {
 		return err
 	}
-	rec, uerr := page.Wrap(fr.Data()).Resize(rid.Slot, n)
+	pg := page.Wrap(fr.Data())
+	if off, length, err := pg.Span(rid.Slot); err == nil && length == n {
+		fill(fr.Data()[off : off+n])
+		return f.pool.UnfixRange(fr, off, n)
+	}
+	rec, uerr := pg.Resize(rid.Slot, n)
 	if uerr == nil {
 		fill(rec)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"revelation/internal/disk"
 	"revelation/internal/heap"
+	"revelation/internal/wal"
 )
 
 // oldMapLocator is MapLocator as it was, a Go map: the behaviour the
@@ -281,18 +282,33 @@ func TestStoreGetAllocs(t *testing.T) {
 	}
 }
 
-// TestStoreUpdateAllocs pins Store.Update at nothing: the object is
-// encoded straight into its record on the page.
+// TestStoreUpdateAllocs pins Store.Update at nothing with a log
+// attached, committed every 32 updates as the update workload does: the
+// object is encoded straight into its record on the page, and the log
+// takes the record's bytes as a delta into its pending buffer.
 func TestStoreUpdateAllocs(t *testing.T) {
 	s := newStore(t, NewMapLocator())
 	o := &Object{OID: 5, Class: 1, Ints: []int32{1, 2, 3, 4}, Refs: []OID{6, 0, 0, 0, 0, 0, 0, 0}}
 	if _, err := s.Put(o); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
+	log := disk.New(0)
+	w, err := wal.Open(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.File.Pool().SetWAL(w)
+	const runs = 1000
+	updates := 0
+	allocs := testing.AllocsPerRun(runs, func() {
 		o.Ints[1]++
 		if err := s.Update(o); err != nil {
 			t.Fatal(err)
+		}
+		if updates++; updates%32 == 0 {
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 	if allocs != 0 {
@@ -300,6 +316,19 @@ func TestStoreUpdateAllocs(t *testing.T) {
 	}
 	if got, err := s.Get(5); err != nil || got.Ints[1] != o.Ints[1] {
 		t.Errorf("after the updates Get = %+v, %v; want Ints[1] = %d", got, err, o.Ints[1])
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	deltas := 0
+	r := wal.NewReader(log)
+	for rec, err := r.Next(); err == nil; rec, err = r.Next() {
+		if rec.Kind == wal.RecDelta {
+			deltas++
+		}
+	}
+	if deltas != runs { // the warm-up run logged the page's image
+		t.Errorf("%d updates logged %d deltas, want %d", runs+1, deltas, runs)
 	}
 }
 

@@ -268,6 +268,25 @@ func (p *Page) Insert(rec []byte) (SlotID, error) {
 	return slot, nil
 }
 
+// Span locates the live record in slot s: it starts off bytes into the
+// image, past the header, and is length bytes long.
+func (p *Page) Span(s SlotID) (off, length int, err error) {
+	if int(s) >= p.NumSlots() {
+		return 0, 0, fmt.Errorf("%w: slot %d of %d", ErrBadSlot, s, p.NumSlots())
+	}
+	if !p.slotInBounds(s) {
+		return 0, 0, fmt.Errorf("%w: slot %d directory entry past page end", ErrCorruptPage, s)
+	}
+	off, length = p.slotOffLen(s)
+	if off == 0 {
+		return 0, 0, fmt.Errorf("%w: slot %d", ErrDeadSlot, s)
+	}
+	if off < HeaderSize || off+length > len(p.buf) {
+		return 0, 0, fmt.Errorf("%w: slot %d record [%d,%d) out of bounds", ErrCorruptPage, s, off, off+length)
+	}
+	return off, length, nil
+}
+
 // Get returns a view of the record in slot s. The returned slice
 // aliases the page image and is only valid while the page stays pinned
 // and unmodified.
@@ -311,18 +330,9 @@ func (p *Page) Delete(s SlotID) error {
 // re-placed, possibly after compaction, with unspecified contents. On
 // error the page is unchanged.
 func (p *Page) Resize(s SlotID, n int) ([]byte, error) {
-	if int(s) >= p.NumSlots() {
-		return nil, fmt.Errorf("%w: slot %d of %d", ErrBadSlot, s, p.NumSlots())
-	}
-	if !p.slotInBounds(s) {
-		return nil, fmt.Errorf("%w: slot %d directory entry past page end", ErrCorruptPage, s)
-	}
-	off, length := p.slotOffLen(s)
-	if off == 0 {
-		return nil, fmt.Errorf("%w: slot %d", ErrDeadSlot, s)
-	}
-	if off < HeaderSize || off+length > len(p.buf) {
-		return nil, fmt.Errorf("%w: slot %d record [%d,%d) out of bounds", ErrCorruptPage, s, off, off+length)
+	off, length, err := p.Span(s)
+	if err != nil {
+		return nil, err
 	}
 	if !p.headerSane() {
 		return nil, fmt.Errorf("%w: free end %d of %d", ErrCorruptPage, p.freeEnd(), len(p.buf))

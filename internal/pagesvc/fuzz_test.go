@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"revelation/internal/disk"
+	"revelation/internal/wal"
 )
 
 // dialRaw opens a bare TCP connection to the page service, for tests
@@ -24,8 +25,8 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 
 // FuzzProtoDecode throws arbitrary bytes at every wire-decode path —
 // the v1/v2 request header (qid high-bit flag plus the epoch field),
-// the response header, the error body, the Follow stream record, and
-// the promote body. Whatever the input, decoding must return a
+// the response header, the error body, the Follow stream record and
+// delta, and the promote body. Whatever the input, decoding must return a
 // classified error or a well-formed value, never panic or index out of
 // bounds; and any frame that decodes cleanly must survive a
 // re-encode/re-decode round trip unchanged (headers are canonical). The
@@ -59,6 +60,12 @@ func FuzzProtoDecode(f *testing.F) {
 	f.Add(encodeStreamRecord(5, 9, 2, bytes.Repeat([]byte{0xAB}, 32)))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
+	// Follow deltas: a whole one, one of no bytes, one cut inside its
+	// fixed part.
+	delta := appendDeltaRecord(nil, 6, wal.Record{LSN: 10, Page: 3, Prev: 9, Off: 40, Img: []byte("8 bytes!")})[4:]
+	f.Add(delta)
+	f.Add(delta[:respHdrSize+deltaHdrSize])
+	f.Add(delta[:respHdrSize+deltaHdrSize-1])
 
 	sim := disk.New(fuzzPages)
 	img := make([]byte, sim.PageSize())
@@ -133,6 +140,15 @@ func FuzzProtoDecode(f *testing.F) {
 					if got := appendStreamRecord(nil, resp.reqID, lsn, page, img); !bytes.Equal(got, framed(redone)) {
 						t.Fatalf("appendStreamRecord = %x, reference %x", got, framed(redone))
 					}
+				}
+			}
+			if resp.status == stDelta {
+				if rec, err := decodeDeltaRecord(resp.body); err == nil {
+					if got := appendDeltaRecord(nil, resp.reqID, rec); !bytes.Equal(got, framed(encodeResponse(resp))) {
+						t.Fatalf("appendDeltaRecord(%+v) = %x, want the frame it came from", rec, got)
+					}
+				} else if len(resp.body) >= deltaHdrSize {
+					t.Fatalf("a %d-byte delta body refused: %v", len(resp.body), err)
 				}
 			}
 		}

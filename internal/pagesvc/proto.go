@@ -29,6 +29,7 @@ import (
 	"io"
 
 	"revelation/internal/disk"
+	"revelation/internal/wal"
 )
 
 // Operation codes (request frames).
@@ -54,6 +55,7 @@ const (
 	stOK     = byte(0) // request succeeded; body is op-specific
 	stErr    = byte(1) // request failed; body: [1B class][message]
 	stStream = byte(2) // one Follow record: [8B lsn][4B page][4B len][img]
+	stDelta  = byte(3) // one Follow delta: [8B lsn][4B page][8B prev LSN][2B offset][bytes]
 )
 
 // Error classes carried in stErr bodies, mapping the server-side error
@@ -350,4 +352,33 @@ func decodeStreamRecord(body []byte) (lsn uint64, page disk.PageID, img []byte, 
 		return 0, 0, nil, fmt.Errorf("%w: stream record length %d != %d", ErrBadFrame, n, len(body)-16)
 	}
 	return lsn, page, body[16:], nil
+}
+
+// deltaHdrSize is a Follow delta body's LSN, page, prev LSN and offset.
+const deltaHdrSize = 22
+
+// appendDeltaRecord appends the frame of one Follow delta record to dst.
+func appendDeltaRecord(dst []byte, reqID uint64, rec wal.Record) []byte {
+	dst = appendResponseHdr(dst, stDelta, reqID, deltaHdrSize+len(rec.Img))
+	dst = binary.LittleEndian.AppendUint64(dst, rec.LSN)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.Page))
+	dst = binary.LittleEndian.AppendUint64(dst, rec.Prev)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(rec.Off))
+	return append(dst, rec.Img...)
+}
+
+// decodeDeltaRecord parses one Follow delta body. Its bytes alias body;
+// wal.ApplyRecord checks that they fit the page.
+func decodeDeltaRecord(body []byte) (wal.Record, error) {
+	if len(body) < deltaHdrSize {
+		return wal.Record{}, fmt.Errorf("%w: %d-byte stream delta", ErrBadFrame, len(body))
+	}
+	return wal.Record{
+		Kind: wal.RecDelta,
+		LSN:  binary.LittleEndian.Uint64(body[0:]),
+		Page: disk.PageID(binary.LittleEndian.Uint32(body[8:])),
+		Prev: binary.LittleEndian.Uint64(body[12:]),
+		Off:  int(binary.LittleEndian.Uint16(body[20:])),
+		Img:  body[deltaHdrSize:],
+	}, nil
 }

@@ -2,6 +2,7 @@ package pagesvc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -117,6 +118,11 @@ func (r *Replica) Run() error {
 		if r.isClosed() {
 			return nil
 		}
+		if errors.Is(err, wal.ErrDeltaGap) {
+			// Following again would ship the same delta onto the same
+			// page: the device needs a base backup, not a retry.
+			return fmt.Errorf("pagesvc: replica: %w", err)
+		}
 		attempt++
 		if attempt >= r.cfg.Retry.MaxAttempts {
 			return fmt.Errorf("pagesvc: replica: follow retries exhausted: %w", err)
@@ -204,19 +210,22 @@ func (r *Replica) followOnce() error {
 		if err != nil {
 			return err
 		}
+		var rec wal.Record
 		switch resp.status {
 		case stStream:
-			lsn, page, img, err := decodeStreamRecord(resp.body)
-			if err != nil {
-				return err
-			}
-			if err := r.apply(lsn, page, img, buf); err != nil {
-				return err
-			}
+			rec.LSN, rec.Page, rec.Img, err = decodeStreamRecord(resp.body)
+		case stDelta:
+			rec, err = decodeDeltaRecord(resp.body)
 		case stErr:
 			return decodeErr(resp.body)
 		default:
 			return fmt.Errorf("%w: status %d on follow stream", ErrBadFrame, resp.status)
+		}
+		if err != nil {
+			return err
+		}
+		if err := r.apply(rec, buf); err != nil {
+			return err
 		}
 	}
 }
@@ -224,24 +233,18 @@ func (r *Replica) followOnce() error {
 // apply installs one shipped record. Records at or below the applied
 // watermark — a reconnect overlap, or a record whose page image the
 // base backup already carried — count as reapplied no-ops, which is
-// exactly what makes crashing mid-Follow and resuming safe.
-func (r *Replica) apply(lsn uint64, page disk.PageID, img []byte, buf []byte) error {
-	if len(img) == 0 {
+// exactly what makes crashing mid-Follow and resuming safe. A delta gap
+// leaves the watermark alone. rec may alias the stream's buffer: the
+// device copies what it writes.
+func (r *Replica) apply(rec wal.Record, buf []byte) error {
+	if rec.Kind == wal.RecPage && len(rec.Img) == 0 {
 		// A watermark-only record (an ownership/cutover record on the
 		// primary's log): nothing to install, but the applied LSN must
 		// advance past it.
-		if lsn > r.applied.Load() {
-			r.applied.Store(lsn)
-			r.appliedLSN.Set(int64(lsn))
-		}
+		r.advance(rec.LSN)
 		return nil
 	}
-	if len(img) != r.dev.PageSize() {
-		return fmt.Errorf("%w: %d-byte image for %d-byte pages", ErrBadFrame, len(img), r.dev.PageSize())
-	}
-	cp := make([]byte, len(img))
-	copy(cp, img)
-	applied, err := wal.ApplyRecord(r.dev, wal.Record{LSN: lsn, Page: page, Img: cp}, buf)
+	applied, err := wal.ApplyRecord(r.dev, rec, buf)
 	if err != nil {
 		return err
 	}
@@ -250,9 +253,14 @@ func (r *Replica) apply(lsn uint64, page disk.PageID, img []byte, buf []byte) er
 	} else {
 		r.reapplied.Inc()
 	}
+	r.advance(rec.LSN)
+	return nil
+}
+
+// advance moves the applied watermark up to lsn.
+func (r *Replica) advance(lsn uint64) {
 	if lsn > r.applied.Load() {
 		r.applied.Store(lsn)
 		r.appliedLSN.Set(int64(lsn))
 	}
-	return nil
 }

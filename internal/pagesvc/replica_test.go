@@ -2,11 +2,15 @@ package pagesvc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
+	"revelation/internal/buffer"
 	"revelation/internal/disk"
+	"revelation/internal/heap"
 	"revelation/internal/page"
 	"revelation/internal/wal"
 )
@@ -235,5 +239,174 @@ func TestReplicaSurvivesPrimaryRestart(t *testing.T) {
 	waitApplied(t, repl, second)
 	if got := repl.reconnects.Value(); got < 1 {
 		t.Errorf("reconnects = %d, want >= 1", got)
+	}
+}
+
+// TestReplicaFollowsDeltas: a follower of a log of page images and
+// deltas — same-length updates, resizes and inserts through a heap file,
+// with flushes between them — ends byte-identical to the primary's
+// flushed data device.
+func TestReplicaFollowsDeltas(t *testing.T) {
+	dataDev, walDev := disk.New(0), disk.New(0)
+	w, err := wal.Open(walDev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := buffer.New(dataDev, 3)
+	pool.SetWAL(w)
+	file, err := heap.Create(pool, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(27))
+	var rids []heap.RID
+	var lens []int
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	for i := 0; i < 300; i++ {
+		switch {
+		case len(rids) < 8 || i%9 == 0:
+			rec := random(16 + rng.Intn(32))
+			if rid, err := file.InsertAt(rng.Intn(4), rec); err == nil {
+				rids, lens = append(rids, rid), append(lens, len(rec))
+			}
+		default:
+			k := rng.Intn(len(rids))
+			n := lens[k]
+			if i%7 == 0 {
+				n = 16 + rng.Intn(32) // a resize
+			}
+			rec := random(n)
+			if err := file.Update(rids[k], n, func(b []byte) { copy(b, rec) }); err == nil {
+				lens[k] = n
+			}
+		}
+		if i%40 == 39 {
+			if err := pool.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, addr := startServer(t, []disk.Device{dataDev, walDev}, ServerConfig{})
+	replDev := disk.New(0)
+	repl := NewReplica(replDev, ReplicaConfig{Primary: addr, WALDev: WALDev})
+	done := repl.Start()
+	defer func() {
+		repl.Close()
+		<-done
+	}()
+	waitApplied(t, repl, w.DurableLSN())
+
+	deltas := 0
+	r := wal.NewReader(walDev)
+	for rec, err := r.Next(); err == nil; rec, err = r.Next() {
+		if rec.Kind == wal.RecDelta {
+			deltas++
+		}
+	}
+	if deltas == 0 {
+		t.Fatal("the primary's log holds no delta")
+	}
+	want, got := make([]byte, dataDev.PageSize()), make([]byte, dataDev.PageSize())
+	for p := disk.PageID(0); int(p) < dataDev.NumPages(); p++ {
+		if err := errors.Join(dataDev.ReadPage(p, want), replDev.ReadPage(p, got)); err != nil {
+			t.Fatalf("page %d: %v", p, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("replica page %d diverges from the primary's", p)
+		}
+	}
+	t.Logf("%d records applied, %d of them deltas", repl.records.Value(), deltas)
+}
+
+// TestReplicaStopsAtDeltaGap: a follower primed past a page's full image
+// — its device never got the image — is shipped a delta it cannot
+// apply. It stops with wal.ErrDeltaGap, not retrying, and its applied
+// LSN stays where it was primed.
+func TestReplicaStopsAtDeltaGap(t *testing.T) {
+	dataDev, walDev := disk.New(0), disk.New(0)
+	w, err := wal.Open(walDev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := walDev.PageSize()
+	img := walImage(t, ps, "a record to change")
+	if _, err := w.Append(0, img); err != nil {
+		t.Fatal(err)
+	}
+	copy(img[ps-8:], "changed!")
+	if _, err := w.AppendDelta(0, img, ps-8, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, []disk.Device{dataDev, walDev}, ServerConfig{})
+
+	repl := NewReplica(disk.New(0), ReplicaConfig{Primary: addr, WALDev: WALDev})
+	repl.SetAppliedLSN(1)
+	defer repl.Close()
+	select {
+	case err := <-repl.Start():
+		if !errors.Is(err, wal.ErrDeltaGap) {
+			t.Fatalf("follower past a gap: %v, want ErrDeltaGap", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the follower kept following past a gap")
+	}
+	if got := repl.AppliedLSN(); got != 1 {
+		t.Errorf("applied LSN %d after the gap, want 1", got)
+	}
+}
+
+// TestReplicaApplyAllocs pins a shipped record's apply at nothing, a
+// page image and a delta alike: the record's bytes go to the device
+// from the stream's buffer, which the device copies. Each run applies
+// an image and the delta that follows it.
+func TestReplicaApplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	dev := disk.New(0)
+	r := NewReplica(dev, ReplicaConfig{Primary: "127.0.0.1:0"})
+	ps := dev.PageSize()
+	const runs = 100
+	recs := make([]wal.Record, 2*(runs+1))
+	for i := range recs {
+		lsn := uint64(i + 1)
+		if i%2 == 1 {
+			recs[i] = wal.Record{Kind: wal.RecDelta, LSN: lsn, Prev: lsn - 1, Off: ps - 8, Img: []byte{byte(i), 1, 2, 3, 4, 5, 6, 7}}
+			continue
+		}
+		img := walImage(t, ps, fmt.Sprintf("image %03d", i))
+		page.Wrap(img).SetLSN(lsn)
+		page.Stamp(img)
+		recs[i] = wal.Record{LSN: lsn, Img: img}
+	}
+	buf := make([]byte, ps)
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() { // and one warm-up run, which grows the device
+		for _, rec := range recs[next : next+2] {
+			if err := r.apply(rec, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next += 2
+	})
+	if allocs != 0 {
+		t.Errorf("applying a shipped image and delta allocates %v times, want 0", allocs)
+	}
+	if got := r.records.Value(); got != int64(len(recs)) || r.AppliedLSN() != uint64(len(recs)) {
+		t.Errorf("%d records applied up to LSN %d, want %d", got, r.AppliedLSN(), len(recs))
 	}
 }

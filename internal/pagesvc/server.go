@@ -463,7 +463,8 @@ func (s *Server) handlePromote(req request, buf []byte) []byte {
 }
 
 // serveFollow streams WAL records from the requested device, starting
-// after fromLSN, polling the tail as the log grows. It returns when
+// after fromLSN, polling the tail as the log grows: a page image as an
+// stStream frame, a delta as an stDelta frame. It returns when
 // the connection breaks or the server closes. Both a clean end and a
 // torn tail mean "nothing more yet" to a live follower — a torn tail
 // on a growing log is usually an append caught mid-flight, and if it
@@ -476,8 +477,7 @@ func (s *Server) serveFollow(sc *serverConn, req request, buf []byte) {
 		out := appendResponse(buf, response{status: stErr, reqID: req.reqID, body: encodeErr(err)})
 		sc.send(out[len(buf):], nil)
 	}
-	record := func(lsn uint64, page disk.PageID, img []byte) error {
-		out := appendStreamRecord(buf, req.reqID, lsn, page, img)
+	send := func(out []byte) error {
 		buf = out[:len(buf)]
 		return sc.send(out[len(buf):], nil)
 	}
@@ -512,16 +512,19 @@ func (s *Server) serveFollow(sc *serverConn, req request, buf []byte) {
 		if rec.LSN <= fromLSN {
 			continue
 		}
-		if rec.Kind == wal.RecOwnership {
+		var out []byte
+		switch rec.Kind {
+		case wal.RecOwnership:
 			// Cutover records carry no page image; ship a watermark-only
 			// frame so the follower's applied LSN still advances past
 			// them (a stalled watermark would wedge the staleness guard).
-			if err := record(rec.LSN, 0, nil); err != nil {
-				return
-			}
-			continue
+			out = appendStreamRecord(buf, req.reqID, rec.LSN, 0, nil)
+		case wal.RecDelta:
+			out = appendDeltaRecord(buf, req.reqID, rec)
+		default:
+			out = appendStreamRecord(buf, req.reqID, rec.LSN, rec.Page, rec.Img)
 		}
-		if err := record(rec.LSN, rec.Page, rec.Img); err != nil {
+		if err := send(out); err != nil {
 			return
 		}
 	}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"runtime"
 	"testing"
 
 	"revelation/internal/disk"
+	"revelation/internal/page"
 )
 
 // fuzzPageSize keeps the fuzzed devices — and so the corpus — small:
@@ -54,12 +56,67 @@ func seedLog(f *testing.F) []byte {
 	return raw
 }
 
+// rawRecord is a record's bytes with a correct CRC, built by hand so a
+// seed can carry a payload no writer would produce.
+func rawRecord(magic uint32, lsn uint64, id disk.PageID, payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, magic)
+	b = binary.LittleEndian.AppendUint64(b, lsn)
+	b = binary.LittleEndian.AppendUint32(b, uint32(id))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	b = append(b, payload...)
+	crc := crc32.Update(crc32.Update(0, castagnoli, b[:20]), castagnoli, b[recHdrSize:])
+	binary.LittleEndian.PutUint32(b[20:], crc)
+	return b
+}
+
+// rawDelta is a delta record's bytes.
+func rawDelta(lsn uint64, id disk.PageID, prev uint64, off int, bytes []byte) []byte {
+	p := binary.LittleEndian.AppendUint64(nil, prev)
+	p = binary.LittleEndian.AppendUint16(p, uint16(off))
+	return rawRecord(deltaMagic, lsn, id, append(p, bytes...))
+}
+
+// seedDeltaLogs returns logs whose first record is a page image of page
+// 2 at LSN 1, followed by a delta that is valid, or one of no bytes,
+// inside the header, past the page, or whose prev LSN is no earlier
+// record or the wrong one.
+func seedDeltaLogs() [][]byte {
+	img := make([]byte, fuzzPageSize)
+	pg := page.Wrap(img)
+	pg.Init(0x5754)
+	pg.Insert([]byte("a record to change"))
+	pg.SetLSN(1)
+	page.Stamp(img)
+	base := rawRecord(recMagic, 1, 2, img)
+	eight := []byte("8 bytes!")
+	var logs [][]byte
+	for _, d := range [][]byte{
+		rawDelta(2, 2, 1, fuzzPageSize-20, eight),   // valid
+		rawDelta(2, 2, 1, fuzzPageSize-20, nil),     // no bytes: a 10-byte payload
+		rawDelta(2, 2, 1, page.HeaderSize-4, eight), // inside the header
+		rawDelta(2, 2, 1, fuzzPageSize-4, eight),    // past the page
+		rawDelta(2, 2, 2, fuzzPageSize-20, eight),   // prev is the delta itself
+		rawDelta(2, 2, 0, fuzzPageSize-20, eight),   // prev 0
+		rawDelta(2, 5, 1, fuzzPageSize-20, eight),   // prev is another page's
+	} {
+		logs = append(logs, append(append([]byte(nil), base...), d...))
+	}
+	// A chain, then a delta that skips a link of it.
+	chain := append(append([]byte(nil), logs[0]...), rawDelta(3, 2, 2, 40, eight)...)
+	logs = append(logs, chain, append(append([]byte(nil), logs[0]...), rawDelta(3, 2, 1, 40, eight)...))
+	return logs
+}
+
 // FuzzWALScan lays arbitrary bytes over a device and walks them as a
 // log, through the Reader and through ScanOwnership. Whatever the bytes
-// — torn tails, bad lengths, ownership records with oversized names —
-// the walk must end (ErrEndOfLog or ErrTornTail, nothing else), never
-// panic, hand out only records that lie inside the device, and never
-// allocate beyond the device's own size.
+// — torn tails, bad lengths, ownership records with oversized names,
+// deltas of no bytes, inside a header or past a page — the walk must
+// end (ErrEndOfLog or ErrTornTail, nothing else), never panic, hand out
+// only records that lie inside the device, and never allocate beyond
+// the device's own size. Every record it hands out is then applied onto
+// a data device: an applied delta leaves its page verified at its LSN,
+// and a refused one leaves the page as it was.
 func FuzzWALScan(f *testing.F) {
 	good := seedLog(f)
 	f.Add(good)
@@ -74,6 +131,9 @@ func FuzzWALScan(f *testing.F) {
 	f.Add(neg)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 3*fuzzPageSize))
+	for _, log := range seedDeltaLogs() {
+		f.Add(log)
+	}
 
 	const maxPages = 64
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -83,11 +143,11 @@ func FuzzWALScan(f *testing.F) {
 		}
 		pages := (len(data) + ps - 1) / ps
 		dev := disk.NewSim(ps, pages)
-		page := make([]byte, ps)
+		img := make([]byte, ps)
 		for p := 0; p < pages; p++ {
-			clear(page)
-			copy(page, data[p*ps:])
-			if err := dev.WritePage(disk.PageID(p), page); err != nil {
+			clear(img)
+			copy(img, data[p*ps:])
+			if err := dev.WritePage(disk.PageID(p), img); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -119,7 +179,7 @@ func FuzzWALScan(f *testing.F) {
 				t.Fatalf("record at %d ends at %d on a %d-byte device", at, r.Offset(), size)
 			}
 			switch rec.Kind {
-			case RecPage:
+			case RecPage, RecDelta:
 				payload += len(rec.Img)
 			case RecOwnership:
 				owned++
@@ -147,6 +207,34 @@ func FuzzWALScan(f *testing.F) {
 		// believed before it was checked would blow through this.
 		if got, limit := int64(after.TotalAlloc-before.TotalAlloc), 3*size+16<<10; got > limit {
 			t.Fatalf("walking a %d-byte device allocated %d bytes (limit %d)", size, got, limit)
+		}
+
+		// Redo onto a data device as large as any page the records name
+		// that it will hold; records of other pages are passed over.
+		redo := disk.NewSim(ps, maxPages)
+		buf, was := make([]byte, ps), make([]byte, ps)
+		r = NewReader(dev)
+		for {
+			rec, err := r.Next()
+			if err != nil {
+				break
+			}
+			if rec.Kind == RecOwnership || int(rec.Page) >= maxPages {
+				continue
+			}
+			if err := redo.ReadPage(rec.Page, was); err != nil {
+				t.Fatal(err)
+			}
+			applied, err := ApplyRecord(redo, rec, buf)
+			if err := redo.ReadPage(rec.Page, img); err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case err != nil && !bytes.Equal(img, was):
+				t.Fatalf("record %d refused (%v) but its page changed", rec.LSN, err)
+			case rec.Kind == RecDelta && applied && (page.Verify(img) != nil || page.Wrap(img).LSN() != rec.LSN):
+				t.Fatalf("delta %d applied, but its page does not verify at its LSN", rec.LSN)
+			}
 		}
 	})
 }

@@ -61,7 +61,7 @@ type Options struct {
 type Result struct {
 	// Records is the number of valid log records scanned.
 	Records int
-	// Redone counts page images reinstalled onto the data device.
+	// Redone counts records applied onto the data device.
 	Redone int
 	// SkippedOlder counts records whose page was already current (its
 	// on-disk LSN was at least the record's and its checksum verified).
@@ -88,12 +88,11 @@ func (r *Result) String() string {
 }
 
 // Recover replays the log on walDev onto dataDev: it scans the valid
-// prefix, discards the torn tail, and reinstalls every logged image
-// whose data page is missing, fails checksum verification, or carries
-// an older LSN. Redo is idempotent — recovering twice is a no-op the
-// second time — and restores exactly the state of the last completed
-// Sync. The data device is grown as needed to hold logged pages
-// allocated after the last data flush.
+// prefix, discards the torn tail, and applies every page record with
+// ApplyRecord (a delta that meets a gap fails it). Redo is idempotent —
+// recovering twice is a no-op the second time — and restores exactly
+// the state of the last completed Sync. The data device is grown as
+// needed to hold logged pages allocated after the last data flush.
 func Recover(walDev, dataDev disk.Device, opts Options) (*Result, error) {
 	res := &Result{}
 	var redone metrics.Counter

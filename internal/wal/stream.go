@@ -26,6 +26,10 @@ var (
 	ErrTornTail = errors.New("wal: torn tail")
 )
 
+// ErrDeltaGap reports a delta whose page is neither verified at its prev
+// LSN nor at or past its own: a record of the page between is missing.
+var ErrDeltaGap = errors.New("wal: delta does not follow the page's LSN")
+
 // Record kinds.
 const (
 	// RecPage is a page-image record: the full after-image of Page.
@@ -33,16 +37,22 @@ const (
 	// RecOwnership is a cutover record: pages in [Lo, Hi) owned by
 	// Owner under the post-join rendezvous assignment are cut over.
 	RecOwnership = byte(1)
+	// RecDelta is a delta record: Img replaces Page's bytes at Off, on
+	// the page state of LSN Prev.
+	RecDelta = byte(2)
 )
 
-// Record is one log record: a page after-image (RecPage, the common
-// case — Page and Img are set) or an ownership cutover (RecOwnership —
-// Lo, Hi, and Owner are set).
+// Record is one log record: a page after-image (RecPage — Page and Img
+// are set), a delta (RecDelta — also Prev and Off) or an ownership
+// cutover (RecOwnership — Lo, Hi, and Owner are set).
 type Record struct {
 	Kind byte
 	LSN  uint64
 	Page disk.PageID
 	Img  []byte
+
+	Prev uint64
+	Off  int
 
 	Lo, Hi disk.PageID
 	Owner  string
@@ -110,8 +120,8 @@ func (r *Reader) readAt(off int64, dst []byte) error {
 // or ErrTornTail at an interrupted append. After either error the
 // reader stays positioned at the same offset and drops its page cache,
 // so a later Next observes appends (or repairs) that happened since.
-// The returned image aliases an internal buffer only until the next
-// call — it is freshly allocated per record, safe to retain.
+// A record's image, or a delta's bytes, is freshly allocated for it and
+// safe to retain.
 func (r *Reader) Next() (Record, error) {
 	// Invalidate the cached page: the tail page is exactly the one a
 	// concurrent writer rewrites as the log grows.
@@ -121,15 +131,18 @@ func (r *Reader) Next() (Record, error) {
 	}
 	hdr := r.hdr[:]
 	if err := r.readAt(r.pos, hdr); err != nil {
-		// The header runs off the device: the last append never
-		// finished allocating its pages.
+		// The header runs off the device: after zeros, a clean end near
+		// the last page's end; else an append that never grew the log.
+		if rest := int64(r.dev.NumPages())*r.ps - r.pos; rest < recHdrSize && page.ZeroImage(hdr[:rest]) {
+			return Record{}, ErrEndOfLog
+		}
 		return Record{}, ErrTornTail
 	}
 	magic := binary.LittleEndian.Uint32(hdr[0:])
 	if magic == 0 {
 		return Record{}, ErrEndOfLog
 	}
-	if magic != recMagic && magic != ownMagic {
+	if magic != recMagic && magic != deltaMagic && magic != ownMagic {
 		return Record{}, ErrTornTail
 	}
 	lsn := binary.LittleEndian.Uint64(hdr[4:])
@@ -152,10 +165,11 @@ func (r *Reader) Next() (Record, error) {
 	if crc != want {
 		return Record{}, ErrTornTail
 	}
-	if magic == ownMagic {
-		// Ownership payload: [4B hi page][owner name]. The range must
-		// be non-empty and named — a violation means corruption that
-		// happened to pass the CRC window, treated like any torn tail.
+	rec := Record{Kind: RecPage, LSN: lsn, Page: id, Img: img}
+	// A payload that breaks its kind's rules passed the CRC window by
+	// chance: a torn tail like any other.
+	switch magic {
+	case ownMagic: // [4B hi page][owner name], a non-empty range
 		if n < 5 {
 			return Record{}, ErrTornTail
 		}
@@ -163,25 +177,39 @@ func (r *Reader) Next() (Record, error) {
 		if hi <= id {
 			return Record{}, ErrTornTail
 		}
-		r.lsn = lsn
-		r.pos += int64(recHdrSize + n)
-		return Record{Kind: RecOwnership, LSN: lsn, Lo: id, Hi: hi, Owner: string(img[4:])}, nil
+		rec = Record{Kind: RecOwnership, LSN: lsn, Lo: id, Hi: hi, Owner: string(img[4:])}
+	case deltaMagic: // bytes past the header, on an earlier record
+		if n <= deltaHdrSize {
+			return Record{}, ErrTornTail
+		}
+		rec.Kind, rec.Img = RecDelta, img[deltaHdrSize:]
+		rec.Prev = binary.LittleEndian.Uint64(img[0:])
+		rec.Off = int(binary.LittleEndian.Uint16(img[8:]))
+		if rec.Prev == 0 || rec.Prev >= lsn || rec.Off < page.HeaderSize {
+			return Record{}, ErrTornTail
+		}
 	}
 	r.lsn = lsn
 	r.pos += int64(recHdrSize + n)
-	return Record{Kind: RecPage, LSN: lsn, Page: id, Img: img}, nil
+	return rec, nil
 }
 
 // ApplyRecord performs the redo-if-newer step for one record against a
-// data device: the image is installed iff the resident page is missing,
-// fails checksum verification, or carries an older LSN. The device is
-// grown as needed. buf must be one page long scratch space (pass nil to
-// allocate). It reports whether the image was actually installed —
-// re-applying an already-applied record is a no-op, which is what makes
-// replica reconnection from a checkpointed LSN safe.
+// data device. A record whose page verifies at or past its LSN is
+// skipped. Otherwise an image is installed; a delta is applied onto a
+// page verified at exactly its prev LSN, and stamped, or else fails
+// with ErrDeltaGap, changing nothing. The device is grown as needed.
+// buf must be one page long scratch space (pass nil to allocate). It
+// reports whether the record was actually applied — re-applying an
+// already-applied record is a no-op, which is what makes replica
+// reconnection from a checkpointed LSN safe.
 func ApplyRecord(dev disk.Device, rec Record, buf []byte) (bool, error) {
 	ps := dev.PageSize()
-	if len(rec.Img) != ps {
+	switch {
+	case rec.Kind == RecDelta && (rec.Off < page.HeaderSize || len(rec.Img) == 0 || rec.Off+len(rec.Img) > ps):
+		return false, fmt.Errorf("wal: delta %d covers [%d, %d) of a %d-byte page",
+			rec.LSN, rec.Off, rec.Off+len(rec.Img), ps)
+	case rec.Kind != RecDelta && len(rec.Img) != ps:
 		return false, fmt.Errorf("wal: record %d holds a %d-byte image for a %d-byte-page device",
 			rec.LSN, len(rec.Img), ps)
 	}
@@ -192,19 +220,31 @@ func ApplyRecord(dev disk.Device, rec Record, buf []byte) (bool, error) {
 	}
 	// One growth to cover the page, however far past the end it lies: a
 	// replica's device may be remote, where every call is a round trip.
-	if grow := int(rec.Page) + 1 - dev.NumPages(); grow > 0 {
+	// A delta's page past the end is missing: the read fails.
+	if grow := int(rec.Page) + 1 - dev.NumPages(); grow > 0 && rec.Kind != RecDelta {
 		if _, err := dev.Allocate(grow); err != nil {
 			return false, fmt.Errorf("wal: apply: grow data device: %w", err)
 		}
 	}
-	if err := dev.ReadPage(rec.Page, buf); err == nil {
-		if page.Verify(buf) == nil && page.Wrap(buf).LSN() >= rec.LSN {
-			return false, nil
-		}
+	verified := dev.ReadPage(rec.Page, buf) == nil && page.Verify(buf) == nil
+	at := page.Wrap(buf).LSN()
+	if verified && at >= rec.LSN {
+		return false, nil
 	}
 	// The logged image carries its LSN and checksum (stamped at append
 	// time), so it is installed verbatim.
-	if err := dev.WritePage(rec.Page, rec.Img); err != nil {
+	img := rec.Img
+	if rec.Kind == RecDelta {
+		if !verified || at != rec.Prev {
+			return false, fmt.Errorf("%w: page %d (verified %v) is at LSN %d, delta %d follows %d",
+				ErrDeltaGap, rec.Page, verified, at, rec.LSN, rec.Prev)
+		}
+		copy(buf[rec.Off:], rec.Img)
+		page.Wrap(buf).SetLSN(rec.LSN)
+		page.Stamp(buf)
+		img = buf
+	}
+	if err := dev.WritePage(rec.Page, img); err != nil {
 		return false, fmt.Errorf("wal: apply: redo page %d: %w", rec.Page, err)
 	}
 	return true, nil

@@ -1,15 +1,17 @@
-// Package wal implements a physical page-image write-ahead log and the
-// redo recovery that replays it — the durability half of the ARIES
-// discipline (Mohan et al.; see PAPERS.md) specialized to full-page
-// logging: every record carries the complete after-image of one page,
-// so recovery is a pure, idempotent redo with no undo pass.
+// Package wal implements a physiological write-ahead log and the redo
+// recovery that replays it — the durability half of the ARIES
+// discipline (Mohan et al.; see PAPERS.md) with no undo pass: a page
+// record carries a page's complete after-image, a delta record only the
+// bytes an in-place update wrote, on top of the page's previous record.
 //
 // The contract with the buffer pool (which consumes this package
 // through the buffer.WAL interface):
 //
-//  1. Every time a page is dirtied, its full image is Appended. Append
-//     assigns the image a fresh LSN, writes that LSN and a CRC-32C
-//     checksum into the image itself, and buffers the record in memory.
+//  1. Every time a page is dirtied, it is logged. Append assigns its
+//     full image a fresh LSN, writes that LSN and a CRC-32C checksum into
+//     the image itself, and buffers the record in memory. Once the log
+//     holds the image since the page was last clean, AppendDelta may log
+//     an in-place update's bytes instead; it stamps only the LSN.
 //  2. Sync (or SyncTo) makes buffered records durable, in order, on the
 //     log's own disk.Device. A Sync is the commit point: everything
 //     appended before a completed Sync survives any later crash.
@@ -19,9 +21,10 @@
 //
 // After a crash, Recover scans the log from the front, discards the
 // torn tail (first record whose header, sequence, or checksum fails),
-// and reinstalls every logged image onto any data page that is missing,
-// corrupt, or older than the image — restoring the database to exactly
-// the state of the last completed Sync.
+// reinstalls every logged image onto any data page that is missing,
+// corrupt, or older than the image, and applies every delta onto the
+// page state it follows — restoring the database to exactly the state
+// of the last completed Sync.
 package wal
 
 import (
@@ -50,7 +53,12 @@ import (
 // Records span page boundaries freely; the page after the last written
 // byte is zero-filled, so a clean log ends at a zero magic.
 //
-// A second record kind shares the layout with a different magic:
+// A delta record (magic "WALD") shares the layout; its payload is
+// [8B prev LSN][2B offset][bytes]. The bytes replace the page's at the
+// offset, past the page header; prev is the LSN of the page's previous
+// record.
+//
+// A further record kind shares the layout with a different magic:
 // ownership (cutover) records, appended by the fleet's live-resharding
 // migrator. Their header reuses the page-id slot for the range's low
 // page and the length slot for the payload — [4B hi page][owner name]:
@@ -69,9 +77,11 @@ import (
 // ranges never cut stay with their pre-join owner — so at every crash
 // point each page has exactly one owner.
 const (
-	recMagic   = 0x57414C52 // "WALR"
-	ownMagic   = 0x57414C4F // "WALO"
-	recHdrSize = 24
+	recMagic     = 0x57414C52 // "WALR"
+	deltaMagic   = 0x57414C44 // "WALD"
+	ownMagic     = 0x57414C4F // "WALO"
+	recHdrSize   = 24
+	deltaHdrSize = 10 // a delta payload's prev LSN and offset
 
 	// maxImage bounds the length field during scans, so a corrupt
 	// header cannot cause a giant allocation.
@@ -171,16 +181,10 @@ func (w *Writer) RegisterMetrics(r *metrics.Registry, log string) {
 func (w *Writer) Append(id disk.PageID, img []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return 0, ErrClosed
+	lsn, err := w.takeLSN()
+	if err != nil {
+		return 0, err
 	}
-	if w.err != nil {
-		return 0, w.err
-	}
-	lsn := w.nextLSN
-	w.nextLSN++
-	w.appendedLSN = lsn
-
 	page.Wrap(img).SetLSN(lsn)
 	h := w.appendHeader(recMagic, lsn, id, len(img))
 	// The page checksum and the record CRC over the header and the
@@ -212,6 +216,53 @@ func (w *Writer) AppendOwnership(lo, hi disk.PageID, owner string) (uint64, erro
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	lsn, err := w.takeLSN()
+	if err != nil {
+		return 0, err
+	}
+	n := 4 + len(owner)
+	h := w.appendHeader(ownMagic, lsn, lo, n)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(hi))
+	w.buf = append(w.buf, owner...)
+	w.seal(h)
+	w.appends.Inc()
+	w.tr.WAL(trace.KindAppend, int64(lo), lsn, int64(n))
+	return lsn, nil
+}
+
+// AppendDelta logs bytes [off, off+n) of img, page id's image, past its
+// header, as a delta on the LSN img carries, and stamps img with the new
+// LSN; its checksum is left for the pool's flush. The caller guarantees
+// that the log holds the page's full image since the page was last
+// clean and that no other byte changed since the page's last record.
+func (w *Writer) AppendDelta(id disk.PageID, img []byte, off, n int) (uint64, error) {
+	if off < page.HeaderSize || n < 1 || off+n > len(img) {
+		return 0, fmt.Errorf("wal: delta [%d, %d) of a %d-byte page", off, off+n, len(img))
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	pg := page.Wrap(img)
+	prev := pg.LSN()
+	if prev == 0 || prev >= w.nextLSN {
+		return 0, fmt.Errorf("wal: delta of page %d follows LSN %d, not a record of this log (next %d)", id, prev, w.nextLSN)
+	}
+	lsn, err := w.takeLSN()
+	if err != nil {
+		return 0, err
+	}
+	pg.SetLSN(lsn)
+	h := w.appendHeader(deltaMagic, lsn, id, deltaHdrSize+n)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, prev)
+	w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(off))
+	w.buf = append(w.buf, img[off:off+n]...)
+	w.seal(h)
+	w.appends.Inc()
+	w.tr.WAL(trace.KindAppend, int64(id), lsn, int64(n))
+	return lsn, nil
+}
+
+// takeLSN hands out the next LSN, or why there is none. Caller holds mu.
+func (w *Writer) takeLSN() (uint64, error) {
 	if w.closed {
 		return 0, ErrClosed
 	}
@@ -221,16 +272,13 @@ func (w *Writer) AppendOwnership(lo, hi disk.PageID, owner string) (uint64, erro
 	lsn := w.nextLSN
 	w.nextLSN++
 	w.appendedLSN = lsn
+	return lsn, nil
+}
 
-	n := 4 + len(owner)
-	h := w.appendHeader(ownMagic, lsn, lo, n)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(hi))
-	w.buf = append(w.buf, owner...)
+// seal fills in the CRC of the record at h, which ends the buffer.
+func (w *Writer) seal(h int) {
 	crc := crc32.Update(crc32.Update(0, castagnoli, w.buf[h:h+20]), castagnoli, w.buf[h+recHdrSize:])
 	binary.LittleEndian.PutUint32(w.buf[h+20:], crc)
-	w.appends.Inc()
-	w.tr.WAL(trace.KindAppend, int64(lo), lsn, int64(n))
-	return lsn, nil
 }
 
 // appendHeader appends a record header for an n-byte payload to the
