@@ -18,9 +18,9 @@ test:
 
 # Every allocation pin, uncached and once: each is a Test…Allocs that
 # counts with testing.AllocsPerRun (the log's append path with MemStats)
-# — a page read or a run over the wire (0), a pool hit (0), an untraced
-# device read (0), an elevator step (0), Store.Get (3) and Store.Update
-# with a log attached (0), a record of the redo (1, its image), an
+# — a page read or a run over the wire (0), a pool hit (0), a pool miss
+# over a local device (0), an untraced device read (0), an elevator step
+# (0), Store.Get (3) and Store.Update with a log attached (0), a record of the redo (1, its image), an
 # appended log image and an appended delta (each ≤ 0.05), a replica's
 # apply of a shipped image and delta (0), a query's allocations per
 # assembled object, the disabled tracing path and the replica-less router
@@ -104,8 +104,9 @@ disk-check:
 # lifetime on every way a query can end, the byte-for-byte comparison of
 # every frame with the encoders it replaced, the frame reader under
 # every split of its input, the late answer that must leave a returned
-# buffer alone, a run the peer refuses read page by page, every way the
-# router can send a run, the storm of runs under a fleet that changes,
+# buffer alone, a run the peer refuses read page by page, when a read
+# moves the client's arm (page reads failed or refused, a failed run),
+# every way the router can send a run, the storm of runs under a fleet that changes,
 # the storm of pipelined reads past a stalled one on the page server's
 # kept handlers, a follower of a log of images and deltas ending
 # byte-identical to its primary and one primed past a gap stopping at
@@ -114,7 +115,7 @@ disk-check:
 # shipped image and delta) — then once more under the
 # race detector, then one iteration of the two round-trip benchmarks
 # (a page, a run) so that they cannot rot unbuilt.
-WIRE_TESTS = TestFixBatchMatchesFixLoop|TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestWireReadRunAllocs|TestReadRunFallsBackPageByPage|TestReplicaLessReadAllocs|TestRouterRunPaths|TestOverlappedBatchStorm|TestKeptHandlersStorm|TestReplicaFollowsDeltas|TestReplicaStopsAtDeltaGap|TestReplicaApplyAllocs
+WIRE_TESTS = TestFixBatchMatchesFixLoop|TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestWireReadRunAllocs|TestReadRunFallsBackPageByPage|TestReadArmBookings|TestReplicaLessReadAllocs|TestRouterRunPaths|TestOverlappedBatchStorm|TestKeptHandlersStorm|TestReplicaFollowsDeltas|TestReplicaStopsAtDeltaGap|TestReplicaApplyAllocs
 WIRE_PKGS = ./internal/buffer ./internal/assembly ./internal/pagesvc ./internal/shard
 wire-check:
 	$(GO) test -count=1 -run '$(WIRE_TESTS)' $(WIRE_PKGS)
@@ -270,10 +271,11 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Non-test Go lines outside benchmark/ — the number ROADMAP aim 2
-# tracks.
+# Go lines outside benchmark/: non-test first (the number ROADMAP aim 2
+# tracks), then test files.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
+	@find . -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt db.pages db.manifest trace.jsonl

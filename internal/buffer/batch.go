@@ -2,76 +2,34 @@ package buffer
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sync"
 
 	"revelation/internal/disk"
-	"revelation/internal/page"
-	"revelation/internal/qtrace"
-	"revelation/internal/trace"
 )
 
 // A batch of fixes whose device reads overlap, and the goroutines that
-// run those reads. This lives apart from buffer.go and victim.go on
-// purpose: what a hit touches there is laid out by measurement
-// (DESIGN.md §6), and nothing in this file is on that path.
+// run those reads. They live apart from buffer.go and victim.go, where
+// what a fix touches — fixLocked and unfixLocked, which FixBatch shares
+// with Fix and Unfix — is laid out by measurement (DESIGN.md §6).
 //
 // FixBatch is FixAs followed by Unfix for each page, in argument order —
 // the same ticks, hits, victims, evictions, admissions, counters and
 // buffer events as that loop, whatever the devices do and in whatever
-// order they answer. What it changes is when, and in what shape, the
-// device is read: the pages the batch will miss on are read first, all
-// lanes together and each lane's as one run (disk.ReadPages), each page
-// into a buffer of the lane that reads it; the loop then runs with those
-// reads already made, and a miss takes its image by trading buffers with
-// the lane instead of waiting for the device. Nothing about the pool is
-// decided while the reads are out, so nothing can depend on which of
-// them comes back first.
+// order they answer, because it runs those same bodies. What it changes
+// is when, and in what shape, the device is read: the pages the batch
+// will miss on are read first, all lanes together and each lane's as one
+// run (disk.ReadPages), each page into a buffer of the lane that reads
+// it; the loop then runs with those reads already made, and a miss takes
+// its image by trading buffers with the lane instead of waiting for the
+// device. Nothing about the pool is decided while the reads are out, so
+// nothing can depend on which of them comes back first.
 
 // Run is one device lane's share of a batch: pages of that lane, in the
 // order its arm should visit them, fixed under one context.
 type Run struct {
 	Ctx context.Context
 	IDs []disk.PageID
-}
-
-// load is one page read made for a fix: where it goes and how it ended.
-type load struct {
-	run, at int // position in the batch: which run, which of its pages
-	id      disk.PageID
-	buf     []byte
-
-	retries int   // transient faults absorbed by the retry policy
-	err     error // the device's answer once the policy gave up
-	sum     error // page.Verify's, when the device delivered
-}
-
-// read reads and verifies the page under p's retry policy. It touches no
-// pool state but dev and retry, which the goroutine holding p.mu for
-// this load keeps still.
-func (ld *load) read(p *Pool, ctx context.Context) {
-	ld.settle(p, ctx, disk.ReadPageCtx(ctx, p.dev, ld.id, ld.buf))
-}
-
-// settle finishes a read whose first attempt ended with first: the retry
-// policy takes it from there, as if it had made that attempt itself,
-// and a page that arrived is verified.
-func (ld *load) settle(p *Pool, ctx context.Context, first error) {
-	ld.retries, ld.err, ld.sum = 0, first, nil
-	if first != nil {
-		made := false
-		ld.retries, ld.err = p.retry.Do(func() error {
-			if !made {
-				made = true
-				return first
-			}
-			return disk.ReadPageCtx(ctx, p.dev, ld.id, ld.buf)
-		})
-	}
-	if ld.err == nil {
-		ld.sum = page.Verify(ld.buf)
-	}
 }
 
 // runLoad is the reads made for one Run: its pages that will miss, and
@@ -238,83 +196,8 @@ func (p *Pool) FixBatch(runs []Run, ls *Lanes) {
 				ld, pages = &pages[0], pages[1:]
 			}
 			if f, err := p.fixLocked(run.Ctx, id, ld); err == nil {
-				p.unfixLocked(f)
+				p.unfixLocked(f, false, 0, 0)
 			}
 		}
-	}
-}
-
-// fixLocked is fix, step for step, for a caller that holds mu and may
-// bring the device read with it: ld, when not nil, is the read of page
-// id already made, and a miss takes the image out of it.
-func (p *Pool) fixLocked(ctx context.Context, id disk.PageID, ld *load) (*Frame, error) {
-	if p.closed {
-		return nil, ErrPoolClosed
-	}
-	sp := qtrace.From(ctx)
-	p.tick++
-	if f := p.resident(id); f != nil {
-		f.pins++
-		if f.pins == 1 {
-			p.pinned.Add(1)
-		}
-		f.stamp = p.tick
-		p.hits.Inc()
-		sp.OnHit()
-		p.notePins()
-		if p.tr != nil {
-			p.tr.Buffer(trace.KindHit, int64(id), 0, sp.QID())
-		}
-		return f, nil
-	}
-	f, err := p.victimLocked()
-	if err != nil {
-		return nil, err
-	}
-	if ld == nil {
-		ld = &load{id: id, buf: f.data}
-		ld.read(p, ctx)
-	} else {
-		// The frame's old buffer becomes the lane's next one.
-		f.data, ld.buf = ld.buf, f.data
-	}
-	p.retries.Add(int64(ld.retries))
-	if ld.retries > 0 {
-		sp.OnIORetries(int64(ld.retries))
-	}
-	p.classifyErr(ld.err)
-	if ld.err != nil {
-		p.emptyLocked(f)
-		return nil, ld.err
-	}
-	if ld.sum != nil {
-		p.emptyLocked(f)
-		p.checksumFails.Inc()
-		if p.tr != nil {
-			p.tr.ChecksumFail(int64(id))
-		}
-		return nil, fmt.Errorf("buffer: fix page %d: %w", id, ld.sum)
-	}
-	p.admitLocked(f, id, false)
-	p.faults.Inc()
-	sp.OnMiss()
-	if p.tr != nil {
-		p.tr.Buffer(trace.KindMiss, int64(id), 0, sp.QID())
-	}
-	return f, nil
-}
-
-// unfixLocked is Unfix(f, false) for a caller that holds mu and the pin.
-func (p *Pool) unfixLocked(f *Frame) {
-	f.pins--
-	if f.pins == 0 {
-		p.pinned.Add(-1)
-		if f.place == placeNone {
-			p.pushLRU(f)
-		}
-		p.notifyFree()
-	}
-	if p.tr != nil {
-		p.tr.Buffer(trace.KindUnfix, int64(f.id), 0, 0)
 	}
 }

@@ -1,11 +1,13 @@
 package buffer
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
 
 	"revelation/internal/disk"
+	"revelation/internal/qtrace"
 )
 
 // hitPool returns a pool with page 3 resident and unpinned.
@@ -74,6 +76,36 @@ func missSweep(tb testing.TB, frames int) (p *Pool, step func()) {
 		step()
 	}
 	return p, step
+}
+
+// TestFixMissAllocs pins the miss path — Fix of a page that is not
+// resident, its read from a local Sim and the eviction it makes, then its
+// Unfix — at no allocation, with a nil ctx and with a query span. It is
+// the body FixBatch runs for each of its pages.
+func TestFixMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	_, sp := qtrace.NewCollector(1).Begin("q")
+	for _, ctx := range []context.Context{nil, qtrace.With(context.Background(), sp)} {
+		p, _ := missSweep(t, 16)
+		pages, next := p.Device().NumPages(), 0
+		before := p.Stats().Faults
+		allocs := testing.AllocsPerRun(1000, func() {
+			f, err := p.FixAs(ctx, disk.PageID(next))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Unfix(f, false)
+			next = (next + 1) % pages
+		})
+		if got := p.Stats().Faults - before; got != 1001 {
+			t.Fatalf("%d misses in 1001 fixes", got)
+		}
+		if allocs != 0 {
+			t.Errorf("Fix miss + Unfix (span %v) allocates %v times, want 0", ctx != nil, allocs)
+		}
+	}
 }
 
 func BenchmarkFixMiss(b *testing.B) {

@@ -302,19 +302,6 @@ func (p *Pool) SetRetry(rp disk.RetryPolicy) {
 	p.retry = rp
 }
 
-// readLocked reads a page under the retry policy, attributing the
-// device read and any absorbed transient retries to the query span in
-// ctx (nil ctx: unattributed). Caller holds mu.
-func (p *Pool) readLocked(ctx context.Context, id disk.PageID, buf []byte) error {
-	retries, err := p.retry.Do(func() error { return disk.ReadPageCtx(ctx, p.dev, id, buf) })
-	p.retries.Add(int64(retries))
-	if retries > 0 {
-		qtrace.From(ctx).OnIORetries(int64(retries))
-	}
-	p.classifyErr(err)
-	return err
-}
-
 // writeLocked writes a page under the retry policy. Caller holds mu.
 func (p *Pool) writeLocked(id disk.PageID, buf []byte) error {
 	retries, err := p.retry.Do(func() error { return p.dev.WritePage(id, buf) })
@@ -346,7 +333,7 @@ func (p *Pool) PinnedFrames() int { return int(p.pinned.Value()) }
 // and returns the frame. Every successful Fix must be paired with an
 // Unfix.
 func (p *Pool) Fix(id disk.PageID) (*Frame, error) {
-	return p.fix(nil, id)
+	return p.FixAs(nil, id)
 }
 
 // FixAs is Fix with per-query attribution: the hit or miss (and the
@@ -356,12 +343,15 @@ func (p *Pool) Fix(id disk.PageID) (*Frame, error) {
 // immediately, and the caller sheds its own pins and calls WaitFrame
 // before retrying. A nil ctx behaves exactly like Fix.
 func (p *Pool) FixAs(ctx context.Context, id disk.PageID) (*Frame, error) {
-	return p.fix(ctx, id)
-}
-
-func (p *Pool) fix(ctx context.Context, id disk.PageID) (*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.fixLocked(ctx, id, nil)
+}
+
+// fixLocked is FixAs for a caller that holds mu. ld, when not nil, is the
+// read of page id that FixBatch already made, and a miss takes the image
+// out of it; otherwise a miss reads the page into the victim frame.
+func (p *Pool) fixLocked(ctx context.Context, id disk.PageID, ld *load) (*Frame, error) {
 	if p.closed {
 		return nil, ErrPoolClosed
 	}
@@ -385,12 +375,24 @@ func (p *Pool) fix(ctx context.Context, id disk.PageID) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.readLocked(ctx, id, f.data); err != nil {
+	if ld == nil {
+		ld = &load{id: id, buf: f.data}
+		ld.settle(p, ctx, disk.ReadPageCtx(ctx, p.dev, id, f.data))
+	} else {
+		// The frame's old buffer becomes the lane's next one.
+		f.data, ld.buf = ld.buf, f.data
+	}
+	p.retries.Add(int64(ld.retries))
+	if ld.retries > 0 {
+		sp.OnIORetries(int64(ld.retries))
+	}
+	p.classifyErr(ld.err)
+	if ld.err != nil {
 		// Leave the frame free for the next caller.
 		p.emptyLocked(f)
-		return nil, err
+		return nil, ld.err
 	}
-	if err := page.Verify(f.data); err != nil {
+	if ld.sum != nil {
 		// A torn or corrupt image must never be interpreted: reject the
 		// read and leave the frame free. Recovery (internal/wal) is the
 		// only path that may overwrite such a page.
@@ -399,7 +401,7 @@ func (p *Pool) fix(ctx context.Context, id disk.PageID) (*Frame, error) {
 		if p.tr != nil {
 			p.tr.ChecksumFail(int64(id))
 		}
-		return nil, fmt.Errorf("buffer: fix page %d: %w", id, err)
+		return nil, fmt.Errorf("buffer: fix page %d: %w", id, ld.sum)
 	}
 	p.admitLocked(f, id, false)
 	p.faults.Inc()
@@ -408,6 +410,39 @@ func (p *Pool) fix(ctx context.Context, id disk.PageID) (*Frame, error) {
 		p.tr.Buffer(trace.KindMiss, int64(id), 0, sp.QID())
 	}
 	return f, nil
+}
+
+// load is one page read made for a fix: where it goes and how it ended.
+type load struct {
+	run, at int // position in a FixBatch: which run, which of its pages
+	id      disk.PageID
+	buf     []byte
+
+	retries int   // transient faults absorbed by the retry policy
+	err     error // the device's answer once the policy gave up
+	sum     error // page.Verify's, when the device delivered
+}
+
+// settle finishes a read whose first attempt ended with first: the retry
+// policy takes it from there, as if it had made that attempt itself,
+// and a page that arrived is verified. Every attempt is attributed to
+// the query span in ctx. It touches no pool state but dev and retry,
+// which the goroutine holding p.mu for this load keeps still.
+func (ld *load) settle(p *Pool, ctx context.Context, first error) {
+	ld.retries, ld.err, ld.sum = 0, first, nil
+	if first != nil {
+		made := false
+		ld.retries, ld.err = p.retry.Do(func() error {
+			if !made {
+				made = true
+				return first
+			}
+			return disk.ReadPageCtx(ctx, p.dev, ld.id, ld.buf)
+		})
+	}
+	if ld.err == nil {
+		ld.sum = page.Verify(ld.buf)
+	}
 }
 
 // FixNew allocates a fresh page on the device, pins it with zeroed
@@ -468,20 +503,23 @@ func (p *Pool) notePins() {
 // Unfix releases one pin on the frame; setDirty marks the page as
 // modified so it is written back before reuse.
 func (p *Pool) Unfix(f *Frame, setDirty bool) error {
-	return p.unfix(f, setDirty, 0, 0)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.unfixLocked(f, setDirty, 0, 0)
 }
 
 // UnfixRange is Unfix(f, true) for a caller that changed only bytes
 // [off, off+n), past the page header. It logs just those bytes when the
 // WAL is a DeltaWAL that holds the page's image since it was last clean.
 func (p *Pool) UnfixRange(f *Frame, off, n int) error {
-	return p.unfix(f, true, off, n)
-}
-
-// unfix is Unfix, and UnfixRange when n > 0.
-func (p *Pool) unfix(f *Frame, setDirty bool, off, n int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.unfixLocked(f, true, off, n)
+}
+
+// unfixLocked is Unfix, and UnfixRange when n > 0, for a caller that
+// holds mu.
+func (p *Pool) unfixLocked(f *Frame, setDirty bool, off, n int) error {
 	if f.pins <= 0 {
 		return fmt.Errorf("%w: page %d", ErrNotPinned, f.id)
 	}

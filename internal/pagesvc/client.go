@@ -503,25 +503,9 @@ func (c *Client) ReadPage(p disk.PageID, buf []byte) error {
 // query span carried in ctx, and the query id travels in the request
 // frame so the server can attribute its side of the work too.
 func (c *Client) ReadPageCtx(ctx context.Context, p disk.PageID, buf []byte) error {
-	sp := qtrace.From(ctx)
-	// One reqID for the whole logical read: every retry and reconnect
-	// re-send below reuses it.
-	reqID, err := c.begin(p, buf, true, sp)
-	if err != nil {
-		return err
-	}
-	pages, dst := [1]disk.PageID{p}, [1][]byte{buf}
-	_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
-		resp, err := c.call(opRead, pages[:], nil, reqID, sp, dst[:])
-		if err != nil {
-			return err
-		}
-		if !resp.inPlace {
-			return fmt.Errorf("%w: %d-byte page, want %d", ErrBadFrame, len(resp.body), len(buf))
-		}
-		return nil // the page arrived in buf
-	})
-	return err
+	ids, bufs, errs := [1]disk.PageID{p}, [1][]byte{buf}, [1]error{}
+	c.readRun(ctx, ids[:], bufs[:], errs[:])
+	return errs[0]
 }
 
 // ReadPages implements disk.RunReader: the run travels as one request
@@ -540,26 +524,33 @@ func (c *Client) ReadPages(ctx context.Context, ids []disk.PageID, bufs [][]byte
 	}
 }
 
-// readRun reads a run that fits one frame. A run of one page is a page
-// read; so is each page of a run that names a page or a buffer the
-// client would refuse, which then gets that verdict alone.
+// readRun reads a run that fits one frame — a page read when it is of
+// one page, which begin books — under one request id that every retry
+// and re-send reuses. A run the client refuses is read page by page, so
+// that each page gets its own verdict.
 func (c *Client) readRun(ctx context.Context, ids []disk.PageID, bufs [][]byte, errs []error) {
-	reqID, err := c.beginRun(ids, bufs)
-	if err != nil || len(ids) == 1 {
-		for i, p := range ids {
-			errs[i] = c.ReadPageCtx(ctx, p, bufs[i])
+	sp := qtrace.From(ctx)
+	reqID, err := c.begin(ids, bufs, true, sp)
+	if err != nil && len(ids) > 1 {
+		for i := range ids {
+			c.readRun(ctx, ids[i:i+1], bufs[i:i+1], errs[i:i+1])
 		}
 		return
 	}
-	sp := qtrace.From(ctx)
-	_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
-		resp, err := c.call(opReadN, ids, nil, reqID, sp, bufs)
-		if err == nil && !resp.inPlace {
-			err = fmt.Errorf("%w: %d bytes for a run of %d pages", ErrBadFrame, len(resp.body), len(ids))
-		}
-		return err
-	})
 	if err == nil {
+		op := opReadN
+		if len(ids) == 1 {
+			op = opRead
+		}
+		_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
+			resp, err := c.call(op, ids, nil, reqID, sp, bufs)
+			if err == nil && !resp.inPlace {
+				err = fmt.Errorf("%w: %d bytes for a run of %d pages", ErrBadFrame, len(resp.body), len(ids))
+			}
+			return err
+		})
+	}
+	if err == nil && len(ids) > 1 {
 		c.mu.Lock()
 		for _, p := range ids {
 			c.arm.Seek(p, true, sp)
@@ -574,11 +565,11 @@ func (c *Client) readRun(ctx context.Context, ids []disk.PageID, bufs [][]byte, 
 // WritePage writes page p through to the endpoint; when it is down
 // writes fail transiently until it returns.
 func (c *Client) WritePage(p disk.PageID, buf []byte) error {
-	reqID, err := c.begin(p, buf, false, nil)
+	pages, bufs := [1]disk.PageID{p}, [1][]byte{buf}
+	reqID, err := c.begin(pages[:], bufs[:], false, nil)
 	if err != nil {
 		return err
 	}
-	pages := [1]disk.PageID{p}
 	_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
 		// Page id and image meet in the connection's frame buffer.
 		_, err := c.call(opWrite, pages[:], buf, reqID, nil, nil)
@@ -683,47 +674,26 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// begin opens one logical page access in one critical section: it
-// validates the access, books it on the local arm — once, before the
-// wire call and whatever its outcome: the arm models where the elevator
-// sent the head, and retries and re-sends are the wire's business — and
-// draws the access's request id.
-func (c *Client) begin(p disk.PageID, buf []byte, read bool, sp *qtrace.Span) (reqID uint64, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.refuses(p, buf); err != nil {
-		return 0, err
-	}
-	c.arm.Seek(p, read, sp)
-	c.reqID++
-	return c.reqID, nil
-}
-
-// refuses says why an access to page p through buf never goes on the
-// wire — the client is closed, or the access is malformed against the
-// cached geometry — or nil. Caller holds c.mu.
-func (c *Client) refuses(p disk.PageID, buf []byte) error {
-	switch {
-	case c.closed.Load():
-		return disk.ErrClosed
-	case len(buf) != c.pageSize:
-		return disk.ErrBadLength
-	case int(p) >= c.numPages:
-		return fmt.Errorf("%w: page %d of %d", disk.ErrOutOfRange, p, c.numPages)
-	}
-	return nil
-}
-
-// beginRun opens the read of a run of several pages: it validates every
-// page as begin would and draws the one request id the run travels
-// under. The arm is not moved here: a run is booked when it has arrived.
-func (c *Client) beginRun(ids []disk.PageID, bufs [][]byte) (reqID uint64, err error) {
+// begin opens an access to pages ids through bufs in one critical
+// section: it refuses a closed client or a page malformed against the
+// cached geometry, books a one-page access on the local arm once — before
+// the call, whatever its outcome: the arm models where the elevator sent
+// the head, retries are the wire's business — and draws its request id.
+func (c *Client) begin(ids []disk.PageID, bufs [][]byte, read bool, sp *qtrace.Span) (reqID uint64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, p := range ids {
-		if err := c.refuses(p, bufs[i]); err != nil {
-			return 0, err
+		switch {
+		case c.closed.Load():
+			return 0, disk.ErrClosed
+		case len(bufs[i]) != c.pageSize:
+			return 0, disk.ErrBadLength
+		case int(p) >= c.numPages:
+			return 0, fmt.Errorf("%w: page %d of %d", disk.ErrOutOfRange, p, c.numPages)
 		}
+	}
+	if len(ids) == 1 {
+		c.arm.Seek(ids[0], read, sp)
 	}
 	c.reqID++
 	return c.reqID, nil

@@ -553,6 +553,57 @@ func TestReadRunFallsBackPageByPage(t *testing.T) {
 	}
 }
 
+// TestReadArmBookings pins when a read moves the client's arm. A page
+// read is booked once, before the call, whatever the server answers; a
+// read the client refuses and a run that is not answered book nothing.
+func TestReadArmBookings(t *testing.T) {
+	ctx := context.Background()
+	c := wirePair(t, numberedPages(t, 8), ClientConfig{Retry: disk.DefaultRetryPolicy})
+	c.mu.Lock()
+	c.numPages = 16 // pages 8..15 are off the server's device
+	c.mu.Unlock()
+	buf := make([]byte, c.PageSize())
+	check := func(what string, reads int64, head disk.PageID) {
+		t.Helper()
+		if st, h := c.Stats(), c.Head(); st.Reads != reads || h != head {
+			t.Errorf("after %s: %d reads booked, head %d; want %d, head %d", what, st.Reads, h, reads, head)
+		}
+	}
+
+	if err := c.ReadPageCtx(ctx, 5, buf); err != nil {
+		t.Fatal(err)
+	}
+	check("a page read", 1, 5)
+	if err := c.ReadPageCtx(ctx, 12, buf); err == nil {
+		t.Fatal("a page off the server's device was read")
+	}
+	check("a page read the server fails", 2, 12)
+	errs := make([]error, 1)
+	c.ReadPages(ctx, []disk.PageID{14}, [][]byte{buf}, errs)
+	if errs[0] == nil {
+		t.Fatal("a run of one page off the server's device was read")
+	}
+	check("a run of one page the server fails", 3, 14)
+
+	if err := c.ReadPageCtx(ctx, 99, buf); !errors.Is(err, disk.ErrOutOfRange) {
+		t.Fatalf("page past the extent: %v", err)
+	}
+	if err := c.ReadPageCtx(ctx, 3, buf[:1]); !errors.Is(err, disk.ErrBadLength) {
+		t.Fatalf("short buffer: %v", err)
+	}
+	check("page reads the client refuses", 3, 14)
+
+	bufs := [][]byte{make([]byte, c.PageSize()), make([]byte, c.PageSize()), make([]byte, c.PageSize())}
+	errs = make([]error, 3)
+	c.ReadPages(ctx, []disk.PageID{1, 13, 3}, bufs, errs)
+	for i, err := range errs {
+		if err == nil {
+			t.Errorf("page %d of a run the server fails was read", i)
+		}
+	}
+	check("a run the server fails", 3, 14)
+}
+
 // oldPeer plays, over the reference encoders, a server from before
 // opReadN with pages pages of ps bytes, each filled with its number: it
 // answers info and single reads, and refuses every other op as unknown.

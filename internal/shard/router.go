@@ -610,16 +610,25 @@ func (r *Router) CutOver(lo, hi disk.PageID, owner string) int {
 func (r *Router) checkAccess(p disk.PageID, buf []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return disk.ErrClosed
-	}
-	if len(buf) != r.ps {
-		return disk.ErrBadLength
-	}
-	if int(p) >= r.size {
-		return fmt.Errorf("%w: page %d of %d", disk.ErrOutOfRange, p, r.size)
+	if err := r.refusesLocked(p, buf); err != nil {
+		return err
 	}
 	r.last = p
+	return nil
+}
+
+// refusesLocked says why an access to page p through buf never reaches
+// a member — the router is closed, or the access is malformed against
+// the global geometry — or nil. Caller holds r.mu.
+func (r *Router) refusesLocked(p disk.PageID, buf []byte) error {
+	switch {
+	case r.closed:
+		return disk.ErrClosed
+	case len(buf) != r.ps:
+		return disk.ErrBadLength
+	case int(p) >= r.size:
+		return fmt.Errorf("%w: page %d of %d", disk.ErrOutOfRange, p, r.size)
+	}
 	return nil
 }
 
@@ -975,20 +984,20 @@ func (r *Router) ReadPages(ctx context.Context, ids []disk.PageID, bufs [][]byte
 }
 
 // routeRun validates and routes a run in one critical section, as
-// checkAccess and the routing step of attemptOnce do for a page. It
-// returns the member that owns every page of the run and its state —
-// with whether the shard stood in a degraded episode — or a nil state
-// when there is no such member, the member has a replica, or any page
-// would be refused.
+// checkAccess (through the same refusesLocked) and the routing step of
+// attemptOnce do for a page. It returns the member that owns every page
+// of the run and its state — with whether the shard stood in a degraded
+// episode — or a nil state when there is no such member, the member has
+// a replica, or any page would be refused.
 func (r *Router) routeRun(ids []disk.PageID, bufs [][]byte) (m Member, st *shardState, degraded bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed || len(ids) == 0 {
+	if len(ids) == 0 {
 		return Member{}, nil, false
 	}
 	owner := r.shardOfLocked(ids[0])
 	for i, p := range ids {
-		if len(bufs[i]) != r.ps || int(p) >= r.size || i > 0 && r.shardOfLocked(p) != owner {
+		if r.refusesLocked(p, bufs[i]) != nil || i > 0 && r.shardOfLocked(p) != owner {
 			return Member{}, nil, false
 		}
 	}
