@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: all check build vet test alloc-check sched-check buffer-check asm-check disk-check wire-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke suite-check trace-demo tracez-smoke serve-demo examples cover loc clean
+.PHONY: all check build vet test alloc-check sched-check buffer-check asm-check disk-check wire-check gen-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke suite-check trace-demo tracez-smoke serve-demo examples cover loc clean
 
 all: check
 
 # The fast gate: what CI's main job runs on every push.
-check: build vet test alloc-check sched-check buffer-check asm-check disk-check wire-check
+check: build vet test alloc-check sched-check buffer-check asm-check disk-check wire-check gen-check
 
 build:
 	$(GO) build ./...
@@ -121,6 +121,18 @@ wire-check:
 	$(GO) test -count=1 -run '$(WIRE_TESTS)' $(WIRE_PKGS)
 	$(GO) test -race -count=1 -run '$(WIRE_TESTS)' $(WIRE_PKGS)
 	$(GO) test -run '^$$' -bench=WireRead -benchtime=1x ./internal/pagesvc
+
+# The generator's one-write load, uncached: every database of a grid
+# (clusterings, sharing, shapes, locators, headroom, pool sizes, over a
+# Sim and over a two-member loopback fleet) built with heap.Load and
+# with the pool path it replaced (heap.Create, Store.PutAt page by page,
+# EvictAll), device bytes and every OID's RID identical; a failed first,
+# middle and last page write reported with the page it names — then one
+# iteration of the build benchmark, which reports device round trips
+# per page for the scan-local and scan-sharded shapes.
+gen-check:
+	$(GO) test -count=1 -run 'TestLoadMatchesPoolLoad|TestBuildWriteFault' ./internal/gen
+	$(GO) test -run '^$$' -bench=Build -benchtime=1x ./internal/gen
 
 # The benchmark is a module of its own (benchmark/go.mod), so build,
 # vet and test above never compile it: an internal/* signature change

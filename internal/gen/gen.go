@@ -198,7 +198,14 @@ func positionCount(fanouts []int) int {
 }
 
 // Build generates a database per the configuration.
-func Build(cfg Config) (*Database, error) {
+func Build(cfg Config) (*Database, error) { return build(cfg, load) }
+
+// loader stores a laid-out database in a fresh extent of len(byPage)
+// pages on the pool's device: byPage[pg]'s objects on page pg, in order,
+// each OID (below next) registered in a new locator of the given kind.
+type loader func(pool *buffer.Pool, byPage [][]*object.Object, next object.OID, kind LocatorKind) (*heap.File, object.Locator, error)
+
+func build(cfg Config, store loader) (*Database, error) {
 	cfg = cfg.withDefaults()
 	for _, f := range cfg.Fanouts {
 		if f < 1 || f > 8 {
@@ -266,34 +273,27 @@ func Build(cfg Config) (*Database, error) {
 	}
 
 	// --- materialize objects ---
-	type placed struct {
-		obj *object.Object
-		pos int
-	}
-	var all []placed
-	rootOf := map[object.OID]object.OID{}
+	// OIDs are dense, 1..next-1, so every per-object table is a slice
+	// indexed by OID.
+	objs := make([]*object.Object, next)
+	rootOf := make(map[object.OID]object.OID, int(next)-1)
 	childrenOf := childPositions(cfg.Fanouts)
 	seq := int32(0)
 	for p := 0; p < positions; p++ {
 		for i := 0; i < perPosCount[p]; i++ {
-			o := &object.Object{
+			objs[oidOf[p][i]] = &object.Object{
 				OID:   oidOf[p][i],
 				Class: classes[p].ID,
 				Ints:  []int32{seq, int32(rng.Intn(1000)), int32(i), int32(p)},
 				Refs:  make([]object.OID, 8),
 			}
 			seq++
-			all = append(all, placed{obj: o, pos: p})
 		}
 	}
 	// Wire references per tree.
-	index := map[object.OID]*object.Object{}
-	for _, pl := range all {
-		index[pl.obj.OID] = pl.obj
-	}
 	for tr := 0; tr < nTrees; tr++ {
 		for p := 0; p < positions; p++ {
-			parent := index[oidOf[p][member[p][tr]]]
+			parent := objs[oidOf[p][member[p][tr]]]
 			for f, cp := range childrenOf[p] {
 				child := oidOf[cp][member[cp][tr]]
 				parent.Refs[f] = child
@@ -311,7 +311,7 @@ func Build(cfg Config) (*Database, error) {
 	// --- physical layout ---
 	objPerPage := (cfg.PageSize - 32 /*page header*/) / (96 + 4) // 9 at 1 KB
 	var filePages int
-	pageOf := map[object.OID]int{} // extent-relative page index
+	pageOf := make([]int, next) // by OID: extent-relative page index
 	switch cfg.Clustering {
 	case InterObject:
 		filePages = positions * cfg.RegionPages
@@ -351,7 +351,7 @@ func Build(cfg Config) (*Database, error) {
 		// partial intra-object clustering is what gives Fig. 11B its
 		// non-trivial curves.
 		innerCount := 0
-		seenOID := map[object.OID]bool{}
+		seenOID := make([]bool, next)
 		order := traversalOrder(cfg.Fanouts)
 		slot := 0
 		for tr := 0; tr < nTrees; tr++ {
@@ -380,9 +380,9 @@ func Build(cfg Config) (*Database, error) {
 		}
 		filePages = innerPages + len(leafIDs)/objPerPage + 1
 	default: // Unclustered
-		ids := make([]object.OID, 0, len(all))
-		for _, pl := range all {
-			ids = append(ids, pl.obj.OID)
+		ids := make([]object.OID, 0, len(objs)-1)
+		for _, o := range objs[1:] {
+			ids = append(ids, o.OID)
 		}
 		rng.Shuffle(len(ids), func(a, b int) { ids[a], ids[b] = ids[b], ids[a] })
 		for i, oid := range ids {
@@ -403,38 +403,13 @@ func Build(cfg Config) (*Database, error) {
 		bufPages = filePages + 128 // "enough buffer space to hold the largest database"
 	}
 	pool := buffer.New(dev, bufPages)
-	file, err := heap.Create(pool, filePages)
+	byPage := make([][]*object.Object, filePages)
+	for _, o := range objs[1:] {
+		byPage[pageOf[o.OID]] = append(byPage[pageOf[o.OID]], o)
+	}
+	file, loc, err := store(pool, byPage, next, cfg.Locator)
 	if err != nil {
 		return nil, err
-	}
-	var loc object.Locator
-	if cfg.Locator == BTreeLocator {
-		tree, err := btree.Create(pool)
-		if err != nil {
-			return nil, err
-		}
-		loc = object.NewBTreeLocator(tree)
-	} else {
-		loc = object.NewMapLocator()
-	}
-	store := object.NewStore(file, loc, cat)
-
-	// Write objects grouped by page for a clean sequential load.
-	byPage := map[int][]*object.Object{}
-	maxPage := 0
-	for _, pl := range all {
-		pg := pageOf[pl.obj.OID]
-		byPage[pg] = append(byPage[pg], pl.obj)
-		if pg > maxPage {
-			maxPage = pg
-		}
-	}
-	for pg := 0; pg <= maxPage; pg++ {
-		for _, o := range byPage[pg] {
-			if _, err := store.PutAt(o, pg); err != nil {
-				return nil, fmt.Errorf("gen: place %v on page %d: %w", o.OID, pg, err)
-			}
-		}
 	}
 	// Load traffic must not pollute the experiment's metric, and the
 	// pool must start cold: the paper measures disk behaviour.
@@ -456,7 +431,7 @@ func Build(cfg Config) (*Database, error) {
 		Config:         cfg,
 		Device:         dev,
 		Pool:           pool,
-		Store:          store,
+		Store:          object.NewStore(file, loc, cat),
 		Template:       tmpl,
 		Roots:          roots,
 		RootOf:         rootOf,
@@ -467,6 +442,54 @@ func Build(cfg Config) (*Database, error) {
 		NextOID:        next,
 		DataPages:      dataPages,
 	}, nil
+}
+
+// load is Build's loader. Each page is composed once and written
+// straight to the device (heap.Load). The RIDs are registered after the
+// extent is down, in the order they were placed, so a B-tree locator's
+// pages still follow the extent on the device and hold exactly what a
+// put-by-put load through the pool leaves in them.
+func load(pool *buffer.Pool, byPage [][]*object.Object, next object.OID, kind LocatorKind) (*heap.File, object.Locator, error) {
+	rids := make([]heap.RID, next)
+	file, err := heap.Load(pool, len(byPage), func(pg int, put func([]byte) (heap.RID, error)) error {
+		for _, o := range byPage[pg] {
+			rec, err := object.Encode(o)
+			if err == nil {
+				rids[o.OID], err = put(rec)
+			}
+			if err != nil {
+				return fmt.Errorf("gen: place %v on page %d: %w", o.OID, pg, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	loc, err := newLocator(pool, kind)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, objs := range byPage {
+		for _, o := range objs {
+			if err := loc.Register(o.OID, rids[o.OID]); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return file, loc, nil
+}
+
+// newLocator returns an empty locator of the given kind over the pool.
+func newLocator(pool *buffer.Pool, kind LocatorKind) (object.Locator, error) {
+	if kind != BTreeLocator {
+		return object.NewMapLocator(), nil
+	}
+	tree, err := btree.Create(pool)
+	if err != nil {
+		return nil, err
+	}
+	return object.NewBTreeLocator(tree), nil
 }
 
 // firstLeafPosition returns the index of the first leaf-level position

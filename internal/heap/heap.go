@@ -24,9 +24,9 @@ const KindHeap uint16 = 0x4845 // "HE"
 
 // Common errors.
 var (
-	ErrFull       = errors.New("heap: extent full")
-	ErrBadPage    = errors.New("heap: page index out of extent")
-	ErrNotInEtent = errors.New("heap: rid outside this file")
+	ErrFull        = errors.New("heap: extent full")
+	ErrBadPage     = errors.New("heap: page index out of extent")
+	ErrNotInExtent = errors.New("heap: rid outside this file")
 )
 
 // RID is a record identifier: the physical address of a record.
@@ -79,7 +79,41 @@ func Create(pool *buffer.Pool, nPages int) (*File, error) {
 	return f, nil
 }
 
-// Open wraps an existing extent previously built by Create.
+// Load allocates an extent of nPages pages and writes each page once,
+// straight to the pool's device: fill places the idx-th page's records
+// with put, in order, and the page goes out formatted as Create formats
+// it and stamped as the pool's flush stamps it. No page enters the pool
+// and nothing is logged, so Load is only for a fresh extent with no log
+// attached; a heap whose writes must go through the log uses Create.
+func Load(pool *buffer.Pool, nPages int, fill func(idx int, put func(rec []byte) (RID, error)) error) (*File, error) {
+	if nPages < 1 {
+		return nil, fmt.Errorf("heap: load with %d pages", nPages)
+	}
+	dev := pool.Device()
+	first, err := dev.Allocate(nPages)
+	if err != nil {
+		return nil, err
+	}
+	pid, pg := first, page.Wrap(make([]byte, dev.PageSize()))
+	put := func(rec []byte) (RID, error) {
+		slot, err := pg.Insert(rec)
+		return RID{Page: pid, Slot: slot}, err
+	}
+	for idx := 0; idx < nPages; idx++ {
+		pid = first + disk.PageID(idx)
+		pg.Init(KindHeap)
+		if err := fill(idx, put); err != nil {
+			return nil, err
+		}
+		pg.Stamp()
+		if err := dev.WritePage(pid, pg.Bytes()); err != nil {
+			return nil, fmt.Errorf("heap: load page %d: %w", pid, err)
+		}
+	}
+	return &File{pool: pool, first: first, n: nPages}, nil
+}
+
+// Open wraps an existing extent previously built by Create or Load.
 func Open(pool *buffer.Pool, first disk.PageID, nPages int) *File {
 	return &File{pool: pool, first: first, n: nPages}
 }
@@ -155,7 +189,7 @@ func (f *File) Get(rid RID, fn func(rec []byte) error) error {
 // A nil ctx behaves exactly like Get.
 func (f *File) GetCtx(ctx context.Context, rid RID, fn func(rec []byte) error) error {
 	if !f.Contains(rid) {
-		return fmt.Errorf("%w: %v", ErrNotInEtent, rid)
+		return fmt.Errorf("%w: %v", ErrNotInExtent, rid)
 	}
 	fr, err := f.pool.FixAs(ctx, rid.Page)
 	if err != nil {
@@ -186,7 +220,7 @@ func (f *File) Read(rid RID) ([]byte, error) {
 // A record that keeps its length is logged alone (Pool.UnfixRange).
 func (f *File) Update(rid RID, n int, fill func(rec []byte)) error {
 	if !f.Contains(rid) {
-		return fmt.Errorf("%w: %v", ErrNotInEtent, rid)
+		return fmt.Errorf("%w: %v", ErrNotInExtent, rid)
 	}
 	fr, err := f.pool.Fix(rid.Page)
 	if err != nil {
@@ -210,7 +244,7 @@ func (f *File) Update(rid RID, n int, fill func(rec []byte)) error {
 // Delete removes the record at rid.
 func (f *File) Delete(rid RID) error {
 	if !f.Contains(rid) {
-		return fmt.Errorf("%w: %v", ErrNotInEtent, rid)
+		return fmt.Errorf("%w: %v", ErrNotInExtent, rid)
 	}
 	fr, err := f.pool.Fix(rid.Page)
 	if err != nil {

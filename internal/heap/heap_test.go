@@ -50,6 +50,37 @@ func TestInsertAtPlacement(t *testing.T) {
 	}
 }
 
+// TestLoadRefusals: Load refuses an empty extent, passes a page's
+// ErrPageFull out through fill, and stops at the page whose fill failed,
+// having written only the pages before it.
+func TestLoadRefusals(t *testing.T) {
+	d := disk.New(0)
+	pool := buffer.New(d, 4)
+	if _, err := Load(pool, 0, nil); err == nil {
+		t.Error("Load of 0 pages succeeded")
+	}
+	big := make([]byte, page.MaxRecordSize(d.PageSize()))
+	_, err := Load(pool, 3, func(idx int, put func([]byte) (RID, error)) error {
+		if idx < 1 {
+			return nil
+		}
+		if _, err := put(big); err != nil {
+			return err
+		}
+		_, err := put(big)
+		return err
+	})
+	if !errors.Is(err, page.ErrPageFull) {
+		t.Fatalf("overfull page: err = %v, want ErrPageFull", err)
+	}
+	if w := d.Stats().Writes; w != 1 {
+		t.Errorf("%d pages written, want 1 (the page before the failed one)", w)
+	}
+	if s := pool.Stats(); s != (buffer.Stats{}) {
+		t.Errorf("pool stats %+v after a load, want zero", s)
+	}
+}
+
 func TestInsertAtBadIndex(t *testing.T) {
 	f, _ := newFile(t, 2, 4)
 	if _, err := f.InsertAt(2, []byte("x")); !errors.Is(err, ErrBadPage) {
@@ -123,13 +154,13 @@ func TestUpdateDelete(t *testing.T) {
 func TestRIDOutsideExtent(t *testing.T) {
 	f, _ := newFile(t, 2, 4)
 	bad := RID{Page: f.First() + disk.PageID(f.NumPages()), Slot: 0}
-	if err := f.Get(bad, func([]byte) error { return nil }); !errors.Is(err, ErrNotInEtent) {
-		t.Errorf("Get outside extent err = %v, want ErrNotInEtent", err)
+	if err := f.Get(bad, func([]byte) error { return nil }); !errors.Is(err, ErrNotInExtent) {
+		t.Errorf("Get outside extent err = %v, want ErrNotInExtent", err)
 	}
-	if err := f.Update(bad, 0, func([]byte) {}); !errors.Is(err, ErrNotInEtent) {
+	if err := f.Update(bad, 0, func([]byte) {}); !errors.Is(err, ErrNotInExtent) {
 		t.Errorf("Update outside extent err = %v", err)
 	}
-	if err := f.Delete(bad); !errors.Is(err, ErrNotInEtent) {
+	if err := f.Delete(bad); !errors.Is(err, ErrNotInExtent) {
 		t.Errorf("Delete outside extent err = %v", err)
 	}
 }
