@@ -15,7 +15,6 @@ import (
 	"revelation/internal/assembly"
 	"revelation/internal/gen"
 	"revelation/internal/suite"
-	"revelation/internal/volcano"
 )
 
 // benchScale shrinks the paper's 1000–4000 complex-object databases to
@@ -75,79 +74,4 @@ func BenchmarkPriorityScheduler(b *testing.B) {
 	}
 	b.ReportMetric(float64(plain.Stats.Fetched), "plain_fetches")
 	b.ReportMetric(float64(prio.Stats.Fetched), "predfirst_fetches")
-}
-
-// BenchmarkAssemblyVsPointerJoin compares the assembly operator to the
-// related-work baseline: a pointer join per reference level (naive and
-// TID-sorted), assembling two-level complex objects.
-func BenchmarkAssemblyVsPointerJoin(b *testing.B) {
-	db, err := gen.Build(gen.Config{NumComplexObjects: 1000, Clustering: gen.Unclustered, Seed: 23})
-	if err != nil {
-		b.Fatal(err)
-	}
-	roots := make([]volcano.Item, len(db.Roots))
-	for i, r := range db.Roots {
-		roots[i] = r
-	}
-	// Two-level template: root + its two children.
-	tmpl := db.Template.Clone()
-	tmpl.Children[0].Children = nil
-	tmpl.Children[1].Children = nil
-
-	cold := func() {
-		if err := db.Pool.EvictAll(); err != nil {
-			b.Fatal(err)
-		}
-		db.Device.ResetStats()
-		db.Device.ResetHead()
-	}
-	var asmSeek, naiveSeek, sortedSeek float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cold()
-		op := assembly.New(volcano.NewSlice(roots), db.Store, tmpl,
-			assembly.Options{Window: 50, Scheduler: assembly.Elevator})
-		if _, err := volcano.Count(op); err != nil {
-			b.Fatal(err)
-		}
-		asmSeek = db.Device.Stats().AvgSeekPerRead()
-
-		for _, mode := range []volcano.PointerJoinMode{volcano.NaivePointer, volcano.SortedPointer} {
-			cold()
-			// Join root objects to child 0, then parents to child 1 —
-			// the n-way pointer join the paper contrasts with
-			// assembly (Section 4: "a pointer join would require at
-			// least one input to be completely scanned before
-			// producing a single result").
-			var rootObjs []volcano.Item
-			for _, r := range db.Roots {
-				o, err := db.Store.Get(r)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rootObjs = append(rootObjs, o)
-			}
-			j0 := volcano.NewPointerJoin(volcano.NewSlice(rootObjs), db.Store, 0, mode)
-			left, err := volcano.Drain(j0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var parents []volcano.Item
-			for _, p := range left {
-				parents = append(parents, p.(volcano.Pair).Left)
-			}
-			j1 := volcano.NewPointerJoin(volcano.NewSlice(parents), db.Store, 1, mode)
-			if _, err := volcano.Count(j1); err != nil {
-				b.Fatal(err)
-			}
-			if mode == volcano.NaivePointer {
-				naiveSeek = db.Device.Stats().AvgSeekPerRead()
-			} else {
-				sortedSeek = db.Device.Stats().AvgSeekPerRead()
-			}
-		}
-	}
-	b.ReportMetric(asmSeek, "assembly_seek/read")
-	b.ReportMetric(naiveSeek, "naive_ptrjoin_seek/read")
-	b.ReportMetric(sortedSeek, "sorted_ptrjoin_seek/read")
 }

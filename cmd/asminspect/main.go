@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"revelation/internal/assembly"
 	"revelation/internal/disk"
@@ -126,8 +125,6 @@ func main() {
 		db.Pool.Stats().Hits, db.Pool.Stats().Faults, 100*db.Pool.Stats().HitRate())
 	fmt.Printf("  window:     peak footprint %d pages, peak reference pool %d\n",
 		ops.PeakWindowPgs, ops.PeakRefPool)
-	fmt.Printf("  est. time:  %v on a period disk (sqrt seek model)\n",
-		disk.DefaultTimeModel.Estimate(st).Round(time.Millisecond))
 }
 
 // verify checksum-scans the raw device (no buffer pool, so corrupt

@@ -36,11 +36,4 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 			g.SetMax(int64(i))
 		}
 	})
-	b.Run("histogram-observe", func(b *testing.B) {
-		var h Histogram
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			h.Observe(int64(i & 1023))
-		}
-	})
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 )
 
@@ -63,10 +62,9 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(strings.ReplaceAll(s, `\`, `\\`), "\n", `\n`)
 }
 
-// labelString renders {k="v",...}; extra appends one more pair (the
-// histogram "le" label). Empty label sets render as "".
-func labelString(names, values []string, extraName, extraValue string) string {
-	if len(names) == 0 && extraName == "" {
+// labelString renders {k="v",...}. Empty label sets render as "".
+func labelString(names, values []string) string {
+	if len(names) == 0 {
 		return ""
 	}
 	var b strings.Builder
@@ -77,22 +75,14 @@ func labelString(names, values []string, extraName, extraValue string) string {
 		}
 		fmt.Fprintf(&b, `%s="%s"`, n, escapeLabelValue(values[i]))
 	}
-	if extraName != "" {
-		if len(names) > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, `%s="%s"`, extraName, escapeLabelValue(extraValue))
-	}
 	b.WriteByte('}')
 	return b.String()
 }
 
 // WriteText renders the registry in Prometheus text exposition format
 // (version 0.0.4): families sorted by name, series sorted by label
-// values, histogram buckets cumulative in ascending le order with the
-// power-of-two upper edges 0, 1, 3, 7, … and a final +Inf. The output
-// of a quiescent registry is deterministic byte-for-byte, which is what
-// the exposition golden test pins.
+// values. The output of a quiescent registry is deterministic
+// byte-for-byte, which is what the exposition golden test pins.
 func (r *Registry) WriteText(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -109,34 +99,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
 		for _, c := range f.sortedChildren() {
-			switch cell := c.cell.(type) {
-			case *Histogram:
-				v := cell.View()
-				hi := 0
-				for i, n := range v.Buckets {
-					if n > 0 {
-						hi = i
-					}
-				}
-				var cum int64
-				for i := 0; i <= hi; i++ {
-					cum += v.Buckets[i]
-					// Bucket i holds values with bitlen == i, so its
-					// inclusive upper edge is 2^i - 1.
-					le := strconv.FormatInt(int64(1)<<uint(i)-1, 10)
-					fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name,
-						labelString(f.labelNames, c.labelValues, "le", le), cum)
-				}
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name,
-					labelString(f.labelNames, c.labelValues, "le", "+Inf"), v.Count)
-				fmt.Fprintf(&b, "%s_sum%s %d\n", f.name,
-					labelString(f.labelNames, c.labelValues, "", ""), v.Sum)
-				fmt.Fprintf(&b, "%s_count%s %d\n", f.name,
-					labelString(f.labelNames, c.labelValues, "", ""), v.Count)
-			default:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name,
-					labelString(f.labelNames, c.labelValues, "", ""), cellValue(cell))
-			}
+			fmt.Fprintf(&b, "%s %d\n", sampleKey(f.name, f.labelNames, c.labelValues), cellValue(c.cell))
 		}
 		rows = append(rows, row{b.String()})
 	}

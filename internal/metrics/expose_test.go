@@ -12,8 +12,7 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 
 // buildExpositionRegistry constructs a registry exercising every corner
 // of the text format: name sanitization, label value escaping,
-// multi-series families in sorted order, gauge functions, and histogram
-// bucket cumulation.
+// multi-series families in sorted order, and gauge functions.
 func buildExpositionRegistry() *Registry {
 	r := NewRegistry()
 	// Name needing sanitization: slashes and a leading digit.
@@ -27,20 +26,11 @@ func buildExpositionRegistry() *Registry {
 	// Gauge function.
 	r.Attach("asm_disk_head_position", "head position in pages",
 		GaugeFunc(func() int64 { return 42 }), "dev", "0")
-	// Histogram: samples 0, 1, 2, 3, 9 land in buckets 0, 1, 2, 2, 4 —
-	// the exposition must cumulate 1, 2, 4, 4, 5 across le 0,1,3,7,15.
-	h := r.Histogram("asm_disk_seek_pages", "seek distance per access")
-	for _, v := range []int64{0, 1, 2, 3, 9} {
-		h.Observe(v)
-	}
-	// Empty histogram: only the +Inf bucket, sum and count.
-	r.Histogram("asm_empty_latency_ns", "no samples yet")
 	return r
 }
 
 // TestExpositionGolden pins the Prometheus text format byte-for-byte:
-// HELP/TYPE lines, family ordering, label escaping, and cumulative
-// histogram buckets. Refresh with:
+// HELP/TYPE lines, family ordering, and label escaping. Refresh with:
 // go test ./internal/metrics -run Golden -update
 func TestExpositionGolden(t *testing.T) {
 	var buf bytes.Buffer

@@ -1,7 +1,7 @@
 // Package metrics is the live-observability substrate of the
-// reproduction: a dependency-free registry of atomic counters, gauges,
-// and power-of-two histograms with labeled families, Prometheus
-// text-format exposition, and snapshot/delta arithmetic.
+// reproduction: a dependency-free registry of atomic counters and
+// gauges with labeled families, Prometheus text-format exposition, and
+// snapshot/delta arithmetic.
 //
 // Where package trace answers "why did this run cost what it did" after
 // the fact (an event stream replayed offline), this package answers
@@ -18,15 +18,9 @@
 //     RMW, whether or not the cell is attached to a registry. Attaching
 //     never wraps or copies a cell, so "metrics enabled" costs exactly
 //     what "metrics disabled" costs at the instrumentation point.
-//   - Histograms use the same power-of-two bucketing as trace.Hist
-//     (bucket 0 holds 0, bucket i holds [2^(i-1), 2^i)), so live and
-//     replayed distributions are directly comparable.
 package metrics
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing cell. The zero value is ready
 // to use; all methods are safe for concurrent use.
@@ -78,77 +72,3 @@ func (g *Gauge) Reset() { g.v.Store(0) }
 // depths, head positions, pool occupancy. The function must be safe to
 // call concurrently with the system it observes.
 type GaugeFunc func() int64
-
-// histBuckets matches trace.Hist: bucket i holds values v with
-// bitlen(v) == i, enough for any int64.
-const histBuckets = 64
-
-// Histogram is a power-of-two histogram cell with atomic buckets. The
-// zero value is ready to use; all methods are safe for concurrent use.
-//
-// A concurrent snapshot (HistView, Snapshot, exposition) is not a
-// consistent cut — counts may be mid-update — but every sample lands
-// exactly once, so at quiescence the view is exact.
-type Histogram struct {
-	buckets [histBuckets]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64
-	max     Gauge
-}
-
-// bucketOf maps a sample to its bucket index (identical to trace.Hist).
-func bucketOf(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	return bits.Len64(uint64(v))
-}
-
-// Observe records one sample; negative samples clamp to zero.
-func (h *Histogram) Observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.buckets[bucketOf(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.max.SetMax(v)
-}
-
-// HistView is a point-in-time copy of a histogram. Its layout matches
-// trace.Hist so live and replayed distributions can be compared (and
-// rendered) with the same tooling.
-type HistView struct {
-	Buckets [histBuckets]int64
-	Count   int64
-	Sum     int64
-	Max     int64
-}
-
-// View copies the histogram.
-func (h *Histogram) View() HistView {
-	var v HistView
-	for i := range h.buckets {
-		v.Buckets[i] = h.buckets[i].Load()
-	}
-	v.Count = h.count.Load()
-	v.Sum = h.sum.Load()
-	v.Max = h.max.Value()
-	return v
-}
-
-// Count returns the number of samples observed.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Reset zeroes the histogram.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.max.Reset()
-}

@@ -34,31 +34,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-func TestHistogramBucketing(t *testing.T) {
-	var h Histogram
-	for _, v := range []int64{0, 1, 2, 3, 4, 7, 8, 1023, -5} {
-		h.Observe(v)
-	}
-	v := h.View()
-	if v.Count != 9 {
-		t.Errorf("count = %d, want 9", v.Count)
-	}
-	if v.Sum != 0+1+2+3+4+7+8+1023 {
-		t.Errorf("sum = %d", v.Sum)
-	}
-	if v.Max != 1023 {
-		t.Errorf("max = %d, want 1023", v.Max)
-	}
-	// Bucket i holds bitlen(v) == i: 0 and -5 → 0; 1 → 1; 2,3 → 2;
-	// 4..7 → 3; 8 → 4; 1023 → 10.
-	want := map[int]int64{0: 2, 1: 1, 2: 2, 3: 2, 4: 1, 10: 1}
-	for i, n := range v.Buckets {
-		if n != want[i] {
-			t.Errorf("bucket %d = %d, want %d", i, n, want[i])
-		}
-	}
-}
-
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("x_total", "x", "policy", "elevator")
@@ -126,7 +101,6 @@ func TestSnapshotDelta(t *testing.T) {
 func TestConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "c", "worker", "w")
-	h := r.Histogram("h_pages", "h")
 	g := r.Gauge("g_depth", "g")
 	r.Attach("f_now", "f", GaugeFunc(func() int64 { return g.Value() }))
 	var wg sync.WaitGroup
@@ -137,7 +111,6 @@ func TestConcurrentScrape(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				c.Inc()
 				g.Add(1)
-				h.Observe(int64(j))
 			}
 		}()
 	}
@@ -151,8 +124,5 @@ func TestConcurrentScrape(t *testing.T) {
 	wg.Wait()
 	if got := c.Value(); got != 4000 {
 		t.Errorf("counter = %d, want 4000", got)
-	}
-	if got := h.Count(); got != 4000 {
-		t.Errorf("hist count = %d, want 4000", got)
 	}
 }

@@ -14,7 +14,6 @@ type Kind int
 const (
 	KindCounter Kind = iota
 	KindGauge
-	KindHistogram
 )
 
 func (k Kind) String() string {
@@ -23,8 +22,6 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -33,7 +30,7 @@ func (k Kind) String() string {
 // child is one labeled time series of a family.
 type child struct {
 	labelValues []string
-	cell        any // *Counter, *Gauge, GaugeFunc, or *Histogram
+	cell        any // *Counter, *Gauge, or GaugeFunc
 }
 
 // family is a named group of same-kind cells distinguished by label
@@ -141,20 +138,8 @@ func (r *Registry) Gauge(name, help string, labelPairs ...string) *Gauge {
 	return g
 }
 
-// Histogram is the histogram analogue of Counter.
-func (r *Registry) Histogram(name, help string, labelPairs ...string) *Histogram {
-	if r == nil {
-		return &Histogram{}
-	}
-	h, ok := r.get(name, help, KindHistogram, labelPairs, func() any { return &Histogram{} }).(*Histogram)
-	if !ok {
-		panic(fmt.Sprintf("metrics: %s is not a histogram", name))
-	}
-	return h
-}
-
-// Attach registers an existing cell — a *Counter, *Gauge, GaugeFunc, or
-// *Histogram — under name with the given label pairs. This is how a
+// Attach registers an existing cell — a *Counter, *Gauge, or GaugeFunc —
+// under name with the given label pairs. This is how a
 // layer that owns its counters (the disk device, the buffer pool)
 // exports them without indirection: the registry holds the same cell
 // the hot path updates. Attaching over an existing series replaces it,
@@ -170,8 +155,6 @@ func (r *Registry) Attach(name, help string, cell any, labelPairs ...string) {
 		kind = KindCounter
 	case *Gauge, GaugeFunc:
 		kind = KindGauge
-	case *Histogram:
-		kind = KindHistogram
 	default:
 		panic(fmt.Sprintf("metrics: cannot attach %T", cell))
 	}

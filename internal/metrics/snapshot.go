@@ -4,9 +4,7 @@ import "strings"
 
 // Snapshot is a point-in-time reading of every scalar sample in a
 // registry, keyed exactly as the exposition renders them:
-// name{k="v",...} for counters and gauges, plus name_count and name_sum
-// for histograms (buckets are omitted — deltas over buckets belong to
-// offline trace analysis).
+// name{k="v",...}.
 //
 // Snapshots exist so the bench harness can report per-run deltas
 // without cold-resetting live counters: snapshot before, snapshot
@@ -16,7 +14,7 @@ type Snapshot map[string]int64
 
 // sampleKey builds the canonical key for a series.
 func sampleKey(name string, labelNames, labelValues []string) string {
-	return name + labelString(labelNames, labelValues, "", "")
+	return name + labelString(labelNames, labelValues)
 }
 
 // Snapshot reads every sample. A nil registry yields an empty snapshot.
@@ -29,13 +27,7 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	for _, f := range r.families {
 		for _, c := range f.children {
-			switch cell := c.cell.(type) {
-			case *Histogram:
-				s[sampleKey(f.name+"_count", f.labelNames, c.labelValues)] = cell.Count()
-				s[sampleKey(f.name+"_sum", f.labelNames, c.labelValues)] = cell.Sum()
-			default:
-				s[sampleKey(f.name, f.labelNames, c.labelValues)] = cellValue(c.cell)
-			}
+			s[sampleKey(f.name, f.labelNames, c.labelValues)] = cellValue(c.cell)
 		}
 	}
 	return s
@@ -43,7 +35,7 @@ func (r *Registry) Snapshot() Snapshot {
 
 // Delta returns s - prev, sample by sample, over the keys present in s
 // (a key absent from prev counts from zero). Deltas are exact for
-// counters and histogram counts; a delta over a gauge is a change in
+// counters; a delta over a gauge is a change in
 // level, meaningful only when the caller knows the gauge is monotone
 // over the interval.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {

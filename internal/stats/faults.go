@@ -10,7 +10,7 @@ import (
 
 // FaultReport aggregates the fault and recovery counters of one
 // assembly run across the whole I/O stack: what the device injected,
-// what the buffer pool and disk server absorbed by retrying, and what
+// what the buffer pool absorbed by retrying, and what
 // the operator retried, quarantined, or stalled on.
 type FaultReport struct {
 	// Device is the injector's view: faults actually delivered.
@@ -18,9 +18,6 @@ type FaultReport struct {
 	// PoolRetries counts device reads/writes the buffer pool repeated
 	// under its retry policy.
 	PoolRetries int64
-	// ServerRetries counts reads the disk server repeated under its
-	// retry policy.
-	ServerRetries int64
 	// Assembled and Skipped partition the complex objects the operator
 	// finished with: emitted versus quarantined.
 	Assembled int
@@ -33,9 +30,9 @@ type FaultReport struct {
 	WindowStalls int
 }
 
-// CollectFaults builds a FaultReport from the layers of one run. Any
-// of dev, pool, srv may be nil when that layer was not in play.
-func CollectFaults(dev *disk.Faulty, pool *buffer.Pool, srv *disk.Server, st assembly.Stats) FaultReport {
+// CollectFaults builds a FaultReport from the layers of one run. Either
+// of dev and pool may be nil when that layer was not in play.
+func CollectFaults(dev *disk.Faulty, pool *buffer.Pool, st assembly.Stats) FaultReport {
 	r := FaultReport{
 		Assembled:    st.Assembled,
 		Skipped:      st.Skipped,
@@ -47,9 +44,6 @@ func CollectFaults(dev *disk.Faulty, pool *buffer.Pool, srv *disk.Server, st ass
 	}
 	if pool != nil {
 		r.PoolRetries = pool.Stats().Retries
-	}
-	if srv != nil {
-		r.ServerRetries = srv.Retries()
 	}
 	return r
 }
@@ -67,9 +61,9 @@ func (r FaultReport) LossRate() float64 {
 func (r FaultReport) String() string {
 	return fmt.Sprintf(
 		"faults: injected %d transient / %d permanent / %d latency; "+
-			"retried %d (pool) + %d (server) + %d (operator); "+
+			"retried %d (pool) + %d (operator); "+
 			"assembled %d, quarantined %d (loss %.1f%%), window stalls %d",
 		r.Device.Transient, r.Device.Permanent, r.Device.Latency,
-		r.PoolRetries, r.ServerRetries, r.FaultRetries,
+		r.PoolRetries, r.FaultRetries,
 		r.Assembled, r.Skipped, 100*r.LossRate(), r.WindowStalls)
 }

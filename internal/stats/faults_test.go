@@ -47,7 +47,7 @@ func TestCollectFaults(t *testing.T) {
 	}
 
 	st := op.Stats()
-	rep := CollectFaults(fd, db.Pool, nil, st)
+	rep := CollectFaults(fd, db.Pool, st)
 	if rep.Device != fd.FaultStats() {
 		t.Errorf("Device = %+v, want %+v", rep.Device, fd.FaultStats())
 	}
@@ -76,8 +76,8 @@ func TestCollectFaults(t *testing.T) {
 // TestCollectFaultsNilLayers: absent layers contribute zeroes, not
 // panics.
 func TestCollectFaultsNilLayers(t *testing.T) {
-	rep := CollectFaults(nil, nil, nil, assembly.Stats{Assembled: 3, Skipped: 1})
-	if rep.PoolRetries != 0 || rep.ServerRetries != 0 || rep.Device != (disk.FaultStats{}) {
+	rep := CollectFaults(nil, nil, assembly.Stats{Assembled: 3, Skipped: 1})
+	if rep.PoolRetries != 0 || rep.Device != (disk.FaultStats{}) {
 		t.Errorf("nil layers leaked counters: %+v", rep)
 	}
 	if rep.LossRate() != 0.25 {

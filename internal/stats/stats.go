@@ -1,8 +1,8 @@
 // Package stats collects the statistical annotations the assembly
-// templates carry (Section 5 of the paper): the degree of sharing
-// between objects, and predicate selectivities. The paper assumes the
-// statistics exist; this package derives them from the data, the way a
-// Revelation statistics pass would.
+// templates carry (Section 5 of the paper), here the degree of sharing
+// between objects, and the fault report of one assembly run. The paper
+// assumes the statistics exist; this package derives them from the
+// data, the way a Revelation statistics pass would.
 package stats
 
 import (
@@ -10,8 +10,6 @@ import (
 	"fmt"
 
 	"revelation/internal/assembly"
-	"revelation/internal/expr"
-	"revelation/internal/heap"
 	"revelation/internal/object"
 )
 
@@ -106,66 +104,4 @@ func CollectSharing(store *object.Store, tmpl *assembly.Template, roots []object
 		})
 	})
 	return reports, nil
-}
-
-// EstimateSelectivity samples up to `sample` objects of the given
-// class from the file (all when sample <= 0) and returns the fraction
-// that satisfy pred. It fails when no objects of the class exist.
-func EstimateSelectivity(f *heap.File, class object.ClassID, pred expr.Predicate, sample int) (float64, error) {
-	if pred == nil {
-		return 1, nil
-	}
-	seen, passed := 0, 0
-	err := f.Scan(func(_ heap.RID, rec []byte) bool {
-		cls, err := object.PeekClass(rec)
-		if err != nil || (class != 0 && cls != class) {
-			return true
-		}
-		o, err := object.Decode(rec)
-		if err != nil {
-			return true
-		}
-		seen++
-		if pred.Eval(o) {
-			passed++
-		}
-		return sample <= 0 || seen < sample
-	})
-	if err != nil {
-		return 0, err
-	}
-	if seen == 0 {
-		return 0, fmt.Errorf("stats: no objects of class %d sampled", class)
-	}
-	return float64(passed) / float64(seen), nil
-}
-
-// Measured wraps a predicate with a measured selectivity, overriding
-// its own estimate for scheduling purposes.
-type Measured struct {
-	expr.Predicate
-	Sel float64
-}
-
-// Selectivity implements expr.Predicate.
-func (m Measured) Selectivity() float64 {
-	if m.Sel <= 0 || m.Sel > 1 {
-		return m.Predicate.Selectivity()
-	}
-	return m.Sel
-}
-
-func (m Measured) String() string {
-	return fmt.Sprintf("%s [measured sel=%.3f]", m.Predicate, m.Sel)
-}
-
-// AnnotatePredicate measures pred's selectivity over the class and
-// installs the measured wrapper on the template node.
-func AnnotatePredicate(f *heap.File, node *assembly.Template, pred expr.Predicate, sample int) error {
-	sel, err := EstimateSelectivity(f, node.Class, pred, sample)
-	if err != nil {
-		return err
-	}
-	node.Pred = Measured{Predicate: pred, Sel: sel}
-	return nil
 }

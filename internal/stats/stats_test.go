@@ -1,14 +1,11 @@
 package stats
 
 import (
-	"math"
 	"testing"
 
 	"revelation/internal/assembly"
-	"revelation/internal/expr"
 	"revelation/internal/gen"
 	"revelation/internal/object"
-	"revelation/internal/volcano"
 )
 
 func buildShared(t *testing.T, sharing float64) *gen.Database {
@@ -86,86 +83,5 @@ func TestCollectSharingErrors(t *testing.T) {
 	}
 	if _, err := CollectSharing(db.Store, db.Template, []object.OID{999999}, 0); err == nil {
 		t.Error("dangling root not reported")
-	}
-}
-
-func TestEstimateSelectivity(t *testing.T) {
-	db := buildShared(t, 0)
-	// ints[1] is uniform over [0, 1000): a < 100 predicate should
-	// measure ~0.1 over any class.
-	cls := db.Positions[6] // leaf class G
-	sel, err := EstimateSelectivity(db.Store.File, cls.ID, expr.IntCmp{Field: 1, Op: expr.LT, Value: 100}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sel-0.1) > 0.04 {
-		t.Errorf("selectivity = %v, want ~0.1", sel)
-	}
-	// Unknown class errors.
-	if _, err := EstimateSelectivity(db.Store.File, 999, expr.True{}, 0); err == nil {
-		t.Error("empty class sample accepted")
-	}
-	// Nil predicate has selectivity 1.
-	if s, err := EstimateSelectivity(db.Store.File, cls.ID, nil, 0); err != nil || s != 1 {
-		t.Errorf("nil predicate = (%v, %v)", s, err)
-	}
-}
-
-func TestMeasuredWrapper(t *testing.T) {
-	base := expr.IntCmp{Field: 0, Op: expr.LT, Value: 5} // default sel 0.5
-	m := Measured{Predicate: base, Sel: 0.07}
-	if m.Selectivity() != 0.07 {
-		t.Errorf("measured selectivity = %v", m.Selectivity())
-	}
-	o := &object.Object{Ints: []int32{3}}
-	if !m.Eval(o) {
-		t.Error("wrapper broke evaluation")
-	}
-	bad := Measured{Predicate: base, Sel: 0}
-	if bad.Selectivity() != 0.5 {
-		t.Errorf("invalid measured sel should fall back: %v", bad.Selectivity())
-	}
-	if m.String() == "" {
-		t.Error("empty string")
-	}
-}
-
-func TestAnnotatePredicateDrivesScheduling(t *testing.T) {
-	// End to end: measure a predicate's selectivity, annotate the
-	// template, and confirm predicate-first scheduling reads less than
-	// the unannotated plan.
-	db, err := gen.Build(gen.Config{NumComplexObjects: 400, Clustering: gen.Unclustered, Seed: 33})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmpl := db.Template.Clone()
-	leaf := tmpl.Children[1].Children[1]
-	if err := AnnotatePredicate(db.Store.File, leaf, expr.IntCmp{Field: 1, Op: expr.LT, Value: 100}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if leaf.Pred.Selectivity() > 0.2 {
-		t.Fatalf("annotated selectivity = %v", leaf.Pred.Selectivity())
-	}
-	if err := db.Pool.EvictAll(); err != nil {
-		t.Fatal(err)
-	}
-	items := make([]volcano.Item, len(db.Roots))
-	for i, r := range db.Roots {
-		items[i] = r
-	}
-	op := assembly.New(volcano.NewSlice(items), db.Store, tmpl, assembly.Options{
-		Window: 25, Scheduler: assembly.Elevator, PredicateFirst: true,
-	})
-	if _, err := volcano.Drain(op); err != nil {
-		t.Fatal(err)
-	}
-	st := op.Stats()
-	if st.Assembled+st.Aborted != 400 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// ~90% of trees abort after root+one-level fetches: far fewer than
-	// the full 2800 fetches.
-	if st.Fetched >= 2400 {
-		t.Errorf("predicate-first with measured stats fetched %d", st.Fetched)
 	}
 }

@@ -99,6 +99,13 @@ func TestExchangeCancellationDrainsProducers(t *testing.T) {
 	leakcheck.Check(t, before)
 }
 
+// endless is a source that never ends: it produces zeros forever.
+type endless struct{}
+
+func (endless) Open() error         { return nil }
+func (endless) Next() (Item, error) { return 0, nil }
+func (endless) Close() error        { return nil }
+
 // TestExchangeDeadline: an expired deadline surfaces as
 // context.DeadlineExceeded from Next, not as Done.
 func TestExchangeDeadline(t *testing.T) {
@@ -106,8 +113,7 @@ func TestExchangeDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	ex := NewExchange(2, func(part int) (Iterator, error) {
-		// A source that never ends: produces zeros forever.
-		return &Func{NextFn: func() (Item, error) { return 0, nil }}, nil
+		return endless{}, nil
 	})
 	ex.QueueLen = 1
 	Bind(ctx, ex)

@@ -3,6 +3,8 @@ package volcano
 import (
 	"errors"
 	"testing"
+
+	"revelation/internal/object"
 )
 
 // failing is an iterator that errs at a chosen point.
@@ -50,25 +52,22 @@ func items(n int) []Item {
 	return out
 }
 
+// nilRefObjects builds n objects whose reference field 0 is nil, so a
+// pointer join reads past them without touching a store.
+func nilRefObjects(n int) []Item {
+	out := make([]Item, n)
+	for i := range out {
+		out[i] = &object.Object{OID: object.OID(i + 1), Refs: []object.OID{object.NilOID}}
+	}
+	return out
+}
+
 func TestOpenErrorsPropagate(t *testing.T) {
 	cases := map[string]Iterator{
-		"filter":   NewFilter(&failing{failOpen: true}, func(Item) (bool, error) { return true, nil }),
-		"project":  NewProject(&failing{failOpen: true}, func(it Item) (Item, error) { return it, nil }),
-		"limit":    NewLimit(&failing{failOpen: true}, 3),
-		"sort":     NewSort(&failing{failOpen: true}, func(a, b Item) bool { return false }),
-		"material": NewMaterialize(&failing{failOpen: true}),
-		"hashjoin-right": NewHashJoin(NewSlice(items(2)), &failing{failOpen: true},
-			func(it Item) (any, error) { return it, nil },
-			func(it Item) (any, error) { return it, nil }),
-		"hashjoin-left": NewHashJoin(&failing{failOpen: true, failAt: -1}, NewSlice(items(2)),
-			func(it Item) (any, error) { return it, nil },
-			func(it Item) (any, error) { return it, nil }),
-		"nested": NewNestedLoops(&failing{failOpen: true}, NewSlice(items(2)),
-			func(l, r Item) (bool, error) { return true, nil }),
-		"aggregate": NewHashAggregate(&failing{failOpen: true},
-			func(it Item) (any, error) { return it, nil }, CountAgg()),
-		"onetoone": NewOneToOneMatch(&failing{failOpen: true}, NewSlice(items(1)),
-			func(l, r Item) (Item, error) { return l, nil }),
+		"filter":         NewFilter(&failing{failOpen: true}, func(Item) (bool, error) { return true, nil }),
+		"project":        NewProject(&failing{failOpen: true}, func(it Item) (Item, error) { return it, nil }),
+		"pointer-naive":  NewPointerJoin(&failing{failOpen: true}, nil, 0, NaivePointer),
+		"pointer-sorted": NewPointerJoin(&failing{failOpen: true}, nil, 0, SortedPointer),
 	}
 	for name, it := range cases {
 		if err := it.Open(); !errors.Is(err, errInjected) {
@@ -82,65 +81,19 @@ func TestMidStreamErrorsPropagate(t *testing.T) {
 	cases := map[string]Iterator{
 		"filter":  NewFilter(mk(), func(Item) (bool, error) { return true, nil }),
 		"project": NewProject(mk(), func(it Item) (Item, error) { return it, nil }),
-		"limit":   NewLimit(mk(), 8),
+		"pointer-naive": NewPointerJoin(&failing{failAt: 2, items: nilRefObjects(10)},
+			nil, 0, NaivePointer),
 	}
 	for name, it := range cases {
 		if _, err := Drain(it); !errors.Is(err, errInjected) {
 			t.Errorf("%s: drain err = %v, want injected", name, err)
 		}
 	}
-	// Blocking operators hit it at Open.
-	blocking := map[string]Iterator{
-		"sort": NewSort(mk(), func(a, b Item) bool { return false }),
-		"aggregate": NewHashAggregate(mk(),
-			func(it Item) (any, error) { return it, nil }, CountAgg()),
-		"materialize": NewMaterialize(mk()),
-	}
-	for name, it := range blocking {
-		if err := it.Open(); !errors.Is(err, errInjected) {
-			t.Errorf("%s: Open err = %v, want injected", name, err)
-		}
-	}
-}
-
-func TestKeyFuncErrorsPropagate(t *testing.T) {
-	j := NewHashJoin(NewSlice(items(3)), NewSlice(items(3)),
-		func(Item) (any, error) { return nil, errInjected },
-		func(it Item) (any, error) { return it, nil })
-	if _, err := Drain(j); !errors.Is(err, errInjected) {
-		t.Errorf("probe key err = %v", err)
-	}
-	j2 := NewHashJoin(NewSlice(items(3)), NewSlice(items(3)),
-		func(it Item) (any, error) { return it, nil },
-		func(Item) (any, error) { return nil, errInjected })
-	if err := j2.Open(); !errors.Is(err, errInjected) {
-		t.Errorf("build key err = %v", err)
-	}
-	agg := NewHashAggregate(NewSlice(items(3)),
-		func(Item) (any, error) { return nil, errInjected }, CountAgg())
-	if err := agg.Open(); !errors.Is(err, errInjected) {
-		t.Errorf("agg key err = %v", err)
-	}
-}
-
-func TestAggregateStepErrorPropagates(t *testing.T) {
-	agg := NewHashAggregate(NewSlice(items(3)),
-		func(it Item) (any, error) { return 0, nil },
-		SumIntAgg("s", func(Item) (int64, error) { return 0, errInjected }))
-	if err := agg.Open(); !errors.Is(err, errInjected) {
-		t.Errorf("step err = %v", err)
-	}
-}
-
-func TestExternalSortInputError(t *testing.T) {
-	// Input fails mid-stream during run generation.
-	es := NewExternalSort(&failing{failAt: 5, items: items(100)},
-		func(a, b Item) bool { return a.(int) < b.(int) },
-		intCodec{}, nil, 10)
-	// Pool is nil but the error fires before any spill of the second
-	// run; use a batch size that spills only after the failure point.
-	if err := es.Open(); !errors.Is(err, errInjected) {
-		t.Errorf("external sort input err = %v", err)
+	// The sorted pointer join blocks on its whole input, so it hits the
+	// error at Open.
+	sorted := NewPointerJoin(&failing{failAt: 2, items: nilRefObjects(10)}, nil, 0, SortedPointer)
+	if err := sorted.Open(); !errors.Is(err, errInjected) {
+		t.Errorf("pointer-sorted: Open err = %v, want injected", err)
 	}
 }
 

@@ -43,38 +43,14 @@ func describe(it Iterator) (string, []Iterator) {
 		return "filter", []Iterator{v.Input}
 	case *Project:
 		return "project", []Iterator{v.Input}
-	case *Limit:
-		return fmt.Sprintf("limit(%d)", v.N), []Iterator{v.Input}
-	case *Materialize:
-		return "materialize", []Iterator{v.Input}
-	case *Sort:
-		return "sort", []Iterator{v.Input}
-	case *ExternalSort:
-		return fmt.Sprintf("external-sort(runs of %d)", v.RunSize), []Iterator{v.Input}
-	case *HashJoin:
-		return "hash-join", []Iterator{v.Left, v.Right}
-	case *NestedLoops:
-		return "nested-loops", []Iterator{v.Left, v.Right}
 	case *PointerJoin:
 		mode := "naive"
 		if v.Mode == SortedPointer {
 			mode = "sorted"
 		}
 		return fmt.Sprintf("pointer-join(field %d, %s)", v.Field, mode), []Iterator{v.Input}
-	case *OneToOneMatch:
-		return "one-to-one-match", []Iterator{v.Left, v.Right}
-	case *HashAggregate:
-		return fmt.Sprintf("hash-aggregate(%d aggs)", len(v.Specs)), []Iterator{v.Input}
 	case *Exchange:
 		return fmt.Sprintf("exchange(degree %d)", v.Degree), nil
-	case *HeapScan:
-		label := "heap-scan"
-		if v.Pred != nil {
-			label += fmt.Sprintf("[%s]", v.Pred)
-		}
-		return label, nil
-	case *IndexScan:
-		return fmt.Sprintf("index-scan[%v..%v]", v.From, v.To), nil
 	default:
 		return fmt.Sprintf("%T", it), nil
 	}

@@ -1,26 +1,18 @@
 package volcano
 
 import (
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"revelation/internal/buffer"
-	"revelation/internal/disk"
-	"revelation/internal/expr"
 )
 
 func TestExplainRendersTree(t *testing.T) {
-	s := testStore(t, 20)
-	plan := NewLimit(
-		NewFilter(
-			NewProject(NewHeapScan(s.File, expr.IntCmp{Field: 0, Op: expr.GT, Value: 3}),
-				func(it Item) (Item, error) { return it, nil }),
-			func(Item) (bool, error) { return true, nil }),
-		5)
+	plan := NewFilter(
+		NewProject(NewPointerJoin(intSource(1, 2), nil, 0, NaivePointer),
+			func(it Item) (Item, error) { return it, nil }),
+		func(Item) (bool, error) { return true, nil })
 	out := Explain(plan)
-	for _, want := range []string{"limit(5)", "filter", "project", "heap-scan[ints[0] > 3]"} {
+	for _, want := range []string{"filter", "project", "pointer-join(field 0, naive)", "slice(2 items)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain missing %q:\n%s", want, out)
 		}
@@ -38,58 +30,13 @@ func TestExplainRendersTree(t *testing.T) {
 }
 
 func TestExplainJoinsAndExchange(t *testing.T) {
-	j := NewHashJoin(intSource(1), intSource(2),
-		func(it Item) (any, error) { return it, nil },
-		func(it Item) (any, error) { return it, nil })
-	out := Explain(j)
-	if !strings.Contains(out, "hash-join") || strings.Count(out, "slice(1 items)") != 2 {
-		t.Errorf("join plan:\n%s", out)
-	}
 	e := NewExchange(3, func(int) (Iterator, error) { return intSource(), nil })
 	if !strings.Contains(Explain(e), "exchange(degree 3)") {
 		t.Errorf("exchange plan:\n%s", Explain(e))
 	}
-	sorted := NewSort(intSource(1), nil)
-	if !strings.Contains(Explain(sorted), "sort") {
-		t.Error("sort plan")
-	}
 	pj := NewPointerJoin(intSource(), nil, 2, SortedPointer)
 	if !strings.Contains(Explain(pj), "pointer-join(field 2, sorted)") {
 		t.Errorf("pointer join plan:\n%s", Explain(pj))
-	}
-}
-
-// Property: the external sort agrees with sort.Ints on any input.
-func TestExternalSortProperty(t *testing.T) {
-	f := func(vals []int16, runSize uint8) bool {
-		d := disk.New(0)
-		pool := buffer.New(d, 64)
-		items := make([]Item, len(vals))
-		want := make([]int, len(vals))
-		for i, v := range vals {
-			items[i] = int(v)
-			want[i] = int(v)
-		}
-		sort.Ints(want)
-		es := NewExternalSort(NewSlice(items),
-			func(a, b Item) bool { return a.(int) < b.(int) },
-			intCodec{}, pool, int(runSize%40)+1)
-		got, err := Drain(es)
-		if err != nil {
-			return false
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i].(int) != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }
 

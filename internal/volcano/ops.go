@@ -1,13 +1,5 @@
 package volcano
 
-import (
-	"errors"
-	"fmt"
-
-	"revelation/internal/expr"
-	"revelation/internal/object"
-)
-
 // Filter passes through items for which Keep returns true.
 type Filter struct {
 	Input Iterator
@@ -17,18 +9,6 @@ type Filter struct {
 // NewFilter builds a filter with an arbitrary keep function.
 func NewFilter(in Iterator, keep func(Item) (bool, error)) *Filter {
 	return &Filter{Input: in, Keep: keep}
-}
-
-// NewObjectFilter builds a filter evaluating pred over *object.Object
-// items; any other item type is an error.
-func NewObjectFilter(in Iterator, pred expr.Predicate) *Filter {
-	return &Filter{Input: in, Keep: func(item Item) (bool, error) {
-		o, ok := item.(*object.Object)
-		if !ok {
-			return false, typeError("filter", item)
-		}
-		return pred.Eval(o), nil
-	}}
 }
 
 // Open implements Iterator.
@@ -79,296 +59,3 @@ func (p *Project) Next() (Item, error) {
 
 // Close implements Iterator.
 func (p *Project) Close() error { return p.Input.Close() }
-
-// Limit passes through at most N items.
-type Limit struct {
-	Input Iterator
-	N     int
-	seen  int
-}
-
-// NewLimit builds a limit operator.
-func NewLimit(in Iterator, n int) *Limit { return &Limit{Input: in, N: n} }
-
-// Open implements Iterator.
-func (l *Limit) Open() error {
-	l.seen = 0
-	return l.Input.Open()
-}
-
-// Next implements Iterator.
-func (l *Limit) Next() (Item, error) {
-	if l.seen >= l.N {
-		return nil, Done
-	}
-	item, err := l.Input.Next()
-	if err != nil {
-		return nil, err
-	}
-	l.seen++
-	return item, nil
-}
-
-// Close implements Iterator.
-func (l *Limit) Close() error { return l.Input.Close() }
-
-// Materialize drains its input at Open and replays the buffered items;
-// it decouples producer and consumer cost, like Volcano's choose-plan
-// support operators.
-type Materialize struct {
-	Input Iterator
-	items []Item
-	pos   int
-	open  bool
-}
-
-// NewMaterialize builds a materialization point.
-func NewMaterialize(in Iterator) *Materialize { return &Materialize{Input: in} }
-
-// Open implements Iterator.
-func (m *Materialize) Open() error {
-	items, err := Drain(m.Input)
-	if err != nil {
-		return err
-	}
-	m.items = items
-	m.pos = 0
-	m.open = true
-	return nil
-}
-
-// Next implements Iterator.
-func (m *Materialize) Next() (Item, error) {
-	if !m.open {
-		return nil, ErrNotOpen
-	}
-	if m.pos >= len(m.items) {
-		return nil, Done
-	}
-	item := m.items[m.pos]
-	m.pos++
-	return item, nil
-}
-
-// Close implements Iterator.
-func (m *Materialize) Close() error {
-	m.open = false
-	m.items = nil
-	return nil
-}
-
-// AggSpec describes one aggregate column.
-type AggSpec struct {
-	Name string
-	// Init produces the initial accumulator for a group.
-	Init func() any
-	// Step folds an item into the accumulator.
-	Step func(acc any, item Item) (any, error)
-}
-
-// CountAgg counts items per group.
-func CountAgg() AggSpec {
-	return AggSpec{
-		Name: "count",
-		Init: func() any { return 0 },
-		Step: func(acc any, _ Item) (any, error) { return acc.(int) + 1, nil },
-	}
-}
-
-// SumIntAgg sums an int64 extracted from each item.
-func SumIntAgg(name string, get func(Item) (int64, error)) AggSpec {
-	return AggSpec{
-		Name: name,
-		Init: func() any { return int64(0) },
-		Step: func(acc any, item Item) (any, error) {
-			v, err := get(item)
-			if err != nil {
-				return nil, err
-			}
-			return acc.(int64) + v, nil
-		},
-	}
-}
-
-// MinIntAgg tracks the minimum of an int64 extracted from each item.
-func MinIntAgg(name string, get func(Item) (int64, error)) AggSpec {
-	return AggSpec{
-		Name: name,
-		Init: func() any { return any(nil) },
-		Step: func(acc any, item Item) (any, error) {
-			v, err := get(item)
-			if err != nil {
-				return nil, err
-			}
-			if acc == nil || v < acc.(int64) {
-				return v, nil
-			}
-			return acc, nil
-		},
-	}
-}
-
-// MaxIntAgg tracks the maximum of an int64 extracted from each item.
-func MaxIntAgg(name string, get func(Item) (int64, error)) AggSpec {
-	return AggSpec{
-		Name: name,
-		Init: func() any { return any(nil) },
-		Step: func(acc any, item Item) (any, error) {
-			v, err := get(item)
-			if err != nil {
-				return nil, err
-			}
-			if acc == nil || v > acc.(int64) {
-				return v, nil
-			}
-			return acc, nil
-		},
-	}
-}
-
-// Group is the output row of an aggregation: the group key plus one
-// accumulated value per AggSpec, in spec order.
-type Group struct {
-	Key  any
-	Aggs []any
-}
-
-// HashAggregate groups input items by key and folds aggregates. It is
-// blocking: the input drains at Open.
-type HashAggregate struct {
-	Input Iterator
-	Key   func(Item) (any, error)
-	Specs []AggSpec
-
-	groups []Group
-	pos    int
-	open   bool
-}
-
-// NewHashAggregate builds a hash aggregation.
-func NewHashAggregate(in Iterator, key func(Item) (any, error), specs ...AggSpec) *HashAggregate {
-	return &HashAggregate{Input: in, Key: key, Specs: specs}
-}
-
-// Open implements Iterator.
-func (h *HashAggregate) Open() error {
-	if err := h.Input.Open(); err != nil {
-		return err
-	}
-	defer h.Input.Close()
-	type state struct {
-		idx  int
-		aggs []any
-	}
-	table := map[any]*state{}
-	var order []any
-	for {
-		item, err := h.Input.Next()
-		if errors.Is(err, Done) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		k, err := h.Key(item)
-		if err != nil {
-			return err
-		}
-		st, ok := table[k]
-		if !ok {
-			st = &state{idx: len(order), aggs: make([]any, len(h.Specs))}
-			for i, sp := range h.Specs {
-				st.aggs[i] = sp.Init()
-			}
-			table[k] = st
-			order = append(order, k)
-		}
-		for i, sp := range h.Specs {
-			st.aggs[i], err = sp.Step(st.aggs[i], item)
-			if err != nil {
-				return err
-			}
-		}
-	}
-	h.groups = make([]Group, 0, len(order))
-	for _, k := range order {
-		h.groups = append(h.groups, Group{Key: k, Aggs: table[k].aggs})
-	}
-	h.pos = 0
-	h.open = true
-	return nil
-}
-
-// Next implements Iterator.
-func (h *HashAggregate) Next() (Item, error) {
-	if !h.open {
-		return nil, ErrNotOpen
-	}
-	if h.pos >= len(h.groups) {
-		return nil, Done
-	}
-	g := h.groups[h.pos]
-	h.pos++
-	return g, nil
-}
-
-// Close implements Iterator.
-func (h *HashAggregate) Close() error {
-	h.open = false
-	h.groups = nil
-	return nil
-}
-
-// OneToOneMatch pairs the i-th items of two equal-length inputs — the
-// Volcano one-to-one match operator of the authors' earlier report,
-// reduced to its positional form. Mismatched lengths are an error.
-type OneToOneMatch struct {
-	Left, Right Iterator
-	Combine     func(l, r Item) (Item, error)
-}
-
-// NewOneToOneMatch builds a positional match operator.
-func NewOneToOneMatch(l, r Iterator, combine func(l, r Item) (Item, error)) *OneToOneMatch {
-	return &OneToOneMatch{Left: l, Right: r, Combine: combine}
-}
-
-// Open implements Iterator.
-func (m *OneToOneMatch) Open() error {
-	if err := m.Left.Open(); err != nil {
-		return err
-	}
-	if err := m.Right.Open(); err != nil {
-		m.Left.Close()
-		return err
-	}
-	return nil
-}
-
-// Next implements Iterator.
-func (m *OneToOneMatch) Next() (Item, error) {
-	l, lerr := m.Left.Next()
-	r, rerr := m.Right.Next()
-	if errors.Is(lerr, Done) && errors.Is(rerr, Done) {
-		return nil, Done
-	}
-	if errors.Is(lerr, Done) != errors.Is(rerr, Done) {
-		return nil, fmt.Errorf("volcano: one-to-one match inputs have different lengths")
-	}
-	if lerr != nil {
-		return nil, lerr
-	}
-	if rerr != nil {
-		return nil, rerr
-	}
-	return m.Combine(l, r)
-}
-
-// Close implements Iterator.
-func (m *OneToOneMatch) Close() error {
-	lerr := m.Left.Close()
-	rerr := m.Right.Close()
-	if lerr != nil {
-		return lerr
-	}
-	return rerr
-}

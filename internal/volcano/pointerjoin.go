@@ -8,165 +8,10 @@ import (
 	"revelation/internal/object"
 )
 
-// Pair is the output of a binary join.
+// Pair is what PointerJoin emits: a parent object and the child its
+// reference field names.
 type Pair struct {
 	Left, Right Item
-}
-
-// HashJoin is the classic build/probe equi-join: the right (build)
-// input is drained into a hash table at Open; probes stream from the
-// left input.
-type HashJoin struct {
-	Left, Right Iterator
-	LeftKey     func(Item) (any, error)
-	RightKey    func(Item) (any, error)
-
-	table   map[any][]Item
-	current []Item // matches pending for the current probe item
-	probe   Item
-	open    bool
-}
-
-// NewHashJoin builds a hash join with the given key extractors.
-func NewHashJoin(left, right Iterator, leftKey, rightKey func(Item) (any, error)) *HashJoin {
-	return &HashJoin{Left: left, Right: right, LeftKey: leftKey, RightKey: rightKey}
-}
-
-// Open implements Iterator: drains the build side.
-func (j *HashJoin) Open() error {
-	if err := j.Right.Open(); err != nil {
-		return err
-	}
-	j.table = map[any][]Item{}
-	for {
-		item, err := j.Right.Next()
-		if errors.Is(err, Done) {
-			break
-		}
-		if err != nil {
-			j.Right.Close()
-			return err
-		}
-		k, err := j.RightKey(item)
-		if err != nil {
-			j.Right.Close()
-			return err
-		}
-		j.table[k] = append(j.table[k], item)
-	}
-	if err := j.Right.Close(); err != nil {
-		return err
-	}
-	if err := j.Left.Open(); err != nil {
-		return err
-	}
-	j.open = true
-	return nil
-}
-
-// Next implements Iterator.
-func (j *HashJoin) Next() (Item, error) {
-	if !j.open {
-		return nil, ErrNotOpen
-	}
-	for {
-		if len(j.current) > 0 {
-			r := j.current[0]
-			j.current = j.current[1:]
-			return Pair{Left: j.probe, Right: r}, nil
-		}
-		item, err := j.Left.Next()
-		if err != nil {
-			return nil, err
-		}
-		k, err := j.LeftKey(item)
-		if err != nil {
-			return nil, err
-		}
-		if matches := j.table[k]; len(matches) > 0 {
-			j.probe = item
-			j.current = matches
-		}
-	}
-}
-
-// Close implements Iterator.
-func (j *HashJoin) Close() error {
-	j.open = false
-	j.table = nil
-	j.current = nil
-	return j.Left.Close()
-}
-
-// NestedLoops joins by re-scanning a materialized right input for each
-// left item; Match decides whether a pair joins. It covers non-equi
-// predicates the hash join cannot.
-type NestedLoops struct {
-	Left, Right Iterator
-	Match       func(l, r Item) (bool, error)
-
-	right   []Item
-	probe   Item
-	rpos    int
-	probing bool
-	open    bool
-}
-
-// NewNestedLoops builds a nested-loops join.
-func NewNestedLoops(left, right Iterator, match func(l, r Item) (bool, error)) *NestedLoops {
-	return &NestedLoops{Left: left, Right: right, Match: match}
-}
-
-// Open implements Iterator.
-func (j *NestedLoops) Open() error {
-	right, err := Drain(j.Right)
-	if err != nil {
-		return err
-	}
-	j.right = right
-	if err := j.Left.Open(); err != nil {
-		return err
-	}
-	j.probing = false
-	j.open = true
-	return nil
-}
-
-// Next implements Iterator.
-func (j *NestedLoops) Next() (Item, error) {
-	if !j.open {
-		return nil, ErrNotOpen
-	}
-	for {
-		if !j.probing {
-			item, err := j.Left.Next()
-			if err != nil {
-				return nil, err
-			}
-			j.probe = item
-			j.rpos = 0
-			j.probing = true
-		}
-		for j.rpos < len(j.right) {
-			r := j.right[j.rpos]
-			j.rpos++
-			ok, err := j.Match(j.probe, r)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return Pair{Left: j.probe, Right: r}, nil
-			}
-		}
-		j.probing = false
-	}
-}
-
-// Close implements Iterator.
-func (j *NestedLoops) Close() error {
-	j.open = false
-	j.right = nil
-	return j.Left.Close()
 }
 
 // PointerJoin is the pointer-based functional join of the related-work

@@ -5,11 +5,10 @@
 // trees of operators pulling items from their inputs.
 //
 // The assembly operator (package assembly) is one more physical
-// operator in this algebra; this package supplies the rest: scans,
-// selection, projection, sorting (in-memory and external), joins
-// (including the pointer-based joins the paper compares against),
-// aggregation, and the exchange operator that encapsulates parallelism
-// exactly as Volcano does.
+// operator in this algebra; this package supplies the rest that plans
+// use: in-memory sources, selection, projection, the exchange operator
+// that encapsulates parallelism exactly as Volcano does, and the
+// pointer join the paper compares assembly against (Section 4).
 package volcano
 
 import (
@@ -127,41 +126,6 @@ func (s *Slice) Next() (Item, error) {
 // Close implements Iterator.
 func (s *Slice) Close() error {
 	s.open = false
-	return nil
-}
-
-// Func adapts a generator function into an iterator: fn returns the
-// next item or Done.
-type Func struct {
-	OpenFn  func() error
-	NextFn  func() (Item, error)
-	CloseFn func() error
-	open    bool
-}
-
-// Open implements Iterator.
-func (f *Func) Open() error {
-	f.open = true
-	if f.OpenFn != nil {
-		return f.OpenFn()
-	}
-	return nil
-}
-
-// Next implements Iterator.
-func (f *Func) Next() (Item, error) {
-	if !f.open {
-		return nil, ErrNotOpen
-	}
-	return f.NextFn()
-}
-
-// Close implements Iterator.
-func (f *Func) Close() error {
-	f.open = false
-	if f.CloseFn != nil {
-		return f.CloseFn()
-	}
 	return nil
 }
 
