@@ -10,8 +10,11 @@ check: build vet test alloc-check sched-check buffer-check asm-check disk-check 
 build:
 	$(GO) build ./...
 
+# go vet, then gofmt over every Go file in the tree (benchmark/
+# included): any file gofmt would rewrite fails the gate.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -123,7 +126,7 @@ wire-check:
 	$(GO) test -run '^$$' -bench=WireRead -benchtime=1x ./internal/pagesvc
 
 # The generator's one-write load, uncached: every database of a grid
-# (clusterings, sharing, shapes, locators, headroom, pool sizes, over a
+# (clusterings, sharing, shapes, headroom, pool sizes, over a
 # Sim and over a two-member loopback fleet) built with heap.Load and
 # with the pool path it replaced (heap.Create, Store.PutAt page by page,
 # EvictAll), device bytes and every OID's RID identical; a failed first,

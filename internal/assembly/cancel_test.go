@@ -134,7 +134,7 @@ func TestCancelMidAssemblyWithQuarantine(t *testing.T) {
 
 	// And the fault report built from the same run is internally
 	// consistent: nothing in flight remains anywhere in the stack.
-	rep := stats.CollectFaults(w.dev, w.db.Pool, st)
+	rep := stats.CollectFaults(w.dev, st)
 	if rep.Skipped != st.Skipped || rep.Assembled != st.Assembled {
 		t.Errorf("fault report %+v disagrees with stats %+v", rep, st)
 	}

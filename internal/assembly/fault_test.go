@@ -186,32 +186,6 @@ func TestChaosTransientRetryZeroLoss(t *testing.T) {
 	}
 }
 
-// TestChaosTransientAbsorbedByPoolRetry keeps the operator on
-// FailFast and lets the buffer pool's retry policy absorb the same 5%
-// transient faults below the operator.
-func TestChaosTransientAbsorbedByPoolRetry(t *testing.T) {
-	w := buildFaultWorld(t, 80, 31)
-	w.dev.SetConfig(disk.FaultConfig{Seed: 5, TransientRate: 0.05, TransientFailures: 2})
-	w.db.Pool.SetRetry(disk.RetryPolicy{MaxAttempts: 4})
-	defer w.db.Pool.SetRetry(disk.RetryPolicy{})
-	got, st := w.runFaulted(t, assembly.Options{
-		Window:    8,
-		Scheduler: assembly.Elevator,
-		// FailFast: the pool must make faults invisible up here.
-	})
-	if len(got) != len(w.oracle) || st.Skipped != 0 {
-		t.Fatalf("assembled %d of %d, skipped %d", len(got), len(w.oracle), st.Skipped)
-	}
-	for root, want := range w.oracle {
-		if got[root] != want {
-			t.Fatalf("root %v diverged from oracle", root)
-		}
-	}
-	if retries := w.db.Pool.Stats().Retries; retries == 0 {
-		t.Error("pool retry policy never fired")
-	}
-}
-
 // TestChaosPermanentSkipObject injects permanent page faults under the
 // SkipObject policy: only complex objects whose references hit a
 // poisoned page may be lost, everything else must match the oracle,
@@ -418,7 +392,7 @@ func TestTransientExhaustionSurfacesNotQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 	op := assembly.New(rootsSource(w.db.Roots), w.db.Store, w.db.Template,
-		assembly.Options{Window: 4, FaultPolicy: assembly.RetryFaults, MaxRefRetries: 2})
+		assembly.Options{Window: 4, FaultPolicy: assembly.RetryFaults})
 	_, err := volcano.Drain(op)
 	if err == nil {
 		t.Fatal("assembly over an endlessly flapping device succeeded")

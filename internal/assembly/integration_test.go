@@ -325,20 +325,6 @@ func TestAssemblyIOFaultSurfaces(t *testing.T) {
 	}
 }
 
-func TestBTreeLocatorAssembly(t *testing.T) {
-	db := buildDB(t, gen.Config{NumComplexObjects: 100, Locator: gen.BTreeLocator, Seed: 19})
-	op := assembly.New(rootsSource(db.Roots), db.Store, db.Template,
-		assembly.Options{Window: 20, Scheduler: assembly.Elevator})
-	out := drainAssembly(t, op)
-	if len(out) != 100 {
-		t.Fatalf("assembled %d", len(out))
-	}
-	// With the B-tree locator, index lookups cost real reads.
-	if db.Device.Stats().Reads == 0 {
-		t.Error("no device reads with btree locator")
-	}
-}
-
 func TestWindowFootprintMatchesPaperFormula(t *testing.T) {
 	// Section 6.3.3: at W=1 at most 7 pages are needed; at W=50 up to
 	// 6*(W-1) + 7 = 301. Unclustered placement makes components land

@@ -67,10 +67,6 @@ type Options struct {
 	// fetching referenced components. The default (FailFast) is the
 	// paper's implicit behavior: any error aborts the whole operator.
 	FaultPolicy FaultPolicy
-	// MaxRefRetries bounds per-reference retries under RetryFaults;
-	// values < 1 mean 3. Exhausting the budget on a still-transient
-	// error surfaces the error; only permanent faults quarantine.
-	MaxRefRetries int
 	// Tracer, when non-nil, receives an assembly event for every window
 	// admission, scheduling decision, fetch, link, emission, abort,
 	// quarantine, retry, and stall. A nil tracer costs one branch per
@@ -109,14 +105,19 @@ const (
 	// failed: the object is discarded with its pins released and
 	// counted in Stats.Skipped while the rest of the window proceeds.
 	SkipObject
-	// RetryFaults retries transiently failed references (bounded by
-	// MaxRefRetries). Permanent faults quarantine the complex object
+	// RetryFaults retries transiently failed references (at most
+	// maxRefRetries times each). Permanent faults quarantine the complex object
 	// immediately (as SkipObject); a transient fault that outlives the
 	// retry budget surfaces as an error instead — the page is not
 	// poisoned, because the fault is in the path to the device (e.g. a
 	// flapping network connection), not in the page.
 	RetryFaults
 )
+
+// maxRefRetries bounds per-reference retries under RetryFaults.
+// Exhausting it on a still-transient error surfaces the error; only
+// permanent faults quarantine.
+const maxRefRetries = 3
 
 func (p FaultPolicy) String() string {
 	switch p {
@@ -989,7 +990,7 @@ func (op *Operator) refFault(ref *Ref, cause error) error {
 	switch op.Opts.FaultPolicy {
 	case RetryFaults:
 		if disk.Retryable(cause) {
-			if int(ref.Attempts) < op.maxRefRetries() {
+			if int(ref.Attempts) < maxRefRetries {
 				ref.Attempts++
 				op.stats.FaultRetries++
 				op.cells.faultRetries.Inc()
@@ -1029,13 +1030,6 @@ func (op *Operator) batchFault(batch []*Ref, cause error) error {
 		}
 	}
 	return first
-}
-
-func (op *Operator) maxRefRetries() int {
-	if op.Opts.MaxRefRetries < 1 {
-		return 3
-	}
-	return op.Opts.MaxRefRetries
 }
 
 // decodeRec is the record callback of a fetch (see Operator.decode): it

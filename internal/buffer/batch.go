@@ -70,7 +70,7 @@ func (rl *runLoad) read() {
 	}
 	disk.ReadPages(rl.ctx, rl.p.dev, rl.ids, rl.bufs, rl.errs)
 	for i := range rl.pages {
-		rl.pages[i].settle(rl.p, rl.ctx, rl.errs[i])
+		rl.pages[i].settle(rl.errs[i])
 	}
 	clear(rl.errs)
 }

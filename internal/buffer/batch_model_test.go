@@ -123,11 +123,6 @@ func newBatchRig(t *testing.T, seed int64, frames int, lanes *Lanes, vector bool
 		}
 		s.pool.SetWAL(s.wal)
 		s.pool.SetTracer(trace.New(&s.log))
-		if seed%3 == 0 {
-			// One retry, so that a transient read fault is absorbed and
-			// counted rather than returned.
-			s.pool.SetRetry(disk.RetryPolicy{MaxAttempts: 2})
-		}
 		_, s.span = qtrace.NewCollector(1).Begin("batch-model")
 		s.ctx = qtrace.With(context.Background(), s.span)
 		r.sides[i] = s
@@ -331,8 +326,8 @@ func (r *batchRig) oneStep() {
 
 // compare demands that the two sides are in the same state: frame for
 // frame the same page, pins, flags, stamp and image; the same counters;
-// the same buffer events in the same order; the same hits, misses,
-// reads and retries booked on the query span; and a sound victim heap.
+// the same buffer events in the same order; the same hits, misses and
+// reads booked on the query span; and a sound victim heap.
 func (r *batchRig) compare() {
 	m, b := r.sides[0], r.sides[1]
 	for _, s := range r.sides {
@@ -370,7 +365,7 @@ func (r *batchRig) compare() {
 	}
 	b.log.evs, m.log.evs = b.log.evs[:0], m.log.evs[:0]
 	got, want := b.span.Counters(), m.span.Counters()
-	if got.Hits != want.Hits || got.Misses != want.Misses || got.IORetries != want.IORetries || got.Reads != want.Reads && !b.lostWrite {
+	if got.Hits != want.Hits || got.Misses != want.Misses || got.Reads != want.Reads && !b.lostWrite {
 		r.fatalf("span counters %+v, model %+v", got, want)
 	}
 }

@@ -58,16 +58,17 @@ type Stats struct {
 	Faults        int64 // requests that required a device read
 	Evictions     int64 // frames reused for a different page
 	Flushes       int64 // dirty page write-backs
-	Retries       int64 // device accesses repeated after transient faults
 	ChecksumFails int64 // page reads rejected by checksum verification
 	PeakPins      int   // high-water mark of simultaneously pinned frames
 
-	// Terminal device-access failures, classified. A transient error here
-	// means the retry budget ran out while the fault could still clear
-	// (e.g. a flapping network connection); a permanent error means the
-	// device declared the page unrecoverable. Callers deciding whether to
-	// quarantine a page should look at the class, not just the failure.
-	TransientErrors int64 // accesses that exhausted retries on a retryable error
+	// Device-access failures, classified. The pool does not repeat an
+	// access: a transient error here means the device (for a page
+	// service, after the wire's own retries) gave up while the fault
+	// could still clear, e.g. a flapping network connection; a permanent
+	// error means the device declared the page unrecoverable. Callers
+	// deciding whether to quarantine a page should look at the class,
+	// not just the failure.
+	TransientErrors int64 // accesses that failed with a retryable error
 	PermanentErrors int64 // accesses that failed with a non-retryable error
 }
 
@@ -89,7 +90,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		Faults:          s.Faults - prev.Faults,
 		Evictions:       s.Evictions - prev.Evictions,
 		Flushes:         s.Flushes - prev.Flushes,
-		Retries:         s.Retries - prev.Retries,
 		ChecksumFails:   s.ChecksumFails - prev.ChecksumFails,
 		PeakPins:        s.PeakPins,
 		TransientErrors: s.TransientErrors - prev.TransientErrors,
@@ -132,7 +132,9 @@ func (f *Frame) Data() []byte { return f.data }
 // back at their old offsets the write workload read the same (852 k
 // against 860 k objects/s over eight alternating runs, quartiles 26 k
 // and 41 k apart), so the fields stayed where they were
-// (EXPERIMENTS.md).
+// (EXPERIMENTS.md). The three-word retry policy that sat after
+// emptyFrom is gone, so tr and everything after it sit 24 bytes lower
+// than in those measurements.
 type Pool struct {
 	mu    sync.Mutex
 	dev   disk.Device
@@ -142,7 +144,6 @@ type Pool struct {
 	table     pageTable
 	tick      int64
 	emptyFrom int // no frame below this index is empty (victim.go)
-	retry     disk.RetryPolicy
 	tr        *trace.Tracer
 	wal       WAL
 	closed    bool
@@ -160,7 +161,6 @@ type Pool struct {
 	faults        metrics.Counter
 	evictions     metrics.Counter
 	flushes       metrics.Counter
-	retries       metrics.Counter
 	checksumFails metrics.Counter
 	transientErrs metrics.Counter
 	permanentErrs metrics.Counter
@@ -216,7 +216,6 @@ func (p *Pool) Stats() Stats {
 		Faults:          p.faults.Value(),
 		Evictions:       p.evictions.Value(),
 		Flushes:         p.flushes.Value(),
-		Retries:         p.retries.Value(),
 		ChecksumFails:   p.checksumFails.Value(),
 		PeakPins:        int(p.peakPins.Value()),
 		TransientErrors: p.transientErrs.Value(),
@@ -230,7 +229,6 @@ func (p *Pool) ResetStats() {
 	p.faults.Reset()
 	p.evictions.Reset()
 	p.flushes.Reset()
-	p.retries.Reset()
 	p.checksumFails.Reset()
 	p.transientErrs.Reset()
 	p.permanentErrs.Reset()
@@ -245,7 +243,6 @@ func (p *Pool) RegisterMetrics(r *metrics.Registry, pool string) {
 	r.Attach("asm_buffer_misses_total", "Requests that required a device read.", &p.faults, "pool", pool)
 	r.Attach("asm_buffer_evictions_total", "Frames reused for a different page.", &p.evictions, "pool", pool)
 	r.Attach("asm_buffer_flushes_total", "Dirty page write-backs.", &p.flushes, "pool", pool)
-	r.Attach("asm_buffer_retries_total", "Device accesses repeated after transient faults.", &p.retries, "pool", pool)
 	r.Attach("asm_checksum_failures_total", "Page reads rejected by checksum verification.", &p.checksumFails, "pool", pool)
 	r.Attach("asm_buffer_io_errors_total", "Terminal device-access failures by class.", &p.transientErrs, "pool", pool, "class", "transient")
 	r.Attach("asm_buffer_io_errors_total", "Terminal device-access failures by class.", &p.permanentErrs, "pool", pool, "class", "permanent")
@@ -284,36 +281,18 @@ func (p *Pool) SetWAL(w WAL) {
 	}
 }
 
-// SetRetry installs a retry-with-backoff policy on the pool's device
-// accesses: reads and write-backs that fail with a transient error
-// (disk.Retryable) are repeated within the policy's budget, so
-// transient faults are absorbed below the pool's callers. The zero
-// policy (the default) disables retries.
-//
-// Retries run while the pool lock is held — by the fixing goroutine
-// itself or, for the reads a FixBatch overlaps, on its lane workers
-// while the goroutine that called it holds the lock and waits for them
-// — consistent with the rest of the pool, whose device I/O is
-// synchronous under the lock, so backoffs should stay in the
-// microsecond-to-millisecond range.
-func (p *Pool) SetRetry(rp disk.RetryPolicy) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.retry = rp
-}
-
-// writeLocked writes a page under the retry policy. Caller holds mu.
+// writeLocked writes a page and classifies a failure. Caller holds mu.
 func (p *Pool) writeLocked(id disk.PageID, buf []byte) error {
-	retries, err := p.retry.Do(func() error { return p.dev.WritePage(id, buf) })
-	p.retries.Add(int64(retries))
+	err := p.dev.WritePage(id, buf)
 	p.classifyErr(err)
 	return err
 }
 
-// classifyErr counts a terminal device-access failure by class. An
-// error that is still disk.Retryable after the budget ran out is
-// transient — the page is fine, the path to it was flapping — while
-// anything else is treated as permanent damage.
+// classifyErr counts a device-access failure by class. A
+// disk.Retryable error is transient — the page is fine, the path to it
+// was flapping — while anything else is treated as permanent damage.
+// The pool repeats nothing: transient faults are absorbed on the wire
+// (pagesvc.Client, shard.Router) or by the operator (RetryFaults).
 func (p *Pool) classifyErr(err error) {
 	if err == nil {
 		return
@@ -377,14 +356,10 @@ func (p *Pool) fixLocked(ctx context.Context, id disk.PageID, ld *load) (*Frame,
 	}
 	if ld == nil {
 		ld = &load{id: id, buf: f.data}
-		ld.settle(p, ctx, disk.ReadPageCtx(ctx, p.dev, id, f.data))
+		ld.settle(disk.ReadPageCtx(ctx, p.dev, id, f.data))
 	} else {
 		// The frame's old buffer becomes the lane's next one.
 		f.data, ld.buf = ld.buf, f.data
-	}
-	p.retries.Add(int64(ld.retries))
-	if ld.retries > 0 {
-		sp.OnIORetries(int64(ld.retries))
 	}
 	p.classifyErr(ld.err)
 	if ld.err != nil {
@@ -418,29 +393,14 @@ type load struct {
 	id      disk.PageID
 	buf     []byte
 
-	retries int   // transient faults absorbed by the retry policy
-	err     error // the device's answer once the policy gave up
-	sum     error // page.Verify's, when the device delivered
+	err error // the device's answer
+	sum error // page.Verify's, when the device delivered
 }
 
-// settle finishes a read whose first attempt ended with first: the retry
-// policy takes it from there, as if it had made that attempt itself,
-// and a page that arrived is verified. Every attempt is attributed to
-// the query span in ctx. It touches no pool state but dev and retry,
-// which the goroutine holding p.mu for this load keeps still.
-func (ld *load) settle(p *Pool, ctx context.Context, first error) {
-	ld.retries, ld.err, ld.sum = 0, first, nil
-	if first != nil {
-		made := false
-		ld.retries, ld.err = p.retry.Do(func() error {
-			if !made {
-				made = true
-				return first
-			}
-			return disk.ReadPageCtx(ctx, p.dev, ld.id, ld.buf)
-		})
-	}
-	if ld.err == nil {
+// settle records how the read ended and verifies a page that arrived.
+func (ld *load) settle(err error) {
+	ld.err, ld.sum = err, nil
+	if err == nil {
 		ld.sum = page.Verify(ld.buf)
 	}
 }

@@ -384,39 +384,10 @@ func TestPoolWriteBackFaultSurfaces(t *testing.T) {
 	}
 }
 
-// TestPoolRetryAbsorbsTransientFaults turns on the pool retry policy:
-// transient device faults must be invisible to Fix callers and counted
-// in Stats.Retries.
-func TestPoolRetryAbsorbsTransientFaults(t *testing.T) {
-	p, d := newPool(t, 16, 4)
-	p.SetRetry(disk.RetryPolicy{MaxAttempts: 4})
-	remaining := map[disk.PageID]int{3: 2, 7: 1}
-	d.SetFault(func(pg disk.PageID, write bool) error {
-		if remaining[pg] > 0 {
-			remaining[pg]--
-			return fmt.Errorf("%w: page %d", disk.ErrTransient, pg)
-		}
-		return nil
-	})
-	for _, pg := range []disk.PageID{3, 7, 1} {
-		f, err := p.Fix(pg)
-		if err != nil {
-			t.Fatalf("Fix(%d) with retry policy: %v", pg, err)
-		}
-		if err := p.Unfix(f, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := p.Stats().Retries; got != 3 {
-		t.Errorf("Stats.Retries = %d, want 3", got)
-	}
-}
-
-// TestPoolRetryGivesUpOnPermanent checks classification: permanent
-// faults must not burn retry budget.
+// TestPoolRetryGivesUpOnPermanent: a permanent fault costs one device
+// call and reaches the caller classified as permanent.
 func TestPoolRetryGivesUpOnPermanent(t *testing.T) {
 	p, d := newPool(t, 8, 2)
-	p.SetRetry(disk.RetryPolicy{MaxAttempts: 5})
 	calls := 0
 	d.SetFault(func(pg disk.PageID, write bool) error {
 		calls++
@@ -428,7 +399,7 @@ func TestPoolRetryGivesUpOnPermanent(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("permanent fault retried: %d device calls", calls)
 	}
-	if got := p.Stats().Retries; got != 0 {
-		t.Errorf("Stats.Retries = %d, want 0", got)
+	if got := p.Stats().PermanentErrors; got != 1 {
+		t.Errorf("Stats.PermanentErrors = %d, want 1", got)
 	}
 }

@@ -158,17 +158,16 @@ func TestFixNewWithoutFrameAllocatesNothing(t *testing.T) {
 	checkInvariants(t, p)
 }
 
-// TestErrorClassification: terminal device failures are counted by
-// class so callers can tell a flapping path (transient exhausted)
-// from a dead page (permanent).
+// TestErrorClassification: device failures are counted by class so
+// callers can tell a flapping path (transient) from a dead page
+// (permanent).
 func TestErrorClassification(t *testing.T) {
 	sim := disk.New(8)
 	dev := disk.NewFaulty(sim, disk.FaultConfig{})
 	p := New(dev, 4)
-	p.SetRetry(disk.RetryPolicy{MaxAttempts: 2})
 
-	// Endless transient faults on every read: the retry budget runs
-	// out while the error is still retryable.
+	// Endless transient faults on every read: the pool repeats nothing,
+	// so the error reaches the caller still retryable.
 	dev.SetConfig(disk.FaultConfig{Seed: 1, TransientRate: 1, TransientFailures: 100})
 	if _, err := p.Fix(0); err == nil || !disk.Retryable(err) {
 		t.Fatalf("Fix = %v, want retryable error", err)

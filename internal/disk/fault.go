@@ -58,9 +58,6 @@ var DefaultRetryPolicy = RetryPolicy{
 	MaxBackoff:  10 * time.Millisecond,
 }
 
-// Enabled reports whether the policy performs any retries at all.
-func (rp RetryPolicy) Enabled() bool { return rp.MaxAttempts > 1 }
-
 // Backoff returns the delay before the given retry (0 = first retry),
 // doubling from BaseBackoff and saturating at MaxBackoff.
 func (rp RetryPolicy) Backoff(retry int) time.Duration {
@@ -77,16 +74,11 @@ func (rp RetryPolicy) Backoff(retry int) time.Duration {
 	return d
 }
 
-// Do runs fn under the policy: it re-invokes fn after a backoff while
-// fn keeps failing with a retryable error and attempts remain. It
-// returns the last error and the number of retries performed.
-func (rp RetryPolicy) Do(fn func() error) (retries int, err error) {
-	return rp.DoJitter(nil, fn)
-}
-
-// DoJitter is Do with full jitter: when j is non-nil every backoff is
-// drawn uniformly from (0, Backoff(attempt)] instead of the exact
-// deterministic delay. Pass nil for the classic deterministic pacing.
+// DoJitter runs fn under the policy: it re-invokes fn after a backoff
+// while fn keeps failing with a retryable error and attempts remain. It
+// returns the last error and the number of retries performed. When j
+// is non-nil every backoff is drawn uniformly from (0, Backoff(attempt)]
+// (full jitter); pass nil for the exact deterministic delay.
 func (rp RetryPolicy) DoJitter(j *Jitter, fn func() error) (retries int, err error) {
 	attempts := rp.MaxAttempts
 	if attempts < 1 {

@@ -28,19 +28,12 @@ type FaultConfig struct {
 	// PermanentRate is the fraction of pages that always fail with
 	// ErrPermanent (0..1). Permanent wins over transient on overlap.
 	PermanentRate float64
-	// LatencyRate is the fraction of pages whose accesses are delayed
-	// by Latency — a latency spike model for timing-sensitive callers
-	// (0..1). Like the error rates, the decision is a pure function of
-	// (Seed, page id): a spiky page is always spiky, so timeout and
-	// hedging paths are testable deterministically.
-	LatencyRate float64
-	// Latency is the injected spike duration.
-	Latency time.Duration
 	// StallRate is the fraction of pages whose accesses stall for
 	// Stall — the slow-read/straggler model (a wedged server, a deep
-	// queue) as opposed to LatencyRate's short spikes. Seeded per page
-	// like every other decision, so a hedging client can be pointed at
-	// a page that is known to stall. Stalled accesses still succeed.
+	// queue). Like the error rates, the decision is a pure function of
+	// (Seed, page id): a stalled page always stalls, so a hedging or
+	// timeout path can be pointed at a page that is known to be slow.
+	// Stalled accesses still succeed.
 	StallRate float64
 	// Stall is the injected stall duration.
 	Stall time.Duration
@@ -69,7 +62,6 @@ type FaultConfig struct {
 type FaultStats struct {
 	Transient int64 // transient errors injected
 	Permanent int64 // permanent errors injected
-	Latency   int64 // latency spikes injected
 	Stalls    int64 // stalls injected
 	Brownouts int64 // accesses refused at full brownout intensity
 }
@@ -102,7 +94,6 @@ type Faulty struct {
 	// exactly what FaultStats() reports.
 	transient metrics.Counter
 	permanent metrics.Counter
-	latency   metrics.Counter
 	stalls    metrics.Counter
 	brownouts metrics.Counter
 }
@@ -135,7 +126,6 @@ func (f *Faulty) SetConfig(cfg FaultConfig) {
 	f.accesses = 0
 	f.transient.Reset()
 	f.permanent.Reset()
-	f.latency.Reset()
 	f.stalls.Reset()
 	f.brownouts.Reset()
 }
@@ -170,7 +160,6 @@ func (f *Faulty) FaultStats() FaultStats {
 	return FaultStats{
 		Transient: f.transient.Value(),
 		Permanent: f.permanent.Value(),
-		Latency:   f.latency.Value(),
 		Stalls:    f.stalls.Value(),
 		Brownouts: f.brownouts.Value(),
 	}
@@ -184,8 +173,6 @@ func (f *Faulty) RegisterMetrics(r *metrics.Registry, dev string) {
 		&f.transient, "dev", dev, "class", "transient")
 	r.Attach("asm_disk_faults_total", "Injected I/O faults by class.",
 		&f.permanent, "dev", dev, "class", "permanent")
-	r.Attach("asm_disk_latency_spikes_total", "Injected latency spikes.",
-		&f.latency, "dev", dev)
 	r.Attach("asm_disk_stalls_total", "Injected slow-access stalls.",
 		&f.stalls, "dev", dev)
 	r.Attach("asm_disk_brownouts_total", "Accesses refused at full brownout intensity.",
@@ -197,7 +184,6 @@ func (f *Faulty) RegisterMetrics(r *metrics.Registry, dev string) {
 const (
 	saltPermanent = 0x9E3779B97F4A7C15
 	saltTransient = 0xC2B2AE3D27D4EB4F
-	saltLatency   = 0x165667B19E3779F9
 	saltTear      = 0x27D4EB2F165667C5
 	saltStall     = 0x94D049BB133111EB
 )
@@ -251,14 +237,6 @@ func (f *Faulty) stalledLocked(p PageID) bool {
 	return f.cfg.StallRate > 0 && mix(f.cfg.Seed, p, saltStall) < f.cfg.StallRate
 }
 
-// LatencySpiky reports whether accesses to page p take a latency spike
-// under the current configuration.
-func (f *Faulty) LatencySpiky(p PageID) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.cfg.LatencyRate > 0 && mix(f.cfg.Seed, p, saltLatency) < f.cfg.LatencyRate
-}
-
 // brownoutIntensity is the episode's intensity for the ord-th access:
 // 0 outside the window, a linear ramp to 1 over the first (and last)
 // BrownoutRamp accesses, and exactly 1 on the plateau between them.
@@ -306,13 +284,9 @@ func (f *Faulty) injectAs(p PageID, write bool, sp *qtrace.Span) error {
 		return nil
 	}
 	var delay time.Duration
-	if f.cfg.LatencyRate > 0 && mix(f.cfg.Seed, p, saltLatency) < f.cfg.LatencyRate {
-		f.latency.Inc()
-		delay = f.cfg.Latency
-	}
 	if f.stalledLocked(p) {
 		f.stalls.Inc()
-		delay += f.cfg.Stall
+		delay = f.cfg.Stall
 	}
 	// The brownout clock ticks on every injection decision; the ramps
 	// slow accesses down, the plateau refuses them outright.
@@ -353,7 +327,7 @@ func (f *Faulty) injectAs(p PageID, write bool, sp *qtrace.Span) error {
 		sp.OnFault()
 		tr.DiskFault(int64(p), class, sp.QID())
 	}
-	// Sleep outside the lock so a latency spike on one page does not
+	// Sleep outside the lock so a stall on one page does not
 	// stall concurrent accesses to others.
 	if delay > 0 {
 		time.Sleep(delay)

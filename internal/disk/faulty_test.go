@@ -126,22 +126,6 @@ func TestFaultyWritesGated(t *testing.T) {
 	}
 }
 
-func TestFaultyLatencySpikes(t *testing.T) {
-	inner := New(32)
-	f := NewFaulty(inner, FaultConfig{Seed: 9, LatencyRate: 1, Latency: time.Millisecond})
-	buf := make([]byte, DefaultPageSize)
-	start := time.Now()
-	if err := f.ReadPage(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < time.Millisecond {
-		t.Errorf("latency spike not applied: read took %v", d)
-	}
-	if st := f.FaultStats(); st.Latency != 1 {
-		t.Errorf("Latency = %d, want 1", st.Latency)
-	}
-}
-
 func TestRetryPolicyBackoffAndDo(t *testing.T) {
 	rp := RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Microsecond, MaxBackoff: 4 * time.Microsecond}
 	if got := rp.Backoff(0); got != time.Microsecond {
@@ -151,9 +135,9 @@ func TestRetryPolicyBackoffAndDo(t *testing.T) {
 		t.Errorf("Backoff(10) = %v, want cap", got)
 	}
 
-	// Transient error vanishes after 2 failures: Do must absorb it.
+	// Transient error vanishes after 2 failures: DoJitter must absorb it.
 	fails := 2
-	retries, err := rp.Do(func() error {
+	retries, err := rp.DoJitter(nil, func() error {
 		if fails > 0 {
 			fails--
 			return ErrTransient
@@ -166,13 +150,13 @@ func TestRetryPolicyBackoffAndDo(t *testing.T) {
 
 	// Permanent errors are never retried.
 	calls := 0
-	_, err = rp.Do(func() error { calls++; return ErrPermanent })
+	_, err = rp.DoJitter(nil, func() error { calls++; return ErrPermanent })
 	if !errors.Is(err, ErrPermanent) || calls != 1 {
 		t.Errorf("Do on permanent: calls=%d err=%v", calls, err)
 	}
 
 	// Budget exhaustion surfaces the transient error.
-	_, err = rp.Do(func() error { return ErrTransient })
+	_, err = rp.DoJitter(nil, func() error { return ErrTransient })
 	if !errors.Is(err, ErrTransient) {
 		t.Errorf("Do exhausted: err=%v", err)
 	}
@@ -180,14 +164,14 @@ func TestRetryPolicyBackoffAndDo(t *testing.T) {
 	// Zero policy: one attempt, no retry.
 	var zero RetryPolicy
 	calls = 0
-	if _, err := zero.Do(func() error { calls++; return ErrTransient }); !errors.Is(err, ErrTransient) || calls != 1 {
+	if _, err := zero.DoJitter(nil, func() error { calls++; return ErrTransient }); !errors.Is(err, ErrTransient) || calls != 1 {
 		t.Errorf("zero policy: calls=%d err=%v", calls, err)
 	}
 }
 
 // TestStallFaults: stall injection is deterministic per page, delays
-// the access without failing it, and is counted separately from
-// latency spikes and error faults.
+// the access without failing it, and is counted separately from error
+// faults.
 func TestStallFaults(t *testing.T) {
 	dev := New(64)
 	f := NewFaulty(dev, FaultConfig{
@@ -228,7 +212,7 @@ func TestStallFaults(t *testing.T) {
 	if st.Stalls != 1 {
 		t.Errorf("Stalls = %d, want 1", st.Stalls)
 	}
-	if st.Latency != 0 || st.Transient != 0 || st.Permanent != 0 {
+	if st.Transient != 0 || st.Permanent != 0 {
 		t.Errorf("stall leaked into other counters: %+v", st)
 	}
 

@@ -22,8 +22,6 @@ type Server struct {
 	cond      *sync.Cond
 	queue     []*request
 	batchWait time.Duration
-	retry     RetryPolicy
-	retries   metrics.Counter
 	closed    bool
 	stopped   chan struct{}
 }
@@ -53,26 +51,9 @@ func (s *Server) SetBatchWait(d time.Duration) {
 	s.batchWait = d
 }
 
-// SetRetry installs a retry-with-backoff policy on the read path:
-// accesses that fail with a transient error (disk.Retryable) are
-// repeated up to the policy's budget before the error is delivered to
-// the client. The zero policy (the default) disables retries.
-func (s *Server) SetRetry(rp RetryPolicy) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.retry = rp
-}
-
-// Retries reports how many read attempts the server has repeated
-// after transient faults.
-func (s *Server) Retries() int64 { return s.retries.Value() }
-
-// RegisterMetrics exports the server's retry counter and live queue
-// depth under the device label, and forwards to the underlying device.
+// RegisterMetrics exports the server's live queue depth under the
+// device label, and forwards to the underlying device.
 func (s *Server) RegisterMetrics(r *metrics.Registry, dev string) {
-	r.Attach("asm_disk_server_retries_total",
-		"Read attempts repeated by the device server after transient faults.",
-		&s.retries, "dev", dev)
 	r.Attach("asm_disk_server_queue_depth",
 		"Requests currently queued at the device server.",
 		metrics.GaugeFunc(func() int64 {
@@ -99,18 +80,6 @@ func (s *Server) Read(p PageID, buf []byte) error {
 	s.cond.Signal()
 	s.mu.Unlock()
 	return <-req.done
-}
-
-// service performs one request's device read under the retry policy.
-func (s *Server) service(req *request) error {
-	s.mu.Lock()
-	rp := s.retry
-	s.mu.Unlock()
-	retries, err := rp.Do(func() error { return s.dev.ReadPage(req.page, req.buf) })
-	if retries > 0 {
-		s.retries.Add(int64(retries))
-	}
-	return err
 }
 
 func (s *Server) run() {
@@ -144,10 +113,10 @@ func (s *Server) run() {
 		// rest descending (one SCAN sweep and return).
 		split := sort.Search(len(batch), func(i int) bool { return batch[i].page >= head })
 		for i := split; i < len(batch); i++ {
-			batch[i].done <- s.service(batch[i])
+			batch[i].done <- s.dev.ReadPage(batch[i].page, batch[i].buf)
 		}
 		for i := split - 1; i >= 0; i-- {
-			batch[i].done <- s.service(batch[i])
+			batch[i].done <- s.dev.ReadPage(batch[i].page, batch[i].buf)
 		}
 	}
 }

@@ -46,48 +46,6 @@ func TestServerReadCloseRace(t *testing.T) {
 	}
 }
 
-func TestServerRetryAbsorbsTransientFaults(t *testing.T) {
-	d := New(64)
-	var mu sync.Mutex
-	fails := map[PageID]int{5: 2, 9: 1}
-	d.SetFault(func(p PageID, write bool) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if fails[p] > 0 {
-			fails[p]--
-			return fmt.Errorf("%w: page %d", ErrTransient, p)
-		}
-		return nil
-	})
-	s := NewServer(d)
-	defer s.Close()
-	s.SetRetry(RetryPolicy{MaxAttempts: 4})
-
-	buf := make([]byte, DefaultPageSize)
-	for _, p := range []PageID{5, 9, 1} {
-		if err := s.Read(p, buf); err != nil {
-			t.Fatalf("read %d through retrying server: %v", p, err)
-		}
-	}
-	if got := s.Retries(); got != 3 {
-		t.Errorf("Retries = %d, want 3", got)
-	}
-}
-
-func TestServerRetryBudgetExhausts(t *testing.T) {
-	d := New(64)
-	d.SetFault(func(p PageID, write bool) error {
-		return fmt.Errorf("%w: page %d", ErrTransient, p)
-	})
-	s := NewServer(d)
-	defer s.Close()
-	s.SetRetry(RetryPolicy{MaxAttempts: 3})
-	err := s.Read(2, make([]byte, DefaultPageSize))
-	if !errors.Is(err, ErrTransient) {
-		t.Fatalf("exhausted retries: err = %v, want ErrTransient", err)
-	}
-}
-
 func TestServerNoRetryOnPermanent(t *testing.T) {
 	d := New(64)
 	var calls int
@@ -100,14 +58,10 @@ func TestServerNoRetryOnPermanent(t *testing.T) {
 	})
 	s := NewServer(d)
 	defer s.Close()
-	s.SetRetry(RetryPolicy{MaxAttempts: 5})
 	if err := s.Read(3, make([]byte, DefaultPageSize)); !errors.Is(err, ErrPermanent) {
 		t.Fatalf("err = %v, want ErrPermanent", err)
 	}
 	if calls != 1 {
 		t.Errorf("permanent error was retried: %d device attempts", calls)
-	}
-	if got := s.Retries(); got != 0 {
-		t.Errorf("Retries = %d, want 0", got)
 	}
 }

@@ -268,7 +268,6 @@ func TestFleetPromotionChaosKillPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	netDB.Pool.SetWAL(netWAL)
-	netDB.Pool.SetRetry(retry)
 
 	// Seed a nonzero durable LSN (the staleness floor and promotion
 	// floor) and wait for the replica to catch up past it.
@@ -314,7 +313,6 @@ func TestFleetPromotionChaosKillPrimary(t *testing.T) {
 	ctrl := NewController(Config{
 		Members:       ctrlMembers,
 		SustainedLoss: 30 * time.Millisecond,
-		ConfirmProbes: 2,
 		ProbeJitter:   2 * time.Millisecond,
 		JitterSeed:    42,
 		LSNFloor:      func() uint64 { return floor },

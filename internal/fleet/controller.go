@@ -45,6 +45,12 @@ type Member struct {
 	Promote func(epoch uint64) error
 }
 
+// confirmProbes is how many extra jittered probes must ALL fail, after
+// the sustained-loss window, before promotion fires. One probe
+// succeeding resets the loss window: promotion is deliberately
+// pessimistic, a needless promotion costs a replica.
+const confirmProbes = 2
+
 // Config tunes a Controller.
 type Config struct {
 	// Members are the shards under watch.
@@ -53,12 +59,6 @@ type Config struct {
 	// before promotion is considered; zero means 500ms. Blips shorter
 	// than this never promote.
 	SustainedLoss time.Duration
-	// ConfirmProbes is how many extra jittered probes must ALL fail,
-	// after the sustained-loss window, before promotion fires; zero
-	// means 2. One probe succeeding resets the loss window: promotion
-	// is deliberately pessimistic, a needless promotion costs a
-	// replica.
-	ConfirmProbes int
 	// ProbeJitter bounds the random pause between confirmation probes
 	// (full jitter, so a fleet of controllers does not stampede); zero
 	// means none.
@@ -110,9 +110,6 @@ type Controller struct {
 func NewController(cfg Config) *Controller {
 	if cfg.SustainedLoss <= 0 {
 		cfg.SustainedLoss = 500 * time.Millisecond
-	}
-	if cfg.ConfirmProbes <= 0 {
-		cfg.ConfirmProbes = 2
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -188,7 +185,7 @@ func (c *Controller) tickMember(i int, now time.Time) (Promotion, bool) {
 
 	// Sustained loss established. Confirmation probes, jitter-spaced:
 	// ONE success is a stay of execution — the window resets.
-	for n := 0; n < c.cfg.ConfirmProbes; n++ {
+	for n := 0; n < confirmProbes; n++ {
 		if jit := c.cfg.ProbeJitter; jit > 0 {
 			d := c.jitter.Backoff(disk.RetryPolicy{BaseBackoff: jit, MaxBackoff: jit}, 1)
 			select {

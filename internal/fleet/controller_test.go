@@ -87,7 +87,6 @@ func TestControllerSustainedLossPromotes(t *testing.T) {
 	c := NewController(Config{
 		Members:       []Member{pm.member("s0")},
 		SustainedLoss: 500 * time.Millisecond,
-		ConfirmProbes: 2,
 		LSNFloor:      func() uint64 { return floor },
 		Clock:         clk.Now,
 		Registry:      reg,
@@ -173,7 +172,6 @@ func TestControllerConfirmProbeVetoes(t *testing.T) {
 	c := NewController(Config{
 		Members:       []Member{m},
 		SustainedLoss: time.Millisecond,
-		ConfirmProbes: 2,
 		Clock:         clk.Now,
 	})
 	defer c.Stop()
@@ -200,7 +198,6 @@ func TestControllerConfirmProbeVetoes(t *testing.T) {
 	c2 := NewController(Config{
 		Members:       []Member{m2},
 		SustainedLoss: time.Millisecond,
-		ConfirmProbes: 2,
 		Clock:         clk.Now,
 	})
 	defer c2.Stop()
@@ -223,7 +220,6 @@ func TestControllerRefusesLaggingReplica(t *testing.T) {
 	c := NewController(Config{
 		Members:       []Member{pm.member("s0")},
 		SustainedLoss: time.Millisecond,
-		ConfirmProbes: 1,
 		LSNFloor:      func() uint64 { return 10 },
 		Clock:         clk.Now,
 	})

@@ -22,12 +22,6 @@ type MigratorConfig struct {
 	// zero means 64. Smaller chunks shorten each fence window; larger
 	// ones amortize the meta-log fsync.
 	ChunkPages int
-	// Watermark, when set, reports the data WAL's durable LSN. The
-	// migrator copies a chunk unfenced, then fences and re-copies ONLY
-	// if the watermark moved during the copy — under WAL-before-data,
-	// an unmoved durable LSN proves no data write landed. nil always
-	// re-copies (correct for direct-write backends with no WAL).
-	Watermark func() uint64
 	// Registry, when set, receives asm_fleet_pages_migrated_total.
 	Registry *metrics.Registry
 }
@@ -35,7 +29,7 @@ type MigratorConfig struct {
 // Migrator performs crash-safe live resharding: Join adds a member to
 // the router and walks the rendezvous delta — the ≈1/(N+1) of pages
 // the newcomer is owed — in chunks: copy (reads keep flowing through
-// the old owner), fence writes, re-copy if needed, log the ownership
+// the old owner), fence writes, re-copy, log the ownership
 // record durably, flip routing, unfence. The sequence never leaves a
 // page with zero or two owners: until the cutover record is durable
 // the old owner serves, after it the new one does, and recovery after
@@ -138,8 +132,8 @@ func (mg *Migrator) finish(m shard.Member, delta []disk.PageID) (int, error) {
 }
 
 // migrateChunk moves one ascending run of delta pages: copy, fence,
-// re-copy under the fence if the watermark moved, make the ownership
-// record durable, flip routing, and the fence lifts with the flip.
+// re-copy under the fence, make the ownership record durable, flip
+// routing, and the fence lifts with the flip.
 func (mg *Migrator) migrateChunk(chunk []disk.PageID, target disk.Device, owner string) error {
 	r := mg.cfg.Router
 	lo, hi := chunk[0], chunk[len(chunk)-1]+1
@@ -160,25 +154,19 @@ func (mg *Migrator) migrateChunk(chunk []disk.PageID, target disk.Device, owner 
 		return nil
 	}
 
-	// Bulk copy with writes still flowing; note the watermark first.
-	var wm uint64
-	if mg.cfg.Watermark != nil {
-		wm = mg.cfg.Watermark()
-	}
+	// Bulk copy with writes still flowing.
 	if err := copyChunk(); err != nil {
 		return err
 	}
 
 	// Fence the chunk (FenceRange waits out in-flight writes) and
-	// close the race: if any data write could have landed during the
-	// bulk copy, copy again — this pass runs with writers fenced, so
-	// it cannot be invalidated.
+	// close the race: a data write may have landed on the old owner
+	// during the bulk copy, so copy again — this pass runs with writers
+	// fenced, so it cannot be invalidated.
 	r.FenceRange(lo, hi)
-	if mg.cfg.Watermark == nil || mg.cfg.Watermark() != wm {
-		if err := copyChunk(); err != nil {
-			r.UnfenceRange(lo, hi)
-			return err
-		}
+	if err := copyChunk(); err != nil {
+		r.UnfenceRange(lo, hi)
+		return err
 	}
 
 	// WAL-before-ownership: the record must be durable before routing

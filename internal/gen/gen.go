@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"revelation/internal/assembly"
-	"revelation/internal/btree"
 	"revelation/internal/buffer"
 	"revelation/internal/disk"
 	"revelation/internal/heap"
@@ -50,19 +49,6 @@ func (c Clustering) String() string {
 	}
 }
 
-// LocatorKind selects the OID → RID mapping implementation.
-type LocatorKind int
-
-// Locator kinds.
-const (
-	// MapLocator keeps the mapping resident in memory; locator traffic
-	// stays out of the seek metric, as in the paper's experiments.
-	MapLocator LocatorKind = iota
-	// BTreeLocator stores the mapping in a disk B+-tree so lookups
-	// cost real page accesses.
-	BTreeLocator
-)
-
 // Config parameterizes a generated database.
 type Config struct {
 	// NumComplexObjects is the database size in complex objects
@@ -95,8 +81,6 @@ type Config struct {
 	// zero derives a region larger than any database used in the
 	// paper's benchmarks, reproducing the Fig. 11A flat lines.
 	RegionPages int
-	// Locator selects the OID mapping implementation.
-	Locator LocatorKind
 	// Device, when set, receives the database (e.g. a file-backed
 	// device from cmd/dbgen); nil builds an in-memory simulated disk.
 	Device disk.Device
@@ -202,8 +186,10 @@ func Build(cfg Config) (*Database, error) { return build(cfg, load) }
 
 // loader stores a laid-out database in a fresh extent of len(byPage)
 // pages on the pool's device: byPage[pg]'s objects on page pg, in order,
-// each OID (below next) registered in a new locator of the given kind.
-type loader func(pool *buffer.Pool, byPage [][]*object.Object, next object.OID, kind LocatorKind) (*heap.File, object.Locator, error)
+// each OID registered in a new resident locator (object.MapLocator:
+// locator traffic stays out of the seek metric, as in the paper's
+// experiments).
+type loader func(pool *buffer.Pool, byPage [][]*object.Object) (*heap.File, object.Locator, error)
 
 func build(cfg Config, store loader) (*Database, error) {
 	cfg = cfg.withDefaults()
@@ -407,7 +393,7 @@ func build(cfg Config, store loader) (*Database, error) {
 	for _, o := range objs[1:] {
 		byPage[pageOf[o.OID]] = append(byPage[pageOf[o.OID]], o)
 	}
-	file, loc, err := store(pool, byPage, next, cfg.Locator)
+	file, loc, err := store(pool, byPage)
 	if err != nil {
 		return nil, err
 	}
@@ -445,17 +431,19 @@ func build(cfg Config, store loader) (*Database, error) {
 }
 
 // load is Build's loader. Each page is composed once and written
-// straight to the device (heap.Load). The RIDs are registered after the
-// extent is down, in the order they were placed, so a B-tree locator's
-// pages still follow the extent on the device and hold exactly what a
-// put-by-put load through the pool leaves in them.
-func load(pool *buffer.Pool, byPage [][]*object.Object, next object.OID, kind LocatorKind) (*heap.File, object.Locator, error) {
-	rids := make([]heap.RID, next)
+// straight to the device (heap.Load), and each RID is registered as it
+// is placed.
+func load(pool *buffer.Pool, byPage [][]*object.Object) (*heap.File, object.Locator, error) {
+	loc := object.NewMapLocator()
 	file, err := heap.Load(pool, len(byPage), func(pg int, put func([]byte) (heap.RID, error)) error {
 		for _, o := range byPage[pg] {
 			rec, err := object.Encode(o)
+			var rid heap.RID
 			if err == nil {
-				rids[o.OID], err = put(rec)
+				rid, err = put(rec)
+			}
+			if err == nil {
+				err = loc.Register(o.OID, rid)
 			}
 			if err != nil {
 				return fmt.Errorf("gen: place %v on page %d: %w", o.OID, pg, err)
@@ -466,30 +454,7 @@ func load(pool *buffer.Pool, byPage [][]*object.Object, next object.OID, kind Lo
 	if err != nil {
 		return nil, nil, err
 	}
-	loc, err := newLocator(pool, kind)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, objs := range byPage {
-		for _, o := range objs {
-			if err := loc.Register(o.OID, rids[o.OID]); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
 	return file, loc, nil
-}
-
-// newLocator returns an empty locator of the given kind over the pool.
-func newLocator(pool *buffer.Pool, kind LocatorKind) (object.Locator, error) {
-	if kind != BTreeLocator {
-		return object.NewMapLocator(), nil
-	}
-	tree, err := btree.Create(pool)
-	if err != nil {
-		return nil, err
-	}
-	return object.NewBTreeLocator(tree), nil
 }
 
 // firstLeafPosition returns the index of the first leaf-level position

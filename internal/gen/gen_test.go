@@ -291,23 +291,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestBTreeLocatorOption(t *testing.T) {
-	db, err := Build(Config{NumComplexObjects: 30, Locator: BTreeLocator, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := db.Store.Locator.(*object.BTreeLocator); !ok {
-		t.Fatalf("locator type %T", db.Store.Locator)
-	}
-	o, err := db.Store.Get(db.Roots[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.OID != db.Roots[3] {
-		t.Error("btree-located object wrong")
-	}
-}
-
 func TestRegionOverflowDetected(t *testing.T) {
 	_, err := Build(Config{
 		NumComplexObjects: 1000,

@@ -19,15 +19,12 @@ import (
 // heap.Create formats every page through the pool, then Store.PutAt
 // places the objects page by page, registering each RID as it goes.
 // Build's EvictAll writes back what the pool still holds.
-func poolLoad(pool *buffer.Pool, byPage [][]*object.Object, _ object.OID, kind LocatorKind) (*heap.File, object.Locator, error) {
+func poolLoad(pool *buffer.Pool, byPage [][]*object.Object) (*heap.File, object.Locator, error) {
 	file, err := heap.Create(pool, len(byPage))
 	if err != nil {
 		return nil, nil, err
 	}
-	loc, err := newLocator(pool, kind)
-	if err != nil {
-		return nil, nil, err
-	}
+	loc := object.NewMapLocator()
 	store := object.NewStore(file, loc, nil)
 	for pg, objs := range byPage {
 		for _, o := range objs {
@@ -81,28 +78,26 @@ func TestLoadMatchesPoolLoad(t *testing.T) {
 		for _, cl := range []Clustering{Unclustered, InterObject, IntraObject} {
 			for _, sharing := range []float64{0, 0.25} {
 				for _, fanouts := range [][]int{{2, 2}, {2, 2, 2, 2}, {8, 4}} {
-					for _, lk := range []LocatorKind{MapLocator, BTreeLocator} {
-						for _, extra := range []int{0, 17} {
-							for _, frames := range []int{40, 64, 0} {
-								cfg := Config{
-									NumComplexObjects: 20, Fanouts: fanouts, Clustering: cl,
-									Sharing: sharing, Seed: 5, RegionPages: 4, Locator: lk,
-									ExtraPages: extra, BufferPages: frames,
-								}
-								name := fmt.Sprintf("%s/%v/share%v/%v/loc%d/extra%d/frames%d", dv.name, cl, sharing, fanouts, lk, extra, frames)
-								cfg.Device = dv.new(t)
-								got, err := Build(cfg)
-								if err != nil {
-									t.Fatalf("%s: load: %v", name, err)
-								}
-								cfg.Device = dv.new(t)
-								want, err := build(cfg, poolLoad)
-								if err != nil {
-									t.Fatalf("%s: pool load: %v", name, err)
-								}
-								if err := sameDatabase(got, want); err != nil {
-									t.Fatalf("%s: %v", name, err)
-								}
+					for _, extra := range []int{0, 17} {
+						for _, frames := range []int{40, 64, 0} {
+							cfg := Config{
+								NumComplexObjects: 20, Fanouts: fanouts, Clustering: cl,
+								Sharing: sharing, Seed: 5, RegionPages: 4,
+								ExtraPages: extra, BufferPages: frames,
+							}
+							name := fmt.Sprintf("%s/%v/share%v/%v/extra%d/frames%d", dv.name, cl, sharing, fanouts, extra, frames)
+							cfg.Device = dv.new(t)
+							got, err := Build(cfg)
+							if err != nil {
+								t.Fatalf("%s: load: %v", name, err)
+							}
+							cfg.Device = dv.new(t)
+							want, err := build(cfg, poolLoad)
+							if err != nil {
+								t.Fatalf("%s: pool load: %v", name, err)
+							}
+							if err := sameDatabase(got, want); err != nil {
+								t.Fatalf("%s: %v", name, err)
 							}
 						}
 					}

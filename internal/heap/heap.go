@@ -37,11 +37,8 @@ type RID struct {
 
 // NilRID is the zero-value "no record" RID; page 0 is never part of a
 // heap extent in practice because extents are allocated after metadata,
-// but compare against explicit validity where it matters.
+// but compare against NilRID where it matters.
 var NilRID = RID{Page: disk.InvalidPage}
-
-// Valid reports whether the RID refers to a real record address.
-func (r RID) Valid() bool { return r.Page != disk.InvalidPage }
 
 func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 
@@ -310,22 +307,6 @@ func (f *File) Scan(fn func(rid RID, rec []byte) bool) error {
 		}
 	}
 	return nil
-}
-
-// ScanPage calls fn for every live record on the idx-th extent page.
-func (f *File) ScanPage(idx int, fn func(rid RID, rec []byte) bool) error {
-	pid, err := f.PageAt(idx)
-	if err != nil {
-		return err
-	}
-	fr, err := f.pool.Fix(pid)
-	if err != nil {
-		return err
-	}
-	page.Wrap(fr.Data()).Records(func(s page.SlotID, rec []byte) bool {
-		return fn(RID{Page: pid, Slot: s}, rec)
-	})
-	return f.pool.Unfix(fr, false)
 }
 
 // Count returns the number of live records in the file.

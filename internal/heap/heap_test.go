@@ -348,36 +348,3 @@ func TestHeapSurfacesDeviceFaults(t *testing.T) {
 		t.Fatalf("Read after clearing fault: rec=%v err=%v", rec, err)
 	}
 }
-
-// TestHeapPoolRetryAbsorbsTransient turns the pool retry policy on
-// under the heap file: a transient device fault must be invisible to
-// Get callers.
-func TestHeapPoolRetryAbsorbsTransient(t *testing.T) {
-	f, d := newFile(t, 2, 4)
-	rid, err := f.InsertAt(1, []byte("payload-0123456"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Pool().EvictAll(); err != nil {
-		t.Fatal(err)
-	}
-	f.Pool().SetRetry(disk.RetryPolicy{MaxAttempts: 3})
-	remaining := 2
-	d.SetFault(func(pg disk.PageID, write bool) error {
-		if pg == rid.Page && !write && remaining > 0 {
-			remaining--
-			return fmt.Errorf("%w: page %d", disk.ErrTransient, pg)
-		}
-		return nil
-	})
-	rec, err := f.Read(rid)
-	if err != nil {
-		t.Fatalf("Read under transient faults: %v", err)
-	}
-	if string(rec) != "payload-0123456" {
-		t.Fatalf("record corrupted: %q", rec)
-	}
-	if got := f.Pool().Stats().Retries; got != 2 {
-		t.Errorf("pool retries = %d, want 2", got)
-	}
-}

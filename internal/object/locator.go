@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"revelation/internal/btree"
 	"revelation/internal/disk"
 	"revelation/internal/heap"
 	"revelation/internal/page"
@@ -141,52 +140,6 @@ func (l *MapLocator) sweep() {
 
 // Len implements Locator.
 func (l *MapLocator) Len() (int, error) { return l.n, nil }
-
-// BTreeLocator persists the mapping in a B+-tree, so lookups cost real
-// page accesses. RIDs pack into the tree's uint64 values as
-// (page << 16) | slot.
-type BTreeLocator struct {
-	tree *btree.Tree
-}
-
-// NewBTreeLocator wraps a B+-tree as a locator.
-func NewBTreeLocator(tree *btree.Tree) *BTreeLocator { return &BTreeLocator{tree: tree} }
-
-// Tree exposes the underlying B+-tree (for persistence of its root).
-func (l *BTreeLocator) Tree() *btree.Tree { return l.tree }
-
-// PackRID encodes a RID into a uint64 B-tree value.
-func PackRID(rid heap.RID) uint64 {
-	return uint64(rid.Page)<<16 | uint64(rid.Slot)
-}
-
-// UnpackRID decodes a PackRID value.
-func UnpackRID(v uint64) heap.RID {
-	return heap.RID{Page: disk.PageID(v >> 16), Slot: page.SlotID(v & 0xFFFF)}
-}
-
-// Lookup implements Locator.
-func (l *BTreeLocator) Lookup(oid OID) (heap.RID, bool, error) {
-	if oid.IsNil() {
-		return heap.NilRID, false, ErrNilOID
-	}
-	v, ok, err := l.tree.Get(uint64(oid))
-	if err != nil || !ok {
-		return heap.NilRID, false, err
-	}
-	return UnpackRID(v), true, nil
-}
-
-// Register implements Locator.
-func (l *BTreeLocator) Register(oid OID, rid heap.RID) error {
-	if oid.IsNil() {
-		return ErrNilOID
-	}
-	return l.tree.Put(uint64(oid), PackRID(rid))
-}
-
-// Len implements Locator.
-func (l *BTreeLocator) Len() (int, error) { return l.tree.Len() }
 
 // Store couples a heap file, a locator, and a catalog into the
 // object-storage facade the upper layers use: put an object somewhere,

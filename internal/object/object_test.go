@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"revelation/internal/btree"
 	"revelation/internal/buffer"
 	"revelation/internal/disk"
 	"revelation/internal/heap"
@@ -218,19 +217,6 @@ func TestCatalog(t *testing.T) {
 	}
 }
 
-func TestPackUnpackRID(t *testing.T) {
-	rids := []heap.RID{
-		{Page: 0, Slot: 0},
-		{Page: 12345, Slot: 8},
-		{Page: 1 << 20, Slot: 65535},
-	}
-	for _, rid := range rids {
-		if got := UnpackRID(PackRID(rid)); got != rid {
-			t.Errorf("round trip %v -> %v", rid, got)
-		}
-	}
-}
-
 func newStore(t *testing.T, loc Locator) *Store {
 	t.Helper()
 	d := disk.New(0)
@@ -262,39 +248,6 @@ func TestStoreWithMapLocator(t *testing.T) {
 	}
 	if _, err := s.Get(999); err == nil {
 		t.Error("Get missing OID succeeded")
-	}
-}
-
-func TestStoreWithBTreeLocator(t *testing.T) {
-	d := disk.New(0)
-	pool := buffer.New(d, 64)
-	f, err := heap.Create(pool, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := btree.Create(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStore(f, NewBTreeLocator(tr), NewCatalog())
-	const n = 500
-	for i := 1; i <= n; i++ {
-		o := &Object{OID: OID(i), Class: 1, Ints: []int32{int32(i)}}
-		if _, err := s.Put(o); err != nil {
-			t.Fatalf("Put(%d): %v", i, err)
-		}
-	}
-	for i := 1; i <= n; i += 13 {
-		got, err := s.Get(OID(i))
-		if err != nil {
-			t.Fatalf("Get(%d): %v", i, err)
-		}
-		if got.Ints[0] != int32(i) {
-			t.Errorf("Get(%d).Ints[0] = %d", i, got.Ints[0])
-		}
-	}
-	if l, _ := s.Locator.Len(); l != n {
-		t.Errorf("Locator.Len = %d, want %d", l, n)
 	}
 }
 

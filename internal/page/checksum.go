@@ -159,9 +159,6 @@ func (p *Page) Checksum() uint32 { return StoredChecksum(p.buf) }
 // Stamp records the page's current checksum in its header.
 func (p *Page) Stamp() { Stamp(p.buf) }
 
-// VerifyChecksum checks the page against its stored checksum.
-func (p *Page) VerifyChecksum() error { return Verify(p.buf) }
-
 // VerifyDevice checksum-scans every page of dev and returns the ids
 // that fail verification. A non-nil error reports an I/O failure, not a
 // checksum failure; the returned slice is valid either way for the

@@ -107,17 +107,6 @@ func (p *Page) SetNext(id disk.PageID) {
 	binary.LittleEndian.PutUint32(p.buf[offNext:], uint32(id))
 }
 
-// Self returns the page's recorded own id (set by the layer that owns
-// the page; zero if never set).
-func (p *Page) Self() disk.PageID {
-	return disk.PageID(binary.LittleEndian.Uint32(p.buf[offSelf:]))
-}
-
-// SetSelf records the page's own id for integrity checking.
-func (p *Page) SetSelf(id disk.PageID) {
-	binary.LittleEndian.PutUint32(p.buf[offSelf:], uint32(id))
-}
-
 // LSN returns the page's log sequence number: the LSN of the newest
 // WAL record holding this page's image. Zero means the page has never
 // been logged.

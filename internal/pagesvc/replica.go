@@ -14,6 +14,9 @@ import (
 	"revelation/internal/wal"
 )
 
+// replicaConnectTimeout bounds each (re)connection attempt to the primary.
+const replicaConnectTimeout = 2 * time.Second
+
 // ReplicaConfig tunes a Replica.
 type ReplicaConfig struct {
 	// Primary is the address of the primary page service whose WAL
@@ -21,8 +24,6 @@ type ReplicaConfig struct {
 	Primary string
 	// WALDev is the primary's wire index for its WAL device.
 	WALDev byte
-	// DialTimeout bounds each (re)connection attempt; zero means 2s.
-	DialTimeout time.Duration
 	// Retry paces reconnection after the follow stream breaks. The
 	// zero policy means disk.DefaultRetryPolicy's backoff, retried
 	// forever — a follower's job is to keep trying.
@@ -65,9 +66,6 @@ type Replica struct {
 // seeded from a base backup of the primary's data pages; an empty
 // device also works, it just replays the entire log.
 func NewReplica(dev disk.Device, cfg ReplicaConfig) *Replica {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
 	if cfg.Retry.MaxAttempts == 0 {
 		cfg.Retry = disk.RetryPolicy{
 			MaxAttempts: 1 << 30, // effectively forever
@@ -172,7 +170,7 @@ func (r *Replica) isClosed() bool {
 // followOnce dials the primary, requests the stream from the applied
 // LSN, and applies records until the stream breaks.
 func (r *Replica) followOnce() error {
-	nc, err := net.DialTimeout("tcp", r.cfg.Primary, r.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", r.cfg.Primary, replicaConnectTimeout)
 	if err != nil {
 		return netErr("replica dial "+r.cfg.Primary, err)
 	}

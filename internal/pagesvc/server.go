@@ -26,6 +26,10 @@ const (
 	WALDev  = byte(1)
 )
 
+// followPoll is how long Follow waits at the end of the log before
+// re-reading the tail.
+const followPoll = 2 * time.Millisecond
+
 // ServerConfig tunes a Server beyond its device list.
 type ServerConfig struct {
 	// AppliedLSN, when set, is reported in Info responses — a replica
@@ -34,9 +38,6 @@ type ServerConfig struct {
 	// replica and is meaningless on a primary (clients track their own
 	// durable LSN).
 	AppliedLSN func() uint64
-	// FollowPoll is how long Follow waits at the end of the log before
-	// re-reading the tail; zero means 2ms.
-	FollowPoll time.Duration
 	// Registry, when set, receives the server's connection and request
 	// counters under asm_pagesvc_*.
 	Registry *metrics.Registry
@@ -94,9 +95,6 @@ type Server struct {
 // NewServer builds a server for devs (addressed by index on the wire).
 // A primary passes [data, wal]; a replica passes just [data].
 func NewServer(devs []disk.Device, cfg ServerConfig) *Server {
-	if cfg.FollowPoll <= 0 {
-		cfg.FollowPoll = 2 * time.Millisecond
-	}
 	s := &Server{devs: devs, cfg: cfg, conns: map[net.Conn]*serverConn{}}
 	s.epoch.Store(cfg.Epoch)
 	s.readOnly.Store(cfg.ReadOnly)
@@ -506,7 +504,7 @@ func (s *Server) serveFollow(sc *serverConn, req request, buf []byte) {
 			if closed {
 				return
 			}
-			time.Sleep(s.cfg.FollowPoll)
+			time.Sleep(followPoll)
 			continue
 		}
 		if rec.LSN <= fromLSN {

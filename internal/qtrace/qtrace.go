@@ -61,7 +61,7 @@ type Counters struct {
 	// Buffer-layer attribution.
 	Hits      int64 // pool requests satisfied from a resident frame
 	Misses    int64 // pool requests that required a device read
-	IORetries int64 // transient read errors absorbed by the pool's retry policy
+	IORetries int64 // access retries shard.Router made after transient faults
 
 	// Assembly-layer attribution.
 	Fetches    int64 // components materialized from storage
@@ -241,7 +241,7 @@ func (s *Span) OnMiss() {
 	atomic.AddInt64(&s.c.Misses, 1)
 }
 
-// OnIORetries charges n transient read errors absorbed by the pool.
+// OnIORetries charges n access retries made after transient faults.
 func (s *Span) OnIORetries(n int64) {
 	if s == nil || n == 0 {
 		return

@@ -243,7 +243,6 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 		t.Fatal(err)
 	}
 	netDB.Pool.SetWAL(netWAL)
-	netDB.Pool.SetRetry(retry)
 
 	// Dirty one page through the WAL so the durable LSN — the failover
 	// staleness floor — is nonzero, and wait for the replica to prove it

@@ -4,20 +4,15 @@ import (
 	"fmt"
 
 	"revelation/internal/assembly"
-	"revelation/internal/buffer"
 	"revelation/internal/disk"
 )
 
 // FaultReport aggregates the fault and recovery counters of one
 // assembly run across the whole I/O stack: what the device injected,
-// what the buffer pool absorbed by retrying, and what
-// the operator retried, quarantined, or stalled on.
+// and what the operator retried, quarantined, or stalled on.
 type FaultReport struct {
 	// Device is the injector's view: faults actually delivered.
 	Device disk.FaultStats
-	// PoolRetries counts device reads/writes the buffer pool repeated
-	// under its retry policy.
-	PoolRetries int64
 	// Assembled and Skipped partition the complex objects the operator
 	// finished with: emitted versus quarantined.
 	Assembled int
@@ -30,9 +25,9 @@ type FaultReport struct {
 	WindowStalls int
 }
 
-// CollectFaults builds a FaultReport from the layers of one run. Either
-// of dev and pool may be nil when that layer was not in play.
-func CollectFaults(dev *disk.Faulty, pool *buffer.Pool, st assembly.Stats) FaultReport {
+// CollectFaults builds a FaultReport from the layers of one run. dev may
+// be nil when no fault injector was in play.
+func CollectFaults(dev *disk.Faulty, st assembly.Stats) FaultReport {
 	r := FaultReport{
 		Assembled:    st.Assembled,
 		Skipped:      st.Skipped,
@@ -41,9 +36,6 @@ func CollectFaults(dev *disk.Faulty, pool *buffer.Pool, st assembly.Stats) Fault
 	}
 	if dev != nil {
 		r.Device = dev.FaultStats()
-	}
-	if pool != nil {
-		r.PoolRetries = pool.Stats().Retries
 	}
 	return r
 }
@@ -60,10 +52,10 @@ func (r FaultReport) LossRate() float64 {
 
 func (r FaultReport) String() string {
 	return fmt.Sprintf(
-		"faults: injected %d transient / %d permanent / %d latency; "+
-			"retried %d (pool) + %d (operator); "+
+		"faults: injected %d transient / %d permanent; "+
+			"retried %d (operator); "+
 			"assembled %d, quarantined %d (loss %.1f%%), window stalls %d",
-		r.Device.Transient, r.Device.Permanent, r.Device.Latency,
-		r.PoolRetries, r.FaultRetries,
+		r.Device.Transient, r.Device.Permanent,
+		r.FaultRetries,
 		r.Assembled, r.Skipped, 100*r.LossRate(), r.WindowStalls)
 }

@@ -47,7 +47,7 @@ func TestCollectFaults(t *testing.T) {
 	}
 
 	st := op.Stats()
-	rep := CollectFaults(fd, db.Pool, st)
+	rep := CollectFaults(fd, st)
 	if rep.Device != fd.FaultStats() {
 		t.Errorf("Device = %+v, want %+v", rep.Device, fd.FaultStats())
 	}
@@ -66,18 +66,18 @@ func TestCollectFaults(t *testing.T) {
 	if got, want := rep.LossRate(), float64(rep.Skipped)/float64(len(db.Roots)); got != want {
 		t.Errorf("LossRate = %v, want %v", got, want)
 	}
-	for _, frag := range []string{"assembled", "quarantined", "transient", "pool"} {
+	for _, frag := range []string{"assembled", "quarantined", "transient", "operator"} {
 		if !strings.Contains(rep.String(), frag) {
 			t.Errorf("String() missing %q: %s", frag, rep)
 		}
 	}
 }
 
-// TestCollectFaultsNilLayers: absent layers contribute zeroes, not
-// panics.
+// TestCollectFaultsNilLayers: an absent injector contributes zeroes,
+// not panics.
 func TestCollectFaultsNilLayers(t *testing.T) {
-	rep := CollectFaults(nil, nil, assembly.Stats{Assembled: 3, Skipped: 1})
-	if rep.PoolRetries != 0 || rep.Device != (disk.FaultStats{}) {
+	rep := CollectFaults(nil, assembly.Stats{Assembled: 3, Skipped: 1})
+	if rep.Device != (disk.FaultStats{}) {
 		t.Errorf("nil layers leaked counters: %+v", rep)
 	}
 	if rep.LossRate() != 0.25 {

@@ -144,7 +144,7 @@ func TestReplayMatchesFaultReport(t *testing.T) {
 				FaultPolicy: tc.policy,
 			})
 
-			report := stats.CollectFaults(fd, db.Pool, st)
+			report := stats.CollectFaults(fd, st)
 			if r.FaultsTransient != report.Device.Transient {
 				t.Errorf("replay transient faults %d != injector %d", r.FaultsTransient, report.Device.Transient)
 			}

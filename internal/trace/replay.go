@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
@@ -288,15 +287,6 @@ func (run Run) Verify() (*Replay, error) {
 		return r, fmt.Errorf("trace: run %q: replay %+v != reported %+v", run.Name, got, want)
 	}
 	return r, nil
-}
-
-// ReplayReader reads a JSONL stream and reconstructs it as one run.
-func ReplayReader(rd io.Reader) (*Replay, error) {
-	events, err := ReadAll(rd)
-	if err != nil {
-		return nil, err
-	}
-	return ReplayEvents(events), nil
 }
 
 // Summary renders the per-layer event census as an indented,

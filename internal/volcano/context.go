@@ -2,7 +2,6 @@ package volcano
 
 import (
 	"context"
-	"errors"
 
 	"revelation/internal/qtrace"
 )
@@ -58,13 +57,6 @@ func DrainCtx(ctx context.Context, it Iterator) ([]Item, error) {
 	defer sp.End()
 	Bind(ctx, it)
 	return Drain(it)
-}
-
-// IsLifecycleErr reports whether err terminated a query for lifecycle
-// reasons — cancellation or deadline expiry — rather than a data or
-// I/O failure.
-func IsLifecycleErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // boundCtx is the embeddable ContextBinder state shared by the

@@ -30,7 +30,6 @@ import (
 	"fmt"
 
 	"revelation/internal/assembly"
-	"revelation/internal/btree"
 	"revelation/internal/buffer"
 	"revelation/internal/disk"
 	"revelation/internal/expr"
@@ -98,15 +97,10 @@ type Config struct {
 	// Path persists the database in a file; empty runs in memory on
 	// the simulated device.
 	Path string
-	// PageSize defaults to the paper's 1 KB.
-	PageSize int
 	// BufferPages sizes the buffer pool (default 256 frames).
 	BufferPages int
 	// DataPages sizes the heap file extent (default 1024 pages).
 	DataPages int
-	// BTreeLocator stores the OID → address mapping in a disk
-	// B+-tree instead of a resident map.
-	BTreeLocator bool
 }
 
 // Engine couples a device, a buffer pool, and an object store into a
@@ -121,9 +115,6 @@ type Engine struct {
 
 // New creates an engine per the configuration.
 func New(cfg Config) (*Engine, error) {
-	if cfg.PageSize <= 0 {
-		cfg.PageSize = disk.DefaultPageSize
-	}
 	if cfg.BufferPages <= 0 {
 		cfg.BufferPages = 256
 	}
@@ -132,13 +123,13 @@ func New(cfg Config) (*Engine, error) {
 	}
 	var dev disk.Device
 	if cfg.Path != "" {
-		fd, err := disk.OpenFile(cfg.Path, cfg.PageSize)
+		fd, err := disk.OpenFile(cfg.Path, disk.DefaultPageSize)
 		if err != nil {
 			return nil, err
 		}
 		dev = fd
 	} else {
-		dev = disk.NewSim(cfg.PageSize, 0)
+		dev = disk.New(0)
 	}
 	pool := buffer.New(dev, cfg.BufferPages)
 	file, err := heap.Create(pool, cfg.DataPages)
@@ -146,21 +137,10 @@ func New(cfg Config) (*Engine, error) {
 		dev.Close()
 		return nil, err
 	}
-	var loc object.Locator
-	if cfg.BTreeLocator {
-		tree, err := btree.Create(pool)
-		if err != nil {
-			dev.Close()
-			return nil, err
-		}
-		loc = object.NewBTreeLocator(tree)
-	} else {
-		loc = object.NewMapLocator()
-	}
 	return &Engine{
 		Device: dev,
 		Pool:   pool,
-		Store:  object.NewStore(file, loc, object.NewCatalog()),
+		Store:  object.NewStore(file, object.NewMapLocator(), object.NewCatalog()),
 	}, nil
 }
 
