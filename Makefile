@@ -11,10 +11,17 @@ build:
 	$(GO) build ./...
 
 # go vet, then gofmt over every Go file in the tree (benchmark/
-# included): any file gofmt would rewrite fails the gate.
+# included): any file gofmt would rewrite fails the gate. Last, every
+# package under internal/ must have a non-test importer in this module
+# or in benchmark/: a package only tests reach is code nothing runs.
+# internal/leakcheck, the tests' goroutine-leak helper, is the one
+# exception.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+	@imported=$$({ $(GO) list -f '{{join .Imports "\n"}}' ./... && cd benchmark && $(GO) list -f '{{join .Imports "\n"}}' ./...; } | sort -u); \
+	orphans=$$($(GO) list ./internal/... | grep -vx 'revelation/internal/leakcheck' | while read p; do echo "$$imported" | grep -qx "$$p" || echo "$$p"; done); \
+	if [ -n "$$orphans" ]; then echo "no non-test importer:"; echo "$$orphans"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -44,7 +51,7 @@ sched-check:
 # The pool's victim heap and page table, uncached: the whole package —
 # the differential tests against the two-scan reference model and, for
 # the table, against a Go map (10 000 seeded sequences each, the
-# invariant checker after every step), the FixNew error paths, the
+# invariant checker after every step), the pool's error paths, the
 # 0-alloc pin on the hit path, the miss-cost-is-flat check (in the pool's
 # size and in the device's) — then once more under the race detector
 # (400 sequences, no timing test), then one iteration of the scaling
@@ -194,10 +201,12 @@ fleet-chaos-test:
 	$(GO) test -race -count=2 ./internal/fleet
 
 # The exhaustive crash-point sweep at a heavier workload than the
-# tier-1 default: every write ordinal is crashed twice (clean and
-# torn), recovered, and verified. CRASH_OPS scales the workload. At 96
-# ops it is W = 216 write points (240 while every update logged a full
-# page image), with torn data pages caught before recovery at 9 of them.
+# tier-1 default: the heap's inserts (spread over the extent) and
+# logged updates, every write ordinal crashed twice (clean and torn),
+# recovered, and verified to hold exactly the state after some prefix
+# of the ops at or past the last commit. CRASH_OPS scales the workload.
+# At 96 ops it is W = 186 write points, with torn data pages caught
+# before recovery at 37 of them.
 crash-test:
 	CRASH_OPS=96 $(GO) test -run TestCrashPointSweep -v ./internal/wal
 

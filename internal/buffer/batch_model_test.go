@@ -260,7 +260,7 @@ func (r *batchRig) oneStep() {
 	switch roll := r.rng.Intn(100); {
 	case roll < 45:
 		r.batch()
-	case roll < 62:
+	case roll < 67:
 		id := r.randomPage()
 		failRead, failWrite := r.rng.Intn(25) == 0, r.rng.Intn(25) == 0
 		r.fix("Fix", func(s *batchSide) (*Frame, error) {
@@ -271,14 +271,6 @@ func (r *batchRig) oneStep() {
 			f, err := s.pool.Fix(id)
 			s.failWrite = false
 			clear(s.readFault)
-			return f, err
-		})
-	case roll < 67:
-		failWAL := r.rng.Intn(4) == 0
-		r.fix("FixNew", func(s *batchSide) (*Frame, error) {
-			s.wal.failNext = failWAL
-			f, err := s.pool.FixNew()
-			s.wal.failNext = false
 			return f, err
 		})
 	case roll < 80:

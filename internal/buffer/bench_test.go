@@ -195,23 +195,3 @@ func TestMissCostFlat(t *testing.T) {
 		t.Errorf("%d misses at 64 frames take %v over 1 000 000 pages, over 3x the %v over 1 000", steps, large, small)
 	}
 }
-
-func BenchmarkFixNewAndFlush(b *testing.B) {
-	d := disk.New(0)
-	p := New(d, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := p.FixNew()
-		if err != nil {
-			b.Fatal(err)
-		}
-		f.Data()[0] = byte(i)
-		if err := p.Unfix(f, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := p.FlushAll(); err != nil {
-		b.Fatal(err)
-	}
-}

@@ -267,10 +267,10 @@ func (p *Pool) SetTracer(t *trace.Tracer) {
 }
 
 // SetWAL attaches a write-ahead log to the pool. From then on every
-// page image dirtied through Unfix (and every page born through FixNew)
-// is appended to the log, and no data-page write leaves the pool before
-// the log is durable through that page's LSN. Pass nil to detach. Each
-// page's next logged write is a full image: the new log holds none yet.
+// page image dirtied through Unfix is appended to the log, and no
+// data-page write leaves the pool before the log is durable through
+// that page's LSN. Pass nil to detach. Each page's next logged write is
+// a full image: the new log holds none yet.
 func (p *Pool) SetWAL(w WAL) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -378,7 +378,7 @@ func (p *Pool) fixLocked(ctx context.Context, id disk.PageID, ld *load) (*Frame,
 		}
 		return nil, fmt.Errorf("buffer: fix page %d: %w", id, ld.sum)
 	}
-	p.admitLocked(f, id, false)
+	p.admitLocked(f, id)
 	p.faults.Inc()
 	sp.OnMiss()
 	if p.tr != nil {
@@ -405,49 +405,12 @@ func (ld *load) settle(err error) {
 	}
 }
 
-// FixNew allocates a fresh page on the device, pins it with zeroed
-// contents, and returns the frame. The page is marked dirty so the
-// zero image reaches the device on eviction or flush.
-func (p *Pool) FixNew() (*Frame, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return nil, ErrPoolClosed
-	}
-	// The frame first: ErrNoFrames must not cost a device page.
-	f, err := p.victimLocked()
-	if err != nil {
-		return nil, err
-	}
-	id, err := p.dev.Allocate(1)
-	if err != nil {
-		p.emptyLocked(f)
-		return nil, err
-	}
-	p.tick++
-	clear(f.data)
-	if p.wal != nil {
-		// Log the page's birth image now: a page created through FixNew
-		// but never unfixed dirty would otherwise reach the device with
-		// no WAL record behind it, leaving a torn flush unrecoverable.
-		// The page enters the table only once it is logged, so a failed
-		// append leaves no pin behind.
-		if _, err := p.wal.Append(id, f.data); err != nil {
-			p.emptyLocked(f)
-			return nil, fmt.Errorf("buffer: wal append new page %d: %w", id, err)
-		}
-	}
-	p.admitLocked(f, id, true)
-	f.logged = p.wal != nil
-	return f, nil
-}
-
 // admitLocked makes the frame victimLocked handed out hold page id,
 // pinned once by the caller, most recently used.
-func (p *Pool) admitLocked(f *Frame, id disk.PageID, dirty bool) {
+func (p *Pool) admitLocked(f *Frame, id disk.PageID) {
 	f.id = id
 	f.pins = 1
-	f.dirty = dirty
+	f.dirty = false
 	f.logged = false
 	f.stamp = p.tick
 	p.table.put(id, f.index)

@@ -187,31 +187,6 @@ func TestStickyFallbackWhenAllSticky(t *testing.T) {
 	p.Unfix(f, false)
 }
 
-func TestFixNew(t *testing.T) {
-	p, d := newPool(t, 1, 2)
-	f, err := p.FixNew()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.ID() != 1 {
-		t.Errorf("FixNew page id = %d, want 1", f.ID())
-	}
-	f.Data()[0] = 0x77
-	if err := p.Unfix(f, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, d.PageSize())
-	if err := d.ReadPage(1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 0x77 {
-		t.Error("FixNew page contents not flushed")
-	}
-}
-
 func TestPeakPins(t *testing.T) {
 	p, _ := newPool(t, 8, 4)
 	var frames []*Frame

@@ -99,65 +99,6 @@ func TestDoubleUnfixKeepsFrameTable(t *testing.T) {
 	}
 }
 
-// TestFixNewLogFailureLeavesNoPin: a birth image the log refuses must
-// not leave its frame pinned and in the table with nobody holding it —
-// Close would fail "still pinned" for good.
-func TestFixNewLogFailureLeavesNoPin(t *testing.T) {
-	p, d := newPool(t, 4, 2)
-	w := &flakyWAL{failNext: true}
-	p.SetWAL(w)
-	pages := d.NumPages()
-	if _, err := p.FixNew(); !errors.Is(err, errWALDown) {
-		t.Fatalf("FixNew over a failing log = %v, want the log's error", err)
-	}
-	if n := p.PinnedFrames(); n != 0 {
-		t.Errorf("pinned frames after the failed FixNew = %d", n)
-	}
-	if p.Contains(disk.PageID(pages)) {
-		t.Error("the page that was never logged is in the table")
-	}
-	checkInvariants(t, p)
-	// Both frames are still there to be had, and the pool closes.
-	for i := 0; i < 2; i++ {
-		if _, err := p.FixNew(); err != nil {
-			t.Fatalf("FixNew after the log recovered: %v", err)
-		}
-	}
-	if _, err := p.FixNew(); !errors.Is(err, ErrNoFrames) {
-		t.Fatalf("third FixNew in a pool of two = %v, want ErrNoFrames", err)
-	}
-	for i := range p.frames {
-		f := &p.frames[i]
-		if err := p.Unfix(f, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-}
-
-// TestFixNewWithoutFrameAllocatesNothing: ErrNoFrames must not cost a
-// device page.
-func TestFixNewWithoutFrameAllocatesNothing(t *testing.T) {
-	p, d := newPool(t, 4, 1)
-	f, err := p.Fix(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pages := d.NumPages()
-	if _, err := p.FixNew(); !errors.Is(err, ErrNoFrames) {
-		t.Fatalf("FixNew with every frame pinned = %v, want ErrNoFrames", err)
-	}
-	if got := d.NumPages(); got != pages {
-		t.Errorf("device grew from %d to %d pages for a FixNew that got no frame", pages, got)
-	}
-	if err := p.Unfix(f, false); err != nil {
-		t.Fatal(err)
-	}
-	checkInvariants(t, p)
-}
-
 // TestErrorClassification: device failures are counted by class so
 // callers can tell a flapping path (transient) from a dead page
 // (permanent).
@@ -253,13 +194,6 @@ func TestUnfixRangeLogsDeltas(t *testing.T) {
 		{"after a flush", func() { p.FlushAll(); write(0, true); write(0, true) }, "Id"},
 		{"after a new log", func() { p.SetWAL(w); write(0, true) }, "I"},
 		{"after an eviction", func() { write(1, true); write(2, true); write(0, true) }, "III"},
-		{"a new page", func() {
-			f, err := p.FixNew()
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.UnfixRange(f, 100, 8)
-		}, "Id"},
 		{"after a failed append", func() {
 			p.FlushAll()
 			w.failNext = true

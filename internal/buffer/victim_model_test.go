@@ -19,9 +19,7 @@ import (
 // unpinned ones, a first time passing over sticky frames and a second
 // time not. It is kept as the reference model the differential test
 // compares the real pool with, over a device of its own. Only what
-// decides residency and the public counters is modelled; FixNew takes
-// its frame before its device page and logs before it admits, as the
-// real one does.
+// decides residency and the public counters is modelled.
 type scanPool struct {
 	dev    disk.Device
 	wal    WAL
@@ -88,33 +86,13 @@ func (m *scanPool) fix(id disk.PageID) (*scanFrame, error) {
 		m.stats.ChecksumFails++
 		return nil, err
 	}
-	m.admit(f, id, false)
+	m.admit(f, id)
 	m.stats.Faults++
 	return f, nil
 }
 
-func (m *scanPool) fixNew() (*scanFrame, error) {
-	f, err := m.victim()
-	if err != nil {
-		return nil, err
-	}
-	id, err := m.dev.Allocate(1)
-	if err != nil {
-		return nil, err
-	}
-	m.tick++
-	clear(f.data)
-	if m.wal != nil {
-		if _, err := m.wal.Append(id, f.data); err != nil {
-			return nil, err
-		}
-	}
-	m.admit(f, id, true)
-	return f, nil
-}
-
-func (m *scanPool) admit(f *scanFrame, id disk.PageID, dirty bool) {
-	f.id, f.dirty, f.sticky, f.stamp = id, dirty, false, m.tick
+func (m *scanPool) admit(f *scanFrame, id disk.PageID) {
+	f.id, f.dirty, f.sticky, f.stamp = id, false, false, m.tick
 	m.table[id] = f
 	m.pin(f)
 }
@@ -337,16 +315,16 @@ func (r *diffRig) both(what string, failRead, failWrite, failWAL bool, onReal, o
 	return errs[0]
 }
 
-// fix runs a Fix, FixAs or FixNew on both sides and returns the pair of
+// fix runs a Fix or FixAs on both sides and returns the pair of
 // frames, checking that both sides handed out the same frame.
-func (r *diffRig) fix(what string, failRead, failWrite, failWAL bool, onReal func() (*Frame, error), onModel func() (*scanFrame, error)) (heldPair, error) {
+func (r *diffRig) fix(what string, failRead, failWrite bool, onReal func() (*Frame, error), onModel func() (*scanFrame, error)) (heldPair, error) {
 	var h heldPair
 	r.before = r.before[:0]
 	for i := range r.real.frames {
 		f := &r.real.frames[i]
 		r.before = append(r.before, f.id)
 	}
-	err := r.both(what, failRead, failWrite, failWAL,
+	err := r.both(what, failRead, failWrite, false,
 		func() (err error) { h.r, err = onReal(); return },
 		func() (err error) { h.m, err = onModel(); return })
 	for i := range r.real.frames {
@@ -391,19 +369,14 @@ func (r *diffRig) randomPage() disk.PageID {
 func (r *diffRig) oneStep() {
 	roll := r.rng.Intn(100)
 	switch {
-	case roll < 55:
+	case roll < 62:
 		id := r.randomPage()
 		failRead, failWrite := r.rng.Intn(25) == 0, r.rng.Intn(25) == 0
 		onReal := func() (*Frame, error) { return r.real.Fix(id) }
 		if roll%2 == 0 {
 			onReal = func() (*Frame, error) { return r.real.FixAs(context.Background(), id) }
 		}
-		if h, err := r.fix("Fix", failRead, failWrite, false, onReal, func() (*scanFrame, error) { return r.model.fix(id) }); err == nil {
-			r.keep(h)
-		}
-	case roll < 62:
-		failWrite, failWAL := r.rng.Intn(25) == 0, r.rng.Intn(4) == 0
-		if h, err := r.fix("FixNew", false, failWrite, failWAL, r.real.FixNew, r.model.fixNew); err == nil {
+		if h, err := r.fix("Fix", failRead, failWrite, onReal, func() (*scanFrame, error) { return r.model.fix(id) }); err == nil {
 			r.keep(h)
 		}
 	case roll < 77:
@@ -439,7 +412,7 @@ func (r *diffRig) oneStep() {
 		// Pin distinct pages until no frame is left, see both sides
 		// refuse the next one, and let go of everything.
 		for id := disk.PageID(0); int(id) < r.devs[0].NumPages(); id++ {
-			h, err := r.fix("Fix in a pin storm", false, false, false,
+			h, err := r.fix("Fix in a pin storm", false, false,
 				func() (*Frame, error) { return r.real.Fix(id) },
 				func() (*scanFrame, error) { return r.model.fix(id) })
 			if errors.Is(err, ErrNoFrames) {

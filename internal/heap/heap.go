@@ -238,22 +238,6 @@ func (f *File) Update(rid RID, n int, fill func(rec []byte)) error {
 	return uerr
 }
 
-// Delete removes the record at rid.
-func (f *File) Delete(rid RID) error {
-	if !f.Contains(rid) {
-		return fmt.Errorf("%w: %v", ErrNotInExtent, rid)
-	}
-	fr, err := f.pool.Fix(rid.Page)
-	if err != nil {
-		return err
-	}
-	derr := page.Wrap(fr.Data()).Delete(rid.Slot)
-	if e := f.pool.Unfix(fr, derr == nil); derr == nil {
-		derr = e
-	}
-	return derr
-}
-
 // Check validates every page of the extent: each must wrap a
 // structurally sound slotted page (bounds-checked slot directory, see
 // page.Validate) tagged KindHeap. It is the post-recovery integrity

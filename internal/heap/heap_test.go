@@ -136,19 +136,6 @@ func TestUpdateDelete(t *testing.T) {
 	if string(got) != "v2-longer" {
 		t.Errorf("after update: %q", got)
 	}
-	if err := f.Delete(rid); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Read(rid); err == nil {
-		t.Error("Read after Delete succeeded")
-	}
-	n, err := f.Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("Count = %d, want 0", n)
-	}
 }
 
 func TestRIDOutsideExtent(t *testing.T) {
@@ -159,9 +146,6 @@ func TestRIDOutsideExtent(t *testing.T) {
 	}
 	if err := f.Update(bad, 0, func([]byte) {}); !errors.Is(err, ErrNotInExtent) {
 		t.Errorf("Update outside extent err = %v", err)
-	}
-	if err := f.Delete(bad); !errors.Is(err, ErrNotInExtent) {
-		t.Errorf("Delete outside extent err = %v", err)
 	}
 }
 

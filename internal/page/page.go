@@ -1,7 +1,7 @@
 // Package page implements the slotted-page record layout used by heap
-// files and the B+-tree. A page is a fixed-size byte slice with a small
-// header, a slot directory growing from the front, and record data
-// growing from the back:
+// files. A page is a fixed-size byte slice with a small header, a slot
+// directory growing from the front, and record data growing from the
+// back:
 //
 //	+--------+------------------+ ................ +-----------+
 //	| header | slot 0 | slot 1 |   free space      | rec1 |rec0 |
@@ -13,8 +13,8 @@
 //	[2:4)   uint16 offset of the start of record data (free-space end)
 //	[4:6)   uint16 bytes of live record data (for compaction accounting)
 //	[6:8)   uint16 page kind tag (opaque to this package)
-//	[8:12)  uint32 next-page link (heap file chaining; InvalidPage if none)
-//	[12:16) uint32 self page id (integrity checks)
+//	[8:12)  uint32 next-page link (unused; Init writes InvalidPage)
+//	[12:16) uint32 self page id (unused; Init writes zero)
 //	[16:24) uint64 LSN (log sequence number of the last WAL record
 //	        describing this page; see internal/wal)
 //	[24:28) uint32 CRC-32C page checksum (stamped on flush, verified
@@ -93,19 +93,6 @@ func (p *Page) Bytes() []byte { return p.buf }
 
 // Kind returns the page kind tag set at Init.
 func (p *Page) Kind() uint16 { return binary.LittleEndian.Uint16(p.buf[offKind:]) }
-
-// SetKind updates the page kind tag.
-func (p *Page) SetKind(kind uint16) { binary.LittleEndian.PutUint16(p.buf[offKind:], kind) }
-
-// Next returns the next-page link used for heap file chaining.
-func (p *Page) Next() disk.PageID {
-	return disk.PageID(binary.LittleEndian.Uint32(p.buf[offNext:]))
-}
-
-// SetNext updates the next-page link.
-func (p *Page) SetNext(id disk.PageID) {
-	binary.LittleEndian.PutUint32(p.buf[offNext:], uint32(id))
-}
 
 // LSN returns the page's log sequence number: the LSN of the newest
 // WAL record holding this page's image. Zero means the page has never

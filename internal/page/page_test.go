@@ -2,6 +2,7 @@ package page
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -221,14 +222,13 @@ func TestCompactionReclaimsSpace(t *testing.T) {
 	}
 }
 
+// TestNextLink: Init writes InvalidPage into the header's next-page
+// field, which nothing else reads or writes, so a formatted page keeps
+// the byte layout the package comment documents.
 func TestNextLink(t *testing.T) {
 	p := newPage(t, 256)
-	if p.Next() != disk.InvalidPage {
-		t.Errorf("fresh page Next = %d, want InvalidPage", p.Next())
-	}
-	p.SetNext(42)
-	if p.Next() != 42 {
-		t.Errorf("Next = %d, want 42", p.Next())
+	if got := binary.LittleEndian.Uint32(p.Bytes()[offNext:]); got != uint32(disk.InvalidPage) {
+		t.Errorf("fresh page next-page field = %#x, want InvalidPage", got)
 	}
 }
 
@@ -237,7 +237,7 @@ func TestKindTag(t *testing.T) {
 	if p.Kind() != 1 {
 		t.Errorf("Kind = %d, want 1", p.Kind())
 	}
-	p.SetKind(0xBEEF)
+	p.Init(0xBEEF)
 	if p.Kind() != 0xBEEF {
 		t.Errorf("Kind = %#x, want 0xBEEF", p.Kind())
 	}

@@ -1,19 +1,23 @@
 package wal
 
 // The crash-point sweep: the central durability test. A deterministic
-// workload (heap inserts and updates indexed by a B+-tree, committed in
-// groups by WAL syncs) runs over a data device and a log device that
-// share one crash point. A disarmed run counts the W page writes the
-// workload issues; the sweep then crashes a fresh copy of the workload
-// at every write ordinal k = 1..W, both cleanly (the k-th write
-// completes, then the machine dies) and torn (the k-th write lands only
-// a sector prefix), revives the devices, recovers, and verifies:
+// workload (the heap calls object.Store makes: inserts placed on a
+// chosen extent page through InsertAt and same-length updates through
+// Update, whose deltas Pool.UnfixRange logs, committed in groups by WAL
+// syncs) runs over a data device and a log device that share one crash
+// point. A disarmed run counts the W page writes the workload issues;
+// the sweep then crashes a fresh copy of the workload at every write
+// ordinal k = 1..W, both cleanly (the k-th write completes, then the
+// machine dies) and torn (the k-th write lands only a sector prefix),
+// revives the devices, recovers, and verifies:
 //
 //   - every data page passes checksum verification after recovery;
-//   - the B+-tree validates its structural invariants;
-//   - every record committed by a completed Sync is present: its key
-//     resolves through the tree and the heap returns its exact payload;
 //   - every heap page is structurally sound;
+//   - the heap holds every key at most once, and its records are
+//     exactly the state after some prefix of the workload's operations
+//     that reaches at least the last completed Sync: every committed
+//     record is present with its exact payload, and nothing appears
+//     that a later operation wrote while an earlier one is missing;
 //   - untorn crashes never corrupt data pages even before recovery,
 //     while across the torn half of the sweep at least one crash point
 //     leaves a data page that checksum verification demonstrably
@@ -29,7 +33,6 @@ import (
 	"strconv"
 	"testing"
 
-	"revelation/internal/btree"
 	"revelation/internal/buffer"
 	"revelation/internal/disk"
 	"revelation/internal/heap"
@@ -42,20 +45,19 @@ const (
 	crashPoolSize  = 8
 )
 
-func packRID(r heap.RID) uint64 {
-	return uint64(r.Page)<<16 | uint64(r.Slot)
+// crashOp is one workload operation: it sets key's record to payload.
+type crashOp struct {
+	key     uint64
+	payload string
 }
 
-func unpackRID(v uint64) heap.RID {
-	return heap.RID{Page: disk.PageID(v >> 16), Slot: page.SlotID(v & 0xFFFF)}
-}
-
-// crashState is what survives the crash for the verifier: the layout of
-// the structures and the records committed by the last completed Sync.
+// crashState is what survives the crash for the verifier: the heap's
+// extent, every operation the workload started, and how many of them
+// the last completed Sync made durable.
 type crashState struct {
-	root      disk.PageID
 	heapFirst disk.PageID
-	committed map[uint64]string
+	history   []crashOp
+	synced    int
 	syncs     int
 	crashed   bool
 }
@@ -63,10 +65,10 @@ type crashState struct {
 // runCrashWorkload drives the seeded workload over the given devices
 // until it completes or the crash point fires. Any error other than a
 // crash is a real bug and is returned; a crash returns the state as of
-// the last completed Sync with crashed set.
+// the crash with crashed set.
 func runCrashWorkload(dataDev, walDev disk.Device, ops int) (*crashState, error) {
-	st := &crashState{committed: map[uint64]string{}}
-	pending := map[uint64]string{}
+	st := &crashState{}
+	rids := map[uint64]heap.RID{}
 	versions := map[uint64]int{}
 
 	fail := func(err error) (*crashState, error) {
@@ -81,6 +83,14 @@ func runCrashWorkload(dataDev, walDev disk.Device, ops int) (*crashState, error)
 	if err != nil {
 		return fail(err)
 	}
+	sync := func() error {
+		if err := w.Sync(); err != nil {
+			return err
+		}
+		st.syncs++
+		st.synced = len(st.history)
+		return nil
+	}
 	pool := buffer.New(dataDev, crashPoolSize)
 	pool.SetWAL(w)
 	hf, err := heap.Create(pool, crashHeapPages)
@@ -88,17 +98,11 @@ func runCrashWorkload(dataDev, walDev disk.Device, ops int) (*crashState, error)
 		return fail(err)
 	}
 	st.heapFirst = hf.First()
-	tr, err := btree.Create(pool)
-	if err != nil {
+	// Schema commit: the empty extent becomes durable, so any later
+	// crash recovers to at least this state.
+	if err := sync(); err != nil {
 		return fail(err)
 	}
-	st.root = tr.Root()
-	// Schema commit: the extent and the empty tree become durable, so
-	// any later crash recovers to at least this state.
-	if err := w.Sync(); err != nil {
-		return fail(err)
-	}
-	st.syncs++
 
 	for i := 0; i < ops; i++ {
 		if i%4 == 3 {
@@ -106,39 +110,26 @@ func runCrashWorkload(dataDev, walDev disk.Device, ops int) (*crashState, error)
 			key := uint64(i-3) + 1
 			versions[key]++
 			payload := fmt.Sprintf("rec-%06d-v%02d", key, versions[key])
-			v, ok, err := tr.Get(key)
-			if err != nil {
+			st.history = append(st.history, crashOp{key, payload})
+			if err := hf.Update(rids[key], len(payload), func(rec []byte) { copy(rec, payload) }); err != nil {
 				return fail(err)
 			}
-			if !ok {
-				return nil, fmt.Errorf("workload: key %d vanished before update", key)
-			}
-			if err := hf.Update(unpackRID(v), len(payload), func(rec []byte) { copy(rec, payload) }); err != nil {
-				return fail(err)
-			}
-			pending[key] = payload
 		} else {
+			// Spread the inserts over the extent, as placement does.
 			key := uint64(i) + 1
 			payload := fmt.Sprintf("rec-%06d-v%02d", key, 0)
-			rid, err := hf.Insert([]byte(payload))
+			st.history = append(st.history, crashOp{key, payload})
+			rid, err := hf.InsertAt(int(key%crashHeapPages), []byte(payload))
 			if err != nil {
 				return fail(err)
 			}
-			if err := tr.Put(key, packRID(rid)); err != nil {
-				return fail(err)
-			}
-			pending[key] = payload
+			rids[key] = rid
 		}
 		if i%8 == 7 {
 			// Group commit: everything appended so far becomes durable.
-			if err := w.Sync(); err != nil {
+			if err := sync(); err != nil {
 				return fail(err)
 			}
-			st.syncs++
-			for k, v := range pending {
-				st.committed[k] = v
-			}
-			pending = map[uint64]string{}
 		}
 		if i%16 == 11 {
 			// Push dirty pages to the data device mid-stream so the
@@ -149,12 +140,8 @@ func runCrashWorkload(dataDev, walDev disk.Device, ops int) (*crashState, error)
 			}
 		}
 	}
-	if err := w.Sync(); err != nil {
+	if err := sync(); err != nil {
 		return fail(err)
-	}
-	st.syncs++
-	for k, v := range pending {
-		st.committed[k] = v
 	}
 	if err := pool.FlushAll(); err != nil {
 		return fail(err)
@@ -185,6 +172,41 @@ func newCrashRig(after int64, torn bool) *crashRig {
 	return &crashRig{data: data, wal: wal, cp: cp}
 }
 
+// recordKey parses the key out of a workload record, rec-KKKKKK-vVV.
+func recordKey(rec []byte) (uint64, bool) {
+	if len(rec) != len("rec-000000-v00") {
+		return 0, false
+	}
+	key, err := strconv.ParseUint(string(rec[4:10]), 10, 64)
+	return key, err == nil
+}
+
+// prefixOf returns the smallest j >= st.synced such that got is exactly
+// the key→payload state after the first j operations, or -1 if none is.
+func prefixOf(got map[uint64]string, st *crashState) int {
+	want := map[uint64]string{}
+	for j := 0; j <= len(st.history); j++ {
+		if j > 0 {
+			op := st.history[j-1]
+			want[op.key] = op.payload
+		}
+		if j < st.synced || len(want) != len(got) {
+			continue
+		}
+		same := true
+		for k, v := range want {
+			if got[k] != v {
+				same = false
+				break
+			}
+		}
+		if same {
+			return j
+		}
+	}
+	return -1
+}
+
 // verifyRecovered revives the rig, recovers, and runs the full
 // post-recovery verification. It returns the number of data pages that
 // failed checksum verification BEFORE recovery — the detection signal
@@ -210,35 +232,39 @@ func verifyRecovered(t *testing.T, tag string, rig *crashRig, st *crashState) in
 	}
 
 	// A crash before the schema commit recovers to an empty or partial
-	// layout: checksums must hold (checked above), but there is no
+	// extent: checksums must hold (checked above), but there is no
 	// structure to validate and nothing was committed.
 	if st.syncs < 1 {
 		return len(preBad)
 	}
 	pool := buffer.New(rig.data, 16)
-	tr := btree.Open(pool, st.root)
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("%s: tree invariants after recovery: %v; %s", tag, err, res)
-	}
 	hf := heap.Open(pool, st.heapFirst, crashHeapPages)
 	if err := hf.Check(); err != nil {
 		t.Fatalf("%s: heap check after recovery: %v", tag, err)
 	}
-	for key, want := range st.committed {
-		v, ok, err := tr.Get(key)
-		if err != nil {
-			t.Fatalf("%s: Get(%d) after recovery: %v", tag, key, err)
+	got := map[uint64]string{}
+	var bad error
+	err = hf.Scan(func(rid heap.RID, rec []byte) bool {
+		key, ok := recordKey(rec)
+		switch {
+		case !ok:
+			bad = fmt.Errorf("record %v = %q carries no key", rid, rec)
+		case got[key] != "":
+			bad = fmt.Errorf("key %d twice: %q and %q at %v", key, got[key], rec, rid)
+		default:
+			got[key] = string(rec)
 		}
-		if !ok {
-			t.Fatalf("%s: committed key %d missing after recovery; %s", tag, key, res)
-		}
-		got, err := hf.Read(unpackRID(v))
-		if err != nil {
-			t.Fatalf("%s: read committed record %d: %v", tag, key, err)
-		}
-		if string(got) != want {
-			t.Fatalf("%s: committed record %d = %q, want %q", tag, key, got, want)
-		}
+		return bad == nil
+	})
+	if err == nil {
+		err = bad
+	}
+	if err != nil {
+		t.Fatalf("%s: scan after recovery: %v; %s", tag, err, res)
+	}
+	if prefixOf(got, st) < 0 {
+		t.Fatalf("%s: no prefix of at least %d of %d ops matches the recovered heap's %d records; %s",
+			tag, st.synced, len(st.history), len(got), res)
 	}
 	if err := pool.Close(); err != nil {
 		t.Fatalf("%s: close verification pool: %v", tag, err)
@@ -278,8 +304,7 @@ func TestCrashPointSweep(t *testing.T) {
 		t.Fatalf("workload issued only %d writes; the sweep would be vacuous", writes)
 	}
 	verifyRecovered(t, "disarmed", rig, st)
-	t.Logf("workload: %d ops, %d syncs, %d committed records, W=%d write points",
-		ops, st.syncs, len(st.committed), writes)
+	t.Logf("workload: %d ops, %d syncs, W=%d write points", ops, st.syncs, writes)
 
 	tornDetected := 0
 	for k := int64(1); k <= writes; k++ {

@@ -2,9 +2,9 @@
 // Assembly of Complex Objects" (Tom Keller, Goetz Graefe, David Maier;
 // SIGMOD 1991): the assembly operator of the Volcano query processing
 // system and every substrate it runs on — a page-addressed device
-// model with seek accounting, a buffer manager, heap files, a B+-tree,
-// an object layer with OIDs and pointer swizzling, and a Volcano-style
-// iterator engine.
+// model with seek accounting, a buffer manager, heap files, an object
+// layer with OIDs and pointer swizzling, and a Volcano-style iterator
+// engine.
 //
 // The package is the supported public surface: an Engine couples a
 // device, buffer pool, and object store; templates describe complex
