@@ -107,26 +107,32 @@ disk-check:
 	$(GO) test -run '^$$' -bench='AppendSync|Recover' -benchtime=1x ./internal/wal
 
 # A batch's runs out together, each run one frame, and every frame one
-# write, uncached: the differential test of Pool.FixBatch against the
-# loop of single fixes it replaced (10 000 seeded sequences of batches of
-# runs, with lanes and without, over a device that reads a run in one
-# call and one that does not; 400 under -race), the lane workers'
-# lifetime on every way a query can end, the byte-for-byte comparison of
-# every frame with the encoders it replaced, the frame reader under
-# every split of its input, the late answer that must leave a returned
-# buffer alone, a run the peer refuses read page by page, when a read
-# moves the client's arm (page reads failed or refused, a failed run),
-# every way the router can send a run, the storm of runs under a fleet that changes,
-# the storm of pipelined reads past a stalled one on the page server's
-# kept handlers, a follower of a log of images and deltas ending
-# byte-identical to its primary and one primed past a gap stopping at
-# it, and the allocation pins (one page and one run read over the wire,
-# the replica-less router read, the pool's hit, a replica's apply of a
-# shipped image and delta) — then once more under the
-# race detector, then one iteration of the two round-trip benchmarks
-# (a page, a run) so that they cannot rot unbuilt.
-WIRE_TESTS = TestFixBatchMatchesFixLoop|TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestWireReadRunAllocs|TestReadRunFallsBackPageByPage|TestReadArmBookings|TestReplicaLessReadAllocs|TestRouterRunPaths|TestOverlappedBatchStorm|TestKeptHandlersStorm|TestReplicaFollowsDeltas|TestReplicaStopsAtDeltaGap|TestReplicaApplyAllocs
-WIRE_PKGS = ./internal/buffer ./internal/assembly ./internal/pagesvc ./internal/shard
+# write (a write's images in the same writev), uncached: the
+# differential test of Pool.FixBatch against the loop of single fixes it
+# replaced (10 000 seeded sequences of batches of runs, with lanes and
+# without, over a device that reads a run in one call and one that does
+# not; 400 under -race), the lane workers' lifetime on every way a query
+# can end, the byte-for-byte comparison of every frame with the encoders
+# it replaced, the frame reader under every split of its input, the late
+# answer that must leave a returned buffer alone, a run the peer refuses
+# read page by page, when a read moves the client's arm (page reads
+# failed or refused, a failed run), every way the router can send a run,
+# a run of writes against the loop of page writes it stands for over a
+# Sim, a client and a router (device bytes, arm stats, every verdict),
+# every way the router can send a write run, a write run the peer
+# refuses written page by page, a bulk write that leaves no buffer of its
+# size kept on either side, Dial refusing a page size no frame can
+# carry, the storm of runs under a fleet that changes, the storm of
+# pipelined reads past a stalled one on the page server's kept handlers,
+# a follower of a log of images and deltas ending byte-identical to its
+# primary and one primed past a gap stopping at it, and the allocation
+# pins (one page and one run read over the wire, the replica-less router
+# read, the pool's hit, a replica's apply of a shipped image and delta)
+# — then once more under the race detector, then one iteration of the
+# two round-trip benchmarks (a page, a run) so that they cannot rot
+# unbuilt.
+WIRE_TESTS = TestFixBatchMatchesFixLoop|TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestWireReadRunAllocs|TestReadRunFallsBackPageByPage|TestReadArmBookings|TestReplicaLessReadAllocs|TestRouterRunPaths|TestOverlappedBatchStorm|TestKeptHandlersStorm|TestReplicaFollowsDeltas|TestReplicaStopsAtDeltaGap|TestReplicaApplyAllocs|TestWritePagesMatchesWritePage|TestRouterWriteRunPaths|TestWriteRunFallsBackPageByPage|TestBulkWriteKeepsNoBuffer|TestDialRefusesPageSize
+WIRE_PKGS = ./internal/buffer ./internal/assembly ./internal/pagesvc ./internal/shard ./internal/disk
 wire-check:
 	$(GO) test -count=1 -run '$(WIRE_TESTS)' $(WIRE_PKGS)
 	$(GO) test -race -count=1 -run '$(WIRE_TESTS)' $(WIRE_PKGS)
@@ -137,9 +143,10 @@ wire-check:
 # Sim and over a two-member loopback fleet) built with heap.Load and
 # with the pool path it replaced (heap.Create, Store.PutAt page by page,
 # EvictAll), device bytes and every OID's RID identical; a failed first,
-# middle and last page write reported with the page it names — then one
-# iteration of the build benchmark, which reports device round trips
-# per page for the scan-local and scan-sharded shapes.
+# middle and last page write, on a Sim and on a fleet member, reported
+# with the page it names — then one iteration of the build benchmark,
+# which reports device round trips per page for the scan-local and
+# scan-sharded shapes (a write run a fleet takes whole counts as one).
 gen-check:
 	$(GO) test -count=1 -run 'TestLoadMatchesPoolLoad|TestBuildWriteFault' ./internal/gen
 	$(GO) test -run '^$$' -bench=Build -benchtime=1x ./internal/gen
@@ -216,7 +223,11 @@ crash-test:
 # panic or over-allocate; a read that decodes, of a page or of a run —
 # seeded with runs of no page, of a ragged id list and off the device —
 # is answered by a server with exactly the pages asked for or an error;
-# a Follow delta frame that decodes re-encodes to itself),
+# a write that decodes, of a page or of a run — seeded with runs of one
+# and three pages, of no page, of a ragged body and off the device — is
+# answered done, short at its first page off the device, or with an
+# error, and leaves the device holding the images it says it wrote; a
+# Follow delta frame that decodes re-encodes to itself),
 # of the object record decoder (Shape +
 # DecodeInto must agree with Decode on every input), of the WAL
 # reader (arbitrary bytes as a log: the scan ends, hands out only

@@ -50,3 +50,28 @@ func ReadPages(ctx context.Context, dev Device, ids []PageID, bufs [][]byte, err
 		errs[i] = ReadPageCtx(ctx, dev, p, bufs[i])
 	}
 }
+
+// RunWriter is implemented by devices that can write a run — several
+// pages, in the order one arm should visit them — as one operation: a
+// page-service client puts the run and its images in one frame, a shard
+// router hands each owner its share whole. ids, bufs and errs have one
+// length; bufs[i] is the image of page ids[i] and errs[i] says how that
+// page's write ended, so part of a run can fail. The slices are the
+// caller's and are not kept.
+type RunWriter interface {
+	WritePages(ids []PageID, bufs [][]byte, errs []error)
+}
+
+// WritePages writes the run ids through dev: in one operation when the
+// device is a RunWriter and the run has more than one page, otherwise
+// page by page, in the run's order, exactly as that many WritePage
+// calls.
+func WritePages(dev Device, ids []PageID, bufs [][]byte, errs []error) {
+	if rw, ok := dev.(RunWriter); ok && len(ids) > 1 {
+		rw.WritePages(ids, bufs, errs)
+		return
+	}
+	for i, p := range ids {
+		errs[i] = dev.WritePage(p, bufs[i])
+	}
+}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -137,18 +138,25 @@ func (mg *Migrator) finish(m shard.Member, delta []disk.PageID) (int, error) {
 func (mg *Migrator) migrateChunk(chunk []disk.PageID, target disk.Device, owner string) error {
 	r := mg.cfg.Router
 	lo, hi := chunk[0], chunk[len(chunk)-1]+1
-	buf := make([]byte, r.PageSize())
+	bufs, errs := make([][]byte, len(chunk)), make([]error, len(chunk))
+	for i := range bufs {
+		bufs[i] = make([]byte, r.PageSize())
+	}
 	copyChunk := func() error {
-		for _, p := range chunk {
-			// The router still routes p to the old owner (pending), so
-			// this read is the authoritative image...
-			if err := r.ReadPage(p, buf); err != nil {
-				return fmt.Errorf("fleet: copy page %d from old owner: %w", p, err)
+		// The router still routes the chunk to the old owners (pending),
+		// so this read is the authoritative image...
+		disk.ReadPages(context.Background(), r, chunk, bufs, errs)
+		for i, err := range errs {
+			if err != nil {
+				return fmt.Errorf("fleet: copy page %d from old owner: %w", chunk[i], err)
 			}
-			// ...and the write goes DIRECT to the joining member, not
-			// through the router (which would bounce it to the old owner).
-			if err := target.WritePage(p, buf); err != nil {
-				return fmt.Errorf("fleet: install page %d on %s: %w", p, owner, err)
+		}
+		// ...and the write goes DIRECT to the joining member, not
+		// through the router (which would bounce it to the old owner).
+		disk.WritePages(target, chunk, bufs, errs)
+		for i, err := range errs {
+			if err != nil {
+				return fmt.Errorf("fleet: install page %d on %s: %w", chunk[i], owner, err)
 			}
 		}
 		return nil

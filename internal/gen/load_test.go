@@ -39,9 +39,16 @@ func poolLoad(pool *buffer.Pool, byPage [][]*object.Object) (*heap.File, object.
 // loopbackFleet is a two-member page-service fleet on loopback TCP, as
 // its router; it is torn down with the test.
 func loopbackFleet(tb testing.TB) disk.Device {
-	members := make([]shard.Member, 2)
+	return fleetOver(tb, disk.New(0), disk.New(0))
+}
+
+// fleetOver is a page-service fleet on loopback TCP with a member over
+// each of devs, named s0, s1, … in order, as its router; it is torn down
+// with the test.
+func fleetOver(tb testing.TB, devs ...disk.Device) *shard.Router {
+	members := make([]shard.Member, len(devs))
 	for i := range members {
-		srv := pagesvc.NewServer([]disk.Device{disk.New(0)}, pagesvc.ServerConfig{})
+		srv := pagesvc.NewServer([]disk.Device{devs[i]}, pagesvc.ServerConfig{})
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			tb.Fatal(err)
@@ -144,7 +151,9 @@ func sameDatabase(got, want *Database) error {
 }
 
 // TestBuildWriteFault fails the first, a middle and the last of the
-// extent's page writes; Build must return an error naming that page.
+// extent's page writes, on a Sim and on one member of a loopback fleet,
+// where the page is one of a run that crossed the wire whole; Build must
+// return an error naming that page.
 func TestBuildWriteFault(t *testing.T) {
 	cfg := Config{NumComplexObjects: 50, Seed: 3}
 	clean, err := Build(cfg)
@@ -162,13 +171,46 @@ func TestBuildWriteFault(t *testing.T) {
 			t.Errorf("write %d of %d failed: err = %v, want ErrCrashed naming page %d", k, n, err, page)
 		}
 	}
+
+	// Member s0's pages of the extent, in order: the k-th write that
+	// reaches its device is the k-th of them. (The crash crosses the
+	// wire as a remote error, which keeps its text but not its
+	// sentinel.)
+	var owned []disk.PageID
+	probe := fleetOver(t, disk.New(0), disk.New(0))
+	for p := clean.Store.File.First(); int(p) < int(clean.Store.File.First())+n; p++ {
+		if probe.ShardOf(p) == 0 {
+			owned = append(owned, p)
+		}
+	}
+	for _, k := range []int{1, len(owned) / 2, len(owned)} {
+		dev := disk.NewFaulty(disk.New(0), disk.FaultConfig{})
+		dev.CrashAfter(int64(k), true, 1)
+		cfg.Device = fleetOver(t, dev, disk.New(0))
+		_, err := Build(cfg)
+		page := owned[k-1]
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("load page %d:", page)) || !strings.Contains(err.Error(), "crashed") {
+			t.Errorf("fleet: write %d of member s0's %d failed: err = %v, want a crash naming page %d", k, len(owned), err, page)
+		}
+	}
 }
 
 // countingDevice counts the page reads and writes asked of its device:
-// the round trips a client makes.
+// the round trips a client makes. A run of writes its device takes whole
+// (a disk.RunWriter: over a fleet, one frame per owner) counts as one;
+// one it takes page by page counts a trip a page.
 type countingDevice struct {
 	disk.Device
 	trips int
+}
+
+func (d *countingDevice) WritePages(ids []disk.PageID, bufs [][]byte, errs []error) {
+	if _, ok := d.Device.(disk.RunWriter); ok {
+		d.trips++
+	} else {
+		d.trips += len(ids)
+	}
+	disk.WritePages(d.Device, ids, bufs, errs)
 }
 
 func (d *countingDevice) ReadPage(p disk.PageID, buf []byte) error {

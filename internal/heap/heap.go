@@ -76,10 +76,18 @@ func Create(pool *buffer.Pool, nPages int) (*File, error) {
 	return f, nil
 }
 
+// loadRun is how many pages Load composes before it writes them, as one
+// run: over a page service that is one frame per owner instead of one
+// round trip per page.
+const loadRun = 64
+
 // Load allocates an extent of nPages pages and writes each page once,
 // straight to the pool's device: fill places the idx-th page's records
 // with put, in order, and the page goes out formatted as Create formats
-// it and stamped as the pool's flush stamps it. No page enters the pool
+// it and stamped as the pool's flush stamps it. Pages are composed into
+// a run buffer and each full run goes to disk.WritePages; the error of a
+// failed run names its first page that failed, and a fill that fails
+// leaves the pages before its own written. No page enters the pool
 // and nothing is logged, so Load is only for a fresh extent with no log
 // attached; a heap whose writes must go through the log uses Create.
 func Load(pool *buffer.Pool, nPages int, fill func(idx int, put func(rec []byte) (RID, error)) error) (*File, error) {
@@ -91,20 +99,46 @@ func Load(pool *buffer.Pool, nPages int, fill func(idx int, put func(rec []byte)
 	if err != nil {
 		return nil, err
 	}
-	pid, pg := first, page.Wrap(make([]byte, dev.PageSize()))
+	ps, run := dev.PageSize(), min(nPages, loadRun)
+	buf := make([]byte, run*ps)
+	ids, bufs, errs := make([]disk.PageID, run), make([][]byte, run), make([]error, run)
+	for i := range bufs {
+		bufs[i] = buf[i*ps : (i+1)*ps]
+	}
+	var pid disk.PageID
+	var pg *page.Page
 	put := func(rec []byte) (RID, error) {
 		slot, err := pg.Insert(rec)
 		return RID{Page: pid, Slot: slot}, err
 	}
+	// write sends the run's first n pages.
+	write := func(n int) error {
+		disk.WritePages(dev, ids[:n], bufs[:n], errs[:n])
+		for j, err := range errs[:n] {
+			if err != nil {
+				return fmt.Errorf("heap: load page %d: %w", ids[j], err)
+			}
+		}
+		return nil
+	}
 	for idx := 0; idx < nPages; idx++ {
-		pid = first + disk.PageID(idx)
+		i := idx % run
+		pid, pg = first+disk.PageID(idx), page.Wrap(bufs[i])
+		ids[i] = pid
 		pg.Init(KindHeap)
 		if err := fill(idx, put); err != nil {
+			// The pages before this one go out first, as a page at a
+			// time would have sent them.
+			if werr := write(i); werr != nil {
+				return nil, werr
+			}
 			return nil, err
 		}
 		pg.Stamp()
-		if err := dev.WritePage(pid, pg.Bytes()); err != nil {
-			return nil, fmt.Errorf("heap: load page %d: %w", pid, err)
+		if i+1 == run || idx == nPages-1 {
+			if err := write(i + 1); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return &File{pool: pool, first: first, n: nPages}, nil

@@ -3,6 +3,7 @@ package pagesvc
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -55,8 +56,10 @@ type ClientConfig struct {
 type clientConn struct {
 	c net.Conn
 
-	wm    sync.Mutex // serializes frame writes; guards frame
-	frame []byte     // the request frame being written
+	wm    sync.Mutex  // serializes frame writes; guards frame, iov and out
+	frame []byte      // the request frame being written, but for a write's images
+	iov   [][]byte    // frame, then the images: one writev
+	out   net.Buffers // what of iov the writev has still to send
 
 	mu      sync.Mutex
 	pending map[uint64]*waiter
@@ -140,6 +143,9 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		r.Attach("asm_net_reconnects_total", "Endpoint connections re-established.", &c.reconnects, "dev", dev)
 	}
 	pages, ps, _, _, err := c.info()
+	if err == nil && (ps < 1 || ps > maxFrame-respHdrSize) {
+		err = fmt.Errorf("%w: page size %d", ErrBadFrame, ps)
+	}
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -191,7 +197,7 @@ func (c *Client) Epoch() uint64 { return c.epoch.Load() }
 // retries — the fleet controller's liveness probe. A healthy server
 // answers inside the client timeout; anything else is an error.
 func (c *Client) Ping() error {
-	_, err := c.call(opPing, nil, nil, c.nextID(), nil, nil)
+	_, err := c.call(request{op: opPing, reqID: c.nextID()}, nil, nil)
 	return err
 }
 
@@ -204,7 +210,7 @@ func (c *Client) Ping() error {
 // promotions at the same epoch crown exactly one winner, the rest get
 // ErrFenced.
 func (c *Client) Promote(epoch, minLSN uint64, writable bool) error {
-	_, err := c.call(opPromote, nil, encodePromote(epoch, minLSN, writable), c.nextID(), nil, nil)
+	_, err := c.call(request{op: opPromote, reqID: c.nextID(), body: encodePromote(epoch, minLSN, writable)}, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -325,7 +331,8 @@ func (cc *clientConn) fail(err error) {
 
 // start registers a waiter for req, whose stOK body belongs in the page
 // buffers dst (none: in a copy), and sends the request frame in one
-// write. dst itself is not kept.
+// write — a write's images straight from req.imgs, behind the rest of
+// the frame in one writev. Neither dst nor req.imgs is kept.
 func (cc *clientConn) start(req request, dst [][]byte, timeout time.Duration) (*waiter, error) {
 	cc.mu.Lock()
 	if cc.dead != nil {
@@ -345,7 +352,15 @@ func (cc *clientConn) start(req request, dst [][]byte, timeout time.Duration) (*
 	cc.mu.Unlock()
 	cc.wm.Lock()
 	cc.frame = appendRequest(cc.frame[:0], req)
-	_, err := cc.c.Write(cc.frame)
+	var err error
+	if len(req.imgs) == 0 {
+		_, err = cc.c.Write(cc.frame)
+	} else {
+		cc.iov = append(append(cc.iov[:0], cc.frame), req.imgs...)
+		cc.out = cc.iov
+		_, err = cc.out.WriteTo(cc.c)
+		clear(cc.iov)
+	}
 	cc.wm.Unlock()
 	if err != nil {
 		cc.finish(req.reqID, w)
@@ -401,14 +416,16 @@ func (c *Client) nextID() uint64 {
 // retry or a re-send after reconnect reuses the same id — the wire
 // trace of a flaky run is deterministic, and a late response to an
 // earlier attempt matches the current waiter instead of being dropped.
-// sp, when non-nil, attributes the wire activity to a query span and
-// stamps its query id into the request frame (protocol v2). pages are
-// the pages the request reads or writes, which lead its body. With a
-// dst, an stOK body of the length of dst's buffers together arrives in
-// them and the returned response says inPlace; any other body is a copy
-// the caller owns. Once call has returned — answered, failed or timed
-// out — nothing writes to dst.
-func (c *Client) call(op byte, pages []disk.PageID, body []byte, reqID uint64, sp *qtrace.Span, dst [][]byte) (response, error) {
+// req names the op, its id, the pages it reads or writes (which lead
+// its body), the body and a write's images; call stamps the device, the
+// epoch and sp's query id. sp, when non-nil, attributes the wire
+// activity to a query span (protocol v2). With a dst, an stOK body of
+// the length of dst's buffers together arrives in them and the returned
+// response says inPlace; any other body is a copy the caller owns. Once
+// call has returned — answered, failed or timed out — nothing writes to
+// dst.
+func (c *Client) call(req request, sp *qtrace.Span, dst [][]byte) (response, error) {
+	op, pages, reqID := req.op, req.pages, req.reqID
 	addr, page := c.cfg.Primary, trace.NoPage
 	if len(pages) > 0 {
 		page = int64(pages[0])
@@ -419,7 +436,7 @@ func (c *Client) call(op byte, pages []disk.PageID, body []byte, reqID uint64, s
 		return response{}, err
 	}
 	qid := sp.QID()
-	req := request{op: op, dev: c.cfg.Dev, reqID: reqID, qid: qid, epoch: c.epoch.Load(), pages: pages, body: body}
+	req.dev, req.qid, req.epoch = c.cfg.Dev, qid, c.epoch.Load()
 	c.sends.Inc()
 	sp.OnNetSend()
 	c.cfg.Tracer.Net(trace.KindSend, page, 0, addr, qid)
@@ -471,6 +488,8 @@ func opName(op byte) string {
 		return "promote"
 	case opReadN:
 		return "readn"
+	case opWriteN:
+		return "writen"
 	default:
 		return fmt.Sprintf("op%d", op)
 	}
@@ -479,7 +498,7 @@ func opName(op byte) string {
 // info fetches device geometry, replication progress, and the fencing
 // epoch from the endpoint.
 func (c *Client) info() (pages, pageSize int, appliedLSN, epoch uint64, err error) {
-	resp, err := c.call(opInfo, nil, nil, c.nextID(), nil, nil)
+	resp, err := c.call(request{op: opInfo, reqID: c.nextID()}, nil, nil)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -543,7 +562,7 @@ func (c *Client) readRun(ctx context.Context, ids []disk.PageID, bufs [][]byte, 
 			op = opRead
 		}
 		_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
-			resp, err := c.call(op, ids, nil, reqID, sp, bufs)
+			resp, err := c.call(request{op: op, reqID: reqID, pages: ids}, sp, bufs)
 			if err == nil && !resp.inPlace {
 				err = fmt.Errorf("%w: %d bytes for a run of %d pages", ErrBadFrame, len(resp.body), len(ids))
 			}
@@ -562,20 +581,78 @@ func (c *Client) readRun(ctx context.Context, ids []disk.PageID, bufs [][]byte, 
 	}
 }
 
-// WritePage writes page p through to the endpoint; when it is down
-// writes fail transiently until it returns.
+// WritePage writes page p through to the endpoint, a run of one page;
+// when it is down writes fail transiently until it returns.
 func (c *Client) WritePage(p disk.PageID, buf []byte) error {
-	pages, bufs := [1]disk.PageID{p}, [1][]byte{buf}
-	reqID, err := c.begin(pages[:], bufs[:], false, nil)
-	if err != nil {
-		return err
+	ids, bufs, errs := [1]disk.PageID{p}, [1][]byte{buf}, [1]error{}
+	c.writeRun(ids[:], bufs[:], errs[:])
+	return errs[0]
+}
+
+// WritePages implements disk.RunWriter: the run and its images travel as
+// one request, the images straight from bufs, and one short response
+// comes back. Each page ends as a loop of WritePage would leave it — the
+// same device writes, arm bookings and verdicts. A run too long for one
+// frame goes as several.
+func (c *Client) WritePages(ids []disk.PageID, bufs [][]byte, errs []error) {
+	per := max((maxFrame-reqHdrSizeQ)/(c.PageSize()+4), 1)
+	for len(ids) > 0 {
+		n := min(per, len(ids))
+		c.writeRun(ids[:n], bufs[:n], errs[:n])
+		ids, bufs, errs = ids[n:], bufs[n:], errs[n:]
 	}
-	_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
-		// Page id and image meet in the connection's frame buffer.
-		_, err := c.call(opWrite, pages[:], buf, reqID, nil, nil)
-		return err
-	})
-	return err
+}
+
+// writeRun writes a run that fits one frame — a page write when it is of
+// one page, which begin books — under one request id that every retry
+// and re-send reuses. A run refused by the client, or by a peer from
+// before write runs (which knows no opWriteN), is written page by page,
+// so that each page gets its own verdict. Once the call has returned,
+// whatever else it returned, the run books every page it sent on the
+// local arm, in the run's order, as a loop of page writes books each
+// before its call. A run the server stopped short at a failing page
+// books the pages it wrote; the failing page is written on its own, for
+// its own verdict and retries, and the rest as a run.
+func (c *Client) writeRun(ids []disk.PageID, bufs [][]byte, errs []error) {
+	reqID, err := c.begin(ids, bufs, false, nil)
+	done := len(ids)
+	if err == nil {
+		op := opWriteN
+		if len(ids) == 1 {
+			op = opWrite
+		}
+		_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
+			resp, err := c.call(request{op: op, reqID: reqID, pages: ids, imgs: bufs}, nil, nil)
+			switch {
+			case err != nil || len(resp.body) == 0:
+			case len(ids) > 1 && len(resp.body) == 4 && int(binary.LittleEndian.Uint32(resp.body)) < len(ids):
+				done = int(binary.LittleEndian.Uint32(resp.body))
+			default:
+				err = fmt.Errorf("%w: %d-byte answer to a write of %d pages", ErrBadFrame, len(resp.body), len(ids))
+			}
+			return err
+		})
+	}
+	if err != nil && len(ids) > 1 && !disk.Retryable(err) && !errors.Is(err, disk.ErrPermanent) {
+		for i := range ids {
+			c.writeRun(ids[i:i+1], bufs[i:i+1], errs[i:i+1])
+		}
+		return
+	}
+	if len(ids) > 1 {
+		c.mu.Lock()
+		for _, p := range ids[:done] {
+			c.arm.Seek(p, false, nil)
+		}
+		c.mu.Unlock()
+	}
+	for i := range errs[:done] {
+		errs[i] = err
+	}
+	if done < len(ids) {
+		c.writeRun(ids[done:done+1], bufs[done:done+1], errs[done:done+1])
+		c.writeRun(ids[done+1:], bufs[done+1:], errs[done+1:])
+	}
 }
 
 // Allocate extends the remote device. A request outside
@@ -594,7 +671,7 @@ func (c *Client) Allocate(n int) (disk.PageID, error) {
 	var first disk.PageID
 	reqID := c.nextID()
 	_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
-		resp, err := c.call(opAlloc, nil, body[:], reqID, nil, nil)
+		resp, err := c.call(request{op: opAlloc, reqID: reqID, body: body[:]}, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -714,3 +791,4 @@ func (c *Client) SetTracer(t *trace.Tracer) {
 
 var _ disk.Device = (*Client)(nil)
 var _ disk.RunReader = (*Client)(nil)
+var _ disk.RunWriter = (*Client)(nil)

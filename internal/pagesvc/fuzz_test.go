@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -38,7 +39,12 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 // when the sender names the leading page ids apart from the body. A
 // request that decodes as a read, of a page or of a run, is handed to a
 // server: it must answer with one well-formed frame, the images of
-// exactly the pages asked for or an error, whatever the ids say.
+// exactly the pages asked for or an error, whatever the ids say. One
+// that decodes as a write, of a page or of a run, is handed to a second
+// server: it must answer with one well-formed frame — done, short at its
+// first page off the device, or an error — and leave the device holding
+// the images it says it wrote; a sender that names the ids and images
+// apart sends the same frame.
 func FuzzProtoDecode(f *testing.F) {
 	// A valid v1 read request.
 	f.Add(encodeRequest(request{op: opRead, dev: DataDev, reqID: 7, body: []byte{1, 0, 0, 0}}))
@@ -52,6 +58,24 @@ func FuzzProtoDecode(f *testing.F) {
 	f.Add(encodeRequest(request{op: opReadN, dev: DataDev, reqID: 12}))
 	f.Add(encodeRequest(request{op: opReadN, dev: DataDev, reqID: 13, qid: 5, body: []byte{1, 0, 0, 0, 3}}))
 	f.Add(encodeRequest(request{op: opReadN, dev: DataDev, reqID: 14, body: []byte{1, 0, 0, 0, 0xFF, 0xFF, 0, 0}}))
+	// Write runs: one page and three, no page at all, a ragged body, a
+	// page off the end of the device.
+	ps := disk.DefaultPageSize
+	writeBody := func(ids ...byte) []byte {
+		var b []byte
+		for _, id := range ids {
+			b = append(b, id, 0, 0, 0)
+		}
+		for _, id := range ids {
+			b = append(b, bytes.Repeat([]byte{id + 0x40}, ps)...)
+		}
+		return b
+	}
+	f.Add(encodeRequest(request{op: opWriteN, dev: DataDev, reqID: 15, body: writeBody(2)}))
+	f.Add(encodeRequest(request{op: opWriteN, dev: DataDev, reqID: 16, qid: 5, body: writeBody(1, 3, 1)}))
+	f.Add(encodeRequest(request{op: opWriteN, dev: DataDev, reqID: 17}))
+	f.Add(encodeRequest(request{op: opWriteN, dev: DataDev, reqID: 18, body: writeBody(1, 2)[1:]}))
+	f.Add(encodeRequest(request{op: opWriteN, dev: DataDev, reqID: 19, body: writeBody(4, 0xFF, 5)}))
 	// A valid promote body inside a v2 frame.
 	f.Add(encodeRequest(request{op: opPromote, reqID: 1, epoch: 5, body: encodePromote(5, 100, true)}))
 	// Response frames: ok, error, stream.
@@ -76,6 +100,7 @@ func FuzzProtoDecode(f *testing.F) {
 		}
 	}
 	srv := NewServer([]disk.Device{sim}, ServerConfig{})
+	wsrv := NewServer([]disk.Device{disk.New(fuzzPages)}, ServerConfig{})
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		p := throughFrameReader(t, in)
@@ -97,6 +122,9 @@ func FuzzProtoDecode(f *testing.F) {
 			}
 			if req.op == opRead || req.op == opReadN {
 				fuzzServeRead(t, srv, req, p)
+			}
+			if req.op == opWrite || req.op == opWriteN {
+				fuzzServeWrite(t, wsrv, req, p)
 			}
 			// Round trip: decoded fields re-encode to a frame that
 			// decodes identically. (The raw bytes may differ — a v2
@@ -198,6 +226,75 @@ func fuzzServeRead(t *testing.T, srv *Server, req request, payload []byte) {
 	for i := 0; i < n; i++ {
 		if id := binary.LittleEndian.Uint32(req.body[4*i:]); resp.body[i*ps] != byte(id)+1 {
 			t.Fatalf("%s: image %d is page %d's, want page %d's", opName(req.op), i, resp.body[i*ps]-1, id)
+		}
+	}
+}
+
+// fuzzServeWrite hands a write request that decoded from payload to srv
+// and checks the answer: one frame; for a body of n ≥ 1 ids and their n
+// images (n = 1 for opWrite) on device 0, each id's image on the device
+// up to the first id off it — and then, for a run of several, a short
+// answer saying how many were written, for a page write an error — and
+// an empty answer when every id is on it; an error response otherwise. A
+// well-formed write is also sent by a sender that names its ids in pages
+// and its images in imgs: the same bytes.
+func fuzzServeWrite(t *testing.T, srv *Server, req request, payload []byte) {
+	buf := append([]byte(nil), payload...)
+	got, err := decodeRequest(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := srv.handle(got, buf)
+	frame := out[len(buf):]
+	body, err := readFrame(bytes.NewReader(frame))
+	if err != nil || len(body)+4 != len(frame) {
+		t.Fatalf("answer to %s is not one frame: %d bytes, %v", opName(req.op), len(frame), err)
+	}
+	resp, err := decodeResponse(body)
+	if err != nil || resp.reqID != req.reqID {
+		t.Fatalf("answer to %s: %+v, %v", opName(req.op), resp, err)
+	}
+	dev := srv.devs[0]
+	ps := dev.PageSize()
+	n := len(req.body) / (4 + ps)
+	if req.dev != 0 || n == 0 || len(req.body)%(4+ps) != 0 || req.op == opWrite && n != 1 {
+		if resp.status != stErr {
+			t.Fatalf("%s of %d bytes answered with status %d, want an error", opName(req.op), len(req.body), resp.status)
+		}
+		return
+	}
+	split := req
+	split.pages, split.body, split.imgs = make([]disk.PageID, n), nil, make([][]byte, n)
+	for i := range split.pages {
+		split.pages[i] = disk.PageID(binary.LittleEndian.Uint32(req.body[4*i:]))
+		split.imgs[i] = req.body[4*n+i*ps : 4*n+(i+1)*ps]
+	}
+	if got, want := append(appendRequest(nil, split), bytes.Join(split.imgs, nil)...), framed(encodeRequest(req)); !bytes.Equal(got, want) {
+		t.Fatalf("appendRequest with ids and images apart, and the images = %x, reference %x", got, want)
+	}
+	written := slices.IndexFunc(split.pages, func(p disk.PageID) bool { return p >= fuzzPages })
+	switch {
+	case written < 0:
+		written = n
+		if resp.status != stOK || len(resp.body) != 0 {
+			t.Fatalf("%s of %d pages on the device: status %d, %d-byte body", opName(req.op), n, resp.status, len(resp.body))
+		}
+	case n == 1:
+		if resp.status != stErr {
+			t.Fatalf("%s of page %d off the device: status %d, want an error", opName(req.op), split.pages[0], resp.status)
+		}
+	default:
+		if resp.status != stOK || len(resp.body) != 4 || int(binary.LittleEndian.Uint32(resp.body)) != written {
+			t.Fatalf("%s off the device at %d of %d: status %d, body % x", opName(req.op), written, n, resp.status, resp.body)
+		}
+	}
+	page := make([]byte, ps)
+	for i, p := range split.pages[:written] {
+		if slices.Contains(split.pages[i+1:written], p) {
+			continue // a later image of the same page wins
+		}
+		if err := dev.ReadPage(p, page); err != nil || !bytes.Equal(page, split.imgs[i]) {
+			t.Fatalf("%s: page %d after the write does not hold image %d (%v)", opName(req.op), p, i, err)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package pagesvc puts a network between the buffer pool and its
 // pages: a TCP page service speaking a small length-prefixed binary
 // protocol (read, write, allocate, info, ping, and a streaming WAL
-// follow), a server fronting any set of disk.Devices, and a client
+// follow; reads and writes also in runs), a server fronting any set of disk.Devices, and a client
 // that itself implements disk.Device — so the buffer pool, WAL, and
 // assembly operator run unchanged whether their pages are a method
 // call or a round trip away.
@@ -35,13 +35,14 @@ import (
 // Operation codes (request frames).
 const (
 	opRead    = byte(1) // body: [4B page]            -> OK body: page image
-	opWrite   = byte(2) // body: [4B page][image]     -> OK body: empty
+	opWrite   = byte(2) // body: [4B page][image]     -> OK body: empty (opWriteN of one page)
 	opAlloc   = byte(3) // body: [4B n]               -> OK body: [4B first]
 	opInfo    = byte(4) // body: empty                -> OK body: [8B pages][4B pageSize][8B appliedLSN][8B epoch]
 	opPing    = byte(5) // body: empty                -> OK body: empty
 	opFollow  = byte(6) // body: [8B fromLSN]         -> stream of stream frames
 	opPromote = byte(7) // body: [8B epoch][8B minLSN][1B mode] -> OK body: [8B epoch]
 	opReadN   = byte(8) // body: [4B page] × n, n ≥ 1 -> OK body: the n page images, in that order
+	opWriteN  = byte(9) // body: [4B page] × n, then the n images, n ≥ 1 -> OK body: empty, or [4B written] if short
 )
 
 // Promote modes (the opPromote body's last byte).
@@ -105,9 +106,9 @@ var ErrBadFrame = errors.New("pagesvc: malformed frame")
 // request is a request frame. qid is the originating query id and epoch
 // the sender's fencing epoch (both 0 = unattributed, unfenced, encoded
 // as a v1 frame). A frame's body is pages, four bytes each, followed by
-// body: a sender names the pages a read or write is about in pages and
-// spares itself a body assembled elsewhere first; a decoded request has
-// everything in body.
+// body, followed by imgs: a sender names the pages a read or write is
+// about in pages and a write's images in imgs, and spares itself a body
+// assembled elsewhere first; a decoded request has everything in body.
 type request struct {
 	op    byte
 	dev   byte
@@ -116,6 +117,7 @@ type request struct {
 	epoch uint64
 	pages []disk.PageID
 	body  []byte
+	imgs  [][]byte
 }
 
 // response is a decoded response frame. inPlace marks one the client
@@ -139,7 +141,8 @@ type response struct {
 // frameBufSize is a frameReader's buffer: a few frames at the paper's
 // 1 KB page. A frame that does not fit — a run of pages — is read into
 // a second buffer, grown to the largest such frame seen (at most
-// maxFrame) and kept.
+// maxFrame) and kept, unless its owner drops it: the server drops one
+// grown past what its reads need (serverConn.keeps).
 const frameBufSize = 4096
 
 // frameReader hands out the payloads of the frames on a stream.
@@ -187,16 +190,21 @@ func (fr *frameReader) next() ([]byte, error) {
 	return payload, nil
 }
 
-// appendRequest appends req's frame to dst: the v1 10-byte header,
-// extended with the query id and epoch (and flagged op byte) only when
-// one is set, so unattributed unfenced traffic stays wire-identical to
-// v1.
+// appendRequest appends req's frame to dst — all of it but req.imgs,
+// which its length counts and the sender writes behind it: the v1
+// 10-byte header, extended with the query id and epoch (and flagged op
+// byte) only when one is set, so unattributed unfenced traffic stays
+// wire-identical to v1.
 func appendRequest(dst []byte, req request) []byte {
 	hdr, op := reqHdrSize, req.op
 	if req.qid != 0 || req.epoch != 0 {
 		hdr, op = reqHdrSizeQ, req.op|opQIDFlag
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(hdr+4*len(req.pages)+len(req.body)))
+	n := hdr + 4*len(req.pages) + len(req.body)
+	for _, img := range req.imgs {
+		n += len(img)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	dst = append(dst, op, req.dev)
 	dst = binary.LittleEndian.AppendUint64(dst, req.reqID)
 	if hdr == reqHdrSizeQ {

@@ -47,11 +47,6 @@ type ServerConfig struct {
 	// /tracez shows per-query timelines even though queries begin and
 	// end on the client. Nil disables server-side attribution.
 	QTrace *qtrace.Collector
-	// Epoch is the server's initial fencing epoch. Requests stamped
-	// with a lower (nonzero) epoch are rejected as fenced; a Promote
-	// carrying a higher epoch ratchets it. Zero is the pre-fleet epoch:
-	// it fences nothing.
-	Epoch uint64
 	// ReadOnly starts the server refusing writes and allocations with a
 	// fenced error — the posture of a replica (its device is written by
 	// the Follow apply path, never by clients) and of a demoted
@@ -72,8 +67,9 @@ type Server struct {
 	devs []disk.Device
 	cfg  ServerConfig
 
-	// epoch and readOnly are the fencing state; promoteMu serializes
-	// Promote decisions so racing promotions see a consistent
+	// epoch and readOnly are the fencing state — the epoch starts at 0,
+	// which fences nothing, and only a Promote raises it; promoteMu
+	// serializes Promote decisions so racing promotions see a consistent
 	// epoch-compare-and-adopt (exactly one winner per epoch value).
 	epoch     atomic.Uint64
 	readOnly  atomic.Bool
@@ -96,7 +92,6 @@ type Server struct {
 // A primary passes [data, wal]; a replica passes just [data].
 func NewServer(devs []disk.Device, cfg ServerConfig) *Server {
 	s := &Server{devs: devs, cfg: cfg, conns: map[net.Conn]*serverConn{}}
-	s.epoch.Store(cfg.Epoch)
 	s.readOnly.Store(cfg.ReadOnly)
 	if r := cfg.Registry; r != nil {
 		r.Attach("asm_pagesvc_conns_total", "Page-service connections accepted.", &s.accepted)
@@ -193,8 +188,12 @@ func (s *Server) acceptLoop(ln net.Listener) {
 type serverConn struct {
 	c net.Conn
 
-	mu   sync.Mutex // serializes frame writes; guards idle
+	mu   sync.Mutex // serializes frame writes; guards idle and readMax
 	idle [][]byte   // buffers between requests
+	// readMax is the largest buffer a read has been answered in here.
+	// No larger buffer is kept, save one the frame reader's own buffer
+	// would hold: a bulk write's is used once.
+	readMax int
 
 	// jobs hands a request to a waiting handler; each holds a slot of
 	// waiting, so no more than maxIdleBufs wait at once.
@@ -211,8 +210,8 @@ type job struct {
 
 // maxIdleBufs bounds a connection's idle buffers, each a little over
 // the largest request and response it has held — a page, or a run of
-// them: a client's lanes keep one request each in flight. It bounds the
-// handlers waiting for a request too.
+// them, read: a client's lanes keep one request each in flight. It
+// bounds the handlers waiting for a request too.
 const maxIdleBufs = 4
 
 // take returns a buffer for one request, empty, with whatever capacity
@@ -231,16 +230,31 @@ func (sc *serverConn) take() []byte {
 
 // send writes one frame in one Write, then keeps buf — the buffer the
 // frame was assembled in, done with once the write has returned — for a
-// later request. A nil buf keeps nothing.
-func (sc *serverConn) send(frame, buf []byte) error {
+// later request, if keepsLocked allows; read says a read was answered in
+// it. A nil buf keeps nothing.
+func (sc *serverConn) send(frame, buf []byte, read bool) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	_, err := sc.c.Write(frame)
-	if buf != nil && len(sc.idle) < maxIdleBufs {
+	if read {
+		sc.readMax = max(sc.readMax, cap(buf))
+	}
+	if buf != nil && len(sc.idle) < maxIdleBufs && sc.keepsLocked(cap(buf)) {
 		sc.idle = append(sc.idle, buf)
 	}
 	return err
 }
+
+// keeps reports whether a buffer of n bytes is worth keeping between
+// requests: one no larger than the frame reader's own buffer, or than
+// the largest a read has been answered in on this connection.
+func (sc *serverConn) keeps(n int) bool {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.keepsLocked(n)
+}
+
+func (sc *serverConn) keepsLocked(n int) bool { return n <= max(frameBufSize, sc.readMax) }
 
 func (s *Server) serveConn(sc *serverConn) {
 	defer s.wg.Done()
@@ -262,13 +276,16 @@ func (s *Server) serveConn(sc *serverConn) {
 		// handler outlives that: the request moves to a buffer of its
 		// own, where the handler also assembles the response.
 		buf := append(sc.take(), payload...)
+		if len(payload) > frameBufSize && !sc.keeps(len(payload)) {
+			fr.big = nil // grown for a bulk write: not kept either
+		}
 		req, err := decodeRequest(buf)
 		if err != nil {
 			// A malformed frame poisons the whole stream (framing state
 			// is gone): answer with a classified error — reqID 0, since
 			// the real id is unrecoverable — then close the connection.
 			s.errs.Inc()
-			sc.send(appendResponse(nil, response{status: stErr, body: encodeErr(err)}), buf)
+			sc.send(appendResponse(nil, response{status: stErr, body: encodeErr(err)}), buf, false)
 			return
 		}
 		s.requests.Inc()
@@ -295,7 +312,8 @@ func (s *Server) handler(sc *serverConn, j job) {
 	defer sc.handlers.Done()
 	for ok := true; ok; {
 		out := s.handle(j.req, j.buf)
-		sc.send(out[len(j.buf):], out) // a dead conn ends the read loop too
+		read := j.req.op == opRead || j.req.op == opReadN
+		sc.send(out[len(j.buf):], out, read) // a dead conn ends the read loop too
 		select {
 		case sc.waiting <- struct{}{}:
 		default:
@@ -348,7 +366,7 @@ func (s *Server) handle(req request, buf []byte) []byte {
 	// A read-only server (replica, or a fenced ex-primary) refuses all
 	// mutations: this is what rejects a zombie primary's late writes
 	// after the fleet has moved on without it.
-	if s.readOnly.Load() && (req.op == opWrite || req.op == opAlloc) {
+	if s.readOnly.Load() && (req.op == opWrite || req.op == opWriteN || req.op == opAlloc) {
 		s.fenced.Inc()
 		return s.fail(buf, req.reqID, fmt.Errorf("pagesvc: read-only at epoch %d: %w", s.epoch.Load(), ErrFenced))
 	}
@@ -382,13 +400,30 @@ func (s *Server) handle(req request, buf []byte) []byte {
 			return s.fail(buf, req.reqID, err)
 		}
 		return out
-	case opWrite:
-		if len(req.body) != 4+dev.PageSize() {
-			return s.fail(buf, req.reqID, ErrBadFrame)
+	case opWrite, opWriteN:
+		// A run is written page by page, in its order, until a page
+		// fails. A page write is a run of exactly one, and its failure is
+		// its answer. A longer run that stops short answers how many pages
+		// it wrote; the client writes the page that failed on its own, so
+		// that page's error, retries included, reaches the caller as a
+		// page write's does.
+		ps := dev.PageSize()
+		n := len(req.body) / (4 + ps)
+		if n == 0 || len(req.body)%(4+ps) != 0 || req.op == opWrite && n != 1 {
+			return s.fail(buf, req.reqID, fmt.Errorf("%w: %s of %d bytes", ErrBadFrame, opName(req.op), len(req.body)))
 		}
-		p := disk.PageID(binary.LittleEndian.Uint32(req.body))
-		if err := dev.WritePage(p, req.body[4:]); err != nil {
-			return s.fail(buf, req.reqID, err)
+		imgs := req.body[4*n:]
+		for i := 0; i < n; i++ {
+			p := disk.PageID(binary.LittleEndian.Uint32(req.body[4*i:]))
+			if err := dev.WritePage(p, imgs[i*ps:(i+1)*ps]); err != nil {
+				if n == 1 {
+					return s.fail(buf, req.reqID, err)
+				}
+				s.errs.Inc()
+				var body [4]byte
+				binary.LittleEndian.PutUint32(body[:], uint32(i))
+				return ok(body[:])
+			}
 		}
 		return ok(nil)
 	case opAlloc:
@@ -473,11 +508,11 @@ func (s *Server) serveFollow(sc *serverConn, req request, buf []byte) {
 	// and buf keeps what room a frame grew it to.
 	fail := func(err error) {
 		out := appendResponse(buf, response{status: stErr, reqID: req.reqID, body: encodeErr(err)})
-		sc.send(out[len(buf):], nil)
+		sc.send(out[len(buf):], nil, false)
 	}
 	send := func(out []byte) error {
 		buf = out[:len(buf)]
-		return sc.send(out[len(buf):], nil)
+		return sc.send(out[len(buf):], nil, false)
 	}
 	if int(req.dev) >= len(s.devs) {
 		fail(fmt.Errorf("pagesvc: no device %d", req.dev))

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,13 +49,15 @@ func oneWrite(t *testing.T, what string, c *recConn, payload []byte) {
 }
 
 // flat is req as the reference encoder knows a request: the page ids a
-// sender names in pages folded into the body they lead.
+// sender names in pages folded into the body they lead, and the images
+// it names in imgs into the body they end.
 func flat(req request) request {
 	var ids []byte
 	for _, p := range req.pages {
 		ids = binary.LittleEndian.AppendUint32(ids, uint32(p))
 	}
-	req.pages, req.body = nil, append(ids, req.body...)
+	req.pages, req.body = nil, slices.Concat(append(ids, req.body...), slices.Concat(req.imgs...))
+	req.imgs = nil
 	return req
 }
 
@@ -62,7 +65,9 @@ func flat(req request) request {
 // and the extended header, the page ids named apart from the body or
 // inside it, ok and error responses, Follow records — is byte for byte
 // the frame writeFrame and the encode* functions of wire_model_test.go
-// make, and reaches the connection in one Write.
+// make, and reaches the connection in one Write; a write's images follow
+// the rest of its frame in the same writev, which a connection that is
+// not a socket sees as one Write per buffer.
 func TestFrameBytes(t *testing.T) {
 	sim := disk.New(4)
 	ps := sim.PageSize()
@@ -72,6 +77,7 @@ func TestFrameBytes(t *testing.T) {
 	}
 	writeBody := append([]byte{3, 0, 0, 0}, img...)
 	blank := make([]byte, ps)
+	img4, img5 := bytes.Repeat([]byte{0x44}, ps), bytes.Repeat([]byte{0x55}, ps)
 	tooMany := make([]disk.PageID, (maxFrame-respHdrSize)/ps+1) // of page 0: one more than a frame holds
 
 	requests := []request{
@@ -89,7 +95,7 @@ func TestFrameBytes(t *testing.T) {
 		{op: 99, dev: DataDev, reqID: 17},
 		// As the client sends them: the ids in pages, a write's image the body.
 		{op: opRead, dev: DataDev, reqID: 18, qid: 42, pages: []disk.PageID{2}},
-		{op: opWrite, dev: DataDev, reqID: 19, pages: []disk.PageID{1}, body: img},
+		{op: opWrite, dev: DataDev, reqID: 19, pages: []disk.PageID{1}, imgs: [][]byte{img}},
 		{op: opReadN, dev: DataDev, reqID: 20, epoch: 5, pages: []disk.PageID{2, 0, 1, 2}},
 		{op: opReadN, dev: DataDev, reqID: 22, body: []byte{0, 0, 0, 0, 2, 0, 0, 0}},
 		{op: opReadN, dev: DataDev, reqID: 23},                                // no page at all
@@ -97,6 +103,15 @@ func TestFrameBytes(t *testing.T) {
 		{op: opReadN, dev: DataDev, reqID: 25, pages: []disk.PageID{2, 9, 1}}, // one page out of range
 		{op: opReadN, dev: DataDev, reqID: 26, pages: tooMany},                // more than a frame holds
 		{op: opReadN, dev: 7, reqID: 27, pages: []disk.PageID{1, 2}},          // no such device
+		// Write runs: three pages, then a read of them; a page off the end,
+		// where the run stops short and says how many pages it wrote; no
+		// page at all; a ragged body; two pages as a page write.
+		{op: opWriteN, dev: DataDev, reqID: 28, qid: 42, pages: []disk.PageID{4, 0, 5}, imgs: [][]byte{img4, img, img5}},
+		{op: opReadN, dev: DataDev, reqID: 29, pages: []disk.PageID{0, 4, 5}},
+		{op: opWriteN, dev: DataDev, reqID: 30, pages: []disk.PageID{5, 9, 4}, imgs: [][]byte{img, img, img}},
+		{op: opWriteN, dev: DataDev, reqID: 31},
+		{op: opWriteN, dev: DataDev, reqID: 32, body: append([]byte{1, 0, 0, 0}, img[1:]...)},
+		{op: opWrite, dev: DataDev, reqID: 33, pages: []disk.PageID{1, 2}, imgs: [][]byte{img, img}},
 	}
 	// What the server answers, built by hand from the reference encoder.
 	ok := func(reqID uint64, body []byte) []byte {
@@ -115,9 +130,15 @@ func TestFrameBytes(t *testing.T) {
 		ok(18, img), ok(19, nil),
 		ok(20, slices.Concat(img, blank, img, img)), ok(22, slices.Concat(blank, img)),
 		nil, nil, nil, nil, nil,
+		ok(28, nil), ok(29, slices.Concat(img, img4, img5)), ok(30, []byte{1, 0, 0, 0}),
+		nil, nil, nil,
 	}
 
-	srv := NewServer([]disk.Device{sim}, ServerConfig{Epoch: 3})
+	srv := NewServer([]disk.Device{sim}, ServerConfig{})
+	promote := request{op: opPromote, body: encodePromote(3, 0, true)}
+	if resp, _ := decodeResponse(srv.handle(promote, nil)[4:]); resp.status != stOK {
+		t.Fatal("promotion to epoch 3 refused")
+	}
 	client := &recConn{}
 	cc := &clientConn{c: client, pending: map[uint64]*waiter{}}
 	server := &recConn{}
@@ -129,6 +150,12 @@ func TestFrameBytes(t *testing.T) {
 			t.Fatalf("%s: %v", what, err)
 		}
 		cc.finish(req.reqID, w)
+		if len(req.imgs) > 0 {
+			if len(client.writes) != 1+len(req.imgs) {
+				t.Errorf("%s: left in %d writes, want the frame's head and %d images", what, len(client.writes), len(req.imgs))
+			}
+			client.writes = [][]byte{slices.Concat(client.writes...)}
+		}
 		oneWrite(t, what, client, encodeRequest(flat(req)))
 
 		buf := append(sc.take(), encodeRequest(flat(req))...)
@@ -140,7 +167,7 @@ func TestFrameBytes(t *testing.T) {
 			srv.serveFollow(sc, got, buf)
 		} else {
 			out := srv.handle(got, buf)
-			sc.send(out[len(buf):], out)
+			sc.send(out[len(buf):], out, got.op == opRead || got.op == opReadN)
 		}
 		want := answers[i]
 		if want == nil {
@@ -506,7 +533,7 @@ func TestReadRunFallsBackPageByPage(t *testing.T) {
 
 	// A peer from before opReadN answers it the way any server answers
 	// an op it does not know.
-	old, err := Dial(ClientConfig{Primary: oldPeer(t, 8, 256), Retry: disk.DefaultRetryPolicy})
+	old, err := Dial(ClientConfig{Primary: oldPeer(t, 8, 256, nil), Retry: disk.DefaultRetryPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,9 +633,10 @@ func TestReadArmBookings(t *testing.T) {
 
 // oldPeer plays, over the reference encoders, a server from before
 // opReadN with pages pages of ps bytes, each filled with its number: it
-// answers info and single reads, and refuses every other op as unknown.
+// answers info and single reads, takes single writes (counting them in
+// writes, and keeping nothing), and refuses every other op as unknown.
 // It serves one connection and returns its address.
-func oldPeer(t *testing.T, pages, ps int) string {
+func oldPeer(t *testing.T, pages, ps int, writes *atomic.Int64) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -639,9 +667,12 @@ func oldPeer(t *testing.T, pages, ps int) string {
 			switch {
 			case req.op == opInfo:
 				resp.body = make([]byte, 28)
-				resp.body[0], resp.body[8], resp.body[9] = byte(pages), byte(ps), byte(ps>>8)
+				resp.body[0] = byte(pages)
+				binary.LittleEndian.PutUint32(resp.body[8:], uint32(ps))
 			case req.op == opRead && len(req.body) == 4:
 				resp.body = bytes.Repeat(req.body[:1], ps)
+			case req.op == opWrite && len(req.body) == 4+ps && writes != nil:
+				writes.Add(1)
 			default:
 				resp.status, resp.body = stErr, encodeErr(fmt.Errorf("pagesvc: unknown op %d", req.op))
 			}
@@ -782,4 +813,98 @@ func TestLateResponseLeavesReturnedBufferAlone(t *testing.T) {
 	}
 	c.Close()
 	leakcheck.Check(t, goroutines)
+}
+
+// TestDialRefusesPageSize: a peer whose Info reply gives a page size of
+// 0, or one too large for a page to fit a frame, is refused at Dial with
+// ErrBadFrame — a client that took it would divide by it, or split every
+// run into frames the peer refuses.
+func TestDialRefusesPageSize(t *testing.T) {
+	for _, ps := range []int{0, maxFrame - respHdrSize + 1, 1 << 31} {
+		c, err := Dial(ClientConfig{Primary: oldPeer(t, 8, ps, nil)})
+		if !errors.Is(err, ErrBadFrame) {
+			if c != nil {
+				c.Close()
+			}
+			t.Errorf("page size %d: Dial = %v, want ErrBadFrame", ps, err)
+		}
+	}
+	for _, ps := range []int{1, maxFrame - respHdrSize} {
+		c, err := Dial(ClientConfig{Primary: oldPeer(t, 8, ps, nil)})
+		if err != nil {
+			t.Fatalf("page size %d: Dial = %v", ps, err)
+		}
+		c.Close()
+	}
+}
+
+// TestBulkWriteKeepsNoBuffer: a run of writes far larger than any read
+// leaves neither side holding a buffer its size. The client sends the
+// images from the caller's buffers, so its frame buffer holds no more
+// than the page ids; the server keeps no buffer larger than a read has
+// been answered in, or than its frame reader's own.
+func TestBulkWriteKeepsNoBuffer(t *testing.T) {
+	const n = 64
+	srv, addr := startServer(t, []disk.Device{numberedPages(t, n)}, ServerConfig{})
+	c := dialT(t, ClientConfig{Primary: addr})
+	ctx := context.Background()
+	ids, bufs, errs := make([]disk.PageID, n), make([][]byte, n), make([]error, n)
+	for i := range ids {
+		ids[i], bufs[i] = disk.PageID(i), make([]byte, c.PageSize())
+	}
+	c.ReadPages(ctx, ids[:4], bufs[:4], errs[:4]) // a read run sets what is kept
+	c.WritePages(ids, bufs, errs)
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ping(); err != nil { // the write's handler is done with its buffer
+		t.Fatal(err)
+	}
+	c.cmu.Lock()
+	cc := c.conn
+	c.cmu.Unlock()
+	cc.wm.Lock()
+	if got, want := cap(cc.frame), reqHdrSizeQ+4*n; got > 2*want {
+		t.Errorf("client frame buffer of %d bytes after the run, want no more than the ids' %d", got, want)
+	}
+	cc.wm.Unlock()
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for _, sc := range srv.conns {
+		sc.mu.Lock()
+		for _, buf := range sc.idle {
+			if cap(buf) > max(frameBufSize, sc.readMax) || cap(buf) >= n*c.PageSize() {
+				t.Errorf("server keeps a %d-byte buffer; its reads needed %d", cap(buf), sc.readMax)
+			}
+		}
+		sc.mu.Unlock()
+	}
+}
+
+// TestWriteRunFallsBackPageByPage: a peer from before write runs refuses
+// opWriteN as an op it does not know, and the client writes the run page
+// by page instead, each in opWrite, with a verdict and an arm booking of
+// its own.
+func TestWriteRunFallsBackPageByPage(t *testing.T) {
+	var writes atomic.Int64
+	old, err := Dial(ClientConfig{Primary: oldPeer(t, 8, 256, &writes), Retry: disk.DefaultRetryPolicy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	ids, errs := []disk.PageID{1, 2, 3}, make([]error, 3)
+	bufs := [][]byte{make([]byte, 256), make([]byte, 256), make([]byte, 256)}
+	old.WritePages(ids, bufs, errs)
+	if err := errors.Join(errs...); err != nil {
+		t.Fatalf("run to a peer without opWriteN: %v", err)
+	}
+	if got := writes.Load(); got != 3 {
+		t.Errorf("the peer took %d page writes, want 3", got)
+	}
+	if got := old.sends.Value(); got != 5 { // Dial's info, the run once, three pages
+		t.Errorf("%d requests sent, want 5: a refusal is not retried", got)
+	}
+	if st := old.Stats(); st.Writes != 3 {
+		t.Errorf("%d writes booked, want 3", st.Writes)
+	}
 }

@@ -1018,6 +1018,91 @@ func (r *Router) WritePage(p disk.PageID, buf []byte) error {
 	return r.access(context.Background(), p, buf, true)
 }
 
+// WritePages implements disk.RunWriter. The run is split by owner and
+// each owner's share goes whole to its primary — one operation, one
+// entry in the breaker's health record — with every page of it routed
+// and fence-checked in one critical section and the write barrier held
+// across the device write, as attemptOnce does for a page. A page the
+// router refuses gets that refusal, as from WritePage, and a page whose
+// share write failed for good gets that failure, as from a page write's
+// first attempt. Every other page the shares leave unwritten — a fenced
+// one, one on a shard whose breaker refuses, one whose write failed
+// transiently — is written page by page down the routed path, in the
+// run's order, which decides retries, budget and fencing as for any
+// single write.
+func (r *Router) WritePages(ids []disk.PageID, bufs [][]byte, errs []error) {
+	r.wmu.RLock()
+	shares, rest := r.splitRun(ids, bufs, errs)
+	for _, sh := range shares {
+		if !sh.st.breaker.Allow() {
+			rest = append(rest, sh.at...)
+			continue
+		}
+		shErrs := make([]error, len(sh.ids))
+		disk.WritePages(sh.m.Primary, sh.ids, sh.bufs, shErrs)
+		healthy, delivered := true, false
+		for j, err := range shErrs {
+			healthy = healthy && answered(err)
+			delivered = delivered || err == nil
+			if disk.Retryable(err) {
+				rest = append(rest, sh.at[j])
+			} else {
+				errs[sh.at[j]] = err
+			}
+		}
+		sh.st.breaker.Record(healthy)
+		if delivered {
+			r.noteHealthy(sh.st)
+		}
+	}
+	r.wmu.RUnlock()
+	slices.Sort(rest)
+	for _, i := range rest {
+		errs[i] = r.access(context.Background(), ids[i], bufs[i], true)
+	}
+}
+
+// share is one owner's part of a write run: its pages, their images and
+// where each stands in the run.
+type share struct {
+	owner int
+	m     Member
+	st    *shardState
+	at    []int
+	ids   []disk.PageID
+	bufs  [][]byte
+}
+
+// splitRun validates, fence-checks and routes a write run in one
+// critical section, as checkAccess (through the same refusesLocked) and
+// the routing step of attemptOnce do for a page. A refused page's error
+// goes to errs. It returns each owner's share of the other pages, in
+// the run's order, and where the fenced ones stand in the run.
+func (r *Router) splitRun(ids []disk.PageID, bufs [][]byte, errs []error) (shares []share, fenced []int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, p := range ids {
+		if err := r.refusesLocked(p, bufs[i]); err != nil {
+			errs[i] = err
+			continue
+		}
+		r.last = p
+		if r.fence[p] {
+			fenced = append(fenced, i)
+			continue
+		}
+		o := r.shardOfLocked(p)
+		k := slices.IndexFunc(shares, func(sh share) bool { return sh.owner == o })
+		if k < 0 {
+			k = len(shares)
+			shares = append(shares, share{owner: o, m: r.members[o], st: r.shards[o]})
+		}
+		sh := &shares[k]
+		sh.at, sh.ids, sh.bufs = append(sh.at, i), append(sh.ids, p), append(sh.bufs, bufs[i])
+	}
+	return shares, fenced
+}
+
 // Allocate implements disk.Device: the global space grows, and every
 // member grows in lockstep so any member can cover any page it may be
 // assigned (rendezvous assignment is scattered, so each shard backs
@@ -1145,3 +1230,4 @@ func (r *Router) RegisterMetrics(reg *metrics.Registry, dev string) {
 var _ disk.Device = (*Router)(nil)
 var _ disk.CtxReader = (*Router)(nil)
 var _ disk.RunReader = (*Router)(nil)
+var _ disk.RunWriter = (*Router)(nil)

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,13 +10,21 @@ import (
 	"revelation/internal/disk"
 )
 
-// runDev is a disk.Sim that is also a disk.RunReader and says how it was
-// read: runs counts the runs that reached it whole. Each page of a run
-// goes through the Sim — its fault hook, its arm — so the Sim's own read
-// counter says how many pages were delivered, by either path.
+// runDev is a disk.Sim that is also a disk.RunReader and a
+// disk.RunWriter and says how it was read and written: runs and wruns
+// count the runs that reached it whole. Each page of a run goes through
+// the Sim — its fault hook, its arm — so the Sim's own counters say how
+// many pages were delivered or written, by either path.
 type runDev struct {
 	*disk.Sim
-	runs int
+	runs, wruns int
+}
+
+func (d *runDev) WritePages(ids []disk.PageID, bufs [][]byte, errs []error) {
+	d.wruns++
+	for i, p := range ids {
+		errs[i] = d.Sim.WritePage(p, bufs[i])
+	}
 }
 
 func (d *runDev) ReadPages(ctx context.Context, ids []disk.PageID, bufs [][]byte, errs []error) {
@@ -187,4 +196,117 @@ func TestRouterRunPaths(t *testing.T) {
 	if got := repl.Stats().Reads; got != 0 {
 		t.Errorf("the replica served %d reads of a healthy primary's", got)
 	}
+}
+
+// write writes the run through the router, page p's image filled with
+// byte p+1.
+func (w *runWorld) write(ids ...disk.PageID) []error {
+	bufs, errs := make([][]byte, len(ids)), make([]error, len(ids))
+	for i := range bufs {
+		bufs[i] = bytes.Repeat([]byte{byte(ids[i]) + 1}, w.r.PageSize())
+	}
+	w.r.WritePages(ids, bufs, errs)
+	return errs
+}
+
+// wrote demands how member i's device was written since the last call:
+// how many runs reached it whole and how many pages it wrote in all.
+func (w *runWorld) wrote(t *testing.T, what string, i, runs int, pages int64) {
+	t.Helper()
+	d := w.devs[i]
+	if got := d.Stats().Writes; d.wruns != runs || got != pages {
+		t.Errorf("%s: member %d took %d write runs and wrote %d pages, want %d and %d", what, i, d.wruns, got, runs, pages)
+	}
+	d.wruns = 0
+	d.ResetStats()
+}
+
+// TestRouterWriteRunPaths walks a write run down each way the router can
+// send it and checks, from the devices' side, that every page is written
+// exactly once: each owner's share whole, in one run, whether the run
+// has one owner or several; a page that fails alone written again down
+// the routed path, and only that page; a member that is down tried once
+// with its share, then page by page, until its breaker opens and the
+// next share is not offered to it; a page the router refuses left out of
+// its owner's share; nothing after Close.
+func TestRouterWriteRunPaths(t *testing.T) {
+	w := newRunWorld(t, nil)
+	a, b := w.owned[0], w.owned[1]
+	noErrors := func(what string, errs []error) {
+		t.Helper()
+		if err := errors.Join(errs...); err != nil {
+			t.Errorf("%s: %v", what, err)
+		}
+	}
+
+	for _, d := range w.devs {
+		d.ResetStats() // the fill's writes
+	}
+	noErrors("one owner", w.write(a[0], a[1], a[2], a[3]))
+	w.wrote(t, "one owner", 0, 1, 4)
+	w.wrote(t, "one owner", 1, 0, 0)
+	if w.r.Head() != a[3] {
+		t.Errorf("head at %d after a run ending on %d", w.r.Head(), a[3])
+	}
+	noErrors("two owners", w.write(a[0], b[0], a[1], b[1], a[2]))
+	w.wrote(t, "two owners", 0, 1, 3)
+	w.wrote(t, "two owners", 1, 1, 2)
+	img := make([]byte, w.r.PageSize())
+	for _, p := range []disk.PageID{a[0], b[0], a[2]} {
+		if err := w.r.ReadPage(p, img); err != nil || img[0] != byte(p)+1 {
+			t.Errorf("page %d after the run: %v, first byte %d", p, err, img[0])
+		}
+	}
+	w.took(t, "reading back", 0, 0, 2)
+	w.took(t, "reading back", 1, 0, 1)
+
+	// The second page fails once, transiently: the share writes the
+	// rest, the routed path writes that page again — and only that one.
+	failed := false
+	w.devs[1].SetFault(func(p disk.PageID, write bool) error {
+		if write && p == b[1] && !failed {
+			failed = true
+			return fmt.Errorf("%w: injected", disk.ErrTransient)
+		}
+		return nil
+	})
+	noErrors("second page fails once", w.write(b[0], b[1], b[2]))
+	w.wrote(t, "second page fails once", 1, 1, 3)
+	w.devs[1].SetFault(nil)
+
+	// Member 1 down: its share fails, then its pages one by one, and that
+	// opens the breaker; the next share is not offered to the device at
+	// all, while member 0's is written whole.
+	w.devs[1].SetFault(func(disk.PageID, bool) error { return fmt.Errorf("%w: down", disk.ErrTransient) })
+	for i, err := range w.write(b[0], b[1], b[2]) {
+		if !disk.Retryable(err) {
+			t.Errorf("page %d of a run on a member that is down: %v", i, err)
+		}
+	}
+	if st := w.r.BreakerState(1); st != Open {
+		t.Fatalf("member 1's breaker is %v after a share and its pages all failed", st)
+	}
+	w.wrote(t, "member down", 1, 1, 0)
+	errs := w.write(a[0], b[0], a[1])
+	if errs[0] != nil || !errors.Is(errs[1], ErrShardDown) || errs[2] != nil {
+		t.Errorf("run beside an open breaker: %v", errs)
+	}
+	w.wrote(t, "beside an open breaker", 0, 1, 2)
+	w.wrote(t, "breaker open", 1, 0, 0)
+	w.devs[1].SetFault(nil)
+
+	// A page the router refuses stays out of its owner's share.
+	errs = w.write(a[0], 9999, a[1])
+	if errs[0] != nil || !errors.Is(errs[1], disk.ErrOutOfRange) || errs[2] != nil {
+		t.Errorf("run with a page out of range: %v", errs)
+	}
+	w.wrote(t, "page out of range", 0, 1, 2)
+
+	w.r.Close()
+	for i, err := range w.write(a[0], a[1]) {
+		if !errors.Is(err, disk.ErrClosed) {
+			t.Errorf("page %d of a run after Close: %v", i, err)
+		}
+	}
+	w.wrote(t, "after Close", 0, 0, 0)
 }
