@@ -235,17 +235,14 @@ crash-test:
 # holds; seeded with deltas of no bytes, inside a header, past a page
 # and off their page's chain, and every record it hands out applied
 # onto a device — an applied delta leaves its page verified at its LSN,
-# a refused one leaves the page alone), of the suite's config parser (scenarios or a file:line
-# error, never a panic; what parses passes the validator's range
-# checks) and of the template JSON loader (a template or an error, with a
-# catalog and without, never a panic; what parses marshals and parses
-# back to the same template).
+# a refused one leaves the page alone) and of the template JSON loader
+# (a template or an error, with a catalog and without, never a panic;
+# what parses marshals and parses back to the same template).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzPageOps -fuzztime=10s ./internal/page
 	$(GO) test -fuzz=FuzzProtoDecode -fuzztime=10s ./internal/pagesvc
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/object
 	$(GO) test -fuzz=FuzzWALScan -fuzztime=10s ./internal/wal
-	$(GO) test -fuzz=FuzzParseScenarios -fuzztime=10s ./internal/suite
 	$(GO) test -fuzz=FuzzTemplateJSON -fuzztime=10s ./internal/assembly
 
 # One testing.B sub-benchmark per figure the harness registers

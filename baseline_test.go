@@ -54,7 +54,7 @@ func TestPointerJoinBaseline(t *testing.T) {
 			}
 			roots[i] = o
 		}
-		pairs, err := volcano.Drain(volcano.NewPointerJoin(volcano.NewSlice(roots), db.Store, 0, mode))
+		pairs, err := volcano.Drain(nil, volcano.NewPointerJoin(volcano.NewSlice(roots), db.Store, 0, mode))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -134,7 +134,7 @@ func main() {
 			defer cancel()
 			volcano.Bind(ctx, plan)
 		}
-		res, err := volcano.Drain(plan)
+		res, err := volcano.Drain(nil, plan)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
 				fail("revealed: deadline %v exceeded after %d results", *deadline, len(res))

@@ -241,7 +241,7 @@ func queryWorkload(reg *metrics.Registry, scale float64, window int, shards stri
 			return "", err
 		}
 		start := time.Now()
-		items, err := volcano.DrainCtx(ctx, plan)
+		items, err := volcano.Drain(ctx, plan)
 		if err != nil {
 			return "", err
 		}

@@ -1,22 +1,21 @@
 // Command asmsuite runs the continuous scenario suite: named benchmark
 // scenarios — OO7-style shapes, time-series appends, standing-query
 // incremental re-assembly, fault injection, remote page service —
-// declared in a checked-in config, measured through the shared bench
-// measurement core, three-way verified (harness counters == trace
-// replay == metrics registry delta), and written as a schema-versioned
-// BENCH_<suite>.json trajectory.
+// declared in internal/suite's table (suite.Scenarios), measured through
+// the shared bench measurement core, three-way verified (harness
+// counters == trace replay == metrics registry delta), and written as a
+// schema-versioned BENCH_<suite>.json trajectory.
 //
 // Usage:
 //
-//	asmsuite [-config suites/core.toml] [-suite core] [-out FILE]
-//	         [-iters N] [-list] [-v]
+//	asmsuite [-suite core] [-out FILE] [-iters N] [-list] [-v]
 //
 // -suite selects the scenario subset (each scenario declares which
 // suites it belongs to; "core" is the tracked trajectory, "smoke" the
 // CI gate). -out defaults to BENCH_<suite>.json in the current
-// directory; "-" writes to stdout. -iters overrides every scenario's
-// iteration count (useful for quick local runs). -list prints the
-// selected scenarios without running them.
+// directory; "-" writes to stdout. -iters sets every scenario's
+// measured iteration count (default 3; 1 for quick local runs). -list
+// prints the selected scenarios without running them.
 package main
 
 import (
@@ -28,22 +27,14 @@ import (
 )
 
 func main() {
-	config := flag.String("config", "suites/core.toml", "scenario config file")
 	suiteName := flag.String("suite", "core", "suite to run (scenario subset)")
 	out := flag.String("out", "", "output file (default BENCH_<suite>.json; '-' for stdout)")
-	iters := flag.Int("iters", 0, "override every scenario's iteration count")
+	iters := flag.Int("iters", 0, "measured iterations per scenario (0 = 3)")
 	list := flag.Bool("list", false, "list the selected scenarios and exit")
 	verbose := flag.Bool("v", false, "print one progress line per scenario")
 	flag.Parse()
 
-	src, err := os.ReadFile(*config)
-	if err != nil {
-		fatal(err)
-	}
-	scenarios, err := suite.ParseScenarios(*config, string(src))
-	if err != nil {
-		fatal(err)
-	}
+	scenarios := suite.Scenarios()
 
 	if *list {
 		n := 0

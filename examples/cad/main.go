@@ -124,7 +124,7 @@ func main() {
 			Scheduler:       assembly.Elevator,
 			UseSharingStats: useStats,
 		})
-		out, err := volcano.Drain(op)
+		out, err := volcano.Drain(nil, op)
 		if err != nil {
 			log.Fatal(err)
 		}

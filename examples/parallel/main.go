@@ -128,7 +128,7 @@ func assembledSet(db *gen.Database, degree int) (map[revelation.OID]bool, error)
 	}
 	plan := assembly.NewParallel(db.Roots, db.Store, db.Template,
 		assembly.Options{Window: 10, Scheduler: assembly.Elevator}, degree)
-	items, err := volcano.Drain(plan)
+	items, err := volcano.Drain(nil, plan)
 	if err != nil {
 		return nil, err
 	}

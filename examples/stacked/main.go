@@ -62,7 +62,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	items, err := volcano.Drain(plan)
+	items, err := volcano.Drain(nil, plan)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func (w *oracleWorld) diffRun(t *testing.T, dev *disk.Faulty, input string, opts
 	col := trace.NewCollector()
 	opts.Tracer = trace.New(col)
 	op := New(in, w.store, w.tmpl, opts)
-	items, err := volcano.Drain(op)
+	items, err := volcano.Drain(nil, op)
 	var b strings.Builder
 	for _, it := range items {
 		trees = append(trees, render(it.(*Instance)))

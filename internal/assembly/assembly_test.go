@@ -73,7 +73,7 @@ func oidSource(roots []object.OID) volcano.Iterator {
 func assembleAll(t *testing.T, s *object.Store, tmpl *Template, roots []object.OID, opts Options) ([]*Instance, *Operator) {
 	t.Helper()
 	op := New(oidSource(roots), s, tmpl, opts)
-	items, err := volcano.Drain(op)
+	items, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatalf("assembly drain: %v", err)
 	}
@@ -283,7 +283,7 @@ func TestRequiredNilAborts(t *testing.T) {
 func TestDanglingReferenceError(t *testing.T) {
 	s, tmpl, _ := buildChainStore(t, 1)
 	op := New(oidSource([]object.OID{999}), s, tmpl, Options{})
-	if _, err := volcano.Drain(op); err == nil {
+	if _, err := volcano.Drain(nil, op); err == nil {
 		t.Error("dangling root reference did not error")
 	}
 }
@@ -308,7 +308,7 @@ func TestClassMismatchError(t *testing.T) {
 	bad := tmpl.Clone()
 	bad.FindByName("Right").Class = 1 // Root class, but object is a Leaf
 	op := New(oidSource(roots), s, bad, Options{})
-	if _, err := volcano.Drain(op); err == nil {
+	if _, err := volcano.Drain(nil, op); err == nil {
 		t.Error("class mismatch not detected")
 	}
 }
@@ -325,7 +325,7 @@ func TestRootObjectInput(t *testing.T) {
 		items = append(items, o)
 	}
 	op := New(volcano.NewSlice(items), s, tmpl, Options{Window: 2, Scheduler: Elevator})
-	out, err := volcano.Drain(op)
+	out, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestPartiallyAssembledInput(t *testing.T) {
 		items = append(items, rootInst)
 	}
 	op := New(volcano.NewSlice(items), s, tmpl, Options{Window: 3, Scheduler: Elevator})
-	out, err := volcano.Drain(op)
+	out, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestNextBeforeOpen(t *testing.T) {
 func TestEmptyInput(t *testing.T) {
 	s, tmpl, _ := buildChainStore(t, 1)
 	op := New(oidSource(nil), s, tmpl, Options{Window: 10})
-	out, err := volcano.Drain(op)
+	out, err := volcano.Drain(nil, op)
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty input = (%v, %v)", out, err)
 	}
@@ -409,7 +409,7 @@ func TestEmptyInput(t *testing.T) {
 func TestNilRootSkipped(t *testing.T) {
 	s, tmpl, roots := buildChainStore(t, 2)
 	op := New(oidSource([]object.OID{roots[0], object.NilOID, roots[1]}), s, tmpl, Options{Window: 2})
-	out, err := volcano.Drain(op)
+	out, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,7 @@ func BenchmarkTraverseAssembled(b *testing.B) {
 	}
 	op := assembly.New(volcano.NewSlice(items), db.Store, db.Template,
 		assembly.Options{Window: 50, Scheduler: assembly.Elevator})
-	out, err := volcano.Drain(op)
+	out, err := volcano.Drain(nil, op)
 	if err != nil {
 		b.Fatal(err)
 	}

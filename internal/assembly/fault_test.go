@@ -134,7 +134,7 @@ func (w *faultWorld) runFaulted(t *testing.T, opts assembly.Options) (map[object
 		t.Fatal(err)
 	}
 	op := assembly.New(rootsSource(w.db.Roots), w.db.Store, w.db.Template, opts)
-	items, err := volcano.Drain(op)
+	items, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatalf("faulted assembly (%v): %v", opts.FaultPolicy, err)
 	}
@@ -276,7 +276,7 @@ func TestChaosFailFastSurfacesFault(t *testing.T) {
 		Window:    8,
 		Scheduler: assembly.Elevator,
 	})
-	_, err := volcano.Drain(op)
+	_, err := volcano.Drain(nil, op)
 	if !errors.Is(err, disk.ErrPermanent) {
 		t.Fatalf("fail-fast drain err = %v, want ErrPermanent", err)
 	}
@@ -349,7 +349,7 @@ func TestWindowShrinksUnderBufferPressure(t *testing.T) {
 		Scheduler:      assembly.BreadthFirst,
 		PinWindowPages: true,
 	})
-	items, err := volcano.Drain(op)
+	items, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatalf("assembly under buffer pressure: %v", err)
 	}
@@ -393,7 +393,7 @@ func TestTransientExhaustionSurfacesNotQuarantines(t *testing.T) {
 	}
 	op := assembly.New(rootsSource(w.db.Roots), w.db.Store, w.db.Template,
 		assembly.Options{Window: 4, FaultPolicy: assembly.RetryFaults})
-	_, err := volcano.Drain(op)
+	_, err := volcano.Drain(nil, op)
 	if err == nil {
 		t.Fatal("assembly over an endlessly flapping device succeeded")
 	}

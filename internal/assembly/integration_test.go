@@ -37,7 +37,7 @@ func rootsSource(roots []object.OID) volcano.Iterator {
 
 func drainAssembly(t testing.TB, op *assembly.Operator) []*assembly.Instance {
 	t.Helper()
-	items, err := volcano.Drain(op)
+	items, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatalf("assembly: %v", err)
 	}
@@ -233,7 +233,7 @@ func TestStackedAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, err := volcano.Drain(plan)
+	items, err := volcano.Drain(nil, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestParallelAssembly(t *testing.T) {
 	for _, degree := range []int{1, 2, 4} {
 		plan := assembly.NewParallel(db.Roots, db.Store, db.Template,
 			assembly.Options{Window: 10, Scheduler: assembly.Elevator}, degree)
-		items, err := volcano.Drain(plan)
+		items, err := volcano.Drain(nil, plan)
 		if err != nil {
 			t.Fatalf("degree %d: %v", degree, err)
 		}
@@ -319,7 +319,7 @@ func TestAssemblyIOFaultSurfaces(t *testing.T) {
 	})
 	op := assembly.New(rootsSource(db.Roots), db.Store, db.Template,
 		assembly.Options{Window: 10, Scheduler: assembly.Elevator})
-	_, err := volcano.Drain(op)
+	_, err := volcano.Drain(nil, op)
 	if !errors.Is(err, boom) {
 		t.Errorf("I/O fault not surfaced: %v", err)
 	}

@@ -103,7 +103,7 @@ func TestMultiElevatorCorrectAcrossWindows(t *testing.T) {
 			Window:          w,
 			CustomScheduler: assembly.NewMultiElevator(3, striped.DeviceOf),
 		})
-		items, err := volcano.Drain(op)
+		items, err := volcano.Drain(nil, op)
 		if err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}

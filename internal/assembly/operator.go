@@ -229,7 +229,7 @@ type Operator struct {
 	shape  arenaShape
 	spares []spare
 	// decode is decodeRec bound once at Open, so a fetch hands
-	// heap.File.GetCtx no fresh closure; fetch is its in (the item to
+	// heap.File.Get no fresh closure; fetch is its in (the item to
 	// carve from, whether the component lives on its own) and out.
 	decode func(rec []byte) error
 	fetch  struct {
@@ -912,7 +912,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 		} else if derr := op.decodeRec(rec); derr != nil {
 			err = fmt.Errorf("assembly: decode %v: %w", ref.OID, derr)
 		}
-	} else if gerr := op.Store.File.GetCtx(op.qctx, ref.RID, op.decode); gerr != nil {
+	} else if gerr := op.Store.File.Get(op.qctx, ref.RID, op.decode); gerr != nil {
 		err = fmt.Errorf("assembly: fetch %v: %w", ref.OID, gerr)
 	} else {
 		op.notePageRequest()

@@ -26,7 +26,7 @@ func TestPageBatchMatchesOracle(t *testing.T) {
 		for _, kind := range []SchedulerKind{DepthFirst, Elevator} {
 			op := New(oidSource(w.roots), w.store, w.tmpl,
 				Options{Window: 16, Scheduler: kind, PageBatch: true})
-			items, err := volcano.Drain(op)
+			items, err := volcano.Drain(nil, op)
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, kind, err)
 			}
@@ -59,7 +59,7 @@ func TestPageBatchSavesBufferRequests(t *testing.T) {
 		op := New(oidSource(roots), s, tmpl, Options{
 			Window: 20, Scheduler: Elevator, PageBatch: batch,
 		})
-		out, err := volcano.Drain(op)
+		out, err := volcano.Drain(nil, op)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,7 +61,7 @@ func TestPinnedWindowNeverExhaustsPool(t *testing.T) {
 		Scheduler:      assembly.Elevator,
 		PinWindowPages: true,
 	})
-	items, err := volcano.Drain(op)
+	items, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatalf("tiny buffer with huge window: %v", err)
 	}
@@ -79,7 +79,7 @@ func TestPinnedWindowAbortReleasesPins(t *testing.T) {
 		Scheduler:      assembly.Elevator,
 		PinWindowPages: true,
 	})
-	items, err := volcano.Drain(op)
+	items, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestPartialRootWithPartialSubtree(t *testing.T) {
 	}
 
 	op := New(volcano.NewSlice(items), s, tmpl, Options{Window: 3, Scheduler: Elevator})
-	out, err := volcano.Drain(op)
+	out, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPartialRootUnusedSubs(t *testing.T) {
 		Sub:  map[object.OID]*Instance{orphanObj.OID: orphan},
 	}}
 	op := New(volcano.NewSlice(items), s, tmpl, Options{Window: 1})
-	out, err := volcano.Drain(op)
+	out, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPartialRootUnusedSubs(t *testing.T) {
 func TestUnsupportedInputItem(t *testing.T) {
 	s, tmpl, _ := buildChainStore(t, 1)
 	op := New(volcano.NewSlice([]volcano.Item{"not an oid"}), s, tmpl, Options{})
-	if _, err := volcano.Drain(op); err == nil {
+	if _, err := volcano.Drain(nil, op); err == nil {
 		t.Error("string input accepted")
 	}
 }
@@ -117,7 +117,7 @@ func TestRootPredicateAbort(t *testing.T) {
 		items = append(items, o)
 	}
 	op := New(volcano.NewSlice(items), s, cl, Options{Window: 4, Scheduler: Elevator})
-	out, err := volcano.Drain(op)
+	out, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func oracleRenders(t *testing.T, db *gen.Database) map[object.OID]string {
 	t.Helper()
 	op := assembly.New(rootsIter(db.Roots), db.Store, db.Template,
 		assembly.Options{Window: 8, Scheduler: assembly.Elevator})
-	items, err := volcano.Drain(op)
+	items, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestFleetPromotionChaosKillPrimary(t *testing.T) {
 		FaultPolicy:     assembly.RetryFaults,
 		Tracer:          tr,
 	})
-	items, err := volcano.Drain(op)
+	items, err := volcano.Drain(nil, op)
 	<-killed
 	if err != nil {
 		t.Fatalf("query did not survive the primary's death: %v", err)
@@ -387,7 +387,7 @@ func TestFleetPromotionChaosKillPrimary(t *testing.T) {
 		ShardPrefetch:   true,
 		Tracer:          tr,
 	})
-	items2, err := volcano.Drain(op2)
+	items2, err := volcano.Drain(nil, op2)
 	if err != nil {
 		t.Fatalf("post-promotion query: %v", err)
 	}
@@ -566,7 +566,7 @@ func TestFleetReshardAddMemberMidQuery(t *testing.T) {
 		ShardPrefetch:   true,
 		Tracer:          tr,
 	})
-	items, err := volcano.Drain(op)
+	items, err := volcano.Drain(nil, op)
 	<-joined
 	if err != nil {
 		t.Fatalf("query did not survive the live reshard: %v", err)
@@ -637,7 +637,7 @@ func TestFleetReshardAddMemberMidQuery(t *testing.T) {
 		ShardPrefetch:   true,
 		Tracer:          tr,
 	})
-	items2, err := volcano.Drain(op2)
+	items2, err := volcano.Drain(nil, op2)
 	if err != nil {
 		t.Fatalf("post-reshard query: %v", err)
 	}

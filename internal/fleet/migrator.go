@@ -76,7 +76,9 @@ func (mg *Migrator) Close() error { return mg.meta.Close() }
 // a predecessor that crashed mid-migration, already flipped some
 // ranges — they are replayed against the router first and only the
 // remainder is copied, so calling Join again after a crash converges
-// to the pure rendezvous assignment of the enlarged member set. It
+// to the pure rendezvous assignment of the enlarged member set: after a
+// crash the caller rebuilds the router over the pre-join member set
+// (the crash lost the in-memory routing table) and calls Join again. It
 // returns how many pages were newly cut over by this call.
 func (mg *Migrator) Join(m shard.Member) (int, error) {
 	delta, err := mg.cfg.Router.AddMember(m)
@@ -85,13 +87,6 @@ func (mg *Migrator) Join(m shard.Member) (int, error) {
 	}
 	return mg.finish(m, delta)
 }
-
-// Resume continues a crashed migration: the caller rebuilt the router
-// over the PRE-join member set (the crash lost the in-memory routing
-// table), and Resume re-adds the joining member, replays the durable
-// cutovers, and migrates what is still pending. Identical to Join —
-// the name marks intent at the call site.
-func (mg *Migrator) Resume(m shard.Member) (int, error) { return mg.Join(m) }
 
 // finish replays durable cutovers and migrates the remaining delta.
 func (mg *Migrator) finish(m shard.Member, delta []disk.PageID) (int, error) {

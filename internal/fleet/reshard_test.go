@@ -12,7 +12,7 @@ package fleet
 //     copy phase never deletes from the old owner);
 //   - the durable cutovers are a subset of the rendezvous-predicted
 //     delta, owned by the joiner;
-//   - recovery (fresh router + Migrator.Resume over the revived meta
+//   - recovery (fresh router + Migrator.Join over the revived meta
 //     device) converges: no pending pages, routing equals the pure
 //     rendezvous assignment of the enlarged set, and every page —
 //     migrated or not — reads back its golden contents through the
@@ -213,7 +213,7 @@ func TestReshardCrashSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: reopen migrator: %v", name, err)
 			}
-			resumed, err := mg.Resume(shard.Member{Name: sweepJoiner, Primary: joinerDev})
+			resumed, err := mg.Join(shard.Member{Name: sweepJoiner, Primary: joinerDev})
 			if err != nil {
 				t.Fatalf("%s: resume: %v", name, err)
 			}

@@ -42,7 +42,7 @@ func BenchmarkGetWarm(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := f.Get(rids[i%len(rids)], func([]byte) error { return nil }); err != nil {
+		if err := f.Get(nil, rids[i%len(rids)], func([]byte) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +63,7 @@ func BenchmarkGetColdSmallPool(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Stride so consecutive gets land on distant pages.
 		rid := rids[(i*127)%len(rids)]
-		if err := f.Get(rid, func([]byte) error { return nil }); err != nil {
+		if err := f.Get(nil, rid, func([]byte) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

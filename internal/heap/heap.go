@@ -211,14 +211,9 @@ func (f *File) Insert(rec []byte) (RID, error) {
 
 // Get invokes fn with the record bytes while the page is pinned. The
 // slice passed to fn aliases buffer memory and must not be retained.
-func (f *File) Get(rid RID, fn func(rec []byte) error) error {
-	return f.GetCtx(nil, rid, fn)
-}
-
-// GetCtx is Get with per-query attribution: the pool fix (and any
-// device read behind it) is charged to the query span carried in ctx.
-// A nil ctx behaves exactly like Get.
-func (f *File) GetCtx(ctx context.Context, rid RID, fn func(rec []byte) error) error {
+// The pool fix (and any device read behind it) is charged to the query
+// span carried in ctx, if any; ctx may be nil.
+func (f *File) Get(ctx context.Context, rid RID, fn func(rec []byte) error) error {
 	if !f.Contains(rid) {
 		return fmt.Errorf("%w: %v", ErrNotInExtent, rid)
 	}
@@ -239,7 +234,7 @@ func (f *File) GetCtx(ctx context.Context, rid RID, fn func(rec []byte) error) e
 // Read returns a copy of the record bytes.
 func (f *File) Read(rid RID) ([]byte, error) {
 	var out []byte
-	err := f.Get(rid, func(rec []byte) error {
+	err := f.Get(nil, rid, func(rec []byte) error {
 		out = append([]byte(nil), rec...)
 		return nil
 	})

@@ -141,7 +141,7 @@ func TestUpdateDelete(t *testing.T) {
 func TestRIDOutsideExtent(t *testing.T) {
 	f, _ := newFile(t, 2, 4)
 	bad := RID{Page: f.First() + disk.PageID(f.NumPages()), Slot: 0}
-	if err := f.Get(bad, func([]byte) error { return nil }); !errors.Is(err, ErrNotInExtent) {
+	if err := f.Get(nil, bad, func([]byte) error { return nil }); !errors.Is(err, ErrNotInExtent) {
 		t.Errorf("Get outside extent err = %v, want ErrNotInExtent", err)
 	}
 	if err := f.Update(bad, 0, func([]byte) {}); !errors.Is(err, ErrNotInExtent) {
@@ -269,7 +269,7 @@ func TestGetDoesNotLeakPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := f.Get(rid, func([]byte) error { return nil }); err != nil {
+		if err := f.Get(nil, rid, func([]byte) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,7 +278,7 @@ func TestGetDoesNotLeakPins(t *testing.T) {
 	}
 	// Error from the callback still unpins.
 	boom := errors.New("boom")
-	if err := f.Get(rid, func([]byte) error { return boom }); !errors.Is(err, boom) {
+	if err := f.Get(nil, rid, func([]byte) error { return boom }); !errors.Is(err, boom) {
 		t.Errorf("callback error lost: %v", err)
 	}
 	if n := f.Pool().PinnedFrames(); n != 0 {

@@ -223,7 +223,7 @@ func (s *Store) Get(oid OID) (*Object, error) {
 		return nil, fmt.Errorf("object: %v not found", oid)
 	}
 	o := new(Object)
-	if err := s.File.Get(rid, func(rec []byte) error { return DecodeInto(rec, o) }); err != nil {
+	if err := s.File.Get(nil, rid, func(rec []byte) error { return DecodeInto(rec, o) }); err != nil {
 		return nil, err
 	}
 	return o, nil

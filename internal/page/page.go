@@ -304,7 +304,7 @@ func (p *Page) Delete(s SlotID) error {
 // Resize makes the record in slot s n bytes long and returns it, for
 // the caller to overwrite: in place when n is its length, otherwise
 // re-placed, possibly after compaction, with unspecified contents. On
-// error the page is unchanged.
+// error the page is unchanged, unless its header is corrupt.
 func (p *Page) Resize(s SlotID, n int) ([]byte, error) {
 	off, length, err := p.Span(s)
 	if err != nil {
@@ -332,6 +332,10 @@ func (p *Page) Resize(s SlotID, n int) ([]byte, error) {
 	binary.LittleEndian.PutUint16(p.buf[offLiveData:], uint16(p.liveData()-length))
 	if p.freeEnd()-(HeaderSize+p.NumSlots()*SlotSize) < n {
 		p.compact()
+		if p.freeEnd()-(HeaderSize+p.NumSlots()*SlotSize) < n {
+			// Only a corrupt live-data count gets here: avail trusted it.
+			return nil, fmt.Errorf("%w: live data %d understates the records", ErrCorruptPage, p.liveData())
+		}
 	}
 	newEnd := p.freeEnd() - n
 	binary.LittleEndian.PutUint16(p.buf[offFreeEnd:], uint16(newEnd))

@@ -563,15 +563,4 @@ func (s *Server) serveFollow(sc *serverConn, req request, buf []byte) {
 	}
 }
 
-// Serve is a convenience: listen on addr and block until Close. Used
-// by the asmpaged daemon; tests drive Listen/Close directly.
-func (s *Server) Serve(addr string) error {
-	if _, err := s.Listen(addr); err != nil {
-		return err
-	}
-	// Block until Close wakes the accept loop and it exits.
-	s.wg.Wait()
-	return nil
-}
-
 var _ io.Closer = (*Server)(nil)

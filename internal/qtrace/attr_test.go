@@ -34,7 +34,7 @@ func runQueries(t *testing.T, db *gen.Database, k int, tr *trace.Tracer) *qtrace
 		ctx := qtrace.With(context.Background(), root)
 		op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template,
 			assembly.Options{Window: 8, Scheduler: assembly.Elevator, Tracer: tr})
-		items, err := volcano.DrainCtx(ctx, op)
+		items, err := volcano.Drain(ctx, op)
 		qc.Finish(qt, "ok", err)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)

@@ -187,7 +187,7 @@ func RevealExec(store *object.Store, q *Query, opts assembly.Options) ([]*assemb
 	if err != nil {
 		return nil, err
 	}
-	items, err := volcano.Drain(plan)
+	items, err := volcano.Drain(nil, plan)
 	if err != nil {
 		return nil, err
 	}

@@ -80,7 +80,7 @@ func oracleRenders(t *testing.T, db *gen.Database) map[object.OID]string {
 	t.Helper()
 	op := assembly.New(rootsIter(db.Roots), db.Store, db.Template,
 		assembly.Options{Window: 8, Scheduler: assembly.Elevator})
-	items, err := volcano.Drain(op)
+	items, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 		Tracer:          tr,
 	})
 	op.BindContext(ctx)
-	items, err := volcano.Drain(op)
+	items, err := volcano.Drain(nil, op)
 	<-killed
 	if err != nil {
 		t.Fatalf("query did not survive the shard's death: %v", err)
@@ -572,7 +572,7 @@ func TestShardNoReplicaSkipObjectPoisonedSet(t *testing.T) {
 		FaultPolicy:     assembly.SkipObject,
 	})
 	op.BindContext(ctx)
-	items, err := volcano.Drain(op)
+	items, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatalf("partial query failed outright: %v", err)
 	}

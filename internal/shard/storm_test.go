@@ -111,7 +111,7 @@ func (f *stormFleet) query() ([]volcano.Item, error) {
 		ShardPrefetch:   true,
 		FaultPolicy:     assembly.RetryFaults,
 	})
-	return volcano.Drain(op)
+	return volcano.Drain(nil, op)
 }
 
 // mustMatchOracle runs one query and demands the oracle's objects.

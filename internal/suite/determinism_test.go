@@ -6,7 +6,7 @@ import (
 )
 
 // TestSuiteDeterminism is the regression gate for the trajectory
-// premise: every scenario registered in the checked-in config — fault
+// premise: every scenario of the suite table — fault
 // and stall knobs included — run twice from scratch yields
 // byte-identical JSON. Anything nondeterministic here would
 // turn BENCH_*.json diffs into noise. (The runner additionally
@@ -19,9 +19,8 @@ func TestSuiteDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double full-suite run in -short mode")
 	}
-	scs := loadRepoConfig(t)
 	render := func() []byte {
-		rep, err := Run(scs, RunOptions{Suite: "core", Iters: 1})
+		rep, err := Run(Scenarios(), RunOptions{Suite: "core", Iters: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

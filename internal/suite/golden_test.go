@@ -7,61 +7,31 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"revelation/internal/assembly"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
 
-// loadRepoConfig parses the checked-in suites/core.toml.
-func loadRepoConfig(t *testing.T) []Scenario {
-	t.Helper()
-	path := filepath.Join("..", "..", "suites", "core.toml")
-	src, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scs, err := ParseScenarios(path, string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return scs
-}
-
-// goldenConfig is a fixed two-scenario suite for the golden test. It is
-// deliberately NOT the repo config: BENCH_core.json is the trajectory
+// goldenScenarios is a fixed two-scenario suite for the golden test. It
+// is deliberately NOT the suite table: BENCH_core.json is the trajectory
 // that moves when the operator improves, while this file pins the
 // report schema itself — version field, field order, name ordering —
 // so schema drift is always a deliberate diff here.
-const goldenConfig = `
-[[scenario]]
-name = "golden-b"
-suites = ["golden"]
-seed = 91
-objects = 60
-window = 10
-iters = 1
-warmup = 0
+var goldenScenarios = []Scenario{
+	{Name: "golden-b", Suites: []string{"golden"}, Seed: 91, Objects: 60, Window: 10, Scheduler: assembly.Elevator},
+	{Name: "golden-a", Suites: []string{"golden"}, Seed: 91, Objects: 60, Window: 10, Scheduler: assembly.DepthFirst},
+}
 
-[[scenario]]
-name = "golden-a"
-suites = ["golden"]
-seed = 91
-objects = 60
-window = 10
-scheduler = "depth-first"
-iters = 1
-warmup = 0
-`
+// goldenOptions runs the golden suite at one measured iteration.
+var goldenOptions = RunOptions{Suite: "golden", Iters: 1}
 
 // TestReportGolden pins the BENCH_*.json bytes of a fixed
 // seeded mini-suite: schema version, field order, and scenario
-// ordering (by name, regardless of config order). Refresh with:
+// ordering (by name, regardless of table order). Refresh with:
 // go test ./internal/suite -run Golden -update
 func TestReportGolden(t *testing.T) {
-	scs, err := ParseScenarios("golden.toml", goldenConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(scs, RunOptions{Suite: "golden"})
+	rep, err := Run(goldenScenarios, goldenOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +59,7 @@ func TestReportGolden(t *testing.T) {
 	}
 
 	// Ordering contract: scenarios sorted by name even though the
-	// config declares golden-b first.
+	// table lists golden-b first.
 	if rep.Scenarios[0].Name != "golden-a" || rep.Scenarios[1].Name != "golden-b" {
 		t.Errorf("scenarios not name-sorted: %s, %s", rep.Scenarios[0].Name, rep.Scenarios[1].Name)
 	}
@@ -99,11 +69,7 @@ func TestReportGolden(t *testing.T) {
 // schema contract consumers rely on: a version field, sorted scenario
 // names, verified flags, and no wall-clock fields.
 func TestReportSchemaShape(t *testing.T) {
-	scs, err := ParseScenarios("golden.toml", goldenConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(scs, RunOptions{Suite: "golden"})
+	rep, err := Run(goldenScenarios, goldenOptions)
 	if err != nil {
 		t.Fatal(err)
 	}

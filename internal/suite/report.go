@@ -22,7 +22,7 @@ type Report struct {
 
 // ScenarioResult is one scenario's measurement. Every field is a
 // deterministic function of the scenario definition: two runs of the
-// same config at the same commit produce identical bytes, which is what
+// same scenarios at the same commit produce identical bytes, which is what
 // makes the file a reviewable trajectory rather than noise (make
 // suite-check regenerates it and diffs).
 type ScenarioResult struct {

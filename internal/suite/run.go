@@ -80,8 +80,8 @@ func (s *Session) Run(sc Scenario) (Result, error) {
 	return run(sc, e, s.Tracer, s.Metrics)
 }
 
-// withDefaults fills what a Go-literal scenario may leave zero (the
-// config parser has its own defaults).
+// withDefaults is the one defaults path of a Scenario: it fills what a
+// Go literal may leave zero. Session.Run and Run apply it.
 func (sc Scenario) withDefaults() Scenario {
 	if sc.Workload == "" {
 		sc.Workload = WorkloadAssemble

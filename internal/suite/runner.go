@@ -12,20 +12,27 @@ import (
 type RunOptions struct {
 	// Suite selects which scenarios run (Scenario.Suites membership).
 	Suite string
-	// Iters overrides every scenario's iteration count when positive.
+	// Iters is every scenario's measured iteration count (default 3),
+	// run after one warm-up iteration.
 	Iters int
 	// Logf, when non-nil, receives one progress line per scenario.
 	Logf func(format string, args ...any)
 }
 
+// warmup is the number of unreported iterations before the measured ones.
+const warmup = 1
+
 // Run executes every scenario belonging to opt.Suite and returns the
-// report. Every iteration of every scenario is three-way verified —
-// harness counters against the trace replay against the metrics
-// registry delta — and iterations are cross-checked for determinism;
-// any disagreement fails the run.
+// report. Every scenario must pass validate; every iteration of every
+// scenario is three-way verified — harness counters against the trace
+// replay against the metrics registry delta — and iterations are
+// cross-checked for determinism; any disagreement fails the run.
 func Run(all []Scenario, opt RunOptions) (*Report, error) {
 	if opt.Suite == "" {
 		opt.Suite = "core"
+	}
+	if opt.Iters < 1 {
+		opt.Iters = 3
 	}
 	logf := opt.Logf
 	if logf == nil {
@@ -38,10 +45,11 @@ func Run(all []Scenario, opt RunOptions) (*Report, error) {
 			continue
 		}
 		matched++
-		if opt.Iters > 0 {
-			sc.Iters = opt.Iters
+		sc = sc.withDefaults()
+		if err := sc.validate(); err != nil {
+			return nil, err
 		}
-		res, err := runScenario(sc)
+		res, err := runScenario(sc, opt.Iters)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
@@ -58,9 +66,9 @@ func Run(all []Scenario, opt RunOptions) (*Report, error) {
 
 // runScenario executes warmup + iters iterations. The counters of every
 // iteration (warmup included) must be identical; they are the result.
-func runScenario(sc Scenario) (ScenarioResult, error) {
+func runScenario(sc Scenario, iters int) (ScenarioResult, error) {
 	var d Counters
-	for i := 0; i < sc.Warmup+sc.Iters; i++ {
+	for i := 0; i < warmup+iters; i++ {
 		it, err := runIteration(sc)
 		if err != nil {
 			return ScenarioResult{}, fmt.Errorf("iteration %d: %w", i, err)
@@ -82,7 +90,7 @@ func runScenario(sc Scenario) (ScenarioResult, error) {
 		Window:     sc.Window,
 		Objects:    sc.Objects,
 		Seed:       sc.Seed,
-		Iters:      sc.Iters,
+		Iters:      iters,
 		Counters:   d,
 		Verified:   true,
 	}, nil

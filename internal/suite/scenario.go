@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"fmt"
 	"time"
 
 	"revelation/internal/assembly"
@@ -73,11 +74,11 @@ const (
 )
 
 // Scenario is the one description of a measured run: what database to
-// generate, onto which device stack, and how to assemble it. Suite
-// scenarios come from ParseScenarios, which applies defaults and
-// validates knob combinations; the figure table (figures.go) and tests
-// write them as Go literals, where a zero Workload, Shape or Backend
-// means assemble, paper and local.
+// generate, onto which device stack, and how to assemble it. The suite
+// table (Scenarios), the figure table (figures.go) and tests write them
+// as Go literals; withDefaults is the one defaults path (a zero
+// Workload, Shape or Backend means assemble, paper and local), and Run
+// checks every suite scenario with validate.
 type Scenario struct {
 	Name   string
 	Suites []string // suite names this scenario belongs to
@@ -91,8 +92,6 @@ type Scenario struct {
 	Window     int
 	BufferPgs  int // 0 = hold the whole database
 	Backend    Backend
-	Iters      int
-	Warmup     int
 
 	Sharing         float64
 	UseSharingStats bool
@@ -115,8 +114,12 @@ type Scenario struct {
 	PinWindow bool
 	PageBatch bool
 
-	// The fields below have no config key: no checked-in suite sets
-	// them, the figure table does.
+	// RegionPages is the inter-object cluster region in pages; zero is
+	// the generator's default, larger than any database the paper uses
+	// (the Fig. 11A flat lines).
+	RegionPages int
+
+	// The fields below no suite scenario sets; the figure table does.
 
 	// Selectivity, when positive, puts a predicate passing that fraction
 	// (0–1) on the paper shape's rightmost leaf; PredicateFirst resolves
@@ -128,179 +131,46 @@ type Scenario struct {
 	// with one elevator per device in place of Scheduler.
 	Devices   int
 	PerDevice bool
-	// RegionPages is the inter-object cluster region in pages; zero is
-	// the generator's default, larger than any database the paper uses
-	// (the Fig. 11A flat lines).
-	RegionPages int
 }
 
-// scenarioFromTable decodes and validates one [[scenario]] table,
-// recording every problem in f.errs with its source line.
-func scenarioFromTable(f *field) Scenario {
-	sc := Scenario{
-		Workload: WorkloadAssemble,
-		Shape:    ShapePaper,
-		Objects:  200,
-		Window:   20,
-		Backend:  BackendLocal,
-		Iters:    3,
-		Warmup:   1,
+// validate reports the first range or knob-combination problem of a
+// scenario with its defaults applied: a scenario whose knobs contradict
+// its workload would silently measure something else.
+func (sc Scenario) validate() error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("scenario %q: "+format, append([]any{sc.Name}, args...)...)
 	}
-	sc.Name = f.str("name", "")
-	if sc.Name == "" {
-		f.errf("name", "scenario needs a name")
-	}
-	sc.Suites = f.strings("suites")
-	if len(sc.Suites) == 0 {
-		f.errf("suites", "scenario %q: suites list is required (e.g. [\"core\"])", sc.Name)
-	}
-
-	if v, ok := f.take("seed", KindInt); ok {
-		sc.Seed = v.Int
-	} else {
-		f.errf("seed", "scenario %q: seed is required — trajectories must not drift with defaults", sc.Name)
-	}
-
-	switch w := f.str("workload", string(WorkloadAssemble)); Workload(w) {
-	case WorkloadAssemble, WorkloadTimeSeries, WorkloadIncremental, WorkloadReshard:
-		sc.Workload = Workload(w)
-	default:
-		f.errf("workload", "scenario %q: unknown workload %q (assemble, timeseries, incremental, reshard)", sc.Name, w)
-	}
-	switch s := f.str("shape", string(ShapePaper)); Shape(s) {
-	case ShapePaper, ShapeDeep, ShapeWide, ShapeShared:
-		sc.Shape = Shape(s)
-	default:
-		f.errf("shape", "scenario %q: unknown shape %q (paper, deep, wide, shared)", sc.Name, s)
-	}
-	switch c := f.str("clustering", "unclustered"); c {
-	case "unclustered":
-		sc.Clustering = gen.Unclustered
-	case "inter-object":
-		sc.Clustering = gen.InterObject
-	case "intra-object":
-		sc.Clustering = gen.IntraObject
-	default:
-		f.errf("clustering", "scenario %q: unknown clustering %q (unclustered, inter-object, intra-object)", sc.Name, c)
-	}
-	switch s := f.str("scheduler", "elevator"); s {
-	case "depth-first":
-		sc.Scheduler = assembly.DepthFirst
-	case "breadth-first":
-		sc.Scheduler = assembly.BreadthFirst
-	case "elevator":
-		sc.Scheduler = assembly.Elevator
-	default:
-		f.errf("scheduler", "scenario %q: unknown scheduler %q (depth-first, breadth-first, elevator)", sc.Name, s)
-	}
-	switch b := f.str("backend", string(BackendLocal)); Backend(b) {
-	case BackendLocal, BackendFile, BackendPagesvc, BackendSharded:
-		sc.Backend = Backend(b)
-	default:
-		f.errf("backend", "scenario %q: unknown backend %q (local, file, pagesvc, sharded)", sc.Name, b)
-	}
-	switch p := f.str("fault_policy", "retry"); p {
-	case "fail":
-		sc.FaultPolicy = assembly.FailFast
-	case "skip":
-		sc.FaultPolicy = assembly.SkipObject
-	case "retry":
-		sc.FaultPolicy = assembly.RetryFaults
-	default:
-		f.errf("fault_policy", "scenario %q: unknown fault_policy %q (fail, skip, retry)", sc.Name, p)
-	}
-
-	sc.Objects = f.integer("objects", sc.Objects)
-	sc.Window = f.integer("window", sc.Window)
-	sc.BufferPgs = f.integer("buffer_pages", 0)
-	sc.Iters = f.integer("iters", sc.Iters)
-	sc.Warmup = f.integer("warmup", sc.Warmup)
-	sc.Sharing = f.float("sharing", 0)
-	sc.UseSharingStats = f.boolean("use_sharing_stats", false)
-	sc.AppendCount = f.integer("append_count", 0)
-	sc.MutateCount = f.integer("mutate_count", 0)
-	sc.FaultTransient = f.float("fault_transient", 0)
-	sc.FaultPermanent = f.float("fault_permanent", 0)
-	if v, ok := f.take("fault_seed", KindInt); ok {
-		sc.FaultSeed = v.Int
-	} else {
-		sc.FaultSeed = sc.Seed
-	}
-	sc.StallRate = f.float("stall_rate", 0)
-	sc.Stall = time.Duration(f.integer("stall_us", 0)) * time.Microsecond
-	sc.PinWindow = f.boolean("pin_window", false)
-	sc.PageBatch = f.boolean("page_batch", false)
-
-	// Range checks.
-	if sc.Objects < 1 {
-		f.errf("objects", "scenario %q: objects must be >= 1", sc.Name)
-	}
-	if sc.Window < 1 {
-		f.errf("window", "scenario %q: window must be >= 1", sc.Name)
-	}
-	if sc.Iters < 1 {
-		f.errf("iters", "scenario %q: iters must be >= 1", sc.Name)
-	}
-	if sc.Warmup < 0 {
-		f.errf("warmup", "scenario %q: warmup must be >= 0", sc.Name)
-	}
-	if sc.Sharing < 0 || sc.Sharing >= 1 {
-		f.errf("sharing", "scenario %q: sharing must be in [0, 1)", sc.Name)
-	}
-	for _, r := range []struct {
-		key string
-		val float64
-	}{
-		{"fault_transient", sc.FaultTransient},
-		{"fault_permanent", sc.FaultPermanent},
-		{"stall_rate", sc.StallRate},
-	} {
-		if r.val < 0 || r.val > 1 {
-			f.errf(r.key, "scenario %q: %s must be in [0, 1]", sc.Name, r.key)
-		}
-	}
-
-	// Knob-combination checks: a scenario whose knobs contradict its
-	// workload would silently measure something else.
+	unit := func(v float64) bool { return v >= 0 && v <= 1 }
 	faulted := sc.faulted()
-	if faulted && sc.Backend != BackendLocal {
-		f.errf("backend", "scenario %q: fault/stall knobs require backend = \"local\" (the injector wraps the simulated device)", sc.Name)
+	switch {
+	case sc.Objects < 1:
+		return bad("objects must be >= 1")
+	case sc.Window < 1:
+		return bad("window must be >= 1")
+	case sc.Sharing < 0 || sc.Sharing >= 1:
+		return bad("sharing must be in [0, 1)")
+	case !unit(sc.FaultTransient) || !unit(sc.FaultPermanent) || !unit(sc.StallRate):
+		return bad("fault and stall rates must be in [0, 1]")
+	case faulted && sc.Backend != BackendLocal:
+		return bad("fault/stall knobs require the local backend (the injector wraps the simulated device)")
+	case sc.Workload == WorkloadTimeSeries && sc.AppendCount < 1:
+		return bad("timeseries workload needs AppendCount >= 1")
+	case sc.Workload == WorkloadTimeSeries && sc.Sharing > 0:
+		return bad("timeseries appends are whole trees; sharing is not supported")
+	case sc.Workload != WorkloadTimeSeries && sc.AppendCount != 0:
+		return bad("AppendCount only applies to the timeseries workload")
+	case sc.Workload == WorkloadIncremental && sc.MutateCount < 1:
+		return bad("incremental workload needs MutateCount >= 1")
+	case sc.Workload == WorkloadIncremental && faulted:
+		return bad("incremental workload does not support fault injection")
+	case sc.Workload != WorkloadIncremental && sc.MutateCount != 0:
+		return bad("MutateCount only applies to the incremental workload")
+	case sc.Workload == WorkloadReshard && sc.Backend != BackendSharded:
+		return bad("reshard workload needs the sharded backend (it migrates pages between fleet members)")
+	case sc.UseSharingStats && sc.Sharing == 0:
+		return bad("UseSharingStats needs Sharing > 0")
 	}
-	if sc.Workload == WorkloadTimeSeries {
-		if sc.AppendCount < 1 {
-			f.errf("append_count", "scenario %q: timeseries workload needs append_count >= 1", sc.Name)
-		}
-		if sc.Sharing > 0 {
-			f.errf("sharing", "scenario %q: timeseries appends are whole trees; sharing is not supported", sc.Name)
-		}
-	} else if sc.AppendCount != 0 {
-		f.errf("append_count", "scenario %q: append_count only applies to the timeseries workload", sc.Name)
-	}
-	if sc.Workload == WorkloadIncremental {
-		if sc.MutateCount < 1 {
-			f.errf("mutate_count", "scenario %q: incremental workload needs mutate_count >= 1", sc.Name)
-		}
-		if faulted {
-			f.errf("fault_transient", "scenario %q: incremental workload does not support fault injection", sc.Name)
-		}
-	} else if sc.MutateCount != 0 {
-		f.errf("mutate_count", "scenario %q: mutate_count only applies to the incremental workload", sc.Name)
-	}
-	if sc.Workload == WorkloadReshard && sc.Backend != BackendSharded {
-		f.errf("backend", "scenario %q: reshard workload needs backend = \"sharded\" (it migrates pages between fleet members)", sc.Name)
-	}
-	if sc.UseSharingStats && sc.Sharing == 0 {
-		f.errf("use_sharing_stats", "scenario %q: use_sharing_stats needs sharing > 0", sc.Name)
-	}
-	if sc.Shape == ShapeShared && sc.Sharing == 0 {
-		sc.Sharing = 0.25
-	}
-	if sc.Clustering == gen.InterObject {
-		// Size type regions to the database instead of the generator's
-		// generous default, so wide shapes don't blow up the extent.
-		sc.RegionPages = sc.Objects/9 + 2
-	}
-	return sc
+	return nil
 }
 
 // InSuite reports whether the scenario belongs to the named suite.

@@ -3,6 +3,8 @@ package suite
 import (
 	"strings"
 	"testing"
+
+	"revelation/internal/assembly"
 )
 
 // TestThreeWaySuiteRuns extends the bench package's capstone invariant
@@ -13,117 +15,28 @@ import (
 // runIteration fails hard on any disagreement, so these assert success
 // plus the cross-accounting relations that make the run meaningful.
 func TestThreeWaySuiteRuns(t *testing.T) {
-	cases := []struct {
+	for _, tc := range []struct {
 		name string
-		src  string
-		// tune sets what has no config key.
-		tune func(*Scenario)
+		sc   Scenario
 	}{
-		{"oo7-deep", `
-[[scenario]]
-name = "tw-oo7"
-suites = ["tw"]
-seed = 91
-shape = "deep"
-objects = 30
-window = 10
-`, nil},
-		{"oo7-shared-sharing-stats", `
-[[scenario]]
-name = "tw-shared"
-suites = ["tw"]
-seed = 91
-shape = "shared"
-objects = 40
-window = 10
-sharing = 0.25
-use_sharing_stats = true
-`, nil},
-		{"timeseries", `
-[[scenario]]
-name = "tw-ts"
-suites = ["tw"]
-seed = 91
-workload = "timeseries"
-objects = 60
-append_count = 15
-window = 10
-`, nil},
-		{"incremental", `
-[[scenario]]
-name = "tw-inc"
-suites = ["tw"]
-seed = 91
-workload = "incremental"
-objects = 60
-mutate_count = 10
-window = 10
-`, nil},
-		{"file-backend", `
-[[scenario]]
-name = "tw-file"
-suites = ["tw"]
-seed = 91
-backend = "file"
-objects = 40
-window = 10
-`, nil},
-		{"pagesvc-backend", `
-[[scenario]]
-name = "tw-net"
-suites = ["tw"]
-seed = 91
-backend = "pagesvc"
-objects = 40
-window = 10
-`, nil},
-		{"sharded-backend", `
-[[scenario]]
-name = "tw-sharded"
-suites = ["tw"]
-seed = 91
-backend = "sharded"
-objects = 40
-window = 10
-`, nil},
-		{"sharded-reshard", `
-[[scenario]]
-name = "tw-reshard"
-suites = ["tw"]
-seed = 91
-backend = "sharded"
-workload = "reshard"
-objects = 40
-window = 10
-`, nil},
-		{"faulty-retry", `
-[[scenario]]
-name = "tw-fault"
-suites = ["tw"]
-seed = 91
-objects = 60
-window = 10
-fault_transient = 0.1
-fault_policy = "retry"
-`, nil},
-		{"striped-per-device-elevator", `
-[[scenario]]
-name = "tw-striped"
-suites = ["tw"]
-seed = 91
-objects = 60
-window = 10
-`, func(sc *Scenario) { sc.Devices, sc.PerDevice = 4, true }},
-	}
-	for _, tc := range cases {
+		{"oo7-deep", Scenario{Shape: ShapeDeep, Objects: 30}},
+		{"oo7-shared-sharing-stats", Scenario{Shape: ShapeShared, Objects: 40, Sharing: 0.25, UseSharingStats: true}},
+		{"timeseries", Scenario{Workload: WorkloadTimeSeries, Objects: 60, AppendCount: 15}},
+		{"incremental", Scenario{Workload: WorkloadIncremental, Objects: 60, MutateCount: 10}},
+		{"file-backend", Scenario{Backend: BackendFile, Objects: 40}},
+		{"pagesvc-backend", Scenario{Backend: BackendPagesvc, Objects: 40}},
+		{"sharded-backend", Scenario{Backend: BackendSharded, Objects: 40}},
+		{"sharded-reshard", Scenario{Backend: BackendSharded, Workload: WorkloadReshard, Objects: 40}},
+		{"faulty-retry", Scenario{Objects: 60, FaultTransient: 0.1}},
+		{"striped-per-device-elevator", Scenario{Objects: 60, Devices: 4, PerDevice: true}},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			scs, err := ParseScenarios("tw.toml", tc.src)
-			if err != nil {
+			sc := tc.sc
+			sc.Name, sc.Seed, sc.FaultSeed, sc.Window = "tw-"+tc.name, 91, 91, 10
+			sc.Scheduler, sc.FaultPolicy = assembly.Elevator, assembly.RetryFaults
+			sc = sc.withDefaults()
+			if err := sc.validate(); err != nil {
 				t.Fatal(err)
-			}
-			sc := scs[0]
-			if tc.tune != nil {
-				tc.tune(&sc)
 			}
 			d, err := runIteration(sc)
 			if err != nil {
@@ -154,11 +67,7 @@ window = 10
 
 // TestRunRejectsUnknownSuite pins the selector contract.
 func TestRunRejectsUnknownSuite(t *testing.T) {
-	scs, err := ParseScenarios("t.toml", minimal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(scs, RunOptions{Suite: "nope"}); err == nil {
+	if _, err := Run(goldenScenarios, RunOptions{Suite: "nope"}); err == nil {
 		t.Error("Run accepted a suite no scenario belongs to")
 	}
 }

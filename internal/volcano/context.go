@@ -2,6 +2,7 @@ package volcano
 
 import (
 	"context"
+	"errors"
 
 	"revelation/internal/qtrace"
 )
@@ -48,15 +49,30 @@ func bindTree(ctx context.Context, it Iterator) {
 	}
 }
 
-// DrainCtx is the traced query entry point: it opens a plan-level span
-// (layer "plan") covering open → drain → close, binds the span-carrying
-// context to every operator of the plan, and pulls all items. With no
-// span in ctx it degrades to Bind + Drain with zero overhead.
-func DrainCtx(ctx context.Context, it Iterator) ([]Item, error) {
+// Drain pulls every item from it (between Open and Close) and returns
+// them. It is the query entry point: a non-nil ctx is bound to every
+// operator of the plan (Bind), and when it carries a span, Drain opens a
+// plan-level child span (layer "plan") covering open → drain → close. A
+// nil ctx binds nothing and traces nothing, at zero overhead.
+func Drain(ctx context.Context, it Iterator) ([]Item, error) {
 	sp, ctx := qtrace.Start(ctx, qtrace.LayerPlan, "drain")
 	defer sp.End()
 	Bind(ctx, it)
-	return Drain(it)
+	if err := it.Open(); err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	var out []Item
+	for {
+		item, err := it.Next()
+		if errors.Is(err, Done) {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, item)
+	}
 }
 
 // boundCtx is the embeddable ContextBinder state shared by the

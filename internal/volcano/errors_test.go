@@ -85,7 +85,7 @@ func TestMidStreamErrorsPropagate(t *testing.T) {
 			nil, 0, NaivePointer),
 	}
 	for name, it := range cases {
-		if _, err := Drain(it); !errors.Is(err, errInjected) {
+		if _, err := Drain(nil, it); !errors.Is(err, errInjected) {
 			t.Errorf("%s: drain err = %v, want injected", name, err)
 		}
 	}
@@ -99,7 +99,7 @@ func TestMidStreamErrorsPropagate(t *testing.T) {
 
 func TestPointerJoinTypeError(t *testing.T) {
 	j := NewPointerJoin(NewSlice(items(1)), nil, 0, NaivePointer)
-	if _, err := Drain(j); err == nil {
+	if _, err := Drain(nil, j); err == nil {
 		t.Error("non-object input accepted")
 	}
 }

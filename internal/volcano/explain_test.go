@@ -53,7 +53,7 @@ func TestFilterProjectProperty(t *testing.T) {
 				return it.(int)%2 == 0, nil
 			}),
 			func(it Item) (Item, error) { return it.(int) + 1, nil })
-		got, err := Drain(plan)
+		got, err := Drain(nil, plan)
 		if err != nil {
 			return false
 		}

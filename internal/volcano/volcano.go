@@ -38,26 +38,6 @@ type Iterator interface {
 	Close() error
 }
 
-// Drain pulls every item from it (between Open and Close) and returns
-// them. It is the standard test and example helper.
-func Drain(it Iterator) ([]Item, error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	var out []Item
-	for {
-		item, err := it.Next()
-		if errors.Is(err, Done) {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, item)
-	}
-}
-
 // Count drains the iterator and returns only the item count.
 func Count(it Iterator) (int, error) {
 	if err := it.Open(); err != nil {

@@ -23,7 +23,7 @@ func ints(items []Item) []int {
 func intSource(vals ...int) *Slice { return FromOIDs(vals) }
 
 func TestSliceSource(t *testing.T) {
-	got, err := Drain(intSource(1, 2, 3))
+	got, err := Drain(nil, intSource(1, 2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestFilter(t *testing.T) {
 	f := NewFilter(intSource(1, 2, 3, 4, 5, 6), func(it Item) (bool, error) {
 		return it.(int)%2 == 0, nil
 	})
-	got, err := Drain(f)
+	got, err := Drain(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestFilter(t *testing.T) {
 func TestFilterErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
 	f := NewFilter(intSource(1), func(Item) (bool, error) { return false, boom })
-	if _, err := Drain(f); !errors.Is(err, boom) {
+	if _, err := Drain(nil, f); !errors.Is(err, boom) {
 		t.Errorf("err = %v, want boom", err)
 	}
 }
@@ -62,7 +62,7 @@ func TestProject(t *testing.T) {
 	p := NewProject(intSource(1, 2, 3), func(it Item) (Item, error) {
 		return it.(int) * 10, nil
 	})
-	got, err := Drain(p)
+	got, err := Drain(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestPointerJoinNaiveAndSorted(t *testing.T) {
 	s := testStore(t, 60)
 	for _, mode := range []PointerJoinMode{NaivePointer, SortedPointer} {
 		j := NewPointerJoin(objectSource(t, s, 60, false), s, 0, mode)
-		got, err := Drain(j)
+		got, err := Drain(nil, j)
 		if err != nil {
 			t.Fatalf("mode %d: %v", mode, err)
 		}
@@ -153,7 +153,7 @@ func TestSortedPointerJoinFetchesInPhysicalOrder(t *testing.T) {
 	// The input runs against the physical order (newest object first),
 	// so only the sort puts the fetched children in page order.
 	j := NewPointerJoin(objectSource(t, s, 60, true), s, 0, SortedPointer)
-	got, err := Drain(j)
+	got, err := Drain(nil, j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestExchangeParallelFragments(t *testing.T) {
 	e := NewExchange(3, func(part int) (Iterator, error) {
 		return NewSlice(parts[part]), nil
 	})
-	got, err := Drain(e)
+	got, err := Drain(nil, e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,7 @@ func (e *Engine) AssembleFrom(input Iterator, tmpl *Template, opts Options) Iter
 // assembled complex objects.
 func (e *Engine) AssembleAll(roots []OID, tmpl *Template, opts Options) ([]*Instance, error) {
 	it := e.Assemble(roots, tmpl, opts)
-	items, err := volcano.Drain(it)
+	items, err := volcano.Drain(nil, it)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +225,7 @@ func (e *Engine) Close() error {
 }
 
 // Drain pulls every item from an iterator (a convenience re-export).
-func Drain(it Iterator) ([]any, error) { return volcano.Drain(it) }
+func Drain(it Iterator) ([]any, error) { return volcano.Drain(nil, it) }
 
 // Query is a selection over a set of complex objects, in the
 // Revelation style of the paper's Figure 1: run it naively
