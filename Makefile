@@ -33,8 +33,9 @@ test:
 # (0), Store.Get (3) and Store.Update with a log attached (0), a record of the redo (1, its image), an
 # appended log image and an appended delta (each ≤ 0.05), a replica's
 # apply of a shipped image and delta (0), a query's allocations per
-# assembled object, the disabled tracing path and the replica-less router
-# read. The race detector's pass skips them.
+# assembled object, the disabled tracing path and a routed page read
+# (0, with and without a fresh replica). The race detector's pass skips
+# them.
 alloc-check:
 	$(GO) test -count=1 -run 'Allocs$$' ./...
 
@@ -131,7 +132,7 @@ disk-check:
 # — then once more under the race detector, then one iteration of the
 # two round-trip benchmarks (a page, a run) so that they cannot rot
 # unbuilt.
-WIRE_TESTS = TestFixBatchMatchesFixLoop|TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestWireReadRunAllocs|TestReadRunFallsBackPageByPage|TestReadArmBookings|TestReplicaLessReadAllocs|TestRouterRunPaths|TestOverlappedBatchStorm|TestKeptHandlersStorm|TestReplicaFollowsDeltas|TestReplicaStopsAtDeltaGap|TestReplicaApplyAllocs|TestWritePagesMatchesWritePage|TestRouterWriteRunPaths|TestWriteRunFallsBackPageByPage|TestBulkWriteKeepsNoBuffer|TestDialRefusesPageSize
+WIRE_TESTS = TestFixBatchMatchesFixLoop|TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestWireReadRunAllocs|TestReadRunFallsBackPageByPage|TestReadArmBookings|TestRoutedReadAllocs|TestRouterRunPaths|TestOverlappedBatchStorm|TestKeptHandlersStorm|TestReplicaFollowsDeltas|TestReplicaStopsAtDeltaGap|TestReplicaApplyAllocs|TestWritePagesMatchesWritePage|TestRouterWriteRunPaths|TestWriteRunFallsBackPageByPage|TestBulkWriteKeepsNoBuffer|TestDialRefusesPageSize
 WIRE_PKGS = ./internal/buffer ./internal/assembly ./internal/pagesvc ./internal/shard ./internal/disk
 wire-check:
 	$(GO) test -count=1 -run '$(WIRE_TESTS)' $(WIRE_PKGS)
@@ -178,9 +179,9 @@ chaos-test:
 # replica crash/reconnect convergence, client reconnects under a
 # severed connection, promotion and fencing, and a closed client that
 # never re-dials — all with goroutine-leak checks. (Killing the primary
-# mid-query and hedging a straggler are the shard router's decisions;
-# their proofs live in shard-chaos-test.) -count=2 reruns them so
-# cross-run state leaks surface too.
+# mid-query and failing over to its replica are the shard router's
+# decisions; their proofs live in shard-chaos-test.) -count=2 reruns
+# them so cross-run state leaks surface too.
 net-chaos-test:
 	$(GO) test -race -count=2 ./internal/pagesvc
 
@@ -188,11 +189,9 @@ net-chaos-test:
 # shard's primary mid-query and finish byte-identical via its replica
 # (breaker trip + LSN-guarded failover) — over a three-member fleet and
 # over a one-member fleet, which is the single page service with a
-# replica; hedge straggling reads to the replica against seeded stalls
-# (stale replica never a target, the losing leg never touches the
-# caller's buffer); and brown out a shard with no replica to check
-# degraded-mode assembly skips exactly the poisoned objects under a
-# per-query retry budget. -count=2 reruns for cross-run state leaks.
+# replica; and brown out a shard with no replica to check degraded-mode
+# assembly skips exactly the poisoned objects under a per-query retry
+# budget. -count=2 reruns for cross-run state leaks.
 shard-chaos-test:
 	$(GO) test -race -count=2 ./internal/shard
 

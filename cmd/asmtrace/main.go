@@ -127,8 +127,8 @@ func replayQuery(events []trace.Event, qid uint64, hist, occupancy bool) {
 	fmt.Printf("  assembly: %d fetched, %d links, %d retries, %d stalls, %d assembled\n",
 		r.Fetched, r.Links, r.Retries, r.Stalls, r.Assembled)
 	if r.NetSends > 0 || r.NetRecvs > 0 {
-		fmt.Printf("  net:      %d sends, %d recvs, %d timeouts, %d hedges\n",
-			r.NetSends, r.NetRecvs, r.NetTimeouts, r.Hedges)
+		fmt.Printf("  net:      %d sends, %d recvs, %d timeouts\n",
+			r.NetSends, r.NetRecvs, r.NetTimeouts)
 	}
 	fmt.Printf("--- layers ---\n%s", indent(r.Summary()))
 	if hist {

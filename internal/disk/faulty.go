@@ -31,8 +31,8 @@ type FaultConfig struct {
 	// StallRate is the fraction of pages whose accesses stall for
 	// Stall — the slow-read/straggler model (a wedged server, a deep
 	// queue). Like the error rates, the decision is a pure function of
-	// (Seed, page id): a stalled page always stalls, so a hedging or
-	// timeout path can be pointed at a page that is known to be slow.
+	// (Seed, page id): a stalled page always stalls, so a timeout path
+	// can be pointed at a page that is known to be slow.
 	// Stalled accesses still succeed.
 	StallRate float64
 	// Stall is the injected stall duration.
@@ -225,8 +225,8 @@ func (f *Faulty) transientLocked(p PageID) bool {
 }
 
 // Stalled reports whether accesses to page p stall under the current
-// configuration. Hedging tests use it to find a page that is known to
-// be slow without timing anything.
+// configuration. Stall tests use it to find a page that is known to be
+// slow without timing anything.
 func (f *Faulty) Stalled(p PageID) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()

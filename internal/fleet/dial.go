@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"revelation/internal/disk"
 	"revelation/internal/metrics"
 	"revelation/internal/pagesvc"
 	"revelation/internal/shard"
@@ -19,7 +18,9 @@ import (
 // in reg (nil registers nothing). The typed clients are returned beside
 // the router for the control plane's probes and promotions;
 // replicas[i] is nil where entry i names none. Closing the router
-// closes them all.
+// closes them all. The clients make one attempt per request: the router
+// above them is the one retry layer, so its breaker sees every failure
+// and its retries draw on the query's Budget.
 func Dial(spec string, reg *metrics.Registry) (router *shard.Router, primaries, replicas []*pagesvc.Client, err error) {
 	entries := strings.Split(spec, ",")
 	prims := make([]*pagesvc.Client, len(entries))
@@ -37,7 +38,6 @@ func Dial(spec string, reg *metrics.Registry) (router *shard.Router, primaries, 
 		return pagesvc.Dial(pagesvc.ClientConfig{
 			Primary:  addr,
 			Dev:      pagesvc.DataDev,
-			Retry:    disk.DefaultRetryPolicy,
 			Registry: reg,
 			Label:    label,
 		})

@@ -19,7 +19,7 @@ import (
 // ClientConfig tunes a Client.
 type ClientConfig struct {
 	// Primary is the one address this client talks to. (Which copy of a
-	// page answers a read — replicas, staleness, hedging, failover — is
+	// page answers a read — replicas, staleness, failover — is
 	// shard.Router's decision, made over several Clients.)
 	Primary string
 	// Dev is the wire device index this client addresses (DataDev for
@@ -29,7 +29,8 @@ type ClientConfig struct {
 	Timeout time.Duration
 	// Retry absorbs transient failures (network errors, timeouts,
 	// remote transient faults) with exponential backoff. The zero
-	// policy disables retries.
+	// policy disables retries; every entry point passes it, so that a
+	// shard.Router above the client is the one retry layer.
 	Retry disk.RetryPolicy
 	// JitterSeed seeds the full jitter applied to retry/reconnect
 	// backoff, so a fleet of clients kicked by the same outage

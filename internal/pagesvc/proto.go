@@ -6,12 +6,11 @@
 // assembly operator run unchanged whether their pages are a method
 // call or a round trip away.
 //
-// The client is one pipelined connection to one endpoint: transient
-// network errors are retried with the same exponential backoff policy
-// the rest of the system uses (disk.RetryPolicy), a dead connection is
-// re-dialed, and every request carries the fencing epoch. Which copy of
-// a page answers a read — replica fallback under the durability floor,
-// hedging a straggler, promotion — is decided one layer up, by
+// The client is one pipelined connection to one endpoint: a dead
+// connection is re-dialed on the next request, and every request
+// carries the fencing epoch. Retrying a transient failure and choosing
+// which copy of a page answers a read — replica fallback under the
+// durability floor, promotion — are decided one layer up, by
 // shard.Router over several clients.
 //
 // Replication is WAL shipping: a replica seeds itself from a base

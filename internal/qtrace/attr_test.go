@@ -3,15 +3,13 @@
 // agree exactly — the sum of its span counters, the qid-filtered trace
 // replay, and the device/pool/registry deltas. Verified over both the
 // local in-memory backend and the networked page service (client and
-// server side), plus a hedging run through the shard router, where each
-// replica race is exactly one extra read, send and hedge in all three.
+// server side).
 package qtrace_test
 
 import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"revelation/internal/assembly"
 	"revelation/internal/disk"
@@ -19,7 +17,6 @@ import (
 	"revelation/internal/metrics"
 	"revelation/internal/pagesvc"
 	"revelation/internal/qtrace"
-	"revelation/internal/shard"
 	"revelation/internal/trace"
 	"revelation/internal/volcano"
 )
@@ -243,7 +240,7 @@ func TestPerQueryAttributionPagesvc(t *testing.T) {
 		t.Errorf("span misses %d != span (client-side) reads %d", sum.Misses, sum.Reads)
 	}
 	if sum.NetSends != sum.Reads {
-		t.Errorf("span sends %d != span reads %d (no retries or hedges expected)", sum.NetSends, sum.Reads)
+		t.Errorf("span sends %d != span reads %d (no retries expected)", sum.NetSends, sum.Reads)
 	}
 
 	// Per query, against the qid-filtered replay.
@@ -285,118 +282,5 @@ func TestPerQueryAttributionPagesvc(t *testing.T) {
 		if !clientQIDs[rt.QID] {
 			t.Errorf("server trace qid %d unknown to the client", rt.QID)
 		}
-	}
-}
-
-// TestHedgeAttribution drives reads through a one-member shard router
-// whose primary stalls and whose replica is clean, so a deterministic
-// fraction of them hedge, then holds the hedge accounting to the same
-// three-way standard: span counters == qid-filtered replay == registry
-// delta. A hedge leg is a real read of the replica through its own
-// client, so it adds one read and one send to all three alike.
-func TestHedgeAttribution(t *testing.T) {
-	const pages = 64
-	prim := disk.New(pages)
-	repl := disk.New(pages)
-	img := make([]byte, prim.PageSize())
-	for p := 0; p < pages; p++ {
-		for j := range img {
-			img[j] = byte(p * 3)
-		}
-		if err := prim.WritePage(disk.PageID(p), img); err != nil {
-			t.Fatal(err)
-		}
-		if err := repl.WritePage(disk.PageID(p), img); err != nil {
-			t.Fatal(err)
-		}
-	}
-	slow := disk.NewFaulty(prim, disk.FaultConfig{Seed: 42, StallRate: 0.5, Stall: 20 * time.Millisecond})
-	primSrv := pagesvc.NewServer([]disk.Device{slow}, pagesvc.ServerConfig{})
-	primAddr, err := primSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer primSrv.Close()
-	replSrv := pagesvc.NewServer([]disk.Device{repl}, pagesvc.ServerConfig{})
-	replAddr, err := replSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer replSrv.Close()
-
-	reg := metrics.NewRegistry()
-	col := trace.NewCollector()
-	tr := trace.New(col)
-	dial := func(addr, label string) *pagesvc.Client {
-		c, err := pagesvc.Dial(pagesvc.ClientConfig{
-			Primary:  addr,
-			Dev:      pagesvc.DataDev,
-			Retry:    disk.DefaultRetryPolicy,
-			Tracer:   tr,
-			Registry: reg,
-			Label:    label,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	router, err := shard.New(shard.Config{
-		Members:    []shard.Member{{Name: "s0", Primary: dial(primAddr, "net-s0"), Replica: dial(replAddr, "net-s0r")}},
-		HedgeAfter: 2 * time.Millisecond,
-		Tracer:     tr,
-		Registry:   reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer router.Close()
-	router.SetTracer(tr)
-	before := reg.Snapshot()
-
-	qc := qtrace.NewCollector(4)
-	qt, root := qc.Begin("hedged-scan")
-	ctx := qtrace.With(context.Background(), root)
-	buf := make([]byte, router.PageSize())
-	for p := 0; p < pages; p++ {
-		if err := router.ReadPageCtx(ctx, disk.PageID(p), buf); err != nil {
-			t.Fatalf("read %d: %v", p, err)
-		}
-	}
-	qc.Finish(qt, "ok", nil)
-	// The losing leg of each hedge still completes; Close waits for the
-	// stragglers, so every book below is final.
-	router.Close()
-
-	total := qt.Total()
-	if total.Hedges == 0 {
-		t.Fatal("no read hedged — the stall mix is degenerate")
-	}
-	if total.Reads != pages+total.Hedges {
-		t.Errorf("span reads %d != %d reads + %d hedge legs", total.Reads, pages, total.Hedges)
-	}
-	if total.NetSends != pages+total.Hedges {
-		t.Errorf("span sends %d != %d reads + %d hedges", total.NetSends, pages, total.Hedges)
-	}
-	if total.NetRecvs != total.NetSends {
-		t.Errorf("stragglers never answered: %d sends, %d recvs", total.NetSends, total.NetRecvs)
-	}
-	delta := reg.Snapshot().Delta(before)
-	if got := delta.Value("asm_shard_hedges_total", "shard", "s0"); got != total.Hedges {
-		t.Errorf("span hedges %d != registry hedges %d", total.Hedges, got)
-	}
-	if got := delta.Sum("asm_net_sends_total"); got != total.NetSends {
-		t.Errorf("span sends %d != registry sends %d", total.NetSends, got)
-	}
-	if got := delta.Sum("asm_net_recvs_total"); got != total.NetRecvs {
-		t.Errorf("span recvs %d != registry recvs %d", total.NetRecvs, got)
-	}
-	pq := trace.ReplayEvents(trace.FilterQuery(col.Events(), qt.QID))
-	if pq.Hedges != total.Hedges || pq.NetSends != total.NetSends || pq.NetRecvs != total.NetRecvs {
-		t.Errorf("replay net (%d sends, %d recvs, %d hedges) != span (%d, %d, %d)",
-			pq.NetSends, pq.NetRecvs, pq.Hedges, total.NetSends, total.NetRecvs, total.Hedges)
-	}
-	if pq.Reads != total.Reads {
-		t.Errorf("replay reads %d != span reads %d", pq.Reads, total.Reads)
 	}
 }

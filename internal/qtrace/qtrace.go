@@ -73,7 +73,6 @@ type Counters struct {
 	NetSends    int64 // request frames sent
 	NetRecvs    int64 // response frames received
 	NetTimeouts int64 // requests that timed out in flight
-	Hedges      int64 // straggler reads hedged to a replica
 
 	// Shard-layer attribution (shard router).
 	DegradedReads int64 // reads served by a replica or refused with the breaker open
@@ -94,7 +93,6 @@ func (c *Counters) Add(o Counters) {
 	c.NetSends += o.NetSends
 	c.NetRecvs += o.NetRecvs
 	c.NetTimeouts += o.NetTimeouts
-	c.Hedges += o.Hedges
 	c.DegradedReads += o.DegradedReads
 }
 
@@ -114,7 +112,6 @@ func (c *Counters) load() Counters {
 		NetSends:      atomic.LoadInt64(&c.NetSends),
 		NetRecvs:      atomic.LoadInt64(&c.NetRecvs),
 		NetTimeouts:   atomic.LoadInt64(&c.NetTimeouts),
-		Hedges:        atomic.LoadInt64(&c.Hedges),
 		DegradedReads: atomic.LoadInt64(&c.DegradedReads),
 	}
 }
@@ -303,14 +300,6 @@ func (s *Span) OnNetTimeout() {
 		return
 	}
 	atomic.AddInt64(&s.c.NetTimeouts, 1)
-}
-
-// OnHedge charges one hedged read.
-func (s *Span) OnHedge() {
-	if s == nil {
-		return
-	}
-	atomic.AddInt64(&s.c.Hedges, 1)
 }
 
 // OnDegraded counts a read served by a shard's replica (or refused

@@ -22,7 +22,6 @@ func TestNilSpanIsSafe(t *testing.T) {
 	sp.OnNetSend()
 	sp.OnNetRecv()
 	sp.OnNetTimeout()
-	sp.OnHedge()
 	sp.End()
 	if sp.ID() != 0 || sp.QID() != 0 || sp.Trace() != nil {
 		t.Error("nil span leaked identity")
@@ -288,7 +287,7 @@ func TestCriticalPathClampsRunawayChildren(t *testing.T) {
 	c := NewCollector(4)
 	tr, root := c.Begin("q")
 	a := root.StartChild(LayerAssembly, "assemble")
-	// Child outlives the parent (e.g. a hedge goroutine ending after the
+	// Child outlives the parent (e.g. a goroutine ending after the
 	// request): parent self time clamps to zero instead of going
 	// negative.
 	root.startNS, root.endNS = 0, 50
@@ -313,7 +312,7 @@ func TestFormatCounters(t *testing.T) {
 			t.Errorf("%q missing %q", got, want)
 		}
 	}
-	if strings.Contains(got, "fault") || strings.Contains(got, "hedge") {
+	if strings.Contains(got, "fault") || strings.Contains(got, "timeouts") {
 		t.Errorf("%q shows zero-valued fields", got)
 	}
 }

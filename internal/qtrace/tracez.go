@@ -155,7 +155,6 @@ func FormatCounters(c Counters) string {
 	add("sends", c.NetSends)
 	add("recvs", c.NetRecvs)
 	add("timeouts", c.NetTimeouts)
-	add("hedges", c.Hedges)
 	if b.Len() == 0 {
 		return "-"
 	}

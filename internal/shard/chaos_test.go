@@ -308,10 +308,6 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 	if err != nil {
 		t.Fatalf("query did not survive the shard's death: %v", err)
 	}
-	// A straggling read of the victim may have been hedged to its replica;
-	// the losing leg finishes on its own time, so let the wire go quiet
-	// before the books are closed and compared.
-	router.legs.Wait()
 	st, dev := op.Stats(), router.Stats().Sub(dev0)
 	tr.EndRun("shard-chaos", trace.RunStats{
 		Reads:     dev.Reads,
@@ -373,9 +369,6 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 	if tot.DegradedReads != degraded {
 		t.Errorf("query-trace degraded reads %d != router degraded reads %d", tot.DegradedReads, degraded)
 	}
-	if got := router.shards[victim].hedges.Value(); tot.Hedges != got {
-		t.Errorf("query-trace hedges %d != router hedges %d", tot.Hedges, got)
-	}
 	var laneReads int64
 	for i := 0; i < fleet; i++ {
 		found := false
@@ -410,12 +403,6 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 		if got := snap.Value("asm_shard_breaker_trips_total", "shard", name); got != router.Trips(i) {
 			t.Errorf("registry trips for %s = %d, breaker says %d", name, got, router.Trips(i))
 		}
-		if got, want := snap.Value("asm_shard_hedges_total", "shard", name), router.shards[i].hedges.Value(); got != want {
-			t.Errorf("registry hedges for %s = %d, router says %d", name, got, want)
-		}
-		if i != victim && router.shards[i].hedges.Value() != 0 {
-			t.Errorf("replica-less shard %s hedged", name)
-		}
 	}
 	if got := snap.Sum("asm_shard_budget_exhausted_total"); got != 0 {
 		t.Errorf("budget exhausted %d times under a generous budget, want 0", got)
@@ -445,9 +432,6 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 	full := trace.ReplayEvents(col.Events())
 	if got := snap.Sum("asm_shard_failovers_total"); got != full.Failovers {
 		t.Errorf("registry failovers %d != replayed failovers %d", got, full.Failovers)
-	}
-	if got := snap.Sum("asm_shard_hedges_total"); got != full.Hedges {
-		t.Errorf("registry hedges %d != replayed hedges %d", got, full.Hedges)
 	}
 	if got := snap.Sum("asm_net_sends_total"); got != full.NetSends {
 		t.Errorf("registry sends %d != replayed sends %d", got, full.NetSends)

@@ -44,7 +44,7 @@ func (e *MemberError) Unwrap() error { return e.Err }
 
 // Member is one shard of the fleet: a primary device (typically a
 // pagesvc.Client pointed at one asmpaged primary) plus an optional
-// read-only replica for breaker-aware failover and straggler hedging.
+// read-only replica for breaker-aware failover.
 type Member struct {
 	// Name is the shard's stable identity — the rendezvous hash input.
 	// Two fleets listing the same names in any order route every page
@@ -53,8 +53,8 @@ type Member struct {
 	// Primary serves reads and all writes.
 	Primary disk.Device
 	// Replica, when non-nil, serves reads while the primary's breaker
-	// is open, as the same-attempt fallback when the primary fails
-	// transiently, and as the hedge target when the primary straggles.
+	// is open and as the same-attempt fallback when the primary fails
+	// transiently.
 	Replica disk.Device
 	// AppliedLSN, when non-nil, reports the replica's replication
 	// progress for the staleness guard; nil means always fresh.
@@ -75,17 +75,11 @@ type Config struct {
 	Retry disk.RetryPolicy
 	// LSNFloor, when set, is the replica staleness guard: a replica
 	// whose AppliedLSN is below the floor is not eligible to serve
-	// degraded or hedged reads. Wire it to the local wal.Writer's
-	// DurableLSN.
+	// degraded reads. Wire it to the local wal.Writer's DurableLSN.
 	LSNFloor func() uint64
-	// HedgeAfter, when positive, is how long a read of a member's
-	// primary may straggle before the same read is raced against the
-	// member's replica. Zero adapts per shard: twice the 0.9-quantile
-	// of the shard's recent primary read latencies, once hedgeWarmup
-	// reads are in. Members without a replica never hedge.
-	HedgeAfter time.Duration
-	// Tracer receives net-layer hedge events and the failover event on
-	// the edge into a shard's degraded episode; nil disables them.
+	// Tracer receives the failover event on the edge into a shard's
+	// degraded episode, and the promotion and cutover events; nil
+	// disables them.
 	Tracer *trace.Tracer
 	// Registry, when set, receives asm_shard_* counters.
 	Registry *metrics.Registry
@@ -103,27 +97,11 @@ type shardState struct {
 	// stamped into epoch-aware primaries.
 	epoch uint64
 
-	// lat is a ring of the shard's recent successful primary read
-	// latencies, kept only for members that have a replica: the
-	// adaptive hedge delay is read off it.
-	latMu   sync.Mutex
-	lat     [hedgeRing]time.Duration
-	latN    int // samples held, at most hedgeRing
-	latNext int
-
 	degradedReads   metrics.Counter
 	failovers       metrics.Counter
-	hedges          metrics.Counter
-	hedgeWins       metrics.Counter
 	trips           metrics.Counter
 	budgetExhausted metrics.Counter
 }
-
-const (
-	hedgeRing   = 64
-	hedgeWarmup = 16
-	hedgeFloor  = 100 * time.Microsecond
-)
 
 // Router implements disk.Device over a fleet of shards with
 // deterministic rendezvous routing: page p lives on the member whose
@@ -165,7 +143,6 @@ type Router struct {
 	size   int
 	last   disk.PageID // last global page touched, for Head()
 	closed bool
-	legs   sync.WaitGroup // in-flight hedged-read legs (see goLeg)
 
 	// Late-join attachment state: SetTracer/RegisterMetrics remember
 	// their arguments so AddMember can wire a new member's device the
@@ -252,10 +229,6 @@ func (r *Router) attachShardMetrics(reg *metrics.Registry, st *shardState, name 
 		&st.degradedReads, "shard", name)
 	reg.Attach("asm_shard_failovers_total", "Edges into a degraded episode: the shard's reads left its primary.",
 		&st.failovers, "shard", name)
-	reg.Attach("asm_shard_hedges_total", "Straggling primary reads raced against the shard's replica.",
-		&st.hedges, "shard", name)
-	reg.Attach("asm_shard_hedge_wins_total", "Hedged reads the replica answered first.",
-		&st.hedgeWins, "shard", name)
 	reg.Attach("asm_shard_breaker_trips_total", "Circuit-breaker open transitions.",
 		&st.trips, "shard", name)
 	reg.Attach("asm_shard_budget_exhausted_total", "Accesses abandoned because the query's retry budget ran dry.",
@@ -672,135 +645,6 @@ func (r *Router) noteHealthy(st *shardState) {
 // transient failures count against its breaker.
 func answered(err error) bool { return err == nil || !disk.Retryable(err) }
 
-// hedgeDelay is how long the shard's primary may straggle before a
-// read is hedged: the configured delay, else twice the 0.9-quantile of
-// the latency ring once it holds hedgeWarmup samples. Zero means do not
-// hedge this read.
-func (st *shardState) hedgeDelay(fixed time.Duration) time.Duration {
-	if fixed > 0 {
-		return fixed
-	}
-	st.latMu.Lock()
-	sorted, n := st.lat, st.latN
-	st.latMu.Unlock()
-	if n < hedgeWarmup {
-		return 0
-	}
-	slices.Sort(sorted[:n])
-	return max(2*sorted[(n-1)*9/10], hedgeFloor)
-}
-
-// recordPrimary books the outcome of a primary read of a member that
-// has a replica: the breaker's health record, and the latency ring on
-// success.
-func (st *shardState) recordPrimary(err error, took time.Duration) {
-	st.breaker.Record(answered(err))
-	if err != nil {
-		return
-	}
-	st.latMu.Lock()
-	st.lat[st.latNext] = took
-	st.latNext = (st.latNext + 1) % hedgeRing
-	if st.latN < hedgeRing {
-		st.latN++
-	}
-	st.latMu.Unlock()
-}
-
-// leg is one side of a hedged read: the page it read into its own
-// scratch buffer, or the error.
-type leg struct {
-	page []byte
-	err  error
-}
-
-// readLeg reads p from dev into a fresh scratch page. A leg never
-// touches the caller's buffer: the loser of a race may finish long
-// after the read has returned.
-func readLeg(ctx context.Context, dev disk.Device, p disk.PageID, size int) leg {
-	page := make([]byte, size)
-	return leg{page, disk.ReadPageCtx(ctx, dev, p, page)}
-}
-
-// goLeg runs fn as a leg goroutine that Close waits for. It reports
-// false, without running fn, once the router is closed.
-func (r *Router) goLeg(fn func()) bool {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return false
-	}
-	r.legs.Add(1)
-	r.mu.Unlock()
-	go func() {
-		defer r.legs.Done()
-		fn()
-	}()
-	return true
-}
-
-// readHedged reads p from a member that has a replica. The primary is
-// read first; once it has straggled past the shard's hedge delay and
-// the replica clears the staleness floor, the same read is raced
-// against the replica and the first success wins. hedged reports that
-// the replica leg ran, so the caller's same-attempt fallback does not
-// try it twice. The primary leg books the breaker and the latency ring
-// itself, whenever it finishes; each leg ends when its device call
-// returns (bounded by the member client's timeout and retries, or its
-// Close).
-func (r *Router) readHedged(ctx context.Context, m Member, st *shardState, p disk.PageID, buf []byte, sp *qtrace.Span) (err error, hedged bool) {
-	start := time.Now()
-	delay := st.hedgeDelay(r.cfg.HedgeAfter)
-	if delay == 0 {
-		err = disk.ReadPageCtx(ctx, m.Primary, p, buf)
-		st.recordPrimary(err, time.Since(start))
-		return err, false
-	}
-	primCh := make(chan leg, 1)
-	if !r.goLeg(func() {
-		l := readLeg(ctx, m.Primary, p, len(buf))
-		st.recordPrimary(l.err, time.Since(start))
-		primCh <- l
-	}) {
-		return disk.ErrClosed, false
-	}
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	hedgeCh := make(chan leg, 1)
-	var l leg
-	select {
-	case l = <-primCh:
-	case <-timer.C:
-		if !r.replicaFresh(m) || !r.goLeg(func() { hedgeCh <- readLeg(ctx, m.Replica, p, len(buf)) }) {
-			l = <-primCh
-			break
-		}
-		hedged = true
-		st.hedges.Inc()
-		sp.OnHedge()
-		r.cfg.Tracer.Net(trace.KindHedge, int64(p), 0, "shard:"+m.Name, sp.QID())
-		select {
-		case l = <-primCh:
-			if l.err != nil {
-				if h := <-hedgeCh; h.err == nil {
-					st.hedgeWins.Inc()
-					l = h
-				}
-			}
-		case l = <-hedgeCh:
-			if l.err == nil {
-				st.hedgeWins.Inc()
-			} else if pl := <-primCh; pl.err == nil {
-				l = pl
-			}
-		}
-	}
-	if l.err == nil {
-		copy(buf, l.page)
-	}
-	return l.err, hedged
-}
-
 // attemptOnce runs one routed attempt. final reports that err (nil or
 // not) is the access's answer; !final means a transient failure the
 // retry loop may spend an attempt on. The returned name and state
@@ -832,30 +676,22 @@ func (r *Router) attemptOnce(ctx context.Context, p disk.PageID, buf []byte, wri
 		// re-routes to whichever owner wins.
 		return fmt.Errorf("%w: page %d: %w", ErrFencedPage, p, disk.ErrTransient), false, name, st
 	case st.breaker.Allow():
-		hedged := false
-		if write || m.Replica == nil {
-			if write {
-				err = m.Primary.WritePage(p, buf)
-			} else {
-				err = disk.ReadPageCtx(ctx, m.Primary, p, buf)
-			}
-			st.breaker.Record(answered(err))
+		if write {
+			err = m.Primary.WritePage(p, buf)
 		} else {
-			err, hedged = r.readHedged(ctx, m, st, p, buf, sp)
+			err = disk.ReadPageCtx(ctx, m.Primary, p, buf)
 		}
+		st.breaker.Record(answered(err))
 		if err == nil {
-			if !hedged {
-				r.noteHealthy(st)
-			}
+			r.noteHealthy(st)
 			return nil, true, name, st
 		}
 		if !disk.Retryable(err) {
 			return err, true, name, st
 		}
 		// The primary failed transiently: a fresh replica can serve
-		// the read right now instead of burning a retry (unless the
-		// hedge leg just tried it).
-		if !write && !hedged && r.replicaFresh(m) {
+		// the read right now instead of burning a retry.
+		if !write && r.replicaFresh(m) {
 			if rerr := disk.ReadPageCtx(ctx, m.Replica, p, buf); rerr == nil {
 				r.noteDegraded(st, m.Name, sp)
 				return nil, true, name, st
@@ -951,13 +787,13 @@ func (r *Router) ReadPageCtx(ctx context.Context, p disk.PageID, buf []byte) err
 }
 
 // ReadPages implements disk.RunReader. A run whose pages all belong to
-// one member that has no replica to hedge against and whose breaker
-// admits it goes to that member's primary whole — one operation, one
-// entry in the breaker's health record. Every page such a read leaves
-// unanswered, and every run that is not of that kind (several owners, a
-// replica, a breaker that refuses, a page the router would refuse), is
-// read page by page down the routed path, which decides retries,
-// budget, failover and fencing as for any single read.
+// one member whose breaker admits it goes to that member's primary
+// whole — one operation, one entry in the breaker's health record.
+// Every page such a read leaves unanswered, and every run that is not
+// of that kind (several owners, a breaker that refuses, a page the
+// router would refuse), is read page by page down the routed path,
+// which decides retries, budget, failover and fencing as for any single
+// read.
 func (r *Router) ReadPages(ctx context.Context, ids []disk.PageID, bufs [][]byte, errs []error) {
 	m, st, degraded := r.routeRun(ids, bufs)
 	if st == nil || !st.breaker.Allow() {
@@ -987,8 +823,8 @@ func (r *Router) ReadPages(ctx context.Context, ids []disk.PageID, bufs [][]byte
 // checkAccess (through the same refusesLocked) and the routing step of
 // attemptOnce do for a page. It returns the member that owns every page
 // of the run and its state — with whether the shard stood in a degraded
-// episode — or a nil state when there is no such member, the member has
-// a replica, or any page would be refused.
+// episode — or a nil state when there is no such member or any page
+// would be refused.
 func (r *Router) routeRun(ids []disk.PageID, bufs [][]byte) (m Member, st *shardState, degraded bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -1000,9 +836,6 @@ func (r *Router) routeRun(ids []disk.PageID, bufs [][]byte) (m Member, st *shard
 		if r.refusesLocked(p, bufs[i]) != nil || i > 0 && r.shardOfLocked(p) != owner {
 			return Member{}, nil, false
 		}
-	}
-	if r.members[owner].Replica != nil {
-		return Member{}, nil, false
 	}
 	r.last = ids[len(ids)-1]
 	return r.members[owner], r.shards[owner], r.shards[owner].degraded
@@ -1177,8 +1010,7 @@ func (r *Router) ResetHead() {
 	}
 }
 
-// Close implements disk.Device: it closes every member device, then
-// waits out the hedged-read legs still in flight against them.
+// Close implements disk.Device: it closes every member device.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -1193,7 +1025,6 @@ func (r *Router) Close() error {
 			first = err
 		}
 	}
-	r.legs.Wait()
 	return first
 }
 

@@ -285,3 +285,43 @@ func TestRouterRetryBudget(t *testing.T) {
 		t.Fatalf("asm_shard_retries_total = %d, want 4 (1 budgeted + 3 uncapped)", got)
 	}
 }
+
+// TestRoutedReadAllocs pins a routed page read at zero allocations, on
+// members without a replica and on members whose replica is fresh: a
+// read of a healthy primary is one device call, whatever stands beside
+// it. Each member serves far more than sixteen reads, so a per-shard
+// warm-up that ended in extra work per read would show.
+func TestRoutedReadAllocs(t *testing.T) {
+	for _, replicas := range []bool{false, true} {
+		members := newMembers([]string{"alpha", "bravo", "charlie"})
+		var repls []disk.Device
+		for i := range members {
+			members[i].Primary = disk.New(64)
+			if replicas {
+				members[i].Replica = disk.New(64)
+				repls = append(repls, members[i].Replica)
+			}
+		}
+		r, err := New(Config{Members: members})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, r.PageSize())
+		p := disk.PageID(0)
+		allocs := testing.AllocsPerRun(600, func() {
+			if err := r.ReadPage(p, buf); err != nil {
+				t.Fatal(err)
+			}
+			p = (p + 1) % 64
+		})
+		if allocs != 0 {
+			t.Errorf("replicas=%v: Router.ReadPage allocates %.2f times per read, want 0", replicas, allocs)
+		}
+		for _, d := range repls {
+			if got := d.Stats().Reads; got != 0 {
+				t.Errorf("a fresh replica served %d reads of a healthy primary's", got)
+			}
+		}
+		r.Close()
+	}
+}

@@ -102,11 +102,12 @@ func (w *runWorld) took(t *testing.T, what string, i, runs int, pages int64) {
 // TestRouterRunPaths walks a run down each way the router can send it
 // and checks, from the devices' side, that the way is the one intended
 // and that every page is delivered exactly once whichever it was: whole
-// to the one healthy member that owns it; page by page when the owners
-// are several, when a page of it fails alone (that page only, the rest
-// stay as the run delivered them), when the member's breaker is open,
-// when the member has a replica a read could be hedged against, when a
-// page is one the router refuses, and after Close.
+// to the one healthy member that owns it, whether or not that member has
+// a replica; page by page when the owners are several, when a page of it
+// fails alone (that page only, the rest stay as the run delivered them),
+// when the member's breaker is open, when a page is one the router
+// refuses, and after Close; and page by page onto a fresh replica when
+// the primary fails the run and then each page.
 func TestRouterRunPaths(t *testing.T) {
 	w := newRunWorld(t, nil)
 	a, b := w.owned[0], w.owned[1]
@@ -183,18 +184,38 @@ func TestRouterRunPaths(t *testing.T) {
 		}
 	}
 
-	// A member with a replica: its runs go page by page down the hedged
-	// path, the other member's still whole.
+	// A member with a fresh replica: its runs go whole to its primary,
+	// as the other member's do.
 	repl := disk.New(64)
 	fillPages(t, repl, 0)
 	w = newRunWorld(t, repl)
 	a, b = w.owned[0], w.owned[1]
 	noErrors("replica present", w.read(t, a[0], a[1], a[2]))
-	w.took(t, "replica present", 0, 0, 3)
+	w.took(t, "replica present", 0, 1, 3)
 	noErrors("beside a member with a replica", w.read(t, b[0], b[1], b[2]))
 	w.took(t, "beside a member with a replica", 1, 1, 3)
 	if got := repl.Stats().Reads; got != 0 {
 		t.Errorf("the replica served %d reads of a healthy primary's", got)
+	}
+
+	// That primary fails transiently: the run delivers nothing, each of
+	// its pages is read again on its own — the primary tried once more,
+	// then the fresh replica in the same attempt — and served degraded.
+	tries := 0
+	w.devs[0].SetFault(func(disk.PageID, bool) error {
+		tries++
+		return fmt.Errorf("%w: down", disk.ErrTransient)
+	})
+	noErrors("run fails over", w.read(t, a[0], a[1]))
+	w.took(t, "run fails over", 0, 1, 0)
+	if tries != 4 {
+		t.Errorf("primary tried %d page reads, want 2 in the run and 1 for each page", tries)
+	}
+	if got := repl.Stats().Reads; got != 2 {
+		t.Errorf("the replica served %d pages of the failed run, want 2", got)
+	}
+	if got := w.r.DegradedReads(0); got != 2 {
+		t.Errorf("%d degraded reads, want 2", got)
 	}
 }
 

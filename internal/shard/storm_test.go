@@ -257,10 +257,10 @@ func (f *stormFleet) shutdown() {
 // and the fleet changes under the runs in flight. In one storm a
 // member's server is killed in mid-query, stays down long enough for its
 // breaker to open between two runs, and comes back. In the other a
-// member has a replica (so its runs go page by page, where a read can
-// be hedged), its primary is killed for good in mid-query, the replica
-// serves degraded, and in the middle of the next query the replica is
-// promoted under a raised epoch and takes runs whole. Every query must
+// member has a replica, its primary is killed for good in mid-query,
+// the runs it then fails are read again page by page and the replica
+// serves them degraded, and in the middle of the next query the replica
+// is promoted under a raised epoch and takes runs whole. Every query must
 // come out byte-identical to the fault-free oracle; once the fleet is
 // quiet again every page is booked on one arm exactly once; a last query
 // has the pool closed under it. Nothing is left behind: no goroutine, no

@@ -39,9 +39,9 @@ type Replay struct {
 	NetSends, NetRecvs, NetErrors int64
 	// NetPages counts the pages read or written by answered requests: a
 	// run of pages is one send and one recv but as many pages.
-	NetPages                      int64
-	NetTimeouts                   int64
-	Hedges, Failovers, Reconnects int64
+	NetPages              int64
+	NetTimeouts           int64
+	Failovers, Reconnects int64
 	// Fleet control-plane activity: replica promotions and resharding
 	// cutovers (pages flipped to their new owner).
 	Promotions, PagesMigrated int64
@@ -173,8 +173,6 @@ func ReplayEvents(events []Event) *Replay {
 				}
 			case KindTimeout:
 				r.NetTimeouts++
-			case KindHedge:
-				r.Hedges++
 			case KindFailover:
 				r.Failovers++
 			case KindReconnect:

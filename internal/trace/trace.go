@@ -70,7 +70,6 @@ const (
 	KindSend      = "send"      // request sent to a page server: Page, Note (endpoint)
 	KindRecv      = "recv"      // response received: Page, N (0 ok, 1 error), OID (pages read or written), Note (endpoint)
 	KindTimeout   = "timeout"   // request timed out with no response: Page, Note (endpoint)
-	KindHedge     = "hedge"     // straggler read hedged to a replica: Page, Note (endpoint)
 	KindFailover  = "failover"  // read routing switched off the primary: Note (new endpoint)
 	KindReconnect = "reconnect" // endpoint connection re-established: Note (endpoint)
 	KindPromote   = "promote"   // replica promoted to writable primary: N (epoch), Note (shard)
@@ -263,7 +262,7 @@ func (t *Tracer) Redo(page int64, lsn uint64) {
 }
 
 // Net records a page-service client or shard-router event: a request
-// sent, a hedged read, a failover, or a reconnect (a response received
+// sent, a failover, a promotion, a cutover, or a reconnect (a response received
 // has NetRecv). The endpoint travels in the note.
 func (t *Tracer) Net(kind string, page int64, n int64, endpoint string, qid uint64) {
 	if t == nil {
