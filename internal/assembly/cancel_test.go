@@ -53,6 +53,7 @@ func TestCancelMidAssemblyWithQuarantine(t *testing.T) {
 	}
 
 	col := trace.NewCollector()
+	w.db.Pool.SetTracer(trace.New(col))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	op := assembly.New(rootsSource(w.db.Roots), w.db.Store, w.db.Template, assembly.Options{
@@ -61,7 +62,6 @@ func TestCancelMidAssemblyWithQuarantine(t *testing.T) {
 		FaultPolicy:    assembly.SkipObject,
 		PinWindowPages: true,
 		ReserveFrames:  24,
-		Tracer:         trace.New(col),
 	})
 	volcano.Bind(ctx, op)
 	if err := op.Open(); err != nil {
@@ -148,12 +148,12 @@ func TestCancelMidAssemblyWithQuarantine(t *testing.T) {
 func TestDeadlineMidAssembly(t *testing.T) {
 	db := buildDB(t, gen.Config{NumComplexObjects: 100, Clustering: gen.Unclustered, Seed: 7})
 	col := trace.NewCollector()
+	db.Pool.SetTracer(trace.New(col))
 	op := assembly.New(rootsSource(db.Roots), db.Store, db.Template, assembly.Options{
 		Window:         6,
 		Scheduler:      assembly.Elevator,
 		PinWindowPages: true,
 		ReserveFrames:  12,
-		Tracer:         trace.New(col),
 	})
 	if err := op.Open(); err != nil {
 		t.Fatal(err)
@@ -221,15 +221,13 @@ func TestAbortOrderRepeats(t *testing.T) {
 			}
 		}
 		col := trace.NewCollector()
-		tr := trace.New(col)
-		db.Pool.SetTracer(tr)
+		db.Pool.SetTracer(trace.New(col))
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		op := assembly.New(rootsSource(db.Roots), db.Store, db.Template, assembly.Options{
 			Window:         16,
 			Scheduler:      assembly.Elevator,
 			PinWindowPages: true,
-			Tracer:         tr,
 		})
 		volcano.Bind(ctx, op)
 		if err := op.Open(); err != nil {

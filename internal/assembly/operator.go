@@ -67,11 +67,6 @@ type Options struct {
 	// fetching referenced components. The default (FailFast) is the
 	// paper's implicit behavior: any error aborts the whole operator.
 	FaultPolicy FaultPolicy
-	// Tracer, when non-nil, receives an assembly event for every window
-	// admission, scheduling decision, fetch, link, emission, abort,
-	// quarantine, retry, and stall. A nil tracer costs one branch per
-	// instrumentation point.
-	Tracer *trace.Tracer
 	// Metrics, when non-nil, receives the operator's counters and live
 	// gauges under asm_assembly_* families labeled by scheduling policy.
 	// The per-run Stats struct is mirrored into the registry's cells, so
@@ -169,7 +164,12 @@ type Operator struct {
 
 	sched  Scheduler
 	shared *sharedTable
-	tr     *trace.Tracer
+	// tr is the pool's tracer, taken at Open: it receives an assembly
+	// event for every window admission, scheduling decision, fetch,
+	// link, emission, abort, quarantine, retry and stall, into the
+	// stream the pool and its device trace into. Nil costs one branch
+	// per instrumentation point.
+	tr *trace.Tracer
 	// live holds the window's slots, each at index workItem.slot, in
 	// admission order except that a retiring slot's place goes to the
 	// newest one. Whatever walks it — an abort, a shed, Close — does so
@@ -334,7 +334,7 @@ func (op *Operator) Open() error {
 	if op.Opts.UseSharingStats {
 		op.shared = newSharedTable(op.Store.File.Pool())
 	}
-	op.tr = op.Opts.Tracer
+	op.tr = op.Store.File.Pool().Tracer()
 	// Items live, queued for emission or spare never outnumber the
 	// window (recycle makes a spare), so none of the three lists grows.
 	window := max(op.Opts.Window, 1)

@@ -266,6 +266,15 @@ func (p *Pool) SetTracer(t *trace.Tracer) {
 	p.tr = t
 }
 
+// Tracer returns the tracer SetTracer installed, nil when none is. An
+// assembly operator takes it at Open, so it traces into the stream its
+// pool does.
+func (p *Pool) Tracer() *trace.Tracer {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.tr
+}
+
 // SetWAL attaches a write-ahead log to the pool. From then on every
 // page image dirtied through Unfix is appended to the log, and no
 // data-page write leaves the pool before the log is durable through

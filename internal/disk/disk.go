@@ -122,13 +122,11 @@ type TracerSetter interface {
 }
 
 // AttachTracer installs t on dev when the device supports tracing
-// (pass nil to detach). It reports whether the device accepted it.
-func AttachTracer(dev Device, t *trace.Tracer) bool {
+// (pass nil to detach); on any other device it does nothing.
+func AttachTracer(dev Device, t *trace.Tracer) {
 	if ts, ok := dev.(TracerSetter); ok {
 		ts.SetTracer(t)
-		return true
 	}
-	return false
 }
 
 // Sim is the one leaf device: a linear array of pages under one Arm,

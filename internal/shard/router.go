@@ -77,10 +77,6 @@ type Config struct {
 	// whose AppliedLSN is below the floor is not eligible to serve
 	// degraded reads. Wire it to the local wal.Writer's DurableLSN.
 	LSNFloor func() uint64
-	// Tracer receives the failover event on the edge into a shard's
-	// degraded episode, and the promotion and cutover events; nil
-	// disables them.
-	Tracer *trace.Tracer
 	// Registry, when set, receives asm_shard_* counters.
 	Registry *metrics.Registry
 }
@@ -144,10 +140,12 @@ type Router struct {
 	last   disk.PageID // last global page touched, for Head()
 	closed bool
 
-	// Late-join attachment state: SetTracer/RegisterMetrics remember
-	// their arguments so AddMember can wire a new member's device the
-	// same way the originals were wired.
-	devTracer *trace.Tracer
+	// tr, installed by SetTracer, receives the failover event on the
+	// edge into a shard's degraded episode and the promotion and
+	// cutover events. SetTracer forwards it to every member device and
+	// RegisterMetrics remembers its arguments, so AddMember wires a new
+	// member's device the same way the originals were wired.
+	tr        *trace.Tracer
 	devReg    *metrics.Registry
 	devPrefix string
 
@@ -423,14 +421,14 @@ func (r *Router) PromoteReplica(i int, epoch uint64) (disk.Device, error) {
 	r.shards[i].degraded = false
 	st := r.shards[i]
 	promoted := m.Primary
-	name := m.Name
+	name, tr := m.Name, r.tr
 	r.mu.Unlock()
 
 	st.breaker.Reset()
 	if es, ok := promoted.(interface{ SetEpoch(uint64) }); ok {
 		es.SetEpoch(epoch)
 	}
-	r.cfg.Tracer.Net(trace.KindPromote, trace.NoPage, int64(epoch), "shard:"+name, 0)
+	tr.Net(trace.KindPromote, trace.NoPage, int64(epoch), "shard:"+name, 0)
 	return old, nil
 }
 
@@ -466,8 +464,24 @@ func (r *Router) AddMember(m Member) ([]disk.PageID, error) {
 	if len(r.pending) > 0 {
 		return nil, fmt.Errorf("shard: a reshard is already in flight (%d pages pending)", len(r.pending))
 	}
+	// Traced before it is grown, so the grow's requests are in the
+	// stream the fleet's other devices trace into. A joiner that fails
+	// to grow is not a member, so it leaves detached: the router's
+	// detach would never reach it.
+	attach := func(t *trace.Tracer) {
+		disk.AttachTracer(m.Primary, t)
+		if m.Replica != nil {
+			disk.AttachTracer(m.Replica, t)
+		}
+	}
+	if r.tr != nil {
+		attach(r.tr)
+	}
 	if grow := r.size - m.Primary.NumPages(); grow > 0 {
 		if _, err := m.Primary.Allocate(grow); err != nil {
+			if r.tr != nil {
+				attach(nil)
+			}
 			return nil, fmt.Errorf("shard: grow joining member %q: %w", m.Name, err)
 		}
 	}
@@ -477,12 +491,6 @@ func (r *Router) AddMember(m Member) ([]disk.PageID, error) {
 	r.shards = append(r.shards, r.newShardState())
 	if r.cfg.Registry != nil {
 		r.attachShardMetrics(r.cfg.Registry, r.shards[newIdx], m.Name)
-	}
-	if r.devTracer != nil {
-		disk.AttachTracer(m.Primary, r.devTracer)
-		if m.Replica != nil {
-			disk.AttachTracer(m.Replica, r.devTracer)
-		}
 	}
 	if r.devReg != nil {
 		disk.RegisterMetrics(m.Primary, r.devReg, fmt.Sprintf("%s%d", r.devPrefix, newIdx))
@@ -572,7 +580,7 @@ func (r *Router) CutOver(lo, hi disk.PageID, owner string) int {
 		}
 	}
 	if n > 0 {
-		r.cfg.Tracer.Net(trace.KindMigrate, int64(lo), int64(n), "shard:"+owner, 0)
+		r.tr.Net(trace.KindMigrate, int64(lo), int64(n), "shard:"+owner, 0)
 	}
 	return n
 }
@@ -623,12 +631,12 @@ func (r *Router) noteDegraded(st *shardState, name string, sp *qtrace.Span) {
 	st.degradedReads.Inc()
 	sp.OnDegraded()
 	r.mu.Lock()
-	edge := !st.degraded
+	edge, tr := !st.degraded, r.tr
 	st.degraded = true
 	r.mu.Unlock()
 	if edge {
 		st.failovers.Inc()
-		r.cfg.Tracer.Net(trace.KindFailover, trace.NoPage, 0, "shard:"+name, 0)
+		tr.Net(trace.KindFailover, trace.NoPage, 0, "shard:"+name, 0)
 	}
 }
 
@@ -1028,13 +1036,14 @@ func (r *Router) Close() error {
 	return first
 }
 
-// SetTracer implements disk.TracerSetter by forwarding to every member
-// device: traced reads carry each member's own head accounting, which
-// is the physically meaningful view. The tracer is remembered so
-// members joining later get it too.
+// SetTracer implements disk.TracerSetter: the router's own failover,
+// promotion and cutover events go to t, and t is forwarded to every
+// member device, so traced reads carry each member's own head
+// accounting, which is the physically meaningful view. The tracer is
+// remembered so members joining later get it too.
 func (r *Router) SetTracer(t *trace.Tracer) {
 	r.mu.Lock()
-	r.devTracer = t
+	r.tr = t
 	r.mu.Unlock()
 	for _, d := range r.devices() {
 		disk.AttachTracer(d, t)

@@ -1,15 +1,17 @@
 package suite
 
 // Concurrent query-lifecycle chaos: many queries over one shared
-// database, each with its own context, tracer, and registry, cancelled
-// at seeded random points. The invariants under fire:
+// database, each with its own context, query trace and registry,
+// cancelled at seeded random points; one tracer on the shared pool
+// records them all. The invariants under fire:
 //
 //   - no goroutine leaks (exchange producers exit on cancellation),
 //   - no leaked pins or reservations once every query is done,
-//   - per-query three-way agreement — the operator's stats, the trace
-//     replay, and the metrics-registry delta agree exactly, extending
-//     TestThreeWayAgreement to concurrent, cancelled runs. (The disk
-//     legs are zero here: the shared device is not traced per query.)
+//   - per-query three-way agreement — the operator's stats, the replay
+//     of the events carrying the query's id, and the metrics-registry
+//     delta agree exactly, extending TestThreeWayAgreement to
+//     concurrent, cancelled runs. (The disk legs are zero here: the
+//     shared device is not traced.)
 
 import (
 	"context"
@@ -25,6 +27,7 @@ import (
 	"revelation/internal/gen"
 	"revelation/internal/leakcheck"
 	"revelation/internal/metrics"
+	"revelation/internal/qtrace"
 	"revelation/internal/trace"
 	"revelation/internal/volcano"
 )
@@ -35,7 +38,7 @@ type chaosResult struct {
 	shed     bool // admission-rejected at Open
 	received int  // items the harness actually consumed
 	stats    assembly.Stats
-	col      *trace.Collector
+	qid      uint64 // the query's id, on every assembly event it emits
 	reg      *metrics.Registry
 	err      error // unexpected terminal error (lifecycle errors excluded)
 }
@@ -45,15 +48,16 @@ type chaosResult struct {
 // (cancelAt items received, -1 = run to completion) or deadline, and
 // settle the books at Close. Odd query indices consume their roots
 // through an Exchange so producer goroutines face the cancellation too.
-func runChaosQuery(db *gen.Database, q, cancelAt int, deadline time.Duration, reserve int) chaosResult {
+func runChaosQuery(db *gen.Database, qc *qtrace.Collector, q, cancelAt int, deadline time.Duration, reserve int) chaosResult {
 	res := chaosResult{
 		name: fmt.Sprintf("chaos-%d", q),
-		col:  trace.NewCollector(),
 		reg:  metrics.NewRegistry(),
 	}
-	tr := trace.New(res.col)
+	qt, root := qc.Begin(res.name)
+	defer qc.Finish(qt, "ok", nil)
+	res.qid = qt.QID
 
-	ctx := context.Background()
+	ctx := qtrace.With(context.Background(), root)
 	var cancel context.CancelFunc
 	if deadline > 0 {
 		ctx, cancel = context.WithTimeout(ctx, deadline)
@@ -83,14 +87,11 @@ func runChaosQuery(db *gen.Database, q, cancelAt int, deadline time.Duration, re
 		Scheduler:      assembly.Elevator,
 		PinWindowPages: true,
 		ReserveFrames:  reserve,
-		Tracer:         tr,
 		Metrics:        res.reg,
 	})
 	volcano.Bind(ctx, op)
-	tr.BeginRun(res.name, 4)
 
 	if err := op.Open(); err != nil {
-		tr.EndRun(res.name, trace.RunStats{})
 		if errors.Is(err, buffer.ErrAdmission) {
 			res.shed = true
 			return res
@@ -117,13 +118,6 @@ func runChaosQuery(db *gen.Database, q, cancelAt int, deadline time.Duration, re
 	if err := op.Close(); err != nil {
 		res.err = fmt.Errorf("close: %w", err)
 	}
-	tr.EndRun(res.name, trace.RunStats{
-		Assembled: res.stats.Assembled,
-		Aborted:   res.stats.Aborted,
-		Skipped:   res.stats.Skipped,
-		Retries:   res.stats.FaultRetries,
-		Stalls:    res.stats.WindowStalls,
-	})
 	if terminal != nil && !errors.Is(terminal, context.Canceled) &&
 		!errors.Is(terminal, context.DeadlineExceeded) && res.err == nil {
 		res.err = fmt.Errorf("next: %w", terminal)
@@ -131,23 +125,20 @@ func runChaosQuery(db *gen.Database, q, cancelAt int, deadline time.Duration, re
 	return res
 }
 
-// verifyChaosQuery closes the per-query three-way triangle: replay ==
-// reported (Run.Verify) and registry delta == reported. The registry
-// was fresh per query, so its snapshot IS the delta.
-func verifyChaosQuery(t *testing.T, res chaosResult) {
+// verifyChaosQuery closes the per-query three-way triangle: the replay
+// of the query's events == the operator's stats == the registry delta.
+// The registry was fresh per query, so its snapshot IS the delta.
+func verifyChaosQuery(t *testing.T, res chaosResult, events []trace.Event) {
 	t.Helper()
-	runs := trace.SplitRuns(res.col.Events())
-	if len(runs) != 1 {
-		t.Errorf("%s: trace has %d runs, want 1", res.name, len(runs))
-		return
+	reported := trace.RunStats{
+		Assembled: res.stats.Assembled,
+		Aborted:   res.stats.Aborted,
+		Skipped:   res.stats.Skipped,
+		Retries:   res.stats.FaultRetries,
+		Stalls:    res.stats.WindowStalls,
 	}
-	run := runs[0]
-	if run.Reported == nil {
-		t.Errorf("%s: no end marker", res.name)
-		return
-	}
-	if _, err := run.Verify(); err != nil {
-		t.Errorf("%s: %v", res.name, err)
+	if got := trace.ReplayEvents(trace.FilterQuery(events, res.qid)).Stats(); got != reported {
+		t.Errorf("%s: replay %+v != stats %+v", res.name, got, reported)
 	}
 	d := res.reg.Snapshot()
 	fromRegistry := trace.RunStats{
@@ -157,9 +148,9 @@ func verifyChaosQuery(t *testing.T, res chaosResult) {
 		Retries:   int(d.Value("asm_assembly_fault_retries_total", "policy", "elevator")),
 		Stalls:    int(d.Value("asm_assembly_window_stalls_total", "policy", "elevator")),
 	}
-	if fromRegistry != *run.Reported {
+	if fromRegistry != reported {
 		t.Errorf("%s: registry delta disagrees with harness:\nregistry %+v\nharness  %+v",
-			res.name, fromRegistry, *run.Reported)
+			res.name, fromRegistry, reported)
 	}
 	if occ := d.Value("asm_assembly_window_occupancy", "policy", "elevator"); occ != 0 {
 		t.Errorf("%s: window occupancy gauge %d after the query ended, want 0", res.name, occ)
@@ -200,6 +191,8 @@ func TestChaosConcurrentCancellation(t *testing.T) {
 		}
 	}
 
+	col, qc := trace.NewCollector(), qtrace.NewCollector(nQueries)
+	db.Pool.SetTracer(trace.New(col))
 	before := leakcheck.Snapshot()
 	results := make([]chaosResult, nQueries)
 	var wg sync.WaitGroup
@@ -209,11 +202,12 @@ func TestChaosConcurrentCancellation(t *testing.T) {
 		go func(q int) {
 			defer wg.Done()
 			<-start
-			results[q] = runChaosQuery(db, q, cancelAts[q], deadlines[q], reserve)
+			results[q] = runChaosQuery(db, qc, q, cancelAts[q], deadlines[q], reserve)
 		}(q)
 	}
 	close(start)
 	wg.Wait()
+	events := col.Events()
 
 	completed, cancelled, shed := 0, 0, 0
 	for _, res := range results {
@@ -231,7 +225,7 @@ func TestChaosConcurrentCancellation(t *testing.T) {
 		default:
 			cancelled++
 		}
-		verifyChaosQuery(t, res)
+		verifyChaosQuery(t, res, events)
 	}
 	t.Logf("chaos: %d completed, %d cancelled mid-flight, %d shed", completed, cancelled, shed)
 	if completed+cancelled+shed != nQueries {
@@ -297,6 +291,8 @@ func TestChaosOverloadSheds(t *testing.T) {
 	const nQueries = 8
 	reserve := 40
 
+	col, qc := trace.NewCollector(), qtrace.NewCollector(nQueries)
+	db.Pool.SetTracer(trace.New(col))
 	before := leakcheck.Snapshot()
 	results := make([]chaosResult, nQueries)
 	var wg sync.WaitGroup
@@ -306,11 +302,12 @@ func TestChaosOverloadSheds(t *testing.T) {
 		go func(q int) {
 			defer wg.Done()
 			<-start
-			results[q] = runChaosQuery(db, q, -1, 0, reserve)
+			results[q] = runChaosQuery(db, qc, q, -1, 0, reserve)
 		}(q)
 	}
 	close(start)
 	wg.Wait()
+	events := col.Events()
 
 	completed, shed := 0, 0
 	for _, res := range results {
@@ -326,7 +323,7 @@ func TestChaosOverloadSheds(t *testing.T) {
 		if res.stats.Assembled != len(db.Roots) {
 			t.Errorf("%s: assembled %d of %d", res.name, res.stats.Assembled, len(db.Roots))
 		}
-		verifyChaosQuery(t, res)
+		verifyChaosQuery(t, res, events)
 	}
 	t.Logf("overload: %d completed, %d shed", completed, shed)
 	if completed+shed != nQueries {

@@ -86,7 +86,6 @@ func (s *Session) runConcurrent(db *gen.Database, level int, opts ConcurrencyOpt
 					Scheduler:      assembly.Elevator,
 					PinWindowPages: true,
 					ReserveFrames:  reserve,
-					Tracer:         s.Tracer,
 					Metrics:        s.Metrics,
 				})
 				volcano.Bind(ctx, op)

@@ -19,13 +19,12 @@ import (
 // concurrent metrics scraper always sees them stay monotone while every
 // run still reports exact deltas.
 type Measurement struct {
-	Name   string
-	dev    disk.Device
-	pool   *buffer.Pool
-	tr     *trace.Tracer
-	dev0   disk.Stats
-	pool0  buffer.Stats
-	traced bool
+	Name  string
+	dev   disk.Device
+	pool  *buffer.Pool
+	tr    *trace.Tracer
+	dev0  disk.Stats
+	pool0 buffer.Stats
 }
 
 // Measured is the delta view of one bracketed run.
@@ -38,7 +37,10 @@ type Measured struct {
 // first (the previous run's dirty write-backs land before the
 // snapshot), then the device and pool counters are snapshotted, the
 // head is parked at page 0, and — when tr is non-nil — the device and
-// pool are instrumented and the begin marker is emitted.
+// pool are instrumented and the begin marker is emitted. This is the one
+// place a tracer reaches the stack: the device forwards it to every
+// layer under it (members, clients, arms, their wire), and an operator
+// opened on the pool takes it from the pool.
 func StartMeasurement(name string, window int, dev disk.Device, pool *buffer.Pool, tr *trace.Tracer) (*Measurement, error) {
 	if err := pool.EvictAll(); err != nil {
 		return nil, err
@@ -53,7 +55,7 @@ func StartMeasurement(name string, window int, dev disk.Device, pool *buffer.Poo
 	}
 	dev.ResetHead()
 	if tr != nil {
-		m.traced = disk.AttachTracer(dev, tr)
+		disk.AttachTracer(dev, tr)
 		pool.SetTracer(tr)
 		tr.BeginRun(name, window)
 	}
@@ -65,9 +67,7 @@ func StartMeasurement(name string, window int, dev disk.Device, pool *buffer.Poo
 // counters and verifies vacuously instead of against garbage.
 func (m *Measurement) Abort() {
 	if m.tr != nil {
-		if m.traced {
-			disk.AttachTracer(m.dev, nil)
-		}
+		disk.AttachTracer(m.dev, nil)
 		m.pool.SetTracer(nil)
 	}
 }

@@ -41,7 +41,7 @@ func run(sc Scenario, e *env, tr *trace.Tracer, reg *metrics.Registry) (Result, 
 	if reg != nil {
 		before = reg.Snapshot()
 	}
-	st, err := runWorkload(sc, e, tr, reg, prep)
+	st, err := runWorkload(sc, e, reg, prep)
 	if err != nil {
 		m.Abort()
 		return Result{}, err
@@ -103,7 +103,7 @@ func (s *Session) env(sc Scenario) (*env, error) {
 	if e, ok := s.envs[key]; ok {
 		return e, nil
 	}
-	e, err := buildEnv(sc, s.Tracer, s.Metrics)
+	e, err := buildEnv(sc, s.Metrics)
 	if err != nil {
 		return nil, err
 	}

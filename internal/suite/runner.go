@@ -102,7 +102,7 @@ func runIteration(sc Scenario) (Counters, error) {
 	col := trace.NewCollector()
 	tr := trace.New(col)
 	reg := metrics.NewRegistry()
-	e, err := buildEnv(sc, tr, reg)
+	e, err := buildEnv(sc, reg)
 	if err != nil {
 		return Counters{}, err
 	}
@@ -130,11 +130,6 @@ func runIteration(sc Scenario) (Counters, error) {
 	if err != nil {
 		return Counters{}, fmt.Errorf("trace replay disagrees with harness: %w", err)
 	}
-	if len(e.netLabels) > 0 {
-		if err := netAgrees("trace replay", sc, got, replay.NetSends, replay.NetRecvs, replay.NetPages); err != nil {
-			return Counters{}, err
-		}
-	}
 	if int(replay.PagesMigrated) != e.migrated {
 		return Counters{}, fmt.Errorf("trace replay counted %d migrated pages, migrator reported %d",
 			replay.PagesMigrated, e.migrated)
@@ -144,6 +139,17 @@ func runIteration(sc Scenario) (Counters, error) {
 	// agree with the same counters.
 	if err := verifyRegistry(sc, e, res.Delta, got, st); err != nil {
 		return Counters{}, err
+	}
+	// And the two event-fed legs agree with each other exactly: the
+	// tracer is attached to every client the registry counts, from the
+	// bracket's start — a member that joins mid-run included — so each
+	// send, recv and page is in both or in neither.
+	if len(e.netLabels) > 0 {
+		sends, recvs, pages := e.netDelta(res.Delta)
+		if sends != replay.NetSends || recvs != replay.NetRecvs || pages != replay.NetPages {
+			return Counters{}, fmt.Errorf("trace replay disagrees with registry: net sends/recvs/pages %d/%d/%d, registry %d/%d/%d",
+				replay.NetSends, replay.NetRecvs, replay.NetPages, sends, recvs, pages)
+		}
 	}
 
 	return Counters{
@@ -166,7 +172,8 @@ func runIteration(sc Scenario) (Counters, error) {
 }
 
 // netAgrees is the net leg of the three-way check, applied to the
-// registry's counters and to the trace replay's alike. In a fault-free
+// registry's counters; the trace replay must then equal the registry's
+// exactly (runIteration), so it needs no check of its own. In a fault-free
 // run every request is answered, and the answered requests carry every
 // logical page access exactly once between them — a page read or write
 // carries one, a run of pages read in one frame as many as it has: the
@@ -176,17 +183,28 @@ func runIteration(sc Scenario) (Counters, error) {
 // stats sum every member's device, routed or not); the one request of a
 // reshard that carries no page is the join's Allocate RPC growing the
 // joiner to the fleet's extent.
-func netAgrees(who string, sc Scenario, got Measured, sends, recvs, pages int64) error {
+func netAgrees(sc Scenario, got Measured, sends, recvs, pages int64) error {
 	accesses := got.Dev.Reads + got.Dev.Writes
 	most := accesses
 	if sc.Workload == WorkloadReshard {
 		most++
 	}
 	if pages != accesses || sends != recvs || sends > most {
-		return fmt.Errorf("%s disagrees with harness: net sends/recvs %d/%d carrying %d pages, page accesses %d",
-			who, sends, recvs, pages, accesses)
+		return fmt.Errorf("registry disagrees with harness: net sends/recvs %d/%d carrying %d pages, page accesses %d",
+			sends, recvs, pages, accesses)
 	}
 	return nil
+}
+
+// netDelta sums the registry delta's net sends, recvs and pages over
+// the env's page-service clients.
+func (e *env) netDelta(d metrics.Snapshot) (sends, recvs, pages int64) {
+	for _, lbl := range e.netLabels {
+		sends += d.Value("asm_net_sends_total", "dev", lbl)
+		recvs += d.Value("asm_net_recvs_total", "dev", lbl)
+		pages += d.Value("asm_net_pages_total", "dev", lbl)
+	}
+	return sends, recvs, pages
 }
 
 // verifyRegistry is the registry leg of the three-way check: assembly,
@@ -221,13 +239,8 @@ func verifyRegistry(sc Scenario, e *env, d metrics.Snapshot, got Measured, st as
 		}
 	}
 	if len(e.netLabels) > 0 {
-		var sends, recvs, pages int64
-		for _, lbl := range e.netLabels {
-			sends += d.Value("asm_net_sends_total", "dev", lbl)
-			recvs += d.Value("asm_net_recvs_total", "dev", lbl)
-			pages += d.Value("asm_net_pages_total", "dev", lbl)
-		}
-		if err := netAgrees("registry", sc, got, sends, recvs, pages); err != nil {
+		sends, recvs, pages := e.netDelta(d)
+		if err := netAgrees(sc, got, sends, recvs, pages); err != nil {
 			return err
 		}
 		if sc.Workload == WorkloadReshard {

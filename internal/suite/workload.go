@@ -16,7 +16,6 @@ import (
 	"revelation/internal/object"
 	"revelation/internal/pagesvc"
 	"revelation/internal/shard"
-	"revelation/internal/trace"
 	"revelation/internal/volcano"
 )
 
@@ -79,20 +78,19 @@ func (sc Scenario) label() string {
 }
 
 // buildEnv constructs the scenario's device stack and generates the
-// database onto it. The tracer is wired only into the page-service
-// clients' net layer here; disk-layer tracing is attached by the
-// measurement bracket. The registry, when non-nil, receives the
+// database onto it. Nothing is traced here: the measurement bracket
+// attaches the tracer to the device stack for one run. The registry, when non-nil, receives the
 // device's, the pool's and the clients' series under the env's label.
-func buildEnv(sc Scenario, tr *trace.Tracer, reg *metrics.Registry) (*env, error) {
+func buildEnv(sc Scenario, reg *metrics.Registry) (*env, error) {
 	e := &env{label: sc.label()}
-	if err := e.build(sc, tr, reg); err != nil {
+	if err := e.build(sc, reg); err != nil {
 		e.close()
 		return nil, err
 	}
 	return e, nil
 }
 
-func (e *env) build(sc Scenario, tr *trace.Tracer, reg *metrics.Registry) error {
+func (e *env) build(sc Scenario, reg *metrics.Registry) error {
 	cfg := sc.genConfig()
 	switch sc.Backend {
 	case BackendLocal:
@@ -127,7 +125,7 @@ func (e *env) build(sc Scenario, tr *trace.Tracer, reg *metrics.Registry) error 
 		e.closes = append(e.closes, fd.Close)
 		cfg.Device = fd
 	case BackendPagesvc:
-		client, err := e.serve(e.label, tr, reg)
+		client, err := e.serve(e.label, reg)
 		if err != nil {
 			return err
 		}
@@ -139,7 +137,7 @@ func (e *env) build(sc Scenario, tr *trace.Tracer, reg *metrics.Registry) error 
 		// idempotent, so the closers serve registered stay safe).
 		const fleet = 3
 		member := func(i int) (shard.Member, error) {
-			client, err := e.serve(fmt.Sprintf("%s-s%d", e.label, i), tr, reg)
+			client, err := e.serve(fmt.Sprintf("%s-s%d", e.label, i), reg)
 			return shard.Member{Name: fmt.Sprintf("s%d", i), Primary: client}, err
 		}
 		members := make([]shard.Member, fleet)
@@ -149,7 +147,7 @@ func (e *env) build(sc Scenario, tr *trace.Tracer, reg *metrics.Registry) error 
 				return err
 			}
 		}
-		router, err := shard.New(shard.Config{Members: members, Tracer: tr, Registry: reg})
+		router, err := shard.New(shard.Config{Members: members, Registry: reg})
 		if err != nil {
 			return err
 		}
@@ -187,7 +185,7 @@ func (e *env) build(sc Scenario, tr *trace.Tracer, reg *metrics.Registry) error 
 // serve starts an in-process page service over a fresh simulated disk
 // and dials it. The client's asm_net_* series carry the given dev
 // label, which joins e.netLabels.
-func (e *env) serve(label string, tr *trace.Tracer, reg *metrics.Registry) (*pagesvc.Client, error) {
+func (e *env) serve(label string, reg *metrics.Registry) (*pagesvc.Client, error) {
 	srv := pagesvc.NewServer([]disk.Device{disk.New(0)}, pagesvc.ServerConfig{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -197,7 +195,6 @@ func (e *env) serve(label string, tr *trace.Tracer, reg *metrics.Registry) (*pag
 	client, err := pagesvc.Dial(pagesvc.ClientConfig{
 		Primary:  addr,
 		Dev:      pagesvc.DataDev,
-		Tracer:   tr,
 		Registry: reg,
 		Label:    label,
 	})
@@ -229,7 +226,7 @@ func (e *env) armFaults(sc Scenario) {
 // configured scheduler: pending references partition by the router's
 // assignment and each lane keeps its own SCAN order. PerDevice does the
 // same over a striped extent's arms, without the prefetch.
-func (sc Scenario) options(e *env, tr *trace.Tracer, reg *metrics.Registry) assembly.Options {
+func (sc Scenario) options(e *env, reg *metrics.Registry) assembly.Options {
 	opts := assembly.Options{
 		Window:          sc.Window,
 		Scheduler:       sc.Scheduler,
@@ -238,7 +235,6 @@ func (sc Scenario) options(e *env, tr *trace.Tracer, reg *metrics.Registry) asse
 		PinWindowPages:  sc.PinWindow,
 		PageBatch:       sc.PageBatch,
 		FaultPolicy:     sc.FaultPolicy,
-		Tracer:          tr,
 		Metrics:         reg,
 	}
 	switch {
@@ -271,12 +267,12 @@ func (sc Scenario) template(e *env) *assembly.Template {
 
 // assembleRoots runs the assembly operator over the given roots and
 // returns its stats after checking the drain count matches.
-func assembleRoots(sc Scenario, e *env, roots []object.OID, tr *trace.Tracer, reg *metrics.Registry) (assembly.Stats, error) {
+func assembleRoots(sc Scenario, e *env, roots []object.OID, reg *metrics.Registry) (assembly.Stats, error) {
 	items := make([]volcano.Item, len(roots))
 	for i, r := range roots {
 		items[i] = r
 	}
-	op := assembly.New(volcano.NewSlice(items), e.db.Store, sc.template(e), sc.options(e, tr, reg))
+	op := assembly.New(volcano.NewSlice(items), e.db.Store, sc.template(e), sc.options(e, reg))
 	n, err := volcano.Count(op)
 	if err != nil {
 		return assembly.Stats{}, err
@@ -290,20 +286,20 @@ func assembleRoots(sc Scenario, e *env, roots []object.OID, tr *trace.Tracer, re
 
 // runWorkload executes the scenario's measured phase and returns the
 // operator stats (Assembled is the op count per-op rates normalize by).
-func runWorkload(sc Scenario, e *env, tr *trace.Tracer, reg *metrics.Registry, prep *prepared) (assembly.Stats, error) {
+func runWorkload(sc Scenario, e *env, reg *metrics.Registry, prep *prepared) (assembly.Stats, error) {
 	switch sc.Workload {
 	case WorkloadTimeSeries:
 		roots, err := appendTrees(sc, e)
 		if err != nil {
 			return assembly.Stats{}, err
 		}
-		return assembleRoots(sc, e, roots, tr, reg)
+		return assembleRoots(sc, e, roots, reg)
 	case WorkloadIncremental:
 		roots, err := mutateComponents(sc, e, prep)
 		if err != nil {
 			return assembly.Stats{}, err
 		}
-		return assembleRoots(sc, e, roots, tr, reg)
+		return assembleRoots(sc, e, roots, reg)
 	case WorkloadReshard:
 		// Assemble the first half of the roots on the three-member
 		// fleet, live-reshard the fourth member in, assemble the rest on
@@ -311,7 +307,7 @@ func runWorkload(sc Scenario, e *env, tr *trace.Tracer, reg *metrics.Registry, p
 		// phase: its copy reads flow through the router and its cutovers
 		// are WAL-logged to a dedicated meta device.
 		half := len(e.db.Roots) / 2
-		st1, err := assembleRoots(sc, e, e.db.Roots[:half], tr, reg)
+		st1, err := assembleRoots(sc, e, e.db.Roots[:half], reg)
 		if err != nil {
 			return assembly.Stats{}, err
 		}
@@ -329,10 +325,10 @@ func runWorkload(sc Scenario, e *env, tr *trace.Tracer, reg *metrics.Registry, p
 		if err != nil {
 			return assembly.Stats{}, fmt.Errorf("suite %s: reshard: %w", sc.Name, err)
 		}
-		st2, err := assembleRoots(sc, e, e.db.Roots[half:], tr, reg)
+		st2, err := assembleRoots(sc, e, e.db.Roots[half:], reg)
 		return addStats(st1, st2), err
 	default: // WorkloadAssemble
-		return assembleRoots(sc, e, e.db.Roots, tr, reg)
+		return assembleRoots(sc, e, e.db.Roots, reg)
 	}
 }
 

@@ -36,7 +36,6 @@ func tracedAssembly(t *testing.T, db *gen.Database, opts assembly.Options) (*tra
 		disk.AttachTracer(db.Device, nil)
 		db.Pool.SetTracer(nil)
 	}()
-	opts.Tracer = tr
 
 	items := make([]volcano.Item, len(db.Roots))
 	for i, root := range db.Roots {

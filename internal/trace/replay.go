@@ -32,9 +32,6 @@ type Replay struct {
 	// Fault reconstruction.
 	FaultsTransient, FaultsPermanent int64
 
-	// Durability reconstruction.
-	WALAppends, WALFsyncs, Redone int64
-
 	// Network reconstruction (page-service client events).
 	NetSends, NetRecvs, NetErrors int64
 	// NetPages counts the pages read or written by answered requests: a
@@ -149,17 +146,6 @@ func ReplayEvents(events []Event) *Replay {
 				r.Unfixes++
 			case KindChecksumFail:
 				r.ChecksumFails++
-			}
-		case LayerWAL:
-			switch e.Kind {
-			case KindAppend:
-				r.WALAppends++
-			case KindFsync:
-				r.WALFsyncs++
-			}
-		case LayerRecover:
-			if e.Kind == KindRedo {
-				r.Redone++
 			}
 		case LayerNet:
 			switch e.Kind {

@@ -35,8 +35,6 @@ const (
 	LayerBuffer   = "buffer"
 	LayerAssembly = "assembly"
 	LayerBench    = "bench"
-	LayerWAL      = "wal"
-	LayerRecover  = "recover"
 	LayerNet      = "net"
 )
 
@@ -55,13 +53,6 @@ const (
 	KindFlush        = "flush"         // dirty page written back
 	KindUnfix        = "unfix"         // pin released (N=1 marks the dirty bit set)
 	KindChecksumFail = "checksum-fail" // page read failed checksum verification: Page
-)
-
-// WAL and recovery event kinds (see internal/wal).
-const (
-	KindAppend = "append" // page image appended to the log: Page, OID (LSN), N (bytes)
-	KindFsync  = "fsync"  // log made durable: OID (durable LSN), N (bytes synced)
-	KindRedo   = "redo"   // page image reinstalled during recovery: Page, OID (LSN)
 )
 
 // Net event kinds (see internal/pagesvc). Net events carry the remote
@@ -168,35 +159,26 @@ type Sink interface {
 	Emit(e Event)
 }
 
-// Tracer assigns sequence numbers, counts events per layer/kind, and
-// fans events out to its sinks. The zero *Tracer (nil) is a no-op: every method is
-// nil-safe, which is the whole overhead budget of disabled tracing —
-// one branch per instrumentation point.
+// Tracer assigns sequence numbers and fans events out to its sinks.
+// The zero *Tracer (nil) is a no-op: every method is nil-safe, which is
+// the whole overhead budget of disabled tracing — one branch per
+// instrumentation point.
 type Tracer struct {
-	mu     sync.Mutex
-	seq    uint64
-	sinks  []Sink
-	counts map[string]int64
+	mu    sync.Mutex
+	seq   uint64
+	sinks []Sink
 }
 
-// New builds a tracer over the given sinks. A tracer with no sinks
-// still counts events.
+// New builds a tracer over the given sinks.
 func New(sinks ...Sink) *Tracer {
-	return &Tracer{sinks: sinks, counts: map[string]int64{}}
+	return &Tracer{sinks: sinks}
 }
 
-// Enabled reports whether the tracer records anything. It is the
-// documented way to skip expensive argument construction:
-//
-//	if tr.Enabled() { tr.Assembly(...) }
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// emit assigns the sequence number, counts, and fans out.
+// emit assigns the sequence number and fans out.
 func (t *Tracer) emit(e Event) {
 	t.mu.Lock()
 	t.seq++
 	e.Seq = t.seq
-	t.counts[e.Layer+"/"+e.Kind]++
 	for _, s := range t.sinks {
 		s.Emit(e)
 	}
@@ -239,26 +221,6 @@ func (t *Tracer) ChecksumFail(page int64) {
 		return
 	}
 	t.emit(Event{Layer: LayerBuffer, Kind: KindChecksumFail, Page: page, Head: NoPage, Dist: NoPage})
-}
-
-// WAL records a log event: KindAppend (page image buffered, lsn
-// assigned, n payload bytes) or KindFsync (log durable through lsn, n
-// bytes written). The LSN travels in the OID field — both are uint64
-// object identities and reusing the field keeps the Event shape (and
-// the JSONL byte stream) stable.
-func (t *Tracer) WAL(kind string, page int64, lsn uint64, n int64) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Layer: LayerWAL, Kind: kind, Page: page, Head: NoPage, Dist: NoPage, OID: lsn, N: n})
-}
-
-// Redo records a page image reinstalled from the log during recovery.
-func (t *Tracer) Redo(page int64, lsn uint64) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Layer: LayerRecover, Kind: KindRedo, Page: page, Head: NoPage, Dist: NoPage, OID: lsn})
 }
 
 // Net records a page-service client or shard-router event: a request
@@ -312,19 +274,4 @@ func (t *Tracer) EndRun(name string, rs RunStats) {
 	}
 	stats := rs
 	t.emit(Event{Layer: LayerBench, Kind: KindEnd, Page: NoPage, Head: NoPage, Dist: NoPage, Note: name, Stats: &stats})
-}
-
-// Counts returns a snapshot of the per layer/kind event counts, keyed
-// "layer/kind".
-func (t *Tracer) Counts() map[string]int64 {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]int64, len(t.counts))
-	for k, v := range t.counts {
-		out[k] = v
-	}
-	return out
 }

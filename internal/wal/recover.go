@@ -6,7 +6,6 @@ import (
 
 	"revelation/internal/disk"
 	"revelation/internal/metrics"
-	"revelation/internal/trace"
 )
 
 // scan walks the log from the front using a Reader, invoking fn for
@@ -46,11 +45,9 @@ func ScanOwnership(dev disk.Device) ([]Record, error) {
 	return recs, err
 }
 
-// Options configures Recover's observability hooks; the zero value
-// disables both.
+// Options configures Recover's observability hook; the zero value
+// disables it.
 type Options struct {
-	// Tracer receives recover.redo events.
-	Tracer *trace.Tracer
 	// Registry, when set, accumulates asm_recovery_pages_redone_total
 	// across recovery runs (the counter cell is shared by name, so
 	// repeated recoveries keep counting up).
@@ -120,7 +117,6 @@ func Recover(walDev, dataDev disk.Device, opts Options) (*Result, error) {
 		}
 		res.Redone++
 		redoneCell.Inc()
-		opts.Tracer.Redo(int64(rec.Page), rec.LSN)
 		return nil
 	})
 	if err != nil {

@@ -37,7 +37,6 @@ import (
 	"revelation/internal/disk"
 	"revelation/internal/metrics"
 	"revelation/internal/page"
-	"revelation/internal/trace"
 )
 
 // Record layout on the log device (little endian), a byte stream laid
@@ -120,7 +119,6 @@ type Writer struct {
 	err    error
 	closed bool
 
-	tr      *trace.Tracer
 	appends metrics.Counter
 	fsyncs  metrics.Counter
 }
@@ -156,14 +154,6 @@ func Open(dev disk.Device) (*Writer, error) {
 	return w, nil
 }
 
-// SetTracer installs an event tracer: appends and syncs emit wal
-// events. Pass nil to disable.
-func (w *Writer) SetTracer(t *trace.Tracer) {
-	w.mu.Lock()
-	w.tr = t
-	w.mu.Unlock()
-}
-
 // RegisterMetrics attaches the writer's counters to r under the given
 // log name.
 func (w *Writer) RegisterMetrics(r *metrics.Registry, log string) {
@@ -193,7 +183,6 @@ func (w *Writer) Append(id disk.PageID, img []byte) (uint64, error) {
 	binary.LittleEndian.PutUint32(w.buf[h+20:], crc)
 	w.buf = append(w.buf, img...)
 	w.appends.Inc()
-	w.tr.WAL(trace.KindAppend, int64(id), lsn, int64(len(img)))
 	return lsn, nil
 }
 
@@ -226,7 +215,6 @@ func (w *Writer) AppendOwnership(lo, hi disk.PageID, owner string) (uint64, erro
 	w.buf = append(w.buf, owner...)
 	w.seal(h)
 	w.appends.Inc()
-	w.tr.WAL(trace.KindAppend, int64(lo), lsn, int64(n))
 	return lsn, nil
 }
 
@@ -257,7 +245,6 @@ func (w *Writer) AppendDelta(id disk.PageID, img []byte, off, n int) (uint64, er
 	w.buf = append(w.buf, img[off:off+n]...)
 	w.seal(h)
 	w.appends.Inc()
-	w.tr.WAL(trace.KindAppend, int64(id), lsn, int64(n))
 	return lsn, nil
 }
 
@@ -365,7 +352,6 @@ func (w *Writer) syncLocked() error {
 	w.buf = w.buf[:0]
 	w.durableLSN = w.appendedLSN
 	w.fsyncs.Inc()
-	w.tr.WAL(trace.KindFsync, trace.NoPage, w.durableLSN, synced)
 	return nil
 }
 
