@@ -163,10 +163,11 @@ test-race:
 	$(GO) test -race ./...
 
 # The concurrency-sensitive packages under the race detector — the
-# layers a live metrics scraper reads while workers mutate (CI's
-# second job; test-race covers everything but takes much longer).
+# layers a live metrics scraper reads while workers mutate, and the
+# devices whose Head a scheduling step loads without their mutex
+# (CI's second job; test-race covers everything but takes much longer).
 race-core:
-	$(GO) test -race ./internal/trace ./internal/metrics ./internal/buffer ./internal/volcano ./internal/serve
+	$(GO) test -race ./internal/trace ./internal/metrics ./internal/buffer ./internal/volcano ./internal/serve ./internal/disk ./internal/assembly
 
 # The query-lifecycle chaos tests under the race detector: concurrent
 # queries with random-point cancellation, goroutine-leak and

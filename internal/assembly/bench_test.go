@@ -5,6 +5,7 @@ import (
 
 	"revelation/internal/assembly"
 	"revelation/internal/gen"
+	"revelation/internal/metrics"
 	"revelation/internal/volcano"
 )
 
@@ -81,6 +82,16 @@ var (
 func BenchmarkAssembleDeep(b *testing.B) {
 	b.ReportAllocs()
 	benchAssemble(b, benchDB(b, deepShape), deepOpts)
+}
+
+// BenchmarkAssembleDeepRegistry is BenchmarkAssembleDeep with a metrics
+// registry bound, which the operator publishes its cells into per
+// object (EXPERIMENTS.md "Metrics overhead").
+func BenchmarkAssembleDeepRegistry(b *testing.B) {
+	b.ReportAllocs()
+	opts := deepOpts
+	opts.Metrics = metrics.NewRegistry()
+	benchAssemble(b, benchDB(b, deepShape), opts)
 }
 
 func BenchmarkAssembleScan(b *testing.B) {

@@ -43,7 +43,6 @@ func (op *Operator) discover(item *workItem, in *Instance, deep, abortOnRequired
 		if ct.RefField < len(in.Object.Refs) {
 			if oid = in.Object.Refs[ct.RefField]; oid.IsNil() {
 				op.stats.NilRefs++
-				op.cells.nilRefs.Inc()
 			}
 		}
 		if oid.IsNil() {

@@ -69,9 +69,10 @@ type Options struct {
 	FaultPolicy FaultPolicy
 	// Metrics, when non-nil, receives the operator's counters and live
 	// gauges under asm_assembly_* families labeled by scheduling policy.
-	// The per-run Stats struct is mirrored into the registry's cells, so
+	// The per-run Stats struct is published into the registry's cells
+	// per object (admission, retirement, emission) and at Close, so
 	// counters accumulate monotonically across runs while Stats stays
-	// per-run exact.
+	// per-run exact; nil costs the operator nothing per reference.
 	Metrics *metrics.Registry
 	// ReserveFrames, when > 0, reserves that many buffer frames at Open
 	// as the query's admission quota and releases them at Close. Open
@@ -349,7 +350,7 @@ func (op *Operator) Open() error {
 	op.decode = op.decodeRec
 	op.stats = Stats{}
 	op.cells.bind(op.Opts.Metrics, op.sched.Name())
-	op.noteLive()
+	op.publish()
 	op.pressure = false
 	op.stall = 0
 	op.qspan, op.qctx = qtrace.Start(op.ctx, qtrace.LayerAssembly, "assemble")
@@ -473,6 +474,7 @@ func (op *Operator) Next() (volcano.Item, error) {
 // with the input's close error instead of being dropped.
 func (op *Operator) Close() error {
 	op.open = false
+	op.publish()
 	var errs []error
 	for _, item := range op.live {
 		if err := op.unpinFrames(item); err != nil {
@@ -676,7 +678,7 @@ func (op *Operator) admit() error {
 	// root-level predicate failure) balances the books.
 	item.slot = int32(len(op.live))
 	op.live = append(op.live, item)
-	op.noteLive()
+	op.publish()
 	switch v := raw.(type) {
 	case object.OID:
 		if v.IsNil() {
@@ -757,9 +759,7 @@ func (op *Operator) dispatch(refs ...*Ref) {
 		}
 	}
 	op.sched.Add(refs...)
-	n := op.sched.Len()
-	op.cells.refPool.Set(int64(n))
-	if n > op.stats.PeakRefPool {
+	if n := op.sched.Len(); n > op.stats.PeakRefPool {
 		op.stats.PeakRefPool = n
 	}
 }
@@ -855,8 +855,6 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 	item := ref.Item
 	item.pending--
 	op.stats.Resolved++
-	op.cells.resolved.Inc()
-	op.cells.refPool.Set(int64(op.sched.Len()))
 
 	// 1. Already assembled within this complex object (intra-object
 	// sharing)? Only shared template nodes pay the lookup, exactly as
@@ -923,7 +921,6 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 		return op.refFault(ref, err)
 	}
 	op.stats.Fetched++
-	op.cells.fetched.Inc()
 	op.qspan.OnFetch()
 	if op.tr != nil {
 		op.tr.Assembly(trace.KindFetch, uint64(ref.OID), int64(ref.RID.Page), trace.NoPage, "", op.qid)
@@ -967,7 +964,6 @@ func (op *Operator) refFault(ref *Ref, cause error) error {
 		if !op.pressure {
 			op.pressure = true
 			op.stats.WindowStalls++
-			op.cells.windowStalls.Inc()
 			op.qspan.OnStall()
 			op.tr.Assembly(trace.KindStall, 0, trace.NoPage, trace.NoPage, "", op.qid)
 		}
@@ -993,7 +989,6 @@ func (op *Operator) refFault(ref *Ref, cause error) error {
 			if int(ref.Attempts) < maxRefRetries {
 				ref.Attempts++
 				op.stats.FaultRetries++
-				op.cells.faultRetries.Inc()
 				op.qspan.OnRefRetry()
 				op.tr.Assembly(trace.KindRetry, uint64(ref.OID), int64(ref.RID.Page), trace.NoPage, "", op.qid)
 				item.pending++
@@ -1071,7 +1066,6 @@ func (op *Operator) place(item *workItem, parent *Instance, slot int, node *Temp
 	// selection predicate" (Section 4).
 	if node.Pred != nil && !node.Pred.Eval(obj) {
 		op.stats.PredicateFails++
-		op.cells.predicateFails.Inc()
 		return nil, op.abortItem(item, "")
 	}
 	op.linkAt(item, parent, slot, inst)
@@ -1136,7 +1130,6 @@ func (op *Operator) settle(item *workItem) {
 		item.emitted = true
 		op.retire(item)
 		op.stats.Assembled++
-		op.cells.assembled.Inc()
 		op.tr.Assembly(trace.KindEmit, uint64(item.root.OID()), trace.NoPage, trace.NoPage, "", op.qid)
 		op.outq = append(op.outq, item)
 	}
@@ -1153,7 +1146,6 @@ func (op *Operator) abortItem(item *workItem, reason string) error {
 	}
 	item.aborted = true
 	op.stats.Aborted++
-	op.cells.aborted.Inc()
 	op.tr.Assembly(trace.KindAbort, uint64(itemRoot(item)), trace.NoPage, trace.NoPage, reason, op.qid)
 	return op.discard(item)
 }
@@ -1178,11 +1170,13 @@ func lifecycleReason(err error) string {
 // whole window first — every live complex object is abandoned with its
 // pins and footprint released, an assembly.abort event per item carrying
 // the reason — so the books balance even when the query dies mid-step.
-// Other errors pass through untouched.
+// Other errors pass through untouched. Either way the cells see the
+// run as it stood when it failed.
 func (op *Operator) fail(err error) error {
 	if err == nil || errors.Is(err, volcano.Done) {
 		return err
 	}
+	defer op.publish()
 	reason := lifecycleReason(err)
 	if reason == "" {
 		return err
@@ -1215,7 +1209,7 @@ func (op *Operator) abortLifecycle(reason string) error {
 		}
 	}
 	op.outq = nil
-	op.cells.lifecycleAborts.Inc()
+	op.cells.lifecycleAbort()
 	return errors.Join(errs...)
 }
 
@@ -1239,7 +1233,6 @@ func (op *Operator) quarantine(item *workItem) error {
 	}
 	item.aborted = true
 	op.stats.Skipped++
-	op.cells.skipped.Inc()
 	op.tr.Assembly(trace.KindQuarantine, uint64(itemRoot(item)), trace.NoPage, trace.NoPage, "", op.qid)
 	return op.discard(item)
 }
@@ -1267,7 +1260,6 @@ func (op *Operator) noteFootprint(item *workItem, pg disk.PageID) {
 		return
 	}
 	op.windowPages++
-	op.cells.windowPages.Set(int64(op.windowPages))
 	if op.windowPages > op.stats.PeakWindowPgs {
 		op.stats.PeakWindowPgs = op.windowPages
 	}
@@ -1279,8 +1271,8 @@ func (op *Operator) releaseFootprint(item *workItem) {
 			op.windowPages--
 		}
 	}
-	op.cells.windowPages.Set(int64(op.windowPages))
 	item.pages = item.pages[:0]
+	op.publish()
 }
 
 // pageOf resolves the page backing an OID, or InvalidPage when the
@@ -1294,13 +1286,21 @@ func (op *Operator) pageOf(oid object.OID) disk.PageID {
 }
 
 // One site per counter: each of the events below is booked — Stats
-// field, metric cell, query span, trace event — on exactly one line,
-// here.
+// field, query span, trace event — on exactly one line, here.
 
-// noteLive shows a scraper the window's occupancy; admit and retire,
-// the two places op.live changes, call it.
-func (op *Operator) noteLive() {
-	op.cells.occupancy.Set(int64(len(op.live)))
+// publish feeds the registry's cells (see opCells) from the run's Stats
+// and the window's live counts. It runs where the window changes by a
+// whole object — admit, retire, the release of an item's footprint —
+// when Next fails, and at Open and Close; never per reference.
+func (op *Operator) publish() {
+	if !op.cells.bound() {
+		return
+	}
+	refs := 0
+	if op.sched != nil { // Close runs in any state, a closed operator's too
+		refs = op.sched.Len()
+	}
+	op.cells.publish(&op.stats, len(op.live), refs, op.windowPages)
 }
 
 // retire takes item out of the window: emitted, aborted, quarantined,
@@ -1311,20 +1311,18 @@ func (op *Operator) retire(item *workItem) {
 	op.live[item.slot], moved.slot = moved, item.slot
 	op.live[last] = nil
 	op.live = op.live[:last]
-	op.noteLive()
+	op.publish()
 }
 
 // notePageRequest books one buffer request issued for a fetch.
 func (op *Operator) notePageRequest() {
 	op.stats.PageRequests++
-	op.cells.pageRequests.Inc()
 }
 
 // noteLink books one reference satisfied without a fetch; how names
 // where the instance came from (intra, window, stacked).
 func (op *Operator) noteLink(ref *Ref, how string) {
 	op.stats.SharedLinks++
-	op.cells.sharedLinks.Inc()
 	op.qspan.OnLink()
 	op.tr.Assembly(trace.KindLink, uint64(ref.OID), trace.NoPage, trace.NoPage, how, op.qid)
 }

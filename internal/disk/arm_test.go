@@ -147,3 +147,58 @@ func TestArmConcurrentScrape(t *testing.T) {
 		}
 	})
 }
+
+// TestHeadIsALoad is the -race check of the lock-free heads: one
+// goroutine loops Head on a Sim and on a Striped while another reads
+// pages through both, so the race detector sees every load against the
+// store that published it under the device's mutex. Afterwards each
+// head is the last page read.
+func TestHeadIsALoad(t *testing.T) {
+	const pages = 64
+	sim := New(pages)
+	st, err := NewStriped([]Device{New(0), New(0)}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Allocate(pages); err != nil {
+		t.Fatal(err)
+	}
+	started, stop := make(chan struct{}), make(chan struct{})
+	looped := make(chan int)
+	go func() {
+		close(started)
+		n := 0
+		for {
+			select {
+			case <-stop:
+				looped <- n
+				return
+			default:
+			}
+			if h, g := sim.Head(), st.Head(); h >= pages || g >= pages {
+				t.Errorf("head %d / %d past the %d pages", h, g, pages)
+			}
+			n++
+		}
+	}()
+	<-started
+	buf := make([]byte, sim.PageSize())
+	var last PageID
+	for i := 0; i < 2000; i++ {
+		last = PageID(i * 37 % pages)
+		if err := sim.ReadPage(last, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.ReadPage(last, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	t.Logf("%d Head pairs loaded during the reads", <-looped)
+	if h := sim.Head(); h != last {
+		t.Errorf("Sim head %d, last page read %d", h, last)
+	}
+	if h := st.Head(); h != last {
+		t.Errorf("Striped head %d, last page read %d", h, last)
+	}
+}

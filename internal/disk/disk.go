@@ -229,9 +229,7 @@ func (d *Sim) SetTracer(t *trace.Tracer) {
 // very cells the access path updates, so a live scrape and Stats() can
 // never disagree.
 func (d *Sim) RegisterMetrics(r *metrics.Registry, dev string) {
-	d.arm.Register(r, dev,
-		func() int64 { return int64(d.Head()) },
-		func() int64 { return int64(d.NumPages()) })
+	d.arm.Register(r, dev, func() int64 { return int64(d.NumPages()) })
 }
 
 // ReadPage implements Device.
@@ -345,12 +343,9 @@ func (d *Sim) NumPages() int {
 // PageSize implements Device.
 func (d *Sim) PageSize() int { return d.pageSize }
 
-// Head implements Device.
-func (d *Sim) Head() PageID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.arm.Head()
-}
+// Head implements Device: a load of the head the last access
+// published, with no lock.
+func (d *Sim) Head() PageID { return d.arm.Head() }
 
 // Stats implements Device. The counters live in atomic cells, so this
 // is safe to call from a scraper while accesses are in flight.

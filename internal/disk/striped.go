@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"revelation/internal/metrics"
 	"revelation/internal/trace"
@@ -21,9 +22,11 @@ type Striped struct {
 	devs []Device
 	unit int
 
-	mu     sync.Mutex
-	size   int
-	last   PageID // last global page touched, for Head()
+	mu   sync.Mutex
+	size int
+	// last is the last global page touched, for Head: set under mu,
+	// loaded without it.
+	last   atomic.Uint32
 	closed bool
 }
 
@@ -98,7 +101,7 @@ func (s *Striped) ReadPageCtx(ctx context.Context, p PageID, buf []byte) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: read page %d of %d", ErrOutOfRange, p, s.size)
 	}
-	s.last = p
+	s.last.Store(uint32(p))
 	s.mu.Unlock()
 	dev, local := s.route(p)
 	return ReadPageCtx(ctx, s.devs[dev], local, buf)
@@ -115,7 +118,7 @@ func (s *Striped) WritePage(p PageID, buf []byte) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: write page %d of %d", ErrOutOfRange, p, s.size)
 	}
-	s.last = p
+	s.last.Store(uint32(p))
 	s.mu.Unlock()
 	dev, local := s.route(p)
 	return s.devs[dev].WritePage(local, buf)
@@ -181,12 +184,8 @@ func (s *Striped) PageSize() int { return s.devs[0].PageSize() }
 
 // Head implements Device: the last global page touched. Sub-device
 // heads are the physically meaningful ones; schedulers that care use
-// DeviceOf and per-device state.
-func (s *Striped) Head() PageID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last
-}
+// DeviceOf and per-device state. It is a load and takes no lock.
+func (s *Striped) Head() PageID { return PageID(s.last.Load()) }
 
 // Stats implements Device: the aggregate over all arms.
 func (s *Striped) Stats() Stats {
@@ -207,7 +206,7 @@ func (s *Striped) ResetStats() {
 // ResetHead implements Device.
 func (s *Striped) ResetHead() {
 	s.mu.Lock()
-	s.last = 0
+	s.last.Store(0)
 	s.mu.Unlock()
 	for _, d := range s.devs {
 		d.ResetHead()

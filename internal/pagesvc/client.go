@@ -711,12 +711,9 @@ func (c *Client) PageSize() int {
 
 // Head reports the locally tracked head position: the last page this
 // client touched. Scheduling against it keeps the elevator's seek
-// ordering meaningful across the network.
-func (c *Client) Head() disk.PageID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.arm.Head()
-}
+// ordering meaningful across the network. It is a load of the head the
+// arm published, with no lock.
+func (c *Client) Head() disk.PageID { return c.arm.Head() }
 
 // Stats reports client-side access counters with local seek
 // accounting.
@@ -736,9 +733,7 @@ func (c *Client) ResetHead() {
 // exports the same asm_disk_* series as a local device, beside (and
 // under a label independent of) the asm_net_* series of the wire.
 func (c *Client) RegisterMetrics(r *metrics.Registry, dev string) {
-	c.arm.Register(r, dev,
-		func() int64 { return int64(c.Head()) },
-		func() int64 { return int64(c.NumPages()) })
+	c.arm.Register(r, dev, func() int64 { return int64(c.NumPages()) })
 }
 
 // Close severs the connection. Every later call returns disk.ErrClosed

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"revelation/internal/disk"
@@ -135,9 +136,11 @@ type Router struct {
 	pending map[disk.PageID]int
 	// fence marks pages mid-cutover: writes fail transiently until the
 	// ownership record is durable and CutOver lifts the fence.
-	fence  map[disk.PageID]bool
-	size   int
-	last   disk.PageID // last global page touched, for Head()
+	fence map[disk.PageID]bool
+	size  int
+	// last is the last global page touched, for Head: set under mu,
+	// loaded without it.
+	last   atomic.Uint32
 	closed bool
 
 	// tr, installed by SetTracer, receives the failover event on the
@@ -594,7 +597,7 @@ func (r *Router) checkAccess(p disk.PageID, buf []byte) error {
 	if err := r.refusesLocked(p, buf); err != nil {
 		return err
 	}
-	r.last = p
+	r.last.Store(uint32(p))
 	return nil
 }
 
@@ -845,7 +848,7 @@ func (r *Router) routeRun(ids []disk.PageID, bufs [][]byte) (m Member, st *shard
 			return Member{}, nil, false
 		}
 	}
-	r.last = ids[len(ids)-1]
+	r.last.Store(uint32(ids[len(ids)-1]))
 	return r.members[owner], r.shards[owner], r.shards[owner].degraded
 }
 
@@ -927,7 +930,7 @@ func (r *Router) splitRun(ids []disk.PageID, bufs [][]byte, errs []error) (share
 			errs[i] = err
 			continue
 		}
-		r.last = p
+		r.last.Store(uint32(p))
 		if r.fence[p] {
 			fenced = append(fenced, i)
 			continue
@@ -983,12 +986,8 @@ func (r *Router) PageSize() int { return r.ps }
 
 // Head implements disk.Device: the last global page touched. Member
 // heads are the physically meaningful ones; the per-shard elevator
-// keeps its own per-lane positions.
-func (r *Router) Head() disk.PageID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.last
-}
+// keeps its own per-lane positions. It is a load and takes no lock.
+func (r *Router) Head() disk.PageID { return disk.PageID(r.last.Load()) }
 
 // Stats implements disk.Device: the aggregate over every member
 // primary and replica (a degraded read moves a replica's head, and the
@@ -1011,7 +1010,7 @@ func (r *Router) ResetStats() {
 // ResetHead implements disk.Device.
 func (r *Router) ResetHead() {
 	r.mu.Lock()
-	r.last = 0
+	r.last.Store(0)
 	r.mu.Unlock()
 	for _, d := range r.devices() {
 		d.ResetHead()
