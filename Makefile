@@ -42,11 +42,18 @@ alloc-check:
 # The elevator's pending set, uncached: the differential test against
 # the sorted-slice reference model (which also holds a lane's run to
 # that many single picks, no page twice, no dead reference, nothing of
-# an earlier batch reachable behind a shorter one), the 0-alloc pin on a
-# scheduling step and the step-cost-is-flat check, then one iteration of
-# the scaling benchmark so that it cannot rot unbuilt or panic unseen.
+# an earlier batch reachable behind a shorter one; the lane elevators
+# also against scripted arm heads), the 0-alloc pin on a scheduling step
+# and the step-cost-is-flat check; where each lane sweeps from: one lane
+# over one arm is the global elevator (stripe and router), four lanes
+# over four striped arms seek less than it, and HeadOf is each arm's
+# global page on Striped and on the router (no lock left held); then one
+# iteration of the scaling benchmark so that it cannot rot unbuilt or
+# panic unseen.
 sched-check:
-	$(GO) test -count=1 -run 'TestPendingSetMatchesSortedSlice|TestElevatorStep|TestServedRefsUnreachable' ./internal/assembly
+	$(GO) test -count=1 -run 'TestPendingSetMatchesSortedSlice|TestElevatorStep|TestServedRefsUnreachable|TestOneLaneIsTheGlobalElevator|TestMultiElevatorBeatsGlobalElevatorOnStripes' ./internal/assembly
+	$(GO) test -count=1 -run 'TestStripedHeadOf' ./internal/disk
+	$(GO) test -count=1 -run 'TestRouterHeadOf' ./internal/shard
 	$(GO) test -run '^$$' -bench=SchedulerElevator -benchtime=1x ./internal/assembly
 
 # The pool's victim heap and page table, uncached: the whole package —

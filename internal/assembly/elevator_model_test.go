@@ -111,16 +111,19 @@ func (s *sliceElevator) TakeOnPage(p disk.PageID) []*Ref {
 }
 
 // sliceLanes is the lane scheduler (MultiElevator and ShardElevator
-// were this, twice) over the reference elevator.
+// were this, twice) over the reference elevator. A lane sweeps from
+// where heads says its arm stands, or from its last page where heads is
+// nil or reports no arm.
 type sliceLanes struct {
 	laneOf   func(disk.PageID) int
+	heads    func(int) (disk.PageID, bool)
 	lanes    []*sliceElevator
 	lastPage []disk.PageID
 	rr       int
 }
 
-func newSliceLanes(n int, laneOf func(disk.PageID) int) *sliceLanes {
-	m := &sliceLanes{laneOf: laneOf, lanes: make([]*sliceElevator, n), lastPage: make([]disk.PageID, n)}
+func newSliceLanes(n int, laneOf func(disk.PageID) int, heads func(int) (disk.PageID, bool)) *sliceLanes {
+	m := &sliceLanes{laneOf: laneOf, heads: heads, lanes: make([]*sliceElevator, n), lastPage: make([]disk.PageID, n)}
 	for i := range m.lanes {
 		m.lanes[i] = &sliceElevator{dirUp: true}
 	}
@@ -128,6 +131,16 @@ func newSliceLanes(n int, laneOf func(disk.PageID) int) *sliceLanes {
 }
 
 func (m *sliceLanes) Name() string { return "slice-lanes" }
+
+// at is where the lane sweeps from next.
+func (m *sliceLanes) at(lane int) disk.PageID {
+	if m.heads != nil {
+		if h, ok := m.heads(lane); ok {
+			return h
+		}
+	}
+	return m.lastPage[lane]
+}
 
 func (m *sliceLanes) Add(refs ...*Ref) {
 	for _, r := range refs {
@@ -140,7 +153,7 @@ func (m *sliceLanes) Next(disk.PageID) *Ref {
 	best, bestDist := -1, int64(1)<<62
 	for i := 0; i < n; i++ {
 		lane := (m.rr + i) % n
-		d, ok := m.lanes[lane].peekDist(m.lastPage[lane])
+		d, ok := m.lanes[lane].peekDist(m.at(lane))
 		if !ok {
 			continue
 		}
@@ -151,7 +164,7 @@ func (m *sliceLanes) Next(disk.PageID) *Ref {
 	if best < 0 {
 		return nil
 	}
-	r := m.lanes[best].Next(m.lastPage[best])
+	r := m.lanes[best].Next(m.at(best))
 	if r == nil {
 		return nil
 	}
@@ -161,9 +174,10 @@ func (m *sliceLanes) Next(disk.PageID) *Ref {
 }
 
 // NextBatch is a run per lane, said in single picks: what up to lens[lane]
-// successive Next calls on the lane would return with nothing added
-// between them, cut short before the first pick that lands on a page
-// the run already holds. Each pick is tried on a copy of the lane first,
+// successive picks of the lane's elevator would return with nothing added
+// between them, the first from where the lane sweeps from and each next
+// from the page just picked, cut short before the first pick that lands
+// on a page the run already holds. Each pick is tried on a copy of the lane first,
 // so a pick that is not taken leaves nothing behind, the sweep direction
 // included. The lengths come from the caller because the real lanes size
 // a run by what they hold, and that counts the dead references they have
@@ -173,13 +187,14 @@ func (m *sliceLanes) NextBatch(lens []int) []*Ref {
 	for lane, el := range m.lanes {
 		el.compact() // as the lane's Next would, picking or not
 		held := map[disk.PageID]bool{}
+		at := m.at(lane)
 		for n := 0; n < lens[lane]; n++ {
 			try := sliceElevator{refs: slices.Clone(el.refs), dirUp: el.dirUp}
-			if r := try.Next(m.lastPage[lane]); r == nil || held[r.Page()] {
+			if r := try.Next(at); r == nil || held[r.Page()] {
 				break
 			}
-			r := el.Next(m.lastPage[lane])
-			m.lastPage[lane] = r.Page()
+			r := el.Next(at)
+			at, m.lastPage[lane] = r.Page(), r.Page()
 			held[r.Page()] = true
 			batch = append(batch, r)
 		}

@@ -18,8 +18,8 @@ type BatchScheduler interface {
 	LaneOf(p disk.PageID) int
 	// NextBatch removes and returns, for each non-empty lane, a run: the
 	// next few live references on distinct pages, chosen one after the
-	// other by that lane's own policy relative to its own last serviced
-	// page. A lane's run is contiguous and lanes appear in ascending
+	// other by that lane's own policy from where that lane's arm stands.
+	// A lane's run is contiguous and lanes appear in ascending
 	// index order, so the batch composition is deterministic. An empty
 	// batch means no references remain. The slice is the scheduler's own
 	// and valid until the next call.
@@ -27,8 +27,8 @@ type BatchScheduler interface {
 }
 
 // LaneElevator keeps one SCAN elevator per independent device, each
-// sweeping relative to its *own* last serviced page, where a single
-// global SCAN would drag every arm around. It serves both of the
+// sweeping from its *own* arm's head, where a single global SCAN would
+// drag every arm around. It serves both of the
 // paper's Section 7 extensions ("At present, the assembly operator can
 // only handle one device"): a database striped over several local
 // devices (NewMultiElevator) and one sharded over a page-service fleet
@@ -42,12 +42,27 @@ type LaneElevator struct {
 	lanes  []lane
 	rr     int
 	batch  []*Ref // NextBatch's result, reused by the next call
+	// heads is the device's HeadOf (disk.Striped, shard.Router), set at
+	// Open. Without it, or where it reports no arm, a lane sweeps from
+	// the page it last served.
+	heads func(int) (disk.PageID, bool)
 }
 
 // lane is one device's elevator and the page it last served.
 type lane struct {
 	elevator
 	last disk.PageID
+}
+
+// from is where lane i sweeps from: its arm's head where the device
+// reports one, else the page it last served.
+func (s *LaneElevator) from(i int) disk.PageID {
+	if s.heads != nil {
+		if h, ok := s.heads(i); ok {
+			return h
+		}
+	}
+	return s.lanes[i].last
 }
 
 // NewMultiElevator builds a scheduler for n devices; deviceOf routes a
@@ -96,29 +111,30 @@ func (s *LaneElevator) Add(refs ...*Ref) {
 }
 
 // Next implements Scheduler: among lanes with pending references,
-// serve the one whose next service is cheapest for its own arm
+// serve the one whose next service is cheapest from its own arm's head
 // (shortest positioning first across arms, SCAN within an arm). Ties
 // rotate round-robin so no arm starves. Concurrent callers use
 // NextBatch instead.
 func (s *LaneElevator) Next(disk.PageID) *Ref {
 	n := len(s.lanes)
-	best, bestDist := -1, int64(1)<<62
+	best, bestDist, bestFrom := -1, int64(1)<<62, disk.PageID(0)
 	for i := 0; i < n; i++ {
 		l := (s.rr + i) % n
-		if d, ok := s.lanes[l].peekDist(s.lanes[l].last); ok && d < bestDist {
-			best, bestDist = l, d
+		from := s.from(l)
+		if d, ok := s.lanes[l].peekDist(from); ok && d < bestDist {
+			best, bestDist, bestFrom = l, d, from
 		}
 	}
 	if best < 0 {
 		return nil
 	}
 	s.rr = (best + 1) % n
-	return s.lanes[best].serve()
+	return s.lanes[best].serve(bestFrom)
 }
 
-// serve takes the lane's next reference and moves its head there.
-func (l *lane) serve() *Ref {
-	r := l.Next(l.last)
+// serve takes the lane's next reference, sweeping from page from.
+func (l *lane) serve(from disk.PageID) *Ref {
+	r := l.Next(from)
 	if r != nil {
 		l.last = r.Page()
 	}
@@ -148,20 +164,20 @@ const (
 // runLen is how many references the lane's next run may hold.
 func (l *lane) runLen() int { return min(max(l.Len()/laneRunShare, 1), laneRunMax) }
 
-// run appends the lane's next run to batch: successive picks, as many
-// as the lane's pending set allows (runLen), ended early where
-// the next pick would be on the page just picked. An elevator drains a
-// page before it moves on, so that is the only way a run could name a
-// page twice, and what is left on the page is served — from the buffer —
-// by the run after.
-func (l *lane) run(batch []*Ref) []*Ref {
+// run appends the lane's next run to batch: successive picks, the first
+// from page from, as many as the lane's pending set allows (runLen),
+// ended early where the next pick would be on the page just picked. An
+// elevator drains a page before it moves on, so that is the only way a
+// run could name a page twice, and what is left on the page is served —
+// from the buffer — by the run after.
+func (l *lane) run(batch []*Ref, from disk.PageID) []*Ref {
 	for n := l.runLen(); n > 0; n-- {
-		r := l.serve()
+		r := l.serve(from)
 		if r == nil {
 			break
 		}
-		batch = append(batch, r)
-		if l.pend.trim(l.last) {
+		batch, from = append(batch, r), r.Page()
+		if l.pend.trim(from) {
 			break
 		}
 	}
@@ -169,16 +185,16 @@ func (l *lane) run(batch []*Ref) []*Ref {
 }
 
 // NextBatch implements BatchScheduler: a run per non-empty lane, in lane
-// order, each advancing its own head. The head it is passed is ignored,
-// as Next ignores it — every lane sweeps from its own last page — which
-// is what lets a device above several lanes report as its head
+// order, each starting at its own arm's head. The head it is passed is
+// ignored, as Next ignores it — every lane sweeps from its own arm —
+// which is what lets a device above several lanes report as its head
 // whichever lane's page arrived last (shard.Router.Head).
 func (s *LaneElevator) NextBatch(disk.PageID) []*Ref {
 	// A shorter batch must not keep the last one's tail reachable.
 	clear(s.batch)
 	batch := s.batch[:0]
 	for i := range s.lanes {
-		batch = s.lanes[i].run(batch)
+		batch = s.lanes[i].run(batch, s.from(i))
 	}
 	s.batch = batch
 	return batch

@@ -332,6 +332,11 @@ func (op *Operator) Open() error {
 	default:
 		op.sched = NewScheduler(op.Opts.Scheduler)
 	}
+	if le, ok := op.sched.(*LaneElevator); ok {
+		if d, ok := op.Store.File.Pool().Device().(interface{ HeadOf(int) (disk.PageID, bool) }); ok {
+			le.heads = d.HeadOf
+		}
+	}
 	if op.Opts.UseSharingStats {
 		op.shared = newSharedTable(op.Store.File.Pool())
 	}
@@ -449,7 +454,7 @@ func (op *Operator) Next() (volcano.Item, error) {
 			}
 			continue
 		}
-		head := op.head()
+		head := op.Store.File.Pool().Device().Head()
 		ref := op.nextRef(head)
 		if ref == nil {
 			// All live items' references were consumed but none
@@ -656,10 +661,6 @@ func (op *Operator) shedPins() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-func (op *Operator) head() disk.PageID {
-	return op.Store.File.Pool().Device().Head()
 }
 
 // admit pulls the next root from the input and opens a window slot for

@@ -24,21 +24,30 @@ type diffPair struct {
 	realDirs, modelDirs func() []bool
 }
 
+// A case with heads plays its script against a device that reports where
+// each lane's arm stands; the others against one that reports nothing.
 var diffCases = []struct {
 	name  string
-	build func(laneOf func(disk.PageID) int) diffPair
+	heads bool
+	build func(laneOf func(disk.PageID) int, heads func(int) (disk.PageID, bool)) diffPair
 }{
-	{"elevator", func(func(disk.PageID) int) diffPair {
+	{"elevator", false, func(func(disk.PageID) int, func(int) (disk.PageID, bool)) diffPair {
 		r, m := &elevator{dirUp: true}, &sliceElevator{dirUp: true}
 		return diffPair{r, m, func() []bool { return []bool{r.dirUp} }, func() []bool { return []bool{m.dirUp} }}
 	}},
-	{"multi-elevator", func(laneOf func(disk.PageID) int) diffPair {
-		return lanePair(NewMultiElevator(3, laneOf), laneOf)
+	{"multi-elevator", false, func(laneOf func(disk.PageID) int, heads func(int) (disk.PageID, bool)) diffPair {
+		return lanePair(NewMultiElevator(3, laneOf), laneOf, heads)
 	}},
-	{"shard-elevator", func(laneOf func(disk.PageID) int) diffPair {
-		return lanePair(NewShardElevator(3, laneOf), laneOf)
+	{"shard-elevator", false, func(laneOf func(disk.PageID) int, heads func(int) (disk.PageID, bool)) diffPair {
+		return lanePair(NewShardElevator(3, laneOf), laneOf, heads)
 	}},
-	{"predicate-first", func(func(disk.PageID) int) diffPair {
+	{"multi-elevator/heads", true, func(laneOf func(disk.PageID) int, heads func(int) (disk.PageID, bool)) diffPair {
+		return lanePair(NewMultiElevator(3, laneOf), laneOf, heads)
+	}},
+	{"shard-elevator/heads", true, func(laneOf func(disk.PageID) int, heads func(int) (disk.PageID, bool)) diffPair {
+		return lanePair(NewShardElevator(3, laneOf), laneOf, heads)
+	}},
+	{"predicate-first", false, func(func(disk.PageID) int, func(int) (disk.PageID, bool)) diffPair {
 		r := NewPredicateFirst(Elevator)
 		mh, mc := &sliceElevator{dirUp: true}, &sliceElevator{dirUp: true}
 		m := &PredicateFirst{hot: mh, cold: mc, base: Elevator.String()}
@@ -48,8 +57,9 @@ var diffCases = []struct {
 	}},
 }
 
-func lanePair(r *LaneElevator, laneOf func(disk.PageID) int) diffPair {
-	m := newSliceLanes(len(r.lanes), laneOf)
+func lanePair(r *LaneElevator, laneOf func(disk.PageID) int, heads func(int) (disk.PageID, bool)) diffPair {
+	r.heads = heads
+	m := newSliceLanes(len(r.lanes), laneOf, heads)
 	return diffPair{r, m,
 		func() (d []bool) {
 			for i := range r.lanes {
@@ -68,7 +78,7 @@ func lanePair(r *LaneElevator, laneOf func(disk.PageID) int) diffPair {
 func TestPendingSetMatchesSortedSlice(t *testing.T) {
 	for _, c := range diffCases {
 		t.Run(c.name, func(t *testing.T) {
-			f := func(seed int64) bool { return runDiffScript(t, seed, c.build) }
+			f := func(seed int64) bool { return runDiffScript(t, seed, c.heads, c.build) }
 			cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(14))}
 			if testing.Short() {
 				cfg.MaxCount = 60
@@ -77,7 +87,7 @@ func TestPendingSetMatchesSortedSlice(t *testing.T) {
 			if err := quick.Check(f, cfg); err != nil {
 				t.Error(err)
 			}
-			if _, lanes := c.build(func(disk.PageID) int { return 0 }).real.(BatchScheduler); lanes && longRuns < cfg.MaxCount/4 {
+			if _, lanes := c.build(func(disk.PageID) int { return 0 }, nil).real.(BatchScheduler); lanes && longRuns < cfg.MaxCount/4 {
 				t.Errorf("only %d runs of several references in %d scripts", longRuns, cfg.MaxCount)
 			}
 		})
@@ -125,8 +135,11 @@ func soundBatch(fail func(string, ...any) bool, s *LaneElevator, batch []*Ref, l
 	return true
 }
 
-// runDiffScript plays one seeded script against both schedulers.
-func runDiffScript(t *testing.T, seed int64, build func(func(disk.PageID) int) diffPair) bool {
+// runDiffScript plays one seeded script against both schedulers. With
+// heads, the script also moves the lanes' arms now and then, and takes
+// one away or gives it back; without, it draws exactly what it did
+// before there were heads.
+func runDiffScript(t *testing.T, seed int64, withHeads bool, build func(func(disk.PageID) int, func(int) (disk.PageID, bool)) diffPair) bool {
 	rng := rand.New(rand.NewSource(seed))
 	// Device sizes around the bitmap's word and leaf boundaries, one
 	// past the first summary word (64 leaves = 4096 pages), one large.
@@ -139,7 +152,13 @@ func runDiffScript(t *testing.T, seed int64, build func(func(disk.PageID) int) d
 		}
 		return int(p/8) % 2
 	}
-	pair := build(laneOf)
+	var arms [3]disk.PageID
+	var armed [3]bool
+	var heads func(int) (disk.PageID, bool)
+	if withHeads {
+		heads = func(i int) (disk.PageID, bool) { return arms[i], armed[i] }
+	}
+	pair := build(laneOf, heads)
 	hot, cold := &Template{Name: "hot", Pred: constPred{sel: 0.1}}, &Template{Name: "cold"}
 	cluster := disk.PageID(rng.Intn(pages))
 	drawPage := func() disk.PageID {
@@ -216,6 +235,13 @@ func runDiffScript(t *testing.T, seed int64, build func(func(disk.PageID) int) d
 	}
 	for step := rng.Intn(400); step > 0; step-- {
 		ok := true
+		if withHeads && rng.Intn(3) == 0 {
+			i := rng.Intn(len(arms))
+			if arms[i] = drawHead(); rng.Intn(2) == 0 {
+				arms[i] = drawPage()
+			}
+			armed[i] = rng.Intn(4) != 0
+		}
 		switch op := rng.Intn(12); {
 		case op < 4: // a batch, as one fetched object's references arrive
 			var rb, mb []*Ref

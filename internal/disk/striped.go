@@ -183,9 +183,19 @@ func (s *Striped) NumPages() int {
 func (s *Striped) PageSize() int { return s.devs[0].PageSize() }
 
 // Head implements Device: the last global page touched. Sub-device
-// heads are the physically meaningful ones; schedulers that care use
-// DeviceOf and per-device state. It is a load and takes no lock.
+// heads are the physically meaningful ones; a scheduler with a lane per
+// arm asks HeadOf. It is a load and takes no lock.
 func (s *Striped) Head() PageID { return PageID(s.last.Load()) }
+
+// HeadOf reports where sub-device i's arm stands, as the global page its
+// local head maps back to; false when there is no sub-device i.
+func (s *Striped) HeadOf(i int) (PageID, bool) {
+	if i < 0 || i >= len(s.devs) {
+		return InvalidPage, false
+	}
+	local := int(s.devs[i].Head())
+	return PageID(local/s.unit*s.unit*len(s.devs) + i*s.unit + local%s.unit), true
+}
 
 // Stats implements Device: the aggregate over all arms.
 func (s *Striped) Stats() Stats {

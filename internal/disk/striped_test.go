@@ -166,3 +166,31 @@ func TestStripedValidation(t *testing.T) {
 		t.Error("mismatched page sizes accepted")
 	}
 }
+
+// TestStripedHeadOf: HeadOf maps each arm's local head back to the
+// global page the arm last read, for every width and stripe unit, and
+// there is no arm outside the sub-devices.
+func TestStripedHeadOf(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		for unit := 1; unit <= 4; unit++ {
+			s, _ := newStriped(t, n, unit)
+			if _, err := s.Allocate(3*n*unit + 1); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, s.PageSize())
+			for p := PageID(0); int(p) < s.NumPages(); p++ {
+				if err := s.ReadPage(p, buf); err != nil {
+					t.Fatal(err)
+				}
+				if h, ok := s.HeadOf(s.DeviceOf(p)); h != p || !ok {
+					t.Fatalf("%d devices, unit %d: after a read of page %d, HeadOf(%d) = %d, %v", n, unit, p, s.DeviceOf(p), h, ok)
+				}
+			}
+			for _, i := range []int{-1, n, n + 1} {
+				if _, ok := s.HeadOf(i); ok {
+					t.Errorf("%d devices: HeadOf(%d) reports an arm", n, i)
+				}
+			}
+		}
+	}
+}

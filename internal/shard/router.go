@@ -985,9 +985,20 @@ func (r *Router) NumPages() int {
 func (r *Router) PageSize() int { return r.ps }
 
 // Head implements disk.Device: the last global page touched. Member
-// heads are the physically meaningful ones; the per-shard elevator
-// keeps its own per-lane positions. It is a load and takes no lock.
+// heads are the physically meaningful ones; the per-shard elevator asks
+// HeadOf. It is a load and takes no lock.
 func (r *Router) Head() disk.PageID { return disk.PageID(r.last.Load()) }
+
+// HeadOf reports where member i's primary arm stands, a global page as
+// every member spans the global page space; false if there is no member i.
+func (r *Router) HeadOf(i int) (disk.PageID, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i < 0 || i >= len(r.members) {
+		return disk.InvalidPage, false
+	}
+	return r.members[i].Primary.Head(), true
+}
 
 // Stats implements disk.Device: the aggregate over every member
 // primary and replica (a degraded read moves a replica's head, and the

@@ -331,3 +331,52 @@ func TestRouterWriteRunPaths(t *testing.T) {
 	}
 	w.wrote(t, "after Close", 0, 0, 0)
 }
+
+// TestRouterHeadOf: HeadOf is where a member's primary arm stands, as a
+// global page: the page a routed read left it on, the last page of a run
+// sent to it whole, its own last page of a run split between members.
+// An index outside the members is no arm, before and after a join, and
+// asking never leaves the router's lock held.
+func TestRouterHeadOf(t *testing.T) {
+	w := newRunWorld(t, nil)
+	heads := func(what string, want ...disk.PageID) {
+		t.Helper()
+		for i, p := range want {
+			if h, ok := w.r.HeadOf(i); h != p || !ok {
+				t.Errorf("%s: HeadOf(%d) = %d, %v; want %d", what, i, h, ok, p)
+			}
+		}
+	}
+	noArm := func(what string, n int) {
+		t.Helper()
+		for _, i := range []int{-1, n, n + 1} {
+			if _, ok := w.r.HeadOf(i); ok {
+				t.Errorf("%s: HeadOf(%d) reports an arm", what, i)
+			}
+			if !w.r.mu.TryLock() {
+				t.Errorf("%s: HeadOf(%d) left the router's lock held", what, i)
+			}
+			w.r.mu.Unlock() // ours, or the one HeadOf left, so Close can go on
+		}
+	}
+	buf := make([]byte, w.r.PageSize())
+	p0, p1 := w.owned[0][3], w.owned[1][3]
+	for _, p := range []disk.PageID{p0, p1} {
+		if err := w.r.ReadPage(p, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heads("routed reads", p0, p1)
+	w.read(t, w.owned[1][:5]...)
+	heads("a whole run", p0, w.owned[1][4])
+	w.read(t, w.owned[0][6], w.owned[1][6], w.owned[0][1], w.owned[1][2])
+	heads("a split run", w.owned[0][1], w.owned[1][2])
+	noArm("two members", 2)
+
+	joiner := disk.New(0)
+	if _, err := w.r.AddMember(Member{Name: "m2", Primary: joiner}); err != nil {
+		t.Fatal(err)
+	}
+	heads("after a join", w.owned[0][1], w.owned[1][2], joiner.Head())
+	noArm("three members", 3)
+}
