@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet test alloc-check sched-check buffer-check asm-check disk-check wire-check gen-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke suite-check trace-demo tracez-smoke serve-demo examples cover loc clean
+.PHONY: all check build vet test alloc-check alloc-sites sched-check buffer-check asm-check disk-check wire-check gen-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke suite-check trace-demo tracez-smoke serve-demo examples cover loc clean
 
 all: check
 
@@ -27,12 +27,13 @@ test:
 	$(GO) test ./...
 
 # Every allocation pin, uncached and once: each is a Test…Allocs that
-# counts with testing.AllocsPerRun (the log's append path with MemStats)
-# — a page read or a run over the wire (0), a pool hit (0), a pool miss
-# over a local device (0), an untraced device read (0), an elevator step
-# (0), Store.Get (3) and Store.Update with a log attached (0), a record of the redo (1, its image), an
-# appended log image and an appended delta (each ≤ 0.05), a replica's
-# apply of a shipped image and delta (0), a query's allocations per
+# counts with testing.AllocsPerRun (the log's append path and a query
+# with MemStats) — a page read or a run over the wire (0), a pool hit
+# (0), a pool miss over a local device (0), an untraced device read (0),
+# an elevator step (0), Store.Get (3) and Store.Update with a log
+# attached (0), a record of the redo (1, its image), an appended log
+# image and an appended delta (each ≤ 0.05), a replica's apply of a
+# shipped image and delta (0), a query's allocations and bytes per
 # assembled object, the disabled tracing path and a routed page read
 # (0, with and without a fresh replica). The race detector's pass skips
 # them.
@@ -73,17 +74,37 @@ buffer-check:
 	$(GO) test -run '^$$' -bench=LocatorLookup -benchtime=1x ./internal/object
 
 # The window slot's arena, uncached: the lifetime tests (an emitted
-# object is collectable while the operator runs, a shared leaf does not
-# pin its first object, a dead item's reference chunk is never
-# recycled), the differential test against the goldens recorded before
-# the arena, and the allocations-per-object pins — then once more under
-# the race detector, then one iteration of the two benchmarks that
-# report allocs/op and B/op so that they cannot rot unbuilt.
-ASM_TESTS = TestEmittedObjectCollectedWhileRunning|TestSharedLeafDoesNotPinItsFirstObject|TestDeadItemsChunksNotRecycled|TestArenaMatchesParentGoldens|TestAssembleAllocs
+# object, adopted or not, and an aborted one are collectable while the
+# operator runs, a shared leaf does not pin its first object, a dead
+# item's reference chunk is never recycled), the differential test against the goldens recorded before
+# the arena, the allocations- and bytes-per-object pins and the sizes
+# of the three structs the chunks are arrays of (Instance, component,
+# Ref) — then once more under the race detector, then one iteration of
+# the two benchmarks that report allocs/op and B/op, with -benchmem so
+# that the log shows them, and so that they cannot rot unbuilt.
+ASM_TESTS = TestEmittedObjectCollectedWhileRunning|TestAdoptedObjectCollectedWhileRunning|TestSharedLeafDoesNotPinItsFirstObject|TestDeadItemsChunksNotRecycled|TestDeadItemCollectedWhileRunning|TestArenaMatchesParentGoldens|TestAssembleAllocs|TestArenaStructSizes
 asm-check:
 	$(GO) test -count=1 -run '$(ASM_TESTS)' ./internal/assembly
 	$(GO) test -race -count=1 -run '$(ASM_TESTS)' ./internal/assembly
-	$(GO) test -run '^$$' -bench='AssembleDeep|AssembleScan' -benchtime=1x ./internal/assembly
+	$(GO) test -run '^$$' -bench='AssembleDeep|AssembleScan' -benchtime=1x -benchmem ./internal/assembly
+
+# Where one query's allocations come from, site by site: one iteration
+# each of BenchmarkAssembleDeep and BenchmarkAssembleScan with every
+# allocation sampled (-memprofilerate 1), then pprof's flat objects and
+# bytes per source line under the query — the database build and the
+# input items made before it left out. EXPERIMENTS.md "The allocation
+# floor, second pass" holds its tables. The profiles and the test
+# binary go to a temporary directory that is removed.
+alloc-sites:
+	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	for b in AssembleDeep AssembleScan; do \
+		$(GO) test -trimpath -run '^$$' -bench "^Benchmark$$b$$" -benchtime=1x -benchmem -memprofilerate 1 \
+			-memprofile "$$d/$$b.prof" -o "$$d/assembly.test" ./internal/assembly | grep '^Benchmark' || exit 1; \
+		for idx in alloc_objects alloc_space; do \
+			$(GO) tool pprof -sample_index=$$idx -focus=benchAssemble -ignore=rootItems -nodefraction=0 -lines -top \
+				"$$d/assembly.test" "$$d/$$b.prof" 2>/dev/null | awk -v idx=$$idx '/flat%/ {p = 1; print "  " idx; next} p && $$1 != "0" && $$1 != "0B"'; \
+		done; \
+	done
 
 # The one head model and the log's write path over it, uncached: the
 # differential test of disk.Arm and the merged Sim against the three

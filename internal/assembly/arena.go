@@ -6,7 +6,9 @@ import (
 )
 
 // component is one element of a window slot's chunk: an Instance and
-// the storage object it points at, side by side.
+// the storage object it points at, side by side. It is 128 bytes (the
+// Instance's counters are int32 for it; TestArenaStructSizes pins it),
+// so a 31-node chunk takes the 4096-byte size class.
 type component struct {
 	inst Instance
 	obj  object.Object
@@ -101,11 +103,32 @@ func (a *arena) newRef() *Ref {
 }
 
 // spare is the scratch an emitted item leaves behind, cleared, for a
-// later admission: its reference chunk and its two short lists.
+// later admission: its reference chunk and its two short lists. The
+// query's chunk of fresh scratch (Operator.chunk) takes the same shape,
+// the window's worth in each list.
 type spare struct {
 	refs      []Ref
 	pages     []disk.PageID
 	assembled []assembledAs
+}
+
+// freshScratch carves a window slot's scratch from the query's chunk,
+// which the first call allocates with room for W slots: a query makes
+// three allocations for it, not three per slot. Past W slots (an aborted
+// item's scratch is never taken back) carve allocates each list on its
+// own. A dead item's part of the chunk is never reused; the chunk lives
+// until Close.
+func (op *Operator) freshScratch() ([]Ref, []disk.PageID, []assembledAs) {
+	sh, c := &op.shape, &op.chunk
+	if c.refs == nil {
+		w := max(op.Opts.Window, 1)
+		*c = spare{
+			refs:      make([]Ref, 0, w*sh.refs),
+			pages:     make([]disk.PageID, 0, w*sh.refs),
+			assembled: make([]assembledAs, 0, w*sh.shared),
+		}
+	}
+	return carve(&c.refs, sh.refs)[:0], carve(&c.pages, sh.refs)[:0], carve(&c.assembled, sh.shared)[:0]
 }
 
 // newItem opens a window slot with its arena.
@@ -125,9 +148,7 @@ func (op *Operator) newItem() *workItem {
 		op.spares = op.spares[:n]
 		item.arena.refs, item.pages, item.assembled = sp.refs, sp.pages, sp.assembled
 	} else {
-		item.arena.refs = make([]Ref, 0, sh.refs)
-		item.pages = make([]disk.PageID, 0, sh.refs)
-		item.assembled = make([]assembledAs, 0, sh.shared)
+		item.arena.refs, item.pages, item.assembled = op.freshScratch()
 	}
 	return item
 }

@@ -12,9 +12,11 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"revelation/internal/buffer"
 	"revelation/internal/disk"
@@ -98,6 +100,38 @@ func TestEmittedObjectCollectedWhileRunning(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// An adopted complex object (an assembled *Instance as input) is
+// collected once emitted and dropped, while the operator still runs.
+// Adoption remembers every instance of the tree, past the room the
+// template's shared nodes give the list in the query's chunk; the grown
+// list must leave none behind in the chunk.
+func TestAdoptedObjectCollectedWhileRunning(t *testing.T) {
+	s, tmpl, roots := sharedPairStore(t)
+	items, freed := sentinelRoots(t, s, roots)
+	first := New(&forgetfulSource{items: items}, s, tmpl, Options{Window: 2, Scheduler: Elevator})
+	adopted, err := volcano.Drain(nil, first)
+	if err != nil || len(adopted) != len(roots) {
+		t.Fatalf("assembled %d of %d: %v", len(adopted), len(roots), err)
+	}
+	op := New(&forgetfulSource{items: adopted}, s, tmpl, Options{Window: 2, Scheduler: Elevator})
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	for n := range roots {
+		it, err := op.Next()
+		if err != nil {
+			t.Fatalf("object %d: %v (%+v)", n, err, op.Stats())
+		}
+		i := slices.Index(roots, it.(*Instance).OID())
+		if !collected(&freed[i]) {
+			t.Fatalf("adopted object %v is still reachable after the consumer dropped it", roots[i])
+		}
+	}
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -321,5 +355,91 @@ func TestDeadItemsChunksNotRecycled(t *testing.T) {
 	}
 	if total.Aborted == 0 || total.Skipped == 0 || tombstones == 0 {
 		t.Errorf("vacuous: %d aborts, %d quarantines, %d tombstones seen queued", total.Aborted, total.Skipped, tombstones)
+	}
+}
+
+// An aborted complex object is collected while the operator still runs,
+// though its reference tombstones stay queued: a tombstone keeps its
+// item and its page, not the partial object or its chunks. The check is
+// made at the end of the input, before Close, with every dead item's
+// tombstones that the schedulers never drained still held.
+func TestDeadItemCollectedWhileRunning(t *testing.T) {
+	aborted, tombstones := 0, 0
+	for trial := 0; trial < 6; trial++ {
+		for _, sched := range diffScheds {
+			for bits := 0; bits < 2; bits++ {
+				opts := Options{Window: 8, PageBatch: bits&1 != 0}
+				sched.set(&opts)
+				w := genWorld(t, rand.New(rand.NewSource(int64(1000+trial))))
+				items, freed := sentinelRoots(t, w.store, w.roots)
+				op := New(&forgetfulSource{items: items}, w.store, w.tmpl, opts)
+				if err := op.Open(); err != nil {
+					t.Fatal(err)
+				}
+				emitted := map[object.OID]bool{}
+				for {
+					it, err := op.Next()
+					if errors.Is(err, volcano.Done) {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					emitted[it.(*Instance).OID()] = true
+				}
+				for _, r := range queued(t, op.sched) {
+					if r.Item != nil && r.Item.aborted {
+						tombstones++
+					}
+				}
+				for i, r := range w.roots {
+					if emitted[r] {
+						continue
+					}
+					aborted++
+					if !collected(&freed[i]) {
+						t.Fatalf("%s trial %d bits %b: aborted object %v is still reachable before Close",
+							sched.name, trial, bits, r)
+					}
+				}
+				if err := op.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if aborted == 0 || tombstones == 0 {
+		t.Errorf("vacuous: %d aborted objects, %d tombstones queued at the end of the input", aborted, tombstones)
+	}
+}
+
+// The window slot's chunks are arrays of these three structs: a
+// component per template node the item owns and a Ref per node. A field
+// more moves every chunk up by its size per node, and a struct allocated
+// alone (a component under a shared node, a Ref past its chunk) into
+// the next size class; the message names that class.
+func TestArenaStructSizes(t *testing.T) {
+	// The allocator's size classes up to 256 bytes.
+	classes := []uintptr{8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256}
+	classOf := func(n uintptr) uintptr {
+		for _, c := range classes {
+			if n <= c {
+				return c
+			}
+		}
+		return n
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Instance", unsafe.Sizeof(Instance{}), 64},
+		{"component", unsafe.Sizeof(component{}), 128},
+		{"Ref", unsafe.Sizeof(Ref{}), 56},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d: alone it now takes the %d-byte size class, not the %d-byte one, and every chunk of it grows by %d bytes per node",
+				c.name, c.got, c.want, classOf(c.got), classOf(c.want), int(c.got)-int(c.want))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package assembly_test
 
 import (
+	"runtime"
 	"testing"
 
 	"revelation/internal/assembly"
@@ -21,12 +22,18 @@ func benchDB(b *testing.B, cfg gen.Config) *gen.Database {
 	return db
 }
 
-func benchAssemble(b *testing.B, db *gen.Database, opts assembly.Options) {
-	b.Helper()
+// rootItems is the database's roots as a query's input items.
+func rootItems(db *gen.Database) []volcano.Item {
 	items := make([]volcano.Item, len(db.Roots))
 	for i, r := range db.Roots {
 		items[i] = r
 	}
+	return items
+}
+
+func benchAssemble(b *testing.B, db *gen.Database, opts assembly.Options) {
+	b.Helper()
+	items := rootItems(db)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -99,21 +106,24 @@ func BenchmarkAssembleScan(b *testing.B) {
 	benchAssemble(b, benchDB(b, scanShape), scanOpts)
 }
 
-// TestAssembleAllocs pins the arena: allocations per emitted complex
-// object, everything a query allocates included (operator, scheduler,
-// window slots), at 5 % over their floor — 6.57 and 5.30, once an
-// emitted item's scratch went back to the operator — against 218 and 48
-// before the arena and 8.69 and 7.28 before the scratch was recycled.
+// TestAssembleAllocs pins the arena: allocations and bytes per emitted
+// complex object, everything a query allocates included (operator,
+// scheduler, window slots). Allocations are pinned at 5 % over their
+// floor — 5.08 and 5.05, once the first W slots' scratch came from a
+// chunk per query — against 218 and 48 before the arena, 8.69 and
+// 7.28 before an emitted item's scratch was recycled and 6.57 and 5.30
+// before the chunks. Bytes are pinned at 2 % over theirs, so that a
+// chunk or a struct that rounds up to a larger size class shows.
 func TestAssembleAllocs(t *testing.T) {
 	for _, c := range []struct {
-		name  string
-		cfg   gen.Config
-		opts  assembly.Options
-		nodes int
-		limit float64
+		name         string
+		cfg          gen.Config
+		opts         assembly.Options
+		nodes        int
+		allocs, size float64 // floors per complex object
 	}{
-		{"deep 31-node shared-leaf, W=200", deepShape, deepOpts, 31, 6.57 * 1.05},
-		{"paper 7-node, W=50", scanShape, scanOpts, 7, 5.30 * 1.05},
+		{"deep 31-node shared-leaf, W=200", deepShape, deepOpts, 31, 5.08, 8311},
+		{"paper 7-node, W=50", scanShape, scanOpts, 7, 5.05, 1953},
 	} {
 		db, err := gen.Build(c.cfg)
 		if err != nil {
@@ -122,22 +132,39 @@ func TestAssembleAllocs(t *testing.T) {
 		if db.NodesPerObject != c.nodes {
 			t.Fatalf("%s: %d components per object", c.name, db.NodesPerObject)
 		}
-		items := make([]volcano.Item, len(db.Roots))
-		for i, r := range db.Roots {
-			items[i] = r
-		}
+		items := rootItems(db)
 		query := func() {
 			op := assembly.New(volcano.NewSlice(items), db.Store, db.Template, c.opts)
 			if n, err := volcano.Count(op); err != nil || n != len(items) {
 				t.Fatalf("%s: assembled %d of %d: %v", c.name, n, len(items), err)
 			}
 		}
-		perObject := testing.AllocsPerRun(5, query) / float64(len(items))
-		t.Logf("%s: %.2f allocs per complex object", c.name, perObject)
-		if perObject > c.limit {
-			t.Errorf("%s: %.2f allocs per complex object, limit %.2f", c.name, perObject, c.limit)
+		allocs, size := perObject(query, len(items))
+		t.Logf("%s: %.2f allocs, %.0f bytes per complex object", c.name, allocs, size)
+		if limit := c.allocs * 1.05; allocs > limit {
+			t.Errorf("%s: %.2f allocs per complex object, limit %.2f", c.name, allocs, limit)
+		}
+		if limit := c.size * 1.02; size > limit {
+			t.Errorf("%s: %.0f bytes per complex object, limit %.0f", c.name, size, limit)
 		}
 	}
+}
+
+// perObject runs query once to warm up, then five times, and returns
+// the allocations and bytes per run divided by objects — what
+// testing.AllocsPerRun counts, with MemStats.TotalAlloc beside it.
+func perObject(query func(), objects int) (allocs, size float64) {
+	const runs = 5
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	query()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(runs * objects)
+	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
 }
 
 // BenchmarkTraverseAssembled measures pointer-swizzled traversal: the
@@ -145,11 +172,7 @@ func TestAssembleAllocs(t *testing.T) {
 // pointer chasing, not OID lookups.
 func BenchmarkTraverseAssembled(b *testing.B) {
 	db := benchDB(b, gen.Config{NumComplexObjects: 200, Seed: 62})
-	items := make([]volcano.Item, len(db.Roots))
-	for i, r := range db.Roots {
-		items[i] = r
-	}
-	op := assembly.New(volcano.NewSlice(items), db.Store, db.Template,
+	op := assembly.New(volcano.NewSlice(rootItems(db)), db.Store, db.Template,
 		assembly.Options{Window: 50, Scheduler: assembly.Elevator})
 	out, err := volcano.Drain(nil, op)
 	if err != nil {

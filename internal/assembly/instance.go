@@ -27,14 +27,14 @@ type Instance struct {
 	Parent *Instance
 	// refs counts how many parents currently link the instance
 	// (reference counting for shared components, Section 5).
-	refs int
+	refs int32
 	// page records which device page the object was fetched from, for
 	// buffer hints and window-footprint accounting.
 	page disk.PageID
 	// pendingDesc counts unresolved references anywhere in the
 	// subtree; a shared subtree enters the window-wide shared table
 	// when this returns to zero.
-	pendingDesc int
+	pendingDesc int32
 	// registered marks instances already placed in the shared table.
 	registered bool
 	// underShared marks a component allocated on its own, not in its
@@ -51,7 +51,7 @@ func (in *Instance) OID() object.OID {
 }
 
 // RefCount reports the number of parents linking this instance.
-func (in *Instance) RefCount() int { return in.refs }
+func (in *Instance) RefCount() int { return int(in.refs) }
 
 // Child returns the sub-instance assembled for the given reference
 // field of this instance's object, or nil.

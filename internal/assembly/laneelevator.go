@@ -2,6 +2,7 @@ package assembly
 
 import (
 	"fmt"
+	"math"
 
 	"revelation/internal/disk"
 )
@@ -78,9 +79,9 @@ func NewShardElevator(n int, shardOf func(disk.PageID) int) *LaneElevator {
 }
 
 func newLaneElevator(kind string, n int, laneOf func(disk.PageID) int) *LaneElevator {
-	if n < 1 {
-		n = 1
-	}
+	// A Ref keeps its lane in an int16; past that many, lanes take
+	// several devices each.
+	n = min(max(n, 1), math.MaxInt16)
 	s := &LaneElevator{
 		name:   fmt.Sprintf("%s(%d)", kind, n),
 		laneOf: laneOf,
@@ -105,7 +106,7 @@ func (s *LaneElevator) LaneOf(p disk.PageID) int { return s.laneOf(p) % len(s.la
 // Add implements Scheduler.
 func (s *LaneElevator) Add(refs ...*Ref) {
 	for _, r := range refs {
-		r.lane = int32(s.LaneOf(r.Page()))
+		r.lane = int16(s.LaneOf(r.Page()))
 		s.lanes[r.lane].pend.push(r)
 	}
 }

@@ -226,9 +226,11 @@ type Operator struct {
 	// it is cleared after every use.
 	scratch []*Ref
 	// shape sizes every window slot's arena; spares are the cleared
-	// scratch of emitted items, for the next admissions.
+	// scratch of emitted items, for the next admissions; chunk is the
+	// rest of the query's chunk of fresh scratch (see freshScratch).
 	shape  arenaShape
 	spares []spare
+	chunk  spare
 	// decode is decodeRec bound once at Open, so a fetch hands
 	// heap.File.Get no fresh closure; fetch is its in (the item to
 	// carve from, whether the component lives on its own) and out.
@@ -277,7 +279,13 @@ type assembledAs struct {
 
 // remember records inst as assembled within this complex object.
 func (item *workItem) remember(oid object.OID, inst *Instance) {
+	old := item.assembled
 	item.assembled = append(item.assembled, assembledAs{oid, inst})
+	if len(old) == cap(old) {
+		// Grown: the old list may be part of the query's chunk, which
+		// lives until Close, so it keeps no instance.
+		clear(old)
+	}
 }
 
 // recall finds the instance last remembered for oid, or nil.
@@ -348,6 +356,7 @@ func (op *Operator) Open() error {
 	op.inputDone = false
 	op.outq = make([]*workItem, 0, window)
 	op.spares = make([]spare, 0, window)
+	op.chunk = spare{}
 	op.footprint = make([]int32, op.Store.File.Pool().Device().NumPages())
 	op.windowPages = 0
 	op.shape = arenaShape{known: true}
@@ -449,7 +458,9 @@ func (op *Operator) Next() (volcano.Item, error) {
 			}
 		}
 		if len(op.live) == 0 {
-			if op.inputDone {
+			// Admission may have completed objects (an adopted whole
+			// tree): they leave before Done.
+			if op.inputDone && len(op.outq) == 0 {
 				return nil, volcano.Done
 			}
 			continue
@@ -494,6 +505,7 @@ func (op *Operator) Close() error {
 	}
 	op.outq = nil
 	op.spares = nil
+	op.chunk = spare{}
 	op.sched = nil
 	op.shared = nil
 	op.batcher = nil
@@ -743,7 +755,7 @@ func (op *Operator) prepareRef(item *workItem, parent *Instance, slot int, node 
 	item.pending++
 	propagatePending(parent, +1)
 	r := item.arena.newRef()
-	*r = Ref{OID: oid, RID: rid, Node: node, Parent: parent, Slot: slot, Item: item}
+	*r = Ref{OID: oid, RID: rid, Node: node, Parent: parent, Slot: int32(slot), Item: item}
 	return r, nil
 }
 
@@ -785,7 +797,7 @@ func (op *Operator) dispatchOne(r *Ref) {
 // propagatePending adjusts the unresolved-descendant counters along
 // the parent chain; a shared subtree registers in the window-wide
 // table exactly when its counter returns to zero (it is complete).
-func propagatePending(parent *Instance, delta int) {
+func propagatePending(parent *Instance, delta int32) {
 	for p := parent; p != nil; p = p.Parent {
 		p.pendingDesc += delta
 	}
@@ -862,7 +874,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 	// Section 5 prescribes for non-sharable components.
 	if ref.Node.Shared {
 		if inst := item.recall(ref.OID); inst != nil {
-			op.linkAt(item, ref.Parent, ref.Slot, inst)
+			op.linkAt(item, ref.Parent, int(ref.Slot), inst)
 			propagatePending(ref.Parent, -1)
 			op.maybeRegisterShared(ref.Parent)
 			op.noteLink(ref, "intra")
@@ -872,7 +884,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 		// 2. Assembled by another complex object in the window?
 		if op.shared != nil {
 			if inst, ok := op.shared.lookup(ref.OID); ok {
-				op.linkAt(item, ref.Parent, ref.Slot, inst)
+				op.linkAt(item, ref.Parent, int(ref.Slot), inst)
 				propagatePending(ref.Parent, -1)
 				op.maybeRegisterShared(ref.Parent)
 				item.remember(ref.OID, inst)
@@ -887,7 +899,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 	if item.pre != nil {
 		if inst, ok := item.pre[ref.OID]; ok {
 			delete(item.pre, ref.OID)
-			op.linkAt(item, ref.Parent, ref.Slot, inst)
+			op.linkAt(item, ref.Parent, int(ref.Slot), inst)
 			op.noteLink(ref, "stacked")
 			// The pre-assembled subtree may itself be partial: walk it
 			// for unresolved references and account its members.
@@ -927,7 +939,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 		op.tr.Assembly(trace.KindFetch, uint64(ref.OID), int64(ref.RID.Page), trace.NoPage, "", op.qid)
 	}
 	op.pinPage(item, ref.RID.Page)
-	inst, err := op.place(item, ref.Parent, ref.Slot, ref.Node, &c.inst, ref.RID.Page)
+	inst, err := op.place(item, ref.Parent, int(ref.Slot), ref.Node, &c.inst, ref.RID.Page)
 	if err != nil {
 		return err
 	}
@@ -1240,12 +1252,21 @@ func (op *Operator) quarantine(item *workItem) error {
 
 // discard is the shared tail of abort and quarantine: the item leaves
 // the window and its footprint and pins drain, releasing any buffer
-// pressure.
+// pressure. Its reference tombstones, which may stay queued until Close,
+// need only their item (Ref.live) and page: the partial object and its
+// chunks are let go here, so the collector can take them while the
+// operator runs.
 func (op *Operator) discard(item *workItem) error {
 	op.retire(item)
 	op.releaseFootprint(item)
 	op.pressure = false
 	op.stall = 0
+	for i := range item.arena.refs {
+		item.arena.refs[i].Node, item.arena.refs[i].Parent = nil, nil
+	}
+	clear(item.assembled)
+	item.root, item.pre, item.assembled = nil, nil, nil
+	item.arena = arena{refs: item.arena.refs}
 	return op.unpinFrames(item)
 }
 

@@ -13,33 +13,36 @@ import (
 // stage of assembling a complex object there may be several references
 // yet to be resolved" (Section 4). The physical address is resolved at
 // scheduling time so the elevator can order fetches by page.
+//
+// The pointers come first, so that the collector scans only the first
+// 32 bytes, and the struct is 56 bytes (TestArenaStructSizes pins it):
+// a window slot's chunk holds one per template node.
 type Ref struct {
-	// OID is the referenced object.
-	OID object.OID
-	// RID is its physical address (from the locator).
-	RID heap.RID
 	// Node is the template node the reference instantiates.
 	Node *Template
 	// Parent is the instance whose reference field this is; nil for a
 	// complex object's root reference.
 	Parent *Instance
-	// Slot is the index into Parent.Children to swizzle; 0 for roots.
-	Slot int
 	// Item is the window entry (complex object) the reference belongs
 	// to. Aborted items' references are skipped lazily.
 	Item *workItem
+	// next chains the references pending on one page inside an
+	// elevator's pendingSet; nil whenever the reference is not in one.
+	next *Ref
+	// OID is the referenced object.
+	OID object.OID
+	// RID is its physical address (from the locator).
+	RID heap.RID
+	// Slot is the index into Parent.Children to swizzle; 0 for roots.
+	Slot int32
 	// Attempts counts fetch attempts that failed with a transient
 	// fault; the RetryFaults policy bounds it before quarantining.
-	Attempts int32
+	Attempts int16
 	// lane is the device lane the reference's page belongs to, recorded
 	// by a LaneElevator when the reference is added to it: the routing
 	// question (for a fleet, a lock in the shard router) is asked once per
 	// reference, and the operator groups a batch by the answer.
-	lane int32
-	// next chains the references pending on one page inside an
-	// elevator's pendingSet; nil whenever the reference is not in one.
-	// With it Ref fills the 64-byte size class exactly.
-	next *Ref
+	lane int16
 }
 
 // Page is the device page the reference resolves to.

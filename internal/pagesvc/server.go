@@ -547,10 +547,11 @@ func (s *Server) serveFollow(sc *serverConn, req request, buf []byte) {
 		}
 		var out []byte
 		switch rec.Kind {
-		case wal.RecOwnership:
-			// Cutover records carry no page image; ship a watermark-only
-			// frame so the follower's applied LSN still advances past
-			// them (a stalled watermark would wedge the staleness guard).
+		case wal.RecOwnership, wal.RecBase:
+			// Cutover and base records carry no page image; ship a
+			// watermark-only frame so the follower's applied LSN still
+			// advances past them (a stalled watermark would wedge the
+			// staleness guard).
 			out = appendStreamRecord(buf, req.reqID, rec.LSN, 0, nil)
 		case wal.RecDelta:
 			out = appendDeltaRecord(buf, req.reqID, rec)

@@ -17,13 +17,13 @@ import (
 // engine minimises a multi-kilobyte input byte by byte.
 const fuzzPageSize = 128
 
-// seedLog returns the raw bytes of a real log: page-image records that
-// span page boundaries interleaved with ownership records, one of them
-// with a long owner name.
-func seedLog(f *testing.F) []byte {
+// seedLog returns the raw bytes of a real log opened after LSN after:
+// page-image records that span page boundaries interleaved with
+// ownership records, one of them with a long owner name.
+func seedLog(f *testing.F, after uint64) []byte {
 	f.Helper()
 	dev := disk.NewSim(fuzzPageSize, 0)
-	w, err := Open(dev)
+	w, err := OpenAfter(dev, after)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -111,14 +111,16 @@ func seedDeltaLogs() [][]byte {
 // FuzzWALScan lays arbitrary bytes over a device and walks them as a
 // log, through the Reader and through ScanOwnership. Whatever the bytes
 // — torn tails, bad lengths, ownership records with oversized names,
-// deltas of no bytes, inside a header or past a page — the walk must
+// deltas of no bytes, inside a header or past a page, base records off
+// the front, at LSN 0 or with a payload — the walk must
 // end (ErrEndOfLog or ErrTornTail, nothing else), never panic, hand out
-// only records that lie inside the device, and never allocate beyond
+// only records that lie inside the device, in one LSN sequence from 1 or
+// from a base record at the front, and never allocate beyond
 // the device's own size. Every record it hands out is then applied onto
 // a data device: an applied delta leaves its page verified at its LSN,
 // and a refused one leaves the page as it was.
 func FuzzWALScan(f *testing.F) {
-	good := seedLog(f)
+	good := seedLog(f, 0)
 	f.Add(good)
 	f.Add(good[:len(good)/2])                        // torn mid-record
 	f.Add(good[:recHdrSize+7])                       // torn inside the first image
@@ -134,6 +136,17 @@ func FuzzWALScan(f *testing.F) {
 	for _, log := range seedDeltaLogs() {
 		f.Add(log)
 	}
+
+	// Base records: a real log opened after LSN 1000, its base alone,
+	// and bases no writer makes.
+	based := seedLog(f, 1000)
+	owner := []byte("\x01\x00\x00\x00s1") // pages [0, 1) to s1
+	f.Add(based)
+	f.Add(based[:recHdrSize])
+	f.Add(rawRecord(baseMagic, 0, 0, nil))                                              // at LSN 0
+	f.Add(rawRecord(baseMagic, 9, 0, []byte{1}))                                        // with a payload
+	f.Add(append(rawRecord(baseMagic, 9, 0, nil), rawRecord(ownMagic, 9, 0, owner)...)) // a record at the base's own LSN
+	f.Add(append(rawRecord(ownMagic, 1, 0, owner), rawRecord(baseMagic, 9, 0, nil)...)) // after a record
 
 	const maxPages = 64
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -157,6 +170,7 @@ func FuzzWALScan(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		r := NewReader(dev)
 		var owned, payload int
+		var last uint64
 		for steps := int64(0); ; steps++ {
 			if steps > size/recHdrSize {
 				t.Fatalf("scan of a %d-byte device did not end after %d records", size, steps)
@@ -172,13 +186,22 @@ func FuzzWALScan(f *testing.F) {
 				}
 				break
 			}
-			if rec.LSN != uint64(steps)+1 || r.LastLSN() != rec.LSN {
-				t.Fatalf("record %d carries LSN %d (reader says %d)", steps, rec.LSN, r.LastLSN())
+			want := last + 1
+			if rec.Kind == RecBase {
+				if at != 0 || rec.LSN == 0 {
+					t.Fatalf("base record at LSN %d, offset %d", rec.LSN, at)
+				}
+				want = rec.LSN
 			}
+			if rec.LSN != want || r.LastLSN() != rec.LSN {
+				t.Fatalf("record %d carries LSN %d, want %d (reader says %d)", steps, rec.LSN, want, r.LastLSN())
+			}
+			last = rec.LSN
 			if r.Offset() <= at || r.Offset() > size {
 				t.Fatalf("record at %d ends at %d on a %d-byte device", at, r.Offset(), size)
 			}
 			switch rec.Kind {
+			case RecBase:
 			case RecPage, RecDelta:
 				payload += len(rec.Img)
 			case RecOwnership:
@@ -219,7 +242,7 @@ func FuzzWALScan(f *testing.F) {
 			if err != nil {
 				break
 			}
-			if rec.Kind == RecOwnership || int(rec.Page) >= maxPages {
+			if rec.Kind == RecOwnership || rec.Kind == RecBase || int(rec.Page) >= maxPages {
 				continue
 			}
 			if err := redo.ReadPage(rec.Page, was); err != nil {

@@ -56,7 +56,8 @@ type Options struct {
 
 // Result reports what one recovery pass did.
 type Result struct {
-	// Records is the number of valid log records scanned.
+	// Records is the number of valid log records scanned, a base record
+	// not counted.
 	Records int
 	// Redone counts records applied onto the data device.
 	Redone int
@@ -100,6 +101,9 @@ func Recover(walDev, dataDev disk.Device, opts Options) (*Result, error) {
 	}
 	buf := make([]byte, dataDev.PageSize())
 	end, next, torn, err := scan(walDev, func(rec Record) error {
+		if rec.Kind == RecBase {
+			return nil
+		}
 		res.Records++
 		if rec.Kind == RecOwnership {
 			// Cutover records carry no page image; redo ignores them

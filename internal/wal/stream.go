@@ -40,11 +40,15 @@ const (
 	// RecDelta is a delta record: Img replaces Page's bytes at Off, on
 	// the page state of LSN Prev.
 	RecDelta = byte(2)
+	// RecBase is a log's base record, only ever its first: the log's
+	// records follow its LSN. It carries nothing to apply.
+	RecBase = byte(3)
 )
 
 // Record is one log record: a page after-image (RecPage — Page and Img
-// are set), a delta (RecDelta — also Prev and Off) or an ownership
-// cutover (RecOwnership — Lo, Hi, and Owner are set).
+// are set), a delta (RecDelta — also Prev and Off), an ownership
+// cutover (RecOwnership — Lo, Hi, and Owner are set) or a base (RecBase
+// — only LSN is set).
 type Record struct {
 	Kind byte
 	LSN  uint64
@@ -77,7 +81,7 @@ type Reader struct {
 }
 
 // NewReader starts a reader at the front of the log (next expected
-// LSN 1).
+// LSN 1, or any base).
 func NewReader(dev disk.Device) *Reader {
 	return &Reader{
 		dev:    dev,
@@ -142,14 +146,20 @@ func (r *Reader) Next() (Record, error) {
 	if magic == 0 {
 		return Record{}, ErrEndOfLog
 	}
-	if magic != recMagic && magic != deltaMagic && magic != ownMagic {
+	base := magic == baseMagic
+	if magic != recMagic && magic != deltaMagic && magic != ownMagic && !base {
 		return Record{}, ErrTornTail
 	}
 	lsn := binary.LittleEndian.Uint64(hdr[4:])
 	id := disk.PageID(binary.LittleEndian.Uint32(hdr[12:]))
 	n := int(binary.LittleEndian.Uint32(hdr[16:]))
 	want := binary.LittleEndian.Uint32(hdr[20:])
-	if lsn != r.lsn+1 || n == 0 || n > maxImage {
+	if base {
+		// A base has no payload and only opens a log, at any LSN.
+		if r.pos != 0 || lsn == 0 || id != 0 || n != 0 {
+			return Record{}, ErrTornTail
+		}
+	} else if lsn != r.lsn+1 || n == 0 || n > maxImage {
 		return Record{}, ErrTornTail
 	}
 	// A payload that would run off the device is an append that never
@@ -169,6 +179,8 @@ func (r *Reader) Next() (Record, error) {
 	// A payload that breaks its kind's rules passed the CRC window by
 	// chance: a torn tail like any other.
 	switch magic {
+	case baseMagic:
+		rec = Record{Kind: RecBase, LSN: lsn}
 	case ownMagic: // [4B hi page][owner name], a non-empty range
 		if n < 5 {
 			return Record{}, ErrTornTail

@@ -43,7 +43,7 @@ import (
 // over pages from offset zero:
 //
 //	[0:4)   magic "WALR"
-//	[4:12)  LSN uint64 (strictly sequential from 1)
+//	[4:12)  LSN uint64 (strictly sequential from the base, else from 1)
 //	[12:16) page id uint32
 //	[16:20) image length uint32
 //	[20:24) CRC-32C over bytes [0:20) plus the image
@@ -75,10 +75,16 @@ import (
 // replays these in LSN order to rebuild the ownership table; pages in
 // ranges never cut stay with their pre-join owner — so at every crash
 // point each page has exactly one owner.
+//
+// A log that must follow an earlier one's LSNs starts with a base
+// record (magic "WALB", a header with no payload) at offset zero. Its
+// LSN is the base: the log's first record takes the next one. A log
+// based at 1 has none, and is the same bytes as before bases existed.
 const (
 	recMagic     = 0x57414C52 // "WALR"
 	deltaMagic   = 0x57414C44 // "WALD"
 	ownMagic     = 0x57414C4F // "WALO"
+	baseMagic    = 0x57414C42 // "WALB"
 	recHdrSize   = 24
 	deltaHdrSize = 10 // a delta payload's prev LSN and offset
 
@@ -127,7 +133,7 @@ type Writer struct {
 // content: it scans to the end of the valid prefix and appends from
 // there, continuing the LSN sequence. A torn tail left by a crash is
 // simply overwritten by subsequent appends. A fresh device yields an
-// empty log starting at LSN 1.
+// empty log starting at LSN 1, or after its base record's LSN.
 func Open(dev disk.Device) (*Writer, error) {
 	w := &Writer{
 		dev:      dev,
@@ -150,6 +156,30 @@ func Open(dev disk.Device) (*Writer, error) {
 		if err := dev.ReadPage(pi, w.cur); err != nil {
 			return nil, fmt.Errorf("wal: open: reload tail page %d: %w", pi, err)
 		}
+	}
+	return w, nil
+}
+
+// OpenAfter is Open for a log whose records must all come after LSN
+// after — the durable LSN of the log it replaces, which the data pages
+// it now covers may carry. On a fresh device it writes and syncs a base
+// record, so the log keeps its base with no record after it; a log that
+// already continues past after is resumed as Open would, and one that
+// does not is refused. OpenAfter(dev, 0) is Open(dev).
+func OpenAfter(dev disk.Device, after uint64) (*Writer, error) {
+	w, err := Open(dev)
+	switch {
+	case err != nil:
+		return nil, err
+	case w.nextLSN > after:
+		return w, nil
+	case w.tail != 0:
+		return nil, fmt.Errorf("wal: open after LSN %d: the log ends at LSN %d", after, w.nextLSN-1)
+	}
+	w.seal(w.appendHeader(baseMagic, after, 0, 0))
+	w.nextLSN, w.appendedLSN = after+1, after
+	if err := w.syncLocked(); err != nil {
+		return nil, err
 	}
 	return w, nil
 }
