@@ -142,13 +142,15 @@ disk-check:
 # without, over a device that reads a run in one call and one that does
 # not; 400 under -race), the lane workers' lifetime on every way a query
 # can end, the byte-for-byte comparison of every frame with the encoders
-# it replaced, the frame reader under every split of its input, the late
-# answer that must leave a returned buffer alone, a run the peer refuses
-# read page by page, when a read moves the client's arm (page reads
-# failed or refused, a failed run), every way the router can send a run,
+# it replaced, the frame reader under every split of its input, a frame
+# that is no request answered with one error frame and its connection
+# closed, the late answer that must leave a returned buffer alone, a run
+# the server or the client refuses read page by page, when a read moves
+# the client's arm (page reads failed or refused, a failed run), every
+# way the router can send a run,
 # a run of writes against the loop of page writes it stands for over a
 # Sim, a client and a router (device bytes, arm stats, every verdict),
-# every way the router can send a write run, a write run the peer
+# every way the router can send a write run, a write run the client
 # refuses written page by page, a bulk write that leaves no buffer of its
 # size kept on either side, Dial refusing a page size no frame can
 # carry, the storm of runs under a fleet that changes, the storm of
@@ -160,7 +162,7 @@ disk-check:
 # — then once more under the race detector, then one iteration of the
 # two round-trip benchmarks (a page, a run) so that they cannot rot
 # unbuilt.
-WIRE_TESTS = TestFixBatchMatchesFixLoop|TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestWireReadRunAllocs|TestReadRunFallsBackPageByPage|TestReadArmBookings|TestRoutedReadAllocs|TestRouterRunPaths|TestOverlappedBatchStorm|TestKeptHandlersStorm|TestReplicaFollowsDeltas|TestReplicaStopsAtDeltaGap|TestReplicaApplyAllocs|TestWritePagesMatchesWritePage|TestRouterWriteRunPaths|TestWriteRunFallsBackPageByPage|TestBulkWriteKeepsNoBuffer|TestDialRefusesPageSize
+WIRE_TESTS = TestFixBatchMatchesFixLoop|TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestMalformedFrameClosesConn|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestWireReadRunAllocs|TestReadRunFallsBackPageByPage|TestReadArmBookings|TestRoutedReadAllocs|TestRouterRunPaths|TestOverlappedBatchStorm|TestKeptHandlersStorm|TestReplicaFollowsDeltas|TestReplicaStopsAtDeltaGap|TestReplicaApplyAllocs|TestWritePagesMatchesWritePage|TestRouterWriteRunPaths|TestWriteRunFallsBackPageByPage|TestBulkWriteKeepsNoBuffer|TestDialRefusesPageSize
 WIRE_PKGS = ./internal/buffer ./internal/assembly ./internal/pagesvc ./internal/shard ./internal/disk
 wire-check:
 	$(GO) test -count=1 -run '$(WIRE_TESTS)' $(WIRE_PKGS)
@@ -248,7 +250,9 @@ crash-test:
 # A short coverage-guided fuzz of the slotted page (including the
 # corruption op that tries to break the bounds checks), of the
 # page-service wire header decoder (malformed frames must error, never
-# panic or over-allocate; a read that decodes, of a page or of a run —
+# panic or over-allocate, and one that is no request — seeded with a
+# header of 10 bytes and of 25 — is answered with one error frame before
+# its connection closes; a read that decodes, of a page or of a run —
 # seeded with runs of no page, of a ragged id list and off the device —
 # is answered by a server with exactly the pages asked for or an error;
 # a write that decodes, of a page or of a run — seeded with runs of one
@@ -286,20 +290,20 @@ figures:
 # Regenerate the tracked benchmark trajectory: every core scenario,
 # three-way verified, written to BENCH_core.json at the repo root.
 suite:
-	$(GO) run ./cmd/asmsuite -suite core -v
+	$(GO) run ./cmd/asmbench -suite core -v
 
 # The CI gate for the scenario suite: the smoke subset under the race
 # detector, plus the suite package's own tests, inside a time budget.
 suite-smoke:
 	$(GO) test -race -timeout 5m ./internal/suite
-	$(GO) run -race ./cmd/asmsuite -suite smoke -out /dev/null -v
+	$(GO) run -race ./cmd/asmbench -suite smoke -out /dev/null -v
 
 # The tracked trajectory is its own canonical form: every field of
 # BENCH_core.json is a deterministic counter, so regenerating it must
 # reproduce the checked-in file byte for byte. A diff here is a real
 # behaviour change — rerun `make suite` and review it.
 suite-check:
-	$(GO) run ./cmd/asmsuite -suite core -out - | diff -u BENCH_core.json -
+	$(GO) run ./cmd/asmbench -suite core -out - | diff -u BENCH_core.json -
 
 # End-to-end smoke test for per-query tracing: boot asmserve, run
 # /query requests, and check /tracez shows their span trees with

@@ -25,9 +25,27 @@
 // (the schema the golden-file test pins). -trace FILE records every
 // run's disk, buffer, and assembly events as JSONL; replay the file
 // with cmd/asmtrace to reconstruct — and verify — the reported numbers.
+//
+// The same command runs the continuous scenario suite: named benchmark
+// scenarios — OO7-style shapes, time-series appends, standing-query
+// incremental re-assembly, fault injection, remote page service —
+// declared in internal/suite's table (suite.Scenarios), three-way
+// verified (harness counters == trace replay == metrics registry delta),
+// and written as a schema-versioned BENCH_<suite>.json trajectory:
+//
+//	asmbench -suite core|smoke [-out FILE] [-iters N] [-list] [-v]
+//
+// -suite selects the scenario subset (each scenario declares which
+// suites it belongs to; "core" is the tracked trajectory, "smoke" the
+// CI gate); the figure flags are then ignored. -out defaults to
+// BENCH_<suite>.json in the current directory; "-" writes to stdout.
+// -iters sets every scenario's measured iteration count (default 3).
+// -list prints the selected scenarios (of "core" when -suite is not
+// given) without running them. -v prints one progress line per scenario.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -49,7 +67,17 @@ func main() {
 	faultPermanent := flag.Float64("fault-permanent", suite.DefaultFaultOptions.Permanent, "maximum permanent-fault rate for the sweep (figure 'faults')")
 	concurrency := flag.Int("concurrency", 8, "maximum concurrent queries for the 'concurrency' figure (sweep doubles up from 1)")
 	deadline := flag.Duration("deadline", 0, "per-query deadline for the 'concurrency' figure (0 = unbounded)")
+	suiteName := flag.String("suite", "", "run this scenario suite (core, smoke) instead of figures")
+	out := flag.String("out", "", "suite output file (default BENCH_<suite>.json; '-' for stdout)")
+	iters := flag.Int("iters", 0, "measured iterations per suite scenario (0 = 3)")
+	list := flag.Bool("list", false, "list the suite's scenarios (default suite core) and exit")
+	verbose := flag.Bool("v", false, "print one progress line per suite scenario")
 	flag.Parse()
+
+	if *suiteName != "" || *list {
+		runSuite(cmp.Or(*suiteName, "core"), *out, *iters, *list, *verbose)
+		return
+	}
 
 	id := strings.ToLower(*figure)
 	if id != "all" {
@@ -70,8 +98,7 @@ func main() {
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "asmbench: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		traceSink = trace.NewWriter(f)
 		s.Tracer = trace.New(traceSink)
@@ -86,22 +113,19 @@ func main() {
 		figs[0], err = s.Figure(id, params)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "asmbench: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if traceSink != nil {
-		if cerr := traceSink.Close(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "asmbench: trace: %v\n", cerr)
-			os.Exit(1)
+		if err := traceSink.Close(); err != nil {
+			fatal(fmt.Errorf("trace: %w", err))
 		}
 	}
 	if *jsonOut {
-		out, jerr := suite.FiguresJSON(figs)
-		if jerr != nil {
-			fmt.Fprintf(os.Stderr, "asmbench: %v\n", jerr)
-			os.Exit(1)
+		data, err := suite.FiguresJSON(figs)
+		if err != nil {
+			fatal(err)
 		}
-		os.Stdout.Write(out)
+		os.Stdout.Write(data)
 		return
 	}
 	for _, f := range figs {
@@ -111,4 +135,56 @@ func main() {
 	if *traceFile != "" {
 		fmt.Printf("trace written to %s (replay: go run ./cmd/asmtrace %s)\n", *traceFile, *traceFile)
 	}
+}
+
+// runSuite lists or runs the scenarios of suite name and writes the
+// report to out.
+func runSuite(name, out string, iters int, list, verbose bool) {
+	scenarios := suite.Scenarios()
+	if list {
+		n := 0
+		for _, sc := range scenarios {
+			if !sc.InSuite(name) {
+				continue
+			}
+			n++
+			fmt.Printf("%-32s %-11s shape=%-7s sched=%-13s backend=%-8s window=%-4d objects=%d\n",
+				sc.Name, sc.Workload, sc.Shape, sc.Scheduler, sc.Backend, sc.Window, sc.Objects)
+		}
+		if n == 0 {
+			fatal(fmt.Errorf("no scenarios in suite %q", name))
+		}
+		return
+	}
+
+	opt := suite.RunOptions{Suite: name, Iters: iters}
+	if verbose {
+		opt.Logf = func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		}
+	}
+	rep, err := suite.Run(scenarios, opt)
+	if err != nil {
+		fatal(err)
+	}
+	data, err := rep.JSON()
+	if err != nil {
+		fatal(err)
+	}
+	if out == "" {
+		out = fmt.Sprintf("BENCH_%s.json", name)
+	}
+	if out == "-" {
+		os.Stdout.Write(data)
+		return
+	}
+	if err := os.WriteFile(out, data, 0o644); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("wrote %s: %d scenarios, all three-way verified\n", out, len(rep.Scenarios))
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "asmbench:", err)
+	os.Exit(1)
 }

@@ -84,7 +84,7 @@ func main() {
 	}
 
 	devs := []disk.Device{serveData}
-	// Requests arriving with a query id (protocol v2) build server-side
+	// Requests arriving with a query id build server-side
 	// traces; the -metrics mux exposes them on /tracez.
 	qt := qtrace.NewCollector(0)
 	cfg := pagesvc.ServerConfig{Registry: reg, QTrace: qt}

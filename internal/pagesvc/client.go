@@ -89,11 +89,10 @@ type Client struct {
 	cfg    ClientConfig
 	jitter *disk.Jitter
 
-	// epoch is stamped into every request (protocol v2) when nonzero:
-	// the fleet controller raises it after a promotion so a server
-	// still living in a superseded epoch rejects this client's traffic
-	// — and, symmetrically, a superseded client is rejected by current
-	// servers.
+	// epoch is stamped into every request: the fleet controller raises
+	// it after a promotion so a server still living in a superseded
+	// epoch rejects this client's traffic — and, symmetrically, a
+	// superseded client is rejected by current servers.
 	epoch atomic.Uint64
 
 	// closed is set once, by Close, before it takes cmu: a connect that
@@ -190,7 +189,7 @@ func (c *Client) ServerEpoch() (uint64, error) {
 
 // SetEpoch sets the fencing epoch stamped into every subsequent
 // request. The fleet controller raises it after a promotion; zero
-// (the default) sends unfenced v1-compatible traffic.
+// (the default) is unfenced: no server refuses it for its epoch.
 func (c *Client) SetEpoch(epoch uint64) { c.epoch.Store(epoch) }
 
 // Epoch returns the client's current stamped epoch.
@@ -422,9 +421,9 @@ func (c *Client) nextID() uint64 {
 // req names the op, its id, the pages it reads or writes (which lead
 // its body), the body and a write's images; call stamps the device, the
 // epoch and sp's query id. sp, when non-nil, attributes the wire
-// activity to a query span (protocol v2). With a dst, an stOK body of
-// the length of dst's buffers together arrives in them and the returned
-// response says inPlace; any other body is a copy the caller owns. Once
+// activity to a query span. With a dst, an stOK body of the length of
+// dst's buffers together arrives in them and the returned response says
+// inPlace; any other body is a copy the caller owns. Once
 // call has returned — answered, failed or timed out — nothing writes to
 // dst.
 func (c *Client) call(req request, sp *qtrace.Span, dst [][]byte) (response, error) {
@@ -489,10 +488,6 @@ func opName(op byte) string {
 		return "follow"
 	case opPromote:
 		return "promote"
-	case opReadN:
-		return "readn"
-	case opWriteN:
-		return "writen"
 	default:
 		return fmt.Sprintf("op%d", op)
 	}
@@ -546,7 +541,7 @@ func (c *Client) ReadPages(ctx context.Context, ids []disk.PageID, bufs [][]byte
 	}
 }
 
-// readRun reads a run that fits one frame — a page read when it is of
+// readRun reads a run that fits one frame — a page read is a run of
 // one page, which begin books — under one request id that every retry
 // and re-send reuses. A run the client refuses is read page by page, so
 // that each page gets its own verdict.
@@ -560,12 +555,8 @@ func (c *Client) readRun(ctx context.Context, ids []disk.PageID, bufs [][]byte, 
 		return
 	}
 	if err == nil {
-		op := opReadN
-		if len(ids) == 1 {
-			op = opRead
-		}
 		_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
-			resp, err := c.call(request{op: op, reqID: reqID, pages: ids}, sp, bufs)
+			resp, err := c.call(request{op: opRead, reqID: reqID, pages: ids}, sp, bufs)
 			if err == nil && !resp.inPlace {
 				err = fmt.Errorf("%w: %d bytes for a run of %d pages", ErrBadFrame, len(resp.body), len(ids))
 			}
@@ -598,7 +589,7 @@ func (c *Client) WritePage(p disk.PageID, buf []byte) error {
 // same device writes, arm bookings and verdicts. A run too long for one
 // frame goes as several.
 func (c *Client) WritePages(ids []disk.PageID, bufs [][]byte, errs []error) {
-	per := max((maxFrame-reqHdrSizeQ)/(c.PageSize()+4), 1)
+	per := max((maxFrame-reqHdrSize)/(c.PageSize()+4), 1)
 	for len(ids) > 0 {
 		n := min(per, len(ids))
 		c.writeRun(ids[:n], bufs[:n], errs[:n])
@@ -606,11 +597,11 @@ func (c *Client) WritePages(ids []disk.PageID, bufs [][]byte, errs []error) {
 	}
 }
 
-// writeRun writes a run that fits one frame — a page write when it is of
+// writeRun writes a run that fits one frame — a page write is a run of
 // one page, which begin books — under one request id that every retry
-// and re-send reuses. A run refused by the client, or by a peer from
-// before write runs (which knows no opWriteN), is written page by page,
-// so that each page gets its own verdict. Once the call has returned,
+// and re-send reuses. A run refused by the client, or by the server for
+// a reason neither transient nor permanent, is written page by page, so
+// that each page gets its own verdict. Once the call has returned,
 // whatever else it returned, the run books every page it sent on the
 // local arm, in the run's order, as a loop of page writes books each
 // before its call. A run the server stopped short at a failing page
@@ -620,12 +611,8 @@ func (c *Client) writeRun(ids []disk.PageID, bufs [][]byte, errs []error) {
 	reqID, err := c.begin(ids, bufs, false, nil)
 	done := len(ids)
 	if err == nil {
-		op := opWriteN
-		if len(ids) == 1 {
-			op = opWrite
-		}
 		_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
-			resp, err := c.call(request{op: op, reqID: reqID, pages: ids, imgs: bufs}, nil, nil)
+			resp, err := c.call(request{op: opWrite, reqID: reqID, pages: ids, imgs: bufs}, nil, nil)
 			switch {
 			case err != nil || len(resp.body) == 0:
 			case len(ids) > 1 && len(resp.body) == 4 && int(binary.LittleEndian.Uint32(resp.body)) < len(ids):

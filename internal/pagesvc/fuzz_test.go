@@ -25,12 +25,13 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 }
 
 // FuzzProtoDecode throws arbitrary bytes at every wire-decode path —
-// the v1/v2 request header (qid high-bit flag plus the epoch field),
-// the response header, the error body, the Follow stream record and
+// the request header (query id and epoch included), the response header, the error body, the Follow stream record and
 // delta, and the promote body. Whatever the input, decoding must return a
 // classified error or a well-formed value, never panic or index out of
 // bounds; and any frame that decodes cleanly must survive a
-// re-encode/re-decode round trip unchanged (headers are canonical). The
+// re-encode/re-decode round trip unchanged (headers are canonical). A
+// frame that does not decode as a request is answered by a server's
+// connection with one well-formed error frame, after which it closes. The
 // input reaches the decoders the way frames do: framed, and through a
 // frameReader fed the stream in two pieces, split at every byte
 // boundary — the payload handed out must be the input each time. What
@@ -46,18 +47,20 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 // the images it says it wrote; a sender that names the ids and images
 // apart sends the same frame.
 func FuzzProtoDecode(f *testing.F) {
-	// A valid v1 read request.
+	// A read of one page.
 	f.Add(encodeRequest(request{op: opRead, dev: DataDev, reqID: 7, body: []byte{1, 0, 0, 0}}))
-	// A valid v2 request: qid and epoch ride the extended header.
+	// A write with a query id and an epoch, and a one-byte body.
 	f.Add(encodeRequest(request{op: opWrite, dev: DataDev, reqID: 9, qid: 42, epoch: 3, body: []byte{0}}))
-	// Flag set but the frame too short for the extended header.
-	f.Add([]byte{opRead | opQIDFlag, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	// Headers too short: the 10-byte one of op, device and request id
+	// alone, and the whole header but its last byte.
+	f.Add([]byte{opPing, DataDev, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(encodeRequest(request{op: opPing, dev: DataDev, reqID: 8, qid: 42, epoch: 3})[:25])
 	// Runs: three pages, no page at all, a ragged list of ids, a page
 	// off the end of the device.
-	f.Add(encodeRequest(request{op: opReadN, dev: DataDev, reqID: 11, body: []byte{1, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0}}))
-	f.Add(encodeRequest(request{op: opReadN, dev: DataDev, reqID: 12}))
-	f.Add(encodeRequest(request{op: opReadN, dev: DataDev, reqID: 13, qid: 5, body: []byte{1, 0, 0, 0, 3}}))
-	f.Add(encodeRequest(request{op: opReadN, dev: DataDev, reqID: 14, body: []byte{1, 0, 0, 0, 0xFF, 0xFF, 0, 0}}))
+	f.Add(encodeRequest(request{op: opRead, dev: DataDev, reqID: 11, body: []byte{1, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0}}))
+	f.Add(encodeRequest(request{op: opRead, dev: DataDev, reqID: 12}))
+	f.Add(encodeRequest(request{op: opRead, dev: DataDev, reqID: 13, qid: 5, body: []byte{1, 0, 0, 0, 3}}))
+	f.Add(encodeRequest(request{op: opRead, dev: DataDev, reqID: 14, body: []byte{1, 0, 0, 0, 0xFF, 0xFF, 0, 0}}))
 	// Write runs: one page and three, no page at all, a ragged body, a
 	// page off the end of the device.
 	ps := disk.DefaultPageSize
@@ -71,11 +74,11 @@ func FuzzProtoDecode(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(encodeRequest(request{op: opWriteN, dev: DataDev, reqID: 15, body: writeBody(2)}))
-	f.Add(encodeRequest(request{op: opWriteN, dev: DataDev, reqID: 16, qid: 5, body: writeBody(1, 3, 1)}))
-	f.Add(encodeRequest(request{op: opWriteN, dev: DataDev, reqID: 17}))
-	f.Add(encodeRequest(request{op: opWriteN, dev: DataDev, reqID: 18, body: writeBody(1, 2)[1:]}))
-	f.Add(encodeRequest(request{op: opWriteN, dev: DataDev, reqID: 19, body: writeBody(4, 0xFF, 5)}))
+	f.Add(encodeRequest(request{op: opWrite, dev: DataDev, reqID: 15, body: writeBody(2)}))
+	f.Add(encodeRequest(request{op: opWrite, dev: DataDev, reqID: 16, qid: 5, body: writeBody(1, 3, 1)}))
+	f.Add(encodeRequest(request{op: opWrite, dev: DataDev, reqID: 17}))
+	f.Add(encodeRequest(request{op: opWrite, dev: DataDev, reqID: 18, body: writeBody(1, 2)[1:]}))
+	f.Add(encodeRequest(request{op: opWrite, dev: DataDev, reqID: 19, body: writeBody(4, 0xFF, 5)}))
 	// A valid promote body inside a v2 frame.
 	f.Add(encodeRequest(request{op: opPromote, reqID: 1, epoch: 5, body: encodePromote(5, 100, true)}))
 	// Response frames: ok, error, stream.
@@ -120,22 +123,16 @@ func FuzzProtoDecode(f *testing.F) {
 					t.Fatalf("appendRequest with %d ids as pages = %x, reference %x", n, got, want)
 				}
 			}
-			if req.op == opRead || req.op == opReadN {
+			if req.op == opRead {
 				fuzzServeRead(t, srv, req, p)
 			}
-			if req.op == opWrite || req.op == opWriteN {
+			if req.op == opWrite {
 				fuzzServeWrite(t, wsrv, req, p)
 			}
-			// Round trip: decoded fields re-encode to a frame that
-			// decodes identically. (The raw bytes may differ — a v2
-			// frame with qid 0 and epoch 0 re-encodes as v1.)
-			again, err := decodeRequest(encodeRequest(req))
-			if err != nil {
-				t.Fatalf("re-decode of re-encoded request: %v", err)
-			}
-			if again.op != req.op || again.dev != req.dev || again.reqID != req.reqID ||
-				again.qid != req.qid || again.epoch != req.epoch || !bytes.Equal(again.body, req.body) {
-				t.Fatalf("request round trip diverged: %+v vs %+v", req, again)
+			// Round trip: the decoded fields re-encode to the payload
+			// they came from.
+			if again := encodeRequest(req); !bytes.Equal(again, p) {
+				t.Fatalf("request %+v re-encodes as %x, want %x", req, again, p)
 			}
 			if req.op == opPromote {
 				if epoch, minLSN, writable, err := decodePromote(req.body); err == nil {
@@ -144,6 +141,8 @@ func FuzzProtoDecode(f *testing.F) {
 					}
 				}
 			}
+		} else {
+			fuzzRefuse(t, srv, p)
 		}
 		if resp, err := decodeResponse(p); err == nil {
 			if got, want := appendResponse(nil, resp), framed(encodeResponse(resp)); !bytes.Equal(got, want) {
@@ -189,9 +188,8 @@ const fuzzPages = 8
 // fuzzServeRead hands a read request that decoded from payload to srv,
 // whose device's page id starts with byte id+1, and checks the answer:
 // one frame; the images of the pages asked for, in order, when the body
-// is one id (opRead) or a whole number of ids, at least one and no more
-// than fit a frame (opReadN), all on device 0 and inside it; an error
-// response otherwise.
+// is a whole number of ids, at least one and no more than fit a frame,
+// all on device 0 and inside it; an error response otherwise.
 func fuzzServeRead(t *testing.T, srv *Server, req request, payload []byte) {
 	buf := append([]byte(nil), payload...)
 	got, err := decodeRequest(buf)
@@ -210,7 +208,7 @@ func fuzzServeRead(t *testing.T, srv *Server, req request, payload []byte) {
 	}
 	ps := srv.devs[0].PageSize()
 	n := len(req.body) / 4
-	valid := req.dev == 0 && len(req.body)%4 == 0 && n >= 1 && (req.op == opReadN || n == 1) && n*ps <= maxFrame-respHdrSize
+	valid := req.dev == 0 && len(req.body)%4 == 0 && n >= 1 && n*ps <= maxFrame-respHdrSize
 	for i := 0; valid && i < n; i++ {
 		valid = binary.LittleEndian.Uint32(req.body[4*i:]) < fuzzPages
 	}
@@ -232,7 +230,7 @@ func fuzzServeRead(t *testing.T, srv *Server, req request, payload []byte) {
 
 // fuzzServeWrite hands a write request that decoded from payload to srv
 // and checks the answer: one frame; for a body of n ≥ 1 ids and their n
-// images (n = 1 for opWrite) on device 0, each id's image on the device
+// images on device 0, each id's image on the device
 // up to the first id off it — and then, for a run of several, a short
 // answer saying how many were written, for a page write an error — and
 // an empty answer when every id is on it; an error response otherwise. A
@@ -257,7 +255,7 @@ func fuzzServeWrite(t *testing.T, srv *Server, req request, payload []byte) {
 	dev := srv.devs[0]
 	ps := dev.PageSize()
 	n := len(req.body) / (4 + ps)
-	if req.dev != 0 || n == 0 || len(req.body)%(4+ps) != 0 || req.op == opWrite && n != 1 {
+	if req.dev != 0 || n == 0 || len(req.body)%(4+ps) != 0 {
 		if resp.status != stErr {
 			t.Fatalf("%s of %d bytes answered with status %d, want an error", opName(req.op), len(req.body), resp.status)
 		}
@@ -298,6 +296,35 @@ func fuzzServeWrite(t *testing.T, srv *Server, req request, payload []byte) {
 		}
 	}
 }
+
+// fuzzRefuse hands payload, which does not decode as a request, to a
+// connection of srv, followed by a ping, and checks that the server
+// answers one well-formed error frame under request id 0 and nothing
+// more: the connection is closed before the ping is read.
+func fuzzRefuse(t *testing.T, srv *Server, payload []byte) {
+	conn := &scriptConn{in: bytes.NewReader(slices.Concat(framed(payload), framed(encodeRequest(request{op: opPing, reqID: 1}))))}
+	srv.wg.Add(1)
+	srv.serveConn(&serverConn{c: conn, jobs: make(chan job), waiting: make(chan struct{}, maxIdleBufs)})
+	if len(conn.writes) != 1 {
+		t.Fatalf("a %d-byte frame that is no request answered in %d writes, want 1", len(payload), len(conn.writes))
+	}
+	body, err := readFrame(bytes.NewReader(conn.writes[0]))
+	if err != nil || len(body)+4 != len(conn.writes[0]) {
+		t.Fatalf("answer to a %d-byte frame that is no request is not one frame: %v", len(payload), err)
+	}
+	resp, err := decodeResponse(body)
+	if err != nil || resp.status != stErr || resp.reqID != 0 || len(resp.body) == 0 || resp.body[0] != classOther {
+		t.Fatalf("answer to a %d-byte frame that is no request: %+v, %v; want an error frame of request 0", len(payload), resp, err)
+	}
+}
+
+// scriptConn is a recConn that reads from in.
+type scriptConn struct {
+	recConn
+	in io.Reader
+}
+
+func (c *scriptConn) Read(p []byte) (int, error) { return c.in.Read(p) }
 
 // framed is payload as the reference puts it on the wire.
 func framed(payload []byte) []byte {
@@ -340,8 +367,9 @@ func TestMalformedFrameClosesConn(t *testing.T) {
 	sim := disk.New(4)
 	srv, addr := startServer(t, []disk.Device{sim}, ServerConfig{})
 
-	// An extended-header op with a truncated header: decodeRequest fails.
-	bad := []byte{opRead | opQIDFlag, 0, 1, 2, 3, 4, 5, 6, 7, 8}
+	// A read of page 2 under a header too short by its query id and
+	// epoch: decodeRequest fails.
+	bad := []byte{opRead, DataDev, 1, 2, 3, 4, 5, 6, 7, 8, 2, 0, 0, 0}
 	conn := dialRaw(t, addr)
 	defer conn.Close()
 	if err := writeFrame(conn, bad); err != nil {

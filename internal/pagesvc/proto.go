@@ -1,7 +1,8 @@
 // Package pagesvc puts a network between the buffer pool and its
 // pages: a TCP page service speaking a small length-prefixed binary
-// protocol (read, write, allocate, info, ping, and a streaming WAL
-// follow; reads and writes also in runs), a server fronting any set of disk.Devices, and a client
+// protocol (reads and writes of runs of pages, allocate, info, ping,
+// promote, and a streaming WAL follow), a server fronting any set of
+// disk.Devices, and a client
 // that itself implements disk.Device — so the buffer pool, WAL, and
 // assembly operator run unchanged whether their pages are a method
 // call or a round trip away.
@@ -33,15 +34,13 @@ import (
 
 // Operation codes (request frames).
 const (
-	opRead    = byte(1) // body: [4B page]            -> OK body: page image
-	opWrite   = byte(2) // body: [4B page][image]     -> OK body: empty (opWriteN of one page)
+	opRead    = byte(1) // body: [4B page] × n, n ≥ 1 -> OK body: the n page images, in that order
+	opWrite   = byte(2) // body: [4B page] × n, then the n images, n ≥ 1 -> OK body: empty, or [4B written] if short
 	opAlloc   = byte(3) // body: [4B n]               -> OK body: [4B first]
 	opInfo    = byte(4) // body: empty                -> OK body: [8B pages][4B pageSize][8B appliedLSN][8B epoch]
 	opPing    = byte(5) // body: empty                -> OK body: empty
 	opFollow  = byte(6) // body: [8B fromLSN]         -> stream of stream frames
 	opPromote = byte(7) // body: [8B epoch][8B minLSN][1B mode] -> OK body: [8B epoch]
-	opReadN   = byte(8) // body: [4B page] × n, n ≥ 1 -> OK body: the n page images, in that order
-	opWriteN  = byte(9) // body: [4B page] × n, then the n images, n ≥ 1 -> OK body: empty, or [4B written] if short
 )
 
 // Promote modes (the opPromote body's last byte).
@@ -75,22 +74,10 @@ const (
 // the caller must learn the new fleet state first.
 var ErrFenced = errors.New("pagesvc: fenced")
 
-// reqHdrSize is the fixed request header: [1B op][1B dev][8B reqID].
-const reqHdrSize = 10
-
-// opQIDFlag marks an extended request header (protocol v2): when the
-// high bit of the op byte is set, 16 more bytes follow the base header
-// — a query id attributing the request to a query span on the server,
-// and the sender's fencing epoch (0 = unfenced, pre-fleet traffic).
-// Requests without the flag are the v1 wire format byte for byte, so
-// old clients keep working against new servers and vice versa — a v1
-// server would reject flagged ops as unknown, which the v2 client
-// avoids by flagging only when a query id or epoch is actually present.
-const opQIDFlag = byte(0x80)
-
-// reqHdrSizeQ is the extended header:
-// [1B op|flag][1B dev][8B reqID][8B qid][8B epoch].
-const reqHdrSizeQ = reqHdrSize + 16
+// reqHdrSize is the request header: [1B op][1B dev][8B reqID][8B qid]
+// [8B epoch]. qid attributes the request to a query span on the server
+// (0: to none), and epoch is the sender's fencing epoch (0: unfenced).
+const reqHdrSize = 26
 
 // respHdrSize is the fixed response header: [1B status][8B reqID].
 const respHdrSize = 9
@@ -103,8 +90,7 @@ const maxFrame = 1 << 22
 var ErrBadFrame = errors.New("pagesvc: malformed frame")
 
 // request is a request frame. qid is the originating query id and epoch
-// the sender's fencing epoch (both 0 = unattributed, unfenced, encoded
-// as a v1 frame). A frame's body is pages, four bytes each, followed by
+// the sender's fencing epoch (0: unattributed, unfenced). A frame's body is pages, four bytes each, followed by
 // body, followed by imgs: a sender names the pages a read or write is
 // about in pages and a write's images in imgs, and spares itself a body
 // assembled elsewhere first; a decoded request has everything in body.
@@ -190,55 +176,36 @@ func (fr *frameReader) next() ([]byte, error) {
 }
 
 // appendRequest appends req's frame to dst — all of it but req.imgs,
-// which its length counts and the sender writes behind it: the v1
-// 10-byte header, extended with the query id and epoch (and flagged op
-// byte) only when one is set, so unattributed unfenced traffic stays
-// wire-identical to v1.
+// which its length counts and the sender writes behind it.
 func appendRequest(dst []byte, req request) []byte {
-	hdr, op := reqHdrSize, req.op
-	if req.qid != 0 || req.epoch != 0 {
-		hdr, op = reqHdrSizeQ, req.op|opQIDFlag
-	}
-	n := hdr + 4*len(req.pages) + len(req.body)
+	n := reqHdrSize + 4*len(req.pages) + len(req.body)
 	for _, img := range req.imgs {
 		n += len(img)
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	dst = append(dst, op, req.dev)
+	dst = append(dst, req.op, req.dev)
 	dst = binary.LittleEndian.AppendUint64(dst, req.reqID)
-	if hdr == reqHdrSizeQ {
-		dst = binary.LittleEndian.AppendUint64(dst, req.qid)
-		dst = binary.LittleEndian.AppendUint64(dst, req.epoch)
-	}
+	dst = binary.LittleEndian.AppendUint64(dst, req.qid)
+	dst = binary.LittleEndian.AppendUint64(dst, req.epoch)
 	for _, p := range req.pages {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(p))
 	}
 	return append(dst, req.body...)
 }
 
-// decodeRequest parses a request frame payload, accepting both header
-// versions.
+// decodeRequest parses a request frame payload.
 func decodeRequest(p []byte) (request, error) {
 	if len(p) < reqHdrSize {
 		return request{}, fmt.Errorf("%w: %d-byte request", ErrBadFrame, len(p))
 	}
-	req := request{
+	return request{
 		op:    p[0],
 		dev:   p[1],
 		reqID: binary.LittleEndian.Uint64(p[2:]),
-	}
-	if req.op&opQIDFlag != 0 {
-		if len(p) < reqHdrSizeQ {
-			return request{}, fmt.Errorf("%w: %d-byte extended request", ErrBadFrame, len(p))
-		}
-		req.op &^= opQIDFlag
-		req.qid = binary.LittleEndian.Uint64(p[reqHdrSize:])
-		req.epoch = binary.LittleEndian.Uint64(p[reqHdrSize+8:])
-		req.body = p[reqHdrSizeQ:]
-	} else {
-		req.body = p[reqHdrSize:]
-	}
-	return req, nil
+		qid:   binary.LittleEndian.Uint64(p[10:]),
+		epoch: binary.LittleEndian.Uint64(p[18:]),
+		body:  p[reqHdrSize:],
+	}, nil
 }
 
 // appendResponseHdr appends the start of a response frame whose body,

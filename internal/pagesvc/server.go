@@ -42,10 +42,10 @@ type ServerConfig struct {
 	// counters under asm_pagesvc_*.
 	Registry *metrics.Registry
 	// QTrace, when set, collects server-side spans for requests that
-	// arrive with a query id (protocol v2): each such request becomes a
-	// span under a remote trace keyed by the id, so the server's
-	// /tracez shows per-query timelines even though queries begin and
-	// end on the client. Nil disables server-side attribution.
+	// carry a query id: each such request becomes a span under a remote
+	// trace keyed by the id, so the server's /tracez shows per-query
+	// timelines even though queries begin and end on the client. Nil
+	// disables server-side attribution.
 	QTrace *qtrace.Collector
 	// ReadOnly starts the server refusing writes and allocations with a
 	// fenced error — the posture of a replica (its device is written by
@@ -312,8 +312,7 @@ func (s *Server) handler(sc *serverConn, j job) {
 	defer sc.handlers.Done()
 	for ok := true; ok; {
 		out := s.handle(j.req, j.buf)
-		read := j.req.op == opRead || j.req.op == opReadN
-		sc.send(out[len(j.buf):], out, read) // a dead conn ends the read loop too
+		sc.send(out[len(j.buf):], out, j.req.op == opRead) // a dead conn ends the read loop too
 		select {
 		case sc.waiting <- struct{}{}:
 		default:
@@ -355,7 +354,7 @@ func (s *Server) handle(req request, buf []byte) []byte {
 	// with an older (nonzero) epoch is from a superseded view of the
 	// fleet — a router that has not heard about a promotion yet — and
 	// is rejected outright; stamping the current epoch is fine, and a
-	// zero stamp is legacy unfenced traffic.
+	// zero stamp is unfenced traffic.
 	if cur := s.epoch.Load(); req.epoch != 0 && req.epoch < cur {
 		s.fenced.Inc()
 		return s.fail(buf, req.reqID, fmt.Errorf("pagesvc: request epoch %d superseded by %d: %w", req.epoch, cur, ErrFenced))
@@ -366,7 +365,7 @@ func (s *Server) handle(req request, buf []byte) []byte {
 	// A read-only server (replica, or a fenced ex-primary) refuses all
 	// mutations: this is what rejects a zombie primary's late writes
 	// after the fleet has moved on without it.
-	if s.readOnly.Load() && (req.op == opWrite || req.op == opWriteN || req.op == opAlloc) {
+	if s.readOnly.Load() && (req.op == opWrite || req.op == opAlloc) {
 		s.fenced.Inc()
 		return s.fail(buf, req.reqID, fmt.Errorf("pagesvc: read-only at epoch %d: %w", s.epoch.Load(), ErrFenced))
 	}
@@ -375,21 +374,21 @@ func (s *Server) handle(req request, buf []byte) []byte {
 	}
 	dev := s.devs[req.dev]
 	switch req.op {
-	case opRead, opReadN:
+	case opRead:
 		// A run is read page by page, in its order — which is the order
 		// the client's elevator chose for this arm — and answered whole or
 		// not at all: the client reads the pages of a failed run singly.
 		// A page read is a run of exactly one.
 		n, ps := len(req.body)/4, dev.PageSize()
-		if n == 0 || len(req.body)%4 != 0 || n > (maxFrame-respHdrSize)/ps || req.op == opRead && n != 1 {
-			return s.fail(buf, req.reqID, fmt.Errorf("%w: %s of %d bytes of page ids", ErrBadFrame, opName(req.op), len(req.body)))
+		if n == 0 || len(req.body)%4 != 0 || n > (maxFrame-respHdrSize)/ps {
+			return s.fail(buf, req.reqID, fmt.Errorf("%w: read of %d bytes of page ids", ErrBadFrame, len(req.body)))
 		}
 		out := appendResponseHdr(buf, stOK, req.reqID, n*ps)
 		body := len(out)
 		out = slices.Grow(out, n*ps)[:body+n*ps]
 		// Growing out may have moved the request; req.body still reads the
 		// old bytes, which nothing overwrites.
-		sp, ctx := s.reqSpan(req, opName(req.op))
+		sp, ctx := s.reqSpan(req, "read")
 		var err error
 		for i := 0; i < n && err == nil; i++ {
 			p := disk.PageID(binary.LittleEndian.Uint32(req.body[4*i:]))
@@ -400,7 +399,7 @@ func (s *Server) handle(req request, buf []byte) []byte {
 			return s.fail(buf, req.reqID, err)
 		}
 		return out
-	case opWrite, opWriteN:
+	case opWrite:
 		// A run is written page by page, in its order, until a page
 		// fails. A page write is a run of exactly one, and its failure is
 		// its answer. A longer run that stops short answers how many pages
@@ -409,8 +408,8 @@ func (s *Server) handle(req request, buf []byte) []byte {
 		// page write's does.
 		ps := dev.PageSize()
 		n := len(req.body) / (4 + ps)
-		if n == 0 || len(req.body)%(4+ps) != 0 || req.op == opWrite && n != 1 {
-			return s.fail(buf, req.reqID, fmt.Errorf("%w: %s of %d bytes", ErrBadFrame, opName(req.op), len(req.body)))
+		if n == 0 || len(req.body)%(4+ps) != 0 {
+			return s.fail(buf, req.reqID, fmt.Errorf("%w: write of %d bytes", ErrBadFrame, len(req.body)))
 		}
 		imgs := req.body[4*n:]
 		for i := 0; i < n; i++ {

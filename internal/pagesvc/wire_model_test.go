@@ -42,24 +42,16 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// encodeRequest frames a request for the wire: the v1 10-byte header,
-// extended with the query id and epoch (and flagged op byte) only when
-// one is set.
+// encodeRequest frames a request for the wire: the 26-byte header — op,
+// device, request id, query id, epoch — then the body.
 func encodeRequest(req request) []byte {
-	hdr := reqHdrSize
-	if req.qid != 0 || req.epoch != 0 {
-		hdr = reqHdrSizeQ
-	}
-	p := make([]byte, hdr+len(req.body))
+	p := make([]byte, 26+len(req.body))
 	p[0] = req.op
 	p[1] = req.dev
 	binary.LittleEndian.PutUint64(p[2:], req.reqID)
-	if hdr == reqHdrSizeQ {
-		p[0] |= opQIDFlag
-		binary.LittleEndian.PutUint64(p[reqHdrSize:], req.qid)
-		binary.LittleEndian.PutUint64(p[reqHdrSize+8:], req.epoch)
-	}
-	copy(p[hdr:], req.body)
+	binary.LittleEndian.PutUint64(p[10:], req.qid)
+	binary.LittleEndian.PutUint64(p[18:], req.epoch)
+	copy(p[26:], req.body)
 	return p
 }
 

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,9 +60,9 @@ func flat(req request) request {
 	return req
 }
 
-// TestFrameBytes: every frame either side sends — each op, with the v1
-// and the extended header, the page ids named apart from the body or
-// inside it, ok and error responses, Follow records — is byte for byte
+// TestFrameBytes: every frame either side sends — each op, with and
+// without a query id and an epoch, the page ids named apart from the body
+// or inside it, ok and error responses, Follow records — is byte for byte
 // the frame writeFrame and the encode* functions of wire_model_test.go
 // make, and reaches the connection in one Write; a write's images follow
 // the rest of its frame in the same writev, which a connection that is
@@ -96,22 +95,22 @@ func TestFrameBytes(t *testing.T) {
 		// As the client sends them: the ids in pages, a write's image the body.
 		{op: opRead, dev: DataDev, reqID: 18, qid: 42, pages: []disk.PageID{2}},
 		{op: opWrite, dev: DataDev, reqID: 19, pages: []disk.PageID{1}, imgs: [][]byte{img}},
-		{op: opReadN, dev: DataDev, reqID: 20, epoch: 5, pages: []disk.PageID{2, 0, 1, 2}},
-		{op: opReadN, dev: DataDev, reqID: 22, body: []byte{0, 0, 0, 0, 2, 0, 0, 0}},
-		{op: opReadN, dev: DataDev, reqID: 23},                                // no page at all
-		{op: opReadN, dev: DataDev, reqID: 24, body: []byte{1, 0, 0, 0, 2}},   // a ragged list of ids
-		{op: opReadN, dev: DataDev, reqID: 25, pages: []disk.PageID{2, 9, 1}}, // one page out of range
-		{op: opReadN, dev: DataDev, reqID: 26, pages: tooMany},                // more than a frame holds
-		{op: opReadN, dev: 7, reqID: 27, pages: []disk.PageID{1, 2}},          // no such device
+		{op: opRead, dev: DataDev, reqID: 20, epoch: 5, pages: []disk.PageID{2, 0, 1, 2}},
+		{op: opRead, dev: DataDev, reqID: 22, body: []byte{0, 0, 0, 0, 2, 0, 0, 0}},
+		{op: opRead, dev: DataDev, reqID: 23},                                // no page at all
+		{op: opRead, dev: DataDev, reqID: 24, body: []byte{1, 0, 0, 0, 2}},   // a ragged list of ids
+		{op: opRead, dev: DataDev, reqID: 25, pages: []disk.PageID{2, 9, 1}}, // one page out of range
+		{op: opRead, dev: DataDev, reqID: 26, pages: tooMany},                // more than a frame holds
+		{op: opRead, dev: 7, reqID: 27, pages: []disk.PageID{1, 2}},          // no such device
 		// Write runs: three pages, then a read of them; a page off the end,
 		// where the run stops short and says how many pages it wrote; no
-		// page at all; a ragged body; two pages as a page write.
-		{op: opWriteN, dev: DataDev, reqID: 28, qid: 42, pages: []disk.PageID{4, 0, 5}, imgs: [][]byte{img4, img, img5}},
-		{op: opReadN, dev: DataDev, reqID: 29, pages: []disk.PageID{0, 4, 5}},
-		{op: opWriteN, dev: DataDev, reqID: 30, pages: []disk.PageID{5, 9, 4}, imgs: [][]byte{img, img, img}},
-		{op: opWriteN, dev: DataDev, reqID: 31},
-		{op: opWriteN, dev: DataDev, reqID: 32, body: append([]byte{1, 0, 0, 0}, img[1:]...)},
-		{op: opWrite, dev: DataDev, reqID: 33, pages: []disk.PageID{1, 2}, imgs: [][]byte{img, img}},
+		// page at all; a ragged body; two ids and one image.
+		{op: opWrite, dev: DataDev, reqID: 28, qid: 42, pages: []disk.PageID{4, 0, 5}, imgs: [][]byte{img4, img, img5}},
+		{op: opRead, dev: DataDev, reqID: 29, pages: []disk.PageID{0, 4, 5}},
+		{op: opWrite, dev: DataDev, reqID: 30, pages: []disk.PageID{5, 9, 4}, imgs: [][]byte{img, img, img}},
+		{op: opWrite, dev: DataDev, reqID: 31},
+		{op: opWrite, dev: DataDev, reqID: 32, body: append([]byte{1, 0, 0, 0}, img[1:]...)},
+		{op: opWrite, dev: DataDev, reqID: 33, pages: []disk.PageID{1, 2}, imgs: [][]byte{img}},
 	}
 	// What the server answers, built by hand from the reference encoder.
 	ok := func(reqID uint64, body []byte) []byte {
@@ -167,7 +166,7 @@ func TestFrameBytes(t *testing.T) {
 			srv.serveFollow(sc, got, buf)
 		} else {
 			out := srv.handle(got, buf)
-			sc.send(out[len(buf):], out, got.op == opRead || got.op == opReadN)
+			sc.send(out[len(buf):], out, got.op == opRead)
 		}
 		want := answers[i]
 		if want == nil {
@@ -256,7 +255,7 @@ func TestFrameReaderSplits(t *testing.T) {
 		encodeResponse(response{status: stOK, reqID: 1, body: bytes.Repeat([]byte{7}, 1024)}),
 		bytes.Repeat([]byte{9}, frameBufSize+17),
 		encodeStreamRecord(5, 9, 2, bytes.Repeat([]byte{0xAB}, 32)),
-		encodeRequest(request{op: opReadN, reqID: 2, qid: 3, body: bytes.Repeat([]byte{1, 0, 0, 0}, 6)}),
+		encodeRequest(request{op: opRead, reqID: 2, qid: 3, body: bytes.Repeat([]byte{1, 0, 0, 0}, 6)}),
 		encodeResponse(response{status: stOK, reqID: 2, body: bytes.Repeat([]byte{0xC4}, 6*1024)}),
 		encodeResponse(response{status: stOK, reqID: 3, body: bytes.Repeat([]byte{0xC5}, 4*1024)}),
 		encodeResponse(response{status: stOK, reqID: 4, body: []byte{1}}),
@@ -517,9 +516,10 @@ func TestKeptHandlersStorm(t *testing.T) {
 	leakcheck.Check(t, goroutines)
 }
 
-// TestReadRunFallsBackPageByPage: a run the peer will not answer as a
-// run — it lacks the op, or one page of the run is off its device — fails
-// whole, with nothing booked, and its pages can be read one by one.
+// TestReadRunFallsBackPageByPage: a run the server will not answer as a
+// run — one page of it is off its device — fails whole, is not retried,
+// books nothing, and its pages can be read one by one; a run the client
+// refuses is read page by page, and only the refused page fails.
 func TestReadRunFallsBackPageByPage(t *testing.T) {
 	ctx := context.Background()
 	run := func(c *Client, ids ...disk.PageID) []error {
@@ -531,33 +531,10 @@ func TestReadRunFallsBackPageByPage(t *testing.T) {
 		return errs
 	}
 
-	// A peer from before opReadN answers it the way any server answers
-	// an op it does not know.
-	old, err := Dial(ClientConfig{Primary: oldPeer(t, 8, 256, nil), Retry: disk.DefaultRetryPolicy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	for i, err := range run(old, 1, 2, 3) {
-		if err == nil || disk.Retryable(err) {
-			t.Errorf("page %d of a run the peer does not know: %v, want a refusal that is not worth retrying", i, err)
-		}
-	}
-	if st := old.Stats(); st.Reads != 0 {
-		t.Errorf("the refused run booked %d reads", st.Reads)
-	}
-	if got := old.sends.Value(); got != 2 { // Dial's info, and the run once
-		t.Errorf("%d requests sent, want 2: a refusal is not retried", got)
-	}
-	buf := make([]byte, old.PageSize())
-	if err := old.ReadPageCtx(ctx, 2, buf); err != nil || buf[0] != 2 {
-		t.Errorf("single read after the refused run: %v, first byte %d", err, buf[0])
-	}
-
 	// One page of the run is past the server's device though inside the
 	// extent the client believes in: the server refuses the run.
 	sim := numberedPages(t, 8)
-	c := wirePair(t, sim, ClientConfig{})
+	c := wirePair(t, sim, ClientConfig{Retry: disk.DefaultRetryPolicy})
 	c.mu.Lock()
 	c.numPages = 16
 	c.mu.Unlock()
@@ -569,14 +546,21 @@ func TestReadRunFallsBackPageByPage(t *testing.T) {
 	if st := c.Stats(); st.Reads != 0 {
 		t.Errorf("the failed run booked %d reads", st.Reads)
 	}
+	if got := c.sends.Value(); got != 2 { // Dial's info, and the run once
+		t.Errorf("%d requests sent, want 2: a refusal is not retried", got)
+	}
+	buf := make([]byte, c.PageSize())
+	if err := c.ReadPageCtx(ctx, 3, buf); err != nil || buf[0] != 3 {
+		t.Errorf("single read after the refused run: %v, first byte %d", err, buf[0])
+	}
 	// A page the client itself would refuse sends every page on its own,
 	// and only that page fails.
 	errs := run(c, 1, 99, 3)
 	if errs[0] != nil || !errors.Is(errs[1], disk.ErrOutOfRange) || errs[2] != nil {
 		t.Errorf("run with a page the client refuses: %v", errs)
 	}
-	if st := c.Stats(); st.Reads != 2 {
-		t.Errorf("%d reads booked, want the two pages that arrived", st.Reads)
+	if st := c.Stats(); st.Reads != 3 {
+		t.Errorf("%d reads booked, want the three pages that arrived", st.Reads)
 	}
 }
 
@@ -629,59 +613,6 @@ func TestReadArmBookings(t *testing.T) {
 		}
 	}
 	check("a run the server fails", 3, 14)
-}
-
-// oldPeer plays, over the reference encoders, a server from before
-// opReadN with pages pages of ps bytes, each filled with its number: it
-// answers info and single reads, takes single writes (counting them in
-// writes, and keeping nothing), and refuses every other op as unknown.
-// It serves one connection and returns its address.
-func oldPeer(t *testing.T, pages, ps int, writes *atomic.Int64) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	t.Cleanup(func() {
-		ln.Close()
-		<-done
-	})
-	go func() {
-		defer close(done)
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		for {
-			p, err := readFrame(conn)
-			if err != nil {
-				return
-			}
-			req, err := decodeRequest(p)
-			if err != nil {
-				return
-			}
-			resp := response{status: stOK, reqID: req.reqID}
-			switch {
-			case req.op == opInfo:
-				resp.body = make([]byte, 28)
-				resp.body[0] = byte(pages)
-				binary.LittleEndian.PutUint32(resp.body[8:], uint32(ps))
-			case req.op == opRead && len(req.body) == 4:
-				resp.body = bytes.Repeat(req.body[:1], ps)
-			case req.op == opWrite && len(req.body) == 4+ps && writes != nil:
-				writes.Add(1)
-			default:
-				resp.status, resp.body = stErr, encodeErr(fmt.Errorf("pagesvc: unknown op %d", req.op))
-			}
-			if writeFrame(conn, encodeResponse(resp)) != nil {
-				return
-			}
-		}
-	}()
-	return ln.Addr().String()
 }
 
 // BenchmarkWireReadN is a run of four pages read over loopback TCP in
@@ -820,8 +751,12 @@ func TestLateResponseLeavesReturnedBufferAlone(t *testing.T) {
 // ErrBadFrame — a client that took it would divide by it, or split every
 // run into frames the peer refuses.
 func TestDialRefusesPageSize(t *testing.T) {
+	dial := func(ps int) (*Client, error) {
+		_, addr := startServer(t, []disk.Device{pageSized{disk.New(8), ps}}, ServerConfig{})
+		return Dial(ClientConfig{Primary: addr})
+	}
 	for _, ps := range []int{0, maxFrame - respHdrSize + 1, 1 << 31} {
-		c, err := Dial(ClientConfig{Primary: oldPeer(t, 8, ps, nil)})
+		c, err := dial(ps)
 		if !errors.Is(err, ErrBadFrame) {
 			if c != nil {
 				c.Close()
@@ -830,13 +765,21 @@ func TestDialRefusesPageSize(t *testing.T) {
 		}
 	}
 	for _, ps := range []int{1, maxFrame - respHdrSize} {
-		c, err := Dial(ClientConfig{Primary: oldPeer(t, 8, ps, nil)})
+		c, err := dial(ps)
 		if err != nil {
 			t.Fatalf("page size %d: Dial = %v", ps, err)
 		}
 		c.Close()
 	}
 }
+
+// pageSized is a device that reports a page size of its own.
+type pageSized struct {
+	disk.Device
+	ps int
+}
+
+func (d pageSized) PageSize() int { return d.ps }
 
 // TestBulkWriteKeepsNoBuffer: a run of writes far larger than any read
 // leaves neither side holding a buffer its size. The client sends the
@@ -864,7 +807,7 @@ func TestBulkWriteKeepsNoBuffer(t *testing.T) {
 	cc := c.conn
 	c.cmu.Unlock()
 	cc.wm.Lock()
-	if got, want := cap(cc.frame), reqHdrSizeQ+4*n; got > 2*want {
+	if got, want := cap(cc.frame), reqHdrSize+4*n; got > 2*want {
 		t.Errorf("client frame buffer of %d bytes after the run, want no more than the ids' %d", got, want)
 	}
 	cc.wm.Unlock()
@@ -881,30 +824,32 @@ func TestBulkWriteKeepsNoBuffer(t *testing.T) {
 	}
 }
 
-// TestWriteRunFallsBackPageByPage: a peer from before write runs refuses
-// opWriteN as an op it does not know, and the client writes the run page
-// by page instead, each in opWrite, with a verdict and an arm booking of
-// its own.
+// TestWriteRunFallsBackPageByPage: a run with one page past the extent
+// the client knows is refused by the client, and written page by page
+// instead: the refused page fails on its own, never sent, and each other
+// page is sent once, with a verdict and an arm booking of its own.
 func TestWriteRunFallsBackPageByPage(t *testing.T) {
-	var writes atomic.Int64
-	old, err := Dial(ClientConfig{Primary: oldPeer(t, 8, 256, &writes), Retry: disk.DefaultRetryPolicy})
-	if err != nil {
-		t.Fatal(err)
+	sim := numberedPages(t, 8)
+	c := wirePair(t, sim, ClientConfig{Retry: disk.DefaultRetryPolicy})
+	ids, errs := []disk.PageID{1, 99, 3}, make([]error, 3)
+	bufs := make([][]byte, len(ids))
+	for i := range bufs {
+		bufs[i] = bytes.Repeat([]byte{0xE0 + byte(i)}, c.PageSize())
 	}
-	defer old.Close()
-	ids, errs := []disk.PageID{1, 2, 3}, make([]error, 3)
-	bufs := [][]byte{make([]byte, 256), make([]byte, 256), make([]byte, 256)}
-	old.WritePages(ids, bufs, errs)
-	if err := errors.Join(errs...); err != nil {
-		t.Fatalf("run to a peer without opWriteN: %v", err)
+	c.WritePages(ids, bufs, errs)
+	if errs[0] != nil || !errors.Is(errs[1], disk.ErrOutOfRange) || errs[2] != nil {
+		t.Fatalf("run with a page the client refuses: %v", errs)
 	}
-	if got := writes.Load(); got != 3 {
-		t.Errorf("the peer took %d page writes, want 3", got)
+	if got := c.sends.Value(); got != 3 { // Dial's info, and pages 1 and 3 once each
+		t.Errorf("%d requests sent, want 3: a refusal is neither sent nor retried", got)
 	}
-	if got := old.sends.Value(); got != 5 { // Dial's info, the run once, three pages
-		t.Errorf("%d requests sent, want 5: a refusal is not retried", got)
+	if st := c.Stats(); st.Writes != 2 {
+		t.Errorf("%d writes booked, want the two pages written", st.Writes)
 	}
-	if st := old.Stats(); st.Writes != 3 {
-		t.Errorf("%d writes booked, want 3", st.Writes)
+	page := make([]byte, sim.PageSize())
+	for _, i := range []int{0, 2} {
+		if err := sim.ReadPage(ids[i], page); err != nil || !bytes.Equal(page, bufs[i]) {
+			t.Errorf("page %d does not hold its image after the run (%v)", ids[i], err)
+		}
 	}
 }
