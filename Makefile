@@ -30,15 +30,17 @@ test:
 # counts with testing.AllocsPerRun (the log's append path and a query
 # with MemStats) — a page read or a run over the wire (0), a pool hit
 # (0), a pool miss over a local device (0), an untraced device read (0),
-# an elevator step (0), Store.Get (3) and Store.Update with a log
-# attached (0), a record of the redo (1, its image), an appended log
-# image and an appended delta (each ≤ 0.05), a replica's apply of a
-# shipped image and delta (0), a query's allocations and bytes per
-# assembled object, the disabled tracing path and a routed page read
-# (0, with and without a fresh replica). The race detector's pass skips
-# them.
+# an elevator step (0), Store.Get (1), Decode (1), a transaction pair
+# (≤ 1.01) and Store.Update with a log attached (0), a record of the
+# redo (1, its image), an appended log image and an appended delta (each
+# ≤ 0.05), a replica's apply of a shipped image and delta (0), a query's
+# allocations and bytes per assembled object, the disabled tracing path
+# and a routed page read (0, with and without a fresh replica). The race
+# detector's pass skips them. Then one iteration of the transaction
+# benchmark, with -benchmem, so that it cannot rot unbuilt.
 alloc-check:
 	$(GO) test -count=1 -run 'Allocs$$' ./...
+	$(GO) test -run '^$$' -bench=StoreTransact -benchtime=1x -benchmem ./internal/object
 
 # The elevator's pending set, uncached: the differential test against
 # the sorted-slice reference model (which also holds a lane's run to
@@ -89,22 +91,29 @@ asm-check:
 	$(GO) test -run '^$$' -bench='AssembleDeep|AssembleScan' -benchtime=1x -benchmem ./internal/assembly
 
 # Where one query's allocations come from, site by site: one iteration
-# each of BenchmarkAssembleDeep and BenchmarkAssembleScan with every
+# each of BenchmarkAssembleDeep, BenchmarkAssembleScan and
+# BenchmarkStoreTransact (32 pairs and their commit), with every
 # allocation sampled (-memprofilerate 1), then pprof's flat objects and
-# bytes per source line under the query — the database build and the
-# input items made before it left out. EXPERIMENTS.md "The allocation
-# floor, second pass" holds its tables. The profiles and the test
-# binary go to a temporary directory that is removed.
+# bytes per source line under the query or the transaction — the
+# database build, the input items and the store's first transaction
+# made before it left out. EXPERIMENTS.md "The allocation floor, second
+# pass" and "One allocation per object read" hold its tables. The
+# profiles and the test binaries go to a temporary directory that is
+# removed.
 alloc-sites:
 	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
-	for b in AssembleDeep AssembleScan; do \
-		$(GO) test -trimpath -run '^$$' -bench "^Benchmark$$b$$" -benchtime=1x -benchmem -memprofilerate 1 \
-			-memprofile "$$d/$$b.prof" -o "$$d/assembly.test" ./internal/assembly | grep '^Benchmark' || exit 1; \
+	sites() { \
+		pkg=$$1 b=$$2 n=$$3 focus=$$4 ignore=$$5; \
+		$(GO) test -trimpath -run '^$$' -bench "^Benchmark$$b$$" -benchtime=$$n -benchmem -memprofilerate 1 \
+			-memprofile "$$d/$$b.prof" -o "$$d/$$pkg.test" ./internal/$$pkg | grep '^Benchmark' || return 1; \
 		for idx in alloc_objects alloc_space; do \
-			$(GO) tool pprof -sample_index=$$idx -focus=benchAssemble -ignore=rootItems -nodefraction=0 -lines -top \
-				"$$d/assembly.test" "$$d/$$b.prof" 2>/dev/null | awk -v idx=$$idx '/flat%/ {p = 1; print "  " idx; next} p && $$1 != "0" && $$1 != "0B"'; \
+			$(GO) tool pprof -sample_index=$$idx -focus=$$focus -ignore=$$ignore -nodefraction=0 -lines -top \
+				"$$d/$$pkg.test" "$$d/$$b.prof" 2>/dev/null | awk -v idx=$$idx '/flat%/ {p = 1; print "  " idx; next} p && $$1 != "0" && $$1 != "0B"'; \
 		done; \
-	done
+	}; \
+	sites assembly AssembleDeep 1x benchAssemble rootItems && \
+	sites assembly AssembleScan 1x benchAssemble rootItems && \
+	sites object StoreTransact 1x BenchmarkStoreTransact newTransactor
 
 # The one head model and the log's write path over it, uncached: the
 # differential test of disk.Arm and the merged Sim against the three

@@ -8,8 +8,10 @@ import (
 
 // FuzzDecode hardens the record decoder against arbitrary bytes: it
 // must never panic, any record it accepts must re-encode to an
-// equivalent prefix of the input's logical content, and the
-// Shape + DecodeInto pair must agree with Decode on every input.
+// equivalent prefix of the input's logical content, the object Decode
+// returns has no spare capacity in Ints or Refs (an append never writes
+// over the rest of its block), and the Shape + DecodeInto pair must
+// agree with Decode on every input.
 func FuzzDecode(f *testing.F) {
 	// Seed corpus: valid encodings and truncations.
 	good, _ := Encode(&Object{OID: 7, Class: 3, Ints: []int32{1, -2}, Refs: []OID{9, 0}})
@@ -43,6 +45,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		if into.OID != o.OID || into.Class != o.Class || !slices.Equal(into.Ints, o.Ints) || !slices.Equal(into.Refs, o.Refs) {
 			t.Fatalf("DecodeInto %+v, Decode %+v", into, *o)
+		}
+		if cap(o.Ints) != len(o.Ints) || cap(o.Refs) != len(o.Refs) {
+			t.Fatalf("Decode: Ints len %d cap %d, Refs len %d cap %d", len(o.Ints), cap(o.Ints), len(o.Refs), cap(o.Refs))
 		}
 		// Accepted records must round-trip.
 		re, err := Encode(o)

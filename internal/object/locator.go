@@ -213,7 +213,8 @@ func (s *Store) Update(o *Object) error {
 	return s.File.Update(rid, n, func(rec []byte) { encodeInto(rec, o) })
 }
 
-// Get loads the object with the given OID.
+// Get loads the object with the given OID: Decode of its record, one
+// allocation for a class no wider than the paper's benchmark object.
 func (s *Store) Get(oid OID) (*Object, error) {
 	rid, ok, err := s.Locator.Lookup(oid)
 	if err != nil {
@@ -222,8 +223,12 @@ func (s *Store) Get(oid OID) (*Object, error) {
 	if !ok {
 		return nil, fmt.Errorf("object: %v not found", oid)
 	}
-	o := new(Object)
-	if err := s.File.Get(nil, rid, func(rec []byte) error { return DecodeInto(rec, o) }); err != nil {
+	var o *Object
+	err = s.File.Get(nil, rid, func(rec []byte) (err error) {
+		o, err = Decode(rec)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return o, nil

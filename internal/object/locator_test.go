@@ -260,9 +260,9 @@ func TestMapLocatorFarOIDCostsNoDirectory(t *testing.T) {
 	}
 }
 
-// TestStoreGetAllocs pins Store.Get at the three allocations of the
-// object it returns (the Object, its Ints, its Refs): one decode, into
-// the object, and nothing for the lookup or the callback.
+// TestStoreGetAllocs pins Store.Get at the one allocation of the object
+// it returns (the Object and its fields' arrays, one block): one decode,
+// and nothing for the lookup or the callback.
 func TestStoreGetAllocs(t *testing.T) {
 	s := newStore(t, NewMapLocator())
 	o := &Object{OID: 5, Class: 1, Ints: []int32{1, 2, 3, 4}, Refs: []OID{6, 0, 0, 0, 0, 0, 0, 0}}
@@ -274,8 +274,8 @@ func TestStoreGetAllocs(t *testing.T) {
 			t.Fatalf("Get = %+v, %v", got, err)
 		}
 	})
-	if allocs != 3 {
-		t.Errorf("Store.Get allocates %v times, want 3", allocs)
+	if allocs != 1 {
+		t.Errorf("Store.Get allocates %v times, want 1", allocs)
 	}
 	if got, err := s.Get(6); err == nil || got != nil {
 		t.Errorf("Get of an unregistered OID = %+v, %v", got, err)
@@ -329,6 +329,120 @@ func TestStoreUpdateAllocs(t *testing.T) {
 	}
 	if deltas != runs { // the warm-up run logged the page's image
 		t.Errorf("%d updates logged %d deltas, want %d", runs+1, deltas, runs)
+	}
+}
+
+// transactor runs the update workload's transaction over a resident
+// store with a log attached: pairs of Get, a change of Ints[1] and
+// Update, committed by one Sync every 32 pairs, with a checkpoint (every
+// dirty page flushed, a fresh log) every 1024 commits, which keeps the
+// log of a long benchmark small. Every value read is checked against
+// the last one written.
+type transactor struct {
+	s      *Store
+	w      *wal.Writer
+	shadow []int32 // Ints[1] of each object, by OID
+	pairs  int
+}
+
+const (
+	txnObjects    = 72   // eight 1 KB pages of the benchmark object, all resident
+	txnPairs      = 32   // pairs per commit
+	txnCheckpoint = 1024 // commits per checkpoint
+)
+
+// newTransactor loads the store and runs one transaction over every
+// object, so that each page's first image is in the log.
+func newTransactor(tb testing.TB) *transactor {
+	s := newStore(tb, NewMapLocator())
+	x := &transactor{s: s, shadow: make([]int32, txnObjects+1)}
+	for oid := OID(1); oid <= txnObjects; oid++ {
+		o := &Object{OID: oid, Class: 1, Ints: make([]int32, 4), Refs: make([]OID, 8)}
+		if _, err := s.Put(o); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	x.openLog(tb, 0)
+	for x.pairs < txnObjects || x.pairs%txnPairs != 0 {
+		x.pair(tb)
+	}
+	return x
+}
+
+// pair reads, changes and writes back the next object, seven OIDs on
+// from the last, and commits after every 32nd.
+func (x *transactor) pair(tb testing.TB) {
+	oid := OID(1 + x.pairs*7%txnObjects)
+	o, err := x.s.Get(oid)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if o.Ints[1] != x.shadow[oid] {
+		tb.Fatalf("%v: Ints[1] = %d, last written %d", oid, o.Ints[1], x.shadow[oid])
+	}
+	o.Ints[1]++
+	if err := x.s.Update(o); err != nil {
+		tb.Fatal(err)
+	}
+	x.shadow[oid] = o.Ints[1]
+	if x.pairs++; x.pairs%txnPairs != 0 {
+		return
+	}
+	if err := x.w.Sync(); err != nil {
+		tb.Fatal(err)
+	}
+	if x.pairs%(txnPairs*txnCheckpoint) == 0 {
+		if err := x.s.File.Pool().FlushAll(); err != nil {
+			tb.Fatal(err)
+		}
+		if err := x.w.Close(); err != nil {
+			tb.Fatal(err)
+		}
+		x.openLog(tb, x.w.DurableLSN())
+	}
+}
+
+// openLog attaches a fresh log whose records come after LSN after.
+func (x *transactor) openLog(tb testing.TB, after uint64) {
+	w, err := wal.OpenAfter(disk.New(0), after)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	x.s.File.Pool().SetWAL(w)
+	x.w = w
+}
+
+// TestTransactAllocs pins the update workload's transaction at one
+// allocation per pair, the object Get returns (Update allocates nothing,
+// and the log's growth at its commit next to nothing), with at most 1 %
+// over it: MemStats over 256 transactions, since testing.AllocsPerRun
+// truncates a transaction's count to a whole number.
+func TestTransactAllocs(t *testing.T) {
+	x := newTransactor(t)
+	const txns = 256
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range txns * txnPairs {
+		x.pair(t)
+	}
+	runtime.ReadMemStats(&after)
+	if perPair := float64(after.Mallocs-before.Mallocs) / (txns * txnPairs); perPair > 1.01 {
+		t.Errorf("a transaction allocates %.4f times per pair, want at most 1.01", perPair)
+	}
+}
+
+// BenchmarkStoreTransact reports allocs/op and B/op for one of
+// TestTransactAllocs's transactions (divide by 32 for the update
+// workload's per-object figures).
+func BenchmarkStoreTransact(b *testing.B) {
+	x := newTransactor(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for range txnPairs {
+			x.pair(b)
+		}
 	}
 }
 

@@ -198,13 +198,41 @@ func encodeInto(rec []byte, o *Object) {
 	}
 }
 
-// Decode parses a record into a fresh Object.
+// Decode parses a record into a fresh Object. A class no wider than a
+// block takes one allocation, its Ints and Refs sliced from the block
+// with no spare capacity, so an append to one moves it off the block
+// rather than over the other; a wider class takes its Object and
+// DecodeInto's slices.
 func Decode(rec []byte) (*Object, error) {
-	o := new(Object)
-	if err := DecodeInto(rec, o); err != nil {
+	nInts, nRefs, err := Shape(rec)
+	if err != nil {
 		return nil, err
 	}
+	var o *Object
+	if nInts <= blockInts && nRefs <= blockRefs {
+		b := new(block)
+		b.obj.Ints, b.obj.Refs = b.ints[:nInts:nInts], b.refs[:nRefs:nRefs]
+		o = &b.obj
+	} else {
+		o = new(Object)
+	}
+	fill(rec, o, nInts, nRefs)
 	return o, nil
+}
+
+// The widest class a block holds: the paper's benchmark object, 4
+// integer and 8 reference fields.
+const (
+	blockInts = 4
+	blockRefs = 8
+)
+
+// block is a decoded object and the backing arrays of its fields in one
+// allocation of 144 bytes (64 for the Object, 16 and 64 for the arrays).
+type block struct {
+	obj  Object
+	ints [blockInts]int32
+	refs [blockRefs]OID
 }
 
 // Shape validates a record's header and length and reports how many
@@ -229,6 +257,12 @@ func DecodeInto(rec []byte, o *Object) error {
 	if err != nil {
 		return err
 	}
+	fill(rec, o, nInts, nRefs)
+	return nil
+}
+
+// fill is DecodeInto of a record Shape has accepted as (nInts, nRefs).
+func fill(rec []byte, o *Object, nInts, nRefs int) {
 	o.OID = OID(binary.LittleEndian.Uint64(rec[0:]))
 	o.Class = ClassID(binary.LittleEndian.Uint16(rec[8:]))
 	o.Ints = sized(o.Ints, nInts)
@@ -242,7 +276,6 @@ func DecodeInto(rec []byte, o *Object) error {
 		o.Refs[i] = OID(binary.LittleEndian.Uint64(rec[off:]))
 		off += 8
 	}
-	return nil
 }
 
 // sized reslices s to n elements when it has the room and makes a fresh

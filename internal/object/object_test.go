@@ -3,8 +3,10 @@ package object
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"revelation/internal/buffer"
 	"revelation/internal/disk"
@@ -155,6 +157,97 @@ func TestShapeDecodeInto(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocs pins Decode of the paper's benchmark object at one
+// allocation: the Object and its fields' arrays are one block, of the
+// 144 bytes the three allocations it replaced took.
+func TestDecodeAllocs(t *testing.T) {
+	if n := unsafe.Sizeof(block{}); n != 144 {
+		t.Errorf("a block is %d bytes, want 144", n)
+	}
+	rec, err := Encode(&Object{OID: 5, Class: 1, Ints: []int32{1, 2, 3, 4}, Refs: []OID{6, 0, 0, 0, 0, 0, 0, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if o, err := Decode(rec); err != nil || o.Refs[7] != 9 {
+			t.Fatalf("Decode = %+v, %v", o, err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("Decode allocates %v times, want 1", allocs)
+	}
+}
+
+// TestGetShapes runs Get and Decode over classes narrower than a block,
+// the block's own (4/8) and wider ones (5/8, 4/9, 255/255, the general
+// path): the fields come back exact, neither slice has spare capacity,
+// an append to Ints or Refs writes over nothing else of the object, and
+// an object changed in place round-trips through Update and Get.
+func TestGetShapes(t *testing.T) {
+	// 8 KB pages, so that the 3 076-byte record of 255/255 fits one.
+	s := newStoreOn(t, disk.NewSim(8192, 0), NewMapLocator())
+	shapes := [][2]int{{0, 0}, {2, 0}, {2, 2}, {4, 8}, {5, 8}, {4, 9}, {255, 255}}
+	want := make([]*Object, len(shapes))
+	for i, sh := range shapes {
+		o := &Object{OID: OID(i + 1), Class: ClassID(10 + i), Ints: make([]int32, sh[0]), Refs: make([]OID, sh[1])}
+		for k := range o.Ints {
+			o.Ints[k] = int32(1000*i+k) - 1<<30
+		}
+		for k := range o.Refs {
+			o.Refs[k] = OID(1<<40 + 1000*i + k)
+		}
+		if _, err := s.Put(o); err != nil {
+			t.Fatalf("%d/%d: Put: %v", sh[0], sh[1], err)
+		}
+		want[i] = o
+	}
+	same := func(a, b *Object) bool {
+		return a.OID == b.OID && a.Class == b.Class && slices.Equal(a.Ints, b.Ints) && slices.Equal(a.Refs, b.Refs)
+	}
+	for i, sh := range shapes {
+		w := want[i]
+		rec, _ := Encode(w)
+		dec, err := Decode(rec)
+		if err != nil {
+			t.Fatalf("%d/%d: Decode: %v", sh[0], sh[1], err)
+		}
+		got, err := s.Get(w.OID)
+		if err != nil {
+			t.Fatalf("%d/%d: Get: %v", sh[0], sh[1], err)
+		}
+		for _, o := range []struct {
+			name string
+			o    *Object
+		}{{"Decode", dec}, {"Get", got}} {
+			name, o := o.name, o.o
+			if !same(o, w) {
+				t.Fatalf("%d/%d: %s = %+v, want %+v", sh[0], sh[1], name, o, w)
+			}
+			if cap(o.Ints) != len(o.Ints) || cap(o.Refs) != len(o.Refs) {
+				t.Errorf("%d/%d: %s: Ints len %d cap %d, Refs len %d cap %d",
+					sh[0], sh[1], name, len(o.Ints), cap(o.Ints), len(o.Refs), cap(o.Refs))
+			}
+			o.Ints, o.Refs = append(o.Ints, -7), append(o.Refs, 7)
+			if !same(&Object{OID: o.OID, Class: o.Class, Ints: o.Ints[:len(w.Ints)], Refs: o.Refs[:len(w.Refs)]}, w) {
+				t.Errorf("%d/%d: %s: appends changed the rest of the object: %+v", sh[0], sh[1], name, o)
+			}
+		}
+		got, _ = s.Get(w.OID)
+		if len(got.Ints) > 0 {
+			got.Ints[len(got.Ints)-1]++
+		}
+		if len(got.Refs) > 0 {
+			got.Refs[0] = 42
+		}
+		if err := s.Update(got); err != nil {
+			t.Fatalf("%d/%d: Update: %v", sh[0], sh[1], err)
+		}
+		if back, err := s.Get(w.OID); err != nil || !same(back, got) {
+			t.Errorf("%d/%d: after Update, Get = %+v, %v; want %+v", sh[0], sh[1], back, err, got)
+		}
+	}
+}
+
 func TestPeek(t *testing.T) {
 	o := &Object{OID: 77, Class: 9}
 	rec, _ := Encode(o)
@@ -217,9 +310,14 @@ func TestCatalog(t *testing.T) {
 	}
 }
 
-func newStore(t *testing.T, loc Locator) *Store {
+func newStore(t testing.TB, loc Locator) *Store {
 	t.Helper()
-	d := disk.New(0)
+	return newStoreOn(t, disk.New(0), loc)
+}
+
+// newStoreOn is newStore over a device of the caller's page size.
+func newStoreOn(t testing.TB, d *disk.Sim, loc Locator) *Store {
+	t.Helper()
 	pool := buffer.New(d, 32)
 	f, err := heap.Create(pool, 8)
 	if err != nil {
