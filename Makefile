@@ -27,16 +27,20 @@ test:
 	$(GO) test ./...
 
 # Every allocation pin, uncached and once: each is a Test…Allocs that
-# counts with testing.AllocsPerRun (the log's append path and a query
-# with MemStats) — a page read or a run over the wire (0), a pool hit
-# (0), a pool miss over a local device (0), an untraced device read (0),
-# an elevator step (0), Store.Get (1), Decode (1), a transaction pair
-# (≤ 1.01) and Store.Update with a log attached (0), a record of the
-# redo (1, its image), an appended log image and an appended delta (each
+# counts with testing.AllocsPerRun where every run does the same work,
+# and with MemStats where runs share amortised work (a sync, a device or
+# buffer growth: the log's append path, Store.Update, a transaction, a
+# query), since AllocsPerRun truncates a fraction to a whole number — a
+# page read or a run over the wire (0), a pool hit (0), a pool miss over
+# a local device (0), an untraced device read (0), an elevator step (0),
+# Store.Get (1), Decode (1), a transaction pair (≤ 1.01) and
+# Store.Update with a log attached (≤ 0.01), a record of the redo (1,
+# its image), an appended log image and an appended delta (each
 # ≤ 0.05), a replica's apply of a shipped image and delta (0), a query's
-# allocations and bytes per assembled object, the disabled tracing path
-# and a routed page read (0, with and without a fresh replica). The race
-# detector's pass skips them. Then one iteration of the transaction
+# allocations and bytes per assembled object (a component chunk and
+# children, 2.10 and 2.08; 4.87 with the shared table on), the disabled
+# tracing path and a routed page read (0, with and without a fresh
+# replica). The race detector's pass skips them. Then one iteration of the transaction
 # benchmark, with -benchmem, so that it cannot rot unbuilt.
 alloc-check:
 	$(GO) test -count=1 -run 'Allocs$$' ./...
@@ -79,25 +83,29 @@ buffer-check:
 # object, adopted or not, and an aborted one are collectable while the
 # operator runs, a shared leaf does not pin its first object, a dead
 # item's reference chunk is never recycled), the differential test against the goldens recorded before
-# the arena, the allocations- and bytes-per-object pins and the sizes
-# of the three structs the chunks are arrays of (Instance, component,
-# Ref) — then once more under the race detector, then one iteration of
-# the two benchmarks that report allocs/op and B/op, with -benchmem so
-# that the log shows them, and so that they cannot rot unbuilt.
-ASM_TESTS = TestEmittedObjectCollectedWhileRunning|TestAdoptedObjectCollectedWhileRunning|TestSharedLeafDoesNotPinItsFirstObject|TestDeadItemsChunksNotRecycled|TestDeadItemCollectedWhileRunning|TestArenaMatchesParentGoldens|TestAssembleAllocs|TestArenaStructSizes
+# the arena, the allocations- and bytes-per-object pins, the sizes of
+# the structs the chunks are arrays of (Instance, component, Ref,
+# workItem) and of the chunks, the inline and wide field shapes through
+# the operator, and slot chunks that are never reused — then once more
+# under the race detector, then one iteration of the benchmarks
+# that report allocs/op and B/op, with -benchmem so that the log shows
+# them, and so that they cannot rot unbuilt.
+ASM_TESTS = TestEmittedObjectCollectedWhileRunning|TestAdoptedObjectCollectedWhileRunning|TestSharedLeafDoesNotPinItsFirstObject|TestDeadItemsChunksNotRecycled|TestDeadItemCollectedWhileRunning|TestArenaMatchesParentGoldens|TestAssembleAllocs|TestArenaStructSizes|TestArenaShapes|TestSlotsComeInChunks
 asm-check:
 	$(GO) test -count=1 -run '$(ASM_TESTS)' ./internal/assembly
 	$(GO) test -race -count=1 -run '$(ASM_TESTS)' ./internal/assembly
-	$(GO) test -run '^$$' -bench='AssembleDeep|AssembleScan' -benchtime=1x -benchmem ./internal/assembly
+	$(GO) test -run '^$$' -bench='AssembleDeep|AssembleScan|AssembleShared' -benchtime=1x -benchmem ./internal/assembly
 
 # Where one query's allocations come from, site by site: one iteration
-# each of BenchmarkAssembleDeep, BenchmarkAssembleScan and
+# each of BenchmarkAssembleDeep, BenchmarkAssembleScan,
+# BenchmarkAssembleShared (the shared table on) and
 # BenchmarkStoreTransact (32 pairs and their commit), with every
 # allocation sampled (-memprofilerate 1), then pprof's flat objects and
 # bytes per source line under the query or the transaction — the
 # database build, the input items and the store's first transaction
 # made before it left out. EXPERIMENTS.md "The allocation floor, second
-# pass" and "One allocation per object read" hold its tables. The
+# pass", "One allocation per object read" and "Two allocations per
+# complex object" hold its tables. The
 # profiles and the test binaries go to a temporary directory that is
 # removed.
 alloc-sites:
@@ -113,6 +121,7 @@ alloc-sites:
 	}; \
 	sites assembly AssembleDeep 1x benchAssemble rootItems && \
 	sites assembly AssembleScan 1x benchAssemble rootItems && \
+	sites assembly AssembleShared 1x benchAssemble rootItems && \
 	sites object StoreTransact 1x BenchmarkStoreTransact newTransactor
 
 # The one head model and the log's write path over it, uncached: the

@@ -1,47 +1,45 @@
 package assembly
 
 import (
+	"unsafe"
+
 	"revelation/internal/disk"
 	"revelation/internal/object"
 )
 
 // component is one element of a window slot's chunk: an Instance and
-// the storage object it points at, side by side. It is 128 bytes (the
+// the storage object it points at, with the object's fields inline
+// (object.Block). It is 208 bytes, a size class of its own (the
 // Instance's counters are int32 for it; TestArenaStructSizes pins it),
-// so a 31-node chunk takes the 4096-byte size class.
+// so a 7-node chunk takes the 1536-byte class and a 31-node one the
+// 6528-byte class.
 type component struct {
 	inst Instance
-	obj  object.Object
+	blk  object.Block
 }
 
 // arena is a window slot's memory. A complex object lives exactly from
-// admission to emission, so it is carved from a few chunks sized for
-// the template (DESIGN.md §6): comps, children, ints and oids leave with
-// the emitted object and die with it; refs holds its pending
-// references, all served by then, and goes back to the operator.
+// admission to emission, so it is carved from two chunks sized for the
+// template (DESIGN.md §6): comps and children leave with the emitted
+// object and die with it; refs holds its pending references, all served
+// by then, and goes back to the operator.
 type arena struct {
 	comps    []component
 	children []*Instance
-	ints     []int32
-	oids     []object.OID
 	refs     []Ref
-	// nInts and nOIDs total the fields decoded into the chunks: the next
-	// item's slab sizes when the catalog cannot tell.
-	nInts, nOIDs int
 }
 
 // arenaShape is what one complex object of the template needs from its
 // arena, measured once at Open: the capacity of each chunk.
 type arenaShape struct {
-	comps, children, ints, oids int
-	known                       bool // the catalog sized ints and oids
-	shared, refs                int  // workItem.assembled; arena.refs
+	comps, children int
+	shared, refs    int // workItem.assembled; arena.refs
 }
 
 // measure adds the subtree at node. With a window-wide shared table the
 // components at or below a Shared node are left out: another complex
 // object can link them, so each is allocated on its own.
-func (sh *arenaShape) measure(node *Template, cat *object.Catalog, sharing, own bool) {
+func (sh *arenaShape) measure(node *Template, sharing, own bool) {
 	own = own || sharing && node.Shared
 	sh.refs++
 	if node.Shared {
@@ -50,15 +48,9 @@ func (sh *arenaShape) measure(node *Template, cat *object.Catalog, sharing, own 
 	if !own {
 		sh.comps++
 		sh.children += len(node.Children)
-		if cls, ok := cat.ByID(node.Class); ok {
-			sh.ints += cls.NumInts
-			sh.oids += cls.NumRefs
-		} else {
-			sh.known = false
-		}
 	}
 	for _, c := range node.Children {
-		sh.measure(c, cat, sharing, own)
+		sh.measure(c, sharing, own)
 	}
 }
 
@@ -74,21 +66,18 @@ func carve[T any](slab *[]T, n int) []T {
 }
 
 // newComponent returns a component whose Instance points at its object,
-// with Ints and Refs ready for object.DecodeInto. An own component is
-// one allocation by itself: its lifetime is not the item's.
+// readied for object.DecodeInto of nInts and nRefs fields. An own
+// component is one allocation by itself: its lifetime is not the item's.
 func (a *arena) newComponent(own bool, nInts, nRefs int) *component {
 	var c *component
 	if n := len(a.comps); !own && n < cap(a.comps) {
 		a.comps = a.comps[:n+1]
 		c = &a.comps[n]
-		c.obj.Ints = carve(&a.ints, nInts)
-		c.obj.Refs = carve(&a.oids, nRefs)
-		a.nInts += nInts
-		a.nOIDs += nRefs
 	} else {
 		c = new(component)
 	}
-	c.inst.Object = &c.obj
+	c.blk.Fields(nInts, nRefs)
+	c.inst.Object = &c.blk.Object
 	c.inst.underShared = own
 	return c
 }
@@ -131,16 +120,23 @@ func (op *Operator) freshScratch() ([]Ref, []disk.PageID, []assembledAs) {
 	return carve(&c.refs, sh.refs)[:0], carve(&c.pages, sh.refs)[:0], carve(&c.assembled, sh.shared)[:0]
 }
 
-// newItem opens a window slot with its arena.
+// slotChunk is how many window slots one allocation holds: enough to
+// fill the 8192-byte size class (46 of 176 bytes).
+const slotChunk = 8192 / unsafe.Sizeof(workItem{})
+
+// newItem opens a window slot with its arena. The slot is carved from
+// the operator's chunk of slots and never reused: a scheduler may still
+// hold an emitted or dead item as a key (depth-first's stacks), so a
+// slot must stay what it was until every such key is gone.
 func (op *Operator) newItem() *workItem {
+	if len(op.slots) == cap(op.slots) {
+		op.slots = make([]workItem, 0, slotChunk)
+	}
+	item := &carve(&op.slots, 1)[0]
 	sh := &op.shape
-	item := &workItem{
-		arena: arena{
-			comps:    make([]component, 0, sh.comps),
-			children: make([]*Instance, 0, sh.children),
-			ints:     make([]int32, 0, sh.ints),
-			oids:     make([]object.OID, 0, sh.oids),
-		},
+	item.arena = arena{
+		comps:    make([]component, 0, sh.comps),
+		children: make([]*Instance, 0, sh.children),
 	}
 	if n := len(op.spares) - 1; n >= 0 {
 		sp := op.spares[n]
@@ -160,9 +156,6 @@ func (op *Operator) newItem() *workItem {
 // aborted or quarantined item's scratch is never taken back, because its
 // reference tombstones may still be chained in a pendingSet.
 func (op *Operator) recycle(item *workItem) {
-	if !op.shape.known {
-		op.shape.ints, op.shape.oids = item.arena.nInts, item.arena.nOIDs
-	}
 	clear(item.arena.refs)
 	clear(item.assembled)
 	op.spares = append(op.spares, spare{item.arena.refs[:0], item.pages[:0], item.assembled[:0]})

@@ -413,14 +413,19 @@ func TestDeadItemCollectedWhileRunning(t *testing.T) {
 	}
 }
 
-// The window slot's chunks are arrays of these three structs: a
-// component per template node the item owns and a Ref per node. A field
-// more moves every chunk up by its size per node, and a struct allocated
-// alone (a component under a shared node, a Ref past its chunk) into
-// the next size class; the message names that class.
+// The window slot's chunks are arrays of these structs: a component per
+// template node the item owns, a Ref per node, and the window slots
+// themselves. A field more moves every chunk up by its size per node,
+// and a struct allocated alone (a component under a shared node, a Ref
+// past its chunk) into the next size class; the message names that
+// class. The paper's 7-node and the deep 31-node chunks of components
+// are pinned to their size classes, and a chunk of slots to the
+// 8192-byte class.
 func TestArenaStructSizes(t *testing.T) {
-	// The allocator's size classes up to 256 bytes.
-	classes := []uintptr{8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256}
+	// The allocator's size classes up to 8192 bytes.
+	classes := []uintptr{8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256,
+		288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768, 896, 1024, 1152, 1280, 1408, 1536, 1792,
+		2048, 2304, 2688, 3072, 3200, 3456, 4096, 4864, 5376, 6144, 6528, 6784, 6912, 8192}
 	classOf := func(n uintptr) uintptr {
 		for _, c := range classes {
 			if n <= c {
@@ -434,12 +439,177 @@ func TestArenaStructSizes(t *testing.T) {
 		got, want uintptr
 	}{
 		{"Instance", unsafe.Sizeof(Instance{}), 64},
-		{"component", unsafe.Sizeof(component{}), 128},
+		{"component", unsafe.Sizeof(component{}), 208},
 		{"Ref", unsafe.Sizeof(Ref{}), 56},
+		{"workItem", unsafe.Sizeof(workItem{}), 176},
 	} {
 		if c.got != c.want {
-			t.Errorf("%s is %d bytes, want %d: alone it now takes the %d-byte size class, not the %d-byte one, and every chunk of it grows by %d bytes per node",
+			t.Errorf("%s is %d bytes, want %d: alone it now takes the %d-byte size class, not the %d-byte one, and every chunk of it grows by %d bytes per element",
 				c.name, c.got, c.want, classOf(c.got), classOf(c.want), int(c.got)-int(c.want))
 		}
+	}
+	for _, c := range []struct {
+		name  string
+		n     uintptr
+		each  uintptr
+		class uintptr
+	}{
+		{"a 7-node chunk of components", 7, unsafe.Sizeof(component{}), 1536},
+		{"a 31-node chunk of components", 31, unsafe.Sizeof(component{}), 6528},
+		{"a chunk of window slots", slotChunk, unsafe.Sizeof(workItem{}), 8192},
+	} {
+		if got := classOf(c.n * c.each); got != c.class {
+			t.Errorf("%s is %d bytes, in the %d-byte size class, want the %d-byte one", c.name, c.n*c.each, got, c.class)
+		}
+	}
+	if spare := 8192 - slotChunk*unsafe.Sizeof(workItem{}); spare >= unsafe.Sizeof(workItem{}) {
+		t.Errorf("a chunk of %d window slots leaves %d bytes of its size class, room for another", slotChunk, spare)
+	}
+}
+
+// shapesStore holds complex objects whose components mix classes that
+// fit a component's inline block (0/0, 2/2, 4/8) with wider ones (5/8,
+// 4/9), which DecodeInto sizes; pairs of neighbouring roots share their
+// 4/9 component, a Shared template node. Every field outside the
+// template holds a value of its own.
+func shapesStore(t *testing.T) (*object.Store, *Template, []object.OID) {
+	t.Helper()
+	pool := buffer.New(disk.New(0), 64)
+	f, err := heap.Create(pool, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := object.NewCatalog()
+	class := func(name string, ints, refs int) *object.Class {
+		return cat.MustDefine(&object.Class{Name: name, NumInts: ints, NumRefs: refs})
+	}
+	empty, small, full, wideInts, wideRefs := class("0/0", 0, 0), class("2/2", 2, 2), class("4/8", 4, 8), class("5/8", 5, 8), class("4/9", 4, 9)
+	s := object.NewStore(f, object.NewMapLocator(), cat)
+	rng := rand.New(rand.NewSource(44))
+	next := object.OID(0)
+	// put stores an object of cls whose ref field i links links[i] (the
+	// rest hold OIDs no template node follows) and returns its OID.
+	put := func(cls *object.Class, links map[int]object.OID) object.OID {
+		next++
+		o := &object.Object{OID: next, Class: cls.ID, Ints: make([]int32, cls.NumInts), Refs: make([]object.OID, cls.NumRefs)}
+		for i := range o.Ints {
+			o.Ints[i] = rng.Int31() - 1<<30
+		}
+		for i := range o.Refs {
+			o.Refs[i] = object.OID(1<<40 + rng.Int63n(1<<20))
+		}
+		for i, oid := range links {
+			o.Refs[i] = oid
+		}
+		if _, err := s.Put(o); err != nil {
+			t.Fatal(err)
+		}
+		return next
+	}
+	var roots []object.OID
+	var shared object.OID
+	for i := 0; i < 8; i++ {
+		if i%2 == 0 {
+			shared = put(wideRefs, map[int]object.OID{8: put(empty, nil)})
+		}
+		a := put(small, map[int]object.OID{0: put(empty, nil), 1: put(wideInts, nil)})
+		inner := put(full, map[int]object.OID{7: put(small, nil)})
+		roots = append(roots, put(full, map[int]object.OID{0: a, 1: shared, 2: put(empty, nil), 3: inner}))
+	}
+	tmpl := &Template{Name: "Root", Class: full.ID, RefField: -1, Children: []*Template{
+		{Name: "Small", Class: small.ID, RefField: 0, Children: []*Template{
+			{Name: "Empty", Class: empty.ID, RefField: 0},
+			{Name: "WideInts", Class: wideInts.ID, RefField: 1},
+		}},
+		{Name: "WideRefs", Class: wideRefs.ID, RefField: 1, Shared: true, SharingDegree: 0.5, Children: []*Template{
+			{Name: "Ninth", Class: empty.ID, RefField: 8},
+		}},
+		{Name: "Empty", Class: empty.ID, RefField: 2},
+		{Name: "Inner", Class: full.ID, RefField: 3, Children: []*Template{
+			{Name: "Last", Class: small.ID, RefField: 7},
+		}},
+	}}
+	return s, tmpl, roots
+}
+
+// Every component the operator emits, inline or wide, in its item's
+// chunk or on its own, has the fields Store.Get decodes, with no spare
+// capacity in Ints or Refs: an append to a component's Ints moves it
+// off the component, and leaves its Refs and every other component's
+// fields as they were.
+func TestArenaShapes(t *testing.T) {
+	for _, sharing := range []bool{false, true} {
+		for _, sched := range diffScheds {
+			s, tmpl, roots := shapesStore(t)
+			opts := Options{Window: 3, UseSharingStats: sharing}
+			sched.set(&opts)
+			objs, op := assembleAll(t, s, tmpl, roots, opts)
+			if len(objs) != len(roots) {
+				t.Fatalf("%s sharing %v: %d of %d objects emitted", sched.name, sharing, len(objs), len(roots))
+			}
+			if links := op.Stats().SharedLinks; sharing != (links > 0) {
+				t.Fatalf("%s sharing %v: %d shared links", sched.name, sharing, links)
+			}
+			components := 0
+			for _, root := range objs {
+				root.Walk(func(in *Instance) {
+					components++
+					got := in.Object
+					want, err := s.Get(got.OID)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Class != want.Class || !slices.Equal(got.Ints, want.Ints) || !slices.Equal(got.Refs, want.Refs) {
+						t.Fatalf("%s sharing %v: %s emitted as %+v, stored as %+v", sched.name, sharing, in.Node.Name, *got, *want)
+					}
+					if cap(got.Ints) != len(got.Ints) || cap(got.Refs) != len(got.Refs) {
+						t.Fatalf("%s sharing %v: %s (%d/%d fields) has capacity %d/%d",
+							sched.name, sharing, in.Node.Name, len(got.Ints), len(got.Refs), cap(got.Ints), cap(got.Refs))
+					}
+				})
+			}
+			if want := len(roots) * tmpl.Nodes(); components != want {
+				t.Fatalf("%s sharing %v: %d components, want %d", sched.name, sharing, components, want)
+			}
+			for _, root := range objs {
+				all := root.Flatten()
+				for _, in := range all {
+					ints := make([][]int32, len(all))
+					refs := make([][]object.OID, len(all))
+					for i, other := range all {
+						ints[i], refs[i] = slices.Clone(other.Object.Ints), slices.Clone(other.Object.Refs)
+					}
+					in.Object.Ints = append(in.Object.Ints, 1<<30)
+					for i, other := range all {
+						got := other.Object.Ints
+						if other == in {
+							got = got[:len(got)-1]
+						}
+						if !slices.Equal(got, ints[i]) || !slices.Equal(other.Object.Refs, refs[i]) {
+							t.Fatalf("%s sharing %v: an append to %s's Ints changed %s's fields", sched.name, sharing, in.Node.Name, other.Node.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Window slots come from chunks that fill a size class, whatever the
+// window, and no slot is handed out twice: a scheduler may still hold
+// an emitted item as a key (depth-first's stacks).
+func TestSlotsComeInChunks(t *testing.T) {
+	op := &Operator{Opts: Options{Window: 200}, spares: make([]spare, 0, 200)}
+	seen := map[*workItem]bool{}
+	for range 3 * slotChunk {
+		item := op.newItem()
+		if seen[item] {
+			t.Fatalf("slot %p handed out again after %d slots", item, len(seen))
+		}
+		seen[item] = true
+		if cap(op.slots) != int(slotChunk) {
+			t.Fatalf("a chunk of %d slots, want %d", cap(op.slots), slotChunk)
+		}
+		op.recycle(item)
 	}
 }

@@ -81,6 +81,11 @@ var (
 	deepOpts  = assembly.Options{Window: 200, Scheduler: assembly.Elevator}
 	scanShape = gen.Config{NumComplexObjects: 400, Clustering: gen.Unclustered, Seed: 64}
 	scanOpts  = assembly.Options{Window: 50, Scheduler: assembly.Elevator}
+	// Fig. 15's setting: a quarter of the leaves shared, inter-object
+	// clustering, the window-wide shared table on, so every leaf is a
+	// component of its own.
+	sharedShape = gen.Config{NumComplexObjects: 400, Sharing: 0.25, Clustering: gen.InterObject, Seed: 65}
+	sharedOpts  = assembly.Options{Window: 50, Scheduler: assembly.Elevator, UseSharingStats: true}
 )
 
 // BenchmarkAssembleDeep and BenchmarkAssembleScan report allocs/op and
@@ -106,14 +111,21 @@ func BenchmarkAssembleScan(b *testing.B) {
 	benchAssemble(b, benchDB(b, scanShape), scanOpts)
 }
 
+// BenchmarkAssembleShared is the own-component path: every shared leaf
+// is allocated on its own, outside its item's chunk.
+func BenchmarkAssembleShared(b *testing.B) {
+	b.ReportAllocs()
+	benchAssemble(b, benchDB(b, sharedShape), sharedOpts)
+}
+
 // TestAssembleAllocs pins the arena: allocations and bytes per emitted
 // complex object, everything a query allocates included (operator,
-// scheduler, window slots). Allocations are pinned at 5 % over their
-// floor — 5.08 and 5.05, once the first W slots' scratch came from a
-// chunk per query — against 218 and 48 before the arena, 8.69 and
-// 7.28 before an emitted item's scratch was recycled and 6.57 and 5.30
-// before the chunks. Bytes are pinned at 2 % over theirs, so that a
-// chunk or a struct that rounds up to a larger size class shows.
+// scheduler, window slots). A complex object is its component chunk and
+// its children list; with the shared table on (Fig. 15's setting) each
+// shared leaf is one allocation of its own besides. Allocations are
+// pinned at 5 % over their floor and bytes at 2 %, so that a chunk or a
+// struct that rounds up to a larger size class shows (EXPERIMENTS.md
+// has the floors' history).
 func TestAssembleAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name         string
@@ -122,8 +134,9 @@ func TestAssembleAllocs(t *testing.T) {
 		nodes        int
 		allocs, size float64 // floors per complex object
 	}{
-		{"deep 31-node shared-leaf, W=200", deepShape, deepOpts, 31, 5.08, 8311},
-		{"paper 7-node, W=50", scanShape, scanOpts, 7, 5.05, 1953},
+		{"deep 31-node shared-leaf, W=200", deepShape, deepOpts, 31, 2.10, 8127},
+		{"paper 7-node, W=50", scanShape, scanOpts, 7, 2.08, 1849},
+		{"paper 7-node shared leaves, sharing stats, W=50", sharedShape, sharedOpts, 7, 4.87, 1355},
 	} {
 		db, err := gen.Build(c.cfg)
 		if err != nil {

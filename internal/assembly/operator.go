@@ -227,10 +227,12 @@ type Operator struct {
 	scratch []*Ref
 	// shape sizes every window slot's arena; spares are the cleared
 	// scratch of emitted items, for the next admissions; chunk is the
-	// rest of the query's chunk of fresh scratch (see freshScratch).
+	// rest of the query's chunk of fresh scratch (see freshScratch);
+	// slots is the rest of the current chunk of window slots (newItem).
 	shape  arenaShape
 	spares []spare
 	chunk  spare
+	slots  []workItem
 	// decode is decodeRec bound once at Open, so a fetch hands
 	// heap.File.Get no fresh closure; fetch is its in (the item to
 	// carve from, whether the component lives on its own) and out.
@@ -359,8 +361,8 @@ func (op *Operator) Open() error {
 	op.chunk = spare{}
 	op.footprint = make([]int32, op.Store.File.Pool().Device().NumPages())
 	op.windowPages = 0
-	op.shape = arenaShape{known: true}
-	op.shape.measure(op.Template, op.Store.Catalog, op.shared != nil, false)
+	op.shape = arenaShape{}
+	op.shape.measure(op.Template, op.shared != nil, false)
 	op.decode = op.decodeRec
 	op.stats = Stats{}
 	op.cells.bind(op.Opts.Metrics, op.sched.Name())
@@ -506,6 +508,7 @@ func (op *Operator) Close() error {
 	op.outq = nil
 	op.spares = nil
 	op.chunk = spare{}
+	op.slots = nil
 	op.sched = nil
 	op.shared = nil
 	op.batcher = nil
@@ -1048,7 +1051,7 @@ func (op *Operator) decodeRec(rec []byte) error {
 		return err
 	}
 	op.fetch.got = op.fetch.item.arena.newComponent(op.fetch.own, nInts, nRefs)
-	return object.DecodeInto(rec, &op.fetch.got.obj)
+	return object.DecodeInto(rec, &op.fetch.got.blk.Object)
 }
 
 // ownLifetime reports whether the component for node under parent must

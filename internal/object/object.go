@@ -117,11 +117,8 @@ func (cat *Catalog) MustDefine(c *Class) *Class {
 	return out
 }
 
-// ByID looks a class up by id; a nil catalog knows none.
+// ByID looks a class up by id.
 func (cat *Catalog) ByID(id ClassID) (*Class, bool) {
-	if cat == nil {
-		return nil, false
-	}
 	c, ok := cat.byID[id]
 	return c, ok
 }
@@ -198,41 +195,39 @@ func encodeInto(rec []byte, o *Object) {
 	}
 }
 
-// Decode parses a record into a fresh Object. A class no wider than a
-// block takes one allocation, its Ints and Refs sliced from the block
-// with no spare capacity, so an append to one moves it off the block
-// rather than over the other; a wider class takes its Object and
-// DecodeInto's slices.
+// Decode parses a record into a fresh Block's Object: one allocation
+// for a class that fits the block, and DecodeInto's slices besides for
+// a wider one.
 func Decode(rec []byte) (*Object, error) {
 	nInts, nRefs, err := Shape(rec)
 	if err != nil {
 		return nil, err
 	}
-	var o *Object
-	if nInts <= blockInts && nRefs <= blockRefs {
-		b := new(block)
-		b.obj.Ints, b.obj.Refs = b.ints[:nInts:nInts], b.refs[:nRefs:nRefs]
-		o = &b.obj
-	} else {
-		o = new(Object)
-	}
-	fill(rec, o, nInts, nRefs)
-	return o, nil
+	b := new(Block)
+	b.Fields(nInts, nRefs)
+	fill(rec, &b.Object, nInts, nRefs)
+	return &b.Object, nil
 }
 
-// The widest class a block holds: the paper's benchmark object, 4
-// integer and 8 reference fields.
-const (
-	blockInts = 4
-	blockRefs = 8
-)
+// Block is an Object and the backing arrays of its fields side by side,
+// 144 bytes (64 for the Object, 16 and 64 for the arrays), wide enough
+// for the paper's benchmark object: 4 integer and 8 reference fields.
+type Block struct {
+	Object
+	ints [4]int32
+	refs [8]OID
+}
 
-// block is a decoded object and the backing arrays of its fields in one
-// allocation of 144 bytes (64 for the Object, 16 and 64 for the arrays).
-type block struct {
-	obj  Object
-	ints [blockInts]int32
-	refs [blockRefs]OID
+// Fields readies b for DecodeInto. A class that fits gets Ints and Refs
+// sliced from b's arrays with no spare capacity, so an append to one
+// moves it off the block rather than over the other; a wider class gets
+// nil fields, which DecodeInto makes.
+func (b *Block) Fields(nInts, nRefs int) {
+	if nInts <= len(b.ints) && nRefs <= len(b.refs) {
+		b.Ints, b.Refs = b.ints[:nInts:nInts], b.refs[:nRefs:nRefs]
+	} else {
+		b.Ints, b.Refs = nil, nil
+	}
 }
 
 // Shape validates a record's header and length and reports how many

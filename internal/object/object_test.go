@@ -158,10 +158,10 @@ func TestShapeDecodeInto(t *testing.T) {
 }
 
 // TestDecodeAllocs pins Decode of the paper's benchmark object at one
-// allocation: the Object and its fields' arrays are one block, of the
+// allocation: the Object and its fields' arrays are one Block, of the
 // 144 bytes the three allocations it replaced took.
 func TestDecodeAllocs(t *testing.T) {
-	if n := unsafe.Sizeof(block{}); n != 144 {
+	if n := unsafe.Sizeof(Block{}); n != 144 {
 		t.Errorf("a block is %d bytes, want 144", n)
 	}
 	rec, err := Encode(&Object{OID: 5, Class: 1, Ints: []int32{1, 2, 3, 4}, Refs: []OID{6, 0, 0, 0, 0, 0, 0, 9}})
