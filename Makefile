@@ -38,7 +38,8 @@ test:
 # its image), an appended log image and an appended delta (each
 # ≤ 0.05), a replica's apply of a shipped image and delta (0), a query's
 # allocations and bytes per assembled object (a component chunk and
-# children, 2.10 and 2.08; 4.87 with the shared table on), the disabled
+# children, 2.07 and 2.06; 3.48 with the shared table on; 2.12 through
+# ShardPrefetch's lanes over two striped devices), the disabled
 # tracing path and a routed page read (0, with and without a fresh
 # replica). The race detector's pass skips them. Then one iteration of the transaction
 # benchmark, with -benchmem, so that it cannot rot unbuilt.
@@ -86,26 +87,30 @@ buffer-check:
 # the arena, the allocations- and bytes-per-object pins, the sizes of
 # the structs the chunks are arrays of (Instance, component, Ref,
 # workItem) and of the chunks, the inline and wide field shapes through
-# the operator, and slot chunks that are never reused — then once more
+# the operator, slot chunks that are never reused, and what outlives a
+# query (the elevators' free leaves, zeroed and capped, and the pool's
+# lane loads): a query closed early then a full one on the same pool
+# under every scheduler, a closed query's context collectable, eight
+# queries at once on one pool — then once more
 # under the race detector, then one iteration of the benchmarks
 # that report allocs/op and B/op, with -benchmem so that the log shows
 # them, and so that they cannot rot unbuilt.
-ASM_TESTS = TestEmittedObjectCollectedWhileRunning|TestAdoptedObjectCollectedWhileRunning|TestSharedLeafDoesNotPinItsFirstObject|TestDeadItemsChunksNotRecycled|TestDeadItemCollectedWhileRunning|TestArenaMatchesParentGoldens|TestAssembleAllocs|TestArenaStructSizes|TestArenaShapes|TestSlotsComeInChunks
+ASM_TESTS = TestEmittedObjectCollectedWhileRunning|TestAdoptedObjectCollectedWhileRunning|TestSharedLeafDoesNotPinItsFirstObject|TestDeadItemsChunksNotRecycled|TestDeadItemCollectedWhileRunning|TestArenaMatchesParentGoldens|TestAssembleAllocs|TestArenaStructSizes|TestArenaShapes|TestSlotsComeInChunks|TestReuseLeaksNoState|TestClosedQueryContextCollected|TestFreeLeavesCapped|TestConcurrentQueriesShareOnePool
 asm-check:
 	$(GO) test -count=1 -run '$(ASM_TESTS)' ./internal/assembly
 	$(GO) test -race -count=1 -run '$(ASM_TESTS)' ./internal/assembly
-	$(GO) test -run '^$$' -bench='AssembleDeep|AssembleScan|AssembleShared' -benchtime=1x -benchmem ./internal/assembly
+	$(GO) test -run '^$$' -bench='AssembleDeep|AssembleScan|AssembleShared|AssembleLanes' -benchtime=1x -benchmem ./internal/assembly
 
 # Where one query's allocations come from, site by site: one iteration
 # each of BenchmarkAssembleDeep, BenchmarkAssembleScan,
-# BenchmarkAssembleShared (the shared table on) and
-# BenchmarkStoreTransact (32 pairs and their commit), with every
+# BenchmarkAssembleShared (the shared table on), BenchmarkAssembleLanes
+# (ShardPrefetch over two striped devices) and BenchmarkStoreTransact (32 pairs and their commit), with every
 # allocation sampled (-memprofilerate 1), then pprof's flat objects and
 # bytes per source line under the query or the transaction — the
 # database build, the input items and the store's first transaction
 # made before it left out. EXPERIMENTS.md "The allocation floor, second
-# pass", "One allocation per object read" and "Two allocations per
-# complex object" hold its tables. The
+# pass", "One allocation per object read", "Two allocations per
+# complex object" and "What outlives a query" hold its tables. The
 # profiles and the test binaries go to a temporary directory that is
 # removed.
 alloc-sites:
@@ -122,6 +127,7 @@ alloc-sites:
 	sites assembly AssembleDeep 1x benchAssemble rootItems && \
 	sites assembly AssembleScan 1x benchAssemble rootItems && \
 	sites assembly AssembleShared 1x benchAssemble rootItems && \
+	sites assembly AssembleLanes 1x benchAssemble rootItems && \
 	sites object StoreTransact 1x BenchmarkStoreTransact newTransactor
 
 # The one head model and the log's write path over it, uncached: the

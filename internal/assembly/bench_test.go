@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"revelation/internal/assembly"
+	"revelation/internal/disk"
 	"revelation/internal/gen"
 	"revelation/internal/metrics"
 	"revelation/internal/volcano"
@@ -41,7 +42,7 @@ func benchAssemble(b *testing.B, db *gen.Database, opts assembly.Options) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		op := assembly.New(volcano.NewSlice(items), db.Store, db.Template, opts)
+		op := assembly.New(volcano.NewSlice(items), db.Store, db.Template, queryOpts(db, opts))
 		n, err := volcano.Count(op)
 		if err != nil {
 			b.Fatal(err)
@@ -86,7 +87,35 @@ var (
 	// component of its own.
 	sharedShape = gen.Config{NumComplexObjects: 400, Sharing: 0.25, Clustering: gen.InterObject, Seed: 65}
 	sharedOpts  = assembly.Options{Window: 50, Scheduler: assembly.Elevator, UseSharingStats: true}
+	// The lanes path over local devices — scan-sharded's, without the
+	// wire: the paper's objects striped over two devices (onStripes), a
+	// pool of 64 frames so that most components are read ahead by
+	// ShardPrefetch's lanes, and a NewMultiElevator per query
+	// (queryOpts).
+	lanesShape = gen.Config{NumComplexObjects: 400, Clustering: gen.Unclustered, Seed: 66, BufferPages: 64}
+	lanesOpts  = assembly.Options{Window: 50, ShardPrefetch: true}
 )
+
+// onStripes puts cfg's database on two fresh simulated devices striped
+// 8 pages at a time.
+func onStripes(tb testing.TB, cfg gen.Config) gen.Config {
+	tb.Helper()
+	striped, err := disk.NewStriped([]disk.Device{disk.New(0), disk.New(0)}, 8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg.Device = striped
+	return cfg
+}
+
+// queryOpts is opts for one query over db; with ShardPrefetch on a
+// striped device, with the multi-elevator a query builds for itself.
+func queryOpts(db *gen.Database, opts assembly.Options) assembly.Options {
+	if s, ok := db.Pool.Device().(*disk.Striped); ok && opts.ShardPrefetch {
+		opts.CustomScheduler = assembly.NewMultiElevator(len(s.Devices()), s.DeviceOf)
+	}
+	return opts
+}
 
 // BenchmarkAssembleDeep and BenchmarkAssembleScan report allocs/op and
 // B/op for one query over 400 roots (divide by 400 for per-object
@@ -118,11 +147,20 @@ func BenchmarkAssembleShared(b *testing.B) {
 	benchAssemble(b, benchDB(b, sharedShape), sharedOpts)
 }
 
+// BenchmarkAssembleLanes is the lanes path: ShardPrefetch's batches,
+// their runs read by buffer.Lanes, over two striped devices.
+func BenchmarkAssembleLanes(b *testing.B) {
+	b.ReportAllocs()
+	benchAssemble(b, benchDB(b, onStripes(b, lanesShape)), lanesOpts)
+}
+
 // TestAssembleAllocs pins the arena: allocations and bytes per emitted
 // complex object, everything a query allocates included (operator,
-// scheduler, window slots). A complex object is its component chunk and
-// its children list; with the shared table on (Fig. 15's setting) each
-// shared leaf is one allocation of its own besides. Allocations are
+// scheduler, window slots, a lane query's elevator and lane workers). A
+// complex object is its component chunk and its children list; with the
+// shared table on (Fig. 15's setting) each shared leaf is one allocation
+// of its own besides. The elevators' leaves and the lanes' read buffers
+// are the last query's, so the first query warms them. Allocations are
 // pinned at 5 % over their floor and bytes at 2 %, so that a chunk or a
 // struct that rounds up to a larger size class shows (EXPERIMENTS.md
 // has the floors' history).
@@ -134,11 +172,16 @@ func TestAssembleAllocs(t *testing.T) {
 		nodes        int
 		allocs, size float64 // floors per complex object
 	}{
-		{"deep 31-node shared-leaf, W=200", deepShape, deepOpts, 31, 2.10, 8127},
-		{"paper 7-node, W=50", scanShape, scanOpts, 7, 2.08, 1849},
-		{"paper 7-node shared leaves, sharing stats, W=50", sharedShape, sharedOpts, 7, 4.87, 1355},
+		{"deep 31-node shared-leaf, W=200", deepShape, deepOpts, 31, 2.07, 8107},
+		{"paper 7-node, W=50", scanShape, scanOpts, 7, 2.06, 1842},
+		{"paper 7-node shared leaves, sharing stats, W=50", sharedShape, sharedOpts, 7, 3.48, 1343},
+		{"paper 7-node over 2 stripes, lanes, 64 frames, W=50", lanesShape, lanesOpts, 7, 2.12, 1845},
 	} {
-		db, err := gen.Build(c.cfg)
+		cfg := c.cfg
+		if c.opts.ShardPrefetch {
+			cfg = onStripes(t, cfg)
+		}
+		db, err := gen.Build(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +190,7 @@ func TestAssembleAllocs(t *testing.T) {
 		}
 		items := rootItems(db)
 		query := func() {
-			op := assembly.New(volcano.NewSlice(items), db.Store, db.Template, c.opts)
+			op := assembly.New(volcano.NewSlice(items), db.Store, db.Template, queryOpts(db, c.opts))
 			if n, err := volcano.Count(op); err != nil || n != len(items) {
 				t.Fatalf("%s: assembled %d of %d: %v", c.name, n, len(items), err)
 			}

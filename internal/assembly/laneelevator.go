@@ -215,4 +215,10 @@ func (s *LaneElevator) Len() int {
 	return total
 }
 
+func (s *LaneElevator) release() {
+	for i := range s.lanes {
+		s.lanes[i].release()
+	}
+}
+
 var _ BatchScheduler = (*LaneElevator)(nil)

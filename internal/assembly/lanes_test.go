@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"revelation/internal/assembly"
 	"revelation/internal/buffer"
 	"revelation/internal/disk"
+	"revelation/internal/gen"
 	"revelation/internal/leakcheck"
 	"revelation/internal/volcano"
 )
@@ -123,4 +126,63 @@ func TestLaneWorkersStopOnEveryExit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConcurrentQueriesShareOnePool: eight queries at once on one pool
+// of 64 frames — lane queries and plain elevator ones, each taking and
+// returning elevator leaves and the pool's lane loads — assemble what
+// one query alone does, field for field, and leave no pin and no
+// goroutine behind.
+func TestConcurrentQueriesShareOnePool(t *testing.T) {
+	db, err := gen.Build(onStripes(t, gen.Config{NumComplexObjects: 150, Clustering: gen.Unclustered, Seed: 67, BufferPages: 64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(lanes bool) ([]string, error) {
+		opts := assembly.Options{Window: 20, Scheduler: assembly.Elevator, ShardPrefetch: lanes}
+		items, err := volcano.Drain(nil, assembly.New(rootsSource(db.Roots), db.Store, db.Template, queryOpts(db, opts)))
+		var out []string
+		for _, it := range items {
+			out = append(out, renderFields(it.(*assembly.Instance)))
+		}
+		slices.Sort(out)
+		return out, err
+	}
+	want, err := query(false)
+	if err != nil || len(want) != len(db.Roots) {
+		t.Fatalf("assembled %d of %d alone: %v", len(want), len(db.Roots), err)
+	}
+	before := leakcheck.Snapshot()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(lanes bool) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				got, err := query(lanes)
+				if err != nil || !slices.Equal(got, want) {
+					t.Errorf("lanes %v, round %d: %d objects differ from one query's alone: %v", lanes, round, len(got), err)
+					return
+				}
+			}
+		}(i%2 == 0)
+	}
+	wg.Wait()
+	leakcheck.Check(t, before)
+	if n := db.Pool.PinnedFrames(); n != 0 {
+		t.Errorf("%d frames left pinned", n)
+	}
+}
+
+// renderFields prints an assembled tree with every component's fields.
+func renderFields(in *assembly.Instance) string {
+	out := fmt.Sprintf("%d%v%v(", uint64(in.OID()), in.Object.Ints, in.Object.Refs)
+	for _, c := range in.Children {
+		if c == nil {
+			out += "-,"
+			continue
+		}
+		out += renderFields(c) + ","
+	}
+	return out + ")"
 }

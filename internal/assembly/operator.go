@@ -35,7 +35,8 @@ type Options struct {
 	// link without I/O. When false, sharing degrades to whatever the
 	// buffer happens to cache.
 	UseSharingStats bool
-	// CustomScheduler overrides Scheduler/PredicateFirst entirely.
+	// CustomScheduler overrides Scheduler/PredicateFirst entirely. It
+	// serves one operator at a time; Close empties a built-in elevator.
 	CustomScheduler Scheduler
 	// PinWindowPages keeps the pages backing partially assembled
 	// complex objects pinned in the buffer until the object is passed
@@ -208,7 +209,8 @@ type Operator struct {
 	// batcher is the scheduler's batch interface when ShardPrefetch is
 	// on; batchq holds the tail of the current batch (already
 	// prefetched, resolved one per scheduling step). laneSpans/laneCtxs
-	// attribute each lane's prefetch I/O to a per-shard child span;
+	// attribute each lane's prefetch I/O to a per-shard child span of a
+	// traced query;
 	// lanes are the goroutines that make those reads beside the
 	// operator's own, alive from Open to Close; batchIDs/batchRuns carry
 	// a batch to the pool.
@@ -348,7 +350,7 @@ func (op *Operator) Open() error {
 		}
 	}
 	if op.Opts.UseSharingStats {
-		op.shared = newSharedTable(op.Store.File.Pool())
+		op.shared = &sharedTable{pool: op.Store.File.Pool(), entries: map[object.OID]sharedEntry{}}
 	}
 	op.tr = op.Store.File.Pool().Tracer()
 	// Items live, queued for emission or spare never outnumber the
@@ -373,25 +375,12 @@ func (op *Operator) Open() error {
 	op.qid = op.qspan.QID()
 	op.batcher = nil
 	op.batchq = nil
-	op.laneSpans = nil
-	op.laneCtxs = nil
 	if op.Opts.ShardPrefetch {
 		b, ok := op.sched.(BatchScheduler)
 		if !ok {
 			return fmt.Errorf("assembly: ShardPrefetch needs a batch-capable scheduler, got %s", op.sched.Name())
 		}
 		op.batcher = b
-		op.laneSpans = make([]*qtrace.Span, b.Lanes())
-		op.laneCtxs = make([]context.Context, b.Lanes())
-		for i := range op.laneSpans {
-			sp := op.qspan.StartChild(qtrace.LayerAssembly, fmt.Sprintf("shard%d", i))
-			op.laneSpans[i] = sp
-			ctx := op.qctx
-			if ctx == nil {
-				ctx = context.Background()
-			}
-			op.laneCtxs[i] = qtrace.With(ctx, sp)
-		}
 	}
 	if op.Opts.ReserveFrames > 0 {
 		r, err := op.Store.File.Pool().Reserve(op.Opts.ReserveFrames)
@@ -403,13 +392,21 @@ func (op *Operator) Open() error {
 	if err := op.Input.Open(); err != nil {
 		op.reservation.Release()
 		op.reservation = nil
-		op.endLaneSpans()
 		op.qspan.End()
 		return err
 	}
-	if op.batcher != nil {
-		// Last, so that no failing path of Open has workers to stop.
-		op.lanes = buffer.StartLanes(op.batcher.Lanes() - 1)
+	// Last, so that no failing path of Open has lane spans to end or
+	// workers to stop.
+	if b := op.batcher; b != nil {
+		if op.qspan != nil { // untraced, a lane's reads go under op.qctx
+			op.laneSpans = make([]*qtrace.Span, b.Lanes())
+			op.laneCtxs = make([]context.Context, b.Lanes())
+			for i := range op.laneSpans {
+				sp := op.qspan.StartChild(qtrace.LayerAssembly, fmt.Sprintf("shard%d", i))
+				op.laneSpans[i], op.laneCtxs[i] = sp, qtrace.With(op.qctx, sp)
+			}
+		}
+		op.lanes = op.Store.File.Pool().StartLanes(b.Lanes() - 1)
 	}
 	op.open = true
 	return nil
@@ -509,13 +506,19 @@ func (op *Operator) Close() error {
 	op.spares = nil
 	op.chunk = spare{}
 	op.slots = nil
+	if s, ok := op.sched.(interface{ release() }); ok {
+		s.release() // an elevator's leaves go to the next query's
+	}
 	op.sched = nil
 	op.shared = nil
 	op.batcher = nil
 	op.batchq = nil
 	op.lanes.Stop()
 	op.lanes = nil
-	op.endLaneSpans()
+	for _, sp := range op.laneSpans {
+		sp.End()
+	}
+	op.laneSpans, op.laneCtxs = nil, nil
 	op.qspan.End()
 	// The admission quota returns to the pool on every exit path, error
 	// or not — a leaked reservation would shed later queries forever.
@@ -523,16 +526,6 @@ func (op *Operator) Close() error {
 	op.reservation = nil
 	errs = append(errs, op.Input.Close())
 	return errors.Join(errs...)
-}
-
-// endLaneSpans closes the per-shard prefetch spans (no-ops when
-// ShardPrefetch is off or the query is untraced).
-func (op *Operator) endLaneSpans() {
-	for _, sp := range op.laneSpans {
-		sp.End()
-	}
-	op.laneSpans = nil
-	op.laneCtxs = nil
 }
 
 // nextRef is the scheduling step. Without a batch scheduler it simply
@@ -597,7 +590,7 @@ func (op *Operator) prefetchBatch(batch []*Ref) {
 			lo--
 		}
 		ctx := op.qctx
-		if int(lane) < len(op.laneCtxs) && op.laneCtxs[lane] != nil {
+		if int(lane) < len(op.laneCtxs) {
 			ctx = op.laneCtxs[lane]
 		}
 		runs = append(runs, buffer.Run{Ctx: ctx, IDs: ids[lo:hi]})

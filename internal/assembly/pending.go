@@ -2,6 +2,7 @@ package assembly
 
 import (
 	"math/bits"
+	"sync"
 
 	"revelation/internal/disk"
 )
@@ -15,9 +16,10 @@ import (
 // A bucket chains its references through Ref.next, newest first — the
 // order a page-sorted slice that inserts before equal pages keeps — so
 // the pick sequence is that slice's, reference for reference. Leaves of
-// 64 buckets are allocated when a page of theirs is first referenced
-// and kept for the set's lifetime: storage follows the 64-page regions
-// a query touches, and a step in the steady state allocates nothing.
+// 64 buckets are taken from freeLeaves when a page of theirs is first
+// referenced and kept until release: storage follows the 64-page
+// regions a query touches, and a step in the steady state allocates
+// nothing.
 //
 // References of aborted complex objects stay where they are, as
 // tombstones, until a sweep meets them: ceil, floor, takeOldest and
@@ -35,6 +37,41 @@ type pendingLeaf struct {
 	heads [64]*Ref // per page, chained newest first through Ref.next
 }
 
+// freeLeaves holds zeroed leaves between queries, up to maxFreeLeaves
+// (576 KB). Not a sync.Pool: a query's allocations would then depend on
+// when the collector last emptied it.
+var freeLeaves struct {
+	sync.Mutex
+	list []*pendingLeaf
+}
+
+const maxFreeLeaves = 1024
+
+func newLeaf() *pendingLeaf {
+	freeLeaves.Lock()
+	defer freeLeaves.Unlock()
+	if n := len(freeLeaves.list); n > 0 {
+		leaf := freeLeaves.list[n-1]
+		freeLeaves.list = freeLeaves.list[:n-1]
+		return leaf
+	}
+	return new(pendingLeaf)
+}
+
+// release empties the set and hands its leaves, zeroed, to freeLeaves.
+// The references it held are dropped, live or dead.
+func (s *pendingSet) release() {
+	freeLeaves.Lock()
+	for _, leaf := range s.leaves {
+		if leaf != nil && len(freeLeaves.list) < maxFreeLeaves {
+			*leaf = pendingLeaf{}
+			freeLeaves.list = append(freeLeaves.list, leaf)
+		}
+	}
+	freeLeaves.Unlock()
+	*s = pendingSet{}
+}
+
 // push adds r as the newest reference on its page.
 func (s *pendingSet) push(r *Ref) {
 	p := r.Page()
@@ -45,7 +82,7 @@ func (s *pendingSet) push(r *Ref) {
 	}
 	leaf := s.leaves[l]
 	if leaf == nil {
-		leaf = new(pendingLeaf)
+		leaf = newLeaf()
 		s.leaves[l] = leaf
 	}
 	b := p & 63

@@ -320,6 +320,8 @@ func (s *elevator) Len() int { return s.pend.n }
 // TakeOnPage implements Scheduler: one bucket of the pending set.
 func (s *elevator) TakeOnPage(p disk.PageID) []*Ref { return s.pend.takeAll(p) }
 
+func (s *elevator) release() { s.pend.release() }
+
 // PredicateFirst wraps a base policy with the Section 7 integration of
 // predicates into scheduling: references whose subtree can reject the
 // complex object are served before all others ("it is beneficial to

@@ -17,7 +17,7 @@ import (
 // from being flushed out of the buffer", Section 6.4).
 type sharedTable struct {
 	pool    *buffer.Pool
-	entries map[object.OID]*sharedEntry
+	entries map[object.OID]sharedEntry // by value: a registration allocates nothing past the map's growth
 }
 
 type sharedEntry struct {
@@ -26,10 +26,6 @@ type sharedEntry struct {
 	// from the sharing degree; the entry (and its sticky hint) is
 	// dropped when it reaches zero.
 	expected int
-}
-
-func newSharedTable(pool *buffer.Pool) *sharedTable {
-	return &sharedTable{pool: pool, entries: map[object.OID]*sharedEntry{}}
 }
 
 // expectedReferences converts a sharing degree into the expected
@@ -43,15 +39,18 @@ func expectedReferences(degree float64) int {
 }
 
 // lookup returns a previously assembled shared instance, consuming one
-// expected reference. The boolean reports a hit.
+// expected reference; the last drops the entry and its buffer hint. The
+// boolean reports a hit.
 func (st *sharedTable) lookup(oid object.OID) (*Instance, bool) {
 	e, ok := st.entries[oid]
 	if !ok {
 		return nil, false
 	}
-	e.expected--
-	if e.expected <= 0 {
-		st.release(oid, e)
+	if e.expected--; e.expected > 0 {
+		st.entries[oid] = e
+	} else {
+		delete(st.entries, oid)
+		st.pool.SetSticky(e.inst.page, false)
 	}
 	return e.inst, true
 }
@@ -62,12 +61,6 @@ func (st *sharedTable) register(inst *Instance, node *Template) {
 	if exp <= 0 {
 		return
 	}
-	st.entries[inst.OID()] = &sharedEntry{inst: inst, expected: exp}
+	st.entries[inst.OID()] = sharedEntry{inst: inst, expected: exp}
 	st.pool.SetSticky(inst.page, true)
-}
-
-// release drops an entry and clears its buffer hint.
-func (st *sharedTable) release(oid object.OID, e *sharedEntry) {
-	delete(st.entries, oid)
-	st.pool.SetSticky(e.inst.page, false)
 }

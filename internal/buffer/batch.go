@@ -75,12 +75,13 @@ func (rl *runLoad) read() {
 	clear(rl.errs)
 }
 
-// Lanes is a set of goroutines that read pages for FixBatch, so that a
-// batch's runs are on their devices at the same time, together with
-// the page buffers they read into. It serves one batch at a time; a
-// query starts one and stops it when it ends. A nil *Lanes is valid and
-// means no read ahead: FixBatch then reads each miss in turn.
+// Lanes is a set of goroutines that read pages for FixBatch on one
+// pool, so that a batch's runs are on their devices at the same time,
+// together with the page buffers they read into. It serves one batch at
+// a time; a query starts one and stops it when it ends. A nil *Lanes is
+// valid and means no read ahead: FixBatch then reads each miss in turn.
 type Lanes struct {
+	p       *Pool
 	jobs    chan *runLoad
 	pending sync.WaitGroup // runs of the current batch still on a worker
 	workers sync.WaitGroup
@@ -88,12 +89,20 @@ type Lanes struct {
 }
 
 // StartLanes starts n workers; with them and the caller's own goroutine
-// a batch overlaps up to n+1 runs. It returns nil for n < 1.
-func StartLanes(n int) *Lanes {
+// a batch overlaps up to n+1 runs. It returns nil for n < 1. It reads
+// into the loads the pool's last stopped Lanes left, if of that size.
+func (p *Pool) StartLanes(n int) *Lanes {
 	if n < 1 {
 		return nil
 	}
-	ls := &Lanes{jobs: make(chan *runLoad), loads: make([]runLoad, n+1)}
+	p.mu.Lock()
+	loads := p.loads
+	p.loads = nil
+	p.mu.Unlock()
+	if len(loads) != n+1 {
+		loads = make([]runLoad, n+1)
+	}
+	ls := &Lanes{p: p, jobs: make(chan *runLoad), loads: loads}
 	ls.workers.Add(n)
 	for i := 0; i < n; i++ {
 		go func() {
@@ -107,14 +116,21 @@ func StartLanes(n int) *Lanes {
 	return ls
 }
 
-// Stop ends the workers and returns once they have exited. It must not
-// be called twice, or while a FixBatch is using ls.
+// Stop ends the workers, returns once they have exited, and leaves the
+// loads, holding no query's context, to the pool's next StartLanes. It
+// must not be called twice, or while a FixBatch is using ls.
 func (ls *Lanes) Stop() {
 	if ls == nil {
 		return
 	}
 	close(ls.jobs)
 	ls.workers.Wait()
+	for i := range ls.loads {
+		ls.loads[i].p, ls.loads[i].ctx = nil, nil
+	}
+	ls.p.mu.Lock()
+	ls.p.loads = ls.loads
+	ls.p.mu.Unlock()
 }
 
 // read makes the device reads the batch is about to need from p: for
@@ -122,12 +138,12 @@ func (ls *Lanes) Stop() {
 // many runs as ls can overlap (any others are read, page by page, by the
 // fixes that miss). A page that is resident now but replaced earlier in
 // the same batch is also left to its fix. The last run is read here, the
-// others by workers. It returns the runs' loads, in batch order. Caller
-// holds p.mu.
+// others by workers. It returns the runs' loads, in batch order; none
+// for a nil ls. Caller holds p.mu.
 func (ls *Lanes) read(p *Pool, runs []Run) []runLoad {
-	if p.closed || int(p.pinned.Value()) == len(p.frames) {
-		// Every miss is about to be refused; a read would be one the
-		// loop of single fixes never makes.
+	if ls == nil || p.closed || int(p.pinned.Value()) == len(p.frames) {
+		// No lanes; or every miss is about to be refused, and a read
+		// would be one the loop of single fixes never makes.
 		return nil
 	}
 	n := 0
@@ -181,10 +197,7 @@ func inBatchBefore(runs []Run, r, i int) bool {
 func (p *Pool) FixBatch(runs []Run, ls *Lanes) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var loads []runLoad
-	if ls != nil {
-		loads = ls.read(p, runs)
-	}
+	loads := ls.read(p, runs)
 	for r, run := range runs {
 		var pages []load
 		if len(loads) > 0 && loads[0].pages[0].run == r {

@@ -419,15 +419,16 @@ func TestFixBatchMatchesFixLoop(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		sequences = 400
 	}
-	lanes := StartLanes(2)
-	defer lanes.Stop()
+	// Each sequence with lanes starts them on home, so that from the
+	// second on they read into the loads and buffers the last one left.
+	home := New(disk.NewSim(diffPageSize, 1), 1)
 	sizes := []int{1, 2, 7, 64}
 	var total batchStats
 	var evictions, misses, ioErrors int64
 	for s := 0; s < sequences; s++ {
 		var ls *Lanes
 		if s/len(sizes)%2 == 0 {
-			ls = lanes
+			ls = home.StartLanes(2)
 		}
 		r := newBatchRig(t, int64(s), sizes[s%len(sizes)], ls, s/(2*len(sizes))%2 == 0)
 		for r.step = 0; r.step < steps; r.step++ {
@@ -435,6 +436,7 @@ func TestFixBatchMatchesFixLoop(t *testing.T) {
 			r.compare()
 		}
 		r.finish()
+		ls.Stop()
 		st := r.sides[0].pool.Stats()
 		evictions, misses = evictions+st.Evictions, misses+st.Faults
 		ioErrors += st.TransientErrors + st.PermanentErrors + st.ChecksumFails

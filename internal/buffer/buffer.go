@@ -180,6 +180,8 @@ type Pool struct {
 	parked []*Frame
 
 	deltas DeltaWAL // wal, if it logs deltas; read by logged writes only
+
+	loads []runLoad // what the last stopped Lanes read into (batch.go)
 }
 
 // New creates a pool of n frames over dev. Replacement is exact LRU.
