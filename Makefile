@@ -91,11 +91,14 @@ buffer-check:
 # query (the elevators' free leaves, zeroed and capped, and the pool's
 # lane loads): a query closed early then a full one on the same pool
 # under every scheduler, a closed query's context collectable, eight
-# queries at once on one pool — then once more
-# under the race detector, then one iteration of the benchmarks
+# queries at once on one pool; and every exit of a small traced query
+# (each refusal of Open, a failing input, a cancel before the first
+# Next, a permanent fault at each device read under each fault policy,
+# Close twice) handing back its span, pins, quota, workers, leaves and
+# context — then once more under the race detector, then one iteration of the benchmarks
 # that report allocs/op and B/op, with -benchmem so that the log shows
 # them, and so that they cannot rot unbuilt.
-ASM_TESTS = TestEmittedObjectCollectedWhileRunning|TestAdoptedObjectCollectedWhileRunning|TestSharedLeafDoesNotPinItsFirstObject|TestDeadItemsChunksNotRecycled|TestDeadItemCollectedWhileRunning|TestArenaMatchesParentGoldens|TestAssembleAllocs|TestArenaStructSizes|TestArenaShapes|TestSlotsComeInChunks|TestReuseLeaksNoState|TestClosedQueryContextCollected|TestFreeLeavesCapped|TestConcurrentQueriesShareOnePool
+ASM_TESTS = TestEmittedObjectCollectedWhileRunning|TestAdoptedObjectCollectedWhileRunning|TestSharedLeafDoesNotPinItsFirstObject|TestDeadItemsChunksNotRecycled|TestDeadItemCollectedWhileRunning|TestArenaMatchesParentGoldens|TestAssembleAllocs|TestArenaStructSizes|TestArenaShapes|TestSlotsComeInChunks|TestReuseLeaksNoState|TestClosedQueryContextCollected|TestFreeLeavesCapped|TestConcurrentQueriesShareOnePool|TestOpenRefusalEndsItsSpan|TestEveryExitHandsBack
 asm-check:
 	$(GO) test -count=1 -run '$(ASM_TESTS)' ./internal/assembly
 	$(GO) test -race -count=1 -run '$(ASM_TESTS)' ./internal/assembly

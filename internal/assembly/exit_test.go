@@ -7,12 +7,16 @@ package assembly
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"revelation/internal/buffer"
+	"revelation/internal/disk"
+	"revelation/internal/leakcheck"
 	"revelation/internal/qtrace"
+	"revelation/internal/volcano"
 )
 
 // openSpans lists the spans of tr other than its root that were never
@@ -55,6 +59,186 @@ func TestOpenRefusalEndsItsSpan(t *testing.T) {
 		}
 		if n := pool.ReservedFrames(); n != 0 {
 			t.Errorf("%s: %d frames still reserved", r.name, n)
+		}
+	}
+}
+
+// refusingInput is an input whose Open fails.
+type refusingInput struct{ volcano.Iterator }
+
+var errRefused = errors.New("input: injected open fault")
+
+func (refusingInput) Open() error { return errRefused }
+
+// checkHandedBack fails the test unless the query traced in tr handed
+// back all it took: no span of the trace left open, no frame pinned or
+// reserved, no goroutine left beyond the given count, every leaf on the
+// elevators' free list zeroed, held once and within the list's cap, and
+// no query's context kept by the pool's lane loads.
+func checkHandedBack(t *testing.T, exit string, pool *buffer.Pool, tr *qtrace.Trace, goroutines int) {
+	t.Helper()
+	if open := openSpans(tr); len(open) > 0 {
+		t.Errorf("%s: spans %v left open", exit, open)
+	}
+	if n := pool.PinnedFrames(); n != 0 {
+		t.Errorf("%s: %d frames left pinned", exit, n)
+	}
+	if n := pool.ReservedFrames(); n != 0 {
+		t.Errorf("%s: %d frames left reserved", exit, n)
+	}
+	leakcheck.Check(t, goroutines)
+	freeLeaves.Lock()
+	held := make(map[*pendingLeaf]bool, len(freeLeaves.list))
+	for _, leaf := range freeLeaves.list {
+		if held[leaf] || *leaf != (pendingLeaf{}) {
+			t.Errorf("%s: a leaf on the free list is held twice or not zeroed", exit)
+			break
+		}
+		held[leaf] = true
+	}
+	if n := len(freeLeaves.list); n > maxFreeLeaves {
+		t.Errorf("%s: %d leaves on the free list, cap %d", exit, n, maxFreeLeaves)
+	}
+	freeLeaves.Unlock()
+	loads := reflect.ValueOf(pool).Elem().FieldByName("loads")
+	for i := 0; i < loads.Len(); i++ {
+		if !loads.Index(i).FieldByName("ctx").IsNil() {
+			t.Errorf("%s: the pool's lane load %d keeps a query's context", exit, i)
+		}
+	}
+}
+
+// TestEveryExitHandsBack sweeps the ways a small traced query ends —
+// each refusal of Open, a failing input, the context cancelled before
+// the first Next, a permanent fault at the k-th device read for every k
+// under each fault policy, with and without lanes, and Close twice —
+// and checks after each that the query handed back all it took.
+func TestEveryExitHandsBack(t *testing.T) {
+	store, tmpl, roots := scatteredStore(t, 48)
+	pool := store.File.Pool()
+	sim := pool.Device().(*disk.Sim)
+	lanes := func(o *Options) {
+		o.CustomScheduler = NewShardElevator(2, func(p disk.PageID) int { return int(p) })
+		o.ShardPrefetch = true
+	}
+	// run opens a traced query with the given options over input, lets
+	// drive take it to its exit, closes it and checks what is left.
+	run := func(exit string, input volcano.Iterator, opts Options, drive func(op *Operator, cancel func()) error) {
+		t.Helper()
+		if err := pool.EvictAll(); err != nil {
+			t.Fatalf("%s: %v", exit, err)
+		}
+		goroutines := leakcheck.Snapshot()
+		col := qtrace.NewCollector(4)
+		tr, root := col.Begin("query")
+		ctx, cancel := context.WithCancel(qtrace.With(context.Background(), root))
+		defer cancel()
+		op := New(input, store, tmpl, opts)
+		op.BindContext(ctx)
+		if err := drive(op, cancel); err != nil {
+			t.Fatalf("%s: %v", exit, err)
+		}
+		checkHandedBack(t, exit, pool, tr, goroutines)
+	}
+	drain := func(op *Operator) (int, error) {
+		n := 0
+		for {
+			_, err := op.Next()
+			if err != nil {
+				if errors.Is(err, volcano.Done) {
+					err = nil
+				}
+				return n, err
+			}
+			n++
+		}
+	}
+	// Refusals: Open fails, and nobody calls Close.
+	refused := func(want error) func(op *Operator, _ func()) error {
+		return func(op *Operator, _ func()) error {
+			if err := op.Open(); err == nil || (want != nil && !errors.Is(err, want)) {
+				return fmt.Errorf("Open = %v, want a refusal", err)
+			}
+			return nil
+		}
+	}
+	run("admission refused", oidSource(roots), Options{Window: 4, ReserveFrames: pool.Size() + 1}, refused(buffer.ErrAdmission))
+	run("no batch scheduler", oidSource(roots), Options{Window: 4, ShardPrefetch: true}, refused(nil))
+	for _, sched := range []func(*Options){func(*Options) {}, lanes} {
+		opts := Options{Window: 4, ReserveFrames: 16}
+		sched(&opts)
+		run("input refuses", refusingInput{oidSource(roots)}, opts, refused(errRefused))
+		run("cancelled before Next", oidSource(roots), opts, func(op *Operator, cancel func()) error {
+			if err := op.Open(); err != nil {
+				return err
+			}
+			cancel()
+			if _, err := op.Next(); !errors.Is(err, context.Canceled) {
+				return fmt.Errorf("Next after cancel = %v", err)
+			}
+			return op.Close()
+		})
+		run("closed twice", oidSource(roots), opts, func(op *Operator, _ func()) error {
+			if err := op.Open(); err != nil {
+				return err
+			}
+			if _, err := drain(op); err != nil {
+				return err
+			}
+			if err := op.Close(); err != nil {
+				return err
+			}
+			return op.Close()
+		})
+	}
+	// A permanent fault at the k-th device read: that read fails, and so
+	// does every later read of its page.
+	var reads int
+	var dead map[disk.PageID]bool
+	faultAt := func(k int) {
+		reads, dead = 0, map[disk.PageID]bool{}
+		sim.SetFault(func(p disk.PageID, write bool) error {
+			if write {
+				return nil
+			}
+			if reads++; reads == k {
+				dead[p] = true
+			}
+			if dead[p] {
+				return fmt.Errorf("%w: page %d", disk.ErrPermanent, p)
+			}
+			return nil
+		})
+	}
+	defer sim.SetFault(nil)
+	faultAt(0)
+	run("no fault", oidSource(roots), Options{Window: 4}, func(op *Operator, _ func()) error {
+		op.Open()
+		_, err := drain(op)
+		return errors.Join(err, op.Close())
+	})
+	clean := reads
+	if clean < 8 {
+		t.Fatalf("a clean query reads %d pages; the sweep needs more", clean)
+	}
+	for _, policy := range []FaultPolicy{FailFast, SkipObject, RetryFaults} {
+		for si, sched := range []func(*Options){func(*Options) {}, lanes} {
+			for k := 1; k <= clean; k++ {
+				opts := Options{Window: 4, ReserveFrames: 16, FaultPolicy: policy}
+				sched(&opts)
+				faultAt(k)
+				run(fmt.Sprintf("policy %d, lanes %v, fault at read %d", policy, si == 1, k), oidSource(roots), opts, func(op *Operator, _ func()) error {
+					if err := op.Open(); err != nil {
+						return err
+					}
+					_, err := drain(op)
+					if policy == FailFast && len(dead) > 0 && !errors.Is(err, disk.ErrPermanent) {
+						return fmt.Errorf("a fail-fast query ended with %v", err)
+					}
+					op.Close()
+					return nil
+				})
+			}
 		}
 	}
 }

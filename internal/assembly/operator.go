@@ -186,6 +186,7 @@ type Operator struct {
 	stats       Stats
 	cells       opCells
 	open        bool
+	inputOpen   bool // Input.Open succeeded and Close has not closed it
 	// pressure marks buffer exhaustion: admission pauses (the
 	// effective window shrinks) until pins drain at the next emission
 	// or quarantine.
@@ -328,7 +329,10 @@ func (op *Operator) PlanNode() (string, []volcano.Iterator) {
 	return label, []volcano.Iterator{op.Input}
 }
 
-// Open implements volcano.Iterator.
+// Open implements volcano.Iterator. It is all or nothing: what can
+// refuse the query — the template, a scheduler ShardPrefetch cannot
+// batch with, the pool's frame quota — is settled before anything else
+// is taken, and a failing input hands back what was through Close.
 func (op *Operator) Open() error {
 	if op.Template == nil {
 		return errors.New("assembly: no template")
@@ -336,14 +340,31 @@ func (op *Operator) Open() error {
 	if err := op.Template.Validate(op.Store.Catalog); err != nil {
 		return err
 	}
+	var sched Scheduler
 	switch {
 	case op.Opts.CustomScheduler != nil:
-		op.sched = op.Opts.CustomScheduler
+		sched = op.Opts.CustomScheduler
 	case op.Opts.PredicateFirst:
-		op.sched = NewPredicateFirst(op.Opts.Scheduler)
+		sched = NewPredicateFirst(op.Opts.Scheduler)
 	default:
-		op.sched = NewScheduler(op.Opts.Scheduler)
+		sched = NewScheduler(op.Opts.Scheduler)
 	}
+	op.batcher = nil
+	if op.Opts.ShardPrefetch {
+		b, ok := sched.(BatchScheduler)
+		if !ok {
+			return fmt.Errorf("assembly: ShardPrefetch needs a batch-capable scheduler, got %s", sched.Name())
+		}
+		op.batcher = b
+	}
+	if op.Opts.ReserveFrames > 0 {
+		r, err := op.Store.File.Pool().Reserve(op.Opts.ReserveFrames)
+		if err != nil {
+			return err
+		}
+		op.reservation = r
+	}
+	op.sched = sched
 	if le, ok := op.sched.(*LaneElevator); ok {
 		if d, ok := op.Store.File.Pool().Device().(interface{ HeadOf(int) (disk.PageID, bool) }); ok {
 			le.heads = d.HeadOf
@@ -373,28 +394,12 @@ func (op *Operator) Open() error {
 	op.stall = 0
 	op.qspan, op.qctx = qtrace.Start(op.ctx, qtrace.LayerAssembly, "assemble")
 	op.qid = op.qspan.QID()
-	op.batcher = nil
 	op.batchq = nil
-	if op.Opts.ShardPrefetch {
-		b, ok := op.sched.(BatchScheduler)
-		if !ok {
-			return fmt.Errorf("assembly: ShardPrefetch needs a batch-capable scheduler, got %s", op.sched.Name())
-		}
-		op.batcher = b
-	}
-	if op.Opts.ReserveFrames > 0 {
-		r, err := op.Store.File.Pool().Reserve(op.Opts.ReserveFrames)
-		if err != nil {
-			return err
-		}
-		op.reservation = r
-	}
 	if err := op.Input.Open(); err != nil {
-		op.reservation.Release()
-		op.reservation = nil
-		op.qspan.End()
+		op.Close()
 		return err
 	}
+	op.inputOpen = true
 	// Last, so that no failing path of Open has lane spans to end or
 	// workers to stop.
 	if b := op.batcher; b != nil {
@@ -485,8 +490,11 @@ func (op *Operator) Next() (volcano.Item, error) {
 	}
 }
 
-// Close implements volcano.Iterator. Pin-release failures are joined
-// with the input's close error instead of being dropped.
+// Close implements volcano.Iterator, and is the one teardown of a
+// query: Open's failing input runs it too. It closes the input only
+// when Open opened it, and a second call finds nothing left to hand
+// back. Pin-release failures are joined with the input's close error
+// instead of being dropped.
 func (op *Operator) Close() error {
 	op.open = false
 	op.publish()
@@ -524,7 +532,10 @@ func (op *Operator) Close() error {
 	// or not — a leaked reservation would shed later queries forever.
 	op.reservation.Release()
 	op.reservation = nil
-	errs = append(errs, op.Input.Close())
+	if op.inputOpen {
+		op.inputOpen = false
+		errs = append(errs, op.Input.Close())
+	}
 	return errors.Join(errs...)
 }
 
