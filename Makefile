@@ -104,34 +104,41 @@ asm-check:
 	$(GO) test -race -count=1 -run '$(ASM_TESTS)' ./internal/assembly
 	$(GO) test -run '^$$' -bench='AssembleDeep|AssembleScan|AssembleShared|AssembleLanes' -benchtime=1x -benchmem ./internal/assembly
 
-# Where one query's allocations come from, site by site: one iteration
-# each of BenchmarkAssembleDeep, BenchmarkAssembleScan,
-# BenchmarkAssembleShared (the shared table on), BenchmarkAssembleLanes
-# (ShardPrefetch over two striped devices) and BenchmarkStoreTransact (32 pairs and their commit), with every
-# allocation sampled (-memprofilerate 1), then pprof's flat objects and
-# bytes per source line under the query or the transaction — the
-# database build, the input items and the store's first transaction
-# made before it left out. EXPERIMENTS.md "The allocation floor, second
-# pass", "One allocation per object read", "Two allocations per
-# complex object" and "What outlives a query" hold its tables. The
-# profiles and the test binaries go to a temporary directory that is
-# removed.
+# Where one warm query's allocations come from, site by site:
+# BenchmarkAssembleDeep, BenchmarkAssembleScan, BenchmarkAssembleShared
+# (the shared table on), BenchmarkAssembleLanes (ShardPrefetch over two
+# striped devices) and BenchmarkStoreTransact (32 pairs and their
+# commit), each run at -benchtime=2x and at 3x with every allocation
+# sampled (-memprofilerate 1). A run at nx makes n+1 queries (the
+# testing package runs b.N=1 first), so pprof's -diff_base of the 2x
+# profile against the 3x one is exactly one query after warm ones: what
+# outlives a query (the elevators' leaves, the lanes' loads, the
+# store's first transaction) is not in it. Flat objects and bytes per
+# source line under the query or the transaction, the database build
+# and the input items left out. EXPERIMENTS.md "The allocation floor,
+# second pass", "One allocation per object read", "Two allocations per
+# complex object", "What outlives a query" and "Code only tests reach"
+# hold its tables. The profiles and the test binaries go to a temporary
+# directory that is removed.
 alloc-sites:
 	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	sites() { \
-		pkg=$$1 b=$$2 n=$$3 focus=$$4 ignore=$$5; \
-		$(GO) test -trimpath -run '^$$' -bench "^Benchmark$$b$$" -benchtime=$$n -benchmem -memprofilerate 1 \
-			-memprofile "$$d/$$b.prof" -o "$$d/$$pkg.test" ./internal/$$pkg | grep '^Benchmark' || return 1; \
+		pkg=$$1 b=$$2 focus=$$3 ignore=$$4; \
+		for n in 2 3; do \
+			$(GO) test -trimpath -run '^$$' -bench "^Benchmark$$b$$" -benchtime=$${n}x -benchmem -memprofilerate 1 \
+				-memprofile "$$d/$$b.$$n.prof" -o "$$d/$$pkg.test" ./internal/$$pkg > "$$d/$$b.out" || { cat "$$d/$$b.out"; return 1; }; \
+		done; \
+		grep '^Benchmark' "$$d/$$b.out"; \
 		for idx in alloc_objects alloc_space; do \
-			$(GO) tool pprof -sample_index=$$idx -focus=$$focus -ignore=$$ignore -nodefraction=0 -lines -top \
-				"$$d/$$pkg.test" "$$d/$$b.prof" 2>/dev/null | awk -v idx=$$idx '/flat%/ {p = 1; print "  " idx; next} p && $$1 != "0" && $$1 != "0B"'; \
+			$(GO) tool pprof -diff_base "$$d/$$b.2.prof" -sample_index=$$idx -focus=$$focus -ignore=$$ignore -nodefraction=0 -lines -top \
+				"$$d/$$pkg.test" "$$d/$$b.3.prof" 2>/dev/null | awk -v idx=$$idx '/flat%/ {p = 1; print "  " idx; next} p && $$1 != "0" && $$1 != "0B"'; \
 		done; \
 	}; \
-	sites assembly AssembleDeep 1x benchAssemble rootItems && \
-	sites assembly AssembleScan 1x benchAssemble rootItems && \
-	sites assembly AssembleShared 1x benchAssemble rootItems && \
-	sites assembly AssembleLanes 1x benchAssemble rootItems && \
-	sites object StoreTransact 1x BenchmarkStoreTransact newTransactor
+	sites assembly AssembleDeep benchAssemble rootItems && \
+	sites assembly AssembleScan benchAssemble rootItems && \
+	sites assembly AssembleShared benchAssemble rootItems && \
+	sites assembly AssembleLanes benchAssemble rootItems && \
+	sites object StoreTransact BenchmarkStoreTransact newTransactor
 
 # The one head model and the log's write path over it, uncached: the
 # differential test of disk.Arm and the merged Sim against the three

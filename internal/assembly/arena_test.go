@@ -209,7 +209,7 @@ func TestSharedLeafDoesNotPinItsFirstObject(t *testing.T) {
 				objs[it.(*Instance).OID()-1] = it.(*Instance)
 			}
 			leaf := objs[0].ChildByName("Leaf")
-			if leaf == nil || leaf != objs[1].ChildByName("Leaf") || leaf.RefCount() != 2 || op.Stats().SharedLinks != 1 {
+			if leaf == nil || leaf != objs[1].ChildByName("Leaf") || leaf.refs != 2 || op.Stats().SharedLinks != 1 {
 				t.Fatalf("the two objects do not share one leaf instance (links %d)", op.Stats().SharedLinks)
 			}
 			if leaf.Parent != nil {
@@ -572,7 +572,8 @@ func TestArenaShapes(t *testing.T) {
 				t.Fatalf("%s sharing %v: %d components, want %d", sched.name, sharing, components, want)
 			}
 			for _, root := range objs {
-				all := root.Flatten()
+				var all []*Instance
+				root.Walk(func(in *Instance) { all = append(all, in) })
 				for _, in := range all {
 					ints := make([][]int32, len(all))
 					refs := make([][]object.OID, len(all))

@@ -573,23 +573,14 @@ func TestExpectedReferences(t *testing.T) {
 }
 
 func TestTemplateHelpers(t *testing.T) {
-	tmpl := BinaryTreeTemplate(3, 0)
-	if tmpl.Nodes() != 7 {
-		t.Errorf("Nodes = %d, want 7", tmpl.Nodes())
-	}
-	if tmpl.Depth() != 3 {
-		t.Errorf("Depth = %d, want 3", tmpl.Depth())
-	}
-	if tmpl.HasPredicates() {
-		t.Error("fresh template has predicates")
+	_, tmpl, _ := buildChainStore(t, 1)
+	if tmpl.Nodes() != 4 {
+		t.Errorf("Nodes = %d, want 4", tmpl.Nodes())
 	}
 	cp := tmpl.Clone()
 	cp.Children[0].Pred = expr.True{}
-	if tmpl.HasPredicates() {
+	if tmpl.Children[0].Pred != nil {
 		t.Error("Clone aliases children")
-	}
-	if !cp.HasPredicates() {
-		t.Error("clone lost predicate")
 	}
 	if err := tmpl.Validate(nil); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -609,12 +600,9 @@ func TestInstanceHelpers(t *testing.T) {
 	if inst.Size() != 4 {
 		t.Errorf("Size = %d", inst.Size())
 	}
-	if got := len(inst.Flatten()); got != 4 {
-		t.Errorf("Flatten len = %d", got)
-	}
-	mid := inst.Child(0)
+	mid := inst.ChildByName("Mid")
 	if mid == nil || mid.Node.Name != "Mid" {
-		t.Fatalf("Child(0) = %v", mid)
+		t.Fatalf("ChildByName(Mid) = %v", mid)
 	}
 	if mid.Parent != inst {
 		t.Error("Parent pointer not set")
@@ -625,36 +613,9 @@ func TestInstanceHelpers(t *testing.T) {
 	if inst.ChildByName("absent") != nil {
 		t.Error("ChildByName invented a child")
 	}
-	if !inst.Complete() {
-		t.Error("emitted object reported incomplete")
-	}
 	var nilInst *Instance
 	if nilInst.OID() != object.NilOID {
 		t.Error("nil instance OID")
-	}
-	if nilInst.Complete() {
-		t.Error("nil instance complete")
-	}
-}
-
-// Complete guards on the child's reference field, not on its slot in
-// the template: a node reached through field 5 of a 3-reference object
-// is an absent component, not a panic.
-func TestCompleteRefFieldBeyondObject(t *testing.T) {
-	tmpl := &Template{Name: "Root", RefField: -1, Children: []*Template{
-		{Name: "Far", RefField: 5, Required: true},
-	}}
-	root := &Instance{
-		Object:   &object.Object{OID: 1, Refs: []object.OID{7, 8, 9}},
-		Node:     tmpl,
-		Children: make([]*Instance, 1),
-	}
-	if !root.Complete() {
-		t.Error("a required child on a field the object does not have reported incomplete")
-	}
-	tmpl.Children[0].RefField = 2 // a field it has, non-nil, unassembled
-	if root.Complete() {
-		t.Error("an unassembled required child reported complete")
 	}
 }
 

@@ -50,20 +50,6 @@ func (in *Instance) OID() object.OID {
 	return in.Object.OID
 }
 
-// RefCount reports the number of parents linking this instance.
-func (in *Instance) RefCount() int { return int(in.refs) }
-
-// Child returns the sub-instance assembled for the given reference
-// field of this instance's object, or nil.
-func (in *Instance) Child(refField int) *Instance {
-	for i, c := range in.Node.Children {
-		if c.RefField == refField {
-			return in.Children[i]
-		}
-	}
-	return nil
-}
-
 // ChildByName returns the sub-instance for the template child with the
 // given name, or nil.
 func (in *Instance) ChildByName(name string) *Instance {
@@ -89,39 +75,11 @@ func (in *Instance) Walk(fn func(*Instance)) {
 	}
 }
 
-// Flatten returns every non-nil instance in the tree, depth-first.
-func (in *Instance) Flatten() []*Instance {
-	var out []*Instance
-	in.Walk(func(i *Instance) { out = append(out, i) })
-	return out
-}
-
 // Size counts the non-nil components of the complex object.
 func (in *Instance) Size() int {
 	n := 0
 	in.Walk(func(*Instance) { n++ })
 	return n
-}
-
-// Complete reports whether every required template child has been
-// assembled throughout the tree.
-func (in *Instance) Complete() bool {
-	if in == nil {
-		return false
-	}
-	complete := true
-	in.Walk(func(i *Instance) {
-		for ci, ct := range i.Node.Children {
-			child := i.Children[ci]
-			if child == nil {
-				if ct.Required && ct.RefField < len(i.Object.Refs) && !i.Object.Refs[ct.RefField].IsNil() {
-					complete = false
-				}
-				continue
-			}
-		}
-	})
-	return complete
 }
 
 // String renders the assembled tree for debugging.

@@ -106,17 +106,6 @@ func (t *Template) Nodes() int {
 	return n
 }
 
-// Depth returns the number of levels (1 for a leaf-only template).
-func (t *Template) Depth() int {
-	d := 0
-	for _, c := range t.Children {
-		if cd := c.Depth(); cd > d {
-			d = cd
-		}
-	}
-	return d + 1
-}
-
 // Walk visits every node depth-first, parents before children.
 func (t *Template) Walk(fn func(node *Template, depth int)) {
 	t.walk(fn, 0)
@@ -127,20 +116,6 @@ func (t *Template) walk(fn func(*Template, int), depth int) {
 	for _, c := range t.Children {
 		c.walk(fn, depth+1)
 	}
-}
-
-// HasPredicates reports whether any node of the subtree carries a
-// predicate.
-func (t *Template) HasPredicates() bool {
-	if t.Pred != nil {
-		return true
-	}
-	for _, c := range t.Children {
-		if c.HasPredicates() {
-			return true
-		}
-	}
-	return false
 }
 
 // subtreeRejectivity estimates the probability that the subtree rooted
@@ -200,27 +175,4 @@ func (t *Template) FindByName(name string) *Template {
 		}
 	})
 	return found
-}
-
-// BinaryTreeTemplate builds the paper's benchmark template: a binary
-// tree with the given number of levels (3 in Section 6), children on
-// reference fields 0 and 1 of each object. Names follow the paper's
-// figures (A for the root, then B, C, ...).
-func BinaryTreeTemplate(levels int, class object.ClassID) *Template {
-	counter := 0
-	var build func(level int) *Template
-	build = func(level int) *Template {
-		name := string(rune('A' + counter%26))
-		counter++
-		n := &Template{Name: name, Class: class, RefField: -1, Required: true}
-		if level < levels {
-			for f := 0; f < 2; f++ {
-				c := build(level + 1)
-				c.RefField = f
-				n.Children = append(n.Children, c)
-			}
-		}
-		return n
-	}
-	return build(1)
 }

@@ -88,16 +88,6 @@ func (r *Reservation) Release() {
 	p.notifyFree()
 }
 
-// Frames reports the quota still held (0 after Release).
-func (r *Reservation) Frames() int {
-	if r == nil {
-		return 0
-	}
-	r.pool.mu.Lock()
-	defer r.pool.mu.Unlock()
-	return r.frames
-}
-
 // ReservedFrames reports the total frame quota currently reserved.
 func (p *Pool) ReservedFrames() int {
 	p.mu.Lock()

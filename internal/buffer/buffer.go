@@ -112,9 +112,6 @@ type Frame struct {
 	slot   int // position in pool.parked while parked
 }
 
-// ID returns the page id currently held by the frame.
-func (f *Frame) ID() disk.PageID { return f.id }
-
 // Data returns the page image. Only valid while the frame is pinned.
 func (f *Frame) Data() []byte { return f.data }
 
@@ -511,13 +508,6 @@ func (p *Pool) SetSticky(id disk.PageID, sticky bool) {
 			}
 		}
 	}
-}
-
-// Contains reports whether the page is resident (pinned or not).
-func (p *Pool) Contains(id disk.PageID) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.resident(id) != nil
 }
 
 // FlushAll writes every dirty resident page back to the device.

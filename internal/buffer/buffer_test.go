@@ -21,8 +21,8 @@ func TestFixMissThenHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.ID() != 3 {
-		t.Errorf("frame holds %d, want 3", f.ID())
+	if f.id != 3 {
+		t.Errorf("frame holds %d, want 3", f.id)
 	}
 	if err := p.Unfix(f, false); err != nil {
 		t.Fatal(err)

@@ -103,9 +103,6 @@ func NewFaulty(dev Device, cfg FaultConfig) *Faulty {
 	return &Faulty{dev: dev, cfg: cfg, remaining: map[PageID]int{}}
 }
 
-// Inner returns the wrapped device.
-func (f *Faulty) Inner() Device { return f.dev }
-
 // SetTracer implements TracerSetter: injected faults emit disk fault
 // events, and the tracer is forwarded to the wrapped device so real
 // accesses trace too.
@@ -211,15 +208,6 @@ func (f *Faulty) permanentLocked(p PageID) bool {
 	return f.cfg.PermanentRate > 0 && mix(f.cfg.Seed, p, saltPermanent) < f.cfg.PermanentRate
 }
 
-// TransientlyFaulty reports whether page p starts out transiently
-// failing under the current configuration (regardless of how many
-// failures it has already served).
-func (f *Faulty) TransientlyFaulty(p PageID) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.transientLocked(p)
-}
-
 func (f *Faulty) transientLocked(p PageID) bool {
 	return f.cfg.TransientRate > 0 && mix(f.cfg.Seed, p, saltTransient) < f.cfg.TransientRate
 }
@@ -263,15 +251,6 @@ func brownoutIntensity(cfg FaultConfig, ord int64) float64 {
 	default:
 		return 1
 	}
-}
-
-// BrownoutIntensity reports the intensity the *next* access would see
-// — 0 outside the configured episode, 1 on the plateau. Tests use it
-// to walk the access clock to a known point in the episode.
-func (f *Faulty) BrownoutIntensity() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return brownoutIntensity(f.cfg, f.accesses)
 }
 
 // injectAs decides the fate of one access before it reaches the

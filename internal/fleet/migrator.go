@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"revelation/internal/disk"
 	"revelation/internal/metrics"
@@ -64,9 +63,6 @@ func NewMigrator(cfg MigratorConfig) (*Migrator, error) {
 	}
 	return mg, nil
 }
-
-// PagesMigrated returns how many pages this migrator has cut over.
-func (mg *Migrator) PagesMigrated() int64 { return mg.pagesMigrated.Value() }
 
 // Close closes the ownership log (not the router).
 func (mg *Migrator) Close() error { return mg.meta.Close() }
@@ -186,11 +182,4 @@ func (mg *Migrator) migrateChunk(chunk []disk.PageID, target disk.Device, owner 
 	n := r.CutOver(lo, hi, owner)
 	mg.pagesMigrated.Add(int64(n))
 	return nil
-}
-
-// WriteStatus renders the migrator's progress (the /fleetz body's
-// resharding section).
-func (mg *Migrator) WriteStatus(w io.Writer) {
-	fmt.Fprintf(w, "reshard: %d pages migrated, %d pending\n",
-		mg.PagesMigrated(), mg.cfg.Router.PendingPages())
 }

@@ -12,7 +12,6 @@ package gen
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"revelation/internal/assembly"
 	"revelation/internal/buffer"
@@ -529,37 +528,4 @@ func buildTemplate(cfg Config, classes []*object.Class, leafStart int) *assembly
 		return n
 	}
 	return build(0)
-}
-
-// ComponentPages returns, for every root, the distinct data pages
-// backing the components RootOf attributes to it (shared components
-// count under their first referencing root), each page list sorted.
-// Fault-injection tests use it to predict exactly which complex
-// objects a dead page range — a failed device region, a downed shard —
-// poisons.
-func (db *Database) ComponentPages() (map[object.OID][]disk.PageID, error) {
-	pages := map[object.OID]map[disk.PageID]bool{}
-	for oid, root := range db.RootOf {
-		rid, ok, err := db.Store.WhereIs(oid)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("gen: component %d has no location", oid)
-		}
-		if pages[root] == nil {
-			pages[root] = map[disk.PageID]bool{}
-		}
-		pages[root][rid.Page] = true
-	}
-	out := make(map[object.OID][]disk.PageID, len(pages))
-	for root, set := range pages {
-		list := make([]disk.PageID, 0, len(set))
-		for p := range set {
-			list = append(list, p)
-		}
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		out[root] = list
-	}
-	return out, nil
 }

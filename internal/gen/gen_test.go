@@ -3,6 +3,7 @@ package gen
 import (
 	"testing"
 
+	"revelation/internal/assembly"
 	"revelation/internal/object"
 )
 
@@ -17,8 +18,8 @@ func TestBuildDefaults(t *testing.T) {
 	if db.NodesPerObject != 7 {
 		t.Errorf("nodes per object = %d, want 7 (3-level binary tree)", db.NodesPerObject)
 	}
-	if db.Template.Nodes() != 7 || db.Template.Depth() != 3 {
-		t.Errorf("template shape wrong: %d nodes, depth %d", db.Template.Nodes(), db.Template.Depth())
+	if db.Template.Nodes() != 7 || depth(db.Template) != 3 {
+		t.Errorf("template shape wrong: %d nodes, depth %d", db.Template.Nodes(), depth(db.Template))
 	}
 	if n, _ := db.Store.Locator.Len(); n != 700 {
 		t.Errorf("locator has %d objects, want 700", n)
@@ -340,9 +341,9 @@ func TestFanoutsShapes(t *testing.T) {
 			if db.NodesPerObject != tc.nodes {
 				t.Errorf("positions = %d, want %d", db.NodesPerObject, tc.nodes)
 			}
-			if db.Template.Nodes() != tc.nodes || db.Template.Depth() != len(tc.fanouts)+1 {
+			if db.Template.Nodes() != tc.nodes || depth(db.Template) != len(tc.fanouts)+1 {
 				t.Errorf("template: %d nodes depth %d, want %d nodes depth %d",
-					db.Template.Nodes(), db.Template.Depth(), tc.nodes, len(tc.fanouts)+1)
+					db.Template.Nodes(), depth(db.Template), tc.nodes, len(tc.fanouts)+1)
 			}
 			// Walk one complex object: every node must carry exactly its
 			// level's fanout in non-nil references, and the walk must
@@ -477,4 +478,11 @@ func TestStoreUpdateInPlace(t *testing.T) {
 	if got.Ints[1] != 777 {
 		t.Errorf("Ints[1] = %d after update, want 777", got.Ints[1])
 	}
+}
+
+// depth counts a template's levels.
+func depth(t *assembly.Template) int {
+	d := 0
+	t.Walk(func(_ *assembly.Template, at int) { d = max(d, at+1) })
+	return d
 }

@@ -44,29 +44,6 @@ type Class struct {
 	RefTargets []ClassID // optional, len NumRefs when present
 }
 
-// RecordSize returns the encoded size of an instance of the class.
-func (c *Class) RecordSize() int { return headerSize + 4*c.NumInts + 8*c.NumRefs }
-
-// IntIndex resolves an integer attribute name to its index, or -1.
-func (c *Class) IntIndex(name string) int {
-	for i, n := range c.IntNames {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// RefIndex resolves a reference field name to its index, or -1.
-func (c *Class) RefIndex(name string) int {
-	for i, n := range c.RefNames {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Catalog is the class registry.
 type Catalog struct {
 	byID   map[ClassID]*Class
@@ -128,9 +105,6 @@ func (cat *Catalog) ByName(name string) (*Class, bool) {
 	c, ok := cat.byName[name]
 	return c, ok
 }
-
-// Len reports the number of defined classes.
-func (cat *Catalog) Len() int { return len(cat.byID) }
 
 // Object is an in-memory storage-layer object.
 type Object struct {
@@ -288,12 +262,4 @@ func PeekOID(rec []byte) (OID, error) {
 		return NilOID, ErrShortRecord
 	}
 	return OID(binary.LittleEndian.Uint64(rec)), nil
-}
-
-// PeekClass reads just the class id from an encoded record.
-func PeekClass(rec []byte) (ClassID, error) {
-	if len(rec) < 10 {
-		return 0, ErrShortRecord
-	}
-	return ClassID(binary.LittleEndian.Uint16(rec[8:])), nil
 }

@@ -255,10 +255,6 @@ func TestPeek(t *testing.T) {
 	if err != nil || oid != 77 {
 		t.Errorf("PeekOID = (%v, %v)", oid, err)
 	}
-	cls, err := PeekClass(rec)
-	if err != nil || cls != 9 {
-		t.Errorf("PeekClass = (%v, %v)", cls, err)
-	}
 	if _, err := PeekOID(nil); !errors.Is(err, ErrShortRecord) {
 		t.Errorf("PeekOID(nil) err = %v", err)
 	}
@@ -295,18 +291,6 @@ func TestCatalog(t *testing.T) {
 	got, ok = cat.ByID(person.ID)
 	if !ok || got != person {
 		t.Error("ByID lookup failed")
-	}
-	if person.IntIndex("zip") != 1 || person.IntIndex("nope") != -1 {
-		t.Error("IntIndex wrong")
-	}
-	if person.RefIndex("father") != 0 || person.RefIndex("nope") != -1 {
-		t.Error("RefIndex wrong")
-	}
-	if person.RecordSize() != 16+8+16 {
-		t.Errorf("RecordSize = %d", person.RecordSize())
-	}
-	if cat.Len() != 1 {
-		t.Errorf("Len = %d", cat.Len())
 	}
 }
 

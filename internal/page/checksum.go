@@ -153,9 +153,6 @@ func Verify(buf []byte) error {
 	return nil
 }
 
-// Checksum returns the page's stored checksum.
-func (p *Page) Checksum() uint32 { return StoredChecksum(p.buf) }
-
 // Stamp records the page's current checksum in its header.
 func (p *Page) Stamp() { Stamp(p.buf) }
 

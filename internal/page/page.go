@@ -88,9 +88,6 @@ func (p *Page) Init(kind uint16) {
 	binary.LittleEndian.PutUint32(p.buf[offNext:], uint32(disk.InvalidPage))
 }
 
-// Bytes exposes the raw image (for the buffer pool to flush).
-func (p *Page) Bytes() []byte { return p.buf }
-
 // Kind returns the page kind tag set at Init.
 func (p *Page) Kind() uint16 { return binary.LittleEndian.Uint16(p.buf[offKind:]) }
 
@@ -184,17 +181,6 @@ func (p *Page) setSlot(s SlotID, off, length int) {
 	binary.LittleEndian.PutUint16(p.buf[base+2:], uint16(length))
 }
 
-// FreeSpace reports the bytes available for a new record, accounting
-// for the slot directory entry the record would need.
-func (p *Page) FreeSpace() int {
-	free := p.freeEnd() - (HeaderSize + p.NumSlots()*SlotSize)
-	free -= SlotSize // the new record's slot entry
-	if free < 0 {
-		return 0
-	}
-	return free
-}
-
 // MaxRecordSize is the largest record Insert can ever accept for the
 // given page size.
 func MaxRecordSize(pageSize int) int {
@@ -281,24 +267,6 @@ func (p *Page) Get(s SlotID) ([]byte, error) {
 		return nil, fmt.Errorf("%w: slot %d record [%d,%d) out of bounds", ErrCorruptPage, s, off, off+length)
 	}
 	return p.buf[off : off+length], nil
-}
-
-// Delete marks slot s dead and releases its record bytes for future
-// compaction.
-func (p *Page) Delete(s SlotID) error {
-	if int(s) >= p.NumSlots() {
-		return fmt.Errorf("%w: slot %d of %d", ErrBadSlot, s, p.NumSlots())
-	}
-	if !p.slotInBounds(s) {
-		return fmt.Errorf("%w: slot %d directory entry past page end", ErrCorruptPage, s)
-	}
-	off, length := p.slotOffLen(s)
-	if off == 0 {
-		return fmt.Errorf("%w: slot %d", ErrDeadSlot, s)
-	}
-	p.setSlot(s, 0, 0)
-	binary.LittleEndian.PutUint16(p.buf[offLiveData:], uint16(p.liveData()-length))
-	return nil
 }
 
 // Resize makes the record in slot s n bytes long and returns it, for
@@ -389,11 +357,4 @@ func (p *Page) Records(fn func(s SlotID, rec []byte) bool) {
 			return
 		}
 	}
-}
-
-// LiveRecords counts the live records on the page.
-func (p *Page) LiveRecords() int {
-	n := 0
-	p.Records(func(SlotID, []byte) bool { n++; return true })
-	return n
 }

@@ -227,7 +227,7 @@ func TestCompactionReclaimsSpace(t *testing.T) {
 // the byte layout the package comment documents.
 func TestNextLink(t *testing.T) {
 	p := newPage(t, 256)
-	if got := binary.LittleEndian.Uint32(p.Bytes()[offNext:]); got != uint32(disk.InvalidPage) {
+	if got := binary.LittleEndian.Uint32(p.buf[offNext:]); got != uint32(disk.InvalidPage) {
 		t.Errorf("fresh page next-page field = %#x, want InvalidPage", got)
 	}
 }
@@ -303,20 +303,5 @@ func TestInsertDeleteProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFreeSpaceMonotonicity(t *testing.T) {
-	p := newPage(t, 1024)
-	prev := p.FreeSpace()
-	for {
-		if _, err := p.Insert(make([]byte, 50)); err != nil {
-			break
-		}
-		cur := p.FreeSpace()
-		if cur >= prev {
-			t.Fatalf("FreeSpace did not shrink: %d -> %d", prev, cur)
-		}
-		prev = cur
 	}
 }

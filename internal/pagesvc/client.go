@@ -181,19 +181,10 @@ func (c *Client) AppliedLSN() (uint64, error) {
 	return lsn, err
 }
 
-// ServerEpoch fetches the endpoint's fencing epoch from its Info reply.
-func (c *Client) ServerEpoch() (uint64, error) {
-	_, _, _, epoch, err := c.info()
-	return epoch, err
-}
-
 // SetEpoch sets the fencing epoch stamped into every subsequent
 // request. The fleet controller raises it after a promotion; zero
 // (the default) is unfenced: no server refuses it for its epoch.
 func (c *Client) SetEpoch(epoch uint64) { c.epoch.Store(epoch) }
-
-// Epoch returns the client's current stamped epoch.
-func (c *Client) Epoch() uint64 { return c.epoch.Load() }
 
 // Ping round-trips an empty request to the endpoint without
 // retries — the fleet controller's liveness probe. A healthy server

@@ -310,7 +310,6 @@ func TestCloseIsFinal(t *testing.T) {
 		call func() error
 	}{
 		{"AppliedLSN", func() error { _, err := c.AppliedLSN(); return err }},
-		{"ServerEpoch", func() error { _, err := c.ServerEpoch(); return err }},
 		{"Ping", c.Ping},
 		{"Promote", func() error { return c.Promote(1, 0, false) }},
 		{"ReadPage", func() error { return c.ReadPage(0, buf) }},

@@ -129,16 +129,6 @@ func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 // ReadOnly reports whether the server currently refuses writes.
 func (s *Server) ReadOnly() bool { return s.readOnly.Load() }
 
-// Addr returns the bound address, or "" before Listen.
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
 // Close stops the listener, severs every live connection, and waits
 // for all handler goroutines to drain.
 func (s *Server) Close() error {

@@ -130,14 +130,6 @@ type Span struct {
 	c        Counters
 }
 
-// ID returns the span's 1-based index within its trace (0 for nil).
-func (s *Span) ID() int32 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // QID returns the owning query's ID, or 0 for the nil span. This is
 // the value that rides trace events and pagesvc request frames.
 func (s *Span) QID() uint64 {
@@ -145,14 +137,6 @@ func (s *Span) QID() uint64 {
 		return 0
 	}
 	return s.tr.QID
-}
-
-// Trace returns the owning trace (nil for the nil span).
-func (s *Span) Trace() *Trace {
-	if s == nil {
-		return nil
-	}
-	return s.tr
 }
 
 // Counters atomically snapshots the span's counter block.
@@ -399,13 +383,6 @@ func (t *Trace) Duration() time.Duration {
 		return time.Duration(t.endNS)
 	}
 	return time.Duration(t.sinceNS())
-}
-
-// Done reports whether the trace has finished.
-func (t *Trace) Done() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.endNS != 0
 }
 
 // Status returns the recorded outcome ("ok", "error", "timeout",

@@ -23,7 +23,7 @@ func TestNilSpanIsSafe(t *testing.T) {
 	sp.OnNetRecv()
 	sp.OnNetTimeout()
 	sp.End()
-	if sp.ID() != 0 || sp.QID() != 0 || sp.Trace() != nil {
+	if sp.QID() != 0 {
 		t.Error("nil span leaked identity")
 	}
 	if c := sp.Counters(); c != (Counters{}) {
@@ -89,7 +89,7 @@ func TestSpanTreeAndTotals(t *testing.T) {
 	if len(spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(spans))
 	}
-	if spans[0].ID() != 1 || spans[1].parentID != 1 || spans[2].parentID != spans[1].id {
+	if spans[0].id != 1 || spans[1].parentID != 1 || spans[2].parentID != spans[1].id {
 		t.Error("span tree parentage wrong")
 	}
 	got := tr.Total()
@@ -97,7 +97,7 @@ func TestSpanTreeAndTotals(t *testing.T) {
 	if got != want {
 		t.Errorf("Total = %+v, want %+v", got, want)
 	}
-	if !tr.Done() {
+	if tr.endNS == 0 {
 		t.Error("trace not done after Finish")
 	}
 	if st, _ := tr.Status(); st != "ok" {
@@ -221,7 +221,7 @@ func TestCollectorRemote(t *testing.T) {
 	if got := len(c.Active()); got != remoteActiveCap {
 		t.Errorf("active = %d, want cap %d", got, remoteActiveCap)
 	}
-	if !t1.Done() {
+	if t1.endNS == 0 {
 		t.Error("evicted remote trace not finished")
 	}
 	if st, _ := t1.Status(); st != "retired" {

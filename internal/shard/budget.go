@@ -12,7 +12,6 @@ import (
 // The zero Budget is empty; use NewBudget.
 type Budget struct {
 	left atomic.Int64
-	used atomic.Int64
 }
 
 // NewBudget builds a budget of n retries. n < 0 means unlimited.
@@ -34,17 +33,10 @@ func (b *Budget) Take() bool {
 			return false
 		}
 		if b.left.CompareAndSwap(n, n-1) {
-			b.used.Add(1)
 			return true
 		}
 	}
 }
-
-// Remaining returns the tokens left.
-func (b *Budget) Remaining() int64 { return b.left.Load() }
-
-// Used returns the tokens consumed so far.
-func (b *Budget) Used() int64 { return b.used.Load() }
 
 type budgetKey struct{}
 

@@ -287,15 +287,6 @@ func (r *Router) ShardOf(p disk.PageID) int {
 	return r.shardOfLocked(p)
 }
 
-// RendezvousOwner returns the pure rendezvous owner of p over the
-// current member set, ignoring any in-flight migration — where the
-// page WILL live once resharding completes.
-func (r *Router) RendezvousOwner(p disk.PageID) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rendezvousLocked(p)
-}
-
 // Shards returns the fleet width.
 func (r *Router) Shards() int {
 	r.mu.Lock()

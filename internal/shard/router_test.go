@@ -265,8 +265,8 @@ func TestRouterRetryBudget(t *testing.T) {
 	if !disk.Retryable(err) {
 		t.Fatalf("budget-exhausted error = %v, want transient (the shard may recover)", err)
 	}
-	if got := b.Used(); got != 1 {
-		t.Fatalf("budget used = %d, want 1", got)
+	if got := b.left.Load(); got != 0 {
+		t.Fatalf("budget of 1 has %d left, want 0", got)
 	}
 	snap := reg.Snapshot()
 	if got := snap.Value("asm_shard_retries_total"); got != 1 {

@@ -33,6 +33,7 @@ type stormFleet struct {
 
 	mu    sync.Mutex // guards srvs against the killers
 	srvs  []*pagesvc.Server
+	addrs []string // where each member's server listens
 	datas []*disk.Sim
 	rsrv  *pagesvc.Server // the replica's, if there is one
 }
@@ -53,7 +54,7 @@ func newStormFleet(t *testing.T, replicaOn int) *stormFleet {
 	if err := db.Pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	serve := func(label string, cfg pagesvc.ServerConfig) (*pagesvc.Server, *disk.Sim, *pagesvc.Client) {
+	serve := func(label string, cfg pagesvc.ServerConfig) (*pagesvc.Server, *disk.Sim, *pagesvc.Client, string) {
 		data := disk.New(0)
 		copyPages(t, db.Device, data)
 		srv := pagesvc.NewServer([]disk.Device{data}, cfg)
@@ -65,16 +66,16 @@ func newStormFleet(t *testing.T, replicaOn int) *stormFleet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return srv, data, c
+		return srv, data, c, addr
 	}
 	members := make([]Member, 2)
 	for i := range members {
-		srv, data, c := serve(fmt.Sprintf("net-s%d", i), pagesvc.ServerConfig{})
-		f.srvs, f.datas, f.arms = append(f.srvs, srv), append(f.datas, data), append(f.arms, c)
+		srv, data, c, addr := serve(fmt.Sprintf("net-s%d", i), pagesvc.ServerConfig{})
+		f.srvs, f.datas, f.arms, f.addrs = append(f.srvs, srv), append(f.datas, data), append(f.arms, c), append(f.addrs, addr)
 		members[i] = Member{Name: fmt.Sprintf("s%d", i), Primary: c}
 		if i == replicaOn {
 			var rc *pagesvc.Client
-			f.rsrv, _, rc = serve(fmt.Sprintf("net-s%dr", i), pagesvc.ServerConfig{ReadOnly: true})
+			f.rsrv, _, rc, _ = serve(fmt.Sprintf("net-s%dr", i), pagesvc.ServerConfig{ReadOnly: true})
 			members[i].Replica = rc
 		}
 	}
@@ -275,7 +276,7 @@ func TestOverlappedBatchStorm(t *testing.T) {
 		revived := after(f.arms[1], 40, func() error {
 			f.mu.Lock()
 			defer f.mu.Unlock()
-			addr := f.srvs[1].Addr()
+			addr := f.addrs[1]
 			f.srvs[1].Close()
 			time.Sleep(30 * time.Millisecond)
 			f.srvs[1] = pagesvc.NewServer([]disk.Device{f.datas[1]}, pagesvc.ServerConfig{})

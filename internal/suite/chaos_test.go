@@ -254,7 +254,7 @@ func TestChaosConcurrentCancellation(t *testing.T) {
 // the pool's books at zero (runConcurrent errors otherwise).
 func TestFigConcurrencySmoke(t *testing.T) {
 	var sess Session
-	fig, err := sess.Figure("concurrency", FigureParams{Scale: 0.1, Concurrency: ConcurrencyOptions{MaxConcurrent: 4, Queries: 4}})
+	fig, err := sess.Figure("concurrency", FigureParams{Scale: 0.1, Concurrency: ConcurrencyOptions{MaxConcurrent: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

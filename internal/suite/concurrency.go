@@ -30,9 +30,6 @@ type ConcurrencyOptions struct {
 	MaxConcurrent int
 	// Deadline bounds each individual query; zero means unbounded.
 	Deadline time.Duration
-	// Queries is the total number of queries run at every level, spread
-	// over the workers; values < 1 mean twice the level.
-	Queries int
 }
 
 // The figure's fixed shape: a small per-query window over a shared pool
@@ -49,16 +46,13 @@ type concurrentLevel struct {
 	elapsed   time.Duration // wall clock for the whole level
 }
 
-// runConcurrent runs opts.Queries queries at the given concurrency
+// runConcurrent runs twice as many queries as the given concurrency
 // level over db and reports the aggregate outcome. Queries that shed at
 // admission or die at their deadline are counted, not failed: under
 // overload those are correct outcomes — what must hold is that the
 // books balance afterwards (zero pins, zero reservations).
 func (s *Session) runConcurrent(db *gen.Database, level int, opts ConcurrencyOptions) (concurrentLevel, error) {
-	queries := opts.Queries
-	if queries < 1 {
-		queries = 2 * level
-	}
+	queries := 2 * level
 	// Never demand more than the pool holds, or nothing ever runs.
 	reserve := min(concurrentWindow*db.NodesPerObject+12, db.Pool.Size())
 

@@ -6,7 +6,6 @@ import (
 	"revelation/internal/assembly"
 	"revelation/internal/disk"
 	"revelation/internal/gen"
-	"revelation/internal/stats"
 	"revelation/internal/trace"
 	"revelation/internal/volcano"
 )
@@ -108,7 +107,8 @@ func TestReplayMatchesStats(t *testing.T) {
 
 // TestReplayMatchesFaultReport extends the cross-check to a faulty
 // device: the replayed fault, retry, quarantine, and stall counts must
-// equal the stats.FaultReport the live layers produce.
+// equal what the live layers report — the injector's FaultStats and
+// the operator's Stats.
 func TestReplayMatchesFaultReport(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -143,24 +143,24 @@ func TestReplayMatchesFaultReport(t *testing.T) {
 				FaultPolicy: tc.policy,
 			})
 
-			report := stats.CollectFaults(fd, st)
-			if r.FaultsTransient != report.Device.Transient {
-				t.Errorf("replay transient faults %d != injector %d", r.FaultsTransient, report.Device.Transient)
+			faults := fd.FaultStats()
+			if r.FaultsTransient != faults.Transient {
+				t.Errorf("replay transient faults %d != injector %d", r.FaultsTransient, faults.Transient)
 			}
-			if r.FaultsPermanent != report.Device.Permanent {
-				t.Errorf("replay permanent faults %d != injector %d", r.FaultsPermanent, report.Device.Permanent)
+			if r.FaultsPermanent != faults.Permanent {
+				t.Errorf("replay permanent faults %d != injector %d", r.FaultsPermanent, faults.Permanent)
 			}
-			if r.Retries != report.FaultRetries {
-				t.Errorf("replay retries %d != report %d", r.Retries, report.FaultRetries)
+			if r.Retries != st.FaultRetries {
+				t.Errorf("replay retries %d != operator %d", r.Retries, st.FaultRetries)
 			}
-			if r.Quarantined != report.Skipped {
-				t.Errorf("replay quarantined %d != report %d", r.Quarantined, report.Skipped)
+			if r.Quarantined != st.Skipped {
+				t.Errorf("replay quarantined %d != operator %d", r.Quarantined, st.Skipped)
 			}
-			if r.Assembled != report.Assembled {
-				t.Errorf("replay assembled %d != report %d", r.Assembled, report.Assembled)
+			if r.Assembled != st.Assembled {
+				t.Errorf("replay assembled %d != operator %d", r.Assembled, st.Assembled)
 			}
-			if r.Stalls != report.WindowStalls {
-				t.Errorf("replay stalls %d != report %d", r.Stalls, report.WindowStalls)
+			if r.Stalls != st.WindowStalls {
+				t.Errorf("replay stalls %d != operator %d", r.Stalls, st.WindowStalls)
 			}
 			if r.Assembled+r.Quarantined != 120 {
 				t.Errorf("assembled %d + quarantined %d != 120 admitted", r.Assembled, r.Quarantined)

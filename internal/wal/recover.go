@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"revelation/internal/disk"
-	"revelation/internal/metrics"
 )
 
 // scan walks the log from the front using a Reader, invoking fn for
@@ -45,14 +44,9 @@ func ScanOwnership(dev disk.Device) ([]Record, error) {
 	return recs, err
 }
 
-// Options configures Recover's observability hook; the zero value
-// disables it.
-type Options struct {
-	// Registry, when set, accumulates asm_recovery_pages_redone_total
-	// across recovery runs (the counter cell is shared by name, so
-	// repeated recoveries keep counting up).
-	Registry *metrics.Registry
-}
+// Options configures Recover. It has no settings; callers pass the
+// zero value.
+type Options struct{}
 
 // Result reports what one recovery pass did.
 type Result struct {
@@ -93,12 +87,6 @@ func (r *Result) String() string {
 // needed to hold logged pages allocated after the last data flush.
 func Recover(walDev, dataDev disk.Device, opts Options) (*Result, error) {
 	res := &Result{}
-	var redone metrics.Counter
-	redoneCell := &redone
-	if opts.Registry != nil {
-		redoneCell = opts.Registry.Counter("asm_recovery_pages_redone_total",
-			"Page images reinstalled from the WAL during recovery.")
-	}
 	buf := make([]byte, dataDev.PageSize())
 	end, next, torn, err := scan(walDev, func(rec Record) error {
 		if rec.Kind == RecBase {
@@ -120,7 +108,6 @@ func Recover(walDev, dataDev disk.Device, opts Options) (*Result, error) {
 			return nil
 		}
 		res.Redone++
-		redoneCell.Inc()
 		return nil
 	})
 	if err != nil {

@@ -393,13 +393,6 @@ func (w *Writer) DurableLSN() uint64 {
 	return w.durableLSN
 }
 
-// AppendedLSN returns the newest LSN handed out by Append.
-func (w *Writer) AppendedLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.appendedLSN
-}
-
 // Tail returns the durable end of the log byte stream.
 func (w *Writer) Tail() int64 {
 	w.mu.Lock()
