@@ -117,9 +117,25 @@ func TestEveryExitHandsBack(t *testing.T) {
 	store, tmpl, roots := scatteredStore(t, 48)
 	pool := store.File.Pool()
 	sim := pool.Device().(*disk.Sim)
-	lanes := func(o *Options) {
-		o.CustomScheduler = NewShardElevator(2, func(p disk.PageID) int { return int(p) })
-		o.ShardPrefetch = true
+	// Each exit runs under four set-ups: the plain elevator or lanes,
+	// window pages pinned or not.
+	type setup struct {
+		name        string
+		lanes, pins bool
+	}
+	var setups []setup
+	for _, lanes := range []bool{false, true} {
+		for _, pins := range []bool{false, true} {
+			setups = append(setups, setup{fmt.Sprintf("lanes %v, pins %v", lanes, pins), lanes, pins})
+		}
+	}
+	options := func(su setup, policy FaultPolicy) Options {
+		o := Options{Window: 4, ReserveFrames: 16, PinWindowPages: su.pins, FaultPolicy: policy}
+		if su.lanes {
+			o.CustomScheduler = NewShardElevator(2, func(p disk.PageID) int { return int(p) })
+			o.ShardPrefetch = true
+		}
+		return o
 	}
 	// run opens a traced query with the given options over input, lets
 	// drive take it to its exit, closes it and checks what is left.
@@ -164,11 +180,10 @@ func TestEveryExitHandsBack(t *testing.T) {
 	}
 	run("admission refused", oidSource(roots), Options{Window: 4, ReserveFrames: pool.Size() + 1}, refused(buffer.ErrAdmission))
 	run("no batch scheduler", oidSource(roots), Options{Window: 4, ShardPrefetch: true}, refused(nil))
-	for _, sched := range []func(*Options){func(*Options) {}, lanes} {
-		opts := Options{Window: 4, ReserveFrames: 16}
-		sched(&opts)
-		run("input refuses", refusingInput{oidSource(roots)}, opts, refused(errRefused))
-		run("cancelled before Next", oidSource(roots), opts, func(op *Operator, cancel func()) error {
+	for _, su := range setups {
+		opts := options(su, FailFast)
+		run(su.name+": input refuses", refusingInput{oidSource(roots)}, opts, refused(errRefused))
+		run(su.name+": cancelled before Next", oidSource(roots), opts, func(op *Operator, cancel func()) error {
 			if err := op.Open(); err != nil {
 				return err
 			}
@@ -178,7 +193,7 @@ func TestEveryExitHandsBack(t *testing.T) {
 			}
 			return op.Close()
 		})
-		run("closed twice", oidSource(roots), opts, func(op *Operator, _ func()) error {
+		run(su.name+": closed twice", oidSource(roots), opts, func(op *Operator, _ func()) error {
 			if err := op.Open(); err != nil {
 				return err
 			}
@@ -222,12 +237,10 @@ func TestEveryExitHandsBack(t *testing.T) {
 		t.Fatalf("a clean query reads %d pages; the sweep needs more", clean)
 	}
 	for _, policy := range []FaultPolicy{FailFast, SkipObject, RetryFaults} {
-		for si, sched := range []func(*Options){func(*Options) {}, lanes} {
+		for _, su := range setups {
 			for k := 1; k <= clean; k++ {
-				opts := Options{Window: 4, ReserveFrames: 16, FaultPolicy: policy}
-				sched(&opts)
 				faultAt(k)
-				run(fmt.Sprintf("policy %d, lanes %v, fault at read %d", policy, si == 1, k), oidSource(roots), opts, func(op *Operator, _ func()) error {
+				run(fmt.Sprintf("%s, policy %d: fault at read %d", su.name, policy, k), oidSource(roots), options(su, policy), func(op *Operator, _ func()) error {
 					if err := op.Open(); err != nil {
 						return err
 					}
