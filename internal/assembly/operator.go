@@ -349,13 +349,13 @@ func (op *Operator) Open() error {
 	default:
 		sched = NewScheduler(op.Opts.Scheduler)
 	}
-	op.batcher = nil
+	var batcher BatchScheduler
 	if op.Opts.ShardPrefetch {
 		b, ok := sched.(BatchScheduler)
 		if !ok {
 			return fmt.Errorf("assembly: ShardPrefetch needs a batch-capable scheduler, got %s", sched.Name())
 		}
-		op.batcher = b
+		batcher = b
 	}
 	if op.Opts.ReserveFrames > 0 {
 		r, err := op.Store.File.Pool().Reserve(op.Opts.ReserveFrames)
@@ -364,7 +364,7 @@ func (op *Operator) Open() error {
 		}
 		op.reservation = r
 	}
-	op.sched = sched
+	op.sched, op.batcher = sched, batcher
 	if le, ok := op.sched.(*LaneElevator); ok {
 		if d, ok := op.Store.File.Pool().Device().(interface{ HeadOf(int) (disk.PageID, bool) }); ok {
 			le.heads = d.HeadOf
