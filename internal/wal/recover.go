@@ -85,7 +85,7 @@ func (r *Result) String() string {
 // recovering twice is a no-op the second time — and restores exactly
 // the state of the last completed Sync. The data device is grown as
 // needed to hold logged pages allocated after the last data flush.
-func Recover(walDev, dataDev disk.Device, opts Options) (*Result, error) {
+func Recover(walDev, dataDev disk.Device, _ Options) (*Result, error) {
 	res := &Result{}
 	buf := make([]byte, dataDev.PageSize())
 	end, next, torn, err := scan(walDev, func(rec Record) error {
