@@ -14,15 +14,19 @@ build:
 # included): any file gofmt would rewrite fails the gate. Last, every
 # package under internal/ must have a non-test importer in this module
 # or in benchmark/: a package only tests reach is code nothing runs.
-# internal/leakcheck, the tests' goroutine-leak helper, is the one
-# exception.
+# The tests' two helpers are the exceptions: internal/leakcheck, the
+# goroutine-leak check, and internal/difftest, the differential tests'
+# seed walk.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	@imported=$$({ $(GO) list -f '{{join .Imports "\n"}}' ./... && cd benchmark && $(GO) list -f '{{join .Imports "\n"}}' ./...; } | sort -u); \
-	orphans=$$($(GO) list ./internal/... | grep -vx 'revelation/internal/leakcheck' | while read p; do echo "$$imported" | grep -qx "$$p" || echo "$$p"; done); \
+	orphans=$$($(GO) list ./internal/... | grep -vxE 'revelation/internal/(leakcheck|difftest)' | while read p; do echo "$$imported" | grep -qx "$$p" || echo "$$p"; done); \
 	if [ -n "$$orphans" ]; then echo "no non-test importer:"; echo "$$orphans"; exit 1; fi
 
+# Every test once. The differential tests against the kept reference
+# models (internal/difftest's seed walk) run here at their full count
+# and nowhere else in this gate: the checks below leave them out.
 test:
 	$(GO) test ./...
 
@@ -64,19 +68,20 @@ sched-check:
 	$(GO) test -count=1 -run 'TestRouterHeadOf' ./internal/shard
 	$(GO) test -run '^$$' -bench=SchedulerElevator -benchtime=1x ./internal/assembly
 
-# The pool's victim heap and page table, uncached: the whole package —
-# the differential tests against the two-scan reference model and, for
-# the table, against a Go map (10 000 seeded sequences each, the
-# invariant checker after every step), the pool's error paths, the
-# 0-alloc pin on the hit path, the miss-cost-is-flat check (in the pool's
-# size and in the device's) — then once more under the race detector
-# (400 sequences, no timing test), then one iteration of the scaling
+# The pool's victim heap and page table, uncached: the whole package
+# but its three differential tests, which test has run at their full
+# count (against the two-scan reference model, a Go map for the table,
+# and the loop of single fixes; 10 000 seeded sequences each, the
+# invariant checker after every step) — the pool's error paths, the
+# 0-alloc pin on the hit path, the miss-cost-is-flat check (in the
+# pool's size and in the device's) — then one iteration of the scaling
 # benchmark and of the resident OID directory's (the other lookup under
 # every resolved reference) so that neither can rot unbuilt or panic
-# unseen.
+# unseen. The race detector's pass over the package, models included
+# (400 sequences each), is race-core's.
+BUFFER_MODELS = TestVictimHeapMatchesScan|TestPageTableMatchesMap|TestFixBatchMatchesFixLoop
 buffer-check:
-	$(GO) test -count=1 ./internal/buffer
-	$(GO) test -race -count=1 ./internal/buffer
+	$(GO) test -count=1 -skip '$(BUFFER_MODELS)' ./internal/buffer
 	$(GO) test -run '^$$' -bench='FixMiss|FixHit' -benchtime=1x ./internal/buffer
 	$(GO) test -run '^$$' -bench=LocatorLookup -benchtime=1x ./internal/object
 
@@ -95,13 +100,13 @@ buffer-check:
 # (each refusal of Open, a failing input, a cancel before the first
 # Next, a permanent fault at each device read under each fault policy,
 # Close twice) handing back its span, pins, quota, workers, leaves and
-# context — then once more under the race detector, then one iteration of the benchmarks
+# context — then one iteration of the benchmarks
 # that report allocs/op and B/op, with -benchmem so that the log shows
-# them, and so that they cannot rot unbuilt.
+# them, and so that they cannot rot unbuilt. The race detector's pass
+# over the package is race-core's.
 ASM_TESTS = TestEmittedObjectCollectedWhileRunning|TestAdoptedObjectCollectedWhileRunning|TestSharedLeafDoesNotPinItsFirstObject|TestDeadItemsChunksNotRecycled|TestDeadItemCollectedWhileRunning|TestArenaMatchesParentGoldens|TestAssembleAllocs|TestArenaStructSizes|TestArenaShapes|TestSlotsComeInChunks|TestReuseLeaksNoState|TestClosedQueryContextCollected|TestFreeLeavesCapped|TestConcurrentQueriesShareOnePool|TestOpenRefusalEndsItsSpan|TestEveryExitHandsBack
 asm-check:
 	$(GO) test -count=1 -run '$(ASM_TESTS)' ./internal/assembly
-	$(GO) test -race -count=1 -run '$(ASM_TESTS)' ./internal/assembly
 	$(GO) test -run '^$$' -bench='AssembleDeep|AssembleScan|AssembleShared|AssembleLanes' -benchtime=1x -benchmem ./internal/assembly
 
 # Where one warm query's allocations come from, site by site:
@@ -140,67 +145,70 @@ alloc-sites:
 	sites assembly AssembleLanes benchAssemble rootItems && \
 	sites object StoreTransact BenchmarkStoreTransact newTransactor
 
-# The one head model and the log's write path over it, uncached: the
-# differential test of disk.Arm and the merged Sim against the three
-# bookkeepers they replaced, the chunked memory medium's growth included
-# (10 000 seeded sequences per pair; 400 under -race), Allocate's bounds
-# on every device, the 0-alloc pin on an untraced read and the
-# readers-against-a-scraper storm; then the differential test of the
-# WAL writer (one growth per sync, whole pages from the buffer, one CRC
-# pass per image) against the parent's (10 000 sequences with write
-# faults and crash cuts; 400 under -race), the one-pass CRC against the
+# The one head model and the log's write path over it, uncached:
+# Allocate's bounds on every device, the 0-alloc pin on an untraced read
+# and the readers-against-a-scraper storm; the one-pass CRC against the
 # two passes, the allocations-per-appended-image pin and the one-growth
-# redo; the delta log against a log of full images (10 000 sequences of
-# gets, same-length and resizing updates, inserts, flushes and syncs,
-# the data device crashed at a write ordinal, clean or torn, and both
-# recovered byte-identical; 400 under -race), the update workload's
-# epoch audit replayed onto an empty device, the apply rule's and
-# AppendDelta's refusals, the clean end within a header of a page's end
-# and the allocations-per-appended-delta pin — then all once more under
-# the race detector, then one iteration of the per-read cost benchmark
-# and of the log's two so that none can rot unbuilt.
-DISK_TESTS = TestArmMatchesOldBookkeepers|TestAllocateBounds|TestUntracedReadAllocs|TestArmConcurrentScrape
-WAL_TESTS = TestSyncMatchesModel|TestStampSumMatchesTwoPasses|TestAppendSyncAllocs|TestApplyRecordGrowsOnce|TestDeltaMatchesFullImages|TestDeltaLogAudit|TestApplyRecordRefusals|TestAppendDeltaRefusals|TestCleanEndNearPageEnd|TestAppendDeltaSyncAllocs
+# redo; the update workload's delta-log epoch audit replayed onto an
+# empty device, the apply rule's and AppendDelta's refusals, the clean
+# end within a header of a page's end and the
+# allocations-per-appended-delta pin — then the log's tests once more
+# under the race detector, with its two differential tests (400
+# sequences each): the WAL writer (one growth per sync, whole pages from
+# the buffer, one CRC pass per image) against the parent's, over
+# sequences with write faults and crash cuts, and the delta log against
+# a log of full images, over sequences of gets, same-length and resizing
+# updates, inserts, flushes and syncs, the data device crashed at a
+# write ordinal, clean or torn, and both recovered byte-identical —
+# then one iteration of the per-read cost benchmark and of the log's two
+# so that none can rot unbuilt. The three differential tests, the head
+# model's against the three bookkeepers it replaced (the chunked memory
+# medium's growth included) and the log's two, run at their full count
+# (10 000 seeded sequences each) in test; the race detector's pass over
+# internal/disk is race-core's.
+DISK_TESTS = TestAllocateBounds|TestUntracedReadAllocs|TestArmConcurrentScrape
+WAL_TESTS = TestStampSumMatchesTwoPasses|TestAppendSyncAllocs|TestApplyRecordGrowsOnce|TestDeltaLogAudit|TestApplyRecordRefusals|TestAppendDeltaRefusals|TestCleanEndNearPageEnd|TestAppendDeltaSyncAllocs
+WAL_MODELS = TestSyncMatchesModel|TestDeltaMatchesFullImages
 disk-check:
 	$(GO) test -count=1 -run '$(DISK_TESTS)' ./internal/disk
 	$(GO) test -count=1 -run '$(WAL_TESTS)' ./internal/wal ./internal/page
-	$(GO) test -race -count=1 -run '$(DISK_TESTS)' ./internal/disk
-	$(GO) test -race -count=1 -run '$(WAL_TESTS)' ./internal/wal ./internal/page
+	$(GO) test -race -count=1 -run '$(WAL_TESTS)|$(WAL_MODELS)' ./internal/wal ./internal/page
 	$(GO) test -run '^$$' -bench=MetricsOverhead -benchtime=1x ./internal/disk
 	$(GO) test -run '^$$' -bench='AppendSync|Recover' -benchtime=1x ./internal/wal
 
 # A batch's runs out together, each run one frame, and every frame one
-# write (a write's images in the same writev), uncached: the
-# differential test of Pool.FixBatch against the loop of single fixes it
-# replaced (10 000 seeded sequences of batches of runs, with lanes and
-# without, over a device that reads a run in one call and one that does
-# not; 400 under -race), the lane workers' lifetime on every way a query
-# can end, the byte-for-byte comparison of every frame with the encoders
-# it replaced, the frame reader under every split of its input, a frame
-# that is no request answered with one error frame and its connection
-# closed, the late answer that must leave a returned buffer alone, a run
-# the server or the client refuses read page by page, when a read moves
-# the client's arm (page reads failed or refused, a failed run), every
-# way the router can send a run,
-# a run of writes against the loop of page writes it stands for over a
-# Sim, a client and a router (device bytes, arm stats, every verdict),
-# every way the router can send a write run, a write run the client
-# refuses written page by page, a bulk write that leaves no buffer of its
-# size kept on either side, Dial refusing a page size no frame can
+# write (a write's images in the same writev), uncached: the lane
+# workers' lifetime on every way a query can end, the byte-for-byte
+# comparison of every frame with the encoders it replaced, the frame
+# reader under every split of its input, a frame that is no request
+# answered with one error frame and its connection closed, the late
+# answer that must leave a returned buffer alone, a run the server or
+# the client refuses read page by page, when a read moves the client's
+# arm (page reads failed or refused, a failed run), every way the router
+# can send a run, every way the router can send a write run, a write run
+# the client refuses written page by page, a bulk write that leaves no
+# buffer of its size kept on either side, Dial refusing a page size no frame can
 # carry, the storm of runs under a fleet that changes, the storm of
 # pipelined reads past a stalled one on the page server's kept handlers,
 # a follower of a log of images and deltas ending byte-identical to its
 # primary and one primed past a gap stopping at it, and the allocation
 # pins (one page and one run read over the wire, the replica-less router
 # read, the pool's hit, a replica's apply of a shipped image and delta)
-# — then once more under the race detector, then one iteration of the
-# two round-trip benchmarks (a page, a run) so that they cannot rot
-# unbuilt.
-WIRE_TESTS = TestFixBatchMatchesFixLoop|TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestMalformedFrameClosesConn|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestWireReadRunAllocs|TestReadRunFallsBackPageByPage|TestReadArmBookings|TestRoutedReadAllocs|TestRouterRunPaths|TestOverlappedBatchStorm|TestKeptHandlersStorm|TestReplicaFollowsDeltas|TestReplicaStopsAtDeltaGap|TestReplicaApplyAllocs|TestWritePagesMatchesWritePage|TestRouterWriteRunPaths|TestWriteRunFallsBackPageByPage|TestBulkWriteKeepsNoBuffer|TestDialRefusesPageSize
-WIRE_PKGS = ./internal/buffer ./internal/assembly ./internal/pagesvc ./internal/shard ./internal/disk
+# — then one iteration of the two round-trip benchmarks (a page, a run)
+# so that they cannot rot unbuilt. The two differential tests of the
+# path, Pool.FixBatch against the loop of single fixes it replaced
+# (10 000 seeded sequences of batches of runs, with lanes and without,
+# over a device that reads a run in one call and one that does not) and
+# a run of writes against the loop of page writes it stands for over a
+# Sim, a client and a router (device bytes, arm stats, every verdict;
+# 12 seeds per stack and case), run at their full count in test. The
+# race detector's passes over these packages are race-core's (buffer,
+# assembly, and disk for the write runs), net-chaos-test's (pagesvc)
+# and shard-chaos-test's (shard).
+WIRE_TESTS = TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestMalformedFrameClosesConn|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestWireReadRunAllocs|TestReadRunFallsBackPageByPage|TestReadArmBookings|TestRoutedReadAllocs|TestRouterRunPaths|TestOverlappedBatchStorm|TestKeptHandlersStorm|TestReplicaFollowsDeltas|TestReplicaStopsAtDeltaGap|TestReplicaApplyAllocs|TestRouterWriteRunPaths|TestWriteRunFallsBackPageByPage|TestBulkWriteKeepsNoBuffer|TestDialRefusesPageSize
+WIRE_PKGS = ./internal/buffer ./internal/assembly ./internal/pagesvc ./internal/shard
 wire-check:
 	$(GO) test -count=1 -run '$(WIRE_TESTS)' $(WIRE_PKGS)
-	$(GO) test -race -count=1 -run '$(WIRE_TESTS)' $(WIRE_PKGS)
 	$(GO) test -run '^$$' -bench=WireRead -benchtime=1x ./internal/pagesvc
 
 # The generator's one-write load, uncached: every database of a grid
@@ -230,15 +238,19 @@ test-race:
 # layers a live metrics scraper reads while workers mutate, and the
 # devices whose Head a scheduling step loads without their mutex
 # (CI's second job; test-race covers everything but takes much longer).
+# This is the one race pass of these packages' tests in CI, the check
+# job's checks included; the chaos tests are left to chaos-test.
 race-core:
-	$(GO) test -race ./internal/trace ./internal/metrics ./internal/buffer ./internal/volcano ./internal/serve ./internal/disk ./internal/assembly
+	$(GO) test -race -skip '$(CHAOS_TESTS)' ./internal/trace ./internal/metrics ./internal/buffer ./internal/volcano ./internal/serve ./internal/disk ./internal/assembly
 
 # The query-lifecycle chaos tests under the race detector: concurrent
 # queries with random-point cancellation, goroutine-leak and
 # pin/reservation-leak checks, and per-query three-way agreement.
-# -count=2 reruns them so cross-run state leaks surface too.
+# -count=2 reruns them so cross-run state leaks surface too. race-core
+# and suite-smoke skip them.
+CHAOS_TESTS = TestChaos|TestCancel|TestDeadline|TestExchangeCancellation|TestExchangeDeadline|TestTwoQueriesTinyPool|TestQuery
 chaos-test:
-	$(GO) test -race -count=2 -run 'TestChaos|TestCancel|TestDeadline|TestExchangeCancellation|TestExchangeDeadline|TestTwoQueriesTinyPool|TestQuery' ./internal/suite ./internal/assembly ./internal/volcano ./internal/buffer ./internal/serve
+	$(GO) test -race -count=2 -run '$(CHAOS_TESTS)' ./internal/suite ./internal/assembly ./internal/volcano ./internal/buffer ./internal/serve
 
 # The networked-page-service chaos suite under the race detector:
 # replica crash/reconnect convergence, client reconnects under a
@@ -327,9 +339,10 @@ suite:
 	$(GO) run ./cmd/asmbench -suite core -v
 
 # The CI gate for the scenario suite: the smoke subset under the race
-# detector, plus the suite package's own tests, inside a time budget.
+# detector, plus the suite package's own tests but the chaos tests
+# (chaos-test's), inside a time budget.
 suite-smoke:
-	$(GO) test -race -timeout 5m ./internal/suite
+	$(GO) test -race -timeout 5m -skip '$(CHAOS_TESTS)' ./internal/suite
 	$(GO) run -race ./cmd/asmbench -suite smoke -out /dev/null -v
 
 # The tracked trajectory is its own canonical form: every field of

@@ -9,7 +9,9 @@
 //	asminspect -db db.pages -manifest db.manifest -assemble \
 //	           -window 50 -scheduler elevator -buffer 512
 //
-// With -shards, the checksum scan runs fleet-wide instead of over a
+// -verify checks every page's checksum and, where it holds, the slotted
+// page's header and slot directory (page.VerifyDevice). With -shards,
+// the scan runs fleet-wide instead of over a
 // local file: every page is read through the rendezvous router from
 // the shard that owns it (see cmd/asmpaged), and failures are reported
 // with the owning member:
@@ -34,7 +36,7 @@ import (
 func main() {
 	dbPath := flag.String("db", "db.pages", "device file")
 	manifest := flag.String("manifest", "db.manifest", "manifest file")
-	doVerify := flag.Bool("verify", false, "checksum-scan every page of the device and exit (non-zero on corruption)")
+	doVerify := flag.Bool("verify", false, "verify every page of the device (checksum, then slot directory) and exit (non-zero on corruption)")
 	shards := flag.String("shards", "", "comma-separated page-service endpoints, one per shard, each optionally primary/replica; -verify scans the whole fleet through the rendezvous router instead of a local file")
 	doAssemble := flag.Bool("assemble", false, "run an assembly pass and report seek statistics")
 	window := flag.Int("window", 50, "assembly window size")
@@ -44,7 +46,7 @@ func main() {
 
 	if *shards != "" {
 		if !*doVerify {
-			fmt.Fprintln(os.Stderr, "asminspect: -shards only supports -verify (fleet-wide checksum scan)")
+			fmt.Fprintln(os.Stderr, "asminspect: -shards only supports -verify (fleet-wide page scan)")
 			os.Exit(2)
 		}
 		verifyShards(*shards)
@@ -127,9 +129,8 @@ func main() {
 		ops.PeakWindowPgs, ops.PeakRefPool)
 }
 
-// verify checksum-scans the raw device (no buffer pool, so corrupt
-// pages are reported rather than refused) and exits non-zero listing
-// every page whose stored checksum does not match its contents.
+// verify scans the raw device (no buffer pool, so corrupt pages are
+// reported rather than refused).
 func verify(dbPath, manifestPath string) {
 	m, err := gen.LoadManifest(manifestPath)
 	if err != nil {
@@ -142,24 +143,12 @@ func verify(dbPath, manifestPath string) {
 		os.Exit(1)
 	}
 	defer dev.Close()
-	bad, err := page.VerifyDevice(dev)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "asminspect: verify: %v\n", err)
-		os.Exit(1)
-	}
-	if len(bad) > 0 {
-		fmt.Fprintf(os.Stderr, "asminspect: %d of %d pages FAIL checksum verification:\n", len(bad), dev.NumPages())
-		for _, id := range bad {
-			fmt.Fprintf(os.Stderr, "  page %d\n", id)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("verify: all %d pages of %s pass checksum verification\n", dev.NumPages(), dbPath)
+	verifyDevice(dev, "of "+dbPath, func(id disk.PageID) string { return fmt.Sprintf("page %d", id) })
 }
 
-// verifyShards checksum-scans an entire shard fleet: each page is read
-// through the rendezvous router from its owning member, so the scan
-// exercises the same routing queries use, and a corrupt page is
+// verifyShards scans an entire shard fleet as verify does: each page is
+// read through the rendezvous router from its owning member, so the
+// scan exercises the same routing queries use, and a corrupt page is
 // attributed to the shard that served it. Exits non-zero on corruption
 // or on an unreachable member.
 func verifyShards(endpoints string) {
@@ -169,19 +158,29 @@ func verifyShards(endpoints string) {
 		os.Exit(1)
 	}
 	defer router.Close()
-	bad, err := page.VerifyDevice(router)
+	verifyDevice(router, fmt.Sprintf("across %d shards", router.Shards()), func(id disk.PageID) string {
+		return fmt.Sprintf("page %d (shard %s)", id, router.MemberName(router.ShardOf(id)))
+	})
+}
+
+// verifyDevice runs page.VerifyDevice over dev and exits non-zero
+// listing every page whose stored checksum does not match its contents
+// or whose slot directory is unsound, each named by name; where names
+// dev in the line a clean scan prints.
+func verifyDevice(dev disk.Device, where string, name func(disk.PageID) string) {
+	bad, err := page.VerifyDevice(dev)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "asminspect: verify: %v\n", err)
 		os.Exit(1)
 	}
 	if len(bad) > 0 {
-		fmt.Fprintf(os.Stderr, "asminspect: %d of %d pages FAIL checksum verification:\n", len(bad), router.NumPages())
+		fmt.Fprintf(os.Stderr, "asminspect: %d of %d pages FAIL verification:\n", len(bad), dev.NumPages())
 		for _, id := range bad {
-			fmt.Fprintf(os.Stderr, "  page %d (shard %s)\n", id, router.MemberName(router.ShardOf(id)))
+			fmt.Fprintf(os.Stderr, "  %s\n", name(id))
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("verify: all %d pages across %d shards pass checksum verification\n", router.NumPages(), router.Shards())
+	fmt.Printf("verify: all %d pages %s pass verification\n", dev.NumPages(), where)
 }
 
 func indent(s, pad string) string {

@@ -78,7 +78,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dbgen: close: %v\n", err)
 		os.Exit(1)
 	}
-	n, _ := db.Store.Locator.Len()
+	n := db.Store.Locator.Len()
 	fmt.Printf("dbgen: %d complex objects (%d components, %d objects) on %d pages, %s clustering\n",
 		*objects, db.NodesPerObject, n, db.Store.File.NumPages(), cl)
 	fmt.Printf("dbgen: device %s, manifest %s\n", *out, *manifest)

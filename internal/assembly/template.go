@@ -58,10 +58,6 @@ type Template struct {
 // when a catalog is supplied — reference fields must exist on the
 // node's class. It is called by the operator at Open.
 func (t *Template) Validate(cat *object.Catalog) error {
-	return t.validate(cat, true)
-}
-
-func (t *Template) validate(cat *object.Catalog, root bool) error {
 	if t == nil {
 		return errors.New("assembly: nil template node")
 	}
@@ -89,7 +85,7 @@ func (t *Template) validate(cat *object.Catalog, root bool) error {
 				return fmt.Errorf("assembly: node %q (class %s) has no ref field %d", t.Name, cls.Name, c.RefField)
 			}
 		}
-		if err := c.validate(cat, false); err != nil {
+		if err := c.Validate(cat); err != nil {
 			return err
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"revelation/internal/difftest"
 	"revelation/internal/disk"
 	"revelation/internal/page"
 	"revelation/internal/qtrace"
@@ -80,17 +81,15 @@ type batchSide struct {
 // through the loop of single fixes (side 0), with the other pool
 // operations mixed in on both, and compares them after every step.
 type batchRig struct {
-	t     *testing.T
+	seq   *difftest.Seq
 	rng   *rand.Rand
-	seed  int64
-	step  int
 	lanes *Lanes
 	sides [2]*batchSide
 	held  [][2]*Frame
-	stats batchStats
+	stats *batchStats // the test's, summed over its sequences
 }
 
-// batchStats says what a rig's sequence exercised: batches, those of
+// batchStats says what a test's sequences exercised: batches, those of
 // several pages, stretches with every frame pinned, transient read
 // faults armed on the third or a later page of a run, and the runs that
 // reached the device as one call with the pages they carried.
@@ -98,8 +97,9 @@ type batchStats struct{ batches, overlapped, refused, lateFaults, runs, runPages
 
 // newBatchRig builds the two sides. With vector, the pools see their
 // devices as disk.RunReaders.
-func newBatchRig(t *testing.T, seed int64, frames int, lanes *Lanes, vector bool) *batchRig {
-	r := &batchRig{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), lanes: lanes}
+func newBatchRig(seq *difftest.Seq, stats *batchStats, frames int, lanes *Lanes, vector bool) *batchRig {
+	seq.Tag = fmt.Sprintf("%d frames, lanes %v", frames, lanes != nil)
+	r := &batchRig{seq: seq, rng: rand.New(rand.NewSource(seq.Seed)), lanes: lanes, stats: stats}
 	for i := range r.sides {
 		s := &batchSide{dev: disk.NewSim(diffPageSize, 3*frames+2), wal: &flakyWAL{}, readFault: map[disk.PageID]error{}}
 		s.dev.SetFault(func(p disk.PageID, write bool) error {
@@ -130,11 +130,6 @@ func newBatchRig(t *testing.T, seed int64, frames int, lanes *Lanes, vector bool
 	return r
 }
 
-func (r *batchRig) fatalf(format string, args ...any) {
-	r.t.Helper()
-	r.t.Fatalf("seed %d, %d frames, lanes %v, step %d: %s", r.seed, r.sides[0].pool.Size(), r.lanes != nil, r.step, fmt.Sprintf(format, args...))
-}
-
 func (r *batchRig) randomPage() disk.PageID {
 	return disk.PageID(r.rng.Intn(r.sides[0].dev.NumPages()))
 }
@@ -146,7 +141,7 @@ func (r *batchRig) both(what string, op func(s *batchSide) error) error {
 		errs[i] = op(s)
 	}
 	if (errs[0] == nil) != (errs[1] == nil) || errors.Is(errs[0], ErrNoFrames) != errors.Is(errs[1], ErrNoFrames) {
-		r.fatalf("%s: the model says %v, the batch side %v", what, errs[0], errs[1])
+		r.seq.Fatalf("%s: the model says %v, the batch side %v", what, errs[0], errs[1])
 	}
 	return errs[0]
 }
@@ -162,7 +157,7 @@ func (r *batchRig) fix(what string, fn func(s *batchSide) (*Frame, error)) error
 	})
 	if err == nil {
 		if fs[0].index != fs[1].index {
-			r.fatalf("%s: frame %d on the model, %d on the batch side", what, fs[0].index, fs[1].index)
+			r.seq.Fatalf("%s: frame %d on the model, %d on the batch side", what, fs[0].index, fs[1].index)
 		}
 		r.held = append(r.held, fs)
 		if r.rng.Intn(3) > 0 {
@@ -292,7 +287,7 @@ func (r *batchRig) oneStep() {
 		}
 		for _, s := range r.sides {
 			if err := s.dev.WritePage(id, img); err != nil {
-				r.fatalf("tearing page %d: %v", id, err)
+				r.seq.Fatalf("tearing page %d: %v", id, err)
 			}
 		}
 	default:
@@ -324,41 +319,41 @@ func (r *batchRig) compare() {
 	m, b := r.sides[0], r.sides[1]
 	for _, s := range r.sides {
 		if err := invariantErr(s.pool); err != nil {
-			r.fatalf("%v", err)
+			r.seq.Fatalf("%v", err)
 		}
 	}
 	for i := range b.pool.frames {
 		f := &b.pool.frames[i]
 		w := &m.pool.frames[i]
 		if f.id != w.id || f.pins != w.pins || f.dirty != w.dirty || f.sticky != w.sticky {
-			r.fatalf("frame %d: page %d (pins %d, dirty %v, sticky %v), model page %d (pins %d, dirty %v, sticky %v)",
+			r.seq.Fatalf("frame %d: page %d (pins %d, dirty %v, sticky %v), model page %d (pins %d, dirty %v, sticky %v)",
 				i, f.id, f.pins, f.dirty, f.sticky, w.id, w.pins, w.dirty, w.sticky)
 		}
 		if f.id == disk.InvalidPage {
 			continue
 		}
 		if f.stamp != w.stamp {
-			r.fatalf("frame %d (page %d): stamp %d, model %d", i, f.id, f.stamp, w.stamp)
+			r.seq.Fatalf("frame %d (page %d): stamp %d, model %d", i, f.id, f.stamp, w.stamp)
 		}
 		if !bytes.Equal(f.data, w.data) {
-			r.fatalf("frame %d (page %d): image differs from the model's", i, f.id)
+			r.seq.Fatalf("frame %d (page %d): image differs from the model's", i, f.id)
 		}
 	}
 	if got, want := b.pool.Stats(), m.pool.Stats(); got != want {
-		r.fatalf("stats %+v, model %+v", got, want)
+		r.seq.Fatalf("stats %+v, model %+v", got, want)
 	}
 	if len(b.log.evs) != len(m.log.evs) {
-		r.fatalf("%d buffer events, model %d", len(b.log.evs), len(m.log.evs))
+		r.seq.Fatalf("%d buffer events, model %d", len(b.log.evs), len(m.log.evs))
 	}
 	for i, e := range b.log.evs {
 		if e != m.log.evs[i] {
-			r.fatalf("buffer event %d of the step: %v, model %v", i, e, m.log.evs[i])
+			r.seq.Fatalf("buffer event %d of the step: %v, model %v", i, e, m.log.evs[i])
 		}
 	}
 	b.log.evs, m.log.evs = b.log.evs[:0], m.log.evs[:0]
 	got, want := b.span.Counters(), m.span.Counters()
 	if got.Hits != want.Hits || got.Misses != want.Misses || got.Reads != want.Reads && !b.lostWrite {
-		r.fatalf("span counters %+v, model %+v", got, want)
+		r.seq.Fatalf("span counters %+v, model %+v", got, want)
 	}
 }
 
@@ -372,20 +367,12 @@ func (r *batchRig) finish() {
 	r.compare()
 	r.both("Close", func(s *batchSide) error { return s.pool.Close() })
 	m, b := r.sides[0], r.sides[1]
-	var bufs [2][]byte
-	for id := disk.PageID(0); int(id) < m.dev.NumPages(); id++ {
-		for i, s := range r.sides {
-			bufs[i] = make([]byte, diffPageSize)
-			if err := s.dev.ReadPage(id, bufs[i]); err != nil {
-				r.fatalf("reading page %d back: %v", id, err)
-			}
-		}
-		if !bytes.Equal(bufs[0], bufs[1]) {
-			r.fatalf("device page %d differs from the model's", id)
-		}
+	if err := mediaErr(m.dev, b.dev); err != nil {
+		r.seq.Fatalf("%v", err)
 	}
 	if b.vec != nil {
-		r.stats.runs, r.stats.runPages = int(b.vec.runs.Load()), int(b.vec.pages.Load())
+		r.stats.runs += int(b.vec.runs.Load())
+		r.stats.runPages += int(b.vec.pages.Load())
 	}
 	got, want := b.dev.Stats(), m.dev.Stats()
 	if r.lanes != nil || b.lostWrite {
@@ -395,12 +382,12 @@ func (r *batchRig) finish() {
 	}
 	if b.lostWrite {
 		if got.Reads < want.Reads {
-			r.fatalf("%d device reads, model %d", got.Reads, want.Reads)
+			r.seq.Fatalf("%d device reads, model %d", got.Reads, want.Reads)
 		}
 		got.Reads = want.Reads
 	}
 	if got != want {
-		r.fatalf("device counters %+v, model's %+v", got, want)
+		r.seq.Fatalf("device counters %+v, model's %+v", got, want)
 	}
 }
 
@@ -415,23 +402,21 @@ func (r *batchRig) finish() {
 // buffer events say so), the same counters. With lanes and without,
 // over a device that reads a run in one call and over one that does not.
 func TestFixBatchMatchesFixLoop(t *testing.T) {
-	sequences, steps := 10000, 80
-	if testing.Short() || raceEnabled {
-		sequences = 400
-	}
+	sequences, steps := difftest.Count(10000, 400), 80
 	// Each sequence with lanes starts them on home, so that from the
 	// second on they read into the loads and buffers the last one left.
 	home := New(disk.NewSim(diffPageSize, 1), 1)
 	sizes := []int{1, 2, 7, 64}
 	var total batchStats
 	var evictions, misses, ioErrors int64
-	for s := 0; s < sequences; s++ {
+	difftest.Walk(t, 0, sequences, func(seq *difftest.Seq) {
+		s := int(seq.Seed)
 		var ls *Lanes
 		if s/len(sizes)%2 == 0 {
 			ls = home.StartLanes(2)
 		}
-		r := newBatchRig(t, int64(s), sizes[s%len(sizes)], ls, s/(2*len(sizes))%2 == 0)
-		for r.step = 0; r.step < steps; r.step++ {
+		r := newBatchRig(seq, &total, sizes[s%len(sizes)], ls, s/(2*len(sizes))%2 == 0)
+		for seq.Step = 0; seq.Step < steps; seq.Step++ {
 			r.oneStep()
 			r.compare()
 		}
@@ -440,13 +425,7 @@ func TestFixBatchMatchesFixLoop(t *testing.T) {
 		st := r.sides[0].pool.Stats()
 		evictions, misses = evictions+st.Evictions, misses+st.Faults
 		ioErrors += st.TransientErrors + st.PermanentErrors + st.ChecksumFails
-		total.batches += r.stats.batches
-		total.overlapped += r.stats.overlapped
-		total.refused += r.stats.refused
-		total.lateFaults += r.stats.lateFaults
-		total.runs += r.stats.runs
-		total.runPages += r.stats.runPages
-	}
+	})
 	t.Logf("%d sequences of %d steps: %d batches (%d of several pages), %d stretches with every frame pinned, %d misses, %d evictions, %d failed reads, %d transient faults late in a run, %d runs of %d pages read in one call",
 		sequences, steps, total.batches, total.overlapped, total.refused, misses, evictions, ioErrors, total.lateFaults, total.runs, total.runPages)
 	if total.overlapped < sequences || total.refused < sequences/2 || evictions < int64(sequences) || ioErrors < int64(sequences) ||

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"revelation/internal/difftest"
 	"revelation/internal/disk"
 	"revelation/internal/qtrace"
 )
@@ -83,7 +84,7 @@ func missSweep(tb testing.TB, frames int) (p *Pool, step func()) {
 // Unfix — at no allocation, with a nil ctx and with a query span. It is
 // the body FixBatch runs for each of its pages.
 func TestFixMissAllocs(t *testing.T) {
-	if raceEnabled {
+	if difftest.Race {
 		t.Skip("the race detector allocates on its own account")
 	}
 	_, sp := qtrace.NewCollector(1).Begin("q")
@@ -165,7 +166,7 @@ func missSpread(tb testing.TB, frames, pages int) (step func()) {
 // over a device a thousand times larger — what a miss consults is sized
 // by the frames.
 func TestMissCostFlat(t *testing.T) {
-	if testing.Short() || raceEnabled {
+	if testing.Short() || difftest.Race {
 		t.Skip("timing test")
 	}
 	const steps = 100000

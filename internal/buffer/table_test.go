@@ -3,37 +3,50 @@ package buffer
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"revelation/internal/difftest"
 	"revelation/internal/disk"
 )
 
 // tableErr checks the page table over frames against what it should
-// hold: every page of want found under its id in its frame, every taken
-// slot reachable by a probe for its own id (so no hole lies between an
-// entry and its home, and no page is entered twice), and no entry beside
-// those.
+// hold: every page of want found by a probe in its frame; every taken
+// slot reachable by a probe for its own id (its home lies in its
+// cluster of taken slots, at or before it) and in a frame of its own,
+// so that no page is entered twice; and no entry beside those. The
+// slots are walked once, from an empty one, so that each cluster is met
+// from its first slot: a probe per slot as well as per page made this
+// check, run after every step, most of the differential tests' time.
 func tableErr(t *pageTable, frames []Frame, want map[disk.PageID]*Frame) error {
 	for id, f := range want {
 		if got := t.get(id); got < 0 || &frames[got] != f {
 			return fmt.Errorf("table: page %d found in frame %d, held by frame %d", id, got, f.index)
 		}
 	}
-	entries := 0
-	for i, s := range t.slots {
+	n := len(t.slots)
+	from := slices.IndexFunc(t.slots, func(s tableSlot) bool { return s.frame == 0 })
+	if n&(n-1) != 0 || from < 0 {
+		return fmt.Errorf("table: %d slots, the first empty one at %d", n, from)
+	}
+	held := make([]bool, len(frames))
+	entries, run := 0, 0 // run: the taken slots of this cluster so far
+	for k := 1; k <= n; k++ {
+		i := (from + k) & (n - 1)
+		s := t.slots[i]
 		if s.frame == 0 {
+			run = 0
 			continue
 		}
-		entries++
-		if got := t.get(s.id); got != int(s.frame)-1 || got >= len(frames) {
-			return fmt.Errorf("table: slot %d holds page %d (home %d) in frame %d of %d, a probe for it ends at frame %d", i, s.id, t.home(s.id), int(s.frame)-1, len(frames), got)
+		entries, run = entries+1, run+1
+		f := int(s.frame) - 1
+		if (i-t.home(s.id))&(n-1) >= run || f >= len(frames) || held[f] {
+			return fmt.Errorf("table: slot %d holds page %d (home %d) in frame %d of %d, not reachable or entered twice", i, s.id, t.home(s.id), f, len(frames))
 		}
+		held[f] = true
 	}
-	if entries != len(want) {
-		return fmt.Errorf("table: %d entries for %d resident pages", entries, len(want))
-	}
-	if len(t.slots)&(len(t.slots)-1) != 0 || 2*entries > len(t.slots) {
-		return fmt.Errorf("table: %d entries in %d slots", entries, len(t.slots))
+	if entries != len(want) || 2*entries > n {
+		return fmt.Errorf("table: %d entries in %d slots for %d resident pages", entries, n, len(want))
 	}
 	return nil
 }
@@ -107,10 +120,7 @@ func TestPageTableDeleteShiftsClusterBack(t *testing.T) {
 // again — the table answers as a Go map does, checked slot by slot
 // after every step.
 func TestPageTableMatchesMap(t *testing.T) {
-	sequences := 10000
-	if testing.Short() || raceEnabled {
-		sequences = 400
-	}
+	sequences := difftest.Count(10000, 400)
 	sizes := []int{1, 2, 7, 64, 800}
 	// Per size, the ids a sequence draws from: three times the frames,
 	// a third homed on the last slot, a third on the three slots around
@@ -130,9 +140,11 @@ func TestPageTableMatchesMap(t *testing.T) {
 		pools[k] = ids
 	}
 	var longest int
-	for s := 0; s < sequences; s++ {
+	difftest.Walk(t, 0, sequences, func(seq *difftest.Seq) {
+		s := int(seq.Seed)
 		nframes, ids := sizes[s%len(sizes)], pools[s%len(sizes)]
-		rng := rand.New(rand.NewSource(int64(s)))
+		seq.Tag = fmt.Sprintf("%d frames", nframes)
+		rng := rand.New(rand.NewSource(seq.Seed))
 		tab := newPageTable(nframes)
 		frames := make([]Frame, nframes)
 		free := make([]int, nframes) // frames holding no page
@@ -151,7 +163,7 @@ func TestPageTableMatchesMap(t *testing.T) {
 			steps = 40 + rng.Intn(400)
 		}
 		fill := rng.Intn(3) == 0 // begin full, as a pool at work is
-		for step := 0; step < steps; step++ {
+		for seq.Step = 0; seq.Step < steps; seq.Step++ {
 			id := ids[rng.Intn(len(ids))]
 			switch roll := rng.Intn(100); {
 			case fill || roll < 45:
@@ -179,7 +191,7 @@ func TestPageTableMatchesMap(t *testing.T) {
 				}
 			case roll < 97:
 				if got, want := tab.get(id), model[id]; (got < 0) != (want == nil) || want != nil && &frames[got] != want {
-					t.Fatalf("sequence %d (%d frames), step %d: get(%d) = %d, the map holds %+v", s, nframes, step, id, got, want)
+					seq.Fatalf("get(%d) = %d, the map holds %+v", id, got, want)
 				}
 			default:
 				for i := range frames { // in frame order, as EvictAll goes
@@ -190,7 +202,7 @@ func TestPageTableMatchesMap(t *testing.T) {
 				resident, fill = resident[:0], true
 			}
 			if err := tableErr(&tab, frames, model); err != nil {
-				t.Fatalf("sequence %d (%d frames), step %d: %v", s, nframes, step, err)
+				seq.Fatalf("%v", err)
 			}
 			for i, e := range tab.slots {
 				if e.frame != 0 {
@@ -198,7 +210,7 @@ func TestPageTableMatchesMap(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 	t.Logf("%d sequences; an entry sat up to %d slots from its home", sequences, longest)
 	if longest < 8 {
 		t.Errorf("the sequences do not build clusters: no entry further than %d slots from its home", longest)

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"revelation/internal/difftest"
 	"revelation/internal/disk"
 	"revelation/internal/page"
 )
@@ -237,10 +238,8 @@ func (w *flakyWAL) SyncTo(uint64) error { return nil }
 // diffRig drives the real pool and the model through one sequence of
 // operations and compares them after every step.
 type diffRig struct {
-	t    *testing.T
-	rng  *rand.Rand
-	seed int64
-	step int
+	seq *difftest.Seq
+	rng *rand.Rand
 
 	real    *Pool
 	model   *scanPool
@@ -262,8 +261,9 @@ type heldPair struct {
 
 const diffPageSize = 64
 
-func newDiffRig(t *testing.T, seed int64, frames int) *diffRig {
-	r := &diffRig{t: t, seed: seed, rng: rand.New(rand.NewSource(seed))}
+func newDiffRig(seq *difftest.Seq, frames int) *diffRig {
+	seq.Tag = fmt.Sprintf("%d frames", frames)
+	r := &diffRig{seq: seq, rng: rand.New(rand.NewSource(seq.Seed))}
 	pages := 3*frames + 2
 	for i := range r.devs {
 		d := disk.NewSim(diffPageSize, pages)
@@ -290,11 +290,6 @@ func newDiffRig(t *testing.T, seed int64, frames int) *diffRig {
 	return r
 }
 
-func (r *diffRig) fatalf(format string, args ...any) {
-	r.t.Helper()
-	r.t.Fatalf("seed %d, %d frames, step %d: %s", r.seed, len(r.model.frames), r.step, fmt.Sprintf(format, args...))
-}
-
 // both runs one operation on the real pool and then on the model, with
 // the same faults armed for each, and demands the same outcome.
 func (r *diffRig) both(what string, failRead, failWrite, failWAL bool, onReal, onModel func() error) error {
@@ -307,7 +302,7 @@ func (r *diffRig) both(what string, failRead, failWrite, failWAL bool, onReal, o
 	}
 	r.failIO = [2]bool{}
 	if (errs[0] == nil) != (errs[1] == nil) || errors.Is(errs[0], ErrNoFrames) != errors.Is(errs[1], ErrNoFrames) {
-		r.fatalf("%s: real pool says %v, model says %v", what, errs[0], errs[1])
+		r.seq.Fatalf("%s: real pool says %v, model says %v", what, errs[0], errs[1])
 	}
 	if errors.Is(errs[0], ErrNoFrames) {
 		r.refused++
@@ -334,7 +329,7 @@ func (r *diffRig) fix(what string, failRead, failWrite bool, onReal func() (*Fra
 		}
 	}
 	if err == nil && (h.r.index != h.m.index || h.r.id != h.m.id) {
-		r.fatalf("%s: real pool handed out frame %d (page %d), model frame %d (page %d)", what, h.r.index, h.r.id, h.m.index, h.m.id)
+		r.seq.Fatalf("%s: real pool handed out frame %d (page %d), model frame %d (page %d)", what, h.r.index, h.r.id, h.m.index, h.m.id)
 	}
 	return h, err
 }
@@ -405,7 +400,7 @@ func (r *diffRig) oneStep() {
 		}
 		for _, d := range r.devs {
 			if err := d.WritePage(id, img); err != nil {
-				r.fatalf("tearing page %d: %v", id, err)
+				r.seq.Fatalf("tearing page %d: %v", id, err)
 			}
 		}
 	default:
@@ -435,30 +430,30 @@ func (r *diffRig) oneStep() {
 // and the same pages replaced so far in the same order.
 func (r *diffRig) compare() {
 	if err := invariantErr(r.real); err != nil {
-		r.fatalf("%v", err)
+		r.seq.Fatalf("%v", err)
 	}
 	for i := range r.real.frames {
 		f := &r.real.frames[i]
 		m := r.model.frames[i]
 		if f.id != m.id || f.pins != m.pins || f.dirty != m.dirty || f.sticky != m.sticky {
-			r.fatalf("frame %d: real pool holds page %d (pins %d, dirty %v, sticky %v), model page %d (pins %d, dirty %v, sticky %v)",
+			r.seq.Fatalf("frame %d: real pool holds page %d (pins %d, dirty %v, sticky %v), model page %d (pins %d, dirty %v, sticky %v)",
 				i, f.id, f.pins, f.dirty, f.sticky, m.id, m.pins, m.dirty, m.sticky)
 		}
 		if f.id == disk.InvalidPage {
 			continue
 		}
 		if f.stamp != m.stamp {
-			r.fatalf("frame %d (page %d): stamp %d, model %d", i, f.id, f.stamp, m.stamp)
+			r.seq.Fatalf("frame %d (page %d): stamp %d, model %d", i, f.id, f.stamp, m.stamp)
 		}
 		if !bytes.Equal(f.data, m.data) {
-			r.fatalf("frame %d (page %d): image differs from the model's", i, f.id)
+			r.seq.Fatalf("frame %d (page %d): image differs from the model's", i, f.id)
 		}
 	}
 	if got, want := r.real.Stats(), r.model.stats; got != want {
-		r.fatalf("stats %+v, model %+v", got, want)
+		r.seq.Fatalf("stats %+v, model %+v", got, want)
 	}
 	if !slices.Equal(r.evicted[r.agreed:], r.model.evicted[min(r.agreed, len(r.model.evicted)):]) {
-		r.fatalf("replaced pages %v, model %v", r.evicted, r.model.evicted)
+		r.seq.Fatalf("replaced pages %v, model %v", r.evicted, r.model.evicted)
 	}
 	r.agreed = len(r.evicted)
 }
@@ -472,21 +467,29 @@ func (r *diffRig) finish() {
 	r.held = nil
 	r.compare()
 	r.both("final flush", false, false, false, r.real.Close, r.model.flushAll)
-	var bufs [2][]byte
-	for id := disk.PageID(0); int(id) < r.devs[0].NumPages(); id++ {
-		for i, d := range r.devs {
-			bufs[i] = make([]byte, diffPageSize)
+	if err := mediaErr(r.devs[0], r.devs[1]); err != nil {
+		r.seq.Fatalf("%v", err)
+	}
+	if a, b := r.devs[0].Stats(), r.devs[1].Stats(); a != b {
+		r.seq.Fatalf("device counters %+v, model's %+v", a, b)
+	}
+}
+
+// mediaErr compares two devices page for page, each page read from a
+// first.
+func mediaErr(a, b *disk.Sim) error {
+	bufs := [2][]byte{make([]byte, diffPageSize), make([]byte, diffPageSize)}
+	for id := disk.PageID(0); int(id) < a.NumPages(); id++ {
+		for i, d := range []*disk.Sim{a, b} {
 			if err := d.ReadPage(id, bufs[i]); err != nil {
-				r.fatalf("reading page %d back: %v", id, err)
+				return fmt.Errorf("reading page %d back: %v", id, err)
 			}
 		}
 		if !bytes.Equal(bufs[0], bufs[1]) {
-			r.fatalf("device page %d differs from the model's", id)
+			return fmt.Errorf("device page %d differs from the model's", id)
 		}
 	}
-	if a, b := r.devs[0].Stats(), r.devs[1].Stats(); a != b {
-		r.fatalf("device counters %+v, model's %+v", a, b)
-	}
+	return nil
 }
 
 // TestVictimHeapMatchesScan: over seeded random sequences of every
@@ -495,22 +498,19 @@ func (r *diffRig) finish() {
 // heap hands out the frame the two scans did and replaces the same
 // pages in the same order.
 func TestVictimHeapMatchesScan(t *testing.T) {
-	sequences, steps := 10000, 120
-	if testing.Short() || raceEnabled {
-		sequences = 400
-	}
+	sequences, steps := difftest.Count(10000, 400), 120
 	sizes := []int{1, 2, 7, 64}
 	var evictions, refused int64
-	for s := 0; s < sequences; s++ {
-		r := newDiffRig(t, int64(s), sizes[s%len(sizes)])
-		for r.step = 0; r.step < steps; r.step++ {
+	difftest.Walk(t, 0, sequences, func(s *difftest.Seq) {
+		r := newDiffRig(s, sizes[s.Seed%int64(len(sizes))])
+		for s.Step = 0; s.Step < steps; s.Step++ {
 			r.oneStep()
 			r.compare()
 		}
 		r.finish()
 		evictions += r.model.stats.Evictions
 		refused += int64(r.refused)
-	}
+	})
 	t.Logf("%d sequences of %d steps: %d evictions, %d operations refused with every frame pinned", sequences, steps, evictions, refused)
 	if evictions < int64(sequences) || refused < int64(sequences) {
 		t.Errorf("the sequences do not exercise replacement: %d evictions, %d refusals in %d sequences", evictions, refused, sequences)

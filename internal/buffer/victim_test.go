@@ -47,7 +47,7 @@ func invariantErr(p *Pool) error {
 		}
 	}
 	empty, pinned := 0, 0
-	resident := map[disk.PageID]*Frame{}
+	resident := make(map[disk.PageID]*Frame, len(p.frames))
 	for i := range p.frames {
 		f := &p.frames[i]
 		if (f.place == placeHeap) != inHeap[i] || f.place == placeParked && (f.slot >= len(p.parked) || p.parked[f.slot] != f) {

@@ -1,0 +1,5 @@
+//go:build !race
+
+package difftest
+
+const race = false

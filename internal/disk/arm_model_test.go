@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"revelation/internal/difftest"
 	"revelation/internal/metrics"
 	"revelation/internal/qtrace"
 	"revelation/internal/trace"
@@ -487,12 +488,11 @@ var allocSteps = []int{0, 1, 63, 64, 65, 200, 1023, 1024, 1025}
 // tracer on/off against both sides, comparing after every step. Reads
 // and writes range over the device as it stands, so a page past the old
 // end is read (zero) and written once it is allocated.
-func runSequence(t *testing.T, seed int64, got, want *side) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
+func runSequence(seq *difftest.Seq, got, want *side) {
+	rng := rand.New(rand.NewSource(seq.Seed))
 	gbuf, wbuf := make([]byte, modelPageSize), make([]byte, modelPageSize)
 	steps, seen, size := 8+rng.Intn(40), 0, modelPages
-	for step := 0; step < steps; step++ {
+	for seq.Step = 0; seq.Step < steps; seq.Step++ {
 		var gerr, werr error
 		op := "?"
 		switch k := rng.Intn(22); {
@@ -505,7 +505,7 @@ func runSequence(t *testing.T, seed int64, got, want *side) {
 			op = fmt.Sprintf("read %d (span %v)", p, gsp != nil)
 			gerr, werr = got.dev.read(p, gbuf, gsp), want.dev.read(p, wbuf, wsp)
 			if string(gbuf) != string(wbuf) {
-				t.Fatalf("seed %d step %d %s: page bytes differ", seed, step, op)
+				seq.Fatalf("%s: page bytes differ", op)
 			}
 		case k < 15:
 			p := PageID(rng.Intn(size + 2))
@@ -536,28 +536,27 @@ func runSequence(t *testing.T, seed int64, got, want *side) {
 			gfirst, gerr = got.dev.Allocate(n)
 			wfirst, werr = want.dev.Allocate(n)
 			if gfirst != wfirst {
-				t.Fatalf("seed %d step %d %s: first page %d, model %d", seed, step, op, gfirst, wfirst)
+				seq.Fatalf("%s: first page %d, model %d", op, gfirst, wfirst)
 			}
 			if gerr == nil {
 				size += n
 			}
 		}
 		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
-			t.Fatalf("seed %d step %d %s: error %v, model %v", seed, step, op, gerr, werr)
+			seq.Fatalf("%s: error %v, model %v", op, gerr, werr)
 		}
 		if g, w := got.dev.Stats(), want.dev.Stats(); g != w {
-			t.Fatalf("seed %d step %d %s: Stats %+v, model %+v", seed, step, op, g, w)
+			seq.Fatalf("%s: Stats %+v, model %+v", op, g, w)
 		}
 		if g, w := got.dev.Head(), want.dev.Head(); g != w {
-			t.Fatalf("seed %d step %d %s: Head %d, model %d", seed, step, op, g, w)
+			seq.Fatalf("%s: Head %d, model %d", op, g, w)
 		}
 		if g, w := got.sp.Counters(), want.sp.Counters(); g != w {
-			t.Fatalf("seed %d step %d %s: span %+v, model %+v", seed, step, op, g, w)
+			seq.Fatalf("%s: span %+v, model %+v", op, g, w)
 		}
 		// Earlier steps compared the events before seen.
 		if g, w := got.col.Events(), want.col.Events(); len(g) != len(w) || !reflect.DeepEqual(g[seen:], w[seen:]) {
-			t.Fatalf("seed %d step %d %s: %d events, model %d; last %v vs %v",
-				seed, step, op, len(g), len(w), lastEvent(g), lastEvent(w))
+			seq.Fatalf("%s: %d events, model %d; last %v vs %v", op, len(g), len(w), lastEvent(g), lastEvent(w))
 		} else {
 			seen = len(g)
 		}
@@ -577,10 +576,7 @@ func lastEvent(evs []trace.Event) any {
 // Stats, Head, the span's counters and the emitted events, errors
 // included.
 func TestArmMatchesOldBookkeepers(t *testing.T) {
-	sequences := 10000
-	if testing.Short() || raceEnabled {
-		sequences = 400
-	}
+	sequences := difftest.Count(10000, 400)
 	dir := t.TempDir()
 	openBoth := func(t *testing.T) (*Sim, *modelFile) {
 		// Two files: each side owns its bytes. They are created once and
@@ -609,27 +605,27 @@ func TestArmMatchesOldBookkeepers(t *testing.T) {
 		return d, &modelFile{f: f, pageSize: modelPageSize, numPages: modelPages}
 	}
 	t.Run("memory", func(t *testing.T) {
-		for seed := int64(0); seed < int64(sequences); seed++ {
-			runSequence(t, seed,
+		difftest.Walk(t, 0, sequences, func(s *difftest.Seq) {
+			runSequence(s,
 				newSide(simHeader{NewSim(modelPageSize, modelPages)}),
 				newSide(modelSimHeader{newModelSim(modelPageSize, modelPages)}))
-		}
+		})
 	})
 	t.Run("file", func(t *testing.T) {
-		for seed := int64(0); seed < int64(sequences); seed++ {
+		difftest.Walk(t, 0, sequences, func(s *difftest.Seq) {
 			d, m := openBoth(t)
-			runSequence(t, seed, newSide(simHeader{d}), newSide(modelFileHeader{m}))
+			runSequence(s, newSide(simHeader{d}), newSide(modelFileHeader{m}))
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}
 			if err := m.f.Close(); err != nil {
 				t.Fatal(err)
 			}
-		}
+		})
 	})
 	t.Run("client", func(t *testing.T) {
-		for seed := int64(0); seed < int64(sequences); seed++ {
-			runSequence(t, seed, newSide(&armHeader{}), newSide(modelClientHeader{&modelClient{}}))
-		}
+		difftest.Walk(t, 0, sequences, func(s *difftest.Seq) {
+			runSequence(s, newSide(&armHeader{}), newSide(modelClientHeader{&modelClient{}}))
+		})
 	})
 }

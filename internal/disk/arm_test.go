@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"revelation/internal/difftest"
 	"revelation/internal/metrics"
 	"revelation/internal/qtrace"
 	"revelation/internal/trace"
@@ -32,7 +33,7 @@ func bothMedia(t *testing.T, f func(t *testing.T, d *Sim)) {
 // allocations per untraced read: plain and charged to a live query
 // span, registered with a metrics registry and not.
 func TestUntracedReadAllocs(t *testing.T) {
-	if raceEnabled {
+	if difftest.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	_, sp := qtrace.NewCollector(1).Begin("q")

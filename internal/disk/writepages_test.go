@@ -2,11 +2,11 @@ package disk_test
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"revelation/internal/difftest"
 	"revelation/internal/disk"
 	"revelation/internal/pagesvc"
 	"revelation/internal/shard"
@@ -171,64 +171,66 @@ func verdict(err error) string {
 // own — through every kind of writeStack under every writeCase, once
 // with disk.WritePages and once, on a second stack built the same way,
 // with the loop of WritePage it stands for. Every page's verdict, every
-// arm's Stats and every medium's bytes must come out identical.
+// arm's Stats and every medium's bytes must come out identical. A
+// seed's steps are its runs, one per stack and case. The seeds drop
+// under -short alone: a dozen cost little under the race detector,
+// and these are the write paths it watches.
 func TestWritePagesMatchesWritePage(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
 		seeds = 3
 	}
-	for _, kind := range writeStacks {
-		for _, wc := range writeCases {
-			for seed := int64(1); seed <= int64(seeds); seed++ {
-				what := fmt.Sprintf("%s/%s/seed %d", kind.name, wc.name, seed)
-				var verdicts [2][]string
-				var stacks [2]*writeStack
-				for side := range stacks {
-					rng := rand.New(rand.NewSource(seed))
-					ids, bufs := make([]disk.PageID, 1+rng.Intn(12)), [][]byte{}
-					for i := range ids {
-						ids[i] = disk.PageID(rng.Intn(wpPages))
-						img := make([]byte, wpSize)
-						rng.Read(img)
-						bufs = append(bufs, img)
-					}
-					st := kind.open(t)
-					if !wc.apply(t, st, ids, bufs, rng) {
-						break
-					}
-					errs := make([]error, len(ids))
-					if side == 0 {
-						disk.WritePages(st.dev, ids, bufs, errs)
-					} else {
-						for i, p := range ids {
-							errs[i] = st.dev.WritePage(p, bufs[i])
-						}
-					}
-					for _, err := range errs {
-						verdicts[side] = append(verdicts[side], verdict(err))
-					}
-					stacks[side] = st
+	difftest.Walk(t, 1, seeds, func(s *difftest.Seq) {
+		for s.Step = 0; s.Step < len(writeStacks)*len(writeCases); s.Step++ {
+			kind, wc := writeStacks[s.Step/len(writeCases)], writeCases[s.Step%len(writeCases)]
+			s.Tag = kind.name + "/" + wc.name
+			var verdicts [2][]string
+			var stacks [2]*writeStack
+			for side := range stacks {
+				rng := rand.New(rand.NewSource(s.Seed))
+				ids, bufs := make([]disk.PageID, 1+rng.Intn(12)), [][]byte{}
+				for i := range ids {
+					ids[i] = disk.PageID(rng.Intn(wpPages))
+					img := make([]byte, wpSize)
+					rng.Read(img)
+					bufs = append(bufs, img)
 				}
-				if stacks[1] == nil {
-					continue
+				st := kind.open(t)
+				if !wc.apply(t, st, ids, bufs, rng) {
+					break
 				}
-				if !slices.Equal(verdicts[0], verdicts[1]) {
-					t.Fatalf("%s: verdicts\n %q\nwant the loop's\n %q", what, verdicts[0], verdicts[1])
-				}
-				a, b := stacks[0], stacks[1]
-				for i := range a.arms {
-					if sa, sb := a.arms[i].Stats(), b.arms[i].Stats(); sa != sb {
-						t.Fatalf("%s: arm %d Stats %+v, the loop's %+v", what, i, sa, sb)
+				errs := make([]error, len(ids))
+				if side == 0 {
+					disk.WritePages(st.dev, ids, bufs, errs)
+				} else {
+					for i, p := range ids {
+						errs[i] = st.dev.WritePage(p, bufs[i])
 					}
 				}
-				for i := range a.sims {
-					if !sameBytes(a.sims[i], b.sims[i]) {
-						t.Fatalf("%s: medium %d differs from the loop's", what, i)
-					}
+				for _, err := range errs {
+					verdicts[side] = append(verdicts[side], verdict(err))
+				}
+				stacks[side] = st
+			}
+			if stacks[1] == nil {
+				continue
+			}
+			if !slices.Equal(verdicts[0], verdicts[1]) {
+				s.Fatalf("verdicts\n %q\nwant the loop's\n %q", verdicts[0], verdicts[1])
+			}
+			a, b := stacks[0], stacks[1]
+			for i := range a.arms {
+				if sa, sb := a.arms[i].Stats(), b.arms[i].Stats(); sa != sb {
+					s.Fatalf("arm %d Stats %+v, the loop's %+v", i, sa, sb)
+				}
+			}
+			for i := range a.sims {
+				if !sameBytes(a.sims[i], b.sims[i]) {
+					s.Fatalf("medium %d differs from the loop's", i)
 				}
 			}
 		}
-	}
+	})
 }
 
 // sameBytes reports whether two media hold the same pages: the same

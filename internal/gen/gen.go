@@ -185,10 +185,9 @@ func Build(cfg Config) (*Database, error) { return build(cfg, load) }
 
 // loader stores a laid-out database in a fresh extent of len(byPage)
 // pages on the pool's device: byPage[pg]'s objects on page pg, in order,
-// each OID registered in a new resident locator (object.MapLocator:
-// locator traffic stays out of the seek metric, as in the paper's
-// experiments).
-type loader func(pool *buffer.Pool, byPage [][]*object.Object) (*heap.File, object.Locator, error)
+// each OID registered in a new resident object.MapLocator (locator
+// traffic stays out of the seek metric, as in the paper's experiments).
+type loader func(pool *buffer.Pool, byPage [][]*object.Object) (*heap.File, *object.MapLocator, error)
 
 func build(cfg Config, store loader) (*Database, error) {
 	cfg = cfg.withDefaults()
@@ -432,7 +431,7 @@ func build(cfg Config, store loader) (*Database, error) {
 // load is Build's loader. Each page is composed once and written
 // straight to the device (heap.Load), and each RID is registered as it
 // is placed.
-func load(pool *buffer.Pool, byPage [][]*object.Object) (*heap.File, object.Locator, error) {
+func load(pool *buffer.Pool, byPage [][]*object.Object) (*heap.File, *object.MapLocator, error) {
 	loc := object.NewMapLocator()
 	file, err := heap.Load(pool, len(byPage), func(pg int, put func([]byte) (heap.RID, error)) error {
 		for _, o := range byPage[pg] {

@@ -21,7 +21,7 @@ func TestBuildDefaults(t *testing.T) {
 	if db.Template.Nodes() != 7 || depth(db.Template) != 3 {
 		t.Errorf("template shape wrong: %d nodes, depth %d", db.Template.Nodes(), depth(db.Template))
 	}
-	if n, _ := db.Store.Locator.Len(); n != 700 {
+	if n := db.Store.Locator.Len(); n != 700 {
 		t.Errorf("locator has %d objects, want 700", n)
 	}
 	// Cold start: generation traffic must be invisible.
@@ -384,7 +384,7 @@ func TestFanoutsShapes(t *testing.T) {
 			if got := len(db.Children); got != tc.nodes {
 				t.Errorf("Children has %d positions, want %d", got, tc.nodes)
 			}
-			if n, _ := db.Store.Locator.Len(); db.NextOID != object.OID(n+1) {
+			if n := db.Store.Locator.Len(); db.NextOID != object.OID(n+1) {
 				t.Errorf("NextOID = %v, want %v (locator holds %d, OIDs from 1)", db.NextOID, n+1, n)
 			}
 		})

@@ -19,7 +19,7 @@ import (
 // heap.Create formats every page through the pool, then Store.PutAt
 // places the objects page by page, registering each RID as it goes.
 // Build's EvictAll writes back what the pool still holds.
-func poolLoad(pool *buffer.Pool, byPage [][]*object.Object) (*heap.File, object.Locator, error) {
+func poolLoad(pool *buffer.Pool, byPage [][]*object.Object) (*heap.File, *object.MapLocator, error) {
 	file, err := heap.Create(pool, len(byPage))
 	if err != nil {
 		return nil, nil, err

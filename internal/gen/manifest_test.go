@@ -35,7 +35,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := db.SaveManifest(manPath); err != nil {
 		t.Fatal(err)
 	}
-	wantLoc, _ := db.Store.Locator.Len()
+	wantLoc := db.Store.Locator.Len()
 	// Remember a few ground truths before closing.
 	root0 := db.Roots[0]
 	rootObj, err := db.Store.Get(root0)
@@ -58,7 +58,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if len(re.Roots) != 150 || re.Roots[0] != root0 {
 		t.Errorf("roots lost")
 	}
-	if n, _ := re.Store.Locator.Len(); n != wantLoc {
+	if n := re.Store.Locator.Len(); n != wantLoc {
 		t.Errorf("locator has %d entries, want %d", n, wantLoc)
 	}
 	got, err := re.Store.Get(root0)

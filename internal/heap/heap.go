@@ -267,33 +267,6 @@ func (f *File) Update(rid RID, n int, fill func(rec []byte)) error {
 	return uerr
 }
 
-// Check validates every page of the extent: each must wrap a
-// structurally sound slotted page (bounds-checked slot directory, see
-// page.Validate) tagged KindHeap. It is the post-recovery integrity
-// sweep for heap files; checksum verification already happened on the
-// way into the pool.
-func (f *File) Check() error {
-	for idx := 0; idx < f.n; idx++ {
-		pid := f.first + disk.PageID(idx)
-		fr, err := f.pool.Fix(pid)
-		if err != nil {
-			return fmt.Errorf("heap: check page %d: %w", pid, err)
-		}
-		p := page.Wrap(fr.Data())
-		verr := p.Validate()
-		if verr == nil && p.Kind() != KindHeap {
-			verr = fmt.Errorf("heap: page %d kind %#x, want %#x", pid, p.Kind(), KindHeap)
-		}
-		if uerr := f.pool.Unfix(fr, false); verr == nil {
-			verr = uerr
-		}
-		if verr != nil {
-			return verr
-		}
-	}
-	return nil
-}
-
 // Scan calls fn for every live record in physical order; fn returning
 // false stops the scan early. The record slice is only valid during
 // the callback.

@@ -9,25 +9,16 @@ import (
 	"revelation/internal/page"
 )
 
-// Locator is the OID → physical-location mapping the paper assumes
-// ("Only that there is a mapping from object reference to physical
-// location", footnote 1). The assembly operator's elevator scheduler
-// consults it to learn where a reference lives before fetching it.
-type Locator interface {
-	// Lookup resolves an OID to the RID of its record.
-	Lookup(oid OID) (heap.RID, bool, error)
-	// Register records the location of an object.
-	Register(oid OID, rid heap.RID) error
-	// Len reports the number of registered objects.
-	Len() (int, error)
-}
-
 // ErrNilOID rejects registering or resolving the null reference.
 var ErrNilOID = errors.New("object: nil OID")
 
-// MapLocator keeps the mapping in memory. It models a resident OID
-// index (the usual choice in the paper's experiments, where index
-// traffic is excluded from the seek metric).
+// MapLocator is the OID → physical-location mapping the paper assumes
+// ("Only that there is a mapping from object reference to physical
+// location", footnote 1); the elevator scheduler consults it to learn
+// where a reference lives before fetching it. It keeps the mapping in
+// memory, modelling a resident OID index (the usual choice in the
+// paper's experiments, where index traffic is excluded from the seek
+// metric).
 //
 // The mapping is a dense directory: a slice indexed by the OID itself,
 // since a database numbers its objects 1, 2, 3, … and the operator asks
@@ -60,7 +51,7 @@ const denseSlack = 1024
 // NewMapLocator returns an empty in-memory locator.
 func NewMapLocator() *MapLocator { return &MapLocator{} }
 
-// Lookup implements Locator.
+// Lookup resolves an OID to the RID of its record, with a found flag.
 func (l *MapLocator) Lookup(oid OID) (heap.RID, bool, error) {
 	if uint64(oid) < uint64(len(l.dense)) {
 		if e := l.dense[oid]; e.set {
@@ -78,7 +69,7 @@ func (l *MapLocator) Lookup(oid OID) (heap.RID, bool, error) {
 	return heap.NilRID, false, nil
 }
 
-// Register implements Locator.
+// Register records the location of an object.
 func (l *MapLocator) Register(oid OID, rid heap.RID) error {
 	if oid.IsNil() {
 		return ErrNilOID
@@ -138,20 +129,20 @@ func (l *MapLocator) sweep() {
 	}
 }
 
-// Len implements Locator.
-func (l *MapLocator) Len() (int, error) { return l.n, nil }
+// Len reports the number of registered objects.
+func (l *MapLocator) Len() int { return l.n }
 
 // Store couples a heap file, a locator, and a catalog into the
 // object-storage facade the upper layers use: put an object somewhere,
 // get it back by OID.
 type Store struct {
 	File    *heap.File
-	Locator Locator
+	Locator *MapLocator
 	Catalog *Catalog
 }
 
 // NewStore assembles a store from its parts.
-func NewStore(f *heap.File, loc Locator, cat *Catalog) *Store {
+func NewStore(f *heap.File, loc *MapLocator, cat *Catalog) *Store {
 	return &Store{File: f, Locator: loc, Catalog: cat}
 }
 

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"revelation/internal/difftest"
 	"revelation/internal/disk"
 	"revelation/internal/heap"
 	"revelation/internal/wal"
@@ -31,30 +32,26 @@ func (l *oldMapLocator) Register(oid OID, rid heap.RID) error {
 	return nil
 }
 
-func (l *oldMapLocator) Len() (int, error) { return len(l.m), nil }
+func (l *oldMapLocator) Len() int { return len(l.m) }
 
 // sameAnswer compares a Lookup of the two locators. An OID that is not
 // registered must come back not found from both; the RID beside a "not
 // found" is NilRID now (the map handed out the zero RID, page 0 slot 0,
 // which no caller read).
-func sameAnswer(t *testing.T, when string, loc, old Locator, oid OID) {
-	t.Helper()
+func sameAnswer(fatalf func(string, ...any), when string, loc *MapLocator, old *oldMapLocator, oid OID) {
 	rid, ok, err := loc.Lookup(oid)
 	wantRID, wantOK, wantErr := old.Lookup(oid)
 	if !wantOK {
 		wantRID = heap.NilRID
 	}
 	if rid != wantRID || ok != wantOK || !errors.Is(err, wantErr) {
-		t.Fatalf("%s: Lookup(%v) = (%v, %v, %v), the map says (%v, %v, %v)", when, oid, rid, ok, err, wantRID, wantOK, wantErr)
+		fatalf("%s: Lookup(%v) = (%v, %v, %v), the map says (%v, %v, %v)", when, oid, rid, ok, err, wantRID, wantOK, wantErr)
 	}
 }
 
-func sameLen(t *testing.T, when string, loc, old Locator) {
-	t.Helper()
-	n, _ := loc.Len()
-	want, _ := old.Len()
-	if n != want {
-		t.Fatalf("%s: Len = %d, the map says %d", when, n, want)
+func sameLen(fatalf func(string, ...any), when string, loc *MapLocator, old *oldMapLocator) {
+	if n, want := loc.Len(), old.Len(); n != want {
+		fatalf("%s: Len = %d, the map says %d", when, n, want)
 	}
 }
 
@@ -91,10 +88,10 @@ func TestMapLocatorKeepsMapSemantics(t *testing.T) {
 			if !errors.Is(err, want) {
 				t.Fatalf("%s: Register(%v) = %v, the map says %v", c.name, r.oid, err, want)
 			}
-			sameLen(t, c.name, loc, old)
+			sameLen(t.Fatalf, c.name, loc, old)
 		}
 		for _, oid := range c.lookups {
-			sameAnswer(t, c.name, loc, old, oid)
+			sameAnswer(t.Fatalf, c.name, loc, old, oid)
 		}
 	}
 }
@@ -117,12 +114,12 @@ func TestMapLocatorDenseOverflowBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 		old.Register(oid, rid)
-		sameLen(t, "after Register", loc, old)
+		sameLen(t.Fatalf, "after Register", loc, old)
 		for known := range old.m {
-			sameAnswer(t, "after Register", loc, old, known)
+			sameAnswer(t.Fatalf, "after Register", loc, old, known)
 		}
 		for _, probe := range []OID{oid - 1, oid + 1, denseSlack - 1, denseSlack, denseSlack + 1, 1<<40 + 1} {
-			sameAnswer(t, "after Register", loc, old, probe)
+			sameAnswer(t.Fatalf, "after Register", loc, old, probe)
 		}
 		for k := range loc.far {
 			if uint64(k) < uint64(len(loc.dense)) && loc.dense[k].set {
@@ -164,7 +161,7 @@ func TestMapLocatorDenseOverflowBoundary(t *testing.T) {
 	register(1 << 40)
 	register(s + 27)
 	shape("an OID far out", s+28, 2)
-	if n, _ := loc.Len(); n != 18 {
+	if n := loc.Len(); n != 18 {
 		t.Fatalf("Len = %d, want 18", n)
 	}
 }
@@ -172,40 +169,40 @@ func TestMapLocatorDenseOverflowBoundary(t *testing.T) {
 // TestMapLocatorMatchesMap: random registrations and lookups over OIDs
 // that are dense, sparse and far, in any order, answer as the map does.
 func TestMapLocatorMatchesMap(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+	difftest.Walk(t, 0, 200, func(s *difftest.Seq) {
+		rng := rand.New(rand.NewSource(s.Seed))
 		loc, old := NewMapLocator(), &oldMapLocator{m: map[OID]heap.RID{}}
-		span := []uint64{40, 3000, 20000, 1 << 33}[seed%4]
+		span := []uint64{40, 3000, 20000, 1 << 33}[s.Seed%4]
 		draw := func() OID {
 			if rng.Intn(8) == 0 {
 				return OID(rng.Uint64() >> uint(rng.Intn(40)))
 			}
 			return OID(rng.Uint64() % span)
 		}
-		for step := 0; step < 3000; step++ {
+		for s.Step = 0; s.Step < 3000; s.Step++ {
 			oid := draw()
 			if rng.Intn(3) > 0 {
 				rid := heap.RID{Page: disk.PageID(rng.Uint32()), Slot: 7}
 				if err, want := loc.Register(oid, rid), old.Register(oid, rid); !errors.Is(err, want) {
-					t.Fatalf("seed %d: Register(%v) = %v, the map says %v", seed, oid, err, want)
+					s.Fatalf("Register(%v) = %v, the map says %v", oid, err, want)
 				}
-				sameLen(t, "random", loc, old)
+				sameLen(s.Fatalf, "random", loc, old)
 			}
-			sameAnswer(t, "random", loc, old, oid)
-			sameAnswer(t, "random", loc, old, draw())
+			sameAnswer(s.Fatalf, "random", loc, old, oid)
+			sameAnswer(s.Fatalf, "random", loc, old, draw())
 		}
 		for oid := range old.m {
-			sameAnswer(t, "at the end", loc, old, oid)
+			sameAnswer(s.Fatalf, "at the end", loc, old, oid)
 		}
 		if len(loc.dense) > 2*len(old.m)+denseSlack {
-			t.Fatalf("seed %d: %d dense entries for %d objects", seed, len(loc.dense), len(old.m))
+			s.Fatalf("%d dense entries for %d objects", len(loc.dense), len(old.m))
 		}
 		for k := range loc.far {
 			if uint64(k) < uint64(len(loc.dense)) && loc.dense[k].set {
-				t.Fatalf("seed %d: %v is in the directory and in the overflow", seed, k)
+				s.Fatalf("%v is in the directory and in the overflow", k)
 			}
 		}
-	}
+	})
 }
 
 // A database numbered 1..n ends up wholly dense whatever order its
@@ -218,7 +215,7 @@ func TestMapLocatorShuffledLoadEndsDense(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, _ := loc.Len(); got != n {
+	if got := loc.Len(); got != n {
 		t.Fatalf("Len = %d, want %d", got, n)
 	}
 	if len(loc.far) != 0 || len(loc.dense) > n+denseSlack {
@@ -255,7 +252,7 @@ func TestMapLocatorFarOIDCostsNoDirectory(t *testing.T) {
 	if rid, ok, err := loc.Lookup(1 << 40); err != nil || !ok || rid != (heap.RID{Page: 2, Slot: 3}) {
 		t.Errorf("Lookup(1<<40) = (%v, %v, %v)", rid, ok, err)
 	}
-	if n, _ := loc.Len(); n != 101 {
+	if n := loc.Len(); n != 101 {
 		t.Errorf("Len = %d, want 101", n)
 	}
 }

@@ -294,13 +294,13 @@ func TestCatalog(t *testing.T) {
 	}
 }
 
-func newStore(t testing.TB, loc Locator) *Store {
+func newStore(t testing.TB, loc *MapLocator) *Store {
 	t.Helper()
 	return newStoreOn(t, disk.New(0), loc)
 }
 
 // newStoreOn is newStore over a device of the caller's page size.
-func newStoreOn(t testing.TB, d *disk.Sim, loc Locator) *Store {
+func newStoreOn(t testing.TB, d *disk.Sim, loc *MapLocator) *Store {
 	t.Helper()
 	pool := buffer.New(d, 32)
 	f, err := heap.Create(pool, 8)

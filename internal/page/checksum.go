@@ -156,10 +156,13 @@ func Verify(buf []byte) error {
 // Stamp records the page's current checksum in its header.
 func (p *Page) Stamp() { Stamp(p.buf) }
 
-// VerifyDevice checksum-scans every page of dev and returns the ids
-// that fail verification. A non-nil error reports an I/O failure, not a
-// checksum failure; the returned slice is valid either way for the
-// pages scanned so far.
+// VerifyDevice scans every page of dev and returns the ids that fail:
+// a page whose stored checksum does not match its contents, and a
+// written page whose checksum holds but whose header or slot directory
+// Validate refuses (a record past the page's end, say, written so by a
+// bug rather than torn by a crash). A never-written, all-zero page
+// passes. A non-nil error reports an I/O failure, not a bad page; the
+// returned slice is valid either way for the pages scanned so far.
 func VerifyDevice(dev disk.Device) ([]disk.PageID, error) {
 	buf := make([]byte, dev.PageSize())
 	var bad []disk.PageID
@@ -168,7 +171,7 @@ func VerifyDevice(dev disk.Device) ([]disk.PageID, error) {
 		if err := dev.ReadPage(id, buf); err != nil {
 			return bad, fmt.Errorf("page: verify device: %w", err)
 		}
-		if Verify(buf) != nil {
+		if Verify(buf) != nil || !ZeroImage(buf) && Wrap(buf).Validate() != nil {
 			bad = append(bad, id)
 		}
 	}

@@ -3,7 +3,10 @@ package page
 import (
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"revelation/internal/disk"
 )
 
 // TestStampSumMatchesTwoPasses: StampSum leaves every image exactly as
@@ -34,5 +37,30 @@ func TestStampSumMatchesTwoPasses(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestVerifyDeviceValidatesSlottedPages: VerifyDevice reports a page
+// whose checksum holds but whose slot points past the data area, beside
+// a torn page, and passes a sound page and a never-written one (1).
+func TestVerifyDeviceValidatesSlottedPages(t *testing.T) {
+	const size = 256
+	dev := disk.NewSim(size, 4)
+	write := func(id disk.PageID, finish func(p *Page)) {
+		p := Wrap(make([]byte, size))
+		p.Init(1)
+		if _, err := p.Insert([]byte("a record")); err != nil {
+			t.Fatal(err)
+		}
+		finish(p)
+		if err := dev.WritePage(id, p.buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(0, (*Page).Stamp)
+	write(2, func(p *Page) { p.setSlot(0, size-4, 8); p.Stamp() }) // the record runs 4 bytes past the page
+	write(3, func(p *Page) { p.Stamp(); p.buf[size-1] ^= 0xff })   // torn after stamping
+	if bad, err := VerifyDevice(dev); err != nil || !slices.Equal(bad, []disk.PageID{2, 3}) {
+		t.Errorf("VerifyDevice = %v, %v; want pages 2 (slot past the data area) and 3 (torn)", bad, err)
 	}
 }

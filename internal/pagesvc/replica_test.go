@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"revelation/internal/buffer"
+	"revelation/internal/difftest"
 	"revelation/internal/disk"
 	"revelation/internal/heap"
 	"revelation/internal/page"
@@ -374,7 +375,7 @@ func TestReplicaStopsAtDeltaGap(t *testing.T) {
 // from the stream's buffer, which the device copies. Each run applies
 // an image and the delta that follows it.
 func TestReplicaApplyAllocs(t *testing.T) {
-	if raceEnabled {
+	if difftest.Race {
 		t.Skip("the race detector allocates on its own account")
 	}
 	dev := disk.New(0)

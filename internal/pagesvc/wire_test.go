@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"revelation/internal/difftest"
 	"revelation/internal/disk"
 	"revelation/internal/leakcheck"
 	"revelation/internal/wal"
@@ -350,7 +351,7 @@ const wireReadAllocs = 0
 // TestWireReadAllocs pins the allocations of one page read over the
 // wire, both ends counted.
 func TestWireReadAllocs(t *testing.T) {
-	if raceEnabled {
+	if difftest.Race {
 		t.Skip("the race detector allocates on its own account")
 	}
 	c := wirePair(t, numberedPages(t, 16), ClientConfig{})
@@ -375,7 +376,7 @@ func TestWireReadAllocs(t *testing.T) {
 // one frame each way allocate what one page does, and nothing per page;
 // neither end makes a buffer for a frame that outgrows its reader's.
 func TestWireReadRunAllocs(t *testing.T) {
-	if raceEnabled {
+	if difftest.Race {
 		t.Skip("the race detector allocates on its own account")
 	}
 	c := wirePair(t, numberedPages(t, 16), ClientConfig{})

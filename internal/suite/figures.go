@@ -29,6 +29,9 @@ type Series struct {
 	// Extra carries a secondary metric per point (e.g. total reads)
 	// when a figure's discussion references one; may be nil.
 	Extra []float64 `json:"extra,omitempty"`
+	// TotalSeek carries each point's summed read seek distance (pages)
+	// when a figure weighs it against the read count; may be nil.
+	TotalSeek []float64 `json:"total_seek,omitempty"`
 }
 
 // Figure is a reproduced paper figure: a set of series over a shared
@@ -48,8 +51,9 @@ func (f Figure) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "=== %s: %s ===\n", f.ID, f.Title)
 	fmt.Fprintf(&b, "%-14s", f.XLabel)
+	width := func(s Series) int { return max(22, len(s.Label)+2) }
 	for _, s := range f.Series {
-		fmt.Fprintf(&b, "%22s", s.Label)
+		fmt.Fprintf(&b, "%*s", width(s), s.Label)
 	}
 	b.WriteString("\n")
 	if len(f.Series) > 0 {
@@ -57,9 +61,9 @@ func (f Figure) Table() string {
 			fmt.Fprintf(&b, "%-14.0f", f.Series[0].X[i])
 			for _, s := range f.Series {
 				if i < len(s.Y) {
-					fmt.Fprintf(&b, "%22.1f", s.Y[i])
+					fmt.Fprintf(&b, "%*.1f", width(s), s.Y[i])
 				} else {
-					fmt.Fprintf(&b, "%22s", "-")
+					fmt.Fprintf(&b, "%*s", width(s), "-")
 				}
 			}
 			b.WriteString("\n")
@@ -148,8 +152,9 @@ type figureDef struct {
 	// figure reports.
 	set func(sc *Scenario, x float64) float64
 	// y is the plotted counter; extra, when non-nil, fills the Extra
-	// channel.
-	y, extra metric
+	// channel; totalSeek fills the TotalSeek channel.
+	y, extra  metric
+	totalSeek bool
 	// wallClock, when non-nil, replaces the sweep: the figure measures
 	// throughput with its own loop, so its output is not deterministic
 	// and AllFigures leaves it out.
@@ -181,19 +186,20 @@ func figureTable(p FigureParams) []figureDef {
 	for _, pages := range []int{64, 128, 256, 512} {
 		buffers = append(buffers, seriesDef{label: fmt.Sprintf("buffer=%d", pages), tune: func(sc *Scenario) { sc.BufferPgs = pages }})
 	}
+	// elevator is the elevator at window w with feature applied.
+	elevator := func(w int, suffix string, feature func(*Scenario)) seriesDef {
+		return seriesDef{label: fmt.Sprintf("elevator w=%d%s", w, suffix), tune: func(sc *Scenario) {
+			sc.Scheduler, sc.Window = assembly.Elevator, w
+			feature(sc)
+		}}
+	}
 	// policies is the paper's three-way comparison: object-at-a-time
 	// against the elevator at windows 1 and 50, the elevator series with
 	// the figure's feature switched on.
 	policies := func(naive string, feature func(*Scenario)) []seriesDef {
-		elevator := func(w int) seriesDef {
-			return seriesDef{label: fmt.Sprintf("elevator w=%d", w), tune: func(sc *Scenario) {
-				sc.Scheduler, sc.Window = assembly.Elevator, w
-				feature(sc)
-			}}
-		}
 		return []seriesDef{
 			{label: naive, tune: func(sc *Scenario) { sc.Scheduler, sc.Window = assembly.DepthFirst, 1 }},
-			elevator(1), elevator(50),
+			elevator(1, "", feature), elevator(50, "", feature),
 		}
 	}
 
@@ -249,10 +255,13 @@ func figureTable(p FigureParams) []figureDef {
 		},
 		// Figure 15: shared sub-objects (degree 0.25, inter-object
 		// clustering). Extra carries total reads, since the paper notes
-		// sharing statistics also "reduce the total number of reads".
-		// The buffer is restricted: a pool that holds the whole database
-		// never flushes a shared page, and the statistics would have
-		// nothing to save.
+		// sharing statistics also "reduce the total number of reads",
+		// and TotalSeek the summed seek: the reads the statistics save
+		// are short ones, so they raise seek per read while they lower
+		// both totals. The elevator runs with the statistics and
+		// without. The buffer is restricted: a pool that holds the whole
+		// database never flushes a shared page, and the statistics would
+		// have nothing to save.
 		figureDef{
 			Figure: Figure{
 				ID:     "fig15",
@@ -262,11 +271,13 @@ func figureTable(p FigureParams) []figureDef {
 				Notes: []string{
 					"elevator series use sharing statistics; depth-first is object-at-a-time",
 					fmt.Sprintf("buffer restricted to %d pages", n(256)),
+					"the no-stats series are the elevator without sharing statistics; total_seek is each point's summed read seek (pages)",
 				},
 			},
-			base:   Scenario{Clustering: gen.InterObject, Sharing: 0.25, BufferPgs: n(256)},
-			series: policies("depth-first", func(sc *Scenario) { sc.UseSharingStats = true }),
-			xs:     sizes, set: bySize, y: avgSeek, extra: reads,
+			base: Scenario{Clustering: gen.InterObject, Sharing: 0.25, BufferPgs: n(256)},
+			series: append(policies("depth-first", func(sc *Scenario) { sc.UseSharingStats = true }),
+				elevator(1, " no stats", func(*Scenario) {}), elevator(50, " no stats", func(*Scenario) {})),
+			xs: sizes, set: bySize, y: avgSeek, extra: reads, totalSeek: true,
 		},
 		// Figure 16: a predicate of the given selectivity on a leaf;
 		// selective assembly aborts failing objects early and fetches
@@ -474,6 +485,9 @@ func (s *Session) sweep(d figureDef, p FigureParams) (Figure, error) {
 			out.Y = append(out.Y, d.y(sc, res))
 			if d.extra != nil {
 				out.Extra = append(out.Extra, d.extra(sc, res))
+			}
+			if d.totalSeek {
+				out.TotalSeek = append(out.TotalSeek, float64(res.Dev.SeekReads))
 			}
 		}
 		fig.Series = append(fig.Series, out)

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"revelation/internal/buffer"
+	"revelation/internal/difftest"
 	"revelation/internal/disk"
 	"revelation/internal/gen"
 	"revelation/internal/heap"
@@ -94,16 +94,15 @@ func (s *deltaSide) run(op deltaOp, rids []heap.RID) (string, error) {
 
 // cut ends the side as a crash would — the pool and the log's unsynced
 // records are dropped — and recovers the data device from the log.
-func (s *deltaSide) cut(t *testing.T, tag string) (res *Result, preBad int) {
-	t.Helper()
+func (s *deltaSide) cut(seq *difftest.Seq) (res *Result, preBad int) {
 	s.cp.Revive()
 	bad, err := page.VerifyDevice(s.data)
 	if err != nil {
-		t.Fatalf("%s: pre-recovery scan: %v", tag, err)
+		seq.Fatalf("pre-recovery scan: %v", err)
 	}
 	res, err = Recover(s.log, s.data, Options{})
 	if err != nil {
-		t.Fatalf("%s: recover: %v", tag, err)
+		seq.Fatalf("recover: %v", err)
 	}
 	return res, len(bad)
 }
@@ -127,12 +126,9 @@ func logKinds(t *testing.T, dev disk.Device) map[byte]int {
 // that cut both data devices are recovered from their logs and must be
 // byte-identical, page for page, and every page must verify.
 func TestDeltaMatchesFullImages(t *testing.T) {
-	sequences := 10000
-	if testing.Short() || raceEnabled {
-		sequences = 400
-	}
 	met := map[string]int{}
-	for seed := int64(0); seed < int64(sequences); seed++ {
+	difftest.Walk(t, 0, difftest.Count(10000, 400), func(seq *difftest.Seq) {
+		seed := seq.Seed
 		rng := rand.New(rand.NewSource(seed))
 		var crashAt int64
 		if rng.Intn(3) != 0 {
@@ -141,28 +137,28 @@ func TestDeltaMatchesFullImages(t *testing.T) {
 		torn := rng.Intn(2) == 0
 		got := newDeltaSide(t, crashAt, torn, seed, true)
 		want := newDeltaSide(t, crashAt, torn, seed, false)
-		tag := fmt.Sprintf("seed %d (crash at %d, torn %v)", seed, crashAt, torn)
+		seq.Tag = fmt.Sprintf("crash at %d, torn %v", crashAt, torn)
 
 		var rids []heap.RID
 		var lens []int
 		steps := 10 + rng.Intn(40)
-		for step := -1; step < steps; step++ {
+		for ; seq.Step < steps; seq.Step++ { // from -1: the heap's creation
 			op := deltaOp{kind: "create"}
-			if step >= 0 {
+			if seq.Step >= 0 {
 				op = drawDeltaOp(rng, lens)
 			}
 			gr, gerr := got.run(op, rids)
 			wr, werr := want.run(op, rids)
 			if gr != wr || fmt.Sprint(gerr) != fmt.Sprint(werr) {
-				t.Fatalf("%s: step %d %s: %q, %v; full images: %q, %v", tag, step, op.kind, gr, gerr, wr, werr)
+				seq.Fatalf("%s: %q, %v; full images: %q, %v", op.kind, gr, gerr, wr, werr)
 			}
 			if gerr != nil {
 				if errors.Is(gerr, disk.ErrCrashed) {
 					met["crash"]++
 					break
 				}
-				if step < 0 {
-					t.Fatalf("%s: create: %v", tag, gerr)
+				if seq.Step < 0 {
+					seq.Fatalf("create: %v", gerr)
 				}
 				continue
 			}
@@ -176,33 +172,33 @@ func TestDeltaMatchesFullImages(t *testing.T) {
 			}
 		}
 
-		gres, gbad := got.cut(t, tag)
-		wres, wbad := want.cut(t, tag)
+		gres, gbad := got.cut(seq)
+		wres, wbad := want.cut(seq)
 		wres.TailOffset = gres.TailOffset // the one thing the logs' sizes change
 		if *gres != *wres || gbad != wbad {
-			t.Fatalf("%s: recovered %s (%d torn pages); full images %s (%d)", tag, gres, gbad, wres, wbad)
+			seq.Fatalf("recovered %s (%d torn pages); full images %s (%d)", gres, gbad, wres, wbad)
 		}
 		if gbad > 0 {
 			met["torn page repaired"]++
 		}
 		if n := got.data.NumPages(); n != want.data.NumPages() {
-			t.Fatalf("%s: %d data pages, full images %d", tag, n, want.data.NumPages())
+			seq.Fatalf("%d data pages, full images %d", n, want.data.NumPages())
 		}
 		gb, wb := make([]byte, disk.DefaultPageSize), make([]byte, disk.DefaultPageSize)
 		for p := disk.PageID(0); int(p) < got.data.NumPages(); p++ {
 			if err := errors.Join(got.data.ReadPage(p, gb), want.data.ReadPage(p, wb)); err != nil {
-				t.Fatalf("%s: read page %d: %v", tag, p, err)
+				seq.Fatalf("read page %d: %v", p, err)
 			}
 			if !bytes.Equal(gb, wb) {
-				t.Fatalf("%s: page %d recovers differently from the delta log", tag, p)
+				seq.Fatalf("page %d recovers differently from the delta log", p)
 			}
 			if err := page.Verify(gb); err != nil {
-				t.Fatalf("%s: page %d after recovery: %v", tag, p, err)
+				seq.Fatalf("page %d after recovery: %v", p, err)
 			}
 		}
 		kinds := logKinds(t, got.log)
 		if logKinds(t, want.log)[RecDelta] != 0 {
-			t.Fatalf("%s: the full-image log holds deltas", tag)
+			seq.Fatalf("the full-image log holds deltas")
 		}
 		if kinds[RecDelta] > 0 {
 			met["delta"]++
@@ -210,7 +206,7 @@ func TestDeltaMatchesFullImages(t *testing.T) {
 				met["delta redone"]++
 			}
 		}
-	}
+	})
 	for _, what := range []string{"crash", "torn page repaired", "resize", "delta", "delta redone"} {
 		if met[what] == 0 {
 			t.Errorf("no sequence met a %s", what)
@@ -464,7 +460,7 @@ func TestAppendDeltaRefusals(t *testing.T) {
 // TestAppendSyncAllocs pins Append's: no allocation per record once the
 // pending buffer has grown.
 func TestAppendDeltaSyncAllocs(t *testing.T) {
-	if raceEnabled {
+	if difftest.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	w, err := Open(disk.New(0))
@@ -475,25 +471,10 @@ func TestAppendDeltaSyncAllocs(t *testing.T) {
 	if _, err := w.Append(0, img); err != nil {
 		t.Fatal(err)
 	}
-	const perSync, rounds = 32, 256
-	round := func() {
-		for i := 0; i < perSync; i++ {
-			if _, err := w.AppendDelta(disk.PageID(i), img, 100, 96); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Sync(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	round() // the pending buffer reaches its size
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for r := 0; r < rounds; r++ {
-		round()
-	}
-	runtime.ReadMemStats(&after)
-	per := float64(after.Mallocs-before.Mallocs) / (perSync * rounds)
+	per := appendSyncAllocs(t, w, func(i int) error {
+		_, err := w.AppendDelta(disk.PageID(i), img, 100, 96)
+		return err
+	})
 	if per > 0.05 {
 		t.Errorf("%.4f allocations per appended delta, want at most 0.05", per)
 	}

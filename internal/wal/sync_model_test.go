@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"revelation/internal/difftest"
 	"revelation/internal/disk"
 	"revelation/internal/page"
 )
@@ -299,13 +300,10 @@ func errClass(err error) string {
 // allocated and the model did not — a different device, not a different
 // writer.)
 func TestSyncMatchesModel(t *testing.T) {
-	sequences := 10000
-	if testing.Short() || raceEnabled {
-		sequences = 400
-	}
 	sizes := []int{128, 512, 1024, 4096}
 	met := map[string]int{}
-	for seed := int64(0); seed < int64(sequences); seed++ {
+	difftest.Walk(t, 0, difftest.Count(10000, 400), func(seq *difftest.Seq) {
+		seed := seq.Seed
 		rng := rand.New(rand.NewSource(seed))
 		ps := sizes[rng.Intn(len(sizes))]
 		var faults disk.FaultConfig
@@ -319,8 +317,8 @@ func TestSyncMatchesModel(t *testing.T) {
 		torn := rng.Intn(2) == 0
 		got := newLogSide(ps, faults, crashAt, torn, seed)
 		want := newLogSide(ps, faults, crashAt, torn, seed)
-		runLogSequence(t, seed, rng, ps, got, want, met)
-	}
+		runLogSequence(t, seq, rng, ps, got, want, met)
+	})
 	// The sequences must have met what the comparison is for.
 	for _, what := range []string{"crash", "fault", "sync of 3+ pages", "reopen over a log"} {
 		if met[what] == 0 {
@@ -330,15 +328,14 @@ func TestSyncMatchesModel(t *testing.T) {
 	t.Logf("met: %v", met)
 }
 
-func runLogSequence(t *testing.T, seed int64, rng *rand.Rand, ps int, got, want *logSide, met map[string]int) {
-	t.Helper()
+func runLogSequence(t *testing.T, seq *difftest.Seq, rng *rand.Rand, ps int, got, want *logSide, met map[string]int) {
 	gw, gerr := Open(got.dev)
 	mw, werr := modelOpen(want.dev)
 	if gerr != nil || werr != nil {
-		t.Fatalf("seed %d: open: %v, model %v", seed, gerr, werr)
+		seq.Fatalf("open: %v, model %v", gerr, werr)
 	}
 	steps := 10 + rng.Intn(40)
-	for step := 0; step < steps; step++ {
+	for seq.Step = 0; seq.Step < steps; seq.Step++ {
 		var gerr, werr error
 		var glsn, wlsn uint64
 		op, writes := "?", len(got.dev.writes)
@@ -361,7 +358,7 @@ func runLogSequence(t *testing.T, seed int64, rng *rand.Rand, ps int, got, want 
 			glsn, gerr = gw.Append(id, gimg)
 			wlsn, werr = mw.Append(id, wimg)
 			if string(gimg) != string(wimg) {
-				t.Fatalf("seed %d step %d %s: stamped images differ", seed, step, op)
+				seq.Fatalf("%s: stamped images differ", op)
 			}
 		case k < 11:
 			lo := disk.PageID(rng.Intn(1000))
@@ -408,38 +405,38 @@ func runLogSequence(t *testing.T, seed int64, rng *rand.Rand, ps int, got, want 
 			met["sync of 3+ pages"]++
 		}
 		if errClass(gerr) != errClass(werr) {
-			t.Fatalf("seed %d step %d %s: error %v, model %v", seed, step, op, gerr, werr)
+			seq.Fatalf("%s: error %v, model %v", op, gerr, werr)
 		}
 		if glsn != wlsn {
-			t.Fatalf("seed %d step %d %s: LSN %d, model %d", seed, step, op, glsn, wlsn)
+			seq.Fatalf("%s: LSN %d, model %d", op, glsn, wlsn)
 		}
 		if g, w := gw.Tail(), mw.tail; g != w {
-			t.Fatalf("seed %d step %d %s: Tail %d, model %d", seed, step, op, g, w)
+			seq.Fatalf("%s: Tail %d, model %d", op, g, w)
 		}
 		if g, w := gw.DurableLSN(), mw.durableLSN; g != w {
-			t.Fatalf("seed %d step %d %s: DurableLSN %d, model %d", seed, step, op, g, w)
+			seq.Fatalf("%s: DurableLSN %d, model %d", op, g, w)
 		}
 		if g, w := gw.AppendedLSN(), mw.appendedLSN; g != w {
-			t.Fatalf("seed %d step %d %s: AppendedLSN %d, model %d", seed, step, op, g, w)
+			seq.Fatalf("%s: AppendedLSN %d, model %d", op, g, w)
 		}
 		if g, w := got.cp.Writes(), want.cp.Writes(); g != w {
-			t.Fatalf("seed %d step %d %s: crash point counted %d writes, model %d", seed, step, op, g, w)
+			seq.Fatalf("%s: crash point counted %d writes, model %d", op, g, w)
 		}
 		if len(got.dev.writes) != len(want.dev.writes) {
-			t.Fatalf("seed %d step %d %s: %d writes reached the log, model %d",
-				seed, step, op, len(got.dev.writes), len(want.dev.writes))
+			seq.Fatalf("%s: %d writes reached the log, model %d",
+				op, len(got.dev.writes), len(want.dev.writes))
 		}
 		for i, g := range got.dev.writes {
 			if w := want.dev.writes[i]; g != w {
-				t.Fatalf("seed %d step %d %s: write %d was page %d (sum %08x), model page %d (%08x)",
-					seed, step, op, i+1, g.page, g.sum, w.page, w.sum)
+				seq.Fatalf("%s: write %d was page %d (sum %08x), model page %d (%08x)",
+					op, i+1, g.page, g.sum, w.page, w.sum)
 			}
 		}
 		// Only a sync, a close or a reopen writes or grows the log.
 		if k := op[0]; k == 'S' || k == 'C' || k == 'r' {
 			if !sameLog(got.bytes(t), want.bytes(t)) {
-				t.Fatalf("seed %d step %d %s: log bytes differ (%d pages, model %d)",
-					seed, step, op, got.sim.NumPages(), want.sim.NumPages())
+				seq.Fatalf("%s: log bytes differ (%d pages, model %d)",
+					op, got.sim.NumPages(), want.sim.NumPages())
 			}
 		}
 	}
@@ -451,7 +448,7 @@ func runLogSequence(t *testing.T, seed int64, rng *rand.Rand, ps int, got, want 
 // the page index's doubling — at most 0.05 allocations per appended
 // image, where a page of its own made it about one.
 func TestAppendSyncAllocs(t *testing.T) {
-	if raceEnabled {
+	if difftest.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	w, err := Open(disk.New(0))
@@ -459,10 +456,25 @@ func TestAppendSyncAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := benchImage(disk.DefaultPageSize, 0)
+	per := appendSyncAllocs(t, w, func(i int) error {
+		_, err := w.Append(disk.PageID(i), img)
+		return err
+	})
+	if per > 0.05 {
+		t.Errorf("%.4f allocations per appended image, want at most 0.05", per)
+	}
+	t.Logf("%.4f allocations per appended image", per)
+}
+
+// appendSyncAllocs is the allocations per record of rounds of 32
+// appends to w, each by appendOne, and a sync, once the pending buffer
+// has reached its size.
+func appendSyncAllocs(t *testing.T, w *Writer, appendOne func(i int) error) float64 {
+	t.Helper()
 	const perSync, rounds = 32, 256
 	round := func() {
 		for i := 0; i < perSync; i++ {
-			if _, err := w.Append(disk.PageID(i), img); err != nil {
+			if err := appendOne(i); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -477,11 +489,7 @@ func TestAppendSyncAllocs(t *testing.T) {
 		round()
 	}
 	runtime.ReadMemStats(&after)
-	per := float64(after.Mallocs-before.Mallocs) / (perSync * rounds)
-	if per > 0.05 {
-		t.Errorf("%.4f allocations per appended image, want at most 0.05", per)
-	}
-	t.Logf("%.4f allocations per appended image", per)
+	return float64(after.Mallocs-before.Mallocs) / (perSync * rounds)
 }
 
 // countingAllocs counts the Allocate calls that reach a device.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"revelation/internal/buffer"
+	"revelation/internal/difftest"
 	"revelation/internal/disk"
 	"revelation/internal/metrics"
 	"revelation/internal/page"
@@ -349,7 +350,7 @@ func TestMetricsCrossCheck(t *testing.T) {
 // TestReaderNextAllocs pins the redo's read side: each record costs the
 // one allocation of the image Next returns, and nothing for its header.
 func TestReaderNextAllocs(t *testing.T) {
-	if raceEnabled {
+	if difftest.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const records = 201 // AllocsPerRun's warm-up call reads one more
