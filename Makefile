@@ -235,13 +235,14 @@ test-race:
 	$(GO) test -race ./...
 
 # The concurrency-sensitive packages under the race detector — the
-# layers a live metrics scraper reads while workers mutate, and the
-# devices whose Head a scheduling step loads without their mutex
-# (CI's second job; test-race covers everything but takes much longer).
-# This is the one race pass of these packages' tests in CI, the check
-# job's checks included; the chaos tests are left to chaos-test.
+# layers a live metrics scraper reads while workers mutate, the devices
+# whose Head a scheduling step loads without their mutex, and the seed
+# walk, whose count rule reads the race flag (CI's second job;
+# test-race covers everything but takes much longer). This is the one
+# race pass of these packages' tests in CI, the check job's checks
+# included; the chaos tests are left to chaos-test.
 race-core:
-	$(GO) test -race -skip '$(CHAOS_TESTS)' ./internal/trace ./internal/metrics ./internal/buffer ./internal/volcano ./internal/serve ./internal/disk ./internal/assembly
+	$(GO) test -race -skip '$(CHAOS_TESTS)' ./internal/trace ./internal/metrics ./internal/buffer ./internal/volcano ./internal/serve ./internal/disk ./internal/assembly ./internal/difftest
 
 # The query-lifecycle chaos tests under the race detector: concurrent
 # queries with random-point cancellation, goroutine-leak and

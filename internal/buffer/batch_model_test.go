@@ -409,6 +409,7 @@ func TestFixBatchMatchesFixLoop(t *testing.T) {
 	sizes := []int{1, 2, 7, 64}
 	var total batchStats
 	var evictions, misses, ioErrors int64
+	t.Parallel()
 	difftest.Walk(t, 0, sequences, func(seq *difftest.Seq) {
 		s := int(seq.Seed)
 		var ls *Lanes

@@ -140,6 +140,7 @@ func TestPageTableMatchesMap(t *testing.T) {
 		pools[k] = ids
 	}
 	var longest int
+	t.Parallel()
 	difftest.Walk(t, 0, sequences, func(seq *difftest.Seq) {
 		s := int(seq.Seed)
 		nframes, ids := sizes[s%len(sizes)], pools[s%len(sizes)]

@@ -501,6 +501,7 @@ func TestVictimHeapMatchesScan(t *testing.T) {
 	sequences, steps := difftest.Count(10000, 400), 120
 	sizes := []int{1, 2, 7, 64}
 	var evictions, refused int64
+	t.Parallel()
 	difftest.Walk(t, 0, sequences, func(s *difftest.Seq) {
 		r := newDiffRig(s, sizes[s.Seed%int64(len(sizes))])
 		for s.Step = 0; s.Step < steps; s.Step++ {

@@ -19,10 +19,8 @@ const Race = race
 
 // Count is the number of sequences a walk runs: full by default,
 // reduced under -short or the race detector.
-func Count(full, reduced int) int { return count(full, reduced, testing.Short(), Race) }
-
-func count(full, reduced int, short, race bool) int {
-	if short || race {
+func Count(full, reduced int) int {
+	if testing.Short() || Race {
 		return reduced
 	}
 	return full
@@ -50,16 +48,10 @@ func (s *Seq) Fatalf(format string, args ...any) {
 	s.tb.Fatalf("%s: %s", where, fmt.Sprintf(format, args...))
 }
 
-// Walk runs seq for each of the n seeds from first on, in order, in
-// parallel with the package's other parallel tests: what it drives must
-// share no package-level state with them.
-func Walk(t *testing.T, first int64, n int, seq func(*Seq)) {
-	t.Parallel()
-	walk(t, first, n, seq)
-}
-
-// walk reports a panic in seq, too, at its seed and step.
-func walk(tb testing.TB, first int64, n int, seq func(*Seq)) {
+// Walk runs seq for each of the n seeds from first on, in order, and
+// reports a panic in seq, too, at its seed and step. A test whose
+// sequences share no package-level state calls t.Parallel first.
+func Walk(tb testing.TB, first int64, n int, seq func(*Seq)) {
 	for seed := first; seed < first+int64(n); seed++ {
 		s := &Seq{Seed: seed, Step: -1, tb: tb}
 		func() {

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"flag"
 	"fmt"
 	"runtime"
 	"testing"
@@ -20,28 +21,28 @@ func (r *recorder) Fatalf(format string, args ...any) {
 	runtime.Goexit()
 }
 
-// A divergence planted at a chosen seed and step — before the first
-// step, at one, after the last, or a panic — is reported as exactly that
-// seed and step, with the sequence's tag, and the walk runs no seed after
-// it. Without one (seed -1), every seed runs once, in order.
+// A divergence planted at a chosen seed and step (here before the first
+// step), or a panic there, is reported as exactly that seed and step
+// with the sequence's tag, and the walk runs no seed after it. Without
+// one, every seed runs once, in order.
 func TestWalkReportsSeedAndStep(t *testing.T) {
 	for _, c := range []struct {
-		first, seed, step int64
-		tag               string
-		panics            bool
-	}{{0, 0, 0, "", false}, {0, 37, 119, "", false}, {1, 9, 17, "7 frames", false}, {0, 3, -1, "", false},
-		{0, 5, 120, "", false}, {1, -1, 0, "", false}, {0, 11, 40, "", true}} {
+		seed, step int
+		panics     bool
+		want       string
+	}{{9, -1, false, "seed 9 step -1, 9 frames: planted"}, {11, 2, true, "seed 11 step 2, 11 frames: panic: planted\n"}, {-1, 0, false, ""}} {
 		var r recorder
-		next, done := c.first, make(chan struct{})
+		next, done := int64(1), make(chan struct{})
 		go func() {
 			defer close(done)
-			walk(&r, c.first, 50, func(s *Seq) {
-				s.Tag = c.tag
+			Walk(&r, 1, 20, func(s *Seq) {
 				if s.Seed != next {
 					t.Errorf("seed %d ran after seed %d", s.Seed, next-1)
 				}
-				for next++; s.Step <= 120; s.Step++ {
-					if s.Seed == c.seed && s.Step == int(c.step) {
+				next++
+				s.Tag = fmt.Sprintf("%d frames", s.Seed)
+				for ; s.Step < 3; s.Step++ { // from -1, before the first step
+					if s.Seed == int64(c.seed) && s.Step == c.step {
 						if c.panics {
 							panic("planted")
 						}
@@ -51,36 +52,32 @@ func TestWalkReportsSeedAndStep(t *testing.T) {
 			})
 		}()
 		<-done
-		where, last := fmt.Sprintf("seed %d step %d", c.seed, c.step), c.seed
-		if c.tag != "" {
-			where += ", " + c.tag
-		}
-		want := where + ": planted"
-		if c.panics {
-			want = where + ": panic: planted\n"
-			r.report = r.report[:min(len(r.report), len(want))] // then the stack
-		}
+		last, got := int64(c.seed), r.report
 		if c.seed < 0 {
-			want, last = "", c.first+49
+			last = 20
 		}
-		if r.report != want || next != last+1 {
-			t.Errorf("planted at seed %d step %d: report %q after seed %d; want %q after seed %d", c.seed, c.step, r.report, next-1, want, last)
+		if c.panics {
+			got = got[:min(len(got), len(c.want))] // then the stack
+		}
+		if got != c.want || next != last+1 {
+			t.Errorf("planted at seed %d step %d: report %q after seed %d; want %q after seed %d", c.seed, c.step, r.report, next-1, c.want, last)
 		}
 	}
 }
 
-// The full count by default, the reduced one under -short, under the
-// race detector and under both; Count follows the run's own flags.
+// The full count by default and the reduced one under -short; under the
+// race detector (make race-core runs this package) the reduced one both
+// ways.
 func TestCountRule(t *testing.T) {
-	for _, c := range []struct {
-		short, race bool
-		want        int
-	}{{false, false, 10000}, {true, false, 400}, {false, true, 400}, {true, true, 400}} {
-		if got := count(10000, 400, c.short, c.race); got != c.want {
-			t.Errorf("-short %v, race %v: %d sequences, want %d", c.short, c.race, got, c.want)
+	defer flag.Set("test.short", fmt.Sprint(testing.Short()))
+	for _, short := range []bool{false, true} {
+		flag.Set("test.short", fmt.Sprint(short))
+		want := 10000
+		if short || Race {
+			want = 400
 		}
-	}
-	if got, want := Count(10000, 400), count(10000, 400, testing.Short(), Race); got != want {
-		t.Errorf("Count = %d under -short %v and race %v, want %d", got, testing.Short(), Race, want)
+		if got := Count(10000, 400); got != want {
+			t.Errorf("-short %v, race %v: %d sequences, want %d", short, Race, got, want)
+		}
 	}
 }

@@ -605,6 +605,7 @@ func TestArmMatchesOldBookkeepers(t *testing.T) {
 		return d, &modelFile{f: f, pageSize: modelPageSize, numPages: modelPages}
 	}
 	t.Run("memory", func(t *testing.T) {
+		t.Parallel()
 		difftest.Walk(t, 0, sequences, func(s *difftest.Seq) {
 			runSequence(s,
 				newSide(simHeader{NewSim(modelPageSize, modelPages)}),
@@ -612,6 +613,7 @@ func TestArmMatchesOldBookkeepers(t *testing.T) {
 		})
 	})
 	t.Run("file", func(t *testing.T) {
+		t.Parallel()
 		difftest.Walk(t, 0, sequences, func(s *difftest.Seq) {
 			d, m := openBoth(t)
 			runSequence(s, newSide(simHeader{d}), newSide(modelFileHeader{m}))
@@ -624,6 +626,7 @@ func TestArmMatchesOldBookkeepers(t *testing.T) {
 		})
 	})
 	t.Run("client", func(t *testing.T) {
+		t.Parallel()
 		difftest.Walk(t, 0, sequences, func(s *difftest.Seq) {
 			runSequence(s, newSide(&armHeader{}), newSide(modelClientHeader{&modelClient{}}))
 		})

@@ -180,6 +180,7 @@ func TestWritePagesMatchesWritePage(t *testing.T) {
 	if testing.Short() {
 		seeds = 3
 	}
+	t.Parallel()
 	difftest.Walk(t, 1, seeds, func(s *difftest.Seq) {
 		for s.Step = 0; s.Step < len(writeStacks)*len(writeCases); s.Step++ {
 			kind, wc := writeStacks[s.Step/len(writeCases)], writeCases[s.Step%len(writeCases)]

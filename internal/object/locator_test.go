@@ -169,6 +169,7 @@ func TestMapLocatorDenseOverflowBoundary(t *testing.T) {
 // TestMapLocatorMatchesMap: random registrations and lookups over OIDs
 // that are dense, sparse and far, in any order, answer as the map does.
 func TestMapLocatorMatchesMap(t *testing.T) {
+	t.Parallel()
 	difftest.Walk(t, 0, 200, func(s *difftest.Seq) {
 		rng := rand.New(rand.NewSource(s.Seed))
 		loc, old := NewMapLocator(), &oldMapLocator{m: map[OID]heap.RID{}}

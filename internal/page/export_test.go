@@ -32,6 +32,3 @@ func (p *Page) LiveRecords() int {
 	p.Records(func(SlotID, []byte) bool { n++; return true })
 	return n
 }
-
-// Kind returns the page kind tag set at Init.
-func (p *Page) Kind() uint16 { return binary.LittleEndian.Uint16(p.buf[offKind:]) }

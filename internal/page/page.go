@@ -88,6 +88,9 @@ func (p *Page) Init(kind uint16) {
 	binary.LittleEndian.PutUint32(p.buf[offNext:], uint32(disk.InvalidPage))
 }
 
+// Kind returns the page kind tag set at Init.
+func (p *Page) Kind() uint16 { return binary.LittleEndian.Uint16(p.buf[offKind:]) }
+
 // LSN returns the page's log sequence number: the LSN of the newest
 // WAL record holding this page's image. Zero means the page has never
 // been logged.

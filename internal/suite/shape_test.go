@@ -220,13 +220,14 @@ func TestElevatorGainsDiminishWithWindow(t *testing.T) {
 }
 
 // TestSharingStatsSaveReadsAndSeek: Fig. 15's claim, that sharing
-// statistics "reduce the total number of reads", as it holds at the
-// paper's scale. With them the elevator reads fewer pages at every
-// size, at W = 1 and at W = 50, and seeks no further in total. (Seek
-// per read rises: the reads they save are short ones.)
+// statistics "reduce the total number of reads". With them the elevator
+// reads fewer pages at every size, at W = 1 and at W = 50, and seeks no
+// further in total. (Seek per read rises: the reads they save are short
+// ones.) Scale 0.2 is the smallest at which this holds at every point:
+// at 0.15, W = 1 reads one page more with the statistics at 150 objects.
 func TestSharingStatsSaveReadsAndSeek(t *testing.T) {
 	var s Session
-	fig, err := s.Figure("fig15", FigureParams{Scale: 1})
+	fig, err := s.Figure("fig15", FigureParams{Scale: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}

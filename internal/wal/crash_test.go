@@ -237,6 +237,17 @@ func verifyRecovered(t *testing.T, tag string, rig *crashRig, st *crashState) in
 	if st.syncs < 1 {
 		return len(preBad)
 	}
+	// Every page of the committed extent is a sound heap page: an
+	// all-zero page, whose format recovery lost, fails Validate.
+	buf := make([]byte, rig.data.PageSize())
+	for pid := st.heapFirst; pid < st.heapFirst+crashHeapPages; pid++ {
+		if err := rig.data.ReadPage(pid, buf); err != nil {
+			t.Fatalf("%s: read page %d after recovery: %v", tag, pid, err)
+		}
+		if p := page.Wrap(buf); p.Validate() != nil || p.Kind() != heap.KindHeap {
+			t.Fatalf("%s: page %d after recovery: kind %#x, %v; %s", tag, pid, p.Kind(), p.Validate(), res)
+		}
+	}
 	pool := buffer.New(rig.data, 16)
 	hf := heap.Open(pool, st.heapFirst, crashHeapPages)
 	got := map[uint64]string{}

@@ -127,6 +127,7 @@ func logKinds(t *testing.T, dev disk.Device) map[byte]int {
 // byte-identical, page for page, and every page must verify.
 func TestDeltaMatchesFullImages(t *testing.T) {
 	met := map[string]int{}
+	t.Parallel()
 	difftest.Walk(t, 0, difftest.Count(10000, 400), func(seq *difftest.Seq) {
 		seed := seq.Seed
 		rng := rand.New(rand.NewSource(seed))

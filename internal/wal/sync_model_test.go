@@ -302,6 +302,7 @@ func errClass(err error) string {
 func TestSyncMatchesModel(t *testing.T) {
 	sizes := []int{128, 512, 1024, 4096}
 	met := map[string]int{}
+	t.Parallel()
 	difftest.Walk(t, 0, difftest.Count(10000, 400), func(seq *difftest.Seq) {
 		seed := seq.Seed
 		rng := rand.New(rand.NewSource(seed))
