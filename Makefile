@@ -51,21 +51,18 @@ alloc-check:
 	$(GO) test -count=1 -run 'Allocs$$' ./...
 	$(GO) test -run '^$$' -bench=StoreTransact -benchtime=1x -benchmem ./internal/object
 
-# The elevator's pending set, uncached: the differential test against
-# the sorted-slice reference model (which also holds a lane's run to
-# that many single picks, no page twice, no dead reference, nothing of
-# an earlier batch reachable behind a shorter one; the lane elevators
-# also against scripted arm heads), the 0-alloc pin on a scheduling step
-# and the step-cost-is-flat check; where each lane sweeps from: one lane
-# over one arm is the global elevator (stripe and router), four lanes
-# over four striped arms seek less than it, and HeadOf is each arm's
-# global page on Striped and on the router (no lock left held); then one
-# iteration of the scaling benchmark so that it cannot rot unbuilt or
-# panic unseen.
+# The elevator's scaling benchmark, one iteration, so that it cannot
+# rot unbuilt or panic unseen. The scheduler's tests run in test: the
+# differential test against the sorted-slice reference model (which
+# also holds a lane's run to that many single picks, no page twice, no
+# dead reference, nothing of an earlier batch reachable behind a
+# shorter one; the lane elevators also against scripted arm heads), the
+# 0-alloc pin on a scheduling step and the step-cost-is-flat check;
+# where each lane sweeps from: one lane over one arm is the global
+# elevator (stripe and router), four lanes over four striped arms seek
+# less than it, and HeadOf is each arm's global page on Striped and on
+# the router (no lock left held).
 sched-check:
-	$(GO) test -count=1 -run 'TestPendingSetMatchesSortedSlice|TestElevatorStep|TestServedRefsUnreachable|TestOneLaneIsTheGlobalElevator|TestMultiElevatorBeatsGlobalElevatorOnStripes' ./internal/assembly
-	$(GO) test -count=1 -run 'TestStripedHeadOf' ./internal/disk
-	$(GO) test -count=1 -run 'TestRouterHeadOf' ./internal/shard
 	$(GO) test -run '^$$' -bench=SchedulerElevator -benchtime=1x ./internal/assembly
 
 # The pool's victim heap and page table, uncached: the whole package
@@ -85,28 +82,26 @@ buffer-check:
 	$(GO) test -run '^$$' -bench='FixMiss|FixHit' -benchtime=1x ./internal/buffer
 	$(GO) test -run '^$$' -bench=LocatorLookup -benchtime=1x ./internal/object
 
-# The window slot's arena, uncached: the lifetime tests (an emitted
-# object, adopted or not, and an aborted one are collectable while the
-# operator runs, a shared leaf does not pin its first object, a dead
-# item's reference chunk is never recycled), the differential test against the goldens recorded before
-# the arena, the allocations- and bytes-per-object pins, the sizes of
-# the structs the chunks are arrays of (Instance, component, Ref,
-# workItem) and of the chunks, the inline and wide field shapes through
-# the operator, slot chunks that are never reused, and what outlives a
-# query (the elevators' free leaves, zeroed and capped, and the pool's
-# lane loads): a query closed early then a full one on the same pool
-# under every scheduler, a closed query's context collectable, eight
-# queries at once on one pool; and every exit of a small traced query
-# (each refusal of Open, a failing input, a cancel before the first
-# Next, a permanent fault at each device read under each fault policy,
-# Close twice) handing back its span, pins, quota, workers, leaves and
-# context — then one iteration of the benchmarks
-# that report allocs/op and B/op, with -benchmem so that the log shows
-# them, and so that they cannot rot unbuilt. The race detector's pass
-# over the package is race-core's.
-ASM_TESTS = TestEmittedObjectCollectedWhileRunning|TestAdoptedObjectCollectedWhileRunning|TestSharedLeafDoesNotPinItsFirstObject|TestDeadItemsChunksNotRecycled|TestDeadItemCollectedWhileRunning|TestArenaMatchesParentGoldens|TestAssembleAllocs|TestArenaStructSizes|TestArenaShapes|TestSlotsComeInChunks|TestReuseLeaksNoState|TestClosedQueryContextCollected|TestFreeLeavesCapped|TestConcurrentQueriesShareOnePool|TestOpenRefusalEndsItsSpan|TestEveryExitHandsBack
+# The window slot's arena: one iteration of the benchmarks that report
+# allocs/op and B/op, with -benchmem so that the log shows them, and so
+# that they cannot rot unbuilt. The arena's tests run in test: the
+# lifetime tests (an emitted object, adopted or not, and an aborted one
+# are collectable while the operator runs, a shared leaf does not pin
+# its first object, a dead item's reference chunk is never recycled),
+# the differential test against the goldens recorded before the arena,
+# the allocations- and bytes-per-object pins, the sizes of the structs
+# the chunks are arrays of (Instance, component, Ref, workItem) and of
+# the chunks, the inline and wide field shapes through the operator,
+# slot chunks that are never reused, and what outlives a query (the
+# elevators' free leaves, zeroed and capped, and the pool's lane loads):
+# a query closed early then a full one on the same pool under every
+# scheduler, a closed query's context collectable, eight queries at once
+# on one pool; and every exit of a small traced query (each refusal of
+# Open, a failing input, a cancel before the first Next, a permanent
+# fault at each device read under each fault policy, Close twice)
+# handing back its span, pins, quota, workers, leaves and context. The
+# race detector's pass over the package is race-core's.
 asm-check:
-	$(GO) test -count=1 -run '$(ASM_TESTS)' ./internal/assembly
 	$(GO) test -run '^$$' -bench='AssembleDeep|AssembleScan|AssembleShared|AssembleLanes' -benchtime=1x -benchmem ./internal/assembly
 
 # Where one warm query's allocations come from, site by site:
@@ -203,25 +198,26 @@ disk-check:
 # Sim, a client and a router (device bytes, arm stats, every verdict;
 # 12 seeds per stack and case), run at their full count in test. The
 # race detector's passes over these packages are race-core's (buffer,
-# assembly, and disk for the write runs), net-chaos-test's (pagesvc)
-# and shard-chaos-test's (shard).
+# assembly, and disk for the write runs), net-chaos-test's (pagesvc),
+# shard-chaos-test's (shard) and fleet-chaos-test's (fleet, where the
+# storm runs).
 WIRE_TESTS = TestFixHitAllocs|TestLaneWorkersStopOnEveryExit|TestFrameBytes|TestFrameReaderSplits|TestMalformedFrameClosesConn|TestLateResponseLeavesReturnedBufferAlone|TestWireReadAllocs|TestWireReadRunAllocs|TestReadRunFallsBackPageByPage|TestReadArmBookings|TestRoutedReadAllocs|TestRouterRunPaths|TestOverlappedBatchStorm|TestKeptHandlersStorm|TestReplicaFollowsDeltas|TestReplicaStopsAtDeltaGap|TestReplicaApplyAllocs|TestRouterWriteRunPaths|TestWriteRunFallsBackPageByPage|TestBulkWriteKeepsNoBuffer|TestDialRefusesPageSize
-WIRE_PKGS = ./internal/buffer ./internal/assembly ./internal/pagesvc ./internal/shard
+WIRE_PKGS = ./internal/buffer ./internal/assembly ./internal/pagesvc ./internal/shard ./internal/fleet
 wire-check:
 	$(GO) test -count=1 -run '$(WIRE_TESTS)' $(WIRE_PKGS)
 	$(GO) test -run '^$$' -bench=WireRead -benchtime=1x ./internal/pagesvc
 
-# The generator's one-write load, uncached: every database of a grid
+# The generator's one-write load: one iteration of the build
+# benchmark, which reports device round trips per page for the
+# scan-local and scan-sharded shapes (a write run a fleet takes whole
+# counts as one). The load's tests run in test: every database of a grid
 # (clusterings, sharing, shapes, headroom, pool sizes, over a
 # Sim and over a two-member loopback fleet) built with heap.Load and
 # with the pool path it replaced (heap.Create, Store.PutAt page by page,
 # EvictAll), device bytes and every OID's RID identical; a failed first,
 # middle and last page write, on a Sim and on a fleet member, reported
-# with the page it names — then one iteration of the build benchmark,
-# which reports device round trips per page for the scan-local and
-# scan-sharded shapes (a write run a fleet takes whole counts as one).
+# with the page it names.
 gen-check:
-	$(GO) test -count=1 -run 'TestLoadMatchesPoolLoad|TestBuildWriteFault' ./internal/gen
 	$(GO) test -run '^$$' -bench=Build -benchtime=1x ./internal/gen
 
 # The benchmark is a module of its own (benchmark/go.mod), so build,
@@ -258,29 +254,36 @@ chaos-test:
 # severed connection, promotion and fencing, and a closed client that
 # never re-dials — all with goroutine-leak checks. (Killing the primary
 # mid-query and failing over to its replica are the shard router's
-# decisions; their proofs live in shard-chaos-test.) -count=2 reruns
-# them so cross-run state leaks surface too.
+# decisions; their proofs run over a networked fleet in internal/fleet,
+# raced by fleet-chaos-test.) -count=2 reruns them so cross-run state
+# leaks surface too.
 net-chaos-test:
 	$(GO) test -race -count=2 ./internal/pagesvc
 
-# The sharded-fleet chaos suite under the race detector: kill one
-# shard's primary mid-query and finish byte-identical via its replica
-# (breaker trip + LSN-guarded failover) — over a three-member fleet and
-# over a one-member fleet, which is the single page service with a
-# replica; and brown out a shard with no replica to check degraded-mode
-# assembly skips exactly the poisoned objects under a per-query retry
-# budget. -count=2 reruns for cross-run state leaks.
+# The shard router's tests under the race detector: breaker trips and
+# half-open probes, failover under the staleness guard, the per-query
+# retry budget, member errors, promotion and pending routing, and every
+# way a run or a write run is sent. The end-to-end proofs over a sharded
+# fleet run in internal/fleet, on its one rig (fleet-chaos-test).
+# -count=2 reruns for cross-run state leaks.
 shard-chaos-test:
 	$(GO) test -race -count=2 ./internal/shard
 
-# The fleet control-plane chaos suite under the race detector: kill a
-# member's primary and hold it down until the controller promotes its
-# WAL-shipped replica to writable (epoch-fenced, byte-identical
-# queries, three-way counter agreement), live-reshard a fourth member
-# in mid-query (exactly the rendezvous delta moves), and crash the
-# migrator at every WAL ownership-record write point and check
-# recovery converges to exactly one owner per range. -count=2 reruns
-# for cross-run state leaks.
+# Every end-to-end proof over a sharded fleet, each on the one rig
+# (internal/fleet/rig_test.go), under the race detector: kill one
+# shard's primary mid-query and finish byte-identical via its replica
+# (breaker trip + LSN-guarded failover) — over a three-member fleet and
+# over a one-member fleet, which is the single page service with a
+# replica; brown out a shard with no replica to check degraded-mode
+# assembly skips exactly the poisoned objects under a per-query retry
+# budget; kill a member's primary and hold it down until the controller
+# promotes its WAL-shipped replica to writable (epoch-fenced,
+# byte-identical queries, three-way counter agreement); live-reshard a
+# fourth member in mid-query (exactly the rendezvous delta moves); the
+# overlapped-batch storm (runs in flight while members die, revive and
+# are promoted); and crash the migrator at every WAL ownership-record
+# write point and check recovery converges to exactly one owner per
+# range. -count=2 reruns for cross-run state leaks.
 fleet-chaos-test:
 	$(GO) test -race -count=2 ./internal/fleet
 

@@ -102,11 +102,7 @@ func main() {
 	db.Device.ResetStats()
 	db.Device.ResetHead()
 
-	items := make([]volcano.Item, len(db.Roots))
-	for i, r := range db.Roots {
-		items[i] = r
-	}
-	op := assembly.New(volcano.NewSlice(items), db.Store, db.Template, assembly.Options{
+	op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template, assembly.Options{
 		Window:          *window,
 		Scheduler:       kind,
 		UseSharingStats: db.Config.Sharing > 0,

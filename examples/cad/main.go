@@ -115,11 +115,7 @@ func main() {
 		if err := eng.ResetMeasurements(true); err != nil {
 			log.Fatal(err)
 		}
-		items := make([]volcano.Item, len(roots))
-		for i, r := range roots {
-			items[i] = r
-		}
-		op := assembly.New(volcano.NewSlice(items), eng.Store, tmpl, assembly.Options{
+		op := assembly.New(volcano.FromOIDs(roots), eng.Store, tmpl, assembly.Options{
 			Window:          50,
 			Scheduler:       assembly.Elevator,
 			UseSharingStats: useStats,

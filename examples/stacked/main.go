@@ -90,11 +90,7 @@ func main() {
 		log.Fatal(err)
 	}
 	db.Device.ResetStats()
-	roots := make([]volcano.Item, len(db.Roots))
-	for i, r := range db.Roots {
-		roots[i] = r
-	}
-	single := assembly.New(volcano.NewSlice(roots), db.Store, full,
+	single := assembly.New(volcano.FromOIDs(db.Roots), db.Store, full,
 		assembly.Options{Window: 25, Scheduler: assembly.Elevator})
 	n, err := volcano.Count(single)
 	if err != nil {

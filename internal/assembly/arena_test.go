@@ -296,7 +296,7 @@ func TestDeadItemsChunksNotRecycled(t *testing.T) {
 				dev.SetConfig(disk.FaultConfig{Seed: 99, PermanentRate: 0.04})
 				opts := Options{Window: 8, FaultPolicy: SkipObject, PageBatch: bits&1 != 0}
 				sched.set(&opts)
-				op := New(oidSource(w.roots), w.store, w.tmpl, opts)
+				op := New(volcano.FromOIDs(w.roots), w.store, w.tmpl, opts)
 				if err := op.Open(); err != nil {
 					t.Fatal(err)
 				}

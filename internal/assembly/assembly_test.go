@@ -62,17 +62,9 @@ func buildChainStore(t *testing.T, n int) (*object.Store, *Template, []object.OI
 	return s, tmpl, roots
 }
 
-func oidSource(roots []object.OID) volcano.Iterator {
-	items := make([]volcano.Item, len(roots))
-	for i, r := range roots {
-		items[i] = r
-	}
-	return volcano.NewSlice(items)
-}
-
 func assembleAll(t *testing.T, s *object.Store, tmpl *Template, roots []object.OID, opts Options) ([]*Instance, *Operator) {
 	t.Helper()
-	op := New(oidSource(roots), s, tmpl, opts)
+	op := New(volcano.FromOIDs(roots), s, tmpl, opts)
 	items, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatalf("assembly drain: %v", err)
@@ -282,7 +274,7 @@ func TestRequiredNilAborts(t *testing.T) {
 
 func TestDanglingReferenceError(t *testing.T) {
 	s, tmpl, _ := buildChainStore(t, 1)
-	op := New(oidSource([]object.OID{999}), s, tmpl, Options{})
+	op := New(volcano.FromOIDs([]object.OID{999}), s, tmpl, Options{})
 	if _, err := volcano.Drain(nil, op); err == nil {
 		t.Error("dangling root reference did not error")
 	}
@@ -293,11 +285,11 @@ func TestInvalidTemplateRejectedAtOpen(t *testing.T) {
 	bad := &Template{Name: "X", RefField: -1, Children: []*Template{
 		{Name: "a", RefField: 0}, {Name: "b", RefField: 0}, // duplicate field
 	}}
-	op := New(oidSource(roots), s, bad, Options{})
+	op := New(volcano.FromOIDs(roots), s, bad, Options{})
 	if err := op.Open(); err == nil {
 		t.Error("duplicate ref field template accepted")
 	}
-	op2 := New(oidSource(roots), s, nil, Options{})
+	op2 := New(volcano.FromOIDs(roots), s, nil, Options{})
 	if err := op2.Open(); err == nil {
 		t.Error("nil template accepted")
 	}
@@ -307,7 +299,7 @@ func TestClassMismatchError(t *testing.T) {
 	s, tmpl, roots := buildChainStore(t, 1)
 	bad := tmpl.Clone()
 	bad.FindByName("Right").Class = 1 // Root class, but object is a Leaf
-	op := New(oidSource(roots), s, bad, Options{})
+	op := New(volcano.FromOIDs(roots), s, bad, Options{})
 	if _, err := volcano.Drain(nil, op); err == nil {
 		t.Error("class mismatch not detected")
 	}
@@ -391,7 +383,7 @@ func TestWindowFootprintBounded(t *testing.T) {
 
 func TestNextBeforeOpen(t *testing.T) {
 	s, tmpl, roots := buildChainStore(t, 1)
-	op := New(oidSource(roots), s, tmpl, Options{})
+	op := New(volcano.FromOIDs(roots), s, tmpl, Options{})
 	if _, err := op.Next(); !errors.Is(err, volcano.ErrNotOpen) {
 		t.Errorf("Next before Open err = %v", err)
 	}
@@ -399,7 +391,7 @@ func TestNextBeforeOpen(t *testing.T) {
 
 func TestEmptyInput(t *testing.T) {
 	s, tmpl, _ := buildChainStore(t, 1)
-	op := New(oidSource(nil), s, tmpl, Options{Window: 10})
+	op := New(volcano.FromOIDs[object.OID](nil), s, tmpl, Options{Window: 10})
 	out, err := volcano.Drain(nil, op)
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty input = (%v, %v)", out, err)
@@ -408,7 +400,7 @@ func TestEmptyInput(t *testing.T) {
 
 func TestNilRootSkipped(t *testing.T) {
 	s, tmpl, roots := buildChainStore(t, 2)
-	op := New(oidSource([]object.OID{roots[0], object.NilOID, roots[1]}), s, tmpl, Options{Window: 2})
+	op := New(volcano.FromOIDs([]object.OID{roots[0], object.NilOID, roots[1]}), s, tmpl, Options{Window: 2})
 	out, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatal(err)

@@ -55,7 +55,7 @@ func TestCancelMidAssemblyWithQuarantine(t *testing.T) {
 	w.db.Pool.SetTracer(trace.New(col))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	op := assembly.New(rootsSource(w.db.Roots), w.db.Store, w.db.Template, assembly.Options{
+	op := assembly.New(volcano.FromOIDs(w.db.Roots), w.db.Store, w.db.Template, assembly.Options{
 		Window:         8,
 		Scheduler:      assembly.Elevator,
 		FaultPolicy:    assembly.SkipObject,
@@ -141,7 +141,7 @@ func TestDeadlineMidAssembly(t *testing.T) {
 	db := buildDB(t, gen.Config{NumComplexObjects: 100, Clustering: gen.Unclustered, Seed: 7})
 	col := trace.NewCollector()
 	db.Pool.SetTracer(trace.New(col))
-	op := assembly.New(rootsSource(db.Roots), db.Store, db.Template, assembly.Options{
+	op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template, assembly.Options{
 		Window:         6,
 		Scheduler:      assembly.Elevator,
 		PinWindowPages: true,
@@ -216,7 +216,7 @@ func TestAbortOrderRepeats(t *testing.T) {
 		db.Pool.SetTracer(trace.New(col))
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		op := assembly.New(rootsSource(db.Roots), db.Store, db.Template, assembly.Options{
+		op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template, assembly.Options{
 			Window:         16,
 			Scheduler:      assembly.Elevator,
 			PinWindowPages: true,

@@ -48,7 +48,7 @@ func TestOpenRefusalEndsItsSpan(t *testing.T) {
 	for _, r := range refusals {
 		col := qtrace.NewCollector(4)
 		tr, root := col.Begin("query")
-		op := New(oidSource(w.roots), w.store, w.tmpl, r.opts)
+		op := New(volcano.FromOIDs(w.roots), w.store, w.tmpl, r.opts)
 		op.BindContext(qtrace.With(context.Background(), root))
 		err := op.Open()
 		if err == nil || (r.want != nil && !errors.Is(err, r.want)) {
@@ -178,12 +178,12 @@ func TestEveryExitHandsBack(t *testing.T) {
 			return nil
 		}
 	}
-	run("admission refused", oidSource(roots), Options{Window: 4, ReserveFrames: pool.Size() + 1}, refused(buffer.ErrAdmission))
-	run("no batch scheduler", oidSource(roots), Options{Window: 4, ShardPrefetch: true}, refused(nil))
+	run("admission refused", volcano.FromOIDs(roots), Options{Window: 4, ReserveFrames: pool.Size() + 1}, refused(buffer.ErrAdmission))
+	run("no batch scheduler", volcano.FromOIDs(roots), Options{Window: 4, ShardPrefetch: true}, refused(nil))
 	for _, su := range setups {
 		opts := options(su, FailFast)
-		run(su.name+": input refuses", refusingInput{oidSource(roots)}, opts, refused(errRefused))
-		run(su.name+": cancelled before Next", oidSource(roots), opts, func(op *Operator, cancel func()) error {
+		run(su.name+": input refuses", refusingInput{volcano.FromOIDs(roots)}, opts, refused(errRefused))
+		run(su.name+": cancelled before Next", volcano.FromOIDs(roots), opts, func(op *Operator, cancel func()) error {
 			if err := op.Open(); err != nil {
 				return err
 			}
@@ -193,7 +193,7 @@ func TestEveryExitHandsBack(t *testing.T) {
 			}
 			return op.Close()
 		})
-		run(su.name+": closed twice", oidSource(roots), opts, func(op *Operator, _ func()) error {
+		run(su.name+": closed twice", volcano.FromOIDs(roots), opts, func(op *Operator, _ func()) error {
 			if err := op.Open(); err != nil {
 				return err
 			}
@@ -227,7 +227,7 @@ func TestEveryExitHandsBack(t *testing.T) {
 	}
 	defer sim.SetFault(nil)
 	faultAt(0)
-	run("no fault", oidSource(roots), Options{Window: 4}, func(op *Operator, _ func()) error {
+	run("no fault", volcano.FromOIDs(roots), Options{Window: 4}, func(op *Operator, _ func()) error {
 		op.Open()
 		_, err := drain(op)
 		return errors.Join(err, op.Close())
@@ -240,7 +240,7 @@ func TestEveryExitHandsBack(t *testing.T) {
 		for _, su := range setups {
 			for k := 1; k <= clean; k++ {
 				faultAt(k)
-				run(fmt.Sprintf("%s, policy %d: fault at read %d", su.name, policy, k), oidSource(roots), options(su, policy), func(op *Operator, _ func()) error {
+				run(fmt.Sprintf("%s, policy %d: fault at read %d", su.name, policy, k), volcano.FromOIDs(roots), options(su, policy), func(op *Operator, _ func()) error {
 					if err := op.Open(); err != nil {
 						return err
 					}

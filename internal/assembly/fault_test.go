@@ -133,7 +133,7 @@ func (w *faultWorld) runFaulted(t *testing.T, opts assembly.Options) (map[object
 	if err := w.db.Pool.EvictAll(); err != nil {
 		t.Fatal(err)
 	}
-	op := assembly.New(rootsSource(w.db.Roots), w.db.Store, w.db.Template, opts)
+	op := assembly.New(volcano.FromOIDs(w.db.Roots), w.db.Store, w.db.Template, opts)
 	items, err := volcano.Drain(nil, op)
 	if err != nil {
 		t.Fatalf("faulted assembly (%v): %v", opts.FaultPolicy, err)
@@ -272,7 +272,7 @@ func TestChaosFailFastSurfacesFault(t *testing.T) {
 	if err := w.db.Pool.EvictAll(); err != nil {
 		t.Fatal(err)
 	}
-	op := assembly.New(rootsSource(w.db.Roots), w.db.Store, w.db.Template, assembly.Options{
+	op := assembly.New(volcano.FromOIDs(w.db.Roots), w.db.Store, w.db.Template, assembly.Options{
 		Window:    8,
 		Scheduler: assembly.Elevator,
 	})
@@ -344,7 +344,7 @@ func TestWindowShrinksUnderBufferPressure(t *testing.T) {
 		pads = append(pads, fr)
 	}
 
-	op := assembly.New(rootsSource(roots), store, tmpl, assembly.Options{
+	op := assembly.New(volcano.FromOIDs(roots), store, tmpl, assembly.Options{
 		Window:         4,
 		Scheduler:      assembly.BreadthFirst,
 		PinWindowPages: true,
@@ -391,7 +391,7 @@ func TestTransientExhaustionSurfacesNotQuarantines(t *testing.T) {
 	if err := w.db.Pool.EvictAll(); err != nil {
 		t.Fatal(err)
 	}
-	op := assembly.New(rootsSource(w.db.Roots), w.db.Store, w.db.Template,
+	op := assembly.New(volcano.FromOIDs(w.db.Roots), w.db.Store, w.db.Template,
 		assembly.Options{Window: 4, FaultPolicy: assembly.RetryFaults})
 	_, err := volcano.Drain(nil, op)
 	if err == nil {

@@ -27,14 +27,6 @@ func buildDB(t testing.TB, cfg gen.Config) *gen.Database {
 	return db
 }
 
-func rootsSource(roots []object.OID) volcano.Iterator {
-	items := make([]volcano.Item, len(roots))
-	for i, r := range roots {
-		items[i] = r
-	}
-	return volcano.NewSlice(items)
-}
-
 func drainAssembly(t testing.TB, op *assembly.Operator) []*assembly.Instance {
 	t.Helper()
 	items, err := volcano.Drain(nil, op)
@@ -72,7 +64,7 @@ func TestAssembleGeneratedDatabaseAllPolicies(t *testing.T) {
 		db := buildDB(t, gen.Config{NumComplexObjects: 300, Clustering: cl, Seed: 11})
 		for _, kind := range []assembly.SchedulerKind{assembly.DepthFirst, assembly.BreadthFirst, assembly.Elevator} {
 			for _, w := range []int{1, 50} {
-				op := assembly.New(rootsSource(db.Roots), db.Store, db.Template,
+				op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template,
 					assembly.Options{Window: w, Scheduler: kind})
 				out := drainAssembly(t, op)
 				if len(out) != 300 {
@@ -100,7 +92,7 @@ func TestSharingReducesFetches(t *testing.T) {
 			t.Fatal(err)
 		}
 		db.Device.ResetStats()
-		op := assembly.New(rootsSource(db.Roots), db.Store, db.Template,
+		op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template,
 			assembly.Options{Window: 50, Scheduler: assembly.Elevator, UseSharingStats: useStats})
 		out := drainAssembly(t, op)
 		for _, inst := range out {
@@ -128,7 +120,7 @@ func TestSharingReducesFetches(t *testing.T) {
 
 func TestSharedInstancesAreIdentical(t *testing.T) {
 	db := buildDB(t, gen.Config{NumComplexObjects: 100, Sharing: 0.1, Seed: 13})
-	op := assembly.New(rootsSource(db.Roots), db.Store, db.Template,
+	op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template,
 		assembly.Options{Window: 100, Scheduler: assembly.Elevator, UseSharingStats: true})
 	out := drainAssembly(t, op)
 	// A shared leaf reached from two different complex objects must be
@@ -178,7 +170,7 @@ func TestSelectiveAssemblyGenerated(t *testing.T) {
 	leaf := tmpl.Children[1].Children[1]
 	leaf.Pred = expr.IntCmp{Field: 1, Op: expr.LT, Value: 100, Sel: 0.1}
 
-	op := assembly.New(rootsSource(db.Roots), db.Store, tmpl,
+	op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, tmpl,
 		assembly.Options{Window: 50, Scheduler: assembly.Elevator, PredicateFirst: true})
 	out := drainAssembly(t, op)
 	st := op.Stats()
@@ -319,7 +311,7 @@ func TestAssemblyIOFaultSurfaces(t *testing.T) {
 		}
 		return nil
 	})
-	op := assembly.New(rootsSource(db.Roots), db.Store, db.Template,
+	op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template,
 		assembly.Options{Window: 10, Scheduler: assembly.Elevator})
 	_, err := volcano.Drain(nil, op)
 	if !errors.Is(err, boom) {
@@ -337,7 +329,7 @@ func TestWindowFootprintMatchesPaperFormula(t *testing.T) {
 		if err := db.Pool.EvictAll(); err != nil {
 			t.Fatal(err)
 		}
-		op := assembly.New(rootsSource(db.Roots), db.Store, db.Template,
+		op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template,
 			assembly.Options{Window: w, Scheduler: assembly.Elevator})
 		drainAssembly(t, op)
 		bound := 6*(w-1) + 7 + 7 // +7 slack: completed objects queue briefly

@@ -54,12 +54,12 @@ func TestLaneWorkersStopOnEveryExit(t *testing.T) {
 		run  func(t *testing.T)
 	}{
 		{"drained", func(t *testing.T) {
-			if out := drainAssembly(t, newOp(rootsSource(db.Roots), 0)); len(out) != len(db.Roots) {
+			if out := drainAssembly(t, newOp(volcano.FromOIDs(db.Roots), 0)); len(out) != len(db.Roots) {
 				t.Fatalf("assembled %d of %d", len(out), len(db.Roots))
 			}
 		}},
 		{"closed half way, twice", func(t *testing.T) {
-			op := newOp(rootsSource(db.Roots), 0)
+			op := newOp(volcano.FromOIDs(db.Roots), 0)
 			if err := op.Open(); err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func TestLaneWorkersStopOnEveryExit(t *testing.T) {
 			}
 		}},
 		{"device fault", func(t *testing.T) {
-			op := newOp(rootsSource(db.Roots), 0)
+			op := newOp(volcano.FromOIDs(db.Roots), 0)
 			if err := op.Open(); err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestLaneWorkersStopOnEveryExit(t *testing.T) {
 			op.Close()
 		}},
 		{"cancelled", func(t *testing.T) {
-			op := newOp(rootsSource(db.Roots), 0)
+			op := newOp(volcano.FromOIDs(db.Roots), 0)
 			ctx, cancel := context.WithCancel(context.Background())
 			op.BindContext(ctx)
 			if err := op.Open(); err != nil {
@@ -106,12 +106,12 @@ func TestLaneWorkersStopOnEveryExit(t *testing.T) {
 			op.Close()
 		}},
 		{"input refuses to open", func(t *testing.T) {
-			if err := newOp(failingInput{rootsSource(db.Roots)}, 0).Open(); !errors.Is(err, errInputDown) {
+			if err := newOp(failingInput{volcano.FromOIDs(db.Roots)}, 0).Open(); !errors.Is(err, errInputDown) {
 				t.Fatalf("Open: %v", err)
 			}
 		}},
 		{"admission refused", func(t *testing.T) {
-			if err := newOp(rootsSource(db.Roots), pool.Size()+1).Open(); !errors.Is(err, buffer.ErrAdmission) {
+			if err := newOp(volcano.FromOIDs(db.Roots), pool.Size()+1).Open(); !errors.Is(err, buffer.ErrAdmission) {
 				t.Fatalf("Open: %v", err)
 			}
 		}},
@@ -140,7 +140,7 @@ func TestConcurrentQueriesShareOnePool(t *testing.T) {
 	}
 	query := func(lanes bool) ([]string, error) {
 		opts := assembly.Options{Window: 20, Scheduler: assembly.Elevator, ShardPrefetch: lanes}
-		items, err := volcano.Drain(nil, assembly.New(rootsSource(db.Roots), db.Store, db.Template, queryOpts(db, opts)))
+		items, err := volcano.Drain(nil, assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template, queryOpts(db, opts)))
 		var out []string
 		for _, it := range items {
 			out = append(out, renderFields(it.(*assembly.Instance)))

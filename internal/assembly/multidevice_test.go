@@ -38,7 +38,7 @@ func buildStriped(t testing.TB, objects, n int) (*gen.Database, *disk.Striped) {
 
 func TestAssemblyOnStripedDevice(t *testing.T) {
 	db, striped := buildStriped(t, 300, 4)
-	op := assembly.New(rootsSource(db.Roots), db.Store, db.Template,
+	op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template,
 		assembly.Options{Window: 25, Scheduler: assembly.Elevator})
 	out := drainAssembly(t, op)
 	if len(out) != 300 {
@@ -64,7 +64,7 @@ func TestMultiElevatorBeatsGlobalElevatorOnStripes(t *testing.T) {
 		}
 		striped.ResetStats()
 		striped.ResetHead()
-		op := assembly.New(rootsSource(db.Roots), db.Store, db.Template, assembly.Options{
+		op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template, assembly.Options{
 			Window:          50,
 			Scheduler:       kind,
 			CustomScheduler: sched,
@@ -127,7 +127,7 @@ func TestOneLaneIsTheGlobalElevator(t *testing.T) {
 				}
 				c.dev.ResetStats()
 				c.dev.ResetHead()
-				op := assembly.New(rootsSource(db.Roots), db.Store, db.Template,
+				op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template,
 					assembly.Options{Window: 50, Scheduler: assembly.Elevator, CustomScheduler: sched})
 				var order []object.OID
 				for _, inst := range drainAssembly(t, op) {
@@ -154,7 +154,7 @@ func TestMultiElevatorCorrectAcrossWindows(t *testing.T) {
 		if err := db.Pool.EvictAll(); err != nil {
 			t.Fatal(err)
 		}
-		op := assembly.New(rootsSource(db.Roots), db.Store, db.Template, assembly.Options{
+		op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template, assembly.Options{
 			Window:          w,
 			CustomScheduler: assembly.NewMultiElevator(3, striped.DeviceOf),
 		})

@@ -199,7 +199,7 @@ func TestAssemblyMatchesOracleRandomized(t *testing.T) {
 			for _, window := range []int{1, 4, 64} {
 				for _, sharingStats := range []bool{false, true} {
 					opts := Options{Window: window, Scheduler: kind, UseSharingStats: sharingStats}
-					op := New(oidSource(w.roots), w.store, w.tmpl, opts)
+					op := New(volcano.FromOIDs(w.roots), w.store, w.tmpl, opts)
 					items, err := volcano.Drain(nil, op)
 					if err != nil {
 						t.Fatalf("trial %d %v/w%d/stats=%v: %v", trial, kind, window, sharingStats, err)

@@ -24,7 +24,7 @@ func TestPageBatchMatchesOracle(t *testing.T) {
 			}
 		}
 		for _, kind := range []SchedulerKind{DepthFirst, Elevator} {
-			op := New(oidSource(w.roots), w.store, w.tmpl,
+			op := New(volcano.FromOIDs(w.roots), w.store, w.tmpl,
 				Options{Window: 16, Scheduler: kind, PageBatch: true})
 			items, err := volcano.Drain(nil, op)
 			if err != nil {
@@ -56,7 +56,7 @@ func TestPageBatchSavesBufferRequests(t *testing.T) {
 		if err := s.File.Pool().EvictAll(); err != nil {
 			t.Fatal(err)
 		}
-		op := New(oidSource(roots), s, tmpl, Options{
+		op := New(volcano.FromOIDs(roots), s, tmpl, Options{
 			Window: 20, Scheduler: Elevator, PageBatch: batch,
 		})
 		out, err := volcano.Drain(nil, op)

@@ -14,7 +14,7 @@ import (
 
 func TestPinnedWindowReleasesAllPins(t *testing.T) {
 	db := buildDB(t, gen.Config{NumComplexObjects: 200, Clustering: gen.Unclustered, Seed: 51, BufferPages: 128})
-	op := assembly.New(rootsSource(db.Roots), db.Store, db.Template, assembly.Options{
+	op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template, assembly.Options{
 		Window:         10,
 		Scheduler:      assembly.Elevator,
 		PinWindowPages: true,
@@ -30,7 +30,7 @@ func TestPinnedWindowReleasesAllPins(t *testing.T) {
 
 func TestPinnedWindowCloseMidStreamReleasesPins(t *testing.T) {
 	db := buildDB(t, gen.Config{NumComplexObjects: 200, Clustering: gen.Unclustered, Seed: 52, BufferPages: 128})
-	op := assembly.New(rootsSource(db.Roots), db.Store, db.Template, assembly.Options{
+	op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template, assembly.Options{
 		Window:         10,
 		Scheduler:      assembly.Elevator,
 		PinWindowPages: true,
@@ -56,7 +56,7 @@ func TestPinnedWindowNeverExhaustsPool(t *testing.T) {
 	// A window far too large for the buffer must degrade (admission
 	// gating) rather than fail with "all frames pinned".
 	db := buildDB(t, gen.Config{NumComplexObjects: 300, Clustering: gen.Unclustered, Seed: 53, BufferPages: 32})
-	op := assembly.New(rootsSource(db.Roots), db.Store, db.Template, assembly.Options{
+	op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template, assembly.Options{
 		Window:         200,
 		Scheduler:      assembly.Elevator,
 		PinWindowPages: true,
@@ -74,7 +74,7 @@ func TestPinnedWindowAbortReleasesPins(t *testing.T) {
 	db := buildDB(t, gen.Config{NumComplexObjects: 150, Clustering: gen.Unclustered, Seed: 54, BufferPages: 96})
 	tmpl := db.Template.Clone()
 	tmpl.Children[0].Pred = neverPred{}
-	op := assembly.New(rootsSource(db.Roots), db.Store, tmpl, assembly.Options{
+	op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, tmpl, assembly.Options{
 		Window:         20,
 		Scheduler:      assembly.Elevator,
 		PinWindowPages: true,

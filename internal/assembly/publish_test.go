@@ -194,11 +194,7 @@ func TestOperatorPublishAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		pool.Device().ResetHead()
-		roots := make([]volcano.Item, len(w.roots))
-		for i, r := range w.roots {
-			roots[i] = r
-		}
-		op := New(volcano.NewSlice(roots), w.store, w.tmpl,
+		op := New(volcano.FromOIDs(w.roots), w.store, w.tmpl,
 			Options{Window: 8, Scheduler: Elevator, UseSharingStats: true, Metrics: reg})
 		if err := op.Open(); err != nil {
 			t.Fatal(err)

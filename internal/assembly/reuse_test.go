@@ -34,10 +34,6 @@ func TestReuseLeaksNoState(t *testing.T) {
 			}
 		}
 		slices.Sort(want)
-		items := make([]volcano.Item, len(w.roots))
-		for i, r := range w.roots {
-			items[i] = r
-		}
 		for _, sched := range diffScheds {
 			if err := pool.EvictAll(); err != nil {
 				t.Fatal(err)
@@ -45,11 +41,11 @@ func TestReuseLeaksNoState(t *testing.T) {
 			opts := Options{Window: 8, FaultPolicy: SkipObject}
 			sched.set(&opts)
 			dev.SetConfig(disk.FaultConfig{Seed: int64(trial), PermanentRate: 0.05})
-			op := New(volcano.NewSlice(items), w.store, w.tmpl, opts)
+			op := New(volcano.FromOIDs(w.roots), w.store, w.tmpl, opts)
 			if err := op.Open(); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < len(items)/3; i++ {
+			for i := 0; i < len(w.roots)/3; i++ {
 				if _, err := op.Next(); err != nil {
 					break
 				}
@@ -67,7 +63,7 @@ func TestReuseLeaksNoState(t *testing.T) {
 
 			opts = Options{Window: 8}
 			sched.set(&opts)
-			out, err := volcano.Drain(nil, New(volcano.NewSlice(items), w.store, w.tmpl, opts))
+			out, err := volcano.Drain(nil, New(volcano.FromOIDs(w.roots), w.store, w.tmpl, opts))
 			if err != nil {
 				t.Fatalf("world %d, %s: second query: %v", trial, sched.name, err)
 			}
@@ -110,12 +106,8 @@ func TestClosedQueryContextCollected(t *testing.T) {
 	val := new([64]byte)
 	runtime.SetFinalizer(val, func(*[64]byte) { freed.Store(true) })
 	ctx := context.WithValue(context.Background(), key{}, val)
-	items := make([]volcano.Item, len(w.roots))
-	for i, r := range w.roots {
-		items[i] = r
-	}
 	opts := Options{Window: 6, CustomScheduler: NewShardElevator(2, func(p disk.PageID) int { return int(p) }), ShardPrefetch: true}
-	op := New(volcano.NewSlice(items), w.store, w.tmpl, opts)
+	op := New(volcano.FromOIDs(w.roots), w.store, w.tmpl, opts)
 	if _, err := volcano.Drain(ctx, op); err != nil {
 		t.Fatal(err)
 	}

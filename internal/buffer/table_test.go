@@ -10,18 +10,30 @@ import (
 	"revelation/internal/disk"
 )
 
-// tableErr checks the page table over frames against what it should
-// hold: every page of want found by a probe in its frame; every taken
-// slot reachable by a probe for its own id (its home lies in its
-// cluster of taken slots, at or before it) and in a frame of its own,
-// so that no page is entered twice; and no entry beside those. The
-// slots are walked once, from an empty one, so that each cluster is met
-// from its first slot: a probe per slot as well as per page made this
-// check, run after every step, most of the differential tests' time.
+// tableErr checks the page table over frames against want, a model of
+// what it should hold, or, with want nil, against the frames that hold
+// a page. One walk over the slots, from an empty one so that each
+// cluster is met from its first slot, checks that every taken slot is
+// reachable by a probe for its own id (its home lies in its cluster, at
+// or before it) and names a frame of its own that holds that page; and
+// the entries must be as many as the pages. A page held by two frames
+// then is either entered twice or leaves a frame out, which the count
+// refuses. Without a model the walk refuses the first: no slot between
+// an entry's home and the entry may hold the same id. With one, every
+// page of want is probed for instead, and must be found in its frame.
+// A probe per slot as well as per page, or a map of the resident pages,
+// made this check, run after every step, most of the differential
+// tests' time.
 func tableErr(t *pageTable, frames []Frame, want map[disk.PageID]*Frame) error {
+	resident := len(want)
 	for id, f := range want {
 		if got := t.get(id); got < 0 || &frames[got] != f {
 			return fmt.Errorf("table: page %d found in frame %d, held by frame %d", id, got, f.index)
+		}
+	}
+	for i := 0; want == nil && i < len(frames); i++ {
+		if frames[i].id != disk.InvalidPage {
+			resident++
 		}
 	}
 	n := len(t.slots)
@@ -39,14 +51,19 @@ func tableErr(t *pageTable, frames []Frame, want map[disk.PageID]*Frame) error {
 			continue
 		}
 		entries, run = entries+1, run+1
-		f := int(s.frame) - 1
-		if (i-t.home(s.id))&(n-1) >= run || f >= len(frames) || held[f] {
-			return fmt.Errorf("table: slot %d holds page %d (home %d) in frame %d of %d, not reachable or entered twice", i, s.id, t.home(s.id), f, len(frames))
+		f, home := int(s.frame)-1, t.home(s.id)
+		if (i-home)&(n-1) >= run || f >= len(frames) || held[f] || frames[f].id != s.id || s.id == disk.InvalidPage {
+			return fmt.Errorf("table: slot %d holds page %d (home %d) in frame %d of %d, not reachable, entered twice or not the frame's page", i, s.id, home, f, len(frames))
+		}
+		for j := home; want == nil && j != i; j = (j + 1) & (n - 1) {
+			if t.slots[j].id == s.id {
+				return fmt.Errorf("table: page %d entered in slots %d and %d", s.id, j, i)
+			}
 		}
 		held[f] = true
 	}
-	if entries != len(want) || 2*entries > n {
-		return fmt.Errorf("table: %d entries in %d slots for %d resident pages", entries, n, len(want))
+	if entries != resident || 2*entries > n {
+		return fmt.Errorf("table: %d entries in %d slots for %d resident pages", entries, n, resident)
 	}
 	return nil
 }

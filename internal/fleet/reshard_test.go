@@ -84,39 +84,6 @@ func verifyGolden(t *testing.T, r *shard.Router, label string) {
 	}
 }
 
-// predictDelta computes the rendezvous-predicted migration set from
-// name sets alone (stub devices), proving the delta is a pure function
-// of the names.
-func predictDelta(t *testing.T) map[disk.PageID]bool {
-	t.Helper()
-	mk := func(names []string) *shard.Router {
-		ms := make([]shard.Member, len(names))
-		for i, n := range names {
-			ms[i] = shard.Member{Name: n, Primary: disk.New(sweepPages)}
-		}
-		r, err := shard.New(shard.Config{Members: ms})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	before := mk(sweepNames)
-	after := mk(append(append([]string{}, sweepNames...), sweepJoiner))
-	defer before.Close()
-	defer after.Close()
-	joiner := after.MemberIndex(sweepJoiner)
-	delta := map[disk.PageID]bool{}
-	for p := 0; p < sweepPages; p++ {
-		id := disk.PageID(p)
-		if after.ShardOf(id) == joiner {
-			delta[id] = true
-		} else if before.ShardOf(id) != after.ShardOf(id) {
-			t.Fatalf("page %d moved between survivors on join", p)
-		}
-	}
-	return delta
-}
-
 // runMigration joins the joiner (on joinerDev — the joining machine's
 // own durable disk, which survives a migrator crash) through a
 // migrator whose meta log lives on metaDev.
@@ -132,10 +99,7 @@ func runMigration(t *testing.T, r *shard.Router, metaDev, joinerDev disk.Device)
 }
 
 func TestReshardCrashSweep(t *testing.T) {
-	delta := predictDelta(t)
-	if len(delta) == 0 {
-		t.Fatal("degenerate: empty predicted delta")
-	}
+	delta := predictDelta(t, sweepNames, sweepJoiner, sweepPages)
 
 	// Disarmed run: count the meta-log writes and sanity-check a clean
 	// migration.

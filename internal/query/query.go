@@ -164,11 +164,7 @@ func Reveal(store *object.Store, q *Query, opts assembly.Options) (volcano.Itera
 	if len(q.NodePreds) > 0 {
 		opts.PredicateFirst = true
 	}
-	items := make([]volcano.Item, len(q.Roots))
-	for i, r := range q.Roots {
-		items[i] = r
-	}
-	var plan volcano.Iterator = assembly.New(volcano.NewSlice(items), store, tmpl, opts)
+	var plan volcano.Iterator = assembly.New(volcano.FromOIDs(q.Roots), store, tmpl, opts)
 	if q.Where != nil {
 		plan = volcano.NewFilter(plan, func(item volcano.Item) (bool, error) {
 			inst, ok := item.(*assembly.Instance)

@@ -71,11 +71,7 @@ func (s *Session) runConcurrent(db *gen.Database, level int, opts ConcurrencyOpt
 				if opts.Deadline > 0 {
 					ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
 				}
-				items := make([]volcano.Item, len(db.Roots))
-				for i, root := range db.Roots {
-					items[i] = root
-				}
-				op := assembly.New(volcano.NewSlice(items), db.Store, db.Template, assembly.Options{
+				op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template, assembly.Options{
 					Window:         concurrentWindow,
 					Scheduler:      assembly.Elevator,
 					PinWindowPages: true,

@@ -268,11 +268,7 @@ func (sc Scenario) template(e *env) *assembly.Template {
 // assembleRoots runs the assembly operator over the given roots and
 // returns its stats after checking the drain count matches.
 func assembleRoots(sc Scenario, e *env, roots []object.OID, reg *metrics.Registry) (assembly.Stats, error) {
-	items := make([]volcano.Item, len(roots))
-	for i, r := range roots {
-		items[i] = r
-	}
-	op := assembly.New(volcano.NewSlice(items), e.db.Store, sc.template(e), sc.options(e, reg))
+	op := assembly.New(volcano.FromOIDs(roots), e.db.Store, sc.template(e), sc.options(e, reg))
 	n, err := volcano.Count(op)
 	if err != nil {
 		return assembly.Stats{}, err

@@ -36,11 +36,7 @@ func tracedAssembly(t *testing.T, db *gen.Database, opts assembly.Options) (*tra
 		db.Pool.SetTracer(nil)
 	}()
 
-	items := make([]volcano.Item, len(db.Roots))
-	for i, root := range db.Roots {
-		items[i] = root
-	}
-	op := assembly.New(volcano.NewSlice(items), db.Store, db.Template, opts)
+	op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template, opts)
 	n, err := volcano.Count(op)
 	if err != nil {
 		t.Fatalf("assembly run: %v", err)

@@ -157,11 +157,7 @@ func (e *Engine) Get(oid OID) (*Object, error) { return e.Store.Get(oid) }
 // Drive it with Open/Next/Close (Next yields *Instance items), or use
 // AssembleAll.
 func (e *Engine) Assemble(roots []OID, tmpl *Template, opts Options) Iterator {
-	items := make([]volcano.Item, len(roots))
-	for i, r := range roots {
-		items[i] = r
-	}
-	return assembly.New(volcano.NewSlice(items), e.Store, tmpl, opts)
+	return assembly.New(volcano.FromOIDs(roots), e.Store, tmpl, opts)
 }
 
 // AssembleFrom builds an assembly operator over an arbitrary input
