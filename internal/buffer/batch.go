@@ -44,19 +44,30 @@ type runLoad struct {
 	errs []error
 }
 
-// add appends the page at position (run, at) of the batch to the loads.
+// add appends the page at position (run, at) of the batch to the loads,
+// with the buffer its place holds, within the room Lanes.read made.
 func (rl *runLoad) add(run, at int, id disk.PageID) {
-	n := len(rl.pages)
-	if n < cap(rl.pages) {
-		rl.pages = rl.pages[:n+1] // with the buffer it had last time
-	} else {
-		rl.pages = append(rl.pages, load{})
-	}
-	ld := &rl.pages[n]
+	rl.pages = rl.pages[:len(rl.pages)+1]
+	ld := &rl.pages[len(rl.pages)-1]
 	ld.run, ld.at, ld.id = run, at, id
-	if size := len(rl.p.frames[0].data); len(ld.buf) != size {
-		ld.buf = make([]byte, size)
+}
+
+// room makes the loads hold n pages, each place with a page buffer: the
+// places held so far keep theirs, and the new ones share one
+// allocation.
+func (rl *runLoad) room(n int) {
+	held := cap(rl.pages)
+	if held >= n {
+		return
 	}
+	pages := slices.Grow(rl.pages[:held], n-held)
+	pages = pages[:cap(pages)]
+	size := len(rl.p.frames[0].data)
+	bufs := make([]byte, (len(pages)-held)*size)
+	for i := held; i < len(pages); i++ {
+		pages[i].buf, bufs = bufs[:size:size], bufs[size:]
+	}
+	rl.pages = pages[:0]
 }
 
 // read makes the run's first attempt as one device operation, then
@@ -153,6 +164,7 @@ func (ls *Lanes) read(p *Pool, runs []Run) []runLoad {
 		}
 		rl := &ls.loads[n]
 		rl.p, rl.ctx, rl.pages = p, run.Ctx, rl.pages[:0]
+		rl.room(len(run.IDs))
 		for i, id := range run.IDs {
 			if p.resident(id) == nil && !inBatchBefore(runs, r, i) {
 				rl.add(r, i, id)

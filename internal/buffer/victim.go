@@ -11,36 +11,82 @@ import (
 // sticky — exact LRU, and since stamps are unique and only grow, the
 // frame a scan of the whole pool would pick (DESIGN.md §6).
 //
-// Resident frames sit in a min-heap whose keys only a miss brings up to
+// Resident frames are queued under keys that only a miss brings up to
 // date. An entry's key is its frame's stamp when the entry was placed;
-// a hit moves the stamp and leaves the heap alone, so key <= stamp and
-// a top entry whose key equals its stamp has the smallest stamp in the
-// heap. A search looks only at the top: pinned, the entry is dropped
-// (Unfix queues the frame again at its last unpin); stale, it is
-// re-keyed and sifted down; sticky, the frame is parked outside the
-// heap, where later searches do not meet it; otherwise it is the
-// victim. Every parked frame is sticky — SetSticky queues one again the
-// moment its hint is cleared — so when the heap runs out the candidates
-// left are the parked frames, and the smallest stamp among them goes.
+// a hit moves the stamp and leaves the entry alone, so key <= stamp.
+// The entries are split between two structures with one order:
+//
+//   - The admission queue (Pool.queue), a ring in admission order.
+//     admitLocked keys a frame with the pool's newest tick, larger than
+//     every key queued anywhere, so pushing it at the tail keeps the
+//     ring in key order with no sift: push and pop are O(1).
+//   - The heap (Pool.lru), a binary min-heap for every entry placed
+//     under an older key: a queue head a hit made stale, re-keyed by its
+//     stamp; a frame Unfix queues again after a search dropped it
+//     pinned; a victim whose flush failed; a frame SetSticky un-parks.
+//
+// The smaller of the two tops is the smallest key queued — keys are
+// unique, so it is the one entry a single heap of them all would have on
+// top — and its frame has the smallest stamp when its key equals its
+// stamp. A search looks only at that entry: pinned, the entry is dropped
+// (Unfix puts the frame in the heap at its last unpin); stale, it is
+// re-keyed into the heap; sticky, the frame is parked outside both,
+// where later searches do not meet it; otherwise it is the victim.
+// Every parked frame is sticky — SetSticky queues one again the moment
+// its hint is cleared — so when both run out the candidates left are
+// the parked frames, and the smallest stamp among them goes.
 
 // Where the replacer keeps a resident frame (Frame.place).
 const (
 	placeNone   int8 = iota // nowhere: pinned when a search met it, or empty
+	placeQueue              // an entry in Pool.queue
 	placeHeap               // an entry in Pool.lru
 	placeParked             // Pool.parked[Frame.slot]
 )
 
-// lruEntry is a resident frame's place in the victim heap. The key
-// sits beside the pointer so that sifting reads the slice only.
+// lruEntry is a resident frame's place in the admission queue or the
+// victim heap. The key sits beside the pointer so that sifting reads
+// the slice only.
 type lruEntry struct {
 	key int64 // f.stamp when the entry was placed
 	f   *Frame
 }
 
-// pushLRU queues f, keyed by its current stamp. Kept out of line: Unfix
-// calls it once in a long while, and with the body inlined between the
-// last-unpin test and the return every Unfix paid for it (2–3 % of the
-// write workload, EXPERIMENTS.md).
+// admitQueue is the admission queue: a ring of one entry per frame,
+// keys rising from the head, the oldest entry, to the tail.
+type admitQueue struct {
+	ring []lruEntry
+	head int // index of the head entry
+	n    int // entries queued
+}
+
+// push queues f at the tail, keyed by its stamp, which must be larger
+// than every key queued.
+func (q *admitQueue) push(f *Frame) {
+	f.place = placeQueue
+	i := q.head + q.n
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = lruEntry{f.stamp, f}
+	q.n++
+}
+
+// pop removes the head entry and returns its frame.
+func (q *admitQueue) pop() *Frame {
+	f := q.ring[q.head].f
+	f.place = placeNone
+	if q.head++; q.head == len(q.ring) {
+		q.head = 0
+	}
+	q.n--
+	return f
+}
+
+// pushLRU puts f in the heap, keyed by its current stamp. Kept out of
+// line: Unfix calls it once in a long while, and with the body inlined
+// between the last-unpin test and the return every Unfix paid for it
+// (2–3 % of the write workload, EXPERIMENTS.md).
 //
 //go:noinline
 func (p *Pool) pushLRU(f *Frame) {
@@ -57,7 +103,7 @@ func (p *Pool) pushLRU(f *Frame) {
 	p.lru = h
 }
 
-// popLRU removes the top entry and returns its frame.
+// popLRU removes the heap's top entry and returns its frame.
 func (p *Pool) popLRU() *Frame {
 	h := p.lru
 	f := h[0].f
@@ -93,23 +139,45 @@ func (p *Pool) siftDownLRU() {
 	h[i] = e
 }
 
-// lruVictim takes the replacement victim out of the heap or the parked
-// frames, or returns nil when every resident frame is pinned.
+// lruTop returns the entry with the smallest key, nil when the queue
+// and the heap are both empty, and whether it is the queue's head.
+func (p *Pool) lruTop() (top *lruEntry, queued bool) {
+	q := &p.queue
+	switch {
+	case q.n > 0 && (len(p.lru) == 0 || q.ring[q.head].key < p.lru[0].key):
+		return &q.ring[q.head], true
+	case len(p.lru) > 0:
+		return &p.lru[0], false
+	}
+	return nil, false
+}
+
+// popTop removes the entry lruTop returned and returns its frame.
+func (p *Pool) popTop(queued bool) *Frame {
+	if queued {
+		return p.queue.pop()
+	}
+	return p.popLRU()
+}
+
+// lruVictim takes the replacement victim out of the queue, the heap or
+// the parked frames, or returns nil when every resident frame is pinned.
 func (p *Pool) lruVictim() *Frame {
-	for len(p.lru) > 0 {
-		top := &p.lru[0]
+	for top, queued := p.lruTop(); top != nil; top, queued = p.lruTop() {
 		switch f := top.f; {
 		case f.pins > 0:
-			p.popLRU()
+			p.popTop(queued)
+		case top.key != f.stamp && queued:
+			p.pushLRU(p.queue.pop())
 		case top.key != f.stamp:
 			top.key = f.stamp
 			p.siftDownLRU()
 		case f.sticky:
-			p.popLRU()
+			p.popTop(queued)
 			f.place, f.slot = placeParked, len(p.parked)
 			p.parked = append(p.parked, f)
 		default:
-			return p.popLRU()
+			return p.popTop(queued)
 		}
 	}
 	var victim *Frame

@@ -8,11 +8,12 @@ import (
 )
 
 // checkInvariants verifies the replacement state against the frames it
-// describes, between operations: the heap is a heap on its keys, no key
-// is ahead of its frame's stamp, only sticky frames are parked, every
-// frame a search could evict is queued or parked exactly once, the
-// empty frames are counted and bounded below by emptyFrom, and the page
-// table holds the resident frames, each under its page, and nothing else
+// describes, between operations: the heap is a heap on its keys, the
+// admission queue's keys rise from head to tail, no key is ahead of its
+// frame's stamp, only sticky frames are parked, every frame a search
+// could evict is queued, in the heap or parked, exactly once, the empty
+// frames are counted and bounded below by emptyFrom, and the page table
+// holds the resident frames, each under its page, and nothing else
 // (tableErr).
 func checkInvariants(tb testing.TB, p *Pool) {
 	tb.Helper()
@@ -24,33 +25,54 @@ func checkInvariants(tb testing.TB, p *Pool) {
 func invariantErr(p *Pool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	inHeap := make([]bool, len(p.frames)) // by frame index
+	placed := make([]int8, len(p.frames)) // by frame index: where an entry was found
+	entry := func(where string, place int8, e lruEntry) error {
+		switch f := e.f; {
+		case placed[f.index] != placeNone:
+			return fmt.Errorf("%s: frame %d queued twice", where, f.index)
+		case f.place != place:
+			return fmt.Errorf("%s: frame %d found there, place %d", where, f.index, f.place)
+		case f.id == disk.InvalidPage:
+			return fmt.Errorf("%s: empty frame %d queued", where, f.index)
+		case e.key > f.stamp:
+			return fmt.Errorf("%s: frame %d keyed %d, ahead of its stamp %d", where, f.index, e.key, f.stamp)
+		}
+		placed[e.f.index] = place
+		return nil
+	}
 	for i, e := range p.lru {
 		if i > 0 && p.lru[(i-1)/2].key > e.key {
 			return fmt.Errorf("heap: key %d at %d under key %d at %d", e.key, i, p.lru[(i-1)/2].key, (i-1)/2)
 		}
-		switch f := e.f; {
-		case inHeap[f.index]:
-			return fmt.Errorf("heap: frame %d queued twice", f.index)
-		case f.place != placeHeap:
-			return fmt.Errorf("heap: frame %d in the heap, place %d", f.index, f.place)
-		case f.id == disk.InvalidPage:
-			return fmt.Errorf("heap: empty frame %d queued", f.index)
-		case e.key > f.stamp:
-			return fmt.Errorf("heap: frame %d keyed %d, ahead of its stamp %d", f.index, e.key, f.stamp)
+		if err := entry("heap", placeHeap, e); err != nil {
+			return err
 		}
-		inHeap[e.f.index] = true
+	}
+	q := &p.queue
+	if len(q.ring) != len(p.frames) || q.head < 0 || q.head >= len(q.ring) || q.n < 0 || q.n > len(q.ring) {
+		return fmt.Errorf("queue: head %d, %d entries in a ring of %d", q.head, q.n, len(q.ring))
+	}
+	for k, last := 0, int64(0); k < q.n; k++ {
+		e := q.ring[(q.head+k)%len(q.ring)]
+		if k > 0 && e.key <= last {
+			return fmt.Errorf("queue: key %d at %d behind key %d", e.key, k, last)
+		}
+		if err := entry("queue", placeQueue, e); err != nil {
+			return err
+		}
+		last = e.key
 	}
 	for i, f := range p.parked {
-		if f.place != placeParked || f.slot != i || !f.sticky || f.id == disk.InvalidPage {
-			return fmt.Errorf("parked[%d]: frame %d, place %d, slot %d, sticky %v, page %d", i, f.index, f.place, f.slot, f.sticky, f.id)
+		if f.place != placeParked || f.slot != i || !f.sticky || f.id == disk.InvalidPage || placed[f.index] != placeNone {
+			return fmt.Errorf("parked[%d]: frame %d, place %d, slot %d, sticky %v, page %d, found in %d", i, f.index, f.place, f.slot, f.sticky, f.id, placed[f.index])
 		}
+		placed[f.index] = placeParked
 	}
 	empty, pinned := 0, 0
 	for i := range p.frames {
 		f := &p.frames[i]
-		if (f.place == placeHeap) != inHeap[i] || f.place == placeParked && (f.slot >= len(p.parked) || p.parked[f.slot] != f) {
-			return fmt.Errorf("frame %d: place %d, slot %d, in the heap: %v", i, f.place, f.slot, inHeap[i])
+		if f.place != placed[i] {
+			return fmt.Errorf("frame %d: place %d, found in %d", i, f.place, placed[i])
 		}
 		if f.pins > 0 {
 			pinned++
@@ -110,8 +132,8 @@ func TestInvariantsRefuseAPageInTwoFrames(t *testing.T) {
 	}
 }
 
-// A hit makes an entry stale without touching the heap; the next
-// search re-keys it instead of evicting it.
+// A hit makes an entry stale without touching the queue; the next
+// search moves it to the heap under its stamp instead of evicting it.
 func TestStaleKeyRefreshedOnMiss(t *testing.T) {
 	p, _ := newPool(t, 16, 3)
 	for _, id := range []disk.PageID{0, 1, 2} {
@@ -121,10 +143,10 @@ func TestStaleKeyRefreshedOnMiss(t *testing.T) {
 		}
 		p.Unfix(f, false)
 	}
-	f, _ := p.Fix(0) // page 0 is on top of the heap and now the newest
+	f, _ := p.Fix(0) // page 0 heads the admission queue and is now the newest
 	p.Unfix(f, false)
-	if top := p.lru[0]; top.f.id != 0 || top.key == top.f.stamp {
-		t.Fatalf("hit did heap work: top holds page %d, key %d, stamp %d", top.f.id, top.key, top.f.stamp)
+	if head := p.queue.ring[p.queue.head]; head.f.id != 0 || head.key == head.f.stamp || len(p.lru) != 0 {
+		t.Fatalf("hit did queue work: head holds page %d, key %d, stamp %d; %d in the heap", head.f.id, head.key, head.f.stamp, len(p.lru))
 	}
 	for _, step := range []struct{ fix, evicts disk.PageID }{{5, 1}, {6, 2}, {7, 0}} {
 		f, err := p.Fix(step.fix)

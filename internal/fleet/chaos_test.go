@@ -73,7 +73,7 @@ func killPrimaryMidQuery(t *testing.T, fleet int, seed int64) {
 	ctx := shard.WithBudget(qtrace.With(context.Background(), root), budget)
 
 	// Kill the victim once the query is demonstrably under way there.
-	killed := after(rg.clients[victim], 15, func() error { return rg.kill(victim) })
+	killed := rg.after(rg.clients[victim], 15, func() error { return rg.kill(victim) })
 	op, items, err := rg.query(ctx, assembly.Options{Window: 8, FaultPolicy: assembly.RetryFaults})
 	<-killed
 	if err != nil {
@@ -411,7 +411,7 @@ func TestFleetPromotionChaosKillPrimary(t *testing.T) {
 
 	// Kill the victim once the query is demonstrably under way there,
 	// and HOLD it down — unlike a blip, this must end in promotion.
-	killed := after(rg.clients[victim], 15, func() error { return rg.kill(victim) })
+	killed := rg.after(rg.clients[victim], 15, func() error { return rg.kill(victim) })
 	_, items, err := rg.query(nil, assembly.Options{Window: 8, FaultPolicy: assembly.RetryFaults})
 	<-killed
 	if err != nil {
@@ -528,7 +528,7 @@ func TestFleetReshardAddMemberMidQuery(t *testing.T) {
 	// pre-join no page routes to the empty fourth lane.
 	joinerDev := disk.New(0)
 	var migrated int
-	joined := after(router, 15, func() (err error) {
+	joined := rg.after(router, 15, func() (err error) {
 		migrated, err = mg.Join(shard.Member{Name: joiner, Primary: joinerDev})
 		return err
 	})

@@ -331,14 +331,29 @@ func (rg *rig) checkOracle(label string, items []volcano.Item) {
 // after runs fn on a goroutine of its own once dev has served reads
 // more reads than it has now (or ten seconds have passed), which lands
 // it in the middle of the query the caller starts next. The returned
-// channel yields fn's error.
-func after(dev disk.Device, reads int64, fn func() error) <-chan error {
+// channel yields fn's error. The wait belongs to the rig's test: if the
+// test ends first, a failure mid-query say, its cleanup stops the wait
+// without running fn, or waits for a running fn to return, before the
+// rig's teardown checks for leaked goroutines.
+func (rg *rig) after(dev disk.Device, reads int64, fn func() error) <-chan error {
 	base := dev.Stats().Reads
 	done := make(chan error, 1)
+	stop, exited := make(chan struct{}), make(chan struct{})
+	rg.t.Cleanup(func() {
+		close(stop)
+		<-exited
+	})
 	go func() {
+		defer close(exited)
+		tick := time.NewTicker(100 * time.Microsecond)
+		defer tick.Stop()
 		deadline := time.Now().Add(10 * time.Second)
 		for dev.Stats().Reads-base < reads && time.Now().Before(deadline) {
-			time.Sleep(100 * time.Microsecond)
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
 		}
 		done <- fn()
 	}()

@@ -68,7 +68,9 @@ func (s storm) mustMatchOracle(what string) {
 
 // meddle starts the meddlers — two goroutines that fix and unfix pages
 // of the file, one that empties the pool (which fails, harmlessly,
-// whenever a page is pinned) — and returns what stops them.
+// whenever a page is pinned) — and returns what stops them. The test's
+// cleanup stops them too, should it end first, before the rig's
+// teardown checks for leaked goroutines.
 func (s storm) meddle() (stop func()) {
 	pool := s.db.Pool
 	done := make(chan struct{})
@@ -103,10 +105,12 @@ func (s storm) meddle() (stop func()) {
 			}
 		}
 	}()
-	return func() {
+	stop = sync.OnceFunc(func() {
 		close(done)
 		meddlers.Wait()
-	}
+	})
+	s.t.Cleanup(stop)
+	return stop
 }
 
 // mustBookOnce runs one more query, undisturbed, and checks the books
@@ -172,7 +176,7 @@ func TestOverlappedBatchStorm(t *testing.T) {
 		s := newStorm(t, false)
 		stop := s.meddle()
 		s.mustMatchOracle("query 0")
-		revived := after(s.clients[1], 40, func() error {
+		revived := s.after(s.clients[1], 40, func() error {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			s.srvs[1].Close()
@@ -198,7 +202,7 @@ func TestOverlappedBatchStorm(t *testing.T) {
 		s := newStorm(t, true)
 		stop := s.meddle()
 		s.mustMatchOracle("query 0")
-		killed := after(s.clients[0], 40, func() error { return s.kill(0) })
+		killed := s.after(s.clients[0], 40, func() error { return s.kill(0) })
 		s.mustMatchOracle("query 1, member 0's primary killed under it")
 		if err := <-killed; err != nil {
 			t.Fatal(err)
@@ -206,7 +210,7 @@ func TestOverlappedBatchStorm(t *testing.T) {
 		if s.router.DegradedReads(0) == 0 {
 			t.Errorf("member 0's primary is gone and no read ran degraded")
 		}
-		promoted := after(s.replica, 40, func() error {
+		promoted := s.after(s.replica, 40, func() error {
 			old, err := s.router.PromoteReplica(0, 2)
 			if err != nil {
 				return err
