@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet test alloc-check alloc-sites sched-check buffer-check asm-check disk-check wire-check gen-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke suite-check trace-demo tracez-smoke serve-demo examples cover loc clean
+.PHONY: all check build vet test alloc-check alloc-sites sched-check buffer-check asm-check disk-check wire-check gen-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke suite-check trace-demo tracez-smoke serve-demo cover loc clean
 
 all: check
 
@@ -26,7 +26,9 @@ vet:
 
 # Every test once. The differential tests against the kept reference
 # models (internal/difftest's seed walk) run here at their full count
-# and nowhere else in this gate: the checks below leave them out.
+# and nowhere else in this gate: the checks below leave them out. The
+# root package's Examples (example_test.go) run here too, their printed
+# output checked against their // Output: blocks.
 test:
 	$(GO) test ./...
 
@@ -373,14 +375,6 @@ trace-demo:
 # /metrics, /statusz, and pprof served on :8091.
 serve-demo:
 	$(GO) run ./cmd/asmserve -figure faults -scale 0.3
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/genealogy
-	$(GO) run ./examples/cad
-	$(GO) run ./examples/stacked
-	$(GO) run ./examples/parallel
-	$(GO) run ./examples/reveal
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

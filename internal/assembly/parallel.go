@@ -13,8 +13,9 @@ import (
 // scheduler, and shared table; the storage layer (buffer pool and
 // device) is shared and internally synchronized, so clones contend for
 // the head exactly as the paper warns ("each assumes sole control of
-// the device"). Pair it with a disk.Server front end to restore
-// elevator behaviour across clones.
+// the device"). The paper's remedy, a server per device that batches
+// every clone's requests into one SCAN order, is the reference model
+// in internal/disk's server_test.go.
 //
 // Output order across partitions is nondeterministic.
 func NewParallel(roots []object.OID, store *object.Store, tmpl *Template, opts Options, degree int) volcano.Iterator {

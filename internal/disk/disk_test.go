@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"revelation/internal/trace"
 )
@@ -346,129 +345,6 @@ func TestFileDeviceSeekAccounting(t *testing.T) {
 	}
 	if got := d.Stats().SeekReads; got != 70 {
 		t.Errorf("SeekReads = %d, want 70", got)
-	}
-}
-
-func TestServerElevatorOrder(t *testing.T) {
-	// Build the server without its drain goroutine, enqueue a full
-	// batch, then start draining: the batch must be serviced in SCAN
-	// order, so total head movement equals one ascending sweep.
-	d := New(1000)
-	s := &Server{dev: d, stopped: make(chan struct{})}
-	s.cond = sync.NewCond(&s.mu)
-	pages := []PageID{500, 100, 900, 300, 700}
-	var reqs []*request
-	for _, p := range pages {
-		r := &request{page: p, buf: make([]byte, DefaultPageSize), done: make(chan error, 1)}
-		reqs = append(reqs, r)
-		s.queue = append(s.queue, r)
-	}
-	go s.run()
-	for _, r := range reqs {
-		if err := <-r.done; err != nil {
-			t.Fatalf("server read %d: %v", r.page, err)
-		}
-	}
-	s.Close()
-	st := d.Stats()
-	if st.Reads != int64(len(pages)) {
-		t.Errorf("Reads = %d, want %d", st.Reads, len(pages))
-	}
-	// Head starts at 0, all requests >= 0: a single ascending sweep
-	// to page 900.
-	if st.SeekReads != 900 {
-		t.Errorf("SeekReads = %d, want 900 (one SCAN sweep)", st.SeekReads)
-	}
-}
-
-func TestServerSweepSplitsAtHead(t *testing.T) {
-	d := New(1000)
-	buf := make([]byte, DefaultPageSize)
-	if err := d.ReadPage(400, buf); err != nil { // park head at 400
-		t.Fatal(err)
-	}
-	d.ResetStats()
-	s := &Server{dev: d, stopped: make(chan struct{})}
-	s.cond = sync.NewCond(&s.mu)
-	var reqs []*request
-	for _, p := range []PageID{600, 200, 500, 300} {
-		r := &request{page: p, buf: make([]byte, DefaultPageSize), done: make(chan error, 1)}
-		reqs = append(reqs, r)
-		s.queue = append(s.queue, r)
-	}
-	go s.run()
-	for _, r := range reqs {
-		if err := <-r.done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-	// Up: 400->500->600 (200), then down: 600->300->200 (400). Total 600.
-	if got := d.Stats().SeekReads; got != 600 {
-		t.Errorf("SeekReads = %d, want 600 (up then down sweep)", got)
-	}
-}
-
-func TestServerBatchWaitAccumulates(t *testing.T) {
-	d := New(1000)
-	s := NewServer(d)
-	defer s.Close()
-	s.SetBatchWait(2 * time.Millisecond)
-	var wg sync.WaitGroup
-	pages := []PageID{900, 100, 500, 300, 700}
-	for _, p := range pages {
-		wg.Add(1)
-		go func(p PageID) {
-			defer wg.Done()
-			buf := make([]byte, DefaultPageSize)
-			if err := s.Read(p, buf); err != nil {
-				t.Errorf("read %d: %v", p, err)
-			}
-		}(p)
-	}
-	wg.Wait()
-	st := d.Stats()
-	if st.Reads != int64(len(pages)) {
-		t.Fatalf("Reads = %d", st.Reads)
-	}
-	// With the batching window all five requests should land in one
-	// or two sweeps: well under the ~2400 a random order can cost.
-	if st.SeekReads > 1700 {
-		t.Errorf("SeekReads = %d, batching did not help", st.SeekReads)
-	}
-}
-
-func TestServerReadAfterClose(t *testing.T) {
-	d := New(10)
-	s := NewServer(d)
-	s.Close()
-	if err := s.Read(1, make([]byte, DefaultPageSize)); !errors.Is(err, ErrClosed) {
-		t.Errorf("read after close err = %v, want ErrClosed", err)
-	}
-}
-
-func TestServerManyClients(t *testing.T) {
-	d := New(4096)
-	s := NewServer(d)
-	defer s.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			buf := make([]byte, DefaultPageSize)
-			for i := 0; i < 100; i++ {
-				if err := s.Read(PageID(rng.Intn(4096)), buf); err != nil {
-					t.Errorf("read: %v", err)
-					return
-				}
-			}
-		}(int64(g))
-	}
-	wg.Wait()
-	if got := d.Stats().Reads; got != 1600 {
-		t.Errorf("Reads = %d, want 1600", got)
 	}
 }
 

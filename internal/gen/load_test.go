@@ -173,9 +173,8 @@ func TestBuildWriteFault(t *testing.T) {
 	}
 
 	// Member s0's pages of the extent, in order: the k-th write that
-	// reaches its device is the k-th of them. (The crash crosses the
-	// wire as a remote error, which keeps its text but not its
-	// sentinel.)
+	// reaches its device is the k-th of them. The crash crosses the wire
+	// with its sentinel.
 	var owned []disk.PageID
 	probe := fleetOver(t, disk.New(0), disk.New(0))
 	for p := clean.Store.File.First(); int(p) < int(clean.Store.File.First())+n; p++ {
@@ -189,8 +188,8 @@ func TestBuildWriteFault(t *testing.T) {
 		cfg.Device = fleetOver(t, dev, disk.New(0))
 		_, err := Build(cfg)
 		page := owned[k-1]
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("load page %d:", page)) || !strings.Contains(err.Error(), "crashed") {
-			t.Errorf("fleet: write %d of member s0's %d failed: err = %v, want a crash naming page %d", k, len(owned), err, page)
+		if !errors.Is(err, disk.ErrCrashed) || !strings.Contains(err.Error(), fmt.Sprintf("load page %d:", page)) {
+			t.Errorf("fleet: write %d of member s0's %d failed: err = %v, want ErrCrashed naming page %d", k, len(owned), err, page)
 		}
 	}
 }

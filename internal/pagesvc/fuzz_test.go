@@ -3,6 +3,7 @@ package pagesvc
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"slices"
@@ -25,10 +26,11 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 }
 
 // FuzzProtoDecode throws arbitrary bytes at every wire-decode path —
-// the request header (query id and epoch included), the response header, the error body, the Follow stream record and
-// delta, and the promote body. Whatever the input, decoding must return a
-// classified error or a well-formed value, never panic or index out of
-// bounds; and any frame that decodes cleanly must survive a
+// the request header (query id and epoch included), the response header,
+// the error body (whose code must survive a decode and re-encode), the
+// Follow stream record and delta, and the promote body. Whatever the
+// input, decoding must return a classified error or a well-formed value,
+// never panic or index out of bounds; and any frame that decodes cleanly must survive a
 // re-encode/re-decode round trip unchanged (headers are canonical). A
 // frame that does not decode as a request is answered by a server's
 // connection with one well-formed error frame, after which it closes. The
@@ -83,7 +85,9 @@ func FuzzProtoDecode(f *testing.F) {
 	f.Add(encodeRequest(request{op: opPromote, reqID: 1, epoch: 5, body: encodePromote(5, 100, true)}))
 	// Response frames: ok, error, stream.
 	f.Add(encodeResponse(response{status: stOK, reqID: 3, body: []byte("payload")}))
-	f.Add(encodeResponse(response{status: stErr, reqID: 4, body: encodeErr(ErrFenced)}))
+	for _, r := range errCodes {
+		f.Add(encodeResponse(response{status: stErr, reqID: 4, body: encodeErr(fmt.Errorf("%w: page 3", r.is[0]))}))
+	}
 	f.Add(encodeStreamRecord(5, 9, 2, bytes.Repeat([]byte{0xAB}, 32)))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
@@ -156,7 +160,20 @@ func FuzzProtoDecode(f *testing.F) {
 				t.Fatalf("response round trip diverged")
 			}
 			if resp.status == stErr {
-				_ = decodeErr(resp.body) // must classify, never panic
+				derr := decodeErr(resp.body) // must classify, never panic
+				if len(resp.body) > 0 {
+					// Every code decodes to an error that encodes back to
+					// it; an unknown one, to one that encodes as classOther.
+					want := classOther
+					for _, r := range errCodes {
+						if r.code == resp.body[0] {
+							want = r.code
+						}
+					}
+					if got := encodeErr(derr)[0]; got != want {
+						t.Fatalf("error code %d decodes to one of code %d, want %d", resp.body[0], got, want)
+					}
+				}
 			}
 			if resp.status == stStream {
 				if lsn, page, img, err := decodeStreamRecord(resp.body); err == nil {

@@ -57,15 +57,39 @@ const (
 	stDelta  = byte(3) // one Follow delta: [8B lsn][4B page][8B prev LSN][2B offset][bytes]
 )
 
-// Error classes carried in stErr bodies, mapping the server-side error
-// back onto the client-side disk error taxonomy so retry decisions
-// survive the network.
+// Error codes carried in stErr bodies, mapping the server-side error
+// back onto the client-side sentinels so retry decisions, and every
+// errors.Is a caller asks, survive the network.
 const (
-	classTransient = byte(0) // wraps disk.ErrTransient on arrival
-	classPermanent = byte(1) // wraps disk.ErrPermanent
-	classOther     = byte(2) // wrapped verbatim, not retryable
-	classFenced    = byte(3) // wraps ErrFenced + disk.ErrPermanent: stale epoch
+	classTransient  = byte(0) // wraps disk.ErrTransient on arrival
+	classPermanent  = byte(1) // wraps disk.ErrPermanent
+	classOther      = byte(2) // no sentinel: the message alone, not retryable
+	classFenced     = byte(3) // wraps ErrFenced + disk.ErrPermanent: stale epoch
+	classOutOfRange = byte(4) // wraps disk.ErrOutOfRange
+	classClosed     = byte(5) // wraps disk.ErrClosed
+	classBadLength  = byte(6) // wraps disk.ErrBadLength
+	classCrashed    = byte(7) // wraps disk.ErrCrashed
 )
+
+// errCodes is the wire's one error table. encodeErr sends the code of
+// the first row whose first sentinel the error wraps, classOther when
+// none does; decodeErr wraps the message in every sentinel of the row,
+// and decodes an unknown code as classOther. The four disk sentinels
+// wrap neither retry sentinel, here as on a local device, so a shard
+// router's retry and breaker read them as they read classOther.
+// DESIGN.md §12 carries this table.
+var errCodes = []struct {
+	code byte
+	is   []error
+}{
+	{classFenced, []error{ErrFenced, disk.ErrPermanent}},
+	{classTransient, []error{disk.ErrTransient}},
+	{classPermanent, []error{disk.ErrPermanent}},
+	{classOutOfRange, []error{disk.ErrOutOfRange}},
+	{classClosed, []error{disk.ErrClosed}},
+	{classBadLength, []error{disk.ErrBadLength}},
+	{classCrashed, []error{disk.ErrCrashed}},
+}
 
 // ErrFenced reports a request rejected by epoch fencing: the sender's
 // view of the shard is stale (an old primary's late write after a
@@ -234,43 +258,41 @@ func decodeResponse(p []byte) (response, error) {
 	}, nil
 }
 
-// encodeErr builds an stErr body from a server-side error, classifying
-// it so the client can rebuild a retry-equivalent error.
+// encodeErr builds an stErr body from a server-side error: its code in
+// errCodes, then its message.
 func encodeErr(err error) []byte {
-	class := classOther
-	switch {
-	case errors.Is(err, ErrFenced):
-		class = classFenced
-	case errors.Is(err, disk.ErrTransient):
-		class = classTransient
-	case errors.Is(err, disk.ErrPermanent):
-		class = classPermanent
+	code := classOther
+	for _, r := range errCodes {
+		if errors.Is(err, r.is[0]) {
+			code = r.code
+			break
+		}
 	}
 	msg := err.Error()
 	body := make([]byte, 1+len(msg))
-	body[0] = class
+	body[0] = code
 	copy(body[1:], msg)
 	return body
 }
 
-// decodeErr rebuilds a classified error from an stErr body.
+// decodeErr rebuilds the error of an stErr body: the message, wrapped
+// in its code's sentinels.
 func decodeErr(body []byte) error {
 	if len(body) < 1 {
 		return fmt.Errorf("%w: empty error body", ErrBadFrame)
 	}
 	msg := string(body[1:])
-	switch body[0] {
-	case classTransient:
-		return fmt.Errorf("pagesvc: %s: %w", msg, disk.ErrTransient)
-	case classPermanent:
-		return fmt.Errorf("pagesvc: %s: %w", msg, disk.ErrPermanent)
-	case classFenced:
-		// Fenced is permanent: the request is from a superseded view of
-		// the fleet and retrying it verbatim can never succeed.
-		return fmt.Errorf("pagesvc: %s: %w: %w", msg, ErrFenced, disk.ErrPermanent)
-	default:
-		return fmt.Errorf("pagesvc: remote error: %s", msg)
+	for _, r := range errCodes {
+		if r.code == body[0] {
+			format, args := "pagesvc: %s", []any{msg}
+			for _, e := range r.is {
+				format += ": %w"
+				args = append(args, e)
+			}
+			return fmt.Errorf(format, args...)
+		}
 	}
+	return fmt.Errorf("pagesvc: remote error: %s", msg)
 }
 
 // encodePromote builds an opPromote body: the epoch to adopt, the

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"revelation/internal/metrics"
 )
 
 // Exchange is Volcano's parallelism operator: it encapsulates
@@ -35,28 +33,11 @@ type Exchange struct {
 	wg     sync.WaitGroup
 	open   bool
 	closed bool
-
-	// depth and producers are maintained unconditionally so a metrics
-	// scraper never reads the channel fields (which Open replaces —
-	// len(e.ch) from another goroutine would race).
-	depth     metrics.Gauge // items queued between producers and Next
-	producers metrics.Gauge // producer goroutines currently running
 }
 
 type exchItem struct {
 	item Item
 	err  error
-}
-
-// RegisterMetrics exports the exchange's live queue depth, producer
-// count, and degree to r under the given exchange label.
-func (e *Exchange) RegisterMetrics(r *metrics.Registry, name string) {
-	r.Attach("asm_exchange_queue_depth", "Items queued between producers and the consumer.",
-		&e.depth, "exchange", name)
-	r.Attach("asm_exchange_producers", "Producer goroutines currently running.",
-		&e.producers, "exchange", name)
-	r.Attach("asm_exchange_degree", "Configured degree of parallelism.",
-		metrics.GaugeFunc(func() int64 { return int64(e.Degree) }), "exchange", name)
 }
 
 // NewExchange builds an exchange of the given degree over the fragment
@@ -104,8 +85,6 @@ func (e *Exchange) ctxDone() <-chan struct{} {
 }
 
 func (e *Exchange) produce(part int) {
-	e.producers.Add(1)
-	defer e.producers.Add(-1)
 	defer e.wg.Done()
 	it, err := e.Factory(part)
 	if err != nil {
@@ -149,7 +128,6 @@ func (e *Exchange) produce(part int) {
 func (e *Exchange) send(x exchItem) bool {
 	select {
 	case e.ch <- x:
-		e.depth.Add(1)
 		return true
 	case <-e.cancel:
 		return false
@@ -184,7 +162,6 @@ func (e *Exchange) deliver(x exchItem, ok bool) (Item, error) {
 	if !ok {
 		return nil, Done
 	}
-	e.depth.Add(-1)
 	if x.err != nil {
 		return nil, x.err
 	}
@@ -202,7 +179,6 @@ func (e *Exchange) Close() error {
 	close(e.cancel)
 	// Drain until producers exit so none block on send.
 	for range e.ch {
-		e.depth.Add(-1)
 	}
 	return nil
 }

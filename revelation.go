@@ -21,8 +21,8 @@
 //	for inst, err := it.Next(); ... { inst.(*revelation.Instance) ... }
 //
 // Deeper control (custom operators, schedulers, storage layout) lives
-// in the sub-packages under internal/, which examples in this
-// repository use directly.
+// in the sub-packages under internal/, which the package's Examples
+// (example_test.go) use directly.
 package revelation
 
 import (
@@ -68,8 +68,6 @@ type (
 	// Predicate is a condition over one object, with a selectivity
 	// estimate used for scheduling.
 	Predicate = expr.Predicate
-	// PartialRoot is the stacked-assembly input item (Fig. 17).
-	PartialRoot = assembly.PartialRoot
 	// DeviceStats are the simulated device's counters (reads, seek
 	// distances) — the paper's performance metric.
 	DeviceStats = disk.Stats
@@ -158,13 +156,6 @@ func (e *Engine) Get(oid OID) (*Object, error) { return e.Store.Get(oid) }
 // AssembleAll.
 func (e *Engine) Assemble(roots []OID, tmpl *Template, opts Options) Iterator {
 	return assembly.New(volcano.FromOIDs(roots), e.Store, tmpl, opts)
-}
-
-// AssembleFrom builds an assembly operator over an arbitrary input
-// iterator (OIDs, pre-fetched objects, partial instances, or
-// PartialRoot items).
-func (e *Engine) AssembleFrom(input Iterator, tmpl *Template, opts Options) Iterator {
-	return assembly.New(input, e.Store, tmpl, opts)
 }
 
 // AssembleAll drains an assembly of the given roots and returns the
