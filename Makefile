@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet test alloc-check alloc-sites sched-check buffer-check asm-check disk-check wire-check gen-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke suite-check trace-demo tracez-smoke serve-demo cover loc clean
+.PHONY: all check build vet test mutants alloc-check alloc-sites sched-check buffer-check asm-check disk-check wire-check gen-check bench-check test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke suite-check trace-demo tracez-smoke serve-demo cover loc clean
 
 all: check
 
@@ -16,13 +16,24 @@ build:
 # or in benchmark/: a package only tests reach is code nothing runs.
 # The tests' two helpers are the exceptions: internal/leakcheck, the
 # goroutine-leak check, and internal/difftest, the differential tests'
-# seed walk.
+# seed walk. Then every name in the test lists the gates below run or
+# skip (WIRE_TESTS, DISK_TESTS, WAL_TESTS, WAL_MODELS, BUFFER_MODELS,
+# CHAOS_TESTS) must match a test that `go test -list` finds in the
+# packages its target runs, so that a test renamed or moved cannot drop
+# out of its gate unseen.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	@imported=$$({ $(GO) list -f '{{join .Imports "\n"}}' ./... && cd benchmark && $(GO) list -f '{{join .Imports "\n"}}' ./...; } | sort -u); \
 	orphans=$$($(GO) list ./internal/... | grep -vxE 'revelation/internal/(leakcheck|difftest)' | while read p; do echo "$$imported" | grep -qx "$$p" || echo "$$p"; done); \
 	if [ -n "$$orphans" ]; then echo "no non-test importer:"; echo "$$orphans"; exit 1; fi
+	@resolve() { tests=$$($(GO) test -list . $$2 | grep -E '^(Test|Fuzz)') || { echo "go test -list $$2 found no test"; return 1; }; \
+		for n in $$(echo "$$1" | tr '|' ' '); do echo "$$tests" | grep -q -- "$$n" || { echo "$$n matches no test in $$2"; return 1; }; done; }; \
+	resolve '$(WIRE_TESTS)' '$(WIRE_PKGS)' && \
+	resolve '$(DISK_TESTS)' ./internal/disk && \
+	resolve '$(WAL_TESTS)|$(WAL_MODELS)' '$(WAL_PKGS)' && \
+	resolve '$(BUFFER_MODELS)' ./internal/buffer && \
+	resolve '$(CHAOS_TESTS)' '$(CHAOS_PKGS)'
 
 # Every test once. The differential tests against the kept reference
 # models (internal/difftest's seed walk) run here at their full count
@@ -31,6 +42,16 @@ vet:
 # output checked against their // Output: blocks.
 test:
 	$(GO) test ./...
+
+# The recorded mutants (internal/difftest/testdata/mutants), each applied
+# with `go test -overlay` — the tree is never touched — and run against
+# the tests it names: every one must be caught, printing its recorded
+# failure (for a walked model, its seed and step). The runner's own
+# test plants a mutant that changes nothing (survived) and one whose
+# snippet is in no file (rotted). Tier-1 and check leave it out: without
+# MUTANTS=1 both tests skip.
+mutants:
+	MUTANTS=1 $(GO) test -count=1 -timeout 30m -run 'TestMutants|TestMutantVerdicts' -v ./internal/difftest
 
 # Every allocation pin, uncached and once: each is a Test…Allocs that
 # counts with testing.AllocsPerRun where every run does the same work,
@@ -166,10 +187,11 @@ alloc-sites:
 DISK_TESTS = TestAllocateBounds|TestUntracedReadAllocs|TestArmConcurrentScrape
 WAL_TESTS = TestStampSumMatchesTwoPasses|TestAppendSyncAllocs|TestApplyRecordGrowsOnce|TestDeltaLogAudit|TestApplyRecordRefusals|TestAppendDeltaRefusals|TestCleanEndNearPageEnd|TestAppendDeltaSyncAllocs
 WAL_MODELS = TestSyncMatchesModel|TestDeltaMatchesFullImages
+WAL_PKGS = ./internal/wal ./internal/page
 disk-check:
 	$(GO) test -count=1 -run '$(DISK_TESTS)' ./internal/disk
-	$(GO) test -count=1 -run '$(WAL_TESTS)' ./internal/wal ./internal/page
-	$(GO) test -race -count=1 -run '$(WAL_TESTS)|$(WAL_MODELS)' ./internal/wal ./internal/page
+	$(GO) test -count=1 -run '$(WAL_TESTS)' $(WAL_PKGS)
+	$(GO) test -race -count=1 -run '$(WAL_TESTS)|$(WAL_MODELS)' $(WAL_PKGS)
 	$(GO) test -run '^$$' -bench=MetricsOverhead -benchtime=1x ./internal/disk
 	$(GO) test -run '^$$' -bench='AppendSync|Recover' -benchtime=1x ./internal/wal
 
@@ -248,8 +270,9 @@ race-core:
 # -count=2 reruns them so cross-run state leaks surface too. race-core
 # and suite-smoke skip them.
 CHAOS_TESTS = TestChaos|TestCancel|TestDeadline|TestExchangeCancellation|TestExchangeDeadline|TestTwoQueriesTinyPool|TestQuery
+CHAOS_PKGS = ./internal/suite ./internal/assembly ./internal/volcano ./internal/buffer ./internal/serve
 chaos-test:
-	$(GO) test -race -count=2 -run '$(CHAOS_TESTS)' ./internal/suite ./internal/assembly ./internal/volcano ./internal/buffer ./internal/serve
+	$(GO) test -race -count=2 -run '$(CHAOS_TESTS)' $(CHAOS_PKGS)
 
 # The networked-page-service chaos suite under the race detector:
 # replica crash/reconnect convergence, client reconnects under a

@@ -37,8 +37,9 @@ var (
 // declare themselves transient are.
 func Retryable(err error) bool { return errors.Is(err, ErrTransient) }
 
-// RetryPolicy bounds a retry-with-exponential-backoff loop. The zero
-// value disables retries (a single attempt, no backoff).
+// RetryPolicy bounds a retry-with-exponential-backoff loop: the shard
+// router's per-access attempts (shard.Config.Retry), the one retry
+// layer over the wire, and a replica's reconnect pacing.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts including the first;
 	// values below 2 mean "no retries".
@@ -72,27 +73,6 @@ func (rp RetryPolicy) Backoff(retry int) time.Duration {
 		d = rp.MaxBackoff
 	}
 	return d
-}
-
-// DoJitter runs fn under the policy: it re-invokes fn after a backoff
-// while fn keeps failing with a retryable error and attempts remain. It
-// returns the last error and the number of retries performed. When j
-// is non-nil every backoff is drawn uniformly from (0, Backoff(attempt)]
-// (full jitter); pass nil for the exact deterministic delay.
-func (rp RetryPolicy) DoJitter(j *Jitter, fn func() error) (retries int, err error) {
-	attempts := rp.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	for attempt := 0; ; attempt++ {
-		err = fn()
-		if err == nil || !Retryable(err) || attempt+1 >= attempts {
-			return attempt, err
-		}
-		if d := j.Backoff(rp, attempt); d > 0 {
-			time.Sleep(d)
-		}
-	}
 }
 
 // Jitter draws full-jitter backoff delays from a seeded splitmix64

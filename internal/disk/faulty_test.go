@@ -126,46 +126,13 @@ func TestFaultyWritesGated(t *testing.T) {
 	}
 }
 
-func TestRetryPolicyBackoffAndDo(t *testing.T) {
+func TestRetryPolicyBackoff(t *testing.T) {
 	rp := RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Microsecond, MaxBackoff: 4 * time.Microsecond}
 	if got := rp.Backoff(0); got != time.Microsecond {
 		t.Errorf("Backoff(0) = %v", got)
 	}
 	if got := rp.Backoff(10); got != 4*time.Microsecond {
 		t.Errorf("Backoff(10) = %v, want cap", got)
-	}
-
-	// Transient error vanishes after 2 failures: DoJitter must absorb it.
-	fails := 2
-	retries, err := rp.DoJitter(nil, func() error {
-		if fails > 0 {
-			fails--
-			return ErrTransient
-		}
-		return nil
-	})
-	if err != nil || retries != 2 {
-		t.Errorf("Do absorbed: retries=%d err=%v", retries, err)
-	}
-
-	// Permanent errors are never retried.
-	calls := 0
-	_, err = rp.DoJitter(nil, func() error { calls++; return ErrPermanent })
-	if !errors.Is(err, ErrPermanent) || calls != 1 {
-		t.Errorf("Do on permanent: calls=%d err=%v", calls, err)
-	}
-
-	// Budget exhaustion surfaces the transient error.
-	_, err = rp.DoJitter(nil, func() error { return ErrTransient })
-	if !errors.Is(err, ErrTransient) {
-		t.Errorf("Do exhausted: err=%v", err)
-	}
-
-	// Zero policy: one attempt, no retry.
-	var zero RetryPolicy
-	calls = 0
-	if _, err := zero.DoJitter(nil, func() error { calls++; return ErrTransient }); !errors.Is(err, ErrTransient) || calls != 1 {
-		t.Errorf("zero policy: calls=%d err=%v", calls, err)
 	}
 }
 

@@ -398,7 +398,6 @@ func TestFleetPromotionChaosKillPrimary(t *testing.T) {
 		Members:       ctrlMembers,
 		SustainedLoss: 30 * time.Millisecond,
 		ProbeJitter:   2 * time.Millisecond,
-		JitterSeed:    42,
 		LSNFloor:      func() uint64 { return floor },
 		Registry:      reg,
 	})

@@ -60,11 +60,8 @@ type Config struct {
 	// than this never promote.
 	SustainedLoss time.Duration
 	// ProbeJitter bounds the random pause between confirmation probes
-	// (full jitter, so a fleet of controllers does not stampede); zero
-	// means none.
+	// (full jitter, drawn from a fixed seed); zero means none.
 	ProbeJitter time.Duration
-	// JitterSeed seeds the jitter; zero uses a fixed default.
-	JitterSeed int64
 	// LSNFloor, when set, is the promotion catch-up floor: a replica
 	// whose applied LSN is behind it is not promoted yet (promoting it
 	// would serve stale pages as the new write master). Wire it to the
@@ -114,13 +111,9 @@ func NewController(cfg Config) *Controller {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	seed := cfg.JitterSeed
-	if seed == 0 {
-		seed = 0x1eef
-	}
 	c := &Controller{
 		cfg:    cfg,
-		jitter: disk.NewJitter(seed),
+		jitter: disk.NewJitter(0x1eef),
 		states: make([]memberState, len(cfg.Members)),
 		done:   make(chan struct{}),
 	}

@@ -117,9 +117,9 @@ func newRig(t *testing.T, s spec) *rig {
 		rg.startReplica(s)
 	}
 	if s.wal {
-		// The compute node's log writer, on member 0's log device, with
-		// the router's patience.
-		rg.walClient, err = pagesvc.Dial(pagesvc.ClientConfig{Primary: rg.addrs[0], Dev: pagesvc.WALDev, Retry: s.router.Retry})
+		// The compute node's log writer, on member 0's log device. No
+		// proof writes the log after a fault, so it needs no router.
+		rg.walClient, err = pagesvc.Dial(pagesvc.ClientConfig{Primary: rg.addrs[0], Dev: pagesvc.WALDev})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,14 +179,13 @@ func (rg *rig) serve(devs []disk.Device, cfg pagesvc.ServerConfig) (*pagesvc.Ser
 	return srv, addr
 }
 
-// dial is a member's client: one attempt per access, since failover
-// is the router's decision and an error must reach it.
+// dial is a member's client, which sends each request once: failover
+// is the router's decision, and an error must reach it.
 func (rg *rig) dial(addr, label string, reg *metrics.Registry) *pagesvc.Client {
 	rg.t.Helper()
 	c, err := pagesvc.Dial(pagesvc.ClientConfig{
 		Primary:  addr,
 		Dev:      pagesvc.DataDev,
-		Retry:    disk.RetryPolicy{MaxAttempts: 1},
 		Timeout:  time.Second,
 		Registry: reg,
 		Label:    label,

@@ -27,16 +27,9 @@ type ClientConfig struct {
 	Dev byte
 	// Timeout bounds each request round trip; zero means 2s.
 	Timeout time.Duration
-	// Retry absorbs transient failures (network errors, timeouts,
-	// remote transient faults) with exponential backoff. The zero
-	// policy disables retries; every entry point passes it, so that a
-	// shard.Router above the client is the one retry layer.
-	Retry disk.RetryPolicy
-	// JitterSeed seeds the full jitter applied to retry/reconnect
-	// backoff, so a fleet of clients kicked by the same outage
-	// desynchronizes instead of re-dialing in lockstep. Zero derives a
-	// per-client seed from the primary address; tests set it explicitly
-	// for a reproducible delay sequence.
+	// JitterSeed has no effect: the client sends each request once and
+	// never backs off. Its only setter is the benchmark's workload
+	// (benchmark/workload.go), and it goes when that file drops it.
 	JitterSeed int64
 	// Label overrides the device label this client's asm_net_* metric
 	// series carry; empty means "net<Dev>". A sharded fleet gives each
@@ -84,10 +77,10 @@ type waiter struct {
 // through the same disk.Arm every local device seeks with: the head
 // tracks the last page touched, so elevator scheduling and the paper's
 // seek-distance metric stay meaningful even though the physical device
-// is remote.
+// is remote. The client sends each request once and hands any failure
+// up: a shard.Router above it is the one layer that retries.
 type Client struct {
-	cfg    ClientConfig
-	jitter *disk.Jitter
+	cfg ClientConfig
 
 	// epoch is stamped into every request: the fleet controller raises
 	// it after a promotion so a server still living in a superseded
@@ -128,10 +121,7 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-	c := &Client{
-		cfg:    cfg,
-		jitter: disk.NewJitter(jitterSeed(cfg.JitterSeed, cfg.Primary)),
-	}
+	c := &Client{cfg: cfg}
 	if r := cfg.Registry; r != nil {
 		dev := cfg.Label
 		if dev == "" {
@@ -158,21 +148,6 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// jitterSeed resolves the configured seed: an explicit value wins, and
-// zero derives a stable per-address seed (FNV-1a) so distinct members
-// of a fleet jitter differently by default.
-func jitterSeed(seed int64, addr string) int64 {
-	if seed != 0 {
-		return seed
-	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(addr); i++ {
-		h ^= uint64(addr[i])
-		h *= 1099511628211
-	}
-	return int64(h | 1) // never zero
-}
-
 // AppliedLSN fetches the endpoint's replication progress from its Info
 // reply: the applied LSN for a replica-backed server, 0 for a primary.
 // The shard router wires it into its failover staleness guard.
@@ -186,9 +161,9 @@ func (c *Client) AppliedLSN() (uint64, error) {
 // (the default) is unfenced: no server refuses it for its epoch.
 func (c *Client) SetEpoch(epoch uint64) { c.epoch.Store(epoch) }
 
-// Ping round-trips an empty request to the endpoint without
-// retries — the fleet controller's liveness probe. A healthy server
-// answers inside the client timeout; anything else is an error.
+// Ping round-trips an empty request to the endpoint — the fleet
+// controller's liveness probe. A healthy server answers inside the
+// client timeout; anything else is an error.
 func (c *Client) Ping() error {
 	_, err := c.call(request{op: opPing, reqID: c.nextID()}, nil, nil)
 	return err
@@ -404,19 +379,16 @@ func (c *Client) nextID() uint64 {
 	return c.reqID
 }
 
-// call performs one request round trip with the client timeout.
-// The reqID is allocated by the caller once per logical operation, so a
-// retry or a re-send after reconnect reuses the same id — the wire
-// trace of a flaky run is deterministic, and a late response to an
-// earlier attempt matches the current waiter instead of being dropped.
-// req names the op, its id, the pages it reads or writes (which lead
-// its body), the body and a write's images; call stamps the device, the
-// epoch and sp's query id. sp, when non-nil, attributes the wire
-// activity to a query span. With a dst, an stOK body of the length of
-// dst's buffers together arrives in them and the returned response says
-// inPlace; any other body is a copy the caller owns. Once
-// call has returned — answered, failed or timed out — nothing writes to
-// dst.
+// call performs one request round trip with the client timeout, under
+// the reqID its caller drew for it: every attempt, each of a router's
+// retries included, has an id of its own. req names the op, its id, the
+// pages it reads or writes (which lead its body), the body and a
+// write's images; call stamps the device, the epoch and sp's query id.
+// sp, when non-nil, attributes the wire activity to a query span. With
+// a dst, an stOK body of the length of dst's buffers together arrives
+// in them and the returned response says inPlace; any other body is a
+// copy the caller owns. Once call has returned — answered, failed or
+// timed out — nothing writes to dst.
 func (c *Client) call(req request, sp *qtrace.Span, dst [][]byte) (response, error) {
 	op, pages, reqID := req.op, req.pages, req.reqID
 	addr, page := c.cfg.Primary, trace.NoPage
@@ -502,7 +474,7 @@ func (c *Client) info() (pages, pageSize int, appliedLSN, epoch uint64, err erro
 
 // --- disk.Device ---
 
-// ReadPage reads page p from the endpoint, retrying transient failures.
+// ReadPage reads page p from the endpoint in one request.
 func (c *Client) ReadPage(p disk.PageID, buf []byte) error {
 	return c.ReadPageCtx(context.Background(), p, buf)
 }
@@ -518,8 +490,7 @@ func (c *Client) ReadPageCtx(ctx context.Context, p disk.PageID, buf []byte) err
 
 // ReadPages implements disk.RunReader: the run travels as one request
 // and its images come back in one response, delivered straight into
-// bufs. Transient failures are retried as a whole, under the one request
-// id, and a run that is not answered fails as a whole: every page gets
+// bufs. A run that is not answered fails as a whole: every page gets
 // the error, and nothing is booked. An answered run is booked on the
 // local arm page by page, in the run's order. A run too long for one
 // frame goes as several.
@@ -533,9 +504,8 @@ func (c *Client) ReadPages(ctx context.Context, ids []disk.PageID, bufs [][]byte
 }
 
 // readRun reads a run that fits one frame — a page read is a run of
-// one page, which begin books — under one request id that every retry
-// and re-send reuses. A run the client refuses is read page by page, so
-// that each page gets its own verdict.
+// one page, which begin books — in one request. A run the client
+// refuses is read page by page, so that each page gets its own verdict.
 func (c *Client) readRun(ctx context.Context, ids []disk.PageID, bufs [][]byte, errs []error) {
 	sp := qtrace.From(ctx)
 	reqID, err := c.begin(ids, bufs, true, sp)
@@ -546,13 +516,11 @@ func (c *Client) readRun(ctx context.Context, ids []disk.PageID, bufs [][]byte, 
 		return
 	}
 	if err == nil {
-		_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
-			resp, err := c.call(request{op: opRead, reqID: reqID, pages: ids}, sp, bufs)
-			if err == nil && !resp.inPlace {
-				err = fmt.Errorf("%w: %d bytes for a run of %d pages", ErrBadFrame, len(resp.body), len(ids))
-			}
-			return err
-		})
+		var resp response
+		resp, err = c.call(request{op: opRead, reqID: reqID, pages: ids}, sp, bufs)
+		if err == nil && !resp.inPlace {
+			err = fmt.Errorf("%w: %d bytes for a run of %d pages", ErrBadFrame, len(resp.body), len(ids))
+		}
 	}
 	if err == nil && len(ids) > 1 {
 		c.mu.Lock()
@@ -589,30 +557,27 @@ func (c *Client) WritePages(ids []disk.PageID, bufs [][]byte, errs []error) {
 }
 
 // writeRun writes a run that fits one frame — a page write is a run of
-// one page, which begin books — under one request id that every retry
-// and re-send reuses. A run refused by the client, or by the server for
+// one page, which begin books — in one request. A run refused by the client, or by the server for
 // a reason neither transient nor permanent, is written page by page, so
 // that each page gets its own verdict. Once the call has returned,
 // whatever else it returned, the run books every page it sent on the
 // local arm, in the run's order, as a loop of page writes books each
 // before its call. A run the server stopped short at a failing page
 // books the pages it wrote; the failing page is written on its own, for
-// its own verdict and retries, and the rest as a run.
+// its own verdict, and the rest as a run.
 func (c *Client) writeRun(ids []disk.PageID, bufs [][]byte, errs []error) {
 	reqID, err := c.begin(ids, bufs, false, nil)
 	done := len(ids)
 	if err == nil {
-		_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
-			resp, err := c.call(request{op: opWrite, reqID: reqID, pages: ids, imgs: bufs}, nil, nil)
-			switch {
-			case err != nil || len(resp.body) == 0:
-			case len(ids) > 1 && len(resp.body) == 4 && int(binary.LittleEndian.Uint32(resp.body)) < len(ids):
-				done = int(binary.LittleEndian.Uint32(resp.body))
-			default:
-				err = fmt.Errorf("%w: %d-byte answer to a write of %d pages", ErrBadFrame, len(resp.body), len(ids))
-			}
-			return err
-		})
+		var resp response
+		resp, err = c.call(request{op: opWrite, reqID: reqID, pages: ids, imgs: bufs}, nil, nil)
+		switch {
+		case err != nil || len(resp.body) == 0:
+		case len(ids) > 1 && len(resp.body) == 4 && int(binary.LittleEndian.Uint32(resp.body)) < len(ids):
+			done = int(binary.LittleEndian.Uint32(resp.body))
+		default:
+			err = fmt.Errorf("%w: %d-byte answer to a write of %d pages", ErrBadFrame, len(resp.body), len(ids))
+		}
 	}
 	if err != nil && len(ids) > 1 && !disk.Retryable(err) && !errors.Is(err, disk.ErrPermanent) {
 		for i := range ids {
@@ -649,22 +614,14 @@ func (c *Client) Allocate(n int) (disk.PageID, error) {
 	}
 	var body [4]byte
 	binary.LittleEndian.PutUint32(body[:], uint32(n))
-	var first disk.PageID
-	reqID := c.nextID()
-	_, err = c.cfg.Retry.DoJitter(c.jitter, func() error {
-		resp, err := c.call(request{op: opAlloc, reqID: reqID, body: body[:]}, nil, nil)
-		if err != nil {
-			return err
-		}
-		if len(resp.body) != 4 {
-			return fmt.Errorf("%w: %d-byte alloc reply", ErrBadFrame, len(resp.body))
-		}
-		first = disk.PageID(binary.LittleEndian.Uint32(resp.body))
-		return nil
-	})
+	resp, err := c.call(request{op: opAlloc, reqID: c.nextID(), body: body[:]}, nil, nil)
 	if err != nil {
 		return disk.InvalidPage, err
 	}
+	if len(resp.body) != 4 {
+		return disk.InvalidPage, fmt.Errorf("%w: %d-byte alloc reply", ErrBadFrame, len(resp.body))
+	}
+	first := disk.PageID(binary.LittleEndian.Uint32(resp.body))
 	c.mu.Lock()
 	if int(first)+n > c.numPages {
 		c.numPages = int(first) + n
@@ -731,7 +688,7 @@ func (c *Client) Close() error {
 // section: it refuses a closed client or a page malformed against the
 // cached geometry, books a one-page access on the local arm once — before
 // the call, whatever its outcome: the arm models where the elevator sent
-// the head, retries are the wire's business — and draws its request id.
+// the head — and draws its request id.
 func (c *Client) begin(ids []disk.PageID, bufs [][]byte, read bool, sp *qtrace.Span) (reqID uint64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -755,10 +712,9 @@ func (c *Client) begin(ids []disk.PageID, bufs [][]byte, read bool, sp *qtrace.S
 // SetTracer implements disk.TracerSetter. Each page access emits a
 // disk-layer event from the client-side arm, mirroring the contract of
 // the local devices — the event carries the head position before the
-// access and the (local) seek distance, and is emitted once per logical
-// access regardless of retries. The same tracer receives the net-layer
-// events: every send and recv, retries included, every timeout and
-// reconnect. Pass nil to disable both.
+// access and the (local) seek distance, and is emitted once per access.
+// The same tracer receives the net-layer events: every send and recv,
+// every timeout and reconnect. Pass nil to disable both.
 func (c *Client) SetTracer(t *trace.Tracer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

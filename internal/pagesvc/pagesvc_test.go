@@ -11,6 +11,7 @@ import (
 	"revelation/internal/disk"
 	"revelation/internal/leakcheck"
 	"revelation/internal/metrics"
+	"revelation/internal/shard"
 	"revelation/internal/trace"
 )
 
@@ -35,6 +36,20 @@ func dialT(t *testing.T, cfg ClientConfig) *Client {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// oneMember puts c behind a one-member shard.Router, as fleet.Dial does
+// for a single page service: the client sends each request once, and
+// the router above it is the one layer that retries.
+func oneMember(t *testing.T, c *Client, cfg shard.Config) *shard.Router {
+	t.Helper()
+	cfg.Members = []shard.Member{{Name: "s0", Primary: c}}
+	r, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
 }
 
 func TestClientRoundtrip(t *testing.T) {
@@ -243,17 +258,31 @@ func TestErrorClassSurvivesWire(t *testing.T) {
 		t.Errorf("permanent fault over the wire = %v", err)
 	}
 
-	// With a retry budget, a fault that clears is absorbed below the
-	// caller: two failures then success.
+	// Through a one-member router, the class decides the retries: a
+	// fault that clears is absorbed below the caller, two failures then
+	// success in three sends, and a permanent fault is sent once.
+	r := oneMember(t, c, shard.Config{})
 	fd.SetConfig(disk.FaultConfig{Seed: 3, TransientRate: 1, TransientFailures: 2})
-	c2 := dialT(t, ClientConfig{Primary: addr, Retry: disk.RetryPolicy{MaxAttempts: 4}})
-	if err := c2.ReadPage(0, buf); err != nil {
+	sends := c.sends.Value()
+	if err := r.ReadPage(0, buf); err != nil {
 		t.Errorf("retryable fault not absorbed: %v", err)
+	}
+	if got := c.sends.Value() - sends; got != 3 {
+		t.Errorf("absorbed fault took %d sends, want 3", got)
+	}
+	fd.SetConfig(disk.FaultConfig{Seed: 3, PermanentRate: 1})
+	sends = c.sends.Value()
+	if err := r.ReadPage(0, buf); !errors.Is(err, disk.ErrPermanent) {
+		t.Errorf("permanent fault through the router = %v", err)
+	}
+	if got := c.sends.Value() - sends; got != 1 {
+		t.Errorf("permanent fault took %d sends, want 1: it is not retried", got)
 	}
 }
 
 // TestReconnectAfterServerRestart: a client survives its server going
-// away and coming back on the same address, counting the reconnect.
+// away and coming back on the same address, counting the reconnect,
+// while a one-member router above it retries the read.
 func TestReconnectAfterServerRestart(t *testing.T) {
 	sim := disk.New(4)
 	buf := make([]byte, sim.PageSize())
@@ -263,20 +292,18 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := dialT(t, ClientConfig{
-		Primary:  addr,
-		Retry:    disk.RetryPolicy{MaxAttempts: 20, BaseBackoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond},
-		Registry: reg,
-		Timeout:  time.Second,
+	c := dialT(t, ClientConfig{Primary: addr, Registry: reg, Timeout: time.Second})
+	r := oneMember(t, c, shard.Config{
+		Retry: disk.RetryPolicy{MaxAttempts: 20, BaseBackoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond},
 	})
-	if err := c.ReadPage(0, buf); err != nil {
+	if err := r.ReadPage(0, buf); err != nil {
 		t.Fatal(err)
 	}
 	s1.Close()
 
-	// Restart on the same address while the client retries.
+	// Restart on the same address while the router retries.
 	done := make(chan error, 1)
-	go func() { done <- c.ReadPage(1, buf) }()
+	go func() { done <- r.ReadPage(1, buf) }()
 	time.Sleep(10 * time.Millisecond)
 	s2 := NewServer([]disk.Device{sim}, ServerConfig{})
 	if _, err := s2.Listen(addr); err != nil {

@@ -11,6 +11,7 @@ import (
 	"revelation/internal/leakcheck"
 	"revelation/internal/metrics"
 	"revelation/internal/qtrace"
+	"revelation/internal/shard"
 	"revelation/internal/trace"
 )
 
@@ -32,13 +33,14 @@ func (d *heldRead) ReadPage(p disk.PageID, buf []byte) error {
 }
 
 // TestReconnectDeterministicIDsNoDoubleCount severs the primary
-// connection in the middle of a concurrent read pipeline and checks the
-// two properties the reconnect path must preserve:
+// connection in the middle of a concurrent read pipeline, read through
+// a one-member router that retries what the sever failed, and checks
+// the two properties the reconnect path must preserve:
 //
-//  1. Request ids are allocated once per logical operation, so retries
-//     and re-sends after the reconnect reuse their id — the final id
-//     counter equals Dial's info call plus one per logical read, no
-//     matter how many wire attempts the sever forced.
+//  1. One request id per attempt: the client never re-sends, so the
+//     final id counter equals Dial's info call plus one per logical
+//     read plus one per router retry, and every id went out as one
+//     send.
 //  2. Sends are never double-counted across the accounting legs: the
 //     span counters, the client's own counters, the registry, and the
 //     trace replay all agree exactly, retries included.
@@ -66,16 +68,21 @@ func TestReconnectDeterministicIDsNoDoubleCount(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	col := trace.NewCollector()
-	c, err := Dial(ClientConfig{
-		Primary:  addr,
-		Dev:      DataDev,
-		Retry:    disk.DefaultRetryPolicy,
+	c, err := Dial(ClientConfig{Primary: addr, Dev: DataDev, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// A breaker that never opens: an open breaker's attempts send
+	// nothing, and this test counts sends.
+	r, err := shard.New(shard.Config{
+		Members:  []shard.Member{{Name: "s0", Primary: c}},
+		Breaker:  shard.BreakerConfig{FailureThreshold: 1 << 20},
 		Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 	// Both exclude Dial's info round trip.
 	c.SetTracer(trace.New(col))
 	before := reg.Snapshot()
@@ -97,7 +104,7 @@ func TestReconnectDeterministicIDsNoDoubleCount(t *testing.T) {
 			<-start
 			for i := 0; i < perWorker; i++ {
 				p := disk.PageID((w*perWorker + i) % pages)
-				if err := c.ReadPageCtx(ctx, p, rbuf); err != nil {
+				if err := r.ReadPageCtx(ctx, p, rbuf); err != nil {
 					failures <- err
 					return
 				}
@@ -112,8 +119,8 @@ func TestReconnectDeterministicIDsNoDoubleCount(t *testing.T) {
 
 	// Kill the live primary connection while a read is certainly in
 	// flight: the server holds the first one until the sever has happened.
-	// Every pending request gets an error response; the retry policy
-	// re-sends it over the fresh connection under the same request id.
+	// Every pending request gets an error response; the router retries
+	// it, a fresh request over the fresh connection.
 	<-held.arrived
 	c.cmu.Lock()
 	cc := c.conn
@@ -133,14 +140,21 @@ func TestReconnectDeterministicIDsNoDoubleCount(t *testing.T) {
 		t.Fatalf("reconnects = %d, want at least 1", got)
 	}
 
-	// Property 1: id allocation is per logical operation. Dial's info
-	// call took id 1; each of the workers*perWorker reads took exactly
-	// one more, regardless of retries.
+	// Property 1: one id per attempt. Dial's info call took id 1; each
+	// of the workers*perWorker reads took one more, and so did each of
+	// the router's retries. Every id was one send.
 	c.mu.Lock()
 	lastID := c.reqID
 	c.mu.Unlock()
-	if want := uint64(1 + workers*perWorker); lastID != want {
-		t.Errorf("final request id %d, want %d: retries must not allocate fresh ids", lastID, want)
+	retries := reg.Snapshot().Value("asm_shard_retries_total")
+	if retries < 1 {
+		t.Errorf("router retries = %d: the sever failed no read", retries)
+	}
+	if want := uint64(1 + workers*perWorker + retries); lastID != want {
+		t.Errorf("final request id %d, want %d: info, %d reads and %d retries", lastID, want, workers*perWorker, retries)
+	}
+	if got := c.sends.Value(); uint64(got) != lastID {
+		t.Errorf("client sends %d != %d request ids", got, lastID)
 	}
 
 	// Property 2: the four send accountings agree. All post-Dial traffic
@@ -173,7 +187,7 @@ func TestReconnectDeterministicIDsNoDoubleCount(t *testing.T) {
 		t.Errorf("sends %d not above %d logical reads: sever produced no retries", total.NetSends, workers*perWorker)
 	}
 
-	c.Close()
+	r.Close()
 	srv.Close()
 	leakcheck.CheckWithin(t, goroutines, 2*time.Second)
 }

@@ -24,15 +24,6 @@ type ReplicaConfig struct {
 	Primary string
 	// WALDev is the primary's wire index for its WAL device.
 	WALDev byte
-	// Retry paces reconnection after the follow stream breaks. The
-	// zero policy means disk.DefaultRetryPolicy's backoff, retried
-	// forever — a follower's job is to keep trying.
-	Retry disk.RetryPolicy
-	// JitterSeed seeds the full jitter on the reconnect backoff (see
-	// ClientConfig.JitterSeed): zero derives a per-replica seed from
-	// the primary address, an explicit value makes the delay sequence
-	// reproducible.
-	JitterSeed int64
 	// Registry, when set, receives asm_replica_* counters.
 	Registry *metrics.Registry
 }
@@ -66,17 +57,10 @@ type Replica struct {
 // seeded from a base backup of the primary's data pages; an empty
 // device also works, it just replays the entire log.
 func NewReplica(dev disk.Device, cfg ReplicaConfig) *Replica {
-	if cfg.Retry.MaxAttempts == 0 {
-		cfg.Retry = disk.RetryPolicy{
-			MaxAttempts: 1 << 30, // effectively forever
-			BaseBackoff: disk.DefaultRetryPolicy.BaseBackoff,
-			MaxBackoff:  disk.DefaultRetryPolicy.MaxBackoff,
-		}
-	}
 	r := &Replica{
 		dev:    dev,
 		cfg:    cfg,
-		jitter: disk.NewJitter(jitterSeed(cfg.JitterSeed, cfg.Primary)),
+		jitter: disk.NewJitter(addrSeed(cfg.Primary)),
 		done:   make(chan struct{}),
 	}
 	if reg := cfg.Registry; reg != nil {
@@ -102,13 +86,25 @@ func (r *Replica) SetAppliedLSN(lsn uint64) {
 	r.appliedLSN.Set(int64(lsn))
 }
 
+// addrSeed is the jitter seed of a follower of addr: a stable hash
+// (FNV-1a) of the address, so that the followers of a fleet jitter
+// differently.
+func addrSeed(addr string) int64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(addr); i++ {
+		h ^= uint64(addr[i])
+		h *= 1099511628211
+	}
+	return int64(h | 1) // never zero
+}
+
 // Run follows the primary until Close: it connects, streams records,
 // applies them, and on any stream failure reconnects from the applied
-// LSN under the retry policy's backoff. It returns nil on Close, or
-// the last error once the retry budget is exhausted.
+// LSN after disk.DefaultRetryPolicy's backoff, jittered — a follower's
+// job is to keep trying. It returns nil on Close, and an error only at
+// a delta gap, which no retry can cross.
 func (r *Replica) Run() error {
-	attempt := 0
-	for {
+	for attempt := 1; ; attempt++ {
 		if r.isClosed() {
 			return nil
 		}
@@ -121,17 +117,13 @@ func (r *Replica) Run() error {
 			// page: the device needs a base backup, not a retry.
 			return fmt.Errorf("pagesvc: replica: %w", err)
 		}
-		attempt++
-		if attempt >= r.cfg.Retry.MaxAttempts {
-			return fmt.Errorf("pagesvc: replica: follow retries exhausted: %w", err)
-		}
 		// Full jitter on the reconnect pacing: a fleet of followers cut
 		// by one network event spreads its re-dials instead of storming
 		// the primary in lockstep.
 		select {
 		case <-r.done:
 			return nil
-		case <-time.After(r.jitter.Backoff(r.cfg.Retry, attempt)):
+		case <-time.After(r.jitter.Backoff(disk.DefaultRetryPolicy, attempt)):
 		}
 		r.reconnects.Inc()
 	}

@@ -208,11 +208,7 @@ func TestReplicaSurvivesPrimaryRestart(t *testing.T) {
 	}
 
 	replDev := disk.New(0)
-	repl := NewReplica(replDev, ReplicaConfig{
-		Primary: addr,
-		WALDev:  WALDev,
-		Retry:   disk.RetryPolicy{MaxAttempts: 200, BaseBackoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond},
-	})
+	repl := NewReplica(replDev, ReplicaConfig{Primary: addr, WALDev: WALDev})
 	done := repl.Start()
 	defer func() {
 		repl.Close()

@@ -394,8 +394,8 @@ func (s *Server) handle(req request, buf []byte) []byte {
 		// fails. A page write is a run of exactly one, and its failure is
 		// its answer. A longer run that stops short answers how many pages
 		// it wrote; the client writes the page that failed on its own, so
-		// that page's error, retries included, reaches the caller as a
-		// page write's does.
+		// that page's error reaches the caller (and a router's retry) as
+		// a page write's does.
 		ps := dev.PageSize()
 		n := len(req.body) / (4 + ps)
 		if n == 0 || len(req.body)%(4+ps) != 0 {

@@ -535,7 +535,7 @@ func TestReadRunFallsBackPageByPage(t *testing.T) {
 	// One page of the run is past the server's device though inside the
 	// extent the client believes in: the server refuses the run.
 	sim := numberedPages(t, 8)
-	c := wirePair(t, sim, ClientConfig{Retry: disk.DefaultRetryPolicy})
+	c := wirePair(t, sim, ClientConfig{})
 	c.mu.Lock()
 	c.numPages = 16
 	c.mu.Unlock()
@@ -570,7 +570,7 @@ func TestReadRunFallsBackPageByPage(t *testing.T) {
 // read the client refuses and a run that is not answered book nothing.
 func TestReadArmBookings(t *testing.T) {
 	ctx := context.Background()
-	c := wirePair(t, numberedPages(t, 8), ClientConfig{Retry: disk.DefaultRetryPolicy})
+	c := wirePair(t, numberedPages(t, 8), ClientConfig{})
 	c.mu.Lock()
 	c.numPages = 16 // pages 8..15 are off the server's device
 	c.mu.Unlock()
@@ -831,7 +831,7 @@ func TestBulkWriteKeepsNoBuffer(t *testing.T) {
 // page is sent once, with a verdict and an arm booking of its own.
 func TestWriteRunFallsBackPageByPage(t *testing.T) {
 	sim := numberedPages(t, 8)
-	c := wirePair(t, sim, ClientConfig{Retry: disk.DefaultRetryPolicy})
+	c := wirePair(t, sim, ClientConfig{})
 	ids, errs := []disk.PageID{1, 99, 3}, make([]error, 3)
 	bufs := make([][]byte, len(ids))
 	for i := range bufs {

@@ -173,7 +173,6 @@ func TestPerQueryAttributionPagesvc(t *testing.T) {
 	client, err := pagesvc.Dial(pagesvc.ClientConfig{
 		Primary:  addr,
 		Dev:      pagesvc.DataDev,
-		Retry:    disk.DefaultRetryPolicy,
 		Registry: reg,
 	})
 	if err != nil {
