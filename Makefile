@@ -19,21 +19,27 @@ build:
 # seed walk. Then every name in the test lists the gates below run or
 # skip (WIRE_TESTS, DISK_TESTS, WAL_TESTS, WAL_MODELS, BUFFER_MODELS,
 # CHAOS_TESTS) must match a test that `go test -list` finds in the
-# packages its target runs, so that a test renamed or moved cannot drop
-# out of its gate unseen.
+# packages its target runs, and so must every run: name of the mutant
+# corpus in its pkg:, so that a test renamed or moved cannot drop out of
+# its gate, or leave a mutant uncaught, unseen.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	@imported=$$({ $(GO) list -f '{{join .Imports "\n"}}' ./... && cd benchmark && $(GO) list -f '{{join .Imports "\n"}}' ./...; } | sort -u); \
 	orphans=$$($(GO) list ./internal/... | grep -vxE 'revelation/internal/(leakcheck|difftest)' | while read p; do echo "$$imported" | grep -qx "$$p" || echo "$$p"; done); \
 	if [ -n "$$orphans" ]; then echo "no non-test importer:"; echo "$$orphans"; exit 1; fi
-	@resolve() { tests=$$($(GO) test -list . $$2 | grep -E '^(Test|Fuzz)') || { echo "go test -list $$2 found no test"; return 1; }; \
+	@resolve() { tests=$$($(GO) test -list . $$2 | grep -E '^(Test|Fuzz|Example)') || { echo "go test -list $$2 found no test"; return 1; }; \
 		for n in $$(echo "$$1" | tr '|' ' '); do echo "$$tests" | grep -q -- "$$n" || { echo "$$n matches no test in $$2"; return 1; }; done; }; \
 	resolve '$(WIRE_TESTS)' '$(WIRE_PKGS)' && \
 	resolve '$(DISK_TESTS)' ./internal/disk && \
 	resolve '$(WAL_TESTS)|$(WAL_MODELS)' '$(WAL_PKGS)' && \
 	resolve '$(BUFFER_MODELS)' ./internal/buffer && \
-	resolve '$(CHAOS_TESTS)' '$(CHAOS_PKGS)'
+	resolve '$(CHAOS_TESTS)' '$(CHAOS_PKGS)' && \
+	for pkg in $$(sed -n 's/^pkg: //p' $(MUTANT_CORPUS)/*.mutant | sort -u); do \
+		resolve "$$(grep -lx "pkg: $$pkg" $(MUTANT_CORPUS)/*.mutant | xargs sed -n 's/^run: //p' | tr '\n' '|')" "$$pkg" || exit 1; \
+	done
+
+MUTANT_CORPUS = internal/difftest/testdata/mutants
 
 # Every test once. The differential tests against the kept reference
 # models (internal/difftest's seed walk) run here at their full count
@@ -66,7 +72,7 @@ mutants:
 # ≤ 0.05), a replica's apply of a shipped image and delta (0), a query's
 # allocations and bytes per assembled object (a component chunk and
 # children, 2.07 and 2.06; 3.48 with the shared table on; 2.12 through
-# ShardPrefetch's lanes over two striped devices), the disabled
+# the prefetched lanes of a two-member router), the disabled
 # tracing path and a routed page read (0, with and without a fresh
 # replica). The race detector's pass skips them. Then one iteration of the transaction
 # benchmark, with -benchmem, so that it cannot rot unbuilt.
@@ -129,8 +135,8 @@ asm-check:
 
 # Where one warm query's allocations come from, site by site:
 # BenchmarkAssembleDeep, BenchmarkAssembleScan, BenchmarkAssembleShared
-# (the shared table on), BenchmarkAssembleLanes (ShardPrefetch over two
-# striped devices) and BenchmarkStoreTransact (32 pairs and their
+# (the shared table on), BenchmarkAssembleLanes (the prefetched lanes of
+# a two-member router) and BenchmarkStoreTransact (32 pairs and their
 # commit), each run at -benchtime=2x and at 3x with every allocation
 # sampled (-memprofilerate 1). A run at nx makes n+1 queries (the
 # testing package runs b.N=1 first), so pprof's -diff_base of the 2x

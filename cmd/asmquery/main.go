@@ -23,7 +23,6 @@ import (
 	"revelation/internal/fleet"
 	"revelation/internal/gen"
 	"revelation/internal/query"
-	"revelation/internal/shard"
 	"revelation/internal/volcano"
 )
 
@@ -42,10 +41,9 @@ func main() {
 	flag.Parse()
 
 	var db *gen.Database
-	var router *shard.Router
 	var err error
 	if *shards != "" {
-		db, router, err = openSharded(*shards, *manifest, *bufferPages)
+		db, err = openSharded(*shards, *manifest, *bufferPages)
 	} else {
 		db, err = gen.OpenDatabase(*dbPath, *manifest, *bufferPages)
 	}
@@ -78,12 +76,6 @@ func main() {
 	}
 	opts := assembly.Options{Window: *window, Scheduler: assembly.Elevator,
 		UseSharingStats: db.Config.Sharing > 0}
-	if router != nil {
-		// Pending references partition by the router's assignment; each
-		// shard lane keeps its own SCAN order with one read in flight.
-		opts.CustomScheduler = assembly.NewShardElevator(router.Shards(), router.ShardOf)
-		opts.ShardPrefetch = true
-	}
 
 	fmt.Printf("query: %s.rand < %d over %d complex objects (%v clustering)\n",
 		*node, *lt, len(db.Roots), db.Config.Clustering)
@@ -153,23 +145,23 @@ func main() {
 
 // openSharded opens the database over a fleet of page services behind
 // the rendezvous router: every page access routes to the shard that
-// owns the page, and the assembly above partitions its pending reads
-// into per-shard elevator lanes.
-func openSharded(endpoints, manifestPath string, bufferPages int) (*gen.Database, *shard.Router, error) {
+// owns the page, and the assembly's elevator, over the router's arms,
+// partitions its pending reads into per-shard lanes.
+func openSharded(endpoints, manifestPath string, bufferPages int) (*gen.Database, error) {
 	mp, err := gen.LoadManifest(manifestPath)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	router, _, _, err := fleet.Dial(endpoints, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	db, err := gen.OpenDatabaseOn(router, mp, bufferPages)
 	if err != nil {
 		router.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	return db, router, nil
+	return db, nil
 }
 
 func fail(format string, args ...any) {

@@ -55,7 +55,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -230,10 +229,6 @@ func queryWorkload(reg *metrics.Registry, scale float64, window int, shards stri
 			Scheduler:     assembly.Elevator,
 			ReserveFrames: reserve,
 		}
-		if router != nil {
-			opts.CustomScheduler = assembly.NewShardElevator(router.Shards(), router.ShardOf)
-			opts.ShardPrefetch = true
-		}
 		sp, ctx := qtrace.Start(ctx, qtrace.LayerPlan, "reveal")
 		plan, err := query.Reveal(db.Store, q, opts)
 		sp.End()
@@ -348,12 +343,7 @@ func pushToShards(db *gen.Database, router *shard.Router) (*gen.Database, error)
 			return nil, err
 		}
 	}
-	manifest := filepath.Join(os.TempDir(), fmt.Sprintf("asmserve-%d.manifest", os.Getpid()))
-	if err := db.SaveManifest(manifest); err != nil {
-		return nil, err
-	}
-	defer os.Remove(manifest)
-	mp, err := gen.LoadManifest(manifest)
+	mp, err := db.Manifest()
 	if err != nil {
 		return nil, err
 	}

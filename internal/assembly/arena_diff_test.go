@@ -43,7 +43,6 @@ var diffScheds = []diffSched{
 	{"predicate-first", func(o *Options) { o.Scheduler = Elevator; o.PredicateFirst = true }},
 	{"shard-prefetch", func(o *Options) {
 		o.CustomScheduler = NewShardElevator(2, func(p disk.PageID) int { return int(p) })
-		o.ShardPrefetch = true
 	}},
 }
 
@@ -135,7 +134,7 @@ func (w *oracleWorld) diffRun(t *testing.T, dev *disk.Faulty, input string, opts
 		if e.Layer != trace.LayerAssembly {
 			continue // the goldens were recorded with the operator alone traced
 		}
-		if opts.ShardPrefetch {
+		if opts.CustomScheduler != nil {
 			// The lanes' concurrent reads leave the head wherever the
 			// last one to finish put it; the lane elevator ignores it.
 			e.Head = 0

@@ -272,7 +272,8 @@ func queued(t *testing.T, s Scheduler) []*Ref {
 // step, each reference a scheduler holds still names its item and lies
 // in that item's own chunk, and every chunk on the free list is cleared
 // and disjoint from what is queued. Seeded predicate aborts and
-// SkipObject quarantines, under PageBatch and ShardPrefetch.
+// SkipObject quarantines, under PageBatch and the shard-elevator's
+// prefetch.
 func TestDeadItemsChunksNotRecycled(t *testing.T) {
 	inChunk := func(chunk []Ref, r *Ref) bool {
 		chunk = chunk[:cap(chunk)]

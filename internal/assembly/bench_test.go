@@ -8,6 +8,7 @@ import (
 	"revelation/internal/disk"
 	"revelation/internal/gen"
 	"revelation/internal/metrics"
+	"revelation/internal/shard"
 	"revelation/internal/volcano"
 )
 
@@ -42,7 +43,7 @@ func benchAssemble(b *testing.B, db *gen.Database, opts assembly.Options) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		op := assembly.New(volcano.NewSlice(items), db.Store, db.Template, queryOpts(db, opts))
+		op := assembly.New(volcano.NewSlice(items), db.Store, db.Template, opts)
 		n, err := volcano.Count(op)
 		if err != nil {
 			b.Fatal(err)
@@ -88,33 +89,25 @@ var (
 	sharedShape = gen.Config{NumComplexObjects: 400, Sharing: 0.25, Clustering: gen.InterObject, Seed: 65}
 	sharedOpts  = assembly.Options{Window: 50, Scheduler: assembly.Elevator, UseSharingStats: true}
 	// The lanes path over local devices — scan-sharded's, without the
-	// wire: the paper's objects striped over two devices (onStripes), a
-	// pool of 64 frames so that most components are read ahead by
-	// ShardPrefetch's lanes, and a NewMultiElevator per query
-	// (queryOpts).
+	// wire: the paper's objects on a shard router over two simulated
+	// devices (onRouter), whose elevator keeps a lane per member and
+	// prefetches them, and a pool of 64 frames so that most components
+	// are read ahead by the lanes.
 	lanesShape = gen.Config{NumComplexObjects: 400, Clustering: gen.Unclustered, Seed: 66, BufferPages: 64}
-	lanesOpts  = assembly.Options{Window: 50, ShardPrefetch: true}
+	lanesOpts  = assembly.Options{Window: 50, Scheduler: assembly.Elevator}
 )
 
-// onStripes puts cfg's database on two fresh simulated devices striped
-// 8 pages at a time.
-func onStripes(tb testing.TB, cfg gen.Config) gen.Config {
+// onRouter puts cfg's database on a fresh shard router over two
+// simulated devices.
+func onRouter(tb testing.TB, cfg gen.Config) gen.Config {
 	tb.Helper()
-	striped, err := disk.NewStriped([]disk.Device{disk.New(0), disk.New(0)}, 8)
+	r, err := shard.New(shard.Config{Members: []shard.Member{{Name: "m0", Primary: disk.New(0)}, {Name: "m1", Primary: disk.New(0)}}})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg.Device = striped
+	tb.Cleanup(func() { r.Close() })
+	cfg.Device = r
 	return cfg
-}
-
-// queryOpts is opts for one query over db; with ShardPrefetch on a
-// striped device, with the multi-elevator a query builds for itself.
-func queryOpts(db *gen.Database, opts assembly.Options) assembly.Options {
-	if s, ok := db.Pool.Device().(*disk.Striped); ok && opts.ShardPrefetch {
-		opts.CustomScheduler = assembly.NewMultiElevator(len(s.Devices()), s.DeviceOf)
-	}
-	return opts
 }
 
 // BenchmarkAssembleDeep and BenchmarkAssembleScan report allocs/op and
@@ -147,11 +140,11 @@ func BenchmarkAssembleShared(b *testing.B) {
 	benchAssemble(b, benchDB(b, sharedShape), sharedOpts)
 }
 
-// BenchmarkAssembleLanes is the lanes path: ShardPrefetch's batches,
-// their runs read by buffer.Lanes, over two striped devices.
+// BenchmarkAssembleLanes is the lanes path: the shard-elevator's
+// batches, their runs read by buffer.Lanes, over a two-member router.
 func BenchmarkAssembleLanes(b *testing.B) {
 	b.ReportAllocs()
-	benchAssemble(b, benchDB(b, onStripes(b, lanesShape)), lanesOpts)
+	benchAssemble(b, benchDB(b, onRouter(b, lanesShape)), lanesOpts)
 }
 
 // TestAssembleAllocs pins the arena: allocations and bytes per emitted
@@ -175,13 +168,9 @@ func TestAssembleAllocs(t *testing.T) {
 		{"deep 31-node shared-leaf, W=200", deepShape, deepOpts, 31, 2.07, 8107},
 		{"paper 7-node, W=50", scanShape, scanOpts, 7, 2.06, 1842},
 		{"paper 7-node shared leaves, sharing stats, W=50", sharedShape, sharedOpts, 7, 3.48, 1343},
-		{"paper 7-node over 2 stripes, lanes, 64 frames, W=50", lanesShape, lanesOpts, 7, 2.12, 1845},
+		{"paper 7-node on a 2-member router, lanes, 64 frames, W=50", onRouter(t, lanesShape), lanesOpts, 7, 2.12, 1845},
 	} {
-		cfg := c.cfg
-		if c.opts.ShardPrefetch {
-			cfg = onStripes(t, cfg)
-		}
-		db, err := gen.Build(cfg)
+		db, err := gen.Build(c.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +179,7 @@ func TestAssembleAllocs(t *testing.T) {
 		}
 		items := rootItems(db)
 		query := func() {
-			op := assembly.New(volcano.NewSlice(items), db.Store, db.Template, queryOpts(db, c.opts))
+			op := assembly.New(volcano.NewSlice(items), db.Store, db.Template, c.opts)
 			if n, err := volcano.Count(op); err != nil || n != len(items) {
 				t.Fatalf("%s: assembled %d of %d: %v", c.name, n, len(items), err)
 			}

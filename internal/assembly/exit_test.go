@@ -32,34 +32,22 @@ func openSpans(tr *qtrace.Trace) []string {
 }
 
 // TestOpenRefusalEndsItsSpan: a traced query that Open refuses — the
-// pool refuses its frame quota, or ShardPrefetch meets a scheduler that
-// cannot batch — leaves no span open in its trace.
+// pool refuses its frame quota — leaves no span open in its trace.
 func TestOpenRefusalEndsItsSpan(t *testing.T) {
 	w := genWorld(t, rand.New(rand.NewSource(1009)))
 	pool := w.store.File.Pool()
-	refusals := []struct {
-		name string
-		opts Options
-		want error
-	}{
-		{"admission", Options{Window: 4, ReserveFrames: pool.Size() + 1}, buffer.ErrAdmission},
-		{"no batch scheduler", Options{Window: 4, Scheduler: Elevator, ShardPrefetch: true}, nil},
+	col := qtrace.NewCollector(4)
+	tr, root := col.Begin("query")
+	op := New(volcano.FromOIDs(w.roots), w.store, w.tmpl, Options{Window: 4, ReserveFrames: pool.Size() + 1})
+	op.BindContext(qtrace.With(context.Background(), root))
+	if err := op.Open(); !errors.Is(err, buffer.ErrAdmission) {
+		t.Fatalf("admission: Open = %v, want a refusal", err)
 	}
-	for _, r := range refusals {
-		col := qtrace.NewCollector(4)
-		tr, root := col.Begin("query")
-		op := New(volcano.FromOIDs(w.roots), w.store, w.tmpl, r.opts)
-		op.BindContext(qtrace.With(context.Background(), root))
-		err := op.Open()
-		if err == nil || (r.want != nil && !errors.Is(err, r.want)) {
-			t.Fatalf("%s: Open = %v, want a refusal", r.name, err)
-		}
-		if open := openSpans(tr); len(open) > 0 {
-			t.Errorf("%s: Open refused and left spans %v open", r.name, open)
-		}
-		if n := pool.ReservedFrames(); n != 0 {
-			t.Errorf("%s: %d frames still reserved", r.name, n)
-		}
+	if open := openSpans(tr); len(open) > 0 {
+		t.Errorf("admission: Open refused and left spans %v open", open)
+	}
+	if n := pool.ReservedFrames(); n != 0 {
+		t.Errorf("admission: %d frames still reserved", n)
 	}
 }
 
@@ -133,7 +121,6 @@ func TestEveryExitHandsBack(t *testing.T) {
 		o := Options{Window: 4, ReserveFrames: 16, PinWindowPages: su.pins, FaultPolicy: policy}
 		if su.lanes {
 			o.CustomScheduler = NewShardElevator(2, func(p disk.PageID) int { return int(p) })
-			o.ShardPrefetch = true
 		}
 		return o
 	}
@@ -179,7 +166,6 @@ func TestEveryExitHandsBack(t *testing.T) {
 		}
 	}
 	run("admission refused", volcano.FromOIDs(roots), Options{Window: 4, ReserveFrames: pool.Size() + 1}, refused(buffer.ErrAdmission))
-	run("no batch scheduler", volcano.FromOIDs(roots), Options{Window: 4, ShardPrefetch: true}, refused(nil))
 	for _, su := range setups {
 		opts := options(su, FailFast)
 		run(su.name+": input refuses", refusingInput{volcano.FromOIDs(roots)}, opts, refused(errRefused))

@@ -27,25 +27,26 @@ type BatchScheduler interface {
 	NextBatch(head disk.PageID) []*Ref
 }
 
-// LaneElevator keeps one SCAN elevator per independent device, each
-// sweeping from its *own* arm's head, where a single global SCAN would
-// drag every arm around. It serves both of the
+// LaneElevator keeps one SCAN elevator per arm of a device that names
+// its arms (disk.Arms), each sweeping from its *own* arm's head, where a
+// single global SCAN would drag every arm around. It serves both of the
 // paper's Section 7 extensions ("At present, the assembly operator can
 // only handle one device"): a database striped over several local
-// devices (NewMultiElevator) and one sharded over a page-service fleet
-// (NewShardElevator). Next rotates across lanes with pending references
-// so all arms stay busy; NextBatch exposes a run of references per lane
-// so the operator can keep every lane's pipe full concurrently while
-// each lane's own order stays a pure SCAN.
+// devices (a multi-elevator) and one sharded over a page-service fleet
+// (a shard-elevator). The operator builds it at Open for the Elevator
+// policy over such a device. Next rotates across lanes with pending
+// references so all arms stay busy; NextBatch exposes a run of
+// references per lane so the operator can keep every lane's pipe full
+// concurrently while each lane's own order stays a pure SCAN.
 type LaneElevator struct {
 	name   string
 	laneOf func(disk.PageID) int
 	lanes  []lane
 	rr     int
 	batch  []*Ref // NextBatch's result, reused by the next call
-	// heads is the device's HeadOf (disk.Striped, shard.Router), set at
-	// Open. Without it, or where it reports no arm, a lane sweeps from
-	// the page it last served.
+	// heads is the pool device's HeadOf, set at Open. Without it, or
+	// where it reports no arm, a lane sweeps from the page it last
+	// served.
 	heads func(int) (disk.PageID, bool)
 }
 
@@ -66,14 +67,9 @@ func (s *LaneElevator) from(i int) disk.PageID {
 	return s.lanes[i].last
 }
 
-// NewMultiElevator builds a scheduler for n devices; deviceOf routes a
-// global page to its device index (use disk.Striped.DeviceOf).
-func NewMultiElevator(n int, deviceOf func(disk.PageID) int) *LaneElevator {
-	return newLaneElevator("multi-elevator", n, deviceOf)
-}
-
 // NewShardElevator builds a scheduler for n shards; shardOf routes a
-// global page to its shard index (use shard.Router.ShardOf).
+// global page to its shard index (use shard.Router.ShardOf). Open builds
+// its own; this serves a caller that wraps it (Options.CustomScheduler).
 func NewShardElevator(n int, shardOf func(disk.PageID) int) *LaneElevator {
 	return newLaneElevator("shard-elevator", n, shardOf)
 }

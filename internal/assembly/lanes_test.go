@@ -28,17 +28,16 @@ func (failingInput) Open() error { return errInputDown }
 // way, failed on a device fault, cancelled, refused at Open — none of
 // them is left behind, and neither is a pin.
 func TestLaneWorkersStopOnEveryExit(t *testing.T) {
-	db, striped := buildStriped(t, 120, 3)
+	db, sims := buildRouted(t, 120, 3)
 	pool := db.Pool
 	newOp := func(input volcano.Iterator, reserve int) *assembly.Operator {
 		if err := pool.EvictAll(); err != nil {
 			t.Fatal(err)
 		}
 		return assembly.New(input, db.Store, db.Template, assembly.Options{
-			Window:          10,
-			CustomScheduler: assembly.NewMultiElevator(3, striped.DeviceOf),
-			ShardPrefetch:   true,
-			ReserveFrames:   reserve,
+			Window:        10,
+			Scheduler:     assembly.Elevator,
+			ReserveFrames: reserve,
 		})
 	}
 	some := func(op *assembly.Operator, n int) error {
@@ -81,7 +80,7 @@ func TestLaneWorkersStopOnEveryExit(t *testing.T) {
 			if err := some(op, 5); err != nil {
 				t.Fatal(err)
 			}
-			dev := striped.Devices()[1].(*disk.Sim)
+			dev := sims[1]
 			dev.SetFault(func(disk.PageID, bool) error { return fmt.Errorf("%w: injected", disk.ErrPermanent) })
 			defer dev.SetFault(nil)
 			if err := some(op, len(db.Roots)); !errors.Is(err, disk.ErrPermanent) {
@@ -134,13 +133,16 @@ func TestLaneWorkersStopOnEveryExit(t *testing.T) {
 // one query alone does, field for field, and leave no pin and no
 // goroutine behind.
 func TestConcurrentQueriesShareOnePool(t *testing.T) {
-	db, err := gen.Build(onStripes(t, gen.Config{NumComplexObjects: 150, Clustering: gen.Unclustered, Seed: 67, BufferPages: 64}))
+	db, err := gen.Build(onRouter(t, gen.Config{NumComplexObjects: 150, Clustering: gen.Unclustered, Seed: 67, BufferPages: 64}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	query := func(lanes bool) ([]string, error) {
-		opts := assembly.Options{Window: 20, Scheduler: assembly.Elevator, ShardPrefetch: lanes}
-		items, err := volcano.Drain(nil, assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template, queryOpts(db, opts)))
+		opts := assembly.Options{Window: 20, Scheduler: assembly.GlobalElevator}
+		if lanes {
+			opts.Scheduler = assembly.Elevator
+		}
+		items, err := volcano.Drain(nil, assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template, opts))
 		var out []string
 		for _, it := range items {
 			out = append(out, renderFields(it.(*assembly.Instance)))

@@ -37,6 +37,7 @@ type Options struct {
 	UseSharingStats bool
 	// CustomScheduler overrides Scheduler/PredicateFirst entirely. It
 	// serves one operator at a time; Close empties a built-in elevator.
+	// One that batches is prefetched (see Operator.scheduler).
 	CustomScheduler Scheduler
 	// PinWindowPages keeps the pages backing partially assembled
 	// complex objects pinned in the buffer until the object is passed
@@ -52,17 +53,8 @@ type Options struct {
 	// "only a single request should be issued to the buffer manager",
 	// worth it because "even buffer hits can be expensive" (footnote 5).
 	PageBatch bool
-	// ShardPrefetch, with a BatchScheduler (e.g. NewShardElevator over a
-	// shard.Router), fetches a run of references per shard lane per
-	// step: the scheduler hands out a batch — a few SCAN steps per shard
-	// — the operator warms the buffer with the batch's pages, each lane's
-	// run one request to its device, all lanes out at once and each under
-	// its shard's qtrace span (see prefetchBatch), and then resolves the
-	// batch sequentially through the unchanged fault paths. Each lane has
-	// at most one run in flight at a time, so per-shard access order (and
-	// thus replay determinism per shard) is preserved; what the pool does
-	// with the pages is decided in lane order, never in the order the
-	// lanes answer.
+	// ShardPrefetch has no effect: Open decides prefetch from the
+	// scheduler and the device.
 	ShardPrefetch bool
 	// FaultPolicy selects how the operator reacts to I/O errors while
 	// fetching referenced components. The default (FailFast) is the
@@ -207,8 +199,8 @@ type Operator struct {
 	qspan *qtrace.Span
 	qctx  context.Context
 	qid   uint64
-	// batcher is the scheduler's batch interface when ShardPrefetch is
-	// on; batchq holds the tail of the current batch (already
+	// batcher is the scheduler's batch interface when the query
+	// prefetches; batchq holds the tail of the current batch (already
 	// prefetched, resolved one per scheduling step). laneSpans/laneCtxs
 	// attribute each lane's prefetch I/O to a per-shard child span of a
 	// traced query;
@@ -314,25 +306,49 @@ func (op *Operator) Stats() Stats { return op.stats }
 // PlanNode implements volcano.PlanNoder, so assembly plans render in
 // volcano.Explain output.
 func (op *Operator) PlanNode() (string, []volcano.Iterator) {
-	window := op.Opts.Window
-	if window < 1 {
-		window = 1
-	}
-	name := op.Opts.Scheduler.String()
-	if op.Opts.CustomScheduler != nil {
-		name = op.Opts.CustomScheduler.Name()
-	} else if op.Opts.PredicateFirst {
-		name = "predicate-first/" + name
-	}
+	sched, _ := op.scheduler()
 	label := fmt.Sprintf("assembly(%s, window %d, template %q %d nodes)",
-		name, window, op.Template.Name, op.Template.Nodes())
+		sched.Name(), max(op.Opts.Window, 1), op.Template.Name, op.Template.Nodes())
 	return label, []volcano.Iterator{op.Input}
 }
 
+// scheduler builds the query's policy from Opts and the pool's device,
+// and the batch interface when the query prefetches. The Elevator over
+// a device that names its arms is a lane elevator over them, prefetched
+// where the device reads runs: a shard-elevator over a router, a
+// multi-elevator over stripes (the metrics policy label and Explain's).
+// A CustomScheduler that batches is prefetched.
+func (op *Operator) scheduler() (Scheduler, BatchScheduler) {
+	dev := op.Store.File.Pool().Device()
+	arms, _ := dev.(disk.Arms)
+	var sched Scheduler
+	var batcher BatchScheduler
+	switch {
+	case op.Opts.CustomScheduler != nil:
+		sched = op.Opts.CustomScheduler
+		batcher, _ = sched.(BatchScheduler)
+	case op.Opts.PredicateFirst:
+		sched = NewPredicateFirst(op.Opts.Scheduler)
+	case op.Opts.Scheduler == Elevator && arms != nil:
+		if _, runs := dev.(disk.RunReader); runs {
+			le := newLaneElevator("shard-elevator", arms.Shards(), arms.ShardOf)
+			sched, batcher = le, le
+		} else {
+			sched = newLaneElevator("multi-elevator", arms.Shards(), arms.ShardOf)
+		}
+	default:
+		sched = NewScheduler(op.Opts.Scheduler)
+	}
+	if le, ok := sched.(*LaneElevator); ok && arms != nil {
+		le.heads = arms.HeadOf
+	}
+	return sched, batcher
+}
+
 // Open implements volcano.Iterator. It is all or nothing: what can
-// refuse the query — the template, a scheduler ShardPrefetch cannot
-// batch with, the pool's frame quota — is settled before anything else
-// is taken, and a failing input hands back what was through Close.
+// refuse the query — the template, the pool's frame quota — is settled
+// before anything else is taken, and a failing input hands back what
+// was through Close.
 func (op *Operator) Open() error {
 	if op.Template == nil {
 		return errors.New("assembly: no template")
@@ -340,23 +356,7 @@ func (op *Operator) Open() error {
 	if err := op.Template.Validate(op.Store.Catalog); err != nil {
 		return err
 	}
-	var sched Scheduler
-	switch {
-	case op.Opts.CustomScheduler != nil:
-		sched = op.Opts.CustomScheduler
-	case op.Opts.PredicateFirst:
-		sched = NewPredicateFirst(op.Opts.Scheduler)
-	default:
-		sched = NewScheduler(op.Opts.Scheduler)
-	}
-	var batcher BatchScheduler
-	if op.Opts.ShardPrefetch {
-		b, ok := sched.(BatchScheduler)
-		if !ok {
-			return fmt.Errorf("assembly: ShardPrefetch needs a batch-capable scheduler, got %s", sched.Name())
-		}
-		batcher = b
-	}
+	sched, batcher := op.scheduler()
 	if op.Opts.ReserveFrames > 0 {
 		r, err := op.Store.File.Pool().Reserve(op.Opts.ReserveFrames)
 		if err != nil {
@@ -365,11 +365,6 @@ func (op *Operator) Open() error {
 		op.reservation = r
 	}
 	op.sched, op.batcher = sched, batcher
-	if le, ok := op.sched.(*LaneElevator); ok {
-		if d, ok := op.Store.File.Pool().Device().(interface{ HeadOf(int) (disk.PageID, bool) }); ok {
-			le.heads = d.HeadOf
-		}
-	}
 	if op.Opts.UseSharingStats {
 		op.shared = &sharedTable{pool: op.Store.File.Pool(), entries: map[object.OID]sharedEntry{}}
 	}
@@ -540,7 +535,7 @@ func (op *Operator) Close() error {
 }
 
 // nextRef is the scheduling step. Without a batch scheduler it simply
-// asks the policy for the next reference. With ShardPrefetch on it
+// asks the policy for the next reference. When the query prefetches it
 // pulls a run of SCAN steps per shard lane, warms the buffer with the
 // runs' pages, and then serves the batch one reference at
 // a time — so every reference still flows through the ordinary resolve

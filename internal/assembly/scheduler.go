@@ -90,8 +90,14 @@ const (
 	// whole window ("breadth of the window, not of a single object").
 	BreadthFirst
 	// Elevator resolves the reference nearest the disk head in the
-	// current sweep direction (SCAN).
+	// current sweep direction (SCAN). Over a device that names its arms
+	// (disk.Arms) the operator keeps one SCAN per arm, each from its own
+	// arm's head (LaneElevator).
 	Elevator
+	// GlobalElevator is one SCAN over the global page space whatever the
+	// device: over several arms it drags them all along, the baseline of
+	// Section 7's multi-device comparison. Over one arm it is Elevator.
+	GlobalElevator
 )
 
 func (k SchedulerKind) String() string {
@@ -102,18 +108,22 @@ func (k SchedulerKind) String() string {
 		return "breadth-first"
 	case Elevator:
 		return "elevator"
+	case GlobalElevator:
+		return "global-elevator"
 	default:
 		return fmt.Sprintf("scheduler(%d)", int(k))
 	}
 }
 
-// NewScheduler constructs a scheduler of the given kind.
+// NewScheduler constructs a scheduler of the given kind. Elevator's is
+// the one SCAN: the per-arm lanes are built by Open, which knows the
+// device.
 func NewScheduler(kind SchedulerKind) Scheduler {
 	switch kind {
 	case BreadthFirst:
 		return &breadthFirst{}
-	case Elevator:
-		return &elevator{dirUp: true}
+	case Elevator, GlobalElevator:
+		return &elevator{dirUp: true, kind: kind}
 	default:
 		return &depthFirst{stacks: map[*workItem][]*Ref{}}
 	}
@@ -262,9 +272,10 @@ func (s *breadthFirst) TakeOnPage(p disk.PageID) []*Ref {
 type elevator struct {
 	pend  pendingSet
 	dirUp bool
+	kind  SchedulerKind // Elevator or GlobalElevator, for Name
 }
 
-func (s *elevator) Name() string { return Elevator.String() }
+func (s *elevator) Name() string { return s.kind.String() }
 
 func (s *elevator) Add(refs ...*Ref) {
 	for _, r := range refs {

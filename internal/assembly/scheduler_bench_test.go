@@ -117,7 +117,7 @@ func BenchmarkSchedulerPredicateFirst(b *testing.B) {
 func BenchmarkSchedulerMultiElevator(b *testing.B) {
 	item := &workItem{}
 	node := &Template{Name: "x"}
-	s := NewMultiElevator(4, func(p disk.PageID) int { return int(p) / 8 % 4 })
+	s := newLaneElevator("multi-elevator", 4, func(p disk.PageID) int { return int(p) / 8 % 4 })
 	head := disk.PageID(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

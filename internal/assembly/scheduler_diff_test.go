@@ -36,13 +36,13 @@ var diffCases = []struct {
 		return diffPair{r, m, func() []bool { return []bool{r.dirUp} }, func() []bool { return []bool{m.dirUp} }}
 	}},
 	{"multi-elevator", false, func(laneOf func(disk.PageID) int, heads func(int) (disk.PageID, bool)) diffPair {
-		return lanePair(NewMultiElevator(3, laneOf), laneOf, heads)
+		return lanePair(newLaneElevator("multi-elevator", 3, laneOf), laneOf, heads)
 	}},
 	{"shard-elevator", false, func(laneOf func(disk.PageID) int, heads func(int) (disk.PageID, bool)) diffPair {
 		return lanePair(NewShardElevator(3, laneOf), laneOf, heads)
 	}},
 	{"multi-elevator/heads", true, func(laneOf func(disk.PageID) int, heads func(int) (disk.PageID, bool)) diffPair {
-		return lanePair(NewMultiElevator(3, laneOf), laneOf, heads)
+		return lanePair(newLaneElevator("multi-elevator", 3, laneOf), laneOf, heads)
 	}},
 	{"shard-elevator/heads", true, func(laneOf func(disk.PageID) int, heads func(int) (disk.PageID, bool)) diffPair {
 		return lanePair(NewShardElevator(3, laneOf), laneOf, heads)

@@ -8,9 +8,10 @@ package difftest
 //
 //   - caught: the tests failed and printed every expected line;
 //   - survived: the tests passed;
-//   - rotted: the snippet is not in its file exactly once, or the tests
-//     failed some other way — a mutant that no longer builds, or one
-//     caught at another seed or step than the one recorded.
+//   - rotted: a name in run is no test of pkg (go test -list), the
+//     snippet is not in its file exactly once, or the tests failed some
+//     other way — a mutant that no longer builds, or one caught at
+//     another seed or step than the one recorded.
 //
 // Every corpus entry must be caught. The runner uses the standard
 // library only and runs only with MUTANTS=1 (make mutants), since each
@@ -22,6 +23,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -127,9 +129,35 @@ func moduleRoot(t *testing.T) string {
 	return filepath.Dir(strings.TrimSpace(string(out)))
 }
 
+// unlisted returns the first name of m.run that go test -list does not
+// find in m.pkg, or "" when it finds them all. A pattern that matches no
+// test makes go test pass with "no tests to run", which would report a
+// renamed test's mutant as survived.
+func (m mutant) unlisted(root string) (string, error) {
+	cmd := exec.Command("go", "test", "-list", "^("+m.run+")$", m.pkg)
+	cmd.Dir = root
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return "", fmt.Errorf("go test -list: %v\n%s", err, out)
+	}
+	listed := strings.Split(string(out), "\n")
+	for _, name := range strings.Split(m.run, "|") {
+		if !slices.Contains(listed, name) {
+			return name, nil
+		}
+	}
+	return "", nil
+}
+
 // apply runs m's tests with m in an overlay and returns its verdict and
 // what explains it.
 func (m mutant) apply(t *testing.T, root string) (verdict, string) {
+	switch name, err := m.unlisted(root); {
+	case err != nil:
+		return rotted, err.Error()
+	case name != "":
+		return rotted, fmt.Sprintf("run names %s, no test of %s", name, m.pkg)
+	}
 	src, err := os.ReadFile(filepath.Join(root, m.file))
 	if err != nil {
 		return rotted, err.Error()
@@ -195,7 +223,8 @@ func TestMutants(t *testing.T) {
 }
 
 // TestMutantVerdicts plants a mutant that changes nothing, which must
-// survive, and one whose snippet is in no file, which must rot.
+// survive, one whose snippet is in no file and one that names a test
+// its package does not have, which must both rot.
 func TestMutantVerdicts(t *testing.T) {
 	requireMutants(t)
 	root := moduleRoot(t)
@@ -205,13 +234,17 @@ func TestMutantVerdicts(t *testing.T) {
 			"--- snippet\nconst Race = race\n--- replacement\nconst Race = race\n",
 		"missing": "pkg: ./internal/difftest\nfile: internal/difftest/difftest.go\nrun: TestCountRule\nexpect: never printed\n" +
 			"--- snippet\nconst Race = !race\n--- replacement\nconst Race = race\n",
+		// go test -run ^(TestCountRuleRenamed)$ passes with "no tests
+		// to run".
+		"renamed": "pkg: ./internal/difftest\nfile: internal/difftest/difftest.go\nrun: TestCountRuleRenamed\nexpect: never printed\n" +
+			"--- snippet\nconst Race = race\n--- replacement\nconst Race = race\n",
 	}
 	for name, text := range planted {
 		if err := os.WriteFile(filepath.Join(dir, name+".mutant"), []byte(text), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := map[string]verdict{"noop": survived, "missing": rotted}
+	want := map[string]verdict{"noop": survived, "missing": rotted, "renamed": rotted}
 	ms := loadCorpus(t, dir)
 	if len(ms) != len(want) {
 		t.Fatalf("loaded %d planted mutants, want %d", len(ms), len(want))

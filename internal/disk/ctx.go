@@ -23,6 +23,18 @@ func ReadPageCtx(ctx context.Context, dev Device, p PageID, buf []byte) error {
 	return dev.ReadPage(p, buf)
 }
 
+// Arms is implemented by devices over several arms that seek
+// independently — a striped device's sub-devices, a shard router's
+// members (Section 7's database "stored on more than one physical
+// device"): how many arms, the arm a global page lives on, and where
+// arm i stands as a global page (false when there is no arm i). The
+// assembly operator's elevator keeps one lane per arm.
+type Arms interface {
+	Shards() int
+	ShardOf(p PageID) int
+	HeadOf(i int) (PageID, bool)
+}
+
 // RunReader is implemented by devices that can read a run — several
 // pages, in the order one arm should visit them — as one operation: a
 // page-service client puts the run in one frame, a shard router hands it

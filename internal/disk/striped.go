@@ -71,17 +71,15 @@ func (s *Striped) RegisterMetrics(r *metrics.Registry, dev string) {
 	}
 }
 
-// DeviceOf reports which sub-device a global page lives on — the
-// routing the multi-device elevator scheduler needs.
-func (s *Striped) DeviceOf(p PageID) int {
-	return int(p) / s.unit % len(s.devs)
-}
+// Shards implements Arms: one arm per sub-device.
+func (s *Striped) Shards() int { return len(s.devs) }
+
+// ShardOf implements Arms: the sub-device a global page lives on.
+func (s *Striped) ShardOf(p PageID) int { return int(p) / s.unit % len(s.devs) }
 
 func (s *Striped) route(p PageID) (int, PageID) {
 	g := int(p)
-	dev := g / s.unit % len(s.devs)
-	local := g/(s.unit*len(s.devs))*s.unit + g%s.unit
-	return dev, PageID(local)
+	return s.ShardOf(p), PageID(g/(s.unit*len(s.devs))*s.unit + g%s.unit)
 }
 
 // ReadPage implements Device: the ctx path with no query to charge.
@@ -187,7 +185,7 @@ func (s *Striped) PageSize() int { return s.devs[0].PageSize() }
 // arm asks HeadOf. It is a load and takes no lock.
 func (s *Striped) Head() PageID { return PageID(s.last.Load()) }
 
-// HeadOf reports where sub-device i's arm stands, as the global page its
+// HeadOf implements Arms: where sub-device i's arm stands, as the global page its
 // local head maps back to; false when there is no sub-device i.
 func (s *Striped) HeadOf(i int) (PageID, bool) {
 	if i < 0 || i >= len(s.devs) {
@@ -236,3 +234,5 @@ func (s *Striped) Close() error {
 	}
 	return first
 }
+
+var _ Arms = (*Striped)(nil)

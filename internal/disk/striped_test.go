@@ -40,8 +40,8 @@ func TestStripedRouting(t *testing.T) {
 		if dev != c.dev || local != c.local {
 			t.Errorf("route(%d) = (%d, %d), want (%d, %d)", c.global, dev, local, c.dev, c.local)
 		}
-		if s.DeviceOf(c.global) != c.dev {
-			t.Errorf("DeviceOf(%d) = %d, want %d", c.global, s.DeviceOf(c.global), c.dev)
+		if s.ShardOf(c.global) != c.dev {
+			t.Errorf("ShardOf(%d) = %d, want %d", c.global, s.ShardOf(c.global), c.dev)
 		}
 	}
 }
@@ -182,8 +182,8 @@ func TestStripedHeadOf(t *testing.T) {
 				if err := s.ReadPage(p, buf); err != nil {
 					t.Fatal(err)
 				}
-				if h, ok := s.HeadOf(s.DeviceOf(p)); h != p || !ok {
-					t.Fatalf("%d devices, unit %d: after a read of page %d, HeadOf(%d) = %d, %v", n, unit, p, s.DeviceOf(p), h, ok)
+				if h, ok := s.HeadOf(s.ShardOf(p)); h != p || !ok {
+					t.Fatalf("%d devices, unit %d: after a read of page %d, HeadOf(%d) = %d, %v", n, unit, p, s.ShardOf(p), h, ok)
 				}
 			}
 			for _, i := range []int{-1, n, n + 1} {

@@ -292,14 +292,12 @@ func (rg *rig) close() {
 	}
 }
 
-// query assembles every root over the router with the per-shard
-// elevator and shard prefetch, under o's window and fault policy (and
-// its scheduler, if it brings one), bound to ctx if ctx is not nil.
+// query assembles every root over the router with the elevator — a
+// prefetched lane per shard, which Open builds over the router — under
+// o's window and fault policy (and its scheduler, if it brings one),
+// bound to ctx if ctx is not nil.
 func (rg *rig) query(ctx context.Context, o assembly.Options) (*assembly.Operator, []volcano.Item, error) {
-	if o.CustomScheduler == nil {
-		o.CustomScheduler = assembly.NewShardElevator(rg.router.Shards(), rg.router.ShardOf)
-	}
-	o.ShardPrefetch = true
+	o.Scheduler = assembly.Elevator
 	op := assembly.New(volcano.FromOIDs(rg.db.Roots), rg.db.Store, rg.db.Template, o)
 	if ctx != nil {
 		op.BindContext(ctx)

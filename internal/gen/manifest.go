@@ -48,9 +48,10 @@ type RootPair struct {
 	OID, Root uint64
 }
 
-// SaveManifest writes the database's manifest with encoding/gob.
-func (db *Database) SaveManifest(path string) error {
-	m := Manifest{
+// Manifest describes the database as SaveManifest writes it, for
+// OpenDatabaseOn over another device that holds the same pages.
+func (db *Database) Manifest() (*Manifest, error) {
+	m := &Manifest{
 		NumComplexObjects: db.Config.NumComplexObjects,
 		Levels:            db.Config.Levels,
 		Fanout:            db.Config.Fanout,
@@ -80,17 +81,26 @@ func (db *Database) SaveManifest(path string) error {
 		return true
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for oid, root := range db.RootOf {
 		m.RootOf = append(m.RootOf, RootPair{OID: uint64(oid), Root: uint64(root)})
+	}
+	return m, nil
+}
+
+// SaveManifest writes the database's manifest with encoding/gob.
+func (db *Database) SaveManifest(path string) error {
+	m, err := db.Manifest()
+	if err != nil {
+		return err
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(&m); err != nil {
+	if err := gob.NewEncoder(f).Encode(m); err != nil {
 		return fmt.Errorf("gen: encode manifest: %w", err)
 	}
 	return nil

@@ -3,6 +3,7 @@ package gen
 import (
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -94,6 +95,73 @@ func TestManifestRoundTrip(t *testing.T) {
 			}
 		}
 		walk(root, 1)
+	}
+}
+
+// TestManifestInMemoryMatchesRoundTrip: a database reopened over its
+// in-memory Manifest is the one reopened over the same manifest saved
+// and loaded — the configuration, roots, ownership map, shape, template
+// and every object's address and fields.
+func TestManifestInMemoryMatchesRoundTrip(t *testing.T) {
+	dev := disk.New(0)
+	db, err := Build(Config{NumComplexObjects: 120, Clustering: InterObject, Sharing: 0.25, Seed: 78, Device: dev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	mp, err := db.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "db.manifest")
+	if err := db.SaveManifest(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := OpenDatabaseOn(dev, mp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, err := OpenDatabaseOn(dev, loaded, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what       string
+		mem, saved any
+	}{
+		{"config", mem.Config, saved.Config},
+		{"roots", mem.Roots, saved.Roots},
+		{"root map", mem.RootOf, saved.RootOf},
+		{"components", mem.NodesPerObject, saved.NodesPerObject},
+		{"children", mem.Children, saved.Children},
+		{"first leaf", mem.LeafStart, saved.LeafStart},
+		{"next OID", mem.NextOID, saved.NextOID},
+		{"data pages", mem.DataPages, saved.DataPages},
+		{"template", mem.Template.String(), saved.Template.String()},
+		{"locator entries", mem.Store.Locator.Len(), saved.Store.Locator.Len()},
+	} {
+		if !reflect.DeepEqual(c.mem, c.saved) {
+			t.Errorf("%s: in memory %v, saved and loaded %v", c.what, c.mem, c.saved)
+		}
+	}
+	for _, e := range mp.Entries {
+		oid := object.OID(e.OID)
+		memRID, _, err1 := mem.Store.Locator.Lookup(oid)
+		savedRID, _, err2 := saved.Store.Locator.Lookup(oid)
+		if memRID != savedRID || err1 != nil || err2 != nil {
+			t.Fatalf("%v at %v (%v) in memory, %v (%v) saved and loaded", oid, memRID, err1, savedRID, err2)
+		}
+		a, err1 := mem.Store.Get(oid)
+		b, err2 := saved.Store.Get(oid)
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(a, b) {
+			t.Fatalf("%v: %+v (%v) in memory, %+v (%v) saved and loaded", oid, a, err1, b, err2)
+		}
 	}
 }
 

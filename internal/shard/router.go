@@ -278,16 +278,17 @@ func (r *Router) shardOfLocked(p disk.PageID) int {
 	return r.rendezvousLocked(p)
 }
 
-// ShardOf routes a global page to its owning member index: the highest
-// rendezvous score over the member-name set, overridden toward the old
-// owner for pages a live reshard has not yet cut over.
+// ShardOf implements disk.Arms: the index of the member that owns a
+// global page, the highest rendezvous score over the member-name set,
+// overridden toward the old owner for pages a live reshard has not yet
+// cut over.
 func (r *Router) ShardOf(p disk.PageID) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.shardOfLocked(p)
 }
 
-// Shards returns the fleet width.
+// Shards implements disk.Arms: the fleet width.
 func (r *Router) Shards() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -980,7 +981,7 @@ func (r *Router) PageSize() int { return r.ps }
 // HeadOf. It is a load and takes no lock.
 func (r *Router) Head() disk.PageID { return disk.PageID(r.last.Load()) }
 
-// HeadOf reports where member i's primary arm stands, a global page as
+// HeadOf implements disk.Arms: where member i's primary arm stands, a global page as
 // every member spans the global page space; false if there is no member i.
 func (r *Router) HeadOf(i int) (disk.PageID, bool) {
 	r.mu.Lock()
@@ -1072,3 +1073,4 @@ var _ disk.Device = (*Router)(nil)
 var _ disk.CtxReader = (*Router)(nil)
 var _ disk.RunReader = (*Router)(nil)
 var _ disk.RunWriter = (*Router)(nil)
+var _ disk.Arms = (*Router)(nil)

@@ -351,8 +351,8 @@ func figureTable(p FigureParams) []figureDef {
 			},
 			base: Scenario{Objects: n(2000), Scheduler: assembly.Elevator, Window: 50},
 			series: []seriesDef{
-				{label: "global elevator"},
-				{label: "multi-elevator", tune: func(sc *Scenario) { sc.PerDevice = true }},
+				{label: "global elevator", tune: func(sc *Scenario) { sc.Scheduler = assembly.GlobalElevator }},
+				{label: "multi-elevator"},
 			},
 			xs: []float64{1, 2, 4, 8},
 			set: func(sc *Scenario, x float64) float64 {

@@ -212,25 +212,35 @@ func (e *env) netDelta(d metrics.Snapshot) (sends, recvs, pages int64) {
 // page-service client included, exports its arm), plus the clients' net
 // counters on the networked ones (see netAgrees).
 func verifyRegistry(sc Scenario, e *env, d metrics.Snapshot, got Measured, st assembly.Stats) error {
-	policy := sc.Scheduler.String()
+	// The operator's policy labels: its Elevator over a fleet or stripes
+	// names the width at Open, and a reshard opens queries at two.
+	policies := []string{sc.Scheduler.String()}
 	switch {
-	case e.shards > 0:
-		// The sharded backend assembles under the per-shard elevator,
-		// whose name is the operator's policy label.
-		policy = fmt.Sprintf("shard-elevator(%d)", e.shards)
-	case sc.PerDevice && e.striped != nil:
-		policy = fmt.Sprintf("multi-elevator(%d)", sc.Devices)
+	case sc.Scheduler != assembly.Elevator || sc.PredicateFirst:
+	case e.router != nil:
+		policies = []string{fmt.Sprintf("shard-elevator(%d)", e.shards)}
+		if n := e.router.Shards(); n != e.shards {
+			policies = append(policies, fmt.Sprintf("shard-elevator(%d)", n))
+		}
+	case sc.Devices > 0 && sc.Backend == BackendLocal:
+		policies = []string{fmt.Sprintf("multi-elevator(%d)", sc.Devices)}
+	}
+	booked := func(name string) (n int64) {
+		for _, p := range policies {
+			n += d.Value(name, "policy", p)
+		}
+		return n
 	}
 	for _, c := range []struct {
 		name string
 		reg  int64
 		want int64
 	}{
-		{"asm_assembly_assembled_total", d.Value("asm_assembly_assembled_total", "policy", policy), int64(st.Assembled)},
-		{"asm_assembly_aborted_total", d.Value("asm_assembly_aborted_total", "policy", policy), int64(st.Aborted)},
-		{"asm_assembly_skipped_total", d.Value("asm_assembly_skipped_total", "policy", policy), int64(st.Skipped)},
-		{"asm_assembly_fault_retries_total", d.Value("asm_assembly_fault_retries_total", "policy", policy), int64(st.FaultRetries)},
-		{"asm_assembly_window_stalls_total", d.Value("asm_assembly_window_stalls_total", "policy", policy), int64(st.WindowStalls)},
+		{"asm_assembly_assembled_total", booked("asm_assembly_assembled_total"), int64(st.Assembled)},
+		{"asm_assembly_aborted_total", booked("asm_assembly_aborted_total"), int64(st.Aborted)},
+		{"asm_assembly_skipped_total", booked("asm_assembly_skipped_total"), int64(st.Skipped)},
+		{"asm_assembly_fault_retries_total", booked("asm_assembly_fault_retries_total"), int64(st.FaultRetries)},
+		{"asm_assembly_window_stalls_total", booked("asm_assembly_window_stalls_total"), int64(st.WindowStalls)},
 		{"asm_buffer_hits_total", d.Value("asm_buffer_hits_total", "pool", e.label), got.Pool.Hits},
 		{"asm_buffer_misses_total", d.Value("asm_buffer_misses_total", "pool", e.label), got.Pool.Faults},
 	} {

@@ -127,10 +127,9 @@ type Scenario struct {
 	Selectivity    float64
 	PredicateFirst bool
 	// Devices, when positive, stripes the local backend's extent over
-	// that many simulated devices (Section 7); PerDevice then assembles
-	// with one elevator per device in place of Scheduler.
-	Devices   int
-	PerDevice bool
+	// that many simulated devices (Section 7). The Elevator then keeps
+	// one elevator per device; GlobalElevator keeps the one sweep.
+	Devices int
 }
 
 // validate reports the first range or knob-combination problem of a

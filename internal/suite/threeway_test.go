@@ -28,7 +28,7 @@ func TestThreeWaySuiteRuns(t *testing.T) {
 		{"sharded-backend", Scenario{Backend: BackendSharded, Objects: 40}},
 		{"sharded-reshard", Scenario{Backend: BackendSharded, Workload: WorkloadReshard, Objects: 40}},
 		{"faulty-retry", Scenario{Objects: 60, FaultTransient: 0.1}},
-		{"striped-per-device-elevator", Scenario{Objects: 60, Devices: 4, PerDevice: true}},
+		{"striped-per-device-elevator", Scenario{Objects: 60, Devices: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := tc.sc

@@ -29,14 +29,13 @@ type env struct {
 	db *gen.Database
 	// label names the physical configuration (Scenario.label): the
 	// dev=/pool= value of every series this env registers.
-	label   string
-	faulty  *disk.Faulty  // non-nil when the scenario arms fault/stall knobs
-	striped *disk.Striped // non-nil when the scenario stripes the extent
+	label  string
+	faulty *disk.Faulty // non-nil when the scenario arms fault/stall knobs
 	// netLabels are the dev labels of the page-service clients under
 	// the pool: one on the pagesvc backend, one per member on a fleet.
 	netLabels []string
-	// Sharded backend: the router (its page-to-shard assignment also
-	// drives the per-shard elevator) and the fleet width.
+	// Sharded backend: the router and the fleet width the database was
+	// built over.
 	router *shard.Router
 	shards int
 	// Reshard workload: the prepared fourth member (dialed but not yet
@@ -104,7 +103,6 @@ func (e *env) build(sc Scenario, reg *metrics.Registry) error {
 			if err != nil {
 				return err
 			}
-			e.striped = striped
 			cfg.Device = striped
 		case sc.faulted():
 			// The injector stays disarmed during the build; run arms it
@@ -157,14 +155,10 @@ func (e *env) build(sc Scenario, reg *metrics.Registry) error {
 		cfg.Device = router
 		if sc.Workload == WorkloadReshard {
 			// Prepare the fourth member now (dial is setup, not workload)
-			// but leave the join to the measured phase. The elevator and
-			// the policy label both use the POST-join width: lanes are
-			// fixed identities, and pre-join no page routes to the empty
-			// fourth lane.
+			// but leave the join to the measured phase.
 			if e.joiner, err = member(fleet); err != nil {
 				return err
 			}
-			e.shards = fleet + 1
 		}
 	default:
 		return fmt.Errorf("suite: unknown backend %q", sc.Backend)
@@ -221,32 +215,6 @@ func (e *env) armFaults(sc Scenario) {
 	})
 }
 
-// options builds the operator options for the scenario. On the sharded
-// backend the per-shard elevator (with shard prefetch) replaces the
-// configured scheduler: pending references partition by the router's
-// assignment and each lane keeps its own SCAN order. PerDevice does the
-// same over a striped extent's arms, without the prefetch.
-func (sc Scenario) options(e *env, reg *metrics.Registry) assembly.Options {
-	opts := assembly.Options{
-		Window:          sc.Window,
-		Scheduler:       sc.Scheduler,
-		PredicateFirst:  sc.PredicateFirst,
-		UseSharingStats: sc.UseSharingStats,
-		PinWindowPages:  sc.PinWindow,
-		PageBatch:       sc.PageBatch,
-		FaultPolicy:     sc.FaultPolicy,
-		Metrics:         reg,
-	}
-	switch {
-	case e.shards > 0:
-		opts.CustomScheduler = assembly.NewShardElevator(e.shards, e.router.ShardOf)
-		opts.ShardPrefetch = true
-	case sc.PerDevice && e.striped != nil:
-		opts.CustomScheduler = assembly.NewMultiElevator(sc.Devices, e.striped.DeviceOf)
-	}
-	return opts
-}
-
 // template is the assembly template for the scenario: the database's
 // own, or — with Selectivity set — a clone carrying the predicate on
 // the paper shape's rightmost leaf (position G), whose ints[1] is
@@ -268,7 +236,18 @@ func (sc Scenario) template(e *env) *assembly.Template {
 // assembleRoots runs the assembly operator over the given roots and
 // returns its stats after checking the drain count matches.
 func assembleRoots(sc Scenario, e *env, roots []object.OID, reg *metrics.Registry) (assembly.Stats, error) {
-	op := assembly.New(volcano.FromOIDs(roots), e.db.Store, sc.template(e), sc.options(e, reg))
+	// Over a striped extent or a fleet the operator's Elevator keeps a
+	// lane per arm by itself; GlobalElevator asks for the one sweep.
+	op := assembly.New(volcano.FromOIDs(roots), e.db.Store, sc.template(e), assembly.Options{
+		Window:          sc.Window,
+		Scheduler:       sc.Scheduler,
+		PredicateFirst:  sc.PredicateFirst,
+		UseSharingStats: sc.UseSharingStats,
+		PinWindowPages:  sc.PinWindow,
+		PageBatch:       sc.PageBatch,
+		FaultPolicy:     sc.FaultPolicy,
+		Metrics:         reg,
+	})
 	n, err := volcano.Count(op)
 	if err != nil {
 		return assembly.Stats{}, err
