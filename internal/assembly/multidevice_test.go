@@ -225,9 +225,10 @@ func TestMultiElevatorName(t *testing.T) {
 // device calls for, and Explain and the metrics policy label name it —
 // the one sweep over a single arm, a lane per arm over a device that
 // names its arms (a multi-elevator over stripes, a shard-elevator over a
-// router), the one sweep again where GlobalElevator asks for it. Only
-// the router's lanes are prefetched: a traced query over it opens a
-// span per shard lane, and one over stripes none.
+// router), the one sweep again where GlobalElevator asks for it. The
+// lanes win over PredicateFirst, which a query with a node predicate
+// sets. Only the router's lanes are prefetched: a traced query over it
+// opens a span per shard lane, and one over stripes none.
 func TestElevatorTakesTheDevicesArms(t *testing.T) {
 	stripes := func() disk.Device {
 		s, err := disk.NewStriped([]disk.Device{disk.New(0), disk.New(0), disk.New(0)}, 8)
@@ -245,17 +246,21 @@ func TestElevatorTakesTheDevicesArms(t *testing.T) {
 		return r
 	}
 	for _, c := range []struct {
-		name     string
-		dev      func() disk.Device
-		kind     assembly.SchedulerKind
-		policy   string
-		prefetch bool
+		name      string
+		dev       func() disk.Device
+		kind      assembly.SchedulerKind
+		predFirst bool
+		policy    string
+		prefetch  bool
 	}{
-		{"one arm", func() disk.Device { return disk.New(0) }, assembly.Elevator, "elevator", false},
-		{"stripes", stripes, assembly.Elevator, "multi-elevator(3)", false},
-		{"stripes, global", stripes, assembly.GlobalElevator, "global-elevator", false},
-		{"router", fleet, assembly.Elevator, "shard-elevator(2)", true},
-		{"router, global", fleet, assembly.GlobalElevator, "global-elevator", false},
+		{"one arm", func() disk.Device { return disk.New(0) }, assembly.Elevator, false, "elevator", false},
+		{"one arm, predicate first", func() disk.Device { return disk.New(0) }, assembly.Elevator, true, "predicate-first/elevator", false},
+		{"stripes", stripes, assembly.Elevator, false, "multi-elevator(3)", false},
+		{"stripes, predicate first", stripes, assembly.Elevator, true, "multi-elevator(3)", false},
+		{"stripes, global", stripes, assembly.GlobalElevator, false, "global-elevator", false},
+		{"router", fleet, assembly.Elevator, false, "shard-elevator(2)", true},
+		{"router, predicate first", fleet, assembly.Elevator, true, "shard-elevator(2)", true},
+		{"router, global", fleet, assembly.GlobalElevator, false, "global-elevator", false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			db, err := gen.Build(gen.Config{NumComplexObjects: 60, Clustering: gen.Unclustered, Seed: 43, BufferPages: 64, Device: c.dev()})
@@ -264,7 +269,7 @@ func TestElevatorTakesTheDevicesArms(t *testing.T) {
 			}
 			reg := metrics.NewRegistry()
 			op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template,
-				assembly.Options{Window: 20, Scheduler: c.kind, Metrics: reg})
+				assembly.Options{Window: 20, Scheduler: c.kind, PredicateFirst: c.predFirst, Metrics: reg})
 			if label, _ := op.PlanNode(); !strings.HasPrefix(label, "assembly("+c.policy+", ") {
 				t.Errorf("plan node %q, want policy %s", label, c.policy)
 			}
@@ -272,6 +277,9 @@ func TestElevatorTakesTheDevicesArms(t *testing.T) {
 			items, err := volcano.Drain(qtrace.With(context.Background(), root), op)
 			if err != nil || len(items) != len(db.Roots) {
 				t.Fatalf("assembled %d of %d: %v", len(items), len(db.Roots), err)
+			}
+			if op.Policy() != c.policy {
+				t.Errorf("Policy() = %s, want %s", op.Policy(), c.policy)
 			}
 			if n := reg.Snapshot().Value("asm_assembly_assembled_total", "policy", c.policy); n != int64(len(items)) {
 				t.Errorf("policy %s booked %d assembled, want %d", c.policy, n, len(items))

@@ -156,7 +156,10 @@ type Operator struct {
 	Template *Template
 	Opts     Options
 
-	sched  Scheduler
+	sched Scheduler
+	// policy is sched's name, kept past Close: the label the operator
+	// books its metrics under.
+	policy string
 	shared *sharedTable
 	// tr is the pool's tracer, taken at Open: it receives an assembly
 	// event for every window admission, scheduling decision, fetch,
@@ -317,7 +320,9 @@ func (op *Operator) PlanNode() (string, []volcano.Iterator) {
 // a device that names its arms is a lane elevator over them, prefetched
 // where the device reads runs: a shard-elevator over a router, a
 // multi-elevator over stripes (the metrics policy label and Explain's).
-// A CustomScheduler that batches is prefetched.
+// It takes precedence over PredicateFirst, whose tiering keeps one
+// global queue. A CustomScheduler that batches is prefetched. Building
+// has no side effect, so PlanNode may call it; Open wires the heads.
 func (op *Operator) scheduler() (Scheduler, BatchScheduler) {
 	dev := op.Store.File.Pool().Device()
 	arms, _ := dev.(disk.Arms)
@@ -327,8 +332,6 @@ func (op *Operator) scheduler() (Scheduler, BatchScheduler) {
 	case op.Opts.CustomScheduler != nil:
 		sched = op.Opts.CustomScheduler
 		batcher, _ = sched.(BatchScheduler)
-	case op.Opts.PredicateFirst:
-		sched = NewPredicateFirst(op.Opts.Scheduler)
 	case op.Opts.Scheduler == Elevator && arms != nil:
 		if _, runs := dev.(disk.RunReader); runs {
 			le := newLaneElevator("shard-elevator", arms.Shards(), arms.ShardOf)
@@ -336,14 +339,17 @@ func (op *Operator) scheduler() (Scheduler, BatchScheduler) {
 		} else {
 			sched = newLaneElevator("multi-elevator", arms.Shards(), arms.ShardOf)
 		}
+	case op.Opts.PredicateFirst:
+		sched = NewPredicateFirst(op.Opts.Scheduler)
 	default:
 		sched = NewScheduler(op.Opts.Scheduler)
 	}
-	if le, ok := sched.(*LaneElevator); ok && arms != nil {
-		le.heads = arms.HeadOf
-	}
 	return sched, batcher
 }
+
+// Policy is the scheduling policy label the operator books its metrics
+// under (valid after Open, and after Close).
+func (op *Operator) Policy() string { return op.policy }
 
 // Open implements volcano.Iterator. It is all or nothing: what can
 // refuse the query — the template, the pool's frame quota — is settled
@@ -364,7 +370,12 @@ func (op *Operator) Open() error {
 		}
 		op.reservation = r
 	}
-	op.sched, op.batcher = sched, batcher
+	op.sched, op.batcher, op.policy = sched, batcher, sched.Name()
+	if le, ok := sched.(*LaneElevator); ok {
+		if arms, ok := op.Store.File.Pool().Device().(disk.Arms); ok {
+			le.heads = arms.HeadOf
+		}
+	}
 	if op.Opts.UseSharingStats {
 		op.shared = &sharedTable{pool: op.Store.File.Pool(), entries: map[object.OID]sharedEntry{}}
 	}
@@ -383,7 +394,7 @@ func (op *Operator) Open() error {
 	op.shape.measure(op.Template, op.shared != nil, false)
 	op.decode = op.decodeRec
 	op.stats = Stats{}
-	op.cells.bind(op.Opts.Metrics, op.sched.Name())
+	op.cells.bind(op.Opts.Metrics, op.policy)
 	op.publish()
 	op.pressure = false
 	op.stall = 0

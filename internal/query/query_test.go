@@ -1,14 +1,17 @@
 package query
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"revelation/internal/assembly"
+	"revelation/internal/disk"
 	"revelation/internal/expr"
 	"revelation/internal/gen"
 	"revelation/internal/object"
+	"revelation/internal/shard"
 	"revelation/internal/volcano"
 )
 
@@ -163,6 +166,43 @@ func TestRevealedPlanExplains(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("plan missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRevealOverFleetKeepsItsLanes: a node predicate makes the plan
+// predicate-first, but over a router the Elevator keeps a lane per
+// shard (what asmquery -shards runs), and the revealed plan returns
+// what the naive one does.
+func TestRevealOverFleetKeepsItsLanes(t *testing.T) {
+	router, err := shard.New(shard.Config{Members: []shard.Member{{Name: "m0", Primary: disk.New(0)}, {Name: "m1", Primary: disk.New(0)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	db := buildDB(t, gen.Config{NumComplexObjects: 40, Seed: 77, BufferPages: 64, Device: router})
+	q := &Query{
+		Template:  db.Template,
+		Roots:     db.Roots,
+		NodePreds: map[string]expr.Predicate{"G": expr.IntCmp{Field: 1, Op: expr.LT, Value: 500, Sel: 0.5}},
+	}
+	opts := assembly.Options{Window: 50, Scheduler: assembly.Elevator}
+	plan, err := Reveal(db.Store, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := volcano.Explain(plan); !strings.Contains(out, "assembly(shard-elevator(2), window 50") {
+		t.Errorf("plan is not the per-shard elevator:\n%s", out)
+	}
+	revealed, err := RevealExec(db.Store, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := NaiveExec(db.Store, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := oidSet(revealed), oidSet(naive); !slices.Equal(got, want) {
+		t.Errorf("revealed %v, naive %v", got, want)
 	}
 }
 

@@ -32,6 +32,7 @@ func run(sc Scenario, e *env, tr *trace.Tracer, reg *metrics.Registry) (Result, 
 		}
 	}
 	e.armFaults(sc)
+	e.policies = e.policies[:0]
 
 	m, err := StartMeasurement(sc.Name, sc.Window, e.db.Device, e.db.Pool, tr)
 	if err != nil {

@@ -212,21 +212,10 @@ func (e *env) netDelta(d metrics.Snapshot) (sends, recvs, pages int64) {
 // page-service client included, exports its arm), plus the clients' net
 // counters on the networked ones (see netAgrees).
 func verifyRegistry(sc Scenario, e *env, d metrics.Snapshot, got Measured, st assembly.Stats) error {
-	// The operator's policy labels: its Elevator over a fleet or stripes
-	// names the width at Open, and a reshard opens queries at two.
-	policies := []string{sc.Scheduler.String()}
-	switch {
-	case sc.Scheduler != assembly.Elevator || sc.PredicateFirst:
-	case e.router != nil:
-		policies = []string{fmt.Sprintf("shard-elevator(%d)", e.shards)}
-		if n := e.router.Shards(); n != e.shards {
-			policies = append(policies, fmt.Sprintf("shard-elevator(%d)", n))
-		}
-	case sc.Devices > 0 && sc.Backend == BackendLocal:
-		policies = []string{fmt.Sprintf("multi-elevator(%d)", sc.Devices)}
-	}
+	// Every policy label the run's operators booked under (see
+	// env.policies).
 	booked := func(name string) (n int64) {
-		for _, p := range policies {
+		for _, p := range e.policies {
 			n += d.Value(name, "policy", p)
 		}
 		return n

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"revelation/internal/assembly"
@@ -34,14 +35,16 @@ type env struct {
 	// netLabels are the dev labels of the page-service clients under
 	// the pool: one on the pagesvc backend, one per member on a fleet.
 	netLabels []string
-	// Sharded backend: the router and the fleet width the database was
-	// built over.
+	// Sharded backend: the router the database was built over.
 	router *shard.Router
-	shards int
 	// Reshard workload: the prepared fourth member (dialed but not yet
 	// joined) and how many pages the measured migration cut over.
 	joiner   shard.Member
 	migrated int
+	// policies are the scheduler labels the run's operators booked
+	// their counters under: one, or one per half of a reshard, whose
+	// fleet widens between them.
+	policies []string
 	closes   []func() error
 }
 
@@ -151,7 +154,6 @@ func (e *env) build(sc Scenario, reg *metrics.Registry) error {
 		}
 		e.closes = append(e.closes, router.Close)
 		e.router = router
-		e.shards = fleet
 		cfg.Device = router
 		if sc.Workload == WorkloadReshard {
 			// Prepare the fourth member now (dial is setup, not workload)
@@ -253,6 +255,9 @@ func assembleRoots(sc Scenario, e *env, roots []object.OID, reg *metrics.Registr
 		return assembly.Stats{}, err
 	}
 	st := op.Stats()
+	if !slices.Contains(e.policies, op.Policy()) {
+		e.policies = append(e.policies, op.Policy())
+	}
 	if n != st.Assembled {
 		return st, fmt.Errorf("suite %s: drained %d objects but operator assembled %d", sc.Name, n, st.Assembled)
 	}
