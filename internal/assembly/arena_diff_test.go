@@ -42,7 +42,7 @@ var diffScheds = []diffSched{
 	{"elevator", func(o *Options) { o.Scheduler = Elevator }},
 	{"predicate-first", func(o *Options) { o.Scheduler = Elevator; o.PredicateFirst = true }},
 	{"shard-prefetch", func(o *Options) {
-		o.CustomScheduler = NewShardElevator(2, func(p disk.PageID) int { return int(p) })
+		o.CustomScheduler = NewShardElevator(2, func(p disk.PageID) int { return int(p) % 2 })
 	}},
 }
 

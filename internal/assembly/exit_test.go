@@ -120,7 +120,7 @@ func TestEveryExitHandsBack(t *testing.T) {
 	options := func(su setup, policy FaultPolicy) Options {
 		o := Options{Window: 4, ReserveFrames: 16, PinWindowPages: su.pins, FaultPolicy: policy}
 		if su.lanes {
-			o.CustomScheduler = NewShardElevator(2, func(p disk.PageID) int { return int(p) })
+			o.CustomScheduler = NewShardElevator(2, func(p disk.PageID) int { return int(p) % 2 })
 		}
 		return o
 	}

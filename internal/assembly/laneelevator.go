@@ -13,7 +13,9 @@ import (
 // flight per lane — while preserving each lane's own service order.
 type BatchScheduler interface {
 	Scheduler
-	// Lanes reports how many independent lanes the scheduler sweeps.
+	// Lanes reports how many independent lanes the scheduler sweeps. The
+	// operator starts a lane worker for each at Open; a lane added later
+	// (a member joined mid-query) shares the workers.
 	Lanes() int
 	// LaneOf routes a page to its lane index.
 	LaneOf(p disk.PageID) int
@@ -75,8 +77,6 @@ func NewShardElevator(n int, shardOf func(disk.PageID) int) *LaneElevator {
 }
 
 func newLaneElevator(kind string, n int, laneOf func(disk.PageID) int) *LaneElevator {
-	// A Ref keeps its lane in an int16; past that many, lanes take
-	// several devices each.
 	n = min(max(n, 1), math.MaxInt16)
 	s := &LaneElevator{
 		name:   fmt.Sprintf("%s(%d)", kind, n),
@@ -96,14 +96,21 @@ func (s *LaneElevator) Name() string { return s.name }
 // Lanes implements BatchScheduler.
 func (s *LaneElevator) Lanes() int { return len(s.lanes) }
 
-// LaneOf implements BatchScheduler.
-func (s *LaneElevator) LaneOf(p disk.PageID) int { return s.laneOf(p) % len(s.lanes) }
+// LaneOf implements BatchScheduler: the page's arm. A Ref keeps its
+// lane in an int16; past that many, lanes take several arms each.
+func (s *LaneElevator) LaneOf(p disk.PageID) int { return s.laneOf(p) % math.MaxInt16 }
 
-// Add implements Scheduler.
+// Add implements Scheduler. A page on an arm past the lanes — one that
+// joined the device after Open, in a live reshard — adds lanes up to
+// it, each sweeping from its own arm's head.
 func (s *LaneElevator) Add(refs ...*Ref) {
 	for _, r := range refs {
-		r.lane = int16(s.LaneOf(r.Page()))
-		s.lanes[r.lane].pend.push(r)
+		i := s.LaneOf(r.Page())
+		for len(s.lanes) <= i {
+			s.lanes = append(s.lanes, lane{elevator: elevator{dirUp: true}})
+		}
+		r.lane = int16(i)
+		s.lanes[i].pend.push(r)
 	}
 }
 
@@ -199,7 +206,10 @@ func (s *LaneElevator) NextBatch(disk.PageID) []*Ref {
 
 // TakeOnPage implements Scheduler.
 func (s *LaneElevator) TakeOnPage(p disk.PageID) []*Ref {
-	return s.lanes[s.LaneOf(p)].TakeOnPage(p)
+	if i := s.LaneOf(p); i < len(s.lanes) {
+		return s.lanes[i].TakeOnPage(p)
+	}
+	return nil
 }
 
 // Len implements Scheduler.

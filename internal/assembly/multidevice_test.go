@@ -18,12 +18,14 @@ import (
 )
 
 // buildStriped generates an unclustered database striped over n
-// simulated devices.
-func buildStriped(t testing.TB, objects, n int) (*gen.Database, *disk.Striped) {
+// simulated devices, which it returns beside the stripe.
+func buildStriped(t testing.TB, objects, n int) (*gen.Database, *disk.Striped, []*disk.Sim) {
 	t.Helper()
-	var devs []disk.Device
-	for i := 0; i < n; i++ {
-		devs = append(devs, disk.New(0))
+	sims := make([]*disk.Sim, n)
+	devs := make([]disk.Device, n)
+	for i := range sims {
+		sims[i] = disk.New(0)
+		devs[i] = sims[i]
 	}
 	striped, err := disk.NewStriped(devs, 8)
 	if err != nil {
@@ -38,7 +40,7 @@ func buildStriped(t testing.TB, objects, n int) (*gen.Database, *disk.Striped) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db, striped
+	return db, striped, sims
 }
 
 // buildRouted generates an unclustered database on a shard router over
@@ -69,7 +71,7 @@ func buildRouted(t testing.TB, objects, n int) (*gen.Database, []*disk.Sim) {
 }
 
 func TestAssemblyOnStripedDevice(t *testing.T) {
-	db, striped := buildStriped(t, 300, 4)
+	db, _, sims := buildStriped(t, 300, 4)
 	op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template,
 		assembly.Options{Window: 25, Scheduler: assembly.Elevator})
 	out := drainAssembly(t, op)
@@ -80,7 +82,7 @@ func TestAssemblyOnStripedDevice(t *testing.T) {
 		verifyTree(t, db, inst)
 	}
 	// All four arms carried traffic.
-	for i, d := range striped.Devices() {
+	for i, d := range sims {
 		if d.Stats().Reads == 0 {
 			t.Errorf("device %d idle", i)
 		}
@@ -88,7 +90,7 @@ func TestAssemblyOnStripedDevice(t *testing.T) {
 }
 
 func TestMultiElevatorBeatsGlobalElevatorOnStripes(t *testing.T) {
-	db, striped := buildStriped(t, 600, 4)
+	db, striped, _ := buildStriped(t, 600, 4)
 
 	run := func(kind assembly.SchedulerKind) int64 {
 		if err := db.Pool.EvictAll(); err != nil {
@@ -187,7 +189,7 @@ func TestOneLaneIsTheGlobalElevator(t *testing.T) {
 }
 
 func TestMultiElevatorCorrectAcrossWindows(t *testing.T) {
-	db, _ := buildStriped(t, 200, 3)
+	db, _, _ := buildStriped(t, 200, 3)
 	for _, w := range []int{1, 10, 60} {
 		if err := db.Pool.EvictAll(); err != nil {
 			t.Fatal(err)
@@ -207,7 +209,7 @@ func TestMultiElevatorCorrectAcrossWindows(t *testing.T) {
 }
 
 func TestMultiElevatorName(t *testing.T) {
-	db, _ := buildStriped(t, 50, 4)
+	db, _, _ := buildStriped(t, 50, 4)
 	op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template, assembly.Options{Scheduler: assembly.Elevator})
 	if label, _ := op.PlanNode(); !strings.HasPrefix(label, "assembly(multi-elevator(4), ") {
 		t.Errorf("plan node %q", label)

@@ -106,7 +106,7 @@ func TestClosedQueryContextCollected(t *testing.T) {
 	val := new([64]byte)
 	runtime.SetFinalizer(val, func(*[64]byte) { freed.Store(true) })
 	ctx := context.WithValue(context.Background(), key{}, val)
-	opts := Options{Window: 6, CustomScheduler: NewShardElevator(2, func(p disk.PageID) int { return int(p) })}
+	opts := Options{Window: 6, CustomScheduler: NewShardElevator(2, func(p disk.PageID) int { return int(p) % 2 })}
 	op := New(volcano.FromOIDs(w.roots), w.store, w.tmpl, opts)
 	if _, err := volcano.Drain(ctx, op); err != nil {
 		t.Fatal(err)

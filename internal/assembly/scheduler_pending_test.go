@@ -121,7 +121,7 @@ func TestServedRefsUnreachable(t *testing.T) {
 		unchained(t, refs)
 	})
 	t.Run("lane elevator", func(t *testing.T) {
-		s := NewShardElevator(3, func(p disk.PageID) int { return int(p) })
+		s := NewShardElevator(3, func(p disk.PageID) int { return int(p) % 3 })
 		refs := mkRefs()
 		s.Add(refs...)
 		for len(s.NextBatch(0)) > 0 {
@@ -139,7 +139,7 @@ func TestServedRefsUnreachable(t *testing.T) {
 func TestElevatorStepAllocs(t *testing.T) {
 	for _, s := range []Scheduler{
 		NewScheduler(Elevator),
-		NewShardElevator(2, func(p disk.PageID) int { return int(p / 8) }),
+		NewShardElevator(2, func(p disk.PageID) int { return int(p/8) % 2 }),
 		NewPredicateFirst(Elevator),
 	} {
 		step := steadyScheduler(s, 2000)

@@ -66,7 +66,7 @@ func TestWalkReportsSeedAndStep(t *testing.T) {
 }
 
 // The full count by default and the reduced one under -short; under the
-// race detector (make race-core runs this package) the reduced one both
+// race detector (make race runs this package) the reduced one both
 // ways.
 func TestCountRule(t *testing.T) {
 	defer flag.Set("test.short", fmt.Sprint(testing.Short()))

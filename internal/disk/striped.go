@@ -49,9 +49,6 @@ func NewStriped(devs []Device, unit int) (*Striped, error) {
 	return &Striped{devs: devs, unit: unit}, nil
 }
 
-// Devices exposes the sub-devices (for per-device statistics).
-func (s *Striped) Devices() []Device { return s.devs }
-
 // SetTracer implements TracerSetter by forwarding the tracer to every
 // arm: traced pages and heads are arm-local, which is the physically
 // meaningful view (each arm moves independently).

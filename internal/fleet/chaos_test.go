@@ -522,19 +522,16 @@ func TestFleetReshardAddMemberMidQuery(t *testing.T) {
 	col := trace.NewCollector()
 	disk.AttachTracer(router, trace.New(col))
 
-	// Join once the query is demonstrably under way. The elevator is
-	// built at the POST-join width: lanes are stable identities, and
-	// pre-join no page routes to the empty fourth lane.
+	// Join once the query is demonstrably under way. Open builds the
+	// shard elevator at the pre-join width; the joiner's pages get a
+	// lane of their own once they route to it.
 	joinerDev := disk.New(0)
 	var migrated int
 	joined := rg.after(router, 15, func() (err error) {
 		migrated, err = mg.Join(shard.Member{Name: joiner, Primary: joinerDev})
 		return err
 	})
-	_, items, err := rg.query(nil, assembly.Options{
-		Window:          8,
-		CustomScheduler: assembly.NewShardElevator(len(names)+1, router.ShardOf),
-	})
+	_, items, err := rg.query(nil, assembly.Options{Window: 8})
 	joinErr := <-joined
 	if err != nil {
 		t.Fatalf("query did not survive the live reshard: %v", err)

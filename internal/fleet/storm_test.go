@@ -169,7 +169,7 @@ func (s storm) closeUnder() {
 // come out byte-identical to the fault-free oracle; once the fleet is
 // quiet again every page is booked on one arm exactly once; a last query
 // has the pool closed under it. Nothing is left behind: no goroutine, no
-// pin. What this is for is the race detector (fleet-chaos-test runs it
+// pin. What this is for is the race detector (make race runs it
 // under -race).
 func TestOverlappedBatchStorm(t *testing.T) {
 	t.Run("kill-and-revive", func(t *testing.T) {

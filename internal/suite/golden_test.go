@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"revelation/internal/assembly"
+	"revelation/internal/difftest"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
@@ -114,8 +115,25 @@ func TestReportSchemaShape(t *testing.T) {
 // in this file's diff. Refresh with: go test ./internal/suite -run
 // Golden -update
 func TestFiguresJSONGolden(t *testing.T) {
+	goldenFigures(t, 0.1, "figures.golden.json")
+}
+
+// TestFiguresScale1Golden pins the same figures at the paper's scale
+// (1000 to 4000 complex objects) and checks the paper's claims against
+// them (checkFidelity).
+func TestFiguresScale1Golden(t *testing.T) {
+	if difftest.Race {
+		t.Skip("scale 1 takes about 2 s plain and 35 s under the race detector; the scale-0.1 golden keeps the race pass")
+	}
+	checkFidelity(t, goldenFigures(t, 1, "figures.scale1.golden.json"))
+}
+
+// goldenFigures runs every deterministic figure at scale and compares
+// their JSON with testdata/name (rewritten under -update).
+func goldenFigures(t *testing.T, scale float64, name string) []Figure {
+	t.Helper()
 	var s Session
-	figs, err := s.AllFigures(FigureParams{Scale: 0.1, Faults: DefaultFaultOptions})
+	figs, err := s.AllFigures(FigureParams{Scale: scale, Faults: DefaultFaultOptions})
 	if err != nil {
 		t.Fatalf("AllFigures: %v", err)
 	}
@@ -124,7 +142,7 @@ func TestFiguresJSONGolden(t *testing.T) {
 		t.Fatalf("FiguresJSON: %v", err)
 	}
 
-	golden := filepath.Join("testdata", "figures.golden.json")
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -138,6 +156,7 @@ func TestFiguresJSONGolden(t *testing.T) {
 		t.Errorf("figure JSON drifted from %s (re-run with -update if intended)\ngot:\n%s\nwant:\n%s",
 			golden, got, want)
 	}
+	return figs
 }
 
 // TestFiguresJSONDeterministic guards the premise of the golden test:
